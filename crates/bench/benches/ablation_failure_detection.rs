@@ -23,7 +23,7 @@
 //! Run: `cargo bench -p dlb-bench --bench ablation_failure_detection`.
 
 use dlb_bench::results::{JsonlSink, Record};
-use dlb_scenario::{AlgoSpec, RuntimeSpec, ScenarioSpec};
+use dlb_scenario::{AlgoSpec, ScenarioSpec};
 
 /// The fixed fault trajectory every detector setting faces: 15% of
 /// the cluster crashes at 200 ms (silence the detector must notice),
@@ -72,7 +72,6 @@ fn main() {
         let text = format!("{} detect={detect}", base_spec());
         let spec: ScenarioSpec = text.parse().expect("grid specs parse");
         assert_eq!(spec.algo, AlgoSpec::Protocol);
-        assert_eq!(spec.runtime, RuntimeSpec::Events);
         let run = spec.run();
         assert!(
             run.converged,

@@ -22,7 +22,7 @@
 //! Run: `cargo bench -p dlb-bench --bench ablation_fault_tolerance`.
 
 use dlb_bench::results::{JsonlSink, Record};
-use dlb_scenario::{AlgoSpec, RuntimeSpec, ScenarioSpec};
+use dlb_scenario::{AlgoSpec, ScenarioSpec};
 
 /// The workload every fault intensity runs against: exponential loads
 /// on the paper's homogeneous `c = 20` network, big enough that a
@@ -30,7 +30,6 @@ use dlb_scenario::{AlgoSpec, RuntimeSpec, ScenarioSpec};
 fn base_spec() -> ScenarioSpec {
     ScenarioSpec::new()
         .algo(AlgoSpec::Protocol)
-        .runtime(RuntimeSpec::Events)
         .servers(300)
         .avg_load(60.0)
         .seed(7)

@@ -15,7 +15,7 @@ use dlb_bench::results::{JsonlSink, Record};
 use dlb_bench::{print_header, sample_instance, NetworkKind};
 use dlb_core::workload::{LoadDistribution, SpeedDistribution};
 use dlb_distributed::{Engine, EngineOptions};
-use dlb_runtime::{run_cluster, ClusterOptions};
+use dlb_runtime::{run_cluster_events, ClusterOptions};
 
 fn main() {
     let mut sink = JsonlSink::create("ablation_runtime_protocol");
@@ -70,7 +70,10 @@ fn main() {
             },
         );
         let engine_cost = engine.run_to_convergence(1e-12, 3, 300).final_cost;
-        let report = run_cluster(&instance, &ClusterOptions::certified(m));
+        // One-way link delay = half the RTT column.
+        let report = run_cluster_events(&instance, &ClusterOptions::certified(m), |i, j| {
+            instance.c(i, j) / 2.0
+        });
         sink.record(
             &Record::new("table_row")
                 .str("table", "ablation_runtime_protocol")

@@ -23,7 +23,7 @@
 //! Run: `cargo bench -p dlb-bench --bench ablation_streaming`.
 
 use dlb_bench::results::{JsonlSink, Record};
-use dlb_scenario::{AlgoSpec, RuntimeSpec, ScenarioSpec};
+use dlb_scenario::{AlgoSpec, ScenarioSpec};
 
 /// The intensity sweep: exact `arrivals=` axis values, light to
 /// heavy, so every row is reproducible as `dlb run <scenario>`.
@@ -65,7 +65,6 @@ fn main() {
         for faulted in [false, true] {
             let spec = base_spec(arrivals, faulted);
             assert_eq!(spec.algo, AlgoSpec::Protocol);
-            assert_eq!(spec.runtime, RuntimeSpec::Events);
             let run = spec.run();
             let s = run.stream;
             println!(

@@ -1,23 +1,24 @@
-//! Runtime scaling: thread-per-node vs the event-driven executor.
+//! Executor scaling: wall-clock cost of a protocol round by cluster
+//! size and partner-selection policy.
 //!
-//! The thread runtime spawns `m` OS threads and an O(m²) channel mesh;
-//! the event executor hosts the same protocol machines on a
-//! virtual-time heap in one process. This harness runs both on the
-//! same scenarios and records network size × runtime mode × partner
-//! selection → **wall-clock seconds per protocol round** (plus, for
-//! the executor, the *simulated* protocol milliseconds per round under
-//! the sampled link delays — the quantity the paper's deployment would
-//! observe) to `BENCH_runtime.json` at the workspace root, one JSON
-//! record per measurement, so the perf trajectory of both runtimes is
-//! tracked across PRs (`dlb report BENCH_runtime.json` renders it).
+//! The event executor hosts every protocol machine on a virtual-time
+//! heap in one process. This harness records network size × partner
+//! selection → **wall-clock seconds per protocol round** (plus the
+//! *simulated* protocol milliseconds per round under the sampled link
+//! delays — the quantity the paper's deployment would observe) to
+//! `BENCH_runtime.json` at the workspace root, one JSON record per
+//! measurement, so the executor's perf trajectory is tracked across
+//! PRs (`dlb report BENCH_runtime.json` renders it). The committed
+//! artifact predates the retirement of the thread-per-node runtime and
+//! still carries its two `"runtime":"threads"` rows (m = 100, 300 —
+//! past a few hundred nodes that mode was a pathology, not a
+//! baseline); this harness no longer produces them.
 //!
-//! The thread grid stops at a few hundred nodes — beyond that the
-//! thread mode is the pathology this comparison documents, not a
-//! usable baseline — while the executor grid climbs to the Figure-2
-//! sizes (`DLB_BENCH_SCALE=full` adds m = 2000 and m = 5000). A third
-//! grid measures `select=topk:32`: the delay-aware candidate index
-//! drops the per-round partner scan from O(m²) to O(m·K), which is
-//! what carries the executor from m = 5000 to m = 100 000. The
+//! The exact-scan grid climbs to the Figure-2 sizes
+//! (`DLB_BENCH_SCALE=full` adds m = 2000 and m = 5000). A second grid
+//! measures `select=topk:32`: the delay-aware candidate index drops
+//! the per-round partner scan from O(m²) to O(m·K), which is what
+//! carries the executor from m = 5000 to m = 100 000. The
 //! 100 000-node rows use `net=homog` because PlanetLab-like sampling
 //! runs an O(m³) metric closure — the *protocol* cost being measured
 //! is topology-blind.
@@ -36,16 +37,15 @@
 use dlb_bench::full_scale;
 use dlb_bench::results::{JsonlSink, Record};
 use dlb_core::workload::LoadDistribution;
-use dlb_scenario::{AlgoSpec, NetSpec, RuntimeSpec, ScenarioSpec, SelectSpec};
+use dlb_scenario::{AlgoSpec, NetSpec, ScenarioSpec, SelectSpec};
 
 /// The Figure-2 workload shape: the peak distribution (total load
 /// 100 000 on one server) bounded to a fixed round budget so
 /// secs/round is comparable across sizes.
-fn spec(m: usize, runtime: RuntimeSpec, net: NetSpec, select: SelectSpec) -> ScenarioSpec {
+fn spec(m: usize, net: NetSpec, select: SelectSpec) -> ScenarioSpec {
     const ROUNDS: usize = 12;
     ScenarioSpec::new()
         .algo(AlgoSpec::Protocol)
-        .runtime(runtime)
         .net(net)
         .servers(m)
         .load(LoadDistribution::Peak)
@@ -62,15 +62,12 @@ fn main() {
     let out_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_runtime.json");
     let mut sink = JsonlSink::create_at(out_path).expect("BENCH_runtime.json must be writable");
 
-    println!("== runtime scaling — threads vs event executor (secs / round) ==");
+    println!("== runtime scaling — event executor (secs / round) ==");
     println!(
-        "{:<8} {:<10} {:<9} {:>8} {:>14} {:>16} {:>14}",
-        "m", "runtime", "select", "rounds", "secs/round", "sim ms/round", "final ΣC"
+        "{:<8} {:<9} {:>8} {:>14} {:>16} {:>14}",
+        "m", "select", "rounds", "secs/round", "sim ms/round", "final ΣC"
     );
-    // The thread grid is scale-independent: past a few hundred nodes
-    // the m OS threads are the documented pathology, not a baseline.
-    let thread_sizes: Vec<usize> = vec![100, 300];
-    let event_sizes: Vec<usize> = if full {
+    let exact_sizes: Vec<usize> = if full {
         vec![100, 300, 1000, 2000, 5000]
     } else {
         vec![100, 300, 1000]
@@ -88,21 +85,16 @@ fn main() {
     } else {
         vec![(1000, NetSpec::Pl), (20000, NetSpec::Homog)]
     };
-    let grid = thread_sizes
+    let grid = exact_sizes
         .iter()
-        .map(|&m| (m, RuntimeSpec::Threads, NetSpec::Pl, SelectSpec::Exact))
-        .chain(
-            event_sizes
-                .iter()
-                .map(|&m| (m, RuntimeSpec::Events, NetSpec::Pl, SelectSpec::Exact)),
-        )
+        .map(|&m| (m, NetSpec::Pl, SelectSpec::Exact))
         .chain(
             topk_sizes
                 .iter()
-                .map(|&(m, net)| (m, RuntimeSpec::Events, net, SelectSpec::TopK(32))),
+                .map(|&(m, net)| (m, net, SelectSpec::TopK(32))),
         );
-    for (m, runtime, net, select) in grid {
-        let spec = spec(m, runtime, net, select);
+    for (m, net, select) in grid {
+        let spec = spec(m, net, select);
         // Sample outside the timer: net=pl instance construction runs
         // an O(m³) metric closure that would otherwise dominate (and
         // corrupt) the per-round figure at the large sizes.
@@ -111,17 +103,12 @@ fn main() {
         let run = spec.run_on(instance);
         let wall = start.elapsed().as_secs_f64();
         let secs_per_round = wall / run.iterations.max(1) as f64;
-        // For the executor, `wall_secs` carries simulated protocol
-        // seconds (deterministic per seed); the thread runtime has no
-        // virtual clock.
-        let sim_ms_per_round = match runtime {
-            RuntimeSpec::Events => run.wall_secs * 1000.0 / run.iterations.max(1) as f64,
-            RuntimeSpec::Threads => f64::NAN,
-        };
+        // `wall_secs` carries simulated protocol seconds
+        // (deterministic per seed).
+        let sim_ms_per_round = run.wall_secs * 1000.0 / run.iterations.max(1) as f64;
         println!(
-            "{:<8} {:<10} {:<9} {:>8} {:>14.4} {:>16.2} {:>14.4e}",
+            "{:<8} {:<9} {:>8} {:>14.4} {:>16.2} {:>14.4e}",
             m,
-            runtime.label(),
             select,
             run.iterations,
             secs_per_round,
@@ -132,7 +119,6 @@ fn main() {
             &Record::new("runtime_scaling")
                 .str("scenario", &run.scenario)
                 .int("m", m as i64)
-                .str("runtime", runtime.label())
                 .str("select", &select.to_string())
                 .int("rounds", run.iterations as i64)
                 .num("secs_per_round", secs_per_round)
@@ -148,8 +134,7 @@ fn main() {
     // request for 5 rounds. This is the bench-scale counterpart of the
     // `select_policy.rs` integration suite (m = 80, three topologies).
     println!("\n== selection parity at quiescence (volume < 1 for 5 rounds) ==");
-    let base =
-        spec(1000, RuntimeSpec::Events, NetSpec::Pl, SelectSpec::Exact).termination(1.0, 5, 6000);
+    let base = spec(1000, NetSpec::Pl, SelectSpec::Exact).termination(1.0, 5, 6000);
     let instance = base.build_instance();
     let exact = base.run_on(instance.clone());
     let topk = base.select(SelectSpec::TopK(32)).run_on(instance);
@@ -159,9 +144,8 @@ fn main() {
         (&topk, SelectSpec::TopK(32), drift),
     ] {
         println!(
-            "{:<8} {:<10} {:<9} {:>8} {:>14.4e}   drift {:.5}  converged {}",
+            "{:<8} {:<9} {:>8} {:>14.4e}   drift {:.5}  converged {}",
             run.m,
-            "events",
             policy,
             run.iterations,
             run.final_cost(),

@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! dlb run algo=batched net=pl m=500 load=peak avg=200 seed=7
-//! dlb run algo=protocol runtime=events faults=crash:0.1@500ms,loss:0.05 m=2000
-//! dlb run algo=protocol runtime=events m=100000 net=homog select=topk:32 patience=8
+//! dlb run algo=protocol faults=crash:0.1@500ms,loss:0.05 m=2000
+//! dlb run algo=protocol m=100000 net=homog select=topk:32 patience=8
 //! dlb run --scenario "algo=nash m=24 eps=0.01 patience=2" --out nash.jsonl
 //! dlb report BENCH_figure2.json
 //! dlb optimize --servers 50 --network pl --load exp --avg 50
@@ -26,7 +26,7 @@ use args::{ArgError, Args};
 use dlb_bench::report::render_report;
 use dlb_bench::results::{JsonlSink, Record};
 use dlb_coords::{Estimator, EstimatorConfig};
-use dlb_scenario::{AlgoSpec, NetSpec, RunRecord, ScenarioSpec};
+use dlb_scenario::{AlgoSpec, NetSpec, RunRecord, ScenarioSpec, TraceSpec};
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -38,7 +38,7 @@ commands:
   trace      inspect, replay-verify, or export a recorded frame log
   optimize   alias for `run algo=sequential` (+ BCD reference on small nets)
   nash       alias for `run algo=nash` vs the cooperative engine
-  protocol   alias for `run algo=protocol` (threads + wire frames)
+  protocol   alias for `run algo=protocol` vs the engine fixpoint
   estimate   run Vivaldi latency estimation against a synthetic network
   help       show this text
 
@@ -46,6 +46,10 @@ run:
   dlb run [KEY=VALUE]... [--scenario TEXT] [--out FILE]
   scenario keys (defaults shown):
     algo=sequential   sequential | batched | nash | protocol | bcd
+                      (protocol: the message-passing deployment on the
+                      deterministic virtual-time executor — m=5000 in
+                      one process, m=100000 with select=topk; reports
+                      simulated protocol seconds)
     net=homog         homog | euclid | pl
     m=20              number of organizations
     lat=20            homogeneous latency in ms (net=homog only)
@@ -57,20 +61,16 @@ run:
     eps=1e-10         termination tolerance
     patience=3        consecutive calm rounds to stop
     budget=2000       iteration/round/sweep budget
-    runtime=threads   threads | events — protocol host: OS threads or
-                      the deterministic virtual-time executor (scales
-                      to m=5000 in one process; reports simulated
-                      protocol seconds)
     select=exact      exact | topk:K — partner selection, algo=protocol
                       only. exact scores every peer per round (O(m)
                       per node); topk:K scores the K delay-nearest
                       peers plus the gossiped hot set (most/least
                       loaded), rebuilt only when the load vector
                       changes. topk:32 runs m=100000 event rounds:
-                      dlb run algo=protocol runtime=events m=100000 \\
-                        net=homog select=topk:32 patience=8
+                      dlb run algo=protocol m=100000 net=homog \\
+                        select=topk:32 patience=8
     faults=           deterministic fault schedule, algo=protocol
-                      runtime=events only. Comma-separated primitives:
+                      only. Comma-separated primitives:
                       crash:F@Tms[..Tms] (fraction F crashes at T,
                       optional recovery), loss:P[@Tms..Tms] (per-frame
                       loss), spike:Fx@Tms..Tms (delay multiplier),
@@ -80,7 +80,7 @@ run:
                       seed fixes workload, delays, and the fault
                       trajectory, so records reproduce bit for bit
     detect=oracle     oracle | timeout:MS | adaptive — liveness source,
-                      algo=protocol runtime=events only. oracle consults
+                      algo=protocol only. oracle consults
                       the fault script directly (the idealized baseline);
                       timeout:MS suspects any node silent MS past the
                       round start; adaptive learns per-node report
@@ -90,7 +90,7 @@ run:
                       with exact load conservation, and the record
                       carries a detector_* summary
     arrivals=         open-system request stream, algo=protocol
-                      runtime=events only; requires duration=.
+                      only; requires duration=.
                       Comma-separated processes, rates in requests per
                       second of virtual time: poisson:RATE (constant
                       rate over the whole run), burst:RATE@Tms..Tms
@@ -106,8 +106,8 @@ run:
                       virtual ms, time spent imbalanced). One seed
                       fixes the arrival times, routing draws, delays,
                       and faults, so records reproduce bit for bit.
-                      Example: dlb run algo=protocol runtime=events \\
-                        m=2000 arrivals=poisson:500,burst:2000@1000ms..2000ms \\
+                      Example: dlb run algo=protocol m=2000 \\
+                        arrivals=poisson:500,burst:2000@1000ms..2000ms \\
                         duration=4000
     duration=         stream horizon in virtual ms (accepts an 'ms'
                       suffix); requires arrivals=
@@ -127,7 +127,7 @@ run:
                       Example: dlb run algo=batched m=500 net=pl \\
                         gossip=event:100ms
     trace=off         off | summary | frames:FILE — deterministic
-                      observability, algo=protocol runtime=events only.
+                      observability, algo=protocol only.
                       off (the default) observes nothing and keeps the
                       run byte-identical to an untraced one. summary
                       attaches the trace plane and adds an obs_*
@@ -136,8 +136,8 @@ run:
                       time, so they reproduce bit for bit per seed).
                       frames:FILE additionally writes the full event
                       stream as a binary frame log for `dlb trace`.
-                      Example: dlb run algo=protocol runtime=events \\
-                        m=2000 faults=crash:0.1@500ms detect=adaptive \\
+                      Example: dlb run algo=protocol m=2000 \\
+                        faults=crash:0.1@500ms detect=adaptive \\
                         trace=frames:run.dlbf
 
 report:
@@ -256,6 +256,12 @@ fn cmd_run(args: &Args) -> Result<(), ArgError> {
     }
     let spec = ScenarioSpec::parse(&text).map_err(|e| ArgError(e.0))?;
     let mut sink = open_sink(args)?;
+    if let TraceSpec::Frames(path) = spec.trace {
+        // Create (or truncate) the frame log before the run, like
+        // `--out`: an unwritable path must not cost a whole run first.
+        std::fs::File::create(path.as_str())
+            .map_err(|e| ArgError(format!("trace=frames:{path}: cannot create ({e})")))?;
+    }
     execute(&spec, spec.build_instance(), &mut sink);
     Ok(())
 }

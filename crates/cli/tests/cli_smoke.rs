@@ -83,7 +83,8 @@ fn run_reproduces_engine_costs_exactly() {
     }
 }
 
-/// `runtime=events` protocol runs are deterministic end to end: two
+/// Protocol runs are deterministic end to end (the obsolete
+/// `runtime=events` token rides along, accepted and ignored): two
 /// CLI invocations of the same scenario must emit byte-identical
 /// JSON-lines records (including `wall_secs`, which carries simulated
 /// protocol time), and they must match the in-process runner.
@@ -125,8 +126,9 @@ fn event_protocol_runs_emit_reproducible_records() {
 
 /// The `detect=` axis end to end: a faulted adaptive-detector run
 /// succeeds, emits the v2 record shape (fault_* and detector_* always
-/// present), reproduces bit for bit, and a misplaced `detect=` on the
-/// thread runtime is rejected at parse time with a pointed message.
+/// present), reproduces bit for bit, and a misplaced `detect=` on a
+/// non-protocol algorithm is rejected at parse time with a pointed
+/// message.
 #[test]
 fn detect_axis_rides_the_cli_end_to_end() {
     let text = "algo=protocol runtime=events m=16 avg=80 seed=5 patience=9 budget=800 \
@@ -166,7 +168,7 @@ fn detect_axis_rides_the_cli_end_to_end() {
     assert_eq!(crashes, 3.0, "20% of 16 nodes");
 
     let output = dlb()
-        .args(["run", "--scenario", "algo=protocol m=8 detect=adaptive"])
+        .args(["run", "--scenario", "algo=batched m=8 detect=adaptive"])
         .output()
         .unwrap();
     assert!(!output.status.success());
@@ -258,4 +260,28 @@ fn bad_specs_and_missing_files_fail_cleanly() {
         .unwrap();
     assert!(!output.status.success());
     assert!(String::from_utf8_lossy(&output.stderr).contains("twice"));
+    // An unwritable frame-log path is refused before the run, as a
+    // plain error (exit 1) — not a panic after it.
+    let output = dlb()
+        .args([
+            "run",
+            "algo=protocol",
+            "m=8",
+            "trace=frames:/nonexistent_dir/x.dlbf",
+        ])
+        .output()
+        .unwrap();
+    assert_eq!(output.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        stderr.contains("error: trace=frames:/nonexistent_dir/x.dlbf: cannot create"),
+        "stderr: {stderr}"
+    );
+    // The retired thread runtime is a typed error too.
+    let output = dlb()
+        .args(["run", "algo=protocol", "runtime=threads"])
+        .output()
+        .unwrap();
+    assert_eq!(output.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&output.stderr).contains("was retired"));
 }

@@ -1,14 +1,11 @@
-//! The thread runtime: one OS thread per organization plus a
-//! coordinator thread loop, wired with unbounded channels.
+//! What a cluster run is configured with and what it reports:
+//! [`ClusterOptions`] in, [`ClusterReport`] out, plus the per-plane
+//! summaries the report carries.
 //!
 //! Round/termination logic lives in
-//! [`CoordinatorMachine`] and the per-node protocol in
-//! [`NodeMachine`](crate::machine::NodeMachine) —
-//! this module only supplies the *thread-shaped driver*: spawn `m`
-//! node threads, pump the coordinator's inbox, fan its broadcasts out
-//! over the channel mesh, and join. The event executor
-//! ([`crate::executor`]) drives the same machines without any of the
-//! threads, which is the mode that scales to Figure-2-size clusters.
+//! [`CoordinatorMachine`](crate::machine::CoordinatorMachine), the
+//! per-node protocol in [`NodeMachine`](crate::machine::NodeMachine),
+//! and the event executor ([`crate::executor`]) drives both.
 //!
 //! The coordinator plays two roles the paper assumes as substrates:
 //! the converged *gossip layer* (it rebroadcasts the load vector at
@@ -21,27 +18,23 @@
 //! `Σ_k r_kj (l_j/2s_j + c_kj)`, and these sum to the system objective
 //! — the coordinator never needs to see a ledger until shutdown.
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use dlb_core::{Assignment, Instance};
-use std::sync::Arc;
-use std::thread;
+use dlb_core::Assignment;
 
-use crate::machine::{CoordinatorMachine, Dest, Outbound};
-use crate::message::Frame;
-use crate::node::{run_node, NodeConfig, NodeLinks};
+use crate::machine::NodeConfig;
 
 /// How the coordinator learns that a node has crashed.
 ///
 /// The baseline [`DetectMode::Oracle`] is the script-fed liveness
 /// oracle: the driver tells the coordinator which nodes are down
 /// (ground truth, zero detection latency) — the idealized-failure
-/// regime every parity test pins. The other two modes move detection
+/// regime the golden event hashes pin. The other two modes move detection
 /// *into the protocol*: the coordinator arms a per-round report
 /// deadline and suspects any node whose report has not arrived when it
 /// fires; exchanges get their own retransmission timeout so a proposer
 /// whose partner dies mid-exchange aborts and rolls back locally.
 /// Under both in-protocol modes the oracle is provably unreached
-/// ([`CoordinatorMachine::set_down`] panics if consulted).
+/// ([`CoordinatorMachine::set_down`](crate::machine::CoordinatorMachine::set_down)
+/// panics if consulted).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum DetectMode {
     /// Ground-truth liveness from the fault script (the default).
@@ -63,7 +56,7 @@ pub enum DetectMode {
 }
 
 /// What the in-protocol failure detector did during a run (all zeros
-/// under [`DetectMode::Oracle`] and for the thread runtime).
+/// under [`DetectMode::Oracle`]).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DetectorSummary {
     /// Nodes suspected after missing a report deadline (a node
@@ -91,7 +84,7 @@ impl DetectorSummary {
 }
 
 /// What the open-system request stream experienced during a run (all
-/// zeros for closed-batch runs and the thread runtime). Latencies are
+/// zeros for closed-batch runs). Latencies are
 /// virtual milliseconds; the percentile fields are computed over the
 /// sojourns of every served request.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -137,10 +130,7 @@ pub struct ClusterOptions {
     pub failed: Vec<u32>,
     /// Per-node protocol configuration.
     pub node: NodeConfig,
-    /// How crashed nodes are detected (see [`DetectMode`]). Only the
-    /// event executor honors the in-protocol modes; the thread runtime
-    /// (which has no virtual clock to arm deadlines on) requires
-    /// [`DetectMode::Oracle`].
+    /// How crashed nodes are detected (see [`DetectMode`]).
     pub detect: DetectMode,
     /// Exchange retransmission timeout (virtual ms) under in-protocol
     /// detection: how long a node waits for its partner's next
@@ -178,7 +168,7 @@ impl ClusterOptions {
     }
 }
 
-/// Result of a cluster run (either runtime).
+/// Result of a cluster run.
 #[derive(Debug, Clone)]
 pub struct ClusterReport {
     /// The final assignment assembled from the nodes' ledgers.
@@ -199,291 +189,19 @@ pub struct ClusterReport {
     /// Whether the run ended by quiescence (`true`) or by the round
     /// budget (`false`).
     pub quiescent: bool,
-    /// Simulated protocol time in ms under the event executor's link
-    /// delays (`0.0` for the thread runtime, which has no virtual
-    /// clock).
+    /// Simulated protocol time in ms under the run's link delays.
     pub virtual_ms: f64,
-    /// Fingerprint of the delivered event order (event executor only;
-    /// `0` for the thread runtime). Bit-identical across repeats and
-    /// `DLB_THREADS` values — the determinism suite's witness.
+    /// Fingerprint of the delivered event order. Bit-identical across
+    /// repeats and `DLB_THREADS` values — the determinism suite's
+    /// witness.
     pub event_hash: u64,
     /// What the fault script injected during the run (all zeros for
-    /// the thread runtime and for fault-free event runs).
+    /// fault-free runs).
     pub faults: dlb_faults::FaultSummary,
     /// What the in-protocol failure detector did (all zeros under
-    /// [`DetectMode::Oracle`] and for the thread runtime).
+    /// [`DetectMode::Oracle`]).
     pub detector: DetectorSummary,
     /// What the open-system request stream experienced (all zeros for
-    /// closed-batch runs and the thread runtime).
+    /// closed-batch runs).
     pub stream: StreamSummary,
-}
-
-/// Runs the full message-passing protocol for `instance` on the thread
-/// runtime (one OS thread per organization), starting from the
-/// all-local assignment. For clusters past a few hundred nodes prefer
-/// [`run_cluster_events`](crate::executor::run_cluster_events), which
-/// hosts the same protocol on the event executor in a single process.
-pub fn run_cluster(instance: &Instance, options: &ClusterOptions) -> ClusterReport {
-    assert!(
-        matches!(options.detect, DetectMode::Oracle),
-        "the thread runtime has no virtual clock to arm deadlines on; \
-         in-protocol detection needs the event executor"
-    );
-    let m = instance.len();
-    let shared = Arc::new(instance.clone());
-    let mut coordinator = CoordinatorMachine::new(Arc::clone(&shared), options);
-
-    // Channel mesh: one inbox per node, one for the coordinator.
-    let mut inboxes: Vec<Option<Receiver<Frame>>> = Vec::with_capacity(m);
-    let mut senders: Vec<Sender<Frame>> = Vec::with_capacity(m);
-    for _ in 0..m {
-        let (tx, rx) = unbounded::<Frame>();
-        senders.push(tx);
-        inboxes.push(Some(rx));
-    }
-    let (coord_tx, coord_rx) = unbounded::<Frame>();
-
-    let mut handles = Vec::with_capacity(m);
-    for id in 0..m {
-        let inbox = inboxes[id].take().expect("inbox taken once");
-        let links = NodeLinks {
-            peers: senders.clone(),
-            coordinator: coord_tx.clone(),
-        };
-        let instance = Arc::clone(&shared);
-        let ledger = crate::machine::local_ledger(&instance, id as u32);
-        let node_config = options.node;
-        handles.push(
-            thread::Builder::new()
-                .name(format!("dlb-node-{id}"))
-                .spawn(move || run_node(id as u32, instance, ledger, node_config, inbox, links))
-                .expect("spawn node thread"),
-        );
-    }
-    drop(coord_tx); // coordinator keeps only the receiving side
-
-    let mut out: Vec<Outbound> = Vec::new();
-    let broadcast = |senders: &[Sender<Frame>], out: &mut Vec<Outbound>| {
-        for o in out.drain(..) {
-            match o.to {
-                Dest::Node(j) => {
-                    let frame = Arc::try_unwrap(o.frame).unwrap_or_else(|a| (*a).clone());
-                    let _ = senders[j as usize].send(frame);
-                }
-                Dest::Coordinator => unreachable!("coordinator never messages itself"),
-            }
-        }
-    };
-    coordinator.start(&mut out);
-    broadcast(&senders, &mut out);
-    while !coordinator.is_done() {
-        match coord_rx.recv() {
-            Ok(frame) => {
-                coordinator.handle(&frame, &mut out);
-                broadcast(&senders, &mut out);
-            }
-            Err(_) => panic!("all nodes disconnected before the run completed"),
-        }
-    }
-    for h in handles {
-        h.join().expect("node thread panicked");
-    }
-    coordinator.into_report()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use dlb_core::cost::total_cost;
-    use dlb_core::rngutil::rng_for;
-    use dlb_core::workload::{LoadDistribution, SpeedDistribution, WorkloadSpec};
-    use dlb_core::LatencyMatrix;
-    use dlb_core::SparseVec;
-    use dlb_distributed::{Engine, EngineOptions};
-
-    fn engine_fixpoint(instance: &Instance) -> f64 {
-        let mut engine = Engine::new(
-            instance.clone(),
-            EngineOptions {
-                parallel: false,
-                ..Default::default()
-            },
-        );
-        engine.run_to_convergence(1e-12, 3, 300).final_cost
-    }
-
-    #[test]
-    fn two_nodes_split_a_peak() {
-        let mut instance = Instance::homogeneous(2, 1.0, 1.0, 0.0);
-        instance.set_own_loads(vec![1000.0, 0.0]);
-        let report = run_cluster(&instance, &ClusterOptions::default());
-        report.assignment.check_invariants(&instance).unwrap();
-        // Lemma 1: optimal transfer is (l_0 − l_1 − c·s)/2 = 499.5.
-        let l0 = report.assignment.load(0);
-        let l1 = report.assignment.load(1);
-        assert!((l0 - 500.5).abs() < 1e-6, "l0 = {l0}");
-        assert!((l1 - 499.5).abs() < 1e-6, "l1 = {l1}");
-        assert!(report.quiescent);
-        // The thread runtime has no virtual clock.
-        assert_eq!(report.virtual_ms, 0.0);
-        assert_eq!(report.event_hash, 0);
-    }
-
-    #[test]
-    fn cluster_matches_engine_fixpoint() {
-        let mut rng = rng_for(3, 0xC1);
-        let instance = WorkloadSpec {
-            loads: LoadDistribution::Exponential,
-            avg_load: 80.0,
-            speeds: SpeedDistribution::paper_uniform(),
-        }
-        .sample(LatencyMatrix::homogeneous(12, 20.0), &mut rng);
-        let report = run_cluster(&instance, &ClusterOptions::certified(12));
-        report.assignment.check_invariants(&instance).unwrap();
-        let opt = engine_fixpoint(&instance);
-        // Both sides stop at *a* pairwise-optimal state, and those are
-        // not unique: the certified cluster and the engine follow
-        // different exchange orders (threads vs shuffled sweep), so
-        // their fixpoints can differ by a small margin. 2% is the same
-        // band the engine's own pruned-vs-exact comparison uses.
-        assert!(
-            report.final_cost <= opt * 1.02,
-            "cluster {} vs engine fixpoint {}",
-            report.final_cost,
-            opt
-        );
-    }
-
-    #[test]
-    fn history_is_exact_and_decreasing() {
-        let mut rng = rng_for(5, 0xC3);
-        let instance = WorkloadSpec {
-            loads: LoadDistribution::Exponential,
-            avg_load: 60.0,
-            speeds: SpeedDistribution::paper_uniform(),
-        }
-        .sample(LatencyMatrix::homogeneous(8, 10.0), &mut rng);
-        let report = run_cluster(&instance, &ClusterOptions::default());
-        // Last history entry must equal the exact final cost: the
-        // local cost terms sum to the objective.
-        let last = *report.history.last().unwrap();
-        assert!(
-            (last - report.final_cost).abs() <= 1e-6 * report.final_cost.max(1.0),
-            "reported {last} vs exact {}",
-            report.final_cost
-        );
-        // ΣC never increases: every exchange is a pairwise optimum.
-        for w in report.history.windows(2) {
-            assert!(
-                w[1] <= w[0] + 1e-9 * w[0].max(1.0),
-                "cost rose: {:?}",
-                report.history
-            );
-        }
-    }
-
-    #[test]
-    fn peak_spreads_in_logarithmic_rounds() {
-        let m = 16;
-        let mut instance = Instance::homogeneous(m, 1.0, 0.0, 20.0);
-        let mut loads = vec![0.0; m];
-        loads[0] = 16_000.0;
-        instance.set_own_loads(loads);
-        let report = run_cluster(&instance, &ClusterOptions::default());
-        report.assignment.check_invariants(&instance).unwrap();
-        for j in 0..m {
-            let l = report.assignment.load(j);
-            assert!((l - 1000.0).abs() < 150.0, "server {j} ended with load {l}");
-        }
-        assert!(report.quiescent, "should reach quiescence");
-        assert!(
-            (4..=60).contains(&report.rounds),
-            "{} rounds",
-            report.rounds
-        );
-    }
-
-    #[test]
-    fn failed_nodes_take_no_part() {
-        let mut instance = Instance::homogeneous(6, 1.0, 1.0, 0.0);
-        instance.set_own_loads(vec![600.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
-        let report = run_cluster(
-            &instance,
-            &ClusterOptions {
-                failed: vec![4, 5],
-                ..Default::default()
-            },
-        );
-        report.assignment.check_invariants(&instance).unwrap();
-        assert_eq!(report.assignment.load(4), 0.0);
-        assert_eq!(report.assignment.load(5), 0.0);
-        // The four live nodes share the peak.
-        for j in 0..4 {
-            assert!(report.assignment.load(j) > 100.0);
-        }
-    }
-
-    #[test]
-    fn conservation_under_concurrency() {
-        // Many owners, many rounds, real threads: every organization's
-        // request total must survive the message storm exactly.
-        let mut rng = rng_for(17, 0xC2);
-        let instance = WorkloadSpec {
-            loads: LoadDistribution::Uniform,
-            avg_load: 120.0,
-            speeds: SpeedDistribution::paper_uniform(),
-        }
-        .sample(LatencyMatrix::homogeneous(24, 5.0), &mut rng);
-        let report = run_cluster(&instance, &ClusterOptions::default());
-        report.assignment.check_invariants(&instance).unwrap();
-        for k in 0..24 {
-            let total = report.assignment.owner_total(k);
-            assert!(
-                (total - instance.own_load(k)).abs() < 1e-6,
-                "owner {k}: {total} != {}",
-                instance.own_load(k)
-            );
-        }
-    }
-
-    #[test]
-    fn single_node_cluster_is_trivial() {
-        let instance = Instance::homogeneous(1, 1.0, 0.0, 50.0);
-        let report = run_cluster(&instance, &ClusterOptions::default());
-        assert_eq!(report.exchanges, 0);
-        assert!(report.quiescent);
-        assert_eq!(report.assignment.load(0), 50.0);
-    }
-
-    #[test]
-    fn audit_discovers_relabelings() {
-        // Two servers host each other's requests with equal loads: the
-        // load-based score sees nothing, only an audit probe running
-        // Algorithm 1 can untangle it. Build the state by disabling
-        // audits first, then rebalance with audits on.
-        let mut instance = Instance::homogeneous(2, 1.0, 50.0, 0.0);
-        instance.set_own_loads(vec![100.0, 100.0]);
-        let mut crossed = Assignment::local(&instance);
-        // Cross-host everything by hand.
-        let mut l0 = SparseVec::new();
-        l0.set(1, 100.0);
-        let mut l1 = SparseVec::new();
-        l1.set(0, 100.0);
-        crossed.replace_ledger(0, l0);
-        crossed.replace_ledger(1, l1);
-        crossed.refresh_loads();
-        let crossed_cost = total_cost(&instance, &crossed);
-        // The cluster cannot start from a crossed state (nodes start
-        // all-local), so check the primitive directly: an audit
-        // exchange on the crossed ledgers returns everything home.
-        use dlb_distributed::transfer::calc_best_transfer;
-        let out = calc_best_transfer(&instance, crossed.ledger(0), crossed.ledger(1), 0, 1);
-        assert_eq!(out.ledger_i.get(0), 100.0, "own requests return home");
-        assert_eq!(out.ledger_j.get(1), 100.0);
-        let mut fixed = crossed.clone();
-        fixed.replace_ledger(0, out.ledger_i);
-        fixed.replace_ledger(1, out.ledger_j);
-        fixed.refresh_loads();
-        assert!(total_cost(&instance, &fixed) < crossed_cost * 0.6);
-    }
 }

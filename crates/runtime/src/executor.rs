@@ -1,26 +1,24 @@
 //! The event-driven executor: Figure-2-scale clusters in one process.
 //!
-//! Instead of one OS thread per organization (m threads and an O(m²)
-//! channel mesh), the executor drives every [`NodeMachine`] plus the
+//! The executor drives every [`NodeMachine`] plus the
 //! [`CoordinatorMachine`] from a single deterministic event heap
 //! ([`dlb_core::events::EventHeap`], shared with the scheduled-gossip
-//! simulation in `dlb-gossip`):
+//! simulation in `dlb-gossip`). One iteration of its loop:
 //!
 //! 1. **Pop a delivery batch** — all events due at the earliest
 //!    virtual time. The [`Clock`] decides whether to wait
 //!    ([`WallClock`](crate::clock::WallClock)) or jump
 //!    ([`VirtualClock`]) to that instant; it can never reorder
 //!    deliveries.
-//! 2. **Shard the batch** — events are grouped into per-destination
-//!    run queues, and the destinations are fanned out over one
-//!    *persistent* `dlb-par` worker pool ([`dlb_par::with_pool`],
-//!    spawned once per run and fed every batch over channels — not a
-//!    thread spawn/join per batch; static chunking: each worker owns a
-//!    disjoint shard of node machines for the duration of the batch).
-//!    Machines only touch node-local state, so the fan-out is
-//!    race-free by construction, and the order-preserving, slot-
-//!    reassembled map keeps results bit-identical for every
-//!    `DLB_THREADS` value.
+//! 2. **Classify and shard the batch** — events are grouped into
+//!    per-destination run queues, and the destinations are fanned out
+//!    over one *persistent* `dlb-par` worker pool
+//!    ([`dlb_par::with_pool`], spawned once per run; static chunking:
+//!    each worker owns a disjoint shard of node machines for the
+//!    duration of the batch). Machines only touch node-local state, so
+//!    the fan-out is race-free by construction, and the
+//!    order-preserving, slot-reassembled map keeps results
+//!    bit-identical for every `DLB_THREADS` value.
 //! 3. **Schedule the replies** — outbound frames are collected in
 //!    deterministic (destination, emission) order and pushed back into
 //!    the heap with per-link latencies from the caller's delay
@@ -29,71 +27,82 @@
 //!    control-plane frames (coordinator ↔ node) travelling free — the
 //!    coordinator stands in for the converged gossip substrate, which
 //!    has no single physical location.
+//! 4. **Give the coordinator its turn** — the batch's reports and
+//!    deadlines, then whatever follows a round boundary.
+//!
+//! Everything that is not protocol lives in four *planes* — liveness,
+//! detector, request stream, round trace: plain structs that own
+//! their state and are called from fixed points of that loop, each
+//! inert when its input is empty (no fault script, oracle detection,
+//! no stream, a disabled sink).
 //!
 //! Determinism is the point: the heap orders events by `(virtual due
-//! time, sequence number)`, both of which are pure functions of the
-//! inputs, so the same instance + options + delay function reproduces
-//! the same event order, final ledgers, and cost history bit for bit —
-//! across repeats *and* across worker-pool sizes. The running
+//! time, sequence number)`, both pure functions of the inputs, so the
+//! same instance + options + delay function reproduces the same event
+//! order, final ledgers, and cost history bit for bit — across repeats
+//! *and* across worker-pool sizes. The running
 //! [`ClusterReport::event_hash`] fingerprints the delivered sequence
-//! so tests can assert exactly that.
-//!
-//! Virtual time doubles as a measurement: `ClusterReport::virtual_ms`
-//! is the simulated wall-clock span of the protocol under the given
-//! link delays — the quantity the paper's deployment would observe,
-//! which no thread-runtime stopwatch can produce faithfully.
+//! so tests can assert exactly that. Virtual time doubles as a
+//! measurement: `ClusterReport::virtual_ms` is the simulated span of
+//! the protocol under the given link delays — the quantity the
+//! paper's deployment would observe.
 //!
 //! # Fault injection
 //!
-//! [`run_cluster_events_faulted`] runs the same simulation under a
-//! compiled [`FaultScript`] (`dlb-faults`), which the executor consults
-//! at two deterministic points:
-//!
-//! * **Scheduling** a data-plane frame:
-//!   [`FaultScript::reliable_link`] composes partition holds, delay
-//!   spikes, and loss-retransmission timeouts into extra one-way
-//!   delay. The §IV exchange moves request ownership, so its frames
-//!   ride a reliable transport — loss makes them *late*, never torn
-//!   (see the `dlb-faults` crate docs).
-//! * **Delivering** a frame: a destination that is down takes nothing
-//!   — except a [`Frame::Commit`], which completes an exchange the
-//!   initiator already applied (the acceptor processed it just before
-//!   dying; dropping it would split requests in half). Down nodes
-//!   emit nothing.
+//! A compiled [`FaultScript`] (`dlb-faults`) is consulted at two
+//! deterministic points. *Scheduling* a data-plane frame,
+//! [`FaultScript::reliable_link`] composes partition holds, delay
+//! spikes, and loss-retransmission timeouts into extra one-way delay:
+//! the §IV exchange moves request ownership, so its frames ride a
+//! reliable transport — loss makes them *late*, never torn.
+//! *Delivering* a frame, a destination that is down takes nothing but
+//! the one frame that completes an already-decided exchange (see
+//! [`Liveness`]), and emits nothing.
 //!
 //! Crash instants are **latched at round boundaries**: a node that
 //! crashes at `t` drops out of the first round starting at or after
 //! `t` — the coordinator (whose liveness oracle the executor feeds
 //! from the script) stops scheduling it, announces it in the round's
 //! `excluded` set, and stops expecting its report, so every round's
-//! causal chains complete among the nodes that entered it and the
-//! survivors keep converging. A recovered node rejoins at the next
-//! round start. At shutdown, nodes that are down reply nothing; once
-//! in-flight traffic drains, the executor freezes their ledgers into
-//! the final assignment (their requests stay where they were when the
-//! node went down), so conservation holds exactly even under churn.
+//! causal chains complete among the nodes that entered it. A
+//! recovered node rejoins at the next round start. At shutdown, down
+//! nodes reply nothing; once in-flight traffic drains, the executor
+//! freezes their ledgers into the final assignment (their requests
+//! stay where they were when the node went down), so conservation
+//! holds exactly even under churn.
 //!
 //! The script is pure and every consultation happens on the
-//! single-threaded scheduling path, so fault trajectories — including
-//! the [`FaultSummary`] accounting — are as bit-reproducible as the
-//! fault-free runs, across repeats and `DLB_THREADS` values. An empty
-//! script takes none of these paths: `run_cluster_events` and
-//! `run_cluster_events_faulted(..., &FaultScript::empty(m))` produce
-//! byte-identical reports.
+//! single-threaded scheduling path, so fault trajectories — the
+//! [`FaultSummary`] accounting included — are as bit-reproducible as
+//! fault-free runs. An empty script takes none of these paths.
+//!
+//! # Request streams
+//!
+//! A compiled [`StreamScript`]'s arrivals ride the same heap as the
+//! protocol frames, so the cluster rebalances *while* requests flow
+//! instead of converging over a frozen snapshot (see [`Stream`]).
+//! While requests are arriving or in flight the coordinator is *held
+//! open*: quiet rounds park instead of quiescing
+//! ([`CoordinatorMachine::kick`]) and every stream event resumes a
+//! parked coordinator; once the stream drains, the normal quiescence
+//! shutdown fires. An empty script pushes nothing.
+
+// `clippy.toml` caps every function of this module at 120 lines.
+#![warn(clippy::too_many_lines)]
 
 use std::sync::Arc;
 
-use dlb_core::events::EventHeap;
+use dlb_core::events::{EventHeap, Scheduled};
 use dlb_core::Instance;
 use dlb_faults::{FaultScript, FaultSummary};
 use dlb_obs::event::{DROP_DEST_DOWN, DROP_SRC_DOWN};
 use dlb_obs::{NullSink, TraceEvent, TraceKind, TraceSink, NODE_COORD, NO_PEER};
 use dlb_par::with_pool;
-use dlb_requestsim::stream::StreamScript;
+use dlb_requestsim::stream::{Arrival, StreamScript};
 
 use crate::clock::{Clock, VirtualClock};
 use crate::cluster::{ClusterOptions, ClusterReport, DetectMode, StreamSummary};
-use crate::machine::{CoordinatorMachine, Dest, NodeMachine, Outbound, RtoKind};
+use crate::machine::{CoordinatorMachine, Dest, NodeConfig, NodeMachine, Outbound, RtoKind};
 use crate::message::{ledger_to_wire, Frame};
 
 /// One-way delay of control-plane frames (coordinator ↔ node), in
@@ -101,11 +110,17 @@ use crate::message::{ledger_to_wire, Frame};
 /// gossip layer, not a physical host (see the module docs).
 const CONTROL_DELAY_MS: f64 = 0.0;
 
-/// What travels on the heap: frame deliveries plus, under in-protocol
-/// failure detection, the two timer species. Under
-/// [`DetectMode::Oracle`] only frames are ever pushed, so the oracle
-/// event stream (sequence numbers, hashes, everything) is byte-for-
-/// byte what it was before timers existed.
+/// Hash and trace tags of the non-frame events, disjoint from the
+/// frame tags of [`frame_identity`].
+const TAG_DEADLINE: u8 = 16;
+const TAG_RTO: u8 = 17;
+const TAG_ARRIVAL: u8 = 18;
+const TAG_DEPARTURE: u8 = 19;
+
+/// What travels on the heap. Timers are only pushed under in-protocol
+/// detection and stream events only under a non-empty stream, so
+/// oracle closed-batch event sequences (and their hashes) are
+/// byte-for-byte what they were before either existed.
 enum Event {
     /// A frame headed for an inbox.
     Frame(Dest, Arc<Frame>),
@@ -114,9 +129,7 @@ enum Event {
     /// An exchange retransmission timer: (node, round, guarded wait).
     Rto(u32, u64, RtoKind),
     /// A streamed request entering the system: index into the
-    /// [`StreamScript`]'s arrival schedule. Only ever pushed when a
-    /// non-empty stream drives the run, so no-stream event sequences
-    /// (and their hashes) are untouched.
+    /// [`StreamScript`]'s arrival schedule.
     Arrival(u32),
     /// A streamed request finishing service — its load leaves the
     /// cluster: `(org, server it was served on, amount, arrival idx)`.
@@ -168,6 +181,14 @@ fn frame_peer(tag: u8, from: u32) -> u32 {
     }
 }
 
+/// The trace-facing id of an inbox.
+fn dest_id(dest: Dest) -> u32 {
+    match dest {
+        Dest::Node(j) => j,
+        Dest::Coordinator => NODE_COORD,
+    }
+}
+
 /// Folds an event's identity (due time, destination, frame shape) into
 /// the running fingerprint. Ledger payloads are deliberately excluded:
 /// the determinism tests compare final ledgers directly, and the hash
@@ -187,39 +208,95 @@ fn hash_event(mut h: u64, due: f64, dest: Dest, frame: &Frame) -> u64 {
     mix(h, round)
 }
 
-/// Folds a fired timer into the fingerprint. Tags 16/17 are disjoint
-/// from the frame tags, and timers only exist under in-protocol
-/// detection, so oracle hashes are untouched.
-fn hash_timer(mut h: u64, due: f64, tag: u64, node: u64, round: u64) -> u64 {
+/// Folds a fired timer or stream event into the fingerprint.
+fn hash_timer(mut h: u64, due: f64, tag: u8, node: u64, round: u64) -> u64 {
     h = mix(h, due.to_bits());
     h = mix(h, node);
-    h = mix(h, tag);
+    h = mix(h, tag as u64);
     mix(h, round)
 }
 
 /// The simulated network: the shared event heap plus the delay model
-/// and fault script every scheduled frame passes through.
-struct Fabric<'s, 't, D, T: TraceSink> {
+/// and fault script every scheduled frame passes through, and the
+/// trace sink every hook of the run reports to.
+struct Fabric<'a, D, T> {
     heap: EventHeap<Event>,
+    /// Virtual time of the batch in flight.
+    now: f64,
     delays: D,
-    script: &'s FaultScript,
+    script: &'a FaultScript,
     summary: FaultSummary,
-    /// Exchange retransmission timeout under in-protocol detection:
-    /// `Some(ms)` arms an abort timer whenever an exchange frame is
-    /// dropped at a dead host (see [`Fabric::arm_abort`]); `None`
-    /// (oracle) pushes no timers at all.
+    /// Exchange retransmission timeout under in-protocol detection;
+    /// `None` (oracle) pushes no timers at all.
     rto: Option<f64>,
-    /// The observability plane. Every emission is behind
-    /// `tracer.enabled()`; with [`NullSink`] (a monomorphized constant
-    /// `false`) the hooks compile down to nothing and the run is
-    /// byte-identical to an unobserved one.
-    tracer: &'t mut T,
+    tracer: &'a mut T,
 }
 
-impl<D: Fn(usize, usize) -> f64, T: TraceSink> Fabric<'_, '_, D, T> {
+impl<D, T: TraceSink> Fabric<'_, D, T> {
+    /// The observability plane's one emission point. Every hook sits on
+    /// the single-threaded scheduling/classification path, emits in
+    /// deterministic `(due, seq)` order, and never feeds back into
+    /// protocol state, so the trace is as bit-reproducible as the run.
+    /// With [`NullSink`] `enabled()` is a monomorphized constant
+    /// `false`: the call compiles down to nothing and the run is
+    /// byte-identical to an unobserved one.
+    #[inline]
+    fn trace(&mut self, kind: TraceKind, node: u32, peer: u32, round: u64, tag: u8, detail: f64) {
+        if self.tracer.enabled() {
+            self.tracer.emit(&TraceEvent {
+                kind,
+                at_ms: self.now,
+                node,
+                peer,
+                round,
+                tag,
+                detail,
+            });
+        }
+    }
+
+    /// [`Self::trace`] for an event that *is* a frame at `node`'s
+    /// door: peer, round and tag come from the frame itself.
+    #[inline]
+    fn trace_frame(&mut self, kind: TraceKind, node: u32, frame: &Frame, detail: f64) {
+        if self.tracer.enabled() {
+            let (tag, from, round) = frame_identity(frame);
+            self.trace(kind, node, frame_peer(tag, from), round, tag, detail);
+        }
+    }
+
+    /// A data-plane frame just vanished into a dead host. Under
+    /// in-protocol detection the sender is now waiting on an answer
+    /// that can never come: arm its retransmission timeout so the
+    /// machine aborts the exchange after `exchange_rto_ms` of silence.
+    ///
+    /// Arming at the *drop* instead of blindly at every send keeps the
+    /// abort exact — a timer only exists when the wait is provably
+    /// unresolvable — which is the behavior of a correctly provisioned
+    /// real-world RTO (one that exceeds the worst-case round trip, so
+    /// it never tears an exchange both parties are still driving).
+    fn arm_abort(&mut self, frame: &Frame) {
+        let Some(rto_ms) = self.rto else { return };
+        let (waiter, round, kind) = match *frame {
+            // Our proposal died with the acceptor; nobody will answer.
+            Frame::Propose { from, round } => (from, round, RtoKind::Answer),
+            // Our acceptance died with the initiator; no Commit comes.
+            Frame::Accept { from, round, .. } => (from, round, RtoKind::CommitWait),
+            // Our Commit died with the acceptor; nothing was installed
+            // and no ack comes — the held-back half must be dropped.
+            Frame::Commit { from, round, .. } => (from, round, RtoKind::Ack),
+            _ => return,
+        };
+        let due = self.now + rto_ms;
+        self.heap.push(due, Event::Rto(waiter, round, kind));
+    }
+}
+
+impl<D: Fn(usize, usize) -> f64, T: TraceSink> Fabric<'_, D, T> {
     /// Schedules a machine's emissions. `src` is `None` for the
     /// coordinator.
-    fn schedule(&mut self, now: f64, src: Option<usize>, out: &mut Vec<Outbound>) {
+    fn schedule(&mut self, src: Option<usize>, out: &mut Vec<Outbound>) {
+        let now = self.now;
         for o in out.drain(..) {
             let mut held = 0.0f64;
             let delay = match (src, o.to) {
@@ -238,13 +315,8 @@ impl<D: Fn(usize, usize) -> f64, T: TraceSink> Fabric<'_, '_, D, T> {
                         let base = d * self.script.slow_factor(i, now);
                         // The seq this push will receive keys the
                         // per-frame loss decisions.
-                        let fault = self.script.reliable_link(
-                            now,
-                            i,
-                            j as usize,
-                            self.heap.next_seq(),
-                            base,
-                        );
+                        let seq = self.heap.next_seq();
+                        let fault = self.script.reliable_link(now, i, j as usize, seq, base);
                         let extra = (base - d) + fault.extra_ms;
                         if extra > 0.0 {
                             self.summary.delayed_frames += 1;
@@ -258,208 +330,919 @@ impl<D: Fn(usize, usize) -> f64, T: TraceSink> Fabric<'_, '_, D, T> {
             };
             if self.tracer.enabled() {
                 let (tag, _, round) = frame_identity(&o.frame);
-                let node = match o.to {
-                    Dest::Node(j) => j,
-                    Dest::Coordinator => NODE_COORD,
-                };
-                let peer = match src {
-                    Some(i) => i as u32,
-                    None => NODE_COORD,
-                };
+                let (node, peer) = (dest_id(o.to), src.map_or(NODE_COORD, |i| i as u32));
                 if held > 0.0 {
-                    self.tracer.emit(&TraceEvent {
-                        kind: TraceKind::FrameHeld,
-                        at_ms: now,
-                        node,
-                        peer,
-                        round,
-                        tag,
-                        detail: held,
-                    });
+                    self.trace(TraceKind::FrameHeld, node, peer, round, tag, held);
                 }
-                self.tracer.emit(&TraceEvent {
-                    kind: TraceKind::FrameScheduled,
-                    at_ms: now,
-                    node,
-                    peer,
-                    round,
-                    tag,
-                    detail: delay,
-                });
+                self.trace(TraceKind::FrameScheduled, node, peer, round, tag, delay);
             }
             self.heap.push(now + delay, Event::Frame(o.to, o.frame));
         }
     }
+}
 
-    /// A data-plane frame just vanished into a dead host. Under
-    /// in-protocol detection the sender is now waiting on an answer
-    /// that can never come: arm its retransmission timeout so the
-    /// machine aborts the exchange after `exchange_rto_ms` of silence.
-    ///
-    /// Arming at the *drop* instead of blindly at every send keeps the
-    /// abort exact — a timer only exists when the wait is provably
-    /// unresolvable — which is the behavior of a correctly provisioned
-    /// real-world RTO (one that exceeds the worst-case round trip, so
-    /// it never tears an exchange both parties are still driving).
-    fn arm_abort(&mut self, now: f64, frame: &Frame) {
-        let Some(rto_ms) = self.rto else { return };
-        let armed = match frame {
-            // Our proposal died with the acceptor; nobody will answer.
-            Frame::Propose { from, round } => Some((*from, *round, RtoKind::Answer)),
-            // Our acceptance died with the initiator; no Commit comes.
-            Frame::Accept { from, round, .. } => Some((*from, *round, RtoKind::CommitWait)),
-            // Our Commit died with the acceptor; nothing was installed
-            // and no ack comes — the held-back half must be dropped.
-            Frame::Commit { from, round, .. } => Some((*from, *round, RtoKind::Ack)),
-            _ => None,
+/// One unit of pool work: a node checked out of the table together
+/// with the queue it must drain this batch.
+type Work = (u32, NodeMachine, Vec<Inbox>);
+
+/// What the pool's workers run: drain one node's queue through its
+/// machine, collecting emissions. The pool is spawned once for the
+/// whole run (not a thread scope per batch), which keeps the
+/// per-instant dispatch overhead flat at Figure-2 scale.
+fn drain_queue((_, machine, items): &mut Work) -> Vec<Outbound> {
+    let mut local_out = Vec::new();
+    for item in items.drain(..) {
+        match item {
+            Inbox::Frame(frame) => machine.handle(&frame, &mut local_out),
+            Inbox::Rto(round, kind) => machine.on_rto(round, kind, &mut local_out),
+        }
+    }
+    local_out
+}
+
+/// The node table plus the batch scratch, reused across iterations:
+/// per-node run queues and the destinations touched this batch (in
+/// first-delivery order — deterministic, since events pop in
+/// `(due, seq)` order). A machine is `None` only while the pool has
+/// it, and nothing else looks at the table during the fan-out.
+struct Nodes {
+    machines: Vec<Option<NodeMachine>>,
+    run_queues: Vec<Vec<Inbox>>,
+    touched: Vec<u32>,
+}
+
+impl Nodes {
+    fn new(instance: &Arc<Instance>, config: NodeConfig) -> Self {
+        let local = |id| Some(NodeMachine::local(id as u32, Arc::clone(instance), config));
+        Self {
+            machines: (0..instance.len()).map(local).collect(),
+            run_queues: (0..instance.len()).map(|_| Vec::new()).collect(),
+            touched: Vec::new(),
+        }
+    }
+
+    #[inline]
+    fn machine(&self, j: usize) -> &NodeMachine {
+        self.machines[j].as_ref().expect("machine present")
+    }
+
+    #[inline]
+    fn machine_mut(&mut self, j: usize) -> &mut NodeMachine {
+        self.machines[j].as_mut().expect("machine present")
+    }
+
+    /// `(id, machine)` for every node, in id order.
+    fn iter(&self) -> impl Iterator<Item = (usize, &NodeMachine)> {
+        (0..self.machines.len()).map(|j| (j, self.machine(j)))
+    }
+
+    #[inline]
+    fn enqueue(&mut self, j: u32, item: Inbox) {
+        let queue = &mut self.run_queues[j as usize];
+        if queue.is_empty() {
+            self.touched.push(j);
+        }
+        queue.push(item);
+    }
+
+    /// Checks the touched machines out for the pool. Each entry owns
+    /// its machine for the batch, so `handle` runs without locks.
+    fn checkout(&mut self) -> Vec<Work> {
+        let (machines, run_queues) = (&mut self.machines, &mut self.run_queues);
+        let take = |j: u32| {
+            let machine = machines[j as usize].take().expect("machine present");
+            (j, machine, std::mem::take(&mut run_queues[j as usize]))
         };
-        if let Some((waiter, round, kind)) = armed {
-            self.heap
-                .push(now + rto_ms, Event::Rto(waiter, round, kind));
+        self.touched.drain(..).map(take).collect()
+    }
+}
+
+/// The liveness plane: which nodes currently take no deliveries, and
+/// where that knowledge comes from. Under the oracle the gate is the
+/// coordinator's round-latched down set, which this plane feeds from
+/// the script; under in-protocol detection it is raw physics — the
+/// script's down set the instant it changes, latched at nothing
+/// (nobody tells the protocol, which is the point).
+struct Liveness<'a> {
+    script: &'a FaultScript,
+    /// `false` for the empty script: every gate is then open and no
+    /// method touches the coordinator.
+    faulty: bool,
+    oracle: bool,
+    down: Vec<bool>,
+    /// The script's down set only changes at its crash/recovery
+    /// instants; the cached phase makes the refresh O(1) per batch
+    /// instead of an O(m) rebuild. Starts at no phase at all, so time
+    /// zero is the first crossing.
+    down_phase: Option<u8>,
+    latched_round: u64,
+}
+
+impl<'a> Liveness<'a> {
+    fn new(script: &'a FaultScript, oracle: bool) -> Self {
+        Self {
+            script,
+            faulty: !script.is_empty(),
+            oracle,
+            down: vec![false; script.len()],
+            down_phase: None,
+            latched_round: 0,
+        }
+    }
+
+    /// Whether the script's down set changed since the last call.
+    fn crossed(&mut self, now: f64) -> bool {
+        let phase = Some(self.script.down_phase(now));
+        phase != std::mem::replace(&mut self.down_phase, phase)
+    }
+
+    /// Rebuilds the delivery gate from a sorted id list, counting the
+    /// transitions the run actually experienced: a crash (or recovery)
+    /// the gate never saw — its round never started, the run ended
+    /// first — is not an event of this run.
+    fn relatch(&mut self, ids: &[u32], summary: &mut FaultSummary) {
+        let mut idx = 0usize;
+        for (j, flag) in self.down.iter_mut().enumerate() {
+            let now_down = ids.get(idx).is_some_and(|&d| d as usize == j);
+            if now_down {
+                idx += 1;
+            }
+            match (*flag, now_down) {
+                (false, true) => summary.crashes += 1,
+                (true, false) => summary.recoveries += 1,
+                _ => {}
+            }
+            *flag = now_down;
+        }
+    }
+
+    /// Virtual time moved: in-protocol detection follows the script's
+    /// down set the instant it changes, not at round boundaries.
+    fn advance(&mut self, now: f64, summary: &mut FaultSummary) {
+        if self.faulty && !self.oracle && self.crossed(now) {
+            self.relatch(&self.script.down_at(now), summary);
+        }
+    }
+
+    /// Tells the oracle who is down by `now`; the coordinator latches
+    /// it at its next round start.
+    fn feed_oracle(&mut self, now: f64, coordinator: &mut CoordinatorMachine) {
+        if self.faulty && self.oracle && self.crossed(now) {
+            coordinator.set_down(self.script.down_at(now));
+        }
+    }
+
+    /// The coordinator had its turn: if that began a round under the
+    /// oracle, the gate follows the fresh latch.
+    fn on_round(&mut self, coordinator: &CoordinatorMachine, summary: &mut FaultSummary) {
+        if self.faulty && self.oracle && coordinator.round_number() != self.latched_round {
+            self.latched_round = coordinator.round_number();
+            self.relatch(coordinator.down_now(), summary);
+        }
+    }
+
+    #[inline]
+    fn is_down(&self, j: usize) -> bool {
+        self.faulty && self.down[j]
+    }
+
+    /// The delivery gate. At a dead destination one frame species per
+    /// mode still lands — the instant the exchange became *decided*.
+    /// Oracle: the Commit (the initiator applied on Accept).
+    /// Detection: the CommitAck (the acceptor installed on Commit; the
+    /// dead initiator applies its held-back half exactly as a recovery
+    /// log would, so its frozen ledger matches the partner's installed
+    /// one). Everything else is dropped.
+    #[inline]
+    fn blocks(&self, dest: u32, frame: &Frame) -> bool {
+        self.is_down(dest as usize)
+            && !match frame {
+                Frame::Commit { .. } => self.oracle,
+                Frame::CommitAck { .. } => !self.oracle,
+                _ => false,
+            }
+    }
+
+    /// Whom the shutdown could not reach once in-flight traffic is
+    /// exhausted: under the oracle the latched down set, under
+    /// in-protocol detection whoever never answered.
+    fn unreachable(&self, coordinator: &CoordinatorMachine) -> Vec<u32> {
+        if self.oracle {
+            coordinator.down_now().to_vec()
+        } else {
+            coordinator.missing_ledgers()
         }
     }
 }
 
-/// Runs the full message-passing protocol for `instance` on the
-/// event-driven executor under a [`VirtualClock`] — the deterministic
-/// simulation mode. `delays(i, j)` is the one-way delivery latency in
-/// ms from node `i` to node `j` (must be finite and non-negative;
-/// control-plane frames travel free).
-pub fn run_cluster_events<D>(
+/// The detector plane: the executor's side of in-protocol failure
+/// detection — which round's report deadline is armed, and a
+/// measurement hook, invisible to the protocol, that attributes
+/// detection latency.
+#[derive(Default)]
+struct Detector {
+    /// `false` under the oracle: nothing is ever armed or observed.
+    active: bool,
+    armed_round: u64,
+    /// The suspect set last seen, sorted.
+    suspects: Vec<u32>,
+    true_positives: u32,
+    latency_sum_ms: f64,
+}
+
+impl Detector {
+    /// The coordinator had its turn (or is about to have its first).
+    fn follow<D, T: TraceSink>(
+        &mut self,
+        coordinator: &CoordinatorMachine,
+        fabric: &mut Fabric<'_, D, T>,
+    ) {
+        if !self.active {
+            return;
+        }
+        let (now, round) = (fabric.now, coordinator.round_number());
+        if round != self.armed_round {
+            // A fresh round needs a fresh report deadline; the previous
+            // round's timer (if still queued) dies at pop time.
+            self.armed_round = round;
+            if let Some(due) = coordinator.arm_deadline(now) {
+                fabric.heap.push(due, Event::Deadline(round));
+            }
+        }
+        let cur = coordinator.suspects_now();
+        if cur == self.suspects {
+            return;
+        }
+        // Sorted symmetric diff: ids only in `cur` are fresh
+        // suspicions, ids only in `prev` rejoined (probation
+        // readmission or recovery).
+        let prev = std::mem::replace(&mut self.suspects, cur);
+        let cur = &self.suspects;
+        let (mut ci, mut pi) = (0usize, 0usize);
+        while ci < cur.len() || pi < prev.len() {
+            let both = ci < cur.len() && pi < prev.len() && cur[ci] == prev[pi];
+            let fresh = pi >= prev.len() || (ci < cur.len() && cur[ci] < prev[pi]);
+            if both {
+                ci += 1;
+                pi += 1;
+            } else if fresh {
+                // Newly suspected while the script says it is down: a
+                // true positive, and its detection latency runs from
+                // the scripted crash instant.
+                let s = cur[ci];
+                let mut latency = 0.0f64;
+                if fabric.script.node_down(s as usize, now) {
+                    latency = now - fabric.script.crash_time(s as usize);
+                    self.true_positives += 1;
+                    self.latency_sum_ms += latency;
+                }
+                fabric.trace(TraceKind::DetectorSuspect, s, NODE_COORD, round, 0, latency);
+                ci += 1;
+            } else {
+                fabric.trace(
+                    TraceKind::DetectorRejoin,
+                    prev[pi],
+                    NODE_COORD,
+                    round,
+                    0,
+                    0.0,
+                );
+                pi += 1;
+            }
+        }
+    }
+}
+
+/// The stream plane: the open-system request stream. Each arrival is
+/// routed to a live server, deposits one unit of load there — buffered
+/// by the node machine while an exchange is open, so no transfer is
+/// ever torn — and departs after its modeled sojourn
+/// (`c_ij + l_j/2s_j + 1/s_j`), withdrawing the unit from wherever
+/// rebalancing moved it. Arrivals routed to a crashed (or
+/// already-finished) server count as dropped.
+struct Stream<'a> {
+    script: &'a StreamScript,
+    /// Whether the coordinator is still held open.
+    hold: bool,
+    /// Whether the batch being classified carried stream events.
+    dirty: bool,
+    /// Departures still on the heap.
+    outstanding: u64,
+    /// Served/dropped counts and the imbalance integral so far; the
+    /// percentiles are filled from `sojourns` at the end.
+    tally: StreamSummary,
+    sojourns: Vec<f64>,
+    was_imbalanced: bool,
+    last_sample_ms: f64,
+}
+
+impl<'a> Stream<'a> {
+    /// The whole arrival schedule goes on the heap up front — it is
+    /// pure data, already time-sorted — and the coordinator is held
+    /// open until the stream drains.
+    fn new(
+        script: &'a StreamScript,
+        heap: &mut EventHeap<Event>,
+        coordinator: &mut CoordinatorMachine,
+    ) -> Self {
+        for (idx, a) in script.arrivals().iter().enumerate() {
+            heap.push(a.at_ms, Event::Arrival(idx as u32));
+        }
+        coordinator.set_hold(!script.is_empty());
+        Self {
+            script,
+            hold: !script.is_empty(),
+            dirty: false,
+            outstanding: 0,
+            tally: StreamSummary::default(),
+            sojourns: Vec::new(),
+            was_imbalanced: false,
+            last_sample_ms: 0.0,
+        }
+    }
+
+    /// The live server an arrival lands on: in proportion to how much
+    /// of its organization's work each live server hosts — the relay
+    /// fractions ρ_i· of the live, mid-rebalance assignment.
+    fn route(a: &Arrival, nodes: &Nodes, liveness: &Liveness) -> Option<usize> {
+        let alive = |j: usize, machine: &NodeMachine| !(liveness.is_down(j) || machine.is_done());
+        let weigh = |(j, machine): (usize, &NodeMachine)| {
+            if alive(j, machine) {
+                machine.ledger().get(a.org).max(0.0)
+            } else {
+                0.0
+            }
+        };
+        let weights: Vec<f64> = nodes.iter().map(weigh).collect();
+        let total: f64 = weights.iter().sum();
+        if total <= 0.0 {
+            // Nobody hosts this organization yet (its own load was
+            // zero): serve at home if the home server is alive.
+            let home = a.org as usize;
+            return alive(home, nodes.machine(home)).then_some(home);
+        }
+        // Inverse CDF over the hosting weights with the arrival's
+        // pre-drawn uniform; the last positive host absorbs any float
+        // slack.
+        let mut acc = 0.0f64;
+        let mut pick = None;
+        for (j, &w) in weights.iter().enumerate().filter(|&(_, &w)| w > 0.0) {
+            acc += w;
+            pick = Some(j);
+            if a.route * total <= acc {
+                break;
+            }
+        }
+        pick
+    }
+
+    /// Arrival `idx` enters the system.
+    fn arrive<D: Fn(usize, usize) -> f64, T: TraceSink>(
+        &mut self,
+        idx: u32,
+        nodes: &mut Nodes,
+        liveness: &Liveness,
+        instance: &Instance,
+        fabric: &mut Fabric<'_, D, T>,
+    ) {
+        self.dirty = true;
+        let a = self.script.arrivals()[idx as usize];
+        let target = Self::route(&a, nodes, liveness);
+        let peer = target.map_or(NO_PEER, |j| j as u32);
+        let served = target.and_then(|j| {
+            let machine = nodes.machine_mut(j);
+            let backlog = machine.ledger().sum().max(0.0);
+            let s = instance.speed(j);
+            // Expected wait under random order plus own service — the
+            // model's per-request price, §II.
+            let wait = backlog / (2.0 * s) + 1.0 / s;
+            machine.deposit(a.org, 1.0).then_some((j, wait))
+        });
+        let Some((j, wait)) = served else {
+            self.tally.dropped += 1;
+            fabric.trace(TraceKind::StreamDrop, a.org, peer, 0, TAG_ARRIVAL, 1.0);
+            return;
+        };
+        self.tally.served += 1;
+        self.outstanding += 1;
+        self.sojourns
+            .push((fabric.delays)(a.org as usize, j) + wait);
+        fabric.trace(TraceKind::StreamArrival, a.org, peer, 0, TAG_ARRIVAL, wait);
+        let departure = Event::Departure(a.org, j as u32, 1.0, idx);
+        fabric.heap.push(fabric.now + wait, departure);
+    }
+
+    /// A served request finishes: its unit of load leaves the cluster.
+    /// The unit may have been rebalanced since it arrived, so it is
+    /// drained from the live hosts carrying the most of this
+    /// organization's work. A shortfall stays frozen on whatever
+    /// crashed server still holds it.
+    fn depart<D, T: TraceSink>(
+        &mut self,
+        (org, server, amount, idx): (u32, u32, f64, u32),
+        nodes: &mut Nodes,
+        liveness: &Liveness,
+        fabric: &mut Fabric<'_, D, T>,
+    ) {
+        self.dirty = true;
+        self.outstanding -= 1;
+        if fabric.tracer.enabled() {
+            let sojourn = fabric.now - self.script.arrivals()[idx as usize].at_ms;
+            fabric.trace(
+                TraceKind::StreamDeparture,
+                org,
+                server,
+                0,
+                TAG_DEPARTURE,
+                sojourn,
+            );
+        }
+        let mut hosts: Vec<(f64, usize)> = nodes
+            .iter()
+            .filter(|&(j, machine)| !(liveness.is_down(j) || machine.is_done()))
+            .map(|(j, machine)| (machine.ledger().get(org), j))
+            .filter(|&(w, _)| w > 0.0)
+            .collect();
+        hosts.sort_by(|x, y| y.0.total_cmp(&x.0).then(x.1.cmp(&y.1)));
+        let mut remaining = amount;
+        for (w, j) in hosts {
+            if remaining <= 0.0 {
+                break;
+            }
+            let take = w.min(remaining);
+            nodes.machine_mut(j).withdraw(org, take);
+            remaining -= take;
+        }
+    }
+
+    /// If the batch just classified carried stream events, advances
+    /// the piecewise time-in-imbalance integral — closes the interval
+    /// opened at the previous sample under its observation, then
+    /// observes the live landscape anew — and says so. "Imbalanced"
+    /// means the worst live utilization `l_j / s_j` exceeds twice the
+    /// live mean.
+    fn sample(
+        &mut self,
+        now: f64,
+        nodes: &Nodes,
+        liveness: &Liveness,
+        instance: &Instance,
+    ) -> bool {
+        if !std::mem::take(&mut self.dirty) {
+            return false;
+        }
+        if self.was_imbalanced {
+            self.tally.imbalance_ms += now - self.last_sample_ms;
+        }
+        self.last_sample_ms = now;
+        let (mut max_util, mut sum_util, mut live) = (0.0f64, 0.0f64, 0u32);
+        for (j, machine) in nodes.iter() {
+            if liveness.is_down(j) || machine.is_done() {
+                continue;
+            }
+            let util = machine.ledger().sum() / instance.speed(j);
+            max_util = max_util.max(util);
+            sum_util += util;
+            live += 1;
+        }
+        self.was_imbalanced =
+            live > 0 && sum_util > 0.0 && max_util > 2.0 * (sum_util / live as f64);
+        true
+    }
+
+    /// Whether every arrival has entered and every served request has
+    /// departed.
+    fn drained(&self, now: f64) -> bool {
+        let last_arrival_ms = self.script.arrivals().last().map_or(0.0, |a| a.at_ms);
+        self.outstanding == 0 && now >= last_arrival_ms
+    }
+
+    /// Lifts the coordinator's hold so the normal quiescence shutdown
+    /// can fire; returns whether it was still on.
+    fn release(&mut self, coordinator: &mut CoordinatorMachine) -> bool {
+        let held = std::mem::take(&mut self.hold);
+        if held {
+            coordinator.set_hold(false);
+        }
+        held
+    }
+
+    /// The run ended at `now`: `None` when no stream drove it.
+    fn summary(mut self, now: f64) -> Option<StreamSummary> {
+        if self.script.is_empty() {
+            return None;
+        }
+        if self.was_imbalanced {
+            self.tally.imbalance_ms += now - self.last_sample_ms;
+        }
+        self.sojourns.sort_by(|x, y| x.total_cmp(y));
+        let pct = |q: f64| match self.sojourns.len() {
+            0 => 0.0,
+            n => self.sojourns[((n as f64 * q) as usize).min(n - 1)],
+        };
+        Some(StreamSummary {
+            p50_ms: pct(0.50),
+            p99_ms: pct(0.99),
+            ..self.tally
+        })
+    }
+}
+
+/// The round-trace plane: round phases as the observer sees them —
+/// tracked apart from the liveness plane's latched round, which only
+/// moves on faulty-oracle runs. Untouched under a disabled sink.
+#[derive(Default)]
+struct RoundTrace {
+    /// The round being observed; `0` before the first begins.
+    round: u64,
+    started_at: f64,
+    /// Dedups the per-round exclusion announcement, which every
+    /// RoundStart frame carries.
+    excl_round: u64,
+}
+
+impl RoundTrace {
+    /// `frame` passed node `j`'s delivery gate. Exchange lifecycle
+    /// markers ride the frames that decide them.
+    fn delivered<D, T: TraceSink>(&mut self, fabric: &mut Fabric<'_, D, T>, j: u32, frame: &Frame) {
+        if !fabric.tracer.enabled() {
+            return;
+        }
+        fabric.trace_frame(TraceKind::FrameDelivered, j, frame, 0.0);
+        let tag = frame_identity(frame).0;
+        match frame {
+            Frame::Propose { from, round } => {
+                fabric.trace(TraceKind::ExchangePropose, *from, j, *round, tag, 0.0);
+            }
+            Frame::Commit { from, round, .. } => {
+                fabric.trace(TraceKind::ExchangeCommit, *from, j, *round, tag, 0.0);
+            }
+            Frame::RoundStart {
+                round, excluded, ..
+            } if *round != self.excl_round => {
+                self.excl_round = *round;
+                for &e in excluded {
+                    fabric.trace(TraceKind::DetectorExclude, e, NODE_COORD, *round, tag, 0.0);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// The coordinator is in `round` now: if the observed round is
+    /// another, close it and open this one.
+    fn follow<D, T: TraceSink>(&mut self, fabric: &mut Fabric<'_, D, T>, round: u64) {
+        if fabric.tracer.enabled() && round != self.round {
+            self.end(fabric);
+            self.round = round;
+            self.started_at = fabric.now;
+            fabric.trace(TraceKind::RoundBegin, NODE_COORD, NO_PEER, round, 0, 0.0);
+        }
+    }
+
+    fn end<D, T: TraceSink>(&self, fabric: &mut Fabric<'_, D, T>) {
+        if self.round != 0 {
+            let took = fabric.now - self.started_at;
+            fabric.trace(
+                TraceKind::RoundEnd,
+                NODE_COORD,
+                NO_PEER,
+                self.round,
+                0,
+                took,
+            );
+        }
+    }
+}
+
+/// Everything a run carries from one delivery batch to the next: the
+/// machines, the fabric they talk through, the event-order hash, the
+/// batch scratch, and one value per plane.
+struct Run<'a, D, T> {
+    instance: Arc<Instance>,
+    coordinator: CoordinatorMachine,
+    nodes: Nodes,
+    fabric: Fabric<'a, D, T>,
+    liveness: Liveness<'a>,
+    detector: Detector,
+    stream: Stream<'a>,
+    rounds: RoundTrace,
+    hash: u64,
+    /// The coordinator's queue for the batch in flight.
+    coord_inbox: Vec<CoordItem>,
+    /// Scratch for the coordinator's emissions.
+    out: Vec<Outbound>,
+}
+
+impl<'a, D: Fn(usize, usize) -> f64, T: TraceSink> Run<'a, D, T> {
+    /// Builds the machines and planes and puts round 1 on the heap.
+    fn start(
+        instance: &Instance,
+        options: &ClusterOptions,
+        delays: D,
+        script: &'a FaultScript,
+        stream: &'a StreamScript,
+        tracer: &'a mut T,
+    ) -> Self {
+        let instance = Arc::new(instance.clone());
+        let oracle = matches!(options.detect, DetectMode::Oracle);
+        // In-protocol detection requires two-phase exchanges: an
+        // aborting initiator may only roll back state it has not
+        // applied yet, so the transfer must be held until the
+        // acceptor's CommitAck.
+        let mut node_config = options.node;
+        node_config.two_phase |= !oracle;
+        let mut coordinator = CoordinatorMachine::new(Arc::clone(&instance), options);
+        let mut heap = EventHeap::new();
+        let mut run = Self {
+            nodes: Nodes::new(&instance, node_config),
+            instance,
+            liveness: Liveness::new(script, oracle),
+            detector: Detector {
+                active: !oracle,
+                ..Detector::default()
+            },
+            stream: Stream::new(stream, &mut heap, &mut coordinator),
+            rounds: RoundTrace::default(),
+            coordinator,
+            fabric: Fabric {
+                heap,
+                now: 0.0,
+                delays,
+                script,
+                summary: FaultSummary::default(),
+                rto: (!oracle).then_some(options.exchange_rto_ms),
+                tracer,
+            },
+            hash: 0xCBF2_9CE4_8422_2325, // FNV offset basis
+            coord_inbox: Vec::new(),
+            out: Vec::new(),
+        };
+        // Round 1 latches whoever is down from the very start, and its
+        // RoundBegin precedes its frames in the trace.
+        run.liveness.feed_oracle(0.0, &mut run.coordinator);
+        run.coordinator.start(&mut run.out);
+        run.liveness.advance(0.0, &mut run.fabric.summary);
+        run.rounds
+            .follow(&mut run.fabric, run.coordinator.round_number());
+        run.fabric.schedule(None, &mut run.out);
+        run.follow_round();
+        run
+    }
+
+    /// Pops the next live event, silently discarding timers whose wait
+    /// already resolved (a cancelled timer never fires — it neither
+    /// advances virtual time nor enters the hash). Machine state at pop
+    /// time is deterministic, so the discard decisions are too.
+    fn pop_live(&mut self) -> Option<Scheduled<Event>> {
+        loop {
+            let event = self.fabric.heap.pop()?;
+            let stale = match event.item {
+                Event::Frame(..) | Event::Arrival(..) | Event::Departure(..) => false,
+                Event::Deadline(round) => {
+                    self.coordinator.is_collecting()
+                        || self.coordinator.is_done()
+                        || round != self.coordinator.round_number()
+                }
+                Event::Rto(j, round, kind) => {
+                    !self.nodes.machine(j as usize).rto_pending(round, kind)
+                }
+            };
+            if !stale {
+                return Some(event);
+            }
+        }
+    }
+
+    /// The heap ran dry. Returns `true` when the run goes on: a
+    /// coordinator still held open by the stream was released and
+    /// resumed (defensive — the heap cannot normally dry up while
+    /// arrivals or departures are pending). Otherwise the ledgers of
+    /// nodes the shutdown could not reach are frozen into the final
+    /// answer.
+    fn resume_or_freeze(&mut self) -> bool {
+        if self.stream.release(&mut self.coordinator) {
+            self.coordinator.kick(&mut self.out);
+            if !self.out.is_empty() {
+                self.fabric.schedule(None, &mut self.out);
+                return true;
+            }
+        }
+        if self.coordinator.is_collecting() {
+            let now = self.fabric.now;
+            for j in self.liveness.unreachable(&self.coordinator) {
+                let ledger = ledger_to_wire(self.nodes.machine(j as usize).ledger());
+                let frame = Frame::FinalLedger { from: j, ledger };
+                self.coordinator.handle(&frame, now, &mut self.out);
+                self.fabric.schedule(None, &mut self.out);
+            }
+        }
+        false
+    }
+
+    /// Classifies the whole same-instant batch starting at `first`, in
+    /// `(due, seq)` order: every event enters the hash, then lands in a
+    /// run queue, on the coordinator's queue, or in the stream plane —
+    /// or dies at the liveness gate.
+    fn classify(&mut self, first: Scheduled<Event>) {
+        let Self {
+            nodes,
+            fabric,
+            liveness,
+            hash,
+            ..
+        } = self;
+        let now = first.due;
+        let mut next = Some(first);
+        while let Some(event) = next {
+            match event.item {
+                Event::Frame(dest, frame) => {
+                    *hash = hash_event(*hash, now, dest, &frame);
+                    match dest {
+                        // Dropped at a dead host; under detection that
+                        // arms the sender's abort timeout.
+                        Dest::Node(j) if liveness.blocks(j, &frame) => {
+                            fabric.summary.dropped_frames += 1;
+                            fabric.trace_frame(TraceKind::FrameDropped, j, &frame, DROP_DEST_DOWN);
+                            fabric.arm_abort(&frame);
+                        }
+                        Dest::Node(j) => {
+                            self.rounds.delivered(fabric, j, &frame);
+                            nodes.enqueue(j, Inbox::Frame(frame));
+                        }
+                        Dest::Coordinator => {
+                            fabric.trace_frame(TraceKind::FrameDelivered, NODE_COORD, &frame, 0.0);
+                            self.coord_inbox.push(CoordItem::Frame(frame));
+                        }
+                    }
+                }
+                Event::Deadline(round) => {
+                    *hash = hash_timer(*hash, now, TAG_DEADLINE, u64::MAX, round);
+                    fabric.trace(
+                        TraceKind::TimerFired,
+                        NODE_COORD,
+                        NO_PEER,
+                        round,
+                        TAG_DEADLINE,
+                        0.0,
+                    );
+                    self.coord_inbox.push(CoordItem::Deadline(round));
+                }
+                Event::Rto(j, round, kind) => {
+                    *hash = hash_timer(*hash, now, TAG_RTO, j as u64, round);
+                    fabric.trace(TraceKind::TimerFired, j, NO_PEER, round, TAG_RTO, 0.0);
+                    // A dead node's timer fires into the void; if it
+                    // recovers later still mid-exchange, the drain
+                    // freeze recovers its ledger. Stale timers died at
+                    // pop, so a live RTO reaching its machine aborts
+                    // the exchange.
+                    if !liveness.is_down(j as usize) {
+                        fabric.trace(TraceKind::ExchangeAbort, j, NO_PEER, round, TAG_RTO, 0.0);
+                        nodes.enqueue(j, Inbox::Rto(round, kind));
+                    }
+                }
+                Event::Arrival(idx) => {
+                    *hash = hash_timer(*hash, now, TAG_ARRIVAL, idx as u64, 0);
+                    self.stream
+                        .arrive(idx, nodes, liveness, &self.instance, fabric);
+                }
+                Event::Departure(org, server, amount, idx) => {
+                    *hash = hash_timer(*hash, now, TAG_DEPARTURE, server as u64, idx as u64);
+                    self.stream
+                        .depart((org, server, amount, idx), nodes, liveness, fabric);
+                }
+            }
+            next = match fabric.heap.peek_due() {
+                Some(due) if due == now => fabric.heap.pop(),
+                _ => None,
+            };
+        }
+    }
+
+    /// After a batch that carried stream events: fresh stream activity
+    /// deformed the landscape, so resume a parked coordinator —
+    /// latching any crash phase the oracle would otherwise only see on
+    /// its control-plane path — and let go of it once the stream has
+    /// fully drained.
+    fn stream_turn(&mut self) {
+        let now = self.fabric.now;
+        if !self
+            .stream
+            .sample(now, &self.nodes, &self.liveness, &self.instance)
+        {
+            return;
+        }
+        self.liveness.feed_oracle(now, &mut self.coordinator);
+        self.coordinator.kick(&mut self.out);
+        self.fabric.schedule(None, &mut self.out);
+        if self.stream.drained(now) {
+            self.stream.release(&mut self.coordinator);
+        }
+    }
+
+    /// Puts the pool's machines (and their queues' allocations) back
+    /// and schedules what they emitted, in dispatch order — the
+    /// order-preserving `map_mut` keeps it independent of the worker
+    /// count.
+    fn collect(&mut self, work: Vec<Work>, emissions: Vec<Vec<Outbound>>) {
+        for ((src, machine, queue), mut outs) in work.into_iter().zip(emissions) {
+            self.nodes.machines[src as usize] = Some(machine);
+            self.nodes.run_queues[src as usize] = queue;
+            if self.liveness.is_down(src as usize) {
+                // A crashed node sends nothing (it only ever hears the
+                // one frame species that still reaches it).
+                self.fabric.summary.dropped_frames += outs.len() as u64;
+                for o in &outs {
+                    self.fabric.trace_frame(
+                        TraceKind::FrameDropped,
+                        dest_id(o.to),
+                        &o.frame,
+                        DROP_SRC_DOWN,
+                    );
+                }
+            } else {
+                self.fabric.schedule(Some(src as usize), &mut outs);
+            }
+        }
+    }
+
+    /// Hands the coordinator the batch's reports and deadlines.
+    fn coordinator_turn(&mut self) {
+        let now = self.fabric.now;
+        if !self.coord_inbox.is_empty() {
+            // Before any report can close the round: a round beginning
+            // now latches the crashes due by now.
+            self.liveness.feed_oracle(now, &mut self.coordinator);
+        }
+        for item in self.coord_inbox.drain(..) {
+            match item {
+                CoordItem::Frame(frame) => self.coordinator.handle(&frame, now, &mut self.out),
+                CoordItem::Deadline(round) => {
+                    self.coordinator.on_deadline(round, now, &mut self.out)
+                }
+            }
+            self.fabric.schedule(None, &mut self.out);
+        }
+        self.follow_round();
+    }
+
+    /// Lets every plane that follows round boundaries catch up with
+    /// the coordinator.
+    fn follow_round(&mut self) {
+        let round = self.coordinator.round_number();
+        self.rounds.follow(&mut self.fabric, round);
+        self.liveness
+            .on_round(&self.coordinator, &mut self.fabric.summary);
+        self.detector.follow(&self.coordinator, &mut self.fabric);
+    }
+
+    fn finish(mut self) -> ClusterReport {
+        self.rounds.end(&mut self.fabric);
+        let now = self.fabric.now;
+        let mut report = self.coordinator.into_report();
+        report.virtual_ms = now;
+        report.event_hash = self.hash;
+        report.faults = self.fabric.summary;
+        let hits = self.detector.true_positives;
+        if hits > 0 {
+            report.detector.detection_latency_ms = self.detector.latency_sum_ms / hits as f64;
+        }
+        if let Some(stream) = self.stream.summary(now) {
+            report.stream = stream;
+        }
+        report
+    }
+}
+
+/// Runs the full message-passing protocol for `instance` to completion
+/// in deterministic virtual time: no faults, no request stream, nobody
+/// observing — the convenience form of
+/// [`run_cluster_events_observed`]. `delays(i, j)` is the one-way
+/// delivery latency in ms from node `i` to node `j` (must be finite
+/// and non-negative; control-plane frames travel free).
+pub fn run_cluster_events<D: Fn(usize, usize) -> f64>(
     instance: &Instance,
     options: &ClusterOptions,
     delays: D,
-) -> ClusterReport
-where
-    D: Fn(usize, usize) -> f64,
-{
-    run_cluster_events_faulted(
-        instance,
-        options,
-        delays,
-        &FaultScript::empty(instance.len()),
-    )
+) -> ClusterReport {
+    let (script, stream) = (FaultScript::empty(instance.len()), StreamScript::empty());
+    let (clock, tracer) = (&mut VirtualClock, &mut NullSink);
+    run_cluster_events_observed(instance, options, delays, &script, &stream, clock, tracer)
 }
 
-/// [`run_cluster_events`] under a fault script: crashes, loss, delay
-/// spikes, and partitions injected at deterministic virtual instants
-/// (see the [module docs](self)). The script must have been compiled
-/// for this instance's size.
-pub fn run_cluster_events_faulted<D>(
-    instance: &Instance,
-    options: &ClusterOptions,
-    delays: D,
-    script: &FaultScript,
-) -> ClusterReport
-where
-    D: Fn(usize, usize) -> f64,
-{
-    run_cluster_events_with_clock(instance, options, delays, script, &mut VirtualClock)
-}
-
-/// [`run_cluster_events_faulted`] with an explicit pacing [`Clock`] —
-/// pass a [`WallClock`](crate::clock::WallClock) to replay the
-/// simulated schedule in real time.
-pub fn run_cluster_events_with_clock<D, C>(
-    instance: &Instance,
-    options: &ClusterOptions,
-    delays: D,
-    script: &FaultScript,
-    clock: &mut C,
-) -> ClusterReport
-where
-    D: Fn(usize, usize) -> f64,
-    C: Clock,
-{
-    run_cluster_events_streamed_with_clock(
-        instance,
-        options,
-        delays,
-        script,
-        &StreamScript::empty(),
-        clock,
-    )
-}
-
-/// [`run_cluster_events_faulted`] under a live request stream: the
-/// compiled [`StreamScript`]'s arrivals ride the same `(due, seq)`
-/// event heap as the protocol frames, so the cluster rebalances
-/// *while* requests flow instead of converging over a frozen snapshot.
+/// The executor's general entry: runs the protocol under a fault
+/// `script` and a live request `stream` (see the [module docs](self)
+/// for both), paced by `clock` — pass a
+/// [`WallClock`](crate::clock::WallClock) to replay the simulated
+/// schedule in real time — and observed by `tracer`.
+/// [`FaultScript::empty`], [`StreamScript::empty`], [`VirtualClock`]
+/// and [`NullSink`] are the respective "none": each leaves the event
+/// stream, hash, and report byte-identical to a run without that
+/// input.
 ///
-/// Each arrival is routed to a live server in proportion to how much
-/// of its organization's work that server currently hosts (the live
-/// relay fractions), deposits one unit of load there — buffered by the
-/// node machine while an exchange is open, so no transfer is ever torn
-/// — and departs after its modeled sojourn (`c_ij + l_j/2s_j + 1/s_j`),
-/// withdrawing the unit from wherever rebalancing moved it. Arrivals
-/// routed to a crashed (or already-finished) server are counted as
-/// dropped. While requests are still arriving or in flight the
-/// coordinator is *held open*: quiet rounds park instead of quiescing
-/// (see [`CoordinatorMachine::kick`]), and every stream event resumes
-/// a parked coordinator. Once the stream drains, the hold is released
-/// and the normal quiescence shutdown fires.
-///
-/// The filled [`ClusterReport::stream`] carries requests served and
-/// dropped, p50/p99 sojourn, and the virtual time the cluster spent
-/// with its worst live utilization above twice the mean
-/// ([`StreamSummary`]). An empty script takes none of these paths:
-/// the run is byte-identical to [`run_cluster_events_faulted`].
-pub fn run_cluster_events_streamed<D>(
-    instance: &Instance,
-    options: &ClusterOptions,
-    delays: D,
-    script: &FaultScript,
-    stream: &StreamScript,
-) -> ClusterReport
-where
-    D: Fn(usize, usize) -> f64,
-{
-    run_cluster_events_streamed_with_clock(
-        instance,
-        options,
-        delays,
-        script,
-        stream,
-        &mut VirtualClock,
-    )
-}
-
-/// The fully general untraced entry: faults, stream, and explicit
-/// clock, observed by nobody ([`NullSink`] — the hooks compile away
-/// and the run is byte-identical to the pre-observability executor).
-pub fn run_cluster_events_streamed_with_clock<D, C>(
-    instance: &Instance,
-    options: &ClusterOptions,
-    delays: D,
-    script: &FaultScript,
-    stream: &StreamScript,
-    clock: &mut C,
-) -> ClusterReport
-where
-    D: Fn(usize, usize) -> f64,
-    C: Clock,
-{
-    run_cluster_events_observed(
-        instance,
-        options,
-        delays,
-        script,
-        stream,
-        clock,
-        &mut NullSink,
-    )
-}
-
-/// The fully general entry: faults, stream, explicit clock, and a
-/// [`TraceSink`] observing the run.
-///
-/// Every hook sits on the executor's single-threaded scheduling /
-/// classification path behind a `tracer.enabled()` branch, emits in
-/// deterministic `(due, seq)` delivery order, and never feeds back
-/// into protocol state — so the trace is as bit-reproducible as the
-/// run itself (across repeats *and* `DLB_THREADS` values), and a
-/// disabled sink leaves the event stream, hash, and report
-/// byte-identical to [`run_cluster_events_streamed_with_clock`].
+/// # Panics
+/// Panics when `script` or `stream` was compiled for a different
+/// cluster size.
 #[allow(clippy::too_many_arguments)]
 pub fn run_cluster_events_observed<D, C, T>(
     instance: &Instance,
@@ -481,841 +1264,35 @@ where
         m,
         "fault script compiled for a different cluster size"
     );
-    let shared = Arc::new(instance.clone());
-    let mut coordinator = CoordinatorMachine::new(Arc::clone(&shared), options);
-    let use_oracle = matches!(options.detect, DetectMode::Oracle);
-    // In-protocol detection requires two-phase exchanges: an aborting
-    // initiator may only roll back state it has not applied yet, so
-    // the transfer must be held until the acceptor's CommitAck.
-    let mut node_config = options.node;
-    if !use_oracle {
-        node_config.two_phase = true;
-    }
-    let mut machines: Vec<Option<NodeMachine>> = (0..m)
-        .map(|id| {
-            Some(NodeMachine::local(
-                id as u32,
-                Arc::clone(&shared),
-                node_config,
-            ))
-        })
-        .collect();
-    let mut fabric = Fabric {
-        heap: EventHeap::new(),
-        delays,
-        script,
-        summary: FaultSummary::default(),
-        rto: (!use_oracle).then_some(options.exchange_rto_ms),
-        tracer,
-    };
-    // The per-batch work the pool's workers run: drain one node's
-    // queue through its machine, collecting emissions. Spawning the
-    // pool once for the whole run (instead of a thread scope per
-    // batch) is what keeps the per-instant dispatch overhead flat at
-    // Figure-2 scale.
-    let handler = |(_, machine, items): &mut (u32, NodeMachine, Vec<Inbox>)| {
-        let mut local_out = Vec::new();
-        for item in items.drain(..) {
-            match item {
-                Inbox::Frame(frame) => machine.handle(&frame, &mut local_out),
-                Inbox::Rto(round, kind) => machine.on_rto(round, kind, &mut local_out),
-            }
-        }
-        local_out
-    };
-    with_pool(handler, move |pool| {
-        let mut out: Vec<Outbound> = Vec::new();
-        let mut now = 0.0f64;
-        let mut hash = 0xCBF2_9CE4_8422_2325u64; // FNV offset basis
-        let faulty = !script.is_empty();
-        // Which nodes currently take no deliveries. Under the oracle
-        // this is the coordinator's round-latched down set; under
-        // in-protocol detection it is raw physics — the script's down
-        // set at `now`, latched at nothing (the protocol is on its own
-        // to notice).
-        let mut down = vec![false; m];
-        // The script's down set only changes at its crash/recovery
-        // instants; cache the phase so the refresh is O(1) per batch
-        // instead of an O(m) rebuild.
-        let mut down_phase = script.down_phase(now);
-        if faulty && use_oracle {
-            coordinator.set_down(script.down_at(now));
-        }
-        // Streaming: the whole arrival schedule goes on the heap up
-        // front (it is pure data, already time-sorted), and the
-        // coordinator is held open until the stream drains. An empty
-        // stream pushes nothing — the event sequence and its hash are
-        // byte-identical to the unstreamed run.
-        let streaming = !stream.is_empty();
-        let last_arrival_ms = stream.arrivals().last().map_or(0.0, |a| a.at_ms);
-        if streaming {
-            debug_assert!(
-                stream.arrivals().iter().all(|a| (a.org as usize) < m),
-                "stream compiled for a different cluster size"
-            );
-            for (idx, a) in stream.arrivals().iter().enumerate() {
-                fabric.heap.push(a.at_ms, Event::Arrival(idx as u32));
-            }
-            coordinator.set_hold(true);
-        }
-        let mut hold = streaming;
-        let mut outstanding = 0u64; // departures still on the heap
-        let mut served = 0u64;
-        let mut stream_dropped = 0u64;
-        let mut sojourns: Vec<f64> = Vec::new();
-        let mut imbalance_ms = 0.0f64;
-        let mut was_imbalanced = false;
-        let mut last_sample_ms = 0.0f64;
-        coordinator.start(&mut out);
-        let mut latched_round = coordinator.round_number();
-        // Observability round phases — tracked separately from the
-        // oracle's `latched_round` (which only advances on
-        // faulty-oracle runs). `obs_excl_round` dedups the per-round
-        // exclusion announcement, which every RoundStart frame carries.
-        let mut obs_round = coordinator.round_number();
-        let mut obs_round_start = 0.0f64;
-        let mut obs_excl_round = 0u64;
-        if fabric.tracer.enabled() {
-            fabric.tracer.emit(&TraceEvent {
-                kind: TraceKind::RoundBegin,
-                at_ms: 0.0,
-                node: NODE_COORD,
-                peer: NO_PEER,
-                round: obs_round,
-                tag: 0,
-                detail: 0.0,
-            });
-        }
-        if use_oracle {
-            for &j in coordinator.down_now() {
-                down[j as usize] = true;
-                // Down from the very first round: the run experienced
-                // this crash (the summary counts *latched* transitions,
-                // not script instants a finished run never reached).
-                fabric.summary.crashes += 1;
-            }
-        } else {
-            for &j in &script.down_at(now) {
-                down[j as usize] = true;
-                fabric.summary.crashes += 1;
-            }
-        }
-        fabric.schedule(now, None, &mut out);
-        // In-protocol detection bookkeeping: the round whose report
-        // deadline has been armed, the suspect set last seen (to
-        // attribute detection latency), and the true-positive latency
-        // accumulator.
-        let mut armed_round = 0u64;
-        let mut prev_suspects: Vec<u32> = Vec::new();
-        let mut tp_count = 0u32;
-        let mut tp_latency_sum = 0.0f64;
-        if !use_oracle {
-            armed_round = coordinator.round_number();
-            if let Some(due) = coordinator.arm_deadline(now) {
-                fabric.heap.push(due, Event::Deadline(armed_round));
-            }
-        }
-
-        // Batch scratch, reused across iterations: per-node run queues plus
-        // the list of destinations touched this batch (in first-delivery
-        // order — deterministic, since events pop in (due, seq) order).
-        let mut run_queues: Vec<Vec<Inbox>> = (0..m).map(|_| Vec::new()).collect();
-        let mut touched: Vec<u32> = Vec::new();
-        let mut coord_items: Vec<CoordItem> = Vec::new();
-
+    assert!(
+        stream.arrivals().iter().all(|a| (a.org as usize) < m),
+        "stream compiled for a different cluster size"
+    );
+    let mut run = Run::start(instance, options, delays, script, stream, tracer);
+    with_pool(drain_queue, move |pool| {
         loop {
-            // Pop the next live event, silently discarding timers whose
-            // wait already resolved (a cancelled timer never fires — it
-            // neither advances virtual time nor enters the hash).
-            // Machine state at pop time is deterministic, so the
-            // discard decisions are too.
-            let first = loop {
-                match fabric.heap.pop() {
-                    None => break None,
-                    Some(ev) => {
-                        let stale = match &ev.item {
-                            Event::Frame(..) | Event::Arrival(..) | Event::Departure(..) => false,
-                            Event::Deadline(round) => {
-                                coordinator.is_collecting()
-                                    || coordinator.is_done()
-                                    || *round != coordinator.round_number()
-                            }
-                            Event::Rto(j, round, kind) => !machines[*j as usize]
-                                .as_ref()
-                                .expect("machine parked")
-                                .rto_pending(*round, *kind),
-                        };
-                        if !stale {
-                            break Some(ev);
-                        }
-                    }
-                }
-            };
-            let Some(first) = first else {
-                if hold {
-                    // Defensive: the heap cannot normally dry up while
-                    // arrivals or departures are pending, but if it
-                    // does, release the hold so the run can terminate.
-                    hold = false;
-                    coordinator.set_hold(false);
-                    coordinator.kick(&mut out);
-                    if !out.is_empty() {
-                        fabric.schedule(now, None, &mut out);
-                        continue;
-                    }
-                }
-                // In-flight traffic is exhausted. The shutdown cannot
-                // reach crashed nodes: freeze their ledgers into the
-                // final answer (their requests stay where they were when
-                // the node went down). Under the oracle the missing set
-                // is the latched down set; under in-protocol detection
-                // it is whoever never answered the shutdown.
-                if coordinator.is_collecting() {
-                    let frozen: Vec<u32> = if use_oracle {
-                        coordinator.down_now().to_vec()
-                    } else {
-                        coordinator.missing_ledgers()
-                    };
-                    for j in frozen {
-                        let machine = machines[j as usize].as_ref().expect("machine parked");
-                        let frame = Frame::FinalLedger {
-                            from: j,
-                            ledger: ledger_to_wire(machine.ledger()),
-                        };
-                        coordinator.handle(&frame, &mut out);
-                        fabric.schedule(now, None, &mut out);
-                    }
-                }
-                break;
-            };
-            now = first.due;
-            clock.wait_until(now);
-            if faulty && !use_oracle {
-                // In-protocol detection takes raw crash physics: the
-                // delivery gate follows the script's down set the
-                // instant it changes, not at round boundaries — nobody
-                // tells the protocol, which is the point.
-                let phase = script.down_phase(now);
-                if phase != down_phase {
-                    down_phase = phase;
-                    let phys = script.down_at(now);
-                    let mut idx = 0usize;
-                    for (j, flag) in down.iter_mut().enumerate() {
-                        let now_down = phys.get(idx).is_some_and(|&d| d as usize == j);
-                        if now_down {
-                            idx += 1;
-                        }
-                        match (*flag, now_down) {
-                            (false, true) => fabric.summary.crashes += 1,
-                            (true, false) => fabric.summary.recoveries += 1,
-                            _ => {}
-                        }
-                        *flag = now_down;
-                    }
-                }
-            }
-            // Classify the whole same-instant batch in (due, seq) order.
-            let mut stream_batch = false;
-            let mut next = Some(first);
-            while let Some(event) = next {
-                match event.item {
-                    Event::Frame(dest, frame) => {
-                        hash = hash_event(hash, event.due, dest, &frame);
-                        match dest {
-                            Dest::Node(j) => {
-                                // Dead destination: one frame species per
-                                // mode still lands — the instant the
-                                // exchange became *decided*. Oracle: the
-                                // Commit (the initiator applied on Accept).
-                                // Detection: the CommitAck (the acceptor
-                                // installed on Commit; the dead initiator
-                                // applies its held-back half exactly as a
-                                // recovery log would, so its frozen ledger
-                                // matches the partner's installed one).
-                                // Everything else is dropped, and under
-                                // detection each dropped exchange frame
-                                // arms the sender's abort timeout.
-                                let spared = if use_oracle {
-                                    matches!(*frame, Frame::Commit { .. })
-                                } else {
-                                    matches!(*frame, Frame::CommitAck { .. })
-                                };
-                                if faulty && down[j as usize] && !spared {
-                                    fabric.summary.dropped_frames += 1;
-                                    if fabric.tracer.enabled() {
-                                        let (tag, from, round) = frame_identity(&frame);
-                                        fabric.tracer.emit(&TraceEvent {
-                                            kind: TraceKind::FrameDropped,
-                                            at_ms: now,
-                                            node: j,
-                                            peer: frame_peer(tag, from),
-                                            round,
-                                            tag,
-                                            detail: DROP_DEST_DOWN,
-                                        });
-                                    }
-                                    if !use_oracle {
-                                        fabric.arm_abort(now, &frame);
-                                    }
-                                } else {
-                                    if fabric.tracer.enabled() {
-                                        let (tag, from, round) = frame_identity(&frame);
-                                        fabric.tracer.emit(&TraceEvent {
-                                            kind: TraceKind::FrameDelivered,
-                                            at_ms: now,
-                                            node: j,
-                                            peer: frame_peer(tag, from),
-                                            round,
-                                            tag,
-                                            detail: 0.0,
-                                        });
-                                        // Exchange lifecycle markers ride
-                                        // the frames that decide them.
-                                        match &*frame {
-                                            Frame::Propose { from, round } => {
-                                                fabric.tracer.emit(&TraceEvent {
-                                                    kind: TraceKind::ExchangePropose,
-                                                    at_ms: now,
-                                                    node: *from,
-                                                    peer: j,
-                                                    round: *round,
-                                                    tag,
-                                                    detail: 0.0,
-                                                });
-                                            }
-                                            Frame::Commit { from, round, .. } => {
-                                                fabric.tracer.emit(&TraceEvent {
-                                                    kind: TraceKind::ExchangeCommit,
-                                                    at_ms: now,
-                                                    node: *from,
-                                                    peer: j,
-                                                    round: *round,
-                                                    tag,
-                                                    detail: 0.0,
-                                                });
-                                            }
-                                            Frame::RoundStart {
-                                                round, excluded, ..
-                                            } if *round != obs_excl_round => {
-                                                obs_excl_round = *round;
-                                                for &e in excluded {
-                                                    fabric.tracer.emit(&TraceEvent {
-                                                        kind: TraceKind::DetectorExclude,
-                                                        at_ms: now,
-                                                        node: e,
-                                                        peer: NODE_COORD,
-                                                        round: *round,
-                                                        tag,
-                                                        detail: 0.0,
-                                                    });
-                                                }
-                                            }
-                                            _ => {}
-                                        }
-                                    }
-                                    if run_queues[j as usize].is_empty() {
-                                        touched.push(j);
-                                    }
-                                    run_queues[j as usize].push(Inbox::Frame(frame));
-                                }
-                            }
-                            Dest::Coordinator => {
-                                if fabric.tracer.enabled() {
-                                    let (tag, from, round) = frame_identity(&frame);
-                                    fabric.tracer.emit(&TraceEvent {
-                                        kind: TraceKind::FrameDelivered,
-                                        at_ms: now,
-                                        node: NODE_COORD,
-                                        peer: frame_peer(tag, from),
-                                        round,
-                                        tag,
-                                        detail: 0.0,
-                                    });
-                                }
-                                coord_items.push(CoordItem::Frame(frame));
-                            }
-                        }
-                    }
-                    Event::Deadline(round) => {
-                        hash = hash_timer(hash, event.due, 16, u64::MAX, round);
-                        if fabric.tracer.enabled() {
-                            fabric.tracer.emit(&TraceEvent {
-                                kind: TraceKind::TimerFired,
-                                at_ms: now,
-                                node: NODE_COORD,
-                                peer: NO_PEER,
-                                round,
-                                tag: 16,
-                                detail: 0.0,
-                            });
-                        }
-                        coord_items.push(CoordItem::Deadline(round));
-                    }
-                    Event::Rto(j, round, kind) => {
-                        hash = hash_timer(hash, event.due, 17, j as u64, round);
-                        if fabric.tracer.enabled() {
-                            fabric.tracer.emit(&TraceEvent {
-                                kind: TraceKind::TimerFired,
-                                at_ms: now,
-                                node: j,
-                                peer: NO_PEER,
-                                round,
-                                tag: 17,
-                                detail: 0.0,
-                            });
-                        }
-                        // A dead node's timer fires into the void; if it
-                        // recovers later still mid-exchange, the drain
-                        // freeze recovers its ledger.
-                        if !(faulty && down[j as usize]) {
-                            // Stale timers died at pop, so a live RTO
-                            // reaching its machine aborts the exchange.
-                            if fabric.tracer.enabled() {
-                                fabric.tracer.emit(&TraceEvent {
-                                    kind: TraceKind::ExchangeAbort,
-                                    at_ms: now,
-                                    node: j,
-                                    peer: NO_PEER,
-                                    round,
-                                    tag: 17,
-                                    detail: 0.0,
-                                });
-                            }
-                            if run_queues[j as usize].is_empty() {
-                                touched.push(j);
-                            }
-                            run_queues[j as usize].push(Inbox::Rto(round, kind));
-                        }
-                    }
-                    Event::Arrival(idx) => {
-                        hash = hash_timer(hash, event.due, 18, idx as u64, 0);
-                        stream_batch = true;
-                        let a = stream.arrivals()[idx as usize];
-                        let org = a.org as usize;
-                        // Route in proportion to how much of this
-                        // organization's work each live server hosts —
-                        // the relay fractions ρ_i· of the live,
-                        // mid-rebalance assignment. All machines are
-                        // present here: classification runs before the
-                        // batch fan-out takes any of them.
-                        let mut total = 0.0f64;
-                        let weights: Vec<f64> = (0..m)
-                            .map(|j| {
-                                let machine = machines[j].as_ref().expect("machine present");
-                                if (faulty && down[j]) || machine.is_done() {
-                                    0.0
-                                } else {
-                                    let w = machine.ledger().get(a.org).max(0.0);
-                                    total += w;
-                                    w
-                                }
-                            })
-                            .collect();
-                        let target = if total > 0.0 {
-                            // Inverse CDF over the hosting weights with
-                            // the arrival's pre-drawn uniform; the last
-                            // positive host absorbs any float slack.
-                            let mut acc = 0.0f64;
-                            let mut pick = None;
-                            for (j, &w) in weights.iter().enumerate() {
-                                if w <= 0.0 {
-                                    continue;
-                                }
-                                acc += w;
-                                pick = Some(j);
-                                if a.route * total <= acc {
-                                    break;
-                                }
-                            }
-                            pick
-                        } else {
-                            // Nobody hosts this organization yet (its
-                            // own load was zero): serve at home if the
-                            // home server is alive.
-                            let home = machines[org].as_ref().expect("machine present");
-                            let dead = home.is_done() || (faulty && down[org]);
-                            (!dead).then_some(org)
-                        };
-                        match target {
-                            None => {
-                                stream_dropped += 1;
-                                if fabric.tracer.enabled() {
-                                    fabric.tracer.emit(&TraceEvent {
-                                        kind: TraceKind::StreamDrop,
-                                        at_ms: now,
-                                        node: a.org,
-                                        peer: NO_PEER,
-                                        round: 0,
-                                        tag: 18,
-                                        detail: 1.0,
-                                    });
-                                }
-                            }
-                            Some(j) => {
-                                let machine = machines[j].as_mut().expect("machine present");
-                                let backlog = machine.ledger().sum().max(0.0);
-                                let s = shared.speed(j);
-                                // Expected wait under random order plus
-                                // own service — the model's per-request
-                                // price, §II.
-                                let wait = backlog / (2.0 * s) + 1.0 / s;
-                                if machine.deposit(a.org, 1.0) {
-                                    served += 1;
-                                    outstanding += 1;
-                                    sojourns.push((fabric.delays)(org, j) + wait);
-                                    if fabric.tracer.enabled() {
-                                        fabric.tracer.emit(&TraceEvent {
-                                            kind: TraceKind::StreamArrival,
-                                            at_ms: now,
-                                            node: a.org,
-                                            peer: j as u32,
-                                            round: 0,
-                                            tag: 18,
-                                            detail: wait,
-                                        });
-                                    }
-                                    fabric.heap.push(
-                                        now + wait,
-                                        Event::Departure(a.org, j as u32, 1.0, idx),
-                                    );
-                                } else {
-                                    stream_dropped += 1;
-                                    if fabric.tracer.enabled() {
-                                        fabric.tracer.emit(&TraceEvent {
-                                            kind: TraceKind::StreamDrop,
-                                            at_ms: now,
-                                            node: a.org,
-                                            peer: j as u32,
-                                            round: 0,
-                                            tag: 18,
-                                            detail: 1.0,
-                                        });
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    Event::Departure(org, server, amount, idx) => {
-                        hash = hash_timer(hash, event.due, 19, server as u64, idx as u64);
-                        if fabric.tracer.enabled() {
-                            let sojourn = now - stream.arrivals()[idx as usize].at_ms;
-                            fabric.tracer.emit(&TraceEvent {
-                                kind: TraceKind::StreamDeparture,
-                                at_ms: now,
-                                node: org,
-                                peer: server,
-                                round: 0,
-                                tag: 19,
-                                detail: sojourn,
-                            });
-                        }
-                        stream_batch = true;
-                        outstanding -= 1;
-                        // The unit may have been rebalanced since it
-                        // arrived: drain it from the live hosts
-                        // carrying the most of this organization's
-                        // work. A shortfall stays frozen on whatever
-                        // crashed server still holds it.
-                        let mut hosts: Vec<(f64, usize)> = (0..m)
-                            .filter(|&j| !(faulty && down[j]))
-                            .filter_map(|j| {
-                                let machine = machines[j].as_ref().expect("machine present");
-                                if machine.is_done() {
-                                    return None;
-                                }
-                                let w = machine.ledger().get(org);
-                                (w > 0.0).then_some((w, j))
-                            })
-                            .collect();
-                        hosts.sort_by(|x, y| y.0.total_cmp(&x.0).then(x.1.cmp(&y.1)));
-                        let mut remaining = amount;
-                        for (w, j) in hosts {
-                            if remaining <= 0.0 {
-                                break;
-                            }
-                            let take = w.min(remaining);
-                            machines[j]
-                                .as_mut()
-                                .expect("machine present")
-                                .withdraw(org, take);
-                            remaining -= take;
-                        }
-                    }
-                }
-                next = match fabric.heap.peek_due() {
-                    Some(due) if due == now => fabric.heap.pop(),
-                    _ => None,
-                };
-            }
-
-            if stream_batch {
-                // Piecewise time-in-imbalance: close the interval
-                // opened at the previous sample under its observation,
-                // then observe the live landscape anew. "Imbalanced"
-                // means the worst live utilization `l_j / s_j` exceeds
-                // twice the live mean.
-                if was_imbalanced {
-                    imbalance_ms += now - last_sample_ms;
-                }
-                last_sample_ms = now;
-                let mut max_util = 0.0f64;
-                let mut sum_util = 0.0f64;
-                let mut live = 0u32;
-                for (j, machine) in machines.iter().enumerate() {
-                    if faulty && down[j] {
-                        continue;
-                    }
-                    let machine = machine.as_ref().expect("machine present");
-                    if machine.is_done() {
-                        continue;
-                    }
-                    let util = machine.ledger().sum() / shared.speed(j);
-                    max_util = max_util.max(util);
-                    sum_util += util;
-                    live += 1;
-                }
-                was_imbalanced =
-                    live > 0 && sum_util > 0.0 && max_util > 2.0 * (sum_util / live as f64);
-                // Fresh stream activity resumes a parked coordinator —
-                // latching any crash phase the oracle would otherwise
-                // only see on its control-plane path.
-                if faulty && use_oracle {
-                    let phase = script.down_phase(now);
-                    if phase != down_phase {
-                        down_phase = phase;
-                        coordinator.set_down(script.down_at(now));
-                    }
-                }
-                coordinator.kick(&mut out);
-                fabric.schedule(now, None, &mut out);
-                // The stream has fully drained: release the hold so the
-                // normal quiescence shutdown can fire.
-                if hold && outstanding == 0 && now >= last_arrival_ms {
-                    hold = false;
-                    coordinator.set_hold(false);
-                }
-            }
-
-            // Fan the touched shards out over the worker pool. Each entry
-            // owns its machine for the batch, so `handle` runs without
-            // locks; order-preserving `par_map_mut` keeps the collected
-            // emissions independent of the worker count.
-            let work: Vec<(u32, NodeMachine, Vec<Inbox>)> = touched
-                .drain(..)
-                .map(|j| {
-                    let machine = machines[j as usize].take().expect("machine present");
-                    (j, machine, std::mem::take(&mut run_queues[j as usize]))
-                })
-                .collect();
-            let (work, emissions) = pool.map_mut(work);
-            let sources: Vec<u32> = work
-                .into_iter()
-                .map(|(j, machine, queue)| {
-                    machines[j as usize] = Some(machine);
-                    run_queues[j as usize] = queue; // return the allocation
-                    j
-                })
-                .collect();
-            for (src, mut outs) in sources.into_iter().zip(emissions) {
-                if faulty && down[src as usize] {
-                    // A crashed node sends nothing (it only ever hears a
-                    // final Commit; see above).
-                    fabric.summary.dropped_frames += outs.len() as u64;
-                    if fabric.tracer.enabled() {
-                        for o in &outs {
-                            let (tag, from, round) = frame_identity(&o.frame);
-                            fabric.tracer.emit(&TraceEvent {
-                                kind: TraceKind::FrameDropped,
-                                at_ms: now,
-                                node: match o.to {
-                                    Dest::Node(j) => j,
-                                    Dest::Coordinator => NODE_COORD,
-                                },
-                                peer: frame_peer(tag, from),
-                                round,
-                                tag,
-                                detail: DROP_SRC_DOWN,
-                            });
-                        }
-                    }
+            let Some(first) = run.pop_live() else {
+                if run.resume_or_freeze() {
                     continue;
                 }
-                fabric.schedule(now, Some(src as usize), &mut outs);
-            }
-
-            if faulty && use_oracle && !coord_items.is_empty() {
-                // Feed the liveness oracle before any report can close the
-                // round: a round beginning now latches the crashes due by
-                // now. The set is constant within a phase, so only a
-                // phase crossing rebuilds it.
-                let phase = script.down_phase(now);
-                if phase != down_phase {
-                    down_phase = phase;
-                    coordinator.set_down(script.down_at(now));
-                }
-            }
-            for item in coord_items.drain(..) {
-                match item {
-                    CoordItem::Frame(frame) => coordinator.handle_at(&frame, now, &mut out),
-                    CoordItem::Deadline(round) => coordinator.on_deadline(round, now, &mut out),
-                }
-                fabric.schedule(now, None, &mut out);
-            }
-            if fabric.tracer.enabled() && coordinator.round_number() != obs_round {
-                fabric.tracer.emit(&TraceEvent {
-                    kind: TraceKind::RoundEnd,
-                    at_ms: now,
-                    node: NODE_COORD,
-                    peer: NO_PEER,
-                    round: obs_round,
-                    tag: 0,
-                    detail: now - obs_round_start,
-                });
-                obs_round = coordinator.round_number();
-                obs_round_start = now;
-                fabric.tracer.emit(&TraceEvent {
-                    kind: TraceKind::RoundBegin,
-                    at_ms: now,
-                    node: NODE_COORD,
-                    peer: NO_PEER,
-                    round: obs_round,
-                    tag: 0,
-                    detail: 0.0,
-                });
-            }
-            if faulty && use_oracle && coordinator.round_number() != latched_round {
-                latched_round = coordinator.round_number();
-                // Rebuild the delivery gate from the fresh latch, counting
-                // the transitions the run actually experienced: a crash
-                // (or recovery) whose round never started is not an event
-                // of this run.
-                let latched = coordinator.down_now();
-                let mut idx = 0usize;
-                for (j, flag) in down.iter_mut().enumerate() {
-                    let now_down = latched.get(idx).is_some_and(|&d| d as usize == j);
-                    if now_down {
-                        idx += 1;
-                    }
-                    match (*flag, now_down) {
-                        (false, true) => fabric.summary.crashes += 1,
-                        (true, false) => fabric.summary.recoveries += 1,
-                        _ => {}
-                    }
-                    *flag = now_down;
-                }
-            }
-            if !use_oracle {
-                if coordinator.round_number() != armed_round {
-                    // A fresh round needs a fresh report deadline; the
-                    // previous round's timer (if still queued) dies at
-                    // pop time.
-                    armed_round = coordinator.round_number();
-                    if let Some(due) = coordinator.arm_deadline(now) {
-                        fabric.heap.push(due, Event::Deadline(armed_round));
-                    }
-                }
-                // Measurement hook, invisible to the protocol: a node
-                // newly suspected while the script says it is down is a
-                // true positive, and its detection latency runs from the
-                // scripted crash instant.
-                let cur = coordinator.suspects_now();
-                if cur != prev_suspects {
-                    // Sorted symmetric diff: ids only in `cur` are fresh
-                    // suspicions, ids only in `prev_suspects` rejoined
-                    // (probation readmission or recovery).
-                    let (mut ci, mut pi) = (0usize, 0usize);
-                    while ci < cur.len() || pi < prev_suspects.len() {
-                        let both = ci < cur.len()
-                            && pi < prev_suspects.len()
-                            && cur[ci] == prev_suspects[pi];
-                        let fresh = pi >= prev_suspects.len()
-                            || (ci < cur.len() && cur[ci] < prev_suspects[pi]);
-                        if both {
-                            ci += 1;
-                            pi += 1;
-                        } else if fresh {
-                            let s = cur[ci];
-                            let mut latency = 0.0f64;
-                            if script.node_down(s as usize, now) {
-                                latency = now - script.crash_time(s as usize);
-                                tp_count += 1;
-                                tp_latency_sum += latency;
-                            }
-                            if fabric.tracer.enabled() {
-                                fabric.tracer.emit(&TraceEvent {
-                                    kind: TraceKind::DetectorSuspect,
-                                    at_ms: now,
-                                    node: s,
-                                    peer: NODE_COORD,
-                                    round: coordinator.round_number(),
-                                    tag: 0,
-                                    detail: latency,
-                                });
-                            }
-                            ci += 1;
-                        } else {
-                            if fabric.tracer.enabled() {
-                                fabric.tracer.emit(&TraceEvent {
-                                    kind: TraceKind::DetectorRejoin,
-                                    at_ms: now,
-                                    node: prev_suspects[pi],
-                                    peer: NODE_COORD,
-                                    round: coordinator.round_number(),
-                                    tag: 0,
-                                    detail: 0.0,
-                                });
-                            }
-                            pi += 1;
-                        }
-                    }
-                    prev_suspects = cur;
-                }
-            }
-            if coordinator.is_done() {
+                break;
+            };
+            run.fabric.now = first.due;
+            clock.wait_until(first.due);
+            run.liveness.advance(first.due, &mut run.fabric.summary);
+            run.classify(first);
+            run.stream_turn();
+            // Check the touched machines out, let the pool's workers
+            // drain their queues, put them back.
+            let (work, emissions) = pool.map_mut(run.nodes.checkout());
+            run.collect(work, emissions);
+            run.coordinator_turn();
+            if run.coordinator.is_done() {
                 break;
             }
         }
-
-        if fabric.tracer.enabled() {
-            fabric.tracer.emit(&TraceEvent {
-                kind: TraceKind::RoundEnd,
-                at_ms: now,
-                node: NODE_COORD,
-                peer: NO_PEER,
-                round: obs_round,
-                tag: 0,
-                detail: now - obs_round_start,
-            });
-        }
-        let mut report = coordinator.into_report();
-        report.virtual_ms = now;
-        report.event_hash = hash;
-        report.faults = fabric.summary;
-        if tp_count > 0 {
-            report.detector.detection_latency_ms = tp_latency_sum / tp_count as f64;
-        }
-        if streaming {
-            if was_imbalanced {
-                imbalance_ms += now - last_sample_ms;
-            }
-            sojourns.sort_by(|x, y| x.total_cmp(y));
-            let pct = |q: f64| {
-                if sojourns.is_empty() {
-                    0.0
-                } else {
-                    sojourns[((sojourns.len() as f64 * q) as usize).min(sojourns.len() - 1)]
-                }
-            };
-            report.stream = StreamSummary {
-                served,
-                dropped: stream_dropped,
-                p50_ms: pct(0.50),
-                p99_ms: pct(0.99),
-                imbalance_ms,
-            };
-        }
-        report
-    }) // with_pool
+        run.finish()
+    })
 }
 
 #[cfg(test)]
@@ -1327,6 +1304,26 @@ mod tests {
     use dlb_core::LatencyMatrix;
     use dlb_distributed::{Engine, EngineOptions};
     use dlb_faults::FaultPlan;
+
+    /// The general entry on the virtual clock with nobody observing:
+    /// what every faulted or streamed test below runs.
+    fn simulate(
+        instance: &Instance,
+        options: &ClusterOptions,
+        delays: impl Fn(usize, usize) -> f64,
+        script: &FaultScript,
+        stream: &StreamScript,
+    ) -> ClusterReport {
+        run_cluster_events_observed(
+            instance,
+            options,
+            delays,
+            script,
+            stream,
+            &mut VirtualClock,
+            &mut NullSink,
+        )
+    }
 
     /// Half the instance's RTT as the one-way delay — the simplest
     /// honest delay model for tests that already carry a latency
@@ -1421,6 +1418,61 @@ mod tests {
         }
     }
 
+    /// The paper's hardest shape: all load on one server spreads by
+    /// doubling, so the round count stays logarithmic-ish in `m`.
+    #[test]
+    fn peak_spreads_in_logarithmic_rounds() {
+        let m = 16;
+        let mut instance = Instance::homogeneous(m, 1.0, 0.0, 20.0);
+        let mut loads = vec![0.0; m];
+        loads[0] = 16_000.0;
+        instance.set_own_loads(loads);
+        let report = run_cluster_events(&instance, &ClusterOptions::default(), half_rtt(&instance));
+        report.assignment.check_invariants(&instance).unwrap();
+        for j in 0..m {
+            let l = report.assignment.load(j);
+            assert!((l - 1000.0).abs() < 150.0, "server {j} ended with load {l}");
+        }
+        assert!(report.quiescent, "should reach quiescence");
+        assert!(
+            (4..=60).contains(&report.rounds),
+            "{} rounds",
+            report.rounds
+        );
+    }
+
+    /// Two servers host each other's requests with equal loads: the
+    /// load-based score sees nothing, only an audit probe running
+    /// Algorithm 1 can untangle it. A run cannot start from a crossed
+    /// state (nodes start all-local), so this checks the primitive the
+    /// audit exchange runs: on the crossed ledgers it returns
+    /// everything home.
+    #[test]
+    fn audit_discovers_relabelings() {
+        use dlb_core::cost::total_cost;
+        use dlb_core::{Assignment, SparseVec};
+        use dlb_distributed::transfer::calc_best_transfer;
+        let mut instance = Instance::homogeneous(2, 1.0, 50.0, 0.0);
+        instance.set_own_loads(vec![100.0, 100.0]);
+        let mut crossed = Assignment::local(&instance);
+        let mut l0 = SparseVec::new();
+        l0.set(1, 100.0);
+        let mut l1 = SparseVec::new();
+        l1.set(0, 100.0);
+        crossed.replace_ledger(0, l0);
+        crossed.replace_ledger(1, l1);
+        crossed.refresh_loads();
+        let crossed_cost = total_cost(&instance, &crossed);
+        let out = calc_best_transfer(&instance, crossed.ledger(0), crossed.ledger(1), 0, 1);
+        assert_eq!(out.ledger_i.get(0), 100.0, "own requests return home");
+        assert_eq!(out.ledger_j.get(1), 100.0);
+        let mut fixed = crossed.clone();
+        fixed.replace_ledger(0, out.ledger_i);
+        fixed.replace_ledger(1, out.ledger_j);
+        fixed.refresh_loads();
+        assert!(total_cost(&instance, &fixed) < crossed_cost * 0.6);
+    }
+
     #[test]
     fn failed_nodes_take_no_part() {
         let mut instance = Instance::homogeneous(6, 1.0, 1.0, 0.0);
@@ -1494,12 +1546,14 @@ mod tests {
         // 1000× fast-forward keeps the test quick while still going
         // through the sleeping path.
         let mut clock = WallClock::with_scale(0.001);
-        let wall = run_cluster_events_with_clock(
+        let wall = run_cluster_events_observed(
             &instance,
             &ClusterOptions::default(),
             |_, _| 2.0,
             &FaultScript::empty(3),
+            &StreamScript::empty(),
             &mut clock,
+            &mut NullSink,
         );
         assert_eq!(virt.event_hash, wall.event_hash);
         assert_eq!(virt.history, wall.history);
@@ -1515,8 +1569,13 @@ mod tests {
         let script = FaultPlan::new().crash(0.25, 30.0).compile(5, 8);
         let victims = script.down_at(1e12);
         assert_eq!(victims.len(), 2);
-        let report =
-            run_cluster_events_faulted(&instance, &ClusterOptions::default(), |_, _| 5.0, &script);
+        let report = simulate(
+            &instance,
+            &ClusterOptions::default(),
+            |_, _| 5.0,
+            &script,
+            &StreamScript::empty(),
+        );
         report.assignment.check_invariants(&instance).unwrap();
         for k in 0..8 {
             let total = report.assignment.owner_total(k);
@@ -1556,11 +1615,12 @@ mod tests {
             .loss(0.15)
             .spike(5.0, 0.0, 2_000.0)
             .compile(4, 12);
-        let faulted = run_cluster_events_faulted(
+        let faulted = simulate(
             &instance,
             &ClusterOptions::default(),
             half_rtt(&instance),
             &script,
+            &StreamScript::empty(),
         );
         faulted.assignment.check_invariants(&instance).unwrap();
         assert!(
@@ -1587,11 +1647,12 @@ mod tests {
         }
         .sample(LatencyMatrix::homogeneous(10, 10.0), &mut rng);
         let script = FaultPlan::new().partition(10.0, 400.0).compile(6, 10);
-        let report = run_cluster_events_faulted(
+        let report = simulate(
             &instance,
             &ClusterOptions::default(),
             half_rtt(&instance),
             &script,
+            &StreamScript::empty(),
         );
         report.assignment.check_invariants(&instance).unwrap();
         assert!(report.quiescent);
@@ -1614,11 +1675,12 @@ mod tests {
         }
         .sample(LatencyMatrix::homogeneous(8, 10.0), &mut rng);
         let script = FaultPlan::new().churn(0.5, 20.0, 120.0).compile(2, 8);
-        let report = run_cluster_events_faulted(
+        let report = simulate(
             &instance,
             &ClusterOptions::default(),
             half_rtt(&instance),
             &script,
+            &StreamScript::empty(),
         );
         report.assignment.check_invariants(&instance).unwrap();
         assert!(report.quiescent);
@@ -1628,31 +1690,6 @@ mod tests {
         // every server ends up carrying real load.
         let loaded = (0..8).filter(|&j| report.assignment.load(j) > 10.0).count();
         assert!(loaded >= 7, "recovered nodes take load: {loaded}");
-    }
-
-    /// The no-faults parity the scenario layer relies on: an empty
-    /// script is byte-identical to the fault-free entry point.
-    #[test]
-    fn empty_script_is_byte_identical_to_no_script() {
-        let mut rng = rng_for(31, 0xC5);
-        let instance = WorkloadSpec {
-            loads: LoadDistribution::Exponential,
-            avg_load: 70.0,
-            speeds: SpeedDistribution::paper_uniform(),
-        }
-        .sample(LatencyMatrix::homogeneous(14, 15.0), &mut rng);
-        let plain = run_cluster_events(&instance, &ClusterOptions::default(), half_rtt(&instance));
-        let scripted = run_cluster_events_faulted(
-            &instance,
-            &ClusterOptions::default(),
-            half_rtt(&instance),
-            &FaultScript::empty(14),
-        );
-        assert_eq!(plain.event_hash, scripted.event_hash);
-        assert_eq!(plain.history, scripted.history);
-        assert_eq!(plain.virtual_ms, scripted.virtual_ms);
-        assert_eq!(plain.assignment.loads(), scripted.assignment.loads());
-        assert_eq!(plain.faults, scripted.faults);
     }
 
     /// Exact per-owner conservation: every request ends up on exactly
@@ -1684,7 +1721,13 @@ mod tests {
             exchange_rto_ms: 400.0,
             ..Default::default()
         };
-        let report = run_cluster_events_faulted(&instance, &options, |_, _| 5.0, &script);
+        let report = simulate(
+            &instance,
+            &options,
+            |_, _| 5.0,
+            &script,
+            &StreamScript::empty(),
+        );
         assert_conserved(&report, &instance);
         assert!(report.quiescent, "survivors must still quiesce");
         assert!(
@@ -1726,7 +1769,13 @@ mod tests {
             exchange_rto_ms: 20_000.0,
             ..Default::default()
         };
-        let report = run_cluster_events_faulted(&instance, &options, |_, _| 10.0, &script);
+        let report = simulate(
+            &instance,
+            &options,
+            |_, _| 10.0,
+            &script,
+            &StreamScript::empty(),
+        );
         assert_conserved(&report, &instance);
         assert!(report.quiescent);
         assert!(
@@ -1758,7 +1807,13 @@ mod tests {
                 exchange_rto_ms: 20_000.0,
                 ..Default::default()
             };
-            run_cluster_events_faulted(&instance, &options, |_, _| 10.0, &script)
+            simulate(
+                &instance,
+                &options,
+                |_, _| 10.0,
+                &script,
+                &StreamScript::empty(),
+            )
         };
         let fixed = run(DetectMode::Timeout(60.0));
         let adaptive = run(DetectMode::Adaptive);
@@ -1793,7 +1848,13 @@ mod tests {
             exchange_rto_ms: 2_000.0,
             ..Default::default()
         };
-        let report = run_cluster_events_faulted(&instance, &options, half_rtt(&instance), &script);
+        let report = simulate(
+            &instance,
+            &options,
+            half_rtt(&instance),
+            &script,
+            &StreamScript::empty(),
+        );
         assert_conserved(&report, &instance);
         assert!(report.quiescent);
         assert!(report.detector.suspicions > 0);
@@ -1822,41 +1883,26 @@ mod tests {
             exchange_rto_ms: 1_500.0,
             ..Default::default()
         };
-        let a = run_cluster_events_faulted(&instance, &options, half_rtt(&instance), &script);
-        let b = run_cluster_events_faulted(&instance, &options, half_rtt(&instance), &script);
+        let a = simulate(
+            &instance,
+            &options,
+            half_rtt(&instance),
+            &script,
+            &StreamScript::empty(),
+        );
+        let b = simulate(
+            &instance,
+            &options,
+            half_rtt(&instance),
+            &script,
+            &StreamScript::empty(),
+        );
         assert_eq!(a.event_hash, b.event_hash);
         assert_eq!(a.history, b.history);
         assert_eq!(a.virtual_ms, b.virtual_ms);
         assert_eq!(a.assignment.loads(), b.assignment.loads());
         assert_eq!(a.detector, b.detector);
         assert_eq!(a.faults, b.faults);
-    }
-
-    /// The no-stream parity the scenario layer relies on: an empty
-    /// stream script is byte-identical to the unstreamed entry point,
-    /// and its summary stays quiet.
-    #[test]
-    fn empty_stream_is_byte_identical_to_unstreamed() {
-        let mut rng = rng_for(12, 0xE1);
-        let instance = WorkloadSpec {
-            loads: LoadDistribution::Exponential,
-            avg_load: 70.0,
-            speeds: SpeedDistribution::paper_uniform(),
-        }
-        .sample(LatencyMatrix::homogeneous(10, 12.0), &mut rng);
-        let plain = run_cluster_events(&instance, &ClusterOptions::default(), half_rtt(&instance));
-        let streamed = run_cluster_events_streamed(
-            &instance,
-            &ClusterOptions::default(),
-            half_rtt(&instance),
-            &FaultScript::empty(10),
-            &StreamScript::empty(),
-        );
-        assert_eq!(plain.event_hash, streamed.event_hash);
-        assert_eq!(plain.history, streamed.history);
-        assert_eq!(plain.virtual_ms, streamed.virtual_ms);
-        assert_eq!(plain.assignment.loads(), streamed.assignment.loads());
-        assert!(streamed.stream.is_quiet());
     }
 
     /// A live Poisson stream is served end to end: every arrival is
@@ -1876,7 +1922,7 @@ mod tests {
             .poisson(300.0)
             .compile(3, 1_000.0, instance.own_loads());
         assert!(!stream.is_empty());
-        let report = run_cluster_events_streamed(
+        let report = simulate(
             &instance,
             &ClusterOptions::default(),
             half_rtt(&instance),
@@ -1916,7 +1962,7 @@ mod tests {
             .burst(300.0, 200.0, 400.0)
             .compile(11, 800.0, instance.own_loads());
         let run = || {
-            run_cluster_events_streamed(
+            simulate(
                 &instance,
                 &ClusterOptions::default(),
                 half_rtt(&instance),
@@ -1947,7 +1993,7 @@ mod tests {
         let stream = ArrivalPlan::new()
             .poisson(200.0)
             .compile(9, 600.0, instance.own_loads());
-        let report = run_cluster_events_streamed(
+        let report = simulate(
             &instance,
             &ClusterOptions::default(),
             |_, _| 5.0,
@@ -1959,6 +2005,27 @@ mod tests {
         assert!(s.served > 0, "survivors keep serving: {s:?}");
         assert!(s.dropped > 0, "victims' requests strand: {s:?}");
         assert_eq!(report.faults.crashes, 2);
+    }
+
+    /// A stream compiled for a larger cluster names organizations this
+    /// one does not have: refused up front, in release builds too,
+    /// instead of indexing past the machine table mid-run.
+    #[test]
+    #[should_panic(expected = "stream compiled for a different cluster size")]
+    fn stream_for_a_larger_cluster_is_refused() {
+        use dlb_requestsim::stream::ArrivalPlan;
+        let instance = Instance::homogeneous(4, 1.0, 0.0, 50.0);
+        let stream = ArrivalPlan::new()
+            .poisson(200.0)
+            .compile(9, 600.0, &[50.0; 8]);
+        assert!(stream.arrivals().iter().any(|a| a.org >= 4));
+        simulate(
+            &instance,
+            &ClusterOptions::default(),
+            |_, _| 5.0,
+            &FaultScript::empty(4),
+            &stream,
+        );
     }
 
     /// Two-phase exchanges under the oracle-free happy path reach the

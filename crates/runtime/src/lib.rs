@@ -1,4 +1,4 @@
-//! # dlb-runtime — the protocol as a deployable system, twice
+//! # dlb-runtime — the protocol as a deployable system
 //!
 //! The analytic engine in `dlb-distributed` simulates the paper's
 //! distributed algorithm on shared memory. This crate runs the same
@@ -17,14 +17,15 @@
 //! * [`machine`] — the protocol itself, as poll-style state machines
 //!   ([`machine::NodeMachine`], [`machine::CoordinatorMachine`]) that
 //!   consume one frame and emit frames, never blocking;
-//! * [`cluster`] — the **thread runtime**: one OS thread per
-//!   organization and a channel mesh. Real concurrency, real races —
-//!   the deployment shape, practical to a few hundred nodes;
-//! * [`executor`] — the **event-driven runtime**: a deterministic
-//!   virtual-time heap delivers frames to thousands of machines in one
-//!   process, with per-link latencies supplied by the caller (the
-//!   scenario layer samples them from `dlb-netsim`) and delivery
-//!   batches fanned out over the `dlb-par` worker pool;
+//! * [`executor`] — the driver: a deterministic virtual-time event
+//!   heap delivers frames to thousands of machines in one process,
+//!   with per-link latencies supplied by the caller (the scenario
+//!   layer samples them from `dlb-netsim`) and delivery batches fanned
+//!   out over the `dlb-par` worker pool. Fault scripts, in-protocol
+//!   failure detection, live request streams, and the trace plane all
+//!   hang off its one loop;
+//! * [`cluster`] — what a run is configured with and what it reports
+//!   ([`ClusterOptions`], [`ClusterReport`]);
 //! * [`clock`] — pacing for the executor: [`clock::VirtualClock`]
 //!   jumps between batches (simulation), [`clock::WallClock`] sleeps
 //!   until each batch is really due (live replay). The clock cannot
@@ -38,14 +39,14 @@
 //!    score from the gossiped loads and fetch the one ledger they need
 //!    only after the partner accepts. The integration tests verify
 //!    this cheaper selection still reaches the engine's fixpoint.
-//! 2. **Message timing is a first-class input.** The thread runtime
-//!    exercises real collisions and commit/round races; the event
-//!    executor replays the same protocol under *measured* link
-//!    latencies, reports the simulated protocol time
-//!    ([`ClusterReport::virtual_ms`]), and is deterministic: one seed
-//!    gives one event order ([`ClusterReport::event_hash`]), however
-//!    many worker threads drain the batches — the property every
-//!    failure/staleness scenario test builds on.
+//! 2. **Message timing is a first-class input.** The executor replays
+//!    the protocol under *measured* link latencies, reports the
+//!    simulated protocol time ([`ClusterReport::virtual_ms`]) — the
+//!    quantity the paper's efficiency claim is about — and is
+//!    deterministic: one seed gives one event order
+//!    ([`ClusterReport::event_hash`]), however many worker threads
+//!    drain the batches — the property every failure/staleness
+//!    scenario test builds on.
 //!
 //! ```
 //! use dlb_core::Instance;
@@ -70,19 +71,12 @@ pub mod cluster;
 pub mod executor;
 pub mod machine;
 pub mod message;
-pub mod node;
 #[cfg(all(test, feature = "proptests"))]
 mod proptests;
 
 pub use clock::{Clock, VirtualClock, WallClock};
-pub use cluster::{
-    run_cluster, ClusterOptions, ClusterReport, DetectMode, DetectorSummary, StreamSummary,
-};
-pub use executor::{
-    run_cluster_events, run_cluster_events_faulted, run_cluster_events_observed,
-    run_cluster_events_streamed, run_cluster_events_streamed_with_clock,
-    run_cluster_events_with_clock,
-};
+pub use cluster::{ClusterOptions, ClusterReport, DetectMode, DetectorSummary, StreamSummary};
+pub use executor::{run_cluster_events, run_cluster_events_observed};
 pub use machine::{
     CoordinatorMachine, Dest, NodeConfig, NodeMachine, Outbound, RtoKind, SelectPolicy,
     ADAPTIVE_BOOTSTRAP_MS,

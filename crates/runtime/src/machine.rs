@@ -7,18 +7,12 @@
 //! for the converged gossip layer). Both are *pure* state machines —
 //! `handle` consumes one inbound [`Frame`] and appends outbound frames
 //! to a caller-supplied buffer; they never block, sleep, or touch a
-//! channel. Two drivers execute them:
-//!
-//! * the **thread runtime** ([`crate::cluster::run_cluster`]) wraps
-//!   every `NodeMachine` in an OS thread reading a channel inbox — the
-//!   original deployment shape, kept for live runs on real cores;
-//! * the **event executor** ([`crate::executor`]) drives thousands of
-//!   machines from a deterministic virtual-time event heap in a single
-//!   process — the simulation shape Figure-2-scale experiments need.
-//!
-//! Keeping one copy of the protocol behind both drivers is what makes
-//! the event/thread parity tests meaningful: the two runtimes can only
-//! differ in *when* frames arrive, never in how they are answered.
+//! channel. The **event executor** ([`crate::executor`]) drives
+//! thousands of them from one deterministic virtual-time event heap in
+//! a single process; anything else that can move frames between
+//! inboxes (a socket pump, a test shuttling a handful of frames by
+//! hand) can host the same machines unchanged, and can only differ in
+//! *when* frames arrive, never in how they are answered.
 //!
 //! # Node protocol
 //!
@@ -63,14 +57,12 @@
 //! and cost term.
 //!
 //! **Deferral.** A commit for the previous round may still be in
-//! flight when the next `RoundStart` (or, under the event executor's
-//! real link delays, even the `Shutdown`) arrives — the initiator
-//! reports to the coordinator before its `Commit` reaches the
-//! acceptor. The machine stashes the control frame and replays it the
-//! moment the commit lands, so no exchange is ever torn. Under the
-//! thread runtime the per-node channel is FIFO across producers'
-//! causal order and the `Shutdown` case cannot trigger; under real
-//! per-link latencies it routinely does.
+//! flight when the next `RoundStart` (or even the `Shutdown`) arrives
+//! — the initiator reports to the coordinator before its `Commit`
+//! reaches the acceptor, and control frames travel free while the
+//! `Commit` pays a real link delay. The machine stashes the control
+//! frame and replays it the moment the commit lands, so no exchange is
+//! ever torn.
 
 use dlb_core::cost::total_cost;
 use dlb_core::{Assignment, Instance, SparseVec};
@@ -152,8 +144,8 @@ pub struct NodeConfig {
     /// partner can die mid-exchange: whichever side times out rolls
     /// back having applied *nothing*, so conservation is exact without
     /// the driver special-casing dead destinations. Off by default —
-    /// the oracle runtimes keep the single-phase wire schedule the
-    /// parity tests pin.
+    /// oracle runs keep the single-phase wire schedule the golden
+    /// event hashes pin.
     pub two_phase: bool,
 }
 
@@ -250,17 +242,6 @@ fn score_best(
 /// peer clears the floor.
 fn choose_target(id: u32, instance: &Instance, loads: &[f64], excluded: &[u32]) -> Option<u32> {
     score_best(id, instance, loads, excluded, 0..instance.len() as u32)
-}
-
-/// The all-local starting ledger of node `id`: its own load at home,
-/// kept sparse (a zero load is no entry, not an explicit zero).
-pub fn local_ledger(instance: &Instance, id: u32) -> SparseVec {
-    let mut ledger = SparseVec::new();
-    let own = instance.own_load(id as usize);
-    if own > 0.0 {
-        ledger.set(id, own);
-    }
-    ledger
 }
 
 /// Deterministic audit rotation: visits every live peer once per
@@ -412,9 +393,15 @@ pub struct NodeMachine {
 }
 
 impl NodeMachine {
-    /// Creates the machine for node `id` with its initial (usually
-    /// all-local) ledger.
-    pub fn new(id: u32, instance: Arc<Instance>, ledger: SparseVec, config: NodeConfig) -> Self {
+    /// The machine for node `id`, starting from the all-local ledger:
+    /// its own load at home, kept sparse (a zero load is no entry, not
+    /// an explicit zero).
+    pub fn local(id: u32, instance: Arc<Instance>, config: NodeConfig) -> Self {
+        let mut ledger = SparseVec::new();
+        let own = instance.own_load(id as usize);
+        if own > 0.0 {
+            ledger.set(id, own);
+        }
         Self {
             id,
             instance,
@@ -431,12 +418,6 @@ impl NodeMachine {
             stream_buf: Vec::new(),
             done: false,
         }
-    }
-
-    /// The machine for node `id` starting from the all-local ledger.
-    pub fn local(id: u32, instance: Arc<Instance>, config: NodeConfig) -> Self {
-        let ledger = local_ledger(&instance, id);
-        Self::new(id, instance, ledger, config)
     }
 
     /// Whether the machine has sent its final ledger and stopped.
@@ -582,7 +563,7 @@ impl NodeMachine {
     /// Is any leg of an exchange still unresolved? Control frames
     /// (RoundStart, Shutdown) must wait behind an open exchange: our
     /// ledger may still change, and a torn exchange loses requests.
-    /// Under the oracle runtimes rounds only end once every node
+    /// Under the oracle rounds only end once every node
     /// reported — and a node reports only with all legs closed — so
     /// this fires exclusively under in-protocol detection, where the
     /// coordinator's deadline can end a round over a busy node.
@@ -979,7 +960,7 @@ enum Phase {
 }
 
 /// The round/termination driver of a cluster run (see the module
-/// docs). One per run, regardless of the driver substrate.
+/// docs). One per run.
 #[derive(Debug)]
 pub struct CoordinatorMachine {
     instance: Arc<Instance>,
@@ -1021,9 +1002,8 @@ pub struct CoordinatorMachine {
     hot: Arc<Vec<u32>>,
     ledgers: Vec<Option<SparseVec>>,
     collected: usize,
-    /// Virtual time of the last [`Self::handle_at`]/[`Self::on_deadline`]
-    /// call. Stays `0` under the oracle drivers, which never pass a
-    /// clock.
+    /// Virtual time of the last [`Self::handle`]/[`Self::on_deadline`]
+    /// call.
     now_ms: f64,
     /// Virtual time the current round's `RoundStart` went out.
     round_started_at: f64,
@@ -1277,19 +1257,13 @@ impl CoordinatorMachine {
         hot
     }
 
+    /// Broadcasts `Shutdown` to every node not in the latched down set.
+    /// That set is *empty* under in-protocol detection, so all `m`
+    /// nodes get it there — suspected ones included, whose frozen
+    /// ledgers the coordinator still wants back if they are alive.
     fn shutdown(&mut self, out: &mut Vec<Outbound>) {
         self.phase = Phase::Collecting;
-        self.broadcast_live(Arc::new(Frame::Shutdown), out);
-    }
-
-    /// Queues `frame` for every node not in the latched down set —
-    /// one merge pass over the sorted `down` list, not a `contains`
-    /// scan per node. Note that the down set is *empty* under
-    /// in-protocol detection, so the `Shutdown` broadcast reaches all
-    /// `m` nodes there — including suspected ones, whose frozen
-    /// ledgers the coordinator still wants back if they are alive.
-    fn broadcast_live(&self, frame: Arc<Frame>, out: &mut Vec<Outbound>) {
-        self.broadcast_except(&self.down, frame, out);
+        self.broadcast_except(&self.down, Arc::new(Frame::Shutdown), out);
     }
 
     /// Queues `frame` for every node not in the sorted `skip` list.
@@ -1312,9 +1286,11 @@ impl CoordinatorMachine {
         );
     }
 
-    /// Consumes one control-plane frame, appending any broadcasts to
-    /// `out`.
-    pub fn handle(&mut self, frame: &Frame, out: &mut Vec<Outbound>) {
+    /// Consumes one control-plane frame that arrived at virtual time
+    /// `now` (the latency-sample source and rejoin timestamp of
+    /// in-protocol detection), appending any broadcasts to `out`.
+    pub fn handle(&mut self, frame: &Frame, now: f64, out: &mut Vec<Outbound>) {
+        self.now_ms = now;
         match (self.phase, frame) {
             (
                 Phase::Rounds,
@@ -1416,14 +1392,6 @@ impl CoordinatorMachine {
                 );
             }
         }
-    }
-
-    /// Clock-aware variant of [`Self::handle`] for drivers running
-    /// in-protocol detection: records the frame's arrival instant (the
-    /// latency sample source and rejoin timestamp) before delegating.
-    pub fn handle_at(&mut self, frame: &Frame, now: f64, out: &mut Vec<Outbound>) {
-        self.now_ms = now;
-        self.handle(frame, out);
     }
 
     /// The probation/rejoin handshake: a report from a suspected node
@@ -1869,7 +1837,7 @@ mod tests {
             for o in batch {
                 match o.to {
                     Dest::Node(0) => node.handle(&o.frame, &mut out),
-                    Dest::Coordinator => coordinator.handle(&o.frame, &mut out),
+                    Dest::Coordinator => coordinator.handle(&o.frame, 0.0, &mut out),
                     Dest::Node(j) => panic!("unexpected destination {j}"),
                 }
             }

@@ -80,9 +80,8 @@ pub enum Frame {
         round: u64,
         /// Load of every server, by index. One `Arc` per round
         /// (epoch): the coordinator builds the vector once and every
-        /// per-node frame — including the per-channel `Frame` clones
-        /// the thread runtime makes — shares it instead of carrying
-        /// one of `m` copies.
+        /// per-node frame shares it instead of carrying one of `m`
+        /// copies.
         loads: Arc<Vec<f64>>,
         /// Servers excluded this round (failed / crashed), sorted
         /// ascending by id.

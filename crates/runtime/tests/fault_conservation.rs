@@ -14,7 +14,9 @@
 use dlb_core::workload::LoadDistribution;
 use dlb_core::Instance;
 use dlb_faults::FaultPlan;
-use dlb_runtime::{run_cluster_events_faulted, ClusterOptions, DetectMode};
+use dlb_obs::NullSink;
+use dlb_requestsim::stream::StreamScript;
+use dlb_runtime::{run_cluster_events_observed, ClusterOptions, DetectMode, VirtualClock};
 
 mod common;
 use common::{planetlab_like, workload};
@@ -24,8 +26,15 @@ use common::{planetlab_like, workload};
 fn assert_conserved(instance: &Instance, options: &ClusterOptions, plan: &FaultPlan, label: &str) {
     let m = instance.len();
     let script = plan.compile(11, m);
-    let report =
-        run_cluster_events_faulted(instance, options, |i, j| instance.c(i, j) / 2.0, &script);
+    let report = run_cluster_events_observed(
+        instance,
+        options,
+        |i, j| instance.c(i, j) / 2.0,
+        &script,
+        &StreamScript::empty(),
+        &mut VirtualClock,
+        &mut NullSink,
+    );
     report
         .assignment
         .check_invariants(instance)

@@ -17,7 +17,11 @@
 use dlb_core::workload::LoadDistribution;
 use dlb_core::Instance;
 use dlb_faults::{FaultPlan, FaultScript};
-use dlb_runtime::{run_cluster_events, run_cluster_events_faulted, ClusterOptions, ClusterReport};
+use dlb_obs::NullSink;
+use dlb_requestsim::stream::StreamScript;
+use dlb_runtime::{
+    run_cluster_events, run_cluster_events_observed, ClusterOptions, ClusterReport, VirtualClock,
+};
 use std::sync::Mutex;
 
 mod common;
@@ -94,11 +98,14 @@ fn chaos_script(m: usize) -> FaultScript {
 }
 
 fn simulate_faulted(instance: &Instance, script: &FaultScript) -> ClusterReport {
-    run_cluster_events_faulted(
+    run_cluster_events_observed(
         instance,
         &ClusterOptions::default(),
         |i, j| instance.c(i, j) / 2.0,
         script,
+        &StreamScript::empty(),
+        &mut VirtualClock,
+        &mut NullSink,
     )
 }
 

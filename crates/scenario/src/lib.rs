@@ -20,17 +20,16 @@
 //!   dynamics, the message-passing cluster, or the BCD solver baseline
 //!   — and every runner emits the same [`RunRecord`] (cost trajectory,
 //!   iterations, convergence flag, wall time).
-//! * The `runtime=` axis picks the protocol's host: `threads` (one OS
-//!   thread per organization) or `events` — the deterministic
-//!   virtual-time executor with per-link delays sampled from
-//!   `dlb-netsim`, which hosts Figure-2-scale clusters in one process
-//!   and records *simulated protocol seconds* as the run's time.
+//! * `algo=protocol` runs on the deterministic virtual-time executor
+//!   with per-link delays sampled from `dlb-netsim`, which hosts
+//!   Figure-2-scale clusters in one process and records *simulated
+//!   protocol seconds* as the run's time.
 //! * The `faults=` axis schedules deterministic fault injection for
-//!   `algo=protocol runtime=events` scenarios
-//!   (`faults=crash:0.1@500ms,loss:0.05`): node crashes/recoveries,
-//!   per-link loss, delay spikes, and partitions from `dlb-faults`,
-//!   compiled per run with the scenario's seed. The [`RunRecord`]
-//!   carries the resulting fault-event summary.
+//!   `algo=protocol` scenarios (`faults=crash:0.1@500ms,loss:0.05`):
+//!   node crashes/recoveries, per-link loss, delay spikes, and
+//!   partitions from `dlb-faults`, compiled per run with the
+//!   scenario's seed. The [`RunRecord`] carries the resulting
+//!   fault-event summary.
 //! * The `gossip=` axis picks the control plane behind the engine
 //!   algorithms' partner scoring: the emulated shared snapshot
 //!   (`gossip=emulated:T`, the engine's `load_staleness` option) or
@@ -38,9 +37,9 @@
 //!   `dlb-gossip`, with per-server stale views and every byte metered
 //!   in the [`RunRecord`]'s [`GossipTraffic`] summary.
 //! * The `trace=` axis turns on the `dlb-obs` observability plane for
-//!   `algo=protocol runtime=events` scenarios: `trace=summary` folds
-//!   the virtual-time event stream into the record's `obs_*` metric
-//!   group, and `trace=frames:FILE` additionally writes a binary frame
+//!   `algo=protocol` scenarios: `trace=summary` folds the virtual-time
+//!   event stream into the record's `obs_*` metric group, and
+//!   `trace=frames:FILE` additionally writes a binary frame
 //!   log that [`replay_frame_log`] re-executes bit-exactly (the
 //!   recorded `event_hash` is computed *before* any tracing hook runs,
 //!   so untraced runs stay byte-identical). `trace=off` (the default)
@@ -66,8 +65,8 @@ pub mod spec;
 pub use replay::{replay_frame_log, ReplayReport};
 pub use runner::{runner_for, RunRecord, Runner};
 pub use spec::{
-    AlgoSpec, DetectSpec, GossipSpec, NetSpec, RuntimeSpec, ScenarioSpec, SelectSpec, SpecError,
-    SpeedKind, TracePath, TraceSpec,
+    AlgoSpec, DetectSpec, GossipSpec, NetSpec, ScenarioSpec, SelectSpec, SpecError, SpeedKind,
+    TracePath, TraceSpec,
 };
 
 // The fault axis's plan/summary types, so spec-level callers need no

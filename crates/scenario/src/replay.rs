@@ -20,7 +20,7 @@
 use dlb_obs::{FrameLog, MemorySink, TraceEvent, Trailer};
 
 use crate::runner::run_protocol_events;
-use crate::spec::{AlgoSpec, RuntimeSpec, ScenarioSpec, SpecError, TraceSpec};
+use crate::spec::{AlgoSpec, ScenarioSpec, SpecError, TraceSpec};
 
 /// The outcome of replaying one frame log.
 #[derive(Debug, Clone)]
@@ -146,19 +146,16 @@ fn find_divergence(
 /// [`SpecError`] when the bytes are not a well-formed frame log, the
 /// header does not parse as a scenario, or the header names a
 /// scenario the event executor cannot run (recording enforces
-/// `algo=protocol runtime=events` and strips `trace=`, so either
-/// means the log did not come from `trace=frames:`).
+/// `algo=protocol` and strips `trace=`, so either means the log did
+/// not come from `trace=frames:`).
 pub fn replay_frame_log(bytes: &[u8]) -> Result<ReplayReport, SpecError> {
     let log = FrameLog::decode(bytes)
         .map_err(|e| SpecError(format!("frame log does not decode: {e}")))?;
     let spec = ScenarioSpec::parse(&log.spec)?;
-    if spec.algo != AlgoSpec::Protocol
-        || spec.runtime != RuntimeSpec::Events
-        || spec.trace != TraceSpec::Off
-    {
+    if spec.algo != AlgoSpec::Protocol || spec.trace != TraceSpec::Off {
         return Err(SpecError(format!(
             "frame-log header must name a plain event-executor scenario \
-             (algo=protocol runtime=events, no trace=), got '{spec}'"
+             (algo=protocol, no trace=), got '{spec}'"
         )));
     }
     let instance = spec.build_instance();
@@ -209,7 +206,7 @@ mod tests {
 
     #[test]
     fn replay_is_bit_exact() {
-        let bytes = record("algo=protocol runtime=events net=pl m=16 seed=3");
+        let bytes = record("algo=protocol net=pl m=16 seed=3");
         let report = replay_frame_log(&bytes).expect("replays");
         assert!(report.is_exact(), "diverged: {:?}", report.divergence);
         assert_eq!(report.replayed_hash, report.recorded.event_hash);
@@ -218,17 +215,29 @@ mod tests {
 
     #[test]
     fn replay_is_bit_exact_under_faults_and_adaptive_detection() {
-        let bytes = record(
-            "algo=protocol runtime=events net=pl m=16 seed=3 \
-             faults=crash:0.1@500ms detect=adaptive",
-        );
+        let bytes =
+            record("algo=protocol net=pl m=16 seed=3 faults=crash:0.1@500ms detect=adaptive");
         let report = replay_frame_log(&bytes).expect("replays");
         assert!(report.is_exact(), "diverged: {:?}", report.divergence);
     }
 
+    /// Every frame log written while the `runtime=` key existed says
+    /// `runtime=events` in its header; such a log must keep replaying
+    /// bit-exactly now that the canonical form no longer prints it.
+    #[test]
+    fn a_header_that_still_says_runtime_events_replays_bit_exactly() {
+        let bytes = record("algo=protocol net=pl m=16 seed=3");
+        let mut log = FrameLog::decode(&bytes).expect("decodes");
+        assert_eq!(log.spec, "algo=protocol net=pl m=16 seed=3");
+        log.spec = "algo=protocol net=pl m=16 seed=3 runtime=events".into();
+        let report = replay_frame_log(&log.encode()).expect("replays");
+        assert!(report.is_exact(), "diverged: {:?}", report.divergence);
+        assert!(!report.spec.to_string().contains("runtime="));
+    }
+
     #[test]
     fn a_tampered_log_names_the_first_divergence() {
-        let spec = ScenarioSpec::parse("algo=protocol runtime=events net=pl m=16 seed=3").unwrap();
+        let spec = ScenarioSpec::parse("algo=protocol net=pl m=16 seed=3").unwrap();
         let instance = spec.build_instance();
         let mut sink = MemorySink::default();
         let report = run_protocol_events(&spec, &instance, &mut sink);
@@ -263,7 +272,7 @@ mod tests {
     #[test]
     fn a_traced_header_is_rejected() {
         let bytes = FrameLog {
-            spec: "algo=protocol runtime=events net=pl m=16 seed=3 trace=summary".into(),
+            spec: "algo=protocol net=pl m=16 seed=3 trace=summary".into(),
             events: Vec::new(),
             trailer: Trailer::default(),
         }

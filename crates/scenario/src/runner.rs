@@ -19,14 +19,12 @@ use dlb_netsim::rtt::QueueModel;
 use dlb_netsim::LinkDelayModel;
 use dlb_obs::{FrameLog, MemorySink, MetricSet, NullSink, ObsSummary, TraceSink, Trailer};
 use dlb_runtime::{
-    run_cluster, run_cluster_events_observed, ClusterOptions, ClusterReport, DetectMode,
-    DetectorSummary, NodeConfig, SelectPolicy, StreamSummary, VirtualClock,
+    run_cluster_events_observed, ClusterOptions, ClusterReport, DetectMode, DetectorSummary,
+    NodeConfig, SelectPolicy, StreamSummary, VirtualClock,
 };
 use dlb_solver::solve_bcd;
 
-use crate::spec::{
-    AlgoSpec, DetectSpec, GossipSpec, RuntimeSpec, ScenarioSpec, SelectSpec, TraceSpec,
-};
+use crate::spec::{AlgoSpec, DetectSpec, GossipSpec, ScenarioSpec, SelectSpec, TraceSpec};
 use dlb_core::Instance;
 
 /// The uniform result of running any scenario.
@@ -48,10 +46,10 @@ pub struct RunRecord {
     /// Whether the termination criterion was met within the budget.
     pub converged: bool,
     /// Wall-clock seconds of the run (excluding instance sampling) —
-    /// except for `runtime=events` protocol runs, where it is the
-    /// *simulated* protocol time under the sampled link delays: the
-    /// quantity a deployment would measure, and deterministic per
-    /// seed, so whole records are bit-reproducible.
+    /// except for `algo=protocol` runs, where it is the *simulated*
+    /// protocol time under the sampled link delays: the quantity a
+    /// deployment would measure, and deterministic per seed, so whole
+    /// records are bit-reproducible.
     pub wall_secs: f64,
     /// Fault-event summary: what the scenario's `faults=` schedule
     /// actually injected (crashes, recoveries, dropped and delayed
@@ -100,24 +98,23 @@ impl RunRecord {
     }
 }
 
-/// Every runner's first check: a fault plan may only reach the event
-/// executor — any other system would silently measure a fault-free
-/// run and report it as a faulted one.
+/// Every runner's first check: the axes only the event executor can
+/// honor may only reach the protocol runner — any other system would
+/// silently measure, say, a fault-free run and report it as a faulted
+/// one.
 fn assert_faults_runnable(spec: &ScenarioSpec) {
+    let protocol = spec.algo == AlgoSpec::Protocol;
     assert!(
-        spec.faults.is_empty()
-            || (spec.algo == AlgoSpec::Protocol && spec.runtime == RuntimeSpec::Events),
-        "faults= requires algo=protocol runtime=events, got '{spec}'"
+        spec.faults.is_empty() || protocol,
+        "faults= requires algo=protocol, got '{spec}'"
     );
     assert!(
-        spec.detect == DetectSpec::Oracle
-            || (spec.algo == AlgoSpec::Protocol && spec.runtime == RuntimeSpec::Events),
-        "detect= requires algo=protocol runtime=events, got '{spec}'"
+        spec.detect == DetectSpec::Oracle || protocol,
+        "detect= requires algo=protocol, got '{spec}'"
     );
     assert!(
-        spec.arrivals.is_empty()
-            || (spec.algo == AlgoSpec::Protocol && spec.runtime == RuntimeSpec::Events),
-        "arrivals= requires algo=protocol runtime=events, got '{spec}'"
+        spec.arrivals.is_empty() || protocol,
+        "arrivals= requires algo=protocol, got '{spec}'"
     );
     assert!(
         spec.arrivals.is_empty() == (spec.duration <= 0.0),
@@ -130,9 +127,8 @@ fn assert_faults_runnable(spec: &ScenarioSpec) {
         "gossip= requires algo=sequential or algo=batched, got '{spec}'"
     );
     assert!(
-        spec.trace == TraceSpec::Off
-            || (spec.algo == AlgoSpec::Protocol && spec.runtime == RuntimeSpec::Events),
-        "trace= requires algo=protocol runtime=events, got '{spec}'"
+        spec.trace == TraceSpec::Off || protocol,
+        "trace= requires algo=protocol, got '{spec}'"
     );
 }
 
@@ -284,15 +280,13 @@ impl Runner for NashRunner {
     }
 }
 
-/// Runs the message-passing cluster on the runtime the spec's
-/// `runtime=` key names: [`dlb_runtime::run_cluster`] (OS threads) or
-/// [`dlb_runtime::run_cluster_events`] (deterministic virtual-time
-/// executor, link delays sampled per seed from
-/// [`dlb_netsim::LinkDelayModel`] over the instance's latency matrix).
-/// `eps` is the quiescent-volume threshold, `patience` the quiet-round
-/// count (`m − 1` certifies pairwise optimality), `budget` the round
-/// budget. Event runs report *simulated* seconds as `wall_secs` (see
-/// [`RunRecord::wall_secs`]).
+/// Runs the message-passing protocol on the deterministic virtual-time
+/// executor ([`dlb_runtime::run_cluster_events_observed`]), link
+/// delays sampled per seed from [`dlb_netsim::LinkDelayModel`] over
+/// the instance's latency matrix. `eps` is the quiescent-volume
+/// threshold, `patience` the quiet-round count (`m − 1` certifies
+/// pairwise optimality), `budget` the round budget. Runs report
+/// *simulated* seconds as `wall_secs` (see [`RunRecord::wall_secs`]).
 pub struct ProtocolRunner;
 
 /// The cluster options a scenario spec pins down: round budget,
@@ -364,50 +358,38 @@ impl Runner for ProtocolRunner {
 
     fn run_on(&self, spec: &ScenarioSpec, instance: Instance) -> RunRecord {
         assert_faults_runnable(spec);
-        let start = Instant::now();
         let mut obs = ObsSummary::default();
-        let (report, secs) = match spec.runtime {
-            RuntimeSpec::Threads => {
-                let options = protocol_options(spec, &instance);
-                let report = run_cluster(&instance, &options);
-                (report, start.elapsed().as_secs_f64())
-            }
-            RuntimeSpec::Events => {
-                let report = match spec.trace {
-                    TraceSpec::Off => run_protocol_events(spec, &instance, &mut NullSink),
-                    TraceSpec::Summary | TraceSpec::Frames(_) => {
-                        let mut sink = MemorySink::default();
-                        let report = run_protocol_events(spec, &instance, &mut sink);
-                        obs = MetricSet::from_events(&sink.events).summary();
-                        if let TraceSpec::Frames(path) = spec.trace {
-                            // The header records the spec *without* its
-                            // trace key: replay re-derives the run, and
-                            // re-recording during replay would be both
-                            // circular and a determinism hazard.
-                            let mut header = *spec;
-                            header.trace = TraceSpec::Off;
-                            let log = FrameLog {
-                                spec: header.to_string(),
-                                events: sink.events,
-                                trailer: Trailer {
-                                    event_hash: report.event_hash,
-                                    final_cost: report.final_cost,
-                                    rounds: report.rounds as u64,
-                                    exchanges: report.exchanges as u64,
-                                    virtual_ms: report.virtual_ms,
-                                },
-                            };
-                            assert!(
-                                std::fs::write(path.as_str(), log.encode()).is_ok(),
-                                "trace=frames:{}: cannot write frame log",
-                                path.as_str()
-                            );
-                        }
-                        report
-                    }
-                };
-                let secs = report.virtual_ms / 1000.0;
-                (report, secs)
+        let report = match spec.trace {
+            TraceSpec::Off => run_protocol_events(spec, &instance, &mut NullSink),
+            TraceSpec::Summary | TraceSpec::Frames(_) => {
+                let mut sink = MemorySink::default();
+                let report = run_protocol_events(spec, &instance, &mut sink);
+                obs = MetricSet::from_events(&sink.events).summary();
+                if let TraceSpec::Frames(path) = spec.trace {
+                    // The header records the spec *without* its trace
+                    // key: replay re-derives the run, and re-recording
+                    // during replay would be both circular and a
+                    // determinism hazard.
+                    let mut header = *spec;
+                    header.trace = TraceSpec::Off;
+                    let log = FrameLog {
+                        spec: header.to_string(),
+                        events: sink.events,
+                        trailer: Trailer {
+                            event_hash: report.event_hash,
+                            final_cost: report.final_cost,
+                            rounds: report.rounds as u64,
+                            exchanges: report.exchanges as u64,
+                            virtual_ms: report.virtual_ms,
+                        },
+                    };
+                    assert!(
+                        std::fs::write(path.as_str(), log.encode()).is_ok(),
+                        "trace=frames:{}: cannot write frame log",
+                        path.as_str()
+                    );
+                }
+                report
             }
         };
         RunRecord {
@@ -417,7 +399,7 @@ impl Runner for ProtocolRunner {
             history: report.history,
             iterations: report.rounds,
             converged: report.quiescent,
-            wall_secs: secs,
+            wall_secs: report.virtual_ms / 1000.0,
             faults: report.faults,
             detector: report.detector,
             stream: report.stream,
@@ -473,7 +455,7 @@ impl ScenarioSpec {
     ///
     /// # Panics
     /// Panics when a fault schedule is attached to anything but
-    /// `algo=protocol runtime=events` — the builder cannot enforce
+    /// `algo=protocol` — the builder cannot enforce
     /// what [`ScenarioSpec::parse`] rejects, so every runner does (a
     /// silently ignored fault plan would masquerade as a clean
     /// measurement).
@@ -485,8 +467,8 @@ impl ScenarioSpec {
     /// across several scenarios — see [`Runner::run_on`]).
     ///
     /// # Panics
-    /// Panics on a fault schedule outside `algo=protocol
-    /// runtime=events` (see [`ScenarioSpec::run`]).
+    /// Panics on a fault schedule outside `algo=protocol` (see
+    /// [`ScenarioSpec::run`]).
     pub fn run_on(&self, instance: Instance) -> RunRecord {
         runner_for(self.algo).run_on(self, instance)
     }
@@ -575,9 +557,9 @@ mod tests {
         assert!(run.converged);
     }
 
-    /// The cluster's collision resolution races on real threads, so
-    /// protocol runs are compared against the engine fixpoint rather
-    /// than against a second run.
+    /// The protocol picks partners from gossiped loads and the engine
+    /// from exact improvements, so the two stop at *a* pairwise-optimal
+    /// state by different exchange orders: compared within a band.
     #[test]
     fn protocol_runner_lands_near_the_engine_fixpoint() {
         let spec = ScenarioSpec::new()
@@ -597,15 +579,13 @@ mod tests {
         );
     }
 
-    /// The event-driven protocol runtime is fully deterministic: the
-    /// whole record — including `wall_secs`, which carries simulated
-    /// protocol time — must reproduce bit for bit, and land at the
-    /// same quality as the thread runtime.
+    /// Protocol runs are fully deterministic: the whole record —
+    /// including `wall_secs`, which carries simulated protocol time —
+    /// must reproduce bit for bit, and land at the engine's quality.
     #[test]
     fn event_protocol_runner_is_deterministic_and_matches_the_engine() {
         let spec = ScenarioSpec::new()
             .algo(AlgoSpec::Protocol)
-            .runtime(crate::spec::RuntimeSpec::Events)
             .servers(10)
             .avg_load(80.0)
             .seed(5)
@@ -617,7 +597,6 @@ mod tests {
         assert!(a.wall_secs > 0.0, "virtual time recorded");
         let fixpoint = spec
             .algo(AlgoSpec::Sequential)
-            .runtime(crate::spec::RuntimeSpec::Threads)
             .termination(1e-12, 3, 300)
             .run()
             .final_cost();
@@ -631,10 +610,10 @@ mod tests {
     /// The builder can construct what parse() rejects; every runner
     /// must refuse to silently ignore a fault plan.
     #[test]
-    #[should_panic(expected = "faults= requires algo=protocol runtime=events")]
-    fn builder_fault_plans_cannot_ride_the_thread_runtime() {
+    #[should_panic(expected = "faults= requires algo=protocol")]
+    fn builder_fault_plans_cannot_ride_other_runners() {
         ScenarioSpec::new()
-            .algo(AlgoSpec::Protocol)
+            .algo(AlgoSpec::Nash)
             .servers(4)
             .faults(dlb_faults::FaultPlan::new().loss(0.1))
             .run();
@@ -643,7 +622,7 @@ mod tests {
     /// ...including on the direct-Runner path for non-protocol
     /// algorithms, which have no fault support at all.
     #[test]
-    #[should_panic(expected = "faults= requires algo=protocol runtime=events")]
+    #[should_panic(expected = "faults= requires algo=protocol")]
     fn direct_engine_runner_rejects_fault_plans() {
         let spec = ScenarioSpec::new()
             .algo(AlgoSpec::Batched)
@@ -653,13 +632,13 @@ mod tests {
     }
 
     /// The same goes for the `detect=` axis: in-protocol failure
-    /// detection needs the virtual clock, so the thread runtime must
-    /// refuse rather than silently fall back to the oracle.
+    /// detection needs the executor's virtual clock, so every other
+    /// runner must refuse rather than silently ignore it.
     #[test]
-    #[should_panic(expected = "detect= requires algo=protocol runtime=events")]
-    fn builder_detect_modes_cannot_ride_the_thread_runtime() {
+    #[should_panic(expected = "detect= requires algo=protocol")]
+    fn builder_detect_modes_cannot_ride_other_runners() {
         ScenarioSpec::new()
-            .algo(AlgoSpec::Protocol)
+            .algo(AlgoSpec::Batched)
             .servers(4)
             .detect(crate::spec::DetectSpec::Adaptive)
             .run();
@@ -673,7 +652,6 @@ mod tests {
     fn detector_summary_rides_the_record_deterministically() {
         let spec = ScenarioSpec::new()
             .algo(AlgoSpec::Protocol)
-            .runtime(crate::spec::RuntimeSpec::Events)
             .servers(16)
             .avg_load(80.0)
             .seed(5)
@@ -706,7 +684,6 @@ mod tests {
     fn stream_summary_rides_the_record_deterministically() {
         let spec = ScenarioSpec::new()
             .algo(AlgoSpec::Protocol)
-            .runtime(crate::spec::RuntimeSpec::Events)
             .servers(12)
             .avg_load(60.0)
             .seed(7)
@@ -731,12 +708,13 @@ mod tests {
     }
 
     /// The builder can construct what parse() rejects; arrival streams
-    /// need the virtual clock, so the thread runtime must refuse.
+    /// ride the executor's event heap, so every other runner must
+    /// refuse.
     #[test]
-    #[should_panic(expected = "arrivals= requires algo=protocol runtime=events")]
-    fn builder_arrival_streams_cannot_ride_the_thread_runtime() {
+    #[should_panic(expected = "arrivals= requires algo=protocol")]
+    fn builder_arrival_streams_cannot_ride_other_runners() {
         ScenarioSpec::new()
-            .algo(AlgoSpec::Protocol)
+            .algo(AlgoSpec::Sequential)
             .servers(4)
             .arrivals("poisson:100".parse().unwrap())
             .duration_ms(500.0)
@@ -751,7 +729,6 @@ mod tests {
     fn arrival_streams_require_a_duration() {
         ScenarioSpec::new()
             .algo(AlgoSpec::Protocol)
-            .runtime(crate::spec::RuntimeSpec::Events)
             .servers(4)
             .arrivals("poisson:100".parse().unwrap())
             .run();
@@ -764,7 +741,6 @@ mod tests {
     fn derived_rto_dominates_the_plan_worst_case() {
         let spec = ScenarioSpec::new()
             .algo(AlgoSpec::Protocol)
-            .runtime(crate::spec::RuntimeSpec::Events)
             .servers(12)
             .faults(
                 dlb_faults::FaultPlan::new()
@@ -781,10 +757,7 @@ mod tests {
         let worst = d_max * 4.0 * 3.0 + f64::from(MAX_RETRANSMITS) * RETRANSMIT_MS + 250.0;
         assert!(rto > worst, "rto {rto} vs worst one-way {worst}");
         // A fault-free spec still gets a sane, small timeout.
-        let calm = ScenarioSpec::new()
-            .algo(AlgoSpec::Protocol)
-            .runtime(crate::spec::RuntimeSpec::Events)
-            .servers(12);
+        let calm = ScenarioSpec::new().algo(AlgoSpec::Protocol).servers(12);
         let calm_rto = exchange_rto_ms(&calm, &instance);
         assert!(calm_rto > 2.0 * d_max);
         assert!(calm_rto < worst);

@@ -52,7 +52,8 @@ pub enum AlgoSpec {
     Batched,
     /// Selfish best-response dynamics (§VI-C).
     Nash,
-    /// The message-passing cluster runtime (threads + wire frames).
+    /// The message-passing protocol on the deterministic virtual-time
+    /// event executor (state machines + wire frames).
     Protocol,
     /// The centralized block-coordinate-descent solver baseline (§III).
     Bcd,
@@ -163,39 +164,24 @@ impl SpeedKind {
     }
 }
 
-/// Which runtime hosts a `algo=protocol` scenario (the `runtime=`
-/// key). The engine/game/solver algorithms ignore it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RuntimeSpec {
-    /// The thread runtime: one OS thread per organization plus a
-    /// channel mesh. Real concurrency; practical to a few hundred
-    /// nodes.
-    #[default]
-    Threads,
-    /// The event-driven executor: deterministic virtual-time
-    /// simulation with per-link delays sampled from `dlb-netsim`.
-    /// One process hosts Figure-2-scale clusters, and runs are
-    /// bit-reproducible per seed.
-    Events,
-}
-
-impl RuntimeSpec {
-    /// The `runtime=` token value.
-    pub fn label(&self) -> &'static str {
-        match self {
-            RuntimeSpec::Threads => "threads",
-            RuntimeSpec::Events => "events",
-        }
-    }
-
-    fn parse(v: &str) -> Result<Self, SpecError> {
-        match v {
-            "threads" => Ok(RuntimeSpec::Threads),
-            "events" => Ok(RuntimeSpec::Events),
-            _ => Err(SpecError(format!(
-                "runtime: '{v}' is not one of threads|events"
-            ))),
-        }
+/// Checks a `runtime=` token. The key used to pick between a
+/// thread-per-node runtime and the event executor; the executor is now
+/// the only protocol host, so `runtime=events` — still carried by
+/// committed records, scripts, and the header of every frame log
+/// written while the key existed — is accepted and means nothing, and
+/// the canonical text form never prints it.
+fn check_runtime(v: &str) -> Result<(), SpecError> {
+    match v {
+        "events" => Ok(()),
+        "threads" => Err(SpecError(
+            "runtime: the thread-per-node runtime was retired; algo=protocol always runs on \
+             the deterministic event executor (drop the key)"
+                .into(),
+        )),
+        _ => Err(SpecError(format!(
+            "runtime: '{v}' is not 'events' (the key is obsolete: algo=protocol always runs \
+             on the event executor)"
+        ))),
     }
 }
 
@@ -245,7 +231,7 @@ impl fmt::Display for SelectSpec {
 }
 
 /// Liveness-detection mode of the protocol runtime (the `detect=`
-/// key). Only `algo=protocol runtime=events` can run the in-protocol
+/// key). Only `algo=protocol` can run the in-protocol
 /// detectors; [`ScenarioSpec::parse`] rejects other combinations.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum DetectSpec {
@@ -441,7 +427,7 @@ impl fmt::Display for TracePath {
 }
 
 /// Observability mode of a run (the `trace=` key). Only
-/// `algo=protocol runtime=events` can trace — the deterministic
+/// `algo=protocol` can trace — the deterministic
 /// executor is where the virtual-clock hooks live;
 /// [`ScenarioSpec::parse`] rejects other combinations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -528,10 +514,6 @@ pub struct ScenarioSpec {
     pub patience: usize,
     /// Hard iteration/round/sweep budget (`budget=`).
     pub budget: usize,
-    /// Which runtime hosts `algo=protocol` (`runtime=`): OS threads or
-    /// the deterministic event-driven executor. Other algorithms
-    /// ignore it.
-    pub runtime: RuntimeSpec,
     /// Partner-selection policy of the protocol runtime (`select=`):
     /// the exact per-round scan or the delay-aware `topk:K` candidate
     /// index. Only meaningful for `algo=protocol`;
@@ -539,22 +521,22 @@ pub struct ScenarioSpec {
     pub select: SelectSpec,
     /// Fault schedule injected into the run (`faults=`), e.g.
     /// `faults=crash:0.1@500ms,loss:0.05`. Only meaningful for
-    /// `algo=protocol runtime=events` (the deterministic simulation
+    /// `algo=protocol` (the deterministic simulation
     /// that can replay faults); [`ScenarioSpec::parse`] rejects other
     /// combinations. Compiled per run with the scenario's seed.
     pub faults: FaultPlan,
     /// Liveness-detection mode (`detect=`): the script-fed oracle
     /// (default), a fixed report deadline (`timeout:MS`), or adaptive
     /// per-node deadlines (`adaptive`). Only meaningful for
-    /// `algo=protocol runtime=events`; [`ScenarioSpec::parse`] rejects
+    /// `algo=protocol`; [`ScenarioSpec::parse`] rejects
     /// other combinations.
     pub detect: DetectSpec,
     /// Live request-arrival processes (`arrivals=`), e.g.
     /// `arrivals=poisson:200,burst:400@500ms..1500ms`. Compiled per
     /// run with the scenario's seed and the sampled own-loads, then
     /// delivered as virtual-time events so the protocol rebalances
-    /// *while* requests flow. Requires `duration=` and `algo=protocol
-    /// runtime=events`; [`ScenarioSpec::parse`] rejects other
+    /// *while* requests flow. Requires `duration=` and `algo=protocol`;
+    /// [`ScenarioSpec::parse`] rejects other
     /// combinations.
     pub arrivals: ArrivalPlan,
     /// Stream horizon in virtual ms (`duration=`): arrivals are
@@ -573,8 +555,8 @@ pub struct ScenarioSpec {
     /// Observability mode (`trace=`): off (default, byte-identical to
     /// an untraced run), `summary` (deterministic metrics → `obs_*`
     /// record fields), or `frames:FILE` (binary frame log, replayable
-    /// bit-exactly). Only meaningful for `algo=protocol
-    /// runtime=events`; [`ScenarioSpec::parse`] rejects other
+    /// bit-exactly). Only meaningful for `algo=protocol`;
+    /// [`ScenarioSpec::parse`] rejects other
     /// combinations.
     pub trace: TraceSpec,
 }
@@ -598,7 +580,6 @@ impl Default for ScenarioSpec {
             // that further. Convergent runs stop on eps/patience long
             // before the budget binds.
             budget: 2_000,
-            runtime: RuntimeSpec::Threads,
             select: SelectSpec::Exact,
             faults: FaultPlan::default(),
             detect: DetectSpec::Oracle,
@@ -678,12 +659,6 @@ impl ScenarioSpec {
         self
     }
 
-    /// Sets the protocol runtime (threads or the event executor).
-    pub fn runtime(mut self, runtime: RuntimeSpec) -> Self {
-        self.runtime = runtime;
-        self
-    }
-
     /// Sets the partner-selection policy. Only `algo=protocol` reads
     /// it: [`ScenarioSpec::parse`] rejects other combinations up
     /// front, and the protocol runner panics on them (the builder
@@ -693,7 +668,7 @@ impl ScenarioSpec {
         self
     }
 
-    /// Sets the fault schedule. Only `algo=protocol runtime=events`
+    /// Sets the fault schedule. Only `algo=protocol`
     /// can replay one: [`ScenarioSpec::parse`] rejects other
     /// combinations up front, and the run entry points panic on them
     /// (the builder alone cannot see the final key combination).
@@ -702,8 +677,8 @@ impl ScenarioSpec {
         self
     }
 
-    /// Sets the liveness-detection mode. Only `algo=protocol
-    /// runtime=events` can run the in-protocol detectors:
+    /// Sets the liveness-detection mode. Only `algo=protocol`
+    /// can run the in-protocol detectors:
     /// [`ScenarioSpec::parse`] rejects other combinations up front,
     /// and the run entry points panic on them (the builder alone
     /// cannot see the final key combination).
@@ -712,8 +687,8 @@ impl ScenarioSpec {
         self
     }
 
-    /// Sets the live arrival processes. Only `algo=protocol
-    /// runtime=events` can stream (and a positive
+    /// Sets the live arrival processes. Only `algo=protocol`
+    /// can stream (and a positive
     /// [`duration_ms`](Self::duration_ms) is required):
     /// [`ScenarioSpec::parse`] rejects other combinations up front,
     /// and the run entry points panic on them (the builder alone
@@ -740,8 +715,8 @@ impl ScenarioSpec {
         self
     }
 
-    /// Sets the observability mode. Only `algo=protocol
-    /// runtime=events` can trace: [`ScenarioSpec::parse`] rejects
+    /// Sets the observability mode. Only `algo=protocol`
+    /// can trace: [`ScenarioSpec::parse`] rejects
     /// other combinations up front, and the run entry points panic on
     /// them (the builder alone cannot see the final key combination).
     pub fn trace(mut self, trace: TraceSpec) -> Self {
@@ -788,7 +763,7 @@ impl ScenarioSpec {
                         return Err(SpecError("budget must be at least 1".into()));
                     }
                 }
-                "runtime" => spec.runtime = RuntimeSpec::parse(value)?,
+                "runtime" => check_runtime(value)?,
                 "select" => spec.select = SelectSpec::parse(value)?,
                 "faults" => {
                     spec.faults = FaultPlan::parse(value)
@@ -808,8 +783,8 @@ impl ScenarioSpec {
                 _ => {
                     return Err(SpecError(format!(
                         "unknown key '{key}' (valid: algo net m lat load avg speeds seed gran \
-                         eps patience budget runtime select faults detect arrivals duration \
-                         gossip trace)"
+                         eps patience budget select faults detect arrivals duration gossip \
+                         trace)"
                     )))
                 }
             }
@@ -824,21 +799,17 @@ impl ScenarioSpec {
                     .into(),
             ));
         }
-        if !spec.faults.is_empty()
-            && (spec.algo != AlgoSpec::Protocol || spec.runtime != RuntimeSpec::Events)
-        {
+        if !spec.faults.is_empty() && spec.algo != AlgoSpec::Protocol {
             return Err(SpecError(
-                "faults= requires algo=protocol runtime=events (the deterministic \
-                 simulation is what can replay a fault schedule)"
+                "faults= requires algo=protocol (the deterministic simulation is what can \
+                 replay a fault schedule)"
                     .into(),
             ));
         }
-        if spec.detect != DetectSpec::Oracle
-            && (spec.algo != AlgoSpec::Protocol || spec.runtime != RuntimeSpec::Events)
-        {
+        if spec.detect != DetectSpec::Oracle && spec.algo != AlgoSpec::Protocol {
             return Err(SpecError(
-                "detect= requires algo=protocol runtime=events (in-protocol failure \
-                 detection needs the virtual clock to arm deadlines on)"
+                "detect= requires algo=protocol (in-protocol failure detection needs the \
+                 virtual clock to arm deadlines on)"
                     .into(),
             ));
         }
@@ -856,12 +827,10 @@ impl ScenarioSpec {
                     .into(),
             ));
         }
-        if !spec.arrivals.is_empty()
-            && (spec.algo != AlgoSpec::Protocol || spec.runtime != RuntimeSpec::Events)
-        {
+        if !spec.arrivals.is_empty() && spec.algo != AlgoSpec::Protocol {
             return Err(SpecError(
-                "arrivals= requires algo=protocol runtime=events (live streaming rides \
-                 the deterministic virtual-time event heap)"
+                "arrivals= requires algo=protocol (live streaming rides the deterministic \
+                 virtual-time event heap)"
                     .into(),
             ));
         }
@@ -875,12 +844,10 @@ impl ScenarioSpec {
                     .into(),
             ));
         }
-        if spec.trace != TraceSpec::Off
-            && (spec.algo != AlgoSpec::Protocol || spec.runtime != RuntimeSpec::Events)
-        {
+        if spec.trace != TraceSpec::Off && spec.algo != AlgoSpec::Protocol {
             return Err(SpecError(
-                "trace= requires algo=protocol runtime=events (the deterministic executor \
-                 is what stamps trace events on the virtual clock)"
+                "trace= requires algo=protocol (the deterministic executor is what stamps \
+                 trace events on the virtual clock)"
                     .into(),
             ));
         }
@@ -970,9 +937,6 @@ impl fmt::Display for ScenarioSpec {
         }
         if self.budget != d.budget {
             write!(f, " budget={}", self.budget)?;
-        }
-        if self.runtime != d.runtime {
-            write!(f, " runtime={}", self.runtime.label())?;
         }
         if self.select != d.select {
             write!(f, " select={}", self.select)?;
@@ -1087,7 +1051,9 @@ mod tests {
             ("eps=abc", "not a number"),
             ("budget=0", "at least 1"),
             ("seed=1 seed=2", "given twice"),
-            ("runtime=fibers", "not one of threads|events"),
+            ("runtime=fibers", "is not 'events'"),
+            ("runtime=threads", "thread-per-node runtime was retired"),
+            ("runtime=events runtime=events", "given twice"),
             ("algo=protocol select=nearest", "not exact or topk:K"),
             (
                 "algo=protocol select=topk:",
@@ -1105,19 +1071,22 @@ mod tests {
         }
     }
 
+    /// `runtime=` no longer selects anything: the one value left is
+    /// accepted for the sake of old records, scripts, and frame-log
+    /// headers, parses to the same spec as its absence, and is never
+    /// printed back.
     #[test]
-    fn runtime_key_round_trips_and_defaults_to_threads() {
-        assert_eq!(ScenarioSpec::default().runtime, RuntimeSpec::Threads);
-        let spec: ScenarioSpec = "algo=protocol m=40 runtime=events".parse().unwrap();
-        assert_eq!(spec.runtime, RuntimeSpec::Events);
+    fn runtime_events_is_accepted_and_never_printed() {
+        let with: ScenarioSpec = "algo=protocol m=40 runtime=events".parse().unwrap();
+        let without: ScenarioSpec = "algo=protocol m=40".parse().unwrap();
+        assert_eq!(with, without);
+        assert_eq!(with.to_string(), "algo=protocol net=homog m=40");
+        // Position is irrelevant, and non-protocol algorithms ignore it
+        // as they always did.
         assert_eq!(
-            spec.to_string(),
-            "algo=protocol net=homog m=40 runtime=events"
+            "runtime=events algo=batched".parse::<ScenarioSpec>(),
+            "algo=batched".parse()
         );
-        assert_eq!(spec.to_string().parse::<ScenarioSpec>().unwrap(), spec);
-        // The default is omitted from the canonical text form.
-        let threads = ScenarioSpec::new().runtime(RuntimeSpec::Threads);
-        assert!(!threads.to_string().contains("runtime="));
     }
 
     #[test]
@@ -1129,7 +1098,7 @@ mod tests {
         assert_eq!(spec.select, SelectSpec::TopK(32));
         assert_eq!(
             spec.to_string(),
-            "algo=protocol net=homog m=40 runtime=events select=topk:32"
+            "algo=protocol net=homog m=40 select=topk:32"
         );
         assert_eq!(spec.to_string().parse::<ScenarioSpec>().unwrap(), spec);
         // select=exact is the default and is omitted from the text form;
@@ -1139,13 +1108,10 @@ mod tests {
         // The builder mirrors the text form.
         let built = ScenarioSpec::new()
             .algo(AlgoSpec::Protocol)
-            .runtime(RuntimeSpec::Events)
             .servers(40)
             .select(SelectSpec::TopK(32));
         assert_eq!(built, spec);
-        // select= works on the thread runtime too — but only for the
-        // protocol algorithm.
-        assert!(ScenarioSpec::parse("algo=protocol select=topk:8").is_ok());
+        // select= is a protocol axis only.
         for text in ["select=topk:8", "algo=batched select=topk:8"] {
             let err = ScenarioSpec::parse(text).unwrap_err();
             assert!(
@@ -1166,7 +1132,7 @@ mod tests {
         assert!(!spec.faults.is_empty());
         assert_eq!(
             spec.to_string(),
-            "algo=protocol net=homog m=40 runtime=events faults=crash:0.1@500ms,loss:0.05"
+            "algo=protocol net=homog m=40 faults=crash:0.1@500ms,loss:0.05"
         );
         assert_eq!(spec.to_string().parse::<ScenarioSpec>().unwrap(), spec);
         // The default (empty) plan is omitted from the canonical form.
@@ -1174,7 +1140,6 @@ mod tests {
         // The builder mirrors the text form.
         let built = ScenarioSpec::new()
             .algo(AlgoSpec::Protocol)
-            .runtime(RuntimeSpec::Events)
             .servers(40)
             .faults(FaultPlan::new().crash(0.1, 500.0).loss(0.05));
         assert_eq!(built, spec);
@@ -1183,18 +1148,17 @@ mod tests {
     #[test]
     fn faults_require_the_event_protocol() {
         for text in [
-            "faults=loss:0.1",               // default algo=sequential
-            "algo=protocol faults=loss:0.1", // default runtime=threads
+            "faults=loss:0.1", // default algo=sequential
             "algo=batched runtime=events faults=loss:0.1",
         ] {
             let err = ScenarioSpec::parse(text).unwrap_err();
             assert!(
-                err.0.contains("algo=protocol runtime=events"),
+                err.0.contains("requires algo=protocol"),
                 "'{text}' -> {err}"
             );
         }
         // Key order must not matter for the validation.
-        assert!(ScenarioSpec::parse("faults=loss:0.1 algo=protocol runtime=events").is_ok());
+        assert!(ScenarioSpec::parse("faults=loss:0.1 algo=protocol").is_ok());
         // Bad plans surface the faults-specific message.
         let err = ScenarioSpec::parse("algo=protocol runtime=events faults=warp:1").unwrap_err();
         assert!(err.0.contains("faults: unknown fault kind"), "{err}");
@@ -1209,7 +1173,7 @@ mod tests {
         assert_eq!(spec.detect, DetectSpec::Timeout(200.0));
         assert_eq!(
             spec.to_string(),
-            "algo=protocol net=homog m=40 runtime=events detect=timeout:200ms"
+            "algo=protocol net=homog m=40 detect=timeout:200ms"
         );
         assert_eq!(spec.to_string().parse::<ScenarioSpec>().unwrap(), spec);
         // The ms suffix is optional on input, canonical on output.
@@ -1231,7 +1195,6 @@ mod tests {
         // The builder mirrors the text form.
         let built = ScenarioSpec::new()
             .algo(AlgoSpec::Protocol)
-            .runtime(RuntimeSpec::Events)
             .servers(40)
             .detect(DetectSpec::Timeout(200.0));
         assert_eq!(built, spec);
@@ -1240,19 +1203,18 @@ mod tests {
     #[test]
     fn detect_requires_the_event_protocol() {
         for text in [
-            "detect=adaptive",               // default algo=sequential
-            "algo=protocol detect=adaptive", // default runtime=threads
+            "detect=adaptive", // default algo=sequential
             "algo=batched runtime=events detect=timeout:100ms",
         ] {
             let err = ScenarioSpec::parse(text).unwrap_err();
             assert!(
-                err.0.contains("requires algo=protocol runtime=events"),
+                err.0.contains("requires algo=protocol"),
                 "'{text}' -> {err}"
             );
         }
         // Key order must not matter for the validation, and the oracle
         // default never trips it.
-        assert!(ScenarioSpec::parse("detect=adaptive runtime=events algo=protocol").is_ok());
+        assert!(ScenarioSpec::parse("detect=adaptive algo=protocol").is_ok());
         assert!(ScenarioSpec::parse("algo=batched detect=oracle").is_ok());
         for (text, needle) in [
             ("detect=psychic", "not one of oracle|timeout:MS|adaptive"),
@@ -1339,7 +1301,7 @@ mod tests {
         assert_eq!(spec.duration, 2000.0);
         assert_eq!(
             spec.to_string(),
-            "algo=protocol net=homog m=40 runtime=events \
+            "algo=protocol net=homog m=40 \
              arrivals=poisson:200,burst:400@500ms..1500ms duration=2000"
         );
         assert_eq!(spec.to_string().parse::<ScenarioSpec>().unwrap(), spec);
@@ -1351,7 +1313,6 @@ mod tests {
         // The builder mirrors the text form.
         let built = ScenarioSpec::new()
             .algo(AlgoSpec::Protocol)
-            .runtime(RuntimeSpec::Events)
             .servers(40)
             .arrivals(
                 ArrivalPlan::new()
@@ -1366,12 +1327,11 @@ mod tests {
     fn arrivals_require_the_event_protocol_and_a_duration() {
         for text in [
             "arrivals=poisson:10 duration=100", // default algo=sequential
-            "algo=protocol arrivals=poisson:10 duration=100", // default runtime=threads
             "algo=batched runtime=events arrivals=poisson:10 duration=100",
         ] {
             let err = ScenarioSpec::parse(text).unwrap_err();
             assert!(
-                err.0.contains("requires algo=protocol runtime=events"),
+                err.0.contains("requires algo=protocol"),
                 "'{text}' -> {err}"
             );
         }
@@ -1382,10 +1342,7 @@ mod tests {
         let err = ScenarioSpec::parse("algo=protocol runtime=events duration=100").unwrap_err();
         assert!(err.0.contains("requires arrivals="), "{err}");
         // Key order must not matter for the validation.
-        assert!(ScenarioSpec::parse(
-            "duration=100 arrivals=poisson:10 runtime=events algo=protocol"
-        )
-        .is_ok());
+        assert!(ScenarioSpec::parse("duration=100 arrivals=poisson:10 algo=protocol").is_ok());
         // Bad plans surface the arrivals-specific message.
         let err =
             ScenarioSpec::parse("algo=protocol runtime=events arrivals=pareto:1 duration=100")
@@ -1411,7 +1368,7 @@ mod tests {
         );
         assert_eq!(
             spec.to_string(),
-            "algo=protocol net=homog m=40 runtime=events trace=frames:run.dlbtrace"
+            "algo=protocol net=homog m=40 trace=frames:run.dlbtrace"
         );
         assert_eq!(spec.to_string().parse::<ScenarioSpec>().unwrap(), spec);
         let summary: ScenarioSpec = "algo=protocol runtime=events trace=summary"
@@ -1428,7 +1385,6 @@ mod tests {
         // The builder mirrors the text form, and the spec stays Copy.
         let built = ScenarioSpec::new()
             .algo(AlgoSpec::Protocol)
-            .runtime(RuntimeSpec::Events)
             .servers(40)
             .trace(TraceSpec::Frames(TracePath::new("run.dlbtrace").unwrap()));
         let copy = built; // Copy, not move
@@ -1442,18 +1398,17 @@ mod tests {
     #[test]
     fn trace_requires_the_event_protocol() {
         for text in [
-            "trace=summary",               // default algo=sequential
-            "algo=protocol trace=summary", // default runtime=threads
+            "trace=summary", // default algo=sequential
             "algo=batched runtime=events trace=frames:x.dlbtrace",
         ] {
             let err = ScenarioSpec::parse(text).unwrap_err();
             assert!(
-                err.0.contains("requires algo=protocol runtime=events"),
+                err.0.contains("requires algo=protocol"),
                 "'{text}' -> {err}"
             );
         }
         // Key order must not matter, and the off default never trips it.
-        assert!(ScenarioSpec::parse("trace=summary runtime=events algo=protocol").is_ok());
+        assert!(ScenarioSpec::parse("trace=summary algo=protocol").is_ok());
         assert!(ScenarioSpec::parse("algo=batched trace=off").is_ok());
         for (text, needle) in [
             ("trace=psychic", "not one of off|summary|frames:FILE"),

@@ -8,13 +8,12 @@
 //! This file is its own test binary so the `DLB_THREADS` mutations
 //! cannot race with unrelated tests.
 
-use dlb_scenario::{AlgoSpec, RunRecord, RuntimeSpec, ScenarioSpec};
+use dlb_scenario::{AlgoSpec, RunRecord, ScenarioSpec};
 
 #[test]
 fn event_run_records_are_bit_identical_across_thread_counts_and_repeats() {
     let spec = ScenarioSpec::new()
         .algo(AlgoSpec::Protocol)
-        .runtime(RuntimeSpec::Events)
         .servers(40)
         .avg_load(60.0)
         .seed(11)

@@ -7,7 +7,7 @@
 //! cannot race with unrelated tests; the parity tests share the lock
 //! because they must not observe a pinned thread count either.
 
-use dlb_scenario::{AlgoSpec, RunRecord, RuntimeSpec, ScenarioSpec, SelectSpec};
+use dlb_scenario::{AlgoSpec, RunRecord, ScenarioSpec, SelectSpec};
 use std::sync::Mutex;
 
 /// Serializes every test in this binary around the process-wide
@@ -94,7 +94,6 @@ fn topk_records_are_bit_identical_across_thread_counts_and_repeats() {
     let _env = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let spec = ScenarioSpec::new()
         .algo(AlgoSpec::Protocol)
-        .runtime(RuntimeSpec::Events)
         .servers(64)
         .avg_load(60.0)
         .seed(9)

@@ -52,8 +52,8 @@
 //!
 //! ## Testing with the virtual clock
 //!
-//! `algo=protocol runtime=events` hosts the message-passing protocol
-//! on the [`runtime`] crate's event executor: a deterministic
+//! `algo=protocol` hosts the message-passing protocol on the
+//! [`runtime`] crate's event executor: a deterministic
 //! virtual-time heap with per-link delays sampled from [`netsim`],
 //! which puts Figure-2-scale clusters (m = 5000) in one process and
 //! makes protocol tests *reproducible* — one seed gives one event
@@ -65,7 +65,6 @@
 //!
 //! let spec = ScenarioSpec::new()
 //!     .algo(AlgoSpec::Protocol)
-//!     .runtime(RuntimeSpec::Events) // virtual clock, no OS threads
 //!     .servers(40)
 //!     .seed(7);
 //! let (a, b) = (spec.run(), spec.run());
@@ -93,7 +92,7 @@
 //! ```
 //! use delay_lb::prelude::*;
 //!
-//! let topk: ScenarioSpec = "algo=protocol runtime=events m=60 select=topk:8"
+//! let topk: ScenarioSpec = "algo=protocol m=60 select=topk:8"
 //!     .parse()
 //!     .unwrap();
 //! let exact = topk.select(SelectSpec::Exact);
@@ -104,7 +103,7 @@
 //! ```
 //!
 //! With it, Figure-2-style measurements reach cluster scale in one
-//! process — `dlb run algo=protocol runtime=events m=100000 net=homog
+//! process — `dlb run algo=protocol m=100000 net=homog
 //! select=topk:32 patience=8` completes with near-linear seconds per
 //! round. Top-k runs stay bit-deterministic per seed (the candidate
 //! slates are pure functions of the instance and the gossiped epoch),
@@ -124,7 +123,7 @@
 //! use delay_lb::prelude::*;
 //!
 //! let spec: ScenarioSpec =
-//!     "algo=protocol runtime=events m=30 faults=crash:0.2@100ms,loss:0.1"
+//!     "algo=protocol m=30 faults=crash:0.2@100ms,loss:0.1"
 //!         .parse()
 //!         .unwrap();
 //! let (a, b) = (spec.run(), spec.run());
@@ -139,7 +138,7 @@
 //! reports, and the same script can gate the gossip layer
 //! ([`gossip::EventGossip::run_faulted`]) to measure
 //! dissemination-under-churn in virtual ms. The shell form is
-//! `dlb run algo=protocol runtime=events faults=crash:0.1@500ms,loss:0.05 m=2000`.
+//! `dlb run algo=protocol faults=crash:0.1@500ms,loss:0.05 m=2000`.
 //!
 //! ## In-protocol failure detection: `detect=`
 //!
@@ -161,7 +160,7 @@
 //! use delay_lb::prelude::*;
 //!
 //! let spec: ScenarioSpec =
-//!     "algo=protocol runtime=events m=24 avg=60 seed=11 patience=5 budget=800 \
+//!     "algo=protocol m=24 avg=60 seed=11 patience=5 budget=800 \
 //!      faults=crash:0.2@150ms,slow:0.2@4x detect=adaptive"
 //!         .parse()
 //!         .unwrap();
@@ -176,7 +175,7 @@
 //! pre-detector runtime); `slow:FRAC@Fx` stragglers exist to exercise
 //! the false-positive path — see `BENCH_detector.json` for the
 //! detection-latency / false-positive trade curve. The shell form is
-//! `dlb run algo=protocol runtime=events m=2000
+//! `dlb run algo=protocol m=2000
 //! faults=crash:0.1@500ms..2000ms,slow:0.05@4x detect=adaptive`.
 //!
 //! ## Streaming: live arrivals on the virtual clock
@@ -201,7 +200,7 @@
 //! use delay_lb::prelude::*;
 //!
 //! let spec: ScenarioSpec =
-//!     "algo=protocol runtime=events m=12 avg=60 seed=7 patience=9 \
+//!     "algo=protocol m=12 avg=60 seed=7 patience=9 \
 //!      arrivals=poisson:150,burst:300@200ms..600ms duration=1200"
 //!         .parse()
 //!         .unwrap();
@@ -216,7 +215,7 @@
 //! mid-stream and measure the p99 cost of detection lag) and with
 //! `select=topk:K` for cluster-scale runs. An unstreamed scenario is
 //! byte-identical to the pre-streaming runtime. The shell form is
-//! `dlb run algo=protocol runtime=events m=2000
+//! `dlb run algo=protocol m=2000
 //! arrivals=poisson:500,burst:2000@1000ms..2000ms duration=4000`.
 //!
 //! ## The gossip control plane: `gossip=`
@@ -261,7 +260,7 @@
 //!
 //! The [`obs`] crate is a deterministic trace/metrics plane stamped in
 //! *virtual* time. The `trace=` axis turns it on for
-//! `algo=protocol runtime=events` scenarios: `trace=summary` folds the
+//! `algo=protocol` scenarios: `trace=summary` folds the
 //! event stream into the record's `obs_*` metric group (RNG-free
 //! log-bucketed histograms, bit-identical across `DLB_THREADS`
 //! values), and `trace=frames:FILE` additionally writes a binary
@@ -281,7 +280,7 @@
 //! // Record: trace=frames:FILE writes the binary frame log.
 //! let log_path = std::env::temp_dir().join("delay_lb_doc_obs.dlbf");
 //! let spec: ScenarioSpec = format!(
-//!     "algo=protocol runtime=events m=16 seed=3 trace=frames:{}",
+//!     "algo=protocol m=16 seed=3 trace=frames:{}",
 //!     log_path.display()
 //! )
 //! .parse()
@@ -298,7 +297,7 @@
 //! # std::fs::remove_file(&log_path).ok();
 //! ```
 //!
-//! The shell forms: `dlb run algo=protocol runtime=events m=2000
+//! The shell forms: `dlb run algo=protocol m=2000
 //! faults=crash:0.1@500ms detect=adaptive trace=frames:run.dlbf`
 //! records; `dlb trace replay run.dlbf` verifies (non-zero exit naming
 //! the first divergence otherwise); `dlb trace show run.dlbf --kind
@@ -321,7 +320,7 @@
 //! | [`requestsim`] | request-level DES validating the cost model |
 //! | [`netsim`] | flow-level network sim (Table IV) |
 //! | [`extensions`] | §VII: heterogeneous tasks, R-replication |
-//! | [`runtime`] | the protocol deployed twice: thread-per-node cluster and the deterministic event executor |
+//! | [`runtime`] | the protocol deployed: poll-style state machines, wire frames, and the deterministic virtual-time event executor |
 //! | [`faults`] | deterministic fault & churn injection: crash/recover, loss, delay spikes, partitions |
 //! | [`obs`] | deterministic observability: virtual-time trace events, RNG-free metrics, replayable frame logs |
 //! | [`coords`] | Vivaldi network coordinates: the latency-estimation substrate |
@@ -360,12 +359,12 @@ pub mod prelude {
     pub use dlb_obs::{FrameLog, MetricSet, ObsSummary, TraceEvent, TraceKind, TraceSink, Trailer};
     pub use dlb_requestsim::stream::{ArrivalPlan, StreamScript};
     pub use dlb_runtime::{
-        run_cluster, run_cluster_events, run_cluster_events_faulted, run_cluster_events_streamed,
-        ClusterOptions, DetectMode, DetectorSummary, StreamSummary, VirtualClock,
+        run_cluster_events, run_cluster_events_observed, ClusterOptions, DetectMode,
+        DetectorSummary, StreamSummary, VirtualClock,
     };
     pub use dlb_scenario::{
         replay_frame_log, AlgoSpec, DetectSpec, GossipSpec, NetSpec, ReplayReport, RunRecord,
-        Runner, RuntimeSpec, ScenarioSpec, SelectSpec, SpeedKind, TraceSpec,
+        Runner, ScenarioSpec, SelectSpec, SpeedKind, TraceSpec,
     };
     pub use dlb_solver::{solve_bcd, solve_pgd, PgdOptions};
     pub use dlb_topology::PlanetLabConfig;

@@ -77,7 +77,7 @@ fn recorded_hashes_match_pre_observability_goldens_and_replay_bit_exactly() {
 /// The exact JSON an untraced `net=pl m=64 seed=3` event run emits
 /// (before the sink's host stamp), frozen at the pre-observability
 /// emitter. Any new field, reordered key, or perturbed bit fails here.
-const GOLDEN_RECORD: &str = "{\"kind\":\"run\",\"scenario\":\"algo=protocol net=pl m=64 seed=3 runtime=events\",\"algo\":\"protocol\",\"m\":64,\"initial_cost\":49044.866653983554,\"final_cost\":34654.11778420787,\"iterations\":8,\"converged\":true,\"wall_secs\":0.9402266587905841,\"fault_crashes\":0,\"fault_recoveries\":0,\"fault_dropped_frames\":0,\"fault_delayed_frames\":0,\"fault_extra_delay_ms\":0,\"detector_suspicions\":0,\"detector_false_positives\":0,\"detector_latency_ms\":0,\"detector_rejoin_ms\":0,\"detector_aborted_exchanges\":0,\"history\":[49044.866653983554,42879.17363578381,36623.0928930763,35034.55016096606,34655.156880218834,34654.11778420787,34654.11778420787,34654.11778420787,34654.11778420787]}";
+const GOLDEN_RECORD: &str = "{\"kind\":\"run\",\"scenario\":\"algo=protocol net=pl m=64 seed=3\",\"algo\":\"protocol\",\"m\":64,\"initial_cost\":49044.866653983554,\"final_cost\":34654.11778420787,\"iterations\":8,\"converged\":true,\"wall_secs\":0.9402266587905841,\"fault_crashes\":0,\"fault_recoveries\":0,\"fault_dropped_frames\":0,\"fault_delayed_frames\":0,\"fault_extra_delay_ms\":0,\"detector_suspicions\":0,\"detector_false_positives\":0,\"detector_latency_ms\":0,\"detector_rejoin_ms\":0,\"detector_aborted_exchanges\":0,\"history\":[49044.866653983554,42879.17363578381,36623.0928930763,35034.55016096606,34655.156880218834,34654.11778420787,34654.11778420787,34654.11778420787,34654.11778420787]}";
 
 #[test]
 fn untraced_records_stay_byte_identical_to_the_pre_observability_shape() {

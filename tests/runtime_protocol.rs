@@ -4,7 +4,13 @@
 use delay_lb::core::cost::total_cost;
 use delay_lb::core::rngutil::rng_for;
 use delay_lb::prelude::*;
-use delay_lb::runtime::ClusterOptions;
+use delay_lb::runtime::{ClusterOptions, ClusterReport};
+
+/// The protocol on the event executor, every link paying half its RTT
+/// one way.
+fn run_protocol(instance: &Instance, options: &ClusterOptions) -> ClusterReport {
+    run_cluster_events(instance, options, |i, j| instance.c(i, j) / 2.0)
+}
 
 fn sample(m: usize, avg: f64, seed: u64, planetlab: bool) -> Instance {
     let latency = if planetlab {
@@ -28,7 +34,7 @@ fn protocol_reaches_engine_quality_on_both_networks() {
     for planetlab in [false, true] {
         let m = 16;
         let instance = sample(m, 60.0, 3, planetlab);
-        let report = run_cluster(&instance, &ClusterOptions::certified(m));
+        let report = run_protocol(&instance, &ClusterOptions::certified(m));
         report.assignment.check_invariants(&instance).unwrap();
         let mut engine = Engine::new(instance.clone(), EngineOptions::default());
         let opt = engine.run_to_convergence(1e-12, 3, 300).final_cost;
@@ -48,7 +54,7 @@ fn protocol_reaches_engine_quality_on_both_networks() {
 fn protocol_matches_solver_optimum() {
     let m = 10;
     let instance = sample(m, 40.0, 9, false);
-    let report = run_cluster(&instance, &ClusterOptions::certified(m));
+    let report = run_protocol(&instance, &ClusterOptions::certified(m));
     let (rho, _) = solve_bcd(&instance, 3_000, 1e-12);
     let solver_cost = delay_lb::solver::objective(&instance, &rho);
     assert!(
@@ -60,12 +66,13 @@ fn protocol_matches_solver_optimum() {
 }
 
 /// Protocol progress is monotone in `ΣC` and conserves every
-/// organization's request volume, even under thread interleavings.
+/// organization's request volume, whatever order the link delays
+/// deliver the frames in.
 #[test]
 fn protocol_is_monotone_and_conservative() {
     let m = 20;
     let instance = sample(m, 150.0, 21, true);
-    let report = run_cluster(&instance, &ClusterOptions::default());
+    let report = run_protocol(&instance, &ClusterOptions::default());
     for w in report.history.windows(2) {
         assert!(w[1] <= w[0] * (1.0 + 1e-9), "ΣC increased: {w:?}");
     }
@@ -96,7 +103,7 @@ fn protocol_survives_dead_nodes() {
     let mut loads = vec![0.0; m];
     loads[0] = 2_400.0;
     instance.set_own_loads(loads);
-    let report = run_cluster(
+    let report = run_protocol(
         &instance,
         &ClusterOptions {
             failed: vec![9, 10, 11],
