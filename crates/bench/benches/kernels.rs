@@ -7,8 +7,10 @@ use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criteri
 use dlb_bench::{sample_instance, NetworkKind};
 use dlb_core::cost::total_cost;
 use dlb_core::workload::{LoadDistribution, SpeedDistribution};
-use dlb_core::Assignment;
-use dlb_distributed::mine::{mine_step, PartnerSelection};
+use dlb_core::{Assignment, Instance, LatencyMatrix};
+use dlb_distributed::mine::{
+    mine_step, partner_score, partner_scores, Candidates, PartnerSelection,
+};
 use dlb_distributed::transfer::calc_best_transfer;
 use dlb_flow::ssp::min_cost_max_flow;
 use dlb_flow::FlowNetwork;
@@ -52,6 +54,49 @@ fn bench_mine_step(c: &mut Criterion) {
                 |mut a| mine_step(&instance, &mut a, 0, PartnerSelection::Exact, 1e-9, false),
                 BatchSize::SmallInput,
             )
+        });
+    }
+    group.finish();
+}
+
+/// One server's full `select=exact` scan at m = 5000 — the inner loop
+/// of the O(m²) round: the scalar reference pair by pair against the
+/// batch kernel (`Candidates::Range`), on the compact homogeneous
+/// latency (a constant `c`) and on a dense table (row `c_i·` in place,
+/// column `c_·i` gathered).
+fn bench_partner_score_scan(c: &mut Criterion) {
+    const M: usize = 5000;
+    let mut group = c.benchmark_group("partner_score_scan");
+    let speeds: Vec<f64> = (0..M).map(|j| 1.0 + (j % 5) as f64).collect();
+    // Loads with no period a branch predictor could learn: which of
+    // the reference's early returns a pair takes is data-dependent.
+    let loads: Vec<f64> = (0..M as u64)
+        .map(|j| (j.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 54) as f64)
+        .collect();
+    let mut table: Vec<f64> = (0..M * M).map(|e| 1.0 + ((e * 13) % 40) as f64).collect();
+    for j in 0..M {
+        table[j * M + j] = 0.0;
+    }
+    let nets = [
+        ("homogeneous", LatencyMatrix::homogeneous(M, 20.0)),
+        ("dense", LatencyMatrix::from_rows(M, table)),
+    ];
+    for (net, latency) in nets {
+        let instance = Instance::new(speeds.clone(), vec![0.0; M], latency);
+        let mut out = vec![0.0; M];
+        group.bench_with_input(BenchmarkId::new("scalar", net), &instance, |b, instance| {
+            b.iter(|| {
+                for (j, score) in out.iter_mut().enumerate() {
+                    *score = partner_score(instance, &loads, M / 2, j);
+                }
+                out[M - 1]
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("batch", net), &instance, |b, instance| {
+            b.iter(|| {
+                partner_scores(instance, &loads, M / 2, Candidates::Range(0..M), &mut out);
+                out[M - 1]
+            })
         });
     }
     group.finish();
@@ -157,6 +202,7 @@ criterion_group!(
     kernels,
     bench_transfer,
     bench_mine_step,
+    bench_partner_score_scan,
     bench_cost,
     bench_waterfill,
     bench_projection,

@@ -124,6 +124,34 @@ fn event_protocol_runs_emit_reproducible_records() {
     assert_eq!(*field(row, "iterations"), Value::Num(run.iterations as f64));
 }
 
+/// An idle cluster (`avg=0`: every ledger empty) costs plain zero. The
+/// per-node cost fold used to start from `Iterator::sum`'s `-0.0`, so
+/// the record said `"final_cost":-0` and the summary `ΣC = -0.0`.
+#[test]
+fn idle_protocol_run_records_plain_zeros() {
+    let out_path = std::env::temp_dir().join("dlb_cli_idle.jsonl");
+    let output = dlb()
+        .args(["run", "algo=protocol", "m=8", "avg=0", "--out"])
+        .arg(&out_path)
+        .output()
+        .expect("dlb binary runs");
+    assert!(
+        output.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let record = std::fs::read_to_string(&out_path).unwrap();
+    let _ = std::fs::remove_file(&out_path);
+    assert!(
+        record.contains(r#""initial_cost":0,"final_cost":0,"#),
+        "{record}"
+    );
+    assert!(record.contains(r#""history":[0,0,0,0],"#), "{record}");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(stdout.contains("final ΣC = 0.0 "), "{stdout}");
+    assert!(!stdout.contains("-0.0"), "{stdout}");
+}
+
 /// The `detect=` axis end to end: a faulted adaptive-detector run
 /// succeeds, emits the v2 record shape (fault_* and detector_* always
 /// present), reproduces bit for bit, and a misplaced `detect=` on a

@@ -106,6 +106,19 @@ impl LatencyMatrix {
         }
     }
 
+    /// The contiguous row `c_{i·}` of a densely stored matrix (entry `j`
+    /// is `c_{ij}`, the diagonal included), or `None` for the compact
+    /// homogeneous storage — the complement of
+    /// [`Self::homogeneous_value`]. Lets a scan over `j` resolve the
+    /// representation once per row instead of once per entry.
+    #[inline]
+    pub fn row(&self, i: usize) -> Option<&[f64]> {
+        match &self.storage {
+            Storage::Dense(data) => Some(&data[i * self.m..(i + 1) * self.m]),
+            Storage::Homogeneous(_) => None,
+        }
+    }
+
     /// Latency from server `i` to server `j` in ms.
     #[inline]
     pub fn get(&self, i: usize, j: usize) -> f64 {
@@ -324,6 +337,21 @@ mod tests {
         assert_eq!(c.get(1, 2), 7.0);
         assert_eq!(c.get(2, 1), 20.0);
         assert_eq!(c.get(4, 4), 0.0);
+    }
+
+    #[test]
+    fn row_is_the_dense_complement_of_homogeneous_value() {
+        let mut c = LatencyMatrix::homogeneous(3, 20.0);
+        assert_eq!(c.row(1), None);
+        c.set(1, 2, 7.0);
+        c.set(1, 0, f64::INFINITY);
+        assert_eq!(c.homogeneous_value(), None);
+        assert_eq!(c.row(1), Some(&[f64::INFINITY, 0.0, 7.0][..]));
+        assert_eq!(c.row(2), Some(&[20.0, 20.0, 0.0][..]));
+        for i in 0..3 {
+            let row = c.row(i).unwrap();
+            assert!((0..3).all(|j| row[j].to_bits() == c.get(i, j).to_bits()));
+        }
     }
 
     #[test]

@@ -9,6 +9,25 @@
 //! partners with a closed-form bound and evaluates only the top `K`
 //! candidates exactly. At table scale (`m ≤ 300`) the two modes pick
 //! identical partners in virtually every step (property-tested).
+//!
+//! # The closed-form score, twice
+//!
+//! Per-pair scoring exists in exactly two places. [`partner_score`] is
+//! the scalar *reference*: one pair, written the way the formula reads.
+//! [`partner_scores`] is the *batch kernel* every scan runs — the
+//! pruned pre-ranking here, and the message-passing runtime's
+//! `select=exact` / `select=topk:K` round-start scans. The kernel
+//! performs the reference's floating-point operations on the same
+//! operands in the same order, so the two agree **bit for bit**
+//! (unit- and property-tested, in release builds too), and every
+//! frozen event hash and record downstream is the same whichever one
+//! ran. What the kernel changes is only what IEEE arithmetic lets it
+//! change for free: work that does not depend on `j` is hoisted,
+//! commutative twins are computed once, the latency representation is
+//! resolved once per call, and the reference's early returns become
+//! selects so the loop has no data-dependent branch and vectorises.
+
+use std::ops::Range;
 
 use dlb_core::{Assignment, Instance};
 
@@ -46,7 +65,19 @@ pub fn improvement_g(
 ///
 /// This is exact when all requests on the loaded server belong to its
 /// own organization (true for the peak workload) and an upper-envelope
-/// heuristic otherwise. Used only to *rank* candidates in pruned mode.
+/// heuristic otherwise. Used only to *rank* candidates.
+///
+/// This is the scalar reference of [`partner_scores`], which must
+/// return the same bits. Floating-point addition and multiplication
+/// are commutative but not associative, and a division is not a
+/// multiplication by the reciprocal, so the batch form may swap the
+/// operands of one `+` or `*` (`s_f + s_t`, `s_f · s_t`,
+/// `1/2s_f + 1/2s_t` are the same value in both directions) but must
+/// keep every grouping written here: `(s_t l_f − s_f l_t) − (s_f s_t) c`,
+/// then `/ (s_f + s_t)`; `(l_f/s_f − l_t/s_t) − c`; `(Δ·Δ) · inv`;
+/// `Δ·(…) − (Δ·Δ)·inv` as a multiply and a subtract, never fused. The
+/// two early returns test `c` and the *uncapped* `Δ`, and a NaN `Δ`
+/// passes the `<= 0` test — a select must do the same.
 pub fn partner_score(instance: &Instance, loads: &[f64], i: usize, j: usize) -> f64 {
     if i == j {
         return 0.0;
@@ -73,6 +104,155 @@ pub fn partner_score(instance: &Instance, loads: &[f64], i: usize, j: usize) -> 
     gain(i, j, li, lj, si, sj).max(gain(j, i, lj, li, sj, si))
 }
 
+/// The partners one [`partner_scores`] call ranks.
+#[derive(Debug, Clone)]
+pub enum Candidates<'a> {
+    /// The contiguous ids `start..end`: speeds, loads and the latency
+    /// row are read in place as slices.
+    Range(Range<usize>),
+    /// An arbitrary id list (a nearest-`k` ∪ hot-set index): one
+    /// indexed read per lane, the same branch-free arithmetic.
+    List(&'a [u32]),
+}
+
+impl<'a> Candidates<'a> {
+    /// Number of candidates.
+    pub fn len(&self) -> usize {
+        match self {
+            Self::Range(range) => range.len(),
+            Self::List(ids) => ids.len(),
+        }
+    }
+
+    /// Returns `true` when there is nothing to score.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The candidates in consecutive blocks of at most `size`, for
+    /// callers that keep one block of scores at a time.
+    pub fn chunks(&self, size: usize) -> impl Iterator<Item = Candidates<'a>> + '_ {
+        (0..self.len()).step_by(size).map(move |at| {
+            let end = self.len().min(at + size);
+            match self {
+                Self::Range(range) => Self::Range(range.start + at..range.start + end),
+                Self::List(ids) => Self::List(&ids[at..end]),
+            }
+        })
+    }
+}
+
+/// Lane count of the stack block [`partner_scores`] gathers a latency
+/// column into, and the block size its callers scan by when they keep
+/// the scores on the stack too.
+pub const SCORE_BLOCK: usize = 256;
+
+/// Batch form of [`partner_score`]: `out[k]` receives the bits of
+/// `partner_score(instance, loads, i, j_k)` for the `k`-th candidate
+/// `j_k` (so `0.0` where `j_k == i`). Allocates nothing.
+///
+/// Of the reference's ten divisions per pair, `l_i/s_i` and `1/2s_i`
+/// are hoisted out of the loop and `l_j/s_j`, `1/2s_j` are shared by
+/// the two directions, which leaves four; the `!c.is_finite()` and
+/// `Δ <= 0` early returns are selects. See [`partner_score`] for which
+/// groupings are load-bearing.
+///
+/// # Panics
+/// Panics when `out.len() != candidates.len()` or an id is out of range.
+pub fn partner_scores(
+    instance: &Instance,
+    loads: &[f64],
+    i: usize,
+    candidates: Candidates<'_>,
+    out: &mut [f64],
+) {
+    assert_eq!(out.len(), candidates.len(), "one score slot per candidate");
+    let speeds = instance.speeds();
+    let latency = instance.latency();
+    let (si, li) = (speeds[i], loads[i]);
+    // The representation is resolved here, once: row `c_i·` of a dense
+    // table, or (`None`) the compact storage's constant.
+    let row = latency.row(i);
+    let uniform = || latency.homogeneous_value().expect("no row: homogeneous");
+    match candidates {
+        Candidates::Range(range) => {
+            // `[..n]`: the lanes are visibly as long as `out`, so the
+            // loop carries no bounds check and vectorises.
+            let n = out.len();
+            let (sj, lj) = (&speeds[range.clone()][..n], &loads[range.clone()][..n]);
+            if let Some(row) = row {
+                // `c_ji` is column `i` of a row-major table — a strided
+                // read per pair however it is written — so it is
+                // gathered into a lane block ahead of the arithmetic.
+                let mut cji = [0.0; SCORE_BLOCK];
+                let cij = &row[range.clone()][..n];
+                for (block, out) in out.chunks_mut(SCORE_BLOCK).enumerate() {
+                    let first = block * SCORE_BLOCK;
+                    for (k, c) in cji[..out.len()].iter_mut().enumerate() {
+                        *c = latency.get(range.start + first + k, i);
+                    }
+                    let lane = |k: usize| (sj[first + k], lj[first + k], cij[first + k], cji[k]);
+                    score_lanes(si, li, lane, out);
+                }
+            } else {
+                let c = uniform();
+                score_lanes(si, li, |k| (sj[k], lj[k], c, c), out);
+            }
+            if range.contains(&i) {
+                out[i - range.start] = 0.0; // the reference's `i == j` case
+            }
+        }
+        Candidates::List(ids) => {
+            if let Some(row) = row {
+                let lane = |k: usize| {
+                    let j = ids[k] as usize;
+                    (speeds[j], loads[j], row[j], latency.get(j, i))
+                };
+                score_lanes(si, li, lane, out);
+            } else {
+                let c = uniform();
+                let lane = |k: usize| (speeds[ids[k] as usize], loads[ids[k] as usize], c, c);
+                score_lanes(si, li, lane, out);
+            }
+            for (score, _) in out.iter_mut().zip(ids).filter(|(_, &j)| j as usize == i) {
+                *score = 0.0; // the reference's `i == j` case
+            }
+        }
+    }
+}
+
+/// The arithmetic loop of [`partner_scores`]: `lane(k)` is candidate
+/// `k`'s `(s_j, l_j, c_ij, c_ji)`. Inlined into each caller, so a lane
+/// is slice reads and constants inside a loop body with no
+/// data-dependent branch.
+#[inline(always)]
+fn score_lanes(si: f64, li: f64, lane: impl Fn(usize) -> (f64, f64, f64, f64), out: &mut [f64]) {
+    let li_per_si = li / si;
+    let half_inv_si = 1.0 / (2.0 * si);
+    for (k, score) in out.iter_mut().enumerate() {
+        let (sj, lj, cij, cji) = lane(k);
+        let lj_per_sj = lj / sj;
+        let inv = half_inv_si + 1.0 / (2.0 * sj);
+        let (sum, product) = (si + sj, si * sj);
+        // One direction of the reference's `gain`: `lf` the sender's
+        // load, `surplus` = s_t l_f − s_f l_t, `slope` = l_f/s_f − l_t/s_t.
+        let gain = |lf: f64, c: f64, surplus: f64, slope: f64| -> f64 {
+            let delta = (surplus - product * c) / sum;
+            let moved = delta.min(lf);
+            let gain = moved * (slope - c) - moved * moved * inv;
+            if !c.is_finite() | (delta <= 0.0) {
+                0.0
+            } else {
+                gain
+            }
+        };
+        let (push, pull) = (sj * li, si * lj);
+        let i_to_j = gain(li, cij, push - pull, li_per_si - lj_per_sj);
+        let j_to_i = gain(lj, cji, pull - push, lj_per_sj - li_per_si);
+        *score = i_to_j.max(j_to_i);
+    }
+}
+
 /// Partner-selection policy for the MinE step.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PartnerSelection {
@@ -89,14 +269,15 @@ pub enum PartnerSelection {
 
 /// Reusable per-caller buffers for [`choose_partner_scratch_g`].
 ///
-/// One MinE step allocates a candidate list, a score table, and an
-/// improvement table; at Figure-2 scale the engine runs millions of
-/// steps, so the engine (and each propose-phase worker thread) keeps
-/// one `PartnerScratch` alive and reuses the buffers instead of
-/// allocating three fresh `Vec`s per server per iteration.
+/// One MinE step allocates a candidate list, a score lane, a ranking
+/// table, and an improvement table; at Figure-2 scale the engine runs
+/// millions of steps, so the engine (and each propose-phase worker
+/// thread) keeps one `PartnerScratch` alive and reuses the buffers
+/// instead of allocating four fresh `Vec`s per server per iteration.
 #[derive(Debug, Clone, Default)]
 pub struct PartnerScratch {
     candidates: Vec<usize>,
+    scores: Vec<f64>,
     scored: Vec<(usize, f64)>,
     improvements: Vec<f64>,
 }
@@ -254,6 +435,7 @@ pub fn choose_partner_outcome_scratch_g(
     let parallel = parallel && !dlb_par::in_parallel_region();
     let PartnerScratch {
         candidates,
+        scores,
         scored,
         improvements,
     } = scratch;
@@ -265,39 +447,48 @@ pub fn choose_partner_outcome_scratch_g(
             // Pre-scoring is the hot loop of the pruned large-network
             // mode: every server scores all m−1 partners, so one engine
             // iteration at Figure 2's m = 5000 performs ~25M closed-form
-            // evaluations. Fan it out over the index range; the map
-            // preserves index order (and degrades to the very same
-            // sequential loop under `DLB_THREADS=1`, below the small-n
-            // cutoff, or nested inside the batched round's outer
-            // fan-out), so the ranking — and therefore the fixpoint —
-            // is identical however many workers run.
+            // evaluations — through the batch kernel, unreachable ids
+            // included (a pure function; they are dropped below). The
+            // fan-out is over `SCORE_BLOCK`-sized spans in index order,
+            // and each lane's score does not depend on its block, so
+            // the ranking — and therefore the fixpoint — is identical
+            // however many workers run.
             let loads = score_loads.unwrap_or_else(|| a.loads());
-            let score = |j: usize| {
-                if reachable(j) {
-                    partner_score(instance, loads, id, j)
-                } else {
-                    f64::NEG_INFINITY
-                }
-            };
-            scored.clear();
             if parallel {
-                scored.extend(
-                    dlb_par::par_map_indexed(m, score)
-                        .into_iter()
-                        .enumerate()
-                        .filter(|&(j, _)| reachable(j)),
-                );
+                let block = |b: usize| {
+                    let span = b * SCORE_BLOCK..m.min((b + 1) * SCORE_BLOCK);
+                    let mut lanes = [0.0; SCORE_BLOCK];
+                    let out = &mut lanes[..span.len()];
+                    partner_scores(instance, loads, id, Candidates::Range(span), out);
+                    lanes
+                };
+                let blocks = dlb_par::par_map_indexed(m.div_ceil(SCORE_BLOCK), block);
+                scores.clear();
+                scores.extend(blocks.iter().flatten().take(m));
             } else {
-                scored.extend((0..m).filter(|&j| reachable(j)).map(|j| (j, score(j))));
+                scores.resize(m, 0.0); // every slot is overwritten
+                partner_scores(instance, loads, id, Candidates::Range(0..m), scores);
             }
-            // Stable descending sort: ties keep index order, matching
-            // the sequential pass bit for bit. `total_cmp` orders every
+            scored.clear();
+            scored.extend((0..m).filter(|&j| reachable(j)).map(|j| (j, scores[j])));
+            // Keep the `top_k` best under the total order (score
+            // descending, then id ascending) — exactly the order a
+            // stable descending sort of the id-ordered list gives, so
+            // ties keep index order and the ranking matches the
+            // sequential pass bit for bit — by an O(m) selection plus a
+            // sort of the kept prefix only. `total_cmp` orders every
             // float, so a pathological NaN score can never panic the
             // run the way `partial_cmp(..).expect(..)` did — a positive
             // NaN merely wastes one top-k slot and is then rejected by
             // the exact improvement pass below.
-            scored.sort_by(|x, y| y.1.total_cmp(&x.1));
-            candidates.extend(scored.iter().take(top_k.max(1)).map(|&(j, _)| j));
+            let rank = |x: &(usize, f64), y: &(usize, f64)| y.1.total_cmp(&x.1).then(x.0.cmp(&y.0));
+            let keep = top_k.max(1);
+            if keep < scored.len() {
+                scored.select_nth_unstable_by(keep, rank);
+                scored.truncate(keep);
+            }
+            scored.sort_unstable_by(rank);
+            candidates.extend(scored.iter().map(|&(j, _)| j));
         }
     }
     if candidates.is_empty() {
@@ -469,6 +660,181 @@ mod tests {
             (0..m).map(|_| rng.gen_range(0.0..50.0)).collect(),
             lat,
         )
+    }
+
+    /// Which latency representation a kernel case runs on.
+    #[derive(Debug, Clone, Copy)]
+    enum Net {
+        Homogeneous,
+        Dense,
+        /// Dense with a fifth of the entries `INFINITY` (§II's
+        /// "may not relay" pairs), asymmetrically.
+        DenseWithHoles,
+    }
+
+    /// A kernel test case: non-uniform speeds, loads that are `0.0`
+    /// or `-0.0` (what an empty ledger's `sum()` reports) a third of
+    /// the time, asymmetric latencies.
+    fn kernel_case(m: usize, net: Net, seed: u64) -> (Instance, Vec<f64>) {
+        let mut rng = rng_for(seed, 29);
+        let latency = match net {
+            Net::Homogeneous => LatencyMatrix::homogeneous(m, rng.gen_range(0.0..30.0)),
+            Net::Dense | Net::DenseWithHoles => {
+                let mut data = vec![0.0; m * m];
+                for i in 0..m {
+                    for j in (0..m).filter(|&j| j != i) {
+                        data[i * m + j] = match net {
+                            Net::DenseWithHoles if rng.gen_range(0..5) == 0 => f64::INFINITY,
+                            _ => rng.gen_range(0.0..40.0),
+                        };
+                    }
+                }
+                LatencyMatrix::from_rows(m, data)
+            }
+        };
+        let speeds = (0..m).map(|_| rng.gen_range(0.2..6.0)).collect();
+        let loads = (0..m)
+            .map(|_| match rng.gen_range(0..6) {
+                0 => 0.0,
+                1 => -0.0,
+                _ => rng.gen_range(0.0..400.0),
+            })
+            .collect();
+        (Instance::new(speeds, vec![0.0; m], latency), loads)
+    }
+
+    /// Asserts the batch kernel returns the reference's bits for every
+    /// listed candidate (`i` itself included: both say `0.0`).
+    fn assert_kernel_matches(instance: &Instance, loads: &[f64], i: usize, c: Candidates<'_>) {
+        let ids: Vec<usize> = match &c {
+            Candidates::Range(range) => range.clone().collect(),
+            Candidates::List(ids) => ids.iter().map(|&j| j as usize).collect(),
+        };
+        let mut out = vec![f64::NAN; ids.len()];
+        partner_scores(instance, loads, i, c.clone(), &mut out);
+        for (j, got) in ids.into_iter().zip(out) {
+            let want = partner_score(instance, loads, i, j);
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "i={i} j={j} {c:?}: kernel {got:e} vs reference {want:e}"
+            );
+        }
+    }
+
+    /// Contiguous spans and gathered lists, with `i` inside and
+    /// outside them, for one `(instance, loads)`.
+    fn assert_kernel_matches_everywhere(instance: &Instance, loads: &[f64], seed: u64) {
+        let m = instance.len();
+        let mut rng = rng_for(seed, 31);
+        for i in [0, m / 2, m - 1] {
+            assert_kernel_matches(instance, loads, i, Candidates::Range(0..m));
+            let (a, b) = (rng.gen_range(0..=m), rng.gen_range(0..=m));
+            assert_kernel_matches(instance, loads, i, Candidates::Range(a.min(b)..a.max(b)));
+            assert_kernel_matches(instance, loads, i, Candidates::Range(i + 1..m));
+            let all: Vec<u32> = (0..m as u32).rev().collect();
+            assert_kernel_matches(instance, loads, i, Candidates::List(&all));
+            let some: Vec<u32> = (0..m as u32).filter(|_| rng.gen_range(0..3) == 0).collect();
+            assert_kernel_matches(instance, loads, i, Candidates::List(&some));
+            let others: Vec<u32> = (0..m as u32).filter(|&j| j as usize != i).collect();
+            assert_kernel_matches(instance, loads, i, Candidates::List(&others));
+        }
+    }
+
+    #[test]
+    fn batch_kernel_is_bit_identical_to_the_scalar_reference() {
+        // Sizes on both sides of the lane-block boundary, so every
+        // chunked path sees a full block, a ragged tail and a lone lane.
+        let sizes = [
+            1,
+            2,
+            7,
+            SCORE_BLOCK - 1,
+            SCORE_BLOCK + 1,
+            2 * SCORE_BLOCK + 37,
+        ];
+        for (case, &m) in sizes.iter().enumerate() {
+            for net in [Net::Homogeneous, Net::Dense, Net::DenseWithHoles] {
+                let (instance, loads) = kernel_case(m, net, case as u64);
+                assert_kernel_matches_everywhere(&instance, &loads, case as u64);
+            }
+        }
+    }
+
+    #[test]
+    fn batch_kernel_matches_on_degenerate_inputs() {
+        // Every early return of the reference at once: an infinite
+        // homogeneous latency, all-zero loads, equal loads.
+        let blocked = Instance::homogeneous(5, 2.0, f64::INFINITY, 0.0);
+        assert_kernel_matches_everywhere(&blocked, &[9.0, 0.0, 3.0, 0.0, 50.0], 0);
+        let idle = Instance::homogeneous(5, 2.0, 1.0, 0.0);
+        assert_kernel_matches_everywhere(&idle, &[0.0, -0.0, 0.0, 0.0, -0.0], 1);
+        assert_kernel_matches_everywhere(&idle, &[7.0; 5], 2);
+        // s·l overflows, so Δ is NaN: it must pass the `<= 0` test and
+        // be capped to the sender's load exactly like the reference's.
+        assert_kernel_matches_everywhere(&idle, &[1e308, 3.0, 1e308, 0.0, 9e307], 3);
+        let mut out = [];
+        partner_scores(&idle, &[7.0; 5], 3, Candidates::Range(2..2), &mut out);
+        partner_scores(&idle, &[7.0; 5], 3, Candidates::List(&[]), &mut out);
+    }
+
+    #[test]
+    #[should_panic(expected = "one score slot per candidate")]
+    fn batch_kernel_refuses_a_short_output() {
+        let instance = Instance::homogeneous(4, 1.0, 1.0, 0.0);
+        partner_scores(
+            &instance,
+            &[1.0; 4],
+            0,
+            Candidates::Range(0..4),
+            &mut [0.0; 3],
+        );
+    }
+
+    #[test]
+    fn pruned_selection_keeps_the_stable_sorts_candidates() {
+        // The top-k selection must keep exactly what a stable
+        // descending sort of the id-ordered score list kept, ties
+        // (equal loads ⇒ equal scores) and the reachability mask
+        // included: with `min_improvement = −∞` every surviving
+        // candidate is evaluated, so the choice is the best of
+        // precisely that prefix.
+        for seed in 0..6u64 {
+            let m = 40;
+            let mut instance = random_instance(m, seed);
+            let mut rng = rng_for(seed, 37);
+            let tiers = [0.0, 10.0, 10.0, 80.0, 300.0];
+            instance.set_own_loads((0..m).map(|_| tiers[rng.gen_range(0..5usize)]).collect());
+            let a = Assignment::local(&instance);
+            let active: Vec<bool> = (0..m).map(|j| j % 7 != 3).collect();
+            for id in [0, 5, 39] {
+                for top_k in [1, 3, 8, 38, 39, 100] {
+                    let mut ranked: Vec<(usize, f64)> = (0..m)
+                        .filter(|&j| j != id && active[j])
+                        .map(|j| (j, partner_score(&instance, a.loads(), id, j)))
+                        .collect();
+                    ranked.sort_by(|x, y| y.1.total_cmp(&x.1));
+                    let want = ranked
+                        .iter()
+                        .take(top_k)
+                        .map(|&(j, _)| (j, improvement(&instance, &a, id, j)))
+                        .fold(None, |best: Option<(usize, f64)>, (j, v)| match best {
+                            Some((_, b)) if v <= b => best,
+                            _ => Some((j, v)),
+                        });
+                    let got = choose_partner(
+                        &instance,
+                        &a,
+                        id,
+                        PartnerSelection::Pruned { top_k },
+                        f64::NEG_INFINITY,
+                        false,
+                        Some(&active),
+                    );
+                    assert_eq!(got, want, "seed {seed} id {id} top_k {top_k}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -692,5 +1058,30 @@ mod tests {
             (partner_score(&instance, &loads, 0, 1) - partner_score(&instance, &loads, 1, 0)).abs()
                 < 1e-12
         );
+    }
+
+    /// The bit-equality property over random shapes. Behind the
+    /// `proptests` feature like the other crates' property suites; the
+    /// fixed grid above always runs.
+    #[cfg(feature = "proptests")]
+    mod kernel_proptests {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #[test]
+            fn prop_batch_kernel_is_bit_identical(
+                m in 1usize..200,
+                net in prop_oneof![
+                    Just(Net::Homogeneous),
+                    Just(Net::Dense),
+                    Just(Net::DenseWithHoles)
+                ],
+                seed in any::<u64>(),
+            ) {
+                let (instance, loads) = kernel_case(m, net, seed);
+                assert_kernel_matches_everywhere(&instance, &loads, seed);
+            }
+        }
     }
 }

@@ -10,8 +10,9 @@
 
 use dlb_core::rngutil::rng_for;
 use dlb_core::workload::{LoadDistribution, SpeedDistribution, WorkloadSpec};
+use dlb_core::Assignment;
 use dlb_core::{Instance, LatencyMatrix};
-use dlb_distributed::mine::PartnerSelection;
+use dlb_distributed::mine::{choose_partner, PartnerSelection, SCORE_BLOCK};
 use dlb_distributed::{Engine, EngineOptions, RoundMode};
 use rand::Rng;
 use std::sync::Mutex;
@@ -139,4 +140,32 @@ fn batched_round_fixpoint_is_thread_count_invariant() {
             "batched {selection:?}: parallel path diverged from sequential reference"
         );
     }
+}
+
+#[test]
+fn pruned_prescoring_block_fanout_matches_the_sequential_scan() {
+    // The pruned pre-ranking fans out over `SCORE_BLOCK`-sized spans of
+    // the batch kernel, so it clears `dlb-par`'s sequential cutoff only
+    // from 32 blocks up — far above the 96 servers of the fixpoint
+    // tests. This is the one case that really scores on worker
+    // threads: 33 blocks, the last of them ragged.
+    let _env = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let m = 32 * SCORE_BLOCK + 100;
+    let mut rng = rng_for(2025, 0xB10C);
+    let instance = WorkloadSpec {
+        loads: LoadDistribution::Exponential,
+        avg_load: 70.0,
+        speeds: SpeedDistribution::paper_uniform(),
+    }
+    .sample(LatencyMatrix::homogeneous(m, 20.0), &mut rng);
+    let a = Assignment::local(&instance);
+    let selection = PartnerSelection::Pruned { top_k: 8 };
+    std::env::set_var("DLB_THREADS", "3");
+    for id in [0, SCORE_BLOCK, m / 2, m - 1] {
+        let sequential = choose_partner(&instance, &a, id, selection, 1e-9, false, None);
+        let fanned_out = choose_partner(&instance, &a, id, selection, 1e-9, true, None);
+        assert!(sequential.is_some(), "server {id} has an improving partner");
+        assert_eq!(fanned_out, sequential, "server {id}");
+    }
+    std::env::remove_var("DLB_THREADS");
 }

@@ -21,7 +21,9 @@
 //! * **initiator** — ranks partners by the closed-form score of
 //!   [`dlb_distributed::mine::partner_score`] (computable from purely
 //!   local knowledge: the gossiped load vector and the node's own
-//!   latency column, the paper's §IV input model), proposes to the
+//!   latency column, the paper's §IV input model), evaluated a block
+//!   of peers at a time by its bit-identical batch form
+//!   [`dlb_distributed::mine::partner_scores`]; proposes to the
 //!   best-scoring candidate and, on acceptance, runs Algorithm 1 on
 //!   the two real ledgers;
 //! * **acceptor** — answers a proposal with its serialized ledger when
@@ -66,7 +68,7 @@
 
 use dlb_core::cost::total_cost;
 use dlb_core::{Assignment, Instance, SparseVec};
-use dlb_distributed::mine::partner_score;
+use dlb_distributed::mine::{partner_scores, Candidates, SCORE_BLOCK};
 use dlb_distributed::transfer::calc_best_transfer;
 use dlb_topology::k_nearest_row;
 use std::collections::VecDeque;
@@ -205,43 +207,81 @@ const SCORE_FLOOR: f64 = 1e-9;
 fn local_cost(id: u32, instance: &Instance, ledger: &SparseVec) -> f64 {
     let load = ledger.sum();
     let congestion_per_request = load / (2.0 * instance.speed(id as usize));
-    ledger
-        .iter()
-        .map(|(k, r)| r * (congestion_per_request + instance.c(k as usize, id as usize)))
-        .sum()
+    // Folded from `0.0`: `Iterator::sum` starts at `-0.0`, which an
+    // empty ledger would return as is and records would print as `-0`.
+    ledger.iter().fold(0.0, |cost, (k, r)| {
+        cost + r * (congestion_per_request + instance.c(k as usize, id as usize))
+    })
 }
 
-/// Scores `candidates` (which must come in ascending id order so the
-/// keep-first tie-break matches the exact scan) and returns the best
-/// peer above the floor. `excluded` must be sorted ascending.
+/// Keep-first arg-max of one round-start scan over the peers that are
+/// neither `id` nor in `excluded`. Peers must be offered in ascending
+/// id order — that is what makes keep-first the lowest-id tie-break of
+/// the exact scan, and what lets the sorted `excluded` list be skipped
+/// by a merge walk (one cursor for the whole scan) instead of a binary
+/// search per peer.
+struct BestPeer<'a> {
+    id: u32,
+    excluded: &'a [u32],
+    best: Option<(u32, f64)>,
+}
+
+impl BestPeer<'_> {
+    /// Folds in one scored block. Generic over the id iterator so a
+    /// contiguous block and an id list each get their own tight loop.
+    fn offer(&mut self, peers: impl Iterator<Item = u32>, scores: &[f64]) {
+        for (j, &score) in peers.zip(scores) {
+            while self.excluded.first().is_some_and(|&e| e < j) {
+                self.excluded = &self.excluded[1..];
+            }
+            if j == self.id || self.excluded.first() == Some(&j) {
+                continue;
+            }
+            match self.best {
+                Some((_, b)) if score <= b => {}
+                _ => self.best = Some((j, score)),
+            }
+        }
+    }
+}
+
+/// Scores `candidates` (ascending, `excluded` sorted ascending: see
+/// [`BestPeer`]) through the batch kernel, one stack block of
+/// [`SCORE_BLOCK`] scores at a time — no allocation, nothing kept
+/// between calls — and returns the best peer above the floor.
 fn score_best(
     id: u32,
     instance: &Instance,
     loads: &[f64],
     excluded: &[u32],
-    candidates: impl Iterator<Item = u32>,
+    candidates: Candidates<'_>,
 ) -> Option<u32> {
     debug_assert!(excluded.windows(2).all(|w| w[0] < w[1]), "excluded sorted");
-    let mut best: Option<(u32, f64)> = None;
-    for j in candidates {
-        if j == id || excluded.binary_search(&j).is_ok() {
-            continue;
-        }
-        let score = partner_score(instance, loads, id as usize, j as usize);
-        match best {
-            Some((_, b)) if score <= b => {}
-            _ => best = Some((j, score)),
+    let mut scores = [0.0; SCORE_BLOCK];
+    let mut scan = BestPeer {
+        id,
+        excluded,
+        best: None,
+    };
+    for block in candidates.chunks(SCORE_BLOCK) {
+        let scores = &mut scores[..block.len()];
+        partner_scores(instance, loads, id as usize, block.clone(), scores);
+        match block {
+            Candidates::Range(range) => scan.offer(range.start as u32..range.end as u32, scores),
+            Candidates::List(ids) => scan.offer(ids.iter().copied(), scores),
         }
     }
-    best.filter(|&(_, s)| s > SCORE_FLOOR).map(|(j, _)| j)
+    scan.best.filter(|&(_, s)| s > SCORE_FLOOR).map(|(j, _)| j)
 }
 
-/// Picks the proposal target by the exact scan: the peer with the best
-/// closed-form pairwise score computed from the gossiped loads —
-/// everything a real organization knows locally. Returns `None` when no
-/// peer clears the floor.
+/// Picks the proposal target by the exact scan — the O(m) inner loop of
+/// the O(m²) `select=exact` round: the peer with the best closed-form
+/// pairwise score computed from the gossiped loads — everything a real
+/// organization knows locally. Returns `None` when no peer clears the
+/// floor.
 fn choose_target(id: u32, instance: &Instance, loads: &[f64], excluded: &[u32]) -> Option<u32> {
-    score_best(id, instance, loads, excluded, 0..instance.len() as u32)
+    let everyone = Candidates::Range(0..instance.len());
+    score_best(id, instance, loads, excluded, everyone)
 }
 
 /// Deterministic audit rotation: visits every live peer once per
@@ -611,13 +651,8 @@ impl NodeMachine {
                 SelectPolicy::Exact => choose_target(self.id, &self.instance, loads, excluded),
                 SelectPolicy::TopK(k) => {
                     self.index.refresh(self.id, &self.instance, k, epoch, hot);
-                    score_best(
-                        self.id,
-                        &self.instance,
-                        loads,
-                        excluded,
-                        self.index.merged.iter().copied(),
-                    )
+                    let index = Candidates::List(&self.index.merged);
+                    score_best(self.id, &self.instance, loads, excluded, index)
                 }
             };
             let target = scored.or_else(|| {
@@ -1581,6 +1616,10 @@ impl CoordinatorMachine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dlb_core::rngutil::rng_for;
+    use dlb_core::LatencyMatrix;
+    use dlb_distributed::mine::partner_score;
+    use rand::Rng;
 
     #[test]
     fn choose_target_prefers_imbalanced_peer() {
@@ -1669,6 +1708,20 @@ mod tests {
         assert_eq!(idx.merged, vec![1, 4, 5, 6, 7]);
     }
 
+    /// The scan as it was before the batch kernel: one scalar
+    /// `partner_score` per peer, exclusions by lookup.
+    fn scalar_scan(id: u32, instance: &Instance, loads: &[f64], excluded: &[u32]) -> Option<u32> {
+        let mut best: Option<(u32, f64)> = None;
+        for j in (0..instance.len() as u32).filter(|j| *j != id && !excluded.contains(j)) {
+            let score = partner_score(instance, loads, id as usize, j as usize);
+            match best {
+                Some((_, b)) if score <= b => {}
+                _ => best = Some((j, score)),
+            }
+        }
+        best.filter(|&(_, s)| s > SCORE_FLOOR).map(|(j, _)| j)
+    }
+
     #[test]
     fn topk_with_saturating_k_matches_exact_scan() {
         let instance = Instance::homogeneous(6, 1.0, 1.0, 0.0);
@@ -1680,13 +1733,91 @@ mod tests {
             vec![9.0, 0.0, 0.0, 0.0, 0.0, 900.0],
         ] {
             for excluded in [vec![], vec![1], vec![1, 5]] {
+                let want = scalar_scan(0, &instance, &loads, &excluded);
                 assert_eq!(
-                    score_best(0, &instance, &loads, &excluded, idx.merged.iter().copied()),
-                    choose_target(0, &instance, &loads, &excluded),
+                    score_best(
+                        0,
+                        &instance,
+                        &loads,
+                        &excluded,
+                        Candidates::List(&idx.merged)
+                    ),
+                    want,
                     "loads={loads:?} excluded={excluded:?}"
                 );
+                assert_eq!(choose_target(0, &instance, &loads, &excluded), want);
             }
         }
+    }
+
+    #[test]
+    fn blocked_scans_match_the_scalar_scan_across_block_boundaries() {
+        // Dense asymmetric latency, non-uniform speeds, three score
+        // blocks with a ragged tail. The peers on the block boundaries
+        // are by far the most attractive, so every exclusion list
+        // below moves the winner across a boundary.
+        const B: u32 = SCORE_BLOCK as u32;
+        let m = 2 * SCORE_BLOCK + 5;
+        let last = m as u32 - 1;
+        let mut rng = rng_for(7, 3);
+        let mut data: Vec<f64> = (0..m * m).map(|_| rng.gen_range(0.5..30.0)).collect();
+        for i in 0..m {
+            data[i * m + i] = 0.0;
+        }
+        let instance = Instance::new(
+            (0..m).map(|_| rng.gen_range(0.5..4.0)).collect(),
+            vec![0.0; m],
+            LatencyMatrix::from_rows(m, data),
+        );
+        let mut loads: Vec<f64> = (0..m).map(|_| rng.gen_range(0.0..40.0)).collect();
+        for (rank, &j) in [0, B - 1, B, last].iter().enumerate() {
+            loads[j as usize] = 5000.0 + 500.0 * rank as f64;
+        }
+        let mut winners = std::collections::BTreeSet::new();
+        for id in [0, 1, B - 1, B, B + 1, last] {
+            let mut idx = CandidateIndex::default();
+            idx.refresh(id, &instance, last, 1, &[]);
+            assert_eq!(idx.merged.len(), m - 1, "saturating k: every peer");
+            for excluded in [
+                vec![],
+                vec![0],
+                vec![last],
+                vec![B - 1, B],
+                vec![0, B - 1, B, last],
+                vec![0, 1, B - 2, B - 1, B, B + 1, last - 1, last],
+                (0..last).collect(),
+            ] {
+                for with_self in [false, true] {
+                    let mut excluded = excluded.clone();
+                    if with_self && !excluded.contains(&id) {
+                        excluded.push(id);
+                        excluded.sort_unstable();
+                    }
+                    let want = scalar_scan(id, &instance, &loads, &excluded);
+                    winners.extend(want);
+                    assert_eq!(
+                        choose_target(id, &instance, &loads, &excluded),
+                        want,
+                        "exact id={id} excluded={excluded:?}"
+                    );
+                    assert_eq!(
+                        score_best(
+                            id,
+                            &instance,
+                            &loads,
+                            &excluded,
+                            Candidates::List(&idx.merged)
+                        ),
+                        want,
+                        "topk id={id} excluded={excluded:?}"
+                    );
+                }
+            }
+        }
+        assert!(
+            winners.len() >= 5,
+            "exclusions moved the winner: {winners:?}"
+        );
     }
 
     #[test]
@@ -1699,6 +1830,10 @@ mod tests {
                             // cost = 6·2.5 + 4·(2.5 + 5) = 15 + 30 = 45
         let c = local_cost(0, &instance, &ledger);
         assert!((c - 45.0).abs() < 1e-12, "got {c}");
+        // An empty ledger costs plain zero, not the `-0.0` an empty
+        // `Iterator::sum` yields (it would print as `-0` in records).
+        let idle = local_cost(0, &instance, &SparseVec::new());
+        assert_eq!(idle.to_bits(), 0.0f64.to_bits(), "got {idle:?}");
     }
 
     fn drive(machine: &mut NodeMachine, frame: Frame) -> Vec<Outbound> {
