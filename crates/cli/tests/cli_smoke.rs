@@ -18,6 +18,13 @@ fn dlb() -> Command {
     Command::new(env!("CARGO_BIN_EXE_dlb"))
 }
 
+/// The summary line of a `dlb run`'s standard output.
+fn converged_line(stdout: &[u8]) -> String {
+    let text = String::from_utf8_lossy(stdout);
+    let line = text.lines().find(|l| l.starts_with("converged:"));
+    line.expect("a 'converged:' summary line").to_string()
+}
+
 fn field<'a>(row: &'a [(String, Value)], key: &str) -> &'a Value {
     &row.iter()
         .find(|(k, _)| k == key)
@@ -48,6 +55,10 @@ fn run_reproduces_engine_costs_exactly() {
             "stderr: {}",
             String::from_utf8_lossy(&output.stderr)
         );
+
+        // Engine runs time themselves: their seconds are real.
+        let summary = converged_line(&output.stdout);
+        assert!(summary.ends_with(" s wall)"), "{summary}");
 
         // The record the CLI emitted through the shared sink...
         let rows = parse_jsonl(&std::fs::read_to_string(&out_path).unwrap()).unwrap();
@@ -108,6 +119,13 @@ fn event_protocol_runs_emit_reproducible_records() {
             output.status.success(),
             "stderr: {}",
             String::from_utf8_lossy(&output.stderr)
+        );
+        // Protocol seconds are simulated; the host's are printed
+        // beside them (stdout only, never in the record).
+        let summary = converged_line(&output.stdout);
+        assert!(
+            summary.contains(" s simulated, ") && summary.ends_with(" s host)"),
+            "{summary}"
         );
         records.push(std::fs::read_to_string(&out_path).unwrap());
         let _ = std::fs::remove_file(&out_path);

@@ -7,6 +7,16 @@
 //! for the regular, CPU-bound workloads here (candidate-partner scoring,
 //! per-instance experiment replication).
 //!
+//! The event executor in `dlb-runtime` needs a third shape:
+//! [`par_map_shards`] runs a closure over *caller-cut* shards — disjoint
+//! `&mut` id ranges of several parallel tables at once — so a broadcast
+//! batch borrows the machine table in place instead of moving machines
+//! through a pool. It replaced the executor's use of the persistent
+//! [`with_pool`] / [`WorkerPool`], which now have **no caller in the
+//! workspace**; they stay only because the perf ledger's `layers`
+//! binary still times them (`par.map_mut_dispatch_us`), and go when it
+//! does (ROADMAP item 5).
+//!
 //! All functions degrade gracefully to sequential execution for small
 //! inputs or single-core machines, so results are deterministic for
 //! order-independent combiners.
@@ -117,9 +127,7 @@ where
 /// Parallel map over a mutable slice: applies `f` to every element in
 /// place and collects the results in index order. Each element is
 /// visited by exactly one worker, so `f` gets exclusive `&mut` access
-/// without locks — the primitive behind the event executor's sharded
-/// run queues, where every shard owns a disjoint set of node state
-/// machines for the duration of a delivery batch.
+/// without locks.
 pub fn par_map_mut<I, T, F>(items: &mut [I], f: F) -> Vec<T>
 where
     I: Send,
@@ -164,17 +172,67 @@ where
         .collect()
 }
 
+/// Runs `f` over caller-made shards, one scoped thread per shard, and
+/// returns the results in shard order. `f` gets the shard's index and
+/// the shard by value — typically a tuple of disjoint `&mut` sub-slices
+/// cut with `chunks_mut`, which is how the event executor lends each
+/// worker a contiguous id range of its machine table and run queues for
+/// one broadcast batch, without moving a machine.
+///
+/// Unlike the maps above there is no item-count cutoff: the caller
+/// decided the batch is worth a spawn when it cut more than one shard
+/// (cut [`num_threads`] of them). A single shard, one available thread,
+/// or a call from inside another fan-out runs every shard inline on the
+/// calling thread, in order. Each shard is handled exactly once and the
+/// output order is the input order, so what a caller assembles from the
+/// results cannot depend on where they were computed.
+pub fn par_map_shards<S, T, F>(shards: Vec<S>, f: F) -> Vec<T>
+where
+    S: Send,
+    T: Send,
+    F: Fn(usize, S) -> T + Sync,
+{
+    if shards.len() <= 1 || num_threads() <= 1 || in_parallel_region() {
+        return shards
+            .into_iter()
+            .enumerate()
+            .map(|(w, shard)| f(w, shard))
+            .collect();
+    }
+    crossbeam::scope(|scope| {
+        let handles: Vec<_> = shards
+            .into_iter()
+            .enumerate()
+            .map(|(w, shard)| {
+                let f = &f;
+                scope.spawn(move |_| {
+                    mark_worker();
+                    f(w, shard)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|handle| handle.join().expect("worker thread panicked"))
+            .collect()
+    })
+    .expect("worker thread panicked")
+}
+
 /// A persistent fan-out pool: `num_threads()` workers spawned **once**
 /// and fed owned work batches over channels, instead of a fresh
 /// `crossbeam::scope` (thread spawn + join) per parallel call.
 ///
 /// The per-call maps above pay one spawn/join cycle per invocation,
 /// which is fine for a handful of large calls but dominates when a
-/// driver issues thousands of small batches — the event executor
-/// delivers one batch per virtual instant. [`with_pool`] hoists the
+/// driver issues thousands of small batches. [`with_pool`] hoists the
 /// spawn out of the loop; [`WorkerPool::map_mut`] then costs only a
 /// channel round-trip per batch, and each worker keeps its thread (and
-/// any thread-local scratch) alive across batches.
+/// any thread-local scratch) alive across batches. The price is that
+/// items travel *by value* — into a chunk, over a channel, and back —
+/// which is what made the event executor leave it for
+/// [`par_map_shards`] (see the crate docs; nothing in the workspace
+/// calls the pool any more).
 ///
 /// Ordering is identical to [`par_map_mut`]: items are chunked
 /// statically in submission order, chunks are reassembled by index, so
@@ -405,6 +463,41 @@ mod tests {
         for (i, (&x, &o)) in big.iter().zip(out.iter()).enumerate() {
             assert_eq!(x, i as i64 + 1);
             assert_eq!(o, (i as i64 + 1) * 2);
+        }
+    }
+
+    #[test]
+    fn map_shards_lends_disjoint_ranges_and_keeps_shard_order() {
+        // Two parallel tables cut into the same id ranges, as the
+        // executor cuts machines and run queues.
+        let mut values: Vec<u64> = (0..1000).collect();
+        let mut tags = vec![0usize; 1000];
+        for chunk in [1000usize, 334, 250, 7] {
+            let shards: Vec<_> = values
+                .chunks_mut(chunk)
+                .zip(tags.chunks_mut(chunk))
+                .collect();
+            let sums = par_map_shards(shards, |w, (vs, ts)| {
+                ts.fill(w);
+                vs.iter_mut().for_each(|v| *v += 1);
+                vs.iter().sum::<u64>()
+            });
+            assert_eq!(sums.len(), 1000usize.div_ceil(chunk));
+            assert_eq!(sums.iter().sum::<u64>(), values.iter().sum::<u64>());
+            assert!(tags.iter().enumerate().all(|(i, &w)| w == i / chunk));
+        }
+        assert!(values.iter().enumerate().all(|(i, &v)| v == i as u64 + 4));
+        let none: Vec<u8> = par_map_shards(Vec::<u8>::new(), |_, s| s);
+        assert!(none.is_empty());
+    }
+
+    #[test]
+    fn map_shards_inside_fanout_runs_inline() {
+        let outer = par_map_indexed(2 * SEQUENTIAL_CUTOFF, |i| {
+            par_map_shards(vec![i, i + 1, i + 2], |w, s| w + s)
+        });
+        for (i, v) in outer.iter().enumerate() {
+            assert_eq!(*v, vec![i, i + 2, i + 4]);
         }
     }
 

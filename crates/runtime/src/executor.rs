@@ -6,27 +6,31 @@
 //! simulation in `dlb-gossip`). One iteration of its loop:
 //!
 //! 1. **Pop a delivery batch** — all events due at the earliest
-//!    virtual time. The [`Clock`] decides whether to wait
+//!    virtual time, classified in `(due, seq)` order into
+//!    per-destination run queues. The [`Clock`] decides whether to wait
 //!    ([`WallClock`](crate::clock::WallClock)) or jump
 //!    ([`VirtualClock`]) to that instant; it can never reorder
-//!    deliveries.
-//! 2. **Classify and shard the batch** — events are grouped into
-//!    per-destination run queues, and the destinations are fanned out
-//!    over one *persistent* `dlb-par` worker pool
-//!    ([`dlb_par::with_pool`], spawned once per run; static chunking:
-//!    each worker owns a disjoint shard of node machines for the
-//!    duration of the batch). Machines only touch node-local state, so
-//!    the fan-out is race-free by construction, and the
-//!    order-preserving, slot-reassembled map keeps results
-//!    bit-identical for every `DLB_THREADS` value.
-//! 3. **Schedule the replies** — outbound frames are collected in
-//!    deterministic (destination, emission) order and pushed back into
-//!    the heap with per-link latencies from the caller's delay
-//!    function (`dlb-netsim`'s `LinkDelayModel` in the scenario
-//!    layer), data-plane frames paying the measured one-way delay and
-//!    control-plane frames (coordinator ↔ node) travelling free — the
-//!    coordinator stands in for the converged gossip substrate, which
-//!    has no single physical location.
+//!    deliveries. Per-link jitter keeps almost every batch to a single
+//!    node or the coordinator; only broadcasts are wide.
+//! 2. **Drain the touched machines where they stand** — a batch below
+//!    [`SHARD_THRESHOLD`] nodes *in place* on this thread, node by node
+//!    in first-delivery order through one reusable outbound buffer; a
+//!    wider one by *lending* the table: machines and run queues are cut
+//!    into one contiguous id range per `dlb-par` thread
+//!    ([`dlb_par::par_map_shards`], one scoped spawn per batch) and
+//!    each worker drains its range's share of the batch into one flat
+//!    buffer with a length per node. Machines touch only node-local
+//!    state — nothing of the heap or the fabric — so both forms are
+//!    race-free, and nothing is ever moved out of the table.
+//! 3. **Schedule the replies** — per source in first-delivery order on
+//!    either path (a worker's lengths cut its buffer back into the
+//!    spans the in-place drain would have produced), so sequence
+//!    numbers, fault-script draws and trace order are bit-identical for
+//!    every `DLB_THREADS` value. Data-plane frames pay the caller's
+//!    per-link delay (`dlb-netsim`'s `LinkDelayModel` in the scenario
+//!    layer); control-plane frames (coordinator ↔ node) travel free,
+//!    through the heap's same-instant lane — the coordinator stands in
+//!    for the converged gossip substrate, which has no single location.
 //! 4. **Give the coordinator its turn** — the batch's reports and
 //!    deadlines, then whatever follows a round boundary.
 //!
@@ -40,7 +44,7 @@
 //! time, sequence number)`, both pure functions of the inputs, so the
 //! same instance + options + delay function reproduces the same event
 //! order, final ledgers, and cost history bit for bit — across repeats
-//! *and* across worker-pool sizes. The running
+//! *and* across worker counts. The running
 //! [`ClusterReport::event_hash`] fingerprints the delivered sequence
 //! so tests can assert exactly that. Virtual time doubles as a
 //! measurement: `ClusterReport::virtual_ms` is the simulated span of
@@ -97,7 +101,7 @@ use dlb_core::Instance;
 use dlb_faults::{FaultScript, FaultSummary};
 use dlb_obs::event::{DROP_DEST_DOWN, DROP_SRC_DOWN};
 use dlb_obs::{NullSink, TraceEvent, TraceKind, TraceSink, NODE_COORD, NO_PEER};
-use dlb_par::with_pool;
+use dlb_par::{num_threads, par_map_shards, SEQUENTIAL_CUTOFF};
 use dlb_requestsim::stream::{Arrival, StreamScript};
 
 use crate::clock::{Clock, VirtualClock};
@@ -109,6 +113,10 @@ use crate::message::{ledger_to_wire, Frame};
 /// virtual ms. Zero: the coordinator models the already-converged
 /// gossip layer, not a physical host (see the module docs).
 const CONTROL_DELAY_MS: f64 = 0.0;
+
+/// A batch touching fewer nodes than this is not worth a scoped spawn
+/// and is drained in place; results are identical on either side.
+const SHARD_THRESHOLD: usize = SEQUENTIAL_CUTOFF;
 
 /// Hash and trace tags of the non-frame events, disjoint from the
 /// frame tags of [`frame_identity`].
@@ -295,9 +303,9 @@ impl<D, T: TraceSink> Fabric<'_, D, T> {
 impl<D: Fn(usize, usize) -> f64, T: TraceSink> Fabric<'_, D, T> {
     /// Schedules a machine's emissions. `src` is `None` for the
     /// coordinator.
-    fn schedule(&mut self, src: Option<usize>, out: &mut Vec<Outbound>) {
+    fn schedule(&mut self, src: Option<usize>, out: impl Iterator<Item = Outbound>) {
         let now = self.now;
-        for o in out.drain(..) {
+        for o in out {
             let mut held = 0.0f64;
             let delay = match (src, o.to) {
                 (Some(i), Dest::Node(j)) => {
@@ -339,61 +347,52 @@ impl<D: Fn(usize, usize) -> f64, T: TraceSink> Fabric<'_, D, T> {
             self.heap.push(now + delay, Event::Frame(o.to, o.frame));
         }
     }
-}
 
-/// One unit of pool work: a node checked out of the table together
-/// with the queue it must drain this batch.
-type Work = (u32, NodeMachine, Vec<Inbox>);
-
-/// What the pool's workers run: drain one node's queue through its
-/// machine, collecting emissions. The pool is spawned once for the
-/// whole run (not a thread scope per batch), which keeps the
-/// per-instant dispatch overhead flat at Figure-2 scale.
-fn drain_queue((_, machine, items): &mut Work) -> Vec<Outbound> {
-    let mut local_out = Vec::new();
-    for item in items.drain(..) {
-        match item {
-            Inbox::Frame(frame) => machine.handle(&frame, &mut local_out),
-            Inbox::Rto(round, kind) => machine.on_rto(round, kind, &mut local_out),
+    /// The one tail of both drain paths: what node `src` emitted this
+    /// batch goes on the wire — unless it is down. A crashed node sends
+    /// nothing (it only ever hears the one frame species that still
+    /// reaches it).
+    fn send(&mut self, src: usize, down: bool, out: impl ExactSizeIterator<Item = Outbound>) {
+        if !down {
+            return self.schedule(Some(src), out);
+        }
+        self.summary.dropped_frames += out.len() as u64;
+        for (to, frame) in out.map(|o| (dest_id(o.to), o.frame)) {
+            self.trace_frame(TraceKind::FrameDropped, to, &frame, DROP_SRC_DOWN);
         }
     }
-    local_out
+}
+
+/// The one dispatch of both drain paths: runs a node's batch queue
+/// through its machine, appending what the machine emits to `out`.
+fn drain_node(machine: &mut NodeMachine, queue: &mut Vec<Inbox>, out: &mut Vec<Outbound>) {
+    for item in queue.drain(..) {
+        match item {
+            Inbox::Frame(frame) => machine.handle(&frame, out),
+            Inbox::Rto(round, kind) => machine.on_rto(round, kind, out),
+        }
+    }
 }
 
 /// The node table plus the batch scratch, reused across iterations:
 /// per-node run queues and the destinations touched this batch (in
 /// first-delivery order — deterministic, since events pop in
-/// `(due, seq)` order). A machine is `None` only while the pool has
-/// it, and nothing else looks at the table during the fan-out.
+/// `(due, seq)` order). Machines live in the table for the whole run;
+/// a broadcast batch borrows disjoint id ranges of it, nothing moves.
 struct Nodes {
-    machines: Vec<Option<NodeMachine>>,
+    machines: Vec<NodeMachine>,
     run_queues: Vec<Vec<Inbox>>,
     touched: Vec<u32>,
 }
 
 impl Nodes {
     fn new(instance: &Arc<Instance>, config: NodeConfig) -> Self {
-        let local = |id| Some(NodeMachine::local(id as u32, Arc::clone(instance), config));
+        let local = |id| NodeMachine::local(id as u32, Arc::clone(instance), config);
         Self {
             machines: (0..instance.len()).map(local).collect(),
             run_queues: (0..instance.len()).map(|_| Vec::new()).collect(),
             touched: Vec::new(),
         }
-    }
-
-    #[inline]
-    fn machine(&self, j: usize) -> &NodeMachine {
-        self.machines[j].as_ref().expect("machine present")
-    }
-
-    #[inline]
-    fn machine_mut(&mut self, j: usize) -> &mut NodeMachine {
-        self.machines[j].as_mut().expect("machine present")
-    }
-
-    /// `(id, machine)` for every node, in id order.
-    fn iter(&self) -> impl Iterator<Item = (usize, &NodeMachine)> {
-        (0..self.machines.len()).map(|j| (j, self.machine(j)))
     }
 
     #[inline]
@@ -403,17 +402,6 @@ impl Nodes {
             self.touched.push(j);
         }
         queue.push(item);
-    }
-
-    /// Checks the touched machines out for the pool. Each entry owns
-    /// its machine for the batch, so `handle` runs without locks.
-    fn checkout(&mut self) -> Vec<Work> {
-        let (machines, run_queues) = (&mut self.machines, &mut self.run_queues);
-        let take = |j: u32| {
-            let machine = machines[j as usize].take().expect("machine present");
-            (j, machine, std::mem::take(&mut run_queues[j as usize]))
-        };
-        self.touched.drain(..).map(take).collect()
     }
 }
 
@@ -634,6 +622,10 @@ struct Stream<'a> {
     sojourns: Vec<f64>,
     was_imbalanced: bool,
     last_sample_ms: f64,
+    /// Per-request scratch of [`Self::route`] (hosting weights) and
+    /// [`Self::depart`] (live hosts, heaviest first).
+    weights: Vec<f64>,
+    hosts: Vec<(f64, usize)>,
 }
 
 impl<'a> Stream<'a> {
@@ -658,13 +650,20 @@ impl<'a> Stream<'a> {
             sojourns: Vec::new(),
             was_imbalanced: false,
             last_sample_ms: 0.0,
+            weights: Vec::new(),
+            hosts: Vec::new(),
         }
     }
 
     /// The live server an arrival lands on: in proportion to how much
     /// of its organization's work each live server hosts — the relay
     /// fractions ρ_i· of the live, mid-rebalance assignment.
-    fn route(a: &Arrival, nodes: &Nodes, liveness: &Liveness) -> Option<usize> {
+    fn route(
+        &mut self,
+        a: &Arrival,
+        machines: &[NodeMachine],
+        liveness: &Liveness,
+    ) -> Option<usize> {
         let alive = |j: usize, machine: &NodeMachine| !(liveness.is_down(j) || machine.is_done());
         let weigh = |(j, machine): (usize, &NodeMachine)| {
             if alive(j, machine) {
@@ -673,13 +672,15 @@ impl<'a> Stream<'a> {
                 0.0
             }
         };
-        let weights: Vec<f64> = nodes.iter().map(weigh).collect();
+        let weights = &mut self.weights;
+        weights.clear();
+        weights.extend(machines.iter().enumerate().map(weigh));
         let total: f64 = weights.iter().sum();
         if total <= 0.0 {
             // Nobody hosts this organization yet (its own load was
             // zero): serve at home if the home server is alive.
             let home = a.org as usize;
-            return alive(home, nodes.machine(home)).then_some(home);
+            return alive(home, &machines[home]).then_some(home);
         }
         // Inverse CDF over the hosting weights with the arrival's
         // pre-drawn uniform; the last positive host absorbs any float
@@ -700,17 +701,17 @@ impl<'a> Stream<'a> {
     fn arrive<D: Fn(usize, usize) -> f64, T: TraceSink>(
         &mut self,
         idx: u32,
-        nodes: &mut Nodes,
+        machines: &mut [NodeMachine],
         liveness: &Liveness,
         instance: &Instance,
         fabric: &mut Fabric<'_, D, T>,
     ) {
         self.dirty = true;
         let a = self.script.arrivals()[idx as usize];
-        let target = Self::route(&a, nodes, liveness);
+        let target = self.route(&a, machines, liveness);
         let peer = target.map_or(NO_PEER, |j| j as u32);
         let served = target.and_then(|j| {
-            let machine = nodes.machine_mut(j);
+            let machine = &mut machines[j];
             let backlog = machine.ledger().sum().max(0.0);
             let s = instance.speed(j);
             // Expected wait under random order plus own service — the
@@ -740,7 +741,7 @@ impl<'a> Stream<'a> {
     fn depart<D, T: TraceSink>(
         &mut self,
         (org, server, amount, idx): (u32, u32, f64, u32),
-        nodes: &mut Nodes,
+        machines: &mut [NodeMachine],
         liveness: &Liveness,
         fabric: &mut Fabric<'_, D, T>,
     ) {
@@ -757,20 +758,23 @@ impl<'a> Stream<'a> {
                 sojourn,
             );
         }
-        let mut hosts: Vec<(f64, usize)> = nodes
+        let live = machines
             .iter()
+            .enumerate()
             .filter(|&(j, machine)| !(liveness.is_down(j) || machine.is_done()))
             .map(|(j, machine)| (machine.ledger().get(org), j))
-            .filter(|&(w, _)| w > 0.0)
-            .collect();
-        hosts.sort_by(|x, y| y.0.total_cmp(&x.0).then(x.1.cmp(&y.1)));
+            .filter(|&(w, _)| w > 0.0);
+        self.hosts.clear();
+        self.hosts.extend(live);
+        self.hosts
+            .sort_by(|x, y| y.0.total_cmp(&x.0).then(x.1.cmp(&y.1)));
         let mut remaining = amount;
-        for (w, j) in hosts {
+        for &(w, j) in &self.hosts {
             if remaining <= 0.0 {
                 break;
             }
             let take = w.min(remaining);
-            nodes.machine_mut(j).withdraw(org, take);
+            machines[j].withdraw(org, take);
             remaining -= take;
         }
     }
@@ -784,7 +788,7 @@ impl<'a> Stream<'a> {
     fn sample(
         &mut self,
         now: f64,
-        nodes: &Nodes,
+        machines: &[NodeMachine],
         liveness: &Liveness,
         instance: &Instance,
     ) -> bool {
@@ -796,7 +800,7 @@ impl<'a> Stream<'a> {
         }
         self.last_sample_ms = now;
         let (mut max_util, mut sum_util, mut live) = (0.0f64, 0.0f64, 0u32);
-        for (j, machine) in nodes.iter() {
+        for (j, machine) in machines.iter().enumerate() {
             if liveness.is_down(j) || machine.is_done() {
                 continue;
             }
@@ -930,7 +934,8 @@ struct Run<'a, D, T> {
     hash: u64,
     /// The coordinator's queue for the batch in flight.
     coord_inbox: Vec<CoordItem>,
-    /// Scratch for the coordinator's emissions.
+    /// Scratch for the emissions of whichever machine is running on
+    /// this thread: the coordinator, or a node drained in place.
     out: Vec<Outbound>,
 }
 
@@ -985,7 +990,7 @@ impl<'a, D: Fn(usize, usize) -> f64, T: TraceSink> Run<'a, D, T> {
         run.liveness.advance(0.0, &mut run.fabric.summary);
         run.rounds
             .follow(&mut run.fabric, run.coordinator.round_number());
-        run.fabric.schedule(None, &mut run.out);
+        run.fabric.schedule(None, run.out.drain(..));
         run.follow_round();
         run
     }
@@ -1005,7 +1010,7 @@ impl<'a, D: Fn(usize, usize) -> f64, T: TraceSink> Run<'a, D, T> {
                         || round != self.coordinator.round_number()
                 }
                 Event::Rto(j, round, kind) => {
-                    !self.nodes.machine(j as usize).rto_pending(round, kind)
+                    !self.nodes.machines[j as usize].rto_pending(round, kind)
                 }
             };
             if !stale {
@@ -1024,17 +1029,17 @@ impl<'a, D: Fn(usize, usize) -> f64, T: TraceSink> Run<'a, D, T> {
         if self.stream.release(&mut self.coordinator) {
             self.coordinator.kick(&mut self.out);
             if !self.out.is_empty() {
-                self.fabric.schedule(None, &mut self.out);
+                self.fabric.schedule(None, self.out.drain(..));
                 return true;
             }
         }
         if self.coordinator.is_collecting() {
             let now = self.fabric.now;
             for j in self.liveness.unreachable(&self.coordinator) {
-                let ledger = ledger_to_wire(self.nodes.machine(j as usize).ledger());
+                let ledger = ledger_to_wire(self.nodes.machines[j as usize].ledger());
                 let frame = Frame::FinalLedger { from: j, ledger };
                 self.coordinator.handle(&frame, now, &mut self.out);
-                self.fabric.schedule(None, &mut self.out);
+                self.fabric.schedule(None, self.out.drain(..));
             }
         }
         false
@@ -1103,13 +1108,15 @@ impl<'a, D: Fn(usize, usize) -> f64, T: TraceSink> Run<'a, D, T> {
                 }
                 Event::Arrival(idx) => {
                     *hash = hash_timer(*hash, now, TAG_ARRIVAL, idx as u64, 0);
+                    let (machines, instance) = (&mut nodes.machines, &self.instance);
                     self.stream
-                        .arrive(idx, nodes, liveness, &self.instance, fabric);
+                        .arrive(idx, machines, liveness, instance, fabric);
                 }
                 Event::Departure(org, server, amount, idx) => {
                     *hash = hash_timer(*hash, now, TAG_DEPARTURE, server as u64, idx as u64);
+                    let event = (org, server, amount, idx);
                     self.stream
-                        .depart((org, server, amount, idx), nodes, liveness, fabric);
+                        .depart(event, &mut nodes.machines, liveness, fabric);
                 }
             }
             next = match fabric.heap.peek_due() {
@@ -1126,43 +1133,61 @@ impl<'a, D: Fn(usize, usize) -> f64, T: TraceSink> Run<'a, D, T> {
     /// fully drained.
     fn stream_turn(&mut self) {
         let now = self.fabric.now;
-        if !self
-            .stream
-            .sample(now, &self.nodes, &self.liveness, &self.instance)
-        {
+        let (machines, liveness) = (&self.nodes.machines, &self.liveness);
+        if !self.stream.sample(now, machines, liveness, &self.instance) {
             return;
         }
         self.liveness.feed_oracle(now, &mut self.coordinator);
         self.coordinator.kick(&mut self.out);
-        self.fabric.schedule(None, &mut self.out);
+        self.fabric.schedule(None, self.out.drain(..));
         if self.stream.drained(now) {
             self.stream.release(&mut self.coordinator);
         }
     }
 
-    /// Puts the pool's machines (and their queues' allocations) back
-    /// and schedules what they emitted, in dispatch order — the
-    /// order-preserving `map_mut` keeps it independent of the worker
-    /// count.
-    fn collect(&mut self, work: Vec<Work>, emissions: Vec<Vec<Outbound>>) {
-        for ((src, machine, queue), mut outs) in work.into_iter().zip(emissions) {
-            self.nodes.machines[src as usize] = Some(machine);
-            self.nodes.run_queues[src as usize] = queue;
-            if self.liveness.is_down(src as usize) {
-                // A crashed node sends nothing (it only ever hears the
-                // one frame species that still reaches it).
-                self.fabric.summary.dropped_frames += outs.len() as u64;
-                for o in &outs {
-                    self.fabric.trace_frame(
-                        TraceKind::FrameDropped,
-                        dest_id(o.to),
-                        &o.frame,
-                        DROP_SRC_DOWN,
-                    );
-                }
-            } else {
-                self.fabric.schedule(Some(src as usize), &mut outs);
+    /// Steps 2 and 3 of the loop: drains the touched nodes' run queues,
+    /// in place or sharded by id range, and schedules what each emitted
+    /// source by source in first-delivery order.
+    fn drain_nodes(&mut self) {
+        let (fabric, liveness, out) = (&mut self.fabric, &self.liveness, &mut self.out);
+        let Nodes {
+            machines,
+            run_queues,
+            touched,
+        } = &mut self.nodes;
+        if touched.len() < SHARD_THRESHOLD {
+            for j in touched.drain(..).map(|j| j as usize) {
+                drain_node(&mut machines[j], &mut run_queues[j], out);
+                fabric.send(j, liveness.is_down(j), out.drain(..));
             }
+            return;
+        }
+        let chunk = machines.len().div_ceil(num_threads());
+        let shards: Vec<_> = machines
+            .chunks_mut(chunk)
+            .zip(run_queues.chunks_mut(chunk))
+            .collect();
+        let batch: &[u32] = touched;
+        let drained = par_map_shards(shards, |w, (machines, queues)| {
+            let (mut flat, mut lens) = (Vec::new(), Vec::new());
+            let ids = w * chunk..w * chunk + machines.len();
+            for j in batch.iter().map(|&j| j as usize) {
+                if ids.contains(&j) {
+                    let (k, before) = (j - ids.start, flat.len());
+                    drain_node(&mut machines[k], &mut queues[k], &mut flat);
+                    lens.push(flat.len() - before);
+                }
+            }
+            (flat, lens)
+        });
+        let mut drained: Vec<_> = drained
+            .into_iter()
+            .map(|(flat, lens)| (flat.into_iter(), lens.into_iter()))
+            .collect();
+        for j in touched.drain(..).map(|j| j as usize) {
+            let (flat, lens) = &mut drained[j / chunk];
+            let len = lens.next().expect("one span per touched node");
+            fabric.send(j, liveness.is_down(j), flat.by_ref().take(len));
         }
     }
 
@@ -1181,7 +1206,7 @@ impl<'a, D: Fn(usize, usize) -> f64, T: TraceSink> Run<'a, D, T> {
                     self.coordinator.on_deadline(round, now, &mut self.out)
                 }
             }
-            self.fabric.schedule(None, &mut self.out);
+            self.fabric.schedule(None, self.out.drain(..));
         }
         self.follow_round();
     }
@@ -1269,30 +1294,25 @@ where
         "stream compiled for a different cluster size"
     );
     let mut run = Run::start(instance, options, delays, script, stream, tracer);
-    with_pool(drain_queue, move |pool| {
-        loop {
-            let Some(first) = run.pop_live() else {
-                if run.resume_or_freeze() {
-                    continue;
-                }
-                break;
-            };
-            run.fabric.now = first.due;
-            clock.wait_until(first.due);
-            run.liveness.advance(first.due, &mut run.fabric.summary);
-            run.classify(first);
-            run.stream_turn();
-            // Check the touched machines out, let the pool's workers
-            // drain their queues, put them back.
-            let (work, emissions) = pool.map_mut(run.nodes.checkout());
-            run.collect(work, emissions);
-            run.coordinator_turn();
-            if run.coordinator.is_done() {
-                break;
+    loop {
+        let Some(first) = run.pop_live() else {
+            if run.resume_or_freeze() {
+                continue;
             }
+            break;
+        };
+        run.fabric.now = first.due;
+        clock.wait_until(first.due);
+        run.liveness.advance(first.due, &mut run.fabric.summary);
+        run.classify(first);
+        run.stream_turn();
+        run.drain_nodes();
+        run.coordinator_turn();
+        if run.coordinator.is_done() {
+            break;
         }
-        run.finish()
-    })
+    }
+    run.finish()
 }
 
 #[cfg(test)]

@@ -20,8 +20,9 @@
 //! * [`executor`] — the driver: a deterministic virtual-time event
 //!   heap delivers frames to thousands of machines in one process,
 //!   with per-link latencies supplied by the caller (the scenario
-//!   layer samples them from `dlb-netsim`) and delivery batches fanned
-//!   out over the `dlb-par` worker pool. Fault scripts, in-protocol
+//!   layer samples them from `dlb-netsim`); small delivery batches
+//!   are drained in place, broadcasts lend the machine table to the
+//!   `dlb-par` threads in id ranges. Fault scripts, in-protocol
 //!   failure detection, live request streams, and the trace plane all
 //!   hang off its one loop;
 //! * [`cluster`] — what a run is configured with and what it reports
