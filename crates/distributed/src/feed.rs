@@ -15,12 +15,16 @@
 //! the one-way trip of the cost model's round trip). Each engine
 //! iteration, [`GossipFeed::step`] publishes every server's changed
 //! load into the protocol and advances the virtual gossip clock by
-//! `⌈log2 m⌉` periods — the paper's speed ratio — then snapshots each
-//! node's believed load vector for the pruned pre-scoring
-//! ([`ScoreView::PerServer`](crate::round::ScoreView)). Views are
-//! therefore genuinely per-server, genuinely stale (a load published
-//! this iteration reaches most nodes a fraction of an iteration later),
-//! and every byte that moved is metered in [`GossipTraffic`].
+//! `⌈log2 m⌉` periods — the paper's speed ratio — and the pruned
+//! pre-scoring ([`ScoreView::PerServer`](crate::round::ScoreView)) then
+//! reads each node's believed load vector. Views are served by
+//! reference straight from the network's own storage
+//! ([`DeltaGossip::loads`]): the network only moves inside `step`, so
+//! what [`GossipFeed::views`] lends out is the state as of the last
+//! step without a second m×m copy. They are therefore genuinely
+//! per-server, genuinely stale (a load published this iteration reaches
+//! most nodes a fraction of an iteration later), and every byte that
+//! moved is metered in [`GossipTraffic`].
 //!
 //! The network starts [warm](dlb_gossip::DeltaGossip::warm): the paper
 //! model assumes an initial dissemination round ran before balancing
@@ -42,8 +46,6 @@ pub struct GossipFeed {
     /// Last load each server published, so unchanged loads don't churn
     /// versions (and bandwidth) for nothing.
     published: Vec<f64>,
-    /// Per-server believed load vectors, refreshed after each step.
-    views: Vec<Vec<f64>>,
 }
 
 impl GossipFeed {
@@ -64,29 +66,27 @@ impl GossipFeed {
             },
         );
         let periods_per_iter = (usize::BITS - m.max(2).saturating_sub(1).leading_zeros()).max(1);
-        let views = (0..m).map(|i| net.view(i)).collect();
         Self {
             net,
             period_ms,
             periods_per_iter,
             published: loads.to_vec(),
-            views,
         }
     }
 
     /// Number of servers.
     pub fn len(&self) -> usize {
-        self.views.len()
+        self.published.len()
     }
 
     /// Returns `true` for an empty system.
     pub fn is_empty(&self) -> bool {
-        self.views.is_empty()
+        self.published.is_empty()
     }
 
     /// One engine iteration's worth of gossip: publish every changed
     /// load, advance `⌈log2 m⌉` periods with one-way link delays of
-    /// `latency(i, j) / 2`, and refresh the per-server views.
+    /// `latency(i, j) / 2`.
     pub fn step(&mut self, latency: &LatencyMatrix, loads: &[f64]) {
         assert_eq!(loads.len(), self.len(), "feed built for a different size");
         for (i, (&load, published)) in loads.iter().zip(self.published.iter_mut()).enumerate() {
@@ -97,20 +97,17 @@ impl GossipFeed {
         }
         let until = self.net.now_ms() + self.period_ms * f64::from(self.periods_per_iter);
         self.net.advance(until, |i, j| latency.get(i, j) / 2.0);
-        for (i, view) in self.views.iter_mut().enumerate() {
-            self.net.view_into(i, view);
-        }
     }
 
     /// The load vector as server `id`'s gossip node currently believes
     /// it (as of the last [`step`](Self::step)).
     pub fn view(&self, id: usize) -> &[f64] {
-        &self.views[id]
+        &self.net.loads()[id]
     }
 
     /// All per-server views, indexed by server.
     pub fn views(&self) -> &[Vec<f64>] {
-        &self.views
+        self.net.loads()
     }
 
     /// Wire traffic the feed's protocol has generated so far.
@@ -168,6 +165,52 @@ mod tests {
         assert_eq!(t.delta_entries, 0, "no publish ⇒ nothing hot: {t:?}");
         assert!(!feed.is_empty());
         assert_eq!(feed.len(), 24);
+    }
+
+    #[test]
+    fn traffic_and_views_are_pinned_on_a_moving_96_server_instance() {
+        // Literals recorded on the commit before the fused frame
+        // builder, the borrowed parse and the hot bitset landed: none
+        // of them may move a byte count or a believed load. m = 96
+        // gives three shards and a two-word hot bitset.
+        let m = 96;
+        let mut loads: Vec<f64> = (0..m)
+            .map(|i| ((i * 37) % 23) as f64 + 0.5 * i as f64)
+            .collect();
+        let mut lat = LatencyMatrix::zero(m);
+        for i in 0..m {
+            for j in 0..m {
+                if i != j {
+                    lat.set(i, j, 4.0 + ((i * 7 + j * 13) % 41) as f64);
+                }
+            }
+        }
+        let mut feed = GossipFeed::new(&loads, 100.0, 17);
+        for step in 0..12 {
+            for (k, load) in loads.iter_mut().enumerate() {
+                if (k + step) % 3 == 0 {
+                    *load += ((k * 5 + step * 11) % 7) as f64 - 2.5;
+                }
+            }
+            feed.step(&lat, &loads);
+        }
+        let mut fold = 0xcbf2_9ce4_8422_2325u64; // FNV-1a over every view's bits
+        for view in feed.views() {
+            for load in view {
+                fold = (fold ^ load.to_bits()).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        assert_eq!(
+            feed.traffic(),
+            GossipTraffic {
+                frames: 16224,
+                bytes: 25159580,
+                exchanges: 8064,
+                delta_entries: 706363,
+                full_entries: 519168,
+            }
+        );
+        assert_eq!(fold, 4337646411443794725);
     }
 
     #[test]

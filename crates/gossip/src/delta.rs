@@ -23,9 +23,35 @@
 //!
 //! Steady-state traffic per frame is O(hot entries + one shard) instead
 //! of O(m): at m = 5000 with 256-entry shards that is a ~17× cut,
-//! measured end-to-end in `BENCH_gossip.json` (the frames really pass
-//! through [`crate::wire::encode_delta`]/[`crate::wire::decode_delta`],
-//! and [`GossipTraffic`] counts the encoded bytes).
+//! measured end-to-end in `BENCH_gossip.json` (every frame really is
+//! encoded to bytes and parsed back, and [`GossipTraffic`] counts the
+//! encoded bytes).
+//!
+//! **The frame path** is sized so a frame costs what its entries cost:
+//! the sender writes header, summary, hot entries and the fallback
+//! shard straight into one scratch buffer the network reuses (each
+//! entry list's count is patched in after its walk), and an exact-size
+//! copy of those bytes is the event payload — a growable per-frame
+//! buffer would carry its slack capacity on every frame in flight. On
+//! delivery the payload is validated and walked in place through
+//! [`crate::wire::DeltaFrameRef`] and merged entry by entry, so
+//! receiving allocates nothing. [`crate::wire::encode_delta`] and
+//! [`crate::wire::decode_delta`] are no longer on this path; they
+//! remain as the public owned codec of the same byte layout and as the
+//! oracle: in this crate's test builds every frame built is compared
+//! with `encode_delta` over a scan-and-assemble reference frame, and
+//! the borrowed parser is property-tested against `decode_delta`.
+//!
+//! **The hot set is a bitset.** Each node keeps `hot`, one bit per
+//! origin, with the invariant *bit o set ⇔ `heard[o] != NEVER` and
+//! `tick − heard[o] < hot_ticks`*. A bit goes up wherever `heard` is
+//! written (a merge that accepts an entry, a publish, a cold start's
+//! own entry). The predicate can only turn false when `tick` grows,
+//! which happens in exactly one place — the end of the node's own
+//! initiation period — so that is the one place expired bits are
+//! cleared. A frame then walks the set bits, in ascending origin order
+//! like the scan it replaces, in O(hot + shard) instead of O(m), for
+//! m/64 words per node.
 //!
 //! Unlike the one-shot [`EventGossip::run`](crate::EventGossip::run)
 //! loop, the heap here is persistent: [`DeltaGossip::advance`] drains
@@ -41,9 +67,8 @@ use dlb_obs::{NullSink, TraceEvent, TraceKind, TraceSink};
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::push_pull::Entry;
 use crate::shard::ShardMap;
-use crate::wire::{self, DeltaFrame, WireEntry};
+use crate::wire::{self, DeltaFrameRef, WireEntry};
 use bytes::Bytes;
 
 /// Timing and rumor-window knobs for [`DeltaGossip`].
@@ -105,10 +130,14 @@ impl GossipTraffic {
 
 #[derive(Debug, Clone)]
 struct NodeState {
-    /// `view[origin]` — what this node believes about `origin`.
-    view: Vec<Entry>,
+    /// `versions[origin]` — how fresh this node's belief about `origin`
+    /// is (the believed load itself lives in [`DeltaGossip::loads`]).
+    versions: Vec<u64>,
     /// Own tick at which each entry last changed; [`NEVER`] = cold.
     heard: Vec<u32>,
+    /// Bit `origin` set ⇔ [`is_hot`](Self::is_hot): the hot set as a
+    /// bitset, so a frame walks the hot entries and not all `m`.
+    hot: Vec<u64>,
     /// Per-shard sum of held versions — the monotone summary shipped as
     /// a delta frame's `since` watermark.
     vsum: Vec<u64>,
@@ -119,6 +148,53 @@ struct NodeState {
 /// `heard` sentinel for entries that never changed (version 0, or
 /// warm-started ancient history): never hot.
 const NEVER: u32 = u32::MAX;
+
+impl NodeState {
+    /// The hot predicate, from `heard` alone: the entry changed within
+    /// the last `hot_ticks` of this node's own periods.
+    fn is_hot(&self, origin: usize, hot_ticks: u32) -> bool {
+        let heard = self.heard[origin];
+        heard != NEVER && self.tick.saturating_sub(heard) < hot_ticks
+    }
+
+    /// Records that `origin`'s entry changed now. `heard == tick`
+    /// satisfies the predicate for any `hot_ticks >= 1`, so the bit
+    /// goes up with it.
+    fn mark_heard(&mut self, origin: usize) {
+        self.heard[origin] = self.tick;
+        self.hot[origin / 64] |= 1 << (origin % 64);
+    }
+
+    /// Completes an initiation period. Between writes to `heard` the
+    /// predicate depends on `tick` alone and `tick` only moves here, so
+    /// this is the one place a hot entry can cool: drop those bits.
+    fn end_period(&mut self, hot_ticks: u32) {
+        self.tick += 1;
+        for w in 0..self.hot.len() {
+            for bit in SetBits(self.hot[w]) {
+                if !self.is_hot(w * 64 + bit, hot_ticks) {
+                    self.hot[w] &= !(1 << bit);
+                }
+            }
+        }
+    }
+}
+
+/// Positions of the set bits of one word, ascending.
+struct SetBits(u64);
+
+impl Iterator for SetBits {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        if self.0 == 0 {
+            return None;
+        }
+        let bit = self.0.trailing_zeros() as usize;
+        self.0 &= self.0 - 1;
+        Some(bit)
+    }
+}
 
 #[derive(Debug, Clone)]
 enum What {
@@ -136,6 +212,10 @@ enum What {
 pub struct DeltaGossip {
     shards: ShardMap,
     nodes: Vec<NodeState>,
+    /// `loads[node][origin]` — the load `node` believes `origin` has.
+    /// Kept apart from the versions so callers can borrow every view
+    /// as plain load vectors ([`loads`](Self::loads)).
+    loads: Vec<Vec<f64>>,
     /// Per origin: the globally freshest version.
     newest: Vec<u64>,
     /// Per origin: how many nodes hold the freshest version.
@@ -151,6 +231,10 @@ pub struct DeltaGossip {
     heap: EventHeap<What>,
     rng: StdRng,
     traffic: GossipTraffic,
+    /// The frame under construction; reused by every
+    /// [`build_frame`](Self::build_frame) so only the exact-size
+    /// payload copy is allocated per frame.
+    scratch: Vec<u8>,
 }
 
 impl DeltaGossip {
@@ -185,39 +269,40 @@ impl DeltaGossip {
         } else {
             2 * (usize::BITS - m.max(1).leading_zeros()) + 2
         };
-        let nodes: Vec<NodeState> = (0..m)
+        let known = |node: usize, origin: usize| warm || node == origin;
+        let views: Vec<Vec<f64>> = (0..m)
             .map(|node| {
-                let view: Vec<Entry> = (0..m)
-                    .map(|origin| Entry {
-                        load: if warm || node == origin {
+                (0..m)
+                    .map(|origin| {
+                        if known(node, origin) {
                             loads[origin]
                         } else {
                             0.0
-                        },
-                        version: if warm || node == origin { 1 } else { 0 },
-                    })
-                    .collect();
-                let heard: Vec<u32> = (0..m)
-                    .map(|origin| {
-                        // A cold start's own entry is "just published";
-                        // a warm start is all ancient history.
-                        if !warm && node == origin {
-                            0
-                        } else {
-                            NEVER
                         }
                     })
-                    .collect();
+                    .collect()
+            })
+            .collect();
+        let nodes: Vec<NodeState> = (0..m)
+            .map(|node| {
+                let versions: Vec<u64> = (0..m).map(|o| u64::from(known(node, o))).collect();
                 let mut vsum = vec![0u64; shards.count()];
-                for (origin, e) in view.iter().enumerate() {
-                    vsum[shards.shard_of(origin)] += e.version;
+                for (origin, version) in versions.iter().enumerate() {
+                    vsum[shards.shard_of(origin)] += version;
                 }
-                NodeState {
-                    view,
-                    heard,
+                let mut state = NodeState {
+                    versions,
+                    heard: vec![NEVER; m],
+                    hot: vec![0; m.div_ceil(64)],
                     vsum,
                     tick: 0,
+                };
+                // A cold start's own entry is "just published"; a warm
+                // start is all ancient history.
+                if !warm {
+                    state.mark_heard(node);
                 }
+                state
             })
             .collect();
         let mut heap = EventHeap::new();
@@ -229,6 +314,7 @@ impl DeltaGossip {
         Self {
             shards,
             nodes,
+            loads: views,
             newest: vec![1; m],
             fresh: vec![if warm { m } else { 1 }; m],
             deficit: 0,
@@ -239,6 +325,7 @@ impl DeltaGossip {
             heap,
             rng: rng_for(seed, 0xDE17A),
             traffic: GossipTraffic::default(),
+            scratch: Vec::new(),
         }
     }
 
@@ -282,12 +369,12 @@ impl DeltaGossip {
     /// A node publishes a new local load (bumps its version; the entry
     /// becomes hot and starts spreading on subsequent exchanges).
     pub fn publish(&mut self, node: usize, load: f64) {
-        let v = self.nodes[node].view[node].version + 1;
-        let tick = self.nodes[node].tick;
         let shard = self.shards.shard_of(node);
         let state = &mut self.nodes[node];
-        state.view[node] = Entry { load, version: v };
-        state.heard[node] = tick;
+        let v = state.versions[node] + 1;
+        state.versions[node] = v;
+        self.loads[node][node] = load;
+        state.mark_heard(node);
         state.vsum[shard] += 1;
         self.deficit += self.fresh[node] - 1;
         self.newest[node] = v;
@@ -298,16 +385,22 @@ impl DeltaGossip {
         self.debug_check();
     }
 
+    /// Every node's believed load vector, indexed by node: the
+    /// network's own storage, borrowed.
+    pub fn loads(&self) -> &[Vec<f64>] {
+        &self.loads
+    }
+
     /// The load vector as node `node` currently believes it.
     pub fn view(&self, node: usize) -> Vec<f64> {
-        self.nodes[node].view.iter().map(|e| e.load).collect()
+        self.loads[node].clone()
     }
 
     /// Copies node `node`'s believed load vector into `out` without
     /// allocating.
     pub fn view_into(&self, node: usize, out: &mut Vec<f64>) {
         out.clear();
-        out.extend(self.nodes[node].view.iter().map(|e| e.load));
+        out.extend_from_slice(&self.loads[node]);
     }
 
     /// Drains scheduled events up to virtual time `until_ms`
@@ -395,14 +488,14 @@ impl DeltaGossip {
         now: f64,
         node: u32,
         peer: u32,
-        frame: &DeltaFrame,
+        frame: &DeltaFrameRef<'_>,
     ) {
         if !tracer.enabled() {
             return;
         }
         for (kind, entries) in [
-            (TraceKind::GossipDelta, frame.changed.len()),
-            (TraceKind::GossipFull, frame.full.len()),
+            (TraceKind::GossipDelta, frame.changed().len()),
+            (TraceKind::GossipFull, frame.full().len()),
         ] {
             if entries > 0 {
                 tracer.emit(&TraceEvent {
@@ -410,7 +503,7 @@ impl DeltaGossip {
                     at_ms: now,
                     node,
                     peer,
-                    round: u64::from(frame.shard),
+                    round: u64::from(frame.shard()),
                     tag: 0,
                     detail: entries as f64,
                 });
@@ -435,7 +528,7 @@ impl DeltaGossip {
                 }
                 let fallback = (self.nodes[n].tick as usize) % self.shards.count();
                 let frame = self.build_frame(n, fallback);
-                self.nodes[n].tick += 1;
+                self.nodes[n].end_period(self.hot_ticks);
                 self.heap.push(
                     now + delays(n, peer as usize),
                     What::Request {
@@ -447,7 +540,7 @@ impl DeltaGossip {
                 self.heap.push(now + self.period_ms, What::Tick { node });
             }
             What::Request { from, to, frame } => {
-                let decoded = wire::decode_delta(frame).expect("internally produced frame");
+                let decoded = DeltaFrameRef::parse(&frame).expect("internally produced frame");
                 let t = to as usize;
                 Self::trace_frame(tracer, now, to, from, &decoded);
                 self.merge_frame(t, &decoded, now);
@@ -455,15 +548,13 @@ impl DeltaGossip {
                 // says it lags most on; when nothing lags, fall back to
                 // the responder's own rotation so anti-entropy keeps
                 // sweeping.
-                let gap = |s: usize| {
-                    let theirs = decoded.since.get(s).copied().unwrap_or(0);
-                    self.nodes[t].vsum[s].saturating_sub(theirs)
-                };
                 let mut fallback = (self.nodes[t].tick as usize) % self.shards.count();
                 let mut best = 0u64;
-                for s in 0..self.shards.count() {
-                    if gap(s) > best {
-                        best = gap(s);
+                let mut theirs = decoded.since();
+                for (s, &mine) in self.nodes[t].vsum.iter().enumerate() {
+                    let gap = mine.saturating_sub(theirs.next().unwrap_or(0));
+                    if gap > best {
+                        best = gap;
                         fallback = s;
                     }
                 }
@@ -478,7 +569,7 @@ impl DeltaGossip {
                 );
             }
             What::Reply { from, to, frame } => {
-                let decoded = wire::decode_delta(frame).expect("internally produced frame");
+                let decoded = DeltaFrameRef::parse(&frame).expect("internally produced frame");
                 Self::trace_frame(tracer, now, to, from, &decoded);
                 self.merge_frame(to as usize, &decoded, now);
                 self.traffic.exchanges += 1;
@@ -486,65 +577,61 @@ impl DeltaGossip {
         }
     }
 
-    /// Assembles and encodes node `n`'s frame: its hot set plus the
-    /// complete known contents of `fallback`, metering the traffic
-    /// counters.
+    /// Writes node `n`'s frame — its hot set plus the complete known
+    /// contents of `fallback` — straight into the scratch buffer in the
+    /// [`encode_delta`](wire::encode_delta) layout, meters the
+    /// traffic counters and returns an exact-size copy as the event
+    /// payload.
     fn build_frame(&mut self, n: usize, fallback: usize) -> Bytes {
-        let state = &self.nodes[n];
-        let tick = state.tick;
+        #[cfg(test)]
+        let before = self.traffic;
+        let (state, loads) = (&self.nodes[n], &self.loads[n]);
         let in_fallback = self.shards.range(fallback);
-        let hot = |origin: usize| {
-            let heard = state.heard[origin];
-            heard != NEVER && tick.saturating_sub(heard) < self.hot_ticks
-        };
+        let known = |origin: &usize| state.versions[*origin] > 0;
         let entry = |origin: usize| WireEntry {
             origin: origin as u32,
-            version: state.view[origin].version,
-            load: state.view[origin].load,
+            version: state.versions[origin],
+            load: loads[origin],
         };
-        let changed: Vec<WireEntry> = (0..self.len())
-            .filter(|&o| state.view[o].version > 0 && hot(o) && !in_fallback.contains(&o))
-            .map(entry)
-            .collect();
-        let full: Vec<WireEntry> = in_fallback
-            .clone()
-            .filter(|&o| state.view[o].version > 0)
-            .map(entry)
-            .collect();
-        let frame = DeltaFrame {
-            shard: fallback as u32,
-            since: state.vsum.clone(),
-            changed,
-            full,
-        };
-        let encoded = wire::encode_delta(&frame);
+        // Set bits in ascending origin order, as a scan over 0..m
+        // would visit them.
+        let hot = (state.hot.iter().enumerate())
+            .flat_map(|(w, &word)| SetBits(word).map(move |bit| w * 64 + bit))
+            .filter(|o| !in_fallback.contains(o));
+
+        let scratch = &mut self.scratch;
+        scratch.clear();
+        wire::put_delta_header(scratch, fallback as u32, &state.vsum);
+        let changed = wire::put_entries(scratch, hot.filter(known).map(entry));
+        let full = wire::put_entries(scratch, in_fallback.clone().filter(known).map(entry));
+
         self.traffic.frames += 1;
-        self.traffic.bytes += encoded.len() as u64;
-        self.traffic.delta_entries += frame.changed.len() as u64;
-        self.traffic.full_entries += frame.full.len() as u64;
-        encoded
+        self.traffic.bytes += scratch.len() as u64;
+        self.traffic.delta_entries += u64::from(changed);
+        self.traffic.full_entries += u64::from(full);
+        let payload = Bytes::from(scratch.to_vec());
+        #[cfg(test)]
+        self.assert_matches_reference(n, fallback, &payload, &before);
+        payload
     }
 
-    /// Keep-freshest merge of a decoded frame into `node`'s view,
+    /// Keep-freshest merge of a delivered frame into `node`'s view,
     /// maintaining the freshness counters and shard summaries.
-    fn merge_frame(&mut self, node: usize, frame: &DeltaFrame, now: f64) {
+    fn merge_frame(&mut self, node: usize, frame: &DeltaFrameRef<'_>, now: f64) {
         let m = self.len();
-        for e in frame.changed.iter().chain(&frame.full) {
+        let (state, loads) = (&mut self.nodes[node], &mut self.loads[node]);
+        for e in frame.changed().chain(frame.full()) {
             let origin = e.origin as usize;
             if origin >= m {
                 continue; // hostile frame; internally never happens
             }
-            let tick = self.nodes[node].tick;
-            let mine = &mut self.nodes[node].view[origin];
-            if e.version > mine.version {
+            let mine = state.versions[origin];
+            if e.version > mine {
                 debug_assert!(e.version <= self.newest[origin]);
-                let gained = e.version - mine.version;
-                *mine = Entry {
-                    load: e.load,
-                    version: e.version,
-                };
-                self.nodes[node].heard[origin] = tick;
-                self.nodes[node].vsum[self.shards.shard_of(origin)] += gained;
+                state.versions[origin] = e.version;
+                loads[origin] = e.load;
+                state.mark_heard(origin);
+                state.vsum[self.shards.shard_of(origin)] += e.version - mine;
                 if e.version == self.newest[origin] {
                     self.fresh[origin] += 1;
                     self.deficit -= 1;
@@ -572,24 +659,90 @@ impl DeltaGossip {
                 let newest = self
                     .nodes
                     .iter()
-                    .map(|s| s.view[origin].version)
+                    .map(|s| s.versions[origin])
                     .max()
                     .unwrap_or(0);
                 debug_assert_eq!(newest, self.newest[origin], "newest[{origin}] drifted");
                 stale += self
                     .nodes
                     .iter()
-                    .filter(|s| s.view[origin].version != newest)
+                    .filter(|s| s.versions[origin] != newest)
                     .count();
             }
             debug_assert_eq!(stale, self.deficit, "deficit counter drifted");
             for (n, state) in self.nodes.iter().enumerate() {
                 for s in 0..self.shards.count() {
-                    let truth: u64 = self.shards.range(s).map(|o| state.view[o].version).sum();
+                    let truth: u64 = self.shards.range(s).map(|o| state.versions[o]).sum();
                     debug_assert_eq!(truth, state.vsum[s], "vsum[{s}] drifted at node {n}");
+                }
+                for origin in 0..m {
+                    debug_assert_eq!(
+                        state.hot[origin / 64] >> (origin % 64) & 1 == 1,
+                        state.is_hot(origin, self.hot_ticks),
+                        "hot bit {origin} drifted from `heard` at node {n}"
+                    );
                 }
             }
         }
+    }
+}
+
+/// The scan-and-assemble frame builder [`DeltaGossip::build_frame`]
+/// replaced, kept as its oracle: in this crate's test builds every
+/// frame the network puts on the wire is compared against it.
+#[cfg(test)]
+impl DeltaGossip {
+    /// Node `n`'s frame assembled the slow way: an m-wide scan applying
+    /// the hot predicate to `heard`, owned entry lists, a cloned
+    /// summary.
+    fn reference_frame(&self, n: usize, fallback: usize) -> wire::DeltaFrame {
+        let state = &self.nodes[n];
+        let in_fallback = self.shards.range(fallback);
+        let entry = |origin: usize| WireEntry {
+            origin: origin as u32,
+            version: state.versions[origin],
+            load: self.loads[n][origin],
+        };
+        let known = |o: &usize| state.versions[*o] > 0;
+        wire::DeltaFrame {
+            shard: fallback as u32,
+            since: state.vsum.clone(),
+            changed: (0..self.len())
+                .filter(|o| {
+                    known(o) && state.is_hot(*o, self.hot_ticks) && !in_fallback.contains(o)
+                })
+                .map(entry)
+                .collect(),
+            full: in_fallback.clone().filter(known).map(entry).collect(),
+        }
+    }
+
+    /// Byte equality with the reference codec over the reference
+    /// frame, and the same traffic metered since `before`.
+    fn assert_matches_reference(
+        &self,
+        n: usize,
+        fallback: usize,
+        payload: &Bytes,
+        before: &GossipTraffic,
+    ) {
+        let reference = self.reference_frame(n, fallback);
+        assert_eq!(
+            payload,
+            &wire::encode_delta(&reference),
+            "node {n} (tick {}) built a different frame for shard {fallback}",
+            self.nodes[n].tick
+        );
+        assert_eq!(
+            self.traffic.since(before),
+            GossipTraffic {
+                frames: 1,
+                bytes: reference.encoded_len() as u64,
+                exchanges: 0,
+                delta_entries: reference.changed.len() as u64,
+                full_entries: reference.full.len() as u64,
+            }
+        );
     }
 }
 
@@ -766,6 +919,49 @@ mod tests {
             assert!(e.detail >= 1.0, "events carry entry counts");
             assert!((e.node as usize) < 100 && (e.peer as usize) < 100);
             assert!((e.round as usize) < traced.shards().count());
+        }
+    }
+
+    #[test]
+    fn every_frame_of_a_churny_run_equals_the_reference_builders() {
+        // In test builds `build_frame` hands every frame it puts on
+        // the wire to `assert_matches_reference`: same bytes as
+        // `encode_delta(&reference_frame(..))`, same traffic metered.
+        // This drives it hard: cold and warm starts, publishes landing
+        // mid-period between partial advances, rumors that outlive the
+        // run (auto window) and rumors that cool (3 ticks), at sizes
+        // whose bitsets span 1, 2, 3 and 9 words over 2, 4, 5 and 8
+        // shards.
+        let delays = |i: usize, j: usize| 1.0 + ((i * 3 + j * 7) % 11) as f64;
+        for m in [50usize, 100, 130, 520] {
+            for (warm, hot_ticks) in [(false, 0), (true, 0), (false, 3), (true, 3)] {
+                let loads: Vec<f64> = (0..m).map(|i| (i * 7 % 31) as f64).collect();
+                let config = DeltaGossipConfig { hot_ticks, ..cfg() };
+                let mut net = if warm {
+                    DeltaGossip::warm(&loads, m as u64, config)
+                } else {
+                    DeltaGossip::new(&loads, m as u64, config)
+                };
+                for step in 0..10 {
+                    // Churn for the first half, then let rumors cool.
+                    for k in 0..(if step < 5 { m / 5 } else { 0 }) {
+                        net.publish((step * 13 + k * 7) % m, (step * m + k) as f64);
+                    }
+                    net.advance(net.now_ms() + 130.0, delays);
+                }
+                let t = net.traffic();
+                assert!(
+                    t.frames > 10 * m as u64 && t.delta_entries > 0 && t.full_entries > 0,
+                    "m={m} warm={warm} hot_ticks={hot_ticks}: {t:?}"
+                );
+                // And every (node, fallback) pair in the state the run
+                // ended in, including shards the rotation did not pick.
+                for n in 0..m {
+                    for fallback in 0..net.shards().count() {
+                        net.build_frame(n, fallback);
+                    }
+                }
+            }
         }
     }
 

@@ -24,7 +24,9 @@
 //! * [`wire`] — compact message encoding on `bytes`: full-view frames
 //!   (~100 kB at m = 5000 — the bandwidth bill the delta layer exists
 //!   to cut) and sharded delta frames, both property-tested, with
-//!   consume-from-buffer decoders for concatenated frame streams.
+//!   consume-from-buffer decoders for concatenated frame streams and a
+//!   borrowed in-place parser ([`wire::DeltaFrameRef`]) for the delta
+//!   layer's hot path.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

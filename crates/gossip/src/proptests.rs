@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use crate::shard::ShardMap;
 use crate::wire::{
     decode, decode_delta, decode_delta_from, decode_from, encode, encode_delta, DeltaFrame,
-    WireEntry, ENTRY_SIZE,
+    DeltaFrameRef, WireEntry, ENTRY_SIZE,
 };
 
 fn arb_entry() -> impl Strategy<Value = WireEntry> {
@@ -36,6 +36,28 @@ fn arb_delta_frame() -> impl Strategy<Value = DeltaFrame> {
             changed,
             full,
         })
+}
+
+/// The borrowed parser must accept exactly what the owned strict
+/// decoder accepts, and then yield the same frame — compared on bits,
+/// because garbage can decode to NaN loads.
+fn assert_ref_agrees_with_decode(raw: &[u8]) {
+    let owned = decode_delta(Bytes::from(raw.to_vec()));
+    let borrowed = DeltaFrameRef::parse(raw);
+    assert_eq!(borrowed.is_some(), owned.is_some());
+    if let (Some(borrowed), Some(owned)) = (borrowed, owned) {
+        let bits = |e: WireEntry| (e.origin, e.version, e.load.to_bits());
+        assert_eq!(borrowed.shard(), owned.shard);
+        assert_eq!(borrowed.since().collect::<Vec<_>>(), owned.since);
+        assert_eq!(
+            borrowed.changed().map(bits).collect::<Vec<_>>(),
+            owned.changed.into_iter().map(bits).collect::<Vec<_>>()
+        );
+        assert_eq!(
+            borrowed.full().map(bits).collect::<Vec<_>>(),
+            owned.full.into_iter().map(bits).collect::<Vec<_>>()
+        );
+    }
 }
 
 proptest! {
@@ -128,6 +150,51 @@ proptest! {
         if let Some(frame) = decode_delta(Bytes::from(raw.clone())) {
             prop_assert_eq!(encode_delta(&frame).as_ref(), &raw[..]);
         }
+    }
+
+    /// `DeltaFrameRef::parse` ≡ `decode_delta` on arbitrary bytes.
+    #[test]
+    fn borrowed_parse_agrees_with_decode_on_garbage(raw in proptest::collection::vec(any::<u8>(), 0..256)) {
+        assert_ref_agrees_with_decode(&raw);
+    }
+
+    /// … on a valid frame, on every truncation of it (none may parse),
+    /// and on the frame followed by trailing garbage (strict: rejected).
+    #[test]
+    fn borrowed_parse_agrees_with_decode_on_frames_cuts_and_tails(
+        frame in arb_delta_frame(),
+        tail in proptest::collection::vec(any::<u8>(), 1..24),
+    ) {
+        let bytes = encode_delta(&frame);
+        prop_assert!(DeltaFrameRef::parse(&bytes).is_some());
+        assert_ref_agrees_with_decode(&bytes);
+        for cut in 0..bytes.len() {
+            prop_assert!(DeltaFrameRef::parse(&bytes[..cut]).is_none(), "parsed a {cut}-byte prefix");
+            assert_ref_agrees_with_decode(&bytes[..cut]);
+        }
+        let mut longer = bytes.to_vec();
+        longer.extend_from_slice(&tail);
+        prop_assert!(DeltaFrameRef::parse(&longer).is_none());
+        assert_ref_agrees_with_decode(&longer);
+    }
+
+    /// … and when any of the three length prefixes is overwritten with
+    /// a hostile value (`u32::MAX` overflows `count · 20` on 32-bit and
+    /// dwarfs the buffer everywhere): `None` from both, no panic, no
+    /// giant reserve.
+    #[test]
+    fn borrowed_parse_agrees_with_decode_on_hostile_lengths(
+        frame in arb_delta_frame(),
+        which in 0usize..3,
+        claimed in prop_oneof![Just(u32::MAX), Just(u32::MAX / 20), Just(u32::MAX / 8), any::<u32>()],
+    ) {
+        let mut raw = encode_delta(&frame).to_vec();
+        let since_at = 4;
+        let changed_at = since_at + 4 + frame.since.len() * 8;
+        let full_at = changed_at + 4 + frame.changed.len() * ENTRY_SIZE;
+        let at = [since_at, changed_at, full_at][which];
+        raw[at..at + 4].copy_from_slice(&claimed.to_le_bytes());
+        assert_ref_agrees_with_decode(&raw);
     }
 
     /// delta ∘ apply ≡ full view: merging a sender's hot subset plus

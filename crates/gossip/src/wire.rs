@@ -26,8 +26,18 @@
 //! reject trailing garbage. Both return `None` — never panic — on
 //! truncated or malformed input, and leave the buffer untouched when
 //! they fail.
+//!
+//! Beside them sits [`DeltaFrameRef`], the borrowed form of the strict
+//! delta decoder: [`DeltaFrameRef::parse`] accepts exactly the buffers
+//! [`decode_delta`] accepts (same checked length arithmetic, same
+//! whole-buffer rule, `None` and never a panic otherwise) but builds no
+//! `Vec`s — it keeps three sub-slices of the input and decodes `since`
+//! words and entries in place as they are iterated. It is what
+//! [`crate::DeltaGossip`] merges delivered frames through;
+//! [`encode_delta`]/[`decode_delta`] stay as the public owned codec and
+//! as the oracle the borrowed path is property-tested against.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, Bytes};
 
 /// One gossip view entry on the wire.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -43,6 +53,30 @@ pub struct WireEntry {
 /// Bytes per encoded entry.
 pub const ENTRY_SIZE: usize = 4 + 8 + 8;
 
+impl WireEntry {
+    /// The entry's wire image: `origin`, `version`, `load` bits, all
+    /// little-endian. Built whole so a writer does one 20-byte append.
+    fn to_wire(self) -> [u8; ENTRY_SIZE] {
+        let mut raw = [0u8; ENTRY_SIZE];
+        raw[..4].copy_from_slice(&self.origin.to_le_bytes());
+        raw[4..12].copy_from_slice(&self.version.to_le_bytes());
+        raw[12..].copy_from_slice(&self.load.to_bits().to_le_bytes());
+        raw
+    }
+
+    /// Inverse of [`to_wire`](Self::to_wire). `raw` must be exactly
+    /// [`ENTRY_SIZE`] bytes (callers slice with `chunks_exact`).
+    fn from_wire(raw: &[u8]) -> Self {
+        WireEntry {
+            origin: u32::from_le_bytes(raw[..4].try_into().expect("4-byte field")),
+            version: u64::from_le_bytes(raw[4..12].try_into().expect("8-byte field")),
+            load: f64::from_bits(u64::from_le_bytes(
+                raw[12..ENTRY_SIZE].try_into().expect("8-byte field"),
+            )),
+        }
+    }
+}
+
 /// Encoded size of a full-view frame carrying `n` entries.
 pub const fn view_bytes(n: usize) -> usize {
     4 + n * ENTRY_SIZE
@@ -50,9 +84,9 @@ pub const fn view_bytes(n: usize) -> usize {
 
 /// Encodes entries into a length-prefixed buffer.
 pub fn encode(entries: &[WireEntry]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(view_bytes(entries.len()));
-    put_entries(&mut buf, entries);
-    buf.freeze()
+    let mut buf = Vec::with_capacity(view_bytes(entries.len()));
+    put_entries(&mut buf, entries.iter().copied());
+    Bytes::from(buf)
 }
 
 /// Decodes exactly one full-view frame from the front of `buf`,
@@ -104,15 +138,11 @@ impl DeltaFrame {
 /// summary `u64`s, then the `changed` and `full` entry lists (each in
 /// the [`encode`] layout).
 pub fn encode_delta(frame: &DeltaFrame) -> Bytes {
-    let mut buf = BytesMut::with_capacity(frame.encoded_len());
-    buf.put_u32_le(frame.shard);
-    buf.put_u32_le(frame.since.len() as u32);
-    for &v in &frame.since {
-        buf.put_u64_le(v);
-    }
-    put_entries(&mut buf, &frame.changed);
-    put_entries(&mut buf, &frame.full);
-    buf.freeze()
+    let mut buf = Vec::with_capacity(frame.encoded_len());
+    put_delta_header(&mut buf, frame.shard, &frame.since);
+    put_entries(&mut buf, frame.changed.iter().copied());
+    put_entries(&mut buf, frame.full.iter().copied());
+    Bytes::from(buf)
 }
 
 /// Decodes exactly one delta frame from the front of `buf`, consuming
@@ -122,14 +152,10 @@ pub fn decode_delta_from(buf: &mut Bytes) -> Option<DeltaFrame> {
     let s = buf.as_slice();
     let mut pos = 0usize;
     let shard = read_u32(s, &mut pos)?;
-    let since_len = read_u32(s, &mut pos)? as usize;
-    if s.len().checked_sub(pos)? < since_len.checked_mul(8)? {
-        return None;
-    }
-    let mut since = Vec::with_capacity(since_len);
-    for _ in 0..since_len {
-        since.push(read_u64(s, &mut pos)?);
-    }
+    let since = take_list(s, &mut pos, 8)?
+        .chunks_exact(8)
+        .map(le_u64)
+        .collect();
     let changed = read_entries(s, &mut pos)?;
     let full = read_entries(s, &mut pos)?;
     buf.advance(pos);
@@ -151,51 +177,130 @@ pub fn decode_delta(mut buf: Bytes) -> Option<DeltaFrame> {
     Some(frame)
 }
 
-fn put_entries(buf: &mut BytesMut, entries: &[WireEntry]) {
-    buf.put_u32_le(entries.len() as u32);
-    for e in entries {
-        buf.put_u32_le(e.origin);
-        buf.put_u64_le(e.version);
-        buf.put_f64_le(e.load);
+/// A delta frame parsed in place: the borrowed twin of
+/// [`decode_delta`]. [`parse`](Self::parse) validates the whole buffer
+/// up front and keeps three sub-slices of it; `since` words and entries
+/// are decoded as they are iterated, so consuming a frame allocates
+/// nothing.
+#[derive(Debug, Clone, Copy)]
+pub struct DeltaFrameRef<'a> {
+    shard: u32,
+    since: &'a [u8],
+    changed: &'a [u8],
+    full: &'a [u8],
+}
+
+impl<'a> DeltaFrameRef<'a> {
+    /// Validates `raw` as exactly one delta frame — the rules of
+    /// [`decode_delta`]: every length prefix is checked against the
+    /// bytes left, in overflow-checked arithmetic, before it is used,
+    /// and trailing bytes are malformed. `None`, never a panic, on
+    /// anything else.
+    pub fn parse(raw: &'a [u8]) -> Option<Self> {
+        let mut pos = 0usize;
+        let shard = read_u32(raw, &mut pos)?;
+        let since = take_list(raw, &mut pos, 8)?;
+        let changed = take_list(raw, &mut pos, ENTRY_SIZE)?;
+        let full = take_list(raw, &mut pos, ENTRY_SIZE)?;
+        (pos == raw.len()).then_some(DeltaFrameRef {
+            shard,
+            since,
+            changed,
+            full,
+        })
+    }
+
+    /// Which shard the `full` list covers.
+    pub fn shard(&self) -> u32 {
+        self.shard
+    }
+
+    /// The sender's per-shard version summary, in shard order.
+    pub fn since(&self) -> impl ExactSizeIterator<Item = u64> + 'a {
+        self.since.chunks_exact(8).map(le_u64)
+    }
+
+    /// The hot-set entries, in wire order.
+    pub fn changed(&self) -> impl ExactSizeIterator<Item = WireEntry> + 'a {
+        self.changed
+            .chunks_exact(ENTRY_SIZE)
+            .map(WireEntry::from_wire)
+    }
+
+    /// The fallback shard's entries, in wire order.
+    pub fn full(&self) -> impl ExactSizeIterator<Item = WireEntry> + 'a {
+        self.full.chunks_exact(ENTRY_SIZE).map(WireEntry::from_wire)
     }
 }
 
-/// Reads one length-prefixed entry list at `*pos`, advancing it on
-/// success. Bounds are checked before any allocation so hostile length
-/// prefixes cannot trigger huge reserves.
+/// Appends a delta frame's head: `u32` shard id, `u32` summary length,
+/// the summary words. Two [`put_entries`] lists complete the frame.
+pub(crate) fn put_delta_header(buf: &mut Vec<u8>, shard: u32, since: &[u64]) {
+    buf.extend_from_slice(&shard.to_le_bytes());
+    buf.extend_from_slice(&(since.len() as u32).to_le_bytes());
+    for v in since {
+        buf.extend_from_slice(&v.to_le_bytes());
+    }
+}
+
+/// Appends one length-prefixed entry list and returns its length. The
+/// `u32` count is patched in after the walk, so `entries` may be a
+/// filtered iterator whose length is not known up front; each entry is
+/// one [`ENTRY_SIZE`]-byte append.
+pub(crate) fn put_entries(buf: &mut Vec<u8>, entries: impl Iterator<Item = WireEntry>) -> u32 {
+    let count_at = buf.len();
+    buf.extend_from_slice(&[0; 4]);
+    let mut count = 0u32;
+    for e in entries {
+        buf.extend_from_slice(&e.to_wire());
+        count += 1;
+    }
+    buf[count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
+    count
+}
+
+/// Reads one length-prefixed entry list at `*pos`, advancing it.
+/// Bounds are checked before any allocation so hostile length prefixes
+/// cannot trigger huge reserves.
 fn read_entries(s: &[u8], pos: &mut usize) -> Option<Vec<WireEntry>> {
-    let mut p = *pos;
-    let count = read_u32(s, &mut p)? as usize;
-    if s.len().checked_sub(p)? < count.checked_mul(ENTRY_SIZE)? {
-        return None;
-    }
-    let mut entries = Vec::with_capacity(count);
-    for _ in 0..count {
-        entries.push(WireEntry {
-            origin: read_u32(s, &mut p)?,
-            version: read_u64(s, &mut p)?,
-            load: f64::from_bits(read_u64(s, &mut p)?),
-        });
-    }
-    *pos = p;
-    Some(entries)
+    let raw = take_list(s, pos, ENTRY_SIZE)?;
+    Some(
+        raw.chunks_exact(ENTRY_SIZE)
+            .map(WireEntry::from_wire)
+            .collect(),
+    )
+}
+
+/// The raw bytes of one `u32`-length-prefixed list of `unit`-byte
+/// items at `*pos` (a whole number of `unit`-byte chunks), advancing
+/// `*pos` past it. The claimed length is checked against what is left,
+/// in overflow-checked arithmetic, before anything is sliced.
+fn take_list<'a>(s: &'a [u8], pos: &mut usize, unit: usize) -> Option<&'a [u8]> {
+    let count = read_u32(s, pos)? as usize;
+    take(s, pos, count.checked_mul(unit)?)
+}
+
+/// `len` bytes at `*pos`, advancing it; `None` when fewer are left.
+fn take<'a>(s: &'a [u8], pos: &mut usize, len: usize) -> Option<&'a [u8]> {
+    let raw = s.get(*pos..pos.checked_add(len)?)?;
+    *pos += len;
+    Some(raw)
 }
 
 fn read_u32(s: &[u8], pos: &mut usize) -> Option<u32> {
-    let raw = s.get(*pos..*pos + 4)?;
-    *pos += 4;
-    Some(u32::from_le_bytes(raw.try_into().unwrap()))
+    let raw = take(s, pos, 4)?;
+    Some(u32::from_le_bytes(raw.try_into().expect("4-byte field")))
 }
 
-fn read_u64(s: &[u8], pos: &mut usize) -> Option<u64> {
-    let raw = s.get(*pos..*pos + 8)?;
-    *pos += 8;
-    Some(u64::from_le_bytes(raw.try_into().unwrap()))
+/// One little-endian `u64` from an 8-byte `chunks_exact` chunk.
+fn le_u64(raw: &[u8]) -> u64 {
+    u64::from_le_bytes(raw.try_into().expect("8-byte field"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::{BufMut, BytesMut};
 
     fn sample_frame() -> DeltaFrame {
         DeltaFrame {
