@@ -4,20 +4,21 @@
 //! The paper argues (§IV) that running the gossip layer ~`O(log m)`
 //! times more often than the balancing algorithm gives every server
 //! accurate load information. Here we (a) measure how many gossip
-//! rounds dissemination actually takes and what it costs on the wire,
-//! (b) measure steady-state traffic at Figure-2 scale (m = 5000):
-//! delta-encoded sharded frames vs the full-view push-pull baseline,
-//! and (c) run the engine with partner scoring fed by the emulated
-//! stale snapshot (`gossip=emulated:T`) and by the *real* delta-gossip
-//! protocol (`gossip=event:100ms`), confirming convergence survives
-//! staleness.
+//! periods a cold-start dissemination actually takes and what it costs
+//! on the wire, (b) measure steady-state traffic at Figure-2 scale
+//! (m = 5000) — in both tables the delta-encoded sharded frames are
+//! billed beside the same frames carrying full m-entry views, the
+//! push-pull baseline — and (c) run the engine with partner scoring
+//! fed by the emulated stale snapshot (`gossip=emulated:T`) and by the
+//! *real* delta-gossip protocol (`gossip=event:100ms`), confirming
+//! convergence survives staleness.
 //!
 //! Run: `cargo bench -p dlb-bench --bench ablation_gossip_staleness`.
 //! Writes the committed artifact `BENCH_gossip.json` at the repo root.
 
 use dlb_bench::results::{JsonlSink, Record};
 use dlb_gossip::wire::view_bytes;
-use dlb_gossip::{DeltaGossip, DeltaGossipConfig, EventGossip, EventGossipConfig, GossipNetwork};
+use dlb_gossip::{DeltaGossip, DeltaGossipConfig};
 use dlb_scenario::{AlgoSpec, GossipSpec, NetSpec, ScenarioSpec};
 
 fn main() {
@@ -29,41 +30,38 @@ fn main() {
 
     println!("\n== Gossip dissemination cost ==");
     println!(
-        "{:>8} {:>8} {:>10} {:>14} {:>14}",
-        "m", "rounds", "log2(m)", "MB shipped", "virtual ms"
+        "{:>8} {:>8} {:>10} {:>14} {:>14} {:>14}",
+        "m", "periods", "log2(m)", "MB shipped", "MB full-view", "virtual ms"
     );
     for &m in &[50usize, 200, 1000, 5000] {
         let loads: Vec<f64> = (0..m).map(|i| (i % 17) as f64).collect();
-        let mut net = GossipNetwork::new(&loads, 3);
-        let stats = net.run_until_complete(10_000);
-        assert!(stats.complete, "m={m} must disseminate inside the budget");
-        // The same dissemination as scheduled events over 10 ms links:
-        // how long it takes in *time*, not rounds. The completion
-        // check is incremental (an O(1) stale-pair counter), so the
-        // event column now runs the full grid — the old O(m²) rescan
-        // per delivery capped it at m = 1000.
-        let virtual_ms = {
-            let mut events = EventGossip::new(&loads, 3);
-            events
-                .run(&EventGossipConfig::default(), |_, _| 10.0)
-                .virtual_ms
-        };
+        // A cold start — every node knows only its own load — run to
+        // full dissemination over 10 ms links: how long it takes in
+        // periods and in *time*, and what went on the wire.
+        let config = DeltaGossipConfig::default();
+        let mut net = DeltaGossip::new(&loads, 3, config);
+        let (complete, virtual_ms) = net.run_until_complete(60_000.0, |_, _| 10.0);
+        assert!(complete, "m={m} must disseminate inside the budget");
+        let periods = (virtual_ms / config.period_ms).ceil();
+        let t = net.traffic();
+        // The same frames, each carrying a whole m-entry view.
+        let full_view_bytes = t.frames * view_bytes(m) as u64;
         sink.record(
             &Record::new("table_row")
                 .str("table", "gossip_dissemination")
                 .int("m", m as i64)
-                .int("rounds", stats.rounds as i64)
-                .int("exchanges", stats.exchanges as i64)
-                .bool("complete", stats.complete)
-                .int("bytes", stats.bytes as i64)
+                .int("periods", periods as i64)
+                .int("frames", t.frames as i64)
+                .int("exchanges", t.exchanges as i64)
+                .int("bytes", t.bytes as i64)
+                .int("full_view_bytes", full_view_bytes as i64)
                 .num("event_virtual_ms", virtual_ms),
         );
         println!(
-            "{m:>8} {:>8} {:>10.1} {:>14.2} {:>14.1}",
-            stats.rounds,
+            "{m:>8} {periods:>8} {:>10.1} {:>14.2} {:>14.2} {virtual_ms:>14.1}",
             (m as f64).log2(),
-            stats.bytes as f64 / 1e6,
-            virtual_ms
+            t.bytes as f64 / 1e6,
+            full_view_bytes as f64 / 1e6,
         );
     }
 

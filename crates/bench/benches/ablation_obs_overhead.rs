@@ -31,7 +31,7 @@ use dlb_bench::results::{JsonlSink, Record};
 use dlb_netsim::rtt::QueueModel;
 use dlb_netsim::LinkDelayModel;
 use dlb_runtime::{run_cluster_events, ClusterOptions, NodeConfig};
-use dlb_scenario::{runner_for, RunRecord, ScenarioSpec};
+use dlb_scenario::{RunRecord, ScenarioSpec};
 use std::time::Instant;
 
 /// The workload every variant runs: the paper's large-network scale on
@@ -68,7 +68,6 @@ fn direct_options(spec: &ScenarioSpec, instance: &dlb_core::Instance) -> Cluster
 fn main() {
     let spec: ScenarioSpec = SPEC.parse().expect("base spec parses");
     let instance = spec.build_instance();
-    let runner = runner_for(spec.algo);
     let log_path = std::env::temp_dir().join("dlb_bench_obs_overhead.dlbf");
     let traced_spec = |axis: &str| -> ScenarioSpec {
         format!("{SPEC} trace={axis}")
@@ -98,7 +97,7 @@ fn main() {
         for (slot, s) in [&spec, &summary_spec, &frames_spec].into_iter().enumerate() {
             let inst = instance.clone();
             let t0 = Instant::now();
-            let run = runner.run_on(s, inst);
+            let run = s.run_on(inst);
             times[slot + 1].push(t0.elapsed().as_secs_f64());
             runs[slot] = Some(run);
         }

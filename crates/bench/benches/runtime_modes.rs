@@ -8,11 +8,7 @@
 //! delays — the quantity the paper's deployment would observe) to
 //! `BENCH_runtime.json` at the workspace root, one JSON record per
 //! measurement, so the executor's perf trajectory is tracked across
-//! PRs (`dlb report BENCH_runtime.json` renders it). The committed
-//! artifact predates the retirement of the thread-per-node runtime and
-//! still carries its two `"runtime":"threads"` rows (m = 100, 300 —
-//! past a few hundred nodes that mode was a pathology, not a
-//! baseline); this harness no longer produces them.
+//! PRs (`dlb report BENCH_runtime.json` renders it).
 //!
 //! The exact-scan grid climbs to the Figure-2 sizes
 //! (`DLB_BENCH_SCALE=full` adds m = 2000 and m = 5000). A second grid

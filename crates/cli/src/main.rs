@@ -11,7 +11,7 @@
 //!
 //! Every command names its experiment through one
 //! [`dlb_scenario::ScenarioSpec`] (deterministic per `seed`), runs it
-//! through the shared [`dlb_scenario::Runner`] layer, prints a compact
+//! through [`dlb_scenario::ScenarioSpec::run_on`], prints a compact
 //! report, and emits the run as a JSON-lines record through
 //! [`dlb_bench::results::JsonlSink`] — `--out FILE` writes to an
 //! explicit file, otherwise `DLB_RESULTS_DIR` selects the directory

@@ -6,10 +6,9 @@
 //! other regime measurable: it injects node crashes and recoveries,
 //! per-link frame loss, delay-spike windows, network partitions, and
 //! slow-but-alive stragglers into the workspace's virtual-time
-//! simulations — the protocol
-//! executor in `dlb-runtime` and the scheduled gossip in `dlb-gossip`
-//! — so "how far does §IV degrade when the network misbehaves?" is a
-//! scenario, not a thought experiment.
+//! simulation — the protocol executor in `dlb-runtime` — so "how far
+//! does §IV degrade when the network misbehaves?" is a scenario, not a
+//! thought experiment.
 //!
 //! Two layers:
 //!
@@ -25,23 +24,17 @@
 //!   so a fault trajectory is bit-reproducible across repeats and
 //!   worker-pool sizes, exactly like the executor it gates.
 //!
-//! ## Drop vs. delay: who gets which loss semantics
+//! ## Drop vs. delay: loss is retransmission latency
 //!
-//! Frame loss has two faces, and the script exposes both so each
-//! simulation keeps its invariants:
-//!
-//! * **Idempotent traffic drops** ([`FaultScript::loss_drops`],
-//!   [`FaultScript::crossing_blocked`]): gossip exchanges are periodic
-//!   and idempotent, so a lost push-pull frame is simply gone — the
-//!   next tick retries. `dlb_gossip` uses these raw decisions.
-//! * **Reliable-transport delays** ([`FaultScript::reliable_link`]):
-//!   the §IV exchange moves request ownership — dropping a `Commit`
-//!   would tear an exchange in half and violate conservation, which is
-//!   why a real deployment runs it over TCP. There, loss manifests as
-//!   retransmission latency: each lost attempt adds one retransmission
-//!   timeout, and a partition holds crossing frames until it heals.
-//!   `dlb_runtime::executor` uses this composition; only frames to
-//!   *crashed* destinations are truly dropped.
+//! The script has one consumer, `dlb_runtime::executor`, and it reads
+//! loss and partitions through [`FaultScript::reliable_link`]: the §IV
+//! exchange moves request ownership — dropping a `Commit` would tear
+//! an exchange in half and violate conservation, which is why a real
+//! deployment runs it over TCP. There, loss manifests as
+//! retransmission latency: each lost attempt adds one retransmission
+//! timeout, and a partition ([`FaultScript::crossing_blocked`]) holds
+//! crossing frames until it heals. Only frames to *crashed*
+//! destinations are truly dropped.
 //!
 //! ```
 //! use dlb_faults::FaultPlan;

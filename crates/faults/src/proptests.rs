@@ -1,6 +1,6 @@
 //! Property-based tests for the fault-plan text grammar: arbitrary
 //! plans survive plan → text → parse bit-exactly, matching the
-//! coverage the `dlb-gossip` and `dlb-runtime` wire codecs have.
+//! coverage the `dlb-gossip` wire codec has.
 
 #![cfg(test)]
 

@@ -239,15 +239,6 @@ impl FaultScript {
         }
     }
 
-    /// Raw loss decision for the frame with heap sequence number `seq`
-    /// sent at time `t`: `true` means the frame is lost. For
-    /// idempotent traffic (gossip) a lost frame is simply dropped; the
-    /// reliable transport turns the same decisions into retransmission
-    /// delay.
-    pub fn loss_drops(&self, t: f64, seq: u64) -> bool {
-        self.loss_attempt_fails(t, seq, 0)
-    }
-
     /// Whether retransmission attempt `attempt` of frame `seq` at time
     /// `t` is lost.
     fn loss_attempt_fails(&self, t: f64, seq: u64, attempt: u32) -> bool {
@@ -274,9 +265,8 @@ impl FaultScript {
     }
 
     /// Whether `src → dst` crosses the partition cut while the
-    /// partition window is active at time `t` (idempotent traffic
-    /// drops such frames; the reliable transport holds them until the
-    /// window heals).
+    /// partition window is active at time `t` (the reliable transport
+    /// holds such frames until the window heals).
     pub fn crossing_blocked(&self, t: f64, src: usize, dst: usize) -> bool {
         match &self.plan.partition {
             Some(p) => (p.from_ms..p.to_ms).contains(&t) && self.side[src] != self.side[dst],
@@ -350,7 +340,7 @@ mod tests {
         assert_eq!(s.len(), 10);
         assert!(!s.is_empty_cluster());
         assert!(s.down_at(1e9).is_empty());
-        assert!(!s.loss_drops(5.0, 3));
+        assert!(!s.loss_attempt_fails(5.0, 3, 0));
         assert_eq!(s.spike_extra(5.0, 10.0), 0.0);
         assert!(!s.crossing_blocked(5.0, 0, 1));
         assert_eq!(s.reliable_link(5.0, 0, 1, 3, 10.0), LinkOutcome::default());
@@ -389,16 +379,18 @@ mod tests {
     #[test]
     fn loss_rate_tracks_probability_and_window() {
         let s = FaultPlan::new().loss(0.3).compile(4, 10);
-        let hits = (0..20_000).filter(|&q| s.loss_drops(1.0, q)).count();
+        let hits = (0..20_000)
+            .filter(|&q| s.loss_attempt_fails(1.0, q, 0))
+            .count();
         let rate = hits as f64 / 20_000.0;
         assert!((rate - 0.3).abs() < 0.02, "empirical loss rate {rate}");
         let windowed = FaultPlan::new()
             .loss_window(0.9, 100.0, 200.0)
             .compile(4, 10);
-        assert!(!windowed.loss_drops(99.0, 7));
-        assert!(!windowed.loss_drops(200.0, 7));
+        assert!(!windowed.loss_attempt_fails(99.0, 7, 0));
+        assert!(!windowed.loss_attempt_fails(200.0, 7, 0));
         let in_window = (0..1_000)
-            .filter(|&q| windowed.loss_drops(150.0, q))
+            .filter(|&q| windowed.loss_attempt_fails(150.0, q, 0))
             .count();
         assert!(in_window > 800, "windowed loss active inside the window");
     }

@@ -1,10 +1,12 @@
 //! Delta-encoded sharded gossip: the bandwidth-frugal control plane.
 //!
-//! [`crate::EventGossip`] ships the **full** m-entry view on every
-//! exchange — at m = 5000 that is ~100 kB per frame, the bandwidth
-//! bill the ROADMAP calls out. [`DeltaGossip`] runs the same versioned
-//! push-pull merge on the same virtual-time heap but encodes what it
-//! actually sends ([`crate::wire::DeltaFrame`]):
+//! Textbook push-pull gossip ships a node's **full** m-entry view on
+//! every exchange — at m = 5000 that is ~100 kB per frame
+//! ([`crate::wire::view_bytes`]), the bandwidth bill the ROADMAP calls
+//! out. [`DeltaGossip`] runs the same versioned keep-freshest merge, as
+//! scheduled events on a virtual-time heap with per-link delivery
+//! delays, but encodes only what it has to send
+//! ([`crate::wire::DeltaFrame`]):
 //!
 //! - **Hot set (rumor mongering).** Every entry a node heard within the
 //!   last `hot_ticks` of its own periods is "hot" and rides along in
@@ -53,9 +55,8 @@
 //! like the scan it replaces, in O(hot + shard) instead of O(m), for
 //! m/64 words per node.
 //!
-//! Unlike the one-shot [`EventGossip::run`](crate::EventGossip::run)
-//! loop, the heap here is persistent: [`DeltaGossip::advance`] drains
-//! events up to a virtual instant and returns, so an external driver —
+//! The heap is persistent: [`DeltaGossip::advance`] drains events up
+//! to a virtual instant and returns, so an external driver —
 //! the engine's `GossipFeed` — can interleave publishes and partial
 //! advances with its own iteration clock. Everything is deterministic
 //! per seed: peers come from a seeded RNG and the heap orders
@@ -749,7 +750,6 @@ impl DeltaGossip {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::{EventGossip, EventGossipConfig};
 
     fn cfg() -> DeltaGossipConfig {
         DeltaGossipConfig::default()
@@ -822,17 +822,63 @@ mod tests {
 
     #[test]
     fn delta_views_match_full_view_gossip_views() {
-        // Protocol-level delta∘apply ≡ full view: after quiescence both
-        // layers must hold the identical, exact load vector everywhere.
+        // Protocol-level delta∘apply ≡ full view: shipping hot sets
+        // and rotating shards must leave every node holding what
+        // full-view push-pull would — the exact load vector.
         let loads: Vec<f64> = (0..48).map(|i| (i * 3 % 11) as f64).collect();
-        let mut full = EventGossip::new(&loads, 21);
-        full.run(&EventGossipConfig::default(), |_, _| 4.0);
         let mut delta = DeltaGossip::new(&loads, 21, cfg());
         let (complete, _) = delta.run_until_complete(60_000.0, |_, _| 4.0);
         assert!(complete);
         for node in 0..48 {
-            assert_eq!(delta.view(node), full.view(node), "node {node} differs");
+            assert_eq!(delta.view(node), loads, "node {node} differs");
         }
+    }
+
+    #[test]
+    fn convergence_is_logarithmic() {
+        // Push-pull completes in O(log m) periods w.h.p.: a cold start
+        // stays under a small multiple of ⌈log2 m⌉ initiation periods,
+        // and 16× the nodes costs nowhere near 16× the periods.
+        let config = cfg();
+        let periods = |m: usize| {
+            let loads: Vec<f64> = (0..m).map(|i| i as f64).collect();
+            let mut net = DeltaGossip::new(&loads, 11, config);
+            let (complete, t) = net.run_until_complete(60_000.0, |_, _| 10.0);
+            assert!(complete, "m={m} did not disseminate");
+            let periods = (t / config.period_ms).ceil() as u32;
+            let budget = 3 * (m as f64).log2().ceil() as u32;
+            assert!(periods <= budget, "m={m}: {periods} periods > {budget}");
+            periods
+        };
+        let [small, _, large] = [16, 64, 256].map(periods);
+        assert!(
+            large < 4 * small,
+            "16× the nodes: {small} → {large} periods"
+        );
+    }
+
+    #[test]
+    fn completion_instant_tracks_link_delay_and_the_deadline() {
+        // Two nodes, both tick at t = 0: the two requests landing at
+        // the one-way delay already disseminate everything, so that —
+        // not a reply's round trip — is the completion instant.
+        let mut pair = DeltaGossip::new(&[1.0, 2.0], 1, cfg());
+        assert_eq!(pair.run_until_complete(10_000.0, |_, _| 7.0), (true, 7.0));
+
+        let loads: Vec<f64> = (0..24).map(|i| i as f64).collect();
+        let finish = |delay: f64| {
+            let mut net = DeltaGossip::new(&loads, 9, cfg());
+            net.run_until_complete(60_000.0, |_, _| delay)
+        };
+        let ((fast_done, fast), (slow_done, slow)) = (finish(1.0), finish(400.0));
+        assert!(fast_done && slow_done);
+        assert!(slow > fast, "slow {slow} ms vs fast {fast} ms");
+        // Links slower than the horizon: nothing is ever delivered, so
+        // the run parks at the deadline and says so.
+        let mut cut = DeltaGossip::new(&loads, 9, cfg());
+        assert_eq!(cut.run_until_complete(500.0, |_, _| 1e9), (false, 500.0));
+        assert_eq!(cut.now_ms(), 500.0);
+        assert!(!cut.fully_disseminated());
     }
 
     #[test]

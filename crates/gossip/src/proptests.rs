@@ -7,8 +7,7 @@ use proptest::prelude::*;
 
 use crate::shard::ShardMap;
 use crate::wire::{
-    decode, decode_delta, decode_delta_from, decode_from, encode, encode_delta, DeltaFrame,
-    DeltaFrameRef, WireEntry, ENTRY_SIZE,
+    decode_delta, decode_delta_from, encode_delta, DeltaFrame, DeltaFrameRef, WireEntry, ENTRY_SIZE,
 };
 
 fn arb_entry() -> impl Strategy<Value = WireEntry> {
@@ -61,62 +60,6 @@ fn assert_ref_agrees_with_decode(raw: &[u8]) {
 }
 
 proptest! {
-    /// Every message round-trips exactly, and its size follows the
-    /// documented 4 + n·ENTRY_SIZE layout.
-    #[test]
-    fn roundtrip_and_size(entries in arb_entries()) {
-        let bytes = encode(&entries);
-        prop_assert_eq!(bytes.len(), 4 + entries.len() * ENTRY_SIZE);
-        let back = decode(bytes).expect("well-formed message decodes");
-        prop_assert_eq!(back, entries);
-    }
-
-    /// No truncated prefix of a valid message may decode (the length
-    /// prefix and the fixed entry size make every cut detectable), and
-    /// none may panic.
-    #[test]
-    fn truncation_is_always_rejected(entries in arb_entries()) {
-        let bytes = encode(&entries);
-        for cut in 0..bytes.len() {
-            prop_assert!(
-                decode(bytes.slice(0..cut)).is_none(),
-                "prefix of {cut} bytes decoded"
-            );
-        }
-    }
-
-    /// Arbitrary bytes never panic the decoder, and whatever decodes
-    /// re-encodes to the exact input (decode is injective on valid
-    /// buffers).
-    #[test]
-    fn garbage_never_panics_and_valid_decodes_reencode(raw in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let bytes = Bytes::from(raw.clone());
-        if let Some(entries) = decode(bytes) {
-            // NaN loads cannot round-trip through PartialEq entries,
-            // but the byte-level re-encoding must still be exact.
-            prop_assert_eq!(encode(&entries).as_ref(), &raw[..]);
-        }
-    }
-
-    /// Concatenated full-view frames decode one at a time through the
-    /// consume-from-buffer path, in order, leaving nothing behind —
-    /// while the strict decoder rejects the concatenation outright.
-    #[test]
-    fn concatenated_frames_stream_decode(frames in proptest::collection::vec(arb_entries(), 1..6)) {
-        let mut stream = Vec::new();
-        for f in &frames {
-            stream.extend_from_slice(encode(f).as_ref());
-        }
-        if frames.len() > 1 {
-            prop_assert!(decode(Bytes::from(stream.clone())).is_none());
-        }
-        let mut buf = Bytes::from(stream);
-        for f in &frames {
-            prop_assert_eq!(&decode_from(&mut buf).expect("one frame"), f);
-        }
-        prop_assert!(buf.is_empty());
-    }
-
     /// Delta frames round-trip exactly through both decoder flavours,
     /// and the encoded size matches `encoded_len`.
     #[test]
@@ -214,7 +157,7 @@ proptest! {
         let sender: Vec<WireEntry> = (0..m).map(|o| entry(o, sender_versions[o])).collect();
         let receiver: Vec<WireEntry> = (0..m).map(|o| entry(o, receiver_versions[o])).collect();
 
-        // Keep-freshest merge of a decoded entry list into a view.
+        // Keep-freshest merge of an entry list into a view.
         let merge = |view: &mut Vec<WireEntry>, incoming: &[WireEntry]| {
             for e in incoming {
                 let mine = &mut view[e.origin as usize];
@@ -224,10 +167,9 @@ proptest! {
             }
         };
 
-        // Full-view path: one frame with everything.
+        // Full-view path: the sender's whole view, merged as is.
         let mut via_full = receiver.clone();
-        let full_frame = decode(encode(&sender)).expect("full view");
-        merge(&mut via_full, &full_frame);
+        merge(&mut via_full, &sender);
 
         // Delta path: the sender's hot subset rides `changed`; every
         // shard is eventually somebody's fallback, so apply one frame

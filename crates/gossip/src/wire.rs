@@ -1,31 +1,30 @@
 //! Compact wire encoding for gossip messages.
 //!
-//! Two frame kinds share one little-endian vocabulary (no serde
-//! overhead on the hot path):
+//! One frame kind, little-endian throughout (no serde overhead on the
+//! hot path): the sharded anti-entropy **delta frame**
+//! ([`encode_delta`]/[`decode_delta`]/[`decode_delta_from`]) that
+//! [`crate::DeltaGossip`] ships. A frame names a fallback `shard` id,
+//! carries the sender's per-shard version summary (`since`, one `u64`
+//! per shard — the watermark the receiver answers against), a `changed`
+//! entry list (the sender's recently-heard hot set) and a `full` entry
+//! list (the complete contents of the named fallback shard). An entry
+//! is an `(origin: u32, version: u64, load: f64)` triple —
+//! [`ENTRY_SIZE`] = 20 bytes — and an entry list is a `u32` count
+//! followed by that many entries. Steady-state traffic is O(changed
+//! entries) plus one rotating shard instead of O(m).
 //!
-//! - **Full-view frames** ([`encode`]/[`decode`]/[`decode_from`]): a
-//!   `u32` count followed by `(origin: u32, version: u64, load: f64)`
-//!   triples — [`ENTRY_SIZE`] = 20 bytes per entry, so a full view of a
-//!   5000-server system is ~100 kB. This is what the classic push-pull
-//!   layers ([`crate::GossipNetwork`], [`crate::EventGossip`]) ship on
-//!   every exchange.
-//! - **Delta frames** ([`encode_delta`]/[`decode_delta`]/
-//!   [`decode_delta_from`]): the sharded anti-entropy format used by
-//!   [`crate::DeltaGossip`]. A frame names a fallback `shard` id,
-//!   carries the sender's per-shard version summary (`since`, one `u64`
-//!   per shard — the watermark the receiver answers against), a
-//!   `changed` entry list (the sender's recently-heard hot set) and a
-//!   `full` entry list (the complete contents of the named fallback
-//!   shard). Steady-state traffic is O(changed entries) plus one
-//!   rotating shard instead of O(m).
+//! [`view_bytes`] prices the alternative the delta frame exists to
+//! avoid: a frame carrying a node's whole m-entry view, ~100 kB at
+//! m = 5000. Nothing ships one; the bandwidth tables quote it as the
+//! baseline.
 //!
-//! Decoders come in two flavours: the `*_from` variants consume exactly
-//! one frame from the front of a buffer and leave the remainder (so
-//! concatenated / streamed frames parse frame-by-frame), while the
-//! plain variants are strict whole-buffer wrappers that additionally
-//! reject trailing garbage. Both return `None` — never panic — on
-//! truncated or malformed input, and leave the buffer untouched when
-//! they fail.
+//! The owned decoder comes in two flavours: [`decode_delta_from`]
+//! consumes exactly one frame from the front of a buffer and leaves the
+//! remainder (so concatenated / streamed frames parse frame-by-frame),
+//! while [`decode_delta`] is the strict whole-buffer wrapper that
+//! additionally rejects trailing garbage. Both return `None` — never
+//! panic — on truncated or malformed input, and leave the buffer
+//! untouched when they fail.
 //!
 //! Beside them sits [`DeltaFrameRef`], the borrowed form of the strict
 //! delta decoder: [`DeltaFrameRef::parse`] accepts exactly the buffers
@@ -77,37 +76,10 @@ impl WireEntry {
     }
 }
 
-/// Encoded size of a full-view frame carrying `n` entries.
+/// Encoded size of one entry list carrying `n` entries — what a frame
+/// holding a whole `n`-server view would weigh.
 pub const fn view_bytes(n: usize) -> usize {
     4 + n * ENTRY_SIZE
-}
-
-/// Encodes entries into a length-prefixed buffer.
-pub fn encode(entries: &[WireEntry]) -> Bytes {
-    let mut buf = Vec::with_capacity(view_bytes(entries.len()));
-    put_entries(&mut buf, entries.iter().copied());
-    Bytes::from(buf)
-}
-
-/// Decodes exactly one full-view frame from the front of `buf`,
-/// consuming it and leaving any trailing bytes (further frames) in
-/// place. Returns `None` — with `buf` untouched — on truncated or
-/// malformed input.
-pub fn decode_from(buf: &mut Bytes) -> Option<Vec<WireEntry>> {
-    let mut pos = 0usize;
-    let entries = read_entries(buf.as_slice(), &mut pos)?;
-    buf.advance(pos);
-    Some(entries)
-}
-
-/// Strict whole-buffer wrapper around [`decode_from`]: the buffer must
-/// hold exactly one frame — trailing bytes are rejected as malformed.
-pub fn decode(mut buf: Bytes) -> Option<Vec<WireEntry>> {
-    let entries = decode_from(&mut buf)?;
-    if !buf.is_empty() {
-        return None;
-    }
-    Some(entries)
 }
 
 /// One sharded delta frame: the sender's hot set plus a full-view
@@ -135,8 +107,8 @@ impl DeltaFrame {
 }
 
 /// Encodes a delta frame: `u32` shard id, `u32` summary length, the
-/// summary `u64`s, then the `changed` and `full` entry lists (each in
-/// the [`encode`] layout).
+/// summary `u64`s, then the `changed` and `full` entry lists (each a
+/// `u32` count and that many [`ENTRY_SIZE`]-byte entries).
 pub fn encode_delta(frame: &DeltaFrame) -> Bytes {
     let mut buf = Vec::with_capacity(frame.encoded_len());
     put_delta_header(&mut buf, frame.shard, &frame.since);
@@ -327,117 +299,6 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip() {
-        let entries = vec![
-            WireEntry {
-                origin: 0,
-                version: 3,
-                load: 12.5,
-            },
-            WireEntry {
-                origin: 4999,
-                version: u64::MAX,
-                load: f64::MAX,
-            },
-        ];
-        let bytes = encode(&entries);
-        assert_eq!(bytes.len(), view_bytes(2));
-        let back = decode(bytes).unwrap();
-        assert_eq!(back, entries);
-    }
-
-    #[test]
-    fn empty_message() {
-        let bytes = encode(&[]);
-        assert_eq!(decode(bytes).unwrap(), vec![]);
-    }
-
-    #[test]
-    fn rejects_truncated() {
-        let entries = vec![WireEntry {
-            origin: 1,
-            version: 1,
-            load: 1.0,
-        }];
-        let bytes = encode(&entries);
-        let truncated = bytes.slice(0..bytes.len() - 1);
-        assert!(decode(truncated).is_none());
-        assert!(decode(Bytes::from_static(&[1, 2])).is_none());
-    }
-
-    #[test]
-    fn rejects_length_mismatch() {
-        let mut raw = BytesMut::new();
-        raw.put_u32_le(5); // claims 5 entries, provides none
-        assert!(decode(raw.freeze()).is_none());
-    }
-
-    #[test]
-    fn strict_decode_rejects_trailing_bytes_but_decode_from_returns_them() {
-        let entries = vec![WireEntry {
-            origin: 7,
-            version: 4,
-            load: 2.0,
-        }];
-        let mut raw = BytesMut::new();
-        raw.extend_from_slice(encode(&entries).as_slice());
-        raw.extend_from_slice(&[0xEE, 0xFF]);
-        let concatenated = raw.freeze();
-
-        assert!(decode(concatenated.clone()).is_none());
-
-        let mut buf = concatenated;
-        assert_eq!(decode_from(&mut buf).unwrap(), entries);
-        assert_eq!(buf.as_slice(), &[0xEE, 0xFF]);
-    }
-
-    #[test]
-    fn decode_from_walks_concatenated_frames() {
-        let first = vec![WireEntry {
-            origin: 1,
-            version: 10,
-            load: 3.5,
-        }];
-        let second: Vec<WireEntry> = vec![];
-        let third = vec![
-            WireEntry {
-                origin: 2,
-                version: 1,
-                load: 0.25,
-            },
-            WireEntry {
-                origin: 3,
-                version: 2,
-                load: 0.75,
-            },
-        ];
-        let mut stream = BytesMut::new();
-        for frame in [&first, &second, &third] {
-            stream.extend_from_slice(encode(frame).as_slice());
-        }
-        let mut buf = stream.freeze();
-        assert_eq!(decode_from(&mut buf).unwrap(), first);
-        assert_eq!(decode_from(&mut buf).unwrap(), second);
-        assert_eq!(decode_from(&mut buf).unwrap(), third);
-        assert!(buf.is_empty());
-        assert!(decode_from(&mut buf).is_none());
-    }
-
-    #[test]
-    fn failed_decode_from_leaves_the_buffer_untouched() {
-        let entries = vec![WireEntry {
-            origin: 5,
-            version: 6,
-            load: 7.0,
-        }];
-        let whole = encode(&entries);
-        let truncated = whole.slice(0..whole.len() - 3);
-        let mut buf = truncated.clone();
-        assert!(decode_from(&mut buf).is_none());
-        assert_eq!(buf, truncated);
-    }
-
-    #[test]
     fn delta_roundtrip() {
         let frame = sample_frame();
         let bytes = encode_delta(&frame);
@@ -494,18 +355,7 @@ mod tests {
 
     #[test]
     fn full_view_of_large_system_is_bounded() {
-        let entries: Vec<WireEntry> = (0..5000)
-            .map(|i| WireEntry {
-                origin: i,
-                version: 1,
-                load: i as f64,
-            })
-            .collect();
-        let bytes = encode(&entries);
-        assert!(
-            bytes.len() < 128 * 1024,
-            "view too large: {} bytes",
-            bytes.len()
-        );
+        assert_eq!(view_bytes(0), 4);
+        assert!(view_bytes(5000) < 128 * 1024);
     }
 }

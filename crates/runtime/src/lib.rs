@@ -9,7 +9,7 @@
 //! * the **gossiped load vector** — refreshed once per round,
 //! * the **static configuration** — speeds and its latency column,
 //!
-//! and everything else travels as wire-encoded frames
+//! and everything else travels as protocol frames
 //! ([`message::Frame`]): proposals, ledger handoffs, commits.
 //!
 //! The crate is split along a machine/driver seam:
@@ -72,8 +72,6 @@ pub mod cluster;
 pub mod executor;
 pub mod machine;
 pub mod message;
-#[cfg(all(test, feature = "proptests"))]
-mod proptests;
 
 pub use clock::{Clock, VirtualClock, WallClock};
 pub use cluster::{ClusterOptions, ClusterReport, DetectMode, DetectorSummary, StreamSummary};

@@ -15,11 +15,11 @@
 //! * [`ScenarioSpec::build_instance`] is the **single sampling path**:
 //!   the CLI, every bench harness, and the examples draw their §VI-A
 //!   instances here, so equal seeds mean equal instances everywhere.
-//! * [`Runner`] executes a spec on the system its `algo` names — the
-//!   iteration engine (sequential or batched rounds), best-response
-//!   dynamics, the message-passing cluster, or the BCD solver baseline
-//!   — and every runner emits the same [`RunRecord`] (cost trajectory,
-//!   iterations, convergence flag, wall time).
+//! * [`ScenarioSpec::run`] executes a spec on the system its `algo`
+//!   names — the iteration engine (sequential or batched rounds),
+//!   best-response dynamics, the message-passing cluster, or the BCD
+//!   solver baseline — and every runner emits the same [`RunRecord`]
+//!   (cost trajectory, iterations, convergence flag, wall time).
 //! * `algo=protocol` runs on the deterministic virtual-time executor
 //!   with per-link delays sampled from `dlb-netsim`, which hosts
 //!   Figure-2-scale clusters in one process and records *simulated
@@ -63,7 +63,7 @@ pub mod runner;
 pub mod spec;
 
 pub use replay::{replay_frame_log, ReplayReport};
-pub use runner::{runner_for, RunRecord, Runner};
+pub use runner::RunRecord;
 pub use spec::{
     AlgoSpec, DetectSpec, GossipSpec, NetSpec, ScenarioSpec, SelectSpec, SpecError, SpeedKind,
     TracePath, TraceSpec,

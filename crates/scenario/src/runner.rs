@@ -1,4 +1,5 @@
-//! Runners: execute a [`ScenarioSpec`] on the system its `algo` names.
+//! Runners: [`ScenarioSpec::run_on`] executes a spec on the system its
+//! `algo` names.
 //!
 //! Every runner produces the same [`RunRecord`] — the scenario's text
 //! form, the cost trajectory, the iteration count, whether the
@@ -80,6 +81,31 @@ pub struct RunRecord {
 }
 
 impl RunRecord {
+    /// A record of `spec`'s run with every summary group quiet; a
+    /// runner overrides the groups its system actually fills.
+    fn quiet(
+        spec: &ScenarioSpec,
+        history: Vec<f64>,
+        iterations: usize,
+        converged: bool,
+        wall_secs: f64,
+    ) -> Self {
+        RunRecord {
+            scenario: spec.to_string(),
+            algo: spec.algo.label(),
+            m: spec.m,
+            history,
+            iterations,
+            converged,
+            wall_secs,
+            faults: FaultSummary::default(),
+            detector: DetectorSummary::default(),
+            stream: StreamSummary::default(),
+            gossip: GossipTraffic::default(),
+            obs: ObsSummary::default(),
+        }
+    }
+
     /// `ΣC` of the initial (all-local) assignment.
     pub fn initial_cost(&self) -> f64 {
         self.history.first().copied().unwrap_or(f64::NAN)
@@ -98,10 +124,10 @@ impl RunRecord {
     }
 }
 
-/// Every runner's first check: the axes only the event executor can
-/// honor may only reach the protocol runner — any other system would
-/// silently measure, say, a fault-free run and report it as a faulted
-/// one.
+/// [`ScenarioSpec::run_on`]'s first check: the axes only the event
+/// executor can honor may only reach the protocol runner — any other
+/// system would silently measure, say, a fault-free run and report it
+/// as a faulted one.
 fn assert_faults_runnable(spec: &ScenarioSpec) {
     let protocol = spec.algo == AlgoSpec::Protocol;
     assert!(
@@ -154,27 +180,6 @@ fn exchange_rto_ms(spec: &ScenarioSpec, instance: &Instance) -> f64 {
     2.0 * (d_max * slow.max(1.0) * spike.max(1.0) + retrans + hold) + 50.0
 }
 
-/// Executes scenarios for one algorithm family.
-pub trait Runner {
-    /// Stable name of the runner (for diagnostics).
-    fn name(&self) -> &'static str;
-
-    /// Runs the scenario and reports its [`RunRecord`].
-    fn run(&self, spec: &ScenarioSpec) -> RunRecord {
-        self.run_on(spec, spec.build_instance())
-    }
-
-    /// Runs the scenario on a prebuilt instance — callers holding
-    /// several scenarios over one grid point (the CLI aliases, bench
-    /// sweeps) sample once and share it. `instance` must be what
-    /// [`ScenarioSpec::build_instance`] would produce (or an
-    /// intentional override with the same size).
-    fn run_on(&self, spec: &ScenarioSpec, instance: Instance) -> RunRecord;
-}
-
-/// Runs [`dlb_distributed::Engine`] (both round modes) to convergence.
-pub struct EngineRunner;
-
 /// Candidate count the `gossip=` axis forces on the engine. Stale
 /// views only reach the pruned pre-scoring — exact selection
 /// recomputes improvements from true loads and would never observe
@@ -182,57 +187,47 @@ pub struct EngineRunner;
 /// `Pruned { top_k: GOSSIP_TOP_K }`.
 pub const GOSSIP_TOP_K: usize = 8;
 
-impl Runner for EngineRunner {
-    fn name(&self) -> &'static str {
-        "engine"
+/// Runs [`dlb_distributed::Engine`] (both round modes) to convergence.
+fn run_engine(spec: &ScenarioSpec, instance: Instance) -> RunRecord {
+    let round_mode = match spec.algo {
+        AlgoSpec::Batched => RoundMode::Batched,
+        _ => RoundMode::Sequential,
+    };
+    let mut options = EngineOptions {
+        seed: spec.seed,
+        granularity: spec.gran,
+        round_mode,
+        ..Default::default()
+    };
+    match spec.gossip {
+        GossipSpec::Emulated { staleness: 0 } => {}
+        GossipSpec::Emulated { staleness } => {
+            options.load_staleness = staleness;
+            options.selection = Some(PartnerSelection::Pruned {
+                top_k: GOSSIP_TOP_K,
+            });
+        }
+        GossipSpec::Event { .. } => {
+            options.selection = Some(PartnerSelection::Pruned {
+                top_k: GOSSIP_TOP_K,
+            });
+        }
     }
-
-    fn run_on(&self, spec: &ScenarioSpec, instance: Instance) -> RunRecord {
-        assert_faults_runnable(spec);
-        let round_mode = match spec.algo {
-            AlgoSpec::Batched => RoundMode::Batched,
-            _ => RoundMode::Sequential,
-        };
-        let mut options = EngineOptions {
-            seed: spec.seed,
-            granularity: spec.gran,
-            round_mode,
-            ..Default::default()
-        };
-        match spec.gossip {
-            GossipSpec::Emulated { staleness: 0 } => {}
-            GossipSpec::Emulated { staleness } => {
-                options.load_staleness = staleness;
-                options.selection = Some(PartnerSelection::Pruned {
-                    top_k: GOSSIP_TOP_K,
-                });
-            }
-            GossipSpec::Event { .. } => {
-                options.selection = Some(PartnerSelection::Pruned {
-                    top_k: GOSSIP_TOP_K,
-                });
-            }
-        }
-        let mut engine = Engine::new(instance, options);
-        if let GossipSpec::Event { period_ms } = spec.gossip {
-            engine.attach_gossip_feed(period_ms);
-        }
-        let start = Instant::now();
-        let report = engine.run_to_convergence(spec.eps, spec.patience, spec.budget);
-        RunRecord {
-            scenario: spec.to_string(),
-            algo: spec.algo.label(),
-            m: spec.m,
-            history: engine.history().to_vec(),
-            iterations: report.iterations,
-            converged: report.converged,
-            wall_secs: start.elapsed().as_secs_f64(),
-            faults: FaultSummary::default(),
-            detector: DetectorSummary::default(),
-            stream: StreamSummary::default(),
-            gossip: engine.gossip_traffic().unwrap_or_default(),
-            obs: ObsSummary::default(),
-        }
+    let mut engine = Engine::new(instance, options);
+    if let GossipSpec::Event { period_ms } = spec.gossip {
+        engine.attach_gossip_feed(period_ms);
+    }
+    let start = Instant::now();
+    let report = engine.run_to_convergence(spec.eps, spec.patience, spec.budget);
+    RunRecord {
+        gossip: engine.gossip_traffic().unwrap_or_default(),
+        ..RunRecord::quiet(
+            spec,
+            engine.history().to_vec(),
+            report.iterations,
+            report.converged,
+            start.elapsed().as_secs_f64(),
+        )
     }
 }
 
@@ -240,54 +235,29 @@ impl Runner for EngineRunner {
 /// ([`dlb_game::run_best_response_dynamics`]). `eps` is the paper's
 /// per-organization change threshold (§VI-C uses `0.01`), `patience`
 /// the calm-round count, `budget` the round budget.
-pub struct NashRunner;
-
-impl Runner for NashRunner {
-    fn name(&self) -> &'static str {
-        "nash"
-    }
-
-    fn run_on(&self, spec: &ScenarioSpec, instance: Instance) -> RunRecord {
-        assert_faults_runnable(spec);
-        let mut assignment = Assignment::local(&instance);
-        let initial = total_cost(&instance, &assignment);
-        let start = Instant::now();
-        let report = run_best_response_dynamics(
-            &instance,
-            &mut assignment,
-            &DynamicsOptions {
-                change_threshold: spec.eps,
-                calm_rounds: spec.patience,
-                max_rounds: spec.budget,
-                seed: spec.seed,
-                ..Default::default()
-            },
-        );
-        RunRecord {
-            scenario: spec.to_string(),
-            algo: spec.algo.label(),
-            m: spec.m,
-            history: vec![initial, total_cost(&instance, &assignment)],
-            iterations: report.rounds,
-            converged: report.converged,
-            wall_secs: start.elapsed().as_secs_f64(),
-            faults: FaultSummary::default(),
-            detector: DetectorSummary::default(),
-            stream: StreamSummary::default(),
-            gossip: GossipTraffic::default(),
-            obs: ObsSummary::default(),
-        }
-    }
+fn run_nash(spec: &ScenarioSpec, instance: Instance) -> RunRecord {
+    let mut assignment = Assignment::local(&instance);
+    let initial = total_cost(&instance, &assignment);
+    let start = Instant::now();
+    let report = run_best_response_dynamics(
+        &instance,
+        &mut assignment,
+        &DynamicsOptions {
+            change_threshold: spec.eps,
+            calm_rounds: spec.patience,
+            max_rounds: spec.budget,
+            seed: spec.seed,
+            ..Default::default()
+        },
+    );
+    RunRecord::quiet(
+        spec,
+        vec![initial, total_cost(&instance, &assignment)],
+        report.rounds,
+        report.converged,
+        start.elapsed().as_secs_f64(),
+    )
 }
-
-/// Runs the message-passing protocol on the deterministic virtual-time
-/// executor ([`dlb_runtime::run_cluster_events_observed`]), link
-/// delays sampled per seed from [`dlb_netsim::LinkDelayModel`] over
-/// the instance's latency matrix. `eps` is the quiescent-volume
-/// threshold, `patience` the quiet-round count (`m − 1` certifies
-/// pairwise optimality), `budget` the round budget. Runs report
-/// *simulated* seconds as `wall_secs` (see [`RunRecord::wall_secs`]).
-pub struct ProtocolRunner;
 
 /// The cluster options a scenario spec pins down: round budget,
 /// quiescence thresholds, partner selection, failure detection, and
@@ -316,8 +286,8 @@ fn protocol_options(spec: &ScenarioSpec, instance: &Instance) -> ClusterOptions 
 }
 
 /// Runs the spec on the deterministic event executor with `tracer`
-/// attached. This is *the* event path: the [`ProtocolRunner`] calls it
-/// for live runs (with [`NullSink`] when `trace=off`) and the replay
+/// attached. This is *the* event path: [`run_protocol`] calls it for
+/// live runs (with [`NullSink`] when `trace=off`) and the replay
 /// verifier ([`crate::replay`]) calls it to re-derive a recorded run —
 /// both therefore compile the same link delays, fault script, and
 /// arrival stream from the spec's one seed.
@@ -351,103 +321,76 @@ pub(crate) fn run_protocol_events<T: TraceSink>(
     )
 }
 
-impl Runner for ProtocolRunner {
-    fn name(&self) -> &'static str {
-        "protocol"
-    }
-
-    fn run_on(&self, spec: &ScenarioSpec, instance: Instance) -> RunRecord {
-        assert_faults_runnable(spec);
-        let mut obs = ObsSummary::default();
-        let report = match spec.trace {
-            TraceSpec::Off => run_protocol_events(spec, &instance, &mut NullSink),
-            TraceSpec::Summary | TraceSpec::Frames(_) => {
-                let mut sink = MemorySink::default();
-                let report = run_protocol_events(spec, &instance, &mut sink);
-                obs = MetricSet::from_events(&sink.events).summary();
-                if let TraceSpec::Frames(path) = spec.trace {
-                    // The header records the spec *without* its trace
-                    // key: replay re-derives the run, and re-recording
-                    // during replay would be both circular and a
-                    // determinism hazard.
-                    let mut header = *spec;
-                    header.trace = TraceSpec::Off;
-                    let log = FrameLog {
-                        spec: header.to_string(),
-                        events: sink.events,
-                        trailer: Trailer {
-                            event_hash: report.event_hash,
-                            final_cost: report.final_cost,
-                            rounds: report.rounds as u64,
-                            exchanges: report.exchanges as u64,
-                            virtual_ms: report.virtual_ms,
-                        },
-                    };
-                    assert!(
-                        std::fs::write(path.as_str(), log.encode()).is_ok(),
-                        "trace=frames:{}: cannot write frame log",
-                        path.as_str()
-                    );
-                }
-                report
+/// Runs the message-passing protocol on the deterministic virtual-time
+/// executor ([`dlb_runtime::run_cluster_events_observed`]), link
+/// delays sampled per seed from [`dlb_netsim::LinkDelayModel`] over
+/// the instance's latency matrix. `eps` is the quiescent-volume
+/// threshold, `patience` the quiet-round count (`m − 1` certifies
+/// pairwise optimality), `budget` the round budget. Runs report
+/// *simulated* seconds as `wall_secs` (see [`RunRecord::wall_secs`]).
+fn run_protocol(spec: &ScenarioSpec, instance: Instance) -> RunRecord {
+    let mut obs = ObsSummary::default();
+    let report = match spec.trace {
+        TraceSpec::Off => run_protocol_events(spec, &instance, &mut NullSink),
+        TraceSpec::Summary | TraceSpec::Frames(_) => {
+            let mut sink = MemorySink::default();
+            let report = run_protocol_events(spec, &instance, &mut sink);
+            obs = MetricSet::from_events(&sink.events).summary();
+            if let TraceSpec::Frames(path) = spec.trace {
+                // The header records the spec *without* its trace
+                // key: replay re-derives the run, and re-recording
+                // during replay would be both circular and a
+                // determinism hazard.
+                let mut header = *spec;
+                header.trace = TraceSpec::Off;
+                let log = FrameLog {
+                    spec: header.to_string(),
+                    events: sink.events,
+                    trailer: Trailer {
+                        event_hash: report.event_hash,
+                        final_cost: report.final_cost,
+                        rounds: report.rounds as u64,
+                        exchanges: report.exchanges as u64,
+                        virtual_ms: report.virtual_ms,
+                    },
+                };
+                assert!(
+                    std::fs::write(path.as_str(), log.encode()).is_ok(),
+                    "trace=frames:{}: cannot write frame log",
+                    path.as_str()
+                );
             }
-        };
-        RunRecord {
-            scenario: spec.to_string(),
-            algo: spec.algo.label(),
-            m: spec.m,
-            history: report.history,
-            iterations: report.rounds,
-            converged: report.quiescent,
-            wall_secs: report.virtual_ms / 1000.0,
-            faults: report.faults,
-            detector: report.detector,
-            stream: report.stream,
-            gossip: GossipTraffic::default(),
-            obs,
+            report
         }
+    };
+    RunRecord {
+        faults: report.faults,
+        detector: report.detector,
+        stream: report.stream,
+        obs,
+        ..RunRecord::quiet(
+            spec,
+            report.history,
+            report.rounds,
+            report.quiescent,
+            report.virtual_ms / 1000.0,
+        )
     }
 }
 
 /// Runs the centralized BCD solver baseline ([`dlb_solver::solve_bcd`])
 /// with `budget` sweeps and tolerance `eps`.
-pub struct BcdRunner;
-
-impl Runner for BcdRunner {
-    fn name(&self) -> &'static str {
-        "bcd"
-    }
-
-    fn run_on(&self, spec: &ScenarioSpec, instance: Instance) -> RunRecord {
-        assert_faults_runnable(spec);
-        let initial = total_cost(&instance, &Assignment::local(&instance));
-        let start = Instant::now();
-        let (_, report) = solve_bcd(&instance, spec.budget, spec.eps);
-        RunRecord {
-            scenario: spec.to_string(),
-            algo: spec.algo.label(),
-            m: spec.m,
-            history: vec![initial, report.objective],
-            iterations: report.iters,
-            converged: report.converged,
-            wall_secs: start.elapsed().as_secs_f64(),
-            faults: FaultSummary::default(),
-            detector: DetectorSummary::default(),
-            stream: StreamSummary::default(),
-            gossip: GossipTraffic::default(),
-            obs: ObsSummary::default(),
-        }
-    }
-}
-
-/// The runner responsible for an algorithm.
-pub fn runner_for(algo: AlgoSpec) -> &'static dyn Runner {
-    match algo {
-        AlgoSpec::Sequential | AlgoSpec::Batched => &EngineRunner,
-        AlgoSpec::Nash => &NashRunner,
-        AlgoSpec::Protocol => &ProtocolRunner,
-        AlgoSpec::Bcd => &BcdRunner,
-    }
+fn run_bcd(spec: &ScenarioSpec, instance: Instance) -> RunRecord {
+    let initial = total_cost(&instance, &Assignment::local(&instance));
+    let start = Instant::now();
+    let (_, report) = solve_bcd(&instance, spec.budget, spec.eps);
+    RunRecord::quiet(
+        spec,
+        vec![initial, report.objective],
+        report.iters,
+        report.converged,
+        start.elapsed().as_secs_f64(),
+    )
 }
 
 impl ScenarioSpec {
@@ -456,21 +399,30 @@ impl ScenarioSpec {
     /// # Panics
     /// Panics when a fault schedule is attached to anything but
     /// `algo=protocol` — the builder cannot enforce
-    /// what [`ScenarioSpec::parse`] rejects, so every runner does (a
+    /// what [`ScenarioSpec::parse`] rejects, so this does (a
     /// silently ignored fault plan would masquerade as a clean
     /// measurement).
     pub fn run(&self) -> RunRecord {
-        runner_for(self.algo).run(self)
+        self.run_on(self.build_instance())
     }
 
-    /// Runs this scenario on a prebuilt instance (one sample shared
-    /// across several scenarios — see [`Runner::run_on`]).
+    /// Runs this scenario on a prebuilt instance — callers holding
+    /// several scenarios over one grid point (the CLI aliases, bench
+    /// sweeps) sample once and share it. `instance` must be what
+    /// [`ScenarioSpec::build_instance`] would produce (or an
+    /// intentional override with the same size).
     ///
     /// # Panics
     /// Panics on a fault schedule outside `algo=protocol` (see
     /// [`ScenarioSpec::run`]).
     pub fn run_on(&self, instance: Instance) -> RunRecord {
-        runner_for(self.algo).run_on(self, instance)
+        assert_faults_runnable(self);
+        match self.algo {
+            AlgoSpec::Sequential | AlgoSpec::Batched => run_engine(self, instance),
+            AlgoSpec::Nash => run_nash(self, instance),
+            AlgoSpec::Protocol => run_protocol(self, instance),
+            AlgoSpec::Bcd => run_bcd(self, instance),
+        }
     }
 }
 
@@ -619,7 +571,7 @@ mod tests {
             .run();
     }
 
-    /// ...including on the direct-Runner path for non-protocol
+    /// ...including on the prebuilt-instance path for non-protocol
     /// algorithms, which have no fault support at all.
     #[test]
     #[should_panic(expected = "faults= requires algo=protocol")]
@@ -628,7 +580,7 @@ mod tests {
             .algo(AlgoSpec::Batched)
             .servers(4)
             .faults(dlb_faults::FaultPlan::new().loss(0.1));
-        EngineRunner.run_on(&spec, spec.build_instance());
+        spec.run_on(spec.build_instance());
     }
 
     /// The same goes for the `detect=` axis: in-protocol failure

@@ -134,10 +134,8 @@
 //!
 //! Crashed nodes drop out of the next round (the survivors keep
 //! balancing; a victim's ledger freezes so conservation stays exact),
-//! loss and spikes stretch the simulated protocol time the record
-//! reports, and the same script can gate the gossip layer
-//! ([`gossip::EventGossip::run_faulted`]) to measure
-//! dissemination-under-churn in virtual ms. The shell form is
+//! and loss and spikes stretch the simulated protocol time the record
+//! reports. The shell form is
 //! `dlb run algo=protocol faults=crash:0.1@500ms,loss:0.05 m=2000`.
 //!
 //! ## In-protocol failure detection: `detect=`
@@ -310,13 +308,13 @@
 //! | module | contents |
 //! |---|---|
 //! | [`core`] | instance/assignment model, cost functions, workloads |
-//! | [`scenario`] | declarative ScenarioSpec → Runner → RunRecord experiment API |
+//! | [`scenario`] | declarative ScenarioSpec → RunRecord experiment API |
 //! | [`topology`] | homogeneous / Euclidean / PlanetLab-like latencies |
 //! | [`solver`] | the §III QP, PGD/FISTA, Frank-Wolfe, water-filling |
 //! | [`distributed`] | Algorithms 1 & 2, the engine, Proposition 1, cycle removal |
 //! | [`game`] | best responses, Nash dynamics, price of anarchy (§V) |
 //! | [`flow`] | min-cost max-flow substrate (paper Appendix) |
-//! | [`gossip`] | the load-dissemination control plane: full-view push-pull, event-driven gossip, delta-encoded sharded frames |
+//! | [`gossip`] | the load-dissemination control plane: delta gossip on a virtual-time heap, sharded delta-encoded frames |
 //! | [`requestsim`] | request-level DES validating the cost model |
 //! | [`netsim`] | flow-level network sim (Table IV) |
 //! | [`extensions`] | §VII: heterogeneous tasks, R-replication |
@@ -364,7 +362,7 @@ pub mod prelude {
     };
     pub use dlb_scenario::{
         replay_frame_log, AlgoSpec, DetectSpec, GossipSpec, NetSpec, ReplayReport, RunRecord,
-        Runner, ScenarioSpec, SelectSpec, SpeedKind, TraceSpec,
+        ScenarioSpec, SelectSpec, SpeedKind, TraceSpec,
     };
     pub use dlb_solver::{solve_bcd, solve_pgd, PgdOptions};
     pub use dlb_topology::PlanetLabConfig;
