@@ -87,23 +87,13 @@ impl Args {
     }
 
     /// Returns the raw string value of `key`, if present.
-    #[cfg_attr(not(test), allow(dead_code))]
     pub fn get(&self, key: &str) -> Option<&str> {
         self.options.get(key).map(String::as_str)
     }
 
-    /// Typed getter with a default.
-    pub fn get_usize(&self, key: &str, default: usize) -> Result<usize, ArgError> {
-        match self.options.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| ArgError(format!("--{key}: '{v}' is not a non-negative integer"))),
-        }
-    }
-
-    /// Typed getter with a default.
-    pub fn get_u64(&self, key: &str, default: u64) -> Result<u64, ArgError> {
+    /// Typed getter with a default, for the non-negative integer
+    /// options.
+    pub fn get_num<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, ArgError> {
         match self.options.get(key) {
             None => Ok(default),
             Some(v) => v
@@ -117,40 +107,40 @@ impl Args {
 mod tests {
     use super::*;
 
-    const KEYS: &[&str] = &["servers", "avg", "network"];
+    const KEYS: &[&str] = &["servers", "ticks", "out"];
 
     #[test]
     fn parses_command_and_options() {
-        let a = Args::parse(["optimize", "--servers", "50", "--network", "pl"], KEYS).unwrap();
-        assert_eq!(a.command, "optimize");
-        assert_eq!(a.get_usize("servers", 0).unwrap(), 50);
-        assert_eq!(a.get("network"), Some("pl"));
-        assert_eq!(a.get_usize("missing", 7).unwrap(), 7);
+        let a = Args::parse(["estimate", "--servers", "50", "--out", "e.jsonl"], KEYS).unwrap();
+        assert_eq!(a.command, "estimate");
+        assert_eq!(a.get_num("servers", 0).unwrap(), 50);
+        assert_eq!(a.get("out"), Some("e.jsonl"));
+        assert_eq!(a.get_num("missing", 7).unwrap(), 7);
         assert!(a.positionals.is_empty());
     }
 
     #[test]
     fn collects_positionals_interleaved_with_options() {
-        let a = Args::parse(["run", "m=50", "--avg", "30", "seed=7"], KEYS).unwrap();
+        let a = Args::parse(["run", "m=50", "--out", "r.jsonl", "seed=7"], KEYS).unwrap();
         assert_eq!(a.command, "run");
         assert_eq!(a.positionals, vec!["m=50", "seed=7"]);
-        assert_eq!(a.get("avg"), Some("30"));
+        assert_eq!(a.get("out"), Some("r.jsonl"));
     }
 
     #[test]
     fn rejects_unknown_and_duplicate_options() {
-        let e = Args::parse(["optimize", "--bogus", "1"], KEYS).unwrap_err();
+        let e = Args::parse(["estimate", "--bogus", "1"], KEYS).unwrap_err();
         assert!(e.0.contains("unknown option"), "{e}");
-        let e = Args::parse(["optimize", "--avg", "1", "--avg", "2"], KEYS).unwrap_err();
+        let e = Args::parse(["estimate", "--ticks", "1", "--ticks", "2"], KEYS).unwrap_err();
         assert!(e.0.contains("twice"), "{e}");
     }
 
     #[test]
     fn rejects_missing_value_and_bad_numbers() {
-        let e = Args::parse(["optimize", "--servers"], KEYS).unwrap_err();
+        let e = Args::parse(["estimate", "--servers"], KEYS).unwrap_err();
         assert!(e.0.contains("needs a value"), "{e}");
-        let a = Args::parse(["optimize", "--servers", "abc"], KEYS).unwrap();
-        assert!(a.get_usize("servers", 1).is_err());
+        let a = Args::parse(["estimate", "--servers", "abc"], KEYS).unwrap();
+        assert!(a.get_num("servers", 1usize).is_err());
     }
 
     #[test]

@@ -6,18 +6,20 @@
 //! dlb run algo=protocol m=100000 net=homog select=topk:32 patience=8
 //! dlb run --scenario "algo=nash m=24 eps=0.01 patience=2" --out nash.jsonl
 //! dlb report BENCH_figure2.json
-//! dlb optimize --servers 50 --network pl --load exp --avg 50
 //! ```
 //!
-//! Every command names its experiment through one
-//! [`dlb_scenario::ScenarioSpec`] (deterministic per `seed`), runs it
-//! through [`dlb_scenario::ScenarioSpec::run_on`], prints a compact
-//! report, and emits the run as a JSON-lines record through
+//! `dlb run KEY=VALUE...` is the one way to name an experiment: the
+//! tokens are a [`dlb_scenario::ScenarioSpec`] (deterministic per
+//! `seed`), which `run` executes through
+//! [`dlb_scenario::ScenarioSpec::run`], prints as a compact report,
+//! and emits as a JSON-lines record through
 //! [`dlb_bench::results::JsonlSink`] — `--out FILE` writes to an
 //! explicit file, otherwise `DLB_RESULTS_DIR` selects the directory
 //! (unset = no record). `dlb report` renders those records (and the
 //! committed bench artifacts) as aligned tables. The full experiment
-//! grids live in `cargo bench -p dlb-bench`.
+//! grids — and the engine-vs-optimum, selfish-vs-cooperative and
+//! protocol-vs-engine comparisons — live in `cargo bench -p dlb-bench`
+//! and the root examples.
 
 mod args;
 mod trace;
@@ -26,7 +28,7 @@ use args::{ArgError, Args};
 use dlb_bench::report::render_report;
 use dlb_bench::results::{JsonlSink, Record};
 use dlb_coords::{Estimator, EstimatorConfig};
-use dlb_scenario::{AlgoSpec, NetSpec, RunRecord, ScenarioSpec, TraceSpec};
+use dlb_scenario::{AlgoSpec, NetSpec, ScenarioSpec, TraceSpec};
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -36,9 +38,6 @@ commands:
   run        run one declaratively named scenario
   report     render tables from JSON-lines result files
   trace      inspect, replay-verify, or export a recorded frame log
-  optimize   alias for `run algo=sequential` (+ BCD reference on small nets)
-  nash       alias for `run algo=nash` vs the cooperative engine
-  protocol   alias for `run algo=protocol` vs the engine fixpoint
   estimate   run Vivaldi latency estimation against a synthetic network
   help       show this text
 
@@ -159,11 +158,6 @@ trace:
                       export Chrome trace-event JSON for
                       chrome://tracing / Perfetto
 
-alias options (translated onto a scenario):
-  --servers N   --network homog|euclid|pl   --latency C   --load D
-  --avg L       --speeds uniform|const      --seed N      --max-iters N
-  --out FILE
-
 estimate options:
   --servers N  --ticks N  --probes N  --seed N  --out FILE
 ";
@@ -178,13 +172,26 @@ fn open_sink(args: &Args) -> Result<JsonlSink, ArgError> {
     }
 }
 
-/// Runs one scenario through the shared runner layer on a prebuilt
-/// instance (aliases sample one grid point and share it across their
-/// comparison runs), prints the compact report, and emits the
-/// `RunRecord` through the sink.
-fn execute(spec: &ScenarioSpec, instance: dlb_core::Instance, sink: &mut JsonlSink) -> RunRecord {
+/// Runs one scenario through the shared runner layer, prints the
+/// compact report, and emits the `RunRecord` through the sink.
+fn cmd_run(args: &Args) -> Result<(), ArgError> {
+    let mut text = args.positionals.join(" ");
+    if let Some(flag) = args.get("scenario") {
+        if !text.is_empty() {
+            text.push(' ');
+        }
+        text.push_str(flag);
+    }
+    let spec = ScenarioSpec::parse(&text).map_err(|e| ArgError(e.0))?;
+    let mut sink = open_sink(args)?;
+    if let TraceSpec::Frames(path) = spec.trace {
+        // Create (or truncate) the frame log before the run, like
+        // `--out`: an unwritable path must not cost a whole run first.
+        std::fs::File::create(path.as_str())
+            .map_err(|e| ArgError(format!("trace=frames:{path}: cannot create ({e})")))?;
+    }
     let started = std::time::Instant::now();
-    let run = spec.run_on(instance);
+    let run = spec.run();
     let host_secs = started.elapsed().as_secs_f64();
     sink.record(&Record::from_run("run", &run));
     println!("scenario: {}", run.scenario);
@@ -229,47 +236,6 @@ fn execute(spec: &ScenarioSpec, instance: dlb_core::Instance, sink: &mut JsonlSi
         );
     }
     println!();
-    run
-}
-
-/// Translates the legacy alias flags onto a scenario spec by mapping
-/// each flag to its spec key and going through [`ScenarioSpec::parse`]
-/// — one token vocabulary, defined once in `dlb-scenario`.
-fn spec_from_flags(args: &Args, algo: AlgoSpec) -> Result<ScenarioSpec, ArgError> {
-    let mut text = format!("algo={}", algo.label());
-    for (flag, key) in [
-        ("servers", "m"),
-        ("network", "net"),
-        ("latency", "lat"),
-        ("load", "load"),
-        ("avg", "avg"),
-        ("speeds", "speeds"),
-        ("seed", "seed"),
-    ] {
-        if let Some(value) = args.get(flag) {
-            text.push_str(&format!(" {key}={value}"));
-        }
-    }
-    ScenarioSpec::parse(&text).map_err(|e| ArgError(e.0))
-}
-
-fn cmd_run(args: &Args) -> Result<(), ArgError> {
-    let mut text = args.positionals.join(" ");
-    if let Some(flag) = args.get("scenario") {
-        if !text.is_empty() {
-            text.push(' ');
-        }
-        text.push_str(flag);
-    }
-    let spec = ScenarioSpec::parse(&text).map_err(|e| ArgError(e.0))?;
-    let mut sink = open_sink(args)?;
-    if let TraceSpec::Frames(path) = spec.trace {
-        // Create (or truncate) the frame log before the run, like
-        // `--out`: an unwritable path must not cost a whole run first.
-        std::fs::File::create(path.as_str())
-            .map_err(|e| ArgError(format!("trace=frames:{path}: cannot create ({e})")))?;
-    }
-    execute(&spec, spec.build_instance(), &mut sink);
     Ok(())
 }
 
@@ -294,86 +260,17 @@ fn cmd_report(args: &Args) -> Result<(), ArgError> {
     Ok(())
 }
 
-fn cmd_optimize(args: &Args) -> Result<(), ArgError> {
-    let spec = spec_from_flags(args, AlgoSpec::Sequential)?.termination(
-        1e-10,
-        3,
-        args.get_usize("max-iters", 200)?,
-    );
-    let mut sink = open_sink(args)?;
-    let instance = spec.build_instance();
-    let run = execute(&spec, instance.clone(), &mut sink);
-    if spec.m <= 30 {
-        let opt = execute(
-            &spec.algo(AlgoSpec::Bcd).termination(1e-10, 3, 2_000),
-            instance,
-            &mut sink,
-        );
-        println!(
-            "solver optimum (BCD): {:.1} (engine ratio {:.4})",
-            opt.final_cost(),
-            run.final_cost() / opt.final_cost()
-        );
-    }
-    Ok(())
-}
-
-fn cmd_nash(args: &Args) -> Result<(), ArgError> {
-    // The paper's §VI-C termination rule: all organizations change by
-    // < 1 % for two consecutive rounds.
-    let spec = spec_from_flags(args, AlgoSpec::Nash)?.termination(0.01, 2, 10_000);
-    let mut sink = open_sink(args)?;
-    let instance = spec.build_instance();
-    let nash = execute(&spec, instance.clone(), &mut sink);
-    let coop = execute(
-        &spec.algo(AlgoSpec::Sequential).termination(1e-12, 3, 300),
-        instance.clone(),
-        &mut sink,
-    );
-    println!(
-        "cost of selfishness = {:.4}",
-        nash.final_cost() / coop.final_cost()
-    );
-    if instance.is_homogeneous(1e-9) {
-        let c = instance.c(0, 1.min(instance.len() - 1));
-        let s = instance.speed(0);
-        let lav = instance.average_load();
-        let (lo, hi) = dlb_game::theorem1_bounds(c, s, lav);
-        println!("Theorem 1 PoA band (c={c}, s={s}, l_av={lav:.1}): [{lo:.4}, {hi:.4}]");
-    }
-    Ok(())
-}
-
-fn cmd_protocol(args: &Args) -> Result<(), ArgError> {
-    let m = args.get_usize("servers", 20)?;
-    // `m − 1` quiet rounds certify pairwise optimality (the audit
-    // rotation has then re-examined every pair).
-    let spec = spec_from_flags(args, AlgoSpec::Protocol)?.termination(
-        1e-9,
-        m.saturating_sub(1).max(1),
-        args.get_usize("max-iters", 200)?,
-    );
-    let mut sink = open_sink(args)?;
-    let instance = spec.build_instance();
-    let protocol = execute(&spec, instance.clone(), &mut sink);
-    let engine = execute(
-        &spec.algo(AlgoSpec::Sequential).termination(1e-12, 3, 300),
-        instance,
-        &mut sink,
-    );
-    println!(
-        "engine fixpoint = {:.1} (protocol ratio {:.4})",
-        engine.final_cost(),
-        protocol.final_cost() / engine.final_cost()
-    );
-    Ok(())
-}
-
 fn cmd_estimate(args: &Args) -> Result<(), ArgError> {
-    let m = args.get_usize("servers", 40)?;
-    let seed = args.get_u64("seed", 1)?;
-    let ticks = args.get_usize("ticks", 50)?;
-    let probes = args.get_usize("probes", 4)?;
+    if let Some(tok) = args.positionals.first() {
+        return Err(ArgError(format!(
+            "unexpected argument '{tok}' for 'estimate' (key=value scenario tokens only work \
+             with 'dlb run')"
+        )));
+    }
+    let m = args.get_num("servers", 40)?;
+    let seed = args.get_num("seed", 1)?;
+    let ticks = args.get_num("ticks", 50)?;
+    let probes = args.get_num("probes", 4)?;
     let truth = ScenarioSpec::new()
         .net(NetSpec::Pl)
         .servers(m)
@@ -419,49 +316,25 @@ fn run() -> Result<(), ArgError> {
         print!("{USAGE}");
         return Ok(());
     }
-    const ALIAS_KEYS: &[&str] = &[
-        "servers",
-        "network",
-        "latency",
-        "load",
-        "avg",
-        "speeds",
-        "seed",
-        "max-iters",
-        "out",
-    ];
-    let allowed: &[&str] = match raw[0].as_str() {
-        "run" => &["scenario", "out"],
-        "report" => &[],
-        "trace" => &["node", "kind", "from", "to", "limit", "out"],
-        "estimate" => &["servers", "ticks", "probes", "seed", "out"],
-        _ => ALIAS_KEYS,
-    };
-    let args = Args::parse(raw, allowed)?;
-    // Only `run` (scenario tokens), `report` (file paths), and `trace`
-    // (action + file) take bare positionals; everywhere else a stray
-    // token is an error, not a silently ignored flag.
-    if !matches!(args.command.as_str(), "run" | "report" | "trace") {
-        if let Some(tok) = args.positionals.first() {
+    type Command = fn(&Args) -> Result<(), ArgError>;
+    let (allowed, command): (&[&str], Command) = match raw[0].as_str() {
+        "run" => (&["scenario", "out"], cmd_run),
+        "report" => (&[], cmd_report),
+        "trace" => (
+            &["node", "kind", "from", "to", "limit", "out"],
+            trace::cmd_trace,
+        ),
+        "estimate" => (&["servers", "ticks", "probes", "seed", "out"], cmd_estimate),
+        other => {
+            // A leading option is `Args::parse`'s error to word;
+            // anything else is a command this binary does not have.
+            Args::parse([other], &[])?;
             return Err(ArgError(format!(
-                "unexpected argument '{tok}' for '{}' (key=value scenario tokens only work \
-                 with 'dlb run')",
-                args.command
+                "unknown command '{other}' (try 'dlb help')"
             )));
         }
-    }
-    match args.command.as_str() {
-        "run" => cmd_run(&args),
-        "report" => cmd_report(&args),
-        "trace" => trace::cmd_trace(&args),
-        "optimize" => cmd_optimize(&args),
-        "nash" => cmd_nash(&args),
-        "protocol" => cmd_protocol(&args),
-        "estimate" => cmd_estimate(&args),
-        other => Err(ArgError(format!(
-            "unknown command '{other}' (try 'dlb help')"
-        ))),
-    }
+    };
+    command(&Args::parse(raw, allowed)?)
 }
 
 fn main() -> ExitCode {

@@ -83,7 +83,7 @@ fn decode(path: &str, bytes: &[u8]) -> Result<FrameLog, ArgError> {
 fn cmd_show(args: &Args, path: &str, bytes: &[u8]) -> Result<(), ArgError> {
     let log = decode(path, bytes)?;
     let filter = Filter::parse(args)?;
-    let limit = args.get_usize("limit", usize::MAX)?;
+    let limit = args.get_num("limit", usize::MAX)?;
     let total = log.events.len();
     let matched: Vec<&TraceEvent> = log.events.iter().filter(|e| filter.admits(e)).collect();
     println!("scenario: {}", log.spec);

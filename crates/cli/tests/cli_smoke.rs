@@ -225,30 +225,6 @@ fn detect_axis_rides_the_cli_end_to_end() {
     );
 }
 
-#[test]
-fn legacy_aliases_emit_run_records_through_the_sink() {
-    let out_path = std::env::temp_dir().join("dlb_cli_alias.jsonl");
-    let output = dlb()
-        .args([
-            "optimize",
-            "--servers",
-            "10",
-            "--seed",
-            "2",
-            "--out",
-            out_path.to_str().unwrap(),
-        ])
-        .output()
-        .expect("dlb binary runs");
-    assert!(output.status.success());
-    let rows = parse_jsonl(&std::fs::read_to_string(&out_path).unwrap()).unwrap();
-    // The engine run plus the small-network BCD reference.
-    assert_eq!(rows.len(), 2);
-    assert_eq!(*field(&rows[0], "algo"), Value::Str("sequential".into()));
-    assert_eq!(*field(&rows[1], "algo"), Value::Str("bcd".into()));
-    let _ = std::fs::remove_file(&out_path);
-}
-
 // The column union respects each record's own key order: the later
 // records' fault_*/detector_*/stream_* groups sit where those records
 // carry them — before the trailing `history` — instead of being
@@ -323,6 +299,25 @@ fn bad_specs_and_missing_files_fail_cleanly() {
         stderr.contains("error: trace=frames:/nonexistent_dir/x.dlbf: cannot create"),
         "stderr: {stderr}"
     );
+    // `run` is the only way to name an experiment: the retired alias
+    // commands are unknown commands (whatever flags follow), and the
+    // values their flags used to carry fail as scenario tokens.
+    for (args, needle) in [
+        (
+            &["optimize", "--servers", "10"][..],
+            "unknown command 'optimize'",
+        ),
+        (&["run", "m=0"][..], "m must be at least 1"),
+        (
+            &["run", "m=banana"][..],
+            "m: 'banana' is not a non-negative integer",
+        ),
+    ] {
+        let output = dlb().args(args).output().unwrap();
+        assert_eq!(output.status.code(), Some(1), "{args:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains(needle), "{args:?}: {stderr}");
+    }
     // The retired thread runtime is a typed error too.
     let output = dlb()
         .args(["run", "algo=protocol", "runtime=threads"])

@@ -41,7 +41,7 @@ use rand::seq::SliceRandom;
 
 use crate::cycles::remove_negative_cycles;
 use crate::feed::GossipFeed;
-use crate::mine::{choose_partner_outcome_scratch_g, PartnerScratch, PartnerSelection};
+use crate::mine::{choose_partner, PartnerScratch, PartnerSelection};
 use crate::round::{run_batched_round, RoundMode, ScoreView};
 use dlb_gossip::GossipTraffic;
 
@@ -391,7 +391,7 @@ impl Engine {
             } else {
                 None
             };
-            let choice = choose_partner_outcome_scratch_g(
+            let choice = choose_partner(
                 &self.instance,
                 &self.assignment,
                 id,

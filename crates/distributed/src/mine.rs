@@ -34,14 +34,10 @@ use dlb_core::{Assignment, Instance};
 use crate::transfer::{calc_best_transfer_g, TransferOutcome};
 
 /// Exact improvement `impr(i, j)`: the `ΣC` reduction Algorithm 1 would
-/// achieve on the pair, computed on scratch copies.
-pub fn improvement(instance: &Instance, a: &Assignment, i: usize, j: usize) -> f64 {
-    improvement_g(instance, a, i, j, 0.0)
-}
-
-/// [`improvement`] under a transfer quantum (see
-/// [`crate::transfer::calc_best_transfer_g`]).
-pub fn improvement_g(
+/// achieve on the pair under the transfer quantum `granularity` (see
+/// [`crate::transfer::calc_best_transfer_g`]), computed on scratch
+/// copies.
+pub fn improvement(
     instance: &Instance,
     a: &Assignment,
     i: usize,
@@ -267,7 +263,7 @@ pub enum PartnerSelection {
     },
 }
 
-/// Reusable per-caller buffers for [`choose_partner_scratch_g`].
+/// Reusable per-caller buffers for [`choose_partner`].
 ///
 /// One MinE step allocates a candidate list, a score lane, a ranking
 /// table, and an improvement table; at Figure-2 scale the engine runs
@@ -307,65 +303,47 @@ pub fn mine_step(
     min_improvement: f64,
     parallel: bool,
 ) -> MineOutcome {
-    mine_step_masked(instance, a, id, selection, min_improvement, parallel, None)
+    let mut scratch = PartnerScratch::default();
+    let choice = choose_partner(
+        instance,
+        a,
+        id,
+        selection,
+        min_improvement,
+        parallel,
+        None,
+        0.0,
+        None,
+        &mut scratch,
+    );
+    match choice {
+        Some((j, outcome)) => {
+            let moved = outcome.moved;
+            let improvement = outcome.improvement;
+            a.replace_ledger(id, outcome.ledger_i);
+            a.replace_ledger(j, outcome.ledger_j);
+            MineOutcome {
+                partner: Some(j),
+                improvement,
+                moved,
+            }
+        }
+        None => MineOutcome {
+            partner: None,
+            improvement: 0.0,
+            moved: 0.0,
+        },
+    }
 }
 
 /// Computes the MinE partner choice without applying it:
-/// `argmax_j impr(id, j)` over the reachable candidates, exactly as
-/// Algorithm 2 prescribes. Returns `None` when no partner strictly
-/// improves `ΣC`.
-pub fn choose_partner(
-    instance: &Instance,
-    a: &Assignment,
-    id: usize,
-    selection: PartnerSelection,
-    min_improvement: f64,
-    parallel: bool,
-    active: Option<&[bool]>,
-) -> Option<(usize, f64)> {
-    choose_partner_g(
-        instance,
-        a,
-        id,
-        selection,
-        min_improvement,
-        parallel,
-        active,
-        0.0,
-    )
-}
-
-/// [`choose_partner`] under a transfer quantum: improvements are
-/// evaluated with the same quantized Algorithm 1 that the exchange
-/// will apply, so a positive choice always corresponds to a real move.
-#[allow(clippy::too_many_arguments)]
-pub fn choose_partner_g(
-    instance: &Instance,
-    a: &Assignment,
-    id: usize,
-    selection: PartnerSelection,
-    min_improvement: f64,
-    parallel: bool,
-    active: Option<&[bool]>,
-    granularity: f64,
-) -> Option<(usize, f64)> {
-    let mut scratch = PartnerScratch::default();
-    choose_partner_scratch_g(
-        instance,
-        a,
-        id,
-        selection,
-        min_improvement,
-        parallel,
-        active,
-        granularity,
-        None,
-        &mut scratch,
-    )
-}
-
-/// [`choose_partner_g`] with caller-provided scratch buffers — the
-/// allocation-free form the engine's hot loops use.
+/// `argmax_j impr(id, j)` over the reachable candidates
+/// (`active[j] == false` marks server `j` as failed/partitioned this
+/// round), exactly as Algorithm 2 prescribes, into caller-provided
+/// scratch buffers. Returns `None` when no partner strictly improves
+/// `ΣC`. Improvements are evaluated with the same quantized
+/// Algorithm 1 (`granularity`) that the exchange will apply, so a
+/// positive choice always corresponds to a real move.
 ///
 /// `score_loads` optionally overrides the load vector used by the
 /// pruned mode's closed-form *pre-scoring* (the engine passes its
@@ -374,44 +352,14 @@ pub fn choose_partner_g(
 /// the live ledgers, so a positive choice still corresponds to a real
 /// improving exchange — staleness can only misrank candidates, exactly
 /// like a real dissemination layer.
-#[allow(clippy::too_many_arguments)]
-pub fn choose_partner_scratch_g(
-    instance: &Instance,
-    a: &Assignment,
-    id: usize,
-    selection: PartnerSelection,
-    min_improvement: f64,
-    parallel: bool,
-    active: Option<&[bool]>,
-    granularity: f64,
-    score_loads: Option<&[f64]>,
-    scratch: &mut PartnerScratch,
-) -> Option<(usize, f64)> {
-    choose_partner_outcome_scratch_g(
-        instance,
-        a,
-        id,
-        selection,
-        min_improvement,
-        parallel,
-        active,
-        granularity,
-        score_loads,
-        scratch,
-    )
-    .map(|(j, outcome)| (j, outcome.improvement))
-}
-
-/// [`choose_partner_scratch_g`] returning the winning exchange's full
-/// [`TransferOutcome`] instead of just its improvement.
 ///
 /// Algorithm 2's evaluation already runs Algorithm 1 against every
 /// candidate, so the chosen partner's post-exchange ledgers exist the
-/// moment the argmax is known; returning them lets callers (the
-/// engine's sequential sweep and the batched round's apply phase)
-/// install the exchange without recomputing it.
+/// moment the argmax is known; returning the full [`TransferOutcome`]
+/// lets callers (the engine's sequential sweep and the batched round's
+/// apply phase) install the exchange without recomputing it.
 #[allow(clippy::too_many_arguments)]
-pub fn choose_partner_outcome_scratch_g(
+pub fn choose_partner(
     instance: &Instance,
     a: &Assignment,
     id: usize,
@@ -503,7 +451,7 @@ pub fn choose_partner_outcome_scratch_g(
     // For finite values the early threshold filter is equivalent to
     // filtering the argmax at the end.
     if parallel {
-        let evaluate = |j: usize| improvement_g(instance, a, id, j, granularity);
+        let evaluate = |j: usize| improvement(instance, a, id, j, granularity);
         improvements.clear();
         improvements.extend(dlb_par::par_map_indexed(candidates.len(), |idx| {
             evaluate(candidates[idx])
@@ -546,97 +494,6 @@ pub fn choose_partner_outcome_scratch_g(
     }
 }
 
-/// Applies the Algorithm 1 exchange between `id` and `j`, updating both
-/// ledgers in the assignment. Returns the request volume moved.
-pub fn apply_exchange(instance: &Instance, a: &mut Assignment, id: usize, j: usize) -> f64 {
-    apply_exchange_g(instance, a, id, j, 0.0)
-}
-
-/// [`apply_exchange`] under a transfer quantum.
-pub fn apply_exchange_g(
-    instance: &Instance,
-    a: &mut Assignment,
-    id: usize,
-    j: usize,
-    granularity: f64,
-) -> f64 {
-    let outcome = calc_best_transfer_g(instance, a.ledger(id), a.ledger(j), id, j, granularity);
-    let moved = outcome.moved;
-    a.replace_ledger(id, outcome.ledger_i);
-    a.replace_ledger(j, outcome.ledger_j);
-    moved
-}
-
-/// [`mine_step`] restricted to reachable partners: `active[j] == false`
-/// marks server `j` as failed/partitioned this round. Because every
-/// exchange involves exactly two servers, the algorithm keeps making
-/// progress with whatever subset is reachable — the robustness property
-/// the paper argues for in §IV.
-pub fn mine_step_masked(
-    instance: &Instance,
-    a: &mut Assignment,
-    id: usize,
-    selection: PartnerSelection,
-    min_improvement: f64,
-    parallel: bool,
-    active: Option<&[bool]>,
-) -> MineOutcome {
-    mine_step_masked_g(
-        instance,
-        a,
-        id,
-        selection,
-        min_improvement,
-        parallel,
-        active,
-        0.0,
-    )
-}
-
-/// [`mine_step_masked`] under a transfer quantum.
-#[allow(clippy::too_many_arguments)]
-pub fn mine_step_masked_g(
-    instance: &Instance,
-    a: &mut Assignment,
-    id: usize,
-    selection: PartnerSelection,
-    min_improvement: f64,
-    parallel: bool,
-    active: Option<&[bool]>,
-    granularity: f64,
-) -> MineOutcome {
-    let mut scratch = PartnerScratch::default();
-    match choose_partner_outcome_scratch_g(
-        instance,
-        a,
-        id,
-        selection,
-        min_improvement,
-        parallel,
-        active,
-        granularity,
-        None,
-        &mut scratch,
-    ) {
-        Some((j, outcome)) => {
-            let moved = outcome.moved;
-            let improvement = outcome.improvement;
-            a.replace_ledger(id, outcome.ledger_i);
-            a.replace_ledger(j, outcome.ledger_j);
-            MineOutcome {
-                partner: Some(j),
-                improvement,
-                moved,
-            }
-        }
-        None => MineOutcome {
-            partner: None,
-            improvement: 0.0,
-            moved: 0.0,
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -660,6 +517,34 @@ mod tests {
             (0..m).map(|_| rng.gen_range(0.0..50.0)).collect(),
             lat,
         )
+    }
+
+    /// [`choose_partner`]'s `(partner, improvement)`, sequential and
+    /// continuous (`granularity = 0`).
+    #[allow(clippy::too_many_arguments)]
+    fn choice(
+        instance: &Instance,
+        a: &Assignment,
+        id: usize,
+        selection: PartnerSelection,
+        min_improvement: f64,
+        active: Option<&[bool]>,
+        score_loads: Option<&[f64]>,
+        scratch: &mut PartnerScratch,
+    ) -> Option<(usize, f64)> {
+        choose_partner(
+            instance,
+            a,
+            id,
+            selection,
+            min_improvement,
+            false,
+            active,
+            0.0,
+            score_loads,
+            scratch,
+        )
+        .map(|(j, outcome)| (j, outcome.improvement))
     }
 
     /// Which latency representation a kernel case runs on.
@@ -817,19 +702,20 @@ mod tests {
                     let want = ranked
                         .iter()
                         .take(top_k)
-                        .map(|&(j, _)| (j, improvement(&instance, &a, id, j)))
+                        .map(|&(j, _)| (j, improvement(&instance, &a, id, j, 0.0)))
                         .fold(None, |best: Option<(usize, f64)>, (j, v)| match best {
                             Some((_, b)) if v <= b => best,
                             _ => Some((j, v)),
                         });
-                    let got = choose_partner(
+                    let got = choice(
                         &instance,
                         &a,
                         id,
                         PartnerSelection::Pruned { top_k },
                         f64::NEG_INFINITY,
-                        false,
                         Some(&active),
+                        None,
+                        &mut PartnerScratch::default(),
                     );
                     assert_eq!(got, want, "seed {seed} id {id} top_k {top_k}");
                 }
@@ -845,7 +731,7 @@ mod tests {
         let mut best_j = 1;
         let mut best = f64::NEG_INFINITY;
         for j in 1..8 {
-            let v = improvement(&instance, &a, 0, j);
+            let v = improvement(&instance, &a, 0, j, 0.0);
             if v > best {
                 best = v;
                 best_j = j;
@@ -982,19 +868,9 @@ mod tests {
                 PartnerSelection::Exact,
                 PartnerSelection::Pruned { top_k: 5 },
             ] {
-                let fresh = choose_partner_g(&instance, &a, id, selection, 1e-9, false, None, 0.0);
-                let reused = choose_partner_scratch_g(
-                    &instance,
-                    &a,
-                    id,
-                    selection,
-                    1e-9,
-                    false,
-                    None,
-                    0.0,
-                    None,
-                    &mut scratch,
-                );
+                let mut fresh = PartnerScratch::default();
+                let fresh = choice(&instance, &a, id, selection, 1e-9, None, None, &mut fresh);
+                let reused = choice(&instance, &a, id, selection, 1e-9, None, None, &mut scratch);
                 assert_eq!(fresh, reused, "id {id} {selection:?}");
             }
         }
@@ -1013,27 +889,14 @@ mod tests {
         let stale = vec![100.0, 50.0, 0.0];
         let selection = PartnerSelection::Pruned { top_k: 1 };
         let mut scratch = PartnerScratch::default();
-        let live_choice = choose_partner_scratch_g(
+        let live_choice = choice(&instance, &a, 0, selection, 1e-9, None, None, &mut scratch);
+        let stale_choice = choice(
             &instance,
             &a,
             0,
             selection,
             1e-9,
-            false,
             None,
-            0.0,
-            None,
-            &mut scratch,
-        );
-        let stale_choice = choose_partner_scratch_g(
-            &instance,
-            &a,
-            0,
-            selection,
-            1e-9,
-            false,
-            None,
-            0.0,
             Some(&stale),
             &mut scratch,
         );

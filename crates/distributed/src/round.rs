@@ -38,7 +38,7 @@ use std::cell::RefCell;
 
 use dlb_core::{Assignment, Instance};
 
-use crate::mine::{choose_partner_outcome_scratch_g, PartnerScratch, PartnerSelection};
+use crate::mine::{choose_partner, PartnerScratch, PartnerSelection};
 use crate::transfer::TransferOutcome;
 
 /// How the engine executes one iteration.
@@ -138,7 +138,7 @@ pub fn propose(
 ) -> Vec<Option<Proposal>> {
     let choose = |id: usize| {
         PROPOSE_SCRATCH.with(|scratch| {
-            choose_partner_outcome_scratch_g(
+            choose_partner(
                 instance,
                 a,
                 id,

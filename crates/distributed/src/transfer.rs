@@ -221,24 +221,6 @@ pub fn apply_best_transfer(
     (improvement, moved)
 }
 
-/// Lemma 1's optimal single-owner transfer (exposed for tests and the
-/// homogeneous-theory checks): amount of owner `k`'s requests to move
-/// from `i` to `j` given current loads.
-pub fn lemma1_delta(
-    instance: &Instance,
-    li: f64,
-    lj: f64,
-    rki: f64,
-    k: usize,
-    i: usize,
-    j: usize,
-) -> f64 {
-    let si = instance.speed(i);
-    let sj = instance.speed(j);
-    let raw = ((sj * li - si * lj) - si * sj * (instance.c(k, j) - instance.c(k, i))) / (si + sj);
-    raw.clamp(0.0, rki)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -12,7 +12,7 @@ use dlb_core::rngutil::rng_for;
 use dlb_core::workload::{LoadDistribution, SpeedDistribution, WorkloadSpec};
 use dlb_core::Assignment;
 use dlb_core::{Instance, LatencyMatrix};
-use dlb_distributed::mine::{choose_partner, PartnerSelection, SCORE_BLOCK};
+use dlb_distributed::mine::{choose_partner, PartnerScratch, PartnerSelection, SCORE_BLOCK};
 use dlb_distributed::{Engine, EngineOptions, RoundMode};
 use rand::Rng;
 use std::sync::Mutex;
@@ -162,8 +162,24 @@ fn pruned_prescoring_block_fanout_matches_the_sequential_scan() {
     let selection = PartnerSelection::Pruned { top_k: 8 };
     std::env::set_var("DLB_THREADS", "3");
     for id in [0, SCORE_BLOCK, m / 2, m - 1] {
-        let sequential = choose_partner(&instance, &a, id, selection, 1e-9, false, None);
-        let fanned_out = choose_partner(&instance, &a, id, selection, 1e-9, true, None);
+        let mut scratch = PartnerScratch::default();
+        let mut choose = |parallel: bool| {
+            choose_partner(
+                &instance,
+                &a,
+                id,
+                selection,
+                1e-9,
+                parallel,
+                None,
+                0.0,
+                None,
+                &mut scratch,
+            )
+            .map(|(j, outcome)| (j, outcome.improvement))
+        };
+        let sequential = choose(false);
+        let fanned_out = choose(true);
         assert!(sequential.is_some(), "server {id} has an improving partner");
         assert_eq!(fanned_out, sequential, "server {id}");
     }

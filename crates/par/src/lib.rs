@@ -124,54 +124,6 @@ where
     par_map_indexed(items.len(), |i| f(&items[i]))
 }
 
-/// Parallel map over a mutable slice: applies `f` to every element in
-/// place and collects the results in index order. Each element is
-/// visited by exactly one worker, so `f` gets exclusive `&mut` access
-/// without locks.
-pub fn par_map_mut<I, T, F>(items: &mut [I], f: F) -> Vec<T>
-where
-    I: Send,
-    T: Send,
-    F: Fn(&mut I) -> T + Sync,
-{
-    let n = items.len();
-    let threads = num_threads();
-    if n < SEQUENTIAL_CUTOFF || threads <= 1 || in_parallel_region() {
-        return items.iter_mut().map(f).collect();
-    }
-    let chunk = n.div_ceil(threads);
-    let mut out: Vec<Option<T>> = Vec::with_capacity(n);
-    out.resize_with(n, || None);
-    let mut work: Vec<(&mut [I], &mut [Option<T>])> = Vec::with_capacity(threads);
-    {
-        let mut rest_in: &mut [I] = items;
-        let mut rest_out: &mut [Option<T>] = &mut out;
-        while !rest_in.is_empty() {
-            let take = chunk.min(rest_in.len());
-            let (head_in, tail_in) = rest_in.split_at_mut(take);
-            let (head_out, tail_out) = rest_out.split_at_mut(take);
-            work.push((head_in, head_out));
-            rest_in = tail_in;
-            rest_out = tail_out;
-        }
-    }
-    crossbeam::scope(|scope| {
-        for (slice_in, slice_out) in work {
-            let f = &f;
-            scope.spawn(move |_| {
-                mark_worker();
-                for (item, slot) in slice_in.iter_mut().zip(slice_out.iter_mut()) {
-                    *slot = Some(f(item));
-                }
-            });
-        }
-    })
-    .expect("worker thread panicked");
-    out.into_iter()
-        .map(|v| v.expect("all slots filled"))
-        .collect()
-}
-
 /// Runs `f` over caller-made shards, one scoped thread per shard, and
 /// returns the results in shard order. `f` gets the shard's index and
 /// the shard by value — typically a tuple of disjoint `&mut` sub-slices
@@ -234,8 +186,7 @@ where
 /// [`par_map_shards`] (see the crate docs; nothing in the workspace
 /// calls the pool any more).
 ///
-/// Ordering is identical to [`par_map_mut`]: items are chunked
-/// statically in submission order, chunks are reassembled by index, so
+/// Items are chunked statically in submission order, chunks are reassembled by index, so
 /// results are bit-identical for every `DLB_THREADS` value (including
 /// the sequential paths).
 pub struct WorkerPool<'a, I, T, F> {
@@ -255,7 +206,7 @@ where
     /// Applies the pool's handler to every item in place and returns
     /// `(items, results)`, both in the original submission order.
     /// Small batches (and sequential pools) run inline on the calling
-    /// thread — same cutoff and same results as [`par_map_mut`].
+    /// thread — same [`SEQUENTIAL_CUTOFF`], same results.
     pub fn map_mut(&mut self, mut items: Vec<I>) -> (Vec<I>, Vec<T>) {
         let n = items.len();
         if self.jobs.is_empty() || n < SEQUENTIAL_CUTOFF {
@@ -386,38 +337,6 @@ where
     results.into_inner().into_iter().fold(identity(), combine)
 }
 
-/// Finds `argmax` of `score` over `0..n`, breaking ties toward the
-/// smallest index; returns `None` when `n == 0` or every score is NaN.
-pub fn par_argmax<F>(n: usize, score: F) -> Option<(usize, f64)>
-where
-    F: Fn(usize) -> f64 + Sync,
-{
-    let best = par_fold_indexed(
-        n,
-        || (usize::MAX, f64::NEG_INFINITY),
-        |acc, i| {
-            let s = score(i);
-            if s > acc.1 || (s == acc.1 && i < acc.0) {
-                (i, s)
-            } else {
-                acc
-            }
-        },
-        |a, b| {
-            if b.1 > a.1 || (b.1 == a.1 && b.0 < a.0) {
-                b
-            } else {
-                a
-            }
-        },
-    );
-    if best.0 == usize::MAX {
-        None
-    } else {
-        Some(best)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -442,28 +361,6 @@ mod tests {
         let doubled = par_map_slice(&items, |&x| x * 2);
         assert_eq!(doubled[4999], 9998);
         assert_eq!(doubled[0], 0);
-    }
-
-    #[test]
-    fn map_mut_mutates_in_place_and_returns_in_order() {
-        // small (sequential path)
-        let mut small = vec![1i64, 2, 3];
-        let out = par_map_mut(&mut small, |x| {
-            *x *= 10;
-            *x + 1
-        });
-        assert_eq!(small, vec![10, 20, 30]);
-        assert_eq!(out, vec![11, 21, 31]);
-        // large (parallel path)
-        let mut big: Vec<i64> = (0..5000).collect();
-        let out = par_map_mut(&mut big, |x| {
-            *x += 1;
-            *x * 2
-        });
-        for (i, (&x, &o)) in big.iter().zip(out.iter()).enumerate() {
-            assert_eq!(x, i as i64 + 1);
-            assert_eq!(o, (i as i64 + 1) * 2);
-        }
     }
 
     #[test]
@@ -502,38 +399,11 @@ mod tests {
     }
 
     #[test]
-    fn map_mut_empty() {
-        let mut items: Vec<u8> = Vec::new();
-        let out: Vec<u8> = par_map_mut(&mut items, |&mut x| x);
-        assert!(out.is_empty());
-    }
-
-    #[test]
     fn fold_matches_sequential() {
         let n = 100_000;
         let par: u64 = par_fold_indexed(n, || 0u64, |a, i| a + i as u64, |a, b| a + b);
         let seq: u64 = (0..n as u64).sum();
         assert_eq!(par, seq);
-    }
-
-    #[test]
-    fn argmax_finds_peak() {
-        let n = 10_000;
-        let peak = 7654;
-        let best = par_argmax(n, |i| -((i as f64 - peak as f64).abs())).unwrap();
-        assert_eq!(best.0, peak);
-        assert_eq!(best.1, 0.0);
-    }
-
-    #[test]
-    fn argmax_tie_breaks_low_index() {
-        let best = par_argmax(100, |_| 1.0).unwrap();
-        assert_eq!(best.0, 0);
-    }
-
-    #[test]
-    fn argmax_empty_is_none() {
-        assert!(par_argmax(0, |_| 0.0).is_none());
     }
 
     #[test]

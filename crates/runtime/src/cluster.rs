@@ -118,8 +118,8 @@ pub struct ClusterOptions {
     pub max_rounds: usize,
     /// Stop after this many consecutive rounds in which the moved
     /// request volume stays below [`ClusterOptions::quiescent_volume`].
-    /// With auditing on, `m − 1` quiet rounds certify pairwise
-    /// optimality of the final state; the default is a cheaper
+    /// `m − 1` quiet rounds certify pairwise optimality of the final
+    /// state (see the audit rotation); the default is a cheaper
     /// heuristic that the integration tests show suffices in practice.
     pub quiescent_rounds: usize,
     /// Moved volume below which a round counts as quiet.

@@ -38,8 +38,8 @@
 //! **Audit probing.** The closed-form score sees only loads, so it is
 //! blind to *relabelings* — states where loads are balanced but
 //! requests sit on needlessly distant servers. When no partner clears
-//! the score floor and auditing is enabled, the node instead probes one
-//! peer in a deterministic rotation; the probe runs full Algorithm 1 on
+//! the score floor, the node instead probes one peer in a
+//! deterministic rotation; the probe runs full Algorithm 1 on
 //! the real ledgers, so every pair is re-examined at least once every
 //! `m − 1` quiet rounds and the quiescent state is genuinely pairwise
 //! optimal (Lemma 2) — which, by convexity, is the global optimum.
@@ -116,10 +116,11 @@ impl Outbound {
 /// Partner-selection policy: which peers a node scores at each round
 /// start — the runtime port of the analytic engine's `PartnerSelection`
 /// axis (`dlb_distributed::mine`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SelectPolicy {
     /// Score every live peer — the literal §IV scan, O(m) per node per
     /// round (O(m²) per round cluster-wide).
+    #[default]
     Exact,
     /// Score only a candidate index: the `k` delay-nearest peers (from
     /// the node's own latency column, the §IV local-knowledge input)
@@ -132,11 +133,8 @@ pub enum SelectPolicy {
 }
 
 /// Static per-node configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct NodeConfig {
-    /// Probe a rotating peer with full Algorithm 1 when no partner
-    /// clears the score floor (see the module docs).
-    pub audit: bool,
     /// Partner-selection policy (see [`SelectPolicy`]).
     pub select: SelectPolicy,
     /// Run exchanges in two phases: the initiator applies its half of
@@ -149,16 +147,6 @@ pub struct NodeConfig {
     /// oracle runs keep the single-phase wire schedule the golden
     /// event hashes pin.
     pub two_phase: bool,
-}
-
-impl Default for NodeConfig {
-    fn default() -> Self {
-        Self {
-            audit: true,
-            select: SelectPolicy::Exact,
-            two_phase: false,
-        }
-    }
 }
 
 /// Which in-flight wait an exchange retransmission timeout guards.
@@ -655,13 +643,8 @@ impl NodeMachine {
                     score_best(self.id, &self.instance, loads, excluded, index)
                 }
             };
-            let target = scored.or_else(|| {
-                if self.config.audit {
-                    audit_target(self.id, self.instance.len(), round, excluded)
-                } else {
-                    None
-                }
-            });
+            let target =
+                scored.or_else(|| audit_target(self.id, self.instance.len(), round, excluded));
             match target {
                 Some(j) => {
                     self.proposal = Some(j);

@@ -10,8 +10,12 @@
 //!   dependency-free text round-trip
 //!   (`"algo=batched net=pl m=500 load=peak seed=7"` parses to a spec
 //!   and a spec [`Display`](std::fmt::Display)s back to that text), so
-//!   the same value travels through CLI flags, bench grids, and
-//!   committed JSON records identically.
+//!   the same value travels through `dlb run` tokens, bench grids, and
+//!   committed JSON records identically. The keys and the rules for
+//!   which `algo` honours which of them are one table:
+//!   [`ScenarioSpec::validate`] is the check `parse` ends with and
+//!   `run` begins with, so a builder-made spec is refused exactly
+//!   where its text form would be.
 //! * [`ScenarioSpec::build_instance`] is the **single sampling path**:
 //!   the CLI, every bench harness, and the examples draw their §VI-A
 //!   instances here, so equal seeds mean equal instances everywhere.

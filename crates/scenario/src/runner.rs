@@ -124,40 +124,6 @@ impl RunRecord {
     }
 }
 
-/// [`ScenarioSpec::run_on`]'s first check: the axes only the event
-/// executor can honor may only reach the protocol runner — any other
-/// system would silently measure, say, a fault-free run and report it
-/// as a faulted one.
-fn assert_faults_runnable(spec: &ScenarioSpec) {
-    let protocol = spec.algo == AlgoSpec::Protocol;
-    assert!(
-        spec.faults.is_empty() || protocol,
-        "faults= requires algo=protocol, got '{spec}'"
-    );
-    assert!(
-        spec.detect == DetectSpec::Oracle || protocol,
-        "detect= requires algo=protocol, got '{spec}'"
-    );
-    assert!(
-        spec.arrivals.is_empty() || protocol,
-        "arrivals= requires algo=protocol, got '{spec}'"
-    );
-    assert!(
-        spec.arrivals.is_empty() == (spec.duration <= 0.0),
-        "arrivals= and duration= come as a pair, got '{spec}'"
-    );
-    assert!(
-        spec.gossip == GossipSpec::default()
-            || spec.algo == AlgoSpec::Sequential
-            || spec.algo == AlgoSpec::Batched,
-        "gossip= requires algo=sequential or algo=batched, got '{spec}'"
-    );
-    assert!(
-        spec.trace == TraceSpec::Off || protocol,
-        "trace= requires algo=protocol, got '{spec}'"
-    );
-}
-
 /// An exchange retransmission timeout that cannot tear an alive–alive
 /// exchange under this scenario's own fault plan: twice the worst-case
 /// one-way frame time, plus margin. The worst case stacks the slowest
@@ -397,26 +363,26 @@ impl ScenarioSpec {
     /// Runs this scenario on the system its `algo` names.
     ///
     /// # Panics
-    /// Panics when a fault schedule is attached to anything but
-    /// `algo=protocol` — the builder cannot enforce
-    /// what [`ScenarioSpec::parse`] rejects, so this does (a
-    /// silently ignored fault plan would masquerade as a clean
-    /// measurement).
+    /// Panics with [`ScenarioSpec::validate`]'s message on a key
+    /// combination it refuses — a silently ignored fault plan would
+    /// masquerade as a clean measurement.
     pub fn run(&self) -> RunRecord {
         self.run_on(self.build_instance())
     }
 
     /// Runs this scenario on a prebuilt instance — callers holding
-    /// several scenarios over one grid point (the CLI aliases, bench
-    /// sweeps) sample once and share it. `instance` must be what
+    /// several scenarios over one grid point (bench sweeps) sample
+    /// once and share it. `instance` must be what
     /// [`ScenarioSpec::build_instance`] would produce (or an
     /// intentional override with the same size).
     ///
     /// # Panics
-    /// Panics on a fault schedule outside `algo=protocol` (see
+    /// Panics when [`ScenarioSpec::validate`] refuses the spec (see
     /// [`ScenarioSpec::run`]).
     pub fn run_on(&self, instance: Instance) -> RunRecord {
-        assert_faults_runnable(self);
+        if let Err(refusal) = self.validate() {
+            panic!("{refusal}, got '{self}'");
+        }
         match self.algo {
             AlgoSpec::Sequential | AlgoSpec::Batched => run_engine(self, instance),
             AlgoSpec::Nash => run_nash(self, instance),
@@ -559,43 +525,6 @@ mod tests {
         );
     }
 
-    /// The builder can construct what parse() rejects; every runner
-    /// must refuse to silently ignore a fault plan.
-    #[test]
-    #[should_panic(expected = "faults= requires algo=protocol")]
-    fn builder_fault_plans_cannot_ride_other_runners() {
-        ScenarioSpec::new()
-            .algo(AlgoSpec::Nash)
-            .servers(4)
-            .faults(dlb_faults::FaultPlan::new().loss(0.1))
-            .run();
-    }
-
-    /// ...including on the prebuilt-instance path for non-protocol
-    /// algorithms, which have no fault support at all.
-    #[test]
-    #[should_panic(expected = "faults= requires algo=protocol")]
-    fn direct_engine_runner_rejects_fault_plans() {
-        let spec = ScenarioSpec::new()
-            .algo(AlgoSpec::Batched)
-            .servers(4)
-            .faults(dlb_faults::FaultPlan::new().loss(0.1));
-        spec.run_on(spec.build_instance());
-    }
-
-    /// The same goes for the `detect=` axis: in-protocol failure
-    /// detection needs the executor's virtual clock, so every other
-    /// runner must refuse rather than silently ignore it.
-    #[test]
-    #[should_panic(expected = "detect= requires algo=protocol")]
-    fn builder_detect_modes_cannot_ride_other_runners() {
-        ScenarioSpec::new()
-            .algo(AlgoSpec::Batched)
-            .servers(4)
-            .detect(crate::spec::DetectSpec::Adaptive)
-            .run();
-    }
-
     /// A faulted `detect=adaptive` run carries a populated detector
     /// summary in its record, reproduces bit for bit, and still
     /// converges — crashes detected from silence, stragglers
@@ -657,33 +586,6 @@ mod tests {
             .duration_ms(0.0)
             .run();
         assert!(calm.stream.is_quiet(), "{:?}", calm.stream);
-    }
-
-    /// The builder can construct what parse() rejects; arrival streams
-    /// ride the executor's event heap, so every other runner must
-    /// refuse.
-    #[test]
-    #[should_panic(expected = "arrivals= requires algo=protocol")]
-    fn builder_arrival_streams_cannot_ride_other_runners() {
-        ScenarioSpec::new()
-            .algo(AlgoSpec::Sequential)
-            .servers(4)
-            .arrivals("poisson:100".parse().unwrap())
-            .duration_ms(500.0)
-            .run();
-    }
-
-    /// `arrivals=` and `duration=` only make sense together — a
-    /// stream with no horizon (or a horizon with no stream) is a
-    /// silent no-op the runner refuses to guess about.
-    #[test]
-    #[should_panic(expected = "arrivals= and duration= come as a pair")]
-    fn arrival_streams_require_a_duration() {
-        ScenarioSpec::new()
-            .algo(AlgoSpec::Protocol)
-            .servers(4)
-            .arrivals("poisson:100".parse().unwrap())
-            .run();
     }
 
     /// The derived exchange RTO clears the worst frame any plan can
@@ -784,16 +686,20 @@ mod tests {
             .is_quiet());
     }
 
-    /// The builder can construct what parse() rejects; the gossip axis
-    /// only exists on the engine runners.
+    /// The builder can construct what `parse` rejects, so `run_on`
+    /// begins with the same `validate` (whose table test lives in
+    /// `spec.rs`) instead of silently ignoring the axis. `select=` is
+    /// the one the runner's own copy of the rule book used to miss:
+    /// this spec ran to completion and emitted a record whose
+    /// `scenario` text would not parse.
     #[test]
-    #[should_panic(expected = "gossip= requires algo=sequential or algo=batched")]
-    fn builder_gossip_axes_cannot_ride_other_runners() {
-        ScenarioSpec::new()
-            .algo(AlgoSpec::Nash)
-            .servers(6)
-            .gossip(crate::spec::GossipSpec::Event { period_ms: 100.0 })
-            .run();
+    #[should_panic(expected = "select= requires algo=protocol")]
+    fn run_on_refuses_what_validate_refuses() {
+        let spec = ScenarioSpec::new()
+            .algo(AlgoSpec::Batched)
+            .servers(8)
+            .select(SelectSpec::TopK(4));
+        spec.run_on(spec.build_instance());
     }
 
     #[test]

@@ -14,6 +14,11 @@
 //! [`ScenarioSpec::parse`] and the [`Display`](fmt::Display) impl round-trip exactly,
 //! so specs can travel through shell flags, bench grids, and committed
 //! JSON-lines records without a serialization dependency.
+//!
+//! Every key is one row of a private axis table — how its value is
+//! read, how it is printed, which algorithms honour it and why — that
+//! `parse`, `Display` and [`ScenarioSpec::validate`] all walk, so the
+//! key list and the compatibility rules are each written once.
 
 use std::fmt;
 use std::str::FromStr;
@@ -79,17 +84,6 @@ impl AlgoSpec {
             AlgoSpec::Bcd => "bcd",
         }
     }
-
-    fn parse(v: &str) -> Result<Self, SpecError> {
-        Self::ALL
-            .into_iter()
-            .find(|a| a.label() == v)
-            .ok_or_else(|| {
-                SpecError(format!(
-                    "algo: '{v}' is not one of sequential|batched|nash|protocol|bcd"
-                ))
-            })
-    }
 }
 
 /// Which latency substrate a scenario runs on (the `net=` key).
@@ -111,17 +105,6 @@ impl NetSpec {
             NetSpec::Homog => "homog",
             NetSpec::Euclid => "euclid",
             NetSpec::Pl => "pl",
-        }
-    }
-
-    fn parse(v: &str) -> Result<Self, SpecError> {
-        match v {
-            "homog" => Ok(NetSpec::Homog),
-            "euclid" => Ok(NetSpec::Euclid),
-            "pl" => Ok(NetSpec::Pl),
-            _ => Err(SpecError(format!(
-                "net: '{v}' is not one of homog|euclid|pl"
-            ))),
         }
     }
 }
@@ -150,16 +133,6 @@ impl SpeedKind {
         match self {
             SpeedKind::Const => SpeedDistribution::Constant(1.0),
             SpeedKind::Uniform => SpeedDistribution::paper_uniform(),
-        }
-    }
-
-    fn parse(v: &str) -> Result<Self, SpecError> {
-        match v {
-            "const" => Ok(SpeedKind::Const),
-            "uniform" => Ok(SpeedKind::Uniform),
-            _ => Err(SpecError(format!(
-                "speeds: '{v}' is not one of const|uniform"
-            ))),
         }
     }
 }
@@ -471,18 +444,6 @@ impl fmt::Display for TraceSpec {
     }
 }
 
-fn parse_load(v: &str) -> Result<LoadDistribution, SpecError> {
-    match v {
-        "const" => Ok(LoadDistribution::Constant),
-        "uniform" => Ok(LoadDistribution::Uniform),
-        "exp" => Ok(LoadDistribution::Exponential),
-        "peak" => Ok(LoadDistribution::Peak),
-        _ => Err(SpecError(format!(
-            "load: '{v}' is not one of const|uniform|exp|peak"
-        ))),
-    }
-}
-
 /// One declaratively named experiment: topology + workload + algorithm
 /// + termination. See the [module docs](self) for the text form.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -516,28 +477,24 @@ pub struct ScenarioSpec {
     pub budget: usize,
     /// Partner-selection policy of the protocol runtime (`select=`):
     /// the exact per-round scan or the delay-aware `topk:K` candidate
-    /// index. Only meaningful for `algo=protocol`;
-    /// [`ScenarioSpec::parse`] rejects other combinations.
+    /// index. Only `algo=protocol` honours it (like the axes below,
+    /// under the rules of [`validate`](Self::validate)).
     pub select: SelectSpec,
     /// Fault schedule injected into the run (`faults=`), e.g.
-    /// `faults=crash:0.1@500ms,loss:0.05`. Only meaningful for
-    /// `algo=protocol` (the deterministic simulation
-    /// that can replay faults); [`ScenarioSpec::parse`] rejects other
-    /// combinations. Compiled per run with the scenario's seed.
+    /// `faults=crash:0.1@500ms,loss:0.05`. Only `algo=protocol` (the
+    /// deterministic simulation that can replay faults) honours it.
+    /// Compiled per run with the scenario's seed.
     pub faults: FaultPlan,
     /// Liveness-detection mode (`detect=`): the script-fed oracle
     /// (default), a fixed report deadline (`timeout:MS`), or adaptive
-    /// per-node deadlines (`adaptive`). Only meaningful for
-    /// `algo=protocol`; [`ScenarioSpec::parse`] rejects
-    /// other combinations.
+    /// per-node deadlines (`adaptive`). Only `algo=protocol` honours
+    /// it.
     pub detect: DetectSpec,
     /// Live request-arrival processes (`arrivals=`), e.g.
     /// `arrivals=poisson:200,burst:400@500ms..1500ms`. Compiled per
     /// run with the scenario's seed and the sampled own-loads, then
     /// delivered as virtual-time events so the protocol rebalances
-    /// *while* requests flow. Requires `duration=` and `algo=protocol`;
-    /// [`ScenarioSpec::parse`] rejects other
-    /// combinations.
+    /// *while* requests flow. Requires `duration=` and `algo=protocol`.
     pub arrivals: ArrivalPlan,
     /// Stream horizon in virtual ms (`duration=`): arrivals are
     /// generated on `[0, duration)`. Zero (the default) means no
@@ -545,9 +502,8 @@ pub struct ScenarioSpec {
     pub duration: f64,
     /// Control plane behind the engine's partner scoring (`gossip=`):
     /// the emulated shared snapshot (default, fresh) or the real
-    /// delta-gossip protocol (`event:PERIODms`). Only meaningful for
-    /// the engine algorithms (`algo=sequential`/`algo=batched`);
-    /// [`ScenarioSpec::parse`] rejects other combinations. A
+    /// delta-gossip protocol (`event:PERIODms`). Only the engine
+    /// algorithms (`algo=sequential`/`algo=batched`) honour it. A
     /// non-default value forces the engine into pruned partner
     /// selection — exact selection recomputes improvements from true
     /// loads and would never observe staleness.
@@ -555,9 +511,7 @@ pub struct ScenarioSpec {
     /// Observability mode (`trace=`): off (default, byte-identical to
     /// an untraced run), `summary` (deterministic metrics → `obs_*`
     /// record fields), or `frames:FILE` (binary frame log, replayable
-    /// bit-exactly). Only meaningful for `algo=protocol`;
-    /// [`ScenarioSpec::parse`] rejects other
-    /// combinations.
+    /// bit-exactly). Only `algo=protocol` honours it.
     pub trace: TraceSpec,
 }
 
@@ -659,40 +613,28 @@ impl ScenarioSpec {
         self
     }
 
-    /// Sets the partner-selection policy. Only `algo=protocol` reads
-    /// it: [`ScenarioSpec::parse`] rejects other combinations up
-    /// front, and the protocol runner panics on them (the builder
-    /// alone cannot see the final key combination).
+    /// Sets the partner-selection policy. Like the axes below, only
+    /// some algorithms honour a non-default value — here
+    /// `algo=protocol`; see [`validate`](Self::validate).
     pub fn select(mut self, select: SelectSpec) -> Self {
         self.select = select;
         self
     }
 
-    /// Sets the fault schedule. Only `algo=protocol`
-    /// can replay one: [`ScenarioSpec::parse`] rejects other
-    /// combinations up front, and the run entry points panic on them
-    /// (the builder alone cannot see the final key combination).
+    /// Sets the fault schedule (`algo=protocol` only).
     pub fn faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
         self
     }
 
-    /// Sets the liveness-detection mode. Only `algo=protocol`
-    /// can run the in-protocol detectors:
-    /// [`ScenarioSpec::parse`] rejects other combinations up front,
-    /// and the run entry points panic on them (the builder alone
-    /// cannot see the final key combination).
+    /// Sets the liveness-detection mode (`algo=protocol` only).
     pub fn detect(mut self, detect: DetectSpec) -> Self {
         self.detect = detect;
         self
     }
 
-    /// Sets the live arrival processes. Only `algo=protocol`
-    /// can stream (and a positive
-    /// [`duration_ms`](Self::duration_ms) is required):
-    /// [`ScenarioSpec::parse`] rejects other combinations up front,
-    /// and the run entry points panic on them (the builder alone
-    /// cannot see the final key combination).
+    /// Sets the live arrival processes (`algo=protocol` only, and a
+    /// positive [`duration_ms`](Self::duration_ms) is required).
     pub fn arrivals(mut self, arrivals: ArrivalPlan) -> Self {
         self.arrivals = arrivals;
         self
@@ -705,27 +647,22 @@ impl ScenarioSpec {
         self
     }
 
-    /// Sets the scoring control plane. Only the engine algorithms
-    /// (`algo=sequential`/`algo=batched`) read it:
-    /// [`ScenarioSpec::parse`] rejects other combinations up front,
-    /// and the run entry points panic on them (the builder alone
-    /// cannot see the final key combination).
+    /// Sets the scoring control plane (the engine algorithms,
+    /// `algo=sequential`/`algo=batched`, only).
     pub fn gossip(mut self, gossip: GossipSpec) -> Self {
         self.gossip = gossip;
         self
     }
 
-    /// Sets the observability mode. Only `algo=protocol`
-    /// can trace: [`ScenarioSpec::parse`] rejects
-    /// other combinations up front, and the run entry points panic on
-    /// them (the builder alone cannot see the final key combination).
+    /// Sets the observability mode (`algo=protocol` only).
     pub fn trace(mut self, trace: TraceSpec) -> Self {
         self.trace = trace;
         self
     }
 
     /// Parses the text form. Empty input yields the default scenario;
-    /// unknown keys, malformed values, and duplicate keys are errors.
+    /// unknown keys, malformed values, duplicate keys, and key
+    /// combinations [`validate`](Self::validate) refuses are errors.
     pub fn parse(text: &str) -> Result<Self, SpecError> {
         let mut spec = Self::default();
         let mut seen: Vec<&str> = Vec::new();
@@ -736,122 +673,40 @@ impl ScenarioSpec {
             if seen.contains(&key) {
                 return Err(SpecError(format!("key '{key}' given twice")));
             }
-            match key {
-                "algo" => spec.algo = AlgoSpec::parse(value)?,
-                "net" => spec.net = NetSpec::parse(value)?,
-                "m" => {
-                    spec.m = parse_int(key, value)?;
-                    if spec.m == 0 {
-                        return Err(SpecError("m must be at least 1".into()));
-                    }
-                }
-                "lat" => spec.lat = parse_float(key, value)?,
-                "load" => spec.load = parse_load(value)?,
-                "avg" => spec.avg = parse_float(key, value)?,
-                "speeds" => spec.speeds = SpeedKind::parse(value)?,
-                "seed" => {
-                    spec.seed = value.parse().map_err(|_| {
-                        SpecError(format!("seed: '{value}' is not a non-negative integer"))
-                    })?
-                }
-                "gran" => spec.gran = parse_float(key, value)?,
-                "eps" => spec.eps = parse_float(key, value)?,
-                "patience" => spec.patience = parse_int(key, value)?,
-                "budget" => {
-                    spec.budget = parse_int(key, value)?;
-                    if spec.budget == 0 {
-                        return Err(SpecError("budget must be at least 1".into()));
-                    }
-                }
-                "runtime" => check_runtime(value)?,
-                "select" => spec.select = SelectSpec::parse(value)?,
-                "faults" => {
-                    spec.faults = FaultPlan::parse(value)
-                        .map_err(|e| SpecError(format!("faults: {}", e.0)))?
-                }
-                "detect" => spec.detect = DetectSpec::parse(value)?,
-                "arrivals" => {
-                    spec.arrivals = ArrivalPlan::parse(value)
-                        .map_err(|e| SpecError(format!("arrivals: {}", e.0)))?
-                }
-                "duration" => {
-                    let bare = value.strip_suffix("ms").unwrap_or(value);
-                    spec.duration = parse_float(key, bare)?;
-                }
-                "gossip" => spec.gossip = GossipSpec::parse(value)?,
-                "trace" => spec.trace = TraceSpec::parse(value)?,
-                _ => {
-                    return Err(SpecError(format!(
-                        "unknown key '{key}' (valid: algo net m lat load avg speeds seed gran \
-                         eps patience budget select faults detect arrivals duration gossip \
-                         trace)"
-                    )))
-                }
-            }
+            let axis = AXES.iter().find(|axis| axis.key == key).ok_or_else(|| {
+                let printed = AXES.iter().filter(|axis| axis.show.is_some());
+                let valid: Vec<&str> = printed.map(|axis| axis.key).collect();
+                SpecError(format!("unknown key '{key}' (valid: {})", valid.join(" ")))
+            })?;
+            (axis.read)(&mut spec, value)?;
             // `split_once` borrows from `token`, which lives as long as
             // `text`; remember the key for duplicate detection.
             seen.push(key);
         }
-        if spec.select != SelectSpec::Exact && spec.algo != AlgoSpec::Protocol {
-            return Err(SpecError(
-                "select= requires algo=protocol (partner selection is a protocol-runtime \
-                 policy; the analytic engines have their own pruning axis)"
-                    .into(),
-            ));
-        }
-        if !spec.faults.is_empty() && spec.algo != AlgoSpec::Protocol {
-            return Err(SpecError(
-                "faults= requires algo=protocol (the deterministic simulation is what can \
-                 replay a fault schedule)"
-                    .into(),
-            ));
-        }
-        if spec.detect != DetectSpec::Oracle && spec.algo != AlgoSpec::Protocol {
-            return Err(SpecError(
-                "detect= requires algo=protocol (in-protocol failure detection needs the \
-                 virtual clock to arm deadlines on)"
-                    .into(),
-            ));
-        }
-        if !spec.arrivals.is_empty() && spec.duration <= 0.0 {
-            return Err(SpecError(
-                "arrivals= requires duration= (a positive stream horizon in virtual ms, \
-                 e.g. duration=2000ms)"
-                    .into(),
-            ));
-        }
-        if spec.duration > 0.0 && spec.arrivals.is_empty() {
-            return Err(SpecError(
-                "duration= requires arrivals= (the horizon only bounds a live arrival \
-                 stream, e.g. arrivals=poisson:200)"
-                    .into(),
-            ));
-        }
-        if !spec.arrivals.is_empty() && spec.algo != AlgoSpec::Protocol {
-            return Err(SpecError(
-                "arrivals= requires algo=protocol (live streaming rides the deterministic \
-                 virtual-time event heap)"
-                    .into(),
-            ));
-        }
-        if spec.gossip != GossipSpec::default()
-            && spec.algo != AlgoSpec::Sequential
-            && spec.algo != AlgoSpec::Batched
-        {
-            return Err(SpecError(
-                "gossip= requires algo=sequential or algo=batched (stale partner scoring \
-                 is an engine axis; the protocol runtime exchanges live views by design)"
-                    .into(),
-            ));
-        }
-        if spec.trace != TraceSpec::Off && spec.algo != AlgoSpec::Protocol {
-            return Err(SpecError(
-                "trace= requires algo=protocol (the deterministic executor is what stamps \
-                 trace events on the virtual clock)"
-                    .into(),
-            ));
-        }
+        spec.validate()?;
         Ok(spec)
+    }
+
+    /// Checks the key combination against the rule book in the axis
+    /// table: an axis set away from its default must be one the spec's
+    /// `algo` honours — any other system would silently measure, say, a
+    /// fault-free run and report it as a faulted one — and `arrivals=`
+    /// and `duration=` come as a pair. [`parse`](Self::parse) ends with
+    /// this check and [`run_on`](Self::run_on) begins with it, because
+    /// a builder call cannot see the final key combination. Rules fire
+    /// in key order, so a spec that breaks two is told about the
+    /// earlier key.
+    pub fn validate(&self) -> Result<(), SpecError> {
+        let default = Self::default();
+        for axis in AXES.iter().filter(|axis| (axis.differs)(self, &default)) {
+            for ((needed, met), why) in axis.needs {
+                if !met(self) {
+                    let key = axis.key;
+                    return Err(SpecError(format!("{key}= requires {needed} ({why})")));
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Builds the latency matrix this spec names (deterministic per
@@ -879,10 +734,33 @@ impl ScenarioSpec {
     }
 }
 
-fn parse_int(key: &str, value: &str) -> Result<usize, SpecError> {
+/// Reads a value that is the label of one of `choices`.
+fn one_of<T: Copy>(
+    key: &str,
+    value: &str,
+    choices: &[T],
+    label: impl Fn(&T) -> &'static str,
+) -> Result<T, SpecError> {
+    let found = choices.iter().find(|choice| label(choice) == value);
+    found.copied().ok_or_else(|| {
+        let labels: Vec<&str> = choices.iter().map(label).collect();
+        let labels = labels.join("|");
+        SpecError(format!("{key}: '{value}' is not one of {labels}"))
+    })
+}
+
+fn parse_int<T: FromStr>(key: &str, value: &str) -> Result<T, SpecError> {
     value
         .parse()
         .map_err(|_| SpecError(format!("{key}: '{value}' is not a non-negative integer")))
+}
+
+/// [`parse_int`] for the keys a run needs at least one of.
+fn parse_count(key: &str, value: &str) -> Result<usize, SpecError> {
+    match parse_int(key, value)? {
+        0 => Err(SpecError(format!("{key} must be at least 1"))),
+        n => Ok(n),
+    }
 }
 
 fn parse_float(key: &str, value: &str) -> Result<f64, SpecError> {
@@ -897,67 +775,157 @@ fn parse_float(key: &str, value: &str) -> Result<f64, SpecError> {
     Ok(x)
 }
 
+/// Something a non-default value of an axis needs from the rest of
+/// the spec: what [`ScenarioSpec::validate`]'s message calls it, and
+/// the test that the spec has it.
+type Needs = (&'static str, fn(&ScenarioSpec) -> bool);
+
+/// The only system that honours the event-executor axes.
+const PROTOCOL: Needs = ("algo=protocol", |spec| spec.algo == AlgoSpec::Protocol);
+/// The two round modes of the distributed engine.
+const ENGINE: Needs = ("algo=sequential or algo=batched", |spec| {
+    matches!(spec.algo, AlgoSpec::Sequential | AlgoSpec::Batched)
+});
+
+/// One key of the text form: a row of [`AXES`].
+struct Axis {
+    /// The `key=` token name.
+    key: &'static str,
+    /// Reads a token's value into the spec.
+    read: fn(&mut ScenarioSpec, &str) -> Result<(), SpecError>,
+    /// Whether two specs disagree on this axis. Asked against the
+    /// default spec, it decides both whether `Display` prints the key
+    /// and whether `validate` applies `needs`.
+    differs: fn(&ScenarioSpec, &ScenarioSpec) -> bool,
+    /// Writes the value's text form; `None` for a key that is read but
+    /// never printed back nor listed as valid.
+    show: Option<fn(&ScenarioSpec, &mut fmt::Formatter<'_>) -> fmt::Result>,
+    /// Printed even at its default.
+    always: bool,
+    /// What a non-default value requires, each rule with its reason,
+    /// in the order the rules fire.
+    needs: &'static [(Needs, &'static str)],
+}
+
+/// The [`AXES`] row of the spec field named like its key. `$read` is a
+/// `fn(key, value) -> Result<field, SpecError>`; the field prints
+/// through `Display`, or through the `.method()` written after its
+/// name. `key.label() in CHOICES` is the row of an enum read and
+/// printed by its variants' labels.
+macro_rules! axis {
+    ($key:ident.label() in $choices:expr) => {
+        axis!($key.label(), |key, value| one_of(key, value, &$choices, |choice| choice.label()))
+    };
+    ($key:ident $(.$via:ident())?, $read:expr) => {
+        axis!($key $(.$via())?, $read, &[])
+    };
+    ($key:ident $(.$via:ident())?, $read:expr, $needs:expr) => {
+        Axis {
+            key: stringify!($key),
+            read: |spec, value| {
+                spec.$key = $read(stringify!($key), value)?;
+                Ok(())
+            },
+            differs: |a, b| a.$key != b.$key,
+            show: Some(|spec, f| write!(f, "{}", spec.$key $(.$via())?)),
+            always: false,
+            needs: $needs,
+        }
+    };
+}
+
+/// Every key of the text form, in canonical print order — the one
+/// list behind [`ScenarioSpec::parse`], its unknown-key message, the
+/// [`Display`](fmt::Display) impl and [`ScenarioSpec::validate`]. A new
+/// axis is a field, a builder and a row here.
+#[rustfmt::skip] // a table: one axis per entry, laid out by hand
+const AXES: &[Axis] = &[
+    // `algo`, `net` and `m` head every canonical text.
+    Axis { always: true, ..axis!(algo.label() in AlgoSpec::ALL) },
+    Axis { always: true, ..axis!(net.label() in [NetSpec::Homog, NetSpec::Euclid, NetSpec::Pl]) },
+    Axis { always: true, ..axis!(m, parse_count) },
+    axis!(lat, parse_float),
+    axis!(load.label() in [
+        LoadDistribution::Constant,
+        LoadDistribution::Uniform,
+        LoadDistribution::Exponential,
+        LoadDistribution::Peak,
+    ]),
+    axis!(avg, parse_float),
+    axis!(speeds.label() in [SpeedKind::Const, SpeedKind::Uniform]),
+    axis!(seed, parse_int),
+    axis!(gran, parse_float),
+    axis!(eps, parse_float),
+    axis!(patience, parse_int),
+    axis!(budget, parse_count),
+    // Obsolete (see `check_runtime`): checked, stored nowhere.
+    Axis {
+        key: "runtime",
+        read: |_, value| check_runtime(value),
+        differs: |_, _| false,
+        show: None,
+        always: false,
+        needs: &[],
+    },
+    axis!(select, |_, v| SelectSpec::parse(v), &[(
+        PROTOCOL,
+        "partner selection is a protocol-runtime policy; the analytic engines have their own \
+         pruning axis",
+    )]),
+    axis!(
+        faults,
+        |key, v| FaultPlan::parse(v).map_err(|e| SpecError(format!("{key}: {}", e.0))),
+        &[(PROTOCOL, "the deterministic simulation is what can replay a fault schedule")]
+    ),
+    axis!(detect, |_, v| DetectSpec::parse(v), &[(
+        PROTOCOL,
+        "in-protocol failure detection needs the virtual clock to arm deadlines on",
+    )]),
+    axis!(
+        arrivals,
+        |key, v| ArrivalPlan::parse(v).map_err(|e| SpecError(format!("{key}: {}", e.0))),
+        &[
+            (
+                ("duration=", |spec| spec.duration > 0.0),
+                "a positive stream horizon in virtual ms, e.g. duration=2000ms",
+            ),
+            (PROTOCOL, "live streaming rides the deterministic virtual-time event heap"),
+        ]
+    ),
+    axis!(
+        duration,
+        |key, v: &str| parse_float(key, v.strip_suffix("ms").unwrap_or(v)),
+        &[(
+            ("arrivals=", |spec| !spec.arrivals.is_empty()),
+            "the horizon only bounds a live arrival stream, e.g. arrivals=poisson:200",
+        )]
+    ),
+    axis!(gossip, |_, v| GossipSpec::parse(v), &[(
+        ENGINE,
+        "stale partner scoring is an engine axis; the protocol runtime exchanges live views by \
+         design",
+    )]),
+    axis!(trace, |_, v| TraceSpec::parse(v), &[(
+        PROTOCOL,
+        "the deterministic executor is what stamps trace events on the virtual clock",
+    )]),
+];
+
 impl fmt::Display for ScenarioSpec {
     /// Renders the canonical text form: `algo`, `net`, and `m` always,
     /// every other key only when it differs from the default — so
     /// parsing the output reproduces the spec exactly and short specs
     /// stay short.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let d = Self::default();
-        write!(
-            f,
-            "algo={} net={} m={}",
-            self.algo.label(),
-            self.net.label(),
-            self.m
-        )?;
-        if self.lat != d.lat {
-            write!(f, " lat={}", self.lat)?;
-        }
-        if self.load != d.load {
-            write!(f, " load={}", self.load.label())?;
-        }
-        if self.avg != d.avg {
-            write!(f, " avg={}", self.avg)?;
-        }
-        if self.speeds != d.speeds {
-            write!(f, " speeds={}", self.speeds.label())?;
-        }
-        if self.seed != d.seed {
-            write!(f, " seed={}", self.seed)?;
-        }
-        if self.gran != d.gran {
-            write!(f, " gran={}", self.gran)?;
-        }
-        if self.eps != d.eps {
-            write!(f, " eps={}", self.eps)?;
-        }
-        if self.patience != d.patience {
-            write!(f, " patience={}", self.patience)?;
-        }
-        if self.budget != d.budget {
-            write!(f, " budget={}", self.budget)?;
-        }
-        if self.select != d.select {
-            write!(f, " select={}", self.select)?;
-        }
-        if self.faults != d.faults {
-            write!(f, " faults={}", self.faults)?;
-        }
-        if self.detect != d.detect {
-            write!(f, " detect={}", self.detect)?;
-        }
-        if self.arrivals != d.arrivals {
-            write!(f, " arrivals={}", self.arrivals)?;
-        }
-        if self.duration != d.duration {
-            write!(f, " duration={}", self.duration)?;
-        }
-        if self.gossip != d.gossip {
-            write!(f, " gossip={}", self.gossip)?;
-        }
-        if self.trace != d.trace {
-            write!(f, " trace={}", self.trace)?;
+        let default = Self::default();
+        let mut separator = "";
+        for axis in AXES {
+            let Some(show) = axis.show else { continue };
+            if axis.always || (axis.differs)(self, &default) {
+                write!(f, "{separator}{}=", axis.key)?;
+                show(self, f)?;
+                separator = " ";
+            }
         }
         Ok(())
     }
@@ -1420,6 +1388,79 @@ mod tests {
         ] {
             let err = ScenarioSpec::parse(text).unwrap_err();
             assert!(err.0.contains(needle), "'{text}' -> {err}");
+        }
+    }
+
+    /// The builder can construct what `parse` rejects; `validate` is
+    /// the typed refusal `parse` ends with and `run_on` begins with.
+    #[test]
+    fn validate_refuses_axes_the_algo_does_not_honour() {
+        use AlgoSpec::*;
+        let on = |algo| ScenarioSpec::new().algo(algo).servers(4);
+        let loss = FaultPlan::new().loss(0.1);
+        let poisson = ArrivalPlan::new().poisson(100.0);
+        let event = GossipSpec::Event { period_ms: 100.0 };
+        for (spec, message) in [
+            (
+                on(Batched).select(SelectSpec::TopK(4)),
+                "select= requires algo=protocol (partner selection is a protocol-runtime \
+                 policy; the analytic engines have their own pruning axis)",
+            ),
+            (
+                on(Nash).faults(loss),
+                "faults= requires algo=protocol (the deterministic simulation is what can \
+                 replay a fault schedule)",
+            ),
+            (
+                on(Batched).detect(DetectSpec::Adaptive),
+                "detect= requires algo=protocol (in-protocol failure detection needs the \
+                 virtual clock to arm deadlines on)",
+            ),
+            (
+                on(Sequential).arrivals(poisson).duration_ms(500.0),
+                "arrivals= requires algo=protocol (live streaming rides the deterministic \
+                 virtual-time event heap)",
+            ),
+            // The two stream keys come as a pair, and the pairing is
+            // checked before the algorithm.
+            (
+                on(Batched).arrivals(poisson),
+                "arrivals= requires duration= (a positive stream horizon in virtual ms, \
+                 e.g. duration=2000ms)",
+            ),
+            (
+                on(Protocol).duration_ms(500.0),
+                "duration= requires arrivals= (the horizon only bounds a live arrival \
+                 stream, e.g. arrivals=poisson:200)",
+            ),
+            (
+                on(Nash).gossip(event),
+                "gossip= requires algo=sequential or algo=batched (stale partner scoring \
+                 is an engine axis; the protocol runtime exchanges live views by design)",
+            ),
+            (
+                on(Bcd).trace(TraceSpec::Summary),
+                "trace= requires algo=protocol (the deterministic executor is what stamps \
+                 trace events on the virtual clock)",
+            ),
+            // Two rules broken: the earlier key is the one named.
+            (
+                on(Nash).faults(loss).gossip(event),
+                "faults= requires algo=protocol (the deterministic simulation is what can \
+                 replay a fault schedule)",
+            ),
+        ] {
+            let refusal = SpecError(message.into());
+            assert_eq!(spec.validate(), Err(refusal.clone()), "{spec}");
+            assert_eq!(
+                ScenarioSpec::parse(&spec.to_string()),
+                Err(refusal),
+                "{spec}"
+            );
+        }
+        // Every axis at its default is honoured by every algorithm.
+        for algo in AlgoSpec::ALL {
+            assert_eq!(on(algo).validate(), Ok(()), "{algo:?}");
         }
     }
 

@@ -9,8 +9,16 @@
 # skipped. Comments and blank lines count: the rule measures what a
 # reader has to get through, not statements.
 #
-#   scripts/nontest-lines.sh      per-crate counts, then the total
+#   scripts/nontest-lines.sh            per-crate counts, then the total
+#   scripts/nontest-lines.sh --max N    the same, and exit 1 when the
+#                                       total exceeds N (the CI ceiling)
 set -euo pipefail
+
+max=
+if [[ $# -gt 0 ]]; then
+  [[ $# -eq 2 && $1 == --max && $2 =~ ^[0-9]+$ ]] || { echo "usage: $0 [--max N]" >&2; exit 2; }
+  max=$2
+fi
 
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
@@ -25,3 +33,7 @@ for dir in crates/*/src src; do
   total=$((total + lines))
 done
 printf '%8d  total\n' "$total"
+if [[ -n $max && $total -gt $max ]]; then
+  echo "non-test workspace lines: $total exceeds the ceiling of $max" >&2
+  exit 1
+fi
