@@ -105,7 +105,7 @@ fn main() {
 
     // Scaling record: wall-clock per iteration for every round mode ×
     // thread count on the pruned-mode sizes. The batched round turns
-    // the iteration's serial sweep (one crossbeam scope per server)
+    // the iteration's serial sweep (one thread scope per server)
     // into three fan-outs per round, which is where the Figure-2
     // wall-clock was going. Interpret thread columns against the host:
     // on a single-core box the threads=8 rows measure oversubscription

@@ -188,6 +188,9 @@ fn json_number(v: f64) -> String {
 #[derive(Debug)]
 pub struct JsonlSink {
     file: Option<fs::File>,
+    /// The first write that failed; [`finish`](Self::finish) hands it
+    /// to whoever promised the file to a user.
+    failed: Option<std::io::Error>,
 }
 
 impl JsonlSink {
@@ -203,7 +206,7 @@ impl JsonlSink {
             path.push(format!("{name}.jsonl"));
             fs::File::create(path).ok()
         });
-        Self { file }
+        Self { file, failed: None }
     }
 
     /// Opens (truncates) an explicit path; errors propagate so callers
@@ -211,10 +214,13 @@ impl JsonlSink {
     pub fn create_at(path: impl AsRef<Path>) -> std::io::Result<Self> {
         Ok(Self {
             file: Some(fs::File::create(path)?),
+            failed: None,
         })
     }
 
-    /// Appends one record as a JSON line (best-effort for env sinks).
+    /// Appends one record as a JSON line. A failed write does not stop
+    /// the experiment; the first one is kept for
+    /// [`finish`](Self::finish).
     ///
     /// Every persisted record is stamped with the machine context —
     /// `host_cores` (the machine's available parallelism) and
@@ -226,8 +232,20 @@ impl JsonlSink {
     /// time, so [`Record`] values under construction stay pure data.
     pub fn record(&mut self, record: &Record) {
         if let Some(f) = &mut self.file {
-            let _ = writeln!(f, "{}", Self::stamped(record).to_json());
+            let written = writeln!(f, "{}", Self::stamped(record).to_json());
+            if self.failed.is_none() {
+                self.failed = written.err();
+            }
         }
+    }
+
+    /// Closes the sink: `Err` with the first write that failed, if any
+    /// did — a caller that was given the path by a user (`dlb --out`)
+    /// must not report success over an empty file. Sinks that are
+    /// best-effort by contract (the `DLB_RESULTS_DIR` ones) are simply
+    /// dropped instead.
+    pub fn finish(self) -> std::io::Result<()> {
+        self.failed.map_or(Ok(()), Err)
     }
 
     /// The record plus the machine-context fields every persisted line

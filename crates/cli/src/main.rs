@@ -172,6 +172,16 @@ fn open_sink(args: &Args) -> Result<JsonlSink, ArgError> {
     }
 }
 
+/// Closes the sink [`open_sink`] opened. A record that did not reach a
+/// file the user named with `--out` is an error; the `DLB_RESULTS_DIR`
+/// sink stays best-effort.
+fn close_sink(args: &Args, sink: JsonlSink) -> Result<(), ArgError> {
+    match (args.get("out"), sink.finish()) {
+        (Some(path), Err(e)) => Err(ArgError(format!("--out {path}: cannot write ({e})"))),
+        _ => Ok(()),
+    }
+}
+
 /// Runs one scenario through the shared runner layer, prints the
 /// compact report, and emits the `RunRecord` through the sink.
 fn cmd_run(args: &Args) -> Result<(), ArgError> {
@@ -236,7 +246,7 @@ fn cmd_run(args: &Args) -> Result<(), ArgError> {
         );
     }
     println!();
-    Ok(())
+    close_sink(args, sink)
 }
 
 fn cmd_report(args: &Args) -> Result<(), ArgError> {
@@ -307,7 +317,7 @@ fn cmd_estimate(args: &Args) -> Result<(), ArgError> {
             )
             .nums("history", &errors),
     );
-    Ok(())
+    close_sink(args, sink)
 }
 
 fn run() -> Result<(), ArgError> {

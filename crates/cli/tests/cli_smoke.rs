@@ -312,11 +312,50 @@ fn bad_specs_and_missing_files_fail_cleanly() {
             &["run", "m=banana"][..],
             "m: 'banana' is not a non-negative integer",
         ),
+        // Schedules past the stream compiler's cap are refused as
+        // text, not by its assert (exit 101).
+        (
+            &[
+                "run",
+                "algo=protocol",
+                "m=5",
+                "arrivals=poisson:1e12",
+                "duration=1000",
+            ][..],
+            "arrivals= requires rate × duration under 1000000 requests",
+        ),
+        (
+            &[
+                "run",
+                "algo=protocol",
+                "m=5",
+                "arrivals=poisson:10",
+                "duration=1e300",
+            ][..],
+            "arrivals= requires rate × duration under 1000000 requests",
+        ),
     ] {
         let output = dlb().args(args).output().unwrap();
         assert_eq!(output.status.code(), Some(1), "{args:?}");
         let stderr = String::from_utf8_lossy(&output.stderr);
         assert!(stderr.contains(needle), "{args:?}: {stderr}");
+    }
+    // A record that cannot reach the file `--out` names is an error
+    // naming it, not a silent success over an empty file.
+    if std::path::Path::new("/dev/full").exists() {
+        for args in [
+            &["run", "algo=batched", "m=16", "budget=5"][..],
+            &["estimate", "--servers", "8", "--ticks", "3"][..],
+        ] {
+            let output = dlb().args(args).args(["--out", "/dev/full"]).output();
+            let output = output.unwrap();
+            assert_eq!(output.status.code(), Some(1), "{args:?}");
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            assert!(
+                stderr.contains("error: --out /dev/full: cannot write"),
+                "{args:?}: {stderr}"
+            );
+        }
     }
     // The retired thread runtime is a typed error too.
     let output = dlb()

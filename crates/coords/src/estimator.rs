@@ -128,32 +128,6 @@ impl Estimator {
         0.5 * self.coords[i].distance(&self.coords[j])
     }
 
-    /// The `k` peers with the smallest *estimated* one-way latency to
-    /// node `i`, as ids sorted ascending — the coordinate-space
-    /// counterpart of `dlb_topology::nearest::k_nearest_row`, for
-    /// deployments where only Vivaldi estimates (not the ground-truth
-    /// matrix) are available. Ties break toward the smaller id; returns
-    /// fewer than `k` ids when fewer peers exist.
-    pub fn nearest_k(&self, i: usize, k: usize) -> Vec<u32> {
-        let m = self.coords.len();
-        assert!(i < m, "node {i} out of range for {m} nodes");
-        if k == 0 || m <= 1 {
-            return Vec::new();
-        }
-        let k = k.min(m - 1);
-        let mut ranked: Vec<(f64, u32)> = (0..m)
-            .filter(|&j| j != i)
-            .map(|j| (self.estimate(i, j), j as u32))
-            .collect();
-        if ranked.len() > k {
-            ranked.select_nth_unstable_by(k - 1, |a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            ranked.truncate(k);
-        }
-        let mut ids: Vec<u32> = ranked.into_iter().map(|(_, j)| j).collect();
-        ids.sort_unstable();
-        ids
-    }
-
     /// Builds the full estimated latency matrix.
     pub fn estimated_matrix(&self) -> LatencyMatrix {
         let m = self.coords.len();
@@ -275,47 +249,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn nearest_k_tracks_true_neighbors_after_convergence() {
-        let truth = euclidean_truth(30, 5);
-        let mut est = Estimator::new(
-            30,
-            EstimatorConfig {
-                measurement_noise: 0.0,
-                ..Default::default()
-            },
-        );
-        est.run(&truth, 150);
-        for i in 0..30 {
-            let got = est.nearest_k(i, 5);
-            assert_eq!(got.len(), 5);
-            assert!(got.windows(2).all(|w| w[0] < w[1]), "ids sorted, no dups");
-            assert!(!got.contains(&(i as u32)));
-            // Converged estimates should mostly agree with the true
-            // 5-nearest set; require a majority overlap.
-            let mut truth_ranked: Vec<(f64, u32)> = (0..30)
-                .filter(|&j| j != i)
-                .map(|j| (0.5 * (truth.get(i, j) + truth.get(j, i)), j as u32))
-                .collect();
-            truth_ranked.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            let want: Vec<u32> = truth_ranked[..5].iter().map(|&(_, j)| j).collect();
-            let overlap = got.iter().filter(|j| want.contains(j)).count();
-            assert!(overlap >= 3, "node {i}: overlap {overlap} of 5 too low");
-        }
-    }
-
-    #[test]
-    fn nearest_k_saturates_and_zero_is_empty() {
-        let est = Estimator::new(4, EstimatorConfig::default());
-        // All coordinates at the origin: every distance ties at 0, so
-        // the id tie-break yields the smallest ids.
-        assert_eq!(est.nearest_k(3, 2), vec![0, 1]);
-        assert_eq!(est.nearest_k(0, 99), vec![1, 2, 3]);
-        assert!(est.nearest_k(0, 0).is_empty());
-        let single = Estimator::new(1, EstimatorConfig::default());
-        assert!(single.nearest_k(0, 5).is_empty());
     }
 
     #[test]

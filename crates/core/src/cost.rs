@@ -173,35 +173,6 @@ pub fn org_cost(instance: &Instance, a: &Assignment, i: usize) -> f64 {
     cost
 }
 
-/// All per-organization costs; sums to [`total_cost`].
-pub fn org_costs(instance: &Instance, a: &Assignment) -> Vec<f64> {
-    let m = instance.len();
-    let mut costs = vec![0.0; m];
-    for j in 0..m {
-        let wait = a.load(j) / (2.0 * instance.speed(j));
-        for (k, r) in a.ledger(j).iter() {
-            costs[k as usize] += (wait + instance.c(k as usize, j)) * r;
-        }
-    }
-    costs
-}
-
-/// A lower bound on the optimal `ΣC`: congestion of the perfectly
-/// speed-proportional load split with zero communication,
-/// `(Σ n)² / (2 Σ s)`.
-///
-/// For homogeneous instances this is the paper's `m l_av² / 2s` bound
-/// used in Theorem 1.
-pub fn ideal_lower_bound(instance: &Instance) -> f64 {
-    let n = instance.total_load();
-    let s = instance.total_speed();
-    if s == 0.0 {
-        0.0
-    } else {
-        n * n / (2.0 * s)
-    }
-}
-
 /// Makespan-flavoured metric: the largest server drain time
 /// `max_j l_j / s_j` (ms). The paper optimizes `ΣC` but discusses the
 /// contrast with makespan (§II "Completion times"); exposing both lets
@@ -210,31 +181,6 @@ pub fn makespan(instance: &Instance, a: &Assignment) -> f64 {
     (0..instance.len())
         .map(|j| a.load(j) / instance.speed(j))
         .fold(0.0, f64::max)
-}
-
-/// Per-server drain times `l_j / s_j` (the makespan vector).
-pub fn drain_times(instance: &Instance, a: &Assignment) -> Vec<f64> {
-    (0..instance.len())
-        .map(|j| a.load(j) / instance.speed(j))
-        .collect()
-}
-
-/// Jain's fairness index of the speed-normalized loads
-/// (`(Σx)² / (m·Σx²)`, 1 = perfectly balanced). A compact imbalance
-/// diagnostic used by the dynamic-load example and benches.
-pub fn load_fairness(instance: &Instance, a: &Assignment) -> f64 {
-    let m = instance.len();
-    if m == 0 {
-        return 1.0;
-    }
-    let xs: Vec<f64> = (0..m).map(|j| a.load(j) / instance.speed(j)).collect();
-    let sum: f64 = xs.iter().sum();
-    let sq: f64 = xs.iter().map(|x| x * x).sum();
-    if sq == 0.0 {
-        1.0
-    } else {
-        sum * sum / (m as f64 * sq)
-    }
 }
 
 /// Exact cost change from moving `delta` requests owned by `k` from
@@ -301,11 +247,8 @@ mod tests {
         let inst = small_instance();
         let mut a = Assignment::local(&inst);
         a.move_requests(0, 0, 1, 4.0);
-        let per_org = org_costs(&inst, &a);
-        let total: f64 = per_org.iter().sum();
+        let total: f64 = (0..2).map(|i| org_cost(&inst, &a, i)).sum();
         assert!((total - total_cost(&inst, &a)).abs() < 1e-12);
-        assert!((org_cost(&inst, &a, 0) - per_org[0]).abs() < 1e-12);
-        assert!((org_cost(&inst, &a, 1) - per_org[1]).abs() < 1e-12);
     }
 
     #[test]
@@ -331,18 +274,10 @@ mod tests {
     }
 
     #[test]
-    fn ideal_lower_bound_homogeneous() {
-        let inst = Instance::homogeneous(4, 2.0, 20.0, 100.0);
-        // (400)^2 / (2*8) = 10000 = m * lav^2 / (2 s) = 4 * 10000 / 4.
-        assert_eq!(ideal_lower_bound(&inst), 10000.0);
-    }
-
-    #[test]
-    fn makespan_and_drain_times() {
+    fn makespan_is_the_largest_drain_time() {
         let inst = small_instance();
         let a = Assignment::local(&inst);
         // drains: 10/1 = 10, 4/2 = 2.
-        assert_eq!(drain_times(&inst, &a), vec![10.0, 2.0]);
         assert_eq!(makespan(&inst, &a), 10.0);
     }
 
@@ -352,24 +287,6 @@ mod tests {
         let mut a = Assignment::local(&inst);
         a.move_requests(0, 0, 1, 4.0);
         assert!(makespan(&inst, &a) < 10.0);
-    }
-
-    #[test]
-    fn fairness_index_bounds() {
-        let inst = small_instance();
-        let a = Assignment::local(&inst);
-        let f = load_fairness(&inst, &a);
-        assert!(f > 0.0 && f < 1.0, "imbalanced system: {f}");
-        // Perfectly speed-proportional load ⇒ fairness 1.
-        let mut b = Assignment::local(&inst);
-        // loads (10,4); speeds (1,2): want l0/1 == l1/2, total 14 ⇒ l0 =
-        // 14/3. move 10 − 14/3 from 0 to 1.
-        b.move_requests(0, 0, 1, 10.0 - 14.0 / 3.0);
-        let f = load_fairness(&inst, &b);
-        assert!((f - 1.0).abs() < 1e-9, "balanced fairness = {f}");
-        // Empty system is trivially fair.
-        let empty = Instance::new(vec![1.0], vec![0.0], LatencyMatrix::zero(1));
-        assert_eq!(load_fairness(&empty, &Assignment::local(&empty)), 1.0);
     }
 
     #[test]
@@ -465,7 +382,10 @@ mod tests {
                 }
             }
             let a = Assignment::from_fractions(&inst, &rho);
-            prop_assert!(total_cost(&inst, &a) >= ideal_lower_bound(&inst) - 1e-9);
+            // Congestion of the speed-proportional split with no
+            // communication, (Σn)² / 2Σs — Theorem 1's bound.
+            let bound = inst.total_load().powi(2) / (2.0 * inst.total_speed());
+            prop_assert!(total_cost(&inst, &a) >= bound - 1e-9);
         }
     }
 }

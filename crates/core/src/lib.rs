@@ -17,6 +17,8 @@
 //! * [`workload`] — the initial-load and speed distributions used in the
 //!   paper's evaluation (§VI-A): uniform, exponential and peak loads;
 //!   constant and `U(1,5)` speeds.
+//! * [`plan_text`] — the `Tms` / `FROMms..TOms` time grammar the
+//!   `faults=` and `arrivals=` plan texts share.
 //! * [`events`] — the deterministic `(due, seq)`-ordered virtual-time
 //!   event heap shared by every simulation in the workspace (the
 //!   protocol executor, scheduled gossip, fault injection).
@@ -32,6 +34,7 @@ pub mod cost;
 pub mod events;
 pub mod instance;
 pub mod latency;
+pub mod plan_text;
 pub mod rngutil;
 pub mod sparse;
 pub mod workload;
@@ -45,28 +48,3 @@ pub use workload::{LoadDistribution, SpeedDistribution, WorkloadSpec};
 /// Absolute tolerance used when checking conservation invariants
 /// (per unit of load).
 pub const INVARIANT_TOL: f64 = 1e-6;
-
-/// Relative tolerance for floating-point comparisons in tests and
-/// convergence checks.
-pub const REL_TOL: f64 = 1e-9;
-
-/// Returns `true` when `a` and `b` are equal up to a relative tolerance
-/// `tol` (with an absolute fallback of `tol` near zero).
-#[inline]
-pub fn approx_eq(a: f64, b: f64, tol: f64) -> bool {
-    let scale = a.abs().max(b.abs()).max(1.0);
-    (a - b).abs() <= tol * scale
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn approx_eq_basic() {
-        assert!(approx_eq(1.0, 1.0 + 1e-12, 1e-9));
-        assert!(!approx_eq(1.0, 1.1, 1e-9));
-        assert!(approx_eq(0.0, 1e-12, 1e-9));
-        assert!(approx_eq(1e12, 1e12 * (1.0 + 1e-10), 1e-9));
-    }
-}

@@ -127,12 +127,6 @@ impl SparseVec {
             self.add(k, v);
         }
     }
-
-    /// Removes entries whose value is not strictly positive after
-    /// numerical noise (defensive cleanup used by the engines).
-    pub fn cleanup(&mut self) {
-        self.entries.retain(|e| e.1 > SPARSE_EPS);
-    }
 }
 
 impl FromIterator<(u32, f64)> for SparseVec {
@@ -248,17 +242,6 @@ mod tests {
         // A sub-epsilon delta on an absent key creates nothing.
         assert_eq!(v.add(8, SPARSE_EPS / 2.0), 0.0);
         assert!(v.is_empty());
-    }
-
-    #[test]
-    fn cleanup_drops_nonpositive_entries() {
-        let mut v = SparseVec::new();
-        v.set(1, 2.0);
-        v.set(2, -1.0); // set keeps it: only |v| ≤ eps is snapped
-        assert_eq!(v.len(), 2);
-        v.cleanup();
-        assert_eq!(v.len(), 1, "cleanup removes negative entries");
-        assert_eq!(v.get(1), 2.0);
     }
 
     #[test]

@@ -83,12 +83,6 @@ impl ErrorGraph {
         Self { m, moves }
     }
 
-    /// Total transferred volume, `‖ρ − ρ'‖₁ / 2` per owner pair
-    /// (each unit counted once as a move).
-    pub fn total_volume(&self) -> f64 {
-        self.moves.iter().map(|mv| mv.amount).sum()
-    }
-
     /// Edges for cycle analysis: one weighted edge per move
     /// (`from → to`, weight = per-unit communication change).
     pub fn edges(&self) -> Vec<WeightedEdge> {
@@ -153,7 +147,6 @@ mod tests {
         let a = Assignment::local(&instance);
         let g = ErrorGraph::build(&instance, &a, &a);
         assert!(g.moves.is_empty());
-        assert_eq!(g.total_volume(), 0.0);
         assert!(!g.has_negative_cycle());
         assert_eq!(manhattan_distance(&a, &a), 0.0);
     }
@@ -170,7 +163,8 @@ mod tests {
         // Undoing the cycle: each move returns requests home (weight −c),
         // forming a cycle of total weight −3c < 0.
         assert!(g.has_negative_cycle());
-        assert!((g.total_volume() - 12.0).abs() < 1e-9);
+        let volume: f64 = g.moves.iter().map(|mv| mv.amount).sum();
+        assert!((volume - 12.0).abs() < 1e-9);
     }
 
     #[test]

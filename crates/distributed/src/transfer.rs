@@ -15,7 +15,7 @@
 //! invariant.
 
 use dlb_core::sparse::SparseVec;
-use dlb_core::{Assignment, Instance};
+use dlb_core::Instance;
 
 /// Result of running Algorithm 1 on a pair of servers.
 #[derive(Debug, Clone, PartialEq)]
@@ -186,49 +186,29 @@ pub fn calc_best_transfer_g(
     }
 }
 
-/// Convenience wrapper: runs Algorithm 1 inside an [`Assignment`] and
-/// applies the result. Returns the outcome's improvement and moved
-/// volume.
-///
-/// ```
-/// use dlb_core::{Assignment, Instance, LatencyMatrix};
-/// use dlb_distributed::transfer::apply_best_transfer;
-///
-/// // 10 requests on server 0, an idle equal-speed server 1, 4 ms away:
-/// // Lemma 1 moves Δ = (l₀ − l₁ − c·s)/2 = 3 requests.
-/// let instance = Instance::new(
-///     vec![1.0, 1.0],
-///     vec![10.0, 0.0],
-///     LatencyMatrix::homogeneous(2, 4.0),
-/// );
-/// let mut a = Assignment::local(&instance);
-/// let (improvement, moved) = apply_best_transfer(&instance, &mut a, 0, 1);
-/// assert!((moved - 3.0).abs() < 1e-9);
-/// assert!(improvement > 0.0);
-/// assert!((a.load(0) - 7.0).abs() < 1e-9);
-/// ```
-pub fn apply_best_transfer(
-    instance: &Instance,
-    assignment: &mut Assignment,
-    i: usize,
-    j: usize,
-) -> (f64, f64) {
-    let outcome = calc_best_transfer(instance, assignment.ledger(i), assignment.ledger(j), i, j);
-    let improvement = outcome.improvement;
-    let moved = outcome.moved;
-    assignment.replace_ledger(i, outcome.ledger_i);
-    assignment.replace_ledger(j, outcome.ledger_j);
-    (improvement, moved)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dlb_core::cost::total_cost;
     use dlb_core::rngutil::rng_for;
-    use dlb_core::LatencyMatrix;
+    use dlb_core::{Assignment, LatencyMatrix};
     use proptest::prelude::*;
     use rand::Rng;
+
+    /// Runs Algorithm 1 on servers `i` and `j` of `assignment` and
+    /// installs the result; returns `(improvement, moved)`.
+    fn apply_best_transfer(
+        instance: &Instance,
+        assignment: &mut Assignment,
+        i: usize,
+        j: usize,
+    ) -> (f64, f64) {
+        let outcome =
+            calc_best_transfer(instance, assignment.ledger(i), assignment.ledger(j), i, j);
+        assignment.replace_ledger(i, outcome.ledger_i);
+        assignment.replace_ledger(j, outcome.ledger_j);
+        (outcome.improvement, outcome.moved)
+    }
 
     fn two_server_instance(c: f64, s0: f64, s1: f64, n0: f64, n1: f64) -> Instance {
         Instance::new(vec![s0, s1], vec![n0, n1], LatencyMatrix::homogeneous(2, c))

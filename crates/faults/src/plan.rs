@@ -23,6 +23,8 @@
 use std::fmt;
 use std::str::FromStr;
 
+use dlb_core::plan_text;
+
 use crate::script::FaultScript;
 
 /// A fault-plan parse/validation error with a user-facing message.
@@ -357,33 +359,12 @@ fn parse_unit(what: &str, value: &str) -> Result<f64, FaultError> {
     Ok(x)
 }
 
-/// Parses a time in ms; the `ms` suffix is optional on input and
-/// canonical on output.
 fn parse_ms(what: &str, value: &str) -> Result<f64, FaultError> {
-    let digits = value.strip_suffix("ms").unwrap_or(value);
-    let x: f64 = digits
-        .parse()
-        .map_err(|_| FaultError(format!("{what}: '{value}' is not a time in ms")))?;
-    if !x.is_finite() || x < 0.0 {
-        return Err(FaultError(format!(
-            "{what}: '{value}' must be finite and non-negative"
-        )));
-    }
-    Ok(x)
+    plan_text::parse_ms(what, value).map_err(FaultError)
 }
 
 fn parse_window(what: &str, value: &str) -> Result<(f64, f64), FaultError> {
-    let (a, b) = value
-        .split_once("..")
-        .ok_or_else(|| FaultError(format!("{what}: '{value}' is not 'FROMms..TOms'")))?;
-    let a = parse_ms(what, a)?;
-    let b = parse_ms(what, b)?;
-    if b <= a {
-        return Err(FaultError(format!(
-            "{what}: end {b}ms must come after start {a}ms"
-        )));
-    }
-    Ok((a, b))
+    plan_text::parse_window(what, value).map_err(FaultError)
 }
 
 impl fmt::Display for FaultPlan {

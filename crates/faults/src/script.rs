@@ -168,11 +168,6 @@ impl FaultScript {
         self.crash_at.len()
     }
 
-    /// Whether the script covers zero nodes.
-    pub fn is_empty_cluster(&self) -> bool {
-        self.crash_at.is_empty()
-    }
-
     /// Whether `node` is down (crashed, not yet recovered) at virtual
     /// time `t`.
     pub fn node_down(&self, node: usize, t: f64) -> bool {
@@ -210,18 +205,6 @@ impl FaultScript {
     /// Nodes the slow primitive turned into stragglers.
     pub fn straggler_count(&self) -> u32 {
         self.straggler.iter().filter(|&&b| b).count() as u32
-    }
-
-    /// Nodes that crash at some point during the script (regardless of
-    /// recovery) — the summary's `crashes` count.
-    pub fn crash_count(&self) -> u32 {
-        self.crash_at.iter().filter(|t| t.is_finite()).count() as u32
-    }
-
-    /// Nodes that crash and later recover — the summary's `recoveries`
-    /// count.
-    pub fn recovery_count(&self) -> u32 {
-        self.recover_at.iter().filter(|t| t.is_finite()).count() as u32
     }
 
     /// Which liveness phase `t` falls in: `0` before the crash
@@ -338,13 +321,11 @@ mod tests {
         let s = FaultScript::empty(10);
         assert!(s.is_empty());
         assert_eq!(s.len(), 10);
-        assert!(!s.is_empty_cluster());
         assert!(s.down_at(1e9).is_empty());
         assert!(!s.loss_attempt_fails(5.0, 3, 0));
         assert_eq!(s.spike_extra(5.0, 10.0), 0.0);
         assert!(!s.crossing_blocked(5.0, 0, 1));
         assert_eq!(s.reliable_link(5.0, 0, 1, 3, 10.0), LinkOutcome::default());
-        assert_eq!(s.crash_count(), 0);
         assert!(FaultSummary::default().is_quiet());
     }
 
@@ -356,8 +337,6 @@ mod tests {
         assert_eq!(s.down_at(100.0).len(), 6);
         assert_eq!(s.down_at(399.9).len(), 6);
         assert!(s.down_at(400.0).is_empty(), "recovery is exclusive");
-        assert_eq!(s.crash_count(), 6);
-        assert_eq!(s.recovery_count(), 6);
         // Victims are a pure function of the seed.
         assert_eq!(s.down_at(200.0), plan.compile(9, 20).down_at(200.0));
         assert_ne!(s.down_at(200.0), plan.compile(10, 20).down_at(200.0));

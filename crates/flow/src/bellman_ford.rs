@@ -93,27 +93,22 @@ pub fn has_negative_cycle(n: usize, edges: &[WeightedEdge]) -> bool {
     bellman_ford(n, edges, &all).negative_cycle.is_some()
 }
 
-/// Total weight of a node cycle (first == last).
-pub fn cycle_weight(edges: &[WeightedEdge], cycle: &[usize]) -> f64 {
-    let mut w = 0.0;
-    for pair in cycle.windows(2) {
-        let (u, v) = (pair[0], pair[1]);
-        let e = edges
-            .iter()
-            .filter(|e| e.from == u && e.to == v)
-            .min_by(|a, b| a.weight.partial_cmp(&b.weight).unwrap())
-            .expect("cycle edge must exist");
-        w += e.weight;
-    }
-    w
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn e(from: usize, to: usize, weight: f64) -> WeightedEdge {
         WeightedEdge { from, to, weight }
+    }
+
+    /// Total weight of a node cycle (first == last), over the lightest
+    /// edge of each hop.
+    fn cycle_weight(edges: &[WeightedEdge], cycle: &[usize]) -> f64 {
+        let hop = |pair: &[usize]| {
+            let parallel = edges.iter().filter(|e| [e.from, e.to] == pair);
+            parallel.map(|e| e.weight).fold(f64::INFINITY, f64::min)
+        };
+        cycle.windows(2).map(hop).sum()
     }
 
     #[test]

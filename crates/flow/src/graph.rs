@@ -50,12 +50,6 @@ impl FlowNetwork {
         self.n == 0
     }
 
-    /// Number of forward edges.
-    #[inline]
-    pub fn edge_count(&self) -> usize {
-        self.edges.len() / 2
-    }
-
     /// Adds a directed edge `u → v` with the given capacity and per-unit
     /// cost; returns its id.
     ///
@@ -157,7 +151,7 @@ mod tests {
     fn add_edge_bookkeeping() {
         let mut g = FlowNetwork::new(3);
         let e = g.add_edge(0, 1, 5.0, 2.0);
-        assert_eq!(g.edge_count(), 1);
+        assert_eq!(g.edges.len(), 2, "one forward edge and its residual twin");
         assert_eq!(g.flow(e), 0.0);
         assert_eq!(g.residual(e), 5.0);
         assert_eq!(g.capacity(e), 5.0);

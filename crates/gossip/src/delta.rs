@@ -62,6 +62,8 @@
 //! per seed: peers come from a seeded RNG and the heap orders
 //! deliveries by `(due, seq)`.
 
+use std::sync::Arc;
+
 use dlb_core::events::{EventHeap, Scheduled};
 use dlb_core::rngutil::rng_for;
 use dlb_obs::{NullSink, TraceEvent, TraceKind, TraceSink};
@@ -70,7 +72,6 @@ use rand::Rng;
 
 use crate::shard::ShardMap;
 use crate::wire::{self, DeltaFrameRef, WireEntry};
-use bytes::Bytes;
 
 /// Timing and rumor-window knobs for [`DeltaGossip`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -202,9 +203,17 @@ enum What {
     /// A node initiates its periodic exchange.
     Tick { node: u32 },
     /// An encoded delta frame arrives at `to`; it merges and replies.
-    Request { from: u32, to: u32, frame: Bytes },
+    Request {
+        from: u32,
+        to: u32,
+        frame: Arc<[u8]>,
+    },
     /// The encoded reply frame arrives back at the initiator.
-    Reply { from: u32, to: u32, frame: Bytes },
+    Reply {
+        from: u32,
+        to: u32,
+        frame: Arc<[u8]>,
+    },
 }
 
 /// A sharded delta-gossip network on a persistent virtual-time heap
@@ -583,7 +592,7 @@ impl DeltaGossip {
     /// [`encode_delta`](wire::encode_delta) layout, meters the
     /// traffic counters and returns an exact-size copy as the event
     /// payload.
-    fn build_frame(&mut self, n: usize, fallback: usize) -> Bytes {
+    fn build_frame(&mut self, n: usize, fallback: usize) -> Arc<[u8]> {
         #[cfg(test)]
         let before = self.traffic;
         let (state, loads) = (&self.nodes[n], &self.loads[n]);
@@ -610,7 +619,7 @@ impl DeltaGossip {
         self.traffic.bytes += scratch.len() as u64;
         self.traffic.delta_entries += u64::from(changed);
         self.traffic.full_entries += u64::from(full);
-        let payload = Bytes::from(scratch.to_vec());
+        let payload = Arc::from(scratch.as_slice());
         #[cfg(test)]
         self.assert_matches_reference(n, fallback, &payload, &before);
         payload
@@ -724,7 +733,7 @@ impl DeltaGossip {
         &self,
         n: usize,
         fallback: usize,
-        payload: &Bytes,
+        payload: &Arc<[u8]>,
         before: &GossipTraffic,
     ) {
         let reference = self.reference_frame(n, fallback);

@@ -15,8 +15,8 @@
 //!   anti-entropy fallback, so steady-state traffic is O(changed) per
 //!   frame, not O(m). This is the layer the engine's `GossipFeed`
 //!   drives its stale scoring from.
-//! * [`wire`] — the delta frame's compact encoding on `bytes`,
-//!   property-tested, with a consume-from-buffer decoder for
+//! * [`wire`] — the delta frame's compact encoding on plain byte
+//!   slices, property-tested, with a decode-from-the-front decoder for
 //!   concatenated frame streams and a borrowed in-place parser
 //!   ([`wire::DeltaFrameRef`]) for the hot path; [`wire::view_bytes`]
 //!   prices the full m-entry view (~100 kB at m = 5000) the bandwidth

@@ -2,7 +2,6 @@
 
 #![cfg(test)]
 
-use bytes::Bytes;
 use proptest::prelude::*;
 
 use crate::shard::ShardMap;
@@ -41,7 +40,7 @@ fn arb_delta_frame() -> impl Strategy<Value = DeltaFrame> {
 /// decoder accepts, and then yield the same frame — compared on bits,
 /// because garbage can decode to NaN loads.
 fn assert_ref_agrees_with_decode(raw: &[u8]) {
-    let owned = decode_delta(Bytes::from(raw.to_vec()));
+    let owned = decode_delta(raw);
     let borrowed = DeltaFrameRef::parse(raw);
     assert_eq!(borrowed.is_some(), owned.is_some());
     if let (Some(borrowed), Some(owned)) = (borrowed, owned) {
@@ -67,22 +66,20 @@ proptest! {
         let bytes = encode_delta(&frame);
         prop_assert_eq!(bytes.len(), frame.encoded_len());
         prop_assert_eq!(&decode_delta(bytes.clone()).expect("strict"), &frame);
-        let mut buf = bytes;
-        prop_assert_eq!(&decode_delta_from(&mut buf).expect("streaming"), &frame);
-        prop_assert!(buf.is_empty());
+        let (streamed, used) = decode_delta_from(&bytes).expect("streaming");
+        prop_assert_eq!(&streamed, &frame);
+        prop_assert_eq!(used, bytes.len());
     }
 
     /// No truncated prefix of a delta frame decodes, through either
-    /// flavour, and failed streaming decodes leave the buffer intact.
+    /// flavour.
     #[test]
     fn delta_truncation_is_always_rejected(frame in arb_delta_frame()) {
         let bytes = encode_delta(&frame);
         for cut in 0..bytes.len() {
-            let prefix = bytes.slice(0..cut);
-            prop_assert!(decode_delta(prefix.clone()).is_none(), "strict decoded a {cut}-byte prefix");
-            let mut buf = prefix.clone();
-            prop_assert!(decode_delta_from(&mut buf).is_none(), "streaming decoded a {cut}-byte prefix");
-            prop_assert_eq!(buf, prefix);
+            let prefix = &bytes[..cut];
+            prop_assert!(decode_delta(prefix).is_none(), "strict decoded a {cut}-byte prefix");
+            prop_assert!(decode_delta_from(prefix).is_none(), "streaming decoded a {cut}-byte prefix");
         }
     }
 
@@ -90,7 +87,7 @@ proptest! {
     /// decodes re-encodes byte-exactly.
     #[test]
     fn delta_garbage_never_panics(raw in proptest::collection::vec(any::<u8>(), 0..256)) {
-        if let Some(frame) = decode_delta(Bytes::from(raw.clone())) {
+        if let Some(frame) = decode_delta(&raw) {
             prop_assert_eq!(encode_delta(&frame).as_ref(), &raw[..]);
         }
     }

@@ -19,12 +19,11 @@
 //! baseline.
 //!
 //! The owned decoder comes in two flavours: [`decode_delta_from`]
-//! consumes exactly one frame from the front of a buffer and leaves the
-//! remainder (so concatenated / streamed frames parse frame-by-frame),
-//! while [`decode_delta`] is the strict whole-buffer wrapper that
-//! additionally rejects trailing garbage. Both return `None` — never
-//! panic — on truncated or malformed input, and leave the buffer
-//! untouched when they fail.
+//! decodes exactly one frame from the front of a slice and says how
+//! many bytes it took (so concatenated / streamed frames parse
+//! frame-by-frame), while [`decode_delta`] is the strict whole-buffer
+//! wrapper that additionally rejects trailing garbage. Both return
+//! `None` — never panic — on truncated or malformed input.
 //!
 //! Beside them sits [`DeltaFrameRef`], the borrowed form of the strict
 //! delta decoder: [`DeltaFrameRef::parse`] accepts exactly the buffers
@@ -36,7 +35,7 @@
 //! [`encode_delta`]/[`decode_delta`] stay as the public owned codec and
 //! as the oracle the borrowed path is property-tested against.
 
-use bytes::{Buf, Bytes};
+use std::sync::Arc;
 
 /// One gossip view entry on the wire.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -108,20 +107,20 @@ impl DeltaFrame {
 
 /// Encodes a delta frame: `u32` shard id, `u32` summary length, the
 /// summary `u64`s, then the `changed` and `full` entry lists (each a
-/// `u32` count and that many [`ENTRY_SIZE`]-byte entries).
-pub fn encode_delta(frame: &DeltaFrame) -> Bytes {
+/// `u32` count and that many [`ENTRY_SIZE`]-byte entries). The result
+/// is shared: cloning it is O(1).
+pub fn encode_delta(frame: &DeltaFrame) -> Arc<[u8]> {
     let mut buf = Vec::with_capacity(frame.encoded_len());
     put_delta_header(&mut buf, frame.shard, &frame.since);
     put_entries(&mut buf, frame.changed.iter().copied());
     put_entries(&mut buf, frame.full.iter().copied());
-    Bytes::from(buf)
+    Arc::from(buf)
 }
 
-/// Decodes exactly one delta frame from the front of `buf`, consuming
-/// it and leaving any trailing bytes in place. Returns `None` — with
-/// `buf` untouched — on truncated or malformed input.
-pub fn decode_delta_from(buf: &mut Bytes) -> Option<DeltaFrame> {
-    let s = buf.as_slice();
+/// Decodes exactly one delta frame from the front of `s` and returns
+/// it with the number of bytes it occupied; whatever follows is the
+/// caller's. Returns `None` on truncated or malformed input.
+pub fn decode_delta_from(s: &[u8]) -> Option<(DeltaFrame, usize)> {
     let mut pos = 0usize;
     let shard = read_u32(s, &mut pos)?;
     let since = take_list(s, &mut pos, 8)?
@@ -130,23 +129,21 @@ pub fn decode_delta_from(buf: &mut Bytes) -> Option<DeltaFrame> {
         .collect();
     let changed = read_entries(s, &mut pos)?;
     let full = read_entries(s, &mut pos)?;
-    buf.advance(pos);
-    Some(DeltaFrame {
+    let frame = DeltaFrame {
         shard,
         since,
         changed,
         full,
-    })
+    };
+    Some((frame, pos))
 }
 
 /// Strict whole-buffer wrapper around [`decode_delta_from`]: trailing
 /// bytes are rejected as malformed.
-pub fn decode_delta(mut buf: Bytes) -> Option<DeltaFrame> {
-    let frame = decode_delta_from(&mut buf)?;
-    if !buf.is_empty() {
-        return None;
-    }
-    Some(frame)
+pub fn decode_delta(buf: impl AsRef<[u8]>) -> Option<DeltaFrame> {
+    let buf = buf.as_ref();
+    let (frame, used) = decode_delta_from(buf)?;
+    (used == buf.len()).then_some(frame)
 }
 
 /// A delta frame parsed in place: the borrowed twin of
@@ -272,7 +269,6 @@ fn le_u64(raw: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::{BufMut, BytesMut};
 
     fn sample_frame() -> DeltaFrame {
         DeltaFrame {
@@ -324,7 +320,7 @@ mod tests {
         let bytes = encode_delta(&sample_frame());
         for cut in 0..bytes.len() {
             assert!(
-                decode_delta(bytes.slice(0..cut)).is_none(),
+                decode_delta(&bytes[..cut]).is_none(),
                 "decoded a {cut}-byte prefix of a {}-byte frame",
                 bytes.len()
             );
@@ -334,23 +330,17 @@ mod tests {
     #[test]
     fn delta_decode_from_consumes_one_frame_and_rejects_hostile_lengths() {
         let frame = sample_frame();
-        let mut stream = BytesMut::new();
-        stream.extend_from_slice(encode_delta(&frame).as_slice());
-        stream.extend_from_slice(encode_delta(&frame).as_slice());
-        let mut buf = stream.freeze();
-        assert_eq!(decode_delta_from(&mut buf).unwrap(), frame);
-        assert_eq!(decode_delta_from(&mut buf).unwrap(), frame);
-        assert!(buf.is_empty());
+        let one = encode_delta(&frame);
+        let stream = [&one[..], &one[..]].concat();
+        let (first, used) = decode_delta_from(&stream).unwrap();
+        assert_eq!((first, used), (frame.clone(), one.len()));
+        let (second, used) = decode_delta_from(&stream[used..]).unwrap();
+        assert_eq!((second, used), (frame, one.len()));
 
         // A frame claiming u32::MAX summary slots must fail the bounds
         // check before allocating anything.
-        let mut hostile = BytesMut::new();
-        hostile.put_u32_le(0);
-        hostile.put_u32_le(u32::MAX);
-        let mut buf = hostile.freeze();
-        let before = buf.clone();
-        assert!(decode_delta_from(&mut buf).is_none());
-        assert_eq!(buf, before);
+        let hostile = [0u32.to_le_bytes(), u32::MAX.to_le_bytes()].concat();
+        assert!(decode_delta_from(&hostile).is_none());
     }
 
     #[test]

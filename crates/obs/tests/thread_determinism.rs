@@ -1,10 +1,11 @@
 //! Sharded metric accumulation must be `DLB_THREADS`-invariant: folding
-//! one event stream into per-worker [`MetricSet`] shards over the
-//! `dlb-par` pool and merging them produces a bit-identical result for
-//! every thread count — and for the sequential fold.
+//! one event stream into per-worker [`MetricSet`] shards on
+//! `dlb_par::num_threads()` scoped threads and merging them produces a
+//! bit-identical result for every thread count — and for the
+//! sequential fold.
 //!
 //! This is the end-to-end check behind the merge-law property tests in
-//! `src/proptests.rs`: `par_fold_indexed` pushes worker results in
+//! `src/proptests.rs`: [`fold_in_completion_order`] pushes worker results in
 //! **completion order**, so the test exercises real merge-order
 //! nondeterminism, which only commutative+associative integer state
 //! survives bit-for-bit.
@@ -35,9 +36,31 @@ fn synth(i: usize) -> TraceEvent {
 
 const N: usize = 20_000;
 
+/// Folds `0..N` in one contiguous chunk per worker, each starting from
+/// `identity()`, and combines the chunk results in the order the
+/// workers happened to finish.
+fn fold_in_completion_order<T: Send>(
+    identity: impl Fn() -> T + Sync,
+    fold: impl Fn(T, usize) -> T + Sync,
+    combine: impl Fn(T, T) -> T,
+) -> T {
+    let chunk = N.div_ceil(dlb_par::num_threads());
+    let finished = Mutex::new(Vec::new());
+    std::thread::scope(|scope| {
+        for lo in (0..N).step_by(chunk) {
+            let (identity, fold, finished) = (&identity, &fold, &finished);
+            scope.spawn(move || {
+                let acc = (lo..(lo + chunk).min(N)).fold(identity(), fold);
+                finished.lock().expect("no worker panicked").push(acc);
+            });
+        }
+    });
+    let finished = finished.into_inner().expect("no worker panicked");
+    finished.into_iter().fold(identity(), combine)
+}
+
 fn sharded_fold() -> MetricSet {
-    dlb_par::par_fold_indexed(
-        N,
+    fold_in_completion_order(
         MetricSet::default,
         |mut acc, i| {
             acc.ingest(&synth(i));
@@ -86,8 +109,7 @@ fn sharded_histograms_are_thread_count_invariant() {
     let _env = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let sample = |i: usize| ((i * 31 + 7) % 4099) as f64 * 0.125;
     let fold = || {
-        dlb_par::par_fold_indexed(
-            N,
+        fold_in_completion_order(
             Histogram::default,
             |mut h, i| {
                 h.record(sample(i));

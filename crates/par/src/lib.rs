@@ -1,13 +1,13 @@
 //! # dlb-par — minimal data-parallel utilities
 //!
-//! The engines in this workspace need two parallel primitives: a
-//! parallel map over an index range and a parallel fold. `rayon` is
-//! outside the approved dependency set, so this crate provides both on
-//! top of `crossbeam::scope` with static chunking, which is a good fit
-//! for the regular, CPU-bound workloads here (candidate-partner scoring,
-//! per-instance experiment replication).
+//! The engines in this workspace need one parallel primitive: an
+//! order-preserving parallel map over an index range. `rayon` is
+//! outside the approved dependency set, so this crate provides it on
+//! top of `std::thread::scope` with static chunking, which is a good
+//! fit for the regular, CPU-bound workloads here (candidate-partner
+//! scoring, per-instance experiment replication).
 //!
-//! The event executor in `dlb-runtime` needs a third shape:
+//! The event executor in `dlb-runtime` needs a second shape:
 //! [`par_map_shards`] runs a closure over *caller-cut* shards — disjoint
 //! `&mut` id ranges of several parallel tables at once — so a broadcast
 //! batch borrows the machine table in place instead of moving machines
@@ -18,15 +18,18 @@
 //! does (ROADMAP item 5).
 //!
 //! All functions degrade gracefully to sequential execution for small
-//! inputs or single-core machines, so results are deterministic for
-//! order-independent combiners.
+//! inputs or single-core machines and return results in input order,
+//! so what they compute never depends on the worker count. A panic in
+//! a worker reaches the caller: [`par_map_shards`] and [`with_pool`]
+//! re-raise the worker's own payload, [`par_map_indexed`] panics once
+//! its scope has joined.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use crossbeam::channel::{Receiver, Sender};
-use parking_lot::Mutex;
 use std::cell::Cell;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{channel, Receiver, Sender};
 
 /// Below this many items the parallel helpers run sequentially: thread
 /// spawn cost would dominate.
@@ -96,10 +99,10 @@ where
             rest = tail;
         }
     }
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for (t, slice) in slices.into_iter().enumerate() {
             let f = &f;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 mark_worker();
                 let base = t * chunk;
                 for (off, slot) in slice.iter_mut().enumerate() {
@@ -107,8 +110,7 @@ where
                 }
             });
         }
-    })
-    .expect("worker thread panicked");
+    });
     out.into_iter()
         .map(|v| v.expect("all slots filled"))
         .collect()
@@ -151,13 +153,13 @@ where
             .map(|(w, shard)| f(w, shard))
             .collect();
     }
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = shards
             .into_iter()
             .enumerate()
             .map(|(w, shard)| {
                 let f = &f;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     mark_worker();
                     f(w, shard)
                 })
@@ -165,15 +167,20 @@ where
             .collect();
         handles
             .into_iter()
-            .map(|handle| handle.join().expect("worker thread panicked"))
+            .map(|handle| {
+                handle
+                    .join()
+                    .unwrap_or_else(|payload| resume_unwind(payload))
+            })
             .collect()
     })
-    .expect("worker thread panicked")
 }
+
+type ChunkResult<I, T> = std::thread::Result<(usize, Vec<I>, Vec<T>)>;
 
 /// A persistent fan-out pool: `num_threads()` workers spawned **once**
 /// and fed owned work batches over channels, instead of a fresh
-/// `crossbeam::scope` (thread spawn + join) per parallel call.
+/// `std::thread::scope` (thread spawn + join) per parallel call.
 ///
 /// The per-call maps above pay one spawn/join cycle per invocation,
 /// which is fine for a handful of large calls but dominates when a
@@ -193,8 +200,9 @@ pub struct WorkerPool<'a, I, T, F> {
     handler: &'a F,
     /// One job lane per worker; empty when the pool runs sequentially.
     jobs: Vec<Sender<(usize, Vec<I>)>>,
-    /// Shared return lane: `(chunk index, items back, results)`.
-    results: Receiver<(usize, Vec<I>, Vec<T>)>,
+    /// Shared return lane: `(chunk index, items back, results)`, or
+    /// the payload of the handler's panic on that chunk.
+    results: Receiver<ChunkResult<I, T>>,
 }
 
 impl<I, T, F> WorkerPool<'_, I, T, F>
@@ -206,7 +214,9 @@ where
     /// Applies the pool's handler to every item in place and returns
     /// `(items, results)`, both in the original submission order.
     /// Small batches (and sequential pools) run inline on the calling
-    /// thread — same [`SEQUENTIAL_CUTOFF`], same results.
+    /// thread — same [`SEQUENTIAL_CUTOFF`], same results. A handler
+    /// panic on a worker is re-raised here with its own payload, as it
+    /// would be inline.
     pub fn map_mut(&mut self, mut items: Vec<I>) -> (Vec<I>, Vec<T>) {
         let n = items.len();
         if self.jobs.is_empty() || n < SEQUENTIAL_CUTOFF {
@@ -227,7 +237,11 @@ where
         }
         let mut slots: Vec<Option<(Vec<I>, Vec<T>)>> = (0..sent).map(|_| None).collect();
         for _ in 0..sent {
-            let (idx, chunk_items, chunk_out) = self.results.recv().expect("pool worker alive");
+            let (idx, chunk_items, chunk_out) = self
+                .results
+                .recv()
+                .expect("pool worker alive")
+                .unwrap_or_else(|payload| resume_unwind(payload));
             slots[idx] = Some((chunk_items, chunk_out));
         }
         let mut items_back = Vec::with_capacity(n);
@@ -255,10 +269,10 @@ where
     B: for<'a> FnOnce(&mut WorkerPool<'a, I, T, F>) -> R,
 {
     let threads = num_threads();
+    let (result_tx, results) = channel();
     if threads <= 1 || in_parallel_region() {
-        // Keep an (empty) receiver so the struct shape is uniform; no
-        // sender exists, and `map_mut` never touches it sequentially.
-        let (_, results) = crossbeam::channel::unbounded();
+        // No job lane exists, so `map_mut` runs every batch inline and
+        // never touches the return lane.
         let mut pool = WorkerPool {
             handler: &handler,
             jobs: Vec::new(),
@@ -266,19 +280,24 @@ where
         };
         return body(&mut pool);
     }
-    let result = crossbeam::scope(|scope| {
-        let (result_tx, results) = crossbeam::channel::unbounded();
+    std::thread::scope(|scope| {
         let mut jobs = Vec::with_capacity(threads);
         for _ in 0..threads {
-            let (tx, rx) = crossbeam::channel::unbounded::<(usize, Vec<I>)>();
+            let (tx, rx) = channel::<(usize, Vec<I>)>();
             jobs.push(tx);
             let result_tx = result_tx.clone();
             let handler = &handler;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 mark_worker();
                 while let Ok((idx, mut chunk)) = rx.recv() {
-                    let out: Vec<T> = chunk.iter_mut().map(handler).collect();
-                    if result_tx.send((idx, chunk, out)).is_err() {
+                    // A handler panic travels back as the chunk's
+                    // result: unwinding this thread instead would leave
+                    // `map_mut` waiting for a chunk that never returns.
+                    let done = catch_unwind(AssertUnwindSafe(|| {
+                        let out: Vec<T> = chunk.iter_mut().map(handler).collect();
+                        (idx, chunk, out)
+                    }));
+                    if result_tx.send(done).is_err() {
                         break; // pool dropped mid-batch (body panicked)
                     }
                 }
@@ -292,49 +311,8 @@ where
         };
         body(&mut pool)
         // `pool` drops here: job senders close, workers drain and
-        // exit, the scope joins them.
-    });
-    match result {
-        Ok(r) => r,
-        Err(payload) => std::panic::resume_unwind(payload),
-    }
-}
-
-/// Parallel fold over `0..n`: each worker folds a chunk starting from
-/// `identity()`, and chunk results are combined with `combine` (which
-/// must be associative and commutative for a deterministic result).
-pub fn par_fold_indexed<T, Id, F, C>(n: usize, identity: Id, fold: F, combine: C) -> T
-where
-    T: Send,
-    Id: Fn() -> T + Sync,
-    F: Fn(T, usize) -> T + Sync,
-    C: Fn(T, T) -> T,
-{
-    let threads = num_threads();
-    if n < SEQUENTIAL_CUTOFF || threads <= 1 || in_parallel_region() {
-        return (0..n).fold(identity(), fold);
-    }
-    let chunk = n.div_ceil(threads);
-    let results: Mutex<Vec<T>> = Mutex::new(Vec::with_capacity(threads));
-    crossbeam::scope(|scope| {
-        for t in 0..threads {
-            let lo = t * chunk;
-            if lo >= n {
-                break;
-            }
-            let hi = (lo + chunk).min(n);
-            let identity = &identity;
-            let fold = &fold;
-            let results = &results;
-            scope.spawn(move |_| {
-                mark_worker();
-                let acc = (lo..hi).fold(identity(), fold);
-                results.lock().push(acc);
-            });
-        }
+        // exit, the scope joins them and re-raises a panic of `body`.
     })
-    .expect("worker thread panicked");
-    results.into_inner().into_iter().fold(identity(), combine)
 }
 
 #[cfg(test)]
@@ -396,14 +374,6 @@ mod tests {
         for (i, v) in outer.iter().enumerate() {
             assert_eq!(*v, vec![i, i + 2, i + 4]);
         }
-    }
-
-    #[test]
-    fn fold_matches_sequential() {
-        let n = 100_000;
-        let par: u64 = par_fold_indexed(n, || 0u64, |a, i| a + i as u64, |a, b| a + b);
-        let seq: u64 = (0..n as u64).sum();
-        assert_eq!(par, seq);
     }
 
     #[test]
@@ -489,6 +459,40 @@ mod tests {
         assert_eq!(out, vec![2, 3, 4]);
         let (back, out) = with_pool(|x: &mut u8| *x, |pool| pool.map_mut(Vec::new()));
         assert!(back.is_empty() && out.is_empty());
+    }
+
+    #[test]
+    fn worker_panics_reach_the_caller_with_their_payload() {
+        // Whatever the worker count (inline, or on a spawned thread
+        // under DLB_THREADS > 1), the caller must see the panic the
+        // handler raised — not a hang, and not a generic message.
+        let payload_of = |run: &dyn Fn()| -> String {
+            let payload = catch_unwind(AssertUnwindSafe(run)).expect_err("must panic");
+            payload
+                .downcast_ref::<String>()
+                .expect("the handler's own formatted payload")
+                .clone()
+        };
+        let n = 4 * SEQUENTIAL_CUTOFF;
+        let pool = payload_of(&|| {
+            with_pool(
+                |x: &mut usize| {
+                    assert!(*x != n - 1, "pool item {x}");
+                    *x
+                },
+                |pool| {
+                    pool.map_mut((0..n).collect());
+                },
+            )
+        });
+        assert_eq!(pool, format!("pool item {}", n - 1));
+        let shards = payload_of(&|| {
+            par_map_shards(vec![0usize, 1, 2, 3], |w, s| {
+                assert!(s != 3, "shard {w}");
+                s
+            });
+        });
+        assert_eq!(shards, "shard 3");
     }
 
     #[test]

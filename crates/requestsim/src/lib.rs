@@ -15,10 +15,6 @@
 //! * [`validate`] — helpers comparing measured average completion times
 //!   against the closed-form cost, as used by the model-validation
 //!   integration tests,
-//! * [`open_system`] — the paper's *steady-state* reading of `n_i`:
-//!   Poisson request streams routed by the relay fractions, each server
-//!   an FCFS queue; confirms snapshot-optimized assignments also cut
-//!   sojourn times in continuously running systems,
 //! * [`stream`] — the declarative [`ArrivalPlan`] (`poisson:` /
 //!   `burst:` / `diurnal:`, exact text round-trip) compiled per run
 //!   into a deterministic, RNG-stream-free [`StreamScript`] of
@@ -29,7 +25,6 @@
 #![forbid(unsafe_code)]
 
 pub mod discretize;
-pub mod open_system;
 #[cfg(all(test, feature = "proptests"))]
 mod proptests;
 pub mod sim;
@@ -37,6 +32,5 @@ pub mod stream;
 pub mod validate;
 
 pub use discretize::discretize;
-pub use open_system::{run_open_system, OpenSystemConfig, OpenSystemResult};
 pub use sim::{Discipline, SimConfig, SimResult};
 pub use stream::{Arrival, ArrivalPlan, StreamError, StreamScript};

@@ -28,6 +28,7 @@
 use std::fmt;
 use std::str::FromStr;
 
+use dlb_core::plan_text;
 use dlb_core::rngutil::derive_seed;
 
 /// An arrival-plan parse/validation error with a user-facing message.
@@ -153,7 +154,8 @@ impl ArrivalPlan {
                         ))
                     })?;
                     let rate = parse_rate("burst rate", rate)?;
-                    let (from_ms, to_ms) = parse_window("burst window", window)?;
+                    let (from_ms, to_ms) =
+                        plan_text::parse_window("burst window", window).map_err(StreamError)?;
                     plan.burst = Some(BurstArrivals {
                         rate,
                         from_ms,
@@ -170,7 +172,8 @@ impl ArrivalPlan {
                         ))
                     })?;
                     let rate = parse_rate("diurnal rate", rate)?;
-                    let period_ms = parse_ms("diurnal period", period)?;
+                    let period_ms =
+                        plan_text::parse_ms("diurnal period", period).map_err(StreamError)?;
                     if period_ms <= 0.0 {
                         return Err(StreamError(format!(
                             "diurnal period {period_ms}ms must be positive"
@@ -186,6 +189,29 @@ impl ArrivalPlan {
             }
         }
         Ok(plan)
+    }
+
+    /// Whether the schedule [`compile`](Self::compile) would build
+    /// over `duration_ms` is sure to stay under its cap of one million
+    /// arrivals: the plan's expected count (each process's rate
+    /// integrated over its part of the horizon) plus ten standard
+    /// deviations of that Poisson count. A spec that fails this is
+    /// refused as text; `compile`'s own assert is the backstop.
+    pub fn fits(&self, duration_ms: f64) -> bool {
+        let poisson = self.poisson.map_or(0.0, |p| p.rate * duration_ms);
+        let burst = self.burst.map_or(0.0, |b| {
+            b.rate * (b.to_ms.min(duration_ms) - b.from_ms).max(0.0)
+        });
+        // ∫₀ᴰ (1 + sin(2πt/P)) dt = D + (P/2π)(1 − cos(2πD/P)); the
+        // second term never exceeds D, which is also what `min` makes
+        // of the NaN a vanishing period turns it into.
+        let diurnal = self.diurnal.map_or(0.0, |d| {
+            let turns = std::f64::consts::TAU / d.period_ms;
+            let swell = (1.0 - (turns * duration_ms).cos()) / turns;
+            d.rate * (duration_ms + swell.min(duration_ms))
+        });
+        let expected = (poisson + burst + diurnal) / 1000.0;
+        expected + 10.0 * expected.sqrt() < MAX_ARRIVALS as f64
     }
 
     /// Compiles the plan for one run: `seed` fixes every sampled gap
@@ -209,35 +235,6 @@ fn parse_rate(what: &str, value: &str) -> Result<f64, StreamError> {
         )));
     }
     Ok(x)
-}
-
-/// Parses a time in ms; the `ms` suffix is optional on input and
-/// canonical on output — the `FaultPlan` convention.
-fn parse_ms(what: &str, value: &str) -> Result<f64, StreamError> {
-    let digits = value.strip_suffix("ms").unwrap_or(value);
-    let x: f64 = digits
-        .parse()
-        .map_err(|_| StreamError(format!("{what}: '{value}' is not a time in ms")))?;
-    if !x.is_finite() || x < 0.0 {
-        return Err(StreamError(format!(
-            "{what}: '{value}' must be finite and non-negative"
-        )));
-    }
-    Ok(x)
-}
-
-fn parse_window(what: &str, value: &str) -> Result<(f64, f64), StreamError> {
-    let (a, b) = value
-        .split_once("..")
-        .ok_or_else(|| StreamError(format!("{what}: '{value}' is not 'FROMms..TOms'")))?;
-    let a = parse_ms(what, a)?;
-    let b = parse_ms(what, b)?;
-    if b <= a {
-        return Err(StreamError(format!(
-            "{what}: end {b}ms must come after start {a}ms"
-        )));
-    }
-    Ok((a, b))
 }
 
 impl fmt::Display for ArrivalPlan {
@@ -277,7 +274,9 @@ const SALT_ROUTE: u64 = 0x407E_5EED;
 /// Schedules larger than this abort compilation: at ~1 µs of virtual
 /// time per event the executor would spend longer on arrivals than on
 /// the protocol, and a runaway `rate × duration` product is almost
-/// always a spec typo.
+/// always a spec typo. [`ArrivalPlan::fits`] is the check a scenario
+/// text meets first; the `arrivals=` rule that words its refusal
+/// (`dlb-scenario`'s axis table) quotes this number.
 const MAX_ARRIVALS: usize = 1_000_000;
 
 /// Uniform in `[0, 1)` from the hash stream `(seed, salt, index,
@@ -530,6 +529,27 @@ mod tests {
             let err = ArrivalPlan::parse(text).unwrap_err();
             assert!(err.0.contains(needle), "'{text}' -> {err}");
         }
+    }
+
+    #[test]
+    fn fits_prices_each_process_over_its_own_part_of_the_horizon() {
+        let poisson = ArrivalPlan::new().poisson(20_000.0);
+        assert!(poisson.fits(16_000.0)); // the perf ledger's stream workload
+        assert!(poisson.fits(49_000.0)); // 980 000 + 10σ
+        assert!(!poisson.fits(50_000.0));
+        // A burst counts only where its window and the horizon overlap.
+        let burst = ArrivalPlan::new().burst(1e6, 100.0, 1200.0);
+        assert!(burst.fits(50.0) && burst.fits(1000.0));
+        assert!(!burst.fits(1200.0) && !burst.fits(1e9));
+        // The diurnal mean, whatever the period does to the float math.
+        assert!(ArrivalPlan::new().diurnal(1000.0, 2000.0).fits(900_000.0));
+        assert!(!ArrivalPlan::new().diurnal(1000.0, 2000.0).fits(1_000_000.0));
+        assert!(ArrivalPlan::new().diurnal(10.0, 1e-320).fits(1000.0));
+        // Processes add up, and absurd products are refused, not run.
+        assert!(!poisson.diurnal(20_000.0, 500.0).fits(25_000.0));
+        assert!(!ArrivalPlan::new().poisson(1e12).fits(1000.0));
+        assert!(!ArrivalPlan::new().poisson(10.0).fits(1e300));
+        assert!(ArrivalPlan::new().fits(1e300));
     }
 
     #[test]

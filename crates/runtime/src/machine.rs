@@ -501,18 +501,26 @@ impl NodeMachine {
         self.ledger.set(org, next);
     }
 
-    /// Replays deltas buffered behind an exchange, now that it has
-    /// resolved. Called at every resolution point, right before the
-    /// deferred control frame (if any) — so a deferred `Shutdown`'s
-    /// final ledger includes them.
-    fn drain_stream_ops(&mut self) {
-        if self.stream_buf.is_empty() {
-            return;
-        }
-        let ops = std::mem::take(&mut self.stream_buf);
-        for (org, amount) in ops {
+    /// An exchange, or the wait for one, has resolved: replays the
+    /// stream deltas buffered behind it, then the control frame
+    /// deferred behind it (if any) — in that order, so a deferred
+    /// `Shutdown`'s final ledger includes the deltas.
+    fn resolve(&mut self, out: &mut Vec<Outbound>) {
+        for (org, amount) in std::mem::take(&mut self.stream_buf) {
             self.apply_stream_delta(org, amount);
         }
+        if let Some(frame) = self.deferred.take() {
+            self.handle(&frame, out);
+        }
+    }
+
+    /// Turns down `from`'s proposal for round `round`.
+    fn nack(&self, from: u32, round: u64, out: &mut Vec<Outbound>) {
+        let busy = Frame::Busy {
+            from: self.id,
+            round,
+        };
+        out.push(Outbound::node(from, busy));
     }
 
     /// Consumes one inbound frame, appending any outbound frames to
@@ -525,13 +533,7 @@ impl NodeMachine {
             // deadline) gets a NACK so its own round can close; every
             // other late frame is stale by construction and ignored.
             if let Frame::Propose { from, round } = frame {
-                out.push(Outbound::node(
-                    *from,
-                    Frame::Busy {
-                        from: self.id,
-                        round: *round,
-                    },
-                ));
+                self.nack(*from, *round, out);
             }
             return;
         }
@@ -681,23 +683,11 @@ impl NodeMachine {
         if r < self.round {
             // Defensive: by the report discipline a proposal cannot
             // outlive its round, but a NACK is always safe.
-            out.push(Outbound::node(
-                from,
-                Frame::Busy {
-                    from: self.id,
-                    round: r,
-                },
-            ));
+            self.nack(from, r, out);
             return;
         }
         if self.lock != Lock::Free {
-            out.push(Outbound::node(
-                from,
-                Frame::Busy {
-                    from: self.id,
-                    round: r,
-                },
-            ));
+            self.nack(from, r, out);
             return;
         }
         match self.proposal {
@@ -723,13 +713,7 @@ impl NodeMachine {
             // Waiting on a different peer: cannot promise our ledger to
             // two exchanges at once.
             Some(_) => {
-                out.push(Outbound::node(
-                    from,
-                    Frame::Busy {
-                        from: self.id,
-                        round: r,
-                    },
-                ));
+                self.nack(from, r, out);
             }
             // Free (never proposed, or proposal already resolved
             // without an exchange): accept.
@@ -790,10 +774,7 @@ impl NodeMachine {
                 Some((from, partner_load, partner_cost, outcome.moved)),
             );
             out.push(report);
-            self.drain_stream_ops();
-            if let Some(frame) = self.deferred.take() {
-                self.handle(&frame, out);
-            }
+            self.resolve(out);
         }
     }
 
@@ -808,10 +789,7 @@ impl NodeMachine {
         out.push(report);
         // A control frame held behind the outstanding proposal can go
         // ahead now.
-        self.drain_stream_ops();
-        if let Some(frame) = self.deferred.take() {
-            self.handle(&frame, out);
-        }
+        self.resolve(out);
     }
 
     fn on_commit(&mut self, from: u32, r: u64, new_wire: &[(u32, f64)], out: &mut Vec<Outbound>) {
@@ -838,10 +816,7 @@ impl NodeMachine {
             out.push(report);
         }
         // Replay the control frame that raced this commit, if any.
-        self.drain_stream_ops();
-        if let Some(frame) = self.deferred.take() {
-            self.handle(&frame, out);
-        }
+        self.resolve(out);
     }
 
     fn on_commit_ack(&mut self, from: u32, r: u64, out: &mut Vec<Outbound>) {
@@ -855,10 +830,7 @@ impl NodeMachine {
             Some((p.partner, p.partner_load, p.partner_cost, p.moved)),
         );
         out.push(report);
-        self.drain_stream_ops();
-        if let Some(frame) = self.deferred.take() {
-            self.handle(&frame, out);
-        }
+        self.resolve(out);
     }
 
     /// Would an `(round, kind)` retransmission timeout still fire?
@@ -920,10 +892,7 @@ impl NodeMachine {
         }
         // A control frame stashed behind the dead exchange can go
         // ahead now.
-        self.drain_stream_ops();
-        if let Some(frame) = self.deferred.take() {
-            self.handle(&frame, out);
-        }
+        self.resolve(out);
     }
 }
 

@@ -890,6 +890,10 @@ const AXES: &[Axis] = &[
                 "a positive stream horizon in virtual ms, e.g. duration=2000ms",
             ),
             (PROTOCOL, "live streaming rides the deterministic virtual-time event heap"),
+            (
+                ("rate × duration under 1000000 requests", |spec| spec.arrivals.fits(spec.duration)),
+                "the whole schedule is compiled before the run; lower the rate or the horizon",
+            ),
         ]
     ),
     axis!(
@@ -1432,6 +1436,12 @@ mod tests {
                 on(Protocol).duration_ms(500.0),
                 "duration= requires arrivals= (the horizon only bounds a live arrival \
                  stream, e.g. arrivals=poisson:200)",
+            ),
+            // A schedule the stream compiler would abort on.
+            (
+                on(Protocol).arrivals(poisson).duration_ms(1e10),
+                "arrivals= requires rate × duration under 1000000 requests (the whole \
+                 schedule is compiled before the run; lower the rate or the horizon)",
             ),
             (
                 on(Nash).gossip(event),

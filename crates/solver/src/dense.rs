@@ -217,18 +217,6 @@ pub fn dense_to_assignment(instance: &Instance, state: &DenseState) -> Assignmen
     Assignment::from_fractions(instance, &rho)
 }
 
-/// Converts an [`Assignment`] into dense solver state.
-pub fn assignment_to_dense(instance: &Instance, a: &Assignment) -> DenseState {
-    let m = instance.len();
-    let mut r = vec![0.0; m * m];
-    for j in 0..m {
-        for (k, v) in a.ledger(j).iter() {
-            r[k as usize * m + j] = v;
-        }
-    }
-    DenseState::from_matrix(instance, r)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -316,7 +304,7 @@ mod tests {
     }
 
     #[test]
-    fn assignment_roundtrip() {
+    fn dense_state_converts_to_the_same_assignment() {
         let instance = inst();
         let mut state = DenseState::local(&instance);
         state.row_mut(0)[2] = 5.0;
@@ -324,9 +312,9 @@ mod tests {
         state.refresh_loads();
         let a = dense_to_assignment(&instance, &state);
         a.check_invariants(&instance).unwrap();
-        let back = assignment_to_dense(&instance, &a);
-        for (x, y) in state.r.iter().zip(back.r.iter()) {
-            assert!((x - y).abs() < 1e-9);
+        for (cell, &r) in state.r.iter().enumerate() {
+            let (k, j) = (cell / 3, cell % 3);
+            assert!((a.requests(k, j) - r).abs() < 1e-9, "r[{k}→{j}]");
         }
     }
 }

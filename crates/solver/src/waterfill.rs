@@ -166,25 +166,17 @@ pub fn waterfill_capped(a: &[f64], s: &[f64], caps: &[f64], n: f64) -> Vec<f64> 
     x
 }
 
-/// Objective value `Σ a_j x_j + x_j²/(2 s_j)` (helper for tests and
-/// best-response bookkeeping).
-pub fn waterfill_objective(a: &[f64], s: &[f64], x: &[f64]) -> f64 {
-    x.iter()
-        .enumerate()
-        .map(|(j, &xj)| {
-            if xj > 0.0 {
-                a[j] * xj + xj * xj / (2.0 * s[j])
-            } else {
-                0.0
-            }
-        })
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The objective `Σ a_j x_j + x_j²/(2 s_j)` the solvers minimise.
+    fn waterfill_objective(a: &[f64], s: &[f64], x: &[f64]) -> f64 {
+        (0..x.len())
+            .map(|j| a[j] * x[j] + x[j] * x[j] / (2.0 * s[j]))
+            .sum()
+    }
 
     #[test]
     fn single_server_takes_all() {
