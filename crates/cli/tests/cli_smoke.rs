@@ -334,6 +334,17 @@ fn bad_specs_and_missing_files_fail_cleanly() {
             ][..],
             "arrivals= requires rate × duration under 1000000 requests",
         ),
+        // An average load whose sampled loads (`Instance::new` aborted
+        // on `inf`, exit 101) or initial ΣC (printed `inf`, exit 0)
+        // cannot stay finite is refused as text too.
+        (
+            &["run", "algo=protocol", "m=8", "avg=1e308"][..],
+            "error: avg= requires a value up to 1e100",
+        ),
+        (
+            &["run", "algo=protocol", "m=8", "avg=1e300"][..],
+            "error: avg= requires a value up to 1e100",
+        ),
     ] {
         let output = dlb().args(args).output().unwrap();
         assert_eq!(output.status.code(), Some(1), "{args:?}");

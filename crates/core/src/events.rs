@@ -7,30 +7,48 @@
 //! number)**. The due time is virtual milliseconds; the sequence
 //! number is the scheduling order and breaks same-instant ties, so the
 //! delivered order is a pure function of the pushes — which is the
-//! whole determinism story. This module hoists that heap out of the
-//! two simulations (they previously each carried a private copy with
-//! its own `Ord` impl) so one tie-break rule serves every simulation,
-//! including the fault scripts in `dlb-faults` that reschedule delayed
-//! frames through it.
+//! whole determinism story.
 //!
-//! # The same-instant lane
+//! Events wait in one of three tiers and `pop` takes the least of the
+//! three fronts. The tier never changes the order events come out in
+//! (the tests replay random push patterns against a plain binary
+//! heap), only what that costs.
 //!
-//! Much of the executor's traffic is scheduled *for the instant being
-//! delivered*: its control plane travels at zero delay (every
-//! `RoundStart`/`Shutdown` broadcast, every `Report` and `FinalLedger`
-//! — over half the frames of an m = 100 000 run). A push whose due
-//! time equals that of the last event popped from the binary heap skips
-//! the heap and is appended to a FIFO lane; `pop` takes whichever of
-//! lane front and heap top is smaller under `(due, seq)`. This is exact
-//! for *any* push pattern, not just the friendly one: the lane only
-//! ever holds events of one due time (its instant moves only while it
-//! is empty) in push — hence `seq` — order, so its front is its
-//! minimum and the smaller of the two fronts is the global minimum. A
-//! push at any other time, earlier ones included, goes to the heap as
-//! before. Lane traffic costs a queue append instead of two
-//! `O(log n)` sifts through a heap hundreds of thousands deep; the
-//! gossip simulation, whose frames and timers are always due later,
-//! pays one comparison per operation and is otherwise untouched.
+//! **The same-instant lane.** Over half the executor's frames are
+//! scheduled *for the instant being delivered*: its control plane
+//! travels at zero delay. A push whose due time equals that of the
+//! last event popped from the other tiers is appended to a FIFO lane —
+//! this test comes first, wherever the horizon stands. The lane only
+//! holds events of one due time (its instant moves only while it is
+//! empty) in push, hence `seq`, order, so its front is its minimum.
+//!
+//! **The far tier.** The rest pays a jittered link delay and comes in
+//! *waves*: a broadcast's 100 000 `Propose` replies are all due one
+//! link delay from now, and each `Busy` is pushed while its `Propose`
+//! pops, due later than every `Propose` still queued. Sifting a wave
+//! through a binary heap costs seventeen cache-missing levels per push
+//! and pop; sorting it once is one pdqsort over sequential memory. So
+//! the heap keeps a **horizon**, the key of the latest event sorted so
+//! far. A push *above* it is appended to `far`, unsorted; sequence
+//! numbers only grow, so a push at the horizon's own instant is above
+//! it. Only when `run` and the binary heap are both empty does `pop`
+//! or `peek_due` sort `far` into the next `run` and move the horizon
+//! to its latest key.
+//!
+//! This is exact: everything in `far` is above the horizon, everything
+//! in `run` or the binary heap at or below it, so while those hold
+//! anything nothing in `far` can be next. Only the lane is not bounded
+//! by the horizon: its instant can be the horizon's, with `far` holding
+//! an *older* event of that instant. But such a lane event
+//! `(due_h, seq > seq_h)` can only be the minimum once `run` and the
+//! heap have drained — which is when `far` is sorted in.
+//!
+//! **The middle tier.** Any other push goes to a binary heap, as every
+//! push once did. It stays because that can be most of a run: a
+//! streamed scenario pushes its whole arrival schedule up front, so
+//! every later frame lands *inside* the first run's span, where
+//! inserting into a sorted `Vec` would be O(n). A tier on the one
+//! path, not a second queue to choose: `dlb-gossip` shares all three.
 //!
 //! ```
 //! use dlb_core::events::EventHeap;
@@ -75,11 +93,16 @@ impl<T> PartialOrd for Scheduled<T> {
 
 impl<T> Ord for Scheduled<T> {
     fn cmp(&self, other: &Self) -> Ordering {
+        self.cmp_key((other.due, other.seq))
+    }
+}
+
+impl<T> Scheduled<T> {
+    /// The module's one ordering rule, against a bare `(due, seq)`.
+    fn cmp_key(&self, (due, seq): (f64, u64)) -> Ordering {
         // Due times are finite by the push assert, so total_cmp agrees
         // with the numeric order.
-        self.due
-            .total_cmp(&other.due)
-            .then_with(|| self.seq.cmp(&other.seq))
+        self.due.total_cmp(&due).then_with(|| self.seq.cmp(&seq))
     }
 }
 
@@ -89,13 +112,21 @@ impl<T> Ord for Scheduled<T> {
 /// sequence number alone, so two events are never compared by payload.
 #[derive(Debug, Clone)]
 pub struct EventHeap<T> {
+    /// Middle tier: at or below the horizon, pushed after the sort.
     heap: BinaryHeap<Reverse<Scheduled<T>>>,
-    /// Events due at `lane_due`, in `seq` order (see the module docs).
+    /// Events due at `lane_due`, in `seq` order.
     lane: VecDeque<Scheduled<T>>,
     /// Bits of the lane's instant: the due time of the last event
-    /// popped from `heap` while the lane was empty. Starts at a NaN no
-    /// finite push can equal.
+    /// popped from `heap` or `run` while the lane was empty. Starts at
+    /// a NaN no finite push can equal.
     lane_due: u64,
+    /// Far tier: above the horizon, in push order.
+    far: Vec<Scheduled<T>>,
+    /// The last sort of `far`, descending: the earliest event is last.
+    run: Vec<Scheduled<T>>,
+    /// `(due, seq)` of the latest event sorted so far; starts below
+    /// every finite push.
+    horizon: (f64, u64),
     next_seq: u64,
 }
 
@@ -105,6 +136,13 @@ impl<T> Default for EventHeap<T> {
     }
 }
 
+#[derive(Clone, Copy)]
+enum Tier {
+    Lane,
+    Heap,
+    Run,
+}
+
 impl<T> EventHeap<T> {
     /// Creates an empty heap with sequence numbers starting at 0.
     pub fn new() -> Self {
@@ -112,6 +150,9 @@ impl<T> EventHeap<T> {
             heap: BinaryHeap::new(),
             lane: VecDeque::new(),
             lane_due: f64::NAN.to_bits(),
+            far: Vec::new(),
+            run: Vec::new(),
+            horizon: (f64::NEG_INFINITY, 0),
             next_seq: 0,
         }
     }
@@ -130,49 +171,63 @@ impl<T> EventHeap<T> {
         // Bitwise, like the `total_cmp` order: -0.0 is not 0.0's lane.
         if due.to_bits() == self.lane_due {
             self.lane.push_back(event);
+        } else if event.cmp_key(self.horizon).is_gt() {
+            self.far.push(event);
         } else {
             self.heap.push(Reverse(event));
         }
         seq
     }
 
-    /// Whether the next event in `(due, seq)` order is the lane's front.
-    fn lane_is_next(&self) -> bool {
-        match (self.lane.front(), self.heap.peek()) {
-            (Some(lane), Some(Reverse(heap))) => lane < heap,
-            (lane, _) => lane.is_some(),
+    /// Sorts the far tier in once nothing at or below the horizon is
+    /// left outside the lane. `pop` and `peek_due` start with this.
+    fn refill(&mut self) {
+        if self.run.is_empty() && self.heap.is_empty() && !self.far.is_empty() {
+            self.far.sort_unstable_by(|a, b| b.cmp(a));
+            std::mem::swap(&mut self.far, &mut self.run);
+            self.horizon = (self.run[0].due, self.run[0].seq);
         }
+    }
+
+    /// The next event in `(due, seq)` order and the tier it waits in.
+    fn earliest(&self) -> Option<(Tier, &Scheduled<T>)> {
+        let fronts = [
+            (Tier::Lane, self.lane.front()),
+            (Tier::Heap, self.heap.peek().map(|Reverse(event)| event)),
+            (Tier::Run, self.run.last()),
+        ];
+        let fronts = fronts.into_iter().filter_map(|(tier, e)| Some((tier, e?)));
+        fronts.min_by(|a, b| a.1.cmp(b.1))
     }
 
     /// Removes and returns the earliest event (`(due, seq)` order).
     pub fn pop(&mut self) -> Option<Scheduled<T>> {
-        if self.lane_is_next() {
-            return self.lane.pop_front();
-        }
-        let Reverse(event) = self.heap.pop()?;
+        self.refill();
+        let event = match self.earliest()?.0 {
+            Tier::Lane => return self.lane.pop_front(),
+            Tier::Heap => self.heap.pop().map(|Reverse(event)| event),
+            Tier::Run => self.run.pop(),
+        }?;
         if self.lane.is_empty() {
             self.lane_due = event.due.to_bits();
         }
         Some(event)
     }
 
-    /// The due time of the next event, if any.
-    pub fn peek_due(&self) -> Option<f64> {
-        if self.lane_is_next() {
-            self.lane.front().map(|e| e.due)
-        } else {
-            self.heap.peek().map(|Reverse(e)| e.due)
-        }
+    /// The due time of the next event, if any (`&mut`: see `refill`).
+    pub fn peek_due(&mut self) -> Option<f64> {
+        self.refill();
+        self.earliest().map(|(_, event)| event.due)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len() + self.lane.len()
+        self.heap.len() + self.lane.len() + self.far.len() + self.run.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty() && self.lane.is_empty()
+        self.len() == 0
     }
 
     /// Sequence number the next push will receive (also the count of
@@ -196,51 +251,107 @@ mod tests {
         bits ^ (((bits >> 63) as u64) >> 1) as i64
     }
 
-    /// Replays `ops` on an [`EventHeap`] and on a plain binary heap of
-    /// `(due key, seq)` pairs, comparing every observable after every
-    /// step. `op` picks push (0–4), pop (5–6) or a pop-free step (7);
-    /// `pick` draws the pushed due time relative to the last popped
-    /// one: the same instant (the lane's case), earlier — a push into
-    /// the past —, later, the previous push's again, or its negation
-    /// (so -0.0 meets 0.0).
+    /// The tier invariants of the module docs, checked from inside.
+    fn assert_tiers(heap: &EventHeap<u64>) {
+        assert!(heap.run.windows(2).all(|w| w[0] > w[1]), "run descends");
+        assert!(heap.lane.iter().all(|e| e.due.to_bits() == heap.lane_due));
+        assert!(heap
+            .lane
+            .iter()
+            .zip(heap.lane.iter().skip(1))
+            .all(|(a, b)| a.seq < b.seq));
+        let mut below = heap.run.iter().chain(heap.heap.iter().map(|Reverse(e)| e));
+        assert!(below.all(|e| e.cmp_key(heap.horizon).is_le()));
+        assert!(heap.far.iter().all(|e| e.cmp_key(heap.horizon).is_gt()));
+    }
+
+    /// An [`EventHeap`] and the model it must agree with: a plain
+    /// binary heap of `(due key, seq)` pairs.
+    #[derive(Default)]
+    struct Pair {
+        heap: EventHeap<u64>,
+        model: BinaryHeap<Reverse<(i64, u64)>>,
+        last_popped: f64,
+        last_pushed: f64,
+    }
+
+    impl Pair {
+        fn push(&mut self, due: f64) {
+            self.last_pushed = due;
+            let seq = self.heap.push(due, self.heap.next_seq());
+            self.model.push(Reverse((due_key(due), seq)));
+        }
+
+        fn pop(&mut self) {
+            let got = self.heap.pop().map(|e| {
+                assert_eq!(e.seq, e.item, "payload travels with its event");
+                self.last_popped = e.due;
+                (due_key(e.due), e.seq)
+            });
+            assert_eq!(got, self.model.pop().map(|Reverse(e)| e));
+        }
+
+        /// Every observable, and the tiers behind them.
+        fn check(&mut self) {
+            assert_eq!(self.heap.len(), self.model.len());
+            assert_eq!(self.heap.is_empty(), self.model.is_empty());
+            // A clone must answer alike without the original having
+            // been made to sort its far tier first.
+            let peeked = self.heap.clone().peek_due();
+            assert_eq!(peeked.map(due_key), self.model.peek().map(|Reverse(e)| e.0));
+            assert_tiers(&self.heap);
+            assert_eq!(self.heap.peek_due().map(due_key), peeked.map(due_key));
+            assert_tiers(&self.heap);
+        }
+    }
+
+    /// Replays `ops` on a [`Pair`], comparing every observable after
+    /// every step. `op` picks push (0–4), pop (5–6), a pop-free step
+    /// (7) or a burst (8–9); `pick` draws the pushed due time relative
+    /// to the last popped one: the same instant (the lane's case),
+    /// earlier — a push into the past —, later, the previous push's
+    /// again, or its negation (so -0.0 meets 0.0). A burst is a wave:
+    /// 2–17 pushes scattered over a span ahead of the last pop, then
+    /// pops until the far tier has been sorted in (or nothing is
+    /// left) and up to three more, so runs start, drain and meet
+    /// every other kind of push.
     fn check_against_model(ops: &[(u8, u8)]) {
-        let mut heap: EventHeap<u64> = EventHeap::new();
-        let mut model: BinaryHeap<Reverse<(i64, u64)>> = BinaryHeap::new();
-        let (mut last_popped, mut last_pushed) = (0.0f64, 0.0f64);
+        let mut pair = Pair::default();
         for &(op, pick) in ops {
-            if op % 8 < 5 {
-                let step = f64::from(pick / 5) * 0.5;
-                let due = match pick % 5 {
-                    0 => last_popped,
-                    1 => last_popped - step,
-                    2 => last_popped + step,
-                    3 => last_pushed,
-                    _ => -last_popped,
-                };
-                last_pushed = due;
-                let seq = heap.push(due, heap.next_seq());
-                model.push(Reverse((due_key(due), seq)));
-            } else if op % 8 < 7 {
-                let got = heap.pop().map(|e| {
-                    assert_eq!(e.seq, e.item, "payload travels with its event");
-                    last_popped = e.due;
-                    (due_key(e.due), e.seq)
-                });
-                assert_eq!(got, model.pop().map(|Reverse(e)| e));
+            let step = f64::from(pick / 5) * 0.5;
+            match op % 10 {
+                0..=4 => pair.push(match pick % 5 {
+                    0 => pair.last_popped,
+                    1 => pair.last_popped - step,
+                    2 => pair.last_popped + step,
+                    3 => pair.last_pushed,
+                    _ => -pair.last_popped,
+                }),
+                5..=6 => pair.pop(),
+                7 => {}
+                _ => {
+                    let k = u32::from(pick % 16) + 2;
+                    for i in 0..k {
+                        pair.push(pair.last_popped + step + f64::from(i * 7 % k) * 0.25);
+                        pair.check();
+                    }
+                    let horizon = pair.heap.horizon;
+                    while pair.heap.horizon == horizon && !pair.heap.is_empty() {
+                        pair.pop();
+                        pair.check();
+                    }
+                    for _ in 0..pick % 4 {
+                        pair.pop();
+                    }
+                }
             }
-            assert_eq!(heap.len(), model.len());
-            assert_eq!(heap.is_empty(), model.is_empty());
-            assert_eq!(
-                heap.peek_due().map(due_key),
-                model.peek().map(|Reverse(e)| e.0)
-            );
+            pair.check();
         }
         // Whatever is left drains in model order too.
-        while let Some(Reverse(expected)) = model.pop() {
-            let e = heap.pop().expect("model still holds events");
-            assert_eq!((due_key(e.due), e.seq), expected);
+        while !pair.model.is_empty() {
+            pair.pop();
         }
-        assert!(heap.pop().is_none());
+        assert!(pair.heap.pop().is_none());
     }
 
     #[test]
@@ -278,8 +389,111 @@ mod tests {
         heap.push(1.0, 'e');
         assert_eq!(heap.len(), 6);
         assert_eq!(heap.peek_due(), Some(0.5));
-        let order: String = std::iter::from_fn(|| heap.pop().map(|e| e.item)).collect();
-        assert_eq!(order, "pbcdez");
+        assert_eq!(drain(&mut heap), "pbcdez");
+    }
+
+    /// Drains `heap`, returning the payloads in pop order.
+    fn drain(heap: &mut EventHeap<char>) -> String {
+        std::iter::from_fn(|| heap.pop().map(|e| e.item)).collect()
+    }
+
+    /// Pops `n` events, returning the payloads in pop order.
+    fn drain_n(heap: &mut EventHeap<char>, n: usize) -> String {
+        (0..n).map(|_| heap.pop().unwrap().item).collect()
+    }
+
+    /// A heap whose first refill has run: `a b c` due at 1, 2, 3 sit in
+    /// the run, the horizon is `c`'s key `(3.0, 2)`.
+    fn heap_with_a_live_run() -> EventHeap<char> {
+        let mut heap = EventHeap::new();
+        for (due, item) in [(2.0, 'b'), (1.0, 'a'), (3.0, 'c')] {
+            heap.push(due, item);
+        }
+        assert_eq!((heap.far.len(), heap.run.len()), (3, 0), "no horizon yet");
+        assert_eq!(heap.peek_due(), Some(1.0));
+        assert_eq!((heap.far.len(), heap.run.len()), (0, 3));
+        heap
+    }
+
+    #[test]
+    fn pushes_around_a_live_run_keep_their_place() {
+        let mut heap = heap_with_a_live_run();
+        // The horizon's instant, but a later seq: above the horizon,
+        // so it waits in the far tier — behind `c`, ahead of `z`.
+        heap.push(9.0, 'z');
+        heap.push(3.0, 'd');
+        assert_eq!(heap.far.len(), 2);
+        // Inside the run's span and into the past: the middle tier.
+        heap.push(2.5, 'm');
+        heap.push(2.0, 'n');
+        heap.push(0.5, 'p');
+        assert_eq!(heap.heap.len(), 3);
+        assert_eq!(heap.len(), 8);
+        assert_eq!(drain(&mut heap), "pabnmcdz");
+    }
+
+    #[test]
+    fn the_far_tier_waits_until_nothing_is_below_the_horizon() {
+        let mut heap = heap_with_a_live_run();
+        heap.push(9.0, 'z');
+        assert_eq!(drain_n(&mut heap, 3), "abc");
+        // The run is spent, but a push into the past lands below the
+        // horizon: the heap is not empty, so looking must not sort the
+        // far tier in (and move the horizon) yet.
+        heap.push(0.5, 'p');
+        assert_eq!(heap.peek_due(), Some(0.5));
+        assert_eq!((heap.heap.len(), heap.run.len(), heap.far.len()), (1, 0, 1));
+        assert_eq!(heap.horizon, (3.0, 2));
+        assert_eq!(drain(&mut heap), "pz");
+        assert_eq!(heap.horizon, (9.0, 3));
+    }
+
+    #[test]
+    fn negative_zero_is_below_a_zero_horizon() {
+        let mut heap = EventHeap::new();
+        heap.push(0.0, 'a');
+        heap.push(0.0, 'b');
+        assert_eq!(heap.peek_due(), Some(0.0));
+        // -0.0 == 0.0 numerically, but the order is `total_cmp`'s: it
+        // is neither the horizon's instant nor above it, and pops first.
+        heap.push(-0.0, 'n');
+        assert_eq!((heap.heap.len(), heap.far.len()), (1, 0));
+        assert_eq!(heap.pop().unwrap().item, 'n');
+        // Popped with the lane empty, so the lane now sits at -0.0 and
+        // a 0.0 push is still not lane traffic.
+        heap.push(0.0, 'c');
+        assert!(heap.lane.is_empty());
+        assert_eq!(drain(&mut heap), "abc");
+    }
+
+    #[test]
+    fn a_lane_at_the_horizons_instant_waits_for_older_far_events() {
+        let mut heap = heap_with_a_live_run();
+        heap.push(3.0, 'd'); // far: same instant as the horizon, older than the lane's
+        heap.push(4.0, 'z');
+        assert_eq!(drain_n(&mut heap, 3), "abc");
+        // `c` left the run with the lane empty: the lane opens at 3.0.
+        heap.push(3.0, 'e');
+        assert_eq!((heap.lane.len(), heap.far.len()), (1, 2));
+        // The lane's front is not next: run and heap are empty, so the
+        // far tier is sorted in first and `d` overtakes `e`.
+        assert_eq!(heap.peek_due(), Some(3.0));
+        assert_eq!(drain(&mut heap), "dez");
+    }
+
+    #[test]
+    fn a_clone_taken_mid_run_drains_identically() {
+        let mut heap = heap_with_a_live_run();
+        heap.push(2.5, 'm'); // heap
+        heap.push(7.0, 'y'); // far
+        assert_eq!(heap.pop().unwrap().item, 'a');
+        heap.push(1.0, 'l'); // lane
+        let mut copy = heap.clone();
+        for twin in [&mut heap, &mut copy] {
+            twin.push(6.0, 'x');
+            assert_eq!(twin.next_seq(), 7);
+            assert_eq!(drain(twin), "lbmcxy");
+        }
     }
 
     #[test]

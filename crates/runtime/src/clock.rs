@@ -2,14 +2,8 @@
 //!
 //! The executor's event heap fixes *what* happens and in *which
 //! order*; the clock only decides how long the caller waits between
-//! delivery batches. [`VirtualClock`] never waits — simulated time
-//! jumps from batch to batch, which is what tests and Figure-2-scale
-//! experiments want. [`WallClock`] sleeps until each batch's virtual
-//! due time has really elapsed, turning the same executor into a live,
-//! paced run. Because the clock cannot reorder deliveries, results are
-//! bit-identical under either implementation.
-
-use std::time::{Duration, Instant};
+//! delivery batches, so results are bit-identical under any pacing.
+//! [`VirtualClock`], the one the workspace runs on, never waits.
 
 /// Pacing policy of the event executor (see the module docs).
 pub trait Clock {
@@ -29,69 +23,10 @@ impl Clock for VirtualClock {
     fn wait_until(&mut self, _virtual_ms: f64) {}
 }
 
-/// Live pacing: sleeps until each batch's virtual due time has
-/// elapsed on the machine's monotonic clock. `scale` maps virtual to
-/// real time (`1.0` = real time, `0.001` = 1000× fast-forward).
-///
-/// One clock value can pace several consecutive runs: virtual due
-/// times are non-decreasing within a run, so a *decrease* marks the
-/// start of the next run and re-anchors the monotonic baseline —
-/// without this, a reused clock would find every due time already in
-/// the past and silently stop pacing.
-#[derive(Debug, Clone, Copy)]
-pub struct WallClock {
-    start: Option<Instant>,
-    last_ms: f64,
-    scale: f64,
-}
-
-impl WallClock {
-    /// A real-time clock (1 virtual ms = 1 wall ms).
-    pub fn new() -> Self {
-        Self::with_scale(1.0)
-    }
-
-    /// A clock running at `scale` wall seconds per virtual second.
-    ///
-    /// # Panics
-    /// Panics when `scale` is negative or not finite.
-    pub fn with_scale(scale: f64) -> Self {
-        assert!(
-            scale.is_finite() && scale >= 0.0,
-            "scale must be finite and non-negative"
-        );
-        Self {
-            start: None,
-            last_ms: 0.0,
-            scale,
-        }
-    }
-}
-
-impl Default for WallClock {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Clock for WallClock {
-    fn wait_until(&mut self, virtual_ms: f64) {
-        if virtual_ms < self.last_ms {
-            self.start = None; // next run began: re-anchor
-        }
-        self.last_ms = virtual_ms;
-        let start = *self.start.get_or_insert_with(Instant::now);
-        let due = Duration::from_secs_f64((virtual_ms * self.scale / 1000.0).max(0.0));
-        let elapsed = start.elapsed();
-        if due > elapsed {
-            std::thread::sleep(due - elapsed);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn virtual_clock_never_waits() {
@@ -101,45 +36,5 @@ mod tests {
             clock.wait_until(t as f64 * 1e6);
         }
         assert!(start.elapsed() < Duration::from_secs(1));
-    }
-
-    #[test]
-    fn wall_clock_paces_to_the_due_time() {
-        let mut clock = WallClock::new();
-        let start = Instant::now();
-        clock.wait_until(0.0);
-        clock.wait_until(30.0);
-        let elapsed = start.elapsed();
-        assert!(elapsed >= Duration::from_millis(28), "elapsed {elapsed:?}");
-    }
-
-    #[test]
-    fn wall_clock_scale_fast_forwards() {
-        let mut clock = WallClock::with_scale(0.01);
-        let start = Instant::now();
-        clock.wait_until(100.0); // 100 virtual ms → 1 wall ms
-        assert!(start.elapsed() < Duration::from_millis(100));
-    }
-
-    #[test]
-    fn wall_clock_reanchors_for_a_second_run() {
-        let mut clock = WallClock::new();
-        clock.wait_until(0.0);
-        clock.wait_until(25.0); // first run ends 25 virtual ms in
-        let start = Instant::now();
-        clock.wait_until(0.0); // time went backwards: a new run
-        clock.wait_until(20.0); // must be paced against the new anchor
-        let elapsed = start.elapsed();
-        assert!(elapsed >= Duration::from_millis(18), "elapsed {elapsed:?}");
-    }
-
-    #[test]
-    fn wall_clock_tolerates_past_due_times() {
-        let mut clock = WallClock::new();
-        clock.wait_until(5.0);
-        std::thread::sleep(Duration::from_millis(10));
-        let start = Instant::now();
-        clock.wait_until(6.0); // already in the past: no sleep
-        assert!(start.elapsed() < Duration::from_millis(5));
     }
 }

@@ -27,10 +27,8 @@
 //!   hang off its one loop;
 //! * [`cluster`] — what a run is configured with and what it reports
 //!   ([`ClusterOptions`], [`ClusterReport`]);
-//! * [`clock`] — pacing for the executor: [`clock::VirtualClock`]
-//!   jumps between batches (simulation), [`clock::WallClock`] sleeps
-//!   until each batch is really due (live replay). The clock cannot
-//!   reorder deliveries, so both produce bit-identical results.
+//! * [`clock`] — pacing for the executor, which cannot reorder
+//!   deliveries: [`clock::VirtualClock`] jumps between batches.
 //!
 //! Two things make this more than a re-run of the engine:
 //!
@@ -73,7 +71,7 @@ pub mod executor;
 pub mod machine;
 pub mod message;
 
-pub use clock::{Clock, VirtualClock, WallClock};
+pub use clock::{Clock, VirtualClock};
 pub use cluster::{ClusterOptions, ClusterReport, DetectMode, DetectorSummary, StreamSummary};
 pub use executor::{run_cluster_events, run_cluster_events_observed};
 pub use machine::{

@@ -167,11 +167,10 @@ pub enum RtoKind {
 /// acceptor's `CommitAck` proves the other half was installed.
 #[derive(Debug)]
 struct PendingExchange {
-    partner: u32,
     ledger: SparseVec,
-    partner_load: f64,
-    partner_cost: f64,
-    moved: f64,
+    /// What the `Exchanged` report will say: `(partner, its load, its
+    /// local cost, volume moved)`.
+    exchange: (u32, f64, f64, f64),
 }
 
 /// Exchange-lock state within a round.
@@ -383,41 +382,98 @@ impl CandidateIndex {
     }
 }
 
+/// A node's ledger with its *standing report values*: the load and
+/// the term of `ΣC` every [`Frame::Report`] carries, two folds over the
+/// whole ledger. At m = 100 000 a round sends 100 000 reports about
+/// ledgers of which some ten changed, so the pair is kept, and dropped
+/// by every write. The fields are private to this module and
+/// `replace`/`set` the only writers: a new write site cannot forget.
+/// The same fold over the same entries: bit-identical to recomputing.
+mod books {
+    use super::local_cost;
+    use dlb_core::{Instance, SparseVec};
+
+    #[derive(Debug, Default)]
+    pub(super) struct Books {
+        ledger: SparseVec,
+        /// `[load, local cost]` of `ledger`; `None` since the last write.
+        standing: Option<[f64; 2]>,
+    }
+
+    impl Books {
+        pub(super) fn ledger(&self) -> &SparseVec {
+            &self.ledger
+        }
+
+        pub(super) fn replace(&mut self, ledger: SparseVec) {
+            self.ledger = ledger;
+            self.standing = None;
+        }
+
+        pub(super) fn set(&mut self, org: u32, value: f64) {
+            self.ledger.set(org, value);
+            self.standing = None;
+        }
+
+        /// The `[load, local cost]` node `id` reports about this ledger.
+        pub(super) fn standing(&mut self, id: u32, instance: &Instance) -> [f64; 2] {
+            let fold = |ledger: &SparseVec| [ledger.sum(), local_cost(id, instance, ledger)];
+            let standing = *self.standing.get_or_insert_with(|| fold(&self.ledger));
+            // Debug builds recompute behind every report, so every suite
+            // that runs the protocol checks the values it sent.
+            debug_assert_eq!(
+                standing.map(f64::to_bits),
+                fold(&self.ledger).map(f64::to_bits),
+                "node {id}: standing report values outlived a ledger write"
+            );
+            standing
+        }
+    }
+}
+use books::Books;
+
 /// One organization's protocol state machine (see the module docs).
+///
+/// At m = 100 000 nearly every delivery is the first touch of a cold
+/// machine, so the layout is deliberate (`repr(C)` keeps the declared
+/// order): the words every `Propose`/`Busy` delivery reads lead, and
+/// state that exists only while a control frame waits or a two-phase
+/// exchange is pending sits boxed at the back. 240 bytes, by test.
 #[derive(Debug)]
+#[repr(C)]
 pub struct NodeMachine {
     id: u32,
-    instance: Arc<Instance>,
-    ledger: SparseVec,
-    config: NodeConfig,
-    /// Partner-candidate cache for [`SelectPolicy::TopK`] (empty and
-    /// untouched under [`SelectPolicy::Exact`]).
-    index: CandidateIndex,
-    /// 0 = "no round joined yet"; real rounds are 1-based (see the
-    /// coordinator). A proposal overtaking our first RoundStart thus
-    /// satisfies `r > round` and waits in the early queue instead of
-    /// being served with boot state and corrupting the report count.
-    round: u64,
     lock: Lock,
     /// In-flight proposal target, if any.
     proposal: Option<u32>,
     /// Whether this round's report has been filed.
     reported: bool,
-    /// Proposals from a round we have not reached yet.
-    early_proposals: VecDeque<Frame>,
-    /// A `RoundStart`/`Shutdown` stashed while a commit is in flight.
-    deferred: Option<Frame>,
-    /// Two-phase exchange awaiting the acceptor's `CommitAck` (only
-    /// under [`NodeConfig::two_phase`]).
-    pending: Option<PendingExchange>,
+    /// Whether the final ledger has been sent (machine finished).
+    done: bool,
+    /// 0 = "no round joined yet"; real rounds are 1-based (see the
+    /// coordinator). A proposal overtaking our first RoundStart thus
+    /// satisfies `r > round` and waits in the early queue instead of
+    /// being served with boot state and corrupting the report count.
+    round: u64,
+    books: Books,
+    instance: Arc<Instance>,
     /// Streaming load deltas `(org, amount)` buffered while an
     /// exchange is open — the ledger is promised to a peer then and
     /// may be wholesale replaced by its Commit, which would silently
     /// drop a directly-applied deposit. Drained the moment the
     /// exchange resolves. Positive amounts deposit, negative withdraw.
     stream_buf: Vec<(u32, f64)>,
-    /// Whether the final ledger has been sent (machine finished).
-    done: bool,
+    /// A `RoundStart`/`Shutdown` stashed while a commit is in flight.
+    deferred: Option<Box<Frame>>,
+    /// Two-phase exchange awaiting the acceptor's `CommitAck` (only
+    /// under [`NodeConfig::two_phase`]).
+    pending: Option<Box<PendingExchange>>,
+    /// Proposals from a round we have not reached yet.
+    early_proposals: VecDeque<(u32, u64)>,
+    /// Partner-candidate cache for [`SelectPolicy::TopK`] (empty and
+    /// untouched under [`SelectPolicy::Exact`]).
+    index: CandidateIndex,
+    config: NodeConfig,
 }
 
 impl NodeMachine {
@@ -425,26 +481,26 @@ impl NodeMachine {
     /// its own load at home, kept sparse (a zero load is no entry, not
     /// an explicit zero).
     pub fn local(id: u32, instance: Arc<Instance>, config: NodeConfig) -> Self {
-        let mut ledger = SparseVec::new();
+        let mut books = Books::default();
         let own = instance.own_load(id as usize);
         if own > 0.0 {
-            ledger.set(id, own);
+            books.set(id, own);
         }
         Self {
             id,
-            instance,
-            ledger,
-            config,
-            index: CandidateIndex::default(),
-            round: 0,
             lock: Lock::Free,
             proposal: None,
             reported: false,
-            early_proposals: VecDeque::new(),
+            done: false,
+            round: 0,
+            books,
+            instance,
+            stream_buf: Vec::new(),
             deferred: None,
             pending: None,
-            stream_buf: Vec::new(),
-            done: false,
+            early_proposals: VecDeque::new(),
+            index: CandidateIndex::default(),
+            config,
         }
     }
 
@@ -457,7 +513,7 @@ impl NodeMachine {
     /// this to freeze a crashed node's state into the final assignment
     /// (its requests stay where they were when it went down).
     pub fn ledger(&self) -> &SparseVec {
-        &self.ledger
+        self.books.ledger()
     }
 
     /// Streaming arrival: `amount` units of organization `org`'s work
@@ -483,22 +539,15 @@ impl NodeMachine {
     /// this server (clamped at what the ledger actually holds once
     /// applied). Buffered under an open exchange like [`Self::deposit`].
     pub fn withdraw(&mut self, org: u32, amount: f64) {
-        if self.done {
-            return;
-        }
-        if self.exchange_open() {
-            self.stream_buf.push((org, -amount));
-        } else {
-            self.apply_stream_delta(org, -amount);
-        }
+        self.deposit(org, -amount);
     }
 
     /// Applies one signed streaming delta to the ledger, clamping
     /// withdrawals at the available volume (a request that finished on
     /// another replica after a rebalance moved the entry away).
     fn apply_stream_delta(&mut self, org: u32, amount: f64) {
-        let next = (self.ledger.get(org) + amount).max(0.0);
-        self.ledger.set(org, next);
+        let next = (self.ledger().get(org) + amount).max(0.0);
+        self.books.set(org, next);
     }
 
     /// An exchange, or the wait for one, has resolved: replays the
@@ -544,12 +593,12 @@ impl NodeMachine {
                     // Accept/Busy answer, a Commit or, two-phase, a
                     // CommitAck); its ledger must make it into the
                     // final answer or requests would be torn in half.
-                    self.deferred = Some(Frame::Shutdown);
+                    self.deferred = Some(Box::new(Frame::Shutdown));
                     return;
                 }
                 out.push(Outbound::coordinator(Frame::FinalLedger {
                     from: self.id,
-                    ledger: ledger_to_wire(&self.ledger),
+                    ledger: ledger_to_wire(self.ledger()),
                 }));
                 self.done = true;
             }
@@ -565,7 +614,7 @@ impl NodeMachine {
                     // still in flight (the initiator reports to the
                     // coordinator before our Commit arrives). Join the
                     // round the moment it lands.
-                    self.deferred = Some(frame.clone());
+                    self.deferred = Some(Box::new(frame.clone()));
                     return;
                 }
                 self.start_round(*round, loads.as_slice(), excluded, *epoch, hot, out);
@@ -603,20 +652,23 @@ impl NodeMachine {
             || self.pending.is_some()
     }
 
+    /// Files this round's report.
     fn report(
         &mut self,
         outcome: RoundOutcome,
         exchange: Option<(u32, f64, f64, f64)>,
-    ) -> Outbound {
+        out: &mut Vec<Outbound>,
+    ) {
         self.reported = true;
-        Outbound::coordinator(Frame::Report {
+        let [load, local_cost] = self.books.standing(self.id, &self.instance);
+        out.push(Outbound::coordinator(Frame::Report {
             from: self.id,
             round: self.round,
             outcome,
-            load: self.ledger.sum(),
-            local_cost: local_cost(self.id, &self.instance, &self.ledger),
+            load,
+            local_cost,
             exchange,
-        })
+        }));
     }
 
     fn start_round(
@@ -634,8 +686,7 @@ impl NodeMachine {
         self.reported = false;
         if excluded.binary_search(&self.id).is_ok() {
             self.lock = Lock::Locked; // takes no part this round
-            let report = self.report(RoundOutcome::NoProposal, None);
-            out.push(report);
+            self.report(RoundOutcome::NoProposal, None, out);
         } else {
             let scored = match self.config.select {
                 SelectPolicy::Exact => choose_target(self.id, &self.instance, loads, excluded),
@@ -659,14 +710,13 @@ impl NodeMachine {
                     ));
                 }
                 None => {
-                    let report = self.report(RoundOutcome::NoProposal, None);
-                    out.push(report);
+                    self.report(RoundOutcome::NoProposal, None, out);
                 }
             }
         }
         // Serve proposals that arrived before our RoundStart.
         for _ in 0..self.early_proposals.len() {
-            if let Some(Frame::Propose { from, round }) = self.early_proposals.pop_front() {
+            if let Some((from, round)) = self.early_proposals.pop_front() {
                 self.on_propose(from, round, out);
             }
         }
@@ -676,8 +726,7 @@ impl NodeMachine {
         if r > self.round {
             // Proposer is ahead of us; answer after our RoundStart
             // arrives.
-            self.early_proposals
-                .push_back(Frame::Propose { from, round: r });
+            self.early_proposals.push_back((from, r));
             return;
         }
         if r < self.round {
@@ -691,40 +740,25 @@ impl NodeMachine {
             return;
         }
         match self.proposal {
-            // Collision with our own proposal to the same peer.
-            Some(j) if j == from => {
-                if self.id < from {
-                    // Yield: become the acceptor; our own proposal will
-                    // be ignored by the peer.
-                    self.proposal = None;
-                    self.lock = Lock::AwaitingCommit(from);
-                    out.push(Outbound::node(
-                        from,
-                        Frame::Accept {
-                            from: self.id,
-                            round: r,
-                            ledger: ledger_to_wire(&self.ledger),
-                        },
-                    ));
-                }
-                // Higher id: ignore — the peer's Accept is already on
-                // the wire.
-            }
+            // Collision with our own proposal to the same peer, and we
+            // are the higher id: ignore — the peer yields, and its
+            // Accept is already on the wire.
+            Some(j) if j == from && self.id > from => {}
             // Waiting on a different peer: cannot promise our ledger to
             // two exchanges at once.
-            Some(_) => {
-                self.nack(from, r, out);
-            }
+            Some(j) if j != from => self.nack(from, r, out),
             // Free (never proposed, or proposal already resolved
-            // without an exchange): accept.
-            None => {
+            // without an exchange), or the collision's lower id: yield
+            // the initiator role, if any, and become the acceptor.
+            _ => {
+                self.proposal = None;
                 self.lock = Lock::AwaitingCommit(from);
                 out.push(Outbound::node(
                     from,
                     Frame::Accept {
                         from: self.id,
                         round: r,
-                        ledger: ledger_to_wire(&self.ledger),
+                        ledger: ledger_to_wire(self.ledger()),
                     },
                 ));
             }
@@ -738,7 +772,7 @@ impl NodeMachine {
         let theirs = wire_to_ledger(their_wire);
         let outcome = calc_best_transfer(
             &self.instance,
-            &self.ledger,
+            self.ledger(),
             &theirs,
             self.id as usize,
             from as usize,
@@ -756,24 +790,16 @@ impl NodeMachine {
         ));
         self.proposal = None;
         self.lock = Lock::Locked;
+        let ledger = outcome.ledger_i;
+        let exchange = (from, partner_load, partner_cost, outcome.moved);
         if self.config.two_phase {
             // Hold our half back until the acceptor's CommitAck: if it
             // died before installing, the Ack RTO rolls us back with
             // nothing half-applied on either side.
-            self.pending = Some(PendingExchange {
-                partner: from,
-                ledger: outcome.ledger_i,
-                partner_load,
-                partner_cost,
-                moved: outcome.moved,
-            });
+            self.pending = Some(Box::new(PendingExchange { ledger, exchange }));
         } else {
-            self.ledger = outcome.ledger_i;
-            let report = self.report(
-                RoundOutcome::Exchanged,
-                Some((from, partner_load, partner_cost, outcome.moved)),
-            );
-            out.push(report);
+            self.books.replace(ledger);
+            self.report(RoundOutcome::Exchanged, Some(exchange), out);
             self.resolve(out);
         }
     }
@@ -785,8 +811,7 @@ impl NodeMachine {
         self.proposal = None;
         // Stay Free: we may still serve someone else's proposal this
         // round.
-        let report = self.report(RoundOutcome::Lost, None);
-        out.push(report);
+        self.report(RoundOutcome::Lost, None, out);
         // A control frame held behind the outstanding proposal can go
         // ahead now.
         self.resolve(out);
@@ -796,7 +821,7 @@ impl NodeMachine {
         if r != self.round || self.lock != Lock::AwaitingCommit(from) {
             return;
         }
-        self.ledger = wire_to_ledger(new_wire);
+        self.books.replace(wire_to_ledger(new_wire));
         self.lock = Lock::Locked;
         if self.config.two_phase {
             // Install-then-ack is atomic from the driver's view: the
@@ -812,24 +837,19 @@ impl NodeMachine {
         if !self.reported {
             // Collision-yield path: our initiator role ended in an
             // acceptance; close the round's report.
-            let report = self.report(RoundOutcome::Accepted, None);
-            out.push(report);
+            self.report(RoundOutcome::Accepted, None, out);
         }
         // Replay the control frame that raced this commit, if any.
         self.resolve(out);
     }
 
     fn on_commit_ack(&mut self, from: u32, r: u64, out: &mut Vec<Outbound>) {
-        if r != self.round || self.pending.as_ref().map(|p| p.partner) != Some(from) {
+        if r != self.round || self.pending.as_ref().map(|p| p.exchange.0) != Some(from) {
             return; // stale ack; ignore
         }
         let p = self.pending.take().expect("pending matched");
-        self.ledger = p.ledger;
-        let report = self.report(
-            RoundOutcome::Exchanged,
-            Some((p.partner, p.partner_load, p.partner_cost, p.moved)),
-        );
-        out.push(report);
+        self.books.replace(p.ledger);
+        self.report(RoundOutcome::Exchanged, Some(p.exchange), out);
         self.resolve(out);
     }
 
@@ -858,37 +878,24 @@ impl NodeMachine {
     /// transfer has been applied yet, so rollback is dropping state)
     /// and closes its round report with [`RoundOutcome::Aborted`].
     pub fn on_rto(&mut self, r: u64, kind: RtoKind, out: &mut Vec<Outbound>) {
-        if self.done || r != self.round {
+        if !self.rto_pending(r, kind) {
             return;
         }
-        let fired = match kind {
-            RtoKind::Answer => {
-                // Our Propose was never answered; free the initiator
-                // role. We stay available as an acceptor.
-                self.proposal.take().is_some()
-            }
-            RtoKind::CommitWait => {
-                // We accepted but the initiator's Commit never came;
-                // nothing was installed, so releasing the lock is the
-                // whole rollback.
-                if matches!(self.lock, Lock::AwaitingCommit(_)) {
-                    self.lock = Lock::Free;
-                    true
-                } else {
-                    false
-                }
-            }
+        match kind {
+            // Our Propose was never answered; free the initiator role.
+            // We stay available as an acceptor.
+            RtoKind::Answer => self.proposal = None,
+            // We accepted but the initiator's Commit never came;
+            // nothing was installed, so releasing the lock is the whole
+            // rollback.
+            RtoKind::CommitWait => self.lock = Lock::Free,
             // Our Commit was never acknowledged; the acceptor died
             // before installing, so dropping the held-back half undoes
             // the exchange exactly.
-            RtoKind::Ack => self.pending.take().is_some(),
-        };
-        if !fired {
-            return;
+            RtoKind::Ack => self.pending = None,
         }
         if !self.reported {
-            let report = self.report(RoundOutcome::Aborted, None);
-            out.push(report);
+            self.report(RoundOutcome::Aborted, None, out);
         }
         // A control frame stashed behind the dead exchange can go
         // ahead now.
@@ -1905,6 +1912,186 @@ mod tests {
         assert!(
             rounds.contains(&2),
             "machine must join round 2 after the commit: {out:?}"
+        );
+    }
+
+    /// `(load, local cost)` bits of the one `Report` in `out`.
+    fn reported(out: &[Outbound]) -> (u64, u64) {
+        let mut reports = out.iter().filter_map(|o| match &*o.frame {
+            Frame::Report {
+                load, local_cost, ..
+            } => Some((load.to_bits(), local_cost.to_bits())),
+            _ => None,
+        });
+        let report = reports.next().expect("a report went out");
+        assert!(reports.next().is_none(), "one report per call");
+        report
+    }
+
+    /// Starts `round` on a balanced view, so the audit rotation picks
+    /// the partner; returns whom the machine proposed to.
+    fn start_balanced_round(machine: &mut NodeMachine, round: u64) -> u32 {
+        let start = Frame::RoundStart {
+            round,
+            loads: Arc::new(vec![0.0; 3]),
+            excluded: vec![],
+            epoch: 0,
+            hot: Arc::new(vec![]),
+        };
+        match (drive(machine, start).as_slice(), machine.proposal) {
+            ([only], Some(peer)) if matches!(*only.frame, Frame::Propose { .. }) => peer,
+            (out, _) => panic!("expected one Propose, got {out:?}"),
+        }
+    }
+
+    /// Every `Report` must carry what a fresh fold over the ledger *at
+    /// that moment* returns, whichever of the five write sites changed
+    /// it since the last one (debug builds assert the same inside
+    /// `Books`; this holds in release too).
+    #[test]
+    fn reports_follow_the_ledger_through_every_write() {
+        let loads = vec![10.0, 0.0, 0.0];
+        let latency = LatencyMatrix::homogeneous(3, 1.0);
+        let instance = Arc::new(Instance::new(vec![1.0; 3], loads, latency));
+        let fresh = |ledger: &SparseVec| {
+            let cost = local_cost(0, &instance, ledger);
+            (ledger.sum().to_bits(), cost.to_bits())
+        };
+        let two_phase = NodeConfig {
+            two_phase: true,
+            ..NodeConfig::default()
+        };
+        let mut machine = NodeMachine::local(0, Arc::clone(&instance), two_phase);
+
+        // Round 1 files a report about the boot ledger (`local`'s write).
+        let peer = start_balanced_round(&mut machine, 1);
+        let out = drive(
+            &mut machine,
+            Frame::Busy {
+                from: peer,
+                round: 1,
+            },
+        );
+        assert_eq!(reported(&out), fresh(machine.ledger()));
+
+        // Round 2, two-phase initiator. Stream deltas under the open
+        // exchange wait behind it; the CommitAck installs our half
+        // (`on_commit_ack`) and reports it *before* they land.
+        let peer = start_balanced_round(&mut machine, 2);
+        assert!(machine.deposit(0, 2.0));
+        machine.withdraw(0, 1.0);
+        let accept = Frame::Accept {
+            from: peer,
+            round: 2,
+            ledger: vec![],
+        };
+        drive(&mut machine, accept);
+        assert!(machine.deposit(2, 0.5));
+        let pending = machine.pending.as_ref().expect("our half is held back");
+        let half = pending.ledger.clone();
+        assert_ne!(fresh(&half), fresh(machine.ledger()), "load moved");
+        let out = drive(
+            &mut machine,
+            Frame::CommitAck {
+                from: peer,
+                round: 2,
+            },
+        );
+        assert_eq!(reported(&out), fresh(&half));
+        assert_ne!(fresh(machine.ledger()), fresh(&half), "the deltas landed");
+
+        // Round 3 reports the deltas (`apply_stream_delta`), then takes
+        // a Commit as acceptor (`on_commit`) without reporting again…
+        let peer = start_balanced_round(&mut machine, 3);
+        let out = drive(
+            &mut machine,
+            Frame::Busy {
+                from: peer,
+                round: 3,
+            },
+        );
+        assert_eq!(reported(&out), fresh(machine.ledger()));
+        drive(&mut machine, Frame::Propose { from: 2, round: 3 });
+        let commit = Frame::Commit {
+            from: 2,
+            round: 3,
+            ledger: vec![(0, 4.0), (2, 1.5)],
+        };
+        assert!(matches!(
+            *drive(&mut machine, commit)[0].frame,
+            Frame::CommitAck { .. }
+        ));
+
+        // …so round 4's is the first about the committed ledger: an
+        // Ack timeout rolls the exchange back having applied nothing,
+        // and the `Aborted` report precedes the delta buffered behind it.
+        let peer = start_balanced_round(&mut machine, 4);
+        let accept = Frame::Accept {
+            from: peer,
+            round: 4,
+            ledger: vec![(peer, 20.0)],
+        };
+        drive(&mut machine, accept);
+        assert!(machine.deposit(1, 3.0));
+        let before = machine.ledger().clone();
+        assert_eq!(
+            fresh(&before),
+            fresh(&wire_to_ledger(&[(0, 4.0), (2, 1.5)]))
+        );
+        let mut out = Vec::new();
+        machine.on_rto(4, RtoKind::Ack, &mut out);
+        assert_eq!(reported(&out), fresh(&before));
+        assert_eq!(machine.ledger().get(1), 3.0);
+
+        // Round 5, collision: the lower id yields, and the Commit it
+        // then takes is reported (`Accepted`) in the same call.
+        let peer = start_balanced_round(&mut machine, 5);
+        let propose = Frame::Propose {
+            from: peer,
+            round: 5,
+        };
+        assert!(matches!(
+            *drive(&mut machine, propose)[0].frame,
+            Frame::Accept { .. }
+        ));
+        let commit = Frame::Commit {
+            from: peer,
+            round: 5,
+            ledger: vec![(1, 0.25)],
+        };
+        let out = drive(&mut machine, commit);
+        assert_eq!(reported(&out), fresh(&wire_to_ledger(&[(1, 0.25)])));
+
+        // Single-phase `on_accept` installs and reports in one call.
+        let mut machine = NodeMachine::local(0, Arc::clone(&instance), NodeConfig::default());
+        let peer = start_balanced_round(&mut machine, 1);
+        let out = drive(
+            &mut machine,
+            Frame::Busy {
+                from: peer,
+                round: 1,
+            },
+        );
+        let boot = reported(&out);
+        let peer = start_balanced_round(&mut machine, 2);
+        let accept = Frame::Accept {
+            from: peer,
+            round: 2,
+            ledger: vec![],
+        };
+        let out = drive(&mut machine, accept);
+        assert_eq!(reported(&out), fresh(machine.ledger()));
+        assert_ne!(reported(&out), boot, "load moved");
+    }
+
+    /// A field added to the machine shows up here, not in `peak_rss_mb`:
+    /// the table holds one per node (24 MB at m = 100 000).
+    #[test]
+    fn node_machine_fits_240_bytes() {
+        assert!(
+            std::mem::size_of::<NodeMachine>() <= 240,
+            "NodeMachine grew to {} bytes",
+            std::mem::size_of::<NodeMachine>()
         );
     }
 

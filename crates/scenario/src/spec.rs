@@ -459,7 +459,7 @@ pub struct ScenarioSpec {
     pub lat: f64,
     /// Initial-load distribution (`load=`).
     pub load: LoadDistribution,
-    /// Average initial load per server (`avg=`).
+    /// Average initial load per server (`avg=`, at most 1e100).
     pub avg: f64,
     /// Speed distribution (`speeds=`).
     pub speeds: SpeedKind,
@@ -780,6 +780,11 @@ fn parse_float(key: &str, value: &str) -> Result<f64, SpecError> {
 /// the test that the spec has it.
 type Needs = (&'static str, fn(&ScenarioSpec) -> bool);
 
+/// The largest `avg=`: a sampled load (at most `avg × m`) can still be
+/// squared by `ΣC` and summed over any `m` that fits in memory. Not far
+/// beyond, `ΣC` is `inf` or a load is, which `Instance::new` panics on.
+const MAX_AVG: f64 = 1e100;
+
 /// The only system that honours the event-executor axes.
 const PROTOCOL: Needs = ("algo=protocol", |spec| spec.algo == AlgoSpec::Protocol);
 /// The two round modes of the distributed engine.
@@ -851,7 +856,10 @@ const AXES: &[Axis] = &[
         LoadDistribution::Exponential,
         LoadDistribution::Peak,
     ]),
-    axis!(avg, parse_float),
+    axis!(avg, parse_float, &[(
+        ("a value up to 1e100", |spec| spec.avg <= MAX_AVG),
+        "a load reaches avg × m under load=peak and ΣC squares it; neither would stay finite",
+    )]),
     axis!(speeds.label() in [SpeedKind::Const, SpeedKind::Uniform]),
     axis!(seed, parse_int),
     axis!(gran, parse_float),
@@ -1404,6 +1412,8 @@ mod tests {
         let loss = FaultPlan::new().loss(0.1);
         let poisson = ArrivalPlan::new().poisson(100.0);
         let event = GossipSpec::Event { period_ms: 100.0 };
+        let too_heavy = "avg= requires a value up to 1e100 (a load reaches avg × m under \
+                         load=peak and ΣC squares it; neither would stay finite)";
         for (spec, message) in [
             (
                 on(Batched).select(SelectSpec::TopK(4)),
@@ -1437,6 +1447,9 @@ mod tests {
                 "duration= requires arrivals= (the horizon only bounds a live arrival \
                  stream, e.g. arrivals=poisson:200)",
             ),
+            // Loads that could not stay finite, whatever the algorithm.
+            (on(Protocol).avg_load(1e300), too_heavy),
+            (on(Sequential).avg_load(1e308).faults(loss), too_heavy),
             // A schedule the stream compiler would abort on.
             (
                 on(Protocol).arrivals(poisson).duration_ms(1e10),
@@ -1468,10 +1481,13 @@ mod tests {
                 "{spec}"
             );
         }
-        // Every axis at its default is honoured by every algorithm.
+        // Every axis at its default is honoured by every algorithm, and
+        // so is the largest average the message names.
         for algo in AlgoSpec::ALL {
             assert_eq!(on(algo).validate(), Ok(()), "{algo:?}");
+            assert_eq!(on(algo).avg_load(MAX_AVG).validate(), Ok(()), "{algo:?}");
         }
+        assert_eq!(Ok(MAX_AVG), "1e100".parse(), "the bound the message names");
     }
 
     #[test]

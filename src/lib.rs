@@ -73,9 +73,7 @@
 //! ```
 //!
 //! The same pattern is available below the scenario layer as
-//! [`runtime::run_cluster_events`] (pass any `delay(i, j)` function),
-//! and [`runtime::clock::WallClock`] replays an identical schedule in
-//! real time.
+//! [`runtime::run_cluster_events`] (pass any `delay(i, j)` function).
 //!
 //! ## Scaling partner selection: `select=topk:K`
 //!
