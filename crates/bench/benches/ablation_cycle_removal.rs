@@ -9,10 +9,10 @@
 //!
 //! Run: `cargo bench -p dlb-bench --bench ablation_cycle_removal`.
 
-use dlb_bench::results::{JsonlSink, Record};
 use dlb_bench::{full_scale, sample_instance, NetworkKind};
 use dlb_core::workload::{LoadDistribution, SpeedDistribution};
 use dlb_distributed::{Engine, EngineOptions};
+use dlb_scenario::results::{JsonlSink, Record};
 
 fn main() {
     let mut sink = JsonlSink::create("ablation_cycle_removal");

@@ -22,7 +22,7 @@
 //!
 //! Run: `cargo bench -p dlb-bench --bench ablation_failure_detection`.
 
-use dlb_bench::results::{JsonlSink, Record};
+use dlb_scenario::results::{JsonlSink, Record};
 use dlb_scenario::{AlgoSpec, ScenarioSpec};
 
 /// The fixed fault trajectory every detector setting faces: 15% of

@@ -21,7 +21,7 @@
 //!
 //! Run: `cargo bench -p dlb-bench --bench ablation_fault_tolerance`.
 
-use dlb_bench::results::{JsonlSink, Record};
+use dlb_scenario::results::{JsonlSink, Record};
 use dlb_scenario::{AlgoSpec, ScenarioSpec};
 
 /// The workload every fault intensity runs against: exponential loads

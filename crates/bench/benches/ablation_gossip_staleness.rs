@@ -16,9 +16,9 @@
 //! Run: `cargo bench -p dlb-bench --bench ablation_gossip_staleness`.
 //! Writes the committed artifact `BENCH_gossip.json` at the repo root.
 
-use dlb_bench::results::{JsonlSink, Record};
 use dlb_gossip::wire::view_bytes;
 use dlb_gossip::{DeltaGossip, DeltaGossipConfig};
+use dlb_scenario::results::{JsonlSink, Record};
 use dlb_scenario::{AlgoSpec, GossipSpec, NetSpec, ScenarioSpec};
 
 fn main() {

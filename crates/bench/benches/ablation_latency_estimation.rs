@@ -11,14 +11,14 @@
 //!
 //! Run: `cargo bench -p dlb-bench --bench ablation_latency_estimation`
 
-use dlb_bench::results::{JsonlSink, Record};
 use dlb_bench::{print_header, NetworkKind};
-use dlb_coords::{Estimator, EstimatorConfig};
 use dlb_core::cost::total_cost;
 use dlb_core::rngutil::rng_for;
 use dlb_core::workload::{LoadDistribution, SpeedDistribution, WorkloadSpec};
 use dlb_core::Instance;
 use dlb_distributed::{Engine, EngineOptions};
+use dlb_scenario::results::{JsonlSink, Record};
+use dlb_topology::coords::{Estimator, EstimatorConfig};
 
 fn main() {
     let mut sink = JsonlSink::create("ablation_latency_estimation");

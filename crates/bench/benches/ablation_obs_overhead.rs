@@ -3,7 +3,7 @@
 //! The `dlb-obs` tentpole claims **zero overhead when off**: every
 //! trace hook is monomorphized over the sink type, so a `trace=off`
 //! run compiles to the same machine code as a direct executor call
-//! with [`NullSink`](dlb_obs::NullSink) baked in. This harness puts a
+//! with `dlb_obs::NullSink` baked in. This harness puts a
 //! number on that claim — and on what turning tracing *on* costs — at
 //! the paper's large-network scale (m = 5000):
 //!
@@ -27,10 +27,10 @@
 //!
 //! Run: `cargo bench -p dlb-bench --bench ablation_obs_overhead`.
 
-use dlb_bench::results::{JsonlSink, Record};
 use dlb_netsim::rtt::QueueModel;
 use dlb_netsim::LinkDelayModel;
 use dlb_runtime::{run_cluster_events, ClusterOptions, NodeConfig};
+use dlb_scenario::results::{JsonlSink, Record};
 use dlb_scenario::{RunRecord, ScenarioSpec};
 use std::time::Instant;
 

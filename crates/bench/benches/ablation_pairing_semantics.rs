@@ -12,10 +12,10 @@
 //!
 //! Run: `cargo bench -p dlb-bench --bench ablation_pairing_semantics`
 
-use dlb_bench::results::{JsonlSink, Record};
 use dlb_bench::{format_row, print_header, sample_instance, stats, NetworkKind};
 use dlb_core::workload::{LoadDistribution, SpeedDistribution};
 use dlb_distributed::{Engine, EngineOptions};
+use dlb_scenario::results::{JsonlSink, Record};
 
 fn iterations(instance: &dlb_core::Instance, pair_once: bool, seed: u64) -> usize {
     let mut engine = Engine::new(

@@ -7,11 +7,11 @@
 //!
 //! Run: `cargo bench -p dlb-bench --bench ablation_poa_theory`.
 
-use dlb_bench::results::{JsonlSink, Record};
 use dlb_core::cost::total_cost;
 use dlb_core::{Assignment, Instance};
-use dlb_game::poa::{cost_ratio, load_spread};
-use dlb_game::{
+use dlb_scenario::results::{JsonlSink, Record};
+use dlb_solver::game::poa::{cost_ratio, load_spread};
+use dlb_solver::game::{
     run_best_response_dynamics, theorem1_bounds, theorem1_tight_equilibrium, DynamicsOptions,
 };
 

@@ -11,11 +11,11 @@
 //!
 //! Run: `cargo bench -p dlb-bench --bench ablation_runtime_protocol`
 
-use dlb_bench::results::{JsonlSink, Record};
 use dlb_bench::{print_header, sample_instance, NetworkKind};
 use dlb_core::workload::{LoadDistribution, SpeedDistribution};
 use dlb_distributed::{Engine, EngineOptions};
 use dlb_runtime::{run_cluster_events, ClusterOptions};
+use dlb_scenario::results::{JsonlSink, Record};
 
 fn main() {
     let mut sink = JsonlSink::create("ablation_runtime_protocol");

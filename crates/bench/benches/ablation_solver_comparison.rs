@@ -12,12 +12,12 @@
 
 use std::time::Instant;
 
-use dlb_bench::results::{JsonlSink, Record};
 use dlb_bench::{full_scale, sample_instance, NetworkKind};
 use dlb_core::cost::total_cost;
 use dlb_core::workload::{LoadDistribution, SpeedDistribution};
 use dlb_distributed::mine::PartnerSelection;
 use dlb_distributed::{Engine, EngineOptions};
+use dlb_scenario::results::{JsonlSink, Record};
 use dlb_solver::frank_wolfe::{solve_frank_wolfe, FwOptions};
 use dlb_solver::{solve_bcd, solve_pgd, PgdOptions};
 

@@ -22,7 +22,7 @@
 //!
 //! Run: `cargo bench -p dlb-bench --bench ablation_streaming`.
 
-use dlb_bench::results::{JsonlSink, Record};
+use dlb_scenario::results::{JsonlSink, Record};
 use dlb_scenario::{AlgoSpec, ScenarioSpec};
 
 /// The intensity sweep: exact `arrivals=` axis values, light to

@@ -17,9 +17,9 @@
 //! (`DLB_BENCH_SCALE=full` adds m = 3000 and m = 5000).
 
 use dlb_bench::full_scale;
-use dlb_bench::results::{JsonlSink, Record};
 use dlb_core::workload::LoadDistribution;
 use dlb_distributed::{Engine, EngineOptions, RoundMode};
+use dlb_scenario::results::{JsonlSink, Record};
 use dlb_scenario::{AlgoSpec, NetSpec, ScenarioSpec};
 
 /// The Figure-2 scenario: total peak load of 100 000 requests on one

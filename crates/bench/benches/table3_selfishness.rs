@@ -15,9 +15,9 @@
 //!
 //! Run: `cargo bench -p dlb-bench --bench table3_selfishness`.
 
-use dlb_bench::results::{JsonlSink, Record};
 use dlb_bench::{format_row, full_scale, print_header, scenario_for, stats, NetworkKind};
 use dlb_core::workload::{LoadDistribution, SpeedDistribution};
+use dlb_scenario::results::{JsonlSink, Record};
 use dlb_scenario::AlgoSpec;
 
 fn main() {

@@ -1,11 +1,15 @@
 //! # dlb-bench — experiment harnesses for every table and figure
 //!
 //! Each `harness = false` bench target regenerates one artifact of the
-//! paper's evaluation (§VI and the Appendix) and prints it in the
-//! paper's row format; `benches/kernels.rs` adds Criterion
-//! micro-benchmarks of the hot kernels. This library crate holds the
-//! shared machinery: experiment grids, the optimum oracle, descriptive
-//! statistics, and table formatting.
+//! paper's evaluation (§VI and the Appendix), or one ablation that
+//! answers a modelling question, and prints it in the paper's row
+//! format. This library crate holds the shared machinery: experiment
+//! grids, the optimum oracle, descriptive statistics, and table
+//! formatting. Nothing depends on it — the `dlb` binary included: the
+//! record writer and the report renderer the targets write through are
+//! `dlb_scenario::{results, report}`, beside the `RunRecord` they
+//! serialize. How fast the system runs is not measured here but by the
+//! perf ledger in `benchmark/`.
 //!
 //! Scale control: set `DLB_BENCH_SCALE=full` for the paper-sized grids
 //! (minutes of runtime); the default `fast` grids keep every qualitative
@@ -13,24 +17,18 @@
 //! CI.
 //!
 //! Reading the committed artifacts: every record carries `host_cores`.
-//! On a 1-core host the `dlb-par` worker pool degrades to its
-//! sequential inline path, so wall-clock rows recorded there (the
-//! committed `BENCH_runtime.json` snapshots included) *understate* the
-//! executor's multi-core fan-out — the delivery batches and the
-//! per-round scoring shard across `DLB_THREADS` workers on real
-//! hardware. Compare rows only within one `host_cores` value.
+//! On a 1-core host `dlb-par` degrades to its sequential inline path,
+//! so wall-clock columns recorded there *understate* the multi-core
+//! fan-out of the per-round scoring. Compare rows only within one
+//! `host_cores` value.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod report;
-pub mod results;
-
 use dlb_core::workload::{LoadDistribution, SpeedDistribution};
 use dlb_core::{Instance, LatencyMatrix};
+use dlb_scenario::results::{JsonlSink, Record};
 use dlb_scenario::{NetSpec, ScenarioSpec, SpeedKind};
-
-use crate::results::{JsonlSink, Record};
 
 /// Which latency substrate an experiment runs on (§VI-A).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

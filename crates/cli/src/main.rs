@@ -13,7 +13,7 @@
 //! `seed`), which `run` executes through
 //! [`dlb_scenario::ScenarioSpec::run`], prints as a compact report,
 //! and emits as a JSON-lines record through
-//! [`dlb_bench::results::JsonlSink`] — `--out FILE` writes to an
+//! [`dlb_scenario::results::JsonlSink`] — `--out FILE` writes to an
 //! explicit file, otherwise `DLB_RESULTS_DIR` selects the directory
 //! (unset = no record). `dlb report` renders those records (and the
 //! committed bench artifacts) as aligned tables. The full experiment
@@ -25,10 +25,10 @@ mod args;
 mod trace;
 
 use args::{ArgError, Args};
-use dlb_bench::report::render_report;
-use dlb_bench::results::{JsonlSink, Record};
-use dlb_coords::{Estimator, EstimatorConfig};
-use dlb_scenario::{AlgoSpec, NetSpec, ScenarioSpec, TraceSpec};
+use dlb_scenario::report::render_report;
+use dlb_scenario::results::{JsonlSink, Record};
+use dlb_scenario::{AlgoSpec, ScenarioSpec, TraceSpec};
+use dlb_topology::coords::{Estimator, EstimatorConfig};
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -281,10 +281,9 @@ fn cmd_estimate(args: &Args) -> Result<(), ArgError> {
     let seed = args.get_num("seed", 1)?;
     let ticks = args.get_num("ticks", 50)?;
     let probes = args.get_num("probes", 4)?;
-    let truth = ScenarioSpec::new()
-        .net(NetSpec::Pl)
-        .servers(m)
-        .seed(seed)
+    // The network is a scenario, so `--servers` answers to `m=`'s rules.
+    let truth = ScenarioSpec::parse(&format!("net=pl m={m} seed={seed}"))
+        .map_err(|e| ArgError(e.0))?
         .build_latency();
     let mut est = Estimator::new(
         m,
@@ -297,7 +296,7 @@ fn cmd_estimate(args: &Args) -> Result<(), ArgError> {
     let mut sink = open_sink(args)?;
     println!("tick  median relative error");
     let step = (ticks / 10).max(1);
-    let mut errors = Vec::with_capacity(ticks);
+    let mut errors = Vec::new();
     for t in 0..ticks {
         est.tick(&truth);
         errors.push(est.median_relative_error(&truth));

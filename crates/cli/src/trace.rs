@@ -16,10 +16,10 @@
 //!   (`chrome://tracing`, Perfetto) to `--out` or stdout.
 
 use crate::args::{ArgError, Args};
-use dlb_bench::report::render_report;
-use dlb_bench::results::Record;
 use dlb_obs::{tag_label, FrameLog, TraceEvent, NODE_COORD};
 use dlb_scenario::replay_frame_log;
+use dlb_scenario::report::render_report;
+use dlb_scenario::results::Record;
 
 /// The `--node`/`--kind`/`--from`/`--to` filter, parsed once.
 struct Filter {

@@ -9,8 +9,8 @@
 //! * `dlb report` output over a committed fixture is pinned by a
 //!   golden string.
 
-use dlb_bench::report::{parse_jsonl, Value};
 use dlb_distributed::{Engine, EngineOptions, RoundMode};
+use dlb_scenario::report::{parse_jsonl, Value};
 use dlb_scenario::ScenarioSpec;
 use std::process::Command;
 
@@ -345,11 +345,37 @@ fn bad_specs_and_missing_files_fail_cleanly() {
             &["run", "algo=protocol", "m=8", "avg=1e300"][..],
             "error: avg= requires a value up to 1e100",
         ),
+        // More nodes than 32-bit node ids can name.
+        (
+            &["run", "algo=protocol", "m=99999999999"][..],
+            "error: m= requires a value of at most 4294967295 (node ids are 32-bit)",
+        ),
+        // `estimate --servers` is an `m=` and answers to its rules.
+        (
+            &["estimate", "--servers", "0"][..],
+            "error: m must be at least 1",
+        ),
     ] {
         let output = dlb().args(args).output().unwrap();
         assert_eq!(output.status.code(), Some(1), "{args:?}");
         let stderr = String::from_utf8_lossy(&output.stderr);
         assert!(stderr.contains(needle), "{args:?}: {stderr}");
+    }
+    // A typed tick count sizes no allocation up front: however large,
+    // the first tick is simply run and printed.
+    {
+        use std::io::{BufRead, BufReader};
+        let mut child = dlb()
+            .args(["estimate", "--servers", "4", "--ticks", "99999999999999"])
+            .stdout(std::process::Stdio::piped())
+            .spawn()
+            .unwrap();
+        let mut lines = BufReader::new(child.stdout.take().unwrap()).lines();
+        let first_two: Vec<String> = lines.by_ref().take(2).map(Result::unwrap).collect();
+        child.kill().unwrap();
+        child.wait().unwrap();
+        assert_eq!(first_two[0], "tick  median relative error");
+        assert!(first_two[1].starts_with("   1  "), "{first_two:?}");
     }
     // A record that cannot reach the file `--out` names is an error
     // naming it, not a silent success over an empty file.

@@ -183,35 +183,36 @@ pub fn makespan(instance: &Instance, a: &Assignment) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// Exact cost change from moving `delta` requests owned by `k` from
-/// server `from` to server `to` (Lemma 1's `f(Δ) - f(0)`), without
-/// mutating the assignment.
-pub fn move_cost_delta(
-    instance: &Instance,
-    a: &Assignment,
-    k: usize,
-    from: usize,
-    to: usize,
-    delta: f64,
-) -> f64 {
-    if from == to || delta == 0.0 {
-        return 0.0;
-    }
-    let li = a.load(from);
-    let lj = a.load(to);
-    let si = instance.speed(from);
-    let sj = instance.speed(to);
-    let congestion = ((li - delta) * (li - delta) - li * li) / (2.0 * si)
-        + ((lj + delta) * (lj + delta) - lj * lj) / (2.0 * sj);
-    let comm = delta * (instance.c(k, to) - instance.c(k, from));
-    congestion + comm
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::latency::LatencyMatrix;
     use proptest::prelude::*;
+
+    /// Exact cost change from moving `delta` requests owned by `k` from
+    /// server `from` to server `to` (Lemma 1's `f(Δ) - f(0)`), without
+    /// mutating the assignment: the closed form `total_cost` is judged
+    /// against below.
+    fn move_cost_delta(
+        instance: &Instance,
+        a: &Assignment,
+        k: usize,
+        from: usize,
+        to: usize,
+        delta: f64,
+    ) -> f64 {
+        if from == to || delta == 0.0 {
+            return 0.0;
+        }
+        let li = a.load(from);
+        let lj = a.load(to);
+        let si = instance.speed(from);
+        let sj = instance.speed(to);
+        let congestion = ((li - delta) * (li - delta) - li * li) / (2.0 * si)
+            + ((lj + delta) * (lj + delta) - lj * lj) / (2.0 * sj);
+        let comm = delta * (instance.c(k, to) - instance.c(k, from));
+        congestion + comm
+    }
 
     fn small_instance() -> Instance {
         Instance::new(

@@ -143,6 +143,10 @@ enum Tier {
     Run,
 }
 
+// `push`, `pop` and `peek_due` are `#[inline]`: the executor's loop is
+// generic, so it is compiled in whichever crate names its sink, and
+// without the hint these inline into it only when they happen to share
+// its codegen unit (worth ±9 % of `topk_m100k`'s wall time).
 impl<T> EventHeap<T> {
     /// Creates an empty heap with sequence numbers starting at 0.
     pub fn new() -> Self {
@@ -163,6 +167,7 @@ impl<T> EventHeap<T> {
     /// # Panics
     /// Debug-panics on a non-finite due time (it would poison the heap
     /// order).
+    #[inline]
     pub fn push(&mut self, due: f64, item: T) -> u64 {
         debug_assert!(due.is_finite(), "event due time {due} must be finite");
         let seq = self.next_seq;
@@ -201,6 +206,7 @@ impl<T> EventHeap<T> {
     }
 
     /// Removes and returns the earliest event (`(due, seq)` order).
+    #[inline]
     pub fn pop(&mut self) -> Option<Scheduled<T>> {
         self.refill();
         let event = match self.earliest()?.0 {
@@ -215,6 +221,7 @@ impl<T> EventHeap<T> {
     }
 
     /// The due time of the next event, if any (`&mut`: see `refill`).
+    #[inline]
     pub fn peek_due(&mut self) -> Option<f64> {
         self.refill();
         self.earliest().map(|(_, event)| event.due)

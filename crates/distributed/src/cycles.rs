@@ -9,10 +9,10 @@
 //! organization's outflow while minimizing total communication cost —
 //! exactly what dismantling all negative relay cycles achieves.
 
+use crate::flow::ssp::min_cost_max_flow;
+use crate::flow::FlowNetwork;
 use dlb_core::sparse::SparseVec;
 use dlb_core::{Assignment, Instance};
-use dlb_flow::ssp::min_cost_max_flow;
-use dlb_flow::FlowNetwork;
 
 /// Statistics of a negative-cycle-removal pass.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -9,8 +9,8 @@
 //! error graph has no negative cycle, which is what
 //! [`crate::cycles::remove_negative_cycles`] establishes.
 
+use crate::flow::bellman_ford::{bellman_ford, WeightedEdge};
 use dlb_core::{Assignment, Instance};
-use dlb_flow::bellman_ford::{bellman_ford, WeightedEdge};
 
 /// One transfer in the decomposition of `ρ − ρ'`.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -4,7 +4,7 @@
 //! min-cost-flow (initial potentials, cycle cancelling) and directly by
 //! `dlb-distributed` to analyze the *error graph* of Proposition 1.
 
-use crate::FLOW_EPS;
+use crate::flow::FLOW_EPS;
 
 /// A plain weighted directed edge for the standalone graph algorithms.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -1,3 +1,4 @@
+#![cfg(test)]
 //! Negative-cycle cancelling on residual graphs.
 //!
 //! Given *any* feasible flow, repeatedly finding a negative-cost cycle
@@ -6,9 +7,13 @@
 //! this idea: a "negative cycle" of relayed requests can be dismantled
 //! without changing any server's load, strictly reducing communication
 //! time.
+//!
+//! Nothing in the product calls it — the Appendix reduction runs on
+//! [`ssp`](super::ssp) — so it is compiled for tests only, as the
+//! independent algorithm the flow tests judge `ssp` by.
 
-use crate::graph::FlowNetwork;
-use crate::FLOW_EPS;
+use crate::flow::graph::FlowNetwork;
+use crate::flow::FLOW_EPS;
 
 /// Result of a cycle-cancelling pass.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -104,7 +109,12 @@ mod tests {
     /// 1 unit shipped 0→1→2 (cost 10 each) while a direct 0→2 edge of
     /// cost 1 sits idle. The residual graph then contains the negative
     /// cycle 0→2 (cost 1), 2→1 reverse (-10), 1→0 reverse (-10).
-    fn suboptimal_triangle() -> (FlowNetwork, crate::EdgeId, crate::EdgeId, crate::EdgeId) {
+    fn suboptimal_triangle() -> (
+        FlowNetwork,
+        crate::flow::EdgeId,
+        crate::flow::EdgeId,
+        crate::flow::EdgeId,
+    ) {
         let mut g = FlowNetwork::new(3);
         let e01 = g.add_edge(0, 1, 1.0, 10.0);
         let e12 = g.add_edge(1, 2, 1.0, 10.0);
@@ -154,7 +164,7 @@ mod tests {
 
     #[test]
     fn agrees_with_ssp_on_random_instances() {
-        use crate::ssp::min_cost_max_flow;
+        use crate::flow::ssp::min_cost_max_flow;
         // Build a small layered graph; route max flow greedily (expensive
         // first), then cancel cycles; cost must match SSP from scratch.
         let build = || {

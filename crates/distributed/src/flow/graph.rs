@@ -1,6 +1,6 @@
 //! Residual flow-network representation.
 
-use crate::FLOW_EPS;
+use crate::flow::FLOW_EPS;
 
 /// Identifier of a directed edge added with
 /// [`FlowNetwork::add_edge`]; use it to query flow after solving.
@@ -23,8 +23,6 @@ pub struct FlowNetwork {
     n: usize,
     pub(crate) edges: Vec<Edge>,
     pub(crate) adj: Vec<Vec<u32>>,
-    /// Original capacity of each forward edge (even indices).
-    original_cap: Vec<f64>,
 }
 
 impl FlowNetwork {
@@ -34,7 +32,6 @@ impl FlowNetwork {
             n,
             edges: Vec::new(),
             adj: vec![Vec::new(); n],
-            original_cap: Vec::new(),
         }
     }
 
@@ -73,7 +70,6 @@ impl FlowNetwork {
         });
         self.adj[u].push(id as u32);
         self.adj[v].push(id as u32 + 1);
-        self.original_cap.push(cap);
         EdgeId(id)
     }
 
@@ -86,16 +82,6 @@ impl FlowNetwork {
         } else {
             f
         }
-    }
-
-    /// Remaining residual capacity of edge `e`.
-    pub fn residual(&self, e: EdgeId) -> f64 {
-        self.edges[e.0].cap
-    }
-
-    /// Original capacity of edge `e` as passed to `add_edge`.
-    pub fn capacity(&self, e: EdgeId) -> f64 {
-        self.original_cap[e.0 / 2]
     }
 
     /// Total cost of the current flow, `Σ flow(e) · cost(e)`.
@@ -153,8 +139,7 @@ mod tests {
         let e = g.add_edge(0, 1, 5.0, 2.0);
         assert_eq!(g.edges.len(), 2, "one forward edge and its residual twin");
         assert_eq!(g.flow(e), 0.0);
-        assert_eq!(g.residual(e), 5.0);
-        assert_eq!(g.capacity(e), 5.0);
+        assert_eq!(g.edges[e.0].cap, 5.0);
         assert_eq!(g.total_cost(), 0.0);
     }
 
@@ -164,7 +149,7 @@ mod tests {
         let e = g.add_edge(0, 1, 5.0, 3.0);
         g.push(0, 2.0);
         assert_eq!(g.flow(e), 2.0);
-        assert_eq!(g.residual(e), 3.0);
+        assert_eq!(g.edges[e.0].cap, 3.0);
         assert_eq!(g.total_cost(), 6.0);
         assert_eq!(g.net_outflow(0), 2.0);
         assert_eq!(g.net_outflow(1), -2.0);

@@ -9,9 +9,9 @@
 
 use proptest::prelude::*;
 
-use crate::cycle_cancel::{cancel_negative_cycles, find_negative_cycle};
-use crate::graph::FlowNetwork;
-use crate::ssp::min_cost_max_flow;
+use crate::flow::cycle_cancel::{cancel_negative_cycles, find_negative_cycle};
+use crate::flow::graph::FlowNetwork;
+use crate::flow::ssp::min_cost_max_flow;
 
 /// A random bipartite transport instance: `n` supply nodes, `n` demand
 /// nodes, full transport layer with the given costs.
@@ -52,7 +52,7 @@ fn greedy_max_flow(g: &mut FlowNetwork, s: usize, t: usize) {
             for &eid in &g.adj[u] {
                 let e = &g.edges[eid as usize];
                 let v = e.to as usize;
-                if !seen[v] && e.cap > crate::FLOW_EPS {
+                if !seen[v] && e.cap > crate::flow::FLOW_EPS {
                     seen[v] = true;
                     pred[v] = Some(eid as usize);
                     queue.push_back(v);

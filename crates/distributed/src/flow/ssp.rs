@@ -3,8 +3,8 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::graph::FlowNetwork;
-use crate::FLOW_EPS;
+use crate::flow::graph::FlowNetwork;
+use crate::flow::FLOW_EPS;
 
 /// Outcome of a min-cost max-flow computation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -47,8 +47,8 @@ impl PartialOrd for HeapItem {
 ///
 /// Requires all *initial* residual edges to have non-negative reduced
 /// cost under zero potentials — i.e. no negative-cost forward edges.
-/// (All graphs built by this workspace satisfy this; for general graphs
-/// run [`crate::cycle_cancel::cancel_negative_cycles`] afterwards.)
+/// (All graphs built by this workspace satisfy this; a general graph
+/// would need negative-cycle cancelling afterwards.)
 ///
 /// # Panics
 /// Panics when a negative-cost forward edge is present.

@@ -27,7 +27,10 @@
 //! * [`error_graph`] — the error-graph construction used by the bound's
 //!   no-negative-cycle precondition,
 //! * [`cycles`] — the Appendix reduction of negative-cycle removal to
-//!   minimum-cost maximum flow (via `dlb-flow`).
+//!   minimum-cost maximum flow,
+//! * [`flow`] — the min-cost-flow substrate under those two
+//!   (Bellman-Ford, successive shortest paths); they are its only
+//!   callers, so it lives here rather than behind a crate wall.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -37,6 +40,7 @@ pub mod engine;
 pub mod error_bound;
 pub mod error_graph;
 pub mod feed;
+pub mod flow;
 pub mod mine;
 pub mod round;
 pub mod transfer;

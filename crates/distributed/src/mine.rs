@@ -923,10 +923,8 @@ mod tests {
         );
     }
 
-    /// The bit-equality property over random shapes. Behind the
-    /// `proptests` feature like the other crates' property suites; the
-    /// fixed grid above always runs.
-    #[cfg(feature = "proptests")]
+    /// The bit-equality property over random shapes; the fixed grid
+    /// above is its deterministic twin.
     mod kernel_proptests {
         use super::*;
         use proptest::prelude::*;

@@ -53,11 +53,12 @@
 #![forbid(unsafe_code)]
 
 pub mod plan;
-#[cfg(all(test, feature = "proptests"))]
-mod proptests;
 pub mod script;
 
 pub use plan::{
     CrashFault, FaultError, FaultPlan, LossFault, PartitionFault, SlowFault, SpikeFault,
 };
 pub use script::{FaultScript, FaultSummary, LinkOutcome, MAX_RETRANSMITS, RETRANSMIT_MS};
+
+#[cfg(test)]
+mod proptests;

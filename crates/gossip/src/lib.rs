@@ -26,10 +26,11 @@
 #![forbid(unsafe_code)]
 
 pub mod delta;
-#[cfg(all(test, feature = "proptests"))]
-mod proptests;
 pub mod shard;
 pub mod wire;
 
 pub use delta::{DeltaGossip, DeltaGossipConfig, GossipTraffic};
 pub use shard::ShardMap;
+
+#[cfg(test)]
+mod proptests;

@@ -42,11 +42,6 @@ impl ShardMap {
         ShardMap { m, shard_size }
     }
 
-    /// Number of origins covered.
-    pub fn origins(&self) -> usize {
-        self.m
-    }
-
     /// Number of shards (at least 1 even for an empty system, so the
     /// rotation `tick % count` is always well defined).
     pub fn count(&self) -> usize {

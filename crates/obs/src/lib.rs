@@ -37,5 +37,5 @@ pub use framelog::{FrameLog, Trailer, FORMAT_VERSION};
 pub use metrics::{Histogram, MetricSet, ObsSummary, BUCKETS};
 pub use sink::{MemorySink, NullSink, SummarySink, TraceSink};
 
-#[cfg(all(test, feature = "proptests"))]
+#[cfg(test)]
 mod proptests;

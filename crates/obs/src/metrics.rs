@@ -144,11 +144,6 @@ impl Histogram {
         self.min_ms = self.min_ms.min(other.min_ms);
         self.max_ms = self.max_ms.max(other.max_ms);
     }
-
-    /// The raw bucket counts (tests and renderers).
-    pub fn buckets(&self) -> &[u64; BUCKETS] {
-        &self.counts
-    }
 }
 
 /// Per-kind counters plus the latency histograms the tentpole names:

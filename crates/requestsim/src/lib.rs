@@ -25,8 +25,6 @@
 #![forbid(unsafe_code)]
 
 pub mod discretize;
-#[cfg(all(test, feature = "proptests"))]
-mod proptests;
 pub mod sim;
 pub mod stream;
 pub mod validate;
@@ -34,3 +32,6 @@ pub mod validate;
 pub use discretize::discretize;
 pub use sim::{Discipline, SimConfig, SimResult};
 pub use stream::{Arrival, ArrivalPlan, StreamError, StreamScript};
+
+#[cfg(test)]
+mod proptests;

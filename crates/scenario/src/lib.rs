@@ -48,6 +48,9 @@
 //!   recorded `event_hash` is computed *before* any tracing hook runs,
 //!   so untraced runs stay byte-identical). `trace=off` (the default)
 //!   compiles the hooks away through a `NullSink`.
+//! * [`results`] and [`report`] are the record's two ends on disk: the
+//!   JSON-lines writer behind `dlb run --out`, the bench harnesses and
+//!   the committed `BENCH_*.json`, and the reader behind `dlb report`.
 //!
 //! ```
 //! use dlb_scenario::{AlgoSpec, ScenarioSpec};
@@ -63,6 +66,8 @@
 #![forbid(unsafe_code)]
 
 pub mod replay;
+pub mod report;
+pub mod results;
 pub mod runner;
 pub mod spec;
 

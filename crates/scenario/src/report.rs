@@ -360,6 +360,7 @@ pub fn render_report(text: &str) -> Result<String, String> {
 mod tests {
     use super::*;
     use crate::results::Record;
+    use crate::RunRecord;
 
     #[test]
     fn parses_what_the_sink_writes() {
@@ -442,7 +443,7 @@ mod tests {
     /// operator-facing view of what the failure detector did.
     #[test]
     fn renders_fault_and_detector_columns_for_run_records() {
-        let run = dlb_scenario::RunRecord {
+        let run = RunRecord {
             scenario: "algo=protocol runtime=events m=8 detect=adaptive".into(),
             algo: "protocol",
             m: 8,
@@ -481,7 +482,7 @@ mod tests {
         }
         assert!(report.contains("212.5"), "{report}");
         // Quiet runs keep the same shape, zero-filled (v2 contract).
-        let quiet = dlb_scenario::RunRecord {
+        let quiet = RunRecord {
             faults: Default::default(),
             detector: Default::default(),
             ..run
@@ -496,7 +497,7 @@ mod tests {
     /// group entirely, keeping pre-v3 output byte-identical.
     #[test]
     fn renders_stream_columns_only_for_streamed_runs() {
-        let run = dlb_scenario::RunRecord {
+        let run = RunRecord {
             scenario: "algo=protocol runtime=events m=8 arrivals=poisson:200 duration=1000".into(),
             algo: "protocol",
             m: 8,
@@ -529,7 +530,7 @@ mod tests {
         }
         assert!(report.contains("140.25"), "{report}");
         // An unstreamed record has no stream_* keys at all.
-        let quiet = dlb_scenario::RunRecord {
+        let quiet = RunRecord {
             stream: Default::default(),
             ..run
         };
@@ -549,7 +550,7 @@ mod tests {
     /// byte-identical.
     #[test]
     fn renders_gossip_columns_only_for_gossip_fed_runs() {
-        let run = dlb_scenario::RunRecord {
+        let run = RunRecord {
             scenario: "algo=batched net=homog m=30 gossip=event:100ms".into(),
             algo: "batched",
             m: 30,
@@ -560,7 +561,7 @@ mod tests {
             faults: Default::default(),
             detector: Default::default(),
             stream: Default::default(),
-            gossip: dlb_scenario::GossipTraffic {
+            gossip: crate::GossipTraffic {
                 frames: 1500,
                 bytes: 937_500,
                 exchanges: 750,
@@ -576,7 +577,7 @@ mod tests {
         }
         assert!(report.contains("937500"), "{report}");
         // A quiet (emulated/fresh) record has no gossip_* keys at all.
-        let quiet = dlb_scenario::RunRecord {
+        let quiet = RunRecord {
             gossip: Default::default(),
             ..run
         };
@@ -595,7 +596,7 @@ mod tests {
     /// fills.
     #[test]
     fn renders_obs_columns_only_for_traced_runs() {
-        let run = dlb_scenario::RunRecord {
+        let run = RunRecord {
             scenario: "algo=protocol runtime=events m=8 trace=summary".into(),
             algo: "protocol",
             m: 8,
@@ -628,7 +629,7 @@ mod tests {
         ] {
             assert!(report.contains(col), "missing column {col}:\n{report}");
         }
-        let quiet = dlb_scenario::RunRecord {
+        let quiet = RunRecord {
             obs: Default::default(),
             ..run
         };

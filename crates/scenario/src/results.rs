@@ -1,11 +1,9 @@
 //! Self-describing JSON-lines results output.
 //!
-//! Replaces the old ad-hoc CSV sink (`csv.rs`): every experiment
-//! harness appends one JSON object per measurement, so a single
-//! streaming format serves all 13 benches and downstream tooling can
-//! render the paper tables from it without per-file schemas.
-//! Hand-rolled: the approved dependency set has no JSON crate, and the
-//! needs (flat records of numbers, strings, and booleans) are trivial.
+//! `dlb run` and every experiment harness append one flat JSON object
+//! per measurement — [`Record::from_run`] is the shape of a
+//! [`RunRecord`] — so [`crate::report`] renders them all without
+//! per-file schemas. Hand-rolled: the dependency set has no JSON crate.
 //!
 //! Two sinks are provided:
 //! * [`JsonlSink::create`] — the environment-driven sink harnesses use:
@@ -19,6 +17,8 @@
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
+
+use crate::RunRecord;
 
 /// One flat JSON record under construction. Field order is preserved.
 #[derive(Debug, Clone, Default)]
@@ -70,7 +70,7 @@ impl Record {
         self
     }
 
-    /// Flattens a runner's [`RunRecord`](dlb_scenario::RunRecord) —
+    /// Flattens a runner's [`RunRecord`] —
     /// scenario text, summary costs, and the full cost trajectory —
     /// under the given `kind` tag. This is the one shape every CLI
     /// command and ported harness emits, so `dlb report` renders them
@@ -93,7 +93,7 @@ impl Record {
     /// same quiet-group rule: emitted only when the run's `trace=`
     /// mode actually observed events, so untraced records keep the v3
     /// shape byte for byte.
-    pub fn from_run(kind: &str, run: &dlb_scenario::RunRecord) -> Self {
+    pub fn from_run(kind: &str, run: &RunRecord) -> Self {
         let mut r = Record::new(kind)
             .str("scenario", &run.scenario)
             .str("algo", run.algo)
@@ -259,11 +259,6 @@ impl JsonlSink {
             .int("host_cores", host_cores as i64)
             .int("dlb_threads", dlb_par::num_threads() as i64)
     }
-
-    /// Whether records are actually being persisted.
-    pub fn is_active(&self) -> bool {
-        self.file.is_some()
-    }
 }
 
 #[cfg(test)]
@@ -297,13 +292,16 @@ mod tests {
     fn sink_honours_results_dir_env() {
         std::env::remove_var("DLB_RESULTS_DIR");
         let mut sink = JsonlSink::create("unit_noop");
-        assert!(!sink.is_active());
         sink.record(&Record::new("x")); // must not panic
+        assert!(
+            !Path::new("unit_noop.jsonl").exists(),
+            "an unset DLB_RESULTS_DIR writes nowhere, the working directory included"
+        );
 
         let dir = std::env::temp_dir().join("dlb_jsonl_test");
         std::env::set_var("DLB_RESULTS_DIR", &dir);
         let mut sink = JsonlSink::create("unit_rows");
-        assert!(sink.is_active());
+        assert!(dir.join("unit_rows.jsonl").exists(), "opened on create");
         sink.record(&Record::new("row").int("i", 1));
         sink.record(&Record::new("row").int("i", 2).str("note", "a,b"));
         drop(sink);

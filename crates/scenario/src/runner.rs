@@ -14,7 +14,6 @@ use dlb_core::Assignment;
 use dlb_distributed::mine::PartnerSelection;
 use dlb_distributed::{Engine, EngineOptions, RoundMode};
 use dlb_faults::{FaultSummary, MAX_RETRANSMITS, RETRANSMIT_MS};
-use dlb_game::{run_best_response_dynamics, DynamicsOptions};
 use dlb_gossip::GossipTraffic;
 use dlb_netsim::rtt::QueueModel;
 use dlb_netsim::LinkDelayModel;
@@ -23,6 +22,7 @@ use dlb_runtime::{
     run_cluster_events_observed, ClusterOptions, ClusterReport, DetectMode, DetectorSummary,
     NodeConfig, SelectPolicy, StreamSummary, VirtualClock,
 };
+use dlb_solver::game::{run_best_response_dynamics, DynamicsOptions};
 use dlb_solver::solve_bcd;
 
 use crate::spec::{AlgoSpec, DetectSpec, GossipSpec, ScenarioSpec, SelectSpec, TraceSpec};
@@ -198,7 +198,7 @@ fn run_engine(spec: &ScenarioSpec, instance: Instance) -> RunRecord {
 }
 
 /// Runs selfish best-response dynamics
-/// ([`dlb_game::run_best_response_dynamics`]). `eps` is the paper's
+/// ([`dlb_solver::game::run_best_response_dynamics`]). `eps` is the paper's
 /// per-organization change threshold (§VI-C uses `0.01`), `patience`
 /// the calm-round count, `budget` the round budget.
 fn run_nash(spec: &ScenarioSpec, instance: Instance) -> RunRecord {

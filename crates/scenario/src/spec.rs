@@ -785,6 +785,10 @@ type Needs = (&'static str, fn(&ScenarioSpec) -> bool);
 /// beyond, `ΣC` is `inf` or a load is, which `Instance::new` panics on.
 const MAX_AVG: f64 = 1e100;
 
+/// The largest `m=`: the protocol machines and their frames carry node
+/// ids as `u32`, so a larger cluster would alias them.
+const MAX_M: usize = u32::MAX as usize;
+
 /// The only system that honours the event-executor axes.
 const PROTOCOL: Needs = ("algo=protocol", |spec| spec.algo == AlgoSpec::Protocol);
 /// The two round modes of the distributed engine.
@@ -848,7 +852,10 @@ const AXES: &[Axis] = &[
     // `algo`, `net` and `m` head every canonical text.
     Axis { always: true, ..axis!(algo.label() in AlgoSpec::ALL) },
     Axis { always: true, ..axis!(net.label() in [NetSpec::Homog, NetSpec::Euclid, NetSpec::Pl]) },
-    Axis { always: true, ..axis!(m, parse_count) },
+    Axis { always: true, ..axis!(m, parse_count, &[(
+        ("a value of at most 4294967295", |spec| spec.m <= MAX_M),
+        "node ids are 32-bit",
+    )]) },
     axis!(lat, parse_float),
     axis!(load.label() in [
         LoadDistribution::Constant,
@@ -1026,6 +1033,10 @@ mod tests {
             ("speeds=fast", "not one of const|uniform"),
             ("m=0", "at least 1"),
             ("m=-3", "not a non-negative integer"),
+            (
+                "algo=protocol m=99999999999",
+                "at most 4294967295 (node ids are 32-bit)",
+            ),
             ("avg=NaN", "finite and non-negative"),
             ("avg=-1", "finite and non-negative"),
             ("eps=abc", "not a number"),
@@ -1450,6 +1461,11 @@ mod tests {
             // Loads that could not stay finite, whatever the algorithm.
             (on(Protocol).avg_load(1e300), too_heavy),
             (on(Sequential).avg_load(1e308).faults(loss), too_heavy),
+            // More nodes than there are node ids.
+            (
+                on(Protocol).servers(MAX_M + 1),
+                "m= requires a value of at most 4294967295 (node ids are 32-bit)",
+            ),
             // A schedule the stream compiler would abort on.
             (
                 on(Protocol).arrivals(poisson).duration_ms(1e10),
@@ -1486,6 +1502,7 @@ mod tests {
         for algo in AlgoSpec::ALL {
             assert_eq!(on(algo).validate(), Ok(()), "{algo:?}");
             assert_eq!(on(algo).avg_load(MAX_AVG).validate(), Ok(()), "{algo:?}");
+            assert_eq!(on(algo).servers(MAX_M).validate(), Ok(()), "{algo:?}");
         }
         assert_eq!(Ok(MAX_AVG), "1e100".parse(), "the bound the message names");
     }

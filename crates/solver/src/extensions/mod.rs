@@ -1,4 +1,4 @@
-//! # dlb-extensions — §VII: heterogeneous tasks and replication
+//! §VII: heterogeneous tasks and replication.
 //!
 //! The base model assumes unit-size requests. Section VII of the paper
 //! extends it in two directions, both implemented here:
@@ -15,9 +15,6 @@
 //!   `R·ρ_ij` is a valid inclusion probability; [`replication`] realizes
 //!   placements with Madow systematic sampling, which picks exactly `R`
 //!   distinct servers with those marginals.
-
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod replication;
 pub mod rounding;

@@ -11,8 +11,8 @@
 //! give `x_j = s_j (λ − a_j)₊` with `a_j = c_ij + L_j / 2s_j` — a
 //! water-filling problem solved exactly by `dlb-solver`.
 
+use crate::waterfill::{waterfill, waterfill_capped};
 use dlb_core::{Assignment, Instance};
-use dlb_solver::waterfill::{waterfill, waterfill_capped};
 
 /// Computes organization `i`'s exact best response against the current
 /// assignment. Returns the new row (`x_j` = requests of `i` on server
@@ -20,7 +20,7 @@ use dlb_solver::waterfill::{waterfill, waterfill_capped};
 ///
 /// ```
 /// use dlb_core::{Assignment, Instance, LatencyMatrix};
-/// use dlb_game::best_response;
+/// use dlb_solver::game::best_response;
 ///
 /// // Latency 1000 ms dwarfs any congestion relief: the selfish best
 /// // response keeps everything at home.

@@ -10,7 +10,7 @@ use dlb_core::rngutil::rng_for;
 use dlb_core::{Assignment, Instance};
 use rand::seq::SliceRandom;
 
-use crate::best_response::best_response_capped;
+use crate::game::best_response::best_response_capped;
 
 /// Options for the best-response dynamics.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -113,7 +113,7 @@ pub fn run_best_response_dynamics(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::nash::epsilon_nash_gap;
+    use crate::game::nash::epsilon_nash_gap;
     use dlb_core::cost::total_cost;
     use dlb_core::rngutil::rng_for;
     use dlb_core::workload::{LoadDistribution, SpeedDistribution, WorkloadSpec};

@@ -1,4 +1,4 @@
-//! # dlb-game — selfish organizations and the price of anarchy
+//! Selfish organizations and the price of anarchy.
 //!
 //! Implements §V of the paper: every organization selfishly minimizes
 //! the expected completion time `C_i` of its *own* requests.
@@ -13,9 +13,6 @@
 //! * [`poa`] — the price of anarchy: measured ratios, Theorem 1's
 //!   closed-form band for homogeneous networks, Lemma 3's equilibrium
 //!   load-spread bound, and the tightness construction from the proof.
-
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod best_response;
 pub mod dynamics;

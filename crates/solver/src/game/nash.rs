@@ -7,7 +7,7 @@
 
 use dlb_core::{Assignment, Instance};
 
-use crate::best_response::{best_response, best_response_cost};
+use crate::game::best_response::{best_response, best_response_cost};
 
 /// The largest relative gain any organization could realize by
 /// deviating: `max_i (C_i − C_i^BR) / max(C_i, 1)`.
@@ -37,7 +37,7 @@ pub fn is_epsilon_nash(instance: &Instance, a: &Assignment, epsilon: f64) -> boo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dynamics::{run_best_response_dynamics, DynamicsOptions};
+    use crate::game::dynamics::{run_best_response_dynamics, DynamicsOptions};
     use dlb_core::LatencyMatrix;
 
     #[test]

@@ -100,13 +100,13 @@ pub fn cost_ratio(instance: &Instance, state: &Assignment, reference: &Assignmen
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dynamics::{run_best_response_dynamics, DynamicsOptions};
-    use crate::nash::{epsilon_nash_gap, is_epsilon_nash};
+    use crate::game::dynamics::{run_best_response_dynamics, DynamicsOptions};
+    use crate::game::nash::{epsilon_nash_gap, is_epsilon_nash};
+    use crate::solve_bcd;
     use dlb_core::cost::total_cost;
     use dlb_core::rngutil::rng_for;
     use dlb_core::workload::{LoadDistribution, SpeedDistribution, WorkloadSpec};
     use dlb_core::LatencyMatrix;
-    use dlb_solver::solve_bcd;
 
     #[test]
     fn bounds_shape() {
@@ -227,7 +227,7 @@ mod tests {
                 },
             );
             let (opt_state, _) = solve_bcd(&instance, 2_000, 1e-10);
-            let opt_cost = dlb_solver::objective(&instance, &opt_state);
+            let opt_cost = crate::objective(&instance, &opt_state);
             let ratio = total_cost(&instance, &nash) / opt_cost;
             assert!(ratio >= 1.0 - 1e-6, "nash beat the optimum?! {ratio}");
             worst = worst.max(ratio);

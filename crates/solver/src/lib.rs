@@ -1,10 +1,16 @@
-//! # dlb-solver — centralized optimization of the load-balancing QP
+//! # dlb-solver — what the paper computes centrally, on the dense state
+//!
+//! Everything here sees the whole instance at once: the cooperative
+//! optimum (§III), the selfish equilibrium (§V, [`game`]) and the §VII
+//! roundings ([`extensions`]). None of it is on the protocol's path or
+//! a gated benchmark workload; the distributed algorithm is judged
+//! against it.
 //!
 //! The paper (§III) shows that minimizing the total processing time
 //! `ΣC = ρᵀQρ + bᵀρ` over the product of per-organization simplexes is a
 //! convex quadratic program, solvable in polynomial time — but with
 //! `O(L m⁶)` standard-solver complexity, which motivates the distributed
-//! algorithm. This crate plays the "standard solver" role:
+//! algorithm. These modules play the "standard solver" role:
 //!
 //! * [`qp`] — the explicit sparse `Q` matrix and `b` vector of §III
 //!   (Figure 1), with a matrix-form objective evaluator used to validate
@@ -25,7 +31,9 @@
 
 pub mod bruteforce;
 pub mod dense;
+pub mod extensions;
 pub mod frank_wolfe;
+pub mod game;
 pub mod pgd;
 pub mod projection;
 pub mod qp;

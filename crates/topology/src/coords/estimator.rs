@@ -10,7 +10,7 @@ use dlb_core::LatencyMatrix;
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::vivaldi::{Coordinate, VivaldiConfig};
+use crate::coords::vivaldi::{Coordinate, VivaldiConfig};
 
 /// Configuration of the estimation process.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -1,10 +1,10 @@
-//! # dlb-coords — decentralized latency estimation
+//! Decentralized latency estimation.
 //!
 //! The load balancer's model (§II of the paper) assumes the pairwise
 //! communication latencies `c_ij` are known, citing network-coordinate
 //! systems as the standard solution ("monitoring the pairwise
 //! latencies … is a well studied problem with known solutions"). This
-//! crate provides that substrate: a Vivaldi-style coordinate system
+//! module provides that substrate: a Vivaldi-style coordinate system
 //! ([`vivaldi`]) in which every node learns a low-dimensional embedding
 //! of the RTT space from a few random probes per tick ([`estimator`]),
 //! turning `O(m²)` measurements into `O(m)` state per node — the same
@@ -17,7 +17,7 @@
 //!
 //! ```
 //! use dlb_core::LatencyMatrix;
-//! use dlb_coords::{Estimator, EstimatorConfig};
+//! use dlb_topology::coords::{Estimator, EstimatorConfig};
 //!
 //! let truth = LatencyMatrix::homogeneous(10, 20.0);
 //! let mut est = Estimator::new(10, EstimatorConfig::default());
@@ -26,9 +26,6 @@
 //! let e = est.estimate(0, 5);
 //! assert!(e > 5.0 && e < 60.0);
 //! ```
-
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod estimator;
 pub mod vivaldi;

@@ -3,9 +3,9 @@
 //! The paper evaluates on two kinds of networks (§VI-A): a homogeneous
 //! network with `c_ij = 20` ms, and a heterogeneous network whose
 //! latencies come from PlanetLab measurements (the iPlane dataset). That
-//! dataset is not redistributable, so this crate provides:
+//! dataset is not redistributable, so this crate provides (beside
+//! `LatencyMatrix::homogeneous` itself):
 //!
-//! * [`homogeneous`] — the paper's constant-latency network,
 //! * [`euclidean`] — random geometric latencies (a standard synthetic
 //!   model),
 //! * [`planetlab`] — a synthetic PlanetLab-like generator with
@@ -15,41 +15,25 @@
 //! * [`restricted`] — trust-restricted neighbor graphs (forbidden links
 //!   become infinite latencies),
 //! * [`nearest`] — delay-nearest-k candidate queries (the static half
-//!   of the runtime's `select=topk:K` partner index),
-//! * [`structured`] — star / ring / torus topologies as regular
-//!   counterpoints for sensitivity experiments.
+//!   of the runtime's `select=topk:K` partner index).
 //!
 //! All generators are deterministic given a seed.
+//!
+//! The model takes those `c_ij` as known (§II); [`coords`] is the
+//! substrate behind that assumption — Vivaldi network coordinates that
+//! learn a latency matrix from a few probes per node, judged against
+//! the generators above (`dlb estimate`, `ablation_latency_estimation`).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod coords;
 pub mod euclidean;
 pub mod nearest;
 pub mod planetlab;
 pub mod restricted;
-pub mod structured;
 
 pub use euclidean::EuclideanConfig;
 pub use nearest::k_nearest_row;
 pub use planetlab::PlanetLabConfig;
 pub use restricted::{out_degree, restrict_to_k_nearest, restrict_to_neighbors};
-
-use dlb_core::LatencyMatrix;
-
-/// The paper's homogeneous network: `c_ij = c` for all pairs.
-pub fn homogeneous(m: usize, c: f64) -> LatencyMatrix {
-    LatencyMatrix::homogeneous(m, c)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn homogeneous_is_reexported() {
-        let c = homogeneous(3, 20.0);
-        assert_eq!(c.get(0, 1), 20.0);
-        assert_eq!(c.get(1, 1), 0.0);
-    }
-}

@@ -5,9 +5,10 @@
 # Counting rule: for every `*.rs` under `crates/*/src` and the root
 # `src/`, the lines up to the file's first item-level `#[cfg(test)]` —
 # the first line that starts with it, that line included (the whole
-# file when it has none); `proptests.rs` files are test-only and
-# skipped. Comments and blank lines count: the rule measures what a
-# reader has to get through, not statements.
+# file when it has none). A file that opens with `#![cfg(test)]` is
+# test-only and counts that one line; `proptests.rs` files are
+# test-only and skipped. Comments and blank lines count: the rule
+# measures what a reader has to get through, not statements.
 #
 #   scripts/nontest-lines.sh            per-crate counts, then the total
 #   scripts/nontest-lines.sh --max N    the same, and exit 1 when the
@@ -27,7 +28,7 @@ for dir in crates/*/src src; do
   lines=$(find "$dir" -name '*.rs' ! -name proptests.rs -print0 | sort -z |
     xargs -0 awk 'FNR == 1 { counting = 1 }
                   counting { n++ }
-                  /^#\[cfg\(test\)\]/ { counting = 0 }
+                  /^#!?\[cfg\(test\)\]/ { counting = 0 }
                   END { print n + 0 }')
   printf '%8d  %s\n' "$lines" "$dir"
   total=$((total + lines))

@@ -307,30 +307,23 @@
 //! |---|---|
 //! | [`core`] | instance/assignment model, cost functions, workloads |
 //! | [`scenario`] | declarative ScenarioSpec → RunRecord experiment API |
-//! | [`topology`] | homogeneous / Euclidean / PlanetLab-like latencies |
-//! | [`solver`] | the §III QP, PGD/FISTA, Frank-Wolfe, water-filling |
-//! | [`distributed`] | Algorithms 1 & 2, the engine, Proposition 1, cycle removal |
-//! | [`game`] | best responses, Nash dynamics, price of anarchy (§V) |
-//! | [`flow`] | min-cost max-flow substrate (paper Appendix) |
+//! | [`topology`] | homogeneous / Euclidean / PlanetLab-like latencies; [`coords`]: their estimation by Vivaldi coordinates |
+//! | [`solver`] | computed centrally on the dense state: the §III QP (PGD/FISTA, Frank-Wolfe, water-filling); [`game`]: Nash dynamics, price of anarchy (§V); [`extensions`]: §VII tasks, R-replication |
+//! | [`distributed`] | Algorithms 1 & 2, the engine, Proposition 1, cycle removal; [`flow`]: its min-cost max-flow substrate (paper Appendix) |
 //! | [`gossip`] | the load-dissemination control plane: delta gossip on a virtual-time heap, sharded delta-encoded frames |
 //! | [`requestsim`] | request-level DES validating the cost model |
 //! | [`netsim`] | flow-level network sim (Table IV) |
-//! | [`extensions`] | §VII: heterogeneous tasks, R-replication |
 //! | [`runtime`] | the protocol deployed: poll-style state machines, wire frames, and the deterministic virtual-time event executor |
 //! | [`faults`] | deterministic fault & churn injection: crash/recover, loss, delay spikes, partitions |
 //! | [`obs`] | deterministic observability: virtual-time trace events, RNG-free metrics, replayable frame logs |
-//! | [`coords`] | Vivaldi network coordinates: the latency-estimation substrate |
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub use dlb_coords as coords;
 pub use dlb_core as core;
 pub use dlb_distributed as distributed;
-pub use dlb_extensions as extensions;
+pub use dlb_distributed::flow;
 pub use dlb_faults as faults;
-pub use dlb_flow as flow;
-pub use dlb_game as game;
 pub use dlb_gossip as gossip;
 pub use dlb_netsim as netsim;
 pub use dlb_obs as obs;
@@ -339,7 +332,9 @@ pub use dlb_requestsim as requestsim;
 pub use dlb_runtime as runtime;
 pub use dlb_scenario as scenario;
 pub use dlb_solver as solver;
+pub use dlb_solver::{extensions, game};
 pub use dlb_topology as topology;
+pub use dlb_topology::coords;
 
 /// The most common imports in one place.
 pub mod prelude {
@@ -348,9 +343,6 @@ pub mod prelude {
     pub use dlb_core::{Assignment, Instance, LatencyMatrix};
     pub use dlb_distributed::{Engine, EngineOptions, GossipFeed, RoundMode};
     pub use dlb_faults::{FaultPlan, FaultScript, FaultSummary};
-    pub use dlb_game::{
-        epsilon_nash_gap, run_best_response_dynamics, theorem1_bounds, DynamicsOptions,
-    };
     pub use dlb_gossip::{DeltaGossip, DeltaGossipConfig, GossipTraffic};
     pub use dlb_obs::{FrameLog, MetricSet, ObsSummary, TraceEvent, TraceKind, TraceSink, Trailer};
     pub use dlb_requestsim::stream::{ArrivalPlan, StreamScript};
@@ -361,6 +353,9 @@ pub mod prelude {
     pub use dlb_scenario::{
         replay_frame_log, AlgoSpec, DetectSpec, GossipSpec, NetSpec, ReplayReport, RunRecord,
         ScenarioSpec, SelectSpec, SpeedKind, TraceSpec,
+    };
+    pub use dlb_solver::game::{
+        epsilon_nash_gap, run_best_response_dynamics, theorem1_bounds, DynamicsOptions,
     };
     pub use dlb_solver::{solve_bcd, solve_pgd, PgdOptions};
     pub use dlb_topology::PlanetLabConfig;

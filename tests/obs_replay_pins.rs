@@ -86,7 +86,7 @@ fn untraced_records_stay_byte_identical_to_the_pre_observability_shape() {
         .unwrap();
     let run = spec.run();
     assert!(run.obs.is_quiet(), "trace= absent must keep obs_* quiet");
-    let json = dlb_bench::results::Record::from_run("run", &run).to_json();
+    let json = dlb_scenario::results::Record::from_run("run", &run).to_json();
     assert_eq!(json, GOLDEN_RECORD, "untraced record drifted");
 }
 
