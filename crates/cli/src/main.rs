@@ -201,7 +201,9 @@ fn cmd_run(args: &Args) -> Result<(), ArgError> {
             .map_err(|e| ArgError(format!("trace=frames:{path}: cannot create ({e})")))?;
     }
     let started = std::time::Instant::now();
-    let run = spec.run();
+    let run = spec
+        .try_run_on(spec.build_instance())
+        .map_err(|e| ArgError(e.0))?;
     let host_secs = started.elapsed().as_secs_f64();
     sink.record(&Record::from_run("run", &run));
     println!("scenario: {}", run.scenario);

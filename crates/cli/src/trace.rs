@@ -18,7 +18,7 @@
 use crate::args::{ArgError, Args};
 use dlb_obs::{tag_label, FrameLog, TraceEvent, NODE_COORD};
 use dlb_scenario::replay_frame_log;
-use dlb_scenario::report::render_report;
+use dlb_scenario::report::render;
 use dlb_scenario::results::Record;
 
 /// The `--node`/`--kind`/`--from`/`--to` filter, parsed once.
@@ -99,20 +99,19 @@ fn cmd_show(args: &Args, path: &str, bytes: &[u8]) -> Result<(), ArgError> {
         println!("no events match the filter");
         return Ok(());
     }
-    let mut jsonl = String::new();
-    for e in matched.iter().take(limit) {
-        let row = Record::new("trace")
-            .num("at_ms", e.at_ms)
-            .str("event", e.kind.label())
-            .str("node", &TraceEvent::node_label(e.node))
-            .str("peer", &TraceEvent::node_label(e.peer))
-            .int("round", e.round as i64)
-            .str("tag", tag_label(e.tag))
-            .num("detail", e.detail);
-        jsonl.push_str(&row.to_json());
-        jsonl.push('\n');
-    }
-    println!("{}", render_report(&jsonl).map_err(ArgError)?);
+    let rows: Vec<Record> = (matched.iter().take(limit))
+        .map(|e| {
+            Record::new("trace")
+                .num("at_ms", e.at_ms)
+                .str("event", e.kind.label())
+                .str("node", &TraceEvent::node_label(e.node))
+                .str("peer", &TraceEvent::node_label(e.peer))
+                .int("round", e.round as i64)
+                .str("tag", tag_label(e.tag))
+                .num("detail", e.detail)
+        })
+        .collect();
+    println!("{}", render(&rows));
     if matched.len() > limit {
         println!(
             "... ({} more matching events; raise --limit)",

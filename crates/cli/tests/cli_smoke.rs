@@ -10,7 +10,8 @@
 //!   golden string.
 
 use dlb_distributed::{Engine, EngineOptions, RoundMode};
-use dlb_scenario::report::{parse_jsonl, Value};
+use dlb_scenario::report::parse_jsonl;
+use dlb_scenario::results::{Record, Value};
 use dlb_scenario::ScenarioSpec;
 use std::process::Command;
 
@@ -25,11 +26,9 @@ fn converged_line(stdout: &[u8]) -> String {
     line.expect("a 'converged:' summary line").to_string()
 }
 
-fn field<'a>(row: &'a [(String, Value)], key: &str) -> &'a Value {
-    &row.iter()
-        .find(|(k, _)| k == key)
+fn field<'a>(row: &'a Record, key: &str) -> &'a Value {
+    row.get(key)
         .unwrap_or_else(|| panic!("record lacks '{key}'"))
-        .1
 }
 
 #[test]
@@ -81,14 +80,14 @@ fn run_reproduces_engine_costs_exactly() {
         let report = engine.run_to_convergence(1e-10, 3, 60);
         assert_eq!(
             *field(row, "final_cost"),
-            Value::Num(report.final_cost),
+            Value::from(report.final_cost),
             "{algo}: CLI final cost differs from direct engine run"
         );
         assert_eq!(
             *field(row, "iterations"),
-            Value::Num(report.iterations as f64)
+            Value::Int(report.iterations as i64)
         );
-        let expected: Vec<Value> = engine.history().iter().map(|&c| Value::Num(c)).collect();
+        let expected: Vec<Value> = engine.history().iter().map(|&c| c.into()).collect();
         assert_eq!(*field(row, "history"), Value::Arr(expected), "{algo}");
         let _ = std::fs::remove_file(&out_path);
     }
@@ -137,9 +136,9 @@ fn event_protocol_runs_emit_reproducible_records() {
     assert_eq!(*field(row, "algo"), Value::Str("protocol".into()));
     let spec: ScenarioSpec = text.parse().unwrap();
     let run = spec.run();
-    assert_eq!(*field(row, "final_cost"), Value::Num(run.final_cost()));
-    assert_eq!(*field(row, "wall_secs"), Value::Num(run.wall_secs));
-    assert_eq!(*field(row, "iterations"), Value::Num(run.iterations as f64));
+    assert_eq!(*field(row, "final_cost"), Value::from(run.final_cost()));
+    assert_eq!(*field(row, "wall_secs"), Value::from(run.wall_secs));
+    assert_eq!(*field(row, "iterations"), Value::Int(run.iterations as i64));
 }
 
 /// An idle cluster (`avg=0`: every ledger empty) costs plain zero. The
@@ -204,14 +203,15 @@ fn detect_axis_rides_the_cli_end_to_end() {
     let rows = parse_jsonl(&records[0]).unwrap();
     let row = &rows[0];
     assert_eq!(*field(row, "converged"), Value::Bool(true));
-    let Value::Num(suspicions) = *field(row, "detector_suspicions") else {
-        panic!("detector_suspicions must be numeric");
+    let Value::Int(suspicions) = *field(row, "detector_suspicions") else {
+        panic!("detector_suspicions must be an integer");
     };
-    assert!(suspicions > 0.0, "crashes must be suspected from silence");
-    let Value::Num(crashes) = *field(row, "fault_crashes") else {
-        panic!("fault_crashes must be numeric");
-    };
-    assert_eq!(crashes, 3.0, "20% of 16 nodes");
+    assert!(suspicions > 0, "crashes must be suspected from silence");
+    assert_eq!(
+        *field(row, "fault_crashes"),
+        Value::Int(3),
+        "20% of 16 nodes"
+    );
 
     let output = dlb()
         .args(["run", "--scenario", "algo=batched m=8 detect=adaptive"])
@@ -264,6 +264,38 @@ fn report_renders_the_committed_figure2_artifact() {
     assert!(stdout.contains("== figure2_series"), "{stdout}");
     assert!(stdout.contains("== scaling"), "{stdout}");
     assert!(stdout.contains("secs_per_iter"), "{stdout}");
+}
+
+/// FNV-1a, 64-bit.
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Every committed artifact renders to the same bytes it did when the
+/// hashes were captured: a change to the record plane that moves one
+/// cell of one table fails here.
+#[test]
+fn report_renders_every_committed_artifact_unchanged() {
+    for (artifact, pinned) in [
+        ("detector", 0x3785_5f27_55e6_cf68_u64),
+        ("faults", 0x6cdd_d057_b8ac_72e4),
+        ("figure2", 0x4b80_d3f5_63b5_5fe2),
+        ("gossip", 0x67f5_a9a7_4698_c240),
+        ("obs", 0xed64_10c2_86bd_492a),
+        ("streaming", 0xa508_da9e_f4ba_00d9),
+    ] {
+        let path = format!("{}/../../BENCH_{artifact}.json", env!("CARGO_MANIFEST_DIR"));
+        let output = dlb().args(["report", &path]).output().expect("dlb runs");
+        assert!(output.status.success(), "{artifact}");
+        assert_eq!(
+            fnv64(&output.stdout),
+            pinned,
+            "BENCH_{artifact}.json renders differently:\n{}",
+            String::from_utf8_lossy(&output.stdout)
+        );
+    }
 }
 
 #[test]
@@ -393,6 +425,18 @@ fn bad_specs_and_missing_files_fail_cleanly() {
                 "{args:?}: {stderr}"
             );
         }
+        // So is a frame log the run cannot write: a typed error, not
+        // a panic.
+        let output = dlb()
+            .args(["run", "algo=protocol", "m=8", "trace=frames:/dev/full"])
+            .output()
+            .unwrap();
+        assert_eq!(output.status.code(), Some(1));
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains("error: trace=frames:/dev/full: cannot write ("),
+            "{stderr}"
+        );
     }
     // The retired thread runtime is a typed error too.
     let output = dlb()

@@ -64,9 +64,8 @@ pub struct EngineOptions {
     /// Absolute improvement below which an exchange is skipped,
     /// relative to the initial cost (scaled internally).
     pub min_improvement_rel: f64,
-    /// Randomize the server order each iteration (the paper's setting).
-    pub shuffle: bool,
-    /// RNG seed for the iteration order.
+    /// RNG seed for the iteration order, which is shuffled every
+    /// iteration (the paper's setting).
     pub seed: u64,
     /// Evaluate partner improvements in parallel.
     pub parallel: bool,
@@ -105,7 +104,6 @@ impl Default for EngineOptions {
             exact_threshold: 400,
             pruned_top_k: 8,
             min_improvement_rel: 1e-12,
-            shuffle: true,
             seed: 0,
             parallel: true,
             cycle_removal_every: None,
@@ -276,9 +274,7 @@ impl Engine {
             Some(mask) => (0..m).filter(|&i| mask[i]).collect(),
             None => (0..m).collect(),
         };
-        if self.options.shuffle {
-            order.shuffle(&mut self.rng);
-        }
+        order.shuffle(&mut self.rng);
         if self.options.load_staleness == 0
             || self
                 .iteration

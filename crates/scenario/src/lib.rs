@@ -42,15 +42,17 @@
 //!   in the [`RunRecord`]'s [`GossipTraffic`] summary.
 //! * The `trace=` axis turns on the `dlb-obs` observability plane for
 //!   `algo=protocol` scenarios: `trace=summary` folds the virtual-time
-//!   event stream into the record's `obs_*` metric group, and
-//!   `trace=frames:FILE` additionally writes a binary frame
+//!   event stream into the record's `obs_*` metric group as it is
+//!   emitted, and `trace=frames:FILE` also keeps it, as a binary frame
 //!   log that [`replay_frame_log`] re-executes bit-exactly (the
 //!   recorded `event_hash` is computed *before* any tracing hook runs,
 //!   so untraced runs stay byte-identical). `trace=off` (the default)
 //!   compiles the hooks away through a `NullSink`.
-//! * [`results`] and [`report`] are the record's two ends on disk: the
-//!   JSON-lines writer behind `dlb run --out`, the bench harnesses and
-//!   the committed `BENCH_*.json`, and the reader behind `dlb report`.
+//! * [`results`] and [`report`] are the record plane's two ends, over
+//!   one row type, [`results::Record`]: the JSON-lines writer behind
+//!   `dlb run --out`, the bench harnesses and the committed
+//!   `BENCH_*.json` (a [`RunRecord`]'s keys are one field table), and
+//!   the parser and table renderer behind `dlb report`.
 //!
 //! ```
 //! use dlb_scenario::{AlgoSpec, ScenarioSpec};
@@ -85,3 +87,6 @@ pub use dlb_faults::{FaultPlan, FaultSummary};
 // The gossip axis's traffic summary, so record consumers need no
 // direct dlb-gossip dependency.
 pub use dlb_gossip::GossipTraffic;
+
+#[cfg(test)]
+mod proptests;

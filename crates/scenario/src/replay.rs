@@ -19,7 +19,7 @@
 
 use dlb_obs::{FrameLog, MemorySink, TraceEvent, Trailer};
 
-use crate::runner::run_protocol_events;
+use crate::runner::{run_protocol_events, trailer};
 use crate::spec::{AlgoSpec, ScenarioSpec, SpecError, TraceSpec};
 
 /// The outcome of replaying one frame log.
@@ -161,14 +161,7 @@ pub fn replay_frame_log(bytes: &[u8]) -> Result<ReplayReport, SpecError> {
     let instance = spec.build_instance();
     let mut sink = MemorySink::default();
     let report = run_protocol_events(&spec, &instance, &mut sink);
-    let replayed_trailer = Trailer {
-        event_hash: report.event_hash,
-        final_cost: report.final_cost,
-        rounds: report.rounds as u64,
-        exchanges: report.exchanges as u64,
-        virtual_ms: report.virtual_ms,
-    };
-    let divergence = find_divergence(&log, &sink.events, report.event_hash, &replayed_trailer);
+    let divergence = find_divergence(&log, &sink.events, report.event_hash, &trailer(&report));
     Ok(ReplayReport {
         spec,
         recorded: log.trailer,
@@ -193,13 +186,7 @@ mod tests {
         FrameLog {
             spec: spec.to_string(),
             events: sink.events,
-            trailer: Trailer {
-                event_hash: report.event_hash,
-                final_cost: report.final_cost,
-                rounds: report.rounds as u64,
-                exchanges: report.exchanges as u64,
-                virtual_ms: report.virtual_ms,
-            },
+            trailer: trailer(&report),
         }
         .encode()
     }
@@ -252,13 +239,7 @@ mod tests {
         let bytes = FrameLog {
             spec: spec.to_string(),
             events,
-            trailer: Trailer {
-                event_hash: report.event_hash,
-                final_cost: report.final_cost,
-                rounds: report.rounds as u64,
-                exchanges: report.exchanges as u64,
-                virtual_ms: report.virtual_ms,
-            },
+            trailer: trailer(&report),
         }
         .encode();
         let replayed = replay_frame_log(&bytes).expect("still decodes");

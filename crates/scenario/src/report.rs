@@ -1,55 +1,161 @@
-//! Render paper-style tables from JSON-lines result files.
-//!
-//! Every harness and CLI command writes flat JSON records through
-//! [`crate::results::JsonlSink`]; this module is the read side: a
-//! dependency-free parser for those lines and a renderer that groups
-//! records by their `kind` field and prints one aligned table per
-//! group — the `dlb report` subcommand. The parser accepts any flat
-//! JSON object (plus arrays of numbers for cost trajectories), so it
-//! renders both freshly written run records and committed artifacts
-//! like the repo-root `BENCH_figure2.json`.
+//! The record plane's read side, behind `dlb report`: [`parse_jsonl`]
+//! turns each line back into the [`Record`] the sink wrote (any flat
+//! JSON object, arrays included), and [`render`] draws records as one
+//! aligned table per `kind`.
 
-use std::fmt;
+use crate::results::{number, Record, Value};
 
-/// One parsed JSON value. Arrays are kept as values so trajectories
-/// survive parsing; nested objects are not part of the sink's format
-/// and are rejected.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// A JSON string.
-    Str(String),
-    /// A JSON number.
-    Num(f64),
-    /// `true` / `false`.
-    Bool(bool),
-    /// `null`.
-    Null,
-    /// An array (the sink only writes arrays of numbers/nulls).
-    Arr(Vec<Value>),
+/// Parses a JSON-lines document (one flat object per non-empty line).
+pub fn parse_jsonl(text: &str) -> Result<Vec<Record>, String> {
+    let lines = text.lines().map(str::trim).enumerate();
+    lines
+        .filter(|(_, line)| !line.is_empty())
+        .map(|(n, line)| parse_object(line).map_err(|e| format!("line {}: {e}", n + 1)))
+        .collect()
 }
 
-impl Value {
-    fn is_textual(&self) -> bool {
-        matches!(self, Value::Str(_))
+fn parse_object(line: &str) -> Result<Record, String> {
+    let mut sc = Scanner { s: line, pos: 0 };
+    sc.skip_ws();
+    sc.expect(b'{')?;
+    let fields = sc.list(b'}', |sc| {
+        let key = sc.string()?;
+        sc.skip_ws();
+        sc.expect(b':')?;
+        sc.skip_ws();
+        Ok((key, sc.value()?))
+    })?;
+    sc.skip_ws();
+    if sc.pos != sc.s.len() {
+        return Err(format!("trailing content at byte {}", sc.pos));
     }
+    Ok(Record { fields })
 }
 
-impl fmt::Display for Value {
-    /// Table-cell rendering: numbers compact, arrays summarized.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Value::Str(s) => write!(f, "{s}"),
-            Value::Num(v) => write!(f, "{}", fmt_num(*v)),
-            Value::Bool(b) => write!(f, "{b}"),
-            Value::Null => write!(f, "-"),
-            Value::Arr(xs) => write!(f, "[{} pts]", xs.len()),
+struct Scanner<'a> {
+    s: &'a str,
+    pos: usize,
+}
+
+impl Scanner<'_> {
+    fn peek(&self) -> Option<u8> {
+        self.s.as_bytes().get(self.pos).copied()
+    }
+
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t')) {
+            self.pos += 1;
+        }
+    }
+
+    fn eat(&mut self, b: u8) -> bool {
+        let hit = self.peek() == Some(b);
+        self.pos += usize::from(hit);
+        hit
+    }
+
+    fn expect(&mut self, b: u8) -> Result<(), String> {
+        let at = self.pos;
+        (self.eat(b).then_some(())).ok_or(format!("expected '{}' at byte {at}", b as char))
+    }
+
+    /// Consumes `word` (a `true`/`false`/`null` literal) for `value`.
+    fn literal(&mut self, word: &str, value: Value) -> Result<Value, String> {
+        let hit = self.s[self.pos..].starts_with(word);
+        let at = self.pos;
+        self.pos += if hit { word.len() } else { 0 };
+        hit.then_some(value)
+            .ok_or(format!("bad literal at byte {at}"))
+    }
+
+    fn next_char(&mut self, missing: &str) -> Result<char, String> {
+        let ch = self.s[self.pos..].chars().next().ok_or(missing)?;
+        self.pos += ch.len_utf8();
+        Ok(ch)
+    }
+
+    /// Comma-separated items up to `close`, the opening bracket already
+    /// consumed.
+    fn list<T>(
+        &mut self,
+        close: u8,
+        mut item: impl FnMut(&mut Self) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        let mut items = Vec::new();
+        self.skip_ws();
+        while !self.eat(close) {
+            if !items.is_empty() && !self.eat(b',') {
+                let close = close as char;
+                return Err(format!("expected ',' or '{close}' at byte {}", self.pos));
+            }
+            self.skip_ws();
+            items.push(item(self)?);
+            self.skip_ws();
+        }
+        Ok(items)
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        self.expect(b'"')?;
+        let mut out = String::new();
+        loop {
+            match self.next_char("unterminated string")? {
+                '"' => return Ok(out),
+                '\\' => match self.next_char("unterminated escape")? {
+                    esc @ ('"' | '\\' | '/') => out.push(esc),
+                    'n' => out.push('\n'),
+                    'r' => out.push('\r'),
+                    't' => out.push('\t'),
+                    'u' => {
+                        let hex = self.s.get(self.pos..self.pos + 4);
+                        let hex = hex.ok_or("truncated \\u escape")?;
+                        let code = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
+                        self.pos += 4;
+                        out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
+                    }
+                    other => return Err(format!("unknown escape '\\{other}'")),
+                },
+                ch => out.push(ch),
+            }
+        }
+    }
+
+    fn value(&mut self) -> Result<Value, String> {
+        match self.peek().ok_or("unexpected end of line")? {
+            b'"' => Ok(Value::Str(self.string()?)),
+            b't' => self.literal("true", Value::Bool(true)),
+            b'f' => self.literal("false", Value::Bool(false)),
+            b'n' => self.literal("null", Value::Null),
+            b'[' => {
+                self.pos += 1;
+                Ok(Value::Arr(self.list(b']', Self::value)?))
+            }
+            b'{' => Err(format!("nested object at byte {}", self.pos)),
+            _ => {
+                let start = self.pos;
+                let numeric = |b: &u8| matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E');
+                while self.peek().as_ref().is_some_and(numeric) {
+                    self.pos += 1;
+                }
+                let text = &self.s[start..self.pos];
+                number(text).ok_or_else(|| format!("bad number '{text}' at byte {start}"))
+            }
         }
     }
 }
 
-/// Formats a number for a table cell: integers plain, extreme
-/// magnitudes in scientific notation, everything else to 4 decimals.
-fn fmt_num(v: f64) -> String {
+/// A value as a table cell: `null` as `-`, arrays summarized, numbers
+/// compact — integral ones plain, extreme magnitudes in scientific
+/// notation, the rest to 4 decimals.
+fn cell(value: &Value) -> String {
+    let v = match value {
+        Value::Str(s) => return s.clone(),
+        Value::Bool(b) => return b.to_string(),
+        Value::Null => return "-".into(),
+        Value::Arr(items) => return format!("[{} pts]", items.len()),
+        Value::Int(i) => *i as f64,
+        Value::Num(v) => *v,
+    };
     if v == v.trunc() && v.abs() < 1e15 {
         format!("{}", v as i64)
     } else if v.abs() >= 1e6 || v.abs() < 1e-3 {
@@ -59,307 +165,84 @@ fn fmt_num(v: f64) -> String {
     }
 }
 
-/// One record: key/value pairs in file order.
-pub type Row = Vec<(String, Value)>;
-
-/// Parses a JSON-lines document (one flat object per non-empty line).
-pub fn parse_jsonl(text: &str) -> Result<Vec<Row>, String> {
-    let mut rows = Vec::new();
-    for (n, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        rows.push(parse_object(line).map_err(|e| format!("line {}: {e}", n + 1))?);
-    }
-    Ok(rows)
-}
-
-fn parse_object(line: &str) -> Result<Row, String> {
-    let mut sc = Scanner {
-        s: line.as_bytes(),
-        pos: 0,
-    };
-    sc.skip_ws();
-    sc.expect(b'{')?;
-    let mut row = Row::new();
-    sc.skip_ws();
-    if sc.peek() == Some(b'}') {
-        sc.pos += 1;
-    } else {
-        loop {
-            sc.skip_ws();
-            let key = sc.parse_string()?;
-            sc.skip_ws();
-            sc.expect(b':')?;
-            sc.skip_ws();
-            let value = sc.parse_value()?;
-            row.push((key, value));
-            sc.skip_ws();
-            match sc.peek() {
-                Some(b',') => sc.pos += 1,
-                Some(b'}') => {
-                    sc.pos += 1;
-                    break;
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", sc.pos)),
-            }
-        }
-    }
-    sc.skip_ws();
-    if sc.pos != sc.s.len() {
-        return Err(format!("trailing content at byte {}", sc.pos));
-    }
-    Ok(row)
-}
-
-struct Scanner<'a> {
-    s: &'a [u8],
-    pos: usize,
-}
-
-impl Scanner<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.s.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Value) -> Result<Value, String> {
-        if self.s[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek().ok_or("unterminated string")? {
-                b'"' => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .s
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            self.pos += 4;
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                        }
-                        other => return Err(format!("unknown escape '\\{}'", other as char)),
-                    }
-                }
-                _ => {
-                    // Consume one UTF-8 character (multi-byte safe).
-                    let rest = std::str::from_utf8(&self.s[self.pos..])
-                        .map_err(|_| "invalid UTF-8 in string")?;
-                    let ch = rest.chars().next().ok_or("unterminated string")?;
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Value, String> {
-        match self.peek().ok_or("unexpected end of line")? {
-            b'"' => Ok(Value::Str(self.parse_string()?)),
-            b't' => self.literal("true", Value::Bool(true)),
-            b'f' => self.literal("false", Value::Bool(false)),
-            b'n' => self.literal("null", Value::Null),
-            b'[' => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                loop {
-                    self.skip_ws();
-                    items.push(self.parse_value()?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Value::Arr(items));
-                        }
-                        _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-                    }
-                }
-            }
-            b'{' => Err(format!("nested object at byte {}", self.pos)),
-            _ => {
-                let start = self.pos;
-                while matches!(
-                    self.peek(),
-                    Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-                ) {
-                    self.pos += 1;
-                }
-                let text = std::str::from_utf8(&self.s[start..self.pos]).unwrap_or("");
-                text.parse::<f64>()
-                    .map(Value::Num)
-                    .map_err(|_| format!("bad number '{text}' at byte {start}"))
-            }
-        }
-    }
-}
-
-/// Renders the report for one JSON-lines document: records are grouped
-/// by their `kind` field (in first-seen order) and each group becomes
-/// one aligned table whose columns are the union of the group's keys
-/// in first-seen order. Textual columns are left-aligned, numeric ones
-/// right-aligned.
+/// Renders one JSON-lines document: [`parse_jsonl`], then [`render`].
 pub fn render_report(text: &str) -> Result<String, String> {
-    let rows = parse_jsonl(text)?;
-    if rows.is_empty() {
+    let records = parse_jsonl(text)?;
+    if records.is_empty() {
         return Err("no records found".into());
     }
-    let mut groups: Vec<(String, Vec<&Row>)> = Vec::new();
+    Ok(render(&records))
+}
+
+/// Draws records as tables: one per `kind` (in first-seen order), the
+/// tables separated by a blank line.
+pub fn render(records: &[Record]) -> String {
+    let kind = |r: &Record| r.get("kind").map_or("record".into(), cell);
+    let mut kinds: Vec<String> = Vec::new();
+    for k in records.iter().map(kind) {
+        if !kinds.contains(&k) {
+            kinds.push(k);
+        }
+    }
+    let tables = kinds.iter().map(|k| {
+        let members: Vec<&Record> = records.iter().filter(|r| kind(r) == *k).collect();
+        table(k, &members)
+    });
+    tables.collect::<Vec<_>>().join("\n")
+}
+
+/// One aligned table. Its columns are the union of the members' keys;
+/// textual columns are left-aligned, the others right-aligned, and a
+/// member without a column shows `-`.
+fn table(kind: &str, members: &[&Record]) -> String {
+    // Walking a record, a known key moves the cursor past it and an
+    // unknown one is *inserted at the cursor*: a mid-row group a later
+    // record carries (`obs_*` before `history`) lands where it put it.
+    let mut cols: Vec<&str> = Vec::new();
+    for record in members {
+        let mut cursor = 0;
+        for (key, _) in record.fields.iter().filter(|(k, _)| k != "kind") {
+            match cols.iter().position(|c| c == key) {
+                Some(p) => cursor = p + 1,
+                None => {
+                    cols.insert(cursor, key);
+                    cursor += 1;
+                }
+            }
+        }
+    }
+    let cell_of = |r: &Record, col: &str| r.get(col).map_or("-".into(), cell);
+    let mut rows = vec![cols.iter().map(|c| c.to_string()).collect::<Vec<_>>()];
+    for r in members {
+        rows.push(cols.iter().map(|c| cell_of(r, c)).collect());
+    }
+    let textual: Vec<bool> = (cols.iter())
+        .map(|c| {
+            let is_str = |(k, v): &(String, Value)| k == c && matches!(v, Value::Str(_));
+            members.iter().any(|r| r.fields.iter().any(is_str))
+        })
+        .collect();
+    let widths: Vec<usize> = (0..cols.len())
+        .map(|c| rows.iter().map(|row| row[c].len()).max().unwrap_or(0))
+        .collect();
+    let plural = if members.len() == 1 { "" } else { "s" };
+    let mut out = format!("== {kind} ({} record{plural}) ==\n", members.len());
     for row in &rows {
-        let kind = row
-            .iter()
-            .find(|(k, _)| k == "kind")
-            .map(|(_, v)| v.to_string())
-            .unwrap_or_else(|| "record".to_string());
-        match groups.iter_mut().find(|(k, _)| *k == kind) {
-            Some((_, members)) => members.push(row),
-            None => groups.push((kind, vec![row])),
-        }
-    }
-    let mut out = String::new();
-    for (kind, members) in &groups {
-        // Column order is the order-respecting union of the group's
-        // keys: walking a record, a key already known moves the
-        // cursor to just past it; an unknown key is *inserted at the
-        // cursor*, not appended. So when a later record carries a
-        // mid-row field group the first record lacked (a traced run's
-        // `obs_*` columns before its trailing `history`), those
-        // columns land where the record put them — plain appending
-        // parked every late-appearing group behind whichever trailing
-        // column the first record happened to end with.
-        let mut cols: Vec<&str> = Vec::new();
-        for row in members {
-            let mut cursor = 0;
-            for (k, _) in row.iter() {
-                if k == "kind" {
-                    continue;
-                }
-                match cols.iter().position(|c| *c == k.as_str()) {
-                    Some(p) => cursor = p + 1,
-                    None => {
-                        cols.insert(cursor, k);
-                        cursor += 1;
-                    }
-                }
-            }
-        }
-        let cell = |row: &Row, col: &str| -> String {
-            row.iter()
-                .find(|(k, _)| k.as_str() == col)
-                .map(|(_, v)| v.to_string())
-                .unwrap_or_else(|| "-".to_string())
-        };
-        let textual: Vec<bool> = cols
-            .iter()
-            .map(|col| {
-                members.iter().any(|row| {
-                    row.iter()
-                        .any(|(k, v)| k.as_str() == *col && v.is_textual())
-                })
+        let padded: Vec<String> = (row.iter().enumerate())
+            .map(|(c, v)| match textual[c] {
+                true => format!("{v:<w$}", w = widths[c]),
+                false => format!("{v:>w$}", w = widths[c]),
             })
             .collect();
-        let widths: Vec<usize> = cols
-            .iter()
-            .map(|col| {
-                members
-                    .iter()
-                    .map(|row| cell(row, col).len())
-                    .chain(std::iter::once(col.len()))
-                    .max()
-                    .unwrap_or(0)
-            })
-            .collect();
-        let plural = if members.len() == 1 { "" } else { "s" };
-        out.push_str(&format!(
-            "== {kind} ({} record{plural}) ==\n",
-            members.len()
-        ));
-        let mut header = String::new();
-        for (c, col) in cols.iter().enumerate() {
-            if c > 0 {
-                header.push_str("  ");
-            }
-            if textual[c] {
-                header.push_str(&format!("{col:<w$}", w = widths[c]));
-            } else {
-                header.push_str(&format!("{col:>w$}", w = widths[c]));
-            }
-        }
-        out.push_str(header.trim_end());
-        out.push('\n');
-        for row in members {
-            let mut line = String::new();
-            for (c, col) in cols.iter().enumerate() {
-                if c > 0 {
-                    line.push_str("  ");
-                }
-                let v = cell(row, col);
-                if textual[c] {
-                    line.push_str(&format!("{v:<w$}", w = widths[c]));
-                } else {
-                    line.push_str(&format!("{v:>w$}", w = widths[c]));
-                }
-            }
-            out.push_str(line.trim_end());
-            out.push('\n');
-        }
+        out.push_str(padded.join("  ").trim_end());
         out.push('\n');
     }
-    out.pop();
-    Ok(out)
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::results::Record;
     use crate::RunRecord;
 
     #[test]
@@ -374,7 +257,7 @@ mod tests {
             .to_json();
         let rows = parse_jsonl(&line).unwrap();
         assert_eq!(rows.len(), 1);
-        let row = &rows[0];
+        let row = &rows[0].fields;
         assert_eq!(row[0], ("kind".into(), Value::Str("run".into())));
         assert_eq!(
             row[1],
@@ -384,14 +267,14 @@ mod tests {
             )
         );
         assert_eq!(row[2], ("final_cost".into(), Value::Num(12277790.44382619)));
-        assert_eq!(row[3], ("iterations".into(), Value::Num(20.0)));
+        assert_eq!(row[3], ("iterations".into(), Value::Int(20)));
         assert_eq!(row[4], ("converged".into(), Value::Bool(true)));
         assert_eq!(row[5], ("bad".into(), Value::Null));
         assert_eq!(
             row[6],
             (
                 "history".into(),
-                Value::Arr(vec![Value::Num(3.0), Value::Num(2.0), Value::Num(1.5)])
+                Value::Arr(vec![Value::Int(3), Value::Int(2), Value::Num(1.5)])
             )
         );
     }
@@ -399,9 +282,9 @@ mod tests {
     #[test]
     fn parses_escapes_and_empty_objects() {
         let rows = parse_jsonl("{\"a\":\"x\\n\\\"y\\\"\",\"b\":\"\\u0041\"}\n\n{}").unwrap();
-        assert_eq!(rows[0][0].1, Value::Str("x\n\"y\"".into()));
-        assert_eq!(rows[0][1].1, Value::Str("A".into()));
-        assert!(rows[1].is_empty());
+        assert_eq!(rows[0].fields[0].1, Value::Str("x\n\"y\"".into()));
+        assert_eq!(rows[0].fields[1].1, Value::Str("A".into()));
+        assert!(rows[1].fields.is_empty());
     }
 
     #[test]
@@ -438,9 +321,9 @@ mod tests {
         assert_eq!(&lines[3][m_end - 4..m_end], "2000");
     }
 
-    /// Run records (shape v3) always carry the fault and detector
-    /// field groups, and the report renders them as columns — the
-    /// operator-facing view of what the failure detector did.
+    /// Run records always carry the fault and detector field groups,
+    /// and the report renders them as columns — the operator-facing
+    /// view of what the failure detector did.
     #[test]
     fn renders_fault_and_detector_columns_for_run_records() {
         let run = RunRecord {
@@ -481,7 +364,7 @@ mod tests {
             assert!(report.contains(col), "missing column {col}:\n{report}");
         }
         assert!(report.contains("212.5"), "{report}");
-        // Quiet runs keep the same shape, zero-filled (v2 contract).
+        // Quiet runs keep the same shape, zero-filled.
         let quiet = RunRecord {
             faults: Default::default(),
             detector: Default::default(),
@@ -492,9 +375,9 @@ mod tests {
         assert!(json.contains("\"detector_suspicions\":0"), "{json}");
     }
 
-    /// Streamed run records (shape v3) append the `stream_*` group and
-    /// the report renders its columns; unstreamed records omit the
-    /// group entirely, keeping pre-v3 output byte-identical.
+    /// Streamed run records carry the `stream_*` group and the report
+    /// renders its columns; unstreamed records omit the group entirely
+    /// (the quiet-group rule).
     #[test]
     fn renders_stream_columns_only_for_streamed_runs() {
         let run = RunRecord {
@@ -544,10 +427,9 @@ mod tests {
         assert!(report.contains('-'), "{report}");
     }
 
-    /// Gossip-fed run records (shape v3) append the `gossip_*` group
-    /// and the report renders its columns; runs on the emulated
-    /// snapshot omit the group entirely, keeping earlier output
-    /// byte-identical.
+    /// Gossip-fed run records carry the `gossip_*` group and the report
+    /// renders its columns; runs on the emulated snapshot omit the
+    /// group entirely.
     #[test]
     fn renders_gossip_columns_only_for_gossip_fed_runs() {
         let run = RunRecord {
@@ -640,9 +522,7 @@ mod tests {
     /// The column union respects each record's own key order: when a
     /// later record introduces a field group *before* its trailing
     /// `history` column, the new columns are inserted there — not
-    /// appended after `history` (the pre-v4 behavior, which parked
-    /// every late-appearing group behind the first record's last
-    /// column).
+    /// appended after `history`.
     #[test]
     fn column_union_respects_each_records_key_order() {
         let text = "\
@@ -660,10 +540,14 @@ mod tests {
 
     #[test]
     fn number_formatting_is_compact() {
-        assert_eq!(fmt_num(2000.0), "2000");
-        assert_eq!(fmt_num(0.03305312366666666), "0.0331");
-        assert_eq!(fmt_num(2334915899.196365), "2.3349e9");
-        assert_eq!(fmt_num(0.000012), "1.2000e-5");
+        let num = |v: f64| cell(&Value::Num(v));
+        assert_eq!(num(2000.0), "2000");
+        assert_eq!(num(0.03305312366666666), "0.0331");
+        assert_eq!(num(2334915899.196365), "2.3349e9");
+        assert_eq!(num(0.000012), "1.2000e-5");
+        // Integer cells format like the float they read as.
+        assert_eq!(cell(&Value::Int(-3)), "-3");
+        assert_eq!(cell(&Value::Int(i64::MAX)), "9.2234e18");
     }
 
     #[test]

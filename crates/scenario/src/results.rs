@@ -1,18 +1,8 @@
-//! Self-describing JSON-lines results output.
-//!
-//! `dlb run` and every experiment harness append one flat JSON object
-//! per measurement — [`Record::from_run`] is the shape of a
-//! [`RunRecord`] — so [`crate::report`] renders them all without
-//! per-file schemas. Hand-rolled: the dependency set has no JSON crate.
-//!
-//! Two sinks are provided:
-//! * [`JsonlSink::create`] — the environment-driven sink harnesses use:
-//!   writes `<DLB_RESULTS_DIR>/<name>.jsonl`, and is a silent no-op
-//!   when the variable is unset (so benches never fail on read-only
-//!   filesystems),
-//! * [`JsonlSink::create_at`] — an explicit-path sink for committed
-//!   artifacts such as the repo-root `BENCH_figure2.json` scaling
-//!   record.
+//! The record plane's write side: `dlb run`, every harness and the
+//! committed `BENCH_*.json` write [`Record`]s — ordered `(key, Value)`
+//! rows, one flat JSON object per line — through a [`JsonlSink`], and
+//! [`crate::report`] parses the same rows back. A [`RunRecord`] becomes
+//! a row through one field table. Hand-rolled: no JSON crate.
 
 use std::fs;
 use std::io::Write;
@@ -20,141 +10,176 @@ use std::path::{Path, PathBuf};
 
 use crate::RunRecord;
 
-/// One flat JSON record under construction. Field order is preserved.
-#[derive(Debug, Clone, Default)]
+/// One JSON value. A number is held as what its JSON text reads back
+/// as — an integer literal that fits `i64` is [`Value::Int`], any other
+/// number [`Value::Num`] — so a record equals its own parse, and an
+/// integer written as one never passes through `f64`. Non-finite
+/// floats are written, and so held, as [`Value::Null`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum Value {
+    /// A JSON string.
+    Str(String),
+    /// An integer literal.
+    Int(i64),
+    /// Any other (finite) number.
+    Num(f64),
+    /// `true` / `false`.
+    Bool(bool),
+    /// `null`.
+    Null,
+    /// An array (the sink only writes arrays of numbers).
+    Arr(Vec<Value>),
+}
+
+/// The value the JSON number literal `text` denotes, if it is one.
+pub(crate) fn number(text: &str) -> Option<Value> {
+    match text.parse::<i64>() {
+        Ok(i) if i.to_string() == text => Some(Value::Int(i)),
+        _ => text.parse().ok().map(Value::Num),
+    }
+}
+
+impl From<f64> for Value {
+    /// `null` if not finite, else what `{v}` (never an exponent) reads as.
+    fn from(v: f64) -> Self {
+        let parsed = || number(&v.to_string());
+        v.is_finite().then(parsed).flatten().unwrap_or(Value::Null)
+    }
+}
+
+/// The JSON text of a value.
+fn json(value: &Value) -> String {
+    match value {
+        Value::Str(s) => json_string(s),
+        Value::Int(i) => i.to_string(),
+        Value::Num(v) => v.to_string(),
+        Value::Bool(b) => b.to_string(),
+        Value::Null => "null".into(),
+        Value::Arr(items) => format!("[{}]", items.iter().map(json).collect::<Vec<_>>().join(",")),
+    }
+}
+
+/// One flat JSON record: its fields in write order. This is the row a
+/// sink writes, [`crate::report::parse_jsonl`] returns and
+/// [`crate::report::render`] draws.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Record {
-    fields: Vec<(String, String)>,
+    /// `(key, value)` pairs in order; only the builders and the parser
+    /// fill it, so every number is in the form its text reads back as.
+    pub(crate) fields: Vec<(String, Value)>,
 }
 
 impl Record {
     /// Starts a record tagged with a `kind` discriminator field.
     pub fn new(kind: &str) -> Self {
-        let mut r = Self::default();
-        r.push_raw("kind", json_string(kind));
-        r
+        Self::default().str("kind", kind)
     }
 
-    fn push_raw(&mut self, key: &str, rendered: String) {
-        self.fields.push((key.to_string(), rendered));
+    fn with(mut self, key: &str, value: Value) -> Self {
+        self.fields.push((key.to_string(), value));
+        self
     }
 
     /// Adds a string field.
-    pub fn str(mut self, key: &str, value: &str) -> Self {
-        self.push_raw(key, json_string(value));
-        self
+    pub fn str(self, key: &str, value: &str) -> Self {
+        self.with(key, Value::Str(value.into()))
     }
 
     /// Adds a numeric field (non-finite values render as `null`).
-    pub fn num(mut self, key: &str, value: f64) -> Self {
-        self.push_raw(key, json_number(value));
-        self
+    pub fn num(self, key: &str, value: f64) -> Self {
+        self.with(key, value.into())
     }
 
     /// Adds an integer field.
-    pub fn int(mut self, key: &str, value: i64) -> Self {
-        self.push_raw(key, value.to_string());
-        self
+    pub fn int(self, key: &str, value: i64) -> Self {
+        self.with(key, Value::Int(value))
     }
 
     /// Adds a boolean field.
-    pub fn bool(mut self, key: &str, value: bool) -> Self {
-        self.push_raw(key, value.to_string());
-        self
+    pub fn bool(self, key: &str, value: bool) -> Self {
+        self.with(key, Value::Bool(value))
     }
 
-    /// Adds a JSON array of numbers (non-finite entries render as
-    /// `null`).
-    pub fn nums(mut self, key: &str, values: &[f64]) -> Self {
-        let body: Vec<String> = values.iter().map(|&v| json_number(v)).collect();
-        self.push_raw(key, format!("[{}]", body.join(",")));
-        self
+    /// Adds an array of numbers (non-finite entries render as `null`).
+    pub fn nums(self, key: &str, values: &[f64]) -> Self {
+        self.with(key, Value::Arr(values.iter().map(|&v| v.into()).collect()))
     }
 
-    /// Flattens a runner's [`RunRecord`] —
-    /// scenario text, summary costs, and the full cost trajectory —
-    /// under the given `kind` tag. This is the one shape every CLI
-    /// command and ported harness emits, so `dlb report` renders them
-    /// all the same way.
-    ///
-    /// Record shape, v3: the `fault_*` and `detector_*` field groups
-    /// are always present (zeroed on quiet runs). v1 omitted `fault_*`
-    /// on fault-free records, which made downstream schemas dependent
-    /// on the scenario's content; a stable shape lets `dlb report` and
-    /// external consumers project columns without sniffing rows.
-    /// v3 appends the `stream_*` group — but only on streamed runs
-    /// (`arrivals=` scenarios): the group is new, so emitting it
-    /// unconditionally would silently reshape every existing
-    /// no-stream record (and break the CI byte-identity check against
-    /// pre-stream output). Streamed scenarios are themselves new, so
-    /// conditioning on `stream.is_quiet()` changes no record that
-    /// could exist before v3. The `gossip_*` group follows the same
-    /// rule: emitted only when the run's `gossip=event:...` control
-    /// plane actually moved bytes. v4 adds the `obs_*` group under the
-    /// same quiet-group rule: emitted only when the run's `trace=`
-    /// mode actually observed events, so untraced records keep the v3
-    /// shape byte for byte.
+    /// The value of the first field named `key`.
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        self.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    /// A runner's [`RunRecord`] under the given `kind` tag: one field
+    /// per `RUN_FIELDS` row whose group the run filled.
     pub fn from_run(kind: &str, run: &RunRecord) -> Self {
-        let mut r = Record::new(kind)
-            .str("scenario", &run.scenario)
-            .str("algo", run.algo)
-            .int("m", run.m as i64)
-            .num("initial_cost", run.initial_cost())
-            .num("final_cost", run.final_cost())
-            .int("iterations", run.iterations as i64)
-            .bool("converged", run.converged)
-            .num("wall_secs", run.wall_secs)
-            .int("fault_crashes", run.faults.crashes as i64)
-            .int("fault_recoveries", run.faults.recoveries as i64)
-            .int("fault_dropped_frames", run.faults.dropped_frames as i64)
-            .int("fault_delayed_frames", run.faults.delayed_frames as i64)
-            .num("fault_extra_delay_ms", run.faults.extra_delay_ms)
-            .int("detector_suspicions", run.detector.suspicions as i64)
-            .int(
-                "detector_false_positives",
-                run.detector.false_positives as i64,
-            )
-            .num("detector_latency_ms", run.detector.detection_latency_ms)
-            .num("detector_rejoin_ms", run.detector.rejoin_ms)
-            .int(
-                "detector_aborted_exchanges",
-                run.detector.aborted_exchanges as i64,
-            );
-        if !run.stream.is_quiet() {
-            r = r
-                .int("stream_served", run.stream.served as i64)
-                .int("stream_dropped", run.stream.dropped as i64)
-                .num("stream_p50_ms", run.stream.p50_ms)
-                .num("stream_p99_ms", run.stream.p99_ms)
-                .num("stream_imbalance_ms", run.stream.imbalance_ms);
-        }
-        if !run.gossip.is_quiet() {
-            r = r
-                .int("gossip_frames", run.gossip.frames as i64)
-                .int("gossip_bytes", run.gossip.bytes as i64)
-                .int("gossip_exchanges", run.gossip.exchanges as i64);
-        }
-        if !run.obs.is_quiet() {
-            r = r
-                .int("obs_events", run.obs.events as i64)
-                .int("obs_frames", run.obs.frames as i64)
-                .int("obs_dropped", run.obs.dropped as i64)
-                .int("obs_held", run.obs.held as i64)
-                .num("obs_frame_p50_ms", run.obs.frame_p50_ms)
-                .num("obs_frame_p99_ms", run.obs.frame_p99_ms);
-        }
-        r.nums("history", &run.history)
+        let rows = RUN_FIELDS.iter().filter(|(_, filled, _)| filled(run));
+        rows.fold(Record::new(kind), |r, (key, _, get)| r.with(key, get(run)))
     }
 
     /// Renders the record as one JSON object.
     pub fn to_json(&self) -> String {
-        let body: Vec<String> = self
-            .fields
-            .iter()
-            .map(|(k, v)| format!("{}:{v}", json_string(k)))
-            .collect();
+        let field = |(k, v): &(String, Value)| format!("{}:{}", json_string(k), json(v));
+        let body: Vec<String> = self.fields.iter().map(field).collect();
         format!("{{{}}}", body.join(","))
     }
 }
+
+/// Whether a run filled a group of [`RUN_FIELDS`].
+type Group = fn(&RunRecord) -> bool;
+/// A field's value on a run.
+type Get = fn(&RunRecord) -> Value;
+
+const ALWAYS: Group = |_| true;
+const STREAM: Group = |run| !run.stream.is_quiet();
+const GOSSIP: Group = |run| !run.gossip.is_quiet();
+const OBS: Group = |run| !run.obs.is_quiet();
+
+/// The run record's fields in write order: key, group, value.
+///
+/// The quiet-group rule: the `ALWAYS` fields — the `fault_*` and
+/// `detector_*` groups included, zeroed on quiet runs — are on every
+/// record, so consumers project columns without sniffing rows. A group
+/// added after records existed (`stream_*` for `arrivals=` runs,
+/// `gossip_*` for `gossip=event:` runs, `obs_*` for traced runs) is
+/// written only when the run filled it, so no record that could exist
+/// before the group changes by a byte.
+#[rustfmt::skip] // a table: one field per entry
+const RUN_FIELDS: &[(&str, Group, Get)] = &[
+    ("scenario", ALWAYS, |run| Value::Str(run.scenario.clone())),
+    ("algo", ALWAYS, |run| Value::Str(run.algo.into())),
+    ("m", ALWAYS, |run| Value::Int(run.m as i64)),
+    ("initial_cost", ALWAYS, |run| run.initial_cost().into()),
+    ("final_cost", ALWAYS, |run| run.final_cost().into()),
+    ("iterations", ALWAYS, |run| Value::Int(run.iterations as i64)),
+    ("converged", ALWAYS, |run| Value::Bool(run.converged)),
+    ("wall_secs", ALWAYS, |run| run.wall_secs.into()),
+    ("fault_crashes", ALWAYS, |run| Value::Int(run.faults.crashes as i64)),
+    ("fault_recoveries", ALWAYS, |run| Value::Int(run.faults.recoveries as i64)),
+    ("fault_dropped_frames", ALWAYS, |run| Value::Int(run.faults.dropped_frames as i64)),
+    ("fault_delayed_frames", ALWAYS, |run| Value::Int(run.faults.delayed_frames as i64)),
+    ("fault_extra_delay_ms", ALWAYS, |run| run.faults.extra_delay_ms.into()),
+    ("detector_suspicions", ALWAYS, |run| Value::Int(run.detector.suspicions as i64)),
+    ("detector_false_positives", ALWAYS, |run| Value::Int(run.detector.false_positives as i64)),
+    ("detector_latency_ms", ALWAYS, |run| run.detector.detection_latency_ms.into()),
+    ("detector_rejoin_ms", ALWAYS, |run| run.detector.rejoin_ms.into()),
+    ("detector_aborted_exchanges", ALWAYS, |run| Value::Int(run.detector.aborted_exchanges as i64)),
+    ("stream_served", STREAM, |run| Value::Int(run.stream.served as i64)),
+    ("stream_dropped", STREAM, |run| Value::Int(run.stream.dropped as i64)),
+    ("stream_p50_ms", STREAM, |run| run.stream.p50_ms.into()),
+    ("stream_p99_ms", STREAM, |run| run.stream.p99_ms.into()),
+    ("stream_imbalance_ms", STREAM, |run| run.stream.imbalance_ms.into()),
+    ("gossip_frames", GOSSIP, |run| Value::Int(run.gossip.frames as i64)),
+    ("gossip_bytes", GOSSIP, |run| Value::Int(run.gossip.bytes as i64)),
+    ("gossip_exchanges", GOSSIP, |run| Value::Int(run.gossip.exchanges as i64)),
+    ("obs_events", OBS, |run| Value::Int(run.obs.events as i64)),
+    ("obs_frames", OBS, |run| Value::Int(run.obs.frames as i64)),
+    ("obs_dropped", OBS, |run| Value::Int(run.obs.dropped as i64)),
+    ("obs_held", OBS, |run| Value::Int(run.obs.held as i64)),
+    ("obs_frame_p50_ms", OBS, |run| run.obs.frame_p50_ms.into()),
+    ("obs_frame_p99_ms", OBS, |run| run.obs.frame_p99_ms.into()),
+    ("history", ALWAYS, |run| Value::Arr(run.history.iter().map(|&c| c.into()).collect())),
+];
 
 fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -174,16 +199,6 @@ fn json_string(s: &str) -> String {
     out
 }
 
-fn json_number(v: f64) -> String {
-    if v.is_finite() {
-        // `{v}` alone prints integers without a dot, which is still
-        // valid JSON; keep it terse.
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
 /// A JSON-lines sink for one experiment.
 #[derive(Debug)]
 pub struct JsonlSink {
@@ -194,70 +209,45 @@ pub struct JsonlSink {
 }
 
 impl JsonlSink {
-    /// Opens (truncates) `<DLB_RESULTS_DIR>/<name>.jsonl`. When the
-    /// variable is unset the sink is a no-op, mirroring the old CSV
-    /// sink's best-effort contract.
+    /// Opens (truncates) `<DLB_RESULTS_DIR>/<name>.jsonl`; a no-op when
+    /// the variable is unset, so benches never fail on read-only
+    /// filesystems.
     pub fn create(name: &str) -> Self {
-        let file = std::env::var("DLB_RESULTS_DIR").ok().and_then(|dir| {
-            let mut path = PathBuf::from(dir);
-            if fs::create_dir_all(&path).is_err() {
-                return None;
-            }
-            path.push(format!("{name}.jsonl"));
-            fs::File::create(path).ok()
-        });
+        let dir = std::env::var("DLB_RESULTS_DIR").ok().map(PathBuf::from);
+        let dir = dir.filter(|dir| fs::create_dir_all(dir).is_ok());
+        let file = dir.and_then(|dir| fs::File::create(dir.join(format!("{name}.jsonl"))).ok());
         Self { file, failed: None }
     }
 
     /// Opens (truncates) an explicit path; errors propagate so callers
     /// producing committed artifacts notice a broken destination.
     pub fn create_at(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        Ok(Self {
-            file: Some(fs::File::create(path)?),
-            failed: None,
-        })
+        let file = Some(fs::File::create(path)?);
+        Ok(Self { file, failed: None })
     }
 
-    /// Appends one record as a JSON line. A failed write does not stop
-    /// the experiment; the first one is kept for
+    /// Appends one record as a JSON line, stamped with `host_cores` and
+    /// `dlb_threads` (the pool width `DLB_THREADS` resolved to) so two
+    /// result files can explain their wall-clock differences. A failed
+    /// write does not stop the experiment; the first is kept for
     /// [`finish`](Self::finish).
-    ///
-    /// Every persisted record is stamped with the machine context —
-    /// `host_cores` (the machine's available parallelism) and
-    /// `dlb_threads` (the worker-pool width this process resolved from
-    /// `DLB_THREADS`). Virtual-time results are bit-identical across
-    /// thread counts, but wall-clock columns are not; the stamp lets
-    /// two result files explain their timing differences instead of
-    /// looking mysteriously divergent. Stamping happens here, at write
-    /// time, so [`Record`] values under construction stay pure data.
     pub fn record(&mut self, record: &Record) {
         if let Some(f) = &mut self.file {
-            let written = writeln!(f, "{}", Self::stamped(record).to_json());
+            let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+            let stamped = (record.clone().int("host_cores", cores as i64))
+                .int("dlb_threads", dlb_par::num_threads() as i64);
+            let written = writeln!(f, "{}", stamped.to_json());
             if self.failed.is_none() {
                 self.failed = written.err();
             }
         }
     }
 
-    /// Closes the sink: `Err` with the first write that failed, if any
-    /// did — a caller that was given the path by a user (`dlb --out`)
-    /// must not report success over an empty file. Sinks that are
-    /// best-effort by contract (the `DLB_RESULTS_DIR` ones) are simply
-    /// dropped instead.
+    /// Closes the sink: `Err` with the first write that failed — a
+    /// caller given the path by a user (`dlb --out`) must not report
+    /// success over an empty file. Best-effort sinks are just dropped.
     pub fn finish(self) -> std::io::Result<()> {
         self.failed.map_or(Ok(()), Err)
-    }
-
-    /// The record plus the machine-context fields every persisted line
-    /// carries.
-    fn stamped(record: &Record) -> Record {
-        let host_cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        record
-            .clone()
-            .int("host_cores", host_cores as i64)
-            .int("dlb_threads", dlb_par::num_threads() as i64)
     }
 }
 
@@ -277,6 +267,23 @@ mod tests {
             r.to_json(),
             r#"{"kind":"scaling","m":2000,"mode":"batched","secs_per_iter":0.25,"bad":null,"parallel":true}"#
         );
+    }
+
+    /// A number is held as what its text reads back as: an integral
+    /// float prints, and so is held, as an integer; an integer that
+    /// `f64` cannot hold exactly keeps every digit.
+    #[test]
+    fn numbers_are_held_as_their_text_reads_back() {
+        assert_eq!(Value::from(3.0), Value::Int(3));
+        assert_eq!(Value::from(1.5), Value::Num(1.5));
+        assert_eq!(json(&Value::from(-0.0)), "-0");
+        assert_eq!(Value::from(1e300), Value::Num(1e300));
+        assert_eq!(Value::from(f64::INFINITY), Value::Null);
+        let seed = u64::MAX - 2;
+        let r = Record::new("estimate").int("seed", seed as i64);
+        assert_eq!(r.to_json(), r#"{"kind":"estimate","seed":-3}"#);
+        let big = Record::new("x").int("n", i64::MAX).to_json();
+        assert!(big.ends_with("\"n\":9223372036854775807}"), "{big}");
     }
 
     #[test]

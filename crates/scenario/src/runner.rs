@@ -17,15 +17,17 @@ use dlb_faults::{FaultSummary, MAX_RETRANSMITS, RETRANSMIT_MS};
 use dlb_gossip::GossipTraffic;
 use dlb_netsim::rtt::QueueModel;
 use dlb_netsim::LinkDelayModel;
-use dlb_obs::{FrameLog, MemorySink, MetricSet, NullSink, ObsSummary, TraceSink, Trailer};
+use dlb_obs::{
+    FrameLog, MemorySink, MetricSet, NullSink, ObsSummary, SummarySink, TraceSink, Trailer,
+};
 use dlb_runtime::{
-    run_cluster_events_observed, ClusterOptions, ClusterReport, DetectMode, DetectorSummary,
-    NodeConfig, SelectPolicy, StreamSummary, VirtualClock,
+    run_cluster_events_observed, ClusterOptions, ClusterReport, DetectorSummary, NodeConfig,
+    StreamSummary, VirtualClock,
 };
 use dlb_solver::game::{run_best_response_dynamics, DynamicsOptions};
 use dlb_solver::solve_bcd;
 
-use crate::spec::{AlgoSpec, DetectSpec, GossipSpec, ScenarioSpec, SelectSpec, TraceSpec};
+use crate::spec::{AlgoSpec, GossipSpec, ScenarioSpec, SpecError, TraceSpec};
 use dlb_core::Instance;
 
 /// The uniform result of running any scenario.
@@ -235,17 +237,10 @@ fn protocol_options(spec: &ScenarioSpec, instance: &Instance) -> ClusterOptions 
         quiescent_rounds: spec.patience.max(1),
         quiescent_volume: spec.eps,
         node: NodeConfig {
-            select: match spec.select {
-                SelectSpec::Exact => SelectPolicy::Exact,
-                SelectSpec::TopK(k) => SelectPolicy::TopK(k),
-            },
+            select: spec.select,
             ..Default::default()
         },
-        detect: match spec.detect {
-            DetectSpec::Oracle => DetectMode::Oracle,
-            DetectSpec::Timeout(ms) => DetectMode::Timeout(ms),
-            DetectSpec::Adaptive => DetectMode::Adaptive,
-        },
+        detect: spec.detect,
         exchange_rto_ms: exchange_rto_ms(spec, instance),
         ..Default::default()
     }
@@ -287,6 +282,17 @@ pub(crate) fn run_protocol_events<T: TraceSink>(
     )
 }
 
+/// The outcomes a frame log's trailer claims for a run.
+pub(crate) fn trailer(report: &ClusterReport) -> Trailer {
+    Trailer {
+        event_hash: report.event_hash,
+        final_cost: report.final_cost,
+        rounds: report.rounds as u64,
+        exchanges: report.exchanges as u64,
+        virtual_ms: report.virtual_ms,
+    }
+}
+
 /// Runs the message-passing protocol on the deterministic virtual-time
 /// executor ([`dlb_runtime::run_cluster_events_observed`]), link
 /// delays sampled per seed from [`dlb_netsim::LinkDelayModel`] over
@@ -294,42 +300,40 @@ pub(crate) fn run_protocol_events<T: TraceSink>(
 /// threshold, `patience` the quiet-round count (`m − 1` certifies
 /// pairwise optimality), `budget` the round budget. Runs report
 /// *simulated* seconds as `wall_secs` (see [`RunRecord::wall_secs`]).
-fn run_protocol(spec: &ScenarioSpec, instance: Instance) -> RunRecord {
-    let mut obs = ObsSummary::default();
-    let report = match spec.trace {
-        TraceSpec::Off => run_protocol_events(spec, &instance, &mut NullSink),
-        TraceSpec::Summary | TraceSpec::Frames(_) => {
+/// `trace=summary` folds events into metrics as they are emitted; only
+/// `trace=frames:` keeps the stream, for its log — and a log that
+/// cannot be written is this runner's one error.
+fn run_protocol(spec: &ScenarioSpec, instance: Instance) -> Result<RunRecord, SpecError> {
+    let (report, obs) = match spec.trace {
+        TraceSpec::Off => (
+            run_protocol_events(spec, &instance, &mut NullSink),
+            ObsSummary::default(),
+        ),
+        TraceSpec::Summary => {
+            let mut sink = SummarySink::default();
+            let report = run_protocol_events(spec, &instance, &mut sink);
+            (report, sink.metrics.summary())
+        }
+        TraceSpec::Frames(path) => {
             let mut sink = MemorySink::default();
             let report = run_protocol_events(spec, &instance, &mut sink);
-            obs = MetricSet::from_events(&sink.events).summary();
-            if let TraceSpec::Frames(path) = spec.trace {
-                // The header records the spec *without* its trace
-                // key: replay re-derives the run, and re-recording
-                // during replay would be both circular and a
-                // determinism hazard.
-                let mut header = *spec;
-                header.trace = TraceSpec::Off;
-                let log = FrameLog {
-                    spec: header.to_string(),
-                    events: sink.events,
-                    trailer: Trailer {
-                        event_hash: report.event_hash,
-                        final_cost: report.final_cost,
-                        rounds: report.rounds as u64,
-                        exchanges: report.exchanges as u64,
-                        virtual_ms: report.virtual_ms,
-                    },
-                };
-                assert!(
-                    std::fs::write(path.as_str(), log.encode()).is_ok(),
-                    "trace=frames:{}: cannot write frame log",
-                    path.as_str()
-                );
-            }
-            report
+            let obs = MetricSet::from_events(&sink.events).summary();
+            // The header records the spec *without* its trace key:
+            // replay re-derives the run, and re-recording during
+            // replay would be both circular and a determinism hazard.
+            let mut header = *spec;
+            header.trace = TraceSpec::Off;
+            let log = FrameLog {
+                spec: header.to_string(),
+                events: sink.events,
+                trailer: trailer(&report),
+            };
+            std::fs::write(path.as_str(), log.encode())
+                .map_err(|e| SpecError(format!("trace=frames:{path}: cannot write ({e})")))?;
+            (report, obs)
         }
     };
-    RunRecord {
+    Ok(RunRecord {
         faults: report.faults,
         detector: report.detector,
         stream: report.stream,
@@ -341,7 +345,7 @@ fn run_protocol(spec: &ScenarioSpec, instance: Instance) -> RunRecord {
             report.quiescent,
             report.virtual_ms / 1000.0,
         )
-    }
+    })
 }
 
 /// Runs the centralized BCD solver baseline ([`dlb_solver::solve_bcd`])
@@ -365,7 +369,8 @@ impl ScenarioSpec {
     /// # Panics
     /// Panics with [`ScenarioSpec::validate`]'s message on a key
     /// combination it refuses — a silently ignored fault plan would
-    /// masquerade as a clean measurement.
+    /// masquerade as a clean measurement — and when a `trace=frames:`
+    /// log cannot be written.
     pub fn run(&self) -> RunRecord {
         self.run_on(self.build_instance())
     }
@@ -377,17 +382,26 @@ impl ScenarioSpec {
     /// intentional override with the same size).
     ///
     /// # Panics
-    /// Panics when [`ScenarioSpec::validate`] refuses the spec (see
+    /// Panics with [`try_run_on`](Self::try_run_on)'s error (see
     /// [`ScenarioSpec::run`]).
     pub fn run_on(&self, instance: Instance) -> RunRecord {
-        if let Err(refusal) = self.validate() {
-            panic!("{refusal}, got '{self}'");
-        }
+        self.try_run_on(instance)
+            .unwrap_or_else(|e| panic!("{e}, got '{self}'"))
+    }
+
+    /// [`run_on`](Self::run_on) for callers that report failures
+    /// instead of panicking.
+    ///
+    /// # Errors
+    /// [`ScenarioSpec::validate`]'s refusal, or a `trace=frames:` log
+    /// that cannot be written.
+    pub fn try_run_on(&self, instance: Instance) -> Result<RunRecord, SpecError> {
+        self.validate()?;
         match self.algo {
-            AlgoSpec::Sequential | AlgoSpec::Batched => run_engine(self, instance),
-            AlgoSpec::Nash => run_nash(self, instance),
+            AlgoSpec::Sequential | AlgoSpec::Batched => Ok(run_engine(self, instance)),
+            AlgoSpec::Nash => Ok(run_nash(self, instance)),
             AlgoSpec::Protocol => run_protocol(self, instance),
-            AlgoSpec::Bcd => run_bcd(self, instance),
+            AlgoSpec::Bcd => Ok(run_bcd(self, instance)),
         }
     }
 }
@@ -395,7 +409,7 @@ impl ScenarioSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::NetSpec;
+    use crate::spec::{NetSpec, SelectSpec};
 
     /// The engine runners must reproduce a direct
     /// `Engine::run_to_convergence` call bit for bit — the scenario

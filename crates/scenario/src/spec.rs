@@ -35,7 +35,8 @@ use dlb_topology::{EuclideanConfig, PlanetLabConfig};
 /// `BENCH_figure2.json` series remain comparable across PRs.
 pub const SAMPLE_SALT: u64 = 0xBE7C;
 
-/// A spec parse/validation error with a user-facing message.
+/// A scenario error with a user-facing message: a spec that does not
+/// parse or validate, or a run that cannot write what it names.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpecError(pub String);
 
@@ -158,23 +159,22 @@ fn check_runtime(v: &str) -> Result<(), SpecError> {
     }
 }
 
-/// Partner-selection policy of the protocol runtime (the `select=`
-/// key). The engine/game/solver algorithms reject non-default values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SelectSpec {
-    /// Every node scores every live peer each round — the literal §IV
-    /// scan, O(m²) per round cluster-wide.
-    #[default]
-    Exact,
-    /// `topk:K`: every node scores only its `K` delay-nearest peers
-    /// (from its own latency column) plus the gossiped hot set of
-    /// load-extreme nodes — O(K) per node per round, the index behind
-    /// 100k-node event runs. `K ≥ m − 1` reproduces `exact` bit for
-    /// bit.
-    TopK(u32),
+/// The `select=` value: the protocol runtime's partner-selection
+/// policy, `exact` or `topk:K` in the text form.
+pub use dlb_runtime::SelectPolicy as SelectSpec;
+
+/// The `detect=` value: the protocol runtime's liveness source,
+/// `oracle`, `timeout:MS` or `adaptive` in the text form.
+pub use dlb_runtime::DetectMode as DetectSpec;
+
+/// The text grammar of an axis whose value type lives in `dlb-runtime`:
+/// the [`AXES`] row's reader and printer.
+trait AxisValue: Sized {
+    fn parse(v: &str) -> Result<Self, SpecError>;
+    fn text(&self) -> String;
 }
 
-impl SelectSpec {
+impl AxisValue for SelectSpec {
     fn parse(v: &str) -> Result<Self, SpecError> {
         if v == "exact" {
             return Ok(SelectSpec::Exact);
@@ -192,39 +192,16 @@ impl SelectSpec {
             "select: '{v}' is not exact or topk:K (e.g. topk:32)"
         )))
     }
-}
 
-impl fmt::Display for SelectSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    fn text(&self) -> String {
         match self {
-            SelectSpec::Exact => write!(f, "exact"),
-            SelectSpec::TopK(k) => write!(f, "topk:{k}"),
+            SelectSpec::Exact => "exact".into(),
+            SelectSpec::TopK(k) => format!("topk:{k}"),
         }
     }
 }
 
-/// Liveness-detection mode of the protocol runtime (the `detect=`
-/// key). Only `algo=protocol` can run the in-protocol
-/// detectors; [`ScenarioSpec::parse`] rejects other combinations.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum DetectSpec {
-    /// The script-fed liveness oracle: the coordinator is told who is
-    /// down at every round boundary. The baseline all parity and
-    /// determinism tests pin — byte-identical to the pre-detector
-    /// runtime.
-    #[default]
-    Oracle,
-    /// `timeout:MS` — fixed per-round report deadline in virtual ms.
-    /// Silence past the deadline means suspected and excluded until
-    /// the node speaks again.
-    Timeout(f64),
-    /// Phi-accrual-style adaptive deadlines learned from each node's
-    /// report-latency history (mean + 4σ + 1 ms, globally bootstrapped)
-    /// — no RNG, deterministic across worker counts.
-    Adaptive,
-}
-
-impl DetectSpec {
+impl AxisValue for DetectSpec {
     fn parse(v: &str) -> Result<Self, SpecError> {
         match v {
             "oracle" => return Ok(DetectSpec::Oracle),
@@ -248,14 +225,12 @@ impl DetectSpec {
             "detect: '{v}' is not one of oracle|timeout:MS|adaptive (e.g. timeout:200ms)"
         )))
     }
-}
 
-impl fmt::Display for DetectSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    fn text(&self) -> String {
         match self {
-            DetectSpec::Oracle => write!(f, "oracle"),
-            DetectSpec::Timeout(ms) => write!(f, "timeout:{ms}ms"),
-            DetectSpec::Adaptive => write!(f, "adaptive"),
+            DetectSpec::Oracle => "oracle".into(),
+            DetectSpec::Timeout(ms) => format!("timeout:{ms}ms"),
+            DetectSpec::Adaptive => "adaptive".into(),
         }
     }
 }
@@ -882,7 +857,7 @@ const AXES: &[Axis] = &[
         always: false,
         needs: &[],
     },
-    axis!(select, |_, v| SelectSpec::parse(v), &[(
+    axis!(select.text(), |_, v| SelectSpec::parse(v), &[(
         PROTOCOL,
         "partner selection is a protocol-runtime policy; the analytic engines have their own \
          pruning axis",
@@ -892,7 +867,7 @@ const AXES: &[Axis] = &[
         |key, v| FaultPlan::parse(v).map_err(|e| SpecError(format!("{key}: {}", e.0))),
         &[(PROTOCOL, "the deterministic simulation is what can replay a fault schedule")]
     ),
-    axis!(detect, |_, v| DetectSpec::parse(v), &[(
+    axis!(detect.text(), |_, v| DetectSpec::parse(v), &[(
         PROTOCOL,
         "in-protocol failure detection needs the virtual clock to arm deadlines on",
     )]),

@@ -22,9 +22,7 @@ pub struct DynamicsOptions {
     pub calm_rounds: usize,
     /// Hard round budget.
     pub max_rounds: usize,
-    /// Shuffle the response order every round.
-    pub shuffle: bool,
-    /// RNG seed for the order.
+    /// RNG seed for the response order, which is shuffled every round.
     pub seed: u64,
     /// Optional uniform per-server cap on each organization's
     /// placements (`n_i / R` for the replication extension).
@@ -37,7 +35,6 @@ impl Default for DynamicsOptions {
             change_threshold: 0.01,
             calm_rounds: 2,
             max_rounds: 10_000,
-            shuffle: true,
             seed: 0,
             replication: None,
         }
@@ -68,9 +65,7 @@ pub fn run_best_response_dynamics(
     let mut calm = 0usize;
     let mut final_max_change = f64::INFINITY;
     for round in 0..options.max_rounds {
-        if options.shuffle {
-            order.shuffle(&mut rng);
-        }
+        order.shuffle(&mut rng);
         let mut max_change = 0.0f64;
         for &i in &order {
             let n_i = instance.own_load(i);

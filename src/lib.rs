@@ -306,7 +306,7 @@
 //! | module | contents |
 //! |---|---|
 //! | [`core`] | instance/assignment model, cost functions, workloads |
-//! | [`scenario`] | declarative ScenarioSpec → RunRecord experiment API |
+//! | [`scenario`] | declarative ScenarioSpec → RunRecord experiment API; `scenario::{results, report}`: the JSON-lines `Record` the sinks write and `dlb report` draws |
 //! | [`topology`] | homogeneous / Euclidean / PlanetLab-like latencies; [`coords`]: their estimation by Vivaldi coordinates |
 //! | [`solver`] | computed centrally on the dense state: the §III QP (PGD/FISTA, Frank-Wolfe, water-filling); [`game`]: Nash dynamics, price of anarchy (§V); [`extensions`]: §VII tasks, R-replication |
 //! | [`distributed`] | Algorithms 1 & 2, the engine, Proposition 1, cycle removal; [`flow`]: its min-cost max-flow substrate (paper Appendix) |

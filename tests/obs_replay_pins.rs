@@ -105,3 +105,21 @@ fn summary_tracing_only_adds_the_obs_group() {
     assert_eq!(off_run.faults, on_run.faults);
     assert_eq!(off_run.detector, on_run.detector);
 }
+
+/// `trace=summary` folds events as they are emitted and keeps none;
+/// `trace=frames:` keeps the stream and folds it afterwards. The two
+/// must report the same `obs_*` group for the same scenario.
+#[test]
+fn summary_and_frame_log_runs_report_the_same_obs_group() {
+    let text = "algo=protocol net=pl m=48 seed=5 faults=crash:0.1@300ms detect=adaptive";
+    let path = std::env::temp_dir().join("dlb_obs_pin_summary.dlbf");
+    let summary: ScenarioSpec = format!("{text} trace=summary").parse().unwrap();
+    let frames: ScenarioSpec = format!("{text} trace=frames:{}", path.display())
+        .parse()
+        .unwrap();
+    let (summary_run, frames_run) = (summary.run(), frames.run());
+    std::fs::remove_file(&path).ok();
+    assert!(summary_run.obs.events > 0 && summary_run.obs.frames > 0);
+    assert_eq!(summary_run.obs, frames_run.obs);
+    assert_eq!(summary_run.history, frames_run.history);
+}
