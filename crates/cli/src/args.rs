@@ -7,7 +7,8 @@
 //! takes scenario `key=value` tokens there, `dlb report` file paths.
 
 use std::collections::BTreeMap;
-use std::fmt;
+
+use dlb_core::plan_text::{Reader, SpecError};
 
 /// A parsed command line: the subcommand, its `--key value` pairs, and
 /// the bare positional tokens.
@@ -20,22 +21,10 @@ pub struct Args {
     options: BTreeMap<String, String>,
 }
 
-/// A parse or validation error with a user-facing message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ArgError(pub String);
-
-impl fmt::Display for ArgError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-impl std::error::Error for ArgError {}
-
 impl Args {
     /// Parses raw arguments (excluding the program name). `allowed`
     /// lists the option keys valid for the detected subcommand.
-    pub fn parse<I, S>(raw: I, allowed: &[&str]) -> Result<Args, ArgError>
+    pub fn parse<I, S>(raw: I, allowed: &[&str]) -> Result<Args, SpecError>
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,
@@ -43,9 +32,9 @@ impl Args {
         let mut iter = raw.into_iter().map(Into::into);
         let command = iter
             .next()
-            .ok_or_else(|| ArgError("missing command".into()))?;
+            .ok_or_else(|| SpecError("missing command".into()))?;
         if command.starts_with('-') {
-            return Err(ArgError(format!(
+            return Err(SpecError(format!(
                 "expected a command first, found option '{command}'"
             )));
         }
@@ -60,10 +49,10 @@ impl Args {
                 }
             };
             if key.is_empty() {
-                return Err(ArgError("empty option name '--'".into()));
+                return Err(SpecError("empty option name '--'".into()));
             }
             if !allowed.contains(&key.as_str()) {
-                return Err(ArgError(format!(
+                return Err(SpecError(format!(
                     "unknown option '--{key}' for '{command}' (valid: {})",
                     allowed
                         .iter()
@@ -74,9 +63,9 @@ impl Args {
             }
             let value = iter
                 .next()
-                .ok_or_else(|| ArgError(format!("option '--{key}' needs a value")))?;
+                .ok_or_else(|| SpecError(format!("option '--{key}' needs a value")))?;
             if options.insert(key.clone(), value).is_some() {
-                return Err(ArgError(format!("option '--{key}' given twice")));
+                return Err(SpecError(format!("option '--{key}' given twice")));
             }
         }
         Ok(Args {
@@ -93,12 +82,10 @@ impl Args {
 
     /// Typed getter with a default, for the non-negative integer
     /// options.
-    pub fn get_num<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, ArgError> {
+    pub fn get_num<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, SpecError> {
         match self.options.get(key) {
             None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| ArgError(format!("--{key}: '{v}' is not a non-negative integer"))),
+            Some(v) => Reader::new(&format!("--{key}"), "a non-negative integer").number(v),
         }
     }
 }
@@ -113,9 +100,9 @@ mod tests {
     fn parses_command_and_options() {
         let a = Args::parse(["estimate", "--servers", "50", "--out", "e.jsonl"], KEYS).unwrap();
         assert_eq!(a.command, "estimate");
-        assert_eq!(a.get_num("servers", 0).unwrap(), 50);
+        assert_eq!(a.get_num("servers", 0usize).unwrap(), 50);
         assert_eq!(a.get("out"), Some("e.jsonl"));
-        assert_eq!(a.get_num("missing", 7).unwrap(), 7);
+        assert_eq!(a.get_num("missing", 7usize).unwrap(), 7);
         assert!(a.positionals.is_empty());
     }
 

@@ -24,10 +24,10 @@
 mod args;
 mod trace;
 
-use args::{ArgError, Args};
+use args::Args;
 use dlb_scenario::report::render_report;
 use dlb_scenario::results::{JsonlSink, Record};
-use dlb_scenario::{AlgoSpec, ScenarioSpec, TraceSpec};
+use dlb_scenario::{AlgoSpec, ScenarioSpec, SpecError, TraceSpec};
 use dlb_topology::coords::{Estimator, EstimatorConfig};
 use std::process::ExitCode;
 
@@ -164,10 +164,10 @@ estimate options:
 
 /// Opens the run sink: `--out FILE` explicitly, the
 /// `DLB_RESULTS_DIR`-driven sink otherwise.
-fn open_sink(args: &Args) -> Result<JsonlSink, ArgError> {
+fn open_sink(args: &Args) -> Result<JsonlSink, SpecError> {
     match args.get("out") {
         Some(path) => JsonlSink::create_at(path)
-            .map_err(|e| ArgError(format!("--out {path}: cannot create ({e})"))),
+            .map_err(|e| SpecError(format!("--out {path}: cannot create ({e})"))),
         None => Ok(JsonlSink::create("cli")),
     }
 }
@@ -175,16 +175,16 @@ fn open_sink(args: &Args) -> Result<JsonlSink, ArgError> {
 /// Closes the sink [`open_sink`] opened. A record that did not reach a
 /// file the user named with `--out` is an error; the `DLB_RESULTS_DIR`
 /// sink stays best-effort.
-fn close_sink(args: &Args, sink: JsonlSink) -> Result<(), ArgError> {
+fn close_sink(args: &Args, sink: JsonlSink) -> Result<(), SpecError> {
     match (args.get("out"), sink.finish()) {
-        (Some(path), Err(e)) => Err(ArgError(format!("--out {path}: cannot write ({e})"))),
+        (Some(path), Err(e)) => Err(SpecError(format!("--out {path}: cannot write ({e})"))),
         _ => Ok(()),
     }
 }
 
 /// Runs one scenario through the shared runner layer, prints the
 /// compact report, and emits the `RunRecord` through the sink.
-fn cmd_run(args: &Args) -> Result<(), ArgError> {
+fn cmd_run(args: &Args) -> Result<(), SpecError> {
     let mut text = args.positionals.join(" ");
     if let Some(flag) = args.get("scenario") {
         if !text.is_empty() {
@@ -192,18 +192,16 @@ fn cmd_run(args: &Args) -> Result<(), ArgError> {
         }
         text.push_str(flag);
     }
-    let spec = ScenarioSpec::parse(&text).map_err(|e| ArgError(e.0))?;
+    let spec = ScenarioSpec::parse(&text)?;
     let mut sink = open_sink(args)?;
     if let TraceSpec::Frames(path) = spec.trace {
         // Create (or truncate) the frame log before the run, like
         // `--out`: an unwritable path must not cost a whole run first.
         std::fs::File::create(path.as_str())
-            .map_err(|e| ArgError(format!("trace=frames:{path}: cannot create ({e})")))?;
+            .map_err(|e| SpecError(format!("trace=frames:{path}: cannot create ({e})")))?;
     }
     let started = std::time::Instant::now();
-    let run = spec
-        .try_run_on(spec.build_instance())
-        .map_err(|e| ArgError(e.0))?;
+    let run = spec.try_run_on(spec.build_instance())?;
     let host_secs = started.elapsed().as_secs_f64();
     sink.record(&Record::from_run("run", &run));
     println!("scenario: {}", run.scenario);
@@ -251,30 +249,30 @@ fn cmd_run(args: &Args) -> Result<(), ArgError> {
     close_sink(args, sink)
 }
 
-fn cmd_report(args: &Args) -> Result<(), ArgError> {
+fn cmd_report(args: &Args) -> Result<(), SpecError> {
     if args.positionals.is_empty() {
-        return Err(ArgError(
+        return Err(SpecError(
             "report needs at least one JSON-lines file (try 'dlb report BENCH_figure2.json')"
                 .into(),
         ));
     }
     for path in &args.positionals {
         let text = std::fs::read_to_string(path)
-            .map_err(|e| ArgError(format!("{path}: cannot read ({e})")))?;
+            .map_err(|e| SpecError(format!("{path}: cannot read ({e})")))?;
         if args.positionals.len() > 1 {
             println!("-- {path} --");
         }
         println!(
             "{}",
-            render_report(&text).map_err(|e| ArgError(format!("{path}: {e}")))?
+            render_report(&text).map_err(|e| SpecError(format!("{path}: {e}")))?
         );
     }
     Ok(())
 }
 
-fn cmd_estimate(args: &Args) -> Result<(), ArgError> {
+fn cmd_estimate(args: &Args) -> Result<(), SpecError> {
     if let Some(tok) = args.positionals.first() {
-        return Err(ArgError(format!(
+        return Err(SpecError(format!(
             "unexpected argument '{tok}' for 'estimate' (key=value scenario tokens only work \
              with 'dlb run')"
         )));
@@ -284,9 +282,7 @@ fn cmd_estimate(args: &Args) -> Result<(), ArgError> {
     let ticks = args.get_num("ticks", 50)?;
     let probes = args.get_num("probes", 4)?;
     // The network is a scenario, so `--servers` answers to `m=`'s rules.
-    let truth = ScenarioSpec::parse(&format!("net=pl m={m} seed={seed}"))
-        .map_err(|e| ArgError(e.0))?
-        .build_latency();
+    let truth = ScenarioSpec::parse(&format!("net=pl m={m} seed={seed}"))?.build_latency();
     let mut est = Estimator::new(
         m,
         EstimatorConfig {
@@ -321,13 +317,13 @@ fn cmd_estimate(args: &Args) -> Result<(), ArgError> {
     close_sink(args, sink)
 }
 
-fn run() -> Result<(), ArgError> {
+fn run() -> Result<(), SpecError> {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     if raw.is_empty() || raw[0] == "help" || raw[0] == "--help" || raw[0] == "-h" {
         print!("{USAGE}");
         return Ok(());
     }
-    type Command = fn(&Args) -> Result<(), ArgError>;
+    type Command = fn(&Args) -> Result<(), SpecError>;
     let (allowed, command): (&[&str], Command) = match raw[0].as_str() {
         "run" => (&["scenario", "out"], cmd_run),
         "report" => (&[], cmd_report),
@@ -340,7 +336,7 @@ fn run() -> Result<(), ArgError> {
             // A leading option is `Args::parse`'s error to word;
             // anything else is a command this binary does not have.
             Args::parse([other], &[])?;
-            return Err(ArgError(format!(
+            return Err(SpecError(format!(
                 "unknown command '{other}' (try 'dlb help')"
             )));
         }

@@ -15,7 +15,8 @@
 //! * `dlb trace chrome FILE` — export Chrome trace-event JSON
 //!   (`chrome://tracing`, Perfetto) to `--out` or stdout.
 
-use crate::args::{ArgError, Args};
+use crate::args::Args;
+use dlb_core::plan_text::{Floor, Reader, SpecError};
 use dlb_obs::{tag_label, FrameLog, TraceEvent, NODE_COORD};
 use dlb_scenario::replay_frame_log;
 use dlb_scenario::report::render;
@@ -30,15 +31,11 @@ struct Filter {
 }
 
 impl Filter {
-    fn parse(args: &Args) -> Result<Filter, ArgError> {
+    fn parse(args: &Args) -> Result<Filter, SpecError> {
         let node = match args.get("node") {
             None => None,
             Some("coord") => Some(NODE_COORD),
-            Some(v) => Some(v.parse::<u32>().map_err(|_| {
-                ArgError(format!(
-                    "--node: '{v}' is not an organization id or 'coord'"
-                ))
-            })?),
+            Some(v) => Some(Reader::new("--node", "an organization id or 'coord'").number(v)?),
         };
         Ok(Filter {
             node,
@@ -66,21 +63,20 @@ impl Filter {
     }
 }
 
-fn parse_ms(args: &Args, key: &str, default: f64) -> Result<f64, ArgError> {
+fn parse_ms(args: &Args, key: &str, default: f64) -> Result<f64, SpecError> {
     match args.get(key) {
         None => Ok(default),
-        Some(v) => v
-            .trim_end_matches("ms")
-            .parse::<f64>()
-            .map_err(|_| ArgError(format!("--{key}: '{v}' is not a virtual time in ms"))),
+        Some(v) => Reader::new(&format!("--{key}"), "a virtual time in ms")
+            .floor(Floor::Any)
+            .ms(v),
     }
 }
 
-fn decode(path: &str, bytes: &[u8]) -> Result<FrameLog, ArgError> {
-    FrameLog::decode(bytes).map_err(|e| ArgError(format!("{path}: not a frame log ({e})")))
+fn decode(path: &str, bytes: &[u8]) -> Result<FrameLog, SpecError> {
+    FrameLog::decode(bytes).map_err(|e| SpecError(format!("{path}: not a frame log ({e})")))
 }
 
-fn cmd_show(args: &Args, path: &str, bytes: &[u8]) -> Result<(), ArgError> {
+fn cmd_show(args: &Args, path: &str, bytes: &[u8]) -> Result<(), SpecError> {
     let log = decode(path, bytes)?;
     let filter = Filter::parse(args)?;
     let limit = args.get_num("limit", usize::MAX)?;
@@ -121,8 +117,8 @@ fn cmd_show(args: &Args, path: &str, bytes: &[u8]) -> Result<(), ArgError> {
     Ok(())
 }
 
-fn cmd_replay(path: &str, bytes: &[u8]) -> Result<(), ArgError> {
-    let report = replay_frame_log(bytes).map_err(|e| ArgError(format!("{path}: {e}")))?;
+fn cmd_replay(path: &str, bytes: &[u8]) -> Result<(), SpecError> {
+    let report = replay_frame_log(bytes).map_err(|e| SpecError(format!("{path}: {e}")))?;
     println!("scenario: {}", report.spec);
     println!(
         "recorded: event_hash {:#018x}, {} rounds, {} exchanges, final ΣC = {:.1}",
@@ -140,17 +136,17 @@ fn cmd_replay(path: &str, bytes: &[u8]) -> Result<(), ArgError> {
             println!("replay is bit-exact");
             Ok(())
         }
-        Some(d) => Err(ArgError(format!("{path}: replay diverged — {d}"))),
+        Some(d) => Err(SpecError(format!("{path}: replay diverged — {d}"))),
     }
 }
 
-fn cmd_chrome(args: &Args, path: &str, bytes: &[u8]) -> Result<(), ArgError> {
+fn cmd_chrome(args: &Args, path: &str, bytes: &[u8]) -> Result<(), SpecError> {
     let log = decode(path, bytes)?;
     let json = dlb_obs::chrome::render(&log);
     match args.get("out") {
         Some(out) => {
             std::fs::write(out, &json)
-                .map_err(|e| ArgError(format!("--out {out}: cannot write ({e})")))?;
+                .map_err(|e| SpecError(format!("--out {out}: cannot write ({e})")))?;
             println!(
                 "wrote {} events as Chrome trace JSON to {out} (load in chrome://tracing or Perfetto)",
                 log.events.len()
@@ -162,21 +158,21 @@ fn cmd_chrome(args: &Args, path: &str, bytes: &[u8]) -> Result<(), ArgError> {
 }
 
 /// Entry point for `dlb trace ACTION FILE`.
-pub fn cmd_trace(args: &Args) -> Result<(), ArgError> {
+pub fn cmd_trace(args: &Args) -> Result<(), SpecError> {
     let (action, path) = match args.positionals.as_slice() {
         [action, path] => (action.as_str(), path.as_str()),
         _ => {
-            return Err(ArgError(
+            return Err(SpecError(
                 "trace needs an action and a file: dlb trace show|replay|chrome FILE".into(),
             ))
         }
     };
-    let bytes = std::fs::read(path).map_err(|e| ArgError(format!("{path}: cannot read ({e})")))?;
+    let bytes = std::fs::read(path).map_err(|e| SpecError(format!("{path}: cannot read ({e})")))?;
     match action {
         "show" => cmd_show(args, path, &bytes),
         "replay" => cmd_replay(path, &bytes),
         "chrome" => cmd_chrome(args, path, &bytes),
-        other => Err(ArgError(format!(
+        other => Err(SpecError(format!(
             "unknown trace action '{other}' (expected show, replay, or chrome)"
         ))),
     }
@@ -242,7 +238,14 @@ mod tests {
         let args =
             Args::parse(["trace", "show", "log", "--node", "xyz"], &["node", "kind"]).unwrap();
         assert!(Filter::parse(&args).is_err());
-        let args = Args::parse(["trace", "show", "log", "--from", "abc"], &["from"]).unwrap();
-        assert!(parse_ms(&args, "from", 0.0).is_err());
+        // One optional `ms` suffix, as in every time the scenario reads.
+        for (from, message) in [
+            ("abc", "--from: 'abc' is not a virtual time in ms"),
+            ("10msms", "--from: '10msms' is not a virtual time in ms"),
+            ("NaN", "--from: 'NaN' must be finite"),
+        ] {
+            let args = Args::parse(["trace", "show", "log", "--from", from], &["from"]).unwrap();
+            assert_eq!(parse_ms(&args, "from", 0.0), Err(SpecError(message.into())));
+        }
     }
 }

@@ -362,9 +362,49 @@ fn bad_specs_and_missing_files_fail_cleanly() {
                 "algo=protocol",
                 "m=5",
                 "arrivals=poisson:10",
-                "duration=1e300",
+                "duration=1e9",
             ][..],
             "arrivals= requires rate × duration under 1000000 requests",
+        ),
+        // Times, `lat=` and delay factors that would take a run's
+        // virtual clock to `inf` or `NaN` (these ran, printed `NaN s
+        // simulated` or `inf s simulated` and exited 0).
+        (
+            &[
+                "run",
+                "algo=protocol",
+                "m=4",
+                "faults=spike:1e308x@0ms..10ms",
+            ][..],
+            "error: faults: spike factor: '1e308' must be at most 1e6",
+        ),
+        (
+            &["run", "algo=protocol", "m=4", "faults=slow:1@1e308x"][..],
+            "error: faults: slow factor: '1e308' must be at most 1e6",
+        ),
+        (
+            &["run", "algo=protocol", "m=4", "lat=1e308"][..],
+            "error: lat: '1e308' must be at most 1e9",
+        ),
+        (
+            &[
+                "run",
+                "algo=protocol",
+                "m=8",
+                "faults=part:0ms..1e308ms,crash:0.5@1ms",
+                "detect=adaptive",
+            ][..],
+            "error: faults: part window: '1e308ms' must be at most 1e9",
+        ),
+        (
+            &[
+                "run",
+                "algo=protocol",
+                "m=5",
+                "arrivals=poisson:10",
+                "duration=1e300",
+            ][..],
+            "error: duration: '1e300' must be at most 1e9",
         ),
         // An average load whose sampled loads (`Instance::new` aborted
         // on `inf`, exit 101) or initial ΣC (printed `inf`, exit 0)

@@ -17,8 +17,10 @@
 //! * [`workload`] — the initial-load and speed distributions used in the
 //!   paper's evaluation (§VI-A): uniform, exponential and peak loads;
 //!   constant and `U(1,5)` speeds.
-//! * [`plan_text`] — the `Tms` / `FROMms..TOms` time grammar the
-//!   `faults=` and `arrivals=` plan texts share.
+//! * [`plan_text`] — the one typed-value grammar: the range-checked
+//!   reader every scenario value, plan primitive and CLI number goes
+//!   through, the `KIND:VALUE,…` plan walker, and the one input error,
+//!   [`plan_text::SpecError`].
 //! * [`events`] — the deterministic `(due, seq)`-ordered virtual-time
 //!   event heap shared by every simulation in the workspace (the
 //!   protocol executor, scheduled gossip, fault injection).

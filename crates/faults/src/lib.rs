@@ -55,9 +55,7 @@
 pub mod plan;
 pub mod script;
 
-pub use plan::{
-    CrashFault, FaultError, FaultPlan, LossFault, PartitionFault, SlowFault, SpikeFault,
-};
+pub use plan::{CrashFault, FaultPlan, LossFault, PartitionFault, SlowFault, SpikeFault};
 pub use script::{FaultScript, FaultSummary, LinkOutcome, MAX_RETRANSMITS, RETRANSMIT_MS};
 
 #[cfg(test)]

@@ -23,21 +23,9 @@
 use std::fmt;
 use std::str::FromStr;
 
-use dlb_core::plan_text;
+use dlb_core::plan_text::{split_at, Floor, Primitives, Reader, SpecError};
 
 use crate::script::FaultScript;
-
-/// A fault-plan parse/validation error with a user-facing message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FaultError(pub String);
-
-impl fmt::Display for FaultError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-impl std::error::Error for FaultError {}
 
 /// A fraction of the nodes crashes at a virtual instant, optionally
 /// recovering at a later one (`crash:FRAC@Tms` / `crash:FRAC@Tms..Tms`).
@@ -201,143 +189,10 @@ impl FaultPlan {
     }
 
     /// Parses the text form (see the [module docs](self)). The empty
-    /// string yields the empty plan.
-    pub fn parse(text: &str) -> Result<Self, FaultError> {
-        let mut plan = Self::default();
-        if text.is_empty() {
-            return Ok(plan);
-        }
-        for part in text.split(',') {
-            let (kind, value) = part.split_once(':').ok_or_else(|| {
-                FaultError(format!(
-                    "fault '{part}' is not KIND:VALUE (try 'crash:0.1@500ms' or 'loss:0.05')"
-                ))
-            })?;
-            match kind {
-                "crash" => {
-                    if plan.crash.is_some() {
-                        return Err(FaultError("crash given twice".into()));
-                    }
-                    let (frac, when) = value.split_once('@').ok_or_else(|| {
-                        FaultError(format!(
-                            "crash '{value}' needs '@TIME' (try 'crash:0.1@500ms')"
-                        ))
-                    })?;
-                    let frac = parse_unit("crash fraction", frac)?;
-                    if frac <= 0.0 || frac > 1.0 {
-                        return Err(FaultError(format!(
-                            "crash fraction {frac} must be in (0, 1]"
-                        )));
-                    }
-                    let (at_ms, recover_ms) = match when.split_once("..") {
-                        Some((a, b)) => {
-                            let a = parse_ms("crash time", a)?;
-                            let b = parse_ms("crash recovery time", b)?;
-                            if b <= a {
-                                return Err(FaultError(format!(
-                                    "crash recovery {b}ms must come after the crash at {a}ms"
-                                )));
-                            }
-                            (a, Some(b))
-                        }
-                        None => (parse_ms("crash time", when)?, None),
-                    };
-                    plan.crash = Some(CrashFault {
-                        frac,
-                        at_ms,
-                        recover_ms,
-                    });
-                }
-                "loss" => {
-                    if plan.loss.is_some() {
-                        return Err(FaultError("loss given twice".into()));
-                    }
-                    let (prob, window) = match value.split_once('@') {
-                        Some((p, w)) => (p, Some(parse_window("loss window", w)?)),
-                        None => (value, None),
-                    };
-                    let prob = parse_unit("loss probability", prob)?;
-                    if !(0.0..1.0).contains(&prob) {
-                        return Err(FaultError(format!(
-                            "loss probability {prob} must be in [0, 1)"
-                        )));
-                    }
-                    plan.loss = Some(LossFault { prob, window });
-                }
-                "spike" => {
-                    if plan.spike.is_some() {
-                        return Err(FaultError("spike given twice".into()));
-                    }
-                    let (factor, window) = value.split_once('@').ok_or_else(|| {
-                        FaultError(format!(
-                            "spike '{value}' needs '@FROM..TO' (try 'spike:4x@200ms..800ms')"
-                        ))
-                    })?;
-                    let factor = factor.strip_suffix('x').ok_or_else(|| {
-                        FaultError(format!("spike factor '{factor}' needs an 'x' suffix"))
-                    })?;
-                    let factor = parse_unit("spike factor", factor)?;
-                    if factor < 1.0 {
-                        return Err(FaultError(format!(
-                            "spike factor {factor} must be at least 1"
-                        )));
-                    }
-                    let (from_ms, to_ms) = parse_window("spike window", window)?;
-                    plan.spike = Some(SpikeFault {
-                        factor,
-                        from_ms,
-                        to_ms,
-                    });
-                }
-                "part" => {
-                    if plan.partition.is_some() {
-                        return Err(FaultError("part given twice".into()));
-                    }
-                    let (from_ms, to_ms) = parse_window("part window", value)?;
-                    plan.partition = Some(PartitionFault { from_ms, to_ms });
-                }
-                "slow" => {
-                    if plan.slow.is_some() {
-                        return Err(FaultError("slow given twice".into()));
-                    }
-                    let (frac, rest) = value.split_once('@').ok_or_else(|| {
-                        FaultError(format!(
-                            "slow '{value}' needs '@FACTORx' (try 'slow:0.05@4x')"
-                        ))
-                    })?;
-                    let frac = parse_unit("slow fraction", frac)?;
-                    if frac <= 0.0 || frac > 1.0 {
-                        return Err(FaultError(format!(
-                            "slow fraction {frac} must be in (0, 1]"
-                        )));
-                    }
-                    let (factor, window) = match rest.split_once('@') {
-                        Some((fx, w)) => (fx, Some(parse_window("slow window", w)?)),
-                        None => (rest, None),
-                    };
-                    let factor = factor.strip_suffix('x').ok_or_else(|| {
-                        FaultError(format!("slow factor '{factor}' needs an 'x' suffix"))
-                    })?;
-                    let factor = parse_unit("slow factor", factor)?;
-                    if factor < 1.0 {
-                        return Err(FaultError(format!(
-                            "slow factor {factor} must be at least 1"
-                        )));
-                    }
-                    plan.slow = Some(SlowFault {
-                        frac,
-                        factor,
-                        window,
-                    });
-                }
-                _ => {
-                    return Err(FaultError(format!(
-                        "unknown fault kind '{kind}' (valid: crash loss spike part slow)"
-                    )))
-                }
-            }
-        }
-        Ok(plan)
+    /// string yields the empty plan. Messages start with `faults: `, the
+    /// key whose value the plan is.
+    pub fn parse(text: &str) -> Result<Self, SpecError> {
+        GRAMMAR.parse(text)
     }
 
     /// Compiles the plan for one run: `seed` fixes every sampled
@@ -348,23 +203,109 @@ impl FaultPlan {
     }
 }
 
-/// Parses a dimensionless value (fraction, probability, factor).
-fn parse_unit(what: &str, value: &str) -> Result<f64, FaultError> {
-    let x: f64 = value
-        .parse()
-        .map_err(|_| FaultError(format!("{what}: '{value}' is not a number")))?;
-    if !x.is_finite() {
-        return Err(FaultError(format!("{what}: '{value}' must be finite")));
+/// The `faults=` grammar: one reader per primitive kind, in print
+/// order.
+const GRAMMAR: Primitives<FaultPlan> = Primitives {
+    key: "faults",
+    item: "fault",
+    example: "'crash:0.1@500ms' or 'loss:0.05'",
+    family: "fault",
+    kinds: &[
+        ("crash", crash),
+        ("loss", loss),
+        ("spike", spike),
+        ("part", part),
+        ("slow", slow),
+    ],
+};
+
+/// A reader of a virtual instant or window.
+fn time(what: &str) -> Reader<'_> {
+    Reader::new(what, "a time in ms")
+}
+
+/// Reads a dimensionless value that must pass `ok`, whose interval
+/// the refusal names.
+fn unit(what: &str, text: &str, ok: fn(f64) -> bool, interval: &str) -> Result<f64, SpecError> {
+    let x = Reader::new(what, "a number").floor(Floor::Any);
+    match x.number(text)? {
+        x if ok(x) => Ok(x),
+        x => Err(SpecError(format!("{what} {x} must be in {interval}"))),
     }
-    Ok(x)
 }
 
-fn parse_ms(what: &str, value: &str) -> Result<f64, FaultError> {
-    plan_text::parse_ms(what, value).map_err(FaultError)
+fn crash(plan: &mut FaultPlan, value: &str) -> Result<(), SpecError> {
+    let (frac, when) = split_at("faults: crash", value, "TIME", "crash:0.1@500ms")?;
+    let frac = unit(
+        "faults: crash fraction",
+        frac,
+        |x| x > 0.0 && x <= 1.0,
+        "(0, 1]",
+    )?;
+    *plan = match when.split_once("..") {
+        Some((a, b)) => {
+            let a = time("faults: crash time").ms(a)?;
+            let b = time("faults: crash recovery time").ms(b)?;
+            if b <= a {
+                return Err(SpecError(format!(
+                    "faults: crash recovery {b}ms must come after the crash at {a}ms"
+                )));
+            }
+            plan.churn(frac, a, b)
+        }
+        None => plan.crash(frac, time("faults: crash time").ms(when)?),
+    };
+    Ok(())
 }
 
-fn parse_window(what: &str, value: &str) -> Result<(f64, f64), FaultError> {
-    plan_text::parse_window(what, value).map_err(FaultError)
+fn loss(plan: &mut FaultPlan, value: &str) -> Result<(), SpecError> {
+    let (prob, window) = match value.split_once('@') {
+        Some((p, w)) => (p, Some(time("faults: loss window").window(w)?)),
+        None => (value, None),
+    };
+    let prob = unit(
+        "faults: loss probability",
+        prob,
+        |x| (0.0..1.0).contains(&x),
+        "[0, 1)",
+    )?;
+    plan.loss = Some(LossFault { prob, window });
+    Ok(())
+}
+
+fn spike(plan: &mut FaultPlan, value: &str) -> Result<(), SpecError> {
+    let (factor, window) = split_at("faults: spike", value, "FROM..TO", "spike:4x@200ms..800ms")?;
+    let factor = Reader::new("faults: spike factor", "a number").factor(factor)?;
+    let (from_ms, to_ms) = time("faults: spike window").window(window)?;
+    *plan = plan.spike(factor, from_ms, to_ms);
+    Ok(())
+}
+
+fn part(plan: &mut FaultPlan, value: &str) -> Result<(), SpecError> {
+    let (from_ms, to_ms) = time("faults: part window").window(value)?;
+    *plan = plan.partition(from_ms, to_ms);
+    Ok(())
+}
+
+fn slow(plan: &mut FaultPlan, value: &str) -> Result<(), SpecError> {
+    let (frac, rest) = split_at("faults: slow", value, "FACTORx", "slow:0.05@4x")?;
+    let frac = unit(
+        "faults: slow fraction",
+        frac,
+        |x| x > 0.0 && x <= 1.0,
+        "(0, 1]",
+    )?;
+    let (factor, window) = match rest.split_once('@') {
+        Some((fx, w)) => (fx, Some(time("faults: slow window").window(w)?)),
+        None => (rest, None),
+    };
+    let factor = Reader::new("faults: slow factor", "a number").factor(factor)?;
+    plan.slow = Some(SlowFault {
+        frac,
+        factor,
+        window,
+    });
+    Ok(())
 }
 
 impl fmt::Display for FaultPlan {
@@ -403,7 +344,7 @@ impl fmt::Display for FaultPlan {
 }
 
 impl FromStr for FaultPlan {
-    type Err = FaultError;
+    type Err = SpecError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         Self::parse(s)
@@ -522,6 +463,17 @@ mod tests {
             ("slow:0.1@0.5x", "at least 1"),
             ("slow:0.1@4x@9ms..3ms", "must come after"),
             ("slow:0.1@2x,slow:0.1@3x", "slow given twice"),
+            // Times and factors large enough to overflow a run's clock.
+            (
+                "spike:1e308x@0ms..10ms",
+                "spike factor: '1e308' must be at most 1e6",
+            ),
+            ("slow:1@1e308x", "slow factor: '1e308' must be at most 1e6"),
+            (
+                "part:0ms..1e308ms",
+                "part window: '1e308ms' must be at most 1e9",
+            ),
+            ("crash:0.5@1e10", "crash time: '1e10' must be at most 1e9"),
         ] {
             let err = FaultPlan::parse(text).unwrap_err();
             assert!(err.0.contains(needle), "'{text}' -> {err}");

@@ -15,9 +15,9 @@
 //! * [`TraceSink`] — where events go: [`NullSink`] (disabled; one
 //!   branch per hook, untraced runs stay byte-identical),
 //!   [`MemorySink`] (recording), [`SummarySink`] (streaming metrics).
-//! * [`Histogram`]/[`MetricSet`] — RNG-free log-bucketed metrics with
-//!   integer-state merge: per-worker shards merge bit-identically for
-//!   every `DLB_THREADS` value.
+//! * [`Histogram`]/[`MetricSet`] — RNG-free log-bucketed metrics over
+//!   integer state, folded in the executor's one delivery order, so a
+//!   run's metrics are the same for every `DLB_THREADS` value.
 //! * [`FrameLog`] — the binary container (`header · events ·
 //!   trailer`) with a property-tested codec.
 //! * [`chrome`] — Chrome trace-event JSON export of the virtual

@@ -1,17 +1,12 @@
-//! RNG-free, merge-deterministic metrics: log-bucketed histograms and
-//! per-kind counters.
+//! RNG-free metrics: log-bucketed histograms and per-kind counters.
 //!
-//! Determinism discipline (the PR 7 Welford-estimator pattern, taken
-//! one step further): every accumulator holds only *integer* state —
-//! bucket counts, event counts, and a running sum in the same
-//! quantized 1/1024-ms units the buckets use — plus min/max, whose
-//! `min`/`max` folds are exactly associative and commutative. Integer
-//! addition is associative and commutative bit-for-bit, so
-//! [`MetricSet::merge`] produces identical totals for **any** shard
-//! partition and **any** merge order: per-worker shards merged in
-//! worker-id order are bit-identical across every `DLB_THREADS`
-//! value, with no dependence on how the pool chunked the items. The
-//! property tests pin both laws.
+//! Determinism discipline: every accumulator holds only *integer*
+//! state — bucket counts, event counts, and a running sum in the same
+//! quantized 1/1024-ms units the buckets use — plus min/max. Events
+//! reach a set in the executor's one delivery order (it emits on its
+//! single scheduling thread), so a set is a pure function of the event
+//! stream, and the integer state keeps it free of float-summation
+//! order effects.
 
 use crate::event::{TraceEvent, TraceKind, KIND_COUNT};
 
@@ -28,7 +23,7 @@ pub const BUCKETS: usize = 64;
 pub struct Histogram {
     counts: [u64; BUCKETS],
     n: u64,
-    /// Sum in quantized 1/1024-ms units (integer ⇒ merge-exact).
+    /// Sum in quantized 1/1024-ms units (integer, so order-exact).
     sum_q: u128,
     min_ms: f64,
     max_ms: f64,
@@ -131,19 +126,6 @@ impl Histogram {
         }
         self.max()
     }
-
-    /// Folds `other` into `self`. All state is integer or min/max, so
-    /// the result is bit-identical for any shard partition and merge
-    /// order.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-        self.n += other.n;
-        self.sum_q += other.sum_q;
-        self.min_ms = self.min_ms.min(other.min_ms);
-        self.max_ms = self.max_ms.max(other.max_ms);
-    }
 }
 
 /// Per-kind counters plus the latency histograms the tentpole names:
@@ -209,29 +191,6 @@ impl MetricSet {
     /// Total events folded in.
     pub fn total(&self) -> u64 {
         self.counts.iter().sum()
-    }
-
-    /// Folds `other` into `self` — associative and commutative
-    /// bit-for-bit (see module docs).
-    pub fn merge(&mut self, other: &MetricSet) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-        self.frame_latency_ms.merge(&other.frame_latency_ms);
-        self.exchange_ms.merge(&other.exchange_ms);
-        self.detector_ms.merge(&other.detector_ms);
-        self.round_ms.merge(&other.round_ms);
-    }
-
-    /// Merges per-shard sets in shard-index order — the conventional
-    /// order (merging is order-invariant, but a fixed convention keeps
-    /// call sites auditable).
-    pub fn merge_shards<'a>(shards: impl IntoIterator<Item = &'a MetricSet>) -> MetricSet {
-        let mut out = MetricSet::default();
-        for s in shards {
-            out.merge(s);
-        }
-        out
     }
 
     /// Flattens to the record-facing summary.
@@ -356,32 +315,5 @@ mod tests {
         assert_eq!(s.dropped, 1);
         assert!(!s.is_quiet());
         assert!(ObsSummary::default().is_quiet());
-    }
-
-    /// Chunking a sample stream into shards and merging in shard order
-    /// reproduces the unsharded fold exactly — for every shard count
-    /// (the in-process analogue of `DLB_THREADS` invariance).
-    #[test]
-    fn shard_merge_is_chunking_invariant() {
-        let samples: Vec<f64> = (0..1000).map(|i| (i % 97) as f64 * 0.37 + 0.01).collect();
-        let mut whole = MetricSet::default();
-        for &v in &samples {
-            whole.ingest(&ev(TraceKind::FrameScheduled, 0.0, 0, 0, v));
-        }
-        for shards in [1usize, 2, 3, 4, 7, 16] {
-            let chunk = samples.len().div_ceil(shards);
-            let parts: Vec<MetricSet> = samples
-                .chunks(chunk)
-                .map(|c| {
-                    let mut s = MetricSet::default();
-                    for &v in c {
-                        s.ingest(&ev(TraceKind::FrameScheduled, 0.0, 0, 0, v));
-                    }
-                    s
-                })
-                .collect();
-            let merged = MetricSet::merge_shards(parts.iter());
-            assert_eq!(merged, whole, "shards={shards}");
-        }
     }
 }

@@ -1,6 +1,5 @@
-//! Property-based tests: frame-log codec round-trip and the metric
-//! merge laws (associativity, commutativity) the determinism story
-//! rests on.
+//! Property-based tests: the frame-log codec round-trips and refuses
+//! every truncation.
 
 #![cfg(test)]
 
@@ -8,7 +7,6 @@ use proptest::prelude::*;
 
 use crate::event::{TraceEvent, TraceKind, KIND_COUNT};
 use crate::framelog::{FrameLog, Trailer};
-use crate::metrics::MetricSet;
 
 fn arb_event() -> impl Strategy<Value = TraceEvent> {
     (
@@ -61,14 +59,6 @@ fn arb_log() -> impl Strategy<Value = FrameLog> {
         )
 }
 
-fn metric_set(events: &[TraceEvent]) -> MetricSet {
-    let mut s = MetricSet::default();
-    for ev in events {
-        s.ingest(ev);
-    }
-    s
-}
-
 proptest! {
     /// Every log round-trips exactly through the binary codec.
     #[test]
@@ -86,55 +76,5 @@ proptest! {
         for cut in 0..bytes.len() {
             prop_assert!(FrameLog::decode(&bytes[..cut]).is_err(), "cut {} decoded", cut);
         }
-    }
-
-    /// Metric merge is commutative bit-for-bit: all accumulator state
-    /// is integer or min/max.
-    #[test]
-    fn merge_is_commutative(
-        a in proptest::collection::vec(arb_event(), 0..40),
-        b in proptest::collection::vec(arb_event(), 0..40),
-    ) {
-        let (sa, sb) = (metric_set(&a), metric_set(&b));
-        let mut ab = sa.clone();
-        ab.merge(&sb);
-        let mut ba = sb;
-        ba.merge(&sa);
-        prop_assert_eq!(ab, ba);
-    }
-
-    /// Metric merge is associative bit-for-bit, so any shard partition
-    /// and any merge tree produce identical totals — the property that
-    /// makes sharded accumulation `DLB_THREADS`-invariant.
-    #[test]
-    fn merge_is_associative(
-        a in proptest::collection::vec(arb_event(), 0..30),
-        b in proptest::collection::vec(arb_event(), 0..30),
-        c in proptest::collection::vec(arb_event(), 0..30),
-    ) {
-        let (sa, sb, sc) = (metric_set(&a), metric_set(&b), metric_set(&c));
-        // (a ⊕ b) ⊕ c
-        let mut left = sa.clone();
-        left.merge(&sb);
-        left.merge(&sc);
-        // a ⊕ (b ⊕ c)
-        let mut bc = sb;
-        bc.merge(&sc);
-        let mut right = sa;
-        right.merge(&bc);
-        prop_assert_eq!(left, right);
-    }
-
-    /// Sharded ingestion (split anywhere, merge in shard order) equals
-    /// the unsharded fold exactly.
-    #[test]
-    fn sharding_is_exact(events in proptest::collection::vec(arb_event(), 1..80), cut in 0usize..80) {
-        let cut = cut % events.len();
-        let whole = metric_set(&events);
-        let merged = MetricSet::merge_shards([
-            metric_set(&events[..cut]),
-            metric_set(&events[cut..]),
-        ].iter());
-        prop_assert_eq!(merged, whole);
     }
 }

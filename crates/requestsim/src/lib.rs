@@ -31,7 +31,7 @@ pub mod validate;
 
 pub use discretize::discretize;
 pub use sim::{Discipline, SimConfig, SimResult};
-pub use stream::{Arrival, ArrivalPlan, StreamError, StreamScript};
+pub use stream::{Arrival, ArrivalPlan, StreamScript};
 
 #[cfg(test)]
 mod proptests;

@@ -28,20 +28,8 @@
 use std::fmt;
 use std::str::FromStr;
 
-use dlb_core::plan_text;
+use dlb_core::plan_text::{split_at, Floor, Primitives, Reader, SpecError};
 use dlb_core::rngutil::derive_seed;
-
-/// An arrival-plan parse/validation error with a user-facing message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StreamError(pub String);
-
-impl fmt::Display for StreamError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-impl std::error::Error for StreamError {}
 
 /// Homogeneous Poisson arrivals at `rate` requests per (virtual)
 /// second for the whole run (`poisson:RATE`).
@@ -124,71 +112,10 @@ impl ArrivalPlan {
     }
 
     /// Parses the text form (see the [module docs](self)). The empty
-    /// string yields the empty plan.
-    pub fn parse(text: &str) -> Result<Self, StreamError> {
-        let mut plan = Self::default();
-        if text.is_empty() {
-            return Ok(plan);
-        }
-        for part in text.split(',') {
-            let (kind, value) = part.split_once(':').ok_or_else(|| {
-                StreamError(format!(
-                    "arrival process '{part}' is not KIND:VALUE (try 'poisson:80')"
-                ))
-            })?;
-            match kind {
-                "poisson" => {
-                    if plan.poisson.is_some() {
-                        return Err(StreamError("poisson given twice".into()));
-                    }
-                    let rate = parse_rate("poisson rate", value)?;
-                    plan.poisson = Some(PoissonArrivals { rate });
-                }
-                "burst" => {
-                    if plan.burst.is_some() {
-                        return Err(StreamError("burst given twice".into()));
-                    }
-                    let (rate, window) = value.split_once('@').ok_or_else(|| {
-                        StreamError(format!(
-                            "burst '{value}' needs '@FROM..TO' (try 'burst:200@500ms..900ms')"
-                        ))
-                    })?;
-                    let rate = parse_rate("burst rate", rate)?;
-                    let (from_ms, to_ms) =
-                        plan_text::parse_window("burst window", window).map_err(StreamError)?;
-                    plan.burst = Some(BurstArrivals {
-                        rate,
-                        from_ms,
-                        to_ms,
-                    });
-                }
-                "diurnal" => {
-                    if plan.diurnal.is_some() {
-                        return Err(StreamError("diurnal given twice".into()));
-                    }
-                    let (rate, period) = value.split_once('@').ok_or_else(|| {
-                        StreamError(format!(
-                            "diurnal '{value}' needs '@PERIOD' (try 'diurnal:50@2000ms')"
-                        ))
-                    })?;
-                    let rate = parse_rate("diurnal rate", rate)?;
-                    let period_ms =
-                        plan_text::parse_ms("diurnal period", period).map_err(StreamError)?;
-                    if period_ms <= 0.0 {
-                        return Err(StreamError(format!(
-                            "diurnal period {period_ms}ms must be positive"
-                        )));
-                    }
-                    plan.diurnal = Some(DiurnalArrivals { rate, period_ms });
-                }
-                _ => {
-                    return Err(StreamError(format!(
-                        "unknown arrival kind '{kind}' (valid: poisson burst diurnal)"
-                    )))
-                }
-            }
-        }
-        Ok(plan)
+    /// string yields the empty plan. Messages start with `arrivals: `,
+    /// the key whose value the plan is.
+    pub fn parse(text: &str) -> Result<Self, SpecError> {
+        GRAMMAR.parse(text)
     }
 
     /// Whether the schedule [`compile`](Self::compile) would build
@@ -224,17 +151,46 @@ impl ArrivalPlan {
     }
 }
 
-/// Parses an arrival rate in requests per second.
-fn parse_rate(what: &str, value: &str) -> Result<f64, StreamError> {
-    let x: f64 = value
-        .parse()
-        .map_err(|_| StreamError(format!("{what}: '{value}' is not a number")))?;
-    if !x.is_finite() || x <= 0.0 {
-        return Err(StreamError(format!(
-            "{what}: '{value}' must be finite and positive"
-        )));
-    }
-    Ok(x)
+/// The `arrivals=` grammar: one reader per process kind, in print
+/// order.
+const GRAMMAR: Primitives<ArrivalPlan> = Primitives {
+    key: "arrivals",
+    item: "arrival process",
+    example: "'poisson:80'",
+    family: "arrival",
+    kinds: &[
+        ("poisson", |plan, value| {
+            *plan = plan.poisson(rate("arrivals: poisson rate").number(value)?);
+            Ok(())
+        }),
+        ("burst", |plan, value| {
+            let example = "burst:200@500ms..900ms";
+            let (rate_text, window) = split_at("arrivals: burst", value, "FROM..TO", example)?;
+            let rate = rate("arrivals: burst rate").number(rate_text)?;
+            let (from_ms, to_ms) =
+                Reader::new("arrivals: burst window", "a time in ms").window(window)?;
+            *plan = plan.burst(rate, from_ms, to_ms);
+            Ok(())
+        }),
+        ("diurnal", |plan, value| {
+            let (rate_text, period) =
+                split_at("arrivals: diurnal", value, "PERIOD", "diurnal:50@2000ms")?;
+            let rate = rate("arrivals: diurnal rate").number(rate_text)?;
+            let period_ms = Reader::new("arrivals: diurnal period", "a time in ms").ms(period)?;
+            if period_ms <= 0.0 {
+                return Err(SpecError(format!(
+                    "arrivals: diurnal period {period_ms}ms must be positive"
+                )));
+            }
+            *plan = plan.diurnal(rate, period_ms);
+            Ok(())
+        }),
+    ],
+};
+
+/// A reader of an arrival rate in requests per second.
+fn rate(what: &str) -> Reader<'_> {
+    Reader::new(what, "a number").floor(Floor::Positive)
 }
 
 impl fmt::Display for ArrivalPlan {
@@ -256,7 +212,7 @@ impl fmt::Display for ArrivalPlan {
 }
 
 impl FromStr for ArrivalPlan {
-    type Err = StreamError;
+    type Err = SpecError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         Self::parse(s)
@@ -525,6 +481,14 @@ mod tests {
             ("diurnal:10@0ms", "must be positive"),
             ("diurnal:10@abc", "not a time"),
             ("diurnal:1@1ms,diurnal:2@2ms", "diurnal given twice"),
+            (
+                "burst:1@0..1e10ms",
+                "burst window: '1e10ms' must be at most 1e9",
+            ),
+            (
+                "diurnal:1@1e308",
+                "diurnal period: '1e308' must be at most 1e9",
+            ),
         ] {
             let err = ArrivalPlan::parse(text).unwrap_err();
             assert!(err.0.contains(needle), "'{text}' -> {err}");

@@ -1,5 +1,7 @@
 //! Property-based tests: every record the sink can write reads back as
-//! itself, whatever its strings, numbers and field groups.
+//! itself, whatever its strings, numbers and field groups; and no typed
+//! input — scenario text, a frame log's bytes, a JSON-lines line —
+//! panics or aborts: it reads, runs finitely, or is a typed error.
 
 #![cfg(test)]
 
@@ -7,7 +9,9 @@ use proptest::prelude::*;
 
 use crate::report::parse_jsonl;
 use crate::results::Record;
-use crate::{AlgoSpec, RunRecord};
+use crate::runner::{run_protocol_events, trailer};
+use crate::spec::AXES;
+use crate::{replay_frame_log, AlgoSpec, RunRecord, ScenarioSpec, TraceSpec};
 
 /// Text over the whole of Unicode, weighted towards ASCII so quotes,
 /// backslashes and control characters turn up often.
@@ -144,5 +148,279 @@ proptest! {
     fn run_records_read_back_as_themselves(run in arb_run()) {
         let record = Record::from_run("run", &run);
         prop_assert_eq!(parse_jsonl(&record.to_json()).unwrap(), vec![record]);
+    }
+}
+
+/// Values at the edges of every reader: signs, extremes, non-finite
+/// spellings, the empty text, doubled suffixes.
+const EDGES: [&str; 16] = [
+    "0", "-0", "-1", "1e-300", "1e308", "inf", "nan", "", "5msms", "4xx", "1", "4", "100ms", "0.5",
+    "2000", "1e10",
+];
+
+/// Every enum label and keyword value, and a few near misses.
+const LABELS: [&str; 30] = [
+    "sequential",
+    "batched",
+    "nash",
+    "protocol",
+    "bcd",
+    "homog",
+    "euclid",
+    "pl",
+    "const",
+    "uniform",
+    "exp",
+    "peak",
+    "exact",
+    "topk:4",
+    "topk:0",
+    "topk:",
+    "oracle",
+    "adaptive",
+    "timeout:200ms",
+    "timeout:1e10",
+    "emulated",
+    "emulated:3",
+    "event:100ms",
+    "event:1e-300",
+    "off",
+    "summary",
+    "frames:fuzz.dlbf",
+    "frames:",
+    "events",
+    "threads",
+];
+
+const KINDS: [&str; 9] = [
+    "crash", "loss", "spike", "part", "slow", "poisson", "burst", "diurnal", "warp",
+];
+
+const OPERANDS: [&str; 16] = [
+    "0", "0.1", "0.5", "1", "2x", "4x", "1e6x", "1e308x", "100", "100ms", "1e9", "1e10ms", "-1",
+    "nan", "xx", "",
+];
+
+fn pick<const N: usize>(pool: &'static [&'static str; N]) -> impl Strategy<Value = &'static str> {
+    (0..N).prop_map(move |i| pool[i])
+}
+
+/// One plan primitive: `KIND:A[@B[..C]]`, from any kind and operand.
+fn arb_primitive() -> impl Strategy<Value = String> {
+    let tail = prop::option::of((pick(&OPERANDS), prop::option::of(pick(&OPERANDS))));
+    (pick(&KINDS), pick(&OPERANDS), tail).prop_map(|(kind, a, tail)| match tail {
+        None => format!("{kind}:{a}"),
+        Some((b, None)) => format!("{kind}:{a}@{b}"),
+        Some((b, Some(c))) => format!("{kind}:{a}@{b}..{c}"),
+    })
+}
+
+/// A value for any key: an edge, a label, or one to three primitives.
+fn arb_value() -> impl Strategy<Value = String> {
+    prop_oneof![
+        pick(&EDGES).prop_map(String::from),
+        pick(&LABELS).prop_map(String::from),
+        prop::collection::vec(arb_primitive(), 1..4).prop_map(|p| p.join(",")),
+    ]
+}
+
+/// A token soup: `KEY=VALUE` tokens over every axis key (and an unknown
+/// one), now and then a token without `=`.
+fn arb_soup() -> impl Strategy<Value = String> {
+    let key = (0..=AXES.len()).prop_map(|i| AXES.get(i).map_or("warp", |axis| axis.key));
+    let token = (key, arb_value(), 0u8..16).prop_map(|(key, value, shape)| match shape {
+        0 => value,
+        _ => format!("{key}={value}"),
+    });
+    prop::collection::vec(token, 0..6).prop_map(|tokens| tokens.join(" "))
+}
+
+/// Values each key reads, out to the edges of its range, and some just
+/// past them: what a spec that parses can hold, and what it must not.
+fn accepted_values(key: &str) -> &'static [&'static str] {
+    match key {
+        "algo" => &[
+            "protocol",
+            "protocol",
+            "protocol",
+            "sequential",
+            "batched",
+            "nash",
+            "bcd",
+        ],
+        "net" => &["homog", "euclid", "pl"],
+        "m" => &["1", "2", "5", "8"],
+        "lat" | "avg" => &["0", "-0", "1e-300", "20", "1e9", "1e308"],
+        "load" => &["const", "uniform", "exp", "peak"],
+        "speeds" => &["const", "uniform"],
+        "seed" => &["0", "7", "18446744073709551615"],
+        "gran" | "eps" => &["0", "1e-300", "1", "1e308"],
+        "patience" => &["0", "1", "5"],
+        "budget" => &["1", "5", "30"],
+        "select" => &["exact", "topk:1", "topk:4", "topk:4294967295"],
+        "detect" => &[
+            "oracle",
+            "adaptive",
+            "timeout:1e-300",
+            "timeout:1e9",
+            "timeout:1e308",
+        ],
+        // `arrivals=` and `duration=` come as a pair.
+        "duration" => &["1e-300 arrivals=poisson:1", "500ms arrivals=diurnal:1@1e9"],
+        "gossip" => &[
+            "emulated",
+            "emulated:3",
+            "event:1e-300",
+            "event:100ms",
+            "event:1e9",
+        ],
+        "trace" => &["off", "summary"],
+        "runtime" => &["events"],
+        "faults" => &[
+            "crash:1e-300@0",
+            "crash:1@1e-300..1e9ms",
+            "loss:0.999@0..1e-300",
+            "spike:1e6x@0ms..1e9ms",
+            "part:0..1e9",
+            "slow:0.5@1e6x",
+            "slow:1@1x@100ms..200ms",
+            "crash:0.5@1ms,loss:0.5,spike:4x@0..500,part:0..1e9,slow:1@1e6x",
+            "spike:1e308x@0ms..10ms",
+            "slow:1@1e308x",
+            "part:0ms..1e308ms,crash:0.5@1ms",
+        ],
+        "arrivals" => &[
+            "poisson:1e-300 duration=1e9",
+            "poisson:2000 duration=1000",
+            "burst:2000@0..1e9 duration=1e-300",
+            "diurnal:2000@1e-300 duration=500ms",
+            "diurnal:1@1e9ms duration=1000",
+            "poisson:200,burst:2000@1e-300..500ms,diurnal:1000@100 duration=1e3",
+        ],
+        _ => &EDGES,
+    }
+}
+
+/// A soup that parses more often than not: `algo=` and about a
+/// quarter of the other keys, each once, with values from
+/// [`accepted_values`] and now and then an edge value.
+fn arb_accepted_soup() -> impl Strategy<Value = String> {
+    let draw = (0u8..4, any::<usize>(), 0u8..10);
+    prop::collection::vec(draw, AXES.len()).prop_map(|draws| {
+        let tokens = AXES
+            .iter()
+            .zip(draws)
+            .filter_map(|(axis, (keep, pick, edge))| {
+                let key = axis.key;
+                if keep != 0 && key != "algo" {
+                    return None;
+                }
+                let values = accepted_values(key);
+                let value = match edge {
+                    0 if key != "algo" => EDGES[pick % EDGES.len()],
+                    _ => values[pick % values.len()],
+                };
+                Some(format!("{key}={value}"))
+            });
+        tokens.collect::<Vec<_>>().join(" ")
+    })
+}
+
+/// The bytes the scenario and plan grammars are written in.
+const PUNCTUATION: &[u8] = b"=:,@. msx0123456789-e";
+
+/// Arbitrary text, weighted towards the grammar's own punctuation.
+fn arb_chars() -> impl Strategy<Value = String> {
+    let ch = prop_oneof![
+        (0..PUNCTUATION.len()).prop_map(|i| u32::from(PUNCTUATION[i])),
+        0u32..0x80,
+        0x80u32..0x11_0000,
+    ];
+    prop::collection::vec(ch, 0..40)
+        .prop_map(|cs| cs.into_iter().filter_map(char::from_u32).collect())
+}
+
+/// A real frame log of a small faulted, streamed run, encoded.
+fn recorded_log() -> Vec<u8> {
+    let spec = ScenarioSpec::parse(
+        "algo=protocol m=6 seed=3 budget=12 faults=crash:0.2@50ms,loss:0.1 \
+         arrivals=poisson:50 duration=300",
+    )
+    .expect("the fixture spec parses");
+    let instance = spec.build_instance();
+    let mut sink = dlb_obs::MemorySink::default();
+    let report = run_protocol_events(&spec, &instance, &mut sink);
+    let log = dlb_obs::FrameLog {
+        spec: spec.to_string(),
+        events: sink.events,
+        trailer: trailer(&report),
+    };
+    log.encode()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Scenario text never panics the parser, and text it accepts
+    /// prints to a canonical text that parses back to the same spec.
+    #[test]
+    fn scenario_text_reads_or_is_refused(
+        text in prop_oneof![arb_soup(), arb_accepted_soup(), arb_chars()],
+    ) {
+        if let Ok(spec) = ScenarioSpec::parse(&text) {
+            let printed = spec.to_string();
+            prop_assert_eq!(ScenarioSpec::parse(&printed), Ok(spec), "{} -> {}", text, printed);
+        }
+    }
+
+    /// JSON-lines text never aborts the report parser, however deeply
+    /// a line nests its brackets.
+    #[test]
+    fn report_lines_parse_or_are_refused(
+        text in arb_chars(),
+        depth in 0usize..50_000,
+        open in prop_oneof![Just("["), Just("[1,"), Just("{\"a\":[")],
+    ) {
+        let _ = parse_jsonl(&text);
+        let nest = format!("{{\"kind\":\"run\",\"x\":{}", open.repeat(depth));
+        let _ = parse_jsonl(&nest);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Every accepted spec runs — small and short, and without a frame
+    /// log — to a finite record or a typed error, never a panic, `NaN`
+    /// or `inf`.
+    #[test]
+    fn accepted_specs_run_finitely(text in arb_accepted_soup()) {
+        let Ok(mut spec) = ScenarioSpec::parse(&text) else { return };
+        prop_assume!(!matches!(spec.trace, TraceSpec::Frames(_)));
+        spec.m = spec.m.min(8);
+        spec.budget = spec.budget.min(30);
+        spec.duration = spec.duration.min(1000.0);
+        if let Ok(run) = spec.try_run_on(spec.build_instance()) {
+            prop_assert!(run.wall_secs.is_finite(), "{}: wall_secs {}", spec, run.wall_secs);
+            prop_assert!(run.history.iter().all(|c| c.is_finite()), "{}: {:?}", spec, run.history);
+        }
+    }
+
+    /// Arbitrary bytes, and single-byte mutations of a real frame log,
+    /// replay or decode to a verdict or a typed error.
+    #[test]
+    fn frame_log_bytes_replay_or_are_refused(
+        noise in prop::collection::vec(any::<u8>(), 0..64),
+        at in any::<usize>(),
+        byte in any::<u8>(),
+    ) {
+        let _ = replay_frame_log(&noise);
+        let mut bytes = recorded_log();
+        let at = at % bytes.len();
+        bytes[at] = byte;
+        let _ = replay_frame_log(&bytes);
+        if let Ok(log) = dlb_obs::FrameLog::decode(&bytes) {
+            let _ = dlb_obs::chrome::render(&log);
+        }
     }
 }

@@ -23,7 +23,7 @@ fn parse_object(line: &str) -> Result<Record, String> {
         sc.skip_ws();
         sc.expect(b':')?;
         sc.skip_ws();
-        Ok((key, sc.value()?))
+        Ok((key, sc.value(false)?))
     })?;
     sc.skip_ws();
     if sc.pos != sc.s.len() {
@@ -120,15 +120,18 @@ impl Scanner<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Value, String> {
+    /// A field's value: a scalar, or a flat array of them (all the sink
+    /// writes, and no recursion for a hostile line to overflow).
+    fn value(&mut self, in_array: bool) -> Result<Value, String> {
         match self.peek().ok_or("unexpected end of line")? {
             b'"' => Ok(Value::Str(self.string()?)),
             b't' => self.literal("true", Value::Bool(true)),
             b'f' => self.literal("false", Value::Bool(false)),
             b'n' => self.literal("null", Value::Null),
+            b'[' if in_array => Err(format!("nested array at byte {}", self.pos)),
             b'[' => {
                 self.pos += 1;
-                Ok(Value::Arr(self.list(b']', Self::value)?))
+                Ok(Value::Arr(self.list(b']', |sc| sc.value(true))?))
             }
             b'{' => Err(format!("nested object at byte {}", self.pos)),
             _ => {
@@ -298,6 +301,12 @@ mod tests {
             "{\"a\":zz}",
         ] {
             assert!(parse_jsonl(bad).is_err(), "accepted: {bad}");
+        }
+        // Arrays are flat, however deep a line nests them.
+        let deep = format!("{{\"kind\":\"run\",\"x\":{}", "[".repeat(30_000));
+        for line in ["{\"x\":[1,[2]]}", &deep] {
+            let err = parse_jsonl(line).unwrap_err();
+            assert!(err.starts_with("line 1: nested array at byte "), "{err}");
         }
     }
 

@@ -23,6 +23,7 @@
 use std::fmt;
 use std::str::FromStr;
 
+use dlb_core::plan_text::{without_ms, Floor, Reader, MAX_MS};
 use dlb_core::rngutil::rng_for;
 use dlb_core::workload::{LoadDistribution, SpeedDistribution, WorkloadSpec};
 use dlb_core::{Instance, LatencyMatrix};
@@ -35,18 +36,10 @@ use dlb_topology::{EuclideanConfig, PlanetLabConfig};
 /// `BENCH_figure2.json` series remain comparable across PRs.
 pub const SAMPLE_SALT: u64 = 0xBE7C;
 
-/// A scenario error with a user-facing message: a spec that does not
-/// parse or validate, or a run that cannot write what it names.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpecError(pub String);
-
-impl fmt::Display for SpecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-impl std::error::Error for SpecError {}
+/// The input error: a spec that does not parse or validate, a plan
+/// or flag that does not read, or a run that cannot write what it
+/// names. Defined with the readers, in `dlb_core::plan_text`.
+pub use dlb_core::plan_text::SpecError;
 
 /// Which system a scenario runs (the `algo=` key).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -180,13 +173,10 @@ impl AxisValue for SelectSpec {
             return Ok(SelectSpec::Exact);
         }
         if let Some(k) = v.strip_prefix("topk:") {
-            let k: u32 = k.parse().map_err(|_| {
-                SpecError(format!("select: '{k}' is not a positive candidate count"))
-            })?;
-            if k == 0 {
-                return Err(SpecError("select: topk needs at least 1 candidate".into()));
-            }
-            return Ok(SelectSpec::TopK(k));
+            let count = Reader::new("select", "a positive candidate count")
+                .floor(Floor::Positive)
+                .refusal("select: topk needs at least 1 candidate");
+            return Ok(SelectSpec::TopK(count.number(k)?));
         }
         Err(SpecError(format!(
             "select: '{v}' is not exact or topk:K (e.g. topk:32)"
@@ -209,17 +199,10 @@ impl AxisValue for DetectSpec {
             _ => {}
         }
         if let Some(ms) = v.strip_prefix("timeout:") {
-            let ms: f64 = ms
-                .strip_suffix("ms")
-                .unwrap_or(ms)
-                .parse()
-                .map_err(|_| SpecError(format!("detect: '{ms}' is not a deadline in ms")))?;
-            if !ms.is_finite() || ms <= 0.0 {
-                return Err(SpecError(
-                    "detect: the timeout deadline must be positive".into(),
-                ));
-            }
-            return Ok(DetectSpec::Timeout(ms));
+            let deadline = Reader::new("detect", "a deadline in ms")
+                .floor(Floor::Positive)
+                .refusal("detect: the timeout deadline must be positive");
+            return Ok(DetectSpec::Timeout(deadline.ms(ms)?));
         }
         Err(SpecError(format!(
             "detect: '{v}' is not one of oracle|timeout:MS|adaptive (e.g. timeout:200ms)"
@@ -271,25 +254,17 @@ impl GossipSpec {
             return Ok(GossipSpec::Emulated { staleness: 0 });
         }
         if let Some(t) = v.strip_prefix("emulated:") {
-            let staleness = t.parse().map_err(|_| {
-                SpecError(format!(
-                    "gossip: '{t}' is not a staleness in iterations (a non-negative integer)"
-                ))
-            })?;
+            let staleness = "a staleness in iterations (a non-negative integer)";
+            let staleness = Reader::new("gossip", staleness).number(t)?;
             return Ok(GossipSpec::Emulated { staleness });
         }
         if let Some(p) = v.strip_prefix("event:") {
-            let ms: f64 = p
-                .strip_suffix("ms")
-                .unwrap_or(p)
-                .parse()
-                .map_err(|_| SpecError(format!("gossip: '{p}' is not a period in ms")))?;
-            if !ms.is_finite() || ms <= 0.0 {
-                return Err(SpecError(
-                    "gossip: the event-gossip period must be positive".into(),
-                ));
-            }
-            return Ok(GossipSpec::Event { period_ms: ms });
+            let period = Reader::new("gossip", "a period in ms")
+                .floor(Floor::Positive)
+                .refusal("gossip: the event-gossip period must be positive");
+            return Ok(GossipSpec::Event {
+                period_ms: period.ms(p)?,
+            });
         }
         Err(SpecError(format!(
             "gossip: '{v}' is not one of emulated[:T]|event:PERIODms (e.g. event:100ms)"
@@ -724,30 +699,16 @@ fn one_of<T: Copy>(
     })
 }
 
-fn parse_int<T: FromStr>(key: &str, value: &str) -> Result<T, SpecError> {
-    value
-        .parse()
-        .map_err(|_| SpecError(format!("{key}: '{value}' is not a non-negative integer")))
-}
+/// What the text of an integer key must be.
+const INT: &str = "a non-negative integer";
+/// What the text of a real-valued key must be.
+const REAL: &str = "a number";
 
-/// [`parse_int`] for the keys a run needs at least one of.
-fn parse_count(key: &str, value: &str) -> Result<usize, SpecError> {
-    match parse_int(key, value)? {
-        0 => Err(SpecError(format!("{key} must be at least 1"))),
-        n => Ok(n),
-    }
-}
-
-fn parse_float(key: &str, value: &str) -> Result<f64, SpecError> {
-    let x: f64 = value
-        .parse()
-        .map_err(|_| SpecError(format!("{key}: '{value}' is not a number")))?;
-    if !x.is_finite() || x < 0.0 {
-        return Err(SpecError(format!(
-            "{key}: '{value}' must be finite and non-negative"
-        )));
-    }
-    Ok(x)
+/// The reader of a key a run needs at least one of.
+const fn count<'a>(key: &'a str, refusal: &'a str) -> Reader<'a> {
+    Reader::new(key, INT)
+        .floor(Floor::Positive)
+        .refusal(refusal)
 }
 
 /// Something a non-default value of an axis needs from the rest of
@@ -772,9 +733,9 @@ const ENGINE: Needs = ("algo=sequential or algo=batched", |spec| {
 });
 
 /// One key of the text form: a row of [`AXES`].
-struct Axis {
+pub(crate) struct Axis {
     /// The `key=` token name.
-    key: &'static str,
+    pub(crate) key: &'static str,
     /// Reads a token's value into the spec.
     read: fn(&mut ScenarioSpec, &str) -> Result<(), SpecError>,
     /// Whether two specs disagree on this axis. Asked against the
@@ -823,31 +784,31 @@ macro_rules! axis {
 /// [`Display`](fmt::Display) impl and [`ScenarioSpec::validate`]. A new
 /// axis is a field, a builder and a row here.
 #[rustfmt::skip] // a table: one axis per entry, laid out by hand
-const AXES: &[Axis] = &[
+pub(crate) const AXES: &[Axis] = &[
     // `algo`, `net` and `m` head every canonical text.
     Axis { always: true, ..axis!(algo.label() in AlgoSpec::ALL) },
     Axis { always: true, ..axis!(net.label() in [NetSpec::Homog, NetSpec::Euclid, NetSpec::Pl]) },
-    Axis { always: true, ..axis!(m, parse_count, &[(
+    Axis { always: true, ..axis!(m, |key, v| count(key, "m must be at least 1").number(v), &[(
         ("a value of at most 4294967295", |spec| spec.m <= MAX_M),
         "node ids are 32-bit",
     )]) },
-    axis!(lat, parse_float),
+    axis!(lat, |key, v| Reader::new(key, REAL).max(MAX_MS).number(v)),
     axis!(load.label() in [
         LoadDistribution::Constant,
         LoadDistribution::Uniform,
         LoadDistribution::Exponential,
         LoadDistribution::Peak,
     ]),
-    axis!(avg, parse_float, &[(
+    axis!(avg, |key, v| Reader::new(key, REAL).number(v), &[(
         ("a value up to 1e100", |spec| spec.avg <= MAX_AVG),
         "a load reaches avg × m under load=peak and ΣC squares it; neither would stay finite",
     )]),
     axis!(speeds.label() in [SpeedKind::Const, SpeedKind::Uniform]),
-    axis!(seed, parse_int),
-    axis!(gran, parse_float),
-    axis!(eps, parse_float),
-    axis!(patience, parse_int),
-    axis!(budget, parse_count),
+    axis!(seed, |key, v| Reader::new(key, INT).number(v)),
+    axis!(gran, |key, v| Reader::new(key, REAL).number(v)),
+    axis!(eps, |key, v| Reader::new(key, REAL).number(v)),
+    axis!(patience, |key, v| Reader::new(key, INT).number(v)),
+    axis!(budget, |key, v| count(key, "budget must be at least 1").number(v)),
     // Obsolete (see `check_runtime`): checked, stored nowhere.
     Axis {
         key: "runtime",
@@ -864,7 +825,7 @@ const AXES: &[Axis] = &[
     )]),
     axis!(
         faults,
-        |key, v| FaultPlan::parse(v).map_err(|e| SpecError(format!("{key}: {}", e.0))),
+        |_, v| FaultPlan::parse(v),
         &[(PROTOCOL, "the deterministic simulation is what can replay a fault schedule")]
     ),
     axis!(detect.text(), |_, v| DetectSpec::parse(v), &[(
@@ -873,7 +834,7 @@ const AXES: &[Axis] = &[
     )]),
     axis!(
         arrivals,
-        |key, v| ArrivalPlan::parse(v).map_err(|e| SpecError(format!("{key}: {}", e.0))),
+        |_, v| ArrivalPlan::parse(v),
         &[
             (
                 ("duration=", |spec| spec.duration > 0.0),
@@ -888,7 +849,7 @@ const AXES: &[Axis] = &[
     ),
     axis!(
         duration,
-        |key, v: &str| parse_float(key, v.strip_suffix("ms").unwrap_or(v)),
+        |key, v| Reader::new(key, REAL).max(MAX_MS).number(without_ms(v)),
         &[(
             ("arrivals=", |spec| !spec.arrivals.is_empty()),
             "the horizon only bounds a live arrival stream, e.g. arrivals=poisson:200",
@@ -1031,6 +992,34 @@ mod tests {
             ),
             ("algo=protocol select=topk:0", "at least 1 candidate"),
             ("warp=9", "unknown key 'warp'"),
+            // Times, `lat=` and factors a run's virtual clock could not
+            // keep finite (all four used to run to `NaN` or `inf`).
+            (
+                "algo=protocol m=4 faults=spike:1e308x@0ms..10ms",
+                "faults: spike factor: '1e308' must be at most 1e6",
+            ),
+            (
+                "algo=protocol m=4 faults=slow:1@1e308x",
+                "faults: slow factor: '1e308' must be at most 1e6",
+            ),
+            (
+                "algo=protocol m=4 lat=1e308",
+                "lat: '1e308' must be at most 1e9",
+            ),
+            (
+                "algo=protocol m=8 faults=part:0ms..1e308ms,crash:0.5@1ms detect=adaptive",
+                "faults: part window: '1e308ms' must be at most 1e9",
+            ),
+            (
+                "algo=protocol detect=timeout:1e10ms",
+                "detect: '1e10ms' must be at most 1e9",
+            ),
+            ("gossip=event:1e10", "gossip: '1e10' must be at most 1e9"),
+            (
+                "algo=protocol arrivals=poisson:1 duration=1e300",
+                "duration: '1e300' must be at most 1e9",
+            ),
+            ("duration=5msms", "duration: '5ms' is not a number"),
         ] {
             let err = ScenarioSpec::parse(text).unwrap_err();
             assert!(err.0.contains(needle), "'{text}' -> {err}");
@@ -1443,7 +1432,7 @@ mod tests {
             ),
             // A schedule the stream compiler would abort on.
             (
-                on(Protocol).arrivals(poisson).duration_ms(1e10),
+                on(Protocol).arrivals(poisson).duration_ms(MAX_MS),
                 "arrivals= requires rate × duration under 1000000 requests (the whole \
                  schedule is compiled before the run; lower the rate or the horizon)",
             ),
