@@ -9,16 +9,19 @@
 //! (m = 5000) — in both tables the delta-encoded sharded frames are
 //! billed beside the same frames carrying full m-entry views, the
 //! push-pull baseline — and (c) run the engine with partner scoring
-//! fed by the emulated stale snapshot (`gossip=emulated:T`) and by the
-//! *real* delta-gossip protocol (`gossip=event:100ms`), confirming
-//! convergence survives staleness.
+//! fed by the delta-gossip protocol at a sweep of gossip periods
+//! (`gossip=event:25ms` … `event:400ms`) against fresh scoring on the
+//! same pruned selection, confirming convergence survives staleness.
 //!
 //! Run: `cargo bench -p dlb-bench --bench ablation_gossip_staleness`.
 //! Writes the committed artifact `BENCH_gossip.json` at the repo root.
 
+use dlb_distributed::mine::PartnerSelection;
+use dlb_distributed::{Engine, EngineOptions};
 use dlb_gossip::wire::view_bytes;
 use dlb_gossip::{DeltaGossip, DeltaGossipConfig};
 use dlb_scenario::results::{JsonlSink, Record};
+use dlb_scenario::runner::GOSSIP_TOP_K;
 use dlb_scenario::{AlgoSpec, GossipSpec, NetSpec, ScenarioSpec};
 
 fn main() {
@@ -128,49 +131,51 @@ fn main() {
         .seed(5)
         .termination(1e-12, 3, 200);
     let instance = base.build_instance();
-    // `emulated:1` refreshes the shared snapshot every iteration —
-    // fresh scoring on the same forced-pruned selection every row
-    // uses, so the column isolates staleness.
-    let grid = [
-        ("emulated:1", GossipSpec::Emulated { staleness: 1 }),
-        ("emulated:2", GossipSpec::Emulated { staleness: 2 }),
-        ("emulated:5", GossipSpec::Emulated { staleness: 5 }),
-        ("emulated:10", GossipSpec::Emulated { staleness: 10 }),
-        ("event:100ms", GossipSpec::Event { period_ms: 100.0 }),
-    ];
-    let mut reference = f64::INFINITY;
-    for (label, gossip) in grid {
-        let run = base.gossip(gossip).run_on(instance.clone());
-        if reference.is_infinite() {
-            reference = run.final_cost();
-        }
-        let pct = (run.final_cost() / reference - 1.0) * 100.0;
-        if let GossipSpec::Event { .. } = gossip {
-            // The acceptance bar: real event-gossip views land within
-            // 1% of fresh scoring.
-            assert!(
-                pct.abs() < 1.0,
-                "event-gossip scoring drifted {pct:+.3}% from fresh"
-            );
-            assert!(!run.gossip.is_quiet(), "event run must meter traffic");
+    // Fresh scoring on the same forced-pruned selection every gossip
+    // row uses, so the column isolates staleness.
+    let mut fresh = Engine::new(
+        instance.clone(),
+        EngineOptions {
+            seed: base.seed,
+            selection: Some(PartnerSelection::Pruned {
+                top_k: GOSSIP_TOP_K,
+            }),
+            ..Default::default()
+        },
+    );
+    let report = fresh.run_to_convergence(base.eps, base.patience, base.budget);
+    let reference = report.final_cost;
+    let row = |label: &str, final_cost: f64, iterations: usize, bytes: u64| {
+        // The acceptance bar: gossip-fed views land within 1% of fresh
+        // scoring.
+        let pct = (final_cost / reference - 1.0) * 100.0;
+        assert!(
+            pct.abs() < 1.0,
+            "{label} scoring drifted {pct:+.3}% from fresh"
+        );
+        println!("{label:>16} {final_cost:>14.1} {iterations:>10}   ({pct:+.3}% vs fresh)");
+        Record::new("table_row")
+            .str("table", "engine_staleness")
+            .str("gossip", label)
+            .num("final_cost", final_cost)
+            .int("iterations", iterations as i64)
+            .int("gossip_bytes", bytes as i64)
+            .num("pct_vs_fresh", pct)
+    };
+    sink.record(&row("fresh", reference, report.iterations, 0));
+    for period_ms in [25.0, 100.0, 400.0] {
+        let run = base
+            .gossip(GossipSpec::Event { period_ms })
+            .run_on(instance.clone());
+        assert!(!run.gossip.is_quiet(), "event run must meter traffic");
+        if period_ms == 100.0 {
             // The full run record too, so `dlb report` renders the
             // gossip_* columns straight from the committed artifact.
             sink.record(&Record::from_run("run", &run));
         }
-        sink.record(
-            &Record::new("table_row")
-                .str("table", "engine_staleness")
-                .str("gossip", label)
-                .num("final_cost", run.final_cost())
-                .int("iterations", run.iterations as i64)
-                .int("gossip_bytes", run.gossip.bytes as i64)
-                .num("pct_vs_fresh", pct),
-        );
-        println!(
-            "{label:>16} {:>14.1} {:>10}   ({pct:+.3}% vs fresh)",
-            run.final_cost(),
-            run.iterations,
-        );
+        let label = format!("event:{period_ms}ms");
+        let (cost, iterations) = (run.final_cost(), run.iterations);
+        sink.record(&row(&label, cost, iterations, run.gossip.bytes));
     }
     println!("\nstale scoring degrades the result by well under a percent:");
     println!("the gossip layer only needs to keep up within a few iterations");

@@ -110,15 +110,14 @@ run:
                         duration=4000
     duration=         stream horizon in virtual ms (accepts an 'ms'
                       suffix); requires arrivals=
-    gossip=emulated   emulated[:T] | event:PERIODms — control plane
+    gossip=emulated   emulated | event:PERIODms — control plane
                       behind the engine's partner scoring,
-                      algo=sequential|batched only. emulated:T scores
-                      on one shared snapshot refreshed every T
-                      iterations (T=0, the default, is fresh; no bytes
-                      move). event:PERIODms runs the real delta-gossip
-                      protocol from dlb-gossip: per-server views fed
-                      by sharded delta frames every PERIOD virtual ms,
-                      advanced ~log2(m) periods per engine iteration,
+                      algo=sequential|batched only. emulated (the
+                      default) runs none: scoring reads live loads.
+                      event:PERIODms runs the delta-gossip protocol
+                      from dlb-gossip: per-server views fed by sharded
+                      delta frames every PERIOD virtual ms, advanced
+                      ~log2(m) periods per engine iteration,
                       with every byte metered — the record carries a
                       gossip_* summary. A non-default value switches
                       the engine to pruned partner selection (stale

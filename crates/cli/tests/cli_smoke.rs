@@ -282,7 +282,7 @@ fn report_renders_every_committed_artifact_unchanged() {
         ("detector", 0x3785_5f27_55e6_cf68_u64),
         ("faults", 0x6cdd_d057_b8ac_72e4),
         ("figure2", 0x4b80_d3f5_63b5_5fe2),
-        ("gossip", 0x67f5_a9a7_4698_c240),
+        ("gossip", 0x8cad_1247_a661_90bd),
         ("obs", 0xed64_10c2_86bd_492a),
         ("streaming", 0xa508_da9e_f4ba_00d9),
     ] {
@@ -421,6 +421,12 @@ fn bad_specs_and_missing_files_fail_cleanly() {
         (
             &["run", "algo=protocol", "m=99999999999"][..],
             "error: m= requires a value of at most 4294967295 (node ids are 32-bit)",
+        ),
+        // The shared stale snapshot is retired: stale views come from
+        // the delta-gossip plane only.
+        (
+            &["run", "algo=batched", "m=30", "gossip=emulated:3"][..],
+            "error: gossip: the emulated stale snapshot (emulated:T) was retired",
         ),
         // `estimate --servers` is an `m=` and answers to its rules.
         (

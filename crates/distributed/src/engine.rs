@@ -18,11 +18,10 @@
 //! * periodic negative-cycle removal (paper Appendix; the ablation
 //!   bench reproduces the paper's finding that it does not change the
 //!   iteration counts),
-//! * stale load views, emulating a gossip dissemination layer that
-//!   refreshes every `staleness` iterations — or, via
-//!   [`Engine::attach_gossip_feed`], *real* per-server views served by
-//!   the delta-gossip control plane ([`crate::feed::GossipFeed`]),
-//!   with bytes-on-the-wire metered per run.
+//! * stale load views: via [`Engine::attach_gossip_feed`], per-server
+//!   views served by the delta-gossip control plane
+//!   ([`crate::feed::GossipFeed`]), with bytes-on-the-wire metered per
+//!   run.
 //!
 //! `ΣC` is maintained *incrementally*: every applied exchange reports
 //! its exact pair-cost reduction, and the engine accumulates those
@@ -73,9 +72,6 @@ pub struct EngineOptions {
     /// `None` disables removal (the paper's default — experiments showed
     /// the cycles are rare and harmless).
     pub cycle_removal_every: Option<usize>,
-    /// Emulated gossip staleness: partner *scoring* uses a load vector
-    /// refreshed only every `staleness` iterations (0 = always fresh).
-    pub load_staleness: usize,
     /// Transfer quantum: per-owner exchanges move multiples of this
     /// amount (`0.0` = continuous). The paper's load is made of unit
     /// requests, so the Table I/II measurement protocol uses `1.0`;
@@ -107,7 +103,6 @@ impl Default for EngineOptions {
             seed: 0,
             parallel: true,
             cycle_removal_every: None,
-            load_staleness: 0,
             granularity: 0.0,
             pair_once: true,
             round_mode: RoundMode::Sequential,
@@ -149,9 +144,8 @@ pub struct Engine {
     history: Vec<f64>,
     iteration: usize,
     cost_scale: f64,
-    stale_loads: Vec<f64>,
-    /// When attached, per-server score views come from this real
-    /// delta-gossip network instead of the `stale_loads` emulation.
+    /// When attached, per-server score views come from this
+    /// delta-gossip network; otherwise scoring reads live loads.
     feed: Option<GossipFeed>,
     cost: CostTracker,
     scratch: PartnerScratch,
@@ -161,18 +155,7 @@ impl Engine {
     /// Creates an engine starting from the all-local assignment.
     pub fn new(instance: Instance, options: EngineOptions) -> Self {
         let assignment = Assignment::local(&instance);
-        Self::from_assignment(instance, assignment, options)
-    }
-
-    /// Creates an engine from an existing assignment (used by
-    /// dynamic-load scenarios that rebalance incrementally).
-    pub fn from_assignment(
-        instance: Instance,
-        assignment: Assignment,
-        options: EngineOptions,
-    ) -> Self {
         let initial_cost = total_cost(&instance, &assignment);
-        let stale_loads = assignment.loads().to_vec();
         let rng = rng_for(options.seed, 0xD157);
         Self {
             instance,
@@ -182,7 +165,6 @@ impl Engine {
             history: vec![initial_cost],
             iteration: 0,
             cost_scale: initial_cost.abs().max(1.0),
-            stale_loads,
             feed: None,
             cost: CostTracker::new(initial_cost, COST_RESYNC_EVERY),
             scratch: PartnerScratch::default(),
@@ -192,13 +174,12 @@ impl Engine {
     /// Attaches a real gossip control plane: from the next iteration
     /// on, each server's pruned pre-scoring ranks candidates on the
     /// load vector *its own* delta-gossip node currently believes
-    /// ([`GossipFeed`]), instead of the shared `load_staleness`
-    /// snapshot. The feed is seeded from the engine's seed and the
-    /// current loads; `period_ms` is the gossip exchange period on the
-    /// instance's latency topology.
+    /// ([`GossipFeed`]) instead of the live loads. The feed is seeded
+    /// from the engine's seed and the current loads; `period_ms` is the
+    /// gossip exchange period on the instance's latency topology.
     ///
-    /// Only candidate ranking is affected — like `load_staleness`, the
-    /// exact Algorithm-1 evaluation always runs on live ledgers, so
+    /// Only candidate ranking is affected — the exact Algorithm-1
+    /// evaluation always runs on live ledgers, so
     /// [`PartnerSelection::Exact`] ignores the feed entirely. Pair it
     /// with a pruned selection to make staleness observable.
     pub fn attach_gossip_feed(&mut self, period_ms: f64) {
@@ -275,14 +256,6 @@ impl Engine {
             None => (0..m).collect(),
         };
         order.shuffle(&mut self.rng);
-        if self.options.load_staleness == 0
-            || self
-                .iteration
-                .is_multiple_of(self.options.load_staleness.max(1))
-        {
-            self.stale_loads.clear();
-            self.stale_loads.extend_from_slice(self.assignment.loads());
-        }
         if let Some(feed) = self.feed.as_mut() {
             // Real gossip: publish current loads and let the protocol
             // run its ⌈log2 m⌉ periods before this iteration scores.
@@ -295,12 +268,9 @@ impl Engine {
                 self.sequential_round(&order, active, selection, min_improvement)
             }
             RoundMode::Batched => {
-                let score = if let Some(feed) = self.feed.as_ref() {
-                    ScoreView::PerServer(feed.views())
-                } else if self.options.load_staleness > 0 {
-                    ScoreView::Shared(self.stale_loads.as_slice())
-                } else {
-                    ScoreView::Live
+                let score = match self.feed.as_ref() {
+                    Some(feed) => ScoreView::PerServer(feed.views()),
+                    None => ScoreView::Live,
                 };
                 let outcome = run_batched_round(
                     &self.instance,
@@ -378,15 +348,9 @@ impl Engine {
                 continue;
             }
             // Pruned pre-scoring ranks candidates by this server's
-            // gossip view (real feed, or the shared stale-snapshot
-            // emulation); exact evaluation stays live.
-            let score_loads = if let Some(feed) = self.feed.as_ref() {
-                Some(feed.view(id))
-            } else if self.options.load_staleness > 0 {
-                Some(self.stale_loads.as_slice())
-            } else {
-                None
-            };
+            // gossip view when a feed is attached; exact evaluation
+            // stays live.
+            let score_loads = self.feed.as_ref().map(|feed| feed.view(id));
             let choice = choose_partner(
                 &self.instance,
                 &self.assignment,
@@ -670,29 +634,10 @@ mod tests {
     }
 
     #[test]
-    fn stale_loads_still_converge() {
-        let mut rng = rng_for(41, 5);
-        let instance = spec(60.0, LoadDistribution::Uniform)
-            .sample(LatencyMatrix::homogeneous(30, 20.0), &mut rng);
-        let mut opts = seq_opts(3);
-        opts.load_staleness = 3;
-        opts.selection = Some(PartnerSelection::Pruned { top_k: 6 });
-        let mut engine = Engine::new(instance.clone(), opts);
-        let report = engine.run_to_convergence(1e-10, 2, 120);
-        let (_, pgd) = solve_pgd(&instance, &PgdOptions::default());
-        assert!(
-            report.final_cost <= pgd.objective * 1.05,
-            "stale {} vs opt {}",
-            report.final_cost,
-            pgd.objective
-        );
-    }
-
-    #[test]
     fn gossip_fed_scoring_still_converges() {
-        // Same bar as `stale_loads_still_converge`, but the stale views
-        // come from the real delta-gossip control plane: each server
-        // ranks candidates on what its own gossip node believes.
+        // The stale views come from the delta-gossip control plane:
+        // each server ranks candidates on what its own gossip node
+        // believes, and the fixpoint stays within 5 % of the optimum.
         let mut rng = rng_for(41, 5);
         let instance = spec(60.0, LoadDistribution::Uniform)
             .sample(LatencyMatrix::homogeneous(30, 20.0), &mut rng);

@@ -2,13 +2,9 @@
 //!
 //! The paper (§IV) assumes loads "can be disseminated by a gossiping
 //! algorithm" running roughly O(log m) times faster than the balancer,
-//! so every server scores partners on *almost* fresh views. The
-//! engine's `load_staleness` option emulates that with one shared
-//! snapshot refreshed every T iterations — useful for ablations, but a
-//! fake: no protocol runs, no bytes move, and every server sees the
-//! same staleness.
+//! so every server scores partners on *almost* fresh views.
 //!
-//! [`GossipFeed`] closes the loop. It wraps a
+//! [`GossipFeed`] runs that algorithm. It wraps a
 //! [`dlb_gossip::DeltaGossip`] network — the sharded, delta-encoded
 //! control plane — on the engine's instance topology: one gossip node
 //! per server, link delays of half the pairwise latency (`c_ij / 2`,

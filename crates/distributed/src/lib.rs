@@ -20,8 +20,8 @@
 //!   over all servers, a deterministic conflict-free matching, and
 //!   concurrent execution of the matched (ledger-disjoint) exchanges,
 //! * [`feed`] — the [`GossipFeed`] adapter that serves each server's
-//!   pruned pre-scoring from a *real* delta-gossip control plane
-//!   (`dlb-gossip`) instead of the emulated `load_staleness` snapshot,
+//!   pruned pre-scoring from the delta-gossip control plane
+//!   (`dlb-gossip`), the engine's only source of stale load views,
 //! * [`error_bound`] — **Proposition 1**: the `(4m+1)·ΔR·Σs_i` bound on
 //!   the Manhattan distance to the optimum,
 //! * [`error_graph`] — the error-graph construction used by the bound's

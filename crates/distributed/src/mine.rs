@@ -346,8 +346,8 @@ pub fn mine_step(
 /// positive choice always corresponds to a real move.
 ///
 /// `score_loads` optionally overrides the load vector used by the
-/// pruned mode's closed-form *pre-scoring* (the engine passes its
-/// gossip-stale snapshot here when `load_staleness > 0`). The exact
+/// pruned mode's closed-form *pre-scoring* (the engine passes the
+/// server's gossip view here when a feed is attached). The exact
 /// Algorithm-1 evaluation of the surviving candidates always runs on
 /// the live ledgers, so a positive choice still corresponds to a real
 /// improving exchange — staleness can only misrank candidates, exactly

@@ -85,11 +85,8 @@ thread_local! {
 pub enum ScoreView<'a> {
     /// Live round-start loads (perfect information).
     Live,
-    /// One shared stale snapshot — the emulated-gossip
-    /// (`load_staleness`) mode: every server sees the same old vector.
-    Shared(&'a [f64]),
-    /// One view per server — real gossip: each server ranks on whatever
-    /// its own gossip view currently believes.
+    /// One view per server — gossip: each server ranks on whatever its
+    /// own gossip view currently believes.
     PerServer(&'a [Vec<f64>]),
 }
 
@@ -99,7 +96,6 @@ impl ScoreView<'_> {
     pub fn for_server(&self, id: usize) -> Option<&[f64]> {
         match self {
             ScoreView::Live => None,
-            ScoreView::Shared(loads) => Some(loads),
             ScoreView::PerServer(views) => Some(views[id].as_slice()),
         }
     }
@@ -121,9 +117,8 @@ pub struct Proposal {
 /// Phase 1: every server in `order` computes its Algorithm-2 partner
 /// choice against the current (round-start) assignment. Returns one
 /// `Option<Proposal>` per `order` entry, in order. `score` is where
-/// each server's pruned pre-scoring reads loads from: one shared stale
-/// snapshot (emulated gossip), a per-server gossip view, or the live
-/// round-start loads.
+/// each server's pruned pre-scoring reads loads from: a per-server
+/// gossip view or the live round-start loads.
 #[allow(clippy::too_many_arguments)]
 pub fn propose(
     instance: &Instance,
@@ -403,34 +398,47 @@ mod tests {
 
     #[test]
     fn per_server_score_views_route_to_each_proposer() {
-        // With every server handed the same vector, PerServer must be
-        // bit-identical to Shared — the plumbing may not mix views up.
+        // Every server's proposal must be the one it makes when ranking
+        // on its own view alone — the plumbing may not mix views up.
         let instance = random_instance(40, 9);
         let a = Assignment::local(&instance);
         let order: Vec<usize> = (0..40).collect();
-        let stale: Vec<f64> = a.loads().iter().map(|l| l * 1.5 + 2.0).collect();
-        let views: Vec<Vec<f64>> = (0..40).map(|_| stale.clone()).collect();
-        let run = |score: ScoreView<'_>| {
-            propose(
+        let views: Vec<Vec<f64>> = (0..40)
+            .map(|i| a.loads().iter().map(|l| l * 1.5 + i as f64).collect())
+            .collect();
+        let selection = PartnerSelection::Pruned { top_k: 4 };
+        let proposals = propose(
+            &instance,
+            &a,
+            &order,
+            selection,
+            1e-9,
+            false,
+            None,
+            0.0,
+            ScoreView::PerServer(&views),
+        );
+        let mut scratch = PartnerScratch::default();
+        for (&id, proposal) in order.iter().zip(&proposals) {
+            let alone = choose_partner(
                 &instance,
                 &a,
-                &order,
-                PartnerSelection::Pruned { top_k: 4 },
+                id,
+                selection,
                 1e-9,
                 false,
                 None,
                 0.0,
-                score,
-            )
-        };
-        assert_eq!(
-            run(ScoreView::Shared(&stale)),
-            run(ScoreView::PerServer(&views))
-        );
+                Some(&views[id]),
+                &mut scratch,
+            );
+            let alone = alone.map(|(partner, outcome)| Proposal { partner, outcome });
+            assert_eq!(*proposal, alone, "server {id}");
+        }
         assert_eq!(ScoreView::Live.for_server(7), None);
         assert_eq!(
             ScoreView::PerServer(&views).for_server(7),
-            Some(stale.as_slice())
+            Some(views[7].as_slice())
         );
     }
 

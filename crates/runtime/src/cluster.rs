@@ -124,10 +124,6 @@ pub struct ClusterOptions {
     pub quiescent_rounds: usize,
     /// Moved volume below which a round counts as quiet.
     pub quiescent_volume: f64,
-    /// Nodes excluded from every round (crash-faulted from the start;
-    /// the coordinator announces them, so peers neither propose nor
-    /// audit them).
-    pub failed: Vec<u32>,
     /// Per-node protocol configuration.
     pub node: NodeConfig,
     /// How crashed nodes are detected (see [`DetectMode`]).
@@ -148,7 +144,6 @@ impl Default for ClusterOptions {
             max_rounds: 300,
             quiescent_rounds: 3,
             quiescent_volume: 1e-9,
-            failed: Vec::new(),
             node: NodeConfig::default(),
             detect: DetectMode::Oracle,
             exchange_rto_ms: 10_000.0,

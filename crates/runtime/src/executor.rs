@@ -1495,13 +1495,15 @@ mod tests {
     fn failed_nodes_take_no_part() {
         let mut instance = Instance::homogeneous(6, 1.0, 1.0, 0.0);
         instance.set_own_loads(vec![600.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
-        let report = run_cluster_events(
+        // Down from the first round; seed 4 spares the loaded node 0.
+        let script = FaultPlan::default().crash(2.0 / 6.0, 0.0).compile(4, 6);
+        assert_eq!(script.down_at(0.0), [4, 5]);
+        let report = simulate(
             &instance,
-            &ClusterOptions {
-                failed: vec![4, 5],
-                ..Default::default()
-            },
+            &ClusterOptions::default(),
             half_rtt(&instance),
+            &script,
+            &StreamScript::empty(),
         );
         report.assignment.check_invariants(&instance).unwrap();
         assert_eq!(report.assignment.load(4), 0.0);

@@ -1033,19 +1033,10 @@ impl CoordinatorMachine {
     /// Creates the coordinator for a cluster over `instance`.
     ///
     /// # Panics
-    /// Panics when the instance is empty or a failed node is out of
-    /// range.
+    /// Panics when the instance is empty.
     pub fn new(instance: Arc<Instance>, options: &ClusterOptions) -> Self {
         let m = instance.len();
         assert!(m >= 1, "cluster needs at least one node");
-        for &f in &options.failed {
-            assert!((f as usize) < m, "failed node {f} out of range");
-        }
-        let mut options = options.clone();
-        // The excluded sets on the wire are sorted (nodes look peers up
-        // by binary search); normalize the caller's failed list once.
-        options.failed.sort_unstable();
-        options.failed.dedup();
         let loads = instance.own_loads().to_vec();
         // Initial local costs: all requests at home, no latency.
         let local_costs: Vec<f64> = (0..m)
@@ -1057,7 +1048,7 @@ impl CoordinatorMachine {
         let initial_cost = total_cost(&instance, &Assignment::local(&instance));
         Self {
             instance,
-            options,
+            options: options.clone(),
             phase: Phase::Rounds,
             round: 0,
             loads,
@@ -1198,25 +1189,21 @@ impl CoordinatorMachine {
         skip.extend(self.suspects.iter().map(|s| s.node));
         skip.sort_unstable();
         self.expected = self.len() - skip.len();
-        let mut excluded = self.options.failed.clone();
-        excluded.extend_from_slice(&skip);
-        excluded.sort_unstable();
-        excluded.dedup();
         if let SelectPolicy::TopK(k) = self.options.node.select {
             // Epoch maintenance for the nodes' candidate caches: bump
             // (and rebuild the hot set) only when the gossiped view
             // actually moved, so quiet stretches rebuild nothing.
-            if self.epoch == 0 || self.loads != self.epoch_loads || excluded != self.last_excluded {
+            if self.epoch == 0 || self.loads != self.epoch_loads || skip != self.last_excluded {
                 self.epoch += 1;
                 self.epoch_loads.clone_from(&self.loads);
-                self.last_excluded.clone_from(&excluded);
-                self.hot = Arc::new(self.build_hot(&excluded, k));
+                self.last_excluded.clone_from(&skip);
+                self.hot = Arc::new(self.build_hot(&skip, k));
             }
         }
         let frame = Arc::new(Frame::RoundStart {
             round: self.round,
             loads: Arc::new(self.loads.clone()),
-            excluded,
+            excluded: skip.clone(),
             epoch: self.epoch,
             hot: Arc::clone(&self.hot),
         });
@@ -1323,27 +1310,8 @@ impl CoordinatorMachine {
                 }
                 self.seen[*from as usize] = true;
                 self.reports += 1;
-                self.loads[*from as usize] = *load;
-                self.local_costs[*from as usize] = *local_cost;
-                match outcome {
-                    RoundOutcome::Exchanged => {
-                        let (partner, partner_load, partner_cost, volume) =
-                            exchange.expect("exchange data present");
-                        self.loads[partner as usize] = partner_load;
-                        self.local_costs[partner as usize] = partner_cost;
-                        self.exchanges += 1;
-                        self.moved += volume;
-                        self.round_moved += volume;
-                    }
-                    RoundOutcome::Lost => self.lost += 1,
-                    // The node rolled back an exchange whose partner
-                    // went silent (in-protocol detection only).
-                    RoundOutcome::Aborted => self.detector.aborted_exchanges += 1,
-                    // Accepted = collision-yield acceptor; the
-                    // initiator's Exchanged report carries the exchange
-                    // itself.
-                    RoundOutcome::Accepted | RoundOutcome::NoProposal => {}
-                }
+                self.account(*from, *outcome, *load, *local_cost, *exchange);
+                self.lost += usize::from(matches!(outcome, RoundOutcome::Lost));
                 if self.reports == self.expected {
                     self.end_round(out);
                 }
@@ -1388,6 +1356,39 @@ impl CoordinatorMachine {
         }
     }
 
+    /// Applies one report to the coordinator's books: the reporter's
+    /// load and local cost, the partner's after an `Exchanged`, and
+    /// the `Aborted` count. `Lost` is the live path's to count — a
+    /// rejoining node's report does not.
+    fn account(
+        &mut self,
+        from: u32,
+        outcome: RoundOutcome,
+        load: f64,
+        local_cost: f64,
+        exchange: Option<(u32, f64, f64, f64)>,
+    ) {
+        self.loads[from as usize] = load;
+        self.local_costs[from as usize] = local_cost;
+        match outcome {
+            RoundOutcome::Exchanged => {
+                let (partner, partner_load, partner_cost, volume) =
+                    exchange.expect("exchange data present");
+                self.loads[partner as usize] = partner_load;
+                self.local_costs[partner as usize] = partner_cost;
+                self.exchanges += 1;
+                self.moved += volume;
+                self.round_moved += volume;
+            }
+            // The node rolled back an exchange whose partner went
+            // silent (in-protocol detection only).
+            RoundOutcome::Aborted => self.detector.aborted_exchanges += 1,
+            // Accepted = collision-yield acceptor; the initiator's
+            // Exchanged report carries the exchange itself.
+            RoundOutcome::Lost | RoundOutcome::Accepted | RoundOutcome::NoProposal => {}
+        }
+    }
+
     /// The probation/rejoin handshake: a report from a suspected node
     /// proves it alive. The node leaves the suspect list (so the next
     /// `RoundStart` re-includes it — that broadcast *is* the resync:
@@ -1406,21 +1407,7 @@ impl CoordinatorMachine {
         let s = self.suspects.remove(idx);
         self.detector.false_positives += 1;
         self.detector.rejoin_ms += self.now_ms - s.at_ms;
-        self.loads[s.node as usize] = load;
-        self.local_costs[s.node as usize] = local_cost;
-        match outcome {
-            RoundOutcome::Exchanged => {
-                let (partner, partner_load, partner_cost, volume) =
-                    exchange.expect("exchange data present");
-                self.loads[partner as usize] = partner_load;
-                self.local_costs[partner as usize] = partner_cost;
-                self.exchanges += 1;
-                self.moved += volume;
-                self.round_moved += volume;
-            }
-            RoundOutcome::Aborted => self.detector.aborted_exchanges += 1,
-            RoundOutcome::Lost | RoundOutcome::Accepted | RoundOutcome::NoProposal => {}
-        }
+        self.account(s.node, outcome, load, local_cost, exchange);
         if matches!(self.options.detect, DetectMode::Adaptive) {
             // The late report is exactly the sample the estimator was
             // missing: feeding it teaches the detector this node's

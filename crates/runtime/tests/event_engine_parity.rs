@@ -23,7 +23,12 @@
 use dlb_core::workload::LoadDistribution;
 use dlb_core::{Instance, LatencyMatrix};
 use dlb_distributed::{Engine, EngineOptions};
-use dlb_runtime::{run_cluster_events, ClusterOptions, ClusterReport};
+use dlb_faults::FaultPlan;
+use dlb_obs::NullSink;
+use dlb_requestsim::stream::StreamScript;
+use dlb_runtime::{
+    run_cluster_events, run_cluster_events_observed, ClusterOptions, ClusterReport, VirtualClock,
+};
 
 mod common;
 use common::{planetlab_like, workload};
@@ -46,8 +51,8 @@ fn protocol(instance: &Instance, options: &ClusterOptions) -> ClusterReport {
 }
 
 /// The engine's fixpoint cost with the servers in `failed` taking no
-/// part (the engine's reachability mask is the counterpart of the
-/// coordinator's `failed` list).
+/// part (the engine's reachability mask is the counterpart of nodes
+/// the fault script crashes before the first round).
 fn engine_fixpoint(instance: &Instance, seed: u64, failed: &[u32]) -> f64 {
     let mut engine = Engine::new(
         instance.clone(),
@@ -141,12 +146,21 @@ fn parity_with_failed_nodes() {
         planetlab_like(12, 5),
         5,
     );
-    let failed = [3u32, 7];
-    let options = ClusterOptions {
-        failed: failed.to_vec(),
-        ..certified(12)
-    };
-    let events = protocol(&instance, &options);
+    // Two nodes down from the first round; the engine masks the same
+    // two out of every iteration.
+    let script = FaultPlan::default().crash(2.0 / 12.0, 0.0).compile(5, 12);
+    let failed = script.down_at(0.0);
+    assert_eq!(failed.len(), 2);
+    let events = run_cluster_events_observed(
+        &instance,
+        &certified(12),
+        |i, j| instance.c(i, j) / 2.0,
+        &script,
+        &StreamScript::empty(),
+        &mut VirtualClock,
+        &mut NullSink,
+    );
+    events.assignment.check_invariants(&instance).unwrap();
     for &f in &failed {
         let f = f as usize;
         assert_eq!(events.assignment.load(f), instance.own_load(f));

@@ -35,11 +35,11 @@
 //!   scenario's seed. The [`RunRecord`] carries the resulting
 //!   fault-event summary.
 //! * The `gossip=` axis picks the control plane behind the engine
-//!   algorithms' partner scoring: the emulated shared snapshot
-//!   (`gossip=emulated:T`, the engine's `load_staleness` option) or
-//!   the *real* delta-gossip protocol (`gossip=event:100ms`) from
-//!   `dlb-gossip`, with per-server stale views and every byte metered
-//!   in the [`RunRecord`]'s [`GossipTraffic`] summary.
+//!   algorithms' partner scoring: none (`gossip=emulated`, the
+//!   default: live loads) or the delta-gossip protocol
+//!   (`gossip=event:100ms`) from `dlb-gossip`, with per-server stale
+//!   views and every byte metered in the [`RunRecord`]'s
+//!   [`GossipTraffic`] summary.
 //! * The `trace=` axis turns on the `dlb-obs` observability plane for
 //!   `algo=protocol` scenarios: `trace=summary` folds the virtual-time
 //!   event stream into the record's `obs_*` metric group as it is

@@ -181,7 +181,7 @@ const LABELS: [&str; 30] = [
     "timeout:200ms",
     "timeout:1e10",
     "emulated",
-    "emulated:3",
+    "event:25ms",
     "event:100ms",
     "event:1e-300",
     "off",
@@ -269,7 +269,7 @@ fn accepted_values(key: &str) -> &'static [&'static str] {
         "duration" => &["1e-300 arrivals=poisson:1", "500ms arrivals=diurnal:1@1e9"],
         "gossip" => &[
             "emulated",
-            "emulated:3",
+            "event:25ms",
             "event:1e-300",
             "event:100ms",
             "event:1e9",

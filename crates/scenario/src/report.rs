@@ -437,8 +437,8 @@ mod tests {
     }
 
     /// Gossip-fed run records carry the `gossip_*` group and the report
-    /// renders its columns; runs on the emulated snapshot omit the
-    /// group entirely.
+    /// renders its columns; runs without a gossip plane omit the group
+    /// entirely.
     #[test]
     fn renders_gossip_columns_only_for_gossip_fed_runs() {
         let run = RunRecord {
@@ -467,7 +467,7 @@ mod tests {
             assert!(report.contains(col), "missing column {col}:\n{report}");
         }
         assert!(report.contains("937500"), "{report}");
-        // A quiet (emulated/fresh) record has no gossip_* keys at all.
+        // A quiet (`gossip=emulated`) record has no gossip_* keys at all.
         let quiet = RunRecord {
             gossip: Default::default(),
             ..run

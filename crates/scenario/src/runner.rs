@@ -72,7 +72,7 @@ pub struct RunRecord {
     /// Gossip-traffic summary: what the scenario's `gossip=event:...`
     /// control plane put on the wire (frames, bytes, completed
     /// exchanges, delta vs full-view entries). All zeros under the
-    /// default emulated snapshot, which moves no bytes.
+    /// default `gossip=emulated`, which runs no control plane.
     pub gossip: GossipTraffic,
     /// Observability summary: what the scenario's `trace=` mode saw
     /// (events emitted, frames delivered/dropped/held, frame-latency
@@ -161,26 +161,15 @@ fn run_engine(spec: &ScenarioSpec, instance: Instance) -> RunRecord {
         AlgoSpec::Batched => RoundMode::Batched,
         _ => RoundMode::Sequential,
     };
-    let mut options = EngineOptions {
+    let options = EngineOptions {
         seed: spec.seed,
         granularity: spec.gran,
         round_mode,
+        selection: (spec.gossip != GossipSpec::default()).then_some(PartnerSelection::Pruned {
+            top_k: GOSSIP_TOP_K,
+        }),
         ..Default::default()
     };
-    match spec.gossip {
-        GossipSpec::Emulated { staleness: 0 } => {}
-        GossipSpec::Emulated { staleness } => {
-            options.load_staleness = staleness;
-            options.selection = Some(PartnerSelection::Pruned {
-                top_k: GOSSIP_TOP_K,
-            });
-        }
-        GossipSpec::Event { .. } => {
-            options.selection = Some(PartnerSelection::Pruned {
-                top_k: GOSSIP_TOP_K,
-            });
-        }
-    }
     let mut engine = Engine::new(instance, options);
     if let GossipSpec::Event { period_ms } = spec.gossip {
         engine.attach_gossip_feed(period_ms);
@@ -242,7 +231,6 @@ fn protocol_options(spec: &ScenarioSpec, instance: &Instance) -> ClusterOptions 
         },
         detect: spec.detect,
         exchange_rto_ms: exchange_rto_ms(spec, instance),
-        ..Default::default()
     }
 }
 
@@ -629,38 +617,6 @@ mod tests {
         let calm_rto = exchange_rto_ms(&calm, &instance);
         assert!(calm_rto > 2.0 * d_max);
         assert!(calm_rto < worst);
-    }
-
-    /// `gossip=emulated:T` is exactly the engine's `load_staleness`
-    /// option plus the forced pruned selection — bit-identical to
-    /// driving the engine directly.
-    #[test]
-    fn emulated_gossip_matches_direct_engine_staleness() {
-        let spec = ScenarioSpec::new()
-            .algo(AlgoSpec::Sequential)
-            .servers(25)
-            .seed(11)
-            .termination(1e-10, 3, 120)
-            .gossip(crate::spec::GossipSpec::Emulated { staleness: 4 });
-        let run = spec.run();
-        let mut engine = Engine::new(
-            spec.build_instance(),
-            EngineOptions {
-                seed: 11,
-                load_staleness: 4,
-                selection: Some(PartnerSelection::Pruned {
-                    top_k: GOSSIP_TOP_K,
-                }),
-                ..Default::default()
-            },
-        );
-        engine.run_to_convergence(1e-10, 3, 120);
-        assert_eq!(run.history, engine.history());
-        assert!(
-            run.gossip.is_quiet(),
-            "the emulated snapshot moves no bytes: {:?}",
-            run.gossip
-        );
     }
 
     /// `gossip=event:PERIODms` runs the real delta-gossip control

@@ -222,16 +222,12 @@ impl AxisValue for DetectSpec {
 /// `gossip=` key). Only the engine algorithms (`algo=sequential` and
 /// `algo=batched`) read it; [`ScenarioSpec::parse`] rejects other
 /// combinations.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum GossipSpec {
-    /// `emulated[:T]` — the engine's emulated snapshot: one shared
-    /// load view refreshed every `T` iterations, no protocol run, no
-    /// bytes moved. `T = 0` (the default) means fresh scoring every
-    /// iteration.
-    Emulated {
-        /// Snapshot refresh period in engine iterations; 0 = fresh.
-        staleness: usize,
-    },
+    /// `emulated` (the default) — no control plane: the engine scores
+    /// on live loads and no bytes move.
+    #[default]
+    Emulated,
     /// `event:PERIODms` — the real delta-gossip control plane
     /// (`dlb-gossip`): one gossip node per server exchanging sharded,
     /// delta-encoded frames every `PERIOD` virtual ms, serving
@@ -242,21 +238,17 @@ pub enum GossipSpec {
     },
 }
 
-impl Default for GossipSpec {
-    fn default() -> Self {
-        GossipSpec::Emulated { staleness: 0 }
-    }
-}
-
 impl GossipSpec {
     fn parse(v: &str) -> Result<Self, SpecError> {
         if v == "emulated" {
-            return Ok(GossipSpec::Emulated { staleness: 0 });
+            return Ok(GossipSpec::Emulated);
         }
-        if let Some(t) = v.strip_prefix("emulated:") {
-            let staleness = "a staleness in iterations (a non-negative integer)";
-            let staleness = Reader::new("gossip", staleness).number(t)?;
-            return Ok(GossipSpec::Emulated { staleness });
+        if v.starts_with("emulated:") {
+            return Err(SpecError(
+                "gossip: the emulated stale snapshot (emulated:T) was retired; stale views come \
+                 from the delta-gossip plane (use event:PERIODms, e.g. event:100ms)"
+                    .into(),
+            ));
         }
         if let Some(p) = v.strip_prefix("event:") {
             let period = Reader::new("gossip", "a period in ms")
@@ -267,7 +259,7 @@ impl GossipSpec {
             });
         }
         Err(SpecError(format!(
-            "gossip: '{v}' is not one of emulated[:T]|event:PERIODms (e.g. event:100ms)"
+            "gossip: '{v}' is not one of emulated|event:PERIODms (e.g. event:100ms)"
         )))
     }
 }
@@ -275,7 +267,7 @@ impl GossipSpec {
 impl fmt::Display for GossipSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            GossipSpec::Emulated { staleness } => write!(f, "emulated:{staleness}"),
+            GossipSpec::Emulated => write!(f, "emulated"),
             GossipSpec::Event { period_ms } => write!(f, "event:{period_ms}ms"),
         }
     }
@@ -451,7 +443,7 @@ pub struct ScenarioSpec {
     /// stream; positive requires `arrivals=`.
     pub duration: f64,
     /// Control plane behind the engine's partner scoring (`gossip=`):
-    /// the emulated shared snapshot (default, fresh) or the real
+    /// none (`emulated`, the default: live loads) or the real
     /// delta-gossip protocol (`event:PERIODms`). Only the engine
     /// algorithms (`algo=sequential`/`algo=batched`) honour it. A
     /// non-default value forces the engine into pruned partner
@@ -1016,6 +1008,10 @@ mod tests {
             ),
             ("gossip=event:1e10", "gossip: '1e10' must be at most 1e9"),
             (
+                "algo=batched m=30 gossip=emulated:3",
+                "use event:PERIODms, e.g. event:100ms",
+            ),
+            (
                 "algo=protocol arrivals=poisson:1 duration=1e300",
                 "duration: '1e300' must be at most 1e9",
             ),
@@ -1185,10 +1181,7 @@ mod tests {
 
     #[test]
     fn gossip_key_round_trips_and_validates() {
-        assert_eq!(
-            ScenarioSpec::default().gossip,
-            GossipSpec::Emulated { staleness: 0 }
-        );
+        assert_eq!(ScenarioSpec::default().gossip, GossipSpec::Emulated);
         let spec: ScenarioSpec = "algo=batched m=40 gossip=event:100ms".parse().unwrap();
         assert_eq!(spec.gossip, GossipSpec::Event { period_ms: 100.0 });
         assert_eq!(
@@ -1200,10 +1193,7 @@ mod tests {
         let bare: ScenarioSpec = "gossip=event:250".parse().unwrap();
         assert_eq!(bare.gossip, GossipSpec::Event { period_ms: 250.0 });
         assert_eq!(bare.to_string().parse::<ScenarioSpec>().unwrap(), bare);
-        // Emulated staleness round-trips; the fresh default is omitted.
-        let stale: ScenarioSpec = "gossip=emulated:5".parse().unwrap();
-        assert_eq!(stale.gossip, GossipSpec::Emulated { staleness: 5 });
-        assert_eq!(stale.to_string().parse::<ScenarioSpec>().unwrap(), stale);
+        // The default is omitted even when written out.
         let explicit: ScenarioSpec = "algo=batched gossip=emulated".parse().unwrap();
         assert!(!explicit.to_string().contains("gossip="));
         // The builder mirrors the text form.
@@ -1217,7 +1207,7 @@ mod tests {
     #[test]
     fn gossip_requires_an_engine_algorithm() {
         for text in [
-            "algo=nash gossip=emulated:3",
+            "algo=nash gossip=event:50ms",
             "algo=bcd gossip=event:100ms",
             "algo=protocol runtime=events gossip=event:100ms",
         ] {
@@ -1230,11 +1220,11 @@ mod tests {
         // Key order must not matter; the default algo=sequential reads
         // the axis, and the explicit fresh default never trips it.
         assert!(ScenarioSpec::parse("gossip=event:100ms").is_ok());
-        assert!(ScenarioSpec::parse("gossip=emulated:4 algo=batched").is_ok());
+        assert!(ScenarioSpec::parse("gossip=event:100ms algo=batched").is_ok());
         assert!(ScenarioSpec::parse("algo=nash gossip=emulated").is_ok());
         for (text, needle) in [
-            ("gossip=psychic", "not one of emulated[:T]|event:PERIODms"),
-            ("gossip=emulated:x", "not a staleness in iterations"),
+            ("gossip=psychic", "not one of emulated|event:PERIODms"),
+            ("gossip=emulated:x", "(emulated:T) was retired"),
             ("gossip=event:", "not a period in ms"),
             ("gossip=event:0", "must be positive"),
             ("gossip=event:-5ms", "must be positive"),

@@ -218,10 +218,9 @@
 //!
 //! The engine algorithms score partners on load views the paper
 //! assumes are "disseminated by a gossiping algorithm" (§IV). The
-//! `gossip=` axis says which control plane provides them:
-//! `emulated:T` scores on one shared snapshot refreshed every `T`
-//! iterations (an emulation — no protocol runs, no bytes move), while
-//! `event:PERIODms` runs the *real* thing from [`gossip`]: one
+//! `gossip=` axis says which control plane provides them: the default
+//! `emulated` runs none and scores on live loads, while
+//! `event:PERIODms` runs the real thing from [`gossip`]: one
 //! delta-gossip node per server exchanging sharded, delta-encoded
 //! frames every `PERIOD` virtual ms over the instance's own link
 //! delays, advanced `⌈log2 m⌉` periods per engine iteration (the
@@ -244,7 +243,7 @@
 //! // Fed by real gossip, the engine lands where fresh scoring does:
 //! let fresh = spec.gossip(GossipSpec::default()).run();
 //! assert!(run.final_cost() <= fresh.final_cost() * 1.01);
-//! assert!(fresh.gossip.is_quiet()); // the emulated default is free
+//! assert!(fresh.gossip.is_quiet()); // the default moves no bytes
 //! ```
 //!
 //! The shell form is `dlb run algo=batched net=pl m=500

@@ -59,24 +59,26 @@ fn stale_views_cost_little() {
         speeds: SpeedDistribution::paper_uniform(),
     }
     .sample(LatencyMatrix::homogeneous(80, 20.0), &mut rng);
-    let run = |staleness: usize| {
+    let run = |period_ms: Option<f64>| {
         let mut engine = Engine::new(
             instance.clone(),
             EngineOptions {
                 seed: 4,
                 parallel: false,
-                load_staleness: staleness,
                 selection: Some(PartnerSelection::Pruned { top_k: 6 }),
                 ..Default::default()
             },
         );
+        if let Some(period_ms) = period_ms {
+            engine.attach_gossip_feed(period_ms);
+        }
         engine.run_to_convergence(1e-12, 3, 200).final_cost
     };
-    let fresh = run(0);
-    let stale = run(4);
+    let fresh = run(None);
+    let stale = run(Some(100.0));
     assert!(
         stale <= fresh * 1.01,
-        "staleness-4 result {stale} vs fresh {fresh}"
+        "gossip-fed result {stale} vs fresh {fresh}"
     );
 }
 

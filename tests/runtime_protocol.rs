@@ -94,8 +94,8 @@ fn protocol_is_monotone_and_conservative() {
     );
 }
 
-/// Crashed nodes (announced by the coordinator) take no load, and the
-/// rest of the federation still balances.
+/// Nodes crashed before the first round (announced by the coordinator)
+/// take no load, and the rest of the federation still balances.
 #[test]
 fn protocol_survives_dead_nodes() {
     let m = 12;
@@ -103,23 +103,26 @@ fn protocol_survives_dead_nodes() {
     let mut loads = vec![0.0; m];
     loads[0] = 2_400.0;
     instance.set_own_loads(loads);
-    let report = run_protocol(
+    // Seed 5 crashes three nodes and spares the loaded node 0.
+    let script = FaultPlan::default().crash(0.25, 0.0).compile(5, m);
+    let dead = script.down_at(0.0);
+    assert_eq!(dead, [5, 8, 11]);
+    let report = run_cluster_events_observed(
         &instance,
-        &ClusterOptions {
-            failed: vec![9, 10, 11],
-            ..ClusterOptions::certified(m)
-        },
+        &ClusterOptions::certified(m),
+        |i, j| instance.c(i, j) / 2.0,
+        &script,
+        &StreamScript::empty(),
+        &mut VirtualClock,
+        &mut delay_lb::obs::NullSink,
     );
-    for dead in [9usize, 10, 11] {
-        assert_eq!(
-            report.assignment.load(dead),
-            0.0,
-            "dead node {dead} hosts load"
-        );
+    for &d in &dead {
+        let d = d as usize;
+        assert_eq!(report.assignment.load(d), 0.0, "dead node {d} hosts load");
     }
     let live_avg = 2_400.0 / 9.0;
-    for j in 0..9 {
-        let l = report.assignment.load(j);
+    for j in (0..m as u32).filter(|j| !dead.contains(j)) {
+        let l = report.assignment.load(j as usize);
         assert!(
             (l - live_avg).abs() < 0.2 * live_avg,
             "live node {j} load {l} far from {live_avg}"
