@@ -9,10 +9,11 @@
 //!
 //! Run: `cargo bench -p dlb-bench --bench ablation_cycle_removal`.
 
-use dlb_bench::{full_scale, sample_instance, NetworkKind};
-use dlb_core::workload::{LoadDistribution, SpeedDistribution};
+use dlb_bench::{full_scale, NETWORKS};
+use dlb_core::workload::LoadDistribution;
 use dlb_distributed::{Engine, EngineOptions};
 use dlb_scenario::results::{JsonlSink, Record};
+use dlb_scenario::ScenarioSpec;
 
 fn main() {
     let mut sink = JsonlSink::create("ablation_cycle_removal");
@@ -42,7 +43,7 @@ fn main() {
     let mut total = 0usize;
     for &m in &ms {
         for dist in dists {
-            for &net in &[NetworkKind::Homogeneous, NetworkKind::PlanetLab] {
+            for (net, net_label) in NETWORKS {
                 let mut plain_iters = Vec::new();
                 let mut removal_iters = Vec::new();
                 for &seed in &seeds {
@@ -51,14 +52,15 @@ fn main() {
                     } else {
                         50.0
                     };
-                    let instance = sample_instance(
-                        m,
+                    let spec = ScenarioSpec {
                         net,
-                        dist,
+                        m,
+                        load: dist,
                         avg,
-                        SpeedDistribution::paper_uniform(),
                         seed,
-                    );
+                        ..ScenarioSpec::default()
+                    };
+                    let instance = spec.build_instance();
                     let measure = |cycle_every: Option<usize>| {
                         let mut engine = Engine::new(
                             instance.clone(),
@@ -90,14 +92,14 @@ fn main() {
                         .str("table", "ablation_cycle_removal")
                         .int("m", m as i64)
                         .str("dist", dist.label())
-                        .str("net", net.label())
+                        .str("net", net_label)
                         .num("plain_avg_iters", pa)
                         .num("removal_avg_iters", ra)
                         .bool("identical", (pa - ra).abs() < 1e-9),
                 );
                 println!(
                     "{:<30} {:>10.2} {:>10.2} {:>8}",
-                    format!("m={m} {} {}", dist.label(), net.label()),
+                    format!("m={m} {} {net_label}", dist.label()),
                     pa,
                     ra,
                     if (pa - ra).abs() < 1e-9 { "yes" } else { "~" }

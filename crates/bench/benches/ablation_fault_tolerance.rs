@@ -22,18 +22,15 @@
 //! Run: `cargo bench -p dlb-bench --bench ablation_fault_tolerance`.
 
 use dlb_scenario::results::{JsonlSink, Record};
-use dlb_scenario::{AlgoSpec, ScenarioSpec};
+use dlb_scenario::ScenarioSpec;
 
 /// The workload every fault intensity runs against: exponential loads
 /// on the paper's homogeneous `c = 20` network, big enough that a
 /// crash-induced shift is visible, small enough to sweep quickly.
 fn base_spec() -> ScenarioSpec {
-    ScenarioSpec::new()
-        .algo(AlgoSpec::Protocol)
-        .servers(300)
-        .avg_load(60.0)
-        .seed(7)
-        .termination(1e-9, 5, 1_000)
+    "algo=protocol m=300 avg=60 seed=7 eps=1e-9 patience=5 budget=1000"
+        .parse()
+        .unwrap()
 }
 
 fn main() {
@@ -62,11 +59,9 @@ fn main() {
     );
     let mut clean = f64::NAN;
     for &faults in grid {
-        let spec = if faults.is_empty() {
-            base_spec()
-        } else {
-            let text = format!("{} faults={faults}", base_spec());
-            text.parse().expect("grid plans parse")
+        let spec = ScenarioSpec {
+            faults: faults.parse().expect("grid plans parse"),
+            ..base_spec()
         };
         let run = spec.run();
         assert!(

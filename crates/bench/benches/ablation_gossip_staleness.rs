@@ -22,7 +22,7 @@ use dlb_gossip::wire::view_bytes;
 use dlb_gossip::{DeltaGossip, DeltaGossipConfig};
 use dlb_scenario::results::{JsonlSink, Record};
 use dlb_scenario::runner::GOSSIP_TOP_K;
-use dlb_scenario::{AlgoSpec, GossipSpec, NetSpec, ScenarioSpec};
+use dlb_scenario::{GossipSpec, ScenarioSpec};
 
 fn main() {
     let mut sink = JsonlSink::create_at(concat!(
@@ -124,12 +124,9 @@ fn main() {
 
     println!("\n== Engine convergence under stale load views ==");
     println!("{:>16} {:>14} {:>10}", "gossip", "final ΣC", "iters");
-    let base = ScenarioSpec::new()
-        .algo(AlgoSpec::Sequential)
-        .net(NetSpec::Pl)
-        .servers(100)
-        .seed(5)
-        .termination(1e-12, 3, 200);
+    let base: ScenarioSpec = "algo=sequential net=pl m=100 seed=5 eps=1e-12 budget=200"
+        .parse()
+        .unwrap();
     let instance = base.build_instance();
     // Fresh scoring on the same forced-pruned selection every gossip
     // row uses, so the column isolates staleness.
@@ -164,9 +161,8 @@ fn main() {
     };
     sink.record(&row("fresh", reference, report.iterations, 0));
     for period_ms in [25.0, 100.0, 400.0] {
-        let run = base
-            .gossip(GossipSpec::Event { period_ms })
-            .run_on(instance.clone());
+        let gossip = GossipSpec::Event { period_ms };
+        let run = ScenarioSpec { gossip, ..base }.run_on(instance.clone());
         assert!(!run.gossip.is_quiet(), "event run must meter traffic");
         if period_ms == 100.0 {
             // The full run record too, so `dlb report` renders the

@@ -11,13 +11,14 @@
 //!
 //! Run: `cargo bench -p dlb-bench --bench ablation_latency_estimation`
 
-use dlb_bench::{print_header, NetworkKind};
+use dlb_bench::print_header;
 use dlb_core::cost::total_cost;
 use dlb_core::rngutil::rng_for;
 use dlb_core::workload::{LoadDistribution, SpeedDistribution, WorkloadSpec};
 use dlb_core::Instance;
 use dlb_distributed::{Engine, EngineOptions};
 use dlb_scenario::results::{JsonlSink, Record};
+use dlb_scenario::ScenarioSpec;
 use dlb_topology::coords::{Estimator, EstimatorConfig};
 
 fn main() {
@@ -28,7 +29,8 @@ fn main() {
     );
     println!("{:<26} {:>12} {:>14}", "", "median err", "ΣC vs truth");
     let m = 40;
-    let truth = NetworkKind::PlanetLab.build(m, 11);
+    let net: ScenarioSpec = format!("net=pl m={m} seed=11").parse().unwrap();
+    let truth = net.build_latency();
     let mut rng = rng_for(11, 0xE57);
     let spec = WorkloadSpec {
         loads: LoadDistribution::Exponential,

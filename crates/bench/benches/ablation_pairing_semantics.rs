@@ -12,10 +12,11 @@
 //!
 //! Run: `cargo bench -p dlb-bench --bench ablation_pairing_semantics`
 
-use dlb_bench::{format_row, print_header, sample_instance, stats, NetworkKind};
-use dlb_core::workload::{LoadDistribution, SpeedDistribution};
+use dlb_bench::{format_row, print_header, stats};
+use dlb_core::workload::LoadDistribution;
 use dlb_distributed::{Engine, EngineOptions};
 use dlb_scenario::results::{JsonlSink, Record};
+use dlb_scenario::ScenarioSpec;
 
 fn iterations(instance: &dlb_core::Instance, pair_once: bool, seed: u64) -> usize {
     let mut engine = Engine::new(
@@ -43,14 +44,14 @@ fn main() {
         let mut paired = Vec::new();
         let mut eager = Vec::new();
         for seed in 1..=3u64 {
-            let instance = sample_instance(
+            let spec = ScenarioSpec {
                 m,
-                NetworkKind::Homogeneous,
-                LoadDistribution::Peak,
-                100_000.0 / m as f64,
-                SpeedDistribution::paper_uniform(),
+                load: LoadDistribution::Peak,
+                avg: 100_000.0 / m as f64,
                 seed,
-            );
+                ..ScenarioSpec::default()
+            };
+            let instance = spec.build_instance();
             paired.push(iterations(&instance, true, seed) as f64);
             eager.push(iterations(&instance, false, seed) as f64);
         }

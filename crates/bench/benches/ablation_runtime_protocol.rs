@@ -11,11 +11,12 @@
 //!
 //! Run: `cargo bench -p dlb-bench --bench ablation_runtime_protocol`
 
-use dlb_bench::{print_header, sample_instance, NetworkKind};
-use dlb_core::workload::{LoadDistribution, SpeedDistribution};
+use dlb_bench::print_header;
+use dlb_core::workload::LoadDistribution;
 use dlb_distributed::{Engine, EngineOptions};
 use dlb_runtime::{run_cluster_events, ClusterOptions};
 use dlb_scenario::results::{JsonlSink, Record};
+use dlb_scenario::{NetSpec, ScenarioSpec};
 
 fn main() {
     let mut sink = JsonlSink::create("ablation_runtime_protocol");
@@ -32,36 +33,44 @@ fn main() {
             "uniform/50 c=20",
             LoadDistribution::Uniform,
             50.0,
-            NetworkKind::Homogeneous,
+            NetSpec::Homog,
         ),
         (
             "exp/50 c=20",
             LoadDistribution::Exponential,
             50.0,
-            NetworkKind::Homogeneous,
+            NetSpec::Homog,
         ),
         (
             "peak c=20",
             LoadDistribution::Peak,
             100_000.0 / 24.0,
-            NetworkKind::Homogeneous,
+            NetSpec::Homog,
         ),
         (
             "uniform/50 PL",
             LoadDistribution::Uniform,
             50.0,
-            NetworkKind::PlanetLab,
+            NetSpec::Pl,
         ),
         (
             "exp/200 PL",
             LoadDistribution::Exponential,
             200.0,
-            NetworkKind::PlanetLab,
+            NetSpec::Pl,
         ),
     ];
     let m = 24;
     for (label, dist, avg, net) in cases {
-        let instance = sample_instance(m, net, dist, avg, SpeedDistribution::paper_uniform(), 7);
+        let spec = ScenarioSpec {
+            net,
+            m,
+            load: dist,
+            avg,
+            seed: 7,
+            ..ScenarioSpec::default()
+        };
+        let instance = spec.build_instance();
         let mut engine = Engine::new(
             instance.clone(),
             EngineOptions {

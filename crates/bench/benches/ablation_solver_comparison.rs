@@ -12,12 +12,12 @@
 
 use std::time::Instant;
 
-use dlb_bench::{full_scale, sample_instance, NetworkKind};
+use dlb_bench::full_scale;
 use dlb_core::cost::total_cost;
-use dlb_core::workload::{LoadDistribution, SpeedDistribution};
 use dlb_distributed::mine::PartnerSelection;
 use dlb_distributed::{Engine, EngineOptions};
 use dlb_scenario::results::{JsonlSink, Record};
+use dlb_scenario::ScenarioSpec;
 use dlb_solver::frank_wolfe::{solve_frank_wolfe, FwOptions};
 use dlb_solver::{solve_bcd, solve_pgd, PgdOptions};
 
@@ -34,14 +34,8 @@ fn main() {
         "m", "method", "objective", "time (ms)", "quality"
     );
     for &m in &ms {
-        let instance = sample_instance(
-            m,
-            NetworkKind::PlanetLab,
-            LoadDistribution::Exponential,
-            50.0,
-            SpeedDistribution::paper_uniform(),
-            3,
-        );
+        let spec: ScenarioSpec = format!("net=pl m={m} seed=3").parse().unwrap();
+        let instance = spec.build_instance();
         let mut rows: Vec<(String, f64, f64)> = Vec::new();
 
         let t = Instant::now();

@@ -25,12 +25,14 @@ use dlb_scenario::{AlgoSpec, NetSpec, ScenarioSpec};
 /// The Figure-2 scenario: total peak load of 100 000 requests on one
 /// server of a PlanetLab-like network.
 fn peak_spec(m: usize) -> ScenarioSpec {
-    ScenarioSpec::new()
-        .net(NetSpec::Pl)
-        .servers(m)
-        .load(LoadDistribution::Peak)
-        .avg_load(100_000.0 / m as f64)
-        .seed(7)
+    ScenarioSpec {
+        net: NetSpec::Pl,
+        m,
+        load: LoadDistribution::Peak,
+        avg: 100_000.0 / m as f64,
+        seed: 7,
+        ..ScenarioSpec::default()
+    }
 }
 
 fn mode_label(mode: RoundMode) -> &'static str {
@@ -84,10 +86,13 @@ fn main() {
     for &m in &sizes {
         // `eps=0` with `patience > budget` runs exactly `budget`
         // iterations — the fixed-length series the figure plots.
-        let spec =
-            peak_spec(m)
-                .algo(AlgoSpec::Batched)
-                .termination(0.0, iterations + 1, iterations);
+        let spec = ScenarioSpec {
+            algo: AlgoSpec::Batched,
+            eps: 0.0,
+            patience: iterations + 1,
+            budget: iterations,
+            ..peak_spec(m)
+        };
         let run = spec.run();
         print!("#servers = {m:<5} ΣC:");
         for cost in &run.history {
@@ -137,12 +142,12 @@ fn main() {
                     secs,
                     cost
                 );
-                let timed_algo = match mode {
+                let algo = match mode {
                     RoundMode::Sequential => AlgoSpec::Sequential,
                     RoundMode::Batched => AlgoSpec::Batched,
                 };
                 sink.record(&tag(Record::new("scaling")
-                    .str("scenario", &spec.algo(timed_algo).to_string())
+                    .str("scenario", &ScenarioSpec { algo, ..spec }.to_string())
                     .int("m", m as i64)
                     .str("mode", mode_label(mode))
                     .int("threads", threads as i64)

@@ -15,10 +15,10 @@
 //!
 //! Run: `cargo bench -p dlb-bench --bench table3_selfishness`.
 
-use dlb_bench::{format_row, full_scale, print_header, scenario_for, stats, NetworkKind};
-use dlb_core::workload::{LoadDistribution, SpeedDistribution};
+use dlb_bench::{format_row, full_scale, print_header, stats, NETWORKS};
+use dlb_core::workload::LoadDistribution;
 use dlb_scenario::results::{JsonlSink, Record};
-use dlb_scenario::AlgoSpec;
+use dlb_scenario::{AlgoSpec, ScenarioSpec, SpeedKind};
 
 fn main() {
     let full = full_scale();
@@ -34,10 +34,9 @@ fn main() {
         ("lav >= 200", vec![200.0, 1000.0]),
     ];
     let speed_kinds = [
-        ("const s", SpeedDistribution::Constant(1.0)),
-        ("uniform s", SpeedDistribution::paper_uniform()),
+        ("const s", SpeedKind::Const),
+        ("uniform s", SpeedKind::Uniform),
     ];
-    let networks = [NetworkKind::Homogeneous, NetworkKind::PlanetLab];
     let mut sink = JsonlSink::create("table3");
 
     print_header(
@@ -46,18 +45,37 @@ fn main() {
     );
     for (speed_label, speeds) in speed_kinds {
         for (bucket, avgs) in &load_buckets {
-            for &net in &networks {
+            for (net, net_label) in NETWORKS {
                 let mut ratios = Vec::new();
                 for &m in &ms {
                     for &avg in avgs {
                         for &seed in &seeds {
-                            let base =
-                                scenario_for(m, net, LoadDistribution::Uniform, avg, speeds, seed);
+                            let base = ScenarioSpec {
+                                net,
+                                m,
+                                load: LoadDistribution::Uniform,
+                                avg,
+                                speeds,
+                                seed,
+                                ..ScenarioSpec::default()
+                            };
                             // Nash equilibrium via best-response dynamics
                             // with the paper's 1% termination rule.
-                            let nash = base.algo(AlgoSpec::Nash).termination(0.01, 2, 10_000).run();
+                            let nash = ScenarioSpec {
+                                algo: AlgoSpec::Nash,
+                                eps: 0.01,
+                                patience: 2,
+                                budget: 10_000,
+                                ..base
+                            };
+                            let nash = nash.run();
                             // Cooperative optimum.
-                            let opt = base.algo(AlgoSpec::Bcd).termination(1e-10, 3, 3_000).run();
+                            let opt = ScenarioSpec {
+                                algo: AlgoSpec::Bcd,
+                                budget: 3_000,
+                                ..base
+                            };
+                            let opt = opt.run();
                             sink.record(&Record::from_run("run", &nash));
                             sink.record(&Record::from_run("run", &opt));
                             if opt.final_cost() > 0.0 {
@@ -80,7 +98,7 @@ fn main() {
                         .str("table", "table3")
                         .str("speeds", speed_label)
                         .str("bucket", bucket)
-                        .str("network", net.label())
+                        .str("network", net_label)
                         .num("avg", s.mean)
                         .num("max", s.max)
                         .num("std", s.std)
@@ -88,7 +106,7 @@ fn main() {
                 );
                 println!(
                     "{}",
-                    format_row(&format!("{speed_label} {bucket} {}", net.label()), &s)
+                    format_row(&format!("{speed_label} {bucket} {net_label}"), &s)
                 );
             }
         }

@@ -3,9 +3,10 @@
 //!
 //! Run: `cargo run --release -p dlb-bench --example probe_tails`
 
-use dlb_bench::{sample_instance, NetworkKind};
-use dlb_core::workload::{LoadDistribution, SpeedDistribution};
+use dlb_bench::NETWORKS;
+use dlb_core::workload::LoadDistribution;
 use dlb_distributed::{Engine, EngineOptions};
+use dlb_scenario::ScenarioSpec;
 
 fn main() {
     let rel_err = 0.001;
@@ -21,18 +22,18 @@ fn main() {
                 vec![10.0, 50.0, 200.0]
             };
             for &avg in &avgs {
-                for net in [NetworkKind::Homogeneous, NetworkKind::PlanetLab] {
+                for (net, net_label) in NETWORKS {
                     for seed in [1u64, 2] {
-                        let instance = sample_instance(
-                            m,
+                        let spec = ScenarioSpec {
                             net,
-                            dist,
+                            m,
+                            load: dist,
                             avg,
-                            SpeedDistribution::paper_uniform(),
                             seed,
-                        );
+                            ..ScenarioSpec::default()
+                        };
                         let mut engine = Engine::new(
-                            instance,
+                            spec.build_instance(),
                             EngineOptions {
                                 seed,
                                 granularity: 1.0,
@@ -47,9 +48,8 @@ fn main() {
                         let total = engine.iterations();
                         if iters > 9 {
                             println!(
-                                "m={m:<4} {:<8} avg={avg:<8} {:<5} seed={seed}: {iters} iters (ran {total})",
-                                dist.label(),
-                                net.label()
+                                "m={m:<4} {:<8} avg={avg:<8} {net_label:<5} seed={seed}: {iters} iters (ran {total})",
+                                dist.label()
                             );
                         }
                     }

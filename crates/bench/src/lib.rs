@@ -25,46 +25,14 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use dlb_core::workload::{LoadDistribution, SpeedDistribution};
-use dlb_core::{Instance, LatencyMatrix};
+use dlb_core::workload::LoadDistribution;
 use dlb_scenario::results::{JsonlSink, Record};
-use dlb_scenario::{NetSpec, ScenarioSpec, SpeedKind};
+use dlb_scenario::{NetSpec, ScenarioSpec};
 
-/// Which latency substrate an experiment runs on (§VI-A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NetworkKind {
-    /// `c_ij = 20` for all pairs.
-    Homogeneous,
-    /// Synthetic PlanetLab-like matrix (see `dlb-topology`).
-    PlanetLab,
-}
-
-impl NetworkKind {
-    /// Paper-style row label.
-    pub fn label(&self) -> &'static str {
-        match self {
-            NetworkKind::Homogeneous => "c=20",
-            NetworkKind::PlanetLab => "PL",
-        }
-    }
-
-    /// The scenario substrate this grid axis names.
-    pub fn net_spec(&self) -> NetSpec {
-        match self {
-            NetworkKind::Homogeneous => NetSpec::Homog,
-            NetworkKind::PlanetLab => NetSpec::Pl,
-        }
-    }
-
-    /// Builds the latency matrix (via the shared scenario path).
-    pub fn build(&self, m: usize, seed: u64) -> LatencyMatrix {
-        ScenarioSpec::new()
-            .net(self.net_spec())
-            .servers(m)
-            .seed(seed)
-            .build_latency()
-    }
-}
+/// The two latency substrates of the paper's tables (§VI-A), each with
+/// its row label: `c_ij = 20` for all pairs, and the synthetic
+/// PlanetLab-like matrix.
+pub const NETWORKS: [(NetSpec, &str); 2] = [(NetSpec::Homog, "c=20"), (NetSpec::Pl, "PL")];
 
 /// Returns `true` when the full (paper-scale) grids were requested via
 /// `DLB_BENCH_SCALE=full`.
@@ -109,43 +77,6 @@ pub fn stats(xs: &[f64]) -> Stats {
     }
 }
 
-/// Maps one §VI-A grid point onto the shared declarative spec — the
-/// single sampling path ([`ScenarioSpec::build_instance`]) every
-/// harness, the CLI, and the examples draw instances from.
-pub fn scenario_for(
-    m: usize,
-    network: NetworkKind,
-    loads: LoadDistribution,
-    avg_load: f64,
-    speeds: SpeedDistribution,
-    seed: u64,
-) -> ScenarioSpec {
-    let speeds = match speeds {
-        SpeedDistribution::Constant(1.0) => SpeedKind::Const,
-        SpeedDistribution::UniformRange { lo: 1.0, hi: 5.0 } => SpeedKind::Uniform,
-        other => panic!("grid speed distribution {other:?} has no spec form"),
-    };
-    ScenarioSpec::new()
-        .net(network.net_spec())
-        .servers(m)
-        .load(loads)
-        .avg_load(avg_load)
-        .speeds(speeds)
-        .seed(seed)
-}
-
-/// Draws one §VI-A instance (via the shared scenario path).
-pub fn sample_instance(
-    m: usize,
-    network: NetworkKind,
-    loads: LoadDistribution,
-    avg_load: f64,
-    speeds: SpeedDistribution,
-    seed: u64,
-) -> Instance {
-    scenario_for(m, network, loads, avg_load, speeds, seed).build_instance()
-}
-
 /// The Tables I/II measurement protocol for one scenario: run the
 /// engine with unit granularity to its oracle fixpoint and report how
 /// many iterations its trajectory needed to come within `rel_err` of
@@ -162,7 +93,14 @@ pub fn iterations_to_rel_error(
     // orders tighter than the finest measured threshold (0.1 %), so
     // the oracle is converged for measurement purposes without chasing
     // sub-request-scale improvements forever.
-    let run = spec.granularity(1.0).termination(1e-6, 3, 60).run();
+    let oracle = ScenarioSpec {
+        gran: 1.0,
+        eps: 1e-6,
+        patience: 3,
+        budget: 60,
+        ..*spec
+    };
+    let run = oracle.run();
     let iters = run
         .iterations_to_reach(run.final_cost(), rel_err)
         .unwrap_or(run.iterations);
@@ -196,7 +134,6 @@ pub fn convergence_table(rel_err: f64, title: &str, sink_name: &str) {
         vec![10.0, 50.0]
     };
     let seeds: Vec<u64> = if full { vec![1, 2, 3, 4] } else { vec![1] };
-    let networks = [NetworkKind::Homogeneous, NetworkKind::PlanetLab];
     let dists = [
         LoadDistribution::Uniform,
         LoadDistribution::Exponential,
@@ -217,16 +154,16 @@ pub fn convergence_table(rel_err: f64, title: &str, sink_name: &str) {
                     avg_loads.clone()
                 };
                 for &avg in &loads_grid {
-                    for &net in &networks {
+                    for (net, _) in NETWORKS {
                         for &seed in &seeds {
-                            let spec = scenario_for(
-                                m,
+                            let spec = ScenarioSpec {
                                 net,
-                                dist,
+                                m,
+                                load: dist,
                                 avg,
-                                SpeedDistribution::paper_uniform(),
                                 seed,
-                            );
+                                ..ScenarioSpec::default()
+                            };
                             let (iters, run) = iterations_to_rel_error(&spec, rel_err);
                             sink.record(
                                 &Record::from_run("run", &run)
@@ -291,47 +228,12 @@ mod tests {
     }
 
     #[test]
-    fn network_kinds_build() {
-        assert_eq!(NetworkKind::Homogeneous.build(5, 1).get(0, 1), 20.0);
-        assert!(NetworkKind::PlanetLab.build(20, 1).is_complete());
-    }
-
-    #[test]
     fn iterations_measurement_is_small_on_easy_instances() {
-        let spec = scenario_for(
-            20,
-            NetworkKind::Homogeneous,
-            LoadDistribution::Uniform,
-            50.0,
-            SpeedDistribution::paper_uniform(),
-            3,
-        );
+        let spec: ScenarioSpec = "m=20 load=uniform seed=3".parse().unwrap();
         let (iters, run) = iterations_to_rel_error(&spec, 0.02);
         assert!(iters <= 10, "{iters} iterations for an easy instance");
         assert_eq!(run.m, 20);
         assert!(run.final_cost() <= run.initial_cost());
-    }
-
-    #[test]
-    fn scenario_for_and_sample_instance_share_one_path() {
-        let spec = scenario_for(
-            12,
-            NetworkKind::PlanetLab,
-            LoadDistribution::Exponential,
-            40.0,
-            SpeedDistribution::Constant(1.0),
-            9,
-        );
-        let inst = sample_instance(
-            12,
-            NetworkKind::PlanetLab,
-            LoadDistribution::Exponential,
-            40.0,
-            SpeedDistribution::Constant(1.0),
-            9,
-        );
-        assert_eq!(spec.build_instance(), inst);
-        assert_eq!(spec.speeds, SpeedKind::Const);
     }
 
     #[test]

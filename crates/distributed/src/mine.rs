@@ -278,64 +278,6 @@ pub struct PartnerScratch {
     improvements: Vec<f64>,
 }
 
-/// Outcome of one MinE step.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MineOutcome {
-    /// Chosen partner (`None` when no partner improves `ΣC`).
-    pub partner: Option<usize>,
-    /// Improvement achieved.
-    pub improvement: f64,
-    /// Request volume moved.
-    pub moved: f64,
-}
-
-/// Executes Algorithm 2 for server `id`: picks
-/// `argmax_j impr(id, j)` under the given selection policy and applies
-/// the exchange when it strictly improves `ΣC`.
-///
-/// `min_improvement` is the absolute improvement threshold below which
-/// an exchange is considered noise and skipped.
-pub fn mine_step(
-    instance: &Instance,
-    a: &mut Assignment,
-    id: usize,
-    selection: PartnerSelection,
-    min_improvement: f64,
-    parallel: bool,
-) -> MineOutcome {
-    let mut scratch = PartnerScratch::default();
-    let choice = choose_partner(
-        instance,
-        a,
-        id,
-        selection,
-        min_improvement,
-        parallel,
-        None,
-        0.0,
-        None,
-        &mut scratch,
-    );
-    match choice {
-        Some((j, outcome)) => {
-            let moved = outcome.moved;
-            let improvement = outcome.improvement;
-            a.replace_ledger(id, outcome.ledger_i);
-            a.replace_ledger(j, outcome.ledger_j);
-            MineOutcome {
-                partner: Some(j),
-                improvement,
-                moved,
-            }
-        }
-        None => MineOutcome {
-            partner: None,
-            improvement: 0.0,
-            moved: 0.0,
-        },
-    }
-}
-
 /// Computes the MinE partner choice without applying it:
 /// `argmax_j impr(id, j)` over the reachable candidates
 /// (`active[j] == false` marks server `j` as failed/partitioned this
@@ -547,6 +489,35 @@ mod tests {
         .map(|(j, outcome)| (j, outcome.improvement))
     }
 
+    /// Algorithm 2 for server `id` with the winning exchange installed
+    /// in `a`: the partner and the improvement, or `None` when no
+    /// partner improves `ΣC` by more than `1e-9`.
+    fn step(
+        instance: &Instance,
+        a: &mut Assignment,
+        id: usize,
+        selection: PartnerSelection,
+        parallel: bool,
+    ) -> Option<(usize, f64)> {
+        let mut scratch = PartnerScratch::default();
+        let (j, outcome) = choose_partner(
+            instance,
+            a,
+            id,
+            selection,
+            1e-9,
+            parallel,
+            None,
+            0.0,
+            None,
+            &mut scratch,
+        )?;
+        let improvement = outcome.improvement;
+        a.replace_ledger(id, outcome.ledger_i);
+        a.replace_ledger(j, outcome.ledger_j);
+        Some((j, improvement))
+    }
+
     /// Which latency representation a kernel case runs on.
     #[derive(Debug, Clone, Copy)]
     enum Net {
@@ -737,13 +708,13 @@ mod tests {
                 best_j = j;
             }
         }
-        let mut a2 = a.clone();
-        let out = mine_step(&instance, &mut a2, 0, PartnerSelection::Exact, 1e-9, false);
+        let out = step(&instance, &mut a.clone(), 0, PartnerSelection::Exact, false);
         if best > 1e-9 {
-            assert_eq!(out.partner, Some(best_j));
-            assert!((out.improvement - best).abs() < 1e-9);
+            let (j, improvement) = out.expect("an improving partner");
+            assert_eq!(j, best_j);
+            assert!((improvement - best).abs() < 1e-9);
         } else {
-            assert_eq!(out.partner, None);
+            assert_eq!(out, None);
         }
     }
 
@@ -752,12 +723,12 @@ mod tests {
         let instance = random_instance(10, 2);
         let mut a = Assignment::local(&instance);
         let before = total_cost(&instance, &a);
-        let out = mine_step(&instance, &mut a, 0, PartnerSelection::Exact, 1e-9, false);
+        let out = step(&instance, &mut a, 0, PartnerSelection::Exact, false);
+        let improvement = out.map_or(0.0, |(_, improvement)| improvement);
         let after = total_cost(&instance, &a);
         assert!(
-            (before - after - out.improvement).abs() < 1e-6 * before.max(1.0),
-            "claimed {} actual {}",
-            out.improvement,
+            (before - after - improvement).abs() < 1e-6 * before.max(1.0),
+            "claimed {improvement} actual {}",
             before - after
         );
         a.check_invariants(&instance).unwrap();
@@ -768,9 +739,12 @@ mod tests {
         // Perfectly balanced homogeneous system: nothing to do.
         let instance = Instance::homogeneous(4, 1.0, 10.0, 20.0);
         let mut a = Assignment::local(&instance);
-        let out = mine_step(&instance, &mut a, 0, PartnerSelection::Exact, 1e-9, false);
-        assert_eq!(out.partner, None);
-        assert_eq!(out.moved, 0.0);
+        let before = a.clone();
+        assert_eq!(
+            step(&instance, &mut a, 0, PartnerSelection::Exact, false),
+            None
+        );
+        assert_eq!(a, before, "nothing moved");
     }
 
     #[test]
@@ -783,25 +757,11 @@ mod tests {
             loads[3] = 1000.0;
             instance.set_own_loads(loads);
             let a = Assignment::local(&instance);
-            let mut a_exact = a.clone();
-            let mut a_pruned = a.clone();
-            let exact = mine_step(
-                &instance,
-                &mut a_exact,
-                3,
-                PartnerSelection::Exact,
-                1e-9,
-                false,
-            );
-            let pruned = mine_step(
-                &instance,
-                &mut a_pruned,
-                3,
-                PartnerSelection::Pruned { top_k: 4 },
-                1e-9,
-                false,
-            );
-            assert_eq!(exact.partner, pruned.partner, "seed {seed}");
+            let exact = step(&instance, &mut a.clone(), 3, PartnerSelection::Exact, false);
+            let pruned = PartnerSelection::Pruned { top_k: 4 };
+            let pruned = step(&instance, &mut a.clone(), 3, pruned, false);
+            let partner = |out: Option<(usize, f64)>| out.map(|(j, _)| j);
+            assert_eq!(partner(exact), partner(pruned), "seed {seed}");
         }
     }
 
@@ -809,53 +769,26 @@ mod tests {
     fn pruned_improvement_close_to_exact_generally() {
         let instance = random_instance(24, 9);
         let a = Assignment::local(&instance);
-        let mut a_exact = a.clone();
-        let mut a_pruned = a.clone();
-        let exact = mine_step(
-            &instance,
-            &mut a_exact,
-            0,
-            PartnerSelection::Exact,
-            1e-9,
-            false,
-        );
-        let pruned = mine_step(
-            &instance,
-            &mut a_pruned,
-            0,
-            PartnerSelection::Pruned { top_k: 8 },
-            1e-9,
-            false,
-        );
+        let gain = |selection| {
+            let out = step(&instance, &mut a.clone(), 0, selection, false);
+            out.map_or(0.0, |(_, improvement)| improvement)
+        };
+        let exact = gain(PartnerSelection::Exact);
+        let pruned = gain(PartnerSelection::Pruned { top_k: 8 });
         // The pruned step must achieve at least half the exact gain
         // (in practice it is nearly always identical).
-        assert!(pruned.improvement >= 0.5 * exact.improvement - 1e-9);
+        assert!(pruned >= 0.5 * exact - 1e-9);
     }
 
     #[test]
     fn parallel_and_sequential_agree() {
         let instance = random_instance(80, 4);
         let a = Assignment::local(&instance);
-        let mut a_seq = a.clone();
-        let mut a_par = a.clone();
-        let seq = mine_step(
-            &instance,
-            &mut a_seq,
-            5,
-            PartnerSelection::Exact,
-            1e-9,
-            false,
-        );
-        let par = mine_step(
-            &instance,
-            &mut a_par,
-            5,
-            PartnerSelection::Exact,
-            1e-9,
-            true,
-        );
-        assert_eq!(seq.partner, par.partner);
-        assert!((seq.improvement - par.improvement).abs() < 1e-12);
+        let seq = step(&instance, &mut a.clone(), 5, PartnerSelection::Exact, false);
+        let par = step(&instance, &mut a.clone(), 5, PartnerSelection::Exact, true);
+        let ((j_seq, seq), (j_par, par)) = (seq.unwrap(), par.unwrap());
+        assert_eq!(j_seq, j_par);
+        assert!((seq - par).abs() < 1e-12);
     }
 
     #[test]

@@ -106,86 +106,9 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// The empty plan (no faults).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Whether the plan injects nothing.
     pub fn is_empty(&self) -> bool {
         *self == Self::default()
-    }
-
-    /// Adds a crash of `frac` of the nodes at `at_ms` (no recovery).
-    pub fn crash(mut self, frac: f64, at_ms: f64) -> Self {
-        self.crash = Some(CrashFault {
-            frac,
-            at_ms,
-            recover_ms: None,
-        });
-        self
-    }
-
-    /// Adds a crash of `frac` of the nodes over `[at_ms, recover_ms)`.
-    pub fn churn(mut self, frac: f64, at_ms: f64, recover_ms: f64) -> Self {
-        self.crash = Some(CrashFault {
-            frac,
-            at_ms,
-            recover_ms: Some(recover_ms),
-        });
-        self
-    }
-
-    /// Adds whole-run per-frame loss with probability `prob`.
-    pub fn loss(mut self, prob: f64) -> Self {
-        self.loss = Some(LossFault { prob, window: None });
-        self
-    }
-
-    /// Adds per-frame loss with probability `prob` inside a window.
-    pub fn loss_window(mut self, prob: f64, from_ms: f64, to_ms: f64) -> Self {
-        self.loss = Some(LossFault {
-            prob,
-            window: Some((from_ms, to_ms)),
-        });
-        self
-    }
-
-    /// Adds a delay spike: link delays × `factor` inside the window.
-    pub fn spike(mut self, factor: f64, from_ms: f64, to_ms: f64) -> Self {
-        self.spike = Some(SpikeFault {
-            factor,
-            from_ms,
-            to_ms,
-        });
-        self
-    }
-
-    /// Adds a bipartition over `[from_ms, to_ms)`.
-    pub fn partition(mut self, from_ms: f64, to_ms: f64) -> Self {
-        self.partition = Some(PartitionFault { from_ms, to_ms });
-        self
-    }
-
-    /// Adds whole-run stragglers: `frac` of the nodes send every frame
-    /// at `factor`× the base link delay.
-    pub fn slow(mut self, frac: f64, factor: f64) -> Self {
-        self.slow = Some(SlowFault {
-            frac,
-            factor,
-            window: None,
-        });
-        self
-    }
-
-    /// Adds stragglers active only inside a window.
-    pub fn slow_window(mut self, frac: f64, factor: f64, from_ms: f64, to_ms: f64) -> Self {
-        self.slow = Some(SlowFault {
-            frac,
-            factor,
-            window: Some((from_ms, to_ms)),
-        });
-        self
     }
 
     /// Parses the text form (see the [module docs](self)). The empty
@@ -242,7 +165,7 @@ fn crash(plan: &mut FaultPlan, value: &str) -> Result<(), SpecError> {
         |x| x > 0.0 && x <= 1.0,
         "(0, 1]",
     )?;
-    *plan = match when.split_once("..") {
+    let (at_ms, recover_ms) = match when.split_once("..") {
         Some((a, b)) => {
             let a = time("faults: crash time").ms(a)?;
             let b = time("faults: crash recovery time").ms(b)?;
@@ -251,10 +174,15 @@ fn crash(plan: &mut FaultPlan, value: &str) -> Result<(), SpecError> {
                     "faults: crash recovery {b}ms must come after the crash at {a}ms"
                 )));
             }
-            plan.churn(frac, a, b)
+            (a, Some(b))
         }
-        None => plan.crash(frac, time("faults: crash time").ms(when)?),
+        None => (time("faults: crash time").ms(when)?, None),
     };
+    plan.crash = Some(CrashFault {
+        frac,
+        at_ms,
+        recover_ms,
+    });
     Ok(())
 }
 
@@ -277,13 +205,17 @@ fn spike(plan: &mut FaultPlan, value: &str) -> Result<(), SpecError> {
     let (factor, window) = split_at("faults: spike", value, "FROM..TO", "spike:4x@200ms..800ms")?;
     let factor = Reader::new("faults: spike factor", "a number").factor(factor)?;
     let (from_ms, to_ms) = time("faults: spike window").window(window)?;
-    *plan = plan.spike(factor, from_ms, to_ms);
+    plan.spike = Some(SpikeFault {
+        factor,
+        from_ms,
+        to_ms,
+    });
     Ok(())
 }
 
 fn part(plan: &mut FaultPlan, value: &str) -> Result<(), SpecError> {
     let (from_ms, to_ms) = time("faults: part window").window(value)?;
-    *plan = plan.partition(from_ms, to_ms);
+    plan.partition = Some(PartitionFault { from_ms, to_ms });
     Ok(())
 }
 
@@ -360,7 +292,6 @@ mod tests {
         let plan = FaultPlan::parse("").unwrap();
         assert!(plan.is_empty());
         assert_eq!(plan.to_string(), "");
-        assert_eq!(FaultPlan::new(), FaultPlan::default());
     }
 
     #[test]
@@ -409,29 +340,6 @@ mod tests {
         let b: FaultPlan = "crash:0.1@500ms".parse().unwrap();
         assert_eq!(a, b);
         assert_eq!(a.to_string(), "crash:0.1@500ms");
-    }
-
-    #[test]
-    fn builder_matches_parse() {
-        assert_eq!(
-            FaultPlan::new().crash(0.1, 500.0).loss(0.05),
-            "crash:0.1@500ms,loss:0.05".parse().unwrap()
-        );
-        assert_eq!(
-            FaultPlan::new()
-                .churn(0.2, 100.0, 300.0)
-                .loss_window(0.5, 0.0, 50.0)
-                .spike(2.0, 10.0, 20.0)
-                .partition(5.0, 6.0)
-                .slow(0.05, 4.0),
-            "crash:0.2@100ms..300ms,loss:0.5@0ms..50ms,spike:2x@10ms..20ms,part:5ms..6ms,slow:0.05@4x"
-                .parse()
-                .unwrap()
-        );
-        assert_eq!(
-            FaultPlan::new().slow_window(0.1, 2.0, 50.0, 80.0),
-            "slow:0.1@2x@50ms..80ms".parse().unwrap()
-        );
     }
 
     #[test]

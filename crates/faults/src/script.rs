@@ -316,6 +316,10 @@ impl FaultScript {
 mod tests {
     use super::*;
 
+    fn faults(text: &str) -> FaultPlan {
+        text.parse().unwrap()
+    }
+
     #[test]
     fn empty_script_answers_no_fault() {
         let s = FaultScript::empty(10);
@@ -331,7 +335,7 @@ mod tests {
 
     #[test]
     fn crash_windows_honour_instants_and_fractions() {
-        let plan = FaultPlan::new().churn(0.3, 100.0, 400.0);
+        let plan = faults("crash:0.3@100ms..400ms");
         let s = plan.compile(9, 20);
         assert!(s.down_at(0.0).is_empty());
         assert_eq!(s.down_at(100.0).len(), 6);
@@ -349,23 +353,21 @@ mod tests {
 
     #[test]
     fn at_least_one_node_survives() {
-        let s = FaultPlan::new().crash(1.0, 0.0).compile(3, 8);
+        let s = faults("crash:1@0ms").compile(3, 8);
         assert_eq!(s.down_at(0.0).len(), 7);
-        let single = FaultPlan::new().crash(1.0, 0.0).compile(3, 1);
+        let single = faults("crash:1@0ms").compile(3, 1);
         assert!(single.down_at(0.0).is_empty());
     }
 
     #[test]
     fn loss_rate_tracks_probability_and_window() {
-        let s = FaultPlan::new().loss(0.3).compile(4, 10);
+        let s = faults("loss:0.3").compile(4, 10);
         let hits = (0..20_000)
             .filter(|&q| s.loss_attempt_fails(1.0, q, 0))
             .count();
         let rate = hits as f64 / 20_000.0;
         assert!((rate - 0.3).abs() < 0.02, "empirical loss rate {rate}");
-        let windowed = FaultPlan::new()
-            .loss_window(0.9, 100.0, 200.0)
-            .compile(4, 10);
+        let windowed = faults("loss:0.9@100ms..200ms").compile(4, 10);
         assert!(!windowed.loss_attempt_fails(99.0, 7, 0));
         assert!(!windowed.loss_attempt_fails(200.0, 7, 0));
         let in_window = (0..1_000)
@@ -376,7 +378,7 @@ mod tests {
 
     #[test]
     fn spikes_multiply_delay_inside_the_window() {
-        let s = FaultPlan::new().spike(4.0, 100.0, 200.0).compile(1, 4);
+        let s = faults("spike:4x@100ms..200ms").compile(1, 4);
         assert_eq!(s.spike_extra(150.0, 10.0), 30.0);
         assert_eq!(s.spike_extra(99.9, 10.0), 0.0);
         assert_eq!(s.spike_extra(200.0, 10.0), 0.0);
@@ -384,7 +386,7 @@ mod tests {
 
     #[test]
     fn partition_blocks_crossing_pairs_only() {
-        let s = FaultPlan::new().partition(100.0, 200.0).compile(11, 32);
+        let s = faults("part:100ms..200ms").compile(11, 32);
         let sides: Vec<bool> = (0..32).map(|i| s.crossing_blocked(150.0, 0, i)).collect();
         // A bipartition splits the cluster into two non-trivial halves
         // (astronomically unlikely to be one-sided at m=32).
@@ -397,10 +399,7 @@ mod tests {
 
     #[test]
     fn reliable_link_composes_hold_spike_and_retransmits() {
-        let plan = FaultPlan::new()
-            .loss(0.5)
-            .spike(3.0, 0.0, 1_000.0)
-            .partition(0.0, 500.0);
+        let plan = faults("loss:0.5,spike:3x@0ms..1000ms,part:0ms..500ms");
         let s = plan.compile(21, 16);
         // Find a crossing pair.
         let dst = (1..16)
@@ -430,7 +429,7 @@ mod tests {
         // loses its first attempt inside the window, but the retry at
         // t=250 is already past it — so the extra delay is bounded by
         // one timeout, never the full retransmission cap.
-        let s = FaultPlan::new().loss_window(0.99, 0.0, 100.0).compile(2, 4);
+        let s = faults("loss:0.99@0ms..100ms").compile(2, 4);
         for seq in 0..200 {
             let o = s.reliable_link(50.0, 0, 1, seq, 10.0);
             assert!(
@@ -447,7 +446,7 @@ mod tests {
 
     #[test]
     fn stragglers_multiply_outbound_delay() {
-        let plan = FaultPlan::new().slow(0.25, 4.0);
+        let plan = faults("slow:0.25@4x");
         let s = plan.compile(13, 20);
         assert_eq!(s.straggler_count(), 5);
         let factors: Vec<f64> = (0..20).map(|i| s.slow_factor(i, 100.0)).collect();
@@ -460,15 +459,13 @@ mod tests {
         assert_eq!(factors, again);
         assert!(s.down_at(1e9).is_empty());
         // A windowed slow stops at the window's end.
-        let windowed = FaultPlan::new()
-            .slow_window(1.0, 3.0, 100.0, 200.0)
-            .compile(13, 4);
+        let windowed = faults("slow:1@3x@100ms..200ms").compile(13, 4);
         assert_eq!(windowed.straggler_count(), 4);
         assert_eq!(windowed.slow_factor(0, 99.9), 1.0);
         assert_eq!(windowed.slow_factor(0, 100.0), 3.0);
         assert_eq!(windowed.slow_factor(0, 200.0), 1.0);
         // crash_time is a pure accessor.
-        let churn = FaultPlan::new().crash(0.5, 300.0).compile(5, 8);
+        let churn = faults("crash:0.5@300ms").compile(5, 8);
         for j in 0..8 {
             let t = churn.crash_time(j);
             assert!(t == 300.0 || t == f64::INFINITY);
@@ -478,7 +475,7 @@ mod tests {
 
     #[test]
     fn retransmit_count_is_capped() {
-        let s = FaultPlan::new().loss(0.999).compile(2, 4);
+        let s = faults("loss:0.999").compile(2, 4);
         // Parse forbids prob >= 1, but even near-certain loss must
         // terminate.
         let o = s.reliable_link(0.0, 0, 1, 9, 10.0);

@@ -97,10 +97,10 @@ proptest! {
         seed in any::<u64>(),
         duration in 0.0f64..2000.0,
     ) {
-        let mut plan = ArrivalPlan::new();
-        if let Some(rate) = poisson {
-            plan = plan.poisson(rate);
-        }
+        let plan = ArrivalPlan {
+            poisson: poisson.map(|rate| PoissonArrivals { rate }),
+            ..ArrivalPlan::default()
+        };
         let a = plan.compile(seed, duration, &[1.0, 2.0]);
         let b: ArrivalPlan = plan.to_string().parse().unwrap();
         prop_assert_eq!(a, b.compile(seed, duration, &[1.0, 2.0]));

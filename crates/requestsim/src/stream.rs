@@ -78,37 +78,9 @@ pub struct ArrivalPlan {
 }
 
 impl ArrivalPlan {
-    /// The empty plan (no arrivals — the closed-batch regime).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Whether the plan generates nothing.
     pub fn is_empty(&self) -> bool {
         *self == Self::default()
-    }
-
-    /// Adds the base Poisson process at `rate` req/s.
-    pub fn poisson(mut self, rate: f64) -> Self {
-        self.poisson = Some(PoissonArrivals { rate });
-        self
-    }
-
-    /// Adds a burst of `rate` extra req/s over `[from_ms, to_ms)`.
-    pub fn burst(mut self, rate: f64, from_ms: f64, to_ms: f64) -> Self {
-        self.burst = Some(BurstArrivals {
-            rate,
-            from_ms,
-            to_ms,
-        });
-        self
-    }
-
-    /// Adds a diurnal process with mean `rate` req/s and the given
-    /// period.
-    pub fn diurnal(mut self, rate: f64, period_ms: f64) -> Self {
-        self.diurnal = Some(DiurnalArrivals { rate, period_ms });
-        self
     }
 
     /// Parses the text form (see the [module docs](self)). The empty
@@ -160,7 +132,8 @@ const GRAMMAR: Primitives<ArrivalPlan> = Primitives {
     family: "arrival",
     kinds: &[
         ("poisson", |plan, value| {
-            *plan = plan.poisson(rate("arrivals: poisson rate").number(value)?);
+            let rate = rate("arrivals: poisson rate").number(value)?;
+            plan.poisson = Some(PoissonArrivals { rate });
             Ok(())
         }),
         ("burst", |plan, value| {
@@ -169,7 +142,11 @@ const GRAMMAR: Primitives<ArrivalPlan> = Primitives {
             let rate = rate("arrivals: burst rate").number(rate_text)?;
             let (from_ms, to_ms) =
                 Reader::new("arrivals: burst window", "a time in ms").window(window)?;
-            *plan = plan.burst(rate, from_ms, to_ms);
+            plan.burst = Some(BurstArrivals {
+                rate,
+                from_ms,
+                to_ms,
+            });
             Ok(())
         }),
         ("diurnal", |plan, value| {
@@ -182,7 +159,7 @@ const GRAMMAR: Primitives<ArrivalPlan> = Primitives {
                     "arrivals: diurnal period {period_ms}ms must be positive"
                 )));
             }
-            *plan = plan.diurnal(rate, period_ms);
+            plan.diurnal = Some(DiurnalArrivals { rate, period_ms });
             Ok(())
         }),
     ],
@@ -410,12 +387,15 @@ impl StreamScript {
 mod tests {
     use super::*;
 
+    fn plan(text: &str) -> ArrivalPlan {
+        text.parse().unwrap()
+    }
+
     #[test]
     fn empty_round_trips() {
         let plan = ArrivalPlan::parse("").unwrap();
         assert!(plan.is_empty());
         assert_eq!(plan.to_string(), "");
-        assert_eq!(ArrivalPlan::new(), ArrivalPlan::default());
     }
 
     #[test]
@@ -443,23 +423,6 @@ mod tests {
         assert_eq!(
             "diurnal:5@100".parse::<ArrivalPlan>().unwrap().to_string(),
             "diurnal:5@100ms"
-        );
-    }
-
-    #[test]
-    fn builder_matches_parse() {
-        assert_eq!(
-            ArrivalPlan::new().poisson(80.0),
-            "poisson:80".parse().unwrap()
-        );
-        assert_eq!(
-            ArrivalPlan::new()
-                .poisson(80.0)
-                .burst(200.0, 500.0, 900.0)
-                .diurnal(50.0, 2000.0),
-            "poisson:80,burst:200@500ms..900ms,diurnal:50@2000ms"
-                .parse()
-                .unwrap()
         );
     }
 
@@ -497,23 +460,23 @@ mod tests {
 
     #[test]
     fn fits_prices_each_process_over_its_own_part_of_the_horizon() {
-        let poisson = ArrivalPlan::new().poisson(20_000.0);
+        let poisson = plan("poisson:20000");
         assert!(poisson.fits(16_000.0)); // the perf ledger's stream workload
         assert!(poisson.fits(49_000.0)); // 980 000 + 10σ
         assert!(!poisson.fits(50_000.0));
         // A burst counts only where its window and the horizon overlap.
-        let burst = ArrivalPlan::new().burst(1e6, 100.0, 1200.0);
+        let burst = plan("burst:1e6@100ms..1200ms");
         assert!(burst.fits(50.0) && burst.fits(1000.0));
         assert!(!burst.fits(1200.0) && !burst.fits(1e9));
         // The diurnal mean, whatever the period does to the float math.
-        assert!(ArrivalPlan::new().diurnal(1000.0, 2000.0).fits(900_000.0));
-        assert!(!ArrivalPlan::new().diurnal(1000.0, 2000.0).fits(1_000_000.0));
-        assert!(ArrivalPlan::new().diurnal(10.0, 1e-320).fits(1000.0));
+        assert!(plan("diurnal:1000@2000ms").fits(900_000.0));
+        assert!(!plan("diurnal:1000@2000ms").fits(1_000_000.0));
+        assert!(plan("diurnal:10@1e-320ms").fits(1000.0));
         // Processes add up, and absurd products are refused, not run.
-        assert!(!poisson.diurnal(20_000.0, 500.0).fits(25_000.0));
-        assert!(!ArrivalPlan::new().poisson(1e12).fits(1000.0));
-        assert!(!ArrivalPlan::new().poisson(10.0).fits(1e300));
-        assert!(ArrivalPlan::new().fits(1e300));
+        assert!(!plan("poisson:20000,diurnal:20000@500ms").fits(25_000.0));
+        assert!(!plan("poisson:1e12").fits(1000.0));
+        assert!(!plan("poisson:10").fits(1e300));
+        assert!(ArrivalPlan::default().fits(1e300));
     }
 
     #[test]
@@ -522,20 +485,18 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.len(), 0);
         assert_eq!(
-            ArrivalPlan::new().compile(7, 1000.0, &[1.0, 2.0]),
+            ArrivalPlan::default().compile(7, 1000.0, &[1.0, 2.0]),
             StreamScript::empty()
         );
         assert_eq!(
-            ArrivalPlan::new().poisson(50.0).compile(7, 0.0, &[1.0]),
+            plan("poisson:50").compile(7, 0.0, &[1.0]),
             StreamScript::empty()
         );
     }
 
     #[test]
     fn poisson_rate_and_bounds_hold() {
-        let s = ArrivalPlan::new()
-            .poisson(100.0)
-            .compile(3, 10_000.0, &[1.0, 1.0]);
+        let s = plan("poisson:100").compile(3, 10_000.0, &[1.0, 1.0]);
         // 100 req/s over 10 virtual seconds ≈ 1000 arrivals.
         let n = s.len() as f64;
         assert!((n - 1000.0).abs() < 150.0, "got {n} arrivals");
@@ -549,19 +510,17 @@ mod tests {
 
     #[test]
     fn compile_is_pure_and_seed_sensitive() {
-        let plan = ArrivalPlan::new().poisson(50.0).burst(80.0, 100.0, 400.0);
-        let a = plan.compile(9, 2000.0, &[1.0, 2.0, 3.0]);
-        let b = plan.compile(9, 2000.0, &[1.0, 2.0, 3.0]);
+        let both = plan("poisson:50,burst:80@100ms..400ms");
+        let a = both.compile(9, 2000.0, &[1.0, 2.0, 3.0]);
+        let b = both.compile(9, 2000.0, &[1.0, 2.0, 3.0]);
         assert_eq!(a, b);
-        let c = plan.compile(10, 2000.0, &[1.0, 2.0, 3.0]);
+        let c = both.compile(10, 2000.0, &[1.0, 2.0, 3.0]);
         assert_ne!(a, c);
     }
 
     #[test]
     fn burst_stays_inside_its_window() {
-        let s = ArrivalPlan::new()
-            .burst(500.0, 300.0, 600.0)
-            .compile(11, 10_000.0, &[1.0]);
+        let s = plan("burst:500@300ms..600ms").compile(11, 10_000.0, &[1.0]);
         assert!(!s.is_empty());
         assert!(s
             .arrivals()
@@ -571,9 +530,7 @@ mod tests {
 
     #[test]
     fn diurnal_oscillates_around_the_mean() {
-        let s = ArrivalPlan::new()
-            .diurnal(100.0, 2000.0)
-            .compile(5, 20_000.0, &[1.0]);
+        let s = plan("diurnal:100@2000ms").compile(5, 20_000.0, &[1.0]);
         // Mean 100 req/s over 20 s ≈ 2000 arrivals.
         let n = s.len() as f64;
         assert!((n - 2000.0).abs() < 300.0, "got {n} arrivals");
@@ -590,16 +547,12 @@ mod tests {
 
     #[test]
     fn orgs_follow_the_weights() {
-        let s = ArrivalPlan::new()
-            .poisson(500.0)
-            .compile(13, 20_000.0, &[1.0, 3.0]);
+        let s = plan("poisson:500").compile(13, 20_000.0, &[1.0, 3.0]);
         let org1 = s.arrivals().iter().filter(|a| a.org == 1).count();
         let frac = org1 as f64 / s.len() as f64;
         assert!((frac - 0.75).abs() < 0.05, "org-1 share {frac}");
         // Zero weights fall back to uniform.
-        let u = ArrivalPlan::new()
-            .poisson(500.0)
-            .compile(13, 20_000.0, &[0.0, 0.0]);
+        let u = plan("poisson:500").compile(13, 20_000.0, &[0.0, 0.0]);
         let org1 = u.arrivals().iter().filter(|a| a.org == 1).count();
         let frac = org1 as f64 / u.len() as f64;
         assert!((frac - 0.5).abs() < 0.05, "uniform org-1 share {frac}");

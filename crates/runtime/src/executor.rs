@@ -1322,6 +1322,15 @@ mod tests {
     use dlb_core::LatencyMatrix;
     use dlb_distributed::{Engine, EngineOptions};
     use dlb_faults::FaultPlan;
+    use dlb_requestsim::stream::ArrivalPlan;
+
+    fn faults(text: &str) -> FaultPlan {
+        text.parse().unwrap()
+    }
+
+    fn arrivals(text: &str) -> ArrivalPlan {
+        text.parse().unwrap()
+    }
 
     /// The general entry on the virtual clock with nobody observing:
     /// what every faulted or streamed test below runs.
@@ -1496,7 +1505,7 @@ mod tests {
         let mut instance = Instance::homogeneous(6, 1.0, 1.0, 0.0);
         instance.set_own_loads(vec![600.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
         // Down from the first round; seed 4 spares the loaded node 0.
-        let script = FaultPlan::default().crash(2.0 / 6.0, 0.0).compile(4, 6);
+        let script = faults(&format!("crash:{}@0ms", 2.0 / 6.0)).compile(4, 6);
         assert_eq!(script.down_at(0.0), [4, 5]);
         let report = simulate(
             &instance,
@@ -1572,7 +1581,7 @@ mod tests {
     fn crash_freezes_the_victim_and_survivors_converge() {
         let mut instance = Instance::homogeneous(8, 1.0, 0.0, 0.0);
         instance.set_own_loads(vec![800.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
-        let script = FaultPlan::new().crash(0.25, 30.0).compile(5, 8);
+        let script = faults("crash:0.25@30ms").compile(5, 8);
         let victims = script.down_at(1e12);
         assert_eq!(victims.len(), 2);
         let report = simulate(
@@ -1617,10 +1626,7 @@ mod tests {
         }
         .sample(LatencyMatrix::homogeneous(12, 20.0), &mut rng);
         let clean = run_cluster_events(&instance, &ClusterOptions::default(), half_rtt(&instance));
-        let script = FaultPlan::new()
-            .loss(0.15)
-            .spike(5.0, 0.0, 2_000.0)
-            .compile(4, 12);
+        let script = faults("loss:0.15,spike:5x@0ms..2000ms").compile(4, 12);
         let faulted = simulate(
             &instance,
             &ClusterOptions::default(),
@@ -1652,7 +1658,7 @@ mod tests {
             speeds: SpeedDistribution::paper_uniform(),
         }
         .sample(LatencyMatrix::homogeneous(10, 10.0), &mut rng);
-        let script = FaultPlan::new().partition(10.0, 400.0).compile(6, 10);
+        let script = faults("part:10ms..400ms").compile(6, 10);
         let report = simulate(
             &instance,
             &ClusterOptions::default(),
@@ -1680,7 +1686,7 @@ mod tests {
             speeds: SpeedDistribution::paper_uniform(),
         }
         .sample(LatencyMatrix::homogeneous(8, 10.0), &mut rng);
-        let script = FaultPlan::new().churn(0.5, 20.0, 120.0).compile(2, 8);
+        let script = faults("crash:0.5@20ms..120ms").compile(2, 8);
         let report = simulate(
             &instance,
             &ClusterOptions::default(),
@@ -1720,7 +1726,7 @@ mod tests {
     fn timeout_detection_finds_crashes_from_silence() {
         let mut instance = Instance::homogeneous(8, 1.0, 0.0, 0.0);
         instance.set_own_loads(vec![800.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
-        let script = FaultPlan::new().crash(0.25, 30.0).compile(5, 8);
+        let script = faults("crash:0.25@30ms").compile(5, 8);
         assert_eq!(script.down_at(1e12).len(), 2);
         let options = ClusterOptions {
             detect: DetectMode::Timeout(250.0),
@@ -1766,7 +1772,7 @@ mod tests {
         // A healthy exchange chain is ~4 link hops (40 ms); the 60 ms
         // deadline clears it, but a straggler's 5× outbound legs
         // overrun it — suspected, yet very much alive.
-        let script = FaultPlan::new().slow(0.25, 5.0).compile(9, 12);
+        let script = faults("slow:0.25@5x").compile(9, 12);
         assert!(script.straggler_count() > 0);
         let options = ClusterOptions {
             detect: DetectMode::Timeout(60.0),
@@ -1806,7 +1812,7 @@ mod tests {
             speeds: SpeedDistribution::paper_uniform(),
         }
         .sample(LatencyMatrix::homogeneous(12, 20.0), &mut rng);
-        let script = FaultPlan::new().slow(0.25, 5.0).compile(9, 12);
+        let script = faults("slow:0.25@5x").compile(9, 12);
         let run = |detect: DetectMode| {
             let options = ClusterOptions {
                 detect,
@@ -1845,10 +1851,7 @@ mod tests {
             speeds: SpeedDistribution::paper_uniform(),
         }
         .sample(LatencyMatrix::homogeneous(12, 10.0), &mut rng);
-        let script = FaultPlan::new()
-            .crash(0.2, 120.0)
-            .slow(0.2, 4.0)
-            .compile(13, 12);
+        let script = faults("crash:0.2@120ms,slow:0.2@4x").compile(13, 12);
         let options = ClusterOptions {
             detect: DetectMode::Adaptive,
             exchange_rto_ms: 2_000.0,
@@ -1880,10 +1883,7 @@ mod tests {
             speeds: SpeedDistribution::paper_uniform(),
         }
         .sample(LatencyMatrix::homogeneous(10, 10.0), &mut rng);
-        let script = FaultPlan::new()
-            .crash(0.2, 80.0)
-            .slow(0.3, 8.0)
-            .compile(3, 10);
+        let script = faults("crash:0.2@80ms,slow:0.3@8x").compile(3, 10);
         let options = ClusterOptions {
             detect: DetectMode::Adaptive,
             exchange_rto_ms: 1_500.0,
@@ -1916,7 +1916,6 @@ mod tests {
     /// the run outlives the last arrival before quiescing.
     #[test]
     fn streamed_arrivals_are_served_with_finite_latency() {
-        use dlb_requestsim::stream::ArrivalPlan;
         let mut rng = rng_for(7, 0xE2);
         let instance = WorkloadSpec {
             loads: LoadDistribution::Exponential,
@@ -1924,9 +1923,7 @@ mod tests {
             speeds: SpeedDistribution::paper_uniform(),
         }
         .sample(LatencyMatrix::homogeneous(8, 8.0), &mut rng);
-        let stream = ArrivalPlan::new()
-            .poisson(300.0)
-            .compile(3, 1_000.0, instance.own_loads());
+        let stream = arrivals("poisson:300").compile(3, 1_000.0, instance.own_loads());
         assert!(!stream.is_empty());
         let report = simulate(
             &instance,
@@ -1955,7 +1952,6 @@ mod tests {
     /// summary, same event hash.
     #[test]
     fn streamed_runs_are_bit_identical() {
-        use dlb_requestsim::stream::ArrivalPlan;
         let mut rng = rng_for(19, 0xE3);
         let instance = WorkloadSpec {
             loads: LoadDistribution::Uniform,
@@ -1963,10 +1959,8 @@ mod tests {
             speeds: SpeedDistribution::paper_uniform(),
         }
         .sample(LatencyMatrix::homogeneous(6, 10.0), &mut rng);
-        let stream = ArrivalPlan::new()
-            .poisson(150.0)
-            .burst(300.0, 200.0, 400.0)
-            .compile(11, 800.0, instance.own_loads());
+        let stream =
+            arrivals("poisson:150,burst:300@200ms..400ms").compile(11, 800.0, instance.own_loads());
         let run = || {
             simulate(
                 &instance,
@@ -1990,15 +1984,12 @@ mod tests {
     /// being served, and the run still terminates.
     #[test]
     fn crash_mid_stream_drops_the_victims_requests() {
-        use dlb_requestsim::stream::ArrivalPlan;
         // Homogeneous loads: no exchanges move work, so each org is
         // hosted exactly at home and a crash strands its stream.
         let instance = Instance::homogeneous(8, 1.0, 0.0, 50.0);
-        let script = FaultPlan::new().crash(0.25, 100.0).compile(5, 8);
+        let script = faults("crash:0.25@100ms").compile(5, 8);
         assert_eq!(script.down_at(1e12).len(), 2);
-        let stream = ArrivalPlan::new()
-            .poisson(200.0)
-            .compile(9, 600.0, instance.own_loads());
+        let stream = arrivals("poisson:200").compile(9, 600.0, instance.own_loads());
         let report = simulate(
             &instance,
             &ClusterOptions::default(),
@@ -2019,11 +2010,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "stream compiled for a different cluster size")]
     fn stream_for_a_larger_cluster_is_refused() {
-        use dlb_requestsim::stream::ArrivalPlan;
         let instance = Instance::homogeneous(4, 1.0, 0.0, 50.0);
-        let stream = ArrivalPlan::new()
-            .poisson(200.0)
-            .compile(9, 600.0, &[50.0; 8]);
+        let stream = arrivals("poisson:200").compile(9, 600.0, &[50.0; 8]);
         assert!(stream.arrivals().iter().any(|a| a.org >= 4));
         simulate(
             &instance,

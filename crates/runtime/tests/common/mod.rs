@@ -4,6 +4,7 @@
 use dlb_core::rngutil::rng_for;
 use dlb_core::workload::{LoadDistribution, SpeedDistribution, WorkloadSpec};
 use dlb_core::{Instance, LatencyMatrix};
+use dlb_faults::FaultPlan;
 use rand::Rng;
 
 /// A metric, asymmetry-free stand-in for measured PlanetLab latencies.
@@ -30,4 +31,9 @@ pub fn workload(dist: LoadDistribution, avg: f64, lat: LatencyMatrix, seed: u64)
         speeds: SpeedDistribution::paper_uniform(),
     }
     .sample(lat, &mut rng)
+}
+
+/// A fault plan from its `faults=` text.
+pub fn faults(text: &str) -> FaultPlan {
+    text.parse().unwrap()
 }

@@ -23,7 +23,6 @@
 use dlb_core::workload::LoadDistribution;
 use dlb_core::{Instance, LatencyMatrix};
 use dlb_distributed::{Engine, EngineOptions};
-use dlb_faults::FaultPlan;
 use dlb_obs::NullSink;
 use dlb_requestsim::stream::StreamScript;
 use dlb_runtime::{
@@ -31,7 +30,7 @@ use dlb_runtime::{
 };
 
 mod common;
-use common::{planetlab_like, workload};
+use common::{faults, planetlab_like, workload};
 
 /// Certified options with a quiescent volume loose enough for FP-noise
 /// volumes to settle: the default 1e-9 can keep them circulating for
@@ -148,7 +147,7 @@ fn parity_with_failed_nodes() {
     );
     // Two nodes down from the first round; the engine masks the same
     // two out of every iteration.
-    let script = FaultPlan::default().crash(2.0 / 12.0, 0.0).compile(5, 12);
+    let script = faults(&format!("crash:{}@0ms", 2.0 / 12.0)).compile(5, 12);
     let failed = script.down_at(0.0);
     assert_eq!(failed.len(), 2);
     let events = run_cluster_events_observed(

@@ -19,7 +19,7 @@ use dlb_requestsim::stream::StreamScript;
 use dlb_runtime::{run_cluster_events_observed, ClusterOptions, DetectMode, VirtualClock};
 
 mod common;
-use common::{planetlab_like, workload};
+use common::{faults, planetlab_like, workload};
 
 /// Every request lands on exactly one server: the per-owner totals of
 /// the final assignment reproduce the input loads exactly.
@@ -55,20 +55,15 @@ fn assert_conserved(instance: &Instance, options: &ClusterOptions, plan: &FaultP
 /// frames (partition).
 fn plans() -> Vec<(&'static str, FaultPlan)> {
     vec![
-        ("crash", FaultPlan::new().crash(0.2, 60.0)),
-        ("churn", FaultPlan::new().churn(0.25, 40.0, 400.0)),
-        ("loss", FaultPlan::new().loss(0.2)),
-        ("spike", FaultPlan::new().spike(6.0, 0.0, 1_500.0)),
-        ("partition", FaultPlan::new().partition(20.0, 500.0)),
-        ("slow", FaultPlan::new().slow(0.3, 6.0)),
+        ("crash", faults("crash:0.2@60ms")),
+        ("churn", faults("crash:0.25@40ms..400ms")),
+        ("loss", faults("loss:0.2")),
+        ("spike", faults("spike:6x@0ms..1500ms")),
+        ("partition", faults("part:20ms..500ms")),
+        ("slow", faults("slow:0.3@6x")),
         (
             "everything",
-            FaultPlan::new()
-                .crash(0.15, 80.0)
-                .loss(0.1)
-                .spike(3.0, 100.0, 600.0)
-                .partition(200.0, 450.0)
-                .slow(0.2, 4.0),
+            faults("crash:0.15@80ms,loss:0.1,spike:3x@100ms..600ms,part:200ms..450ms,slow:0.2@4x"),
         ),
     ]
 }
@@ -119,7 +114,7 @@ fn conservation_survives_rto_tearing_live_exchanges() {
     );
     // 6× stragglers against an RTO of ~2 median hops: straggler
     // chains routinely overrun the timer while both parties live.
-    let plan = FaultPlan::new().slow(0.3, 6.0);
+    let plan = faults("slow:0.3@6x");
     for (mode_name, detect) in detect_modes() {
         if matches!(detect, DetectMode::Oracle) {
             continue; // no RTOs under the oracle

@@ -30,7 +30,7 @@ use dlb_runtime::{
 use std::sync::Mutex;
 
 mod common;
-use common::{planetlab_like, workload};
+use common::{faults, planetlab_like, workload};
 
 /// Both tests mutate the process-wide `DLB_THREADS` variable; they must
 /// not interleave within this binary.
@@ -94,11 +94,7 @@ fn event_order_and_results_are_thread_count_invariant() {
 /// runs — every script consultation happens on the single-threaded
 /// scheduling path.
 fn chaos_plan() -> FaultPlan {
-    FaultPlan::new()
-        .churn(0.2, 40.0, 400.0)
-        .loss(0.1)
-        .spike(3.0, 20.0, 300.0)
-        .partition(60.0, 200.0)
+    faults("crash:0.2@40ms..400ms,loss:0.1,spike:3x@20ms..300ms,part:60ms..200ms")
 }
 
 fn chaos_script(m: usize) -> FaultScript {
@@ -289,7 +285,8 @@ fn lockstep_batches_out_of_id_order_are_pinned() {
 fn lockstep_chaos_with_down_sources_in_a_sharded_batch_is_pinned() {
     let _env = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let inst = islands(240, 1);
-    let script = chaos_plan().churn(0.2, 17.0, 400.0).compile(5, 240);
+    let script = faults("crash:0.2@17ms..400ms,loss:0.1,spike:3x@20ms..300ms,part:60ms..200ms");
+    let script = script.compile(5, 240);
     let options = ClusterOptions {
         detect: DetectMode::Timeout(250.0),
         exchange_rto_ms: 400.0,

@@ -6,16 +6,17 @@
 //! gives every such regime a *name*:
 //!
 //! * [`ScenarioSpec`] declaratively describes an experiment — topology,
-//!   workload, algorithm, termination — with a builder API and a
-//!   dependency-free text round-trip
+//!   workload, algorithm, termination — in one text form
 //!   (`"algo=batched net=pl m=500 load=peak seed=7"` parses to a spec
 //!   and a spec [`Display`](std::fmt::Display)s back to that text), so
 //!   the same value travels through `dlb run` tokens, bench grids, and
-//!   committed JSON records identically. The keys and the rules for
-//!   which `algo` honours which of them are one table:
-//!   [`ScenarioSpec::validate`] is the check `parse` ends with and
-//!   `run` begins with, so a builder-made spec is refused exactly
-//!   where its text form would be.
+//!   committed JSON records identically. The text is the only
+//!   constructor; code that computes a value sets the field of the
+//!   same name by struct update on the `Copy` spec. The keys and the
+//!   rules for which `algo` honours which of them are one table:
+//!   [`ScenarioSpec::validate`] reads a spec's own text back and
+//!   applies the rules, `parse` ends with it and `run` begins with it,
+//!   so a spec built any way is refused exactly where its text would be.
 //! * [`ScenarioSpec::build_instance`] is the **single sampling path**:
 //!   the CLI, every bench harness, and the examples draw their §VI-A
 //!   instances here, so equal seeds mean equal instances everywhere.
@@ -55,13 +56,16 @@
 //!   the parser and table renderer behind `dlb report`.
 //!
 //! ```
-//! use dlb_scenario::{AlgoSpec, ScenarioSpec};
+//! use dlb_scenario::ScenarioSpec;
 //!
-//! let spec = ScenarioSpec::new().algo(AlgoSpec::Batched).servers(30).seed(7);
-//! let text = spec.to_string();
-//! assert_eq!(text.parse::<ScenarioSpec>().unwrap(), spec);
+//! let spec: ScenarioSpec = "algo=batched m=30 seed=7".parse().unwrap();
+//! assert_eq!(spec.to_string(), "algo=batched net=homog m=30 seed=7");
 //! let run = spec.run();
 //! assert!(run.final_cost() <= run.initial_cost());
+//!
+//! // A computed value is a struct update; `run` validates it first.
+//! let bigger = ScenarioSpec { m: 2 * spec.m, ..spec };
+//! assert_eq!(bigger.run().m, 60);
 //! ```
 
 #![warn(missing_docs)]

@@ -1,17 +1,25 @@
 //! Property-based tests: every record the sink can write reads back as
-//! itself, whatever its strings, numbers and field groups; and no typed
+//! itself, whatever its strings, numbers and field groups; no typed
 //! input — scenario text, a frame log's bytes, a JSON-lines line —
-//! panics or aborts: it reads, runs finitely, or is a typed error.
+//! panics or aborts: it reads, runs finitely, or is a typed error; and
+//! a spec built field by field is refused exactly where its text is.
 
 #![cfg(test)]
 
 use proptest::prelude::*;
 
+use dlb_core::workload::LoadDistribution;
+use dlb_faults::{CrashFault, FaultPlan, LossFault, PartitionFault, SlowFault, SpikeFault};
+use dlb_requestsim::stream::{ArrivalPlan, BurstArrivals, DiurnalArrivals, PoissonArrivals};
+
 use crate::report::parse_jsonl;
 use crate::results::Record;
 use crate::runner::{run_protocol_events, trailer};
 use crate::spec::AXES;
-use crate::{replay_frame_log, AlgoSpec, RunRecord, ScenarioSpec, TraceSpec};
+use crate::{
+    replay_frame_log, AlgoSpec, DetectSpec, GossipSpec, NetSpec, RunRecord, ScenarioSpec,
+    SelectSpec, SpeedKind, TracePath, TraceSpec,
+};
 
 /// Text over the whole of Unicode, weighted towards ASCII so quotes,
 /// backslashes and control characters turn up often.
@@ -421,6 +429,157 @@ proptest! {
         let _ = replay_frame_log(&bytes);
         if let Ok(log) = dlb_obs::FrameLog::decode(&bytes) {
             let _ = dlb_obs::chrome::render(&log);
+        }
+    }
+}
+
+/// The edges of every real-valued field: signs, the extremes, the
+/// non-finite values.
+const EDGE_REALS: [f64; 7] = [0.0, -0.0, -1.0, 1e-300, 1e308, f64::INFINITY, f64::NAN];
+
+/// The edges of every count: zero, one, the largest node id and one
+/// past it, the largest `usize`.
+const EDGE_COUNTS: [usize; 5] = [0, 1, u32::MAX as usize, u32::MAX as usize + 1, usize::MAX];
+
+/// Field values drawn one after another: a field keeps a plausible
+/// value three times in four and takes an edge value otherwise.
+struct Draws(std::vec::IntoIter<u32>);
+
+impl Draws {
+    fn index(&mut self, n: usize) -> usize {
+        self.0.next().expect("enough draws") as usize % n
+    }
+
+    fn edge(&mut self) -> bool {
+        self.index(4) == 0
+    }
+
+    fn pick<T: Copy>(&mut self, choices: &[T]) -> T {
+        choices[self.index(choices.len())]
+    }
+
+    fn real(&mut self, plain: f64) -> f64 {
+        if self.edge() {
+            self.pick(&EDGE_REALS)
+        } else {
+            plain
+        }
+    }
+
+    fn count(&mut self, plain: usize) -> usize {
+        if self.edge() {
+            self.pick(&EDGE_COUNTS)
+        } else {
+            plain
+        }
+    }
+
+    fn some<T>(&mut self, value: impl FnOnce(&mut Self) -> T) -> Option<T> {
+        self.edge().then(|| value(self))
+    }
+
+    fn window(&mut self) -> (f64, f64) {
+        (self.real(100.0), self.real(900.0))
+    }
+
+    fn faults(&mut self) -> FaultPlan {
+        FaultPlan {
+            crash: self.some(|d| CrashFault {
+                frac: d.real(0.1),
+                at_ms: d.real(500.0),
+                recover_ms: d.some(|d| d.real(900.0)),
+            }),
+            loss: self.some(|d| LossFault {
+                prob: d.real(0.05),
+                window: d.some(Self::window),
+            }),
+            spike: self.some(|d| SpikeFault {
+                factor: d.real(4.0),
+                from_ms: d.real(200.0),
+                to_ms: d.real(800.0),
+            }),
+            partition: self.some(|d| PartitionFault {
+                from_ms: d.real(500.0),
+                to_ms: d.real(1500.0),
+            }),
+            slow: self.some(|d| SlowFault {
+                frac: d.real(0.05),
+                factor: d.real(4.0),
+                window: d.some(Self::window),
+            }),
+        }
+    }
+
+    fn arrivals(&mut self) -> ArrivalPlan {
+        ArrivalPlan {
+            poisson: self.some(|d| PoissonArrivals { rate: d.real(80.0) }),
+            burst: self.some(|d| BurstArrivals {
+                rate: d.real(200.0),
+                from_ms: d.real(500.0),
+                to_ms: d.real(900.0),
+            }),
+            diurnal: self.some(|d| DiurnalArrivals {
+                rate: d.real(50.0),
+                period_ms: d.real(2000.0),
+            }),
+        }
+    }
+
+    fn spec(&mut self) -> ScenarioSpec {
+        use AlgoSpec::*;
+        let base = ScenarioSpec::default();
+        let frames = TraceSpec::Frames(TracePath::new("edge.dlbf").unwrap());
+        let arrivals = self.arrivals();
+        let duration = if arrivals.is_empty() { 0.0 } else { 1000.0 };
+        ScenarioSpec {
+            algo: self.pick(&[Protocol, Protocol, Protocol, Sequential, Batched, Nash, Bcd]),
+            net: self.pick(&[NetSpec::Homog, NetSpec::Euclid, NetSpec::Pl]),
+            m: self.count(8),
+            lat: self.real(base.lat),
+            load: self.pick(&[LoadDistribution::Uniform, LoadDistribution::Peak]),
+            avg: self.real(base.avg),
+            speeds: self.pick(&[SpeedKind::Const, SpeedKind::Uniform]),
+            seed: self.pick(&[0, 1, u64::MAX]),
+            gran: self.real(base.gran),
+            eps: self.real(base.eps),
+            patience: self.count(base.patience),
+            budget: self.count(base.budget),
+            select: match self.some(|d| d.pick(&[0, 1, u32::MAX])) {
+                Some(k) => SelectSpec::TopK(k),
+                None => SelectSpec::Exact,
+            },
+            faults: self.faults(),
+            detect: match self.index(3) {
+                0 => DetectSpec::Timeout(self.real(200.0)),
+                1 => DetectSpec::Adaptive,
+                _ => DetectSpec::Oracle,
+            },
+            arrivals,
+            duration: self.real(duration),
+            gossip: match self.some(|d| d.real(100.0)) {
+                Some(period_ms) => GossipSpec::Event { period_ms },
+                None => GossipSpec::Emulated,
+            },
+            trace: self.pick(&[TraceSpec::Off, TraceSpec::Summary, frames]),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// A spec built field by field, its plans too, out to the edges of
+    /// every value: `validate` accepts it exactly when its own text
+    /// parses, the text then parses back to it, and otherwise the two
+    /// refusals are one error.
+    #[test]
+    fn validate_is_parse_of_the_specs_own_text(draws in prop::collection::vec(any::<u32>(), 96)) {
+        let spec = Draws(draws.into_iter()).spec();
+        let text = spec.to_string();
+        match (spec.validate(), ScenarioSpec::parse(&text)) {
+            (Ok(()), Ok(back)) => prop_assert_eq!(back, spec, "{}", text),
+            (Err(refused), Err(text_refused)) => prop_assert_eq!(refused, text_refused, "{}", text),
+            (validated, parsed) => panic!("{text}: validate {validated:?}, parse {parsed:?}"),
         }
     }
 }

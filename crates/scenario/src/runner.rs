@@ -355,12 +355,16 @@ impl ScenarioSpec {
     /// Runs this scenario on the system its `algo` names.
     ///
     /// # Panics
-    /// Panics with [`ScenarioSpec::validate`]'s message on a key
-    /// combination it refuses — a silently ignored fault plan would
-    /// masquerade as a clean measurement — and when a `trace=frames:`
-    /// log cannot be written.
+    /// Panics with [`ScenarioSpec::validate`]'s message on a spec it
+    /// refuses — checked before the instance is sampled, so `avg=-5` is
+    /// that message and not a sampler's assert, and a silently ignored
+    /// fault plan cannot masquerade as a clean measurement — and when a
+    /// `trace=frames:` log cannot be written.
     pub fn run(&self) -> RunRecord {
-        self.run_on(self.build_instance())
+        let run = self
+            .validate()
+            .and_then(|()| self.try_run_on(self.build_instance()));
+        run.unwrap_or_else(|e| panic!("{e}, got '{self}'"))
     }
 
     /// Runs this scenario on a prebuilt instance — callers holding
@@ -381,8 +385,9 @@ impl ScenarioSpec {
     /// instead of panicking.
     ///
     /// # Errors
-    /// [`ScenarioSpec::validate`]'s refusal, or a `trace=frames:` log
-    /// that cannot be written.
+    /// [`ScenarioSpec::validate`]'s refusal — of a value the text form
+    /// refuses or of a key combination — or a `trace=frames:` log that
+    /// cannot be written.
     pub fn try_run_on(&self, instance: Instance) -> Result<RunRecord, SpecError> {
         self.validate()?;
         match self.algo {
@@ -397,7 +402,11 @@ impl ScenarioSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{NetSpec, SelectSpec};
+    use crate::spec::{DetectSpec, NetSpec, SelectSpec};
+
+    fn spec(text: &str) -> ScenarioSpec {
+        text.parse().unwrap()
+    }
 
     /// The engine runners must reproduce a direct
     /// `Engine::run_to_convergence` call bit for bit — the scenario
@@ -408,11 +417,13 @@ mod tests {
             (AlgoSpec::Sequential, RoundMode::Sequential),
             (AlgoSpec::Batched, RoundMode::Batched),
         ] {
-            let spec = ScenarioSpec::new()
-                .algo(algo)
-                .servers(15)
-                .seed(3)
-                .termination(1e-10, 3, 80);
+            let spec = ScenarioSpec {
+                algo,
+                m: 15,
+                seed: 3,
+                budget: 80,
+                ..ScenarioSpec::default()
+            };
             let run = spec.run();
             let mut engine = Engine::new(
                 spec.build_instance(),
@@ -435,32 +446,36 @@ mod tests {
     #[test]
     fn text_round_trip_preserves_results() {
         for algo in [AlgoSpec::Sequential, AlgoSpec::Batched, AlgoSpec::Bcd] {
-            let spec = ScenarioSpec::new()
-                .algo(algo)
-                .net(NetSpec::Pl)
-                .servers(12)
-                .seed(9)
-                .termination(1e-8, 2, 60);
+            let spec = ScenarioSpec {
+                algo,
+                net: NetSpec::Pl,
+                m: 12,
+                seed: 9,
+                eps: 1e-8,
+                patience: 2,
+                budget: 60,
+                ..ScenarioSpec::default()
+            };
             let reparsed: ScenarioSpec = spec.to_string().parse().unwrap();
             assert_eq!(reparsed, spec);
             assert_eq!(reparsed.run().history, spec.run().history, "{algo:?}");
         }
-        let spec = ScenarioSpec::new()
-            .algo(AlgoSpec::Nash)
-            .servers(10)
-            .seed(4)
-            .termination(0.01, 2, 500);
+        let spec = ScenarioSpec {
+            algo: AlgoSpec::Nash,
+            m: 10,
+            seed: 4,
+            eps: 0.01,
+            patience: 2,
+            budget: 500,
+            ..ScenarioSpec::default()
+        };
         let reparsed: ScenarioSpec = spec.to_string().parse().unwrap();
         assert_eq!(reparsed.run().history, spec.run().history);
     }
 
     #[test]
     fn nash_runner_matches_direct_dynamics() {
-        let spec = ScenarioSpec::new()
-            .algo(AlgoSpec::Nash)
-            .servers(10)
-            .seed(2)
-            .termination(0.01, 2, 1_000);
+        let spec = spec("algo=nash m=10 seed=2 eps=0.01 patience=2 budget=1000");
         let run = spec.run();
         let instance = spec.build_instance();
         let mut nash = Assignment::local(&instance);
@@ -482,15 +497,15 @@ mod tests {
     /// state by different exchange orders: compared within a band.
     #[test]
     fn protocol_runner_lands_near_the_engine_fixpoint() {
-        let spec = ScenarioSpec::new()
-            .algo(AlgoSpec::Protocol)
-            .servers(8)
-            .avg_load(80.0)
-            .seed(5)
-            .termination(1e-9, 7, 300);
+        let spec = spec("algo=protocol m=8 avg=80 seed=5 eps=1e-9 patience=7 budget=300");
         let run = spec.run();
         assert_eq!(run.history.len(), run.iterations + 1);
-        let coop = spec.algo(AlgoSpec::Sequential).termination(1e-12, 3, 300);
+        let coop = ScenarioSpec {
+            algo: AlgoSpec::Sequential,
+            eps: 1e-12,
+            patience: 3,
+            ..spec
+        };
         let fixpoint = coop.run().final_cost();
         assert!(
             run.final_cost() <= fixpoint * 1.05,
@@ -504,22 +519,19 @@ mod tests {
     /// must reproduce bit for bit, and land at the engine's quality.
     #[test]
     fn event_protocol_runner_is_deterministic_and_matches_the_engine() {
-        let spec = ScenarioSpec::new()
-            .algo(AlgoSpec::Protocol)
-            .servers(10)
-            .avg_load(80.0)
-            .seed(5)
-            .termination(1e-9, 9, 300);
+        let spec = spec("algo=protocol m=10 avg=80 seed=5 eps=1e-9 patience=9 budget=300");
         let a = spec.run();
         let b = spec.run();
         assert_eq!(a, b, "event runs must be bit-identical");
         assert!(a.converged);
         assert!(a.wall_secs > 0.0, "virtual time recorded");
-        let fixpoint = spec
-            .algo(AlgoSpec::Sequential)
-            .termination(1e-12, 3, 300)
-            .run()
-            .final_cost();
+        let coop = ScenarioSpec {
+            algo: AlgoSpec::Sequential,
+            eps: 1e-12,
+            patience: 3,
+            ..spec
+        };
+        let fixpoint = coop.run().final_cost();
         assert!(
             a.final_cost() <= fixpoint * 1.05,
             "events {} vs engine {fixpoint}",
@@ -533,18 +545,10 @@ mod tests {
     /// re-admitted, all without consulting the oracle.
     #[test]
     fn detector_summary_rides_the_record_deterministically() {
-        let spec = ScenarioSpec::new()
-            .algo(AlgoSpec::Protocol)
-            .servers(16)
-            .avg_load(80.0)
-            .seed(5)
-            .termination(1e-9, 9, 800)
-            .faults(
-                dlb_faults::FaultPlan::new()
-                    .crash(0.2, 150.0)
-                    .slow(0.2, 4.0),
-            )
-            .detect(crate::spec::DetectSpec::Adaptive);
+        let spec = spec(
+            "algo=protocol m=16 avg=80 seed=5 eps=1e-9 patience=9 budget=800 \
+             faults=crash:0.2@150ms,slow:0.2@4x detect=adaptive",
+        );
         let a = spec.run();
         let b = spec.run();
         assert_eq!(a, b, "detect runs must be bit-identical");
@@ -556,7 +560,11 @@ mod tests {
         );
         assert!(a.detector.detection_latency_ms > 0.0);
         // The oracle mode on the same scenario reports a quiet detector.
-        let oracle = spec.detect(crate::spec::DetectSpec::Oracle).run();
+        let oracle = ScenarioSpec {
+            detect: DetectSpec::Oracle,
+            ..spec
+        };
+        let oracle = oracle.run();
         assert!(oracle.detector.is_quiet(), "{:?}", oracle.detector);
     }
 
@@ -565,14 +573,10 @@ mod tests {
     /// with finite percentile latencies.
     #[test]
     fn stream_summary_rides_the_record_deterministically() {
-        let spec = ScenarioSpec::new()
-            .algo(AlgoSpec::Protocol)
-            .servers(12)
-            .avg_load(60.0)
-            .seed(7)
-            .termination(1e-9, 9, 300)
-            .arrivals("poisson:150,burst:300@200ms..600ms".parse().unwrap())
-            .duration_ms(1_200.0);
+        let spec = spec(
+            "algo=protocol m=12 avg=60 seed=7 eps=1e-9 patience=9 budget=300 \
+             arrivals=poisson:150,burst:300@200ms..600ms duration=1200",
+        );
         let a = spec.run();
         let b = spec.run();
         assert_eq!(a, b, "streamed runs must be bit-identical");
@@ -583,10 +587,12 @@ mod tests {
         assert!(a.stream.p99_ms >= a.stream.p50_ms);
         // The identical spec with the stream removed is a different
         // scenario — and reports a quiet summary.
-        let calm = spec
-            .arrivals(dlb_requestsim::stream::ArrivalPlan::default())
-            .duration_ms(0.0)
-            .run();
+        let calm = ScenarioSpec {
+            arrivals: Default::default(),
+            duration: 0.0,
+            ..spec
+        };
+        let calm = calm.run();
         assert!(calm.stream.is_quiet(), "{:?}", calm.stream);
     }
 
@@ -595,16 +601,9 @@ mod tests {
     /// `exchange_rto_ms`).
     #[test]
     fn derived_rto_dominates_the_plan_worst_case() {
-        let spec = ScenarioSpec::new()
-            .algo(AlgoSpec::Protocol)
-            .servers(12)
-            .faults(
-                dlb_faults::FaultPlan::new()
-                    .loss(0.2)
-                    .spike(3.0, 100.0, 600.0)
-                    .partition(200.0, 450.0)
-                    .slow(0.2, 4.0),
-            );
+        let spec = spec(
+            "algo=protocol m=12 faults=loss:0.2,spike:3x@100ms..600ms,part:200ms..450ms,slow:0.2@4x",
+        );
         let instance = spec.build_instance();
         let rto = exchange_rto_ms(&spec, &instance);
         let d_max = instance.latency().max_latency() / 2.0;
@@ -613,7 +612,10 @@ mod tests {
         let worst = d_max * 4.0 * 3.0 + f64::from(MAX_RETRANSMITS) * RETRANSMIT_MS + 250.0;
         assert!(rto > worst, "rto {rto} vs worst one-way {worst}");
         // A fault-free spec still gets a sane, small timeout.
-        let calm = ScenarioSpec::new().algo(AlgoSpec::Protocol).servers(12);
+        let calm = ScenarioSpec {
+            faults: Default::default(),
+            ..spec
+        };
         let calm_rto = exchange_rto_ms(&calm, &instance);
         assert!(calm_rto > 2.0 * d_max);
         assert!(calm_rto < worst);
@@ -624,12 +626,11 @@ mod tests {
     /// bit, and still lands at the fresh-scoring fixpoint's quality.
     #[test]
     fn event_gossip_meters_traffic_and_converges() {
-        let spec = ScenarioSpec::new()
-            .algo(AlgoSpec::Batched)
-            .servers(30)
-            .seed(3)
-            .termination(1e-10, 3, 200)
-            .gossip(crate::spec::GossipSpec::Event { period_ms: 100.0 });
+        let spec = spec("algo=batched m=30 seed=3 budget=200 gossip=event:100ms");
+        let fresh = ScenarioSpec {
+            gossip: GossipSpec::default(),
+            ..spec
+        };
         let a = spec.run();
         let mut b = spec.run();
         // Engine runs report real wall time; everything else must
@@ -639,24 +640,18 @@ mod tests {
         assert!(a.converged);
         assert!(!a.gossip.is_quiet(), "{:?}", a.gossip);
         assert!(a.gossip.bytes > 0 && a.gossip.frames > 0);
-        let fresh = spec
-            .gossip(crate::spec::GossipSpec::default())
-            .run()
-            .final_cost();
+        let fresh = fresh.run();
         assert!(
-            a.final_cost() <= fresh * 1.01,
-            "gossip-fed {} vs fresh {fresh}",
-            a.final_cost()
+            a.final_cost() <= fresh.final_cost() * 1.01,
+            "gossip-fed {} vs fresh {}",
+            a.final_cost(),
+            fresh.final_cost()
         );
         // The fresh default reports a quiet summary.
-        assert!(spec
-            .gossip(crate::spec::GossipSpec::default())
-            .run()
-            .gossip
-            .is_quiet());
+        assert!(fresh.gossip.is_quiet());
     }
 
-    /// The builder can construct what `parse` rejects, so `run_on`
+    /// A struct literal can hold what `parse` rejects, so `run_on`
     /// begins with the same `validate` (whose table test lives in
     /// `spec.rs`) instead of silently ignoring the axis. `select=` is
     /// the one the runner's own copy of the rule book used to miss:
@@ -665,24 +660,95 @@ mod tests {
     #[test]
     #[should_panic(expected = "select= requires algo=protocol")]
     fn run_on_refuses_what_validate_refuses() {
-        let spec = ScenarioSpec::new()
-            .algo(AlgoSpec::Batched)
-            .servers(8)
-            .select(SelectSpec::TopK(4));
+        let spec = ScenarioSpec {
+            algo: AlgoSpec::Batched,
+            m: 8,
+            select: SelectSpec::TopK(4),
+            ..ScenarioSpec::default()
+        };
         spec.run_on(spec.build_instance());
+    }
+
+    /// Values the text form refuses, set on struct literals: each used
+    /// to run (to `inf` or `NaN` seconds, or zero iterations) or panic
+    /// in the sampler, and left a record whose `scenario` would not
+    /// parse. Each is now the very error `parse` gives for the spec's
+    /// own text, from `validate` and `try_run_on` — and from `run`,
+    /// before it samples, for `avg`.
+    #[test]
+    fn struct_literals_meet_the_text_forms_refusals() {
+        let on = ScenarioSpec {
+            algo: AlgoSpec::Protocol,
+            m: 8,
+            ..ScenarioSpec::default()
+        };
+        let spike = dlb_faults::SpikeFault {
+            factor: 1e308,
+            from_ms: 0.0,
+            to_ms: 1e9,
+        };
+        let faults = dlb_faults::FaultPlan {
+            spike: Some(spike),
+            ..Default::default()
+        };
+        let big = format!("{}", 1e308);
+        for (spec, message) in [
+            (
+                ScenarioSpec { lat: 1e308, ..on },
+                format!("lat: '{big}' must be at most 1e9"),
+            ),
+            (
+                ScenarioSpec { faults, ..on },
+                format!("faults: spike factor: '{big}' must be at most 1e6"),
+            ),
+            (
+                ScenarioSpec { budget: 0, ..on },
+                "budget must be at least 1".into(),
+            ),
+            (
+                ScenarioSpec {
+                    detect: DetectSpec::Timeout(f64::NAN),
+                    ..on
+                },
+                "detect: the timeout deadline must be positive".into(),
+            ),
+            (
+                ScenarioSpec {
+                    select: SelectSpec::TopK(0),
+                    ..on
+                },
+                "select: topk needs at least 1 candidate".into(),
+            ),
+        ] {
+            let refusal = SpecError(message);
+            let parsed = ScenarioSpec::parse(&spec.to_string());
+            assert_eq!(parsed, Err(refusal.clone()), "{spec}");
+            assert_eq!(spec.validate(), Err(refusal.clone()), "{spec}");
+            assert_eq!(spec.try_run_on(on.build_instance()), Err(refusal));
+        }
+        let light = ScenarioSpec { avg: -5.0, ..on };
+        let refusal = SpecError("avg: '-5' must be finite and non-negative".into());
+        assert_eq!(
+            ScenarioSpec::parse(&light.to_string()),
+            Err(refusal.clone())
+        );
+        assert_eq!(light.validate(), Err(refusal.clone()));
+        let panic = std::panic::catch_unwind(|| light.run()).unwrap_err();
+        let message = panic.downcast_ref::<String>().expect("a formatted panic");
+        assert_eq!(*message, format!("{refusal}, got '{light}'"));
     }
 
     #[test]
     fn bcd_runner_reports_a_converged_optimum() {
-        let spec = ScenarioSpec::new()
-            .algo(AlgoSpec::Bcd)
-            .servers(10)
-            .seed(6)
-            .termination(1e-10, 3, 2_000);
+        let spec = spec("algo=bcd m=10 seed=6");
         let run = spec.run();
         assert!(run.converged);
         assert!(run.final_cost() <= run.initial_cost());
-        let engine = spec.algo(AlgoSpec::Sequential).run();
+        let engine = ScenarioSpec {
+            algo: AlgoSpec::Sequential,
+            ..spec
+        };
+        let engine = engine.run();
         assert!(
             engine.final_cost() <= run.final_cost() * 1.01,
             "engine {} vs solver {}",
@@ -693,10 +759,7 @@ mod tests {
 
     #[test]
     fn iterations_to_reach_matches_engine_semantics() {
-        let spec = ScenarioSpec::new()
-            .servers(15)
-            .seed(5)
-            .termination(1e-12, 2, 80);
+        let spec = spec("m=15 seed=5 eps=1e-12 patience=2 budget=80");
         let run = spec.run();
         let exact = run.iterations_to_reach(run.final_cost(), 0.0).unwrap();
         let loose = run.iterations_to_reach(run.final_cost(), 0.02).unwrap();

@@ -274,8 +274,8 @@ impl fmt::Display for GossipSpec {
 }
 
 /// Inline capacity of a [`TracePath`] (bytes). Paths in `trace=` are
-/// capped here so [`ScenarioSpec`] can stay `Copy` — the dozens of
-/// builder-reuse call sites rely on specs being freely duplicable.
+/// capped here so [`ScenarioSpec`] can stay `Copy` — callers derive
+/// specs from one another by struct update (`ScenarioSpec { m, ..base }`).
 pub const TRACE_PATH_MAX: usize = 120;
 
 /// A file path stored inline (fixed capacity, no heap): the
@@ -488,124 +488,18 @@ impl Default for ScenarioSpec {
 }
 
 impl ScenarioSpec {
-    /// The default scenario (equivalent to parsing an empty string).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the algorithm.
-    pub fn algo(mut self, algo: AlgoSpec) -> Self {
-        self.algo = algo;
-        self
-    }
-
-    /// Sets the latency substrate.
-    pub fn net(mut self, net: NetSpec) -> Self {
-        self.net = net;
-        self
-    }
-
-    /// Sets the network size.
-    pub fn servers(mut self, m: usize) -> Self {
-        self.m = m;
-        self
-    }
-
-    /// Sets the homogeneous pairwise latency (ms).
-    pub fn latency_ms(mut self, lat: f64) -> Self {
-        self.lat = lat;
-        self
-    }
-
-    /// Sets the initial-load distribution.
-    pub fn load(mut self, load: LoadDistribution) -> Self {
-        self.load = load;
-        self
-    }
-
-    /// Sets the average initial load per server.
-    pub fn avg_load(mut self, avg: f64) -> Self {
-        self.avg = avg;
-        self
-    }
-
-    /// Sets the speed distribution.
-    pub fn speeds(mut self, speeds: SpeedKind) -> Self {
-        self.speeds = speeds;
-        self
-    }
-
-    /// Sets the RNG seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Sets the transfer quantum (0 = continuous).
-    pub fn granularity(mut self, gran: f64) -> Self {
-        self.gran = gran;
-        self
-    }
-
-    /// Sets the termination triple: tolerance, calm rounds, budget.
-    pub fn termination(mut self, eps: f64, patience: usize, budget: usize) -> Self {
-        self.eps = eps;
-        self.patience = patience;
-        self.budget = budget;
-        self
-    }
-
-    /// Sets the partner-selection policy. Like the axes below, only
-    /// some algorithms honour a non-default value — here
-    /// `algo=protocol`; see [`validate`](Self::validate).
-    pub fn select(mut self, select: SelectSpec) -> Self {
-        self.select = select;
-        self
-    }
-
-    /// Sets the fault schedule (`algo=protocol` only).
-    pub fn faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Sets the liveness-detection mode (`algo=protocol` only).
-    pub fn detect(mut self, detect: DetectSpec) -> Self {
-        self.detect = detect;
-        self
-    }
-
-    /// Sets the live arrival processes (`algo=protocol` only, and a
-    /// positive [`duration_ms`](Self::duration_ms) is required).
-    pub fn arrivals(mut self, arrivals: ArrivalPlan) -> Self {
-        self.arrivals = arrivals;
-        self
-    }
-
-    /// Sets the stream horizon in virtual ms (see
-    /// [`arrivals`](Self::arrivals)).
-    pub fn duration_ms(mut self, duration: f64) -> Self {
-        self.duration = duration;
-        self
-    }
-
-    /// Sets the scoring control plane (the engine algorithms,
-    /// `algo=sequential`/`algo=batched`, only).
-    pub fn gossip(mut self, gossip: GossipSpec) -> Self {
-        self.gossip = gossip;
-        self
-    }
-
-    /// Sets the observability mode (`algo=protocol` only).
-    pub fn trace(mut self, trace: TraceSpec) -> Self {
-        self.trace = trace;
-        self
-    }
-
     /// Parses the text form. Empty input yields the default scenario;
     /// unknown keys, malformed values, duplicate keys, and key
     /// combinations [`validate`](Self::validate) refuses are errors.
     pub fn parse(text: &str) -> Result<Self, SpecError> {
+        let spec = Self::read(text)?;
+        spec.validate()?;
+        Ok(spec)
+    }
+
+    /// Reads the tokens of a text form into a spec, each value through
+    /// its [`AXES`] row's reader; the key combination is not checked.
+    fn read(text: &str) -> Result<Self, SpecError> {
         let mut spec = Self::default();
         let mut seen: Vec<&str> = Vec::new();
         for token in text.split_whitespace() {
@@ -625,20 +519,22 @@ impl ScenarioSpec {
             // `text`; remember the key for duplicate detection.
             seen.push(key);
         }
-        spec.validate()?;
         Ok(spec)
     }
 
-    /// Checks the key combination against the rule book in the axis
-    /// table: an axis set away from its default must be one the spec's
-    /// `algo` honours — any other system would silently measure, say, a
-    /// fault-free run and report it as a faulted one — and `arrivals=`
-    /// and `duration=` come as a pair. [`parse`](Self::parse) ends with
-    /// this check and [`run_on`](Self::run_on) begins with it, because
-    /// a builder call cannot see the final key combination. Rules fire
-    /// in key order, so a spec that breaks two is told about the
-    /// earlier key.
+    /// Checks a spec however it was built. Its own text form is read
+    /// back first, so a value the text would refuse — `lat=1e308`,
+    /// `avg=-5`, `select=topk:0`, a `NaN` anywhere — fails with the
+    /// error [`parse`](Self::parse) gives for that text. Then the key
+    /// combination meets the rule book in the axis table: an axis set
+    /// away from its default must be one the spec's `algo` honours —
+    /// any other system would silently measure, say, a fault-free run
+    /// and report it as a faulted one — and `arrivals=` and `duration=`
+    /// come as a pair. `parse` ends with this check and every runner
+    /// begins with it. Rules fire in key order, so a spec that breaks
+    /// two is told about the earlier key.
     pub fn validate(&self) -> Result<(), SpecError> {
+        Self::read(&self.to_string())?;
         let default = Self::default();
         for axis in AXES.iter().filter(|axis| (axis.differs)(self, &default)) {
             for ((needed, met), why) in axis.needs {
@@ -774,7 +670,7 @@ macro_rules! axis {
 /// Every key of the text form, in canonical print order — the one
 /// list behind [`ScenarioSpec::parse`], its unknown-key message, the
 /// [`Display`](fmt::Display) impl and [`ScenarioSpec::validate`]. A new
-/// axis is a field, a builder and a row here.
+/// axis is a field and a row here.
 #[rustfmt::skip] // a table: one axis per entry, laid out by hand
 pub(crate) const AXES: &[Axis] = &[
     // `algo`, `net` and `m` head every canonical text.
@@ -893,7 +789,10 @@ mod tests {
     #[test]
     fn empty_parses_to_default() {
         assert_eq!(ScenarioSpec::parse("").unwrap(), ScenarioSpec::default());
-        assert_eq!(ScenarioSpec::parse("  \t ").unwrap(), ScenarioSpec::new());
+        assert_eq!(
+            ScenarioSpec::parse("  \t ").unwrap(),
+            ScenarioSpec::default()
+        );
     }
 
     #[test]
@@ -902,12 +801,14 @@ mod tests {
             ScenarioSpec::default().to_string(),
             "algo=sequential net=homog m=20"
         );
-        let spec = ScenarioSpec::new()
-            .algo(AlgoSpec::Batched)
-            .net(NetSpec::Pl)
-            .servers(500)
-            .load(LoadDistribution::Peak)
-            .seed(7);
+        let spec = ScenarioSpec {
+            algo: AlgoSpec::Batched,
+            net: NetSpec::Pl,
+            m: 500,
+            load: LoadDistribution::Peak,
+            seed: 7,
+            ..ScenarioSpec::default()
+        };
         assert_eq!(
             spec.to_string(),
             "algo=batched net=pl m=500 load=peak seed=7"
@@ -916,23 +817,32 @@ mod tests {
 
     #[test]
     fn round_trips_through_text() {
+        let base = ScenarioSpec::default();
         let specs = [
-            ScenarioSpec::default(),
-            ScenarioSpec::new()
-                .algo(AlgoSpec::Nash)
-                .termination(0.01, 2, 10_000),
-            ScenarioSpec::new()
-                .algo(AlgoSpec::Protocol)
-                .net(NetSpec::Euclid)
-                .servers(16)
-                .avg_load(80.0)
-                .speeds(SpeedKind::Const),
-            ScenarioSpec::new()
-                .algo(AlgoSpec::Bcd)
-                .latency_ms(35.5)
-                .load(LoadDistribution::Uniform)
-                .granularity(1.0)
-                .seed(999),
+            base,
+            ScenarioSpec {
+                algo: AlgoSpec::Nash,
+                eps: 0.01,
+                patience: 2,
+                budget: 10_000,
+                ..base
+            },
+            ScenarioSpec {
+                algo: AlgoSpec::Protocol,
+                net: NetSpec::Euclid,
+                m: 16,
+                avg: 80.0,
+                speeds: SpeedKind::Const,
+                ..base
+            },
+            ScenarioSpec {
+                algo: AlgoSpec::Bcd,
+                lat: 35.5,
+                load: LoadDistribution::Uniform,
+                gran: 1.0,
+                seed: 999,
+                ..base
+            },
         ];
         for spec in specs {
             let text = spec.to_string();
@@ -1056,12 +966,6 @@ mod tests {
         // writing it explicitly still parses.
         let explicit: ScenarioSpec = "algo=protocol select=exact".parse().unwrap();
         assert!(!explicit.to_string().contains("select="));
-        // The builder mirrors the text form.
-        let built = ScenarioSpec::new()
-            .algo(AlgoSpec::Protocol)
-            .servers(40)
-            .select(SelectSpec::TopK(32));
-        assert_eq!(built, spec);
         // select= is a protocol axis only.
         for text in ["select=topk:8", "algo=batched select=topk:8"] {
             let err = ScenarioSpec::parse(text).unwrap_err();
@@ -1088,12 +992,6 @@ mod tests {
         assert_eq!(spec.to_string().parse::<ScenarioSpec>().unwrap(), spec);
         // The default (empty) plan is omitted from the canonical form.
         assert!(!ScenarioSpec::default().to_string().contains("faults="));
-        // The builder mirrors the text form.
-        let built = ScenarioSpec::new()
-            .algo(AlgoSpec::Protocol)
-            .servers(40)
-            .faults(FaultPlan::new().crash(0.1, 500.0).loss(0.05));
-        assert_eq!(built, spec);
     }
 
     #[test]
@@ -1143,12 +1041,6 @@ mod tests {
         // detect=oracle is the default and omitted from the text form.
         let explicit: ScenarioSpec = "algo=protocol detect=oracle".parse().unwrap();
         assert!(!explicit.to_string().contains("detect="));
-        // The builder mirrors the text form.
-        let built = ScenarioSpec::new()
-            .algo(AlgoSpec::Protocol)
-            .servers(40)
-            .detect(DetectSpec::Timeout(200.0));
-        assert_eq!(built, spec);
     }
 
     #[test]
@@ -1196,12 +1088,6 @@ mod tests {
         // The default is omitted even when written out.
         let explicit: ScenarioSpec = "algo=batched gossip=emulated".parse().unwrap();
         assert!(!explicit.to_string().contains("gossip="));
-        // The builder mirrors the text form.
-        let built = ScenarioSpec::new()
-            .algo(AlgoSpec::Batched)
-            .servers(40)
-            .gossip(GossipSpec::Event { period_ms: 100.0 });
-        assert_eq!(built, spec);
     }
 
     #[test]
@@ -1255,17 +1141,6 @@ mod tests {
             .parse()
             .unwrap();
         assert_eq!(ms.duration, 800.0);
-        // The builder mirrors the text form.
-        let built = ScenarioSpec::new()
-            .algo(AlgoSpec::Protocol)
-            .servers(40)
-            .arrivals(
-                ArrivalPlan::new()
-                    .poisson(200.0)
-                    .burst(400.0, 500.0, 1500.0),
-            )
-            .duration_ms(2000.0);
-        assert_eq!(built, spec);
     }
 
     #[test]
@@ -1327,13 +1202,8 @@ mod tests {
         // trace=off is the default and omitted from the text form.
         let explicit: ScenarioSpec = "algo=protocol runtime=events trace=off".parse().unwrap();
         assert!(!explicit.to_string().contains("trace="));
-        // The builder mirrors the text form, and the spec stays Copy.
-        let built = ScenarioSpec::new()
-            .algo(AlgoSpec::Protocol)
-            .servers(40)
-            .trace(TraceSpec::Frames(TracePath::new("run.dlbtrace").unwrap()));
-        let copy = built; // Copy, not move
-        assert_eq!(built, spec);
+        // The spec stays Copy, path and all.
+        let copy = spec; // Copy, not move
         assert_eq!(copy, spec);
         // Paths survive directories and dots.
         let deep = TracePath::new("target/traces/m64.seed3.dlbtrace").unwrap();
@@ -1368,77 +1238,124 @@ mod tests {
         }
     }
 
-    /// The builder can construct what `parse` rejects; `validate` is
+    /// A struct literal can hold what `parse` rejects; `validate` is
     /// the typed refusal `parse` ends with and `run_on` begins with.
     #[test]
     fn validate_refuses_axes_the_algo_does_not_honour() {
         use AlgoSpec::*;
-        let on = |algo| ScenarioSpec::new().algo(algo).servers(4);
-        let loss = FaultPlan::new().loss(0.1);
-        let poisson = ArrivalPlan::new().poisson(100.0);
-        let event = GossipSpec::Event { period_ms: 100.0 };
+        let on = |algo| ScenarioSpec {
+            algo,
+            m: 4,
+            ..ScenarioSpec::default()
+        };
+        let faults = "loss:0.1".parse().unwrap();
+        let arrivals = "poisson:100".parse().unwrap();
+        let gossip = GossipSpec::Event { period_ms: 100.0 };
         let too_heavy = "avg= requires a value up to 1e100 (a load reaches avg × m under \
                          load=peak and ΣC squares it; neither would stay finite)";
         for (spec, message) in [
             (
-                on(Batched).select(SelectSpec::TopK(4)),
+                ScenarioSpec {
+                    select: SelectSpec::TopK(4),
+                    ..on(Batched)
+                },
                 "select= requires algo=protocol (partner selection is a protocol-runtime \
                  policy; the analytic engines have their own pruning axis)",
             ),
             (
-                on(Nash).faults(loss),
+                ScenarioSpec { faults, ..on(Nash) },
                 "faults= requires algo=protocol (the deterministic simulation is what can \
                  replay a fault schedule)",
             ),
             (
-                on(Batched).detect(DetectSpec::Adaptive),
+                ScenarioSpec {
+                    detect: DetectSpec::Adaptive,
+                    ..on(Batched)
+                },
                 "detect= requires algo=protocol (in-protocol failure detection needs the \
                  virtual clock to arm deadlines on)",
             ),
             (
-                on(Sequential).arrivals(poisson).duration_ms(500.0),
+                ScenarioSpec {
+                    arrivals,
+                    duration: 500.0,
+                    ..on(Sequential)
+                },
                 "arrivals= requires algo=protocol (live streaming rides the deterministic \
                  virtual-time event heap)",
             ),
             // The two stream keys come as a pair, and the pairing is
             // checked before the algorithm.
             (
-                on(Batched).arrivals(poisson),
+                ScenarioSpec {
+                    arrivals,
+                    ..on(Batched)
+                },
                 "arrivals= requires duration= (a positive stream horizon in virtual ms, \
                  e.g. duration=2000ms)",
             ),
             (
-                on(Protocol).duration_ms(500.0),
+                ScenarioSpec {
+                    duration: 500.0,
+                    ..on(Protocol)
+                },
                 "duration= requires arrivals= (the horizon only bounds a live arrival \
                  stream, e.g. arrivals=poisson:200)",
             ),
             // Loads that could not stay finite, whatever the algorithm.
-            (on(Protocol).avg_load(1e300), too_heavy),
-            (on(Sequential).avg_load(1e308).faults(loss), too_heavy),
+            (
+                ScenarioSpec {
+                    avg: 1e300,
+                    ..on(Protocol)
+                },
+                too_heavy,
+            ),
+            (
+                ScenarioSpec {
+                    avg: 1e308,
+                    faults,
+                    ..on(Sequential)
+                },
+                too_heavy,
+            ),
             // More nodes than there are node ids.
             (
-                on(Protocol).servers(MAX_M + 1),
+                ScenarioSpec {
+                    m: MAX_M + 1,
+                    ..on(Protocol)
+                },
                 "m= requires a value of at most 4294967295 (node ids are 32-bit)",
             ),
             // A schedule the stream compiler would abort on.
             (
-                on(Protocol).arrivals(poisson).duration_ms(MAX_MS),
+                ScenarioSpec {
+                    arrivals,
+                    duration: MAX_MS,
+                    ..on(Protocol)
+                },
                 "arrivals= requires rate × duration under 1000000 requests (the whole \
                  schedule is compiled before the run; lower the rate or the horizon)",
             ),
             (
-                on(Nash).gossip(event),
+                ScenarioSpec { gossip, ..on(Nash) },
                 "gossip= requires algo=sequential or algo=batched (stale partner scoring \
                  is an engine axis; the protocol runtime exchanges live views by design)",
             ),
             (
-                on(Bcd).trace(TraceSpec::Summary),
+                ScenarioSpec {
+                    trace: TraceSpec::Summary,
+                    ..on(Bcd)
+                },
                 "trace= requires algo=protocol (the deterministic executor is what stamps \
                  trace events on the virtual clock)",
             ),
             // Two rules broken: the earlier key is the one named.
             (
-                on(Nash).faults(loss).gossip(event),
+                ScenarioSpec {
+                    faults,
+                    gossip,
+                    ..on(Nash)
+                },
                 "faults= requires algo=protocol (the deterministic simulation is what can \
                  replay a fault schedule)",
             ),
@@ -1454,24 +1371,34 @@ mod tests {
         // Every axis at its default is honoured by every algorithm, and
         // so is the largest average the message names.
         for algo in AlgoSpec::ALL {
+            let heaviest = ScenarioSpec {
+                avg: MAX_AVG,
+                m: MAX_M,
+                ..on(algo)
+            };
             assert_eq!(on(algo).validate(), Ok(()), "{algo:?}");
-            assert_eq!(on(algo).avg_load(MAX_AVG).validate(), Ok(()), "{algo:?}");
-            assert_eq!(on(algo).servers(MAX_M).validate(), Ok(()), "{algo:?}");
+            assert_eq!(heaviest.validate(), Ok(()), "{algo:?}");
         }
         assert_eq!(Ok(MAX_AVG), "1e100".parse(), "the bound the message names");
     }
 
     #[test]
     fn build_instance_is_deterministic_and_seed_sensitive() {
-        let spec = ScenarioSpec::new().servers(12).net(NetSpec::Pl).seed(5);
+        let spec: ScenarioSpec = "net=pl m=12 seed=5".parse().unwrap();
         assert_eq!(spec.build_instance(), spec.build_instance());
-        assert_ne!(spec.build_instance(), spec.seed(6).build_instance());
+        let other = ScenarioSpec { seed: 6, ..spec };
+        assert_ne!(spec.build_instance(), other.build_instance());
     }
 
     #[test]
     fn build_instance_covers_every_net() {
         for net in [NetSpec::Homog, NetSpec::Euclid, NetSpec::Pl] {
-            let inst = ScenarioSpec::new().net(net).servers(8).build_instance();
+            let spec = ScenarioSpec {
+                net,
+                m: 8,
+                ..ScenarioSpec::default()
+            };
+            let inst = spec.build_instance();
             assert_eq!(inst.len(), 8);
             assert!(inst.total_load() > 0.0);
         }
@@ -1479,7 +1406,8 @@ mod tests {
 
     #[test]
     fn homog_latency_honours_lat_key() {
-        let inst = ScenarioSpec::new().latency_ms(7.5).build_instance();
+        let spec: ScenarioSpec = "lat=7.5".parse().unwrap();
+        let inst = spec.build_instance();
         assert_eq!(inst.c(0, 1), 7.5);
     }
 }

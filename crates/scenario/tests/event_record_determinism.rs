@@ -8,16 +8,13 @@
 //! This file is its own test binary so the `DLB_THREADS` mutations
 //! cannot race with unrelated tests.
 
-use dlb_scenario::{AlgoSpec, RunRecord, ScenarioSpec};
+use dlb_scenario::{RunRecord, ScenarioSpec};
 
 #[test]
 fn event_run_records_are_bit_identical_across_thread_counts_and_repeats() {
-    let spec = ScenarioSpec::new()
-        .algo(AlgoSpec::Protocol)
-        .servers(40)
-        .avg_load(60.0)
-        .seed(11)
-        .termination(1e-9, 5, 200);
+    let spec: ScenarioSpec = "algo=protocol m=40 avg=60 seed=11 eps=1e-9 patience=5 budget=200"
+        .parse()
+        .unwrap();
     let mut records: Vec<RunRecord> = Vec::new();
     for threads in ["1", "4"] {
         std::env::set_var("DLB_THREADS", threads);

@@ -9,7 +9,7 @@
 //! This file is its own test binary so the `DLB_THREADS` mutations
 //! cannot race with unrelated tests.
 
-use dlb_scenario::{FaultPlan, RunRecord, ScenarioSpec};
+use dlb_scenario::{RunRecord, ScenarioSpec};
 use std::sync::Mutex;
 
 /// All three tests mutate the process-wide `DLB_THREADS` variable;
@@ -93,7 +93,11 @@ fn fault_trajectories_are_seed_sensitive() {
     let _env = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     std::env::remove_var("DLB_THREADS");
     let a = chaos_spec().run();
-    let b = chaos_spec().seed(12).run();
+    let b = ScenarioSpec {
+        seed: 12,
+        ..chaos_spec()
+    };
+    let b = b.run();
     assert_ne!(
         a.history, b.history,
         "a different seed must re-deal workload, delays, and victims"
@@ -108,10 +112,9 @@ fn fault_trajectories_are_seed_sensitive() {
 fn absent_faults_equal_an_empty_plan_byte_for_byte() {
     let _env = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     std::env::remove_var("DLB_THREADS");
-    let bare: ScenarioSpec = "algo=protocol runtime=events m=24 avg=60 seed=7 patience=5"
-        .parse()
-        .unwrap();
-    let explicit = bare.faults(FaultPlan::new());
+    let text = "algo=protocol runtime=events m=24 avg=60 seed=7 patience=5";
+    let bare: ScenarioSpec = text.parse().unwrap();
+    let explicit: ScenarioSpec = format!("{text} faults=").parse().unwrap();
     assert_eq!(bare, explicit, "an empty plan is the default");
     let a = bare.run();
     let b = explicit.run();

@@ -11,16 +11,16 @@
 use dlb_distributed::mine::PartnerSelection;
 use dlb_distributed::{ConvergenceReport, Engine, EngineOptions};
 use dlb_scenario::runner::GOSSIP_TOP_K;
-use dlb_scenario::{AlgoSpec, GossipSpec, NetSpec, RunRecord, ScenarioSpec};
+use dlb_scenario::{AlgoSpec, GossipSpec, RunRecord, ScenarioSpec};
 
 fn base() -> ScenarioSpec {
-    ScenarioSpec::new()
-        .algo(AlgoSpec::Sequential)
-        .net(NetSpec::Pl)
-        .servers(60)
-        .seed(5)
-        .termination(1e-10, 3, 300)
+    "algo=sequential net=pl m=60 seed=5 budget=300"
+        .parse()
+        .unwrap()
 }
+
+/// `base()` fed by delta gossip every 100 virtual ms.
+const EVENT: GossipSpec = GossipSpec::Event { period_ms: 100.0 };
 
 /// Fresh scoring on the forced-pruned selection the gossip axis uses:
 /// the engine on live loads, isolating staleness from pruning.
@@ -39,7 +39,11 @@ fn fresh_pruned(spec: ScenarioSpec) -> ConvergenceReport {
 #[test]
 fn real_gossip_views_land_within_one_percent_of_fresh_scoring() {
     let fresh = fresh_pruned(base());
-    let event = base().gossip(GossipSpec::Event { period_ms: 100.0 }).run();
+    let event = ScenarioSpec {
+        gossip: EVENT,
+        ..base()
+    };
+    let event = event.run();
     assert!(fresh.converged && event.converged);
     let f = fresh.final_cost;
     // The acceptance bar: real per-server gossip views are near-fresh
@@ -63,9 +67,11 @@ fn real_gossip_views_land_within_one_percent_of_fresh_scoring() {
 
 #[test]
 fn gossip_fed_records_are_bit_identical_across_thread_counts() {
-    let spec = base()
-        .algo(AlgoSpec::Batched)
-        .gossip(GossipSpec::Event { period_ms: 100.0 });
+    let spec = ScenarioSpec {
+        algo: AlgoSpec::Batched,
+        gossip: EVENT,
+        ..base()
+    };
     let mut records: Vec<RunRecord> = Vec::new();
     for threads in ["1", "4"] {
         std::env::set_var("DLB_THREADS", threads);

@@ -7,7 +7,7 @@
 //! cannot race with unrelated tests; the parity tests share the lock
 //! because they must not observe a pinned thread count either.
 
-use dlb_scenario::{AlgoSpec, RunRecord, ScenarioSpec, SelectSpec};
+use dlb_scenario::{RunRecord, ScenarioSpec, SelectSpec};
 use std::sync::Mutex;
 
 /// Serializes every test in this binary around the process-wide
@@ -31,7 +31,10 @@ fn topk_lands_within_one_percent_of_exact_across_seeds_and_topologies() {
                  seed={seed} select=topk:16 patience=5 budget=600"
             );
             let topk: ScenarioSpec = text.parse().unwrap();
-            let exact = topk.select(SelectSpec::Exact);
+            let exact = ScenarioSpec {
+                select: SelectSpec::Exact,
+                ..topk
+            };
             let instance = topk.build_instance();
             let a = topk.run_on(instance.clone());
             let b = exact.run_on(instance);
@@ -64,7 +67,10 @@ fn topk_matches_exact_under_fault_injection() {
              select=topk:16 patience=5 budget=600 faults=crash:0.1@200ms,loss:0.05"
         );
         let topk: ScenarioSpec = text.parse().unwrap();
-        let exact = topk.select(SelectSpec::Exact);
+        let exact = ScenarioSpec {
+            select: SelectSpec::Exact,
+            ..topk
+        };
         let instance = topk.build_instance();
         let a = topk.run_on(instance.clone());
         let b = exact.run_on(instance);
@@ -92,13 +98,10 @@ fn topk_matches_exact_under_fault_injection() {
 #[test]
 fn topk_records_are_bit_identical_across_thread_counts_and_repeats() {
     let _env = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let spec = ScenarioSpec::new()
-        .algo(AlgoSpec::Protocol)
-        .servers(64)
-        .avg_load(60.0)
-        .seed(9)
-        .select(SelectSpec::TopK(8))
-        .termination(1e-9, 5, 400);
+    let spec: ScenarioSpec = "algo=protocol m=64 avg=60 seed=9 eps=1e-9 patience=5 budget=400 \
+                              select=topk:8"
+        .parse()
+        .unwrap();
     let mut records: Vec<RunRecord> = Vec::new();
     for threads in ["1", "4"] {
         std::env::set_var("DLB_THREADS", threads);

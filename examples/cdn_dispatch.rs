@@ -17,14 +17,9 @@ use delay_lb::prelude::*;
 fn main() {
     let m = 40;
     // Forty front-ends on a PlanetLab-like WAN with exponential base
-    // traffic (mean 30 requests) — named declaratively through the
-    // shared scenario builder, so the exact same instance is one
-    // `dlb run net=pl m=40 avg=30 seed=7` away.
-    let spec = ScenarioSpec::new()
-        .net(NetSpec::Pl)
-        .servers(m)
-        .avg_load(30.0)
-        .seed(7);
+    // traffic (mean 30 requests) — named in scenario text, so the exact
+    // same instance is one `dlb run net=pl m=40 avg=30 seed=7` away.
+    let spec: ScenarioSpec = format!("net=pl m={m} avg=30 seed=7").parse().unwrap();
     let mut instance = spec.build_instance();
 
     // Flash crowd: three sites suddenly produce 60% of all traffic.

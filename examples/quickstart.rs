@@ -9,15 +9,10 @@ use delay_lb::solver::{solve_frank_wolfe, FwOptions};
 fn main() {
     // Ten servers with U(1,5) speeds, exponential loads (mean 50
     // requests), homogeneous 20 ms latency — the paper's default
-    // evaluation setting (§VI-A) — built with the scenario API's
-    // builder. The same spec can be written as text
-    // (`dlb run algo=sequential m=10 seed=42`) and round-trips:
-    let spec = ScenarioSpec::new()
-        .servers(10)
-        .seed(42)
-        .termination(1e-10, 2, 100);
+    // evaluation setting (§VI-A) — named in the scenario text that
+    // `dlb run m=10 seed=42 patience=2 budget=100` reads too:
+    let spec: ScenarioSpec = "m=10 seed=42 patience=2 budget=100".parse().unwrap();
     println!("scenario: {spec}");
-    assert_eq!(spec.to_string().parse::<ScenarioSpec>().unwrap(), spec);
 
     // `build_instance` is the single sampling path shared with the
     // CLI and every bench harness: same spec, same instance.
@@ -69,7 +64,14 @@ fn main() {
         "frank-wolfe:         {:>12.2} request·ms  ({} iterations)",
         fw.objective, fw.iters
     );
-    let bcd = spec.algo(AlgoSpec::Bcd).termination(1e-10, 3, 1_000).run();
+    // Another algorithm on the same instance is a struct update.
+    let bcd = ScenarioSpec {
+        algo: AlgoSpec::Bcd,
+        patience: 3,
+        budget: 1_000,
+        ..spec
+    };
+    let bcd = bcd.run();
     println!(
         "coordinate descent:  {:>12.2} request·ms  ({} sweeps)",
         bcd.final_cost(),

@@ -18,22 +18,22 @@
 //! Every evaluation regime — cooperative vs. selfish, sequential vs.
 //! batched rounds, message-passing deployment, homogeneous vs.
 //! PlanetLab-like networks — is named by one declarative
-//! [`ScenarioSpec`](scenario::ScenarioSpec):
+//! [`ScenarioSpec`](scenario::ScenarioSpec), written as `key=value`
+//! text:
 //!
 //! ```
 //! use delay_lb::prelude::*;
 //!
 //! // The paper's default §VI-A setting, batched rounds, 30 servers.
-//! let spec = ScenarioSpec::new()
-//!     .algo(AlgoSpec::Batched)
-//!     .servers(30)
-//!     .seed(7)
-//!     .termination(1e-10, 3, 100);
+//! let spec: ScenarioSpec = "algo=batched m=30 seed=7 budget=100".parse().unwrap();
 //!
-//! // Specs round-trip through a flat text form, so the same value
+//! // A spec prints back to its canonical text, so the same value
 //! // travels through CLI flags, bench grids, and JSON records:
 //! assert_eq!(spec.to_string(), "algo=batched net=homog m=30 seed=7 budget=100");
-//! assert_eq!(spec.to_string().parse::<ScenarioSpec>().unwrap(), spec);
+//!
+//! // A computed value is a struct update; the field names are the keys.
+//! let wider = ScenarioSpec { m: 2 * spec.m, ..spec };
+//! assert_eq!(wider.to_string(), "algo=batched net=homog m=60 seed=7 budget=100");
 //!
 //! // Run it; every runner emits the same RunRecord shape.
 //! let run = spec.run();
@@ -63,10 +63,7 @@
 //! ```
 //! use delay_lb::prelude::*;
 //!
-//! let spec = ScenarioSpec::new()
-//!     .algo(AlgoSpec::Protocol)
-//!     .servers(40)
-//!     .seed(7);
+//! let spec: ScenarioSpec = "algo=protocol m=40 seed=7".parse().unwrap();
 //! let (a, b) = (spec.run(), spec.run());
 //! assert_eq!(a, b); // whole records reproduce, wall_secs included:
 //! assert!(a.wall_secs > 0.0); // ...it carries *simulated* seconds
@@ -93,7 +90,10 @@
 //! let topk: ScenarioSpec = "algo=protocol m=60 select=topk:8"
 //!     .parse()
 //!     .unwrap();
-//! let exact = topk.select(SelectSpec::Exact);
+//! let exact = ScenarioSpec {
+//!     select: SelectSpec::Exact,
+//!     ..topk
+//! };
 //! let (a, b) = (topk.run(), exact.run());
 //! assert!(a.converged && b.converged);
 //! let drift = (a.final_cost() - b.final_cost()).abs() / b.final_cost();
@@ -241,7 +241,11 @@
 //! assert!(run.gossip.bytes > 0); // real frames moved on the wire
 //!
 //! // Fed by real gossip, the engine lands where fresh scoring does:
-//! let fresh = spec.gossip(GossipSpec::default()).run();
+//! let fresh = ScenarioSpec {
+//!     gossip: GossipSpec::Emulated,
+//!     ..spec
+//! };
+//! let fresh = fresh.run();
 //! assert!(run.final_cost() <= fresh.final_cost() * 1.01);
 //! assert!(fresh.gossip.is_quiet()); // the default moves no bytes
 //! ```

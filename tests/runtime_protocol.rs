@@ -104,7 +104,7 @@ fn protocol_survives_dead_nodes() {
     loads[0] = 2_400.0;
     instance.set_own_loads(loads);
     // Seed 5 crashes three nodes and spares the loaded node 0.
-    let script = FaultPlan::default().crash(0.25, 0.0).compile(5, m);
+    let script = FaultPlan::parse("crash:0.25@0ms").unwrap().compile(5, m);
     let dead = script.down_at(0.0);
     assert_eq!(dead, [5, 8, 11]);
     let report = run_cluster_events_observed(
