@@ -5,8 +5,7 @@
 //! * the distributed engine (exact partner selection, single thread),
 //! * the distributed engine (pruned partner selection),
 //! * exact block-coordinate descent (the fastest centralized method),
-//! * projected gradient (FISTA),
-//! * Frank-Wolfe (iteration-capped; its sublinear tail is the point).
+//! * projected gradient (FISTA).
 //!
 //! Run: `cargo bench -p dlb-bench --bench ablation_solver_comparison`.
 
@@ -18,7 +17,6 @@ use dlb_distributed::mine::PartnerSelection;
 use dlb_distributed::{Engine, EngineOptions};
 use dlb_scenario::results::{JsonlSink, Record};
 use dlb_scenario::ScenarioSpec;
-use dlb_solver::frank_wolfe::{solve_frank_wolfe, FwOptions};
 use dlb_solver::{solve_bcd, solve_pgd, PgdOptions};
 
 fn main() {
@@ -92,20 +90,6 @@ fn main() {
         rows.push((
             "projected gradient".into(),
             pgd.objective,
-            t.elapsed().as_secs_f64() * 1e3,
-        ));
-
-        let t = Instant::now();
-        let (_, fw) = solve_frank_wolfe(
-            &instance,
-            &FwOptions {
-                max_iters: 5_000,
-                tol: 1e-7,
-            },
-        );
-        rows.push((
-            "frank-wolfe (5k iters)".into(),
-            fw.objective,
             t.elapsed().as_secs_f64() * 1e3,
         ));
 

@@ -287,7 +287,6 @@ fn cmd_estimate(args: &Args) -> Result<(), SpecError> {
         EstimatorConfig {
             probes_per_tick: probes,
             seed,
-            ..Default::default()
         },
     );
     let mut sink = open_sink(args)?;

@@ -53,14 +53,7 @@ impl GossipFeed {
             "gossip period must be positive, got {period_ms}"
         );
         let m = loads.len();
-        let net = DeltaGossip::warm(
-            loads,
-            seed,
-            DeltaGossipConfig {
-                period_ms,
-                ..DeltaGossipConfig::default()
-            },
-        );
+        let net = DeltaGossip::warm(loads, seed, DeltaGossipConfig { period_ms });
         let periods_per_iter = (usize::BITS - m.max(2).saturating_sub(1).leading_zeros()).max(1);
         Self {
             net,

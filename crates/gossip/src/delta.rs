@@ -9,10 +9,11 @@
 //! ([`crate::wire::DeltaFrame`]):
 //!
 //! - **Hot set (rumor mongering).** Every entry a node heard within the
-//!   last `hot_ticks` of its own periods is "hot" and rides along in
-//!   the frame's `changed` list. A fresh publish therefore spreads
-//!   epidemically in O(log m) periods, exactly like full-view push-pull
-//!   — but the frame carries only the entries that recently moved.
+//!   last `hot_ticks` of its own periods (the rumor window, a function
+//!   of `m` alone) is "hot" and rides along in the frame's `changed`
+//!   list. A fresh publish therefore spreads epidemically in O(log m)
+//!   periods, exactly like full-view push-pull — but the frame carries
+//!   only the entries that recently moved.
 //! - **Rotating shard fallback (anti-entropy).** Each frame also
 //!   carries the *complete* contents of one shard
 //!   ([`crate::ShardMap`]), rotating through the shards with the
@@ -73,25 +74,24 @@ use rand::Rng;
 use crate::shard::ShardMap;
 use crate::wire::{self, DeltaFrameRef, WireEntry};
 
-/// Timing and rumor-window knobs for [`DeltaGossip`].
+/// Timing of [`DeltaGossip`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeltaGossipConfig {
     /// Virtual ms between one node's successive exchange initiations.
     pub period_ms: f64,
-    /// How many of a node's own ticks an entry stays "hot" (rides in
-    /// the `changed` list) after being heard. `0` = auto:
-    /// `2·⌈log2 m⌉ + 2`, enough for a rumor to spread w.h.p. before it
-    /// cools.
-    pub hot_ticks: u32,
 }
 
 impl Default for DeltaGossipConfig {
     fn default() -> Self {
-        Self {
-            period_ms: 100.0,
-            hot_ticks: 0,
-        }
+        Self { period_ms: 100.0 }
     }
+}
+
+/// How many of a node's own ticks an entry stays "hot" (rides in the
+/// `changed` list) after being heard: `2·⌈log2(m+1)⌉ + 2`, enough for a
+/// rumor to spread w.h.p. before it cools.
+fn hot_ticks(m: usize) -> u32 {
+    2 * (usize::BITS - m.max(1).leading_zeros()) + 2
 }
 
 /// Wire-traffic counters for a delta-gossip network, accumulated over
@@ -274,11 +274,6 @@ impl DeltaGossip {
     fn bare(loads: &[f64], seed: u64, config: DeltaGossipConfig, warm: bool) -> Self {
         let m = loads.len();
         let shards = ShardMap::auto(m);
-        let hot_ticks = if config.hot_ticks > 0 {
-            config.hot_ticks
-        } else {
-            2 * (usize::BITS - m.max(1).leading_zeros()) + 2
-        };
         let known = |node: usize, origin: usize| warm || node == origin;
         let views: Vec<Vec<f64>> = (0..m)
             .map(|node| {
@@ -331,7 +326,7 @@ impl DeltaGossip {
             completed_at: Some(0.0),
             now: 0.0,
             period_ms: config.period_ms,
-            hot_ticks,
+            hot_ticks: hot_ticks(m),
             heap,
             rng: rng_for(seed, 0xDE17A),
             traffic: GossipTraffic::default(),
@@ -983,23 +978,30 @@ mod tests {
         // the wire to `assert_matches_reference`: same bytes as
         // `encode_delta(&reference_frame(..))`, same traffic metered.
         // This drives it hard: cold and warm starts, publishes landing
-        // mid-period between partial advances, rumors that outlive the
-        // run (auto window) and rumors that cool (3 ticks), at sizes
+        // mid-period between partial advances, then a quiet half that
+        // runs past the rumor window so every rumor cools, at sizes
         // whose bitsets span 1, 2, 3 and 9 words over 2, 4, 5 and 8
         // shards.
         let delays = |i: usize, j: usize| 1.0 + ((i * 3 + j * 7) % 11) as f64;
         for m in [50usize, 100, 130, 520] {
-            for (warm, hot_ticks) in [(false, 0), (true, 0), (false, 3), (true, 3)] {
+            for warm in [false, true] {
                 let loads: Vec<f64> = (0..m).map(|i| (i * 7 % 31) as f64).collect();
-                let config = DeltaGossipConfig { hot_ticks, ..cfg() };
                 let mut net = if warm {
-                    DeltaGossip::warm(&loads, m as u64, config)
+                    DeltaGossip::warm(&loads, m as u64, cfg())
                 } else {
-                    DeltaGossip::new(&loads, m as u64, config)
+                    DeltaGossip::new(&loads, m as u64, cfg())
                 };
-                for step in 0..10 {
-                    // Churn for the first half, then let rumors cool.
-                    for k in 0..(if step < 5 { m / 5 } else { 0 }) {
+                // Every (node, fallback) pair in the current state,
+                // including shards the rotation did not pick.
+                let every_frame = |net: &mut DeltaGossip| {
+                    for n in 0..m {
+                        for fallback in 0..net.shards().count() {
+                            net.build_frame(n, fallback);
+                        }
+                    }
+                };
+                for step in 0..5 {
+                    for k in 0..m / 5 {
                         net.publish((step * 13 + k * 7) % m, (step * m + k) as f64);
                     }
                     net.advance(net.now_ms() + 130.0, delays);
@@ -1007,15 +1009,26 @@ mod tests {
                 let t = net.traffic();
                 assert!(
                     t.frames > 10 * m as u64 && t.delta_entries > 0 && t.full_entries > 0,
-                    "m={m} warm={warm} hot_ticks={hot_ticks}: {t:?}"
+                    "m={m} warm={warm}: {t:?}"
                 );
-                // And every (node, fallback) pair in the state the run
-                // ended in, including shards the rotation did not pick.
-                for n in 0..m {
-                    for fallback in 0..net.shards().count() {
-                        net.build_frame(n, fallback);
-                    }
+                every_frame(&mut net);
+                let hot = |net: &DeltaGossip| {
+                    (net.nodes.iter().flat_map(|s| &s.hot))
+                        .map(|w| w.count_ones())
+                        .sum::<u32>()
+                };
+                assert!(hot(&net) > 0, "m={m} warm={warm}: churn left no rumor");
+                // Quiet: dissemination completes, then the window
+                // passes without a fresh `heard`, so every bit clears
+                // in `end_period` while frames keep flowing.
+                let (complete, _) = net.run_until_complete(60_000.0, delays);
+                assert!(complete);
+                let window = f64::from(hot_ticks(m) + 1) * cfg().period_ms;
+                while net.now_ms() < net.completed_at().unwrap() + window {
+                    net.advance(net.now_ms() + 130.0, delays);
                 }
+                assert_eq!(hot(&net), 0, "m={m} warm={warm}: rumors never cooled");
+                every_frame(&mut net);
             }
         }
     }

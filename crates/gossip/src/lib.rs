@@ -13,8 +13,10 @@
 //!   empirically. Views are sharded ([`shard`]) and frames carry only
 //!   recently-changed entries plus one rotating full shard as
 //!   anti-entropy fallback, so steady-state traffic is O(changed) per
-//!   frame, not O(m). This is the layer the engine's `GossipFeed`
-//!   drives its stale scoring from.
+//!   frame, not O(m). "Recently" is a rumor window fixed by `m`
+//!   (`2·⌈log2(m+1)⌉ + 2` of a node's own periods); the exchange period
+//!   ([`DeltaGossipConfig::period_ms`]) is the one setting. This is the
+//!   layer the engine's `GossipFeed` drives its stale scoring from.
 //! * [`wire`] — the delta frame's compact encoding on plain byte
 //!   slices, property-tested, with a decode-from-the-front decoder for
 //!   concatenated frame streams and a borrowed in-place parser

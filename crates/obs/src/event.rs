@@ -21,9 +21,6 @@ pub const NO_PEER: u32 = u32::MAX - 1;
 /// `detail` reason code on [`TraceKind::FrameDropped`]: the
 /// destination was down when the frame landed.
 pub const DROP_DEST_DOWN: f64 = 1.0;
-/// `detail` reason code on [`TraceKind::FrameDropped`]: the fault
-/// script's lossy link swallowed the frame past its retransmit budget.
-pub const DROP_LINK_LOSS: f64 = 2.0;
 /// `detail` reason code on [`TraceKind::FrameDropped`]: the source was
 /// down at emission time, so its outbound batch never left.
 pub const DROP_SRC_DOWN: f64 = 3.0;
@@ -42,7 +39,9 @@ pub enum TraceKind {
     /// `detail` = 0.
     FrameDelivered = 1,
     /// A frame left the heap but was discarded. `detail` = one of the
-    /// `DROP_*` reason codes.
+    /// `DROP_*` reason codes. A lossy link never drops: it delays the
+    /// frame through retransmission ([`TraceKind::FrameHeld`]), so code
+    /// 2 is unused.
     FrameDropped = 2,
     /// The fault script delayed a frame beyond its base link time.
     /// `node`/`peer`/`tag` as scheduled; `detail` = extra ms.

@@ -29,7 +29,7 @@ use dlb_core::workload::{LoadDistribution, SpeedDistribution, WorkloadSpec};
 use dlb_core::{Instance, LatencyMatrix};
 use dlb_faults::FaultPlan;
 use dlb_requestsim::stream::ArrivalPlan;
-use dlb_topology::{EuclideanConfig, PlanetLabConfig};
+use dlb_topology::{euclidean, planetlab};
 
 /// RNG stream salt of the single instance-sampling path. This is the
 /// salt the bench harnesses have always used, so the committed
@@ -552,8 +552,8 @@ impl ScenarioSpec {
     pub fn build_latency(&self) -> LatencyMatrix {
         match self.net {
             NetSpec::Homog => LatencyMatrix::homogeneous(self.m, self.lat),
-            NetSpec::Euclid => EuclideanConfig::default().generate(self.m, self.seed),
-            NetSpec::Pl => PlanetLabConfig::default().generate(self.m, self.seed),
+            NetSpec::Euclid => euclidean::generate(self.m, self.seed),
+            NetSpec::Pl => planetlab::generate(self.m, self.seed),
         }
     }
 

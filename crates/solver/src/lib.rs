@@ -18,9 +18,9 @@
 //! * [`dense`] — dense request-matrix representation, objective and
 //!   gradient evaluation, Frank-Wolfe optimality gap,
 //! * [`projection`] — Euclidean projection onto (capped) simplexes,
-//! * [`pgd`] — projected gradient descent with optional FISTA
-//!   acceleration,
-//! * [`frank_wolfe`] — Frank-Wolfe with exact line search,
+//! * [`pgd`] — FISTA-accelerated projected gradient descent (the
+//!   generic solver) and exact block-coordinate descent (the optimum
+//!   oracle behind `algo=bcd`),
 //! * [`waterfill`] — the exact KKT water-filling solver for single-row
 //!   quadratic programs (the kernel of selfish best responses),
 //! * [`bruteforce`] — grid-search reference optima for tiny instances
@@ -32,7 +32,6 @@
 pub mod bruteforce;
 pub mod dense;
 pub mod extensions;
-pub mod frank_wolfe;
 pub mod game;
 pub mod pgd;
 pub mod projection;
@@ -40,7 +39,6 @@ pub mod qp;
 pub mod waterfill;
 
 pub use dense::{dense_to_assignment, objective, DenseState};
-pub use frank_wolfe::{solve_frank_wolfe, FwOptions};
 pub use pgd::{solve_bcd, solve_pgd, PgdOptions, SolveReport};
 
 /// Default relative Frank-Wolfe-gap tolerance for the iterative solvers.

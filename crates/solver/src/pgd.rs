@@ -1,4 +1,4 @@
-//! Projected gradient descent (optionally FISTA-accelerated) and exact
+//! FISTA-accelerated projected gradient descent and exact
 //! block-coordinate descent for the full cooperative QP.
 
 use dlb_core::Instance;
@@ -14,8 +14,6 @@ pub struct PgdOptions {
     pub max_iters: usize,
     /// Relative Frank-Wolfe-gap tolerance for convergence.
     pub tol: f64,
-    /// Use FISTA extrapolation with adaptive restart.
-    pub accelerated: bool,
     /// Optional per-entry caps on `r_kj` (row-major, length `m²`);
     /// used by the R-replication extension (`r_kj ≤ n_k / R`).
     pub caps: Option<Vec<f64>>,
@@ -26,7 +24,6 @@ impl Default for PgdOptions {
         Self {
             max_iters: 20_000,
             tol: crate::DEFAULT_TOL,
-            accelerated: true,
             caps: None,
         }
     }
@@ -60,8 +57,9 @@ fn project_rows(instance: &Instance, x: &mut [f64], caps: Option<&[f64]>) {
 ///
 /// The gradient of `ΣC` is `m/s_min`-Lipschitz (the Hessian is
 /// block-diagonal per server column with top eigenvalue `m/s_j`), so a
-/// fixed step `s_min/m` guarantees descent; FISTA acceleration with
-/// restart is used by default.
+/// fixed step `s_min/m` guarantees descent; the step is taken at
+/// FISTA's extrapolated point, with an adaptive restart whenever the
+/// objective rises.
 pub fn solve_pgd(instance: &Instance, opts: &PgdOptions) -> (DenseState, SolveReport) {
     let m = instance.len();
     let mut state = DenseState::local(instance);
@@ -101,10 +99,6 @@ pub fn solve_pgd(instance: &Instance, opts: &PgdOptions) -> (DenseState, SolveRe
         converged: false,
     };
     for iter in 0..opts.max_iters {
-        state.r.copy_from_slice(&y);
-        state.refresh_loads();
-        gradient(instance, &state, &mut grad);
-
         // Convergence check at the current feasible iterate x.
         state.r.copy_from_slice(&x);
         state.refresh_loads();
@@ -124,42 +118,34 @@ pub fn solve_pgd(instance: &Instance, opts: &PgdOptions) -> (DenseState, SolveRe
             break;
         }
 
-        if opts.accelerated {
-            // Gradient step at y.
-            state.r.copy_from_slice(&y);
-            state.refresh_loads();
-            gradient(instance, &state, &mut grad);
-            let mut x_next = y.clone();
-            for (xi, g) in x_next.iter_mut().zip(grad.iter()) {
-                *xi -= step * g;
-            }
-            project_rows(instance, &mut x_next, opts.caps.as_deref());
-            // Adaptive restart when the objective increases.
-            state.r.copy_from_slice(&x_next);
-            state.refresh_loads();
-            let new_obj = objective(instance, &state);
-            if new_obj > prev_obj {
-                t = 1.0;
-                y.copy_from_slice(&x);
-                prev_obj = f64::INFINITY;
-                continue;
-            }
-            prev_obj = new_obj;
-            let t_next = 0.5 * (1.0 + (1.0 + 4.0 * t * t).sqrt());
-            let beta = (t - 1.0) / t_next;
-            for i in 0..y.len() {
-                y[i] = x_next[i] + beta * (x_next[i] - x[i]);
-            }
-            project_rows(instance, &mut y, opts.caps.as_deref());
-            x.copy_from_slice(&x_next);
-            t = t_next;
-        } else {
-            for (xi, g) in x.iter_mut().zip(grad.iter()) {
-                *xi -= step * g;
-            }
-            project_rows(instance, &mut x, opts.caps.as_deref());
-            y.copy_from_slice(&x);
+        // Gradient step at y.
+        state.r.copy_from_slice(&y);
+        state.refresh_loads();
+        gradient(instance, &state, &mut grad);
+        let mut x_next = y.clone();
+        for (xi, g) in x_next.iter_mut().zip(grad.iter()) {
+            *xi -= step * g;
         }
+        project_rows(instance, &mut x_next, opts.caps.as_deref());
+        // Adaptive restart when the objective increases.
+        state.r.copy_from_slice(&x_next);
+        state.refresh_loads();
+        let new_obj = objective(instance, &state);
+        if new_obj > prev_obj {
+            t = 1.0;
+            y.copy_from_slice(&x);
+            prev_obj = f64::INFINITY;
+            continue;
+        }
+        prev_obj = new_obj;
+        let t_next = 0.5 * (1.0 + (1.0 + 4.0 * t * t).sqrt());
+        let beta = (t - 1.0) / t_next;
+        for i in 0..y.len() {
+            y[i] = x_next[i] + beta * (x_next[i] - x[i]);
+        }
+        project_rows(instance, &mut y, opts.caps.as_deref());
+        x.copy_from_slice(&x_next);
+        t = t_next;
     }
     state.r.copy_from_slice(&x);
     state.refresh_loads();
@@ -268,18 +254,6 @@ mod tests {
                 bcd.objective
             );
         }
-    }
-
-    #[test]
-    fn unaccelerated_pgd_also_converges() {
-        let instance = random_instance(4, 2);
-        let opts = PgdOptions {
-            accelerated: false,
-            max_iters: 50_000,
-            ..Default::default()
-        };
-        let (_, report) = solve_pgd(&instance, &opts);
-        assert!(report.converged, "gap {}", report.fw_gap);
     }
 
     #[test]

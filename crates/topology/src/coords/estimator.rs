@@ -1,7 +1,7 @@
 //! A decentralized latency-estimation round loop on top of the
 //! Vivaldi coordinates: every tick each node probes a few random
 //! peers (its RTT samples come from the ground-truth latency matrix,
-//! optionally jittered) and refines its coordinate. The converged
+//! jittered by ±5 %) and refines its coordinate. The converged
 //! coordinates yield an estimated latency matrix the load balancer
 //! can consume instead of impossible-to-measure full `O(m²)` probing.
 
@@ -10,18 +10,17 @@ use dlb_core::LatencyMatrix;
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::coords::vivaldi::{Coordinate, VivaldiConfig};
+use crate::coords::vivaldi::Coordinate;
+
+/// Multiplicative measurement noise: each sample is scaled by
+/// `1 + U(−MEASUREMENT_NOISE, +MEASUREMENT_NOISE)`.
+const MEASUREMENT_NOISE: f64 = 0.05;
 
 /// Configuration of the estimation process.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EstimatorConfig {
-    /// Vivaldi tuning.
-    pub vivaldi: VivaldiConfig,
     /// Random peers probed by each node per tick.
     pub probes_per_tick: usize,
-    /// Multiplicative measurement noise: each sample is scaled by
-    /// `1 + U(−noise, +noise)`.
-    pub measurement_noise: f64,
     /// RNG seed.
     pub seed: u64,
 }
@@ -29,9 +28,7 @@ pub struct EstimatorConfig {
 impl Default for EstimatorConfig {
     fn default() -> Self {
         Self {
-            vivaldi: VivaldiConfig::default(),
             probes_per_tick: 4,
-            measurement_noise: 0.05,
             seed: 0,
         }
     }
@@ -50,9 +47,7 @@ impl Estimator {
     /// Creates an estimator for `m` nodes, all at the origin.
     pub fn new(m: usize, config: EstimatorConfig) -> Self {
         Self {
-            coords: (0..m)
-                .map(|_| Coordinate::origin(&config.vivaldi))
-                .collect(),
+            coords: vec![Coordinate::origin(); m],
             rng: rng_for(config.seed, 0xC00D),
             config,
             ticks: 0,
@@ -100,13 +95,10 @@ impl Estimator {
                 if !rtt_true.is_finite() {
                     continue; // unmeasurable pair (restricted topology)
                 }
-                let noise = 1.0
-                    + self
-                        .rng
-                        .gen_range(-self.config.measurement_noise..=self.config.measurement_noise);
+                let noise = 1.0 + self.rng.gen_range(-MEASUREMENT_NOISE..=MEASUREMENT_NOISE);
                 let sample = (rtt_true * noise).max(0.0);
                 let peer = self.coords[j];
-                self.coords[i].update(&peer, sample, &self.config.vivaldi, &mut self.rng);
+                self.coords[i].update(&peer, sample, &mut self.rng);
             }
         }
         self.ticks += 1;
@@ -191,47 +183,10 @@ mod tests {
     #[test]
     fn converges_on_embeddable_matrix() {
         let truth = euclidean_truth(30, 5);
-        let mut est = Estimator::new(
-            30,
-            EstimatorConfig {
-                measurement_noise: 0.0,
-                ..Default::default()
-            },
-        );
+        let mut est = Estimator::new(30, EstimatorConfig::default());
         est.run(&truth, 150);
         let err = est.median_relative_error(&truth);
         assert!(err < 0.12, "median relative error {err} too high");
-    }
-
-    #[test]
-    fn noise_degrades_gracefully() {
-        let truth = euclidean_truth(25, 6);
-        let clean = {
-            let mut e = Estimator::new(
-                25,
-                EstimatorConfig {
-                    measurement_noise: 0.0,
-                    seed: 1,
-                    ..Default::default()
-                },
-            );
-            e.run(&truth, 120);
-            e.median_relative_error(&truth)
-        };
-        let noisy = {
-            let mut e = Estimator::new(
-                25,
-                EstimatorConfig {
-                    measurement_noise: 0.2,
-                    seed: 1,
-                    ..Default::default()
-                },
-            );
-            e.run(&truth, 120);
-            e.median_relative_error(&truth)
-        };
-        assert!(noisy < 0.35, "noisy error {noisy} out of control");
-        assert!(clean <= noisy + 0.05, "clean {clean} vs noisy {noisy}");
     }
 
     #[test]

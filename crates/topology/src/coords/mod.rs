@@ -10,6 +10,10 @@
 //! turning `O(m²)` measurements into `O(m)` state per node — the same
 //! input budget as the distributed balancing algorithm itself.
 //!
+//! The Vivaldi gains and the probe noise are module constants; what a
+//! caller chooses is [`EstimatorConfig`]: probes per node per tick and
+//! the seed (`dlb estimate --probes`, `--seed`).
+//!
 //! The integration tests (and `ablation_latency_estimation`) close the
 //! loop: running the balancing engine on *estimated* latencies costs
 //! only a few percent of `ΣC` versus ground truth, which is the
@@ -31,4 +35,4 @@ pub mod estimator;
 pub mod vivaldi;
 
 pub use estimator::{Estimator, EstimatorConfig};
-pub use vivaldi::{Coordinate, VivaldiConfig, DIM};
+pub use vivaldi::{Coordinate, DIM};

@@ -15,29 +15,16 @@ use rand::Rng;
 /// evaluation found 2D+height captures Internet RTTs well.
 pub const DIM: usize = 3;
 
-/// Tuning constants from the Vivaldi paper.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct VivaldiConfig {
-    /// Gain of the coordinate correction (`c_c`).
-    pub cc: f64,
-    /// Gain of the error-estimate EWMA (`c_e`).
-    pub ce: f64,
-    /// Initial per-node error estimate (relative).
-    pub initial_error: f64,
-    /// Floor for heights (a node can never have a negative last-mile).
-    pub min_height: f64,
-}
+// Tuning constants from the Vivaldi paper.
 
-impl Default for VivaldiConfig {
-    fn default() -> Self {
-        Self {
-            cc: 0.25,
-            ce: 0.25,
-            initial_error: 1.0,
-            min_height: 1.0e-3,
-        }
-    }
-}
+/// Gain of the coordinate correction (`c_c`).
+const CC: f64 = 0.25;
+/// Gain of the error-estimate EWMA (`c_e`).
+const CE: f64 = 0.25;
+/// Initial per-node error estimate (relative).
+const INITIAL_ERROR: f64 = 1.0;
+/// Floor for heights (a node can never have a negative last-mile).
+const MIN_HEIGHT: f64 = 1.0e-3;
 
 /// One node's coordinate state.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -52,11 +39,11 @@ pub struct Coordinate {
 
 impl Coordinate {
     /// A fresh coordinate at the origin with maximal uncertainty.
-    pub fn origin(config: &VivaldiConfig) -> Self {
+    pub fn origin() -> Self {
         Self {
             pos: [0.0; DIM],
-            height: config.min_height,
-            error: config.initial_error,
+            height: MIN_HEIGHT,
+            error: INITIAL_ERROR,
         }
     }
 
@@ -74,13 +61,7 @@ impl Coordinate {
     ///
     /// `rng` breaks the symmetry when two nodes sit at the same point
     /// (the paper's "random direction" rule for colocated nodes).
-    pub fn update<R: Rng>(
-        &mut self,
-        peer: &Coordinate,
-        rtt: f64,
-        config: &VivaldiConfig,
-        rng: &mut R,
-    ) {
+    pub fn update<R: Rng>(&mut self, peer: &Coordinate, rtt: f64, rng: &mut R) {
         debug_assert!(rtt.is_finite() && rtt >= 0.0, "rtt must be a measurement");
         let rtt = rtt.max(1e-9);
         // Confidence-weighted sample weight.
@@ -92,7 +73,7 @@ impl Coordinate {
         let dist = self.distance(peer);
         // Relative fit error of this sample, updates the EWMA.
         let es = (dist - rtt).abs() / rtt;
-        self.error = (es * config.ce * w + self.error * (1.0 - config.ce * w)).clamp(0.0, 10.0);
+        self.error = (es * CE * w + self.error * (1.0 - CE * w)).clamp(0.0, 10.0);
         // Unit vector from peer to self (random when colocated).
         let mut dir = [0.0f64; DIM];
         let mut norm2 = 0.0;
@@ -119,13 +100,12 @@ impl Coordinate {
         // Spring force: positive when we should move away (distance
         // underestimates the RTT), negative towards the peer.
         let force = rtt - dist;
-        let delta = config.cc * w;
+        let delta = CC * w;
         for k in 0..DIM {
             self.pos[k] += delta * force * dir[k];
         }
         // The height absorbs a share of the residual, floored.
-        self.height =
-            (self.height + delta * force * self.height / dist.max(1e-9)).max(config.min_height);
+        self.height = (self.height + delta * force * self.height / dist.max(1e-9)).max(MIN_HEIGHT);
     }
 }
 
@@ -136,9 +116,8 @@ mod tests {
 
     #[test]
     fn distance_is_symmetric_and_positive() {
-        let config = VivaldiConfig::default();
-        let mut a = Coordinate::origin(&config);
-        let mut b = Coordinate::origin(&config);
+        let mut a = Coordinate::origin();
+        let mut b = Coordinate::origin();
         a.pos = [3.0, 0.0, 4.0];
         a.height = 2.0;
         b.height = 1.0;
@@ -148,15 +127,14 @@ mod tests {
 
     #[test]
     fn two_nodes_converge_to_their_rtt() {
-        let config = VivaldiConfig::default();
         let mut rng = rng_for(1, 0x51);
-        let mut a = Coordinate::origin(&config);
-        let mut b = Coordinate::origin(&config);
+        let mut a = Coordinate::origin();
+        let mut b = Coordinate::origin();
         for _ in 0..200 {
             let snapshot_b = b;
-            a.update(&snapshot_b, 50.0, &config, &mut rng);
+            a.update(&snapshot_b, 50.0, &mut rng);
             let snapshot_a = a;
-            b.update(&snapshot_a, 50.0, &config, &mut rng);
+            b.update(&snapshot_a, 50.0, &mut rng);
         }
         let est = a.distance(&b);
         assert!(
@@ -168,11 +146,10 @@ mod tests {
 
     #[test]
     fn update_handles_colocated_nodes() {
-        let config = VivaldiConfig::default();
         let mut rng = rng_for(2, 7);
-        let mut a = Coordinate::origin(&config);
-        let b = Coordinate::origin(&config);
-        a.update(&b, 30.0, &config, &mut rng);
+        let mut a = Coordinate::origin();
+        let b = Coordinate::origin();
+        a.update(&b, 30.0, &mut rng);
         // Must have moved off the origin in a random direction.
         let moved: f64 = a.pos.iter().map(|x| x * x).sum::<f64>().sqrt();
         assert!(moved > 0.0, "node must escape colocated start");
@@ -180,17 +157,16 @@ mod tests {
 
     #[test]
     fn error_never_goes_negative_or_explodes() {
-        let config = VivaldiConfig::default();
         let mut rng = rng_for(3, 8);
-        let mut a = Coordinate::origin(&config);
-        let mut b = Coordinate::origin(&config);
+        let mut a = Coordinate::origin();
+        let mut b = Coordinate::origin();
         b.pos = [100.0, 0.0, 0.0];
         for i in 0..500 {
             // Wildly inconsistent samples.
             let rtt = if i % 2 == 0 { 1.0 } else { 500.0 };
-            a.update(&b, rtt, &config, &mut rng);
+            a.update(&b, rtt, &mut rng);
             assert!(a.error >= 0.0 && a.error <= 10.0, "error {}", a.error);
-            assert!(a.height >= config.min_height);
+            assert!(a.height >= MIN_HEIGHT);
             for p in a.pos {
                 assert!(p.is_finite());
             }

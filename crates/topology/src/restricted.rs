@@ -70,11 +70,11 @@ pub fn out_degree(lat: &LatencyMatrix, i: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::euclidean::EuclideanConfig;
+    use crate::euclidean;
 
     #[test]
     fn k_nearest_keeps_exactly_k() {
-        let lat = EuclideanConfig::default().generate(12, 3);
+        let lat = euclidean::generate(12, 3);
         let r = restrict_to_k_nearest(&lat, 4);
         for i in 0..12 {
             assert_eq!(out_degree(&r, i), 4);
@@ -83,7 +83,7 @@ mod tests {
 
     #[test]
     fn k_nearest_keeps_the_nearest() {
-        let lat = EuclideanConfig::default().generate(10, 5);
+        let lat = euclidean::generate(10, 5);
         let r = restrict_to_k_nearest(&lat, 3);
         for i in 0..10 {
             let mut kept: Vec<f64> = (0..10)
@@ -104,7 +104,7 @@ mod tests {
 
     #[test]
     fn k_larger_than_m_keeps_all() {
-        let lat = EuclideanConfig::default().generate(5, 1);
+        let lat = euclidean::generate(5, 1);
         let r = restrict_to_k_nearest(&lat, 50);
         assert!(r.is_complete());
     }

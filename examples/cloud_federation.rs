@@ -62,7 +62,7 @@ fn homogeneous_case() {
 
 fn heterogeneous_case() {
     let m = 25;
-    let latency = PlanetLabConfig::default().generate(m, 3);
+    let latency = planetlab::generate(m, 3);
     let mut rng = delay_lb::core::rngutil::rng_for(11, 1);
     let spec = WorkloadSpec {
         loads: LoadDistribution::Uniform,

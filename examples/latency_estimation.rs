@@ -12,7 +12,7 @@ use delay_lb::prelude::*;
 
 fn main() {
     let m = 50;
-    let truth = PlanetLabConfig::default().generate(m, 2026);
+    let truth = planetlab::generate(m, 2026);
     let mut rng = rng_for(2026, 7);
     let spec = WorkloadSpec {
         loads: LoadDistribution::Exponential,

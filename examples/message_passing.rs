@@ -17,7 +17,7 @@ use delay_lb::runtime::{run_cluster_events, ClusterOptions};
 fn main() {
     let m = 24;
     // A European-scale federation: synthetic PlanetLab latencies.
-    let latency = PlanetLabConfig::default().generate(m, 42);
+    let latency = planetlab::generate(m, 42);
     let mut speeds = Vec::with_capacity(m);
     for i in 0..m {
         speeds.push(1.0 + (i % 5) as f64); // 1..5 requests/ms

@@ -4,7 +4,6 @@
 //! Run with `cargo run --release --example quickstart`.
 
 use delay_lb::prelude::*;
-use delay_lb::solver::{solve_frank_wolfe, FwOptions};
 
 fn main() {
     // Ten servers with U(1,5) speeds, exponential loads (mean 50
@@ -47,22 +46,11 @@ fn main() {
     }
 
     // Centralized solvers for reference (the `algo=bcd` runner wraps
-    // coordinate descent; PGD and Frank-Wolfe are called directly).
+    // coordinate descent; PGD is called directly).
     let (_, pgd) = solve_pgd(&instance, &PgdOptions::default());
     println!(
         "projected gradient:  {:>12.2} request·ms  ({} iterations)",
         pgd.objective, pgd.iters
-    );
-    let (_, fw) = solve_frank_wolfe(
-        &instance,
-        &FwOptions {
-            tol: 1e-6,
-            ..Default::default()
-        },
-    );
-    println!(
-        "frank-wolfe:         {:>12.2} request·ms  ({} iterations)",
-        fw.objective, fw.iters
     );
     // Another algorithm on the same instance is a struct update.
     let bcd = ScenarioSpec {

@@ -21,11 +21,7 @@ use delay_lb::solver::dense_to_assignment;
 fn main() {
     let m = 12;
     let r = 3usize;
-    let latency = PlanetLabConfig {
-        sites: 4,
-        ..Default::default()
-    }
-    .generate(m, 13);
+    let latency = planetlab::generate(m, 13);
 
     // Each org's "load" is the total popularity of its content.
     let task_sets: Vec<TaskSet> = (0..m)

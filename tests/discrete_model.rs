@@ -10,7 +10,7 @@ use delay_lb::prelude::*;
 
 fn integer_instance(m: usize, avg: f64, seed: u64, planetlab: bool) -> Instance {
     let latency = if planetlab {
-        PlanetLabConfig::default().generate(m, seed)
+        planetlab::generate(m, seed)
     } else {
         LatencyMatrix::homogeneous(m, 20.0)
     };

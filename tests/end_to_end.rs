@@ -4,7 +4,6 @@
 
 use delay_lb::prelude::*;
 use delay_lb::solver::bruteforce::grid_search_optimum;
-use delay_lb::solver::frank_wolfe::{solve_frank_wolfe, FwOptions};
 
 fn engine_opts(seed: u64) -> EngineOptions {
     EngineOptions {
@@ -16,7 +15,7 @@ fn engine_opts(seed: u64) -> EngineOptions {
 
 fn random_instance(m: usize, seed: u64, planetlab: bool) -> Instance {
     let latency = if planetlab {
-        PlanetLabConfig::default().generate(m, seed)
+        planetlab::generate(m, seed)
     } else {
         LatencyMatrix::homogeneous(m, 20.0)
     };
@@ -77,19 +76,13 @@ fn all_methods_agree_with_bruteforce_m3() {
 
     let (_, brute) = grid_search_optimum(&instance, 15);
     let (_, pgd) = solve_pgd(&instance, &PgdOptions::default());
-    let (_, fw) = solve_frank_wolfe(
-        &instance,
-        &FwOptions {
-            tol: 1e-6,
-            ..Default::default()
-        },
-    );
+    let (_, bcd) = solve_bcd(&instance, 2_000, 1e-10);
     let mut engine = Engine::new(instance.clone(), engine_opts(1));
     let report = engine.run_to_convergence(1e-12, 2, 200);
 
     for (name, v) in [
         ("pgd", pgd.objective),
-        ("fw", fw.objective),
+        ("bcd", bcd.objective),
         ("engine", report.final_cost),
     ] {
         assert!(
@@ -114,7 +107,7 @@ fn relay_fractions_roundtrip_through_engine() {
 #[test]
 fn trust_restricted_network_respects_forbidden_links() {
     use delay_lb::topology::restricted::restrict_to_k_nearest;
-    let base = PlanetLabConfig::default().generate(12, 3);
+    let base = planetlab::generate(12, 3);
     let restricted = restrict_to_k_nearest(&base, 3);
     let mut rng = delay_lb::core::rngutil::rng_for(3, 801);
     let instance = WorkloadSpec {

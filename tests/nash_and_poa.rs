@@ -95,7 +95,7 @@ fn planetlab_equilibria_are_cheaper_than_homogeneous() {
         avg_load: 50.0,
         speeds: SpeedDistribution::Constant(1.0),
     };
-    let pl = spec.sample(PlanetLabConfig::default().generate(20, 9), &mut rng);
+    let pl = spec.sample(planetlab::generate(20, 9), &mut rng);
     let mut nash = Assignment::local(&pl);
     run_best_response_dynamics(&pl, &mut nash, &DynamicsOptions::default());
     let (opt, _) = solve_bcd(&pl, 2_000, 1e-10);

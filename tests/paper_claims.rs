@@ -14,7 +14,7 @@ fn grid_instance(
     planetlab: bool,
 ) -> Instance {
     let latency = if planetlab {
-        PlanetLabConfig::default().generate(m, seed)
+        planetlab::generate(m, seed)
     } else {
         LatencyMatrix::homogeneous(m, 20.0)
     };

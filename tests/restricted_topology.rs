@@ -20,7 +20,7 @@ fn pl_instance(_m: usize, avg: f64, seed: u64, lat: LatencyMatrix) -> Instance {
 #[test]
 fn restricted_relays_respect_trust_edges() {
     let m = 20;
-    let full = PlanetLabConfig::default().generate(m, 5);
+    let full = planetlab::generate(m, 5);
     let lat = restrict_to_k_nearest(&full, 4);
     let instance = pl_instance(m, 150.0, 5, lat.clone());
     let mut engine = Engine::new(instance.clone(), EngineOptions::default());
@@ -45,7 +45,7 @@ fn restricted_relays_respect_trust_edges() {
 #[test]
 fn tighter_trust_graph_costs_more() {
     let m = 16;
-    let full = PlanetLabConfig::default().generate(m, 9);
+    let full = planetlab::generate(m, 9);
     let mut costs = Vec::new();
     for k in [2usize, 6, 15] {
         let lat = restrict_to_k_nearest(&full, k);
@@ -116,7 +116,7 @@ fn star_trust_graph_balances_through_hub() {
 #[test]
 fn selfish_dynamics_respect_restrictions() {
     let m = 12;
-    let full = PlanetLabConfig::default().generate(m, 13);
+    let full = planetlab::generate(m, 13);
     let lat = restrict_to_k_nearest(&full, 3);
     let instance = pl_instance(m, 80.0, 13, lat.clone());
     let mut nash = Assignment::local(&instance);

@@ -14,7 +14,7 @@ fn run_protocol(instance: &Instance, options: &ClusterOptions) -> ClusterReport 
 
 fn sample(m: usize, avg: f64, seed: u64, planetlab: bool) -> Instance {
     let latency = if planetlab {
-        PlanetLabConfig::default().generate(m, seed)
+        planetlab::generate(m, seed)
     } else {
         LatencyMatrix::homogeneous(m, 20.0)
     };
