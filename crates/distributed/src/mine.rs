@@ -26,6 +26,9 @@
 //! commutative twins are computed once, the latency representation is
 //! resolved once per call, and the reference's early returns become
 //! selects so the loop has no data-dependent branch and vectorises.
+//! It also divides out only the one transfer `Δ` that can be positive,
+//! leaving three divisions per pair of the reference's ten; where a NaN
+//! voids that argument, the reference scores the call instead.
 
 use std::ops::Range;
 
@@ -148,10 +151,19 @@ pub const SCORE_BLOCK: usize = 256;
 /// `j_k` (so `0.0` where `j_k == i`). Allocates nothing.
 ///
 /// Of the reference's ten divisions per pair, `l_i/s_i` and `1/2s_i`
-/// are hoisted out of the loop and `l_j/s_j`, `1/2s_j` are shared by
-/// the two directions, which leaves four; the `!c.is_finite()` and
-/// `Δ <= 0` early returns are selects. See [`partner_score`] for which
-/// groupings are load-bearing.
+/// are hoisted, `l_j/s_j` and `1/2s_j` are shared by the directions,
+/// and one `Δ` is divided out, which leaves three. The numerators
+/// `n_ij = (s_j l_i − s_i l_j) − s_i s_j c_ij` and
+/// `n_ji = (s_i l_j − s_j l_i) − s_i s_j c_ji` are never both positive:
+/// `c ≥ 0`, the brackets are exact negations (`fl(a − b) = −fl(b − a)`)
+/// and rounding is monotone, so `n_ij > 0` forces `n_ji < 0`. A
+/// non-positive numerator means `Δ <= 0`, where the reference returns
+/// `0.0`: the kernel scores the direction `n_ij > 0` picks and puts that
+/// literal on the other side of the `max`. A NaN numerator (`∞ − ∞`,
+/// `∞ · 0`) or an infinite `s_i + s_j` (`−∞/∞` is a NaN `Δ`) voids the
+/// argument; the call then rescores every lane with the reference. The
+/// `!c.is_finite()` and `Δ <= 0` early returns are selects. See
+/// [`partner_score`] for which groupings are load-bearing.
 ///
 /// # Panics
 /// Panics when `out.len() != candidates.len()` or an id is out of range.
@@ -170,7 +182,8 @@ pub fn partner_scores(
     // table, or (`None`) the compact storage's constant.
     let row = latency.row(i);
     let uniform = || latency.homogeneous_value().expect("no row: homogeneous");
-    match candidates {
+    let mut exact = true;
+    match &candidates {
         Candidates::Range(range) => {
             // `[..n]`: the lanes are visibly as long as `out`, so the
             // loop carries no bounds check and vectorises.
@@ -187,12 +200,12 @@ pub fn partner_scores(
                     for (k, c) in cji[..out.len()].iter_mut().enumerate() {
                         *c = latency.get(range.start + first + k, i);
                     }
-                    let lane = |k: usize| (sj[first + k], lj[first + k], cij[first + k], cji[k]);
-                    score_lanes(si, li, lane, out);
+                    let lane = |k: usize| [sj[first + k], lj[first + k], cij[first + k], cji[k]];
+                    exact &= score_lanes(si, li, lane, out);
                 }
             } else {
                 let c = uniform();
-                score_lanes(si, li, |k| (sj[k], lj[k], c, c), out);
+                exact = score_lanes(si, li, |k| [sj[k], lj[k], c, c], out);
             }
             if range.contains(&i) {
                 out[i - range.start] = 0.0; // the reference's `i == j` case
@@ -202,17 +215,26 @@ pub fn partner_scores(
             if let Some(row) = row {
                 let lane = |k: usize| {
                     let j = ids[k] as usize;
-                    (speeds[j], loads[j], row[j], latency.get(j, i))
+                    [speeds[j], loads[j], row[j], latency.get(j, i)]
                 };
-                score_lanes(si, li, lane, out);
+                exact = score_lanes(si, li, lane, out);
             } else {
                 let c = uniform();
-                let lane = |k: usize| (speeds[ids[k] as usize], loads[ids[k] as usize], c, c);
-                score_lanes(si, li, lane, out);
+                let lane = |k: usize| [speeds[ids[k] as usize], loads[ids[k] as usize], c, c];
+                exact = score_lanes(si, li, lane, out);
             }
-            for (score, _) in out.iter_mut().zip(ids).filter(|(_, &j)| j as usize == i) {
+            for (score, _) in out.iter_mut().zip(*ids).filter(|(_, &j)| j as usize == i) {
                 *score = 0.0; // the reference's `i == j` case
             }
+        }
+    }
+    if !exact {
+        for (k, score) in out.iter_mut().enumerate() {
+            let j = match &candidates {
+                Candidates::Range(range) => range.start + k,
+                Candidates::List(ids) => ids[k] as usize,
+            };
+            *score = partner_score(instance, loads, i, j);
         }
     }
 }
@@ -220,33 +242,38 @@ pub fn partner_scores(
 /// The arithmetic loop of [`partner_scores`]: `lane(k)` is candidate
 /// `k`'s `(s_j, l_j, c_ij, c_ji)`. Inlined into each caller, so a lane
 /// is slice reads and constants inside a loop body with no
-/// data-dependent branch.
+/// data-dependent branch. Returns `false` when a lane voided the
+/// one-direction rule, and the caller must rescore with the reference.
 #[inline(always)]
-fn score_lanes(si: f64, li: f64, lane: impl Fn(usize) -> (f64, f64, f64, f64), out: &mut [f64]) {
+fn score_lanes(si: f64, li: f64, lane: impl Fn(usize) -> [f64; 4], out: &mut [f64]) -> bool {
     let li_per_si = li / si;
     let half_inv_si = 1.0 / (2.0 * si);
+    let mut unordered = false;
     for (k, score) in out.iter_mut().enumerate() {
-        let (sj, lj, cij, cji) = lane(k);
+        let [sj, lj, cij, cji] = lane(k);
         let lj_per_sj = lj / sj;
         let inv = half_inv_si + 1.0 / (2.0 * sj);
         let (sum, product) = (si + sj, si * sj);
-        // One direction of the reference's `gain`: `lf` the sender's
-        // load, `surplus` = s_t l_f − s_f l_t, `slope` = l_f/s_f − l_t/s_t.
-        let gain = |lf: f64, c: f64, surplus: f64, slope: f64| -> f64 {
-            let delta = (surplus - product * c) / sum;
-            let moved = delta.min(lf);
-            let gain = moved * (slope - c) - moved * moved * inv;
-            if !c.is_finite() | (delta <= 0.0) {
-                0.0
-            } else {
-                gain
-            }
-        };
         let (push, pull) = (sj * li, si * lj);
-        let i_to_j = gain(li, cij, push - pull, li_per_si - lj_per_sj);
-        let j_to_i = gain(lj, cji, pull - push, lj_per_sj - li_per_si);
+        let (n_ij, n_ji) = ((push - pull) - product * cij, (pull - push) - product * cji);
+        unordered |= n_ij.is_nan() | n_ji.is_nan() | (sum == f64::INFINITY);
+        // The reference's `gain` for the one direction that can move:
+        // `lf` the sender's load, `slope` = l_f/s_f − l_t/s_t.
+        let forward = n_ij > 0.0;
+        let (n, lf, c, slope) = if forward {
+            (n_ij, li, cij, li_per_si - lj_per_sj)
+        } else {
+            (n_ji, lj, cji, lj_per_sj - li_per_si)
+        };
+        let delta = n / sum;
+        let moved = delta.min(lf);
+        let gain = moved * (slope - c) - moved * moved * inv;
+        let stays = !c.is_finite() | (delta <= 0.0);
+        let gain = if stays { 0.0 } else { gain };
+        let (i_to_j, j_to_i) = if forward { (gain, 0.0) } else { (0.0, gain) };
         *score = i_to_j.max(j_to_i);
     }
+    !unordered
 }
 
 /// Partner-selection policy for the MinE step.
@@ -629,6 +656,42 @@ mod tests {
         // s·l overflows, so Δ is NaN: it must pass the `<= 0` test and
         // be capped to the sender's load exactly like the reference's.
         assert_kernel_matches_everywhere(&idle, &[1e308, 3.0, 1e308, 0.0, 9e307], 3);
+        let dense = |speeds: &[f64], data: Vec<f64>| {
+            Instance::new(
+                speeds.to_vec(),
+                vec![0.0; 5],
+                LatencyMatrix::from_rows(5, data),
+            )
+        };
+        let off_diagonal =
+            |c: f64| -> Vec<f64> { (0..25).map(|k| if k % 6 == 0 { 0.0 } else { c }).collect() };
+        // push = pull = ∞: both numerators are `∞ − ∞`, the call goes
+        // to the reference, whose two directions both run.
+        let mixed = dense(
+            &[2.0, 3.0, 0.5, 4.0, 1.0],
+            (0..25).map(|k| (k % 6) as f64).collect(),
+        );
+        assert_kernel_matches_everywhere(&mixed, &[1e308, 1e308, 7.0, 0.0, 8e307], 4);
+        // s_i·s_j = ∞ against a dense `c = 0`: `∞ · 0` is a NaN
+        // numerator while the reference's forward gain is positive.
+        let huge = dense(&[1e200, 3e200, 2e200, 1.0, 5e199], vec![0.0; 25]);
+        assert_kernel_matches_everywhere(&huge, &[100.0, 0.0, 40.0, 7.0, -0.0], 5);
+        // s_i + s_j = ∞ with loads below 1, so `s·l` stays finite: both
+        // numerators are −∞, and the reference's `−∞/∞` is a NaN Δ that
+        // it does not zero.
+        let vast = dense(&[1e308, 1.5e308, 9e307, 1.7e308, 1e308], off_diagonal(1.0));
+        assert_kernel_matches_everywhere(&vast, &[0.5, 0.0, 0.9, 0.25, 0.75], 6);
+        // A hole in one direction only (c_04 = ∞, c_40 = 2) with node 4
+        // the sender: n_ji > 0 on the far side of the hole.
+        let mut holed = off_diagonal(2.0);
+        holed[4] = f64::INFINITY;
+        let holed = dense(&[1.0, 2.0, 1.5, 3.0, 1.0], holed);
+        assert_kernel_matches_everywhere(&holed, &[1.0, 0.0, 9.0, 4.0, 60.0], 7);
+        // Equal products (push − pull = 0.0, as `[7.0; 5]` above) on a
+        // free network: both numerators are zero.
+        let speeds = [1.0, 2.0, 4.0, 0.5, 8.0];
+        let loads = speeds.map(|s| 3.0 * s);
+        assert_kernel_matches_everywhere(&dense(&speeds, vec![0.0; 25]), &loads, 8);
         let mut out = [];
         partner_scores(&idle, &[7.0; 5], 3, Candidates::Range(2..2), &mut out);
         partner_scores(&idle, &[7.0; 5], 3, Candidates::List(&[]), &mut out);

@@ -230,18 +230,47 @@ impl BestPeer<'_> {
             }
         }
     }
+
+    /// [`Self::offer`] for the contiguous block `start..`: where no id in
+    /// it is excluded and no score is NaN, that fold keeps the first
+    /// lane equal to the block's maximum iff the maximum beats the best
+    /// (or there is none, or it is NaN), so a vectorised arg-max does it.
+    /// `id`'s lane may stay in: scored `0.0`, it wins only where no peer
+    /// clears [`SCORE_FLOOR`], which drops that winner anyway. NaN (it
+    /// replaces and is replaced by anything) and exclusions take `offer`.
+    fn offer_range(&mut self, start: u32, scores: &[f64]) {
+        let end = start + scores.len() as u32;
+        while self.excluded.first().is_some_and(|&e| e < start) {
+            self.excluded = &self.excluded[1..];
+        }
+        let nan = scores.iter().fold(false, |nan, s| nan | s.is_nan());
+        if nan || self.excluded.first().is_some_and(|&e| e < end) {
+            return self.offer(start..end, scores);
+        }
+        // Four independent accumulators, so the reduction vectorises.
+        let up = |acc: f64, &s: &f64| if s > acc { s } else { acc };
+        let (lanes, tail) = scores.as_chunks::<4>();
+        let mut acc = [f64::NEG_INFINITY; 4];
+        for lane in lanes {
+            acc = std::array::from_fn(|k| up(acc[k], &lane[k]));
+        }
+        let max = tail.iter().chain(&acc).fold(f64::NEG_INFINITY, up);
+        if self.best.is_none_or(|(_, b)| max > b || b.is_nan()) {
+            let k = scores.iter().take_while(|&&s| s != max).count(); // first lane at max
+            self.best = Some((start + k as u32, scores[k]));
+        }
+    }
 }
 
 /// Scores `candidates` (ascending, `excluded` sorted ascending: see
-/// [`BestPeer`]) through the batch kernel, one stack block of
-/// [`SCORE_BLOCK`] scores at a time — no allocation, nothing kept
-/// between calls — and returns the best peer above the floor.
-fn score_best(
+/// [`BestPeer`]) with `score`, one stack block of [`SCORE_BLOCK`]
+/// scores at a time — no allocation, nothing kept between calls — and
+/// returns the best peer above the floor.
+fn scan_best(
     id: u32,
-    instance: &Instance,
-    loads: &[f64],
     excluded: &[u32],
     candidates: Candidates<'_>,
+    mut score: impl FnMut(Candidates<'_>, &mut [f64]),
 ) -> Option<u32> {
     debug_assert!(excluded.windows(2).all(|w| w[0] < w[1]), "excluded sorted");
     let mut scores = [0.0; SCORE_BLOCK];
@@ -252,23 +281,27 @@ fn score_best(
     };
     for block in candidates.chunks(SCORE_BLOCK) {
         let scores = &mut scores[..block.len()];
-        partner_scores(instance, loads, id as usize, block.clone(), scores);
+        score(block.clone(), scores);
         match block {
-            Candidates::Range(range) => scan.offer(range.start as u32..range.end as u32, scores),
+            Candidates::Range(range) => scan.offer_range(range.start as u32, scores),
             Candidates::List(ids) => scan.offer(ids.iter().copied(), scores),
         }
     }
     scan.best.filter(|&(_, s)| s > SCORE_FLOOR).map(|(j, _)| j)
 }
 
-/// Picks the proposal target by the exact scan — the O(m) inner loop of
-/// the O(m²) `select=exact` round: the peer with the best closed-form
-/// pairwise score computed from the gossiped loads — everything a real
-/// organization knows locally. Returns `None` when no peer clears the
-/// floor.
-fn choose_target(id: u32, instance: &Instance, loads: &[f64], excluded: &[u32]) -> Option<u32> {
-    let everyone = Candidates::Range(0..instance.len());
-    score_best(id, instance, loads, excluded, everyone)
+/// [`scan_best`] by the batch kernel on the gossiped `loads`, all a node
+/// knows locally: under `select=exact`, the O(m) inner loop of a round.
+fn score_best(
+    id: u32,
+    instance: &Instance,
+    loads: &[f64],
+    excluded: &[u32],
+    candidates: Candidates<'_>,
+) -> Option<u32> {
+    scan_best(id, excluded, candidates, |block, out| {
+        partner_scores(instance, loads, id as usize, block, out)
+    })
 }
 
 /// Deterministic audit rotation: visits every live peer once per
@@ -688,14 +721,14 @@ impl NodeMachine {
             self.lock = Lock::Locked; // takes no part this round
             self.report(RoundOutcome::NoProposal, None, out);
         } else {
-            let scored = match self.config.select {
-                SelectPolicy::Exact => choose_target(self.id, &self.instance, loads, excluded),
+            let candidates = match self.config.select {
+                SelectPolicy::Exact => Candidates::Range(0..self.instance.len()),
                 SelectPolicy::TopK(k) => {
                     self.index.refresh(self.id, &self.instance, k, epoch, hot);
-                    let index = Candidates::List(&self.index.merged);
-                    score_best(self.id, &self.instance, loads, excluded, index)
+                    Candidates::List(&self.index.merged)
                 }
             };
+            let scored = score_best(self.id, &self.instance, loads, excluded, candidates);
             let target =
                 scored.or_else(|| audit_target(self.id, self.instance.len(), round, excluded));
             match target {
@@ -1654,6 +1687,17 @@ mod tests {
         assert_eq!(idx.merged, vec![1, 4, 5, 6, 7]);
     }
 
+    /// The `select=exact` scan: every peer through the batch kernel.
+    fn choose_target(id: u32, instance: &Instance, loads: &[f64], excluded: &[u32]) -> Option<u32> {
+        score_best(
+            id,
+            instance,
+            loads,
+            excluded,
+            Candidates::Range(0..instance.len()),
+        )
+    }
+
     /// The scan as it was before the batch kernel: one scalar
     /// `partner_score` per peer, exclusions by lookup.
     fn scalar_scan(id: u32, instance: &Instance, loads: &[f64], excluded: &[u32]) -> Option<u32> {
@@ -1710,53 +1754,65 @@ mod tests {
         for i in 0..m {
             data[i * m + i] = 0.0;
         }
-        let instance = Instance::new(
+        let dense = Instance::new(
             (0..m).map(|_| rng.gen_range(0.5..4.0)).collect(),
             vec![0.0; m],
             LatencyMatrix::from_rows(m, data),
         );
-        let mut loads: Vec<f64> = (0..m).map(|_| rng.gen_range(0.0..40.0)).collect();
+        let small: Vec<f64> = (0..m).map(|_| rng.gen_range(0.0..40.0)).collect();
+        let mut ranked = small.clone();
         for (rank, &j) in [0, B - 1, B, last].iter().enumerate() {
-            loads[j as usize] = 5000.0 + 500.0 * rank as f64;
+            ranked[j as usize] = 5000.0 + 500.0 * rank as f64;
         }
+        // On a homogeneous network equal loads are equal scores: the
+        // boundary peers tie, so keep-first decides between blocks.
+        let homog = Instance::homogeneous(m, 1.0, 2.0, 0.0);
+        let mut tied = small.clone();
+        for j in [B - 1, B, last] {
+            tied[j as usize] = 5000.0;
+        }
+        // A NaN load makes both directions' gains NaN, so those peers
+        // score NaN, in both blocks.
+        let mut nan = tied.clone();
+        for j in [1, B - 2, B + 1] {
+            nan[j as usize] = f64::NAN;
+        }
+        assert!(partner_score(&homog, &nan, 0, 1).is_nan());
         let mut winners = std::collections::BTreeSet::new();
-        for id in [0, 1, B - 1, B, B + 1, last] {
-            let mut idx = CandidateIndex::default();
-            idx.refresh(id, &instance, last, 1, &[]);
-            assert_eq!(idx.merged.len(), m - 1, "saturating k: every peer");
-            for excluded in [
-                vec![],
-                vec![0],
-                vec![last],
-                vec![B - 1, B],
-                vec![0, B - 1, B, last],
-                vec![0, 1, B - 2, B - 1, B, B + 1, last - 1, last],
-                (0..last).collect(),
-            ] {
-                for with_self in [false, true] {
-                    let mut excluded = excluded.clone();
-                    if with_self && !excluded.contains(&id) {
-                        excluded.push(id);
-                        excluded.sort_unstable();
+        for (instance, loads) in [(&dense, &ranked), (&homog, &tied), (&homog, &nan)] {
+            for id in [0, 1, B - 1, B, B + 1, last] {
+                let mut idx = CandidateIndex::default();
+                idx.refresh(id, instance, last, 1, &[]);
+                assert_eq!(idx.merged.len(), m - 1, "saturating k: every peer");
+                for excluded in [
+                    vec![],
+                    vec![0],
+                    vec![last],
+                    vec![B - 1, B],
+                    vec![0, B - 1, B, last],
+                    vec![0, 1, B - 2, B - 1, B, B + 1, last - 1, last],
+                    (0..last).collect(),
+                ] {
+                    for with_self in [false, true] {
+                        let mut excluded = excluded.clone();
+                        if with_self && !excluded.contains(&id) {
+                            excluded.push(id);
+                            excluded.sort_unstable();
+                        }
+                        let want = scalar_scan(id, instance, loads, &excluded);
+                        winners.extend(want);
+                        assert_eq!(
+                            choose_target(id, instance, loads, &excluded),
+                            want,
+                            "exact id={id} excluded={excluded:?}"
+                        );
+                        let index = Candidates::List(&idx.merged);
+                        assert_eq!(
+                            score_best(id, instance, loads, &excluded, index),
+                            want,
+                            "topk id={id} excluded={excluded:?}"
+                        );
                     }
-                    let want = scalar_scan(id, &instance, &loads, &excluded);
-                    winners.extend(want);
-                    assert_eq!(
-                        choose_target(id, &instance, &loads, &excluded),
-                        want,
-                        "exact id={id} excluded={excluded:?}"
-                    );
-                    assert_eq!(
-                        score_best(
-                            id,
-                            &instance,
-                            &loads,
-                            &excluded,
-                            Candidates::List(&idx.merged)
-                        ),
-                        want,
-                        "topk id={id} excluded={excluded:?}"
-                    );
                 }
             }
         }
@@ -1764,6 +1820,88 @@ mod tests {
             winners.len() >= 5,
             "exclusions moved the winner: {winners:?}"
         );
+    }
+
+    /// The block arg-max against the one-lane-at-a-time fold, on score
+    /// blocks no instance produces: ties, `±0.0`, `−∞` and NaN, with
+    /// excluded ids before, inside and after each block.
+    mod scan_proptests {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Keep-first over `range` minus `id` and `excluded`, by lookup.
+        fn keep_first(
+            id: u32,
+            range: std::ops::Range<usize>,
+            scores: &[f64],
+            excluded: &[u32],
+        ) -> Option<u32> {
+            let mut best: Option<(u32, f64)> = None;
+            for j in range
+                .map(|j| j as u32)
+                .filter(|j| *j != id && !excluded.contains(j))
+            {
+                let score = scores[j as usize];
+                match best {
+                    Some((_, b)) if score <= b => {}
+                    _ => best = Some((j, score)),
+                }
+            }
+            best.filter(|&(_, s)| s > SCORE_FLOOR).map(|(j, _)| j)
+        }
+
+        proptest! {
+            // Cheap cases, and 162 combinations of the per-case knobs.
+            #![proptest_config(ProptestConfig::with_cases(1024))]
+
+            #[test]
+            fn prop_block_argmax_matches_the_scalar_fold(
+                m in 1usize..3 * SCORE_BLOCK + 9,
+                seed in any::<u64>(),
+            ) {
+                let mut rng = rng_for(seed, 41);
+                // Per case: where the scan starts, how often a lane is
+                // NaN (never, rarely, often), how many score levels
+                // there are (few levels tie at the top of every block),
+                // how often an id is excluded, and whether any score is
+                // positive at all.
+                let start = [0, rng.gen_range(0..m)][rng.gen_range(0..2usize)];
+                let nan_one_in = [0, 700, 25][rng.gen_range(0..3usize)];
+                let levels = [3, 16, 1 << 20][rng.gen_range(0..3usize)];
+                let excluded_one_in = [0, 300, 15][rng.gen_range(0..3usize)];
+                let sign = [1.0, -1.0][rng.gen_range(0..2usize)];
+                let mut scores: Vec<f64> = (0..m)
+                    .map(|_| match rng.gen_range(0..8) {
+                        _ if nan_one_in > 0 && rng.gen_range(0..nan_one_in) == 0 => f64::NAN,
+                        0 => 0.0,
+                        1 => -0.0,
+                        2 => f64::NEG_INFINITY,
+                        3 => sign * SCORE_FLOOR / 2.0,
+                        _ => sign * (1 + rng.gen_range(0..levels)) as f64 / 4.0,
+                    })
+                    .collect();
+                // A NaN on a block's last lane hands the next block a
+                // NaN best.
+                let first_end = start + SCORE_BLOCK - 1;
+                if first_end < m && rng.gen_range(0..3) == 0 {
+                    scores[first_end] = f64::NAN;
+                }
+                let id = rng.gen_range(0..m) as u32;
+                scores[id as usize] = 0.0; // what the kernel scores `id`
+                let with_self = rng.gen_range(0..4) == 0;
+                let excluded: Vec<u32> = (0..m as u32)
+                    .filter(|&j| {
+                        (with_self && j == id)
+                            | (excluded_one_in > 0 && rng.gen_range(0..excluded_one_in) == 0)
+                    })
+                    .collect();
+                let got = scan_best(id, &excluded, Candidates::Range(start..m), |block, out| {
+                    let Candidates::Range(range) = block else { unreachable!("a Range scan") };
+                    out.copy_from_slice(&scores[range]);
+                });
+                prop_assert_eq!(got, keep_first(id, start..m, &scores, &excluded));
+            }
+        }
     }
 
     #[test]
