@@ -109,13 +109,12 @@ fn main() {
     }
 
     // Scaling record: wall-clock per iteration for every round mode ×
-    // thread count on the pruned-mode sizes. The batched round turns
-    // the iteration's serial sweep (one thread scope per server)
-    // into three fan-outs per round, which is where the Figure-2
-    // wall-clock was going. Interpret thread columns against the host:
-    // on a single-core box the threads=8 rows measure oversubscription
-    // overhead (per-server scope spawns in sequential mode), not
-    // parallel speedup.
+    // thread count on the pruned-mode sizes. The sequential sweep runs
+    // on the caller's thread, so its two thread rows differ only by
+    // noise; the batched round fans its propose phase out over the
+    // servers. Interpret the batched thread columns against the host:
+    // with fewer cores than threads the threads=8 rows measure
+    // oversubscription overhead, not parallel speedup.
     println!("\n== round-mode scaling (secs / iteration) ==");
     println!(
         "{:<8} {:<12} {:>8} {:>14} {:>14}",

@@ -18,9 +18,10 @@
 //!
 //! Reading the committed artifacts: every record carries `host_cores`.
 //! On a 1-core host `dlb-par` degrades to its sequential inline path,
-//! so wall-clock columns recorded there *understate* the multi-core
-//! fan-out of the per-round scoring. Compare rows only within one
-//! `host_cores` value.
+//! so wall-clock columns recorded there miss the multi-core fan-out of
+//! the batched propose phase and the executor's broadcasts (the
+//! sequential engine runs on one thread everywhere). Compare rows only
+//! within one `host_cores` value.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -281,7 +281,7 @@ fn report_renders_every_committed_artifact_unchanged() {
     for (artifact, pinned) in [
         ("detector", 0x3785_5f27_55e6_cf68_u64),
         ("faults", 0x6cdd_d057_b8ac_72e4),
-        ("figure2", 0x4b80_d3f5_63b5_5fe2),
+        ("figure2", 0x02ae_870f_b112_e7ae),
         ("gossip", 0x8cad_1247_a661_90bd),
         ("obs", 0xed64_10c2_86bd_492a),
         ("streaming", 0xa508_da9e_f4ba_00d9),

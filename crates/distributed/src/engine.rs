@@ -66,7 +66,9 @@ pub struct EngineOptions {
     /// RNG seed for the iteration order, which is shuffled every
     /// iteration (the paper's setting).
     pub seed: u64,
-    /// Evaluate partner improvements in parallel.
+    /// Fan the batched round's propose phase out over `dlb-par` workers,
+    /// one whole partner scan per server. [`RoundMode::Sequential`]
+    /// ignores it and runs on the caller's thread.
     pub parallel: bool,
     /// Remove negative relay cycles every `n` iterations (Appendix);
     /// `None` disables removal (the paper's default — experiments showed
@@ -357,7 +359,6 @@ impl Engine {
                 id,
                 selection,
                 min_improvement,
-                self.options.parallel,
                 active,
                 self.options.granularity,
                 score_loads,

@@ -292,17 +292,16 @@ pub enum PartnerSelection {
 
 /// Reusable per-caller buffers for [`choose_partner`].
 ///
-/// One MinE step allocates a candidate list, a score lane, a ranking
-/// table, and an improvement table; at Figure-2 scale the engine runs
-/// millions of steps, so the engine (and each propose-phase worker
-/// thread) keeps one `PartnerScratch` alive and reuses the buffers
-/// instead of allocating four fresh `Vec`s per server per iteration.
+/// One MinE step needs a candidate list, a score lane and a ranking
+/// table; at Figure-2 scale the engine runs millions of steps, so the
+/// engine (and each propose-phase worker thread) keeps one
+/// `PartnerScratch` alive and reuses the buffers instead of allocating
+/// three fresh `Vec`s per server per iteration.
 #[derive(Debug, Clone, Default)]
 pub struct PartnerScratch {
     candidates: Vec<usize>,
     scores: Vec<f64>,
     scored: Vec<(usize, f64)>,
-    improvements: Vec<f64>,
 }
 
 /// Computes the MinE partner choice without applying it:
@@ -334,7 +333,6 @@ pub fn choose_partner(
     id: usize,
     selection: PartnerSelection,
     min_improvement: f64,
-    parallel: bool,
     active: Option<&[bool]>,
     granularity: f64,
     score_loads: Option<&[f64]>,
@@ -344,17 +342,10 @@ pub fn choose_partner(
     if m < 2 {
         return None;
     }
-    // Inside a fan-out worker (the batched propose phase) the inner
-    // maps would degrade to sequential anyway, but through
-    // `par_map_indexed`, which returns a fresh Vec per call. Take the
-    // scratch-filling sequential arms directly instead, so the propose
-    // hot path stays allocation-free as intended.
-    let parallel = parallel && !dlb_par::in_parallel_region();
     let PartnerScratch {
         candidates,
         scores,
         scored,
-        improvements,
     } = scratch;
     let reachable = |j: usize| j != id && active.is_none_or(|mask| mask[j]);
     candidates.clear();
@@ -364,28 +355,12 @@ pub fn choose_partner(
             // Pre-scoring is the hot loop of the pruned large-network
             // mode: every server scores all m−1 partners, so one engine
             // iteration at Figure 2's m = 5000 performs ~25M closed-form
-            // evaluations — through the batch kernel, unreachable ids
-            // included (a pure function; they are dropped below). The
-            // fan-out is over `SCORE_BLOCK`-sized spans in index order,
-            // and each lane's score does not depend on its block, so
-            // the ranking — and therefore the fixpoint — is identical
-            // however many workers run.
+            // evaluations — one batch-kernel call over every id,
+            // unreachable ones included (a pure function; they are
+            // dropped below).
             let loads = score_loads.unwrap_or_else(|| a.loads());
-            if parallel {
-                let block = |b: usize| {
-                    let span = b * SCORE_BLOCK..m.min((b + 1) * SCORE_BLOCK);
-                    let mut lanes = [0.0; SCORE_BLOCK];
-                    let out = &mut lanes[..span.len()];
-                    partner_scores(instance, loads, id, Candidates::Range(span), out);
-                    lanes
-                };
-                let blocks = dlb_par::par_map_indexed(m.div_ceil(SCORE_BLOCK), block);
-                scores.clear();
-                scores.extend(blocks.iter().flatten().take(m));
-            } else {
-                scores.resize(m, 0.0); // every slot is overwritten
-                partner_scores(instance, loads, id, Candidates::Range(0..m), scores);
-            }
+            scores.resize(m, 0.0); // every slot is overwritten
+            partner_scores(instance, loads, id, Candidates::Range(0..m), scores);
             scored.clear();
             scored.extend((0..m).filter(|&j| reachable(j)).map(|j| (j, scores[j])));
             // Keep the `top_k` best under the total order (score
@@ -412,55 +387,26 @@ pub fn choose_partner(
         return None;
     }
     // Exact Algorithm-1 evaluation of the surviving candidates — the
-    // dominant cost in Exact mode (m−1 ledger merges per server).
-    // Index-ordered parallel map keeps results identical to sequential.
-    // NaN improvements are rejected up front — a NaN reaching the
-    // argmax `match` would overwrite a finite best (NaN fails every
+    // dominant cost in Exact mode (m−1 ledger merges per server). The
+    // keep-first arg-max holds the best outcome as it goes, so the
+    // winning exchange's ledgers are never computed twice. NaN
+    // improvements are rejected up front — a NaN reaching the argmax
+    // `match` would overwrite a finite best (NaN fails every
     // comparison) and silently skip a genuinely improving exchange.
     // For finite values the early threshold filter is equivalent to
     // filtering the argmax at the end.
-    if parallel {
-        let evaluate = |j: usize| improvement(instance, a, id, j, granularity);
-        improvements.clear();
-        improvements.extend(dlb_par::par_map_indexed(candidates.len(), |idx| {
-            evaluate(candidates[idx])
-        }));
-        let mut best: Option<(usize, f64)> = None;
-        for (j, &impr) in candidates.iter().zip(improvements.iter()) {
-            if impr.is_nan() || impr <= min_improvement {
-                continue;
-            }
-            match best {
-                Some((_, b)) if impr <= b => {}
-                _ => best = Some((*j, impr)),
-            }
+    let mut best: Option<(usize, TransferOutcome)> = None;
+    for &j in candidates.iter() {
+        let out = calc_best_transfer_g(instance, a.ledger(id), a.ledger(j), id, j, granularity);
+        if out.improvement.is_nan() || out.improvement <= min_improvement {
+            continue;
         }
-        // The fan-out keeps only the scalar improvements; one extra
-        // Algorithm-1 run materializes the winner's ledgers.
-        let (j, impr) = best?;
-        let outcome = calc_best_transfer_g(instance, a.ledger(id), a.ledger(j), id, j, granularity);
-        debug_assert!(
-            (outcome.improvement - impr).abs() <= 1e-9 * impr.abs().max(1.0),
-            "winner re-evaluation drifted: {impr} vs {}",
-            outcome.improvement
-        );
-        Some((j, outcome))
-    } else {
-        // The sequential scan keeps the best outcome as it goes, so the
-        // winning exchange's ledgers are never computed twice.
-        let mut best: Option<(usize, TransferOutcome)> = None;
-        for &j in candidates.iter() {
-            let out = calc_best_transfer_g(instance, a.ledger(id), a.ledger(j), id, j, granularity);
-            if out.improvement.is_nan() || out.improvement <= min_improvement {
-                continue;
-            }
-            match &best {
-                Some((_, b)) if out.improvement <= b.improvement => {}
-                _ => best = Some((j, out)),
-            }
+        match &best {
+            Some((_, b)) if out.improvement <= b.improvement => {}
+            _ => best = Some((j, out)),
         }
-        best
     }
+    best
 }
 
 #[cfg(test)]
@@ -488,8 +434,8 @@ mod tests {
         )
     }
 
-    /// [`choose_partner`]'s `(partner, improvement)`, sequential and
-    /// continuous (`granularity = 0`).
+    /// [`choose_partner`]'s `(partner, improvement)`, continuous
+    /// (`granularity = 0`).
     #[allow(clippy::too_many_arguments)]
     fn choice(
         instance: &Instance,
@@ -507,7 +453,6 @@ mod tests {
             id,
             selection,
             min_improvement,
-            false,
             active,
             0.0,
             score_loads,
@@ -524,7 +469,6 @@ mod tests {
         a: &mut Assignment,
         id: usize,
         selection: PartnerSelection,
-        parallel: bool,
     ) -> Option<(usize, f64)> {
         let mut scratch = PartnerScratch::default();
         let (j, outcome) = choose_partner(
@@ -533,7 +477,6 @@ mod tests {
             id,
             selection,
             1e-9,
-            parallel,
             None,
             0.0,
             None,
@@ -771,7 +714,7 @@ mod tests {
                 best_j = j;
             }
         }
-        let out = step(&instance, &mut a.clone(), 0, PartnerSelection::Exact, false);
+        let out = step(&instance, &mut a.clone(), 0, PartnerSelection::Exact);
         if best > 1e-9 {
             let (j, improvement) = out.expect("an improving partner");
             assert_eq!(j, best_j);
@@ -786,7 +729,7 @@ mod tests {
         let instance = random_instance(10, 2);
         let mut a = Assignment::local(&instance);
         let before = total_cost(&instance, &a);
-        let out = step(&instance, &mut a, 0, PartnerSelection::Exact, false);
+        let out = step(&instance, &mut a, 0, PartnerSelection::Exact);
         let improvement = out.map_or(0.0, |(_, improvement)| improvement);
         let after = total_cost(&instance, &a);
         assert!(
@@ -803,10 +746,7 @@ mod tests {
         let instance = Instance::homogeneous(4, 1.0, 10.0, 20.0);
         let mut a = Assignment::local(&instance);
         let before = a.clone();
-        assert_eq!(
-            step(&instance, &mut a, 0, PartnerSelection::Exact, false),
-            None
-        );
+        assert_eq!(step(&instance, &mut a, 0, PartnerSelection::Exact), None);
         assert_eq!(a, before, "nothing moved");
     }
 
@@ -820,9 +760,9 @@ mod tests {
             loads[3] = 1000.0;
             instance.set_own_loads(loads);
             let a = Assignment::local(&instance);
-            let exact = step(&instance, &mut a.clone(), 3, PartnerSelection::Exact, false);
+            let exact = step(&instance, &mut a.clone(), 3, PartnerSelection::Exact);
             let pruned = PartnerSelection::Pruned { top_k: 4 };
-            let pruned = step(&instance, &mut a.clone(), 3, pruned, false);
+            let pruned = step(&instance, &mut a.clone(), 3, pruned);
             let partner = |out: Option<(usize, f64)>| out.map(|(j, _)| j);
             assert_eq!(partner(exact), partner(pruned), "seed {seed}");
         }
@@ -833,7 +773,7 @@ mod tests {
         let instance = random_instance(24, 9);
         let a = Assignment::local(&instance);
         let gain = |selection| {
-            let out = step(&instance, &mut a.clone(), 0, selection, false);
+            let out = step(&instance, &mut a.clone(), 0, selection);
             out.map_or(0.0, |(_, improvement)| improvement)
         };
         let exact = gain(PartnerSelection::Exact);
@@ -841,17 +781,6 @@ mod tests {
         // The pruned step must achieve at least half the exact gain
         // (in practice it is nearly always identical).
         assert!(pruned >= 0.5 * exact - 1e-9);
-    }
-
-    #[test]
-    fn parallel_and_sequential_agree() {
-        let instance = random_instance(80, 4);
-        let a = Assignment::local(&instance);
-        let seq = step(&instance, &mut a.clone(), 5, PartnerSelection::Exact, false);
-        let par = step(&instance, &mut a.clone(), 5, PartnerSelection::Exact, true);
-        let ((j_seq, seq), (j_par, par)) = (seq.unwrap(), par.unwrap());
-        assert_eq!(j_seq, j_par);
-        assert!((seq - par).abs() < 1e-12);
     }
 
     #[test]

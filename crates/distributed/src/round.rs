@@ -1,7 +1,7 @@
 //! Batched propose/match/apply rounds.
 //!
-//! The paper's §VI-B iteration visits servers one at a time; the only
-//! parallelism is *inside* one server's Algorithm-2 partner scan. This
+//! The paper's §VI-B iteration visits servers one at a time, each
+//! server's Algorithm-2 partner scan on the caller's thread. This
 //! module turns the whole iteration into three data-parallel phases,
 //! the model used by the distributed selfish load-balancing literature
 //! (concurrent pairwise rebalancing rounds, cf. Berenbrink et al.) and
@@ -11,8 +11,9 @@
 //! 1. **Propose** — every active server computes its Algorithm-2
 //!    partner choice against the *round-start* assignment, in one
 //!    outer-parallel pass over servers ([`dlb_par::par_map_slice`]).
-//!    The inner candidate-scoring maps detect the enclosing region and
-//!    degrade to sequential, so the machine is never oversubscribed.
+//!    This is the engines' one level of fan-out: each server's scan
+//!    runs whole on the worker that drew it, so the machine is never
+//!    oversubscribed.
 //! 2. **Match** — proposals are resolved into a conflict-free set of
 //!    pairwise exchanges by greedy matching in the round's shuffled
 //!    priority order: the first proposer (in order) whose partner is
@@ -116,7 +117,9 @@ pub struct Proposal {
 
 /// Phase 1: every server in `order` computes its Algorithm-2 partner
 /// choice against the current (round-start) assignment. Returns one
-/// `Option<Proposal>` per `order` entry, in order. `score` is where
+/// `Option<Proposal>` per `order` entry, in order. `parallel` spreads
+/// the servers over `dlb-par` workers; each choice runs whole on one
+/// thread either way, so the result is the same. `score` is where
 /// each server's pruned pre-scoring reads loads from: a per-server
 /// gossip view or the live round-start loads.
 #[allow(clippy::too_many_arguments)]
@@ -139,7 +142,6 @@ pub fn propose(
                 id,
                 selection,
                 min_improvement,
-                parallel,
                 active,
                 granularity,
                 score.for_server(id),
@@ -426,7 +428,6 @@ mod tests {
                 id,
                 selection,
                 1e-9,
-                false,
                 None,
                 0.0,
                 Some(&views[id]),

@@ -1,18 +1,18 @@
-//! The parallel refactors must not change any result:
-//! `dlb_par::par_map_indexed`/`par_map_slice` preserve index order, so
-//! the engine's fixpoint has to be bit-identical whether the scoring
-//! loop — and, in batched mode, the propose/match/apply round — runs
-//! on one worker (`DLB_THREADS=1`), on every core (the default), or on
-//! the plain sequential path (`parallel: false`).
+//! The worker count must not change any result. The sequential sweep
+//! runs on the caller's thread, so its fixpoint must not read
+//! `DLB_THREADS` at all. The batched round fans its propose phase out
+//! over servers with `dlb_par::par_map_slice`, which preserves index
+//! order, so its fixpoint has to be bit-identical whether that map
+//! runs on one worker (`DLB_THREADS=1`), on every core (the default),
+//! or on the plain sequential path (`parallel: false`).
 //!
 //! This file is its own test binary so the `DLB_THREADS` mutations
 //! cannot race with unrelated tests.
 
 use dlb_core::rngutil::rng_for;
 use dlb_core::workload::{LoadDistribution, SpeedDistribution, WorkloadSpec};
-use dlb_core::Assignment;
 use dlb_core::{Instance, LatencyMatrix};
-use dlb_distributed::mine::{choose_partner, PartnerScratch, PartnerSelection, SCORE_BLOCK};
+use dlb_distributed::mine::PartnerSelection;
 use dlb_distributed::{Engine, EngineOptions, RoundMode};
 use rand::Rng;
 use std::sync::Mutex;
@@ -21,9 +21,8 @@ use std::sync::Mutex;
 /// not interleave within this binary.
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
-/// A heterogeneous instance big enough to clear `dlb-par`'s sequential
-/// cutoff in both the pre-scoring (`m` items) and, in exact mode, the
-/// candidate-evaluation (`m − 1` items) maps.
+/// A heterogeneous instance big enough that the batched propose map
+/// (`m` servers) clears `dlb-par`'s sequential cutoff.
 fn instance(m: usize) -> Instance {
     let mut rng = rng_for(2024, 0xDE7);
     let mut lat = LatencyMatrix::zero(m);
@@ -105,11 +104,10 @@ fn engine_fixpoint_is_thread_count_invariant() {
 
 #[test]
 fn batched_round_fixpoint_is_thread_count_invariant() {
-    // The propose/match/apply path adds a second layer of fan-out (the
-    // outer per-server propose map and the concurrent apply of matched
-    // exchanges); its fixpoint must be bit-identical across worker
-    // counts and against the fully sequential execution, for both
-    // selection policies.
+    // The propose/match/apply path is the engines' one fan-out (the
+    // per-server propose map); its fixpoint must be bit-identical
+    // across worker counts and against the fully sequential execution,
+    // for both selection policies.
     let _env = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let inst = instance(96);
     for selection in [
@@ -140,48 +138,4 @@ fn batched_round_fixpoint_is_thread_count_invariant() {
             "batched {selection:?}: parallel path diverged from sequential reference"
         );
     }
-}
-
-#[test]
-fn pruned_prescoring_block_fanout_matches_the_sequential_scan() {
-    // The pruned pre-ranking fans out over `SCORE_BLOCK`-sized spans of
-    // the batch kernel, so it clears `dlb-par`'s sequential cutoff only
-    // from 32 blocks up — far above the 96 servers of the fixpoint
-    // tests. This is the one case that really scores on worker
-    // threads: 33 blocks, the last of them ragged.
-    let _env = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let m = 32 * SCORE_BLOCK + 100;
-    let mut rng = rng_for(2025, 0xB10C);
-    let instance = WorkloadSpec {
-        loads: LoadDistribution::Exponential,
-        avg_load: 70.0,
-        speeds: SpeedDistribution::paper_uniform(),
-    }
-    .sample(LatencyMatrix::homogeneous(m, 20.0), &mut rng);
-    let a = Assignment::local(&instance);
-    let selection = PartnerSelection::Pruned { top_k: 8 };
-    std::env::set_var("DLB_THREADS", "3");
-    for id in [0, SCORE_BLOCK, m / 2, m - 1] {
-        let mut scratch = PartnerScratch::default();
-        let mut choose = |parallel: bool| {
-            choose_partner(
-                &instance,
-                &a,
-                id,
-                selection,
-                1e-9,
-                parallel,
-                None,
-                0.0,
-                None,
-                &mut scratch,
-            )
-            .map(|(j, outcome)| (j, outcome.improvement))
-        };
-        let sequential = choose(false);
-        let fanned_out = choose(true);
-        assert!(sequential.is_some(), "server {id} has an improving partner");
-        assert_eq!(fanned_out, sequential, "server {id}");
-    }
-    std::env::remove_var("DLB_THREADS");
 }

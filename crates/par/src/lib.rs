@@ -1,11 +1,11 @@
 //! # dlb-par — minimal data-parallel utilities
 //!
-//! The engines in this workspace need one parallel primitive: an
-//! order-preserving parallel map over an index range. `rayon` is
-//! outside the approved dependency set, so this crate provides it on
-//! top of `std::thread::scope` with static chunking, which is a good
-//! fit for the regular, CPU-bound workloads here (candidate-partner
-//! scoring, per-instance experiment replication).
+//! The batched engine's propose phase needs one parallel primitive: an
+//! order-preserving parallel map over servers. `rayon` is outside the
+//! approved dependency set, so this crate provides it on top of
+//! `std::thread::scope` with static chunking, a good fit for that
+//! regular, CPU-bound work (one whole Algorithm-2 partner scan per
+//! server).
 //!
 //! The event executor in `dlb-runtime` needs a second shape:
 //! [`par_map_shards`] runs a closure over *caller-cut* shards — disjoint
@@ -17,6 +17,12 @@
 //! binary still times them (`par.map_mut_dispatch_us`), and go when it
 //! does (ROADMAP item 5).
 //!
+//! Fan-out is one level deep. The propose map and the executor's shard
+//! drain are this crate's only callers in the workspace, and neither
+//! runs inside the other, so no worker ever opens a second fan-out.
+//! Nothing here guards against nesting: a map called from a worker
+//! would spawn its own [`num_threads`] workers.
+//!
 //! All functions degrade gracefully to sequential execution for small
 //! inputs or single-core machines and return results in input order,
 //! so what they compute never depends on the worker count. A panic in
@@ -27,39 +33,12 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
 
 /// Below this many items the parallel helpers run sequentially: thread
 /// spawn cost would dominate.
 pub const SEQUENTIAL_CUTOFF: usize = 32;
-
-thread_local! {
-    /// Set on every thread spawned as a fan-out worker. Parallel calls
-    /// issued *from a worker* (nested parallelism — e.g. a propose-phase
-    /// worker running one server's candidate-scoring map) degrade to
-    /// sequential execution instead of spawning a second generation of
-    /// threads, which would oversubscribe the machine `threads²`-fold.
-    /// The flag is per-thread, so independent top-level callers on
-    /// other threads keep their full parallelism.
-    static IS_FANOUT_WORKER: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Returns `true` on threads spawned as fan-out workers (in which case
-/// new parallel calls run sequentially on that thread). The maps are
-/// order-preserving pure fan-outs, so the degradation never changes a
-/// result — only where it is computed.
-pub fn in_parallel_region() -> bool {
-    IS_FANOUT_WORKER.with(|f| f.get())
-}
-
-/// Marks the current (freshly spawned, scope-lifetime) thread as a
-/// fan-out worker. The thread dies with the scope, so the flag never
-/// needs resetting.
-fn mark_worker() {
-    IS_FANOUT_WORKER.with(|f| f.set(true));
-}
 
 /// Returns the number of worker threads to use: the available
 /// parallelism, overridable with the `DLB_THREADS` environment variable
@@ -83,7 +62,7 @@ where
     F: Fn(usize) -> T + Sync,
 {
     let threads = num_threads();
-    if n < SEQUENTIAL_CUTOFF || threads <= 1 || in_parallel_region() {
+    if n < SEQUENTIAL_CUTOFF || threads <= 1 {
         return (0..n).map(f).collect();
     }
     let chunk = n.div_ceil(threads);
@@ -103,7 +82,6 @@ where
         for (t, slice) in slices.into_iter().enumerate() {
             let f = &f;
             scope.spawn(move || {
-                mark_worker();
                 let base = t * chunk;
                 for (off, slot) in slice.iter_mut().enumerate() {
                     *slot = Some(f(base + off));
@@ -135,18 +113,18 @@ where
 ///
 /// Unlike the maps above there is no item-count cutoff: the caller
 /// decided the batch is worth a spawn when it cut more than one shard
-/// (cut [`num_threads`] of them). A single shard, one available thread,
-/// or a call from inside another fan-out runs every shard inline on the
-/// calling thread, in order. Each shard is handled exactly once and the
-/// output order is the input order, so what a caller assembles from the
-/// results cannot depend on where they were computed.
+/// (cut [`num_threads`] of them). A single shard or one available
+/// thread runs every shard inline on the calling thread, in order. Each
+/// shard is handled exactly once and the output order is the input
+/// order, so what a caller assembles from the results cannot depend on
+/// where they were computed.
 pub fn par_map_shards<S, T, F>(shards: Vec<S>, f: F) -> Vec<T>
 where
     S: Send,
     T: Send,
     F: Fn(usize, S) -> T + Sync,
 {
-    if shards.len() <= 1 || num_threads() <= 1 || in_parallel_region() {
+    if shards.len() <= 1 || num_threads() <= 1 {
         return shards
             .into_iter()
             .enumerate()
@@ -159,10 +137,7 @@ where
             .enumerate()
             .map(|(w, shard)| {
                 let f = &f;
-                scope.spawn(move || {
-                    mark_worker();
-                    f(w, shard)
-                })
+                scope.spawn(move || f(w, shard))
             })
             .collect();
         handles
@@ -258,9 +233,8 @@ where
 /// Runs `body` with a [`WorkerPool`] whose workers apply `handler`.
 /// Workers are spawned once (inside one scope wrapping the whole call)
 /// and live until `body` returns; every [`WorkerPool::map_mut`] batch
-/// reuses them. With one thread available — or when called from inside
-/// another fan-out — no workers are spawned and every batch runs
-/// inline.
+/// reuses them. With one thread available no workers are spawned and
+/// every batch runs inline.
 pub fn with_pool<I, T, F, B, R>(handler: F, body: B) -> R
 where
     I: Send,
@@ -270,7 +244,7 @@ where
 {
     let threads = num_threads();
     let (result_tx, results) = channel();
-    if threads <= 1 || in_parallel_region() {
+    if threads <= 1 {
         // No job lane exists, so `map_mut` runs every batch inline and
         // never touches the return lane.
         let mut pool = WorkerPool {
@@ -288,7 +262,6 @@ where
             let result_tx = result_tx.clone();
             let handler = &handler;
             scope.spawn(move || {
-                mark_worker();
                 while let Ok((idx, mut chunk)) = rx.recv() {
                     // A handler panic travels back as the chunk's
                     // result: unwinding this thread instead would leave
@@ -367,38 +340,8 @@ mod tests {
     }
 
     #[test]
-    fn map_shards_inside_fanout_runs_inline() {
-        let outer = par_map_indexed(2 * SEQUENTIAL_CUTOFF, |i| {
-            par_map_shards(vec![i, i + 1, i + 2], |w, s| w + s)
-        });
-        for (i, v) in outer.iter().enumerate() {
-            assert_eq!(*v, vec![i, i + 2, i + 4]);
-        }
-    }
-
-    #[test]
     fn num_threads_is_positive() {
         assert!(num_threads() >= 1);
-    }
-
-    #[test]
-    fn nested_maps_degrade_to_sequential_and_stay_correct() {
-        // An outer fan-out (the engine's propose phase) with an inner
-        // parallel map per item: the inner calls must fall back to the
-        // sequential path instead of spawning threads² workers, and the
-        // results must be identical either way.
-        let n = 2 * SEQUENTIAL_CUTOFF;
-        let outer = par_map_indexed(n, |i| {
-            let inner = par_map_indexed(n, |j| i * n + j);
-            inner.iter().sum::<usize>()
-        });
-        for (i, &v) in outer.iter().enumerate() {
-            let expect: usize = (0..n).map(|j| i * n + j).sum();
-            assert_eq!(v, expect, "nested map diverged at {i}");
-        }
-        // The worker flag is thread-local, so this (non-worker) thread
-        // is never marked — concurrent sibling tests can't interfere.
-        assert!(!in_parallel_region());
     }
 
     #[test]
@@ -493,25 +436,5 @@ mod tests {
             });
         });
         assert_eq!(shards, "shard 3");
-    }
-
-    #[test]
-    fn pool_inside_fanout_degrades_sequentially() {
-        // A pool opened from inside another fan-out must not spawn a
-        // second generation of threads; results stay identical.
-        let outer = par_map_indexed(2 * SEQUENTIAL_CUTOFF, |i| {
-            with_pool(
-                move |x: &mut usize| *x + i,
-                |pool| {
-                    let (_, out) = pool.map_mut((0..2 * SEQUENTIAL_CUTOFF).collect());
-                    out.iter().sum::<usize>()
-                },
-            )
-        });
-        let n = 2 * SEQUENTIAL_CUTOFF;
-        for (i, &v) in outer.iter().enumerate() {
-            let expect: usize = (0..n).map(|j| j + i).sum();
-            assert_eq!(v, expect);
-        }
     }
 }
