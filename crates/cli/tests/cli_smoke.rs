@@ -283,7 +283,7 @@ fn report_renders_every_committed_artifact_unchanged() {
         ("faults", 0x6cdd_d057_b8ac_72e4),
         ("figure2", 0x02ae_870f_b112_e7ae),
         ("gossip", 0x8cad_1247_a661_90bd),
-        ("obs", 0xed64_10c2_86bd_492a),
+        ("obs", 0x1d54_37ca_00c7_1ec5),
         ("streaming", 0xa508_da9e_f4ba_00d9),
     ] {
         let path = format!("{}/../../BENCH_{artifact}.json", env!("CARGO_MANIFEST_DIR"));

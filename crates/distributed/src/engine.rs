@@ -66,9 +66,10 @@ pub struct EngineOptions {
     /// RNG seed for the iteration order, which is shuffled every
     /// iteration (the paper's setting).
     pub seed: u64,
-    /// Fan the batched round's propose phase out over `dlb-par` workers,
-    /// one whole partner scan per server. [`RoundMode::Sequential`]
-    /// ignores it and runs on the caller's thread.
+    /// Cut the batched round's propose phase into one run of servers per
+    /// worker for `dlb_par::par_map_shards`, the one spawn site (`false`:
+    /// a single inline run). [`RoundMode::Sequential`] ignores it and
+    /// runs on the caller's thread.
     pub parallel: bool,
     /// Remove negative relay cycles every `n` iterations (Appendix);
     /// `None` disables removal (the paper's default — experiments showed

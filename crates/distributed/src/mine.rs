@@ -294,7 +294,7 @@ pub enum PartnerSelection {
 ///
 /// One MinE step needs a candidate list, a score lane and a ranking
 /// table; at Figure-2 scale the engine runs millions of steps, so the
-/// engine (and each propose-phase worker thread) keeps one
+/// engine (and each propose-phase run of servers) keeps one
 /// `PartnerScratch` alive and reuses the buffers instead of allocating
 /// three fresh `Vec`s per server per iteration.
 #[derive(Debug, Clone, Default)]

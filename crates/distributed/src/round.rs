@@ -9,11 +9,12 @@
 //! a shared load snapshot (Balseiro et al.):
 //!
 //! 1. **Propose** — every active server computes its Algorithm-2
-//!    partner choice against the *round-start* assignment, in one
-//!    outer-parallel pass over servers ([`dlb_par::par_map_slice`]).
-//!    This is the engines' one level of fan-out: each server's scan
-//!    runs whole on the worker that drew it, so the machine is never
-//!    oversubscribed.
+//!    partner choice against the *round-start* assignment. The round
+//!    order is cut into one contiguous run per worker, and each run
+//!    goes to [`dlb_par::par_map_shards`], the workspace's one spawn
+//!    site, with its own partner scratch. This is the engines' one
+//!    level of fan-out: each server's scan runs whole on the worker that
+//!    drew its run, so the machine is never oversubscribed.
 //! 2. **Match** — proposals are resolved into a conflict-free set of
 //!    pairwise exchanges by greedy matching in the round's shuffled
 //!    priority order: the first proposer (in order) whose partner is
@@ -34,8 +35,6 @@
 //! Every phase is deterministic given the round order, so batched
 //! fixpoints are thread-count invariant — covered by
 //! `tests/parallel_determinism.rs`.
-
-use std::cell::RefCell;
 
 use dlb_core::{Assignment, Instance};
 
@@ -68,15 +67,6 @@ pub struct RoundOutcome {
     /// the applied exchanges' improvements, feeding the engine's
     /// incremental cost tracker.
     pub cost_delta: f64,
-}
-
-thread_local! {
-    /// Per-worker scratch for the propose phase: the fan-out workers
-    /// are plain `Fn(usize)` closures, so per-item `&mut` state is not
-    /// expressible — a thread-local gives every worker its own buffers,
-    /// created once per thread and reused across its whole chunk of
-    /// servers.
-    static PROPOSE_SCRATCH: RefCell<PartnerScratch> = RefCell::new(PartnerScratch::default());
 }
 
 /// Where the pruned pre-scoring gets its load vector from. Exact
@@ -117,11 +107,13 @@ pub struct Proposal {
 
 /// Phase 1: every server in `order` computes its Algorithm-2 partner
 /// choice against the current (round-start) assignment. Returns one
-/// `Option<Proposal>` per `order` entry, in order. `parallel` spreads
-/// the servers over `dlb-par` workers; each choice runs whole on one
-/// thread either way, so the result is the same. `score` is where
-/// each server's pruned pre-scoring reads loads from: a per-server
-/// gossip view or the live round-start loads.
+/// `Option<Proposal>` per `order` entry, in order. `order` is cut into
+/// contiguous runs for [`dlb_par::par_map_shards`]: one per worker
+/// ([`dlb_par::run_len`]) when `parallel` is set, a single inline run
+/// otherwise. Each run owns one [`PartnerScratch`], and each choice
+/// runs whole on one thread either way, so the result is the same.
+/// `score` is where each server's pruned pre-scoring reads loads from:
+/// a per-server gossip view or the live round-start loads.
 #[allow(clippy::too_many_arguments)]
 pub fn propose(
     instance: &Instance,
@@ -134,27 +126,34 @@ pub fn propose(
     granularity: f64,
     score: ScoreView<'_>,
 ) -> Vec<Option<Proposal>> {
-    let choose = |id: usize| {
-        PROPOSE_SCRATCH.with(|scratch| {
-            choose_partner(
-                instance,
-                a,
-                id,
-                selection,
-                min_improvement,
-                active,
-                granularity,
-                score.for_server(id),
-                &mut scratch.borrow_mut(),
-            )
-            .map(|(partner, outcome)| Proposal { partner, outcome })
-        })
-    };
-    if parallel {
-        dlb_par::par_map_slice(order, |&id| choose(id))
+    let run = if parallel {
+        dlb_par::run_len(order.len())
     } else {
-        order.iter().map(|&id| choose(id)).collect()
-    }
+        order.len().max(1)
+    };
+    let runs = order.chunks(run).collect();
+    dlb_par::par_map_shards(runs, |_, ids| {
+        let mut scratch = PartnerScratch::default();
+        ids.iter()
+            .map(|&id| {
+                choose_partner(
+                    instance,
+                    a,
+                    id,
+                    selection,
+                    min_improvement,
+                    active,
+                    granularity,
+                    score.for_server(id),
+                    &mut scratch,
+                )
+                .map(|(partner, outcome)| Proposal { partner, outcome })
+            })
+            .collect::<Vec<_>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 /// Phase 2: greedy conflict-free matching in priority order.
@@ -396,6 +395,33 @@ mod tests {
         );
         assert_eq!(seq, par);
         assert_eq!(a_seq, a_par, "batched round must be execution-invariant");
+    }
+
+    #[test]
+    fn propose_cuts_into_runs_without_changing_a_proposal() {
+        // Around the sequential cutoff and across several workers' runs;
+        // the empty order must not cut runs of length zero.
+        let instance = random_instance(257, 5);
+        let a = Assignment::local(&instance);
+        let shuffled: Vec<usize> = (0..257).map(|i| (i * 101) % 257).collect();
+        for len in [0, 1, 31, 32, 33, 257] {
+            let order = &shuffled[..len];
+            let [one_run, per_worker] = [false, true].map(|parallel| {
+                propose(
+                    &instance,
+                    &a,
+                    order,
+                    PartnerSelection::Pruned { top_k: 6 },
+                    1e-9,
+                    parallel,
+                    None,
+                    0.0,
+                    ScoreView::Live,
+                )
+            });
+            assert_eq!(one_run.len(), len);
+            assert_eq!(one_run, per_worker, "order of {len} servers");
+        }
     }
 
     #[test]

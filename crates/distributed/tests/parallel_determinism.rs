@@ -1,10 +1,11 @@
 //! The worker count must not change any result. The sequential sweep
 //! runs on the caller's thread, so its fixpoint must not read
-//! `DLB_THREADS` at all. The batched round fans its propose phase out
-//! over servers with `dlb_par::par_map_slice`, which preserves index
-//! order, so its fixpoint has to be bit-identical whether that map
-//! runs on one worker (`DLB_THREADS=1`), on every core (the default),
-//! or on the plain sequential path (`parallel: false`).
+//! `DLB_THREADS` at all. The batched round cuts its propose phase into
+//! one contiguous run of servers per worker and hands the runs to
+//! `dlb_par::par_map_shards`, the workspace's one spawn site, which
+//! returns them in order, so its fixpoint has to be bit-identical
+//! whether the runs go to one worker (`DLB_THREADS=1`), to every core
+//! (the default), or stay one inline run (`parallel: false`).
 //!
 //! This file is its own test binary so the `DLB_THREADS` mutations
 //! cannot race with unrelated tests.

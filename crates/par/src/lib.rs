@@ -1,21 +1,22 @@
 //! # dlb-par — minimal data-parallel utilities
 //!
-//! The batched engine's propose phase needs one parallel primitive: an
-//! order-preserving parallel map over servers. `rayon` is outside the
-//! approved dependency set, so this crate provides it on top of
-//! `std::thread::scope` with static chunking, a good fit for that
-//! regular, CPU-bound work (one whole Algorithm-2 partner scan per
-//! server).
+//! [`par_map_shards`] is the one place in the workspace that spawns
+//! threads: it runs a closure over *caller-cut* shards, one scoped
+//! thread per shard, and returns the results in shard order. `rayon`
+//! is outside the approved dependency set, and the workspace's two
+//! fan-outs need nothing more:
+//! - the batched engine's propose phase cuts the round's servers into
+//!   one contiguous run per worker ([`run_len`]), and each run owns the
+//!   partner scratch its servers' scans reuse;
+//! - the event executor in `dlb-runtime` lends each worker a disjoint
+//!   `&mut` id range of its machine table and run queues for one
+//!   broadcast batch, without moving a machine.
 //!
-//! The event executor in `dlb-runtime` needs a second shape:
-//! [`par_map_shards`] runs a closure over *caller-cut* shards — disjoint
-//! `&mut` id ranges of several parallel tables at once — so a broadcast
-//! batch borrows the machine table in place instead of moving machines
-//! through a pool. It replaced the executor's use of the persistent
-//! [`with_pool`] / [`WorkerPool`], which now have **no caller in the
-//! workspace**; they stay only because the perf ledger's `layers`
-//! binary still times them (`par.map_mut_dispatch_us`), and go when it
-//! does (ROADMAP item 5).
+//! [`par_map_slice`], [`with_pool`] and [`WorkerPool`] are a few lines
+//! each over [`par_map_shards`], and no workspace code calls them: the
+//! perf ledger's `layers` binary still times them
+//! (`par.map_slice_dispatch_us`, `par.map_mut_dispatch_us`), and they
+//! go when it stops (ROADMAP item 2).
 //!
 //! Fan-out is one level deep. The propose map and the executor's shard
 //! drain are this crate's only callers in the workspace, and neither
@@ -23,21 +24,19 @@
 //! Nothing here guards against nesting: a map called from a worker
 //! would spawn its own [`num_threads`] workers.
 //!
-//! All functions degrade gracefully to sequential execution for small
-//! inputs or single-core machines and return results in input order,
-//! so what they compute never depends on the worker count. A panic in
-//! a worker reaches the caller: [`par_map_shards`] and [`with_pool`]
-//! re-raise the worker's own payload, [`par_map_indexed`] panics once
-//! its scope has joined.
+//! Every function runs inline for a single shard or a single available
+//! thread and returns results in input order, so what it computes never
+//! depends on the worker count. A panic in a worker reaches the caller
+//! with the worker's own payload.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::marker::PhantomData;
+use std::panic::resume_unwind;
 
-/// Below this many items the parallel helpers run sequentially: thread
-/// spawn cost would dominate.
+/// Below this many items the maps run as one inline run: thread spawn
+/// cost would dominate.
 pub const SEQUENTIAL_CUTOFF: usize = 32;
 
 /// Returns the number of worker threads to use: the available
@@ -54,70 +53,48 @@ pub fn num_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Applies `f` to every index in `0..n` and collects the results in
-/// index order. `f` must be `Sync` because it is shared across workers.
-pub fn par_map_indexed<T, F>(n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
+/// The length of the contiguous runs a fan-out cuts `n` items into: one
+/// run per [`num_threads`] worker, or a single run of everything below
+/// [`SEQUENTIAL_CUTOFF`] items or with one thread. Never zero, so
+/// `chunks` may take it for an empty input too.
+pub fn run_len(n: usize) -> usize {
     let threads = num_threads();
     if n < SEQUENTIAL_CUTOFF || threads <= 1 {
-        return (0..n).map(f).collect();
+        n.max(1)
+    } else {
+        n.div_ceil(threads)
     }
-    let chunk = n.div_ceil(threads);
-    let mut out: Vec<Option<T>> = Vec::with_capacity(n);
-    out.resize_with(n, || None);
-    let mut slices: Vec<&mut [Option<T>]> = Vec::with_capacity(threads);
-    {
-        let mut rest: &mut [Option<T>] = &mut out;
-        while !rest.is_empty() {
-            let take = chunk.min(rest.len());
-            let (head, tail) = rest.split_at_mut(take);
-            slices.push(head);
-            rest = tail;
-        }
-    }
-    std::thread::scope(|scope| {
-        for (t, slice) in slices.into_iter().enumerate() {
-            let f = &f;
-            scope.spawn(move || {
-                let base = t * chunk;
-                for (off, slot) in slice.iter_mut().enumerate() {
-                    *slot = Some(f(base + off));
-                }
-            });
-        }
-    });
-    out.into_iter()
-        .map(|v| v.expect("all slots filled"))
-        .collect()
 }
 
-/// Parallel map over a slice, preserving order.
+/// Parallel map over a slice, preserving order: one [`par_map_shards`]
+/// shard per [`run_len`] run.
 pub fn par_map_slice<I, T, F>(items: &[I], f: F) -> Vec<T>
 where
     I: Sync,
     T: Send,
     F: Fn(&I) -> T + Sync,
 {
-    par_map_indexed(items.len(), |i| f(&items[i]))
+    let runs = items.chunks(run_len(items.len())).collect();
+    par_map_shards(runs, |_, run| run.iter().map(&f).collect::<Vec<T>>())
+        .into_iter()
+        .flatten()
+        .collect()
 }
 
 /// Runs `f` over caller-made shards, one scoped thread per shard, and
 /// returns the results in shard order. `f` gets the shard's index and
-/// the shard by value — typically a tuple of disjoint `&mut` sub-slices
-/// cut with `chunks_mut`, which is how the event executor lends each
-/// worker a contiguous id range of its machine table and run queues for
-/// one broadcast batch, without moving a machine.
+/// the shard by value — typically a run of a slice, or a tuple of
+/// disjoint `&mut` sub-slices cut with `chunks_mut`, which is how the
+/// event executor lends each worker a contiguous id range of its
+/// machine table and run queues for one broadcast batch.
 ///
-/// Unlike the maps above there is no item-count cutoff: the caller
-/// decided the batch is worth a spawn when it cut more than one shard
-/// (cut [`num_threads`] of them). A single shard or one available
-/// thread runs every shard inline on the calling thread, in order. Each
-/// shard is handled exactly once and the output order is the input
-/// order, so what a caller assembles from the results cannot depend on
-/// where they were computed.
+/// There is no item-count cutoff: the caller decided the batch is worth
+/// a spawn when it cut more than one shard (cut [`num_threads`] of
+/// them, or at [`run_len`]). A single shard or one available thread
+/// runs every shard inline on the calling thread, in order. Each shard
+/// is handled exactly once and the output order is the input order, so
+/// what a caller assembles from the results cannot depend on where they
+/// were computed. A panicking worker's payload is re-raised here.
 pub fn par_map_shards<S, T, F>(shards: Vec<S>, f: F) -> Vec<T>
 where
     S: Send,
@@ -151,33 +128,13 @@ where
     })
 }
 
-type ChunkResult<I, T> = std::thread::Result<(usize, Vec<I>, Vec<T>)>;
-
-/// A persistent fan-out pool: `num_threads()` workers spawned **once**
-/// and fed owned work batches over channels, instead of a fresh
-/// `std::thread::scope` (thread spawn + join) per parallel call.
-///
-/// The per-call maps above pay one spawn/join cycle per invocation,
-/// which is fine for a handful of large calls but dominates when a
-/// driver issues thousands of small batches. [`with_pool`] hoists the
-/// spawn out of the loop; [`WorkerPool::map_mut`] then costs only a
-/// channel round-trip per batch, and each worker keeps its thread (and
-/// any thread-local scratch) alive across batches. The price is that
-/// items travel *by value* — into a chunk, over a channel, and back —
-/// which is what made the event executor leave it for
-/// [`par_map_shards`] (see the crate docs; nothing in the workspace
-/// calls the pool any more).
-///
-/// Items are chunked statically in submission order, chunks are reassembled by index, so
-/// results are bit-identical for every `DLB_THREADS` value (including
-/// the sequential paths).
+/// The batch-map shape the perf ledger times: [`with_pool`] lends one
+/// to its body, and every [`WorkerPool::map_mut`] batch is one
+/// [`par_map_shards`] call over the batch's [`run_len`] runs, so its
+/// workers live for one batch. Nothing in the workspace calls it.
 pub struct WorkerPool<'a, I, T, F> {
     handler: &'a F,
-    /// One job lane per worker; empty when the pool runs sequentially.
-    jobs: Vec<Sender<(usize, Vec<I>)>>,
-    /// Shared return lane: `(chunk index, items back, results)`, or
-    /// the payload of the handler's panic on that chunk.
-    results: Receiver<ChunkResult<I, T>>,
+    batch: PhantomData<fn(Vec<I>) -> Vec<T>>,
 }
 
 impl<I, T, F> WorkerPool<'_, I, T, F>
@@ -188,53 +145,17 @@ where
 {
     /// Applies the pool's handler to every item in place and returns
     /// `(items, results)`, both in the original submission order.
-    /// Small batches (and sequential pools) run inline on the calling
-    /// thread — same [`SEQUENTIAL_CUTOFF`], same results. A handler
-    /// panic on a worker is re-raised here with its own payload, as it
-    /// would be inline.
     pub fn map_mut(&mut self, mut items: Vec<I>) -> (Vec<I>, Vec<T>) {
-        let n = items.len();
-        if self.jobs.is_empty() || n < SEQUENTIAL_CUTOFF {
-            let out = items.iter_mut().map(|item| (self.handler)(item)).collect();
-            return (items, out);
-        }
-        let chunk = n.div_ceil(self.jobs.len());
-        let mut sent = 0usize;
-        while !items.is_empty() {
-            let take = chunk.min(items.len());
-            let tail = items.split_off(take);
-            assert!(
-                self.jobs[sent].send((sent, items)).is_ok(),
-                "pool worker alive"
-            );
-            items = tail;
-            sent += 1;
-        }
-        let mut slots: Vec<Option<(Vec<I>, Vec<T>)>> = (0..sent).map(|_| None).collect();
-        for _ in 0..sent {
-            let (idx, chunk_items, chunk_out) = self
-                .results
-                .recv()
-                .expect("pool worker alive")
-                .unwrap_or_else(|payload| resume_unwind(payload));
-            slots[idx] = Some((chunk_items, chunk_out));
-        }
-        let mut items_back = Vec::with_capacity(n);
-        let mut out_back = Vec::with_capacity(n);
-        for slot in slots {
-            let (ci, co) = slot.expect("every chunk returns once");
-            items_back.extend(ci);
-            out_back.extend(co);
-        }
-        (items_back, out_back)
+        let (handler, run) = (self.handler, run_len(items.len()));
+        let runs = items.chunks_mut(run).collect();
+        let out = par_map_shards(runs, |_, run| {
+            run.iter_mut().map(handler).collect::<Vec<T>>()
+        });
+        (items, out.into_iter().flatten().collect())
     }
 }
 
-/// Runs `body` with a [`WorkerPool`] whose workers apply `handler`.
-/// Workers are spawned once (inside one scope wrapping the whole call)
-/// and live until `body` returns; every [`WorkerPool::map_mut`] batch
-/// reuses them. With one thread available no workers are spawned and
-/// every batch runs inline.
+/// Runs `body` with a [`WorkerPool`] whose batches apply `handler`.
 pub fn with_pool<I, T, F, B, R>(handler: F, body: B) -> R
 where
     I: Send,
@@ -242,64 +163,26 @@ where
     F: Fn(&mut I) -> T + Sync,
     B: for<'a> FnOnce(&mut WorkerPool<'a, I, T, F>) -> R,
 {
-    let threads = num_threads();
-    let (result_tx, results) = channel();
-    if threads <= 1 {
-        // No job lane exists, so `map_mut` runs every batch inline and
-        // never touches the return lane.
-        let mut pool = WorkerPool {
-            handler: &handler,
-            jobs: Vec::new(),
-            results,
-        };
-        return body(&mut pool);
-    }
-    std::thread::scope(|scope| {
-        let mut jobs = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            let (tx, rx) = channel::<(usize, Vec<I>)>();
-            jobs.push(tx);
-            let result_tx = result_tx.clone();
-            let handler = &handler;
-            scope.spawn(move || {
-                while let Ok((idx, mut chunk)) = rx.recv() {
-                    // A handler panic travels back as the chunk's
-                    // result: unwinding this thread instead would leave
-                    // `map_mut` waiting for a chunk that never returns.
-                    let done = catch_unwind(AssertUnwindSafe(|| {
-                        let out: Vec<T> = chunk.iter_mut().map(handler).collect();
-                        (idx, chunk, out)
-                    }));
-                    if result_tx.send(done).is_err() {
-                        break; // pool dropped mid-batch (body panicked)
-                    }
-                }
-            });
-        }
-        drop(result_tx);
-        let mut pool = WorkerPool {
-            handler: &handler,
-            jobs,
-            results,
-        };
-        body(&mut pool)
-        // `pool` drops here: job senders close, workers drain and
-        // exit, the scope joins them and re-raises a panic of `body`.
+    body(&mut WorkerPool {
+        handler: &handler,
+        batch: PhantomData,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     #[test]
-    fn map_indexed_small_and_large() {
-        // small (sequential path)
-        let v = par_map_indexed(5, |i| i * i);
+    fn map_slice_small_and_large() {
+        // small (one inline run)
+        let v = par_map_slice(&[0usize, 1, 2, 3, 4], |&i| i * i);
         assert_eq!(v, vec![0, 1, 4, 9, 16]);
-        // large (parallel path)
+        // large (one run per worker)
         let n = 10_000;
-        let v = par_map_indexed(n, |i| i as u64 * 2);
+        let items: Vec<usize> = (0..n).collect();
+        let v = par_map_slice(&items, |&i| i as u64 * 2);
         assert_eq!(v.len(), n);
         for (i, &x) in v.iter().enumerate() {
             assert_eq!(x, i as u64 * 2);
@@ -346,7 +229,7 @@ mod tests {
 
     #[test]
     fn map_empty() {
-        let v: Vec<u8> = par_map_indexed(0, |_| 0u8);
+        let v: Vec<u8> = par_map_slice(&[] as &[u8], |_| 0u8);
         assert!(v.is_empty());
     }
 
@@ -367,7 +250,7 @@ mod tests {
     }
 
     #[test]
-    fn pool_reuses_workers_across_batches() {
+    fn pool_batches_come_back_in_submission_order() {
         // Many small-ish batches through one pool; every batch must come
         // back in submission order with the right results.
         let (sums, lens) = with_pool(
@@ -429,6 +312,14 @@ mod tests {
             )
         });
         assert_eq!(pool, format!("pool item {}", n - 1));
+        let items: Vec<usize> = (0..n).collect();
+        let slice = payload_of(&|| {
+            par_map_slice(&items, |&x| {
+                assert!(x != n - 1, "slice item {x}");
+                x
+            });
+        });
+        assert_eq!(slice, format!("slice item {}", n - 1));
         let shards = payload_of(&|| {
             par_map_shards(vec![0usize, 1, 2, 3], |w, s| {
                 assert!(s != 3, "shard {w}");

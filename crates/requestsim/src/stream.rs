@@ -287,60 +287,44 @@ impl StreamScript {
             |u: f64| -> u32 { cdf.partition_point(|&c| c <= u).min(cdf.len() - 1) as u32 };
 
         let mut arrivals: Vec<(f64, u64, u64)> = Vec::new();
-        let mut push = |at: f64, salt: u64, k: u64| {
-            assert!(
-                arrivals.len() < MAX_ARRIVALS,
-                "arrival schedule exceeds {MAX_ARRIVALS} events — lower the rate or duration"
-            );
-            arrivals.push((at, salt, k));
-        };
-        if let Some(p) = &plan.poisson {
-            let per_ms = p.rate / 1000.0;
-            let mut t = 0.0;
-            let mut k = 0u64;
-            loop {
-                let u = hash_unit(seed, SALT_POISSON, k, 0);
-                t += -(1.0 - u).ln() / per_ms;
-                if t >= duration_ms {
+        // One Poisson candidate stream: exponential gaps at `per_ms`
+        // from `from` until `to`, candidate `k` at `t` scheduled when
+        // `keep(t, k)` holds.
+        let mut candidates = |salt, per_ms: f64, from: f64, to, keep: &dyn Fn(f64, u64) -> bool| {
+            let mut t = from;
+            for k in 0u64.. {
+                t += -(1.0 - hash_unit(seed, salt, k, 0)).ln() / per_ms;
+                if t >= to {
                     break;
                 }
-                push(t, SALT_POISSON, k);
-                k += 1;
+                if keep(t, k) {
+                    assert!(
+                        arrivals.len() < MAX_ARRIVALS,
+                        "arrival schedule exceeds {MAX_ARRIVALS} events — lower the rate or duration"
+                    );
+                    arrivals.push((t, salt, k));
+                }
             }
+        };
+        let all = |_, _| true;
+        if let Some(p) = &plan.poisson {
+            candidates(SALT_POISSON, p.rate / 1000.0, 0.0, duration_ms, &all);
         }
         if let Some(b) = &plan.burst {
-            let per_ms = b.rate / 1000.0;
             let end = b.to_ms.min(duration_ms);
-            let mut t = b.from_ms;
-            let mut k = 0u64;
-            loop {
-                let u = hash_unit(seed, SALT_BURST, k, 0);
-                t += -(1.0 - u).ln() / per_ms;
-                if t >= end {
-                    break;
-                }
-                push(t, SALT_BURST, k);
-                k += 1;
-            }
+            candidates(SALT_BURST, b.rate / 1000.0, b.from_ms, end, &all);
         }
         if let Some(d) = &plan.diurnal {
             // Thinning: candidates at the peak rate 2·rate, each kept
             // with probability λ(t)/(2·rate) = (1 + sin(2πt/P))/2.
-            let peak_per_ms = 2.0 * d.rate / 1000.0;
-            let mut t = 0.0;
-            let mut k = 0u64;
-            loop {
-                let u = hash_unit(seed, SALT_DIURNAL, k, 0);
-                t += -(1.0 - u).ln() / peak_per_ms;
-                if t >= duration_ms {
-                    break;
-                }
-                let accept = hash_unit(seed, SALT_DIURNAL, k, 1);
-                if accept < (1.0 + (2.0 * std::f64::consts::PI * t / d.period_ms).sin()) / 2.0 {
-                    push(t, SALT_DIURNAL, k);
-                }
-                k += 1;
-            }
+            let swing = |t: f64| (1.0 + (2.0 * std::f64::consts::PI * t / d.period_ms).sin()) / 2.0;
+            candidates(
+                SALT_DIURNAL,
+                2.0 * d.rate / 1000.0,
+                0.0,
+                duration_ms,
+                &|t, k| hash_unit(seed, SALT_DIURNAL, k, 1) < swing(t),
+            );
         }
         // Merge the processes onto one timeline. The tie-break (salt,
         // then per-process index) is arbitrary but fixed, so the
