@@ -21,6 +21,14 @@
 //! protocol-vs-engine comparisons — live in `cargo bench -p dlb-bench`
 //! and the root examples.
 
+/// `println!` whose failed write comes back through `?` ([`write_failed`]).
+macro_rules! outln {
+    ($($arg:tt)*) => {{
+        use std::io::Write as _;
+        writeln!(std::io::stdout(), $($arg)*).map_err(crate::write_failed)?
+    }};
+}
+
 mod args;
 mod trace;
 
@@ -29,6 +37,7 @@ use dlb_scenario::report::render_report;
 use dlb_scenario::results::{JsonlSink, Record};
 use dlb_scenario::{AlgoSpec, ScenarioSpec, SpecError, TraceSpec};
 use dlb_topology::coords::{Estimator, EstimatorConfig};
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -158,8 +167,16 @@ trace:
                       chrome://tracing / Perfetto
 
 estimate options:
-  --servers N  --ticks N  --probes N  --seed N  --out FILE
-";
+  --servers N  --ticks N  --probes N  --seed N  --out FILE";
+
+/// A write to stdout failed: a reader gone away (`BrokenPipe`, as under
+/// `dlb … | head -1`) is a clean stop, exit 0; anything else exit 1.
+fn write_failed(e: io::Error) -> SpecError {
+    if e.kind() == io::ErrorKind::BrokenPipe {
+        std::process::exit(0);
+    }
+    SpecError(format!("cannot write to standard output ({e})"))
+}
 
 /// Opens the run sink: `--out FILE` explicitly, the
 /// `DLB_RESULTS_DIR`-driven sink otherwise.
@@ -203,15 +220,15 @@ fn cmd_run(args: &Args) -> Result<(), SpecError> {
     let run = spec.try_run_on(spec.build_instance())?;
     let host_secs = started.elapsed().as_secs_f64();
     sink.record(&Record::from_run("run", &run));
-    println!("scenario: {}", run.scenario);
-    println!("m = {}, initial ΣC = {:.1}", run.m, run.initial_cost());
+    outln!("scenario: {}", run.scenario);
+    outln!("m = {}, initial ΣC = {:.1}", run.m, run.initial_cost());
     let trajectory = &run.history[1..];
     let shown = 12usize;
     for (i, c) in trajectory.iter().take(shown).enumerate() {
-        println!("iteration {:>3}: ΣC = {c:.1}", i + 1);
+        outln!("iteration {:>3}: ΣC = {c:.1}", i + 1);
     }
     if trajectory.len() > shown {
-        println!("... ({} more)", trajectory.len() - shown);
+        outln!("... ({} more)", trajectory.len() - shown);
     }
     // A protocol record's `wall_secs` is simulated protocol time; say
     // so, next to what the simulation cost this host.
@@ -219,14 +236,14 @@ fn cmd_run(args: &Args) -> Result<(), SpecError> {
         AlgoSpec::Protocol => format!("{:.3} s simulated, {host_secs:.3} s host", run.wall_secs),
         _ => format!("{:.3} s wall", run.wall_secs),
     };
-    println!(
+    outln!(
         "converged: {} after {} iterations; final ΣC = {:.1} ({clock})",
         run.converged,
         run.iterations,
         run.final_cost(),
     );
     if !run.stream.is_quiet() {
-        println!(
+        outln!(
             "stream: {} served, {} dropped; sojourn p50 = {:.1} ms, p99 = {:.1} ms; \
              imbalanced {:.1} ms",
             run.stream.served,
@@ -237,14 +254,14 @@ fn cmd_run(args: &Args) -> Result<(), SpecError> {
         );
     }
     if !run.gossip.is_quiet() {
-        println!(
+        outln!(
             "gossip: {} frames, {:.2} MB on the wire, {} exchanges",
             run.gossip.frames,
             run.gossip.bytes as f64 / 1e6,
             run.gossip.exchanges
         );
     }
-    println!();
+    outln!();
     close_sink(args, sink)
 }
 
@@ -259,9 +276,9 @@ fn cmd_report(args: &Args) -> Result<(), SpecError> {
         let text = std::fs::read_to_string(path)
             .map_err(|e| SpecError(format!("{path}: cannot read ({e})")))?;
         if args.positionals.len() > 1 {
-            println!("-- {path} --");
+            outln!("-- {path} --");
         }
-        println!(
+        outln!(
             "{}",
             render_report(&text).map_err(|e| SpecError(format!("{path}: {e}")))?
         );
@@ -290,14 +307,14 @@ fn cmd_estimate(args: &Args) -> Result<(), SpecError> {
         },
     );
     let mut sink = open_sink(args)?;
-    println!("tick  median relative error");
+    outln!("tick  median relative error");
     let step = (ticks / 10).max(1);
     let mut errors = Vec::new();
     for t in 0..ticks {
         est.tick(&truth);
         errors.push(est.median_relative_error(&truth));
         if t % step == 0 || t + 1 == ticks {
-            println!("{:>4}  {:.4}", t + 1, errors[t]);
+            outln!("{:>4}  {:.4}", t + 1, errors[t]);
         }
     }
     sink.record(
@@ -318,7 +335,7 @@ fn cmd_estimate(args: &Args) -> Result<(), SpecError> {
 fn run() -> Result<(), SpecError> {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     if raw.is_empty() || raw[0] == "help" || raw[0] == "--help" || raw[0] == "-h" {
-        print!("{USAGE}");
+        outln!("{USAGE}");
         return Ok(());
     }
     type Command = fn(&Args) -> Result<(), SpecError>;
@@ -343,7 +360,7 @@ fn run() -> Result<(), SpecError> {
 }
 
 fn main() -> ExitCode {
-    match run() {
+    match run().and_then(|()| io::stdout().flush().map_err(write_failed)) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");

@@ -82,8 +82,8 @@ fn cmd_show(args: &Args, path: &str, bytes: &[u8]) -> Result<(), SpecError> {
     let limit = args.get_num("limit", usize::MAX)?;
     let total = log.events.len();
     let matched: Vec<&TraceEvent> = log.events.iter().filter(|e| filter.admits(e)).collect();
-    println!("scenario: {}", log.spec);
-    println!(
+    outln!("scenario: {}", log.spec);
+    outln!(
         "recorded: {} events, event_hash {:#018x}, {} rounds, final ΣC = {:.1}, {:.1} virtual ms",
         total,
         log.trailer.event_hash,
@@ -92,7 +92,7 @@ fn cmd_show(args: &Args, path: &str, bytes: &[u8]) -> Result<(), SpecError> {
         log.trailer.virtual_ms
     );
     if matched.is_empty() {
-        println!("no events match the filter");
+        outln!("no events match the filter");
         return Ok(());
     }
     let rows: Vec<Record> = (matched.iter().take(limit))
@@ -107,9 +107,9 @@ fn cmd_show(args: &Args, path: &str, bytes: &[u8]) -> Result<(), SpecError> {
                 .num("detail", e.detail)
         })
         .collect();
-    println!("{}", render(&rows));
+    outln!("{}", render(&rows));
     if matched.len() > limit {
-        println!(
+        outln!(
             "... ({} more matching events; raise --limit)",
             matched.len() - limit
         );
@@ -119,21 +119,22 @@ fn cmd_show(args: &Args, path: &str, bytes: &[u8]) -> Result<(), SpecError> {
 
 fn cmd_replay(path: &str, bytes: &[u8]) -> Result<(), SpecError> {
     let report = replay_frame_log(bytes).map_err(|e| SpecError(format!("{path}: {e}")))?;
-    println!("scenario: {}", report.spec);
-    println!(
+    outln!("scenario: {}", report.spec);
+    outln!(
         "recorded: event_hash {:#018x}, {} rounds, {} exchanges, final ΣC = {:.1}",
         report.recorded.event_hash,
         report.recorded.rounds,
         report.recorded.exchanges,
         report.recorded.final_cost
     );
-    println!(
+    outln!(
         "replayed: event_hash {:#018x}, {} events",
-        report.replayed_hash, report.replayed_events
+        report.replayed_hash,
+        report.replayed_events
     );
     match &report.divergence {
         None => {
-            println!("replay is bit-exact");
+            outln!("replay is bit-exact");
             Ok(())
         }
         Some(d) => Err(SpecError(format!("{path}: replay diverged — {d}"))),
@@ -147,12 +148,13 @@ fn cmd_chrome(args: &Args, path: &str, bytes: &[u8]) -> Result<(), SpecError> {
         Some(out) => {
             std::fs::write(out, &json)
                 .map_err(|e| SpecError(format!("--out {out}: cannot write ({e})")))?;
-            println!(
+            outln!(
                 "wrote {} events as Chrome trace JSON to {out} (load in chrome://tracing or Perfetto)",
                 log.events.len()
             );
         }
-        None => print!("{json}"),
+        None => std::io::Write::write_all(&mut std::io::stdout(), json.as_bytes())
+            .map_err(crate::write_failed)?,
     }
     Ok(())
 }

@@ -492,3 +492,47 @@ fn bad_specs_and_missing_files_fail_cleanly() {
     assert_eq!(output.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&output.stderr).contains("was retired"));
 }
+
+/// A reader that goes away (`dlb … | head -1`) is a clean stop: every
+/// printing command exits 0 when the read end of its stdout is already
+/// closed, where a bare `println!` panicked with "Broken pipe" (exit
+/// 101). Any other failed write is an `error: …` and exit 1.
+#[test]
+fn closed_stdout_is_a_clean_stop() {
+    let log = std::env::temp_dir().join("dlb_cli_closed_stdout.dlbf");
+    let log = log.to_str().unwrap();
+    let trace = format!("trace=frames:{log}");
+    let recorded = dlb()
+        .args(["run", "algo=protocol", "m=8", "seed=3", &trace])
+        .output()
+        .unwrap();
+    assert!(recorded.status.success());
+    let fixture = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/report_fixture.jsonl"
+    );
+    let commands: [&[&str]; 5] = [
+        &["run", "algo=batched", "m=16", "budget=5"],
+        &["report", fixture],
+        &["estimate", "--servers", "8", "--ticks", "3"],
+        &["trace", "show", log],
+        &["trace", "chrome", log],
+    ];
+    for args in commands {
+        let (reader, writer) = std::io::pipe().unwrap();
+        drop(reader);
+        let output = dlb().args(args).stdout(writer).output().unwrap();
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(0), "{args:?}: {stderr}");
+        if let Ok(full) = std::fs::File::create("/dev/full") {
+            let output = dlb().args(args).stdout(full).output().unwrap();
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            assert_eq!(output.status.code(), Some(1), "{args:?}: {stderr}");
+            assert!(
+                stderr.contains("error: cannot write to standard output ("),
+                "{args:?}: {stderr}"
+            );
+        }
+    }
+    let _ = std::fs::remove_file(log);
+}

@@ -9,10 +9,9 @@
 //!    virtual time, classified in `(due, seq)` order into
 //!    per-destination run queues (the heap serves control frames from
 //!    its same-instant lane and each *wave* of jittered data-plane
-//!    frames from a run it sorted once). The [`Clock`] is told the
-//!    instant ([`VirtualClock`] jumps there) and can never reorder
-//!    deliveries. Per-link jitter keeps almost every batch to a single
-//!    node or the coordinator; only broadcasts are wide.
+//!    frames from a run it sorted once); virtual time jumps to the
+//!    batch's instant. Per-link jitter keeps almost every batch to a
+//!    single node or the coordinator; only broadcasts are wide.
 //! 2. **Drain the touched machines where they stand** — a batch below
 //!    [`SHARD_THRESHOLD`] nodes *in place* on this thread, node by node
 //!    in first-delivery order through one reusable outbound buffer; a
@@ -105,7 +104,6 @@ use dlb_obs::{NullSink, TraceEvent, TraceKind, TraceSink, NODE_COORD, NO_PEER};
 use dlb_par::{num_threads, par_map_shards, SEQUENTIAL_CUTOFF};
 use dlb_requestsim::stream::{Arrival, StreamScript};
 
-use crate::clock::{Clock, VirtualClock};
 use crate::cluster::{ClusterOptions, ClusterReport, DetectMode, StreamSummary};
 use crate::machine::{CoordinatorMachine, Dest, NodeConfig, NodeMachine, Outbound, RtoKind};
 use crate::message::{ledger_to_wire, Frame};
@@ -1240,6 +1238,12 @@ impl<'a, D: Fn(usize, usize) -> f64, T: TraceSink> Run<'a, D, T> {
     }
 }
 
+/// The executor's pacing: it never waits, so a run covering hours of
+/// simulated protocol time finishes as fast as the machine can drain
+/// the heap, and results depend on the event heap alone.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct VirtualClock;
+
 /// Runs the full message-passing protocol for `instance` to completion
 /// in deterministic virtual time: no faults, no request stream, nobody
 /// observing — the convenience form of
@@ -1258,28 +1262,26 @@ pub fn run_cluster_events<D: Fn(usize, usize) -> f64>(
 
 /// The executor's general entry: runs the protocol under a fault
 /// `script` and a live request `stream` (see the [module docs](self)
-/// for both), paced by `clock` and observed by `tracer`.
-/// [`FaultScript::empty`], [`StreamScript::empty`], [`VirtualClock`]
-/// and [`NullSink`] are the respective "none": each leaves the event
-/// stream, hash, and report byte-identical to a run without that
-/// input.
+/// for both), on the [`VirtualClock`] and observed by `tracer`.
+/// [`FaultScript::empty`], [`StreamScript::empty`] and [`NullSink`] are
+/// the respective "none": each leaves the event stream, hash, and
+/// report byte-identical to a run without that input.
 ///
 /// # Panics
 /// Panics when `script` or `stream` was compiled for a different
 /// cluster size.
 #[allow(clippy::too_many_arguments)]
-pub fn run_cluster_events_observed<D, C, T>(
+pub fn run_cluster_events_observed<D, T>(
     instance: &Instance,
     options: &ClusterOptions,
     delays: D,
     script: &FaultScript,
     stream: &StreamScript,
-    clock: &mut C,
+    _clock: &mut VirtualClock,
     tracer: &mut T,
 ) -> ClusterReport
 where
     D: Fn(usize, usize) -> f64,
-    C: Clock,
     T: TraceSink,
 {
     let m = instance.len();
@@ -1301,7 +1303,6 @@ where
             break;
         };
         run.fabric.now = first.due;
-        clock.wait_until(first.due);
         run.liveness.advance(first.due, &mut run.fabric.summary);
         run.classify(first);
         run.stream_turn();

@@ -26,9 +26,7 @@
 //!   failure detection, live request streams, and the trace plane all
 //!   hang off its one loop;
 //! * [`cluster`] — what a run is configured with and what it reports
-//!   ([`ClusterOptions`], [`ClusterReport`]);
-//! * [`clock`] — pacing for the executor, which cannot reorder
-//!   deliveries: [`clock::VirtualClock`] jumps between batches.
+//!   ([`ClusterOptions`], [`ClusterReport`]).
 //!
 //! Two things make this more than a re-run of the engine:
 //!
@@ -65,15 +63,13 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod clock;
 pub mod cluster;
 pub mod executor;
 pub mod machine;
 pub mod message;
 
-pub use clock::{Clock, VirtualClock};
 pub use cluster::{ClusterOptions, ClusterReport, DetectMode, DetectorSummary, StreamSummary};
-pub use executor::{run_cluster_events, run_cluster_events_observed};
+pub use executor::{run_cluster_events, run_cluster_events_observed, VirtualClock};
 pub use machine::{
     CoordinatorMachine, Dest, NodeConfig, NodeMachine, Outbound, RtoKind, SelectPolicy,
     ADAPTIVE_BOOTSTRAP_MS,

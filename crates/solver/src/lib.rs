@@ -17,12 +17,11 @@
 //!   the model,
 //! * [`dense`] — dense request-matrix representation, objective and
 //!   gradient evaluation, Frank-Wolfe optimality gap,
-//! * [`projection`] — Euclidean projection onto (capped) simplexes,
 //! * [`pgd`] — FISTA-accelerated projected gradient descent (the
 //!   generic solver) and exact block-coordinate descent (the optimum
 //!   oracle behind `algo=bcd`),
-//! * [`waterfill`] — the exact KKT water-filling solver for single-row
-//!   quadratic programs (the kernel of selfish best responses),
+//! * [`waterfill`] — exact KKT water-filling, the one single-row solver:
+//!   BCD's block step, selfish best responses and PGD's projection,
 //! * [`bruteforce`] — grid-search reference optima for tiny instances
 //!   (test support).
 
@@ -34,7 +33,6 @@ pub mod dense;
 pub mod extensions;
 pub mod game;
 pub mod pgd;
-pub mod projection;
 pub mod qp;
 pub mod waterfill;
 

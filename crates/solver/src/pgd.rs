@@ -1,11 +1,11 @@
 //! FISTA-accelerated projected gradient descent and exact
-//! block-coordinate descent for the full cooperative QP.
+//! block-coordinate descent for the full cooperative QP, both of which
+//! solve their rows with [`waterfill`].
 
 use dlb_core::Instance;
 
 use crate::dense::{fw_gap, fw_gap_capped, gradient, objective, DenseState};
-use crate::projection::{project_capped_simplex, project_simplex};
-use crate::waterfill::waterfill;
+use crate::waterfill::{waterfill, waterfill_capped};
 
 /// Options for [`solve_pgd`].
 #[derive(Debug, Clone)]
@@ -42,14 +42,18 @@ pub struct SolveReport {
     pub converged: bool,
 }
 
+/// Projects each row `v` of `x` onto `{0 ≤ r ≤ caps, Σ r = n_k}`:
+/// water-filling with `a = −v` at unit speeds.
 fn project_rows(instance: &Instance, x: &mut [f64], caps: Option<&[f64]>) {
     let m = instance.len();
-    for k in 0..m {
-        let row = &mut x[k * m..(k + 1) * m];
-        match caps {
-            Some(c) => project_capped_simplex(row, &c[k * m..(k + 1) * m], instance.own_load(k)),
-            None => project_simplex(row, instance.own_load(k)),
-        }
+    let unit = vec![1.0; m];
+    for (k, row) in x.chunks_mut(m).enumerate() {
+        let cost: Vec<f64> = row.iter().map(|v| -v).collect();
+        let projected = match caps {
+            Some(c) => waterfill_capped(&cost, &unit, &c[k * m..(k + 1) * m], instance.own_load(k)),
+            None => waterfill(&cost, &unit, instance.own_load(k)),
+        };
+        row.copy_from_slice(&projected);
     }
 }
 
@@ -254,6 +258,31 @@ mod tests {
                 bcd.objective
             );
         }
+    }
+
+    /// Both centralized solvers, pinned to the bit: PGD's iteration
+    /// count and objective, and BCD's objective on equal speeds (the
+    /// water-filling sweep's value-sorted branch).
+    #[test]
+    fn solver_results_are_pinned() {
+        let pgd_instance = random_instance(20, 4);
+        let (_, pgd) = solve_pgd(&pgd_instance, &PgdOptions::default());
+        let free = random_instance(30, 5);
+        let m = free.len();
+        let equal_speeds = Instance::new(
+            vec![2.5; m],
+            free.own_loads().to_vec(),
+            free.latency().clone(),
+        );
+        let (_, bcd) = solve_bcd(&equal_speeds, 500, 1e-10);
+        assert_eq!(
+            (pgd.iters, pgd.objective.to_bits()),
+            (360, 0x40ab_7d4f_56da_1ba0)
+        );
+        assert_eq!(
+            (bcd.iters, bcd.objective.to_bits()),
+            (98, 0x40b5_bf25_aecb_5284)
+        );
     }
 
     #[test]
