@@ -162,7 +162,11 @@ fn main() {
     sink.record(&row("fresh", reference, report.iterations, 0));
     for period_ms in [25.0, 100.0, 400.0] {
         let gossip = GossipSpec::Event { period_ms };
-        let run = ScenarioSpec { gossip, ..base }.run_on(instance.clone());
+        let run = ScenarioSpec {
+            gossip,
+            ..base.clone()
+        }
+        .run_on(instance.clone());
         assert!(!run.gossip.is_quiet(), "event run must meter traffic");
         if period_ms == 100.0 {
             // The full run record too, so `dlb report` renders the

@@ -17,7 +17,7 @@ use dlb_distributed::mine::PartnerSelection;
 use dlb_distributed::{Engine, EngineOptions};
 use dlb_scenario::results::{JsonlSink, Record};
 use dlb_scenario::ScenarioSpec;
-use dlb_solver::{solve_bcd, solve_pgd, PgdOptions};
+use dlb_solver::{solve_bcd, solve_pgd};
 
 fn main() {
     let mut sink = JsonlSink::create("ablation_solver_comparison");
@@ -79,14 +79,7 @@ fn main() {
         ));
 
         let t = Instant::now();
-        let (_, pgd) = solve_pgd(
-            &instance,
-            &PgdOptions {
-                max_iters: 20_000,
-                tol: 1e-7,
-                ..Default::default()
-            },
-        );
+        let (_, pgd) = solve_pgd(&instance, None);
         rows.push((
             "projected gradient".into(),
             pgd.objective,

@@ -146,7 +146,14 @@ fn main() {
                     RoundMode::Batched => AlgoSpec::Batched,
                 };
                 sink.record(&tag(Record::new("scaling")
-                    .str("scenario", &ScenarioSpec { algo, ..spec }.to_string())
+                    .str(
+                        "scenario",
+                        &ScenarioSpec {
+                            algo,
+                            ..spec.clone()
+                        }
+                        .to_string(),
+                    )
                     .int("m", m as i64)
                     .str("mode", mode_label(mode))
                     .int("threads", threads as i64)

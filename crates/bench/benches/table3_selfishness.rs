@@ -66,7 +66,7 @@ fn main() {
                                 eps: 0.01,
                                 patience: 2,
                                 budget: 10_000,
-                                ..base
+                                ..base.clone()
                             };
                             let nash = nash.run();
                             // Cooperative optimum.

@@ -99,7 +99,7 @@ pub fn iterations_to_rel_error(
         eps: 1e-6,
         patience: 3,
         budget: 60,
-        ..*spec
+        ..spec.clone()
     };
     let run = oracle.run();
     let iters = run

@@ -210,10 +210,10 @@ fn cmd_run(args: &Args) -> Result<(), SpecError> {
     }
     let spec = ScenarioSpec::parse(&text)?;
     let mut sink = open_sink(args)?;
-    if let TraceSpec::Frames(path) = spec.trace {
+    if let TraceSpec::Frames(path) = &spec.trace {
         // Create (or truncate) the frame log before the run, like
         // `--out`: an unwritable path must not cost a whole run first.
-        std::fs::File::create(path.as_str())
+        std::fs::File::create(path)
             .map_err(|e| SpecError(format!("trace=frames:{path}: cannot create ({e})")))?;
     }
     let started = std::time::Instant::now();

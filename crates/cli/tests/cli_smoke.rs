@@ -536,3 +536,25 @@ fn closed_stdout_is_a_clean_stop() {
     }
     let _ = std::fs::remove_file(log);
 }
+
+/// A frame log's path has no length cap: a run records to a file whose
+/// name alone is 200 bytes, and the log replays bit-exactly.
+#[test]
+fn frame_logs_take_paths_of_any_length() {
+    let dir = std::env::temp_dir().join("dlb_cli_long_trace_path");
+    std::fs::create_dir_all(&dir).unwrap();
+    let log = dir.join(format!("{}.dlbf", "l".repeat(200)));
+    let log = log.to_str().unwrap();
+    let trace = format!("trace=frames:{log}");
+    let recorded = dlb()
+        .args(["run", "algo=protocol", "m=8", "seed=3", &trace])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&recorded.stderr);
+    assert_eq!(recorded.status.code(), Some(0), "{stderr}");
+    let replayed = dlb().args(["trace", "replay", log]).output().unwrap();
+    let stdout = String::from_utf8_lossy(&replayed.stdout);
+    assert_eq!(replayed.status.code(), Some(0), "{stdout}");
+    assert!(stdout.contains("replay is bit-exact"), "{stdout}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -500,7 +500,7 @@ mod tests {
     use dlb_core::rngutil::rng_for;
     use dlb_core::workload::{LoadDistribution, SpeedDistribution, WorkloadSpec};
     use dlb_core::LatencyMatrix;
-    use dlb_solver::{solve_pgd, PgdOptions};
+    use dlb_solver::solve_pgd;
     use rand::Rng;
 
     fn spec(avg: f64, loads: LoadDistribution) -> WorkloadSpec {
@@ -550,7 +550,7 @@ mod tests {
             let mut engine = Engine::new(instance.clone(), seq_opts(seed));
             let report = engine.run_to_convergence(1e-10, 2, 100);
             assert!(report.converged, "seed {seed} did not converge");
-            let (_, pgd) = solve_pgd(&instance, &PgdOptions::default());
+            let (_, pgd) = solve_pgd(&instance, None);
             assert!(
                 report.final_cost <= pgd.objective * (1.0 + 5e-3),
                 "seed {seed}: engine {} vs solver {}",
@@ -648,7 +648,7 @@ mod tests {
         let mut engine = Engine::new(instance.clone(), opts);
         engine.attach_gossip_feed(100.0);
         let report = engine.run_to_convergence(1e-10, 2, 120);
-        let (_, pgd) = solve_pgd(&instance, &PgdOptions::default());
+        let (_, pgd) = solve_pgd(&instance, None);
         assert!(
             report.final_cost <= pgd.objective * 1.05,
             "gossip-fed {} vs opt {}",
@@ -861,7 +861,7 @@ mod tests {
         let instance = spec(50.0, LoadDistribution::Exponential).sample(lat, &mut rng);
         let mut engine = Engine::new(instance.clone(), seq_opts(6));
         let report = engine.run_to_convergence(1e-10, 2, 100);
-        let (_, pgd) = solve_pgd(&instance, &PgdOptions::default());
+        let (_, pgd) = solve_pgd(&instance, None);
         assert!(
             report.final_cost <= pgd.objective * (1.0 + 1e-2),
             "engine {} vs solver {}",

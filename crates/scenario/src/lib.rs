@@ -12,7 +12,8 @@
 //!   the same value travels through `dlb run` tokens, bench grids, and
 //!   committed JSON records identically. The text is the only
 //!   constructor; code that computes a value sets the field of the
-//!   same name by struct update on the `Copy` spec. The keys and the
+//!   same name by struct update (`..spec.clone()` from a spec it keeps
+//!   using: a spec is `Clone`, not `Copy`). The keys and the
 //!   rules for which `algo` honours which of them are one table:
 //!   [`ScenarioSpec::validate`] reads a spec's own text back and
 //!   applies the rules, `parse` ends with it and `run` begins with it,
@@ -81,7 +82,7 @@ pub use replay::{replay_frame_log, ReplayReport};
 pub use runner::RunRecord;
 pub use spec::{
     AlgoSpec, DetectSpec, GossipSpec, NetSpec, ScenarioSpec, SelectSpec, SpecError, SpeedKind,
-    TracePath, TraceSpec,
+    TraceSpec,
 };
 
 // The fault axis's plan/summary types, so spec-level callers need no

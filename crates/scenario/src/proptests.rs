@@ -18,7 +18,7 @@ use crate::runner::{run_protocol_events, trailer};
 use crate::spec::AXES;
 use crate::{
     replay_frame_log, AlgoSpec, DetectSpec, GossipSpec, NetSpec, RunRecord, ScenarioSpec,
-    SelectSpec, SpeedKind, TracePath, TraceSpec,
+    SelectSpec, SpeedKind, TraceSpec,
 };
 
 /// Text over the whole of Unicode, weighted towards ASCII so quotes,
@@ -528,7 +528,6 @@ impl Draws {
     fn spec(&mut self) -> ScenarioSpec {
         use AlgoSpec::*;
         let base = ScenarioSpec::default();
-        let frames = TraceSpec::Frames(TracePath::new("edge.dlbf").unwrap());
         let arrivals = self.arrivals();
         let duration = if arrivals.is_empty() { 0.0 } else { 1000.0 };
         ScenarioSpec {
@@ -560,7 +559,12 @@ impl Draws {
                 Some(period_ms) => GossipSpec::Event { period_ms },
                 None => GossipSpec::Emulated,
             },
-            trace: self.pick(&[TraceSpec::Off, TraceSpec::Summary, frames]),
+            // Frame-log paths have no length cap; this one is 210 bytes.
+            trace: match self.index(3) {
+                0 => TraceSpec::Off,
+                1 => TraceSpec::Summary,
+                _ => TraceSpec::Frames(format!("{}/edge.dlbf", "e".repeat(200))),
+            },
         }
     }
 }

@@ -204,7 +204,6 @@ fn run_nash(spec: &ScenarioSpec, instance: Instance) -> RunRecord {
             calm_rounds: spec.patience,
             max_rounds: spec.budget,
             seed: spec.seed,
-            ..Default::default()
         },
     );
     RunRecord::quiet(
@@ -292,7 +291,7 @@ pub(crate) fn trailer(report: &ClusterReport) -> Trailer {
 /// `trace=frames:` keeps the stream, for its log — and a log that
 /// cannot be written is this runner's one error.
 fn run_protocol(spec: &ScenarioSpec, instance: Instance) -> Result<RunRecord, SpecError> {
-    let (report, obs) = match spec.trace {
+    let (report, obs) = match &spec.trace {
         TraceSpec::Off => (
             run_protocol_events(spec, &instance, &mut NullSink),
             ObsSummary::default(),
@@ -309,14 +308,14 @@ fn run_protocol(spec: &ScenarioSpec, instance: Instance) -> Result<RunRecord, Sp
             // The header records the spec *without* its trace key:
             // replay re-derives the run, and re-recording during
             // replay would be both circular and a determinism hazard.
-            let mut header = *spec;
+            let mut header = spec.clone();
             header.trace = TraceSpec::Off;
             let log = FrameLog {
                 spec: header.to_string(),
                 events: sink.events,
                 trailer: trailer(&report),
             };
-            std::fs::write(path.as_str(), log.encode())
+            std::fs::write(path, log.encode())
                 .map_err(|e| SpecError(format!("trace=frames:{path}: cannot write ({e})")))?;
             (report, obs)
         }
@@ -629,7 +628,7 @@ mod tests {
         let spec = spec("algo=batched m=30 seed=3 budget=200 gossip=event:100ms");
         let fresh = ScenarioSpec {
             gossip: GossipSpec::default(),
-            ..spec
+            ..spec.clone()
         };
         let a = spec.run();
         let mut b = spec.run();
@@ -694,28 +693,37 @@ mod tests {
         let big = format!("{}", 1e308);
         for (spec, message) in [
             (
-                ScenarioSpec { lat: 1e308, ..on },
+                ScenarioSpec {
+                    lat: 1e308,
+                    ..on.clone()
+                },
                 format!("lat: '{big}' must be at most 1e9"),
             ),
             (
-                ScenarioSpec { faults, ..on },
+                ScenarioSpec {
+                    faults,
+                    ..on.clone()
+                },
                 format!("faults: spike factor: '{big}' must be at most 1e6"),
             ),
             (
-                ScenarioSpec { budget: 0, ..on },
+                ScenarioSpec {
+                    budget: 0,
+                    ..on.clone()
+                },
                 "budget must be at least 1".into(),
             ),
             (
                 ScenarioSpec {
                     detect: DetectSpec::Timeout(f64::NAN),
-                    ..on
+                    ..on.clone()
                 },
                 "detect: the timeout deadline must be positive".into(),
             ),
             (
                 ScenarioSpec {
                     select: SelectSpec::TopK(0),
-                    ..on
+                    ..on.clone()
                 },
                 "select: topk needs at least 1 candidate".into(),
             ),

@@ -273,79 +273,11 @@ impl fmt::Display for GossipSpec {
     }
 }
 
-/// Inline capacity of a [`TracePath`] (bytes). Paths in `trace=` are
-/// capped here so [`ScenarioSpec`] can stay `Copy` — callers derive
-/// specs from one another by struct update (`ScenarioSpec { m, ..base }`).
-pub const TRACE_PATH_MAX: usize = 120;
-
-/// A file path stored inline (fixed capacity, no heap): the
-/// `frames:FILE` operand of the `trace=` key. Compares and displays as
-/// the path string it holds.
-#[derive(Clone, Copy)]
-pub struct TracePath {
-    buf: [u8; TRACE_PATH_MAX],
-    len: u8,
-}
-
-impl TracePath {
-    /// Validates and stores a path. Rejects empty paths, whitespace
-    /// (the spec text form is whitespace-tokenized), and paths longer
-    /// than [`TRACE_PATH_MAX`] bytes.
-    pub fn new(path: &str) -> Result<Self, SpecError> {
-        if path.is_empty() {
-            return Err(SpecError(
-                "trace: frames needs a file path (e.g. trace=frames:run.dlbtrace)".into(),
-            ));
-        }
-        if path.chars().any(char::is_whitespace) {
-            return Err(SpecError(
-                "trace: the frame-log path may not contain whitespace".into(),
-            ));
-        }
-        if path.len() > TRACE_PATH_MAX {
-            return Err(SpecError(format!(
-                "trace: the frame-log path exceeds {TRACE_PATH_MAX} bytes"
-            )));
-        }
-        let mut buf = [0u8; TRACE_PATH_MAX];
-        buf[..path.len()].copy_from_slice(path.as_bytes());
-        Ok(TracePath {
-            buf,
-            len: path.len() as u8,
-        })
-    }
-
-    /// The stored path.
-    pub fn as_str(&self) -> &str {
-        std::str::from_utf8(&self.buf[..self.len as usize]).expect("constructed from &str")
-    }
-}
-
-impl PartialEq for TracePath {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_str() == other.as_str()
-    }
-}
-
-impl Eq for TracePath {}
-
-impl fmt::Debug for TracePath {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "TracePath({:?})", self.as_str())
-    }
-}
-
-impl fmt::Display for TracePath {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.as_str())
-    }
-}
-
 /// Observability mode of a run (the `trace=` key). Only
-/// `algo=protocol` can trace — the deterministic
-/// executor is where the virtual-clock hooks live;
-/// [`ScenarioSpec::parse`] rejects other combinations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// `algo=protocol` can trace — the deterministic executor is where the
+/// virtual-clock hooks live; [`ScenarioSpec::parse`] rejects other
+/// combinations. `Clone`, not `Copy`: a frame log's path is a `String`.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum TraceSpec {
     /// No observer: the run is byte-identical to an untraced one (the
     /// hooks compile down to a dead branch).
@@ -357,22 +289,27 @@ pub enum TraceSpec {
     Summary,
     /// `frames:FILE` — record the full event stream as a binary frame
     /// log at `FILE`, replayable bit-exactly with `dlb trace replay`.
-    Frames(TracePath),
+    Frames(String),
 }
 
 impl TraceSpec {
     fn parse(v: &str) -> Result<Self, SpecError> {
-        match v {
+        let path = match v {
             "off" => return Ok(TraceSpec::Off),
             "summary" => return Ok(TraceSpec::Summary),
-            _ => {}
-        }
-        if let Some(path) = v.strip_prefix("frames:") {
-            return Ok(TraceSpec::Frames(TracePath::new(path)?));
-        }
-        Err(SpecError(format!(
-            "trace: '{v}' is not one of off|summary|frames:FILE (e.g. trace=frames:run.dlbtrace)"
-        )))
+            _ => v.strip_prefix("frames:"),
+        };
+        let refusal = match path {
+            Some("") => "frames needs a file path (e.g. trace=frames:run.dlbtrace)".into(),
+            Some(path) if path.contains(char::is_whitespace) => {
+                "the frame-log path may not contain whitespace".into()
+            }
+            Some(path) => return Ok(TraceSpec::Frames(path.into())),
+            None => format!(
+                "'{v}' is not one of off|summary|frames:FILE (e.g. trace=frames:run.dlbtrace)"
+            ),
+        };
+        Err(SpecError(format!("trace: {refusal}")))
     }
 }
 
@@ -386,9 +323,11 @@ impl fmt::Display for TraceSpec {
     }
 }
 
-/// One declaratively named experiment: topology + workload + algorithm
-/// + termination. See the [module docs](self) for the text form.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// One declaratively named experiment: topology, workload, algorithm
+/// and termination. See the [module docs](self) for the text form.
+/// `Clone`, not `Copy` ([`TraceSpec::Frames`] owns its path): a struct
+/// update from a borrowed spec takes `ScenarioSpec { m, ..spec.clone() }`.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     /// Algorithm to run (`algo=`).
     pub algo: AlgoSpec,
@@ -819,13 +758,13 @@ mod tests {
     fn round_trips_through_text() {
         let base = ScenarioSpec::default();
         let specs = [
-            base,
+            base.clone(),
             ScenarioSpec {
                 algo: AlgoSpec::Nash,
                 eps: 0.01,
                 patience: 2,
                 budget: 10_000,
-                ..base
+                ..base.clone()
             },
             ScenarioSpec {
                 algo: AlgoSpec::Protocol,
@@ -833,7 +772,7 @@ mod tests {
                 m: 16,
                 avg: 80.0,
                 speeds: SpeedKind::Const,
-                ..base
+                ..base.clone()
             },
             ScenarioSpec {
                 algo: AlgoSpec::Bcd,
@@ -841,7 +780,7 @@ mod tests {
                 load: LoadDistribution::Uniform,
                 gran: 1.0,
                 seed: 999,
-                ..base
+                ..base.clone()
             },
         ];
         for spec in specs {
@@ -1182,10 +1121,7 @@ mod tests {
         let spec: ScenarioSpec = "algo=protocol runtime=events m=40 trace=frames:run.dlbtrace"
             .parse()
             .unwrap();
-        assert_eq!(
-            spec.trace,
-            TraceSpec::Frames(TracePath::new("run.dlbtrace").unwrap())
-        );
+        assert_eq!(spec.trace, TraceSpec::Frames("run.dlbtrace".into()));
         assert_eq!(
             spec.to_string(),
             "algo=protocol net=homog m=40 trace=frames:run.dlbtrace"
@@ -1202,12 +1138,13 @@ mod tests {
         // trace=off is the default and omitted from the text form.
         let explicit: ScenarioSpec = "algo=protocol runtime=events trace=off".parse().unwrap();
         assert!(!explicit.to_string().contains("trace="));
-        // The spec stays Copy, path and all.
-        let copy = spec; // Copy, not move
-        assert_eq!(copy, spec);
-        // Paths survive directories and dots.
-        let deep = TracePath::new("target/traces/m64.seed3.dlbtrace").unwrap();
-        assert_eq!(deep.as_str(), "target/traces/m64.seed3.dlbtrace");
+        // Paths of any length survive directories and dots, and round
+        // trip through the text form.
+        let deep = format!("target/traces/{}/m64.seed3.dlbtrace", "d".repeat(200));
+        let text = format!("algo=protocol m=64 seed=3 trace=frames:{deep}");
+        let spec = ScenarioSpec::parse(&text).unwrap();
+        assert_eq!(spec.trace, TraceSpec::Frames(deep));
+        assert_eq!(ScenarioSpec::parse(&spec.to_string()).unwrap(), spec);
     }
 
     #[test]
@@ -1228,10 +1165,6 @@ mod tests {
         for (text, needle) in [
             ("trace=psychic", "not one of off|summary|frames:FILE"),
             ("trace=frames:", "needs a file path"),
-            (
-                &format!("trace=frames:{}", "x".repeat(TRACE_PATH_MAX + 1)),
-                "exceeds",
-            ),
         ] {
             let err = ScenarioSpec::parse(text).unwrap_err();
             assert!(err.0.contains(needle), "'{text}' -> {err}");
@@ -1386,7 +1319,10 @@ mod tests {
     fn build_instance_is_deterministic_and_seed_sensitive() {
         let spec: ScenarioSpec = "net=pl m=12 seed=5".parse().unwrap();
         assert_eq!(spec.build_instance(), spec.build_instance());
-        let other = ScenarioSpec { seed: 6, ..spec };
+        let other = ScenarioSpec {
+            seed: 6,
+            ..spec.clone()
+        };
         assert_ne!(spec.build_instance(), other.build_instance());
     }
 

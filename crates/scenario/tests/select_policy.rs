@@ -33,7 +33,7 @@ fn topk_lands_within_one_percent_of_exact_across_seeds_and_topologies() {
             let topk: ScenarioSpec = text.parse().unwrap();
             let exact = ScenarioSpec {
                 select: SelectSpec::Exact,
-                ..topk
+                ..topk.clone()
             };
             let instance = topk.build_instance();
             let a = topk.run_on(instance.clone());
@@ -69,7 +69,7 @@ fn topk_matches_exact_under_fault_injection() {
         let topk: ScenarioSpec = text.parse().unwrap();
         let exact = ScenarioSpec {
             select: SelectSpec::Exact,
-            ..topk
+            ..topk.clone()
         };
         let instance = topk.build_instance();
         let a = topk.run_on(instance.clone());

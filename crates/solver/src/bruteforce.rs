@@ -124,7 +124,7 @@ pub fn grid_search_optimum(instance: &Instance, steps: usize) -> (DenseState, f6
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pgd::{solve_pgd, PgdOptions};
+    use crate::pgd::solve_pgd;
     use dlb_core::LatencyMatrix;
 
     #[test]
@@ -151,7 +151,7 @@ mod tests {
             LatencyMatrix::homogeneous(2, 3.0),
         );
         let (_, brute) = grid_search_optimum(&instance, 40);
-        let (_, pgd) = solve_pgd(&instance, &PgdOptions::default());
+        let (_, pgd) = solve_pgd(&instance, None);
         assert!(
             (brute - pgd.objective).abs() < 1e-3 * brute.max(1.0),
             "brute {brute} vs pgd {}",
@@ -170,7 +170,7 @@ mod tests {
         lat.set(2, 1, 4.0);
         let instance = Instance::new(vec![1.0, 1.5, 3.0], vec![30.0, 0.0, 6.0], lat);
         let (_, brute) = grid_search_optimum(&instance, 12);
-        let (_, pgd) = solve_pgd(&instance, &PgdOptions::default());
+        let (_, pgd) = solve_pgd(&instance, None);
         assert!(
             (brute - pgd.objective).abs() < 5e-3 * brute.max(1.0),
             "brute {brute} vs pgd {}",

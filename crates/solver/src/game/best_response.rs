@@ -11,7 +11,7 @@
 //! give `x_j = s_j (λ − a_j)₊` with `a_j = c_ij + L_j / 2s_j` — a
 //! water-filling problem solved exactly by `dlb-solver`.
 
-use crate::waterfill::{waterfill, waterfill_capped};
+use crate::waterfill::waterfill;
 use dlb_core::{Assignment, Instance};
 
 /// Computes organization `i`'s exact best response against the current
@@ -33,17 +33,6 @@ use dlb_core::{Assignment, Instance};
 /// assert_eq!(best_response(&instance, &a, 0), vec![10.0, 0.0]);
 /// ```
 pub fn best_response(instance: &Instance, a: &Assignment, i: usize) -> Vec<f64> {
-    best_response_capped(instance, a, i, None)
-}
-
-/// Best response with an optional uniform per-server cap (the §VII
-/// replication extension uses `cap = n_i / R`).
-pub fn best_response_capped(
-    instance: &Instance,
-    a: &Assignment,
-    i: usize,
-    cap: Option<f64>,
-) -> Vec<f64> {
     let m = instance.len();
     let n_i = instance.own_load(i);
     if n_i == 0.0 {
@@ -60,10 +49,7 @@ pub fn best_response_capped(
             f64::INFINITY
         };
     }
-    match cap {
-        Some(u) => waterfill_capped(&coeff, instance.speeds(), &vec![u; m], n_i),
-        None => waterfill(&coeff, instance.speeds(), n_i),
-    }
+    waterfill(&coeff, instance.speeds(), n_i)
 }
 
 /// `C_i` that organization `i` would obtain by unilaterally playing
@@ -148,15 +134,6 @@ mod tests {
         // it starts at 0: org 0 keeps everything home (marginal there
         // reaches 10 < 12.5).
         assert_eq!(br[1], 0.0, "{br:?}");
-    }
-
-    #[test]
-    fn capped_response_respects_cap() {
-        let instance = inst(0.0, vec![1.0, 1.0, 1.0], vec![9.0, 0.0, 0.0]);
-        let a = Assignment::local(&instance);
-        let br = best_response_capped(&instance, &a, 0, Some(4.0));
-        assert!(br.iter().all(|&x| x <= 4.0 + 1e-9), "{br:?}");
-        assert!((br.iter().sum::<f64>() - 9.0).abs() < 1e-9);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use dlb_core::rngutil::rng_for;
 use dlb_core::{Assignment, Instance};
 use rand::seq::SliceRandom;
 
-use crate::game::best_response::best_response_capped;
+use crate::game::best_response::best_response;
 
 /// Options for the best-response dynamics.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -24,9 +24,6 @@ pub struct DynamicsOptions {
     pub max_rounds: usize,
     /// RNG seed for the response order, which is shuffled every round.
     pub seed: u64,
-    /// Optional uniform per-server cap on each organization's
-    /// placements (`n_i / R` for the replication extension).
-    pub replication: Option<usize>,
 }
 
 impl Default for DynamicsOptions {
@@ -36,7 +33,6 @@ impl Default for DynamicsOptions {
             calm_rounds: 2,
             max_rounds: 10_000,
             seed: 0,
-            replication: None,
         }
     }
 }
@@ -72,8 +68,7 @@ pub fn run_best_response_dynamics(
             if n_i == 0.0 {
                 continue;
             }
-            let cap = options.replication.map(|r| n_i / r as f64);
-            let new_row = best_response_capped(instance, assignment, i, cap);
+            let new_row = best_response(instance, assignment, i);
             let old_row = assignment.owner_row(i);
             let change: f64 = new_row
                 .iter()
@@ -184,33 +179,6 @@ mod tests {
         assert!(report.converged);
         let after = total_cost(&instance, &a);
         assert!((before - after).abs() < 1e-9, "nothing should move");
-    }
-
-    #[test]
-    fn replication_cap_is_enforced_throughout() {
-        let instance = sample(8, 60.0, 4);
-        let mut a = Assignment::local(&instance);
-        // NB: starting all-local violates the cap; the first responses
-        // repair it.
-        let r = 3usize;
-        run_best_response_dynamics(
-            &instance,
-            &mut a,
-            &DynamicsOptions {
-                replication: Some(r),
-                change_threshold: 1e-4,
-                ..Default::default()
-            },
-        );
-        for k in 0..8 {
-            let cap = instance.own_load(k) / r as f64;
-            for j in 0..8 {
-                assert!(
-                    a.requests(k, j) <= cap + 1e-6,
-                    "org {k} exceeds cap on server {j}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //! the expected completion time `C_i` of its *own* requests.
 //!
 //! * [`best_response()`](best_response()) — the exact best response of one organization
-//!   (a single-row QP solved in closed form by water-filling; the
-//!   replication extension adds caps),
+//!   (a single-row QP solved in closed form by water-filling),
 //! * [`dynamics`] — sequential best-response dynamics with the paper's
 //!   termination rule (all organizations change their distribution by
 //!   less than 1 % in two consecutive rounds),

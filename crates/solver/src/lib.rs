@@ -18,8 +18,9 @@
 //! * [`dense`] — dense request-matrix representation, objective and
 //!   gradient evaluation, Frank-Wolfe optimality gap,
 //! * [`pgd`] — FISTA-accelerated projected gradient descent (the
-//!   generic solver) and exact block-coordinate descent (the optimum
-//!   oracle behind `algo=bcd`),
+//!   generic solver, at a fixed budget and tolerance, optionally under
+//!   the §VII R-replication caps) and exact block-coordinate descent
+//!   (the optimum oracle behind `algo=bcd`),
 //! * [`waterfill`] — exact KKT water-filling, the one single-row solver:
 //!   BCD's block step, selfish best responses and PGD's projection,
 //! * [`bruteforce`] — grid-search reference optima for tiny instances
@@ -37,7 +38,7 @@ pub mod qp;
 pub mod waterfill;
 
 pub use dense::{dense_to_assignment, objective, DenseState};
-pub use pgd::{solve_bcd, solve_pgd, PgdOptions, SolveReport};
+pub use pgd::{solve_bcd, solve_pgd, SolveReport};
 
 /// Default relative Frank-Wolfe-gap tolerance for the iterative solvers.
 pub const DEFAULT_TOL: f64 = 1e-7;

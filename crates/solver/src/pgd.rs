@@ -1,33 +1,15 @@
 //! FISTA-accelerated projected gradient descent and exact
 //! block-coordinate descent for the full cooperative QP, both of which
-//! solve their rows with [`waterfill`].
+//! solve their rows with [`waterfill`]. PGD has no tuning options: its
+//! one input besides the instance is the R-replication caps.
 
 use dlb_core::Instance;
 
 use crate::dense::{fw_gap, fw_gap_capped, gradient, objective, DenseState};
 use crate::waterfill::{waterfill, waterfill_capped};
 
-/// Options for [`solve_pgd`].
-#[derive(Debug, Clone)]
-pub struct PgdOptions {
-    /// Iteration budget.
-    pub max_iters: usize,
-    /// Relative Frank-Wolfe-gap tolerance for convergence.
-    pub tol: f64,
-    /// Optional per-entry caps on `r_kj` (row-major, length `m²`);
-    /// used by the R-replication extension (`r_kj ≤ n_k / R`).
-    pub caps: Option<Vec<f64>>,
-}
-
-impl Default for PgdOptions {
-    fn default() -> Self {
-        Self {
-            max_iters: 20_000,
-            tol: crate::DEFAULT_TOL,
-            caps: None,
-        }
-    }
-}
+/// Iteration budget of [`solve_pgd`].
+const MAX_ITERS: usize = 20_000;
 
 /// Convergence report shared by the iterative solvers.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -57,14 +39,17 @@ fn project_rows(instance: &Instance, x: &mut [f64], caps: Option<&[f64]>) {
     }
 }
 
-/// Solves the cooperative QP by projected gradient descent.
+/// Solves the cooperative QP by projected gradient descent to the
+/// relative Frank-Wolfe gap [`DEFAULT_TOL`](crate::DEFAULT_TOL), in at
+/// most 20 000 iterations. `caps` bounds each `r_kj` (row-major, length
+/// `m²`): the R-replication extension's `r_kj ≤ n_k / R`.
 ///
 /// The gradient of `ΣC` is `m/s_min`-Lipschitz (the Hessian is
 /// block-diagonal per server column with top eigenvalue `m/s_j`), so a
 /// fixed step `s_min/m` guarantees descent; the step is taken at
 /// FISTA's extrapolated point, with an adaptive restart whenever the
 /// objective rises.
-pub fn solve_pgd(instance: &Instance, opts: &PgdOptions) -> (DenseState, SolveReport) {
+pub fn solve_pgd(instance: &Instance, caps: Option<&[f64]>) -> (DenseState, SolveReport) {
     let m = instance.len();
     let mut state = DenseState::local(instance);
     if m == 0 {
@@ -78,9 +63,9 @@ pub fn solve_pgd(instance: &Instance, opts: &PgdOptions) -> (DenseState, SolveRe
             },
         );
     }
-    if let Some(caps) = &opts.caps {
+    if caps.is_some() {
         // Make the starting point feasible under the caps.
-        project_rows(instance, &mut state.r, Some(caps));
+        project_rows(instance, &mut state.r, caps);
         state.refresh_loads();
     }
     let s_min = instance
@@ -102,13 +87,13 @@ pub fn solve_pgd(instance: &Instance, opts: &PgdOptions) -> (DenseState, SolveRe
         fw_gap: f64::INFINITY,
         converged: false,
     };
-    for iter in 0..opts.max_iters {
+    for iter in 0..MAX_ITERS {
         // Convergence check at the current feasible iterate x.
         state.r.copy_from_slice(&x);
         state.refresh_loads();
         gradient(instance, &state, &mut grad);
         let obj = objective(instance, &state);
-        let gap = match &opts.caps {
+        let gap = match caps {
             Some(caps) => fw_gap_capped(instance, &state, &grad, caps),
             None => fw_gap(instance, &state, &grad),
         };
@@ -116,7 +101,7 @@ pub fn solve_pgd(instance: &Instance, opts: &PgdOptions) -> (DenseState, SolveRe
             iters: iter,
             objective: obj,
             fw_gap: gap,
-            converged: gap <= opts.tol * scale,
+            converged: gap <= crate::DEFAULT_TOL * scale,
         };
         if report.converged {
             break;
@@ -130,7 +115,7 @@ pub fn solve_pgd(instance: &Instance, opts: &PgdOptions) -> (DenseState, SolveRe
         for (xi, g) in x_next.iter_mut().zip(grad.iter()) {
             *xi -= step * g;
         }
-        project_rows(instance, &mut x_next, opts.caps.as_deref());
+        project_rows(instance, &mut x_next, caps);
         // Adaptive restart when the objective increases.
         state.r.copy_from_slice(&x_next);
         state.refresh_loads();
@@ -147,7 +132,7 @@ pub fn solve_pgd(instance: &Instance, opts: &PgdOptions) -> (DenseState, SolveRe
         for i in 0..y.len() {
             y[i] = x_next[i] + beta * (x_next[i] - x[i]);
         }
-        project_rows(instance, &mut y, opts.caps.as_deref());
+        project_rows(instance, &mut y, caps);
         x.copy_from_slice(&x_next);
         t = t_next;
     }
@@ -234,7 +219,7 @@ mod tests {
     fn pgd_converges_on_small_instances() {
         for seed in 0..3 {
             let instance = random_instance(5, seed);
-            let (state, report) = solve_pgd(&instance, &PgdOptions::default());
+            let (state, report) = solve_pgd(&instance, None);
             assert!(report.converged, "seed {seed}: gap {}", report.fw_gap);
             // Feasibility.
             for k in 0..5 {
@@ -249,7 +234,7 @@ mod tests {
     fn bcd_matches_pgd() {
         for seed in 10..14 {
             let instance = random_instance(6, seed);
-            let (_, pgd) = solve_pgd(&instance, &PgdOptions::default());
+            let (_, pgd) = solve_pgd(&instance, None);
             let (_, bcd) = solve_bcd(&instance, 500, 1e-9);
             assert!(
                 (pgd.objective - bcd.objective).abs() < 1e-4 * pgd.objective.max(1.0),
@@ -266,7 +251,7 @@ mod tests {
     #[test]
     fn solver_results_are_pinned() {
         let pgd_instance = random_instance(20, 4);
-        let (_, pgd) = solve_pgd(&pgd_instance, &PgdOptions::default());
+        let (_, pgd) = solve_pgd(&pgd_instance, None);
         let free = random_instance(30, 5);
         let m = free.len();
         let equal_speeds = Instance::new(
@@ -322,7 +307,7 @@ mod tests {
             vec![10.0, 10.0],
             LatencyMatrix::homogeneous(2, 1000.0),
         );
-        let (state, report) = solve_pgd(&instance, &PgdOptions::default());
+        let (state, report) = solve_pgd(&instance, None);
         assert!(report.converged);
         assert!((state.row(0)[0] - 10.0).abs() < 1e-6);
         assert!((state.row(1)[1] - 10.0).abs() < 1e-6);
@@ -338,11 +323,7 @@ mod tests {
                 caps[k * m + j] = instance.own_load(k) / 2.0; // R = 2
             }
         }
-        let opts = PgdOptions {
-            caps: Some(caps.clone()),
-            ..Default::default()
-        };
-        let (state, _) = solve_pgd(&instance, &opts);
+        let (state, _) = solve_pgd(&instance, Some(&caps));
         for k in 0..m {
             for j in 0..m {
                 assert!(state.row(k)[j] <= caps[k * m + j] + 1e-6);
@@ -356,13 +337,9 @@ mod tests {
     fn capped_optimum_is_no_better_than_uncapped() {
         let m = 4;
         let instance = random_instance(m, 8);
-        let (_, free) = solve_pgd(&instance, &PgdOptions::default());
+        let (_, free) = solve_pgd(&instance, None);
         let caps: Vec<f64> = (0..m * m).map(|i| instance.own_load(i / m) / 2.0).collect();
-        let opts = PgdOptions {
-            caps: Some(caps),
-            ..Default::default()
-        };
-        let (_, capped) = solve_pgd(&instance, &opts);
+        let (_, capped) = solve_pgd(&instance, Some(&caps));
         assert!(capped.objective >= free.objective - 1e-6 * free.objective.max(1.0));
     }
 }

@@ -47,7 +47,7 @@ fn main() {
 
     // Centralized solvers for reference (the `algo=bcd` runner wraps
     // coordinate descent; PGD is called directly).
-    let (_, pgd) = solve_pgd(&instance, &PgdOptions::default());
+    let (_, pgd) = solve_pgd(&instance, None);
     println!(
         "projected gradient:  {:>12.2} request·ms  ({} iterations)",
         pgd.objective, pgd.iters

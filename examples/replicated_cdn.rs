@@ -33,17 +33,11 @@ fn main() {
     println!("== replicated CDN: {m} sites, R = {r}, Zipf content ==\n");
 
     // Uncapped vs capped optimum.
-    let (free, free_rep) = solve_pgd(&instance, &PgdOptions::default());
+    let (free, free_rep) = solve_pgd(&instance, None);
     let caps: Vec<f64> = (0..m * m)
         .map(|idx| instance.own_load(idx / m) / r as f64)
         .collect();
-    let (capped, capped_rep) = solve_pgd(
-        &instance,
-        &PgdOptions {
-            caps: Some(caps),
-            ..Default::default()
-        },
-    );
+    let (capped, capped_rep) = solve_pgd(&instance, Some(&caps));
     println!(
         "fractional optimum (no replication): ΣC = {:.0}",
         free_rep.objective

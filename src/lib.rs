@@ -32,7 +32,11 @@
 //! assert_eq!(spec.to_string(), "algo=batched net=homog m=30 seed=7 budget=100");
 //!
 //! // A computed value is a struct update; the field names are the keys.
-//! let wider = ScenarioSpec { m: 2 * spec.m, ..spec };
+//! // A spec is `Clone`, not `Copy`: one still in use takes `.clone()`.
+//! let wider = ScenarioSpec {
+//!     m: 2 * spec.m,
+//!     ..spec.clone()
+//! };
 //! assert_eq!(wider.to_string(), "algo=batched net=homog m=60 seed=7 budget=100");
 //!
 //! // Run it; every runner emits the same RunRecord shape.
@@ -92,7 +96,7 @@
 //!     .unwrap();
 //! let exact = ScenarioSpec {
 //!     select: SelectSpec::Exact,
-//!     ..topk
+//!     ..topk.clone()
 //! };
 //! let (a, b) = (topk.run(), exact.run());
 //! assert!(a.converged && b.converged);
@@ -360,7 +364,7 @@ pub mod prelude {
     pub use dlb_solver::game::{
         epsilon_nash_gap, run_best_response_dynamics, theorem1_bounds, DynamicsOptions,
     };
-    pub use dlb_solver::{solve_bcd, solve_pgd, PgdOptions};
+    pub use dlb_solver::{solve_bcd, solve_pgd};
     pub use dlb_topology::planetlab;
 }
 

@@ -34,7 +34,7 @@ fn engine_matches_solvers_homogeneous() {
         let instance = random_instance(12, seed, false);
         let mut engine = Engine::new(instance.clone(), engine_opts(seed));
         let report = engine.run_to_convergence(1e-12, 2, 150);
-        let (_, pgd) = solve_pgd(&instance, &PgdOptions::default());
+        let (_, pgd) = solve_pgd(&instance, None);
         let (_, bcd) = solve_bcd(&instance, 2_000, 1e-10);
         let best = pgd.objective.min(bcd.objective);
         assert!(
@@ -75,7 +75,7 @@ fn all_methods_agree_with_bruteforce_m3() {
     let instance = Instance::new(vec![1.0, 2.0, 1.5], vec![30.0, 5.0, 0.0], lat);
 
     let (_, brute) = grid_search_optimum(&instance, 15);
-    let (_, pgd) = solve_pgd(&instance, &PgdOptions::default());
+    let (_, pgd) = solve_pgd(&instance, None);
     let (_, bcd) = solve_bcd(&instance, 2_000, 1e-10);
     let mut engine = Engine::new(instance.clone(), engine_opts(1));
     let report = engine.run_to_convergence(1e-12, 2, 200);
