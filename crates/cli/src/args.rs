@@ -52,14 +52,14 @@ impl Args {
                 return Err(SpecError("empty option name '--'".into()));
             }
             if !allowed.contains(&key.as_str()) {
-                return Err(SpecError(format!(
-                    "unknown option '--{key}' for '{command}' (valid: {})",
-                    allowed
-                        .iter()
-                        .map(|k| format!("--{k}"))
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                )));
+                return Err(SpecError(match allowed {
+                    [] => format!("unknown option '--{key}': '{command}' takes no options"),
+                    _ => {
+                        let valid: Vec<_> = allowed.iter().map(|k| format!("--{k}")).collect();
+                        let valid = valid.join(", ");
+                        format!("unknown option '--{key}' for '{command}' (valid: {valid})")
+                    }
+                }));
             }
             let value = iter
                 .next()
@@ -120,6 +120,8 @@ mod tests {
         assert!(e.0.contains("unknown option"), "{e}");
         let e = Args::parse(["estimate", "--ticks", "1", "--ticks", "2"], KEYS).unwrap_err();
         assert!(e.0.contains("twice"), "{e}");
+        let e = Args::parse(["report", "--bogus", "1"], &[]).unwrap_err();
+        assert_eq!(e.0, "unknown option '--bogus': 'report' takes no options");
     }
 
     #[test]

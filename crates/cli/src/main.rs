@@ -334,7 +334,9 @@ fn cmd_estimate(args: &Args) -> Result<(), SpecError> {
 
 fn run() -> Result<(), SpecError> {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    if raw.is_empty() || raw[0] == "help" || raw[0] == "--help" || raw[0] == "-h" {
+    // `--help` or `-h` anywhere asks for the usage, `dlb run --help` too.
+    let help = |arg: &String| arg == "--help" || arg == "-h";
+    if raw.first().is_none_or(|first| first == "help") || raw.iter().any(help) {
         outln!("{USAGE}");
         return Ok(());
     }

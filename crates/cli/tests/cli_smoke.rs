@@ -433,6 +433,11 @@ fn bad_specs_and_missing_files_fail_cleanly() {
             &["estimate", "--servers", "0"][..],
             "error: m must be at least 1",
         ),
+        // A command without options says so, not "(valid: )".
+        (
+            &["report", "--bogus", "x"][..],
+            "error: unknown option '--bogus': 'report' takes no options",
+        ),
     ] {
         let output = dlb().args(args).output().unwrap();
         assert_eq!(output.status.code(), Some(1), "{args:?}");
@@ -491,6 +496,23 @@ fn bad_specs_and_missing_files_fail_cleanly() {
         .unwrap();
     assert_eq!(output.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&output.stderr).contains("was retired"));
+}
+
+/// `--help` and `-h` print the usage after any command and exit 0;
+/// they were "unknown option" errors (exit 1) after one.
+#[test]
+fn help_flags_print_the_usage_after_any_command() {
+    let usage = dlb().arg("help").output().unwrap();
+    assert!(usage.status.success());
+    assert!(String::from_utf8_lossy(&usage.stdout).starts_with("dlb — "));
+    for command in ["run", "report", "trace", "estimate"] {
+        for flag in ["--help", "-h"] {
+            let output = dlb().args([command, flag]).output().unwrap();
+            assert_eq!(output.status.code(), Some(0), "dlb {command} {flag}");
+            assert_eq!(output.stdout, usage.stdout, "dlb {command} {flag}");
+            assert!(output.stderr.is_empty(), "dlb {command} {flag}");
+        }
+    }
 }
 
 /// A reader that goes away (`dlb … | head -1`) is a clean stop: every

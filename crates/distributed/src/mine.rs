@@ -29,6 +29,39 @@
 //! It also divides out only the one transfer `Δ` that can be positive,
 //! leaving three divisions per pair of the reference's ten; where a NaN
 //! voids that argument, the reference scores the call instead.
+//!
+//! # A bound on the score, per block of peers
+//!
+//! The runtime's `select=exact` scan (`dlb_runtime`'s `score_best`)
+//! skips every block of peers none of which can beat the best score so
+//! far, without scoring them. The bound it uses follows from the score's
+//! shape. With `r = l/s`, moving `x` from `f` to `t` at latency `c`
+//! gains
+//!
+//! ```text
+//! q(x) = x (r_f − r_t − c) − x² (1/2s_f + 1/2s_t),
+//! ```
+//!
+//! a concave quadratic, whose maximum over `x` is
+//! `(r_f − r_t − c)₊² · s_f s_t / (2(s_f + s_t))`. The score is `q` at one
+//! `x` — the optimal `Δ*` capped at `l_f`, or `0` where nothing moves —
+//! so it is at most that maximum. For node `i` and a block `B` of peers
+//! `j`, `r_i − r_j ≤ r_i − min_B r` (push, `i` sends) and
+//! `r_j − r_i ≤ max_B r − r_i` (pull, `i` receives), every latency is at
+//! least `c_lo` (the homogeneous value, or 0 for a dense row: latencies
+//! are never negative), and `g(s) = s_i s / (2(s_i + s))` rises with `s`,
+//! so every score of the block is at most
+//!
+//! ```text
+//! max((r_i − c_lo − min_B r)₊, (max_B r − r_i − c_lo)₊)² · g(max_B s).
+//! ```
+//!
+//! The four summaries `min_B r`, `max_B r`, `max_B s` and "every lane
+//! finite and in range" depend only on the round's loads and speeds, so
+//! one pass per round serves every node. That the *float* bound stays at
+//! or above every *float* score is `score_best`'s margin argument; it
+//! leans on the batch kernel computing `r_j` as `l_j / s_j` and the
+//! slope as `(r_f − r_t) − c`, the groupings [`partner_score`] fixes.
 
 use std::ops::Range;
 
@@ -114,7 +147,7 @@ pub enum Candidates<'a> {
     List(&'a [u32]),
 }
 
-impl<'a> Candidates<'a> {
+impl Candidates<'_> {
     /// Number of candidates.
     pub fn len(&self) -> usize {
         match self {
@@ -127,24 +160,14 @@ impl<'a> Candidates<'a> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// The candidates in consecutive blocks of at most `size`, for
-    /// callers that keep one block of scores at a time.
-    pub fn chunks(&self, size: usize) -> impl Iterator<Item = Candidates<'a>> + '_ {
-        (0..self.len()).step_by(size).map(move |at| {
-            let end = self.len().min(at + size);
-            match self {
-                Self::Range(range) => Self::Range(range.start + at..range.start + end),
-                Self::List(ids) => Self::List(&ids[at..end]),
-            }
-        })
-    }
 }
 
 /// Lane count of the stack block [`partner_scores`] gathers a latency
 /// column into, and the block size its callers scan by when they keep
-/// the scores on the stack too.
-pub const SCORE_BLOCK: usize = 256;
+/// the scores on the stack too: the runtime's round-start scan, which
+/// bounds the scores of each aligned block of this many peers and skips
+/// the blocks that cannot win (see the module doc).
+pub const SCORE_BLOCK: usize = 32;
 
 /// Batch form of [`partner_score`]: `out[k]` receives the bits of
 /// `partner_score(instance, loads, i, j_k)` for the `k`-th candidate

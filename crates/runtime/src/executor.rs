@@ -105,7 +105,9 @@ use dlb_par::{num_threads, par_map_shards, SEQUENTIAL_CUTOFF};
 use dlb_requestsim::stream::{Arrival, StreamScript};
 
 use crate::cluster::{ClusterOptions, ClusterReport, DetectMode, StreamSummary};
-use crate::machine::{CoordinatorMachine, Dest, NodeConfig, NodeMachine, Outbound, RtoKind};
+use crate::machine::{
+    CoordinatorMachine, Dest, NodeConfig, NodeMachine, Outbound, RtoKind, ScanMemo,
+};
 use crate::message::{ledger_to_wire, Frame};
 
 /// One-way delay of control-plane frames (coordinator ↔ node), in
@@ -364,11 +366,16 @@ impl<D: Fn(usize, usize) -> f64, T: TraceSink> Fabric<'_, D, T> {
 
 /// The one dispatch of both drain paths: runs a node's batch queue
 /// through its machine, appending what the machine emits to `out`.
-fn drain_node(machine: &mut NodeMachine, queue: &mut Vec<Inbox>, out: &mut Vec<Outbound>) {
+fn drain_node(
+    machine: &mut NodeMachine,
+    queue: &mut Vec<Inbox>,
+    memo: &ScanMemo,
+    out: &mut Vec<Outbound>,
+) {
     for item in queue.drain(..) {
         match item {
-            Inbox::Frame(frame) => machine.handle(&frame, out),
-            Inbox::Rto(round, kind) => machine.on_rto(round, kind, out),
+            Inbox::Frame(frame) => machine.handle_in(&frame, memo, out),
+            Inbox::Rto(round, kind) => machine.on_rto_in(round, kind, memo, out),
         }
     }
 }
@@ -378,10 +385,14 @@ fn drain_node(machine: &mut NodeMachine, queue: &mut Vec<Inbox>, out: &mut Vec<O
 /// first-delivery order — deterministic, since events pop in
 /// `(due, seq)` order). Machines live in the table for the whole run;
 /// a broadcast batch borrows disjoint id ranges of it, nothing moves.
+/// The machines share one [`ScanMemo`]: a round's score-bound
+/// summaries are computed by the first node that scans, on whichever
+/// worker.
 struct Nodes {
     machines: Vec<NodeMachine>,
     run_queues: Vec<Vec<Inbox>>,
     touched: Vec<u32>,
+    memo: ScanMemo,
 }
 
 impl Nodes {
@@ -391,6 +402,7 @@ impl Nodes {
             machines: (0..instance.len()).map(local).collect(),
             run_queues: (0..instance.len()).map(|_| Vec::new()).collect(),
             touched: Vec::new(),
+            memo: ScanMemo::default(),
         }
     }
 
@@ -1153,10 +1165,12 @@ impl<'a, D: Fn(usize, usize) -> f64, T: TraceSink> Run<'a, D, T> {
             machines,
             run_queues,
             touched,
+            memo,
         } = &mut self.nodes;
+        let memo: &ScanMemo = memo;
         if touched.len() < SHARD_THRESHOLD {
             for j in touched.drain(..).map(|j| j as usize) {
-                drain_node(&mut machines[j], &mut run_queues[j], out);
+                drain_node(&mut machines[j], &mut run_queues[j], memo, out);
                 fabric.send(j, liveness.is_down(j), out.drain(..));
             }
             return;
@@ -1173,7 +1187,7 @@ impl<'a, D: Fn(usize, usize) -> f64, T: TraceSink> Run<'a, D, T> {
             for j in batch.iter().map(|&j| j as usize) {
                 if ids.contains(&j) {
                     let (k, before) = (j - ids.start, flat.len());
-                    drain_node(&mut machines[k], &mut queues[k], &mut flat);
+                    drain_node(&mut machines[k], &mut queues[k], memo, &mut flat);
                     lens.push(flat.len() - before);
                 }
             }

@@ -53,6 +53,13 @@ pub enum Frame {
     /// and the freshest load vector (the coordinator plays the role of
     /// a converged gossip layer; `dlb-gossip` shows the decentralized
     /// equivalent).
+    ///
+    /// The per-block load summaries that let `select=exact` skip peers
+    /// are the round's, not the node's, and belong here; but the perf
+    /// ledger (`benchmark/`) builds against this variant as it is, so
+    /// until its pinned API thaws (ROADMAP item 2) the executor keeps
+    /// them in a memo keyed by the identity of `loads`, one computation
+    /// per round.
     RoundStart {
         /// Round number (0-based).
         round: u64,
