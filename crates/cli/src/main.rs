@@ -65,16 +65,17 @@ run:
     avg=50            average initial load per server
     speeds=uniform    uniform | const
     seed=1            RNG seed (sampling + iteration order)
-    gran=0            transfer quantum (0 = continuous)
+    gran=0            transfer quantum (0 = continuous), engines
+                      only (algo=sequential or batched)
     eps=1e-10         termination tolerance
     patience=3        consecutive calm rounds to stop
     budget=2000       iteration/round/sweep budget
     select=exact      exact | topk:K — partner selection, algo=protocol
                       only. exact scores every peer per round (O(m)
                       per node); topk:K scores the K delay-nearest
-                      peers plus the gossiped hot set (most/least
-                      loaded), rebuilt only when the load vector
-                      changes. topk:32 runs m=100000 event rounds:
+                      peers plus the hot set (most/least loaded)
+                      the coordinator gossips each round. topk:32
+                      runs m=100000 event rounds:
                       dlb run algo=protocol m=100000 net=homog \\
                         select=topk:32 patience=8
     faults=           deterministic fault schedule, algo=protocol

@@ -422,6 +422,24 @@ fn bad_specs_and_missing_files_fail_cleanly() {
             &["run", "algo=protocol", "m=99999999999"][..],
             "error: m= requires a value of at most 4294967295 (node ids are 32-bit)",
         ),
+        // Keys the named system would ignore are refused, not recorded.
+        (
+            &["run", "algo=protocol", "m=20", "seed=3", "gran=1"][..],
+            "error: gran= requires algo=sequential or algo=batched (only the engines \
+             quantise Algorithm 1's transfers)",
+        ),
+        (
+            &[
+                "run",
+                "algo=sequential",
+                "net=pl",
+                "m=30",
+                "seed=2",
+                "lat=30",
+            ][..],
+            "error: lat= requires net=homog (euclid and pl draw their latency matrices \
+             from the seed)",
+        ),
         // The shared stale snapshot is retired: stale views come from
         // the delta-gossip plane only.
         (

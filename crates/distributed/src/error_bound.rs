@@ -41,7 +41,7 @@ pub fn pending_transfer(instance: &Instance, a: &Assignment, i: usize, j: usize)
     if i == j {
         return 0.0;
     }
-    let outcome = calc_best_transfer(instance, a.ledger(i), a.ledger(j), i, j);
+    let outcome = calc_best_transfer(instance, a.ledger(i), a.ledger(j), i, j, 0.0);
     (outcome.ledger_j.sum() - a.load(j)).max(0.0)
 }
 

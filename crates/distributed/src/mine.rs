@@ -67,24 +67,7 @@ use std::ops::Range;
 
 use dlb_core::{Assignment, Instance};
 
-use crate::transfer::{calc_best_transfer_g, TransferOutcome};
-
-/// Exact improvement `impr(i, j)`: the `ΣC` reduction Algorithm 1 would
-/// achieve on the pair under the transfer quantum `granularity` (see
-/// [`crate::transfer::calc_best_transfer_g`]), computed on scratch
-/// copies.
-pub fn improvement(
-    instance: &Instance,
-    a: &Assignment,
-    i: usize,
-    j: usize,
-    granularity: f64,
-) -> f64 {
-    if i == j {
-        return 0.0;
-    }
-    calc_best_transfer_g(instance, a.ledger(i), a.ledger(j), i, j, granularity).improvement
-}
+use crate::transfer::{calc_best_transfer, TransferOutcome};
 
 /// Closed-form partner score: the gain of moving one optimal
 /// *homogeneous blob* between the servers, using the pair latency
@@ -420,7 +403,7 @@ pub fn choose_partner(
     // filtering the argmax at the end.
     let mut best: Option<(usize, TransferOutcome)> = None;
     for &j in candidates.iter() {
-        let out = calc_best_transfer_g(instance, a.ledger(id), a.ledger(j), id, j, granularity);
+        let out = calc_best_transfer(instance, a.ledger(id), a.ledger(j), id, j, granularity);
         if out.improvement.is_nan() || out.improvement <= min_improvement {
             continue;
         }
@@ -702,7 +685,17 @@ mod tests {
                     let want = ranked
                         .iter()
                         .take(top_k)
-                        .map(|&(j, _)| (j, improvement(&instance, &a, id, j, 0.0)))
+                        .map(|&(j, _)| {
+                            let out = calc_best_transfer(
+                                &instance,
+                                a.ledger(id),
+                                a.ledger(j),
+                                id,
+                                j,
+                                0.0,
+                            );
+                            (j, out.improvement)
+                        })
                         .fold(None, |best: Option<(usize, f64)>, (j, v)| match best {
                             Some((_, b)) if v <= b => best,
                             _ => Some((j, v)),
@@ -731,7 +724,7 @@ mod tests {
         let mut best_j = 1;
         let mut best = f64::NEG_INFINITY;
         for j in 1..8 {
-            let v = improvement(&instance, &a, 0, j, 0.0);
+            let v = calc_best_transfer(&instance, a.ledger(0), a.ledger(j), 0, j, 0.0).improvement;
             if v > best {
                 best = v;
                 best_j = j;

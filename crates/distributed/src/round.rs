@@ -222,7 +222,7 @@ pub fn apply_matches(
         let i = order[p];
         #[cfg(debug_assertions)]
         {
-            let fresh = crate::transfer::calc_best_transfer_g(
+            let fresh = crate::transfer::calc_best_transfer(
                 instance,
                 a.ledger(i),
                 a.ledger(j),

@@ -60,27 +60,17 @@ pub fn pair_cost(
 }
 
 /// Runs Algorithm 1 on the ledgers of servers `i` and `j` (without
-/// touching the enclosing [`Assignment`]).
-pub fn calc_best_transfer(
-    instance: &Instance,
-    ledger_i: &SparseVec,
-    ledger_j: &SparseVec,
-    i: usize,
-    j: usize,
-) -> TransferOutcome {
-    calc_best_transfer_g(instance, ledger_i, ledger_j, i, j, 0.0)
-}
-
-/// [`calc_best_transfer`] with a transfer quantum: every per-owner
-/// transfer is a multiple of `granularity` (the better of the two
-/// neighbouring multiples of Lemma 1's continuous optimum, by the
-/// exact pair cost). `granularity = 0` gives the continuous algorithm.
+/// touching the enclosing [`Assignment`](dlb_core::Assignment)) under
+/// a transfer quantum: every per-owner transfer is a multiple of
+/// `granularity` (the better of the two neighbouring multiples of
+/// Lemma 1's continuous optimum, by the exact pair cost).
+/// `granularity = 0` gives the continuous algorithm.
 ///
 /// The paper's load consists of *unit requests* — the fractional model
 /// is its relaxation (§II, §VII) — so the evaluation protocol uses
 /// `granularity = 1.0`: the algorithm stops when no whole request is
 /// worth moving, exactly as a discrete simulation would.
-pub fn calc_best_transfer_g(
+pub fn calc_best_transfer(
     instance: &Instance,
     ledger_i: &SparseVec,
     ledger_j: &SparseVec,
@@ -203,8 +193,14 @@ mod tests {
         i: usize,
         j: usize,
     ) -> (f64, f64) {
-        let outcome =
-            calc_best_transfer(instance, assignment.ledger(i), assignment.ledger(j), i, j);
+        let outcome = calc_best_transfer(
+            instance,
+            assignment.ledger(i),
+            assignment.ledger(j),
+            i,
+            j,
+            0.0,
+        );
         assignment.replace_ledger(i, outcome.ledger_i);
         assignment.replace_ledger(j, outcome.ledger_j);
         (outcome.improvement, outcome.moved)
@@ -357,7 +353,7 @@ mod tests {
         // f(4) = 36/2+16/2+12 = 38 — tie; either is fine, but it must
         // be integral.
         let instance = two_server_instance(3.0, 1.0, 1.0, 10.0, 0.0);
-        let out = calc_best_transfer_g(
+        let out = calc_best_transfer(
             &instance,
             &{
                 let mut v = SparseVec::new();
@@ -386,7 +382,7 @@ mod tests {
         // f(1) = 81/2 + 1/2 + 9.4 = 50.4 → stay.
         let mut a = Assignment::local(&instance);
         let before = total_cost(&instance, &a);
-        let out = calc_best_transfer_g(&instance, a.ledger(0), a.ledger(1), 0, 1, 1.0);
+        let out = calc_best_transfer(&instance, a.ledger(0), a.ledger(1), 0, 1, 1.0);
         a.replace_ledger(0, out.ledger_i);
         a.replace_ledger(1, out.ledger_j);
         let after = total_cost(&instance, &a);
@@ -408,7 +404,7 @@ mod tests {
             );
             let mut a = Assignment::local(&instance);
             let before = total_cost(&instance, &a);
-            let out = calc_best_transfer_g(&instance, a.ledger(0), a.ledger(1), 0, 1, 1.0);
+            let out = calc_best_transfer(&instance, a.ledger(0), a.ledger(1), 0, 1, 1.0);
             a.replace_ledger(0, out.ledger_i);
             a.replace_ledger(1, out.ledger_j);
             let after = total_cost(&instance, &a);

@@ -106,7 +106,7 @@ use dlb_requestsim::stream::{Arrival, StreamScript};
 
 use crate::cluster::{ClusterOptions, ClusterReport, DetectMode, StreamSummary};
 use crate::machine::{
-    CoordinatorMachine, Dest, NodeConfig, NodeMachine, Outbound, RtoKind, ScanMemo,
+    CoordinatorMachine, Dest, NodeConfig, NodeMachine, Outbound, RoundBlocks, RtoKind,
 };
 use crate::message::{ledger_to_wire, Frame};
 
@@ -366,16 +366,17 @@ impl<D: Fn(usize, usize) -> f64, T: TraceSink> Fabric<'_, D, T> {
 
 /// The one dispatch of both drain paths: runs a node's batch queue
 /// through its machine, appending what the machine emits to `out`.
+/// `blocks` are the coordinator's scan inputs for the round in flight.
 fn drain_node(
     machine: &mut NodeMachine,
     queue: &mut Vec<Inbox>,
-    memo: &ScanMemo,
+    blocks: Option<&RoundBlocks>,
     out: &mut Vec<Outbound>,
 ) {
     for item in queue.drain(..) {
         match item {
-            Inbox::Frame(frame) => machine.handle_in(&frame, memo, out),
-            Inbox::Rto(round, kind) => machine.on_rto_in(round, kind, memo, out),
+            Inbox::Frame(frame) => machine.handle_in(&frame, blocks, out),
+            Inbox::Rto(round, kind) => machine.on_rto_in(round, kind, blocks, out),
         }
     }
 }
@@ -385,14 +386,12 @@ fn drain_node(
 /// first-delivery order — deterministic, since events pop in
 /// `(due, seq)` order). Machines live in the table for the whole run;
 /// a broadcast batch borrows disjoint id ranges of it, nothing moves.
-/// The machines share one [`ScanMemo`]: a round's score-bound
-/// summaries are computed by the first node that scans, on whichever
-/// worker.
+/// The machines keep no round data between batches: each drain lends
+/// them the coordinator's [`RoundBlocks`].
 struct Nodes {
     machines: Vec<NodeMachine>,
     run_queues: Vec<Vec<Inbox>>,
     touched: Vec<u32>,
-    memo: ScanMemo,
 }
 
 impl Nodes {
@@ -402,7 +401,6 @@ impl Nodes {
             machines: (0..instance.len()).map(local).collect(),
             run_queues: (0..instance.len()).map(|_| Vec::new()).collect(),
             touched: Vec::new(),
-            memo: ScanMemo::default(),
         }
     }
 
@@ -1161,16 +1159,15 @@ impl<'a, D: Fn(usize, usize) -> f64, T: TraceSink> Run<'a, D, T> {
     /// source by source in first-delivery order.
     fn drain_nodes(&mut self) {
         let (fabric, liveness, out) = (&mut self.fabric, &self.liveness, &mut self.out);
+        let blocks = self.coordinator.round_blocks();
         let Nodes {
             machines,
             run_queues,
             touched,
-            memo,
         } = &mut self.nodes;
-        let memo: &ScanMemo = memo;
         if touched.len() < SHARD_THRESHOLD {
             for j in touched.drain(..).map(|j| j as usize) {
-                drain_node(&mut machines[j], &mut run_queues[j], memo, out);
+                drain_node(&mut machines[j], &mut run_queues[j], blocks, out);
                 fabric.send(j, liveness.is_down(j), out.drain(..));
             }
             return;
@@ -1187,7 +1184,7 @@ impl<'a, D: Fn(usize, usize) -> f64, T: TraceSink> Run<'a, D, T> {
             for j in batch.iter().map(|&j| j as usize) {
                 if ids.contains(&j) {
                     let (k, before) = (j - ids.start, flat.len());
-                    drain_node(&mut machines[k], &mut queues[k], memo, &mut flat);
+                    drain_node(&mut machines[k], &mut queues[k], blocks, &mut flat);
                     lens.push(flat.len() - before);
                 }
             }
@@ -1505,7 +1502,7 @@ mod tests {
         crossed.replace_ledger(1, l1);
         crossed.refresh_loads();
         let crossed_cost = total_cost(&instance, &crossed);
-        let out = calc_best_transfer(&instance, crossed.ledger(0), crossed.ledger(1), 0, 1);
+        let out = calc_best_transfer(&instance, crossed.ledger(0), crossed.ledger(1), 0, 1, 0.0);
         assert_eq!(out.ledger_i.get(0), 100.0, "own requests return home");
         assert_eq!(out.ledger_j.get(1), 100.0);
         let mut fixed = crossed.clone();

@@ -72,7 +72,7 @@ use dlb_distributed::mine::{partner_scores, Candidates, SCORE_BLOCK};
 use dlb_distributed::transfer::calc_best_transfer;
 use dlb_topology::k_nearest_row;
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 
 use crate::cluster::{ClusterOptions, ClusterReport, DetectMode, DetectorSummary};
 use crate::message::{ledger_to_wire, wire_to_ledger, Frame, RoundOutcome};
@@ -125,10 +125,9 @@ pub enum SelectPolicy {
     /// Score only a candidate index: the `k` delay-nearest peers (from
     /// the node's own latency column, the §IV local-knowledge input)
     /// merged with the coordinator's gossiped *hot set* of the most
-    /// over- and under-loaded live nodes. O(k) per round start; the
-    /// index is epoch-tagged and rebuilt only when the gossiped load
-    /// view actually changed. With `k ≥ m − 1` this is exactly
-    /// [`SelectPolicy::Exact`] (pinned by tests).
+    /// over- and under-loaded live nodes, which the coordinator builds
+    /// every round. O(k) per round start. With `k ≥ m − 1` this is
+    /// exactly [`SelectPolicy::Exact`] (pinned by tests).
     TopK(u32),
 }
 
@@ -150,9 +149,10 @@ pub struct NodeConfig {
 }
 
 /// Which in-flight wait an exchange retransmission timeout guards.
-/// Drivers running in-protocol detection arm one RTO per data-plane
-/// frame they schedule and deliver it via [`NodeMachine::on_rto`];
-/// a timer whose wait already resolved is a no-op.
+/// Under in-protocol detection the executor arms one RTO per
+/// data-plane frame that dies at a dead host and delivers it to the
+/// waiting machine; a timer whose wait already resolved is a no-op
+/// ([`NodeMachine::rto_pending`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RtoKind {
     /// Initiator waiting for `Accept`/`Busy` after its `Propose`.
@@ -339,35 +339,16 @@ impl BlockSummary {
     }
 }
 
-/// The round's [`BlockSummary`]s, computed by the first node that scans
-/// under a `RoundStart` and shared by every other one: they depend only
-/// on the round's loads and the instance's speeds, so one O(m) pass per
-/// round replaces one per node. Keyed by the identity of the frame's
-/// `loads` `Arc`, a clone of which it holds, so a freed vector's
-/// address cannot alias a later round's; a deferred `RoundStart`
-/// carries the same `Arc` and hits. One memo serves one instance.
-/// Which worker fills it cannot matter: the summaries are a pure
-/// function of the key.
-#[derive(Debug, Default)]
-pub(crate) struct ScanMemo(Mutex<Option<RoundBlocks>>);
-
-/// A round's `loads` and their [`BlockSummary`]s.
-type RoundBlocks = (Arc<Vec<f64>>, Arc<[BlockSummary]>);
-
-impl ScanMemo {
-    fn blocks(&self, instance: &Instance, loads: &Arc<Vec<f64>>) -> Arc<[BlockSummary]> {
-        // The one write is a whole assignment, so a holder that panicked
-        // cannot have left the memo half-updated.
-        let mut memo = self.0.lock().unwrap_or_else(PoisonError::into_inner);
-        match &*memo {
-            Some((key, blocks)) if Arc::ptr_eq(key, loads) => Arc::clone(blocks),
-            _ => {
-                let blocks: Arc<[_]> = BlockSummary::blocks(instance.speeds(), loads).into();
-                *memo = Some((Arc::clone(loads), Arc::clone(&blocks)));
-                blocks
-            }
-        }
-    }
+/// A round's [`BlockSummary`]s and the `loads` `Arc` they summarise.
+/// The coordinator computes them once per round under `select=exact`
+/// and the executor lends them to every node it drains: they depend
+/// only on the round's loads and the instance's speeds, so one O(m)
+/// pass per round replaces one per node. A node uses them only for a
+/// `RoundStart` carrying the very same `Arc`.
+#[derive(Debug)]
+pub(crate) struct RoundBlocks {
+    loads: Arc<Vec<f64>>,
+    blocks: Vec<BlockSummary>,
 }
 
 /// Scores `candidates` (ascending, `excluded` sorted ascending: see
@@ -527,35 +508,27 @@ fn audit_target(id: u32, m: usize, round: u64, excluded: &[u32]) -> Option<u32> 
 /// `base` — the `k` delay-nearest peers from the node's own latency
 /// column — is computed once, on the first round start. `merged` —
 /// `base ∪` the round's gossiped hot set, ascending, minus self — is
-/// the actual scan list; it is rebuilt only when the coordinator's
-/// load-vector `epoch` advances, so quiet stretches (where the load
-/// view is frozen) cost nothing. Exclusions are *not* baked in: they
-/// are skipped at scoring time, which keeps the cache valid across
-/// crash/recovery churn.
+/// the actual scan list, rebuilt at every round start. Exclusions are
+/// *not* baked in: they are skipped at scoring time.
 #[derive(Debug, Default)]
 struct CandidateIndex {
-    base: Vec<u32>,
+    base: Option<Vec<u32>>,
     merged: Vec<u32>,
-    epoch: Option<u64>,
 }
 
 impl CandidateIndex {
-    /// Rebuilds `merged` for `epoch` if it advanced; builds `base`
-    /// (and marks it built via the first epoch tag) on first use.
-    /// `hot` must be sorted ascending; `base` is by construction.
-    fn refresh(&mut self, id: u32, instance: &Instance, k: u32, epoch: u64, hot: &[u32]) {
-        if self.epoch == Some(epoch) {
-            return;
-        }
-        if self.epoch.is_none() {
-            self.base = k_nearest_row(instance.latency(), id as usize, k as usize);
-        }
-        self.epoch = Some(epoch);
+    /// Rebuilds `merged` from the round's `hot` set, building `base` on
+    /// first use. `hot` must be sorted ascending; `base` is by
+    /// construction.
+    fn refresh(&mut self, id: u32, instance: &Instance, k: u32, hot: &[u32]) {
+        let base = self
+            .base
+            .get_or_insert_with(|| k_nearest_row(instance.latency(), id as usize, k as usize));
         self.merged.clear();
-        self.merged.reserve(self.base.len() + hot.len());
+        self.merged.reserve(base.len() + hot.len());
         let (mut a, mut b) = (0usize, 0usize);
         loop {
-            let next = match (self.base.get(a).copied(), hot.get(b).copied()) {
+            let next = match (base.get(a).copied(), hot.get(b).copied()) {
                 (Some(x), Some(y)) => {
                     if x <= y {
                         a += 1;
@@ -641,7 +614,7 @@ use books::Books;
 /// machine, so the layout is deliberate (`repr(C)` keeps the declared
 /// order): the words every `Propose`/`Busy` delivery reads lead, and
 /// state that exists only while a control frame waits or a two-phase
-/// exchange is pending sits boxed at the back. 240 bytes, by test.
+/// exchange is pending sits boxed at the back. 224 bytes, by test.
 #[derive(Debug)]
 #[repr(C)]
 pub struct NodeMachine {
@@ -754,15 +727,21 @@ impl NodeMachine {
     }
 
     /// An exchange, or the wait for one, has resolved: replays the
-    /// stream deltas buffered behind it, then the control frame
-    /// deferred behind it (if any) — in that order, so a deferred
+    /// stream deltas buffered behind it. The control frame deferred
+    /// behind it goes next ([`Self::replay`]), so a deferred
     /// `Shutdown`'s final ledger includes the deltas.
-    fn resolve(&mut self, memo: &ScanMemo, out: &mut Vec<Outbound>) {
+    fn resolve(&mut self) {
         for (org, amount) in std::mem::take(&mut self.stream_buf) {
             self.apply_stream_delta(org, amount);
         }
-        if let Some(frame) = self.deferred.take() {
-            self.handle_in(&frame, memo, out);
+    }
+
+    /// Once no exchange is open, handles the control frame deferred
+    /// behind the last one, if any, as [`Self::handle_in`] would.
+    fn replay(&mut self, blocks: Option<&RoundBlocks>, out: &mut Vec<Outbound>) {
+        let closed = !self.exchange_open();
+        if let Some(frame) = self.deferred.take_if(|_| closed) {
+            self.handle_in(&frame, blocks, out);
         }
     }
 
@@ -778,12 +757,18 @@ impl NodeMachine {
     /// Consumes one inbound frame, appending any outbound frames to
     /// `out` in send order.
     pub fn handle(&mut self, frame: &Frame, out: &mut Vec<Outbound>) {
-        self.handle_in(frame, &ScanMemo::default(), out);
+        self.handle_in(frame, None, out);
     }
 
-    /// [`Self::handle`], with a `RoundStart`'s block summaries taken
-    /// from (or left in) `memo`, which every node of the instance shares.
-    pub(crate) fn handle_in(&mut self, frame: &Frame, memo: &ScanMemo, out: &mut Vec<Outbound>) {
+    /// [`Self::handle`], with the coordinator's [`RoundBlocks`] for the
+    /// round in flight: a `RoundStart` whose `loads` are theirs scans
+    /// with them, any other computes its own.
+    pub(crate) fn handle_in(
+        &mut self,
+        frame: &Frame,
+        blocks: Option<&RoundBlocks>,
+        out: &mut Vec<Outbound>,
+    ) {
         if self.done {
             // Our final ledger is already in the coordinator's hands;
             // nothing may mutate it. A straggling proposer (possible
@@ -815,8 +800,8 @@ impl NodeMachine {
                 round,
                 loads,
                 excluded,
-                epoch,
                 hot,
+                ..
             } => {
                 if self.exchange_open() {
                     // A frame for the previous round's exchange is
@@ -826,26 +811,27 @@ impl NodeMachine {
                     self.deferred = Some(Box::new(frame.clone()));
                     return;
                 }
-                self.start_round(*round, loads, memo, excluded, *epoch, hot, out);
+                self.start_round(*round, loads, blocks, excluded, hot, out);
             }
             Frame::Propose { from, round } => self.on_propose(*from, *round, out),
             Frame::Accept {
                 from,
                 round,
                 ledger,
-            } => self.on_accept(*from, *round, ledger, memo, out),
-            Frame::Busy { from, round } => self.on_busy(*from, *round, memo, out),
+            } => self.on_accept(*from, *round, ledger, out),
+            Frame::Busy { from, round } => self.on_busy(*from, *round, out),
             Frame::Commit {
                 from,
                 round,
                 ledger,
-            } => self.on_commit(*from, *round, ledger, memo, out),
-            Frame::CommitAck { from, round } => self.on_commit_ack(*from, *round, memo, out),
+            } => self.on_commit(*from, *round, ledger, out),
+            Frame::CommitAck { from, round } => self.on_commit_ack(*from, *round, out),
             Frame::Report { .. } | Frame::FinalLedger { .. } => {
                 // Control-plane frames never reach node inboxes.
                 debug_assert!(false, "node {} received a coordinator frame", self.id);
             }
         }
+        self.replay(blocks, out);
     }
 
     /// Is any leg of an exchange still unresolved? Control frames
@@ -880,14 +866,12 @@ impl NodeMachine {
         }));
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn start_round(
         &mut self,
         round: u64,
         loads: &Arc<Vec<f64>>,
-        memo: &ScanMemo,
+        blocks: Option<&RoundBlocks>,
         excluded: &[u32],
-        epoch: u64,
         hot: &[u32],
         out: &mut Vec<Outbound>,
     ) {
@@ -899,18 +883,22 @@ impl NodeMachine {
             self.lock = Lock::Locked; // takes no part this round
             self.report(RoundOutcome::NoProposal, None, out);
         } else {
-            let (blocks, candidates) = match self.config.select {
-                SelectPolicy::Exact => (
-                    Some(memo.blocks(&self.instance, loads)),
+            let own;
+            let (blocks, candidates) = match (self.config.select, blocks) {
+                (SelectPolicy::Exact, Some(lent)) if Arc::ptr_eq(&lent.loads, loads) => (
+                    Some(&lent.blocks[..]),
                     Candidates::Range(0..self.instance.len()),
                 ),
-                SelectPolicy::TopK(k) => {
-                    self.index.refresh(self.id, &self.instance, k, epoch, hot);
+                (SelectPolicy::Exact, _) => {
+                    own = BlockSummary::blocks(self.instance.speeds(), loads);
+                    (Some(&own[..]), Candidates::Range(0..self.instance.len()))
+                }
+                (SelectPolicy::TopK(k), _) => {
+                    self.index.refresh(self.id, &self.instance, k, hot);
                     (None, Candidates::List(&self.index.merged))
                 }
             };
-            let (instance, blocks) = (&self.instance, blocks.as_deref());
-            let scored = score_best(self.id, instance, loads, blocks, excluded, candidates);
+            let scored = score_best(self.id, &self.instance, loads, blocks, excluded, candidates);
             let target =
                 scored.or_else(|| audit_target(self.id, self.instance.len(), round, excluded));
             match target {
@@ -980,14 +968,7 @@ impl NodeMachine {
         }
     }
 
-    fn on_accept(
-        &mut self,
-        from: u32,
-        r: u64,
-        their_wire: &[(u32, f64)],
-        memo: &ScanMemo,
-        out: &mut Vec<Outbound>,
-    ) {
+    fn on_accept(&mut self, from: u32, r: u64, their_wire: &[(u32, f64)], out: &mut Vec<Outbound>) {
         if r != self.round || self.proposal != Some(from) {
             return; // stale acceptance; ignore
         }
@@ -998,6 +979,7 @@ impl NodeMachine {
             &theirs,
             self.id as usize,
             from as usize,
+            0.0,
         );
         let partner_ledger = outcome.ledger_j;
         let partner_load = partner_ledger.sum();
@@ -1022,11 +1004,11 @@ impl NodeMachine {
         } else {
             self.books.replace(ledger);
             self.report(RoundOutcome::Exchanged, Some(exchange), out);
-            self.resolve(memo, out);
+            self.resolve();
         }
     }
 
-    fn on_busy(&mut self, from: u32, r: u64, memo: &ScanMemo, out: &mut Vec<Outbound>) {
+    fn on_busy(&mut self, from: u32, r: u64, out: &mut Vec<Outbound>) {
         if r != self.round || self.proposal != Some(from) {
             return;
         }
@@ -1034,19 +1016,11 @@ impl NodeMachine {
         // Stay Free: we may still serve someone else's proposal this
         // round.
         self.report(RoundOutcome::Lost, None, out);
-        // A control frame held behind the outstanding proposal can go
-        // ahead now.
-        self.resolve(memo, out);
+        // What waited behind the outstanding proposal can go ahead now.
+        self.resolve();
     }
 
-    fn on_commit(
-        &mut self,
-        from: u32,
-        r: u64,
-        new_wire: &[(u32, f64)],
-        memo: &ScanMemo,
-        out: &mut Vec<Outbound>,
-    ) {
+    fn on_commit(&mut self, from: u32, r: u64, new_wire: &[(u32, f64)], out: &mut Vec<Outbound>) {
         if r != self.round || self.lock != Lock::AwaitingCommit(from) {
             return;
         }
@@ -1068,18 +1042,19 @@ impl NodeMachine {
             // acceptance; close the round's report.
             self.report(RoundOutcome::Accepted, None, out);
         }
-        // Replay the control frame that raced this commit, if any.
-        self.resolve(memo, out);
+        // Release the deltas; a control frame that raced this commit
+        // replays next.
+        self.resolve();
     }
 
-    fn on_commit_ack(&mut self, from: u32, r: u64, memo: &ScanMemo, out: &mut Vec<Outbound>) {
+    fn on_commit_ack(&mut self, from: u32, r: u64, out: &mut Vec<Outbound>) {
         if r != self.round || self.pending.as_ref().map(|p| p.exchange.0) != Some(from) {
             return; // stale ack; ignore
         }
         let p = self.pending.take().expect("pending matched");
         self.books.replace(p.ledger);
         self.report(RoundOutcome::Exchanged, Some(p.exchange), out);
-        self.resolve(memo, out);
+        self.resolve();
     }
 
     /// Would an `(round, kind)` retransmission timeout still fire?
@@ -1105,18 +1080,14 @@ impl NodeMachine {
     /// no-op. When the wait is still open the partner is gone: the
     /// machine rolls the exchange back locally (nothing of a two-phase
     /// transfer has been applied yet, so rollback is dropping state)
-    /// and closes its round report with [`RoundOutcome::Aborted`].
-    pub fn on_rto(&mut self, r: u64, kind: RtoKind, out: &mut Vec<Outbound>) {
-        self.on_rto_in(r, kind, &ScanMemo::default(), out);
-    }
-
-    /// [`Self::on_rto`], with a replayed `RoundStart` served from `memo`
-    /// as in [`Self::handle_in`].
+    /// and closes its round report with [`RoundOutcome::Aborted`]. A
+    /// `RoundStart` replayed behind the wait scans with `blocks` as in
+    /// [`Self::handle_in`].
     pub(crate) fn on_rto_in(
         &mut self,
         r: u64,
         kind: RtoKind,
-        memo: &ScanMemo,
+        blocks: Option<&RoundBlocks>,
         out: &mut Vec<Outbound>,
     ) {
         if !self.rto_pending(r, kind) {
@@ -1140,7 +1111,8 @@ impl NodeMachine {
         }
         // A control frame stashed behind the dead exchange can go
         // ahead now.
-        self.resolve(memo, out);
+        self.resolve();
+        self.replay(blocks, out);
     }
 }
 
@@ -1223,18 +1195,9 @@ pub struct CoordinatorMachine {
     down: Vec<u32>,
     seen: Vec<bool>,
     round_moved: f64,
-    /// Load-vector epoch for the nodes' candidate caches: bumped at a
-    /// round start iff the gossiped view (loads or exclusions) changed
-    /// since the last bump. Stays 0 under [`SelectPolicy::Exact`].
-    epoch: u64,
-    /// The loads snapshot at the last epoch bump.
-    epoch_loads: Vec<f64>,
-    /// The excluded set at the last epoch bump.
-    last_excluded: Vec<u32>,
-    /// The gossiped hot set of the current epoch: the most under- and
-    /// over-loaded live nodes by `l_j / s_j`, sorted by id. Shared by
-    /// every RoundStart of the epoch.
-    hot: Arc<Vec<u32>>,
+    /// The current round's scan inputs under [`SelectPolicy::Exact`]:
+    /// the broadcast `loads` and their block summaries.
+    round_blocks: Option<RoundBlocks>,
     ledgers: Vec<Option<SparseVec>>,
     collected: usize,
     /// Virtual time of the last [`Self::handle`]/[`Self::on_deadline`]
@@ -1307,10 +1270,7 @@ impl CoordinatorMachine {
             down: Vec::new(),
             seen: vec![false; m],
             round_moved: 0.0,
-            epoch: 0,
-            epoch_loads: Vec::new(),
-            last_excluded: Vec::new(),
-            hot: Arc::new(Vec::new()),
+            round_blocks: None,
             ledgers: (0..m).map(|_| None).collect(),
             collected: 0,
             now_ms: 0.0,
@@ -1430,28 +1390,35 @@ impl CoordinatorMachine {
         skip.extend(self.suspects.iter().map(|s| s.node));
         skip.sort_unstable();
         self.expected = self.len() - skip.len();
-        if let SelectPolicy::TopK(k) = self.options.node.select {
-            // Epoch maintenance for the nodes' candidate caches: bump
-            // (and rebuild the hot set) only when the gossiped view
-            // actually moved, so quiet stretches rebuild nothing.
-            if self.epoch == 0 || self.loads != self.epoch_loads || skip != self.last_excluded {
-                self.epoch += 1;
-                self.epoch_loads.clone_from(&self.loads);
-                self.last_excluded.clone_from(&skip);
-                self.hot = Arc::new(self.build_hot(&skip, k));
+        // The round's scan inputs, derived once from the view every
+        // node receives.
+        let loads = Arc::new(self.loads.clone());
+        let hot = match self.options.node.select {
+            SelectPolicy::Exact => {
+                let blocks = BlockSummary::blocks(self.instance.speeds(), &loads);
+                let loads = Arc::clone(&loads);
+                self.round_blocks = Some(RoundBlocks { loads, blocks });
+                Vec::new()
             }
-        }
+            SelectPolicy::TopK(k) => self.build_hot(&skip, k),
+        };
         let frame = Arc::new(Frame::RoundStart {
             round: self.round,
-            loads: Arc::new(self.loads.clone()),
+            loads,
             excluded: skip.clone(),
-            epoch: self.epoch,
-            hot: Arc::clone(&self.hot),
+            epoch: 0,
+            hot: Arc::new(hot),
         });
         self.broadcast_except(&skip, frame, out);
     }
 
-    /// The hot set of an epoch: the `⌈k/2⌉`-ish most under-loaded and
+    /// The current round's [`RoundBlocks`]; `None` under
+    /// [`SelectPolicy::TopK`], which scans no blocks.
+    pub(crate) fn round_blocks(&self) -> Option<&RoundBlocks> {
+        self.round_blocks.as_ref()
+    }
+
+    /// A round's hot set: the `⌈k/2⌉`-ish most under-loaded and
     /// most over-loaded live nodes by normalized load `l_j / s_j` —
     /// the peers *every* node may profitably trade with regardless of
     /// delay, grafted onto each node's delay-nearest candidates. Pure
@@ -1877,21 +1844,18 @@ mod tests {
     }
 
     #[test]
-    fn candidate_index_merges_and_caches_by_epoch() {
+    fn candidate_index_merges_the_rounds_hot_set() {
         let instance = Instance::homogeneous(10, 1.0, 1.0, 0.0);
         let mut idx = CandidateIndex::default();
         // Homogeneous → base is the wheel successors of 3: {4,5,6,7}.
-        idx.refresh(3, &instance, 4, 1, &[0, 3, 9]);
+        idx.refresh(3, &instance, 4, &[0, 3, 9]);
         assert_eq!(
             idx.merged,
             vec![0, 4, 5, 6, 7, 9],
             "hot merged, self dropped"
         );
-        // Same epoch: cache hit, even with a different hot set.
-        idx.refresh(3, &instance, 4, 1, &[1]);
-        assert_eq!(idx.merged, vec![0, 4, 5, 6, 7, 9]);
-        // Epoch advance: merged rebuilt from the kept base.
-        idx.refresh(3, &instance, 4, 2, &[1, 5]);
+        // The next round: merged rebuilt from the kept base.
+        idx.refresh(3, &instance, 4, &[1, 5]);
         assert_eq!(idx.merged, vec![1, 4, 5, 6, 7]);
     }
 
@@ -1921,7 +1885,7 @@ mod tests {
     fn topk_with_saturating_k_matches_exact_scan() {
         let instance = Instance::homogeneous(6, 1.0, 1.0, 0.0);
         let mut idx = CandidateIndex::default();
-        idx.refresh(0, &instance, 5, 1, &[]);
+        idx.refresh(0, &instance, 5, &[]);
         for loads in [
             vec![0.0, 300.0, 0.0, 10.0, 5.0, 80.0],
             vec![50.0; 6],
@@ -1988,7 +1952,7 @@ mod tests {
         for (instance, loads) in [(&dense, &ranked), (&homog, &tied), (&homog, &nan)] {
             for id in [0, 1, B - 1, B, B + 1, last] {
                 let mut idx = CandidateIndex::default();
-                idx.refresh(id, instance, last, 1, &[]);
+                idx.refresh(id, instance, last, &[]);
                 assert_eq!(idx.merged.len(), m - 1, "saturating k: every peer");
                 for excluded in [
                     vec![],
@@ -2111,23 +2075,94 @@ mod tests {
         }
     }
 
+    /// The `loads` of the one `RoundStart` broadcast in `out`.
+    fn broadcast_loads(out: &[Outbound]) -> Arc<Vec<f64>> {
+        let mut loads = out.iter().map(|o| match &*o.frame {
+            Frame::RoundStart { loads, .. } => Arc::clone(loads),
+            other => panic!("expected a RoundStart, got {other:?}"),
+        });
+        let first = loads.next().expect("a broadcast");
+        assert!(loads.all(|l| Arc::ptr_eq(&l, &first)), "one shared vector");
+        first
+    }
+
     #[test]
-    fn scan_memo_is_keyed_by_the_loads_arc() {
-        let instance = Instance::homogeneous(70, 1.5, 2.0, 0.0);
-        let loads = Arc::new((0..70).map(f64::from).collect::<Vec<_>>());
-        let memo = ScanMemo::default();
-        let first = memo.blocks(&instance, &loads);
-        assert_eq!(first.len(), 3, "two full blocks and a tail");
-        assert_eq!(*first, *BlockSummary::blocks(instance.speeds(), &loads));
+    fn coordinator_derives_the_rounds_blocks_from_its_broadcast() {
+        let mut rng = rng_for(5, 11);
+        let speeds: Vec<f64> = (0..70).map(|_| rng.gen_range(0.5..4.0)).collect();
+        let own: Vec<f64> = (0..70).map(|_| rng.gen_range(0.0..90.0)).collect();
+        let latency = LatencyMatrix::homogeneous(70, 2.0);
+        let instance = Arc::new(Instance::new(speeds, own, latency));
+        let options = ClusterOptions::default();
+        assert_eq!(options.node.select, SelectPolicy::Exact);
+        let mut coordinator = CoordinatorMachine::new(Arc::clone(&instance), &options);
+        let mut out = Vec::new();
+        coordinator.start(&mut out);
+        let loads = broadcast_loads(&out);
+        let round = coordinator
+            .round_blocks()
+            .expect("exact selection scans blocks");
         assert!(
-            Arc::ptr_eq(&first, &memo.blocks(&instance, &loads)),
-            "a hit"
+            Arc::ptr_eq(&round.loads, &loads),
+            "the broadcast's very Arc"
         );
-        // Equal contents in another vector are another round: recomputed.
-        let again = Arc::new(loads.to_vec());
-        let second = memo.blocks(&instance, &again);
-        assert!(!Arc::ptr_eq(&first, &second));
-        assert_eq!(*first, *second);
+        assert_eq!(
+            round.blocks,
+            BlockSummary::blocks(instance.speeds(), &loads)
+        );
+        assert_eq!(round.blocks.len(), 3, "two full blocks and a tail");
+
+        let mut topk = options.clone();
+        topk.node.select = SelectPolicy::TopK(4);
+        let mut coordinator = CoordinatorMachine::new(instance, &topk);
+        coordinator.start(&mut Vec::new());
+        assert!(coordinator.round_blocks().is_none());
+    }
+
+    /// A `RoundStart` replayed under a later round (in-protocol
+    /// detection) is lent that round's blocks; it must scan as if it
+    /// had none, as `handle` does.
+    #[test]
+    fn round_start_ignores_another_rounds_blocks() {
+        let mut rng = rng_for(9, 13);
+        let m = 3 * SCORE_BLOCK + 7;
+        let speeds: Vec<f64> = (0..m).map(|_| rng.gen_range(0.5..4.0)).collect();
+        let latency = LatencyMatrix::homogeneous(m, 1.0);
+        let instance = Arc::new(Instance::new(speeds, vec![0.0; m], latency));
+        let ids = [0, 5, SCORE_BLOCK as u32, m as u32 - 1];
+        let mut ours: Vec<f64> = (0..m).map(|_| rng.gen_range(0.0..200.0)).collect();
+        for &id in &ids {
+            ours[id as usize] = 0.0;
+        }
+        let ours = Arc::new(ours);
+        // A flat view bounds an idle node's every block below the floor.
+        let flat = Arc::new(vec![0.0; m]);
+        let other = RoundBlocks {
+            blocks: BlockSummary::blocks(instance.speeds(), &flat),
+            loads: flat,
+        };
+        let start = Frame::RoundStart {
+            round: 1,
+            loads: Arc::clone(&ours),
+            excluded: vec![],
+            epoch: 0,
+            hot: Arc::new(vec![]),
+        };
+        for id in ids {
+            let all = Candidates::Range(0..m);
+            let misled = score_best(id, &instance, &ours, Some(&other.blocks), &[], all);
+            assert_eq!(misled, None, "node {id}: the flat bound skips every block");
+            let config = NodeConfig::default();
+            let mut lent = NodeMachine::local(id, Arc::clone(&instance), config);
+            let mut out = Vec::new();
+            lent.handle_in(&start, Some(&other), &mut out);
+            let mut alone = NodeMachine::local(id, Arc::clone(&instance), config);
+            drive(&mut alone, start.clone());
+            let want = choose_target(id, &instance, &ours, &[]);
+            assert!(want.is_some(), "node {id} has a partner");
+            assert_eq!(alone.proposal, want, "node {id}");
+            assert_eq!(lent.proposal, want, "node {id}");
+        }
     }
 
     /// The score bound against the scores it bounds, on the inputs the
@@ -2520,7 +2555,7 @@ mod tests {
             fresh(&wire_to_ledger(&[(0, 4.0), (2, 1.5)]))
         );
         let mut out = Vec::new();
-        machine.on_rto(4, RtoKind::Ack, &mut out);
+        machine.on_rto_in(4, RtoKind::Ack, None, &mut out);
         assert_eq!(reported(&out), fresh(&before));
         assert_eq!(machine.ledger().get(1), 3.0);
 
@@ -2568,9 +2603,9 @@ mod tests {
     /// A field added to the machine shows up here, not in `peak_rss_mb`:
     /// the table holds one per node (24 MB at m = 100 000).
     #[test]
-    fn node_machine_fits_240_bytes() {
+    fn node_machine_fits_224_bytes() {
         assert!(
-            std::mem::size_of::<NodeMachine>() <= 240,
+            std::mem::size_of::<NodeMachine>() <= 224,
             "NodeMachine grew to {} bytes",
             std::mem::size_of::<NodeMachine>()
         );

@@ -57,28 +57,25 @@ pub enum Frame {
     /// The per-block load summaries that let `select=exact` skip peers
     /// are the round's, not the node's, and belong here; but the perf
     /// ledger (`benchmark/`) builds against this variant as it is, so
-    /// until its pinned API thaws (ROADMAP item 2) the executor keeps
-    /// them in a memo keyed by the identity of `loads`, one computation
-    /// per round.
+    /// until its pinned API thaws (ROADMAP item 2) they travel beside
+    /// the frame: the coordinator computes them once per round and the
+    /// executor lends them to every node it drains.
     RoundStart {
-        /// Round number (0-based).
+        /// Round number (1-based).
         round: u64,
-        /// Load of every server, by index. One `Arc` per round
-        /// (epoch): the coordinator builds the vector once and every
-        /// per-node frame shares it instead of carrying one of `m`
-        /// copies.
+        /// Load of every server, by index. One `Arc` per round: the
+        /// coordinator builds the vector once and every per-node frame
+        /// shares it instead of carrying one of `m` copies.
         loads: Arc<Vec<f64>>,
         /// Servers excluded this round (failed / crashed), sorted
         /// ascending by id.
         excluded: Vec<u32>,
-        /// Load-vector epoch: advances only when the gossiped view
-        /// (loads or exclusions) changed since the previous round.
-        /// Nodes running `SelectPolicy::TopK` rebuild their candidate
-        /// merge iff this advances; stays 0 under exact selection.
+        /// Unread, and always 0: kept only because the perf ledger
+        /// builds this variant; it goes at the thaw (ROADMAP item 2).
         epoch: u64,
-        /// The epoch's gossiped hot set (most over-/under-loaded live
+        /// The round's gossiped hot set (most over-/under-loaded live
         /// nodes), sorted ascending by id; empty under exact
-        /// selection. One `Arc` per epoch, shared like `loads`.
+        /// selection. One `Arc` per round, shared like `loads`.
         hot: Arc<Vec<u32>>,
     },
     /// Node → node: "let us run Algorithm 1 on our pair".

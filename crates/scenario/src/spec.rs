@@ -558,6 +558,8 @@ const PROTOCOL: Needs = ("algo=protocol", |spec| spec.algo == AlgoSpec::Protocol
 const ENGINE: Needs = ("algo=sequential or algo=batched", |spec| {
     matches!(spec.algo, AlgoSpec::Sequential | AlgoSpec::Batched)
 });
+/// The one network whose latency is a parameter.
+const HOMOG: Needs = ("net=homog", |spec| spec.net == NetSpec::Homog);
 
 /// One key of the text form: a row of [`AXES`].
 pub(crate) struct Axis {
@@ -619,7 +621,10 @@ pub(crate) const AXES: &[Axis] = &[
         ("a value of at most 4294967295", |spec| spec.m <= MAX_M),
         "node ids are 32-bit",
     )]) },
-    axis!(lat, |key, v| Reader::new(key, REAL).max(MAX_MS).number(v)),
+    axis!(lat, |key, v| Reader::new(key, REAL).max(MAX_MS).number(v), &[(
+        HOMOG,
+        "euclid and pl draw their latency matrices from the seed",
+    )]),
     axis!(load.label() in [
         LoadDistribution::Constant,
         LoadDistribution::Uniform,
@@ -632,7 +637,10 @@ pub(crate) const AXES: &[Axis] = &[
     )]),
     axis!(speeds.label() in [SpeedKind::Const, SpeedKind::Uniform]),
     axis!(seed, |key, v| Reader::new(key, INT).number(v)),
-    axis!(gran, |key, v| Reader::new(key, REAL).number(v)),
+    axis!(gran, |key, v| Reader::new(key, REAL).number(v), &[(
+        ENGINE,
+        "only the engines quantise Algorithm 1's transfers",
+    )]),
     axis!(eps, |key, v| Reader::new(key, REAL).number(v)),
     axis!(patience, |key, v| Reader::new(key, INT).number(v)),
     axis!(budget, |key, v| count(key, "budget must be at least 1").number(v)),
@@ -778,8 +786,12 @@ mod tests {
                 algo: AlgoSpec::Bcd,
                 lat: 35.5,
                 load: LoadDistribution::Uniform,
-                gran: 1.0,
                 seed: 999,
+                ..base.clone()
+            },
+            ScenarioSpec {
+                algo: AlgoSpec::Batched,
+                gran: 1.0,
                 ..base.clone()
             },
         ];
@@ -1281,6 +1293,23 @@ mod tests {
                 },
                 "trace= requires algo=protocol (the deterministic executor is what stamps \
                  trace events on the virtual clock)",
+            ),
+            (
+                ScenarioSpec {
+                    gran: 1.0,
+                    ..on(Protocol)
+                },
+                "gran= requires algo=sequential or algo=batched (only the engines quantise \
+                 Algorithm 1's transfers)",
+            ),
+            (
+                ScenarioSpec {
+                    net: NetSpec::Pl,
+                    lat: 30.0,
+                    ..on(Sequential)
+                },
+                "lat= requires net=homog (euclid and pl draw their latency matrices from \
+                 the seed)",
             ),
             // Two rules broken: the earlier key is the one named.
             (

@@ -93,8 +93,8 @@ fn topk_matches_exact_under_fault_injection() {
 /// `RunRecord` — simulated `wall_secs` included — reproduces bit for
 /// bit across `DLB_THREADS ∈ {1, 4, default}` and across repeats. The
 /// candidate slates are pure functions of the instance and the
-/// gossiped epoch, so sharding the scoring over more workers cannot
-/// change a single choice.
+/// round's gossiped view, so sharding the scoring over more workers
+/// cannot change a single choice.
 #[test]
 fn topk_records_are_bit_identical_across_thread_counts_and_repeats() {
     let _env = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());

@@ -82,11 +82,10 @@
 //! every node scoring every peer caps event rounds near m = 5000. The
 //! `select=` axis swaps the scan for a delay-aware candidate index —
 //! each node ranks its K nearest peers (from its latency column) once,
-//! merges in the gossiped *hot set* (most- and least-loaded nodes,
-//! epoch-tagged so the merge is rebuilt only when the load vector
-//! actually changes), and scores just that slate. Selection quality
-//! stays within ~1 % of the exact scan while rounds go from O(m²) to
-//! O(m·K):
+//! merges in the gossiped *hot set* (the most- and least-loaded
+//! nodes, which the coordinator derives each round), and scores just
+//! that slate. Selection quality stays within ~1 % of the exact scan
+//! while rounds go from O(m²) to O(m·K):
 //!
 //! ```
 //! use delay_lb::prelude::*;
@@ -108,7 +107,7 @@
 //! process — `dlb run algo=protocol m=100000 net=homog
 //! select=topk:32 patience=8` completes with near-linear seconds per
 //! round. Top-k runs stay bit-deterministic per seed (the candidate
-//! slates are pure functions of the instance and the gossiped epoch),
+//! slates are pure functions of the instance and the round's view),
 //! so the reproducibility guarantees above carry over unchanged.
 //!
 //! ## Fault & churn injection
