@@ -33,6 +33,7 @@ mod args;
 mod trace;
 
 use args::Args;
+use dlb_core::plan_text::{Floor, Reader};
 use dlb_scenario::report::render_report;
 use dlb_scenario::results::{JsonlSink, Record};
 use dlb_scenario::{AlgoSpec, ScenarioSpec, SpecError, TraceSpec};
@@ -168,7 +169,7 @@ trace:
                       chrome://tracing / Perfetto
 
 estimate options:
-  --servers N  --ticks N  --probes N  --seed N  --out FILE";
+  --servers N  --ticks N  --probes N  (each at least 1)  --seed N  --out FILE";
 
 /// A write to stdout failed: a reader gone away (`BrokenPipe`, as under
 /// `dlb … | head -1`) is a clean stop, exit 0; anything else exit 1.
@@ -296,8 +297,17 @@ fn cmd_estimate(args: &Args) -> Result<(), SpecError> {
     }
     let m = args.get_num("servers", 40)?;
     let seed = args.get_num("seed", 1)?;
-    let ticks = args.get_num("ticks", 50)?;
-    let probes = args.get_num("probes", 4)?;
+    // Zero ticks or zero probes would measure nothing: refuse them as
+    // `budget=0` is refused.
+    let count = |key: &str, default: usize| match args.get(key) {
+        None => Ok(default),
+        Some(v) => Reader::new(&format!("--{key}"), "a non-negative integer")
+            .floor(Floor::Positive)
+            .refusal(&format!("--{key} must be at least 1"))
+            .number(v),
+    };
+    let ticks = count("ticks", 50)?;
+    let probes = count("probes", 4)?;
     // The network is a scenario, so `--servers` answers to `m=`'s rules.
     let truth = ScenarioSpec::parse(&format!("net=pl m={m} seed={seed}"))?.build_latency();
     let mut est = Estimator::new(

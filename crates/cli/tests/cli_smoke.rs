@@ -451,6 +451,15 @@ fn bad_specs_and_missing_files_fail_cleanly() {
             &["estimate", "--servers", "0"][..],
             "error: m must be at least 1",
         ),
+        // Zero ticks or zero probes measure nothing.
+        (
+            &["estimate", "--servers", "8", "--ticks", "0"][..],
+            "error: --ticks must be at least 1",
+        ),
+        (
+            &["estimate", "--servers", "8", "--probes", "0"][..],
+            "error: --probes must be at least 1",
+        ),
         // A command without options says so, not "(valid: )".
         (
             &["report", "--bogus", "x"][..],

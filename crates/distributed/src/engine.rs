@@ -14,7 +14,9 @@
 //!   outer-parallel over servers), *match* (greedy conflict-free
 //!   pairing in the shuffled priority order), *apply* (the matched,
 //!   ledger-disjoint exchanges execute concurrently) — see
-//!   [`crate::round`],
+//!   [`crate::round`]. Both modes pair each server at most once per
+//!   iteration by the same rule and install an exchange the same way
+//!   (the sequential sweep drops the rule when `pair_once` is off),
 //! * periodic negative-cycle removal (paper Appendix; the ablation
 //!   bench reproduces the paper's finding that it does not change the
 //!   iteration counts),
@@ -41,7 +43,9 @@ use rand::seq::SliceRandom;
 use crate::cycles::remove_negative_cycles;
 use crate::feed::GossipFeed;
 use crate::mine::{choose_partner, PartnerScratch, PartnerSelection};
-use crate::round::{run_batched_round, RoundMode, ScoreView};
+use crate::round::{
+    apply_matches, match_proposals, propose, Pairing, RoundMode, RoundOutcome, ScoreView,
+};
 use dlb_gossip::GossipTraffic;
 
 /// Iterations between full `ΣC` recomputes that squash accumulated
@@ -266,7 +270,8 @@ impl Engine {
         }
         let selection = self.selection();
         let min_improvement = self.options.min_improvement_rel * self.cost_scale;
-        let (moved, exchanges, cost_delta) = match self.options.round_mode {
+        let granularity = self.options.granularity;
+        let round = match self.options.round_mode {
             RoundMode::Sequential => {
                 self.sequential_round(&order, active, selection, min_improvement)
             }
@@ -275,18 +280,20 @@ impl Engine {
                     Some(feed) => ScoreView::PerServer(feed.views()),
                     None => ScoreView::Live,
                 };
-                let outcome = run_batched_round(
+                let proposals = propose(
                     &self.instance,
-                    &mut self.assignment,
+                    &self.assignment,
                     &order,
                     selection,
                     min_improvement,
                     self.options.parallel,
                     active,
-                    self.options.granularity,
+                    granularity,
                     score,
                 );
-                (outcome.moved, outcome.exchanges, outcome.cost_delta)
+                let accepted = match_proposals(m, &order, &proposals, active);
+                let a = &mut self.assignment;
+                apply_matches(&self.instance, a, &order, proposals, &accepted, granularity)
             }
         };
         self.iteration += 1;
@@ -300,7 +307,7 @@ impl Engine {
             }
         }
         self.assignment.refresh_loads();
-        self.cost.apply_delta(cost_delta);
+        self.cost.apply_delta(round.cost_delta);
         if structural_resync || self.cost.should_resync() {
             self.cost
                 .resync(total_cost(&self.instance, &self.assignment));
@@ -315,39 +322,30 @@ impl Engine {
         IterationStats {
             iteration: self.iteration,
             cost,
-            moved,
-            exchanges,
+            moved: round.moved,
+            exchanges: round.exchanges,
         }
     }
 
     /// The §VI-B sweep: servers act one at a time in `order`, each
-    /// seeing the loads its predecessors left behind. Returns
-    /// `(moved, exchanges, cost_delta)`.
+    /// seeing the loads its predecessors left behind. Under `pair_once`
+    /// an exchange occupies both endpoints for the round ([`Pairing`],
+    /// the batched match phase's rule); without it, later servers may
+    /// pair with already-busy ones.
     fn sequential_round(
         &mut self,
         order: &[usize],
         active: Option<&[bool]>,
         selection: PartnerSelection,
         min_improvement: f64,
-    ) -> (f64, usize, f64) {
-        let m = self.instance.len();
-        let mut moved = 0.0;
-        let mut exchanges = 0usize;
-        let mut cost_delta = 0.0;
-        // A pairwise exchange occupies both endpoints for the round
-        // (`pair_once`), so every completed exchange removes both of
-        // its members from the round. Crucially, the *choice* of
-        // partner is still Algorithm 2's argmax over all reachable
-        // servers: when the chosen partner is already occupied this
-        // round, the exchange simply waits for the next round instead
-        // of settling for a worse free partner (which would churn
-        // requests back and forth near the fixpoint).
-        let mut free: Vec<bool> = match active {
-            Some(mask) => mask.to_vec(),
-            None => vec![true; m],
-        };
+    ) -> RoundOutcome {
+        let mut round = RoundOutcome::default();
+        let mut pairing = self
+            .options
+            .pair_once
+            .then(|| Pairing::new(self.instance.len(), active));
         for &id in order {
-            if self.options.pair_once && !free[id] {
+            if pairing.as_ref().is_some_and(|p| !p.is_free(id)) {
                 continue;
             }
             // Pruned pre-scoring ranks candidates by this server's
@@ -365,25 +363,15 @@ impl Engine {
                 score_loads,
                 &mut self.scratch,
             );
+            // Algorithm 1 already ran on the very ledgers the exchange
+            // applies to: install its outcome, do not recompute it.
             if let Some((j, outcome)) = choice {
-                if self.options.pair_once && !free[j] {
-                    continue;
-                }
-                // The partner evaluation already ran Algorithm 1 on the
-                // very ledgers the exchange applies to; install its
-                // outcome instead of recomputing the transfer.
-                moved += outcome.moved;
-                cost_delta -= outcome.improvement;
-                self.assignment.replace_ledger(id, outcome.ledger_i);
-                self.assignment.replace_ledger(j, outcome.ledger_j);
-                exchanges += 1;
-                if self.options.pair_once {
-                    free[id] = false;
-                    free[j] = false;
+                if pairing.as_mut().is_none_or(|p| p.take(id, j)) {
+                    round.install(&mut self.assignment, id, j, outcome);
                 }
             }
         }
-        (moved, exchanges, cost_delta)
+        round
     }
 
     /// Runs until the relative per-iteration improvement stays below
@@ -767,6 +755,70 @@ mod tests {
             "{} exchanges exceed ⌊m/2⌋ pairings",
             stats.exchanges
         );
+    }
+
+    #[test]
+    fn a_peak_pairs_once_in_the_first_iteration_of_either_mode() {
+        // Every server's best partner is the one loaded server, which
+        // the first exchange occupies: one exchange in the first
+        // iteration under either mode's pair-once rule, and the eager
+        // sweep lets nearly every server take its turn with the peak.
+        let m = 16;
+        let mut instance = Instance::homogeneous(m, 1.0, 20.0, 0.0);
+        let mut loads = vec![0.0; m];
+        loads[0] = 10_000.0;
+        instance.set_own_loads(loads);
+        for seed in 1..=3 {
+            let first = |round_mode, pair_once| {
+                let opts = EngineOptions {
+                    round_mode,
+                    pair_once,
+                    ..seq_opts(seed)
+                };
+                Engine::new(instance.clone(), opts)
+                    .run_iteration()
+                    .exchanges
+            };
+            assert_eq!(first(RoundMode::Sequential, true), 1, "seed {seed}");
+            assert_eq!(first(RoundMode::Batched, true), 1, "seed {seed}");
+            let eager = first(RoundMode::Sequential, false);
+            assert!(eager > m / 2, "seed {seed}: eager sweep made {eager}");
+        }
+    }
+
+    #[test]
+    fn masked_iterations_pair_each_active_server_at_most_once() {
+        for seed in 0..4 {
+            let mut rng = rng_for(seed, 11);
+            let m = 24;
+            let mut lat = LatencyMatrix::zero(m);
+            for i in 0..m {
+                for j in 0..m {
+                    if i != j {
+                        lat.set(i, j, rng.gen_range(1.0..40.0));
+                    }
+                }
+            }
+            lat.metric_close();
+            let instance = spec(60.0, LoadDistribution::Exponential).sample(lat, &mut rng);
+            for round_mode in [RoundMode::Sequential, RoundMode::Batched] {
+                let opts = EngineOptions {
+                    round_mode,
+                    ..seq_opts(seed)
+                };
+                let mut engine = Engine::new(instance.clone(), opts);
+                for _ in 0..6 {
+                    let active: Vec<bool> = (0..m).map(|_| rng.gen_bool(0.7)).collect();
+                    let n_active = active.iter().filter(|&&up| up).count();
+                    let stats = engine.run_iteration_masked(Some(&active));
+                    assert!(
+                        stats.exchanges <= n_active / 2,
+                        "seed {seed} {round_mode:?}: {} exchanges among {n_active} active",
+                        stats.exchanges
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Batched propose/match/apply rounds.
+//! Batched propose/match/apply rounds, and the pairing rule and install
+//! step both engine rounds share.
 //!
 //! The paper's §VI-B iteration visits servers one at a time, each
 //! server's Algorithm-2 partner scan on the caller's thread. This
@@ -18,10 +19,9 @@
 //! 2. **Match** — proposals are resolved into a conflict-free set of
 //!    pairwise exchanges by greedy matching in the round's shuffled
 //!    priority order: the first proposer (in order) whose partner is
-//!    still free wins the pair; both endpoints then leave the round —
-//!    exactly the `pair_once` semantics of the sequential engine, and
-//!    the graph-coloring step the ROADMAP called for (a greedy maximal
-//!    matching *is* a 1-round colouring of the proposal graph).
+//!    still free wins the pair; both endpoints then leave the round.
+//!    A greedy maximal matching *is* a 1-round colouring of the
+//!    proposal graph.
 //! 3. **Apply** — the matched exchanges are installed directly from
 //!    the propose phase's [`TransferOutcome`]s. No recomputation is
 //!    needed: proposals were evaluated against the round-start ledgers,
@@ -32,6 +32,10 @@
 //!    [`dlb_core::cost::server_cost`]), which is what makes both the
 //!    concurrent propose evaluation and the reuse sound.
 //!
+//! The match phase's pair-once rule is `Pairing` and its install step
+//! `RoundOutcome::install`; the sequential sweep under `pair_once` uses
+//! the same two, so the engine writes each once.
+//!
 //! Every phase is deterministic given the round order, so batched
 //! fixpoints are thread-count invariant — covered by
 //! `tests/parallel_determinism.rs`.
@@ -39,7 +43,7 @@
 use dlb_core::{Assignment, Instance};
 
 use crate::mine::{choose_partner, PartnerScratch, PartnerSelection};
-use crate::transfer::TransferOutcome;
+use crate::transfer::{calc_best_transfer, TransferOutcome};
 
 /// How the engine executes one iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -56,8 +60,8 @@ pub enum RoundMode {
     Batched,
 }
 
-/// The exchanges and bookkeeping of one batched round.
-#[derive(Debug, Clone, PartialEq)]
+/// The exchanges and bookkeeping of one engine round, either mode.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RoundOutcome {
     /// Total request volume moved.
     pub moved: f64,
@@ -67,6 +71,50 @@ pub struct RoundOutcome {
     /// the applied exchanges' improvements, feeding the engine's
     /// incremental cost tracker.
     pub cost_delta: f64,
+}
+
+impl RoundOutcome {
+    /// Tallies the exchange `out` of the pair `(i, j)`, then writes its
+    /// two ledgers into `a`.
+    pub(crate) fn install(&mut self, a: &mut Assignment, i: usize, j: usize, out: TransferOutcome) {
+        self.moved += out.moved;
+        self.cost_delta -= out.improvement;
+        self.exchanges += 1;
+        a.replace_ledger(i, out.ledger_i);
+        a.replace_ledger(j, out.ledger_j);
+    }
+}
+
+/// The pair-once rule: an exchange occupies both endpoints for the rest
+/// of the round, and a server outside the reachability mask is never
+/// free. A server whose chosen partner is taken waits for the next round
+/// rather than settle for a worse free one (which would churn requests
+/// near the fixpoint).
+pub(crate) struct Pairing {
+    free: Vec<bool>,
+}
+
+impl Pairing {
+    /// Every server free, or exactly the servers `active` marks.
+    pub(crate) fn new(m: usize, active: Option<&[bool]>) -> Self {
+        let free = active.map_or_else(|| vec![true; m], <[bool]>::to_vec);
+        Self { free }
+    }
+
+    /// Whether server `i` may still exchange this round.
+    pub(crate) fn is_free(&self, i: usize) -> bool {
+        self.free[i]
+    }
+
+    /// Occupies both `i` and `j` if both are free, else neither.
+    pub(crate) fn take(&mut self, i: usize, j: usize) -> bool {
+        let paired = self.free[i] && self.free[j];
+        if paired {
+            self.free[i] = false;
+            self.free[j] = false;
+        }
+        paired
+    }
 }
 
 /// Where the pruned pre-scoring gets its load vector from. Exact
@@ -159,11 +207,9 @@ pub fn propose(
 /// Phase 2: greedy conflict-free matching in priority order.
 ///
 /// `order[p]` proposed `proposals[p]`; walking proposals in priority
-/// order, a proposal is accepted when both endpoints are still free.
-/// This mirrors the sequential `pair_once` rule — a server whose chosen
-/// partner is already taken *waits for the next round* rather than
-/// settling for a worse free partner. Returns the accepted proposals'
-/// positions in `order`.
+/// order, a proposal is accepted when `Pairing` can take both
+/// endpoints — the sequential sweep's `pair_once` rule. Returns the
+/// accepted proposals' positions in `order`.
 pub fn match_proposals(
     m: usize,
     order: &[usize],
@@ -171,21 +217,14 @@ pub fn match_proposals(
     active: Option<&[bool]>,
 ) -> Vec<usize> {
     debug_assert_eq!(order.len(), proposals.len());
-    let mut free: Vec<bool> = match active {
-        Some(mask) => mask.to_vec(),
-        None => vec![true; m],
-    };
-    let mut accepted = Vec::new();
-    for (p, (&id, proposal)) in order.iter().zip(proposals.iter()).enumerate() {
-        if let Some(Proposal { partner: j, .. }) = *proposal {
-            if free[id] && free[j] {
-                free[id] = false;
-                free[j] = false;
-                accepted.push(p);
-            }
-        }
-    }
-    accepted
+    let mut pairing = Pairing::new(m, active);
+    (0..order.len())
+        .filter(|&p| {
+            proposals[p]
+                .as_ref()
+                .is_some_and(|q| pairing.take(order[p], q.partner))
+        })
+        .collect()
 }
 
 /// Phase 3: install the accepted exchanges.
@@ -202,78 +241,25 @@ pub fn apply_matches(
     instance: &Instance,
     a: &mut Assignment,
     order: &[usize],
-    proposals: Vec<Option<Proposal>>,
+    mut proposals: Vec<Option<Proposal>>,
     accepted: &[usize],
     granularity: f64,
 ) -> RoundOutcome {
-    // The recompute-free apply phase has no per-pair computation left
-    // to fan out; `instance` and `granularity` feed the debug check.
-    let _ = (instance, granularity);
-    let mut proposals = proposals;
-    let mut moved = 0.0;
-    let mut cost_delta = 0.0;
+    let mut round = RoundOutcome::default();
     for &p in accepted {
-        let Proposal {
-            partner: j,
-            outcome,
-        } = proposals[p]
+        let proposal = proposals[p]
             .take()
             .expect("accepted positions index real proposals");
-        let i = order[p];
-        #[cfg(debug_assertions)]
-        {
-            let fresh = crate::transfer::calc_best_transfer(
-                instance,
-                a.ledger(i),
-                a.ledger(j),
-                i,
-                j,
-                granularity,
-            );
-            assert_eq!(
-                fresh, outcome,
-                "propose-phase outcome for pair ({i}, {j}) does not match a fresh \
-                 round-start recomputation"
-            );
-        }
-        moved += outcome.moved;
-        cost_delta -= outcome.improvement;
-        a.replace_ledger(i, outcome.ledger_i);
-        a.replace_ledger(j, outcome.ledger_j);
+        let (i, j) = (order[p], proposal.partner);
+        debug_assert_eq!(
+            calc_best_transfer(instance, a.ledger(i), a.ledger(j), i, j, granularity),
+            proposal.outcome,
+            "propose-phase outcome for pair ({i}, {j}) does not match a fresh round-start \
+             recomputation"
+        );
+        round.install(a, i, j, proposal.outcome);
     }
-    RoundOutcome {
-        moved,
-        exchanges: accepted.len(),
-        cost_delta,
-    }
-}
-
-/// One full batched round: propose, match, apply.
-#[allow(clippy::too_many_arguments)]
-pub fn run_batched_round(
-    instance: &Instance,
-    a: &mut Assignment,
-    order: &[usize],
-    selection: PartnerSelection,
-    min_improvement: f64,
-    parallel: bool,
-    active: Option<&[bool]>,
-    granularity: f64,
-    score: ScoreView<'_>,
-) -> RoundOutcome {
-    let proposals = propose(
-        instance,
-        a,
-        order,
-        selection,
-        min_improvement,
-        parallel,
-        active,
-        granularity,
-        score,
-    );
-    let accepted = match_proposals(instance.len(), order, &proposals, active);
-    apply_matches(instance, a, order, proposals, &accepted, granularity)
+    round
 }
 
 #[cfg(test)]
@@ -300,6 +286,44 @@ mod tests {
             (0..m).map(|_| rng.gen_range(0.0..80.0)).collect(),
             lat,
         )
+    }
+
+    /// One batched round as the engine runs it: propose, match, apply.
+    fn batched_round(
+        instance: &Instance,
+        a: &mut Assignment,
+        order: &[usize],
+        selection: PartnerSelection,
+        parallel: bool,
+    ) -> RoundOutcome {
+        let score = ScoreView::Live;
+        let proposals = propose(
+            instance, a, order, selection, 1e-9, parallel, None, 0.0, score,
+        );
+        let accepted = match_proposals(instance.len(), order, &proposals, None);
+        apply_matches(instance, a, order, proposals, &accepted, 0.0)
+    }
+
+    #[test]
+    fn pairing_takes_both_endpoints_or_neither() {
+        let mut active = vec![true; 5];
+        active[4] = false;
+        let mut pairing = Pairing::new(5, Some(&active));
+        assert!(!pairing.is_free(4), "a masked server is never free");
+        assert!(!pairing.take(0, 4), "a masked partner cannot be taken");
+        assert!(pairing.is_free(0), "a failed take leaves both endpoints");
+        assert!(pairing.take(0, 1));
+        assert!(!pairing.is_free(0) && !pairing.is_free(1));
+        assert!(
+            !pairing.take(0, 2) && !pairing.take(3, 1),
+            "each endpoint pairs once"
+        );
+        assert!(pairing.is_free(2) && pairing.is_free(3));
+        assert!(pairing.take(2, 3));
+        assert!(
+            Pairing::new(3, None).take(0, 2),
+            "no mask: every server is free"
+        );
     }
 
     /// A placeholder proposal for matching-only tests (the match phase
@@ -342,17 +366,7 @@ mod tests {
         let mut a = Assignment::local(&instance);
         let order: Vec<usize> = (0..24).collect();
         let before = total_cost(&instance, &a);
-        let outcome = run_batched_round(
-            &instance,
-            &mut a,
-            &order,
-            PartnerSelection::Exact,
-            1e-9,
-            false,
-            None,
-            0.0,
-            ScoreView::Live,
-        );
+        let outcome = batched_round(&instance, &mut a, &order, PartnerSelection::Exact, false);
         let after = total_cost(&instance, &a);
         assert!(outcome.exchanges > 0, "imbalanced instance must exchange");
         assert!(outcome.cost_delta < 0.0);
@@ -371,28 +385,9 @@ mod tests {
         let order: Vec<usize> = (0..64).rev().collect();
         let mut a_seq = Assignment::local(&instance);
         let mut a_par = Assignment::local(&instance);
-        let seq = run_batched_round(
-            &instance,
-            &mut a_seq,
-            &order,
-            PartnerSelection::Pruned { top_k: 6 },
-            1e-9,
-            false,
-            None,
-            0.0,
-            ScoreView::Live,
-        );
-        let par = run_batched_round(
-            &instance,
-            &mut a_par,
-            &order,
-            PartnerSelection::Pruned { top_k: 6 },
-            1e-9,
-            true,
-            None,
-            0.0,
-            ScoreView::Live,
-        );
+        let selection = PartnerSelection::Pruned { top_k: 6 };
+        let seq = batched_round(&instance, &mut a_seq, &order, selection, false);
+        let par = batched_round(&instance, &mut a_par, &order, selection, true);
         assert_eq!(seq, par);
         assert_eq!(a_seq, a_par, "batched round must be execution-invariant");
     }

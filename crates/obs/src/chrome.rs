@@ -10,6 +10,7 @@
 
 use crate::event::{tag_label, TraceKind, NODE_COORD};
 use crate::framelog::FrameLog;
+use crate::json_string;
 
 /// Track id for a node (coordinator gets track 0, node `n` track
 /// `n + 1`).
@@ -19,20 +20,6 @@ fn tid(node: u32) -> u64 {
     } else {
         node as u64 + 1
     }
-}
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn push_event(out: &mut Vec<String>, body: String) {
@@ -46,8 +33,8 @@ pub fn render(log: &FrameLog) -> String {
         &mut evs,
         format!(
             "\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\
-             \"args\":{{\"name\":\"{}\"}}",
-            esc(&log.spec)
+             \"args\":{{\"name\":{}}}",
+            json_string(&log.spec)
         ),
     );
     push_event(

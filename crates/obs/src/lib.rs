@@ -21,7 +21,8 @@
 //! * [`FrameLog`] — the binary container (`header · events ·
 //!   trailer`) with a property-tested codec.
 //! * [`chrome`] — Chrome trace-event JSON export of the virtual
-//!   timeline.
+//!   timeline, escaping its text with [`json_string`], as the
+//!   JSON-lines records do.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -36,6 +37,28 @@ pub use event::{tag_label, TraceEvent, TraceKind, KIND_COUNT, NODE_COORD, NO_PEE
 pub use framelog::{FrameLog, Trailer, FORMAT_VERSION};
 pub use metrics::{Histogram, MetricSet, ObsSummary, BUCKETS};
 pub use sink::{MemorySink, NullSink, SummarySink, TraceSink};
+
+/// `s` as a JSON string literal, quotes included. A quote, a backslash,
+/// a newline, a carriage return and a tab are escaped by name (`\"`,
+/// `\\`, `\n`, `\r`, `\t`), any other control character as `\u00XX`.
+/// The one escaper of the chrome export and the JSON-lines records.
+pub fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for ch in s.chars() {
+        match ch {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
 
 #[cfg(test)]
 mod proptests;

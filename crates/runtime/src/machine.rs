@@ -1482,7 +1482,7 @@ impl CoordinatorMachine {
         self.now_ms = now;
         match (self.phase, frame) {
             (
-                Phase::Rounds,
+                Phase::Rounds | Phase::Collecting,
                 Frame::Report {
                     from,
                     round: r,
@@ -1495,16 +1495,21 @@ impl CoordinatorMachine {
                 if self.in_protocol_detect() {
                     if let Some(idx) = self.suspect_index(*from) {
                         // A suspected node spoke: the suspicion was
-                        // wrong. Probation/rejoin instead of the
-                        // normal round accounting.
+                        // wrong. Probation/rejoin instead of the normal
+                        // round accounting — during collection too,
+                        // since the detector must own up to it.
                         self.rejoin(idx, *outcome, *load, *local_cost, *exchange);
                         return;
                     }
-                    if matches!(self.options.detect, DetectMode::Adaptive) {
-                        let lat = self.now_ms - self.round_started_at;
-                        welford_feed(&mut self.node_lat[*from as usize], lat);
-                        welford_feed(&mut self.global_lat, lat);
-                    }
+                }
+                // Any other late report during collection is dropped.
+                if self.phase == Phase::Collecting {
+                    return;
+                }
+                if matches!(self.options.detect, DetectMode::Adaptive) {
+                    let lat = self.now_ms - self.round_started_at;
+                    welford_feed(&mut self.node_lat[*from as usize], lat);
+                    welford_feed(&mut self.global_lat, lat);
                 }
                 if cfg!(debug_assertions) {
                     self.report_log.push((*r, *from, *outcome));
@@ -1531,27 +1536,6 @@ impl CoordinatorMachine {
                 self.ledgers[*from as usize] = Some(wire_to_ledger(ledger));
                 if self.collected == self.len() {
                     self.phase = Phase::Done;
-                }
-            }
-            // Late round reports during collection: dropped under the
-            // oracle; under in-protocol detection one from a suspected
-            // node still completes the probation handshake (it proves
-            // the suspicion wrong, which the detector must own up to).
-            (
-                Phase::Collecting,
-                Frame::Report {
-                    from,
-                    outcome,
-                    load,
-                    local_cost,
-                    exchange,
-                    ..
-                },
-            ) => {
-                if self.in_protocol_detect() {
-                    if let Some(idx) = self.suspect_index(*from) {
-                        self.rejoin(idx, *outcome, *load, *local_cost, *exchange);
-                    }
                 }
             }
             (_, other) => {

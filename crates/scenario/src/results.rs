@@ -9,6 +9,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use crate::RunRecord;
+use dlb_obs::json_string;
 
 /// One JSON value. A number is held as what its JSON text reads back
 /// as — an integer literal that fits `i64` is [`Value::Int`], any other
@@ -181,24 +182,6 @@ const RUN_FIELDS: &[(&str, Group, Get)] = &[
     ("history", ALWAYS, |run| Value::Arr(run.history.iter().map(|&c| c.into()).collect())),
 ];
 
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// A JSON-lines sink for one experiment.
 #[derive(Debug)]
 pub struct JsonlSink {
@@ -290,6 +273,7 @@ mod tests {
     fn string_escaping() {
         assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
         assert_eq!(json_string("plain"), "\"plain\"");
+        assert_eq!(json_string("\r\t\u{1}"), "\"\\r\\t\\u0001\"");
     }
 
     /// One sequential test: the env-driven sink depends on a
