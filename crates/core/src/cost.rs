@@ -110,16 +110,15 @@ impl CostTracker {
 
     /// Debug-build check that the accumulated value matches a fresh
     /// recompute to [`CostTracker::DRIFT_TOL`] relative. Release builds
-    /// skip the recompute entirely. The recompute sums [`server_cost`]
-    /// over all servers — the same per-server decomposition whose pair
-    /// terms the accumulated exchange deltas are drawn from, so the
-    /// assertion directly proves the incremental identity.
+    /// skip the recompute entirely. The recompute is [`total_cost`], the
+    /// sum of [`server_cost`] over all servers — the same per-server
+    /// decomposition whose pair terms the accumulated exchange deltas
+    /// are drawn from, so the assertion directly proves the incremental
+    /// identity.
     pub fn debug_assert_in_sync(&self, instance: &Instance, a: &Assignment) {
         #[cfg(debug_assertions)]
         {
-            let exact: f64 = (0..instance.len())
-                .map(|j| server_cost(instance, a, j))
-                .sum();
+            let exact = total_cost(instance, a);
             if exact.is_finite() {
                 debug_assert!(
                     (self.value - exact).abs() <= Self::DRIFT_TOL * exact.abs().max(1.0),

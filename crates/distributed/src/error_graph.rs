@@ -9,7 +9,7 @@
 //! error graph has no negative cycle, which is what
 //! [`crate::cycles::remove_negative_cycles`] establishes.
 
-use crate::flow::bellman_ford::{bellman_ford, WeightedEdge};
+use crate::flow::bellman_ford::{self, WeightedEdge};
 use dlb_core::{Assignment, Instance};
 
 /// One transfer in the decomposition of `ρ − ρ'`.
@@ -99,11 +99,7 @@ impl ErrorGraph {
     /// Returns `true` when the error graph contains a cycle of
     /// transfers with negative total communication cost.
     pub fn has_negative_cycle(&self) -> bool {
-        let edges = self.edges();
-        let sources: Vec<usize> = (0..self.m).collect();
-        bellman_ford(self.m, &edges, &sources)
-            .negative_cycle
-            .is_some()
+        bellman_ford::has_negative_cycle(self.m, &self.edges())
     }
 }
 

@@ -46,14 +46,14 @@ pub fn discretize(instance: &Instance, a: &Assignment) -> DiscreteAssignment {
             assigned += 1;
             idx += 1;
         }
-        // Degenerate case (all remainders used up): pile on the largest
-        // entry — keeps totals exact.
+        // Degenerate case (all remainders used up): pile on the owner's
+        // own entry `k` — keeps totals exact.
         while assigned < target {
             floors[k] += 1;
             assigned += 1;
         }
         // Over-assignment can only stem from pre-rounded inputs; trim
-        // from the smallest positive entries.
+        // one request at a time from the highest-index positive entry.
         while assigned > target {
             if let Some(j) = (0..m).rev().find(|&j| floors[j] > 0) {
                 floors[j] -= 1;

@@ -1,7 +1,6 @@
 //! The discrete-event simulator core.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 use dlb_core::rngutil::rng_for;
 use dlb_core::Instance;
@@ -19,8 +18,8 @@ pub enum Discipline {
     RandomOrder,
     /// An honest execution: a relayed request only becomes available
     /// `c_ij` after the start; each server serves available requests
-    /// first-come-first-served (ties shuffled), possibly idling while
-    /// requests are in flight.
+    /// first-come-first-served (simultaneous arrivals in owner-id
+    /// order), possibly idling while requests are in flight.
     FifoArrival,
 }
 
@@ -45,30 +44,6 @@ pub struct SimResult {
     pub requests: u64,
     /// Time the last server went idle (makespan).
     pub makespan: f64,
-}
-
-#[derive(PartialEq)]
-struct ArrivalEvent {
-    time: f64,
-    tie: u64,
-    owner: u32,
-}
-
-impl Eq for ArrivalEvent {}
-impl Ord for ArrivalEvent {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap by (time, tie).
-        other
-            .time
-            .partial_cmp(&self.time)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| other.tie.cmp(&self.tie))
-    }
-}
-impl PartialOrd for ArrivalEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
 }
 
 /// Runs the simulator over a discrete placement.
@@ -105,30 +80,25 @@ pub fn run(instance: &Instance, placement: &DiscreteAssignment, config: &SimConf
                 makespan = makespan.max(finish);
             }
             Discipline::FifoArrival => {
-                let mut heap: BinaryHeap<ArrivalEvent> = BinaryHeap::new();
-                let mut tie = 0u64;
+                // Every request is known up front: `(arrival, owner)` in
+                // owner order, stably sorted by arrival time.
+                let mut arrivals: Vec<(f64, u32)> = Vec::new();
                 for k in 0..m {
                     let delay = instance.c(k, j);
                     for _ in 0..placement.counts[k][j] {
-                        heap.push(ArrivalEvent {
-                            time: delay,
-                            tie: {
-                                tie += 1;
-                                tie
-                            },
-                            owner: k as u32,
-                        });
+                        arrivals.push((delay, k as u32));
                     }
                 }
+                arrivals.sort_by(|p, q| p.0.partial_cmp(&q.0).unwrap_or(Ordering::Equal));
                 let mut server_free = 0.0f64;
-                while let Some(ev) = heap.pop() {
-                    let start = server_free.max(ev.time);
+                for (time, owner) in arrivals {
+                    let start = server_free.max(time);
                     let finish = start + service;
                     server_free = finish;
                     // Observed latency includes the transfer time.
                     let latency = finish;
                     total += latency;
-                    org_completion[ev.owner as usize] += latency;
+                    org_completion[owner as usize] += latency;
                     requests += 1;
                 }
                 makespan = makespan.max(server_free);

@@ -837,10 +837,14 @@ impl NodeMachine {
     /// Is any leg of an exchange still unresolved? Control frames
     /// (RoundStart, Shutdown) must wait behind an open exchange: our
     /// ledger may still change, and a torn exchange loses requests.
-    /// Under the oracle rounds only end once every node
-    /// reported — and a node reports only with all legs closed — so
-    /// this fires exclusively under in-protocol detection, where the
-    /// coordinator's deadline can end a round over a busy node.
+    /// This fires under the oracle too: an acceptor that already
+    /// reported `NoProposal` or `Lost` can still accept, and its
+    /// initiator reports `Exchanged` on the `Accept`, so the round ends
+    /// and the next `RoundStart`, travelling free, overtakes the
+    /// `Commit` still on its link (the module doc's "Deferral";
+    /// `node_defers_round_start_past_inflight_commit`). Under
+    /// in-protocol detection the coordinator's deadline can also end a
+    /// round over a busy node.
     fn exchange_open(&self) -> bool {
         self.proposal.is_some()
             || matches!(self.lock, Lock::AwaitingCommit(_))

@@ -122,11 +122,7 @@ pub fn objective(instance: &Instance, state: &DenseState) -> f64 {
 pub fn gradient(instance: &Instance, state: &DenseState, grad: &mut [f64]) {
     let m = instance.len();
     assert_eq!(grad.len(), m * m);
-    let mut col: Vec<f64> = (0..m).map(|j| state.loads[j] / instance.speed(j)).collect();
-    for (j, c) in col.iter_mut().enumerate() {
-        debug_assert!(c.is_finite());
-        let _ = j;
-    }
+    let col: Vec<f64> = (0..m).map(|j| state.loads[j] / instance.speed(j)).collect();
     for k in 0..m {
         for j in 0..m {
             grad[k * m + j] = col[j] + instance.c(k, j);
@@ -134,59 +130,39 @@ pub fn gradient(instance: &Instance, state: &DenseState, grad: &mut [f64]) {
     }
 }
 
-/// Frank-Wolfe (duality) gap: an upper bound on `ΣC(r) − ΣC*`.
+/// Frank-Wolfe (duality) gap: an upper bound on `ΣC(r) − ΣC*` over
+/// the product of scaled simplexes, each `r_kj` optionally capped at
+/// `caps[k*m + j]` (same layout as the request matrix).
 ///
-/// For a product of scaled simplexes, the linear minimization oracle
-/// puts each row's whole budget on its smallest-gradient column, so
-/// `gap = Σ_k (⟨∇_k, r_k⟩ − n_k · min_j ∇_kj)`.
-pub fn fw_gap(instance: &Instance, state: &DenseState, grad: &[f64]) -> f64 {
+/// The linear minimization oracle fills each row's cheapest columns up
+/// to their caps, ties by column, until `n_k` is spent, one `O(m)` pass
+/// per column filled — uncapped, one pass that puts the whole budget on
+/// the cheapest column — so `gap = Σ_k (⟨∇_k, r_k⟩ − ⟨∇_k, fill_k⟩)`.
+pub fn fw_gap(instance: &Instance, state: &DenseState, grad: &[f64], caps: Option<&[f64]>) -> f64 {
     let m = instance.len();
     let mut gap = 0.0;
     for k in 0..m {
         let row = state.row(k);
         let g = &grad[k * m..(k + 1) * m];
-        let mut inner = 0.0;
-        let mut min_g = f64::INFINITY;
-        for j in 0..m {
-            inner += g[j] * row[j];
-            if g[j] < min_g {
-                min_g = g[j];
-            }
-        }
-        gap += inner - instance.own_load(k) * min_g;
-    }
-    gap.max(0.0)
-}
-
-/// Frank-Wolfe gap for the *capped* polytope `{0 ≤ r_kj ≤ caps_kj}`:
-/// the linear minimization oracle greedily fills the cheapest columns
-/// up to their caps. Using the uncapped gap under caps would never
-/// reach zero (its minimizer is infeasible).
-pub fn fw_gap_capped(instance: &Instance, state: &DenseState, grad: &[f64], caps: &[f64]) -> f64 {
-    let m = instance.len();
-    assert_eq!(caps.len(), m * m);
-    let mut gap = 0.0;
-    let mut order: Vec<usize> = Vec::with_capacity(m);
-    for k in 0..m {
-        let row = state.row(k);
-        let g = &grad[k * m..(k + 1) * m];
-        let row_caps = &caps[k * m..(k + 1) * m];
-        let inner: f64 = (0..m).map(|j| g[j] * row[j]).sum();
-        // Capped LMO: fill ascending-gradient columns to their caps.
-        order.clear();
-        order.extend(0..m);
-        order.sort_by(|&a, &b| g[a].partial_cmp(&g[b]).expect("gradient comparable"));
+        let inner = (0..m).fold(0.0, |inner, j| inner + g[j] * row[j]);
         let mut budget = instance.own_load(k);
-        let mut best = 0.0;
-        for &j in &order {
-            if budget <= 0.0 {
+        let mut fill = 0.0;
+        let mut last: Option<(f64, usize)> = None;
+        while budget > 0.0 {
+            // The cheapest column after the last one filled.
+            let Some((gj, j)) = (0..m)
+                .map(|j| (g[j], j))
+                .filter(|&col| last.is_none_or(|last| col > last))
+                .min_by(|p, q| p.partial_cmp(q).expect("gradient comparable"))
+            else {
                 break;
-            }
-            let take = row_caps[j].min(budget);
-            best += g[j] * take;
+            };
+            let take = caps.map_or(budget, |caps| caps[k * m + j].min(budget));
+            fill += gj * take;
             budget -= take;
+            last = Some((gj, j));
         }
-        gap += inner - best;
+        gap += inner - fill;
     }
     gap.max(0.0)
 }
@@ -286,7 +262,7 @@ mod tests {
         let state = DenseState::local(&instance);
         let mut grad = vec![0.0; 4];
         gradient(&instance, &state, &mut grad);
-        assert!(fw_gap(&instance, &state, &grad) < 1e-9);
+        assert!(fw_gap(&instance, &state, &grad, None) < 1e-9);
     }
 
     #[test]
@@ -300,7 +276,7 @@ mod tests {
         let state = DenseState::local(&instance);
         let mut grad = vec![0.0; 4];
         gradient(&instance, &state, &mut grad);
-        assert!(fw_gap(&instance, &state, &grad) > 1.0);
+        assert!(fw_gap(&instance, &state, &grad, None) > 1.0);
     }
 
     #[test]

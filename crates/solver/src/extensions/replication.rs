@@ -1,11 +1,13 @@
 //! R-replication: placing R copies of each task at distinct servers.
 //!
-//! With the cap `ρ_ij ≤ 1/R` enforced on the fractional solution,
-//! `π_j = R·ρ_ij` is a valid inclusion-probability vector (`0 ≤ π_j ≤ 1`,
-//! `Σ_j π_j = R`). Madow's systematic sampling then draws exactly `R`
-//! *distinct* servers whose inclusion marginals are exactly `π` — so
-//! the expected number of copies of each task placed on server `j` is
-//! `R·ρ_ij`, matching the paper's §VII interpretation.
+//! The cap `ρ_ij ≤ 1/R` is enforced on the fractional solution by the
+//! solver itself: `solve_pgd` with caps `n_i/R` projects every row
+//! exactly onto the capped simplex, so its rows need no clean-up. Then
+//! `π_j = R·ρ_ij` is a valid inclusion-probability vector
+//! (`0 ≤ π_j ≤ 1`, `Σ_j π_j = R`). Madow's systematic sampling draws
+//! exactly `R` *distinct* servers whose inclusion marginals are exactly
+//! `π` — so the expected number of copies of each task placed on server
+//! `j` is `R·ρ_ij`, matching the paper's §VII interpretation.
 
 use rand::Rng;
 
@@ -59,48 +61,26 @@ pub fn place_replicas<R: Rng + ?Sized>(rho: &[f64], r: usize, rng: &mut R) -> Ve
     picks
 }
 
-/// Caps-and-renormalizes helper: clamps a fraction row to `1/R` and
-/// redistributes the excess over uncapped entries (useful when a
-/// fractional solution was computed without replication awareness).
-pub fn enforce_replication_cap(rho: &mut [f64], r: usize) {
-    assert!(r >= 1 && r <= rho.len());
-    let cap = 1.0 / r as f64;
-    for _ in 0..rho.len() {
-        let mut excess = 0.0;
-        let mut headroom = 0.0;
-        for &f in rho.iter() {
-            if f > cap {
-                excess += f - cap;
-            } else {
-                headroom += cap - f;
-            }
-        }
-        if excess <= 1e-12 {
-            break;
-        }
-        let scale = (excess / headroom).min(1.0);
-        for f in rho.iter_mut() {
-            if *f > cap {
-                *f = cap;
-            } else {
-                *f += (cap - *f) * scale;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::waterfill::waterfill;
     use dlb_core::rngutil::rng_for;
+
+    /// The nearest row to `rho` with every fraction at most `1/r`: the
+    /// capped water-filling projection (`a = −ρ`, unit speeds).
+    fn capped(rho: &[f64], r: usize) -> Vec<f64> {
+        let cost: Vec<f64> = rho.iter().map(|f| -f).collect();
+        let caps = vec![1.0 / r as f64; rho.len()];
+        waterfill(&cost, &vec![1.0; rho.len()], Some(&caps), 1.0)
+    }
 
     #[test]
     fn picks_exactly_r_distinct() {
         let mut rng = rng_for(1, 0);
         let rho = vec![0.25; 4];
         for r in 1..=4 {
-            let mut rho_r = rho.clone();
-            enforce_replication_cap(&mut rho_r, r);
+            let rho_r = capped(&rho, r);
             let picks = place_replicas(&rho_r, r, &mut rng);
             assert_eq!(picks.len(), r);
             let mut sorted = picks.clone();
@@ -155,21 +135,19 @@ mod tests {
     }
 
     #[test]
-    fn enforce_cap_preserves_simplex() {
-        let mut rho = vec![0.9, 0.05, 0.03, 0.02];
-        enforce_replication_cap(&mut rho, 2);
+    fn capped_projection_is_a_replica_distribution() {
+        let rho = capped(&[0.9, 0.05, 0.03, 0.02], 2);
         let sum: f64 = rho.iter().sum();
-        assert!((sum - 1.0).abs() < 1e-9);
-        assert!(rho.iter().all(|&f| f <= 0.5 + 1e-9));
-        assert!(rho.iter().all(|&f| f >= 0.0));
+        assert!((sum - 1.0).abs() <= 1e-12);
+        assert!(rho.iter().all(|&f| (0.0..=0.5).contains(&f)), "{rho:?}");
+        let picks = place_replicas(&rho, 2, &mut rng_for(5, 0));
+        assert_ne!(picks[0], picks[1]);
     }
 
     #[test]
-    fn enforce_cap_noop_when_feasible() {
-        let mut rho = vec![0.3, 0.3, 0.4];
-        let before = rho.clone();
-        enforce_replication_cap(&mut rho, 2);
-        for (a, b) in rho.iter().zip(before.iter()) {
+    fn capped_projection_keeps_a_feasible_row() {
+        let rho = vec![0.3, 0.3, 0.4];
+        for (a, b) in capped(&rho, 2).iter().zip(&rho) {
             assert!((a - b).abs() < 1e-12);
         }
     }

@@ -49,7 +49,7 @@ pub fn best_response(instance: &Instance, a: &Assignment, i: usize) -> Vec<f64> 
             f64::INFINITY
         };
     }
-    waterfill(&coeff, instance.speeds(), n_i)
+    waterfill(&coeff, instance.speeds(), None, n_i)
 }
 
 /// `C_i` that organization `i` would obtain by unilaterally playing

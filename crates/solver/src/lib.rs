@@ -16,13 +16,15 @@
 //!   (Figure 1), with a matrix-form objective evaluator used to validate
 //!   the model,
 //! * [`dense`] — dense request-matrix representation, objective and
-//!   gradient evaluation, Frank-Wolfe optimality gap,
+//!   gradient evaluation, Frank-Wolfe optimality gap (one cheapest-column
+//!   fill, capped or not),
 //! * [`pgd`] — FISTA-accelerated projected gradient descent (the
 //!   generic solver, at a fixed budget and tolerance, optionally under
 //!   the §VII R-replication caps) and exact block-coordinate descent
 //!   (the optimum oracle behind `algo=bcd`),
-//! * [`waterfill`] — exact KKT water-filling, the one single-row solver:
-//!   BCD's block step, selfish best responses and PGD's projection,
+//! * [`waterfill`] — exact KKT water-filling, the one single-row solver,
+//!   capped or not, in one breakpoint sweep: BCD's block step, selfish
+//!   best responses and PGD's projection (under the caps too),
 //! * [`bruteforce`] — grid-search reference optima for tiny instances
 //!   (test support).
 

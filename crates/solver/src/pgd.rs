@@ -1,12 +1,14 @@
 //! FISTA-accelerated projected gradient descent and exact
 //! block-coordinate descent for the full cooperative QP, both of which
-//! solve their rows with [`waterfill`]. PGD has no tuning options: its
-//! one input besides the instance is the R-replication caps.
+//! solve their rows with [`waterfill`] and judge convergence by
+//! [`fw_gap`]. PGD has no tuning options: its one input besides the
+//! instance is the R-replication caps, which it hands unchanged to
+//! both.
 
 use dlb_core::Instance;
 
-use crate::dense::{fw_gap, fw_gap_capped, gradient, objective, DenseState};
-use crate::waterfill::{waterfill, waterfill_capped};
+use crate::dense::{fw_gap, gradient, objective, DenseState};
+use crate::waterfill::waterfill;
 
 /// Iteration budget of [`solve_pgd`].
 const MAX_ITERS: usize = 20_000;
@@ -24,25 +26,24 @@ pub struct SolveReport {
     pub converged: bool,
 }
 
-/// Projects each row `v` of `x` onto `{0 ≤ r ≤ caps, Σ r = n_k}`:
+/// Projects each row `v` of `x` exactly onto `{0 ≤ r ≤ caps, Σ r = n_k}`:
 /// water-filling with `a = −v` at unit speeds.
 fn project_rows(instance: &Instance, x: &mut [f64], caps: Option<&[f64]>) {
     let m = instance.len();
     let unit = vec![1.0; m];
     for (k, row) in x.chunks_mut(m).enumerate() {
         let cost: Vec<f64> = row.iter().map(|v| -v).collect();
-        let projected = match caps {
-            Some(c) => waterfill_capped(&cost, &unit, &c[k * m..(k + 1) * m], instance.own_load(k)),
-            None => waterfill(&cost, &unit, instance.own_load(k)),
-        };
-        row.copy_from_slice(&projected);
+        let row_caps = caps.map(|c| &c[k * m..(k + 1) * m]);
+        row.copy_from_slice(&waterfill(&cost, &unit, row_caps, instance.own_load(k)));
     }
 }
 
 /// Solves the cooperative QP by projected gradient descent to the
 /// relative Frank-Wolfe gap [`DEFAULT_TOL`](crate::DEFAULT_TOL), in at
 /// most 20 000 iterations. `caps` bounds each `r_kj` (row-major, length
-/// `m²`): the R-replication extension's `r_kj ≤ n_k / R`.
+/// `m²`): the R-replication extension's `r_kj ≤ n_k / R`. The caps go
+/// unchanged to the row projection and the gap, both exact under them,
+/// so every iterate — the starting point included — respects them.
 ///
 /// The gradient of `ΣC` is `m/s_min`-Lipschitz (the Hessian is
 /// block-diagonal per server column with top eigenvalue `m/s_j`), so a
@@ -63,11 +64,9 @@ pub fn solve_pgd(instance: &Instance, caps: Option<&[f64]>) -> (DenseState, Solv
             },
         );
     }
-    if caps.is_some() {
-        // Make the starting point feasible under the caps.
-        project_rows(instance, &mut state.r, caps);
-        state.refresh_loads();
-    }
+    // Make the starting point feasible under the caps.
+    project_rows(instance, &mut state.r, caps);
+    state.refresh_loads();
     let s_min = instance
         .speeds()
         .iter()
@@ -93,10 +92,7 @@ pub fn solve_pgd(instance: &Instance, caps: Option<&[f64]>) -> (DenseState, Solv
         state.refresh_loads();
         gradient(instance, &state, &mut grad);
         let obj = objective(instance, &state);
-        let gap = match caps {
-            Some(caps) => fw_gap_capped(instance, &state, &grad, caps),
-            None => fw_gap(instance, &state, &grad),
-        };
+        let gap = fw_gap(instance, &state, &grad, caps);
         report = SolveReport {
             iters: iter,
             objective: obj,
@@ -173,11 +169,11 @@ pub fn solve_bcd(instance: &Instance, max_sweeps: usize, tol: f64) -> (DenseStat
                 let l_other = state.loads()[j] - state.row(k)[j];
                 a[j] = l_other / instance.speed(j) + instance.c(k, j);
             }
-            let x = waterfill(&a, instance.speeds(), n_k);
+            let x = waterfill(&a, instance.speeds(), None, n_k);
             state.set_row_with_loads(k, &x);
         }
         gradient(instance, &state, &mut grad);
-        let gap = fw_gap(instance, &state, &grad);
+        let gap = fw_gap(instance, &state, &grad, None);
         report = SolveReport {
             iters: sweep + 1,
             objective: objective(instance, &state),

@@ -33,7 +33,7 @@ fn main() {
     println!("== replicated CDN: {m} sites, R = {r}, Zipf content ==\n");
 
     // Uncapped vs capped optimum.
-    let (free, free_rep) = solve_pgd(&instance, None);
+    let (_, free_rep) = solve_pgd(&instance, None);
     let caps: Vec<f64> = (0..m * m)
         .map(|idx| instance.own_load(idx / m) / r as f64)
         .collect();
@@ -50,7 +50,6 @@ fn main() {
         "replication overhead: {:.2} %\n",
         (capped_rep.objective / free_rep.objective - 1.0) * 100.0
     );
-    let _ = free;
 
     // Replica placement for org 0's chunks.
     let capped_assignment = dense_to_assignment(&instance, &capped);
