@@ -60,10 +60,13 @@ mod tests {
     fn generator_output_is_pinned() {
         // Every `net=euclid` / `net=pl` record, golden hash and
         // benchmark pin rests on these matrices; a drift in any bit of
-        // either generator fails here first.
+        // either generator fails here first. The sizes cover every
+        // `m mod 4`, the remainders `metric_close`'s pivot blocks leave.
         for (m, seed, pl, euclid) in [
             (50, 7, 0xfc06_3667_516e_4718, 0x80bc_a56a_b06d_ca25),
             (300, 3, 0x31bf_49a3_98cf_cefc, 0x5eb1_3753_c74d_9e45),
+            (7, 1, 0x8b8d_d0f5_534a_f7f3, 0x6182_ff7d_0b4b_6ead),
+            (301, 2, 0xfb59_2417_bdb5_764c, 0x80c8_48df_c0cd_1d81),
         ] {
             assert_eq!(
                 fnv64(&crate::planetlab::generate(m, seed)),
