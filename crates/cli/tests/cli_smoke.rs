@@ -422,6 +422,17 @@ fn bad_specs_and_missing_files_fail_cleanly() {
             &["run", "algo=protocol", "m=99999999999"][..],
             "error: m= requires a value of at most 4294967295 (node ids are 32-bit)",
         ),
+        // More nodes than a dense latency matrix can hold: refused, not
+        // an allocation abort.
+        (
+            &["run", "net=pl", "m=100000", "budget=1"][..],
+            "error: m= requires at most 20000 with net=euclid or net=pl (dense m×m latency \
+             matrix)",
+        ),
+        (
+            &["run", "net=euclid", "m=30000"][..],
+            "error: m= requires at most 20000 with net=euclid or net=pl",
+        ),
         // Keys the named system would ignore are refused, not recorded.
         (
             &["run", "algo=protocol", "m=20", "seed=3", "gran=1"][..],

@@ -249,6 +249,12 @@ impl LatencyMatrix {
     /// metric closure). This mirrors the paper's footnote 3: the iPlane
     /// dataset is incomplete, so missing pairs are filled with minimal
     /// distances.
+    ///
+    /// Pivots go in blocks of four: the block's rows are copied out and
+    /// brought to the state step `k0 + q` of the `k`-`i`-`j` loop reads,
+    /// then each row is relaxed through all four in one pass over `j`;
+    /// the `m mod 4` left over go singly. Every entry gets the same sums
+    /// `c_ik + c_kj` and `<` tests in the same `k` order: no bit moves.
     pub fn metric_close(&mut self) {
         let m = self.m;
         let data = match &mut self.storage {
@@ -256,18 +262,23 @@ impl LatencyMatrix {
             Storage::Homogeneous(_) => return,
             Storage::Dense(data) => data,
         };
-        for k in 0..m {
-            for i in 0..m {
-                let cik = data[i * m + k];
-                if !cik.is_finite() {
-                    continue;
+        let mut pivots = vec![0.0; 4 * m];
+        for k0 in (0..m - m % 4).step_by(4) {
+            pivots.copy_from_slice(&data[k0 * m..(k0 + 4) * m]);
+            for q in 1..4 {
+                let (before, rest) = pivots.split_at_mut(q * m);
+                for (p, pivot) in before.chunks_exact(m).enumerate() {
+                    relax_row::<1>(&mut rest[..m], k0 + p, pivot);
                 }
-                for j in 0..m {
-                    let through = cik + data[k * m + j];
-                    if through < data[i * m + j] {
-                        data[i * m + j] = through;
-                    }
-                }
+            }
+            for row in data.chunks_exact_mut(m) {
+                relax_row::<4>(row, k0, &pivots);
+            }
+        }
+        for k in m - m % 4..m {
+            pivots[..m].copy_from_slice(&data[k * m..(k + 1) * m]);
+            for row in data.chunks_exact_mut(m) {
+                relax_row::<1>(row, k, &pivots[..m]);
             }
         }
     }
@@ -279,6 +290,35 @@ impl LatencyMatrix {
             Storage::Homogeneous(c) => self.m < 2 || c.is_finite(),
             Storage::Dense(data) => data.iter().all(|v| v.is_finite()),
         }
+    }
+}
+
+/// Floyd–Warshall steps `k0..k0 + W` on row `c_{i·}`, through the pivot
+/// rows in `pivots` (row-major) as those steps read them. An infinite
+/// `c_ik` adds `∞` to the row, which never wins a `<`.
+fn relax_row<const W: usize>(row: &mut [f64], k0: usize, pivots: &[f64]) {
+    let m = row.len();
+    let pivots: [&[f64]; W] = std::array::from_fn(|q| &pivots[q * m..][..m]);
+    let mut cik = [0.0; W];
+    // `c_{i,k0+q}` as step `k0 + q` finds it.
+    for q in 0..W {
+        cik[q] = row[k0 + q];
+        for p in 0..q {
+            let through = cik[p] + pivots[p][k0 + q];
+            if through < cik[q] {
+                cik[q] = through;
+            }
+        }
+    }
+    for (j, cij) in row.iter_mut().enumerate() {
+        let mut c = *cij;
+        for q in 0..W {
+            let through = cik[q] + pivots[q][j];
+            if through < c {
+                c = through;
+            }
+        }
+        *cij = c;
     }
 }
 
@@ -301,6 +341,30 @@ impl PartialEq for LatencyMatrix {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The plain `k`-`i`-`j` Floyd–Warshall loop: the oracle
+    /// [`LatencyMatrix::metric_close`] must match bit for bit.
+    fn metric_close_scalar(c: &mut LatencyMatrix) {
+        let m = c.m;
+        let data = match &mut c.storage {
+            Storage::Homogeneous(_) => return,
+            Storage::Dense(data) => data,
+        };
+        for k in 0..m {
+            for i in 0..m {
+                let cik = data[i * m + k];
+                if !cik.is_finite() {
+                    continue;
+                }
+                for j in 0..m {
+                    let through = cik + data[k * m + j];
+                    if through < data[i * m + j] {
+                        data[i * m + j] = through;
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn homogeneous_shape() {
@@ -427,6 +491,59 @@ mod tests {
         assert!(c.get(0, 2).is_infinite());
         assert!(c.get(2, 1).is_infinite());
         assert_eq!(c.get(0, 1), 1.0);
+    }
+
+    #[test]
+    fn metric_close_leaves_the_empty_matrix_alone() {
+        let mut c = LatencyMatrix::from_rows(0, vec![]);
+        c.metric_close();
+        assert_eq!(c, LatencyMatrix::from_rows(0, vec![]));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every `m mod 4` (so both the pivot blocks and the one-pivot
+        /// tail), asymmetric entries, `±0` and `∞` off the diagonal, and
+        /// (when `isolated < m`) one node cut off from every other.
+        #[test]
+        fn prop_metric_close_matches_the_scalar_loop_bit_for_bit(
+            m in 0usize..=41,
+            entries in prop::collection::vec((0u8..8, 0.0f64..100.0), 41 * 41),
+            isolated in 0usize..64,
+        ) {
+            let mut data: Vec<f64> = entries[..m * m]
+                .iter()
+                .map(|&(kind, v)| match kind {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => f64::INFINITY,
+                    _ => v,
+                })
+                .collect();
+            for i in 0..m {
+                for j in 0..m {
+                    if i == j {
+                        data[i * m + j] = 0.0;
+                    } else if i == isolated || j == isolated {
+                        data[i * m + j] = f64::INFINITY;
+                    }
+                }
+            }
+            let mut blocked = LatencyMatrix::from_rows(m, data);
+            let mut scalar = blocked.clone();
+            blocked.metric_close();
+            metric_close_scalar(&mut scalar);
+            for i in 0..m {
+                for j in 0..m {
+                    prop_assert_eq!(
+                        blocked.get(i, j).to_bits(),
+                        scalar.get(i, j).to_bits(),
+                        "m={} entry ({}, {})", m, i, j
+                    );
+                }
+            }
+        }
     }
 
     proptest! {

@@ -552,6 +552,10 @@ const MAX_AVG: f64 = 1e100;
 /// ids as `u32`, so a larger cluster would alias them.
 const MAX_M: usize = u32::MAX as usize;
 
+/// The largest `m=` on `net=euclid|pl`, whose latency matrix is `m²`
+/// dense floats: 3.2 GB at this bound (Figure 2's grid stops at 5000).
+const MAX_DENSE_M: usize = 20_000;
+
 /// The only system that honours the event-executor axes.
 const PROTOCOL: Needs = ("algo=protocol", |spec| spec.algo == AlgoSpec::Protocol);
 /// The two round modes of the distributed engine.
@@ -617,10 +621,15 @@ pub(crate) const AXES: &[Axis] = &[
     // `algo`, `net` and `m` head every canonical text.
     Axis { always: true, ..axis!(algo.label() in AlgoSpec::ALL) },
     Axis { always: true, ..axis!(net.label() in [NetSpec::Homog, NetSpec::Euclid, NetSpec::Pl]) },
-    Axis { always: true, ..axis!(m, |key, v| count(key, "m must be at least 1").number(v), &[(
-        ("a value of at most 4294967295", |spec| spec.m <= MAX_M),
-        "node ids are 32-bit",
-    )]) },
+    Axis { always: true, ..axis!(m, |key, v| count(key, "m must be at least 1").number(v), &[
+        (("a value of at most 4294967295", |spec| spec.m <= MAX_M), "node ids are 32-bit"),
+        (
+            ("at most 20000 with net=euclid or net=pl", |spec| {
+                spec.net == NetSpec::Homog || spec.m <= MAX_DENSE_M
+            }),
+            "dense m×m latency matrix",
+        ),
+    ]) },
     axis!(lat, |key, v| Reader::new(key, REAL).max(MAX_MS).number(v), &[(
         HOMOG,
         "euclid and pl draw their latency matrices from the seed",
@@ -1198,6 +1207,8 @@ mod tests {
         let gossip = GossipSpec::Event { period_ms: 100.0 };
         let too_heavy = "avg= requires a value up to 1e100 (a load reaches avg × m under \
                          load=peak and ΣC squares it; neither would stay finite)";
+        let dense = "m= requires at most 20000 with net=euclid or net=pl (dense m×m latency \
+                     matrix)";
         for (spec, message) in [
             (
                 ScenarioSpec {
@@ -1271,6 +1282,23 @@ mod tests {
                 },
                 "m= requires a value of at most 4294967295 (node ids are 32-bit)",
             ),
+            // More nodes than a dense latency matrix can hold.
+            (
+                ScenarioSpec {
+                    net: NetSpec::Pl,
+                    m: MAX_DENSE_M + 1,
+                    ..on(Sequential)
+                },
+                dense,
+            ),
+            (
+                ScenarioSpec {
+                    net: NetSpec::Euclid,
+                    m: MAX_M,
+                    ..on(Protocol)
+                },
+                dense,
+            ),
             // A schedule the stream compiler would abort on.
             (
                 ScenarioSpec {
@@ -1340,7 +1368,20 @@ mod tests {
             };
             assert_eq!(on(algo).validate(), Ok(()), "{algo:?}");
             assert_eq!(heaviest.validate(), Ok(()), "{algo:?}");
+            for net in [NetSpec::Euclid, NetSpec::Pl] {
+                let densest = ScenarioSpec {
+                    net,
+                    m: MAX_DENSE_M,
+                    ..on(algo)
+                };
+                assert_eq!(densest.validate(), Ok(()), "{algo:?} {net:?}");
+            }
         }
+        assert_eq!(
+            MAX_DENSE_M.to_string(),
+            "20000",
+            "the bound the message names"
+        );
         assert_eq!(Ok(MAX_AVG), "1e100".parse(), "the bound the message names");
     }
 
