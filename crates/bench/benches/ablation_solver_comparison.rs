@@ -4,8 +4,7 @@
 //! Compares wall-clock time and solution quality of:
 //! * the distributed engine (exact partner selection, single thread),
 //! * the distributed engine (pruned partner selection),
-//! * exact block-coordinate descent (the fastest centralized method),
-//! * projected gradient (FISTA).
+//! * exact block-coordinate descent (the centralized optimum).
 //!
 //! Run: `cargo bench -p dlb-bench --bench ablation_solver_comparison`.
 
@@ -17,7 +16,7 @@ use dlb_distributed::mine::PartnerSelection;
 use dlb_distributed::{Engine, EngineOptions};
 use dlb_scenario::results::{JsonlSink, Record};
 use dlb_scenario::ScenarioSpec;
-use dlb_solver::{solve_bcd, solve_pgd};
+use dlb_solver::solve_bcd;
 
 fn main() {
     let mut sink = JsonlSink::create("ablation_solver_comparison");
@@ -71,18 +70,10 @@ fn main() {
         ));
 
         let t = Instant::now();
-        let (_, bcd) = solve_bcd(&instance, 5_000, 1e-9);
+        let (_, bcd) = solve_bcd(&instance, 5_000, 1e-9, None);
         rows.push((
             "coordinate descent".into(),
             bcd.objective,
-            t.elapsed().as_secs_f64() * 1e3,
-        ));
-
-        let t = Instant::now();
-        let (_, pgd) = solve_pgd(&instance, None);
-        rows.push((
-            "projected gradient".into(),
-            pgd.objective,
             t.elapsed().as_secs_f64() * 1e3,
         ));
 

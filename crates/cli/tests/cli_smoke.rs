@@ -433,6 +433,12 @@ fn bad_specs_and_missing_files_fail_cleanly() {
             &["run", "net=euclid", "m=30000"][..],
             "error: m= requires at most 20000 with net=euclid or net=pl",
         ),
+        // BCD's request matrix is dense on every net (it aborted on a
+        // 7.2 GB allocation, exit 134).
+        (
+            &["run", "algo=bcd", "m=30000", "budget=1"][..],
+            "error: m= requires at most 20000 with algo=bcd (dense m×m request matrix)",
+        ),
         // Keys the named system would ignore are refused, not recorded.
         (
             &["run", "algo=protocol", "m=20", "seed=3", "gran=1"][..],

@@ -488,7 +488,7 @@ mod tests {
     use dlb_core::rngutil::rng_for;
     use dlb_core::workload::{LoadDistribution, SpeedDistribution, WorkloadSpec};
     use dlb_core::LatencyMatrix;
-    use dlb_solver::solve_pgd;
+    use dlb_solver::solve_bcd;
     use rand::Rng;
 
     fn spec(avg: f64, loads: LoadDistribution) -> WorkloadSpec {
@@ -538,12 +538,12 @@ mod tests {
             let mut engine = Engine::new(instance.clone(), seq_opts(seed));
             let report = engine.run_to_convergence(1e-10, 2, 100);
             assert!(report.converged, "seed {seed} did not converge");
-            let (_, pgd) = solve_pgd(&instance, None);
+            let (_, bcd) = solve_bcd(&instance, 2_000, 1e-10, None);
             assert!(
-                report.final_cost <= pgd.objective * (1.0 + 5e-3),
+                report.final_cost <= bcd.objective * (1.0 + 5e-3),
                 "seed {seed}: engine {} vs solver {}",
                 report.final_cost,
-                pgd.objective
+                bcd.objective
             );
         }
     }
@@ -636,12 +636,12 @@ mod tests {
         let mut engine = Engine::new(instance.clone(), opts);
         engine.attach_gossip_feed(100.0);
         let report = engine.run_to_convergence(1e-10, 2, 120);
-        let (_, pgd) = solve_pgd(&instance, None);
+        let (_, bcd) = solve_bcd(&instance, 2_000, 1e-10, None);
         assert!(
-            report.final_cost <= pgd.objective * 1.05,
+            report.final_cost <= bcd.objective * 1.05,
             "gossip-fed {} vs opt {}",
             report.final_cost,
-            pgd.objective
+            bcd.objective
         );
         let traffic = engine.gossip_traffic().expect("feed attached");
         assert!(traffic.frames > 0 && traffic.bytes > 0, "{traffic:?}");
@@ -913,12 +913,12 @@ mod tests {
         let instance = spec(50.0, LoadDistribution::Exponential).sample(lat, &mut rng);
         let mut engine = Engine::new(instance.clone(), seq_opts(6));
         let report = engine.run_to_convergence(1e-10, 2, 100);
-        let (_, pgd) = solve_pgd(&instance, None);
+        let (_, bcd) = solve_bcd(&instance, 2_000, 1e-10, None);
         assert!(
-            report.final_cost <= pgd.objective * (1.0 + 1e-2),
+            report.final_cost <= bcd.objective * (1.0 + 1e-2),
             "engine {} vs solver {}",
             report.final_cost,
-            pgd.objective
+            bcd.objective
         );
     }
 }

@@ -340,7 +340,7 @@ fn run_protocol(spec: &ScenarioSpec, instance: Instance) -> Result<RunRecord, Sp
 fn run_bcd(spec: &ScenarioSpec, instance: Instance) -> RunRecord {
     let initial = total_cost(&instance, &Assignment::local(&instance));
     let start = Instant::now();
-    let (_, report) = solve_bcd(&instance, spec.budget, spec.eps);
+    let (_, report) = solve_bcd(&instance, spec.budget, spec.eps, None);
     RunRecord::quiet(
         spec,
         vec![initial, report.objective],

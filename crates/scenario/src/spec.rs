@@ -553,7 +553,8 @@ const MAX_AVG: f64 = 1e100;
 const MAX_M: usize = u32::MAX as usize;
 
 /// The largest `m=` on `net=euclid|pl`, whose latency matrix is `m²`
-/// dense floats: 3.2 GB at this bound (Figure 2's grid stops at 5000).
+/// dense floats, and under `algo=bcd`, whose request matrix is: 3.2 GB
+/// at this bound (Figure 2's grid stops at 5000).
 const MAX_DENSE_M: usize = 20_000;
 
 /// The only system that honours the event-executor axes.
@@ -628,6 +629,12 @@ pub(crate) const AXES: &[Axis] = &[
                 spec.net == NetSpec::Homog || spec.m <= MAX_DENSE_M
             }),
             "dense m×m latency matrix",
+        ),
+        (
+            ("at most 20000 with algo=bcd", |spec| {
+                spec.algo != AlgoSpec::Bcd || spec.m <= MAX_DENSE_M
+            }),
+            "dense m×m request matrix",
         ),
     ]) },
     axis!(lat, |key, v| Reader::new(key, REAL).max(MAX_MS).number(v), &[(
@@ -1299,6 +1306,23 @@ mod tests {
                 },
                 dense,
             ),
+            // The centralized solver's state is dense on every net; a
+            // dense net is named first.
+            (
+                ScenarioSpec {
+                    m: MAX_DENSE_M + 1,
+                    ..on(Bcd)
+                },
+                "m= requires at most 20000 with algo=bcd (dense m×m request matrix)",
+            ),
+            (
+                ScenarioSpec {
+                    net: NetSpec::Pl,
+                    m: MAX_DENSE_M + 1,
+                    ..on(Bcd)
+                },
+                dense,
+            ),
             // A schedule the stream compiler would abort on.
             (
                 ScenarioSpec {
@@ -1359,11 +1383,11 @@ mod tests {
             );
         }
         // Every axis at its default is honoured by every algorithm, and
-        // so is the largest average the message names.
+        // so are the largest average and `m` the messages name.
         for algo in AlgoSpec::ALL {
             let heaviest = ScenarioSpec {
                 avg: MAX_AVG,
-                m: MAX_M,
+                m: if algo == Bcd { MAX_DENSE_M } else { MAX_M },
                 ..on(algo)
             };
             assert_eq!(on(algo).validate(), Ok(()), "{algo:?}");

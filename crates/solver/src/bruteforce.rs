@@ -124,7 +124,7 @@ pub fn grid_search_optimum(instance: &Instance, steps: usize) -> (DenseState, f6
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pgd::solve_pgd;
+    use crate::solve_bcd;
     use dlb_core::LatencyMatrix;
 
     #[test]
@@ -144,23 +144,23 @@ mod tests {
     }
 
     #[test]
-    fn brute_force_agrees_with_pgd_m2() {
+    fn brute_force_agrees_with_bcd_m2() {
         let instance = Instance::new(
             vec![1.0, 2.0],
             vec![20.0, 5.0],
             LatencyMatrix::homogeneous(2, 3.0),
         );
         let (_, brute) = grid_search_optimum(&instance, 40);
-        let (_, pgd) = solve_pgd(&instance, None);
+        let (_, bcd) = solve_bcd(&instance, 2_000, 1e-10, None);
         assert!(
-            (brute - pgd.objective).abs() < 1e-3 * brute.max(1.0),
-            "brute {brute} vs pgd {}",
-            pgd.objective
+            (brute - bcd.objective).abs() < 1e-3 * brute.max(1.0),
+            "brute {brute} vs bcd {}",
+            bcd.objective
         );
     }
 
     #[test]
-    fn brute_force_agrees_with_pgd_m3() {
+    fn brute_force_agrees_with_bcd_m3() {
         let mut lat = LatencyMatrix::zero(3);
         lat.set(0, 1, 2.0);
         lat.set(1, 0, 2.0);
@@ -170,11 +170,11 @@ mod tests {
         lat.set(2, 1, 4.0);
         let instance = Instance::new(vec![1.0, 1.5, 3.0], vec![30.0, 0.0, 6.0], lat);
         let (_, brute) = grid_search_optimum(&instance, 12);
-        let (_, pgd) = solve_pgd(&instance, None);
+        let (_, bcd) = solve_bcd(&instance, 2_000, 1e-10, None);
         assert!(
-            (brute - pgd.objective).abs() < 5e-3 * brute.max(1.0),
-            "brute {brute} vs pgd {}",
-            pgd.objective
+            (brute - bcd.objective).abs() < 5e-3 * brute.max(1.0),
+            "brute {brute} vs bcd {}",
+            bcd.objective
         );
     }
 }

@@ -144,7 +144,11 @@ pub fn fw_gap(instance: &Instance, state: &DenseState, grad: &[f64], caps: Optio
     for k in 0..m {
         let row = state.row(k);
         let g = &grad[k * m..(k + 1) * m];
-        let inner = (0..m).fold(0.0, |inner, j| inner + g[j] * row[j]);
+        // Unused columns add nothing: an `∞` gradient (a forbidden
+        // link, §II) times an empty entry would be NaN.
+        let inner = (0..m)
+            .filter(|&j| row[j] > 0.0)
+            .fold(0.0, |inner, j| inner + g[j] * row[j]);
         let mut budget = instance.own_load(k);
         let mut fill = 0.0;
         let mut last: Option<(f64, usize)> = None;

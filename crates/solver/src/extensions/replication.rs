@@ -1,8 +1,8 @@
 //! R-replication: placing R copies of each task at distinct servers.
 //!
 //! The cap `ρ_ij ≤ 1/R` is enforced on the fractional solution by the
-//! solver itself: `solve_pgd` with caps `n_i/R` projects every row
-//! exactly onto the capped simplex, so its rows need no clean-up. Then
+//! solver itself: `solve_bcd` with caps `n_i/R` solves every row
+//! exactly on the capped simplex, so its rows need no clean-up. Then
 //! `π_j = R·ρ_ij` is a valid inclusion-probability vector
 //! (`0 ≤ π_j ≤ 1`, `Σ_j π_j = R`). Madow's systematic sampling draws
 //! exactly `R` *distinct* servers whose inclusion marginals are exactly

@@ -226,7 +226,7 @@ mod tests {
                     ..Default::default()
                 },
             );
-            let (opt_state, _) = solve_bcd(&instance, 2_000, 1e-10);
+            let (opt_state, _) = solve_bcd(&instance, 2_000, 1e-10, None);
             let opt_cost = crate::objective(&instance, &opt_state);
             let ratio = total_cost(&instance, &nash) / opt_cost;
             assert!(ratio >= 1.0 - 1e-6, "nash beat the optimum?! {ratio}");

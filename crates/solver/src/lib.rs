@@ -18,29 +18,25 @@
 //! * [`dense`] — dense request-matrix representation, objective and
 //!   gradient evaluation, Frank-Wolfe optimality gap (one cheapest-column
 //!   fill, capped or not),
-//! * [`pgd`] — FISTA-accelerated projected gradient descent (the
-//!   generic solver, at a fixed budget and tolerance, optionally under
-//!   the §VII R-replication caps) and exact block-coordinate descent
-//!   (the optimum oracle behind `algo=bcd`),
+//! * [`bcd`] — exact block-coordinate descent, the one QP solver (the
+//!   optimum oracle behind `algo=bcd`, optionally under the §VII
+//!   R-replication caps),
 //! * [`waterfill`] — exact KKT water-filling, the one single-row solver,
-//!   capped or not, in one breakpoint sweep: BCD's block step, selfish
-//!   best responses and PGD's projection (under the caps too),
+//!   capped or not, in one breakpoint sweep: BCD's block step and
+//!   selfish best responses,
 //! * [`bruteforce`] — grid-search reference optima for tiny instances
 //!   (test support).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod bcd;
 pub mod bruteforce;
 pub mod dense;
 pub mod extensions;
 pub mod game;
-pub mod pgd;
 pub mod qp;
 pub mod waterfill;
 
+pub use bcd::{solve_bcd, SolveReport};
 pub use dense::{dense_to_assignment, objective, DenseState};
-pub use pgd::{solve_bcd, solve_pgd, SolveReport};
-
-/// Default relative Frank-Wolfe-gap tolerance for the iterative solvers.
-pub const DEFAULT_TOL: f64 = 1e-7;

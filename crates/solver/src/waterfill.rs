@@ -8,8 +8,8 @@
 //! ```
 //!
 //! — BCD's block step and a selfish best response (§V) as written, and
-//! PGD's Euclidean projection of a row `v` with `a = −v` at unit speeds,
-//! under the §VII R-replication caps when it has them. The KKT
+//! the Euclidean projection of a row `v` with `a = −v` at unit speeds,
+//! under the §VII R-replication caps when there are any. The KKT
 //! conditions give `x_j = s_j (λ − a_j)` clamped to `[0, cap_j]` for a
 //! water level `λ` fixed by the budget, found exactly by one breakpoint
 //! sweep in `O(m log m)`, capped or not.
@@ -215,7 +215,7 @@ mod tests {
         let x = waterfill(&[0.0, 10.0], &[1.0, 1.0], Some(&[3.0, 100.0]), 8.0);
         assert!((x[0] - 3.0).abs() < 1e-9, "{x:?}");
         assert!((x[1] - 5.0).abs() < 1e-9, "{x:?}");
-        // PGD's projection of v = [10, 10, 0] onto the capped simplex of
+        // The projection of v = [10, 10, 0] onto the capped simplex of
         // budget 3: a = −v at unit speeds.
         let x = waterfill(&[-10.0, -10.0, 0.0], &[1.0; 3], Some(&[1.0, 1.0, 5.0]), 3.0);
         assert!(x.iter().all(|xj| (xj - 1.0).abs() < 1e-9), "{x:?}");
@@ -273,7 +273,7 @@ mod tests {
     }
 
     proptest! {
-        /// PGD's projection (`a = −v`, unit speeds) leaves a feasible row
+        /// The projection (`a = −v`, unit speeds) leaves a feasible row
         /// where it is: projecting twice is projecting once.
         #[test]
         fn prop_projection_is_idempotent(
@@ -323,7 +323,7 @@ mod tests {
 
         /// The exact solver beats (or ties) any random feasible point.
         /// At unit speeds the objective is `½‖x + a‖²` less a constant,
-        /// so PGD's projection of `−a` is the nearest feasible point.
+        /// so the projection of `−a` is the nearest feasible point.
         #[test]
         fn prop_waterfill_beats_random_feasible(
             a in prop::collection::vec(-10.0f64..10.0, 3),
@@ -342,7 +342,7 @@ mod tests {
         }
 
         /// Capped solution stays feasible and beats random feasible
-        /// points, at unit speeds (PGD's capped projection) too.
+        /// points, at unit speeds (the capped projection) too.
         #[test]
         fn prop_capped_optimal(
             a in prop::collection::vec(-10.0f64..10.0, 3),

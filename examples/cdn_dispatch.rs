@@ -56,7 +56,7 @@ fn main() {
     );
 
     // Strategy 4: centralized optimum.
-    let (opt, _) = solve_bcd(&instance, 2_000, 1e-10);
+    let (opt, _) = solve_bcd(&instance, 2_000, 1e-10, None);
     let opt_assignment = delay_lb::solver::dense_to_assignment(&instance, &opt);
     report("centralized optimum", &instance, &opt_assignment);
 

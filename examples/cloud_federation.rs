@@ -46,7 +46,7 @@ fn homogeneous_case() {
     );
 
     // Cooperative optimum.
-    let (opt, _) = solve_bcd(&instance, 2_000, 1e-10);
+    let (opt, _) = solve_bcd(&instance, 2_000, 1e-10, None);
     let opt_assignment = delay_lb::solver::dense_to_assignment(&instance, &opt);
 
     let ratio = cost_ratio(&instance, &nash, &opt_assignment);
@@ -80,7 +80,7 @@ fn heterogeneous_case() {
             ..Default::default()
         },
     );
-    let (opt, _) = solve_bcd(&instance, 2_000, 1e-10);
+    let (opt, _) = solve_bcd(&instance, 2_000, 1e-10, None);
     let opt_assignment = delay_lb::solver::dense_to_assignment(&instance, &opt);
     let ratio = cost_ratio(&instance, &nash, &opt_assignment);
     println!(

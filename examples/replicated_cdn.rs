@@ -5,7 +5,7 @@
 //! availability. The pipeline:
 //!
 //! 1. solve the fractional problem with the replication cap
-//!    `ρ_ij ≤ 1/R` (capped projected gradient),
+//!    `ρ_ij ≤ 1/R` (capped block-coordinate descent),
 //! 2. draw `R` distinct replica locations per chunk with Madow
 //!    systematic sampling (marginals exactly `R·ρ_ij`),
 //! 3. separately, demonstrate subset-sum rounding of heterogeneous
@@ -33,11 +33,11 @@ fn main() {
     println!("== replicated CDN: {m} sites, R = {r}, Zipf content ==\n");
 
     // Uncapped vs capped optimum.
-    let (_, free_rep) = solve_pgd(&instance, None);
+    let (_, free_rep) = solve_bcd(&instance, 2_000, 1e-10, None);
     let caps: Vec<f64> = (0..m * m)
         .map(|idx| instance.own_load(idx / m) / r as f64)
         .collect();
-    let (capped, capped_rep) = solve_pgd(&instance, Some(&caps));
+    let (capped, capped_rep) = solve_bcd(&instance, 2_000, 1e-10, Some(&caps));
     println!(
         "fractional optimum (no replication): ΣC = {:.0}",
         free_rep.objective

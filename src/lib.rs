@@ -314,7 +314,7 @@
 //! | [`core`] | instance/assignment model, cost functions, workloads |
 //! | [`scenario`] | declarative ScenarioSpec → RunRecord experiment API; `scenario::{results, report}`: the JSON-lines `Record` the sinks write and `dlb report` draws |
 //! | [`topology`] | homogeneous latencies and the two fixed generators, `euclidean::generate` / `planetlab::generate`; [`coords`]: their estimation by Vivaldi coordinates |
-//! | [`solver`] | computed centrally on the dense state: the §III QP (FISTA-PGD, block-coordinate descent, water-filling); [`game`]: Nash dynamics, price of anarchy (§V); [`extensions`]: §VII tasks, R-replication |
+//! | [`solver`] | computed centrally on the dense state: the §III QP (block-coordinate descent, capped or not, over water-filling rows); [`game`]: Nash dynamics, price of anarchy (§V); [`extensions`]: §VII tasks, R-replication |
 //! | [`distributed`] | Algorithms 1 & 2, the engine, Proposition 1, cycle removal; [`flow`]: its min-cost max-flow substrate (paper Appendix) |
 //! | [`gossip`] | the load-dissemination control plane: delta gossip on a virtual-time heap, sharded delta-encoded frames |
 //! | [`requestsim`] | request-level DES validating the cost model |
@@ -363,7 +363,7 @@ pub mod prelude {
     pub use dlb_solver::game::{
         epsilon_nash_gap, run_best_response_dynamics, theorem1_bounds, DynamicsOptions,
     };
-    pub use dlb_solver::{solve_bcd, solve_pgd};
+    pub use dlb_solver::solve_bcd;
     pub use dlb_topology::planetlab;
 }
 

@@ -47,7 +47,7 @@ fn discrete_fixpoint_close_to_fractional_optimum() {
     for planetlab in [false, true] {
         let instance = integer_instance(14, 80.0, 7, planetlab);
         let engine = discrete_engine(&instance, 1.0, 7);
-        let (state, _) = solve_bcd(&instance, 3_000, 1e-12);
+        let (state, _) = solve_bcd(&instance, 3_000, 1e-12, None);
         let optimum = delay_lb::solver::objective(&instance, &state);
         let ratio = engine.current_cost() / optimum;
         assert!(

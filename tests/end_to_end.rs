@@ -1,5 +1,5 @@
 //! End-to-end agreement: the distributed algorithm, the centralized
-//! solvers, and (at tiny sizes) brute-force grid search must all find
+//! solver, and (at tiny sizes) brute-force grid search must all find
 //! the same optimum of the cooperative problem.
 
 use delay_lb::prelude::*;
@@ -34,13 +34,12 @@ fn engine_matches_solvers_homogeneous() {
         let instance = random_instance(12, seed, false);
         let mut engine = Engine::new(instance.clone(), engine_opts(seed));
         let report = engine.run_to_convergence(1e-12, 2, 150);
-        let (_, pgd) = solve_pgd(&instance, None);
-        let (_, bcd) = solve_bcd(&instance, 2_000, 1e-10);
-        let best = pgd.objective.min(bcd.objective);
+        let (_, bcd) = solve_bcd(&instance, 2_000, 1e-10, None);
         assert!(
-            report.final_cost <= best * (1.0 + 5e-3),
-            "seed {seed}: engine {} vs solvers {best}",
-            report.final_cost
+            report.final_cost <= bcd.objective * (1.0 + 5e-3),
+            "seed {seed}: engine {} vs bcd {}",
+            report.final_cost,
+            bcd.objective
         );
         engine
             .assignment()
@@ -55,7 +54,7 @@ fn engine_matches_solvers_planetlab() {
         let instance = random_instance(15, seed, true);
         let mut engine = Engine::new(instance.clone(), engine_opts(seed));
         let report = engine.run_to_convergence(1e-12, 2, 150);
-        let (_, bcd) = solve_bcd(&instance, 2_000, 1e-10);
+        let (_, bcd) = solve_bcd(&instance, 2_000, 1e-10, None);
         assert!(
             report.final_cost <= bcd.objective * (1.0 + 1e-2),
             "seed {seed}: engine {} vs bcd {}",
@@ -75,16 +74,11 @@ fn all_methods_agree_with_bruteforce_m3() {
     let instance = Instance::new(vec![1.0, 2.0, 1.5], vec![30.0, 5.0, 0.0], lat);
 
     let (_, brute) = grid_search_optimum(&instance, 15);
-    let (_, pgd) = solve_pgd(&instance, None);
-    let (_, bcd) = solve_bcd(&instance, 2_000, 1e-10);
+    let (_, bcd) = solve_bcd(&instance, 2_000, 1e-10, None);
     let mut engine = Engine::new(instance.clone(), engine_opts(1));
     let report = engine.run_to_convergence(1e-12, 2, 200);
 
-    for (name, v) in [
-        ("pgd", pgd.objective),
-        ("bcd", bcd.objective),
-        ("engine", report.final_cost),
-    ] {
+    for (name, v) in [("bcd", bcd.objective), ("engine", report.final_cost)] {
         assert!(
             (v - brute).abs() <= 5e-3 * brute,
             "{name} = {v} vs brute force {brute}"

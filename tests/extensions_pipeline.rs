@@ -21,7 +21,7 @@ fn task_rounding_pipeline_stays_near_fractional_cost() {
         loads,
         LatencyMatrix::homogeneous(m, 5.0),
     );
-    let (opt, report) = solve_pgd(&instance, None);
+    let (opt, report) = solve_bcd(&instance, 2_000, 1e-10, None);
     assert!(report.converged);
     let fractional = dense_to_assignment(&instance, &opt);
 
@@ -66,7 +66,7 @@ fn replication_pipeline_places_r_distinct_copies() {
     let caps: Vec<f64> = (0..m * m)
         .map(|idx| instance.own_load(idx / m) / r as f64)
         .collect();
-    let (capped, report) = solve_pgd(&instance, Some(&caps));
+    let (capped, report) = solve_bcd(&instance, 2_000, 1e-10, Some(&caps));
     assert!(report.converged);
     let assignment = dense_to_assignment(&instance, &capped);
 
@@ -114,7 +114,7 @@ fn replication_cost_increases_with_r() {
         let caps: Vec<f64> = (0..m * m)
             .map(|idx| instance.own_load(idx / m) / r as f64)
             .collect();
-        let (_, report) = solve_pgd(&instance, Some(&caps));
+        let (_, report) = solve_bcd(&instance, 2_000, 1e-10, Some(&caps));
         assert!(
             report.objective >= prev - 1e-6 * report.objective.max(1.0),
             "tightening R must not reduce cost: R={r} gives {} after {prev}",

@@ -39,7 +39,7 @@ fn converges_with_random_transient_failures() {
         .assignment()
         .check_invariants(&instance)
         .expect("invariants under failures");
-    let (_, bcd) = solve_bcd(&instance, 2_000, 1e-10);
+    let (_, bcd) = solve_bcd(&instance, 2_000, 1e-10, None);
     assert!(
         engine.current_cost() <= bcd.objective * 1.02,
         "failure-ridden run {} vs optimum {}",
@@ -71,7 +71,7 @@ fn partition_then_heal() {
     // Phase 2: heal; the full system must now do at least as well.
     let report = engine.run_to_convergence(1e-10, 2, 60);
     assert!(report.final_cost <= partitioned_cost + 1e-9);
-    let (_, bcd) = solve_bcd(&instance, 2_000, 1e-10);
+    let (_, bcd) = solve_bcd(&instance, 2_000, 1e-10, None);
     assert!(report.final_cost <= bcd.objective * 1.02);
 }
 

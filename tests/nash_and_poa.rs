@@ -74,7 +74,7 @@ fn table3_grid_cost_of_selfishness_is_low() {
                     ..Default::default()
                 },
             );
-            let (opt, _) = solve_bcd(&instance, 2_000, 1e-10);
+            let (opt, _) = solve_bcd(&instance, 2_000, 1e-10, None);
             let ratio = total_cost(&instance, &nash) / delay_lb::solver::objective(&instance, &opt);
             worst = worst.max(ratio);
         }
@@ -98,7 +98,7 @@ fn planetlab_equilibria_are_cheaper_than_homogeneous() {
     let pl = spec.sample(planetlab::generate(20, 9), &mut rng);
     let mut nash = Assignment::local(&pl);
     run_best_response_dynamics(&pl, &mut nash, &DynamicsOptions::default());
-    let (opt, _) = solve_bcd(&pl, 2_000, 1e-10);
+    let (opt, _) = solve_bcd(&pl, 2_000, 1e-10, None);
     let ratio = total_cost(&pl, &nash) / delay_lb::solver::objective(&pl, &opt);
     assert!(
         ratio <= 1.10,

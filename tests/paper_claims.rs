@@ -169,7 +169,7 @@ fn table3_claim_selfishness_cost_small() {
         .sample(LatencyMatrix::homogeneous(24, 20.0), &mut rng);
         let mut nash = Assignment::local(&instance);
         run_best_response_dynamics(&instance, &mut nash, &DynamicsOptions::default());
-        let (opt, _) = solve_bcd(&instance, 2_000, 1e-10);
+        let (opt, _) = solve_bcd(&instance, 2_000, 1e-10, None);
         ratios.push(total_cost(&instance, &nash) / delay_lb::solver::objective(&instance, &opt));
     }
     for r in &ratios {

@@ -4,6 +4,7 @@
 
 use delay_lb::core::rngutil::rng_for;
 use delay_lb::prelude::*;
+use delay_lb::solver::dense::{fw_gap, gradient, DenseState};
 use delay_lb::topology::{out_degree, restrict_to_k_nearest, restrict_to_neighbors};
 
 fn pl_instance(_m: usize, avg: f64, seed: u64, lat: LatencyMatrix) -> Instance {
@@ -129,5 +130,36 @@ fn selfish_dynamics_respect_restrictions() {
                 assert_eq!(nash.requests(k, j), 0.0);
             }
         }
+    }
+}
+
+/// §II's forbidden links are `∞` latencies. The Frank–Wolfe gap must
+/// skip them where nothing is sent (`∞ · 0` is NaN) instead of
+/// certifying any point, so block-coordinate descent keeps sweeping to
+/// the optimum: no worse than the engine's fixpoint.
+#[test]
+fn bcd_reaches_the_optimum_on_a_restricted_network() {
+    let m = 60;
+    let full = planetlab::generate(m, 1);
+    for k in [1usize, 2, 4, 8] {
+        let instance = pl_instance(m, 50.0, 1, restrict_to_k_nearest(&full, k));
+        let local = DenseState::local(&instance);
+        let mut grad = vec![0.0; m * m];
+        gradient(&instance, &local, &mut grad);
+        let start_gap = fw_gap(&instance, &local, &grad, None);
+        assert!(
+            start_gap.is_finite() && start_gap > 0.0,
+            "k={k}: gap {start_gap} at the all-local start"
+        );
+
+        let (_, bcd) = solve_bcd(&instance, 2_000, 1e-10, None);
+        let mut engine = Engine::new(instance, EngineOptions::default());
+        let fixpoint = engine.run_to_convergence(1e-12, 3, 500).final_cost;
+        assert!(bcd.converged && bcd.iters > 1, "k={k}: {bcd:?}");
+        assert!(
+            bcd.objective <= fixpoint * (1.0 + 1e-9),
+            "k={k}: bcd {} above the engine's {fixpoint}",
+            bcd.objective
+        );
     }
 }

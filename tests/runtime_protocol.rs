@@ -55,7 +55,7 @@ fn protocol_matches_solver_optimum() {
     let m = 10;
     let instance = sample(m, 40.0, 9, false);
     let report = run_protocol(&instance, &ClusterOptions::certified(m));
-    let (rho, _) = solve_bcd(&instance, 3_000, 1e-12);
+    let (rho, _) = solve_bcd(&instance, 3_000, 1e-12, None);
     let solver_cost = delay_lb::solver::objective(&instance, &rho);
     assert!(
         report.final_cost <= solver_cost * 1.01,
