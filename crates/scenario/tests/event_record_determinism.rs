@@ -28,3 +28,41 @@ fn event_run_records_are_bit_identical_across_thread_counts_and_repeats() {
     assert!(records[0].converged);
     assert!(records[0].wall_secs > 0.0, "virtual time recorded");
 }
+
+/// FNV-1a-64 over the bits of a cost history, eight bytes per entry.
+fn history_hash(history: &[f64]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+    for byte in history.iter().flat_map(|c| c.to_bits().to_le_bytes()) {
+        hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+    }
+    hash
+}
+
+/// The exact round-start scan on the inputs that shape it: a flat
+/// homogeneous net, dense PlanetLab and Euclidean rows, crashed peers
+/// that leave the round's live set, and suspects in the skip list.
+/// Each run pins its iteration count and the bits of its cost history,
+/// so a scan that picks one different partner in one round fails here.
+#[test]
+fn exact_scan_records_are_pinned() {
+    let cases = [
+        ("net=homog m=1000 seed=1", 12, 0x8f61_51da_7b91_6bbe),
+        ("net=pl m=300 seed=2", 12, 0xbc86_1dc5_4b29_71a6),
+        (
+            "net=euclid m=600 seed=3 faults=crash:0.1@5ms",
+            12,
+            0xd205_5057_47df_7495,
+        ),
+        (
+            "net=homog m=500 seed=4 detect=timeout:50ms faults=crash:0.2@20ms..200ms",
+            12,
+            0x56cc_25d1_6aab_0833,
+        ),
+    ];
+    for (scenario, iterations, hash) in cases {
+        let text = format!("algo=protocol select=exact budget=12 patience=12 {scenario}");
+        let record = text.parse::<ScenarioSpec>().unwrap().run();
+        let got = (record.iterations, history_hash(&record.history));
+        assert_eq!(got, (iterations, hash), "{text}");
+    }
+}
