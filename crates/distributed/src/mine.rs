@@ -33,10 +33,10 @@
 //! # A bound on the score, per block of peers
 //!
 //! The runtime's `select=exact` scan (`dlb_runtime`'s `score_best`)
-//! skips every block of peers none of which can beat the best score so
-//! far, without scoring them. The bound it uses follows from the score's
-//! shape. With `r = l/s`, moving `x` from `f` to `t` at latency `c`
-//! gains
+//! sorts the round's live peers by `r = l/s`, cuts that order into
+//! blocks of [`SCORE_BLOCK`], and scores only the blocks whose bound can
+//! beat the best score so far. The bound follows from the score's
+//! shape. Moving `x` from `f` to `t` at latency `c` gains
 //!
 //! ```text
 //! q(x) = x (r_f − r_t − c) − x² (1/2s_f + 1/2s_t),
@@ -56,12 +56,16 @@
 //! max((r_i − c_lo − min_B r)₊, (max_B r − r_i − c_lo)₊)² · g(max_B s).
 //! ```
 //!
-//! The four summaries `min_B r`, `max_B r`, `max_B s` and "every lane
-//! finite and in range" depend only on the round's loads and speeds, so
-//! one pass per round serves every node. That the *float* bound stays at
-//! or above every *float* score is `score_best`'s margin argument; it
-//! leans on the batch kernel computing `r_j` as `l_j / s_j` and the
-//! slope as `(r_f − r_t) − c`, the groupings [`partner_score`] fixes.
+//! Along the load order the push term only falls and the pull term only
+//! rises. So the scan walks inwards from both ends and stops a side at
+//! its first block whose *side bound* — that side's term alone, with the
+//! round's largest speed for `max_B s` — cannot beat the best: it bounds
+//! every block between the two ends. The order and the summaries depend
+//! only on the round's loads, speeds and exclusions, so one pass per
+//! round serves every node. That the *float* bounds stay at or above
+//! every *float* score is `score_best`'s margin argument; it leans on the
+//! batch kernel computing `r_j` as `l_j / s_j` and the slope as
+//! `(r_f − r_t) − c`, the groupings [`partner_score`] fixes.
 
 use std::ops::Range;
 
@@ -148,8 +152,8 @@ impl Candidates<'_> {
 /// Lane count of the stack block [`partner_scores`] gathers a latency
 /// column into, and the block size its callers scan by when they keep
 /// the scores on the stack too: the runtime's round-start scan, which
-/// bounds the scores of each aligned block of this many peers and skips
-/// the blocks that cannot win (see the module doc).
+/// bounds the scores of each block of this many peers in load order and
+/// skips the blocks that cannot win (see the module doc).
 pub const SCORE_BLOCK: usize = 32;
 
 /// Batch form of [`partner_score`]: `out[k]` receives the bits of

@@ -230,36 +230,6 @@ impl BestPeer<'_> {
             }
         }
     }
-
-    /// [`Self::offer`] for the contiguous block `start..`: where no id in
-    /// it is excluded and no score is NaN, that fold keeps the first
-    /// lane equal to the block's maximum iff the maximum beats the best
-    /// (or there is none, or it is NaN), so a vectorised arg-max does it.
-    /// `id`'s lane may stay in: scored `0.0`, it wins only where no peer
-    /// clears [`SCORE_FLOOR`], which drops that winner anyway. NaN (it
-    /// replaces and is replaced by anything) and exclusions take `offer`.
-    fn offer_range(&mut self, start: u32, scores: &[f64]) {
-        let end = start + scores.len() as u32;
-        while self.excluded.first().is_some_and(|&e| e < start) {
-            self.excluded = &self.excluded[1..];
-        }
-        let nan = scores.iter().fold(false, |nan, s| nan | s.is_nan());
-        if nan || self.excluded.first().is_some_and(|&e| e < end) {
-            return self.offer(start..end, scores);
-        }
-        // Four independent accumulators, so the reduction vectorises.
-        let up = |acc: f64, &s: &f64| if s > acc { s } else { acc };
-        let (lanes, tail) = scores.as_chunks::<4>();
-        let mut acc = [f64::NEG_INFINITY; 4];
-        for lane in lanes {
-            acc = std::array::from_fn(|k| up(acc[k], &lane[k]));
-        }
-        let max = tail.iter().chain(&acc).fold(f64::NEG_INFINITY, up);
-        if self.best.is_none_or(|(_, b)| max > b || b.is_nan()) {
-            let k = scores.iter().take_while(|&&s| s != max).count(); // first lane at max
-            self.best = Some((start + k as u32, scores[k]));
-        }
-    }
 }
 
 /// The largest load and speed, and the inverse of the smallest speed,
@@ -286,7 +256,7 @@ struct BlockSummary {
     max_r: f64,
     max_s: f64,
     /// Every lane has `0 ≤ l ≤ TAME` and `1/TAME ≤ s ≤ TAME` (NaN and
-    /// `±∞` fail). A block with a wild lane is always scored.
+    /// `±∞` fail). A round with a wild lane is scanned unbounded.
     tame: bool,
 }
 
@@ -311,65 +281,75 @@ impl BlockSummary {
         }
     }
 
-    /// The round's summaries of the peer blocks `32k..32(k + 1)`.
-    fn blocks(speeds: &[f64], loads: &[f64]) -> Vec<Self> {
-        let blocks = speeds.chunks(SCORE_BLOCK).zip(loads.chunks(SCORE_BLOCK));
-        let summary = |(s, l): (&[f64], &[f64])| {
-            let lanes = l.iter().zip(s).map(|(&l, &s)| Self::lane(l, s));
-            lanes.reduce(Self::join).expect("a block has a lane")
-        };
-        blocks.map(summary).collect()
+    /// Node `i`'s push gap `(r_i − min r) − c_lo` to this block and its
+    /// pull gap `(max r − r_i) − c_lo`, where `me` is `i`'s own
+    /// [`Self::lane`] and `c_lo` is at most every latency between them.
+    fn gaps(&self, me: &Self, c_lo: f64) -> (f64, f64) {
+        let r = me.max_r;
+        ((r - self.min_r) - c_lo, (self.max_r - r) - c_lo)
     }
 
-    /// At least `partner_score(i, j)` for every peer `j` of this block,
-    /// where `me` is node `i`'s own [`Self::lane`] and `c_lo` is at most
-    /// every latency between `i` and the block; `∞` unless both are
-    /// tame. See [`score_best`].
+    /// At least `partner_score(i, j)` for every peer `j` of this block
+    /// (see [`Self::gaps`]) when both are tame. See [`score_best`].
     fn bound(&self, me: &Self, c_lo: f64) -> f64 {
-        if !(self.tame & me.tame) {
-            return f64::INFINITY;
-        }
-        let r = me.max_r;
-        let push = (r - self.min_r) - c_lo;
-        let pull = (self.max_r - r) - c_lo;
-        let gap = push.max(pull).max(0.0);
-        let s = me.max_s;
-        let g = s * self.max_s / (2.0 * (s + self.max_s));
-        gap * gap * g * BOUND_MARGIN + BOUND_SLACK
+        let (push, pull) = self.gaps(me, c_lo);
+        gap_bound(push.max(pull), me.max_s, self.max_s)
     }
 }
 
-/// A round's [`BlockSummary`]s and the `loads` `Arc` they summarise.
-/// The coordinator computes them once per round under `select=exact`
-/// and the executor lends them to every node it drains: they depend
-/// only on the round's loads and the instance's speeds, so one O(m)
-/// pass per round replaces one per node. A node uses them only for a
-/// `RoundStart` carrying the very same `Arc`.
+/// `gap₊² · g(s) · BOUND_MARGIN + BOUND_SLACK`, with node `i`'s
+/// `g(s) = 1/(2(1/s_i + 1/s))`. Every operation is monotone on these
+/// signs, so the float result never falls as `gap` or `s` rises.
+fn gap_bound(gap: f64, s_i: f64, s: f64) -> f64 {
+    let gap = gap.max(0.0);
+    let g = 0.5 / (s_i.recip() + s.recip());
+    gap * gap * g * BOUND_MARGIN + BOUND_SLACK
+}
+
+/// A round's `select=exact` scan inputs, from its `RoundStart`'s `loads`
+/// and `excluded`: the live peers by `(l_j/s_j, j)`, one [`BlockSummary`]
+/// per [`SCORE_BLOCK`] of that order, the largest live speed, and
+/// whether every live lane is tame. The coordinator derives them once a
+/// round, the executor lends them to every node it drains, and a node
+/// uses them only for a `RoundStart` carrying the very same `loads` `Arc`.
 #[derive(Debug)]
 pub(crate) struct RoundBlocks {
     loads: Arc<Vec<f64>>,
+    order: Vec<u32>,
     blocks: Vec<BlockSummary>,
+    max_s: f64,
+    tame: bool,
+}
+
+impl RoundBlocks {
+    fn new(speeds: &[f64], loads: Arc<Vec<f64>>, excluded: &[u32]) -> Self {
+        let lane = |j: u32| BlockSummary::lane(loads[j as usize], speeds[j as usize]);
+        let mut order: Vec<u32> = (0..loads.len() as u32)
+            .filter(|j| excluded.binary_search(j).is_err())
+            .collect();
+        order.sort_unstable_by(|&a, &b| lane(a).min_r.total_cmp(&lane(b).min_r).then(a.cmp(&b)));
+        let summary = |ids: &[u32]| ids.iter().map(|&j| lane(j)).reduce(BlockSummary::join);
+        let blocks: Vec<BlockSummary> = order.chunks(SCORE_BLOCK).flat_map(summary).collect();
+        let max_s = blocks.iter().fold(0.0, |s, b| b.max_s.max(s));
+        let tame = blocks.iter().all(|b| b.tame);
+        Self {
+            loads,
+            order,
+            blocks,
+            max_s,
+            tame,
+        }
+    }
 }
 
 /// Scores `candidates` (ascending, `excluded` sorted ascending: see
-/// [`BestPeer`]) with `score`, one stack block at a time — no
-/// allocation, nothing kept between calls — and returns the best peer
-/// above the floor. A [`Candidates::Range`] goes by the aligned blocks
-/// of [`SCORE_BLOCK`] ids, and block `k` (ids `32k..32(k + 1)`) is
-/// skipped when `bound(k)` is strictly below the larger of the best
-/// score so far and [`SCORE_FLOOR`]. `bound(k)` must be at least every
-/// score of the block (NaN or `∞` has it scored); then the scan returns
-/// what it returns with every block scored. A skipped lane would have
-/// been kept out by a best above the floor (`score <= b`), or would
-/// have left a best at or below it, which no answer comes from and any
-/// lane above the floor replaces. A NaN best counts as below the floor
-/// (`max` drops it): every next lane replaces it, just as they would a
-/// best that low. A list goes by [`SCORE_BLOCK`] ids, unbounded.
+/// [`BestPeer`]) with `score`, one stack block of [`SCORE_BLOCK`] peers
+/// at a time — no allocation, nothing kept between calls — and returns
+/// the keep-first best peer above the floor.
 fn scan_best(
     id: u32,
     excluded: &[u32],
     candidates: Candidates<'_>,
-    mut bound: impl FnMut(usize) -> f64,
     mut score: impl FnMut(Candidates<'_>, &mut [f64]),
 ) -> Option<u32> {
     debug_assert!(excluded.windows(2).all(|w| w[0] < w[1]), "excluded sorted");
@@ -381,17 +361,11 @@ fn scan_best(
     };
     match candidates {
         Candidates::Range(range) => {
-            let mut at = range.start;
-            while at < range.end {
-                let (k, start) = (at / SCORE_BLOCK, at);
-                at = range.end.min((k + 1) * SCORE_BLOCK);
-                let floor = scan.best.map_or(SCORE_FLOOR, |(_, b)| b.max(SCORE_FLOOR));
-                if bound(k) < floor {
-                    continue; // no lane of the block can change the answer
-                }
-                let scores = &mut scores[..at - start];
-                score(Candidates::Range(start..at), scores);
-                scan.offer_range(start as u32, scores);
+            for start in range.clone().step_by(SCORE_BLOCK) {
+                let end = range.end.min(start + SCORE_BLOCK);
+                let scores = &mut scores[..end - start];
+                score(Candidates::Range(start..end), scores);
+                scan.offer(start as u32..end as u32, scores);
             }
         }
         Candidates::List(ids) => {
@@ -405,10 +379,60 @@ fn scan_best(
     scan.best.filter(|&(_, s)| s > SCORE_FLOOR).map(|(j, _)| j)
 }
 
-/// [`scan_best`] by the batch kernel on the gossiped `loads`, all a node
-/// knows locally: under `select=exact`, the O(m) inner loop of a round.
-/// `blocks` are the round's [`BlockSummary`]s, which bound a `Range`
-/// scan; `None` scores every block.
+/// The load-order walk of [`score_best`] for the tame node `me`: inwards
+/// from both ends, the end with the larger *side bound* (its push term at
+/// the low end, its pull term at the high end, at the round's largest
+/// speed) first, until both are below the floor `max(best, SCORE_FLOOR)`.
+/// A block is scored only if its [`BlockSummary::bound`] reaches the
+/// floor. The best is the highest score, the lowest id on ties.
+fn walk_best(
+    me: &BlockSummary,
+    c_lo: f64,
+    round: &RoundBlocks,
+    mut score: impl FnMut(Candidates<'_>, &mut [f64]),
+) -> Option<u32> {
+    let side = |k: usize, low: bool| {
+        let (push, pull) = round.blocks[k].gaps(me, c_lo);
+        gap_bound(if low { push } else { pull }, me.max_s, round.max_s)
+    };
+    let mut scores = [0.0; SCORE_BLOCK];
+    let mut best: Option<(u32, f64)> = None;
+    let mut rest = 0..round.blocks.len();
+    while !rest.is_empty() {
+        let floor = best.map_or(SCORE_FLOOR, |(_, b)| b.max(SCORE_FLOOR));
+        let (low, high) = (side(rest.start, true), side(rest.end - 1, false));
+        if low.max(high) < floor {
+            break; // and so is every block between the two ends
+        }
+        let k = match low >= high {
+            true => rest.next(),
+            false => rest.next_back(),
+        };
+        let k = k.expect("a block is left");
+        if round.blocks[k].bound(me, c_lo) < floor {
+            continue;
+        }
+        let at = k * SCORE_BLOCK;
+        let ids = &round.order[at..round.order.len().min(at + SCORE_BLOCK)];
+        let scores = &mut scores[..ids.len()];
+        score(Candidates::List(ids), scores);
+        for (&j, &s) in ids.iter().zip(&*scores) {
+            if best.is_none_or(|(at, b)| s > b || (s == b && j < at)) {
+                best = Some((j, s));
+            }
+        }
+    }
+    best.filter(|&(_, s)| s > SCORE_FLOOR).map(|(j, _)| j)
+}
+
+/// Node `id`'s best partner by the batch kernel on the gossiped `loads`,
+/// all a node knows locally: under `select=exact`, the inner loop of a
+/// round. With `round` — the lent [`RoundBlocks`] of these `loads` and
+/// `excluded` — and every live lane tame, [`walk_best`] walks the peers
+/// in load order; otherwise [`scan_best`] scores every one of
+/// `candidates` in id order. Both return the lowest id of the highest
+/// score, if above [`SCORE_FLOOR`]: keep-first in id order is that rule
+/// wherever no score is NaN, and a tame lane's score never is.
 ///
 /// **The bound** (derived in `dlb_distributed::mine`'s module doc): for
 /// node `i` and a block `B`, every score is at most
@@ -426,33 +450,49 @@ fn scan_best(
 /// `b = 1/2s_f + 1/2s_t`, and the float gain is at most
 /// `(1+u)³/(1−u)⁴ · A²/(4b)` plus the subnormal error that
 /// [`BOUND_SLACK`] covers (`u = 2⁻⁵³`). `1/(4b)` is `g(s_j)` and `g`
-/// rises with `s`, so `max_B s` bounds every lane; the bound's own five
-/// roundings lose at most `(1−u)⁵/(1+u)`. [`BOUND_MARGIN`] covers the
-/// product, `(1+u)⁴/(1−u)⁹ < 1 + 14u`. The `Δ ≤ l_f` cap and the
-/// `stays` zero only pick `x`, and `0 ≤` the bound.
+/// rises with `s`, so `max_B s` bounds every lane. [`gap_bound`]
+/// computes `g` as `0.5/(1/s_i + 1/s)`, which loses at most
+/// `(1−u)/(1+u)²`, and its three products `(1−u)³`. [`BOUND_MARGIN`]
+/// covers the product, `(1+u)⁵/(1−u)⁸ < 1 + 14u`. The `Δ ≤ l_f` cap and
+/// the `stays` zero only pick `x`, and `0 ≤` the bound.
 ///
-/// **Why 32-peer blocks.** A block is skipped only if its *best* lane
-/// cannot win, and a wider block has wider extremes: on `exact_m5000`
-/// 86.5 % of 32-peer blocks are skipped, against 42 % of 256-peer ones.
-/// Narrower blocks skip more but cost more kernel calls and bound
-/// checks per lane scored: 16-peer blocks ran `exact_m5000` 10 % faster
-/// than 32 but `net=pl m=2000` about 12 % slower, where only 16 % of
-/// blocks can be skipped.
+/// **The side stop.** Written with reciprocals, one rounding more than
+/// `s_i s/(2(s_i + s))`, the float `g` cannot fall as `s` rises (a
+/// quotient of two rising roundings can), so [`gap_bound`] is monotone.
+/// In load order a block past the low end has a push gap no larger than
+/// the low end's, one before the high end a pull gap no larger than the
+/// high end's, and `max s` at most the round's. So an unvisited block's
+/// bound is at most the larger side bound at the stop, below the floor,
+/// which only rises: none of its lanes can win or tie.
+///
+/// **Why 32-peer blocks, larger side first.** Lanes scored in 12 rounds
+/// at seed 1 on `exact_m5000` (homog m = 5000), `net=pl` and `net=euclid`
+/// m = 2000: 40.8 M, 41.6 M and 40.0 M by the id-order skip this walk
+/// replaced, 1.38 M, 8.76 M and 6.21 M by the walk; 2.00 M, 9.39 M and
+/// 6.83 M taking the ends in turn. 16-peer blocks score 0.90 M, 8.39 M and
+/// 5.84 M and ran `exact_m5000` at 0.95× the time (inside the noise),
+/// 64-peer ones 2.24 M, 9.31 M and 6.69 M at 1.17×. [`SCORE_BLOCK`] also
+/// sizes the kernel's gather block and the top-k scan, so 32 stays.
 fn score_best(
     id: u32,
     instance: &Instance,
     loads: &[f64],
-    blocks: Option<&[BlockSummary]>,
+    round: Option<&RoundBlocks>,
     excluded: &[u32],
     candidates: Candidates<'_>,
 ) -> Option<u32> {
     let i = id as usize;
+    let score = |block: Candidates<'_>, out: &mut [f64]| {
+        partner_scores(instance, loads, i, block, out);
+    };
     let me = BlockSummary::lane(loads[i], instance.speed(i));
-    let c_lo = instance.latency().homogeneous_value().unwrap_or(0.0);
-    let bound = |k: usize| blocks.map_or(f64::INFINITY, |blocks| blocks[k].bound(&me, c_lo));
-    scan_best(id, excluded, candidates, bound, |block, out| {
-        partner_scores(instance, loads, i, block, out)
-    })
+    match round {
+        Some(round) if round.tame && me.tame => {
+            let c_lo = instance.latency().homogeneous_value().unwrap_or(0.0);
+            walk_best(&me, c_lo, round, score)
+        }
+        _ => scan_best(id, excluded, candidates, score),
+    }
 }
 
 /// Deterministic audit rotation: visits every live peer once per
@@ -887,22 +927,17 @@ impl NodeMachine {
             self.lock = Lock::Locked; // takes no part this round
             self.report(RoundOutcome::NoProposal, None, out);
         } else {
-            let own;
-            let (blocks, candidates) = match (self.config.select, blocks) {
-                (SelectPolicy::Exact, Some(lent)) if Arc::ptr_eq(&lent.loads, loads) => (
-                    Some(&lent.blocks[..]),
+            let (lent, candidates) = match self.config.select {
+                SelectPolicy::Exact => (
+                    blocks.filter(|lent| Arc::ptr_eq(&lent.loads, loads)),
                     Candidates::Range(0..self.instance.len()),
                 ),
-                (SelectPolicy::Exact, _) => {
-                    own = BlockSummary::blocks(self.instance.speeds(), loads);
-                    (Some(&own[..]), Candidates::Range(0..self.instance.len()))
-                }
-                (SelectPolicy::TopK(k), _) => {
+                SelectPolicy::TopK(k) => {
                     self.index.refresh(self.id, &self.instance, k, hot);
                     (None, Candidates::List(&self.index.merged))
                 }
             };
-            let scored = score_best(self.id, &self.instance, loads, blocks, excluded, candidates);
+            let scored = score_best(self.id, &self.instance, loads, lent, excluded, candidates);
             let target =
                 scored.or_else(|| audit_target(self.id, self.instance.len(), round, excluded));
             match target {
@@ -1200,7 +1235,7 @@ pub struct CoordinatorMachine {
     seen: Vec<bool>,
     round_moved: f64,
     /// The current round's scan inputs under [`SelectPolicy::Exact`]:
-    /// the broadcast `loads` and their block summaries.
+    /// the broadcast `loads` and its live peers' load-order blocks.
     round_blocks: Option<RoundBlocks>,
     ledgers: Vec<Option<SparseVec>>,
     collected: usize,
@@ -1399,9 +1434,9 @@ impl CoordinatorMachine {
         let loads = Arc::new(self.loads.clone());
         let hot = match self.options.node.select {
             SelectPolicy::Exact => {
-                let blocks = BlockSummary::blocks(self.instance.speeds(), &loads);
-                let loads = Arc::clone(&loads);
-                self.round_blocks = Some(RoundBlocks { loads, blocks });
+                let speeds = self.instance.speeds();
+                let round = RoundBlocks::new(speeds, Arc::clone(&loads), &skip);
+                self.round_blocks = Some(round);
                 Vec::new()
             }
             SelectPolicy::TopK(k) => self.build_hot(&skip, k),
@@ -1847,12 +1882,12 @@ mod tests {
         assert_eq!(idx.merged, vec![1, 4, 5, 6, 7]);
     }
 
-    /// The `select=exact` scan: every peer through the batch kernel,
-    /// the blocks that cannot win skipped.
+    /// The `select=exact` scan with the round's blocks lent: the peers
+    /// walked in load order, the blocks that cannot win skipped.
     fn choose_target(id: u32, instance: &Instance, loads: &[f64], excluded: &[u32]) -> Option<u32> {
-        let blocks = BlockSummary::blocks(instance.speeds(), loads);
+        let round = RoundBlocks::new(instance.speeds(), Arc::new(loads.to_vec()), excluded);
         let all = Candidates::Range(0..instance.len());
-        score_best(id, instance, loads, Some(&blocks), excluded, all)
+        score_best(id, instance, loads, Some(&round), excluded, all)
     }
 
     /// The scan as it was before the batch kernel: one scalar
@@ -1980,8 +2015,8 @@ mod tests {
         );
     }
 
-    /// The block arg-max against the one-lane-at-a-time fold, on score
-    /// blocks no instance produces: ties, `±0.0`, `−∞` and NaN, with
+    /// The id-order scan's merge walk against keep-first by lookup, on
+    /// score blocks no instance produces: ties, `±0.0`, `−∞` and NaN, with
     /// excluded ids before, inside and after each block.
     mod scan_proptests {
         use super::*;
@@ -2013,7 +2048,7 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(1024))]
 
             #[test]
-            fn prop_block_argmax_matches_the_scalar_fold(
+            fn prop_scan_matches_the_scalar_fold(
                 m in 1usize..3 * SCORE_BLOCK + 9,
                 seed in any::<u64>(),
             ) {
@@ -2054,7 +2089,7 @@ mod tests {
                     })
                     .collect();
                 let all = Candidates::Range(start..m);
-                let got = scan_best(id, &excluded, all, |_| f64::INFINITY, |block, out| {
+                let got = scan_best(id, &excluded, all, |block, out| {
                     let Candidates::Range(range) = block else { unreachable!("a Range scan") };
                     out.copy_from_slice(&scores[range]);
                 });
@@ -2084,6 +2119,7 @@ mod tests {
         let options = ClusterOptions::default();
         assert_eq!(options.node.select, SelectPolicy::Exact);
         let mut coordinator = CoordinatorMachine::new(Arc::clone(&instance), &options);
+        coordinator.set_down(vec![3, 40]);
         let mut out = Vec::new();
         coordinator.start(&mut out);
         let loads = broadcast_loads(&out);
@@ -2094,11 +2130,18 @@ mod tests {
             Arc::ptr_eq(&round.loads, &loads),
             "the broadcast's very Arc"
         );
-        assert_eq!(
-            round.blocks,
-            BlockSummary::blocks(instance.speeds(), &loads)
-        );
+        // The live peers by `(l/s, id)`, the crashed ones left out.
+        let r = |j: u32| loads[j as usize] / instance.speed(j as usize);
+        let mut order: Vec<u32> = (0..70).filter(|j| ![3, 40].contains(j)).collect();
+        order.sort_by(|&a, &b| r(a).total_cmp(&r(b)).then(a.cmp(&b)));
+        assert_eq!(round.order, order);
+        let lane = |&j: &u32| BlockSummary::lane(loads[j as usize], instance.speed(j as usize));
+        let join = |ids: &[u32]| ids.iter().map(lane).reduce(BlockSummary::join).unwrap();
+        let blocks: Vec<BlockSummary> = order.chunks(SCORE_BLOCK).map(join).collect();
+        assert_eq!(round.blocks, blocks);
         assert_eq!(round.blocks.len(), 3, "two full blocks and a tail");
+        let all = join(&order);
+        assert_eq!((round.max_s, round.tame), (all.max_s, true));
 
         let mut topk = options.clone();
         topk.node.select = SelectPolicy::TopK(4);
@@ -2125,10 +2168,7 @@ mod tests {
         let ours = Arc::new(ours);
         // A flat view bounds an idle node's every block below the floor.
         let flat = Arc::new(vec![0.0; m]);
-        let other = RoundBlocks {
-            blocks: BlockSummary::blocks(instance.speeds(), &flat),
-            loads: flat,
-        };
+        let other = RoundBlocks::new(instance.speeds(), flat, &[]);
         let start = Frame::RoundStart {
             round: 1,
             loads: Arc::clone(&ours),
@@ -2138,8 +2178,8 @@ mod tests {
         };
         for id in ids {
             let all = Candidates::Range(0..m);
-            let misled = score_best(id, &instance, &ours, Some(&other.blocks), &[], all);
-            assert_eq!(misled, None, "node {id}: the flat bound skips every block");
+            let misled = score_best(id, &instance, &ours, Some(&other), &[], all);
+            assert_eq!(misled, None, "node {id}: the flat bounds stop both sides");
             let config = NodeConfig::default();
             let mut lent = NodeMachine::local(id, Arc::clone(&instance), config);
             let mut out = Vec::new();
@@ -2240,19 +2280,17 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(512))]
 
             #[test]
-            fn pruned_scan_picks_the_full_scans_partner(
+            fn sorted_walk_picks_the_full_scans_partner(
                 m in 1usize..=300,
-                start_anywhere in 0u8..4,
                 seed in any::<u64>(),
             ) {
                 let (instance, loads, id, excluded) = bound_case(m, seed);
-                let blocks = BlockSummary::blocks(instance.speeds(), &loads);
-                let start = if start_anywhere == 0 { seed as usize % m } else { 0 };
-                let scan = |blocks| {
-                    let all = Candidates::Range(start..m);
-                    score_best(id, &instance, &loads, blocks, &excluded, all)
+                let round = RoundBlocks::new(instance.speeds(), Arc::new(loads.clone()), &excluded);
+                let scan = |round| {
+                    let all = Candidates::Range(0..m);
+                    score_best(id, &instance, &loads, round, &excluded, all)
                 };
-                prop_assert_eq!(scan(Some(&blocks)), scan(None));
+                prop_assert_eq!(scan(Some(&round)), scan(None));
             }
 
             #[test]
@@ -2260,24 +2298,53 @@ mod tests {
                 m in 1usize..=300,
                 seed in any::<u64>(),
             ) {
-                let (instance, loads, _, _) = bound_case(m, seed);
-                let blocks = BlockSummary::blocks(instance.speeds(), &loads);
+                let (instance, loads, _, excluded) = bound_case(m, seed);
+                let round = RoundBlocks::new(instance.speeds(), Arc::new(loads.clone()), &excluded);
                 let c_lo = instance.latency().homogeneous_value().unwrap_or(0.0);
                 let mut scores = [0.0; SCORE_BLOCK];
                 for i in 0..m {
                     let me = BlockSummary::lane(loads[i], instance.speed(i));
-                    for (k, block) in blocks.iter().enumerate() {
-                        let lanes = k * SCORE_BLOCK..m.min((k + 1) * SCORE_BLOCK);
-                        let scores = &mut scores[..lanes.len()];
-                        partner_scores(&instance, &loads, i, Candidates::Range(lanes.clone()), scores);
+                    for (ids, block) in round.order.chunks(SCORE_BLOCK).zip(&round.blocks) {
+                        let scores = &mut scores[..ids.len()];
+                        partner_scores(&instance, &loads, i, Candidates::List(ids), scores);
                         let bound = block.bound(&me, c_lo);
-                        for (j, &score) in lanes.zip(scores.iter()) {
+                        for (j, &score) in ids.iter().zip(scores.iter()) {
                             prop_assert!(
-                                bound == f64::INFINITY || score <= bound,
+                                !(block.tame & me.tame) || score <= bound,
                                 "i={i} j={j}: score {score:e} above the bound {bound:e}"
                             );
                         }
                     }
+                }
+            }
+
+            /// What the walk's early stop rests on: for cursors stopped at
+            /// blocks `lo ≤ hi`, every block between them is bounded by
+            /// the larger of the low side's push bound at `lo` and the
+            /// high side's pull bound at `hi`.
+            #[test]
+            fn side_bounds_cover_every_block_between_the_cursors(
+                m in 1usize..=300,
+                seed in any::<u64>(),
+            ) {
+                let (instance, loads, id, excluded) = bound_case(m, seed);
+                let round = RoundBlocks::new(instance.speeds(), Arc::new(loads.clone()), &excluded);
+                let me = BlockSummary::lane(loads[id as usize], instance.speed(id as usize));
+                prop_assume!(round.tame && me.tame, "a wild lane: the walk is not taken");
+                let c_lo = instance.latency().homogeneous_value().unwrap_or(0.0);
+                let side = |k: usize, low: bool| {
+                    let (push, pull) = round.blocks[k].gaps(&me, c_lo);
+                    gap_bound(if low { push } else { pull }, me.max_s, round.max_s)
+                };
+                let n = round.blocks.len();
+                for k in 0..n {
+                    let bound = round.blocks[k].bound(&me, c_lo);
+                    let low = (0..=k).map(|lo| side(lo, true)).fold(f64::INFINITY, f64::min);
+                    let high = (k..n).map(|hi| side(hi, false)).fold(f64::INFINITY, f64::min);
+                    prop_assert!(
+                        bound <= low.max(high),
+                        "block {k}: bound {bound:e} above both sides {low:e}, {high:e}"
+                    );
                 }
             }
         }
