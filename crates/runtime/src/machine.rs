@@ -1434,8 +1434,8 @@ impl CoordinatorMachine {
         let loads = Arc::new(self.loads.clone());
         let hot = match self.options.node.select {
             SelectPolicy::Exact => {
-                let speeds = self.instance.speeds();
-                let round = RoundBlocks::new(speeds, Arc::clone(&loads), &skip);
+                self.round_blocks = None; // the last round's order goes first
+                let round = RoundBlocks::new(self.instance.speeds(), Arc::clone(&loads), &skip);
                 self.round_blocks = Some(round);
                 Vec::new()
             }
