@@ -118,8 +118,8 @@ impl Outbound {
 /// axis (`dlb_distributed::mine`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SelectPolicy {
-    /// Score every live peer — the literal §IV scan, O(m) per node per
-    /// round (O(m²) per round cluster-wide).
+    /// The best of every live peer — the literal §IV choice, made by a
+    /// scan that skips the peers that cannot win (see `score_best`).
     #[default]
     Exact,
     /// Score only a candidate index: the `k` delay-nearest peers (from
@@ -412,12 +412,12 @@ fn walk_best(
         if round.blocks[k].bound(me, c_lo) < floor {
             continue;
         }
-        let at = k * SCORE_BLOCK;
-        let ids = &round.order[at..round.order.len().min(at + SCORE_BLOCK)];
+        let from = k * SCORE_BLOCK;
+        let ids = &round.order[from..round.order.len().min(from + SCORE_BLOCK)];
         let scores = &mut scores[..ids.len()];
         score(Candidates::List(ids), scores);
         for (&j, &s) in ids.iter().zip(&*scores) {
-            if best.is_none_or(|(at, b)| s > b || (s == b && j < at)) {
+            if best.is_none_or(|(bj, b)| s > b || (s == b && j < bj)) {
                 best = Some((j, s));
             }
         }
@@ -1434,7 +1434,7 @@ impl CoordinatorMachine {
         let loads = Arc::new(self.loads.clone());
         let hot = match self.options.node.select {
             SelectPolicy::Exact => {
-                self.round_blocks = None; // the last round's order goes first
+                self.round_blocks = None; // free the last round's order first
                 let round = RoundBlocks::new(self.instance.speeds(), Arc::clone(&loads), &skip);
                 self.round_blocks = Some(round);
                 Vec::new()
