@@ -66,3 +66,45 @@ fn exact_scan_records_are_pinned() {
         assert_eq!(got, (iterations, hash), "{text}");
     }
 }
+
+/// The top-k round-start scan on the inputs that shape its candidate
+/// slate: a homogeneous wheel that wraps (ids ≥ 968 at k = 32), the
+/// stored delay-nearest row of a dense PlanetLab net, Euclidean rows with
+/// crashed peers, suspects in the skip list, and `k ≥ m − 1`, where the
+/// slate is every peer. Pinned like [`exact_scan_records_are_pinned`].
+#[test]
+fn topk_scan_records_are_pinned() {
+    let cases = [
+        (
+            "net=homog m=1000 seed=1 select=topk:32",
+            12,
+            0xc78f_9b49_60e8_270f,
+        ),
+        (
+            "net=pl m=300 seed=2 select=topk:8",
+            12,
+            0x57a0_d924_4290_8ff9,
+        ),
+        (
+            "net=euclid m=600 seed=3 select=topk:16 faults=crash:0.1@5ms",
+            12,
+            0xd84d_9988_3c81_cea2,
+        ),
+        (
+            "net=homog m=500 seed=4 select=topk:8 detect=timeout:50ms faults=crash:0.2@20ms..200ms",
+            12,
+            0xf968_8ab9_5e74_4090,
+        ),
+        (
+            "net=homog m=40 seed=5 select=topk:64",
+            12,
+            0x2d76_4ea3_a7c3_3929,
+        ),
+    ];
+    for (scenario, iterations, hash) in cases {
+        let text = format!("algo=protocol budget=12 patience=12 {scenario}");
+        let record = text.parse::<ScenarioSpec>().unwrap().run();
+        let got = (record.iterations, history_hash(&record.history));
+        assert_eq!(got, (iterations, hash), "{text}");
+    }
+}
