@@ -16,7 +16,7 @@
 //! each over [`par_map_shards`], and no workspace code calls them: the
 //! perf ledger's `layers` binary still times them
 //! (`par.map_slice_dispatch_us`, `par.map_mut_dispatch_us`), and they
-//! go when it stops (ROADMAP item 2).
+//! go when it stops (ROADMAP item 6).
 //!
 //! Fan-out is one level deep. The propose map and the executor's shard
 //! drain are this crate's only callers in the workspace, and neither

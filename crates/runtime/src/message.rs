@@ -57,7 +57,7 @@ pub enum Frame {
     /// The per-block load summaries that let `select=exact` skip peers
     /// are the round's, not the node's, and belong here; but the perf
     /// ledger (`benchmark/`) builds against this variant as it is, so
-    /// until its pinned API thaws (ROADMAP item 2) they travel beside
+    /// until its pinned API thaws (ROADMAP item 6) they travel beside
     /// the frame: the coordinator computes them once per round and the
     /// executor lends them to every node it drains.
     RoundStart {
@@ -71,7 +71,7 @@ pub enum Frame {
         /// ascending by id.
         excluded: Vec<u32>,
         /// Unread, and always 0: kept only because the perf ledger
-        /// builds this variant; it goes at the thaw (ROADMAP item 2).
+        /// builds this variant; it goes at the thaw (ROADMAP item 6).
         epoch: u64,
         /// The round's gossiped hot set (most over-/under-loaded live
         /// nodes), sorted ascending by id; empty under exact

@@ -35,7 +35,7 @@ pub mod nearest;
 pub mod planetlab;
 pub mod restricted;
 
-pub use nearest::k_nearest_row;
+pub use nearest::{k_nearest_row, k_nearest_wheel};
 pub use restricted::{out_degree, restrict_to_k_nearest, restrict_to_neighbors};
 
 #[cfg(test)]

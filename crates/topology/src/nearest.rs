@@ -11,32 +11,24 @@
 //! merges are order-independent regardless of thread count.
 
 use dlb_core::LatencyMatrix;
+use std::ops::Range;
 
 /// The `k` delay-nearest peers of node `i` (excluding `i` itself and
 /// unreachable peers with infinite latency), as a list of node ids
 /// **sorted ascending by id**. Returns fewer than `k` ids when fewer
 /// reachable peers exist. Ties on latency break toward the smaller id.
 ///
-/// On a homogeneous matrix every peer is equidistant, so the tie-break
-/// alone would always pick ids `0..k` — a degenerate star around the
-/// low ids. Instead the homogeneous fast path picks the `k` *wheel
-/// successors* `i+1, …, i+k (mod m)`: equally valid under the metric,
-/// O(k) to build, and spreading candidate edges evenly so every node
-/// appears in ~k candidate sets.
+/// On a finite homogeneous matrix the list is [`k_nearest_wheel`]'s.
 pub fn k_nearest_row(lat: &LatencyMatrix, i: usize, k: usize) -> Vec<u32> {
     let m = lat.len();
     assert!(i < m, "node {i} out of range for {m} nodes");
+    if let Some([wrapped, ahead]) = k_nearest_wheel(lat, i, k) {
+        return wrapped.chain(ahead).collect();
+    }
     if k == 0 || m <= 1 {
         return Vec::new();
     }
     let k = k.min(m - 1);
-    if let Some(c) = lat.homogeneous_value() {
-        if c.is_finite() {
-            let mut ids: Vec<u32> = (1..=k).map(|d| ((i + d) % m) as u32).collect();
-            ids.sort_unstable();
-            return ids;
-        }
-    }
     let mut ranked: Vec<(f64, u32)> = (0..m)
         .filter(|&j| j != i)
         .map(|j| (lat.get(i, j), j as u32))
@@ -49,6 +41,24 @@ pub fn k_nearest_row(lat: &LatencyMatrix, i: usize, k: usize) -> Vec<u32> {
     let mut ids: Vec<u32> = ranked.into_iter().map(|(_, j)| j).collect();
     ids.sort_unstable();
     ids
+}
+
+/// The homogeneous fast path of [`k_nearest_row`], or `None` unless every
+/// latency of `lat` is one finite value. Every peer is then equidistant,
+/// so the tie-break alone would always pick ids `0..k` — a degenerate
+/// star around the low ids. Instead node `i` takes its `k` *wheel
+/// successors* `i+1, …, i+k (mod m)`: equally valid under the metric,
+/// and spreading candidate edges evenly so every node appears in ~k
+/// candidate sets. They are returned as two ascending id ranges, the
+/// wrapped one (`0..=i+k−m`, empty unless the wheel wraps) first, so a
+/// caller can walk them in id order without storing them.
+pub fn k_nearest_wheel(lat: &LatencyMatrix, i: usize, k: usize) -> Option<[Range<u32>; 2]> {
+    let m = lat.len();
+    assert!(i < m, "node {i} out of range for {m} nodes");
+    lat.homogeneous_value().filter(|c| c.is_finite())?;
+    let end = i + 1 + k.min(m.saturating_sub(1));
+    let wrapped = end.saturating_sub(m) as u32;
+    Some([0..wrapped, (i + 1) as u32..end.min(m) as u32])
 }
 
 #[cfg(test)]
@@ -83,6 +93,21 @@ mod tests {
         assert_eq!(k_nearest_row(&lat, 4, 3), vec![0, 1, 5]);
         // wraps: successors of 5 are 0,1
         assert_eq!(k_nearest_row(&lat, 5, 2), vec![0, 1]);
+    }
+
+    #[test]
+    fn wheel_is_two_ascending_ranges() {
+        let lat = LatencyMatrix::homogeneous(6, 20.0);
+        assert_eq!(k_nearest_wheel(&lat, 1, 3), Some([0..0, 2..5]));
+        assert_eq!(k_nearest_wheel(&lat, 4, 3), Some([0..2, 5..6]));
+        assert_eq!(k_nearest_wheel(&lat, 5, 9), Some([0..5, 6..6]));
+        assert_eq!(k_nearest_wheel(&lat, 2, 0), Some([0..0, 3..3]));
+        let single = LatencyMatrix::homogeneous(1, 20.0);
+        assert_eq!(k_nearest_wheel(&single, 0, 5), Some([0..0, 1..1]));
+        let unreachable = LatencyMatrix::homogeneous(6, f64::INFINITY);
+        assert_eq!(k_nearest_wheel(&unreachable, 0, 2), None);
+        assert!(k_nearest_row(&unreachable, 0, 2).is_empty());
+        assert_eq!(k_nearest_wheel(&line_matrix(6), 0, 2), None);
     }
 
     #[test]
