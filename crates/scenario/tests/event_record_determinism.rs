@@ -40,7 +40,9 @@ fn history_hash(history: &[f64]) -> u64 {
 
 /// The exact round-start scan on the inputs that shape it: a flat
 /// homogeneous net, dense PlanetLab and Euclidean rows, crashed peers
-/// that leave the round's live set, and suspects in the skip list.
+/// that leave the round's live set, suspects in the skip list, and
+/// wild lanes (`avg=1e100 load=peak` puts loads above the tame range,
+/// so every node scores every peer in id order without bounds).
 /// Each run pins its iteration count and the bits of its cost history,
 /// so a scan that picks one different partner in one round fails here.
 #[test]
@@ -57,6 +59,16 @@ fn exact_scan_records_are_pinned() {
             "net=homog m=500 seed=4 detect=timeout:50ms faults=crash:0.2@20ms..200ms",
             12,
             0x56cc_25d1_6aab_0833,
+        ),
+        (
+            "net=homog m=97 seed=5 avg=1e100 load=peak",
+            12,
+            0x37bb_9f3b_dc96_c9ac,
+        ),
+        (
+            "net=pl m=300 seed=2 avg=1e100 load=peak faults=crash:0.1@5ms",
+            12,
+            0xb841_86ff_e6cc_011a,
         ),
     ];
     for (scenario, iterations, hash) in cases {

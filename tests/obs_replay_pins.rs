@@ -123,3 +123,72 @@ fn summary_and_frame_log_runs_report_the_same_obs_group() {
     assert_eq!(summary_run.obs, frames_run.obs);
     assert_eq!(summary_run.history, frames_run.history);
 }
+
+/// FNV-1a-64 over a traced event stream: each event's kind, `at_ms`
+/// bits, node, peer, round, tag and `detail` bits, little-endian.
+fn trace_hash(events: &[TraceEvent]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+    let mut feed = |bytes: &[u8]| {
+        for &byte in bytes {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for ev in events {
+        feed(&[ev.kind as u8]);
+        feed(&ev.at_ms.to_bits().to_le_bytes());
+        feed(&ev.node.to_le_bytes());
+        feed(&ev.peer.to_le_bytes());
+        feed(&ev.round.to_le_bytes());
+        feed(&[ev.tag]);
+        feed(&ev.detail.to_bits().to_le_bytes());
+    }
+    hash
+}
+
+/// The order in which the executor traces `DetectorSuspect` and
+/// `DetectorRejoin` against the rest of the run: the replay tests
+/// above prove a log is self-consistent, these pin it to history. An
+/// adaptive detector under crashes and a partition, and a timeout
+/// detector under crash churn with a top-k slate.
+#[test]
+fn detector_trace_streams_are_pinned() {
+    let cases = [
+        (
+            "algo=protocol m=300 seed=3 detect=adaptive faults=crash:0.2@1ms..40ms,part:5ms..30ms",
+            0x4fd2_eebe_2b89_fb06_u64,
+        ),
+        (
+            "algo=protocol net=pl m=400 seed=4 select=topk:8 detect=timeout:30ms faults=crash:0.3@1ms..20ms",
+            0x3260_557d_e4da_6bfb,
+        ),
+    ];
+    for (i, (text, golden)) in cases.into_iter().enumerate() {
+        let path = std::env::temp_dir().join(format!("dlb_obs_detector_pin_{i}.dlbf"));
+        let spec: ScenarioSpec = format!("{text} trace=frames:{}", path.display())
+            .parse()
+            .expect("pinned scenario parses");
+        spec.run();
+        let bytes = std::fs::read(&path).expect("frame log written");
+        std::fs::remove_file(&path).ok();
+        let log = FrameLog::decode(&bytes).expect("frame log decodes");
+        let suspects = log
+            .events
+            .iter()
+            .filter(|ev| ev.kind == TraceKind::DetectorSuspect)
+            .count();
+        let rejoins = log
+            .events
+            .iter()
+            .filter(|ev| ev.kind == TraceKind::DetectorRejoin)
+            .count();
+        assert!(
+            suspects > 0 && rejoins > 0,
+            "{text}: {suspects} suspicions, {rejoins} rejoins"
+        );
+        assert_eq!(
+            trace_hash(&log.events),
+            golden,
+            "{text}: traced stream drifted"
+        );
+    }
+}
