@@ -127,9 +127,10 @@ pub fn partner_score(instance: &Instance, loads: &[f64], i: usize, j: usize) -> 
 #[derive(Debug, Clone)]
 pub enum Candidates<'a> {
     /// The contiguous ids `start..end`: speeds, loads and the latency
-    /// row are read in place as slices.
+    /// row are read in place as slices (the engine's pre-rank).
     Range(Range<usize>),
-    /// An arbitrary id list (a nearest-`k` ∪ hot-set index): one
+    /// An arbitrary id list (every block the runtime's round-start scans
+    /// score: a load-order block, or one gathered from an id stream): one
     /// indexed read per lane, the same branch-free arithmetic.
     List(&'a [u32]),
 }

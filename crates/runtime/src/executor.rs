@@ -570,41 +570,31 @@ impl Detector {
         if cur == self.suspects {
             return;
         }
-        // Sorted symmetric diff: ids only in `cur` are fresh
-        // suspicions, ids only in `prev` rejoined (probation
-        // readmission or recovery).
+        // Over the union of both sorted lists, ascending: ids only in
+        // `cur` are fresh suspicions, ids only in `prev` rejoined
+        // (probation readmission or recovery).
         let prev = std::mem::replace(&mut self.suspects, cur);
-        let cur = &self.suspects;
-        let (mut ci, mut pi) = (0usize, 0usize);
-        while ci < cur.len() || pi < prev.len() {
-            let both = ci < cur.len() && pi < prev.len() && cur[ci] == prev[pi];
-            let fresh = pi >= prev.len() || (ci < cur.len() && cur[ci] < prev[pi]);
-            if both {
-                ci += 1;
-                pi += 1;
-            } else if fresh {
-                // Newly suspected while the script says it is down: a
-                // true positive, and its detection latency runs from
-                // the scripted crash instant.
-                let s = cur[ci];
-                let mut latency = 0.0f64;
-                if fabric.script.node_down(s as usize, now) {
-                    latency = now - fabric.script.crash_time(s as usize);
-                    self.true_positives += 1;
-                    self.latency_sum_ms += latency;
+        let mut ids = [prev.as_slice(), &self.suspects].concat();
+        ids.sort_unstable();
+        ids.dedup();
+        for s in ids {
+            match (prev.binary_search(&s), self.suspects.binary_search(&s)) {
+                (Err(_), Ok(_)) => {
+                    // Newly suspected while the script says it is down:
+                    // a true positive, and its detection latency runs
+                    // from the scripted crash instant.
+                    let mut latency = 0.0f64;
+                    if fabric.script.node_down(s as usize, now) {
+                        latency = now - fabric.script.crash_time(s as usize);
+                        self.true_positives += 1;
+                        self.latency_sum_ms += latency;
+                    }
+                    fabric.trace(TraceKind::DetectorSuspect, s, NODE_COORD, round, 0, latency);
                 }
-                fabric.trace(TraceKind::DetectorSuspect, s, NODE_COORD, round, 0, latency);
-                ci += 1;
-            } else {
-                fabric.trace(
-                    TraceKind::DetectorRejoin,
-                    prev[pi],
-                    NODE_COORD,
-                    round,
-                    0,
-                    0.0,
-                );
-                pi += 1;
+                (Ok(_), Err(_)) => {
+                    fabric.trace(TraceKind::DetectorRejoin, s, NODE_COORD, round, 0, 0.0);
+                }
+                _ => {}
             }
         }
     }

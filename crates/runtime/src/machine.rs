@@ -73,7 +73,6 @@ use dlb_distributed::transfer::calc_best_transfer;
 use dlb_topology::{k_nearest_row, k_nearest_wheel};
 use std::collections::VecDeque;
 use std::iter::{from_fn, zip};
-use std::ops::Range;
 use std::sync::Arc;
 
 use crate::cluster::{ClusterOptions, ClusterReport, DetectMode, DetectorSummary};
@@ -207,49 +206,23 @@ fn local_cost(id: u32, instance: &Instance, ledger: &SparseVec) -> f64 {
     })
 }
 
-/// Keep-first arg-max of one round-start scan over the peers that are
-/// neither `id` nor in `excluded`. Peers must be offered in ascending
-/// id order — that is what makes keep-first the lowest-id tie-break of
-/// the exact scan, and what lets the sorted `excluded` list be skipped
-/// by a merge walk (one cursor for the whole scan) instead of a binary
-/// search per peer.
-struct BestPeer<'a> {
-    id: u32,
-    excluded: &'a [u32],
-    best: Option<(u32, f64)>,
+/// The one tie rule of every round-start scan: whether peer `j`,
+/// scoring `s`, displaces `best`. The higher score wins, the lower id on
+/// a tie. A NaN on either side fails both comparisons and displaces, so
+/// on an ascending id stream this is the keep-first fold of the exact
+/// scan; a tame lane never scores NaN.
+fn keep(best: Option<(u32, f64)>, j: u32, s: f64) -> bool {
+    !best.is_some_and(|(bj, b)| s < b || (s == b && j >= bj))
 }
 
-impl<'a> BestPeer<'a> {
-    fn new(id: u32, excluded: &'a [u32]) -> Self {
-        debug_assert!(excluded.windows(2).all(|w| w[0] < w[1]), "excluded sorted");
-        Self {
-            id,
-            excluded,
-            best: None,
-        }
-    }
+/// The peer of `best`, if its score is above [`SCORE_FLOOR`].
+fn pick(best: Option<(u32, f64)>) -> Option<u32> {
+    best.filter(|&(_, s)| s > SCORE_FLOOR).map(|(j, _)| j)
+}
 
-    /// The best peer folded in, if above [`SCORE_FLOOR`].
-    fn pick(self) -> Option<u32> {
-        self.best.filter(|&(_, s)| s > SCORE_FLOOR).map(|(j, _)| j)
-    }
-
-    /// Folds in one scored block. Generic over the id iterator so a
-    /// contiguous block and an id list each get their own tight loop.
-    fn offer(&mut self, peers: impl Iterator<Item = u32>, scores: &[f64]) {
-        for (j, &score) in peers.zip(scores) {
-            while self.excluded.first().is_some_and(|&e| e < j) {
-                self.excluded = &self.excluded[1..];
-            }
-            if j == self.id || self.excluded.first() == Some(&j) {
-                continue;
-            }
-            match self.best {
-                Some((_, b)) if score <= b => {}
-                _ => self.best = Some((j, score)),
-            }
-        }
-    }
+/// The ids `0..m` not in the sorted `skip`, ascending.
+fn live_ids(m: usize, skip: &[u32]) -> impl Iterator<Item = u32> + '_ {
+    (0..m as u32).filter(|j| skip.binary_search(j).is_err())
 }
 
 /// The largest load and speed, and the inverse of the smallest speed,
@@ -344,9 +317,7 @@ pub(crate) struct RoundBlocks {
 impl RoundBlocks {
     fn new(speeds: &[f64], loads: Arc<Vec<f64>>, excluded: &[u32]) -> Self {
         let lane = |j: u32| BlockSummary::lane(loads[j as usize], speeds[j as usize]);
-        let mut order: Vec<u32> = (0..loads.len() as u32)
-            .filter(|j| excluded.binary_search(j).is_err())
-            .collect();
+        let mut order: Vec<u32> = live_ids(loads.len(), excluded).collect();
         order.sort_unstable_by(|&a, &b| lane(a).min_r.total_cmp(&lane(b).min_r).then(a.cmp(&b)));
         let summary = |ids: &[u32]| ids.iter().map(|&j| lane(j)).reduce(BlockSummary::join);
         let blocks: Vec<BlockSummary> = order.chunks(SCORE_BLOCK).flat_map(summary).collect();
@@ -362,46 +333,37 @@ impl RoundBlocks {
     }
 }
 
-/// Scores the peers of `range` (`excluded` sorted ascending: see
-/// [`BestPeer`]) with `score`, one contiguous block of [`SCORE_BLOCK`]
-/// peers at a time — no allocation, nothing kept between calls — and
-/// returns the keep-first best peer above the floor.
-fn scan_best(
-    id: u32,
-    excluded: &[u32],
-    range: Range<usize>,
-    mut score: impl FnMut(Candidates<'_>, &mut [f64]),
-) -> Option<u32> {
-    let mut scores = [0.0; SCORE_BLOCK];
-    let mut scan = BestPeer::new(id, excluded);
-    for start in range.clone().step_by(SCORE_BLOCK) {
-        let end = range.end.min(start + SCORE_BLOCK);
-        let scores = &mut scores[..end - start];
-        score(Candidates::Range(start..end), scores);
-        scan.offer(start as u32..end as u32, scores);
-    }
-    scan.pick()
-}
-
-/// [`scan_best`] over a [`slate`]: its ids go into a stack block of
+/// Node `id`'s best peer in the ascending id stream `ids`, `id` and the
+/// sorted `excluded` left out. The ids go into a stack block of
 /// [`SCORE_BLOCK`] as they stream, and each full block (and the last,
-/// ragged one) is scored as a list — nothing outlives the call.
-fn scan_slate(
+/// ragged one) is scored as a list and folded through [`keep`]: nothing
+/// outlives the call. `id` and `excluded` are skipped after scoring, by
+/// one merge cursor for the whole scan; filtering the stream before it
+/// is gathered cost more than the lanes it saved.
+fn scan(
     id: u32,
-    excluded: &[u32],
-    mut slate: impl Iterator<Item = u32>,
+    mut excluded: &[u32],
+    mut ids: impl Iterator<Item = u32>,
     mut score: impl FnMut(Candidates<'_>, &mut [f64]),
 ) -> Option<u32> {
-    let (mut ids, mut scores) = ([0; SCORE_BLOCK], [0.0; SCORE_BLOCK]);
-    let mut scan = BestPeer::new(id, excluded);
+    debug_assert!(excluded.windows(2).all(|w| w[0] < w[1]), "excluded sorted");
+    let (mut block, mut scores) = ([0; SCORE_BLOCK], [0.0; SCORE_BLOCK]);
+    let mut best = None;
     loop {
-        let n = zip(&mut ids, &mut slate).map(|(at, j)| *at = j).count();
+        let n = zip(&mut block, &mut ids).map(|(at, j)| *at = j).count();
         if n == 0 {
-            return scan.pick();
+            return pick(best);
         }
-        let (ids, scores) = (&ids[..n], &mut scores[..n]);
-        score(Candidates::List(ids), scores);
-        scan.offer(ids.iter().copied(), scores);
+        let (block, scores) = (&block[..n], &mut scores[..n]);
+        score(Candidates::List(block), scores);
+        for (&j, &s) in zip(block, &*scores) {
+            while excluded.first().is_some_and(|&e| e < j) {
+                excluded = &excluded[1..];
+            }
+            if j != id && excluded.first() != Some(&j) && keep(best, j, s) {
+                best = Some((j, s));
+            }
+        }
     }
 }
 
@@ -410,7 +372,7 @@ fn scan_slate(
 /// the low end, its pull term at the high end, at the round's largest
 /// speed) first, until both are below the floor `max(best, SCORE_FLOOR)`.
 /// A block is scored only if its [`BlockSummary::bound`] reaches the
-/// floor. The best is the highest score, the lowest id on ties.
+/// floor. Peers are folded through [`keep`].
 fn walk_best(
     me: &BlockSummary,
     c_lo: f64,
@@ -442,23 +404,22 @@ fn walk_best(
         let ids = &round.order[from..round.order.len().min(from + SCORE_BLOCK)];
         let scores = &mut scores[..ids.len()];
         score(Candidates::List(ids), scores);
-        for (&j, &s) in ids.iter().zip(&*scores) {
-            if best.is_none_or(|(bj, b)| s > b || (s == b && j < bj)) {
+        for (&j, &s) in zip(ids, &*scores) {
+            if keep(best, j, s) {
                 best = Some((j, s));
             }
         }
     }
-    best.filter(|&(_, s)| s > SCORE_FLOOR).map(|(j, _)| j)
+    pick(best)
 }
 
 /// Node `id`'s best partner by the batch kernel on the gossiped `loads`,
 /// all a node knows locally: under `select=exact`, the inner loop of a
 /// round. With `round` — the lent [`RoundBlocks`] of these `loads` and
 /// `excluded` — and every live lane tame, [`walk_best`] walks the peers
-/// in load order; otherwise [`scan_best`] scores every peer in id
-/// order. Both return the lowest id of the highest score, if above
-/// [`SCORE_FLOOR`]: keep-first in id order is that rule wherever no
-/// score is NaN, and a tame lane's score never is.
+/// in load order; otherwise [`scan`] scores every peer in id order,
+/// without bounds. Both fold the peers through [`keep`], so both return
+/// the lowest id of the highest score, if above [`SCORE_FLOOR`].
 ///
 /// **The bound** (derived in `dlb_distributed::mine`'s module doc): for
 /// node `i` and a block `B`, every score is at most
@@ -516,55 +477,30 @@ fn score_best(
             let c_lo = instance.latency().homogeneous_value().unwrap_or(0.0);
             walk_best(&me, c_lo, round, score)
         }
-        _ => scan_best(id, excluded, 0..instance.len(), score),
+        _ => scan(id, excluded, 0..instance.len() as u32, score),
     }
 }
 
 /// Deterministic audit rotation: visits every live peer once per
-/// `m − 1` rounds. Allocation-free: instead of materializing the
-/// candidate list, the rotation index is mapped to the `idx`-th live
-/// peer by a gap walk over the sorted removed ids (`excluded ∪ {id}`),
-/// which runs every round for every quiet node. `excluded` must be
-/// sorted ascending.
+/// `m − 1` rounds, allocation-free. The rotation index is the candidate,
+/// and each removed id (`excluded ∪ {id}`, walked in ascending order) at
+/// or below it bumps it by one, which makes it the index-th live peer.
+/// `excluded` must be sorted ascending.
 fn audit_target(id: u32, m: usize, round: u64, excluded: &[u32]) -> Option<u32> {
     debug_assert!(excluded.windows(2).all(|w| w[0] < w[1]), "excluded sorted");
-    let removed = excluded.len() + usize::from(excluded.binary_search(&id).is_err());
-    let count = (m - removed.min(m)) as u64;
-    if count == 0 {
-        return None;
-    }
-    let mut candidate = (round % count) as u32;
-    // Walk the removed ids in ascending order (excluded merged with
-    // {id} on the fly): each removed id at or below the running
-    // candidate shifts it up by one.
-    let mut idx = 0usize;
-    let mut self_pending = true;
-    loop {
-        let next = match (excluded.get(idx).copied(), self_pending) {
-            (Some(e), true) if id <= e => {
-                self_pending = false;
-                if id == e {
-                    idx += 1;
-                }
-                id
-            }
-            (Some(e), _) => {
-                idx += 1;
-                e
-            }
-            (None, true) => {
-                self_pending = false;
-                id
-            }
-            (None, false) => break,
-        };
-        if next <= candidate {
-            candidate += 1;
-        } else {
-            break;
-        }
-    }
-    Some(candidate)
+    let (at, own) = match excluded.binary_search(&id) {
+        Ok(at) => (at, None),
+        Err(at) => (at, Some(id)),
+    };
+    let count = m.checked_sub(excluded.len() + usize::from(own.is_some()));
+    let count = count.filter(|&n| n > 0)? as u64;
+    let (below, above) = excluded.split_at(at);
+    let removed = below
+        .iter()
+        .copied()
+        .chain(own)
+        .chain(above.iter().copied());
+    Some(removed.fold((round % count) as u32, |c, r| c + u32::from(r <= c)))
 }
 
 /// Node `id`'s [`SelectPolicy::TopK`] candidates for one round: its `k`
@@ -940,7 +876,7 @@ impl NodeMachine {
                 SelectPolicy::TopK(k) => {
                     let (instance, i) = (&self.instance, self.id as usize);
                     let slate = slate(self.id, instance.latency(), k, &mut self.nearest, hot);
-                    scan_slate(self.id, excluded, slate, |block, out| {
+                    scan(self.id, excluded, slate, |block, out| {
                         partner_scores(instance, loads, i, block, out);
                     })
                 }
@@ -1472,9 +1408,7 @@ impl CoordinatorMachine {
     /// ascending, so the set is identical for every thread count.
     fn build_hot(&self, excluded: &[u32], k: u32) -> Vec<u32> {
         let h = (k as usize / 2).max(1);
-        let mut live: Vec<u32> = (0..self.len() as u32)
-            .filter(|j| excluded.binary_search(j).is_err())
-            .collect();
+        let mut live: Vec<u32> = live_ids(self.len(), excluded).collect();
         if live.len() <= 2 * h {
             return live;
         }
@@ -1503,22 +1437,10 @@ impl CoordinatorMachine {
 
     /// Queues `frame` for every node not in the sorted `skip` list.
     fn broadcast_except(&self, skip: &[u32], frame: Arc<Frame>, out: &mut Vec<Outbound>) {
-        let mut idx = 0usize;
-        out.extend(
-            (0..self.len() as u32)
-                .filter(|&j| {
-                    if skip.get(idx) == Some(&j) {
-                        idx += 1;
-                        false
-                    } else {
-                        true
-                    }
-                })
-                .map(|j| Outbound {
-                    to: Dest::Node(j),
-                    frame: Arc::clone(&frame),
-                }),
-        );
+        out.extend(live_ids(self.len(), skip).map(|j| Outbound {
+            to: Dest::Node(j),
+            frame: Arc::clone(&frame),
+        }));
     }
 
     /// Consumes one control-plane frame that arrived at virtual time
@@ -1873,6 +1795,41 @@ mod tests {
         }
     }
 
+    /// The audit rotation against the materialized one, at every scale.
+    mod audit_proptests {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// `excluded` sparse, dense or every peer, holding `id` or
+            /// not, and `round` anywhere in `u64`.
+            #[test]
+            fn prop_audit_target_is_the_materialized_rotation(
+                m in 1usize..=300,
+                seed in any::<u64>(),
+                round in any::<u64>(),
+            ) {
+                let mut rng = rng_for(seed, 47);
+                let id = rng.gen_range(0..m) as u32;
+                let one_in = [1, 2, 10, 100][rng.gen_range(0..4usize)];
+                let with_id = rng.gen_range(0..2) == 0;
+                let excluded: Vec<u32> = (0..m as u32)
+                    .filter(|&j| if j == id { with_id } else { rng.gen_range(0..one_in) == 0 })
+                    .collect();
+                let live: Vec<u32> = (0..m as u32)
+                    .filter(|&j| j != id && !excluded.contains(&j))
+                    .collect();
+                let want = match live.len() as u64 {
+                    0 => None,
+                    n => Some(live[(round % n) as usize]),
+                };
+                prop_assert_eq!(audit_target(id, m, round, &excluded), want);
+            }
+        }
+    }
+
     /// Node `id`'s [`slate`] as a list, with `nearest` kept across calls.
     fn streamed(
         id: u32,
@@ -1948,7 +1905,7 @@ mod tests {
     ) -> Option<u32> {
         let mut nearest = None;
         let slate = slate(id, instance.latency(), k, &mut nearest, hot);
-        scan_slate(id, excluded, slate, |block, out| {
+        scan(id, excluded, slate, |block, out| {
             partner_scores(instance, loads, id as usize, block, out);
         })
     }
@@ -2054,7 +2011,7 @@ mod tests {
         );
     }
 
-    /// The id-order scan's merge walk against keep-first by lookup, on
+    /// The id-stream scan's merge walk against keep-first by lookup, on
     /// score blocks no instance produces: ties, `±0.0`, `−∞` and NaN, with
     /// excluded ids before, inside and after each block.
     mod scan_proptests {
@@ -2127,9 +2084,11 @@ mod tests {
                             | (excluded_one_in > 0 && rng.gen_range(0..excluded_one_in) == 0)
                     })
                     .collect();
-                let got = scan_best(id, &excluded, start..m, |block, out| {
-                    let Candidates::Range(range) = block else { unreachable!("a Range scan") };
-                    out.copy_from_slice(&scores[range]);
+                let got = scan(id, &excluded, start as u32..m as u32, |block, out| {
+                    let Candidates::List(ids) = block else { unreachable!("a List scan") };
+                    for (out, &j) in zip(out, ids) {
+                        *out = scores[j as usize];
+                    }
                 });
                 prop_assert_eq!(got, keep_first(id, start..m, &scores, &excluded));
             }
