@@ -973,6 +973,45 @@ mod tests {
     }
 
     #[test]
+    fn a_traced_cold_start_is_pinned() {
+        // Every `gossip_delta`/`gossip_full` event of an m = 100 cold
+        // start (kind, instant, receiver, sender, shard and entry
+        // count) and the completion instant, folded into one FNV-1a-64:
+        // a frame path that meters, ships or merges one entry
+        // differently moves a detail, an instant or the finish.
+        use dlb_obs::MemorySink;
+        let loads: Vec<f64> = (0..100).map(|i| (i * 5 % 13) as f64).collect();
+        let delays = |i: usize, j: usize| 2.0 + ((i + 3 * j) % 5) as f64;
+        let mut net = DeltaGossip::new(&loads, 11, cfg());
+        let mut sink = MemorySink::default();
+        let (complete, at) = net.run_until_complete_observed(60_000.0, delays, &mut sink);
+        assert!(complete);
+        let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+        let mut fold = |bytes: &[u8]| {
+            for &b in bytes {
+                hash = (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for e in &sink.events {
+            assert!(matches!(
+                e.kind,
+                TraceKind::GossipDelta | TraceKind::GossipFull
+            ));
+            fold(&[e.kind as u8]);
+            fold(&e.at_ms.to_bits().to_le_bytes());
+            fold(&e.node.to_le_bytes());
+            fold(&e.peer.to_le_bytes());
+            fold(&e.round.to_le_bytes());
+            fold(&e.detail.to_bits().to_le_bytes());
+        }
+        fold(&at.to_bits().to_le_bytes());
+        assert_eq!(
+            (sink.events.len(), at, hash),
+            (2353, 605.0, 0xa2a5_b4c9_7d9b_4ea8)
+        );
+    }
+
+    #[test]
     fn every_frame_of_a_churny_run_equals_the_reference_builders() {
         // In test builds `build_frame` hands every frame it puts on
         // the wire to `assert_matches_reference`: same bytes as

@@ -90,3 +90,62 @@ fn gossip_fed_records_are_bit_identical_across_thread_counts() {
     assert!(records[0].converged);
     assert!(!records[0].gossip.is_quiet());
 }
+
+/// FNV-1a-64 over the bits of a cost history, eight bytes per entry.
+fn history_hash(history: &[f64]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+    for byte in history.iter().flat_map(|c| c.to_bits().to_le_bytes()) {
+        hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+    }
+    hash
+}
+
+/// Gossip-fed engine runs on the shapes the frame path sees: the
+/// `engine_gossip_pl_m500` ledger workload's own scenario (108
+/// iterations of six seconds' budget), the same net at another seed,
+/// a sequential sweep on a Euclidean net gossiping twice as often, and
+/// a wide homogeneous net. Each pins its iteration count, the bits of
+/// its cost history and the metered gossip traffic, so a frame that
+/// ships, meters or merges one entry differently fails here.
+#[test]
+fn gossip_records_are_pinned() {
+    let cases = [
+        (
+            "algo=batched net=pl m=500 gossip=event:100ms patience=108 budget=108 seed=1",
+            108,
+            0x8255_1949_b109_2810,
+            (972_500, 2_000_534_480, 485_905),
+        ),
+        (
+            "algo=batched net=pl m=500 gossip=event:100ms budget=30 seed=7",
+            30,
+            0x88ef_f39e_803b_7ca2,
+            (270_500, 820_626_160, 134_895),
+        ),
+        (
+            "algo=sequential net=euclid m=450 gossip=event:50ms budget=20 seed=3",
+            20,
+            0x96ed_5fc6_b791_3a96,
+            (162_450, 521_843_900, 80_831),
+        ),
+        (
+            "algo=batched net=homog m=700 gossip=event:100ms budget=15 seed=2",
+            15,
+            0xffad_8d13_6ebf_f9f8,
+            (210_700, 447_621_980, 105_000),
+        ),
+    ];
+    for (text, iterations, hash, traffic) in cases {
+        let record = text.parse::<ScenarioSpec>().unwrap().run();
+        let got = (
+            record.iterations,
+            history_hash(&record.history),
+            (
+                record.gossip.frames,
+                record.gossip.bytes,
+                record.gossip.exchanges,
+            ),
+        );
+        assert_eq!(got, (iterations, hash, traffic), "{text}");
+    }
+}
