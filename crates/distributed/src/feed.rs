@@ -19,8 +19,11 @@
 //! what [`GossipFeed::views`] lends out is the state as of the last
 //! step without a second m×m copy. They are therefore genuinely
 //! per-server, genuinely stale (a load published this iteration reaches
-//! most nodes a fraction of an iteration later), and every byte that
-//! moved is metered in [`GossipTraffic`].
+//! most nodes a fraction of an iteration later), and every frame the
+//! protocol sends is metered whole in [`GossipTraffic`]. The network
+//! hands each receiver only the entries it holds at an older version —
+//! versions only grow, so the rest would merge as no-ops — which leaves
+//! views and traffic exactly as if every frame had shipped whole.
 //!
 //! The network starts [warm](dlb_gossip::DeltaGossip::warm): the paper
 //! model assumes an initial dissemination round ran before balancing

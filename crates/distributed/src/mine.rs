@@ -186,6 +186,19 @@ pub fn partner_scores(
     out: &mut [f64],
 ) {
     assert_eq!(out.len(), candidates.len(), "one score slot per candidate");
+    // A list that is one ascending run of ids is that range, whose
+    // lanes are read in place rather than gathered one by one (the
+    // runtime's id-order scan over `0..m` hands over such blocks). A
+    // block of any other shape fails the length compare or the walk.
+    let candidates = match candidates {
+        Candidates::List(ids @ &[first, .., last])
+            if (last as usize).wrapping_sub(first as usize) == ids.len() - 1
+                && ids.windows(2).all(|w| w[0] + 1 == w[1]) =>
+        {
+            Candidates::Range(first as usize..last as usize + 1)
+        }
+        other => other,
+    };
     let speeds = instance.speeds();
     let latency = instance.latency();
     let (si, li) = (speeds[i], loads[i]);
@@ -315,6 +328,36 @@ pub struct PartnerScratch {
     scored: Vec<(usize, f64)>,
 }
 
+/// The `keep` best reachable ids of `scores` (id `j` scores
+/// `scores[j]`) into `kept`, by score descending (`total_cmp`), then id
+/// ascending: the order of a stable descending sort of the id-ordered
+/// list, so the ranking matches the sequential pass bit for bit. One
+/// pass keeps `kept` sorted and at most `keep` long; ids arrive
+/// ascending, so a score tying the worst kept one ranks after it and is
+/// dropped. A NaN score cannot panic: at worst it wastes a slot, and
+/// the exact improvement pass rejects it.
+fn keep_best(
+    scores: &[f64],
+    keep: usize,
+    reachable: impl Fn(usize) -> bool,
+    kept: &mut Vec<(usize, f64)>,
+) {
+    kept.clear();
+    for (j, &score) in scores.iter().enumerate() {
+        if !reachable(j) {
+            continue;
+        }
+        if kept.len() == keep {
+            if kept[keep - 1].1.total_cmp(&score).is_ge() {
+                continue;
+            }
+            kept.pop();
+        }
+        let at = kept.partition_point(|&(_, s)| s.total_cmp(&score).is_ge());
+        kept.insert(at, (j, score));
+    }
+}
+
 /// Computes the MinE partner choice without applying it:
 /// `argmax_j impr(id, j)` over the reachable candidates
 /// (`active[j] == false` marks server `j` as failed/partitioned this
@@ -372,25 +415,7 @@ pub fn choose_partner(
             let loads = score_loads.unwrap_or_else(|| a.loads());
             scores.resize(m, 0.0); // every slot is overwritten
             partner_scores(instance, loads, id, Candidates::Range(0..m), scores);
-            scored.clear();
-            scored.extend((0..m).filter(|&j| reachable(j)).map(|j| (j, scores[j])));
-            // Keep the `top_k` best under the total order (score
-            // descending, then id ascending) — exactly the order a
-            // stable descending sort of the id-ordered list gives, so
-            // ties keep index order and the ranking matches the
-            // sequential pass bit for bit — by an O(m) selection plus a
-            // sort of the kept prefix only. `total_cmp` orders every
-            // float, so a pathological NaN score can never panic the
-            // run the way `partial_cmp(..).expect(..)` did — a positive
-            // NaN merely wastes one top-k slot and is then rejected by
-            // the exact improvement pass below.
-            let rank = |x: &(usize, f64), y: &(usize, f64)| y.1.total_cmp(&x.1).then(x.0.cmp(&y.0));
-            let keep = top_k.max(1);
-            if keep < scored.len() {
-                scored.select_nth_unstable_by(keep, rank);
-                scored.truncate(keep);
-            }
-            scored.sort_unstable_by(rank);
+            keep_best(scores, top_k.max(1), reachable, scored);
             candidates.extend(scored.iter().map(|&(j, _)| j));
         }
     }
@@ -869,6 +894,28 @@ mod tests {
         );
     }
 
+    /// The pre-rank `keep_best` replaced: every reachable `(j, score)`
+    /// collected, an O(m) selection of the `keep` best under the rank
+    /// order (score descending by `total_cmp`, then id ascending), then
+    /// a sort of the kept prefix.
+    fn keep_best_by_selection(
+        scores: &[f64],
+        keep: usize,
+        reachable: impl Fn(usize) -> bool,
+    ) -> Vec<(usize, f64)> {
+        let mut scored: Vec<(usize, f64)> = (0..scores.len())
+            .filter(|&j| reachable(j))
+            .map(|j| (j, scores[j]))
+            .collect();
+        let rank = |x: &(usize, f64), y: &(usize, f64)| y.1.total_cmp(&x.1).then(x.0.cmp(&y.0));
+        if keep < scored.len() {
+            scored.select_nth_unstable_by(keep, rank);
+            scored.truncate(keep);
+        }
+        scored.sort_unstable_by(rank);
+        scored
+    }
+
     /// The bit-equality property over random shapes; the fixed grid
     /// above is its deterministic twin.
     mod kernel_proptests {
@@ -888,6 +935,74 @@ mod tests {
             ) {
                 let (instance, loads) = kernel_case(m, net, seed);
                 assert_kernel_matches_everywhere(&instance, &loads, seed);
+            }
+
+            /// A list that is one ascending run of ids scores exactly
+            /// as that range, `i` inside the run or not; the same ids
+            /// with one pair swapped are no run and still score in list
+            /// order, lane for lane with the reference.
+            #[test]
+            fn prop_a_contiguous_list_scores_as_its_range(
+                m in 2usize..150,
+                net in prop_oneof![
+                    Just(Net::Homogeneous),
+                    Just(Net::Dense),
+                    Just(Net::DenseWithHoles)
+                ],
+                seed in any::<u64>(),
+            ) {
+                let (instance, loads) = kernel_case(m, net, seed);
+                let mut rng = rng_for(seed, 37);
+                let (a, b) = (rng.gen_range(0..m), rng.gen_range(0..m));
+                let run = a.min(b)..a.max(b) + 1;
+                let i = rng.gen_range(0..m);
+                let scores = |c: Candidates<'_>| {
+                    let mut out = vec![f64::NAN; c.len()];
+                    partner_scores(&instance, &loads, i, c, &mut out);
+                    out.iter().map(|s| s.to_bits()).collect::<Vec<u64>>()
+                };
+                let mut ids: Vec<u32> = run.clone().map(|j| j as u32).collect();
+                prop_assert_eq!(
+                    scores(Candidates::List(&ids)),
+                    scores(Candidates::Range(run))
+                );
+                if ids.len() > 1 {
+                    let k = rng.gen_range(1..ids.len());
+                    ids.swap(k - 1, k);
+                    assert_kernel_matches(&instance, &loads, i, Candidates::List(&ids));
+                }
+            }
+
+            /// The streaming pre-rank keeps the selection's candidates
+            /// in the selection's order, element for element, on scores
+            /// drawn from a few values (so ties are common) mixed with
+            /// ±0, ±∞ and NaNs of both signs, under a random mask.
+            #[test]
+            fn prop_streaming_top_k_matches_the_selection(
+                m in 1usize..90,
+                seed in any::<u64>(),
+            ) {
+                let mut rng = rng_for(seed, 31);
+                let special = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -f64::NAN];
+                let scores: Vec<f64> = (0..m)
+                    .map(|_| match rng.gen_range(0..3) {
+                        0 => special[rng.gen_range(0..special.len())],
+                        _ => f64::from(rng.gen_range(-4..4)) * 0.5,
+                    })
+                    .collect();
+                let active: Vec<bool> = (0..m).map(|_| rng.gen_bool(0.8)).collect();
+                let id = rng.gen_range(0..m);
+                let keep = rng.gen_range(1..=m + 2);
+                let reachable = |j: usize| j != id && active[j];
+                let mut kept = vec![(m, 1.0)]; // stale contents are cleared
+                keep_best(&scores, keep, reachable, &mut kept);
+                let bits = |list: &[(usize, f64)]| -> Vec<(usize, u64)> {
+                    list.iter().map(|&(j, s)| (j, s.to_bits())).collect()
+                };
+                prop_assert_eq!(
+                    bits(&kept),
+                    bits(&keep_best_by_selection(&scores, keep, reachable))
+                );
             }
         }
     }

@@ -26,24 +26,30 @@
 //!
 //! Steady-state traffic per frame is O(hot entries + one shard) instead
 //! of O(m): at m = 5000 with 256-entry shards that is a ~17× cut,
-//! measured end-to-end in `BENCH_gossip.json` (every frame really is
-//! encoded to bytes and parsed back, and [`GossipTraffic`] counts the
-//! encoded bytes).
+//! measured end-to-end in `BENCH_gossip.json` ([`GossipTraffic`] meters
+//! each frame at its encoded size).
 //!
-//! **The frame path** is sized so a frame costs what its entries cost:
-//! the sender writes header, summary, hot entries and the fallback
-//! shard straight into one scratch buffer the network reuses (each
-//! entry list's count is patched in after its walk), and an exact-size
-//! copy of those bytes is the event payload — a growable per-frame
-//! buffer would carry its slack capacity on every frame in flight. On
-//! delivery the payload is validated and walked in place through
-//! [`crate::wire::DeltaFrameRef`] and merged entry by entry, so
-//! receiving allocates nothing. [`crate::wire::encode_delta`] and
-//! [`crate::wire::decode_delta`] are no longer on this path; they
-//! remain as the public owned codec of the same byte layout and as the
-//! oracle: in this crate's test builds every frame built is compared
-//! with `encode_delta` over a scan-and-assemble reference frame, and
-//! the borrowed parser is property-tested against `decode_delta`.
+//! **The frame path: metered whole, shipped trimmed.** A node's
+//! `versions` only grow (a merge or a publish raises them), so an entry
+//! the receiver already holds at its version when the frame is sent is
+//! a no-op whenever the frame lands. [`GossipTraffic`] and the trace's
+//! `gossip_delta`/`gossip_full` counts meter the frame described above,
+//! whole, at [`crate::wire::DeltaFrame::encoded_len`]; the payload
+//! handed to the receiver has the same layout and order but only the
+//! entries it holds at an older version, so views, versions, hot sets
+//! and counters end as if the whole frame had shipped. One walk over
+//! the hot bits and the fallback range counts the metered lists and
+//! writes the shipped entries into one reused scratch buffer (each
+//! list's count patched in after its walk); an exact-size copy is the
+//! event payload. On delivery it is validated and walked in place
+//! through [`crate::wire::DeltaFrameRef`] and merged entry by entry,
+//! allocating nothing. [`crate::wire::encode_delta`] and
+//! [`crate::wire::decode_delta`] stay as the public owned codec and as
+//! the oracle: in this crate's test builds every frame's metered
+//! traffic is checked against `encode_delta` of a scan-and-assemble
+//! reference frame, and its payload byte for byte against that frame
+//! cut to what the receiver lacks. The borrowed parser is
+//! property-tested against `decode_delta`.
 //!
 //! **The hot set is a bitset.** Each node keeps `hot`, one bit per
 //! origin, with the invariant *bit o set ⇔ `heard[o] != NEVER` and
@@ -101,13 +107,14 @@ pub struct GossipTraffic {
     /// Frames put on the wire (requests + replies, even ones still in
     /// flight).
     pub frames: u64,
-    /// Encoded bytes of those frames.
+    /// Encoded bytes of those frames, each metered whole (see the
+    /// module docs: the payload handed over may be shorter).
     pub bytes: u64,
     /// Completed push-pull exchanges (reply delivered and merged).
     pub exchanges: u64,
-    /// Hot-set (`changed`) entries shipped.
+    /// Hot-set (`changed`) entries of those frames.
     pub delta_entries: u64,
-    /// Fallback-shard (`full`) entries shipped.
+    /// Fallback-shard (`full`) entries of those frames.
     pub full_entries: u64,
 }
 
@@ -198,22 +205,49 @@ impl Iterator for SetBits {
     }
 }
 
+/// Appends the entry list of those `origins` the receiver holds older
+/// than the sender (`lacks[o] < versions[o]`) and returns how many of
+/// `origins` the sender knows (`versions[o] > 0`): the metered length.
+fn put_lacking(
+    buf: &mut Vec<u8>,
+    origins: impl Iterator<Item = usize>,
+    versions: &[u64],
+    loads: &[f64],
+    lacks: &[u64],
+) -> u32 {
+    let mut known = 0;
+    let lacking = origins.filter(|&o| {
+        known += u32::from(versions[o] > 0);
+        lacks[o] < versions[o]
+    });
+    wire::put_entries(
+        buf,
+        lacking.map(|o| WireEntry {
+            origin: o as u32,
+            version: versions[o],
+            load: loads[o],
+        }),
+    );
+    known
+}
+
 #[derive(Debug, Clone)]
 enum What {
     /// A node initiates its periodic exchange.
     Tick { node: u32 },
-    /// An encoded delta frame arrives at `to`; it merges and replies.
-    Request {
-        from: u32,
-        to: u32,
-        frame: Arc<[u8]>,
-    },
-    /// The encoded reply frame arrives back at the initiator.
-    Reply {
-        from: u32,
-        to: u32,
-        frame: Arc<[u8]>,
-    },
+    /// A delta frame arrives at `to`; it merges and replies.
+    Request { from: u32, to: u32, frame: Frame },
+    /// The reply frame arrives back at the initiator.
+    Reply { from: u32, to: u32, frame: Frame },
+}
+
+/// A frame in flight (see the module docs).
+#[derive(Debug, Clone)]
+struct Frame {
+    /// The wire image, cut to what the receiver lacked when it was sent.
+    payload: Arc<[u8]>,
+    /// The metered `changed` and `full` entry counts, for the trace.
+    entries: [u32; 2],
 }
 
 /// A sharded delta-gossip network on a persistent virtual-time heap
@@ -485,32 +519,33 @@ impl DeltaGossip {
     }
 
     /// Emits the dissemination events for a frame merged at `node` from
-    /// `peer`: `gossip_delta` when the hot set rode along, `gossip_full`
-    /// when the fallback shard did, `detail` carrying the entry count
-    /// and `round` the shard index.
+    /// `peer`: `gossip_delta` when its metered hot set was non-empty,
+    /// `gossip_full` when its fallback shard was, `detail` carrying
+    /// that entry count and `round` the shard index.
     fn trace_frame<T: TraceSink>(
         tracer: &mut T,
         now: f64,
         node: u32,
         peer: u32,
-        frame: &DeltaFrameRef<'_>,
+        shard: u32,
+        entries: [u32; 2],
     ) {
         if !tracer.enabled() {
             return;
         }
-        for (kind, entries) in [
-            (TraceKind::GossipDelta, frame.changed().len()),
-            (TraceKind::GossipFull, frame.full().len()),
-        ] {
+        for (kind, entries) in [TraceKind::GossipDelta, TraceKind::GossipFull]
+            .into_iter()
+            .zip(entries)
+        {
             if entries > 0 {
                 tracer.emit(&TraceEvent {
                     kind,
                     at_ms: now,
                     node,
                     peer,
-                    round: u64::from(frame.shard()),
+                    round: u64::from(shard),
                     tag: 0,
-                    detail: entries as f64,
+                    detail: f64::from(entries),
                 });
             }
         }
@@ -532,7 +567,7 @@ impl DeltaGossip {
                     peer += 1;
                 }
                 let fallback = (self.nodes[n].tick as usize) % self.shards.count();
-                let frame = self.build_frame(n, fallback);
+                let frame = self.build_frame(n, fallback, peer as usize);
                 self.nodes[n].end_period(self.hot_ticks);
                 self.heap.push(
                     now + delays(n, peer as usize),
@@ -545,9 +580,10 @@ impl DeltaGossip {
                 self.heap.push(now + self.period_ms, What::Tick { node });
             }
             What::Request { from, to, frame } => {
-                let decoded = DeltaFrameRef::parse(&frame).expect("internally produced frame");
+                let decoded =
+                    DeltaFrameRef::parse(&frame.payload).expect("internally produced frame");
                 let t = to as usize;
-                Self::trace_frame(tracer, now, to, from, &decoded);
+                Self::trace_frame(tracer, now, to, from, decoded.shard(), frame.entries);
                 self.merge_frame(t, &decoded, now);
                 // Reply with whatever shard the requester's summary
                 // says it lags most on; when nothing lags, fall back to
@@ -563,7 +599,7 @@ impl DeltaGossip {
                         fallback = s;
                     }
                 }
-                let reply = self.build_frame(t, fallback);
+                let reply = self.build_frame(t, fallback, from as usize);
                 self.heap.push(
                     now + delays(t, from as usize),
                     What::Reply {
@@ -574,30 +610,26 @@ impl DeltaGossip {
                 );
             }
             What::Reply { from, to, frame } => {
-                let decoded = DeltaFrameRef::parse(&frame).expect("internally produced frame");
-                Self::trace_frame(tracer, now, to, from, &decoded);
+                let decoded =
+                    DeltaFrameRef::parse(&frame.payload).expect("internally produced frame");
+                Self::trace_frame(tracer, now, to, from, decoded.shard(), frame.entries);
                 self.merge_frame(to as usize, &decoded, now);
                 self.traffic.exchanges += 1;
             }
         }
     }
 
-    /// Writes node `n`'s frame — its hot set plus the complete known
-    /// contents of `fallback` — straight into the scratch buffer in the
-    /// [`encode_delta`](wire::encode_delta) layout, meters the
-    /// traffic counters and returns an exact-size copy as the event
-    /// payload.
-    fn build_frame(&mut self, n: usize, fallback: usize) -> Arc<[u8]> {
+    /// Builds node `n`'s frame to `to`: its hot set plus the complete
+    /// known contents of `fallback`, metered whole into the traffic
+    /// counters, with a payload in the [`encode_delta`](wire::encode_delta)
+    /// layout that carries only the entries `to` holds older (see the
+    /// module docs).
+    fn build_frame(&mut self, n: usize, fallback: usize, to: usize) -> Frame {
         #[cfg(test)]
         let before = self.traffic;
         let (state, loads) = (&self.nodes[n], &self.loads[n]);
+        let lacks = &self.nodes[to].versions;
         let in_fallback = self.shards.range(fallback);
-        let known = |origin: &usize| state.versions[*origin] > 0;
-        let entry = |origin: usize| WireEntry {
-            origin: origin as u32,
-            version: state.versions[origin],
-            load: loads[origin],
-        };
         // Set bits in ascending origin order, as a scan over 0..m
         // would visit them.
         let hot = (state.hot.iter().enumerate())
@@ -607,17 +639,22 @@ impl DeltaGossip {
         let scratch = &mut self.scratch;
         scratch.clear();
         wire::put_delta_header(scratch, fallback as u32, &state.vsum);
-        let changed = wire::put_entries(scratch, hot.filter(known).map(entry));
-        let full = wire::put_entries(scratch, in_fallback.clone().filter(known).map(entry));
+        let header = scratch.len();
+        let changed = put_lacking(scratch, hot, &state.versions, loads, lacks);
+        let full = put_lacking(scratch, in_fallback.clone(), &state.versions, loads, lacks);
 
         self.traffic.frames += 1;
-        self.traffic.bytes += scratch.len() as u64;
+        self.traffic.bytes +=
+            (header + wire::view_bytes(changed as usize) + wire::view_bytes(full as usize)) as u64;
         self.traffic.delta_entries += u64::from(changed);
         self.traffic.full_entries += u64::from(full);
-        let payload = Arc::from(scratch.as_slice());
+        let frame = Frame {
+            payload: Arc::from(scratch.as_slice()),
+            entries: [changed, full],
+        };
         #[cfg(test)]
-        self.assert_matches_reference(n, fallback, &payload, &before);
-        payload
+        self.assert_matches_reference(n, fallback, to, &frame, &before);
+        frame
     }
 
     /// Keep-freshest merge of a delivered frame into `node`'s view,
@@ -722,31 +759,53 @@ impl DeltaGossip {
         }
     }
 
-    /// Byte equality with the reference codec over the reference
-    /// frame, and the same traffic metered since `before`.
+    /// The metered frame is the reference frame: the same traffic
+    /// metered since `before` as `encode_delta` of it weighs, and the
+    /// same entry counts carried for the trace. The payload is the
+    /// reference frame cut to the entries `to` holds older, byte for
+    /// byte, in reference order.
     fn assert_matches_reference(
         &self,
         n: usize,
         fallback: usize,
-        payload: &Arc<[u8]>,
+        to: usize,
+        frame: &Frame,
         before: &GossipTraffic,
     ) {
         let reference = self.reference_frame(n, fallback);
-        assert_eq!(
-            payload,
-            &wire::encode_delta(&reference),
-            "node {n} (tick {}) built a different frame for shard {fallback}",
-            self.nodes[n].tick
-        );
+        let count = |entries: &[WireEntry]| entries.len() as u64;
         assert_eq!(
             self.traffic.since(before),
             GossipTraffic {
                 frames: 1,
-                bytes: reference.encoded_len() as u64,
+                bytes: wire::encode_delta(&reference).len() as u64,
                 exchanges: 0,
-                delta_entries: reference.changed.len() as u64,
-                full_entries: reference.full.len() as u64,
-            }
+                delta_entries: count(&reference.changed),
+                full_entries: count(&reference.full),
+            },
+            "node {n} (tick {}) metered a different frame for shard {fallback}",
+            self.nodes[n].tick
+        );
+        assert_eq!(
+            frame.entries.map(u64::from),
+            [count(&reference.changed), count(&reference.full)]
+        );
+        let lacking = |entries: Vec<WireEntry>| {
+            let lacks = &self.nodes[to].versions;
+            (entries.into_iter())
+                .filter(|e| lacks[e.origin as usize] < e.version)
+                .collect()
+        };
+        let shipped = wire::DeltaFrame {
+            changed: lacking(reference.changed),
+            full: lacking(reference.full),
+            ..reference
+        };
+        assert_eq!(
+            frame.payload,
+            wire::encode_delta(&shipped),
+            "node {n} (tick {}) shipped a different frame to {to} for shard {fallback}",
+            self.nodes[n].tick
         );
     }
 }
@@ -1014,8 +1073,9 @@ mod tests {
     #[test]
     fn every_frame_of_a_churny_run_equals_the_reference_builders() {
         // In test builds `build_frame` hands every frame it puts on
-        // the wire to `assert_matches_reference`: same bytes as
-        // `encode_delta(&reference_frame(..))`, same traffic metered.
+        // the wire to `assert_matches_reference`: the traffic metered
+        // is that of `encode_delta(&reference_frame(..))`, and the
+        // payload is those bytes cut to what the receiver lacks.
         // This drives it hard: cold and warm starts, publishes landing
         // mid-period between partial advances, then a quiet half that
         // runs past the rumor window so every rumor cools, at sizes
@@ -1031,11 +1091,16 @@ mod tests {
                     DeltaGossip::new(&loads, m as u64, cfg())
                 };
                 // Every (node, fallback) pair in the current state,
-                // including shards the rotation did not pick.
-                let every_frame = |net: &mut DeltaGossip| {
+                // including shards the rotation did not pick, sent to
+                // the next node and to one seeded random peer.
+                let mut peers = rng_for(m as u64, 0xF4A3E);
+                let mut every_frame = |net: &mut DeltaGossip| {
                     for n in 0..m {
                         for fallback in 0..net.shards().count() {
-                            net.build_frame(n, fallback);
+                            let peer = (n + peers.gen_range(1..m)) % m;
+                            for to in [(n + 1) % m, peer] {
+                                net.build_frame(n, fallback, to);
+                            }
                         }
                     }
                 };

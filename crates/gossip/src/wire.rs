@@ -212,11 +212,11 @@ pub(crate) fn put_delta_header(buf: &mut Vec<u8>, shard: u32, since: &[u64]) {
     }
 }
 
-/// Appends one length-prefixed entry list and returns its length. The
-/// `u32` count is patched in after the walk, so `entries` may be a
-/// filtered iterator whose length is not known up front; each entry is
-/// one [`ENTRY_SIZE`]-byte append.
-pub(crate) fn put_entries(buf: &mut Vec<u8>, entries: impl Iterator<Item = WireEntry>) -> u32 {
+/// Appends one length-prefixed entry list. The `u32` count is patched
+/// in after the walk, so `entries` may be a filtered iterator whose
+/// length is not known up front; each entry is one [`ENTRY_SIZE`]-byte
+/// append.
+pub(crate) fn put_entries(buf: &mut Vec<u8>, entries: impl Iterator<Item = WireEntry>) {
     let count_at = buf.len();
     buf.extend_from_slice(&[0; 4]);
     let mut count = 0u32;
@@ -225,7 +225,6 @@ pub(crate) fn put_entries(buf: &mut Vec<u8>, entries: impl Iterator<Item = WireE
         count += 1;
     }
     buf[count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
-    count
 }
 
 /// Reads one length-prefixed entry list at `*pos`, advancing it.

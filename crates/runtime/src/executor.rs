@@ -566,14 +566,14 @@ impl Detector {
                 fabric.heap.push(due, Event::Deadline(round));
             }
         }
-        let cur = coordinator.suspects_now();
-        if cur == self.suspects {
+        // Compared in place: a list is built only when it changed.
+        if coordinator.suspects_now().eq(self.suspects.iter().copied()) {
             return;
         }
         // Over the union of both sorted lists, ascending: ids only in
-        // `cur` are fresh suspicions, ids only in `prev` rejoined
+        // the new list are fresh suspicions, ids only in `prev` rejoined
         // (probation readmission or recovery).
-        let prev = std::mem::replace(&mut self.suspects, cur);
+        let prev = std::mem::replace(&mut self.suspects, coordinator.suspects_now().collect());
         let mut ids = [prev.as_slice(), &self.suspects].concat();
         ids.sort_unstable();
         ids.dedup();

@@ -1635,11 +1635,11 @@ impl CoordinatorMachine {
         self.end_round(out);
     }
 
-    /// Currently suspected nodes, sorted ascending. Drivers diff this
-    /// across interactions to attribute detection latency (they know
-    /// the physical crash times; the coordinator does not).
-    pub fn suspects_now(&self) -> Vec<u32> {
-        self.suspects.iter().map(|s| s.node).collect()
+    /// Currently suspected nodes, ascending. Drivers diff this across
+    /// interactions to attribute detection latency (they know the
+    /// physical crash times; the coordinator does not).
+    pub fn suspects_now(&self) -> impl ExactSizeIterator<Item = u32> + '_ {
+        self.suspects.iter().map(|s| s.node)
     }
 
     /// Nodes whose final ledger has not arrived. Once collecting and
