@@ -48,6 +48,17 @@ impl Assignment {
         Self { m, ledgers, loads }
     }
 
+    /// The assignment running `ledgers[j]` on server `j`, each load the
+    /// ledger's sum (as [`Self::replace_ledger`] stores it).
+    pub fn from_ledgers(ledgers: Vec<SparseVec>) -> Self {
+        let loads = ledgers.iter().map(SparseVec::sum).collect();
+        Self {
+            m: ledgers.len(),
+            ledgers,
+            loads,
+        }
+    }
+
     /// Builds an assignment from a dense row-major fraction matrix
     /// `ρ` (`rho[k * m + j]` = fraction of org `k`'s load sent to `j`).
     ///
@@ -305,6 +316,16 @@ mod tests {
         }
         a.check_invariants(&instance).unwrap();
         assert_eq!(a.nnz(), 4);
+    }
+
+    #[test]
+    fn from_ledgers_of_the_local_ledgers_is_local() {
+        let mut instance = inst(4);
+        instance.set_own_loads(vec![3.0, 0.0, 7.5, 1e-3]);
+        let local = Assignment::local(&instance);
+        let ledgers = (0..4).map(|j| local.ledger(j).clone()).collect();
+        // `==` compares the cached loads too.
+        assert_eq!(Assignment::from_ledgers(ledgers), local);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!   one contiguous run per worker ([`run_len`]), and each run owns the
 //!   partner scratch its servers' scans reuse;
 //! - the event executor in `dlb-runtime` lends each worker a disjoint
-//!   `&mut` id range of its machine table and run queues for one
-//!   broadcast batch, without moving a machine.
+//!   `&mut` id range of its machine table for one broadcast batch,
+//!   without moving a machine.
 //!
 //! [`par_map_slice`], [`with_pool`] and [`WorkerPool`] are a few lines
 //! each over [`par_map_shards`], and no workspace code calls them: the
@@ -86,7 +86,7 @@ where
 /// the shard by value — typically a run of a slice, or a tuple of
 /// disjoint `&mut` sub-slices cut with `chunks_mut`, which is how the
 /// event executor lends each worker a contiguous id range of its
-/// machine table and run queues for one broadcast batch.
+/// machine table for one broadcast batch.
 ///
 /// There is no item-count cutoff: the caller decided the batch is worth
 /// a spawn when it cut more than one shard (cut [`num_threads`] of
@@ -199,8 +199,8 @@ mod tests {
 
     #[test]
     fn map_shards_lends_disjoint_ranges_and_keeps_shard_order() {
-        // Two parallel tables cut into the same id ranges, as the
-        // executor cuts machines and run queues.
+        // Two parallel tables cut into the same id ranges, each
+        // worker lent the same range of both.
         let mut values: Vec<u64> = (0..1000).collect();
         let mut tags = vec![0usize; 1000];
         for chunk in [1000usize, 334, 250, 7] {

@@ -6,22 +6,25 @@
 //! simulation in `dlb-gossip`). One iteration of its loop:
 //!
 //! 1. **Pop a delivery batch** — all events due at the earliest
-//!    virtual time, classified in `(due, seq)` order into
-//!    per-destination run queues (the heap serves control frames from
-//!    its same-instant lane and each *wave* of jittered data-plane
+//!    virtual time, classified in `(due, seq)` order onto one batch
+//!    list of `(node, item)` deliveries (the heap serves control frames
+//!    from its same-instant lane and each *wave* of jittered data-plane
 //!    frames from a run it sorted once); virtual time jumps to the
 //!    batch's instant. Per-link jitter keeps almost every batch to a
-//!    single node or the coordinator; only broadcasts are wide.
-//! 2. **Drain the touched machines where they stand** — a batch below
-//!    [`SHARD_THRESHOLD`] nodes *in place* on this thread, node by node
-//!    in first-delivery order through one reusable outbound buffer; a
-//!    wider one by *lending* the table: machines and run queues are cut
-//!    into one contiguous id range per `dlb-par` thread
-//!    ([`dlb_par::par_map_shards`], one scoped spawn per batch) and
-//!    each worker drains its range's share of the batch into one flat
-//!    buffer with a length per node. Machines touch only node-local
-//!    state — nothing of the heap or the fabric — so both forms are
-//!    race-free, and nothing is ever moved out of the table.
+//!    single delivery or the coordinator; only broadcasts are wide.
+//! 2. **Drain the touched machines where they stand** — the list is
+//!    grouped by node (nodes in first-delivery order, each node's items
+//!    in classification order; a single delivery or an ascending
+//!    broadcast already is). A batch below [`SHARD_THRESHOLD`] nodes
+//!    drains *in place* on this thread, node by node through one
+//!    reusable outbound buffer; a wider one by *lending* the table: the
+//!    machines are cut into one contiguous id range per `dlb-par`
+//!    thread ([`dlb_par::par_map_shards`], one scoped spawn per batch),
+//!    whatever the delivery order, and each worker drains its range's
+//!    groups into one flat buffer with a length per node. Machines
+//!    touch only node-local state — nothing of the heap or the fabric —
+//!    so both forms are race-free, and nothing is ever moved out of the
+//!    table.
 //! 3. **Schedule the replies** — per source in first-delivery order on
 //!    either path (a worker's lengths cut its buffer back into the
 //!    spans the in-place drain would have produced), so sequence
@@ -105,9 +108,7 @@ use dlb_par::{num_threads, par_map_shards, SEQUENTIAL_CUTOFF};
 use dlb_requestsim::stream::{Arrival, StreamScript};
 
 use crate::cluster::{ClusterOptions, ClusterReport, DetectMode, StreamSummary};
-use crate::machine::{
-    CoordinatorMachine, Dest, NodeConfig, NodeMachine, Outbound, RoundBlocks, RtoKind,
-};
+use crate::machine::{CoordinatorMachine, Dest, NodeConfig, NodeMachine, Outbound, RtoKind};
 use crate::message::{ledger_to_wire, Frame};
 
 /// One-way delay of control-plane frames (coordinator ↔ node), in
@@ -145,7 +146,7 @@ enum Event {
     Departure(u32, u32, f64, u32),
 }
 
-/// What lands in a node's per-batch run queue.
+/// What a delivery on the batch list hands its node.
 enum Inbox {
     Frame(Arc<Frame>),
     Rto(u64, RtoKind),
@@ -364,34 +365,16 @@ impl<D: Fn(usize, usize) -> f64, T: TraceSink> Fabric<'_, D, T> {
     }
 }
 
-/// The one dispatch of both drain paths: runs a node's batch queue
-/// through its machine, appending what the machine emits to `out`.
-/// `blocks` are the coordinator's scan inputs for the round in flight.
-fn drain_node(
-    machine: &mut NodeMachine,
-    queue: &mut Vec<Inbox>,
-    blocks: Option<&RoundBlocks>,
-    out: &mut Vec<Outbound>,
-) {
-    for item in queue.drain(..) {
-        match item {
-            Inbox::Frame(frame) => machine.handle_in(&frame, blocks, out),
-            Inbox::Rto(round, kind) => machine.on_rto_in(round, kind, blocks, out),
-        }
-    }
-}
-
-/// The node table plus the batch scratch, reused across iterations:
-/// per-node run queues and the destinations touched this batch (in
-/// first-delivery order — deterministic, since events pop in
-/// `(due, seq)` order). Machines live in the table for the whole run;
+/// The node table plus the batch list, reused across iterations: every
+/// delivery of the batch in flight as `(node, item)`, in
+/// classification order — deterministic, since events pop in
+/// `(due, seq)` order. Machines live in the table for the whole run;
 /// a broadcast batch borrows disjoint id ranges of it, nothing moves.
 /// The machines keep no round data between batches: each drain lends
-/// them the coordinator's [`RoundBlocks`].
+/// them the coordinator's [`RoundBlocks`](crate::machine::RoundBlocks).
 struct Nodes {
     machines: Vec<NodeMachine>,
-    run_queues: Vec<Vec<Inbox>>,
-    touched: Vec<u32>,
+    batch: Vec<(u32, Inbox)>,
 }
 
 impl Nodes {
@@ -399,19 +382,23 @@ impl Nodes {
         let local = |id| NodeMachine::local(id as u32, Arc::clone(instance), config);
         Self {
             machines: (0..instance.len()).map(local).collect(),
-            run_queues: (0..instance.len()).map(|_| Vec::new()).collect(),
-            touched: Vec::new(),
+            batch: Vec::new(),
         }
     }
+}
 
-    #[inline]
-    fn enqueue(&mut self, j: u32, item: Inbox) {
-        let queue = &mut self.run_queues[j as usize];
-        if queue.is_empty() {
-            self.touched.push(j);
-        }
-        queue.push(item);
+/// Groups a batch list by node: nodes in first-delivery order, each
+/// node's items in classification order. A list in ascending id order
+/// (one delivery, a broadcast) is grouped already.
+fn group_by_node(batch: &mut [(u32, Inbox)]) {
+    if batch.is_sorted_by_key(|&(j, _)| j) {
+        return;
     }
+    // Each node's first position, by node.
+    let mut first: Vec<(u32, usize)> = batch.iter().map(|&(j, _)| j).zip(0..).collect();
+    first.sort_unstable();
+    first.dedup_by_key(|&mut (j, _)| j);
+    batch.sort_by_cached_key(|&(j, _)| first[first.partition_point(|&(n, _)| n < j)].1);
 }
 
 /// The liveness plane: which nodes currently take no deliveries, and
@@ -1045,8 +1032,8 @@ impl<'a, D: Fn(usize, usize) -> f64, T: TraceSink> Run<'a, D, T> {
     }
 
     /// Classifies the whole same-instant batch starting at `first`, in
-    /// `(due, seq)` order: every event enters the hash, then lands in a
-    /// run queue, on the coordinator's queue, or in the stream plane —
+    /// `(due, seq)` order: every event enters the hash, then lands on
+    /// the batch list, on the coordinator's queue, or in the stream plane —
     /// or dies at the liveness gate.
     fn classify(&mut self, first: Scheduled<Event>) {
         let Self {
@@ -1072,7 +1059,7 @@ impl<'a, D: Fn(usize, usize) -> f64, T: TraceSink> Run<'a, D, T> {
                         }
                         Dest::Node(j) => {
                             self.rounds.delivered(fabric, j, &frame);
-                            nodes.enqueue(j, Inbox::Frame(frame));
+                            nodes.batch.push((j, Inbox::Frame(frame)));
                         }
                         Dest::Coordinator => {
                             fabric.trace_frame(TraceKind::FrameDelivered, NODE_COORD, &frame, 0.0);
@@ -1102,7 +1089,7 @@ impl<'a, D: Fn(usize, usize) -> f64, T: TraceSink> Run<'a, D, T> {
                     // the exchange.
                     if !liveness.is_down(j as usize) {
                         fabric.trace(TraceKind::ExchangeAbort, j, NO_PEER, round, TAG_RTO, 0.0);
-                        nodes.enqueue(j, Inbox::Rto(round, kind));
+                        nodes.batch.push((j, Inbox::Rto(round, kind)));
                     }
                 }
                 Event::Arrival(idx) => {
@@ -1144,51 +1131,58 @@ impl<'a, D: Fn(usize, usize) -> f64, T: TraceSink> Run<'a, D, T> {
         }
     }
 
-    /// Steps 2 and 3 of the loop: drains the touched nodes' run queues,
-    /// in place or sharded by id range, and schedules what each emitted
-    /// source by source in first-delivery order.
+    /// Steps 2 and 3 of the loop: groups the batch list by node, drains
+    /// each node's deliveries, in place or sharded by id range, and
+    /// schedules what each emitted source by source in first-delivery
+    /// order.
     fn drain_nodes(&mut self) {
         let (fabric, liveness, out) = (&mut self.fabric, &self.liveness, &mut self.out);
         let blocks = self.coordinator.round_blocks();
-        let Nodes {
-            machines,
-            run_queues,
-            touched,
-        } = &mut self.nodes;
-        if touched.len() < SHARD_THRESHOLD {
-            for j in touched.drain(..).map(|j| j as usize) {
-                drain_node(&mut machines[j], &mut run_queues[j], blocks, out);
+        let Nodes { machines, batch } = &mut self.nodes;
+        group_by_node(batch);
+        let deliver =
+            |machine: &mut NodeMachine, items: &[(u32, Inbox)], out: &mut Vec<Outbound>| {
+                for (_, item) in items {
+                    match item {
+                        Inbox::Frame(frame) => machine.handle_in(frame, blocks, out),
+                        Inbox::Rto(round, kind) => machine.on_rto_in(*round, *kind, blocks, out),
+                    }
+                }
+            };
+        let groups = || {
+            batch
+                .chunk_by(|a, b| a.0 == b.0)
+                .map(|g| (g[0].0 as usize, g))
+        };
+        if groups().nth(SHARD_THRESHOLD - 1).is_none() {
+            for (j, items) in groups() {
+                deliver(&mut machines[j], items, out);
                 fabric.send(j, liveness.is_down(j), out.drain(..));
             }
-            return;
-        }
-        let chunk = machines.len().div_ceil(num_threads());
-        let shards: Vec<_> = machines
-            .chunks_mut(chunk)
-            .zip(run_queues.chunks_mut(chunk))
-            .collect();
-        let batch: &[u32] = touched;
-        let drained = par_map_shards(shards, |w, (machines, queues)| {
-            let (mut flat, mut lens) = (Vec::new(), Vec::new());
-            let ids = w * chunk..w * chunk + machines.len();
-            for j in batch.iter().map(|&j| j as usize) {
-                if ids.contains(&j) {
-                    let (k, before) = (j - ids.start, flat.len());
-                    drain_node(&mut machines[k], &mut queues[k], blocks, &mut flat);
+        } else {
+            let chunk = machines.len().div_ceil(num_threads());
+            let shards: Vec<_> = machines.chunks_mut(chunk).collect();
+            let drained = par_map_shards(shards, |w, machines| {
+                let (mut flat, mut lens) = (Vec::new(), Vec::new());
+                let ids = w * chunk..w * chunk + machines.len();
+                for (j, items) in groups().filter(|(j, _)| ids.contains(j)) {
+                    let before = flat.len();
+                    deliver(&mut machines[j - ids.start], items, &mut flat);
                     lens.push(flat.len() - before);
                 }
+                (flat, lens)
+            });
+            let mut drained: Vec<_> = drained
+                .into_iter()
+                .map(|(flat, lens)| (flat.into_iter(), lens.into_iter()))
+                .collect();
+            for (j, _) in groups() {
+                let (flat, lens) = &mut drained[j / chunk];
+                let len = lens.next().expect("one span per touched node");
+                fabric.send(j, liveness.is_down(j), flat.by_ref().take(len));
             }
-            (flat, lens)
-        });
-        let mut drained: Vec<_> = drained
-            .into_iter()
-            .map(|(flat, lens)| (flat.into_iter(), lens.into_iter()))
-            .collect();
-        for j in touched.drain(..).map(|j| j as usize) {
-            let (flat, lens) = &mut drained[j / chunk];
-            let len = lens.next().expect("one span per touched node");
-            fabric.send(j, liveness.is_down(j), flat.by_ref().take(len));
         }
+        batch.clear();
     }
 
     /// Hands the coordinator the batch's reports and deadlines.

@@ -71,7 +71,6 @@ use dlb_core::{Assignment, Instance, LatencyMatrix, SparseVec};
 use dlb_distributed::mine::{partner_scores, Candidates, SCORE_BLOCK};
 use dlb_distributed::transfer::calc_best_transfer;
 use dlb_topology::{k_nearest_row, k_nearest_wheel};
-use std::collections::VecDeque;
 use std::iter::{from_fn, zip};
 use std::sync::Arc;
 
@@ -594,7 +593,8 @@ use books::Books;
 /// machine, so the layout is deliberate (`repr(C)` keeps the declared
 /// order): the words every `Propose`/`Busy` delivery reads lead, and
 /// state that exists only while a control frame waits or a two-phase
-/// exchange is pending sits boxed at the back. 192 bytes, by test.
+/// exchange is pending, or while stream deltas and early proposals
+/// wait, sits boxed at the back. 144 bytes, by test.
 #[derive(Debug)]
 #[repr(C)]
 pub struct NodeMachine {
@@ -613,24 +613,34 @@ pub struct NodeMachine {
     round: u64,
     books: Books,
     instance: Arc<Instance>,
-    /// Streaming load deltas `(org, amount)` buffered while an
-    /// exchange is open — the ledger is promised to a peer then and
-    /// may be wholesale replaced by its Commit, which would silently
-    /// drop a directly-applied deposit. Drained the moment the
-    /// exchange resolves. Positive amounts deposit, negative withdraw.
-    stream_buf: Vec<(u32, f64)>,
     /// A `RoundStart`/`Shutdown` stashed while a commit is in flight.
     deferred: Option<Box<Frame>>,
     /// Two-phase exchange awaiting the acceptor's `CommitAck` (only
     /// under [`NodeConfig::two_phase`]).
     pending: Option<Box<PendingExchange>>,
-    /// Proposals from a round we have not reached yet.
-    early_proposals: VecDeque<(u32, u64)>,
     /// The `k` delay-nearest peers under [`SelectPolicy::TopK`] on a net
     /// without a finite homogeneous wheel, from the first round start on
     /// (see [`slate`]); `None` otherwise.
     nearest: Option<Box<[u32]>>,
     config: NodeConfig,
+    /// Stream deltas and early proposals: allocated on first use,
+    /// dropped when both are empty.
+    backlog: Option<Box<Backlog>>,
+}
+
+/// What waits on a [`NodeMachine`] behind an open exchange or an
+/// unreached round.
+#[derive(Debug, Default)]
+struct Backlog {
+    /// Streaming load deltas `(org, amount)` buffered while an
+    /// exchange is open — the ledger is promised to a peer then and
+    /// may be wholesale replaced by its Commit, which would silently
+    /// drop a directly-applied deposit. Drained the moment the
+    /// exchange resolves. Positive amounts deposit, negative withdraw.
+    deltas: Vec<(u32, f64)>,
+    /// Proposals from a round we have not reached yet, in arrival
+    /// order.
+    early: Vec<(u32, u64)>,
 }
 
 impl NodeMachine {
@@ -641,7 +651,11 @@ impl NodeMachine {
         let mut books = Books::default();
         let own = instance.own_load(id as usize);
         if own > 0.0 {
-            books.set(id, own);
+            // Exact size: `Vec`'s four-slot minimum is a 2.5× larger
+            // chunk, once per node.
+            let mut ledger = SparseVec::with_capacity(1);
+            ledger.set(id, own);
+            books.replace(ledger);
         }
         Self {
             id,
@@ -652,12 +666,11 @@ impl NodeMachine {
             round: 0,
             books,
             instance,
-            stream_buf: Vec::new(),
             deferred: None,
             pending: None,
-            early_proposals: VecDeque::new(),
             nearest: None,
             config,
+            backlog: None,
         }
     }
 
@@ -685,7 +698,10 @@ impl NodeMachine {
             return false;
         }
         if self.exchange_open() {
-            self.stream_buf.push((org, amount));
+            self.backlog
+                .get_or_insert_default()
+                .deltas
+                .push((org, amount));
         } else {
             self.apply_stream_delta(org, amount);
         }
@@ -712,9 +728,17 @@ impl NodeMachine {
     /// behind it goes next ([`Self::replay`]), so a deferred
     /// `Shutdown`'s final ledger includes the deltas.
     fn resolve(&mut self) {
-        for (org, amount) in std::mem::take(&mut self.stream_buf) {
+        let deltas = self.backlog.as_mut().map(|b| std::mem::take(&mut b.deltas));
+        self.trim_backlog();
+        for (org, amount) in deltas.into_iter().flatten() {
             self.apply_stream_delta(org, amount);
         }
+    }
+
+    /// Drops the backlog once nothing waits in it.
+    fn trim_backlog(&mut self) {
+        self.backlog
+            .take_if(|b| b.deltas.is_empty() && b.early.is_empty());
     }
 
     /// Once no exchange is open, handles the control frame deferred
@@ -899,19 +923,20 @@ impl NodeMachine {
                 }
             }
         }
-        // Serve proposals that arrived before our RoundStart.
-        for _ in 0..self.early_proposals.len() {
-            if let Some((from, round)) = self.early_proposals.pop_front() {
-                self.on_propose(from, round, out);
-            }
+        // Serve proposals that arrived before our RoundStart; one for a
+        // round still ahead goes back in line.
+        let early = self.backlog.as_mut().map(|b| std::mem::take(&mut b.early));
+        for (from, round) in early.into_iter().flatten() {
+            self.on_propose(from, round, out);
         }
+        self.trim_backlog();
     }
 
     fn on_propose(&mut self, from: u32, r: u64, out: &mut Vec<Outbound>) {
         if r > self.round {
             // Proposer is ahead of us; answer after our RoundStart
             // arrives.
-            self.early_proposals.push_back((from, r));
+            self.backlog.get_or_insert_default().early.push((from, r));
             return;
         }
         if r < self.round {
@@ -1231,7 +1256,9 @@ impl CoordinatorMachine {
                 l * l / (2.0 * instance.speed(j))
             })
             .collect();
-        let initial_cost = total_cost(&instance, &Assignment::local(&instance));
+        // `ΣC` of the all-local assignment: its per-server costs, summed
+        // as `total_cost` and `end_round` sum them.
+        let initial_cost = local_costs.iter().sum();
         Self {
             instance,
             options: options.clone(),
@@ -1695,11 +1722,11 @@ impl CoordinatorMachine {
             self.phase == Phase::Done,
             "into_report called before all final ledgers arrived"
         );
-        let mut assignment = Assignment::local(&self.instance);
-        for (j, ledger) in self.ledgers.into_iter().enumerate() {
-            assignment.replace_ledger(j, ledger.expect("ledger collected"));
-        }
-        assignment.refresh_loads();
+        let ledgers = self
+            .ledgers
+            .into_iter()
+            .map(|l| l.expect("ledger collected"));
+        let assignment = Assignment::from_ledgers(ledgers.collect());
         let final_cost = total_cost(&self.instance, &assignment);
         ClusterReport {
             assignment,
@@ -2745,12 +2772,74 @@ mod tests {
         assert_ne!(reported(&out), boot, "load moved");
     }
 
-    /// A field added to the machine shows up here, not in `peak_rss_mb`:
-    /// the table holds one per node (19.2 MB at m = 100 000).
+    /// Stream deltas and proposals a round ahead wait in one box, which
+    /// goes once both are served: the deltas in arrival order when the
+    /// exchange resolves, the proposals in arrival order at the round
+    /// start, one for a later round back in line.
     #[test]
-    fn node_machine_fits_192_bytes() {
+    fn the_backlog_replays_in_arrival_order_then_goes() {
+        let instance = Arc::new(Instance::homogeneous(3, 1.0, 1.0, 10.0));
+        let mut machine = NodeMachine::local(0, instance, NodeConfig::default());
+        let peer = start_balanced_round(&mut machine, 1);
+        assert_eq!(peer, 2);
+        // Under the open exchange: a withdrawal that clamps, then a
+        // deposit (the other order would leave nothing).
+        machine.withdraw(1, 5.0);
+        assert!(machine.deposit(1, 2.0));
+        for (from, round) in [(2, 3), (1, 2), (2, 2)] {
+            assert!(drive(&mut machine, Frame::Propose { from, round }).is_empty());
+        }
+        drive(&mut machine, Frame::Busy { from: 2, round: 1 });
+        assert_eq!(machine.ledger().get(1), 2.0);
+        assert!(machine.backlog.is_some(), "the proposals still wait");
+
+        let start = |round| Frame::RoundStart {
+            round,
+            loads: Arc::new(vec![0.0; 3]),
+            excluded: vec![],
+            epoch: 0,
+            hot: Arc::new(vec![]),
+        };
+        let sent = |out: Vec<Outbound>| -> Vec<(u8, Dest)> {
+            let tag = |frame: &Frame| match frame {
+                Frame::Propose { .. } => 2,
+                Frame::Accept { .. } => 3,
+                Frame::Busy { .. } => 4,
+                Frame::Report { .. } => 6,
+                other => panic!("unexpected {other:?}"),
+            };
+            out.iter().map(|o| (tag(&o.frame), o.to)).collect()
+        };
+        // Round 2 proposes to 1, yields to 1's proposal, turns 2 down;
+        // 2's round-3 proposal waits on.
+        let out = sent(drive(&mut machine, start(2)));
+        let expect = [(2, Dest::Node(1)), (3, Dest::Node(1)), (4, Dest::Node(2))];
+        assert_eq!(out, expect);
         assert!(
-            std::mem::size_of::<NodeMachine>() <= 192,
+            drive(&mut machine, start(3)).is_empty(),
+            "behind the commit"
+        );
+        let commit = Frame::Commit {
+            from: 1,
+            round: 2,
+            ledger: vec![(0, 10.0)],
+        };
+        let out = sent(drive(&mut machine, commit));
+        let expect = [
+            (6, Dest::Coordinator),
+            (2, Dest::Node(2)),
+            (3, Dest::Node(2)),
+        ];
+        assert_eq!(out, expect);
+        assert!(machine.backlog.is_none(), "nothing waits");
+    }
+
+    /// A field added to the machine shows up here, not in `peak_rss_mb`:
+    /// the table holds one per node (14.4 MB at m = 100 000).
+    #[test]
+    fn node_machine_fits_144_bytes() {
+        assert!(
+            std::mem::size_of::<NodeMachine>() <= 144,
             "NodeMachine grew to {} bytes",
             std::mem::size_of::<NodeMachine>()
         );

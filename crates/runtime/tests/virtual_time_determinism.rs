@@ -202,14 +202,27 @@ fn pin(report: &ClusterReport) -> (u64, u64, FaultSummary) {
     (report.event_hash, fold, report.faults)
 }
 
-/// Walks a trace batch by batch (a batch's deliveries precede its
-/// emissions) and reports what the lockstep tests rely on: the widest
-/// batch whose first-delivery order is not ascending, and whether a
-/// down source's emissions were dropped in a batch that touched at
-/// least `SEQUENTIAL_CUTOFF` nodes.
-fn batch_census(events: &[TraceEvent]) -> (usize, bool) {
-    let (mut widest_unordered, mut wide_src_drop) = (0usize, false);
-    let mut touched: Vec<u32> = Vec::new();
+/// What the lockstep tests rely on, from a trace walked batch by batch
+/// (a batch's deliveries precede its emissions). A batch is *sharded*
+/// when it touched at least `SEQUENTIAL_CUTOFF` nodes.
+struct Census {
+    /// The widest batch whose first-delivery order is not ascending.
+    widest_unordered: usize,
+    /// The most deliveries one node received in a sharded batch.
+    deepest_sharded: usize,
+    /// Whether a down source's emissions were dropped in a sharded
+    /// batch.
+    wide_src_drop: bool,
+}
+
+fn batch_census(events: &[TraceEvent]) -> Census {
+    let mut census = Census {
+        widest_unordered: 0,
+        deepest_sharded: 0,
+        wide_src_drop: false,
+    };
+    // `(node, deliveries)` in first-delivery order.
+    let mut touched: Vec<(u32, usize)> = Vec::new();
     let mut delivering = false;
     for ev in events {
         match ev.kind {
@@ -217,22 +230,29 @@ fn batch_census(events: &[TraceEvent]) -> (usize, bool) {
                 if !std::mem::replace(&mut delivering, true) {
                     touched.clear();
                 }
-                if !touched.contains(&ev.node) {
-                    touched.push(ev.node);
+                match touched.iter_mut().find(|(j, _)| *j == ev.node) {
+                    Some((_, n)) => *n += 1,
+                    None => touched.push((ev.node, 1)),
                 }
             }
             TraceKind::FrameScheduled | TraceKind::FrameDropped => {
-                if std::mem::replace(&mut delivering, false) && !touched.is_sorted() {
-                    widest_unordered = widest_unordered.max(touched.len());
+                let sharded = touched.len() >= dlb_par::SEQUENTIAL_CUTOFF;
+                if std::mem::replace(&mut delivering, false) {
+                    if !touched.is_sorted_by_key(|&(j, _)| j) {
+                        census.widest_unordered = census.widest_unordered.max(touched.len());
+                    }
+                    if sharded {
+                        let deepest = touched.iter().map(|&(_, n)| n).max().unwrap_or(0);
+                        census.deepest_sharded = census.deepest_sharded.max(deepest);
+                    }
                 }
-                wide_src_drop |= ev.kind == TraceKind::FrameDropped
-                    && ev.detail == DROP_SRC_DOWN
-                    && touched.len() >= dlb_par::SEQUENTIAL_CUTOFF;
+                census.wide_src_drop |=
+                    ev.kind == TraceKind::FrameDropped && ev.detail == DROP_SRC_DOWN && sharded;
             }
             _ => {}
         }
     }
-    (widest_unordered, wide_src_drop)
+    census
 }
 
 /// One traced lockstep run to check the test's premise against, then
@@ -244,7 +264,7 @@ fn assert_pinned(
     options: &ClusterOptions,
     script: &FaultScript,
     expected: (u64, u64, FaultSummary),
-) -> (usize, bool) {
+) -> Census {
     let mut trace = MemorySink::default();
     let traced = pin(&simulate_lockstep(instance, options, script, &mut trace));
     assert_eq!(traced, expected, "traced run");
@@ -268,10 +288,16 @@ fn lockstep_batches_out_of_id_order_are_pinned() {
         17_246_117_059_793_683_548,
         FaultSummary::default(),
     );
-    let (widest_unordered, _) = assert_pinned(&inst, &ClusterOptions::default(), &script, expected);
+    let census = assert_pinned(&inst, &ClusterOptions::default(), &script, expected);
+    let widest = census.widest_unordered;
     assert!(
-        widest_unordered >= dlb_par::SEQUENTIAL_CUTOFF,
-        "premise: a sharded batch out of id order (widest: {widest_unordered})"
+        widest >= dlb_par::SEQUENTIAL_CUTOFF,
+        "premise: a sharded batch out of id order (widest: {widest})"
+    );
+    let deepest = census.deepest_sharded;
+    assert!(
+        deepest >= 2,
+        "premise: a node takes several deliveries in one sharded batch (most: {deepest})"
     );
 }
 
@@ -300,6 +326,9 @@ fn lockstep_chaos_with_down_sources_in_a_sharded_batch_is_pinned() {
         extra_delay_ms: 112_600.0,
     };
     let expected = (5_720_440_813_624_892_405, 5_799_907_708_976_331_928, faults);
-    let (_, wide_src_drop) = assert_pinned(&inst, &options, &script, expected);
-    assert!(wide_src_drop, "premise: a down source in a sharded batch");
+    let census = assert_pinned(&inst, &options, &script, expected);
+    assert!(
+        census.wide_src_drop,
+        "premise: a down source in a sharded batch"
+    );
 }
