@@ -2845,6 +2845,53 @@ mod tests {
         );
     }
 
+    /// A stream holds the coordinator open and a quiet round parks it
+    /// without moving the round number: that round's report deadline,
+    /// still queued, must not end it a second time. The next round's
+    /// deadline still ends the next round.
+    #[test]
+    fn a_parked_coordinator_ignores_the_finished_rounds_deadline() {
+        let instance = Arc::new(Instance::homogeneous(3, 1.0, 1.0, 5.0));
+        let options = ClusterOptions {
+            detect: DetectMode::Timeout(30.0),
+            ..ClusterOptions::default()
+        };
+        let mut coordinator = CoordinatorMachine::new(instance, &options);
+        coordinator.set_hold(true);
+        let mut out = Vec::new();
+        coordinator.start(&mut out);
+        let report = |from, round| Frame::Report {
+            from,
+            round,
+            outcome: RoundOutcome::NoProposal,
+            load: 5.0,
+            local_cost: 12.5,
+            exchange: None,
+        };
+        for from in 0..3 {
+            coordinator.handle(&report(from, 1), 10.0, &mut out);
+        }
+        out.clear();
+        let state = |c: &CoordinatorMachine| (c.rounds, c.history.len(), c.suspects.len());
+        let parked = state(&coordinator);
+        assert_eq!(parked, (1, 2, 0), "every report in, nothing moved");
+
+        coordinator.on_deadline(1, 30.0, &mut out);
+        assert!(out.is_empty(), "the parked round's deadline sent {out:?}");
+        assert_eq!(state(&coordinator), parked, "the parked round ended twice");
+
+        coordinator.kick(&mut out);
+        assert_eq!(coordinator.round_number(), 2);
+        out.clear();
+        coordinator.handle(&report(0, 2), 40.0, &mut out);
+        coordinator.on_deadline(2, 60.0, &mut out);
+        assert_eq!(
+            state(&coordinator),
+            (2, 3, 2),
+            "nodes 1 and 2 stayed silent"
+        );
+    }
+
     #[test]
     fn coordinator_runs_a_trivial_single_node_cluster() {
         let instance = Arc::new(Instance::homogeneous(1, 1.0, 0.0, 50.0));

@@ -8,13 +8,21 @@
 //! This file is its own test binary so the `DLB_THREADS` mutations
 //! cannot race with unrelated tests.
 
+use dlb_obs::{FrameLog, TraceKind};
 use dlb_scenario::{RunRecord, ScenarioSpec};
 
-#[test]
-fn event_run_records_are_bit_identical_across_thread_counts_and_repeats() {
-    let spec: ScenarioSpec = "algo=protocol m=40 avg=60 seed=11 eps=1e-9 patience=5 budget=200"
-        .parse()
-        .unwrap();
+/// A request stream under in-protocol detection: the stream holds the
+/// coordinator open, so quiet rounds park it while report deadlines
+/// are armed — a fixed timeout and the adaptive detector.
+const STREAMED_DETECTION: [&str; 2] = [
+    "algo=protocol m=50 seed=3 detect=timeout:30ms arrivals=poisson:20 duration=3000",
+    "algo=protocol m=50 seed=3 detect=adaptive arrivals=poisson:5 duration=5000",
+];
+
+/// Runs `text` twice under each of `DLB_THREADS=1` and `4` and
+/// returns the record, which all four runs must share bit for bit.
+fn same_record_across_thread_counts(text: &str) -> RunRecord {
+    let spec: ScenarioSpec = text.parse().unwrap();
     let mut records: Vec<RunRecord> = Vec::new();
     for threads in ["1", "4"] {
         std::env::set_var("DLB_THREADS", threads);
@@ -23,10 +31,41 @@ fn event_run_records_are_bit_identical_across_thread_counts_and_repeats() {
     }
     std::env::remove_var("DLB_THREADS");
     for r in &records[1..] {
-        assert_eq!(records[0], *r, "RunRecord diverged");
+        assert_eq!(records[0], *r, "RunRecord diverged: {text}");
     }
-    assert!(records[0].converged);
-    assert!(records[0].wall_secs > 0.0, "virtual time recorded");
+    records.swap_remove(0)
+}
+
+#[test]
+fn event_run_records_are_bit_identical_across_thread_counts_and_repeats() {
+    let record = same_record_across_thread_counts(
+        "algo=protocol m=40 avg=60 seed=11 eps=1e-9 patience=5 budget=200",
+    );
+    assert!(record.converged);
+    assert!(record.wall_secs > 0.0, "virtual time recorded");
+    for text in STREAMED_DETECTION {
+        same_record_across_thread_counts(text);
+    }
+}
+
+/// A quiet round parks the coordinator a stream holds open, with that
+/// round's report deadline still queued; the deadline must not end the
+/// round a second time. So every round the record counts began in the
+/// trace.
+#[test]
+fn every_counted_round_began() {
+    let path = std::env::temp_dir().join(format!("dlb_parked_{}.dlbf", std::process::id()));
+    let text = format!("{} trace=frames:{}", STREAMED_DETECTION[0], path.display());
+    let record = text.parse::<ScenarioSpec>().unwrap().run();
+    let bytes = std::fs::read(&path).expect("frame log written");
+    std::fs::remove_file(&path).ok();
+    let log = FrameLog::decode(&bytes).expect("frame log decodes");
+    let begun = log
+        .events
+        .iter()
+        .filter(|ev| ev.kind == TraceKind::RoundBegin)
+        .count();
+    assert_eq!(record.iterations, begun, "{text}");
 }
 
 /// FNV-1a-64 over the bits of a cost history, eight bytes per entry.
