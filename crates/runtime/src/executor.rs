@@ -92,7 +92,8 @@
 //! open*: quiet rounds park instead of quiescing
 //! ([`CoordinatorMachine::kick`]) and every stream event resumes a
 //! parked coordinator; once the stream drains, the normal quiescence
-//! shutdown fires. An empty script pushes nothing.
+//! shutdown fires. A parked round's report deadline dies at pop like
+//! any cancelled timer. An empty script pushes nothing.
 
 // `clippy.toml` caps every function of this module at 120 lines.
 #![warn(clippy::too_many_lines)]
@@ -596,8 +597,6 @@ impl Detector {
 /// already-finished) server count as dropped.
 struct Stream<'a> {
     script: &'a StreamScript,
-    /// Whether the coordinator is still held open.
-    hold: bool,
     /// Whether the batch being classified carried stream events.
     dirty: bool,
     /// Departures still on the heap.
@@ -629,7 +628,6 @@ impl<'a> Stream<'a> {
         coordinator.set_hold(!script.is_empty());
         Self {
             script,
-            hold: !script.is_empty(),
             dirty: false,
             outstanding: 0,
             tally: StreamSummary::default(),
@@ -807,16 +805,6 @@ impl<'a> Stream<'a> {
         self.outstanding == 0 && now >= last_arrival_ms
     }
 
-    /// Lifts the coordinator's hold so the normal quiescence shutdown
-    /// can fire; returns whether it was still on.
-    fn release(&mut self, coordinator: &mut CoordinatorMachine) -> bool {
-        let held = std::mem::take(&mut self.hold);
-        if held {
-            coordinator.set_hold(false);
-        }
-        held
-    }
-
     /// The run ended at `now`: `None` when no stream drove it.
     fn summary(mut self, now: f64) -> Option<StreamSummary> {
         if self.script.is_empty() {
@@ -990,11 +978,7 @@ impl<'a, D: Fn(usize, usize) -> f64, T: TraceSink> Run<'a, D, T> {
             let event = self.fabric.heap.pop()?;
             let stale = match event.item {
                 Event::Frame(..) | Event::Arrival(..) | Event::Departure(..) => false,
-                Event::Deadline(round) => {
-                    self.coordinator.is_collecting()
-                        || self.coordinator.is_done()
-                        || round != self.coordinator.round_number()
-                }
+                Event::Deadline(round) => !self.coordinator.awaits_reports(round),
                 Event::Rto(j, round, kind) => {
                     !self.nodes.machines[j as usize].rto_pending(round, kind)
                 }
@@ -1012,7 +996,7 @@ impl<'a, D: Fn(usize, usize) -> f64, T: TraceSink> Run<'a, D, T> {
     /// nodes the shutdown could not reach are frozen into the final
     /// answer.
     fn resume_or_freeze(&mut self) -> bool {
-        if self.stream.release(&mut self.coordinator) {
+        if self.coordinator.set_hold(false) {
             self.coordinator.kick(&mut self.out);
             if !self.out.is_empty() {
                 self.fabric.schedule(None, self.out.drain(..));
@@ -1127,7 +1111,7 @@ impl<'a, D: Fn(usize, usize) -> f64, T: TraceSink> Run<'a, D, T> {
         self.coordinator.kick(&mut self.out);
         self.fabric.schedule(None, self.out.drain(..));
         if self.stream.drained(now) {
-            self.stream.release(&mut self.coordinator);
+            self.coordinator.set_hold(false);
         }
     }
 

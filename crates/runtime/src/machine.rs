@@ -58,13 +58,16 @@
 //! initiator's `Exchanged` report already carries the node's new load
 //! and cost term.
 //!
-//! **Deferral.** A commit for the previous round may still be in
+//! **Deferral.** A node has at most one exchange leg open at a time
+//! (its [`Leg`]). A commit for the previous round may still be in
 //! flight when the next `RoundStart` (or even the `Shutdown`) arrives
 //! — the initiator reports to the coordinator before its `Commit`
 //! reaches the acceptor, and control frames travel free while the
-//! `Commit` pays a real link delay. The machine stashes the control
-//! frame and replays it the moment the commit lands, so no exchange is
-//! ever torn.
+//! `Commit` pays a real link delay. The machine keeps the control frame
+//! in its backlog, beside the stream deltas that also wait behind the
+//! leg, and settles both the moment the leg closes: the deltas first,
+//! then the control frame. So no exchange is ever torn, and a deferred
+//! `Shutdown`'s final ledger includes the deltas.
 
 use dlb_core::cost::total_cost;
 use dlb_core::{Assignment, Instance, LatencyMatrix, SparseVec};
@@ -152,18 +155,18 @@ pub struct NodeConfig {
     pub two_phase: bool,
 }
 
-/// Which in-flight wait an exchange retransmission timeout guards.
-/// Under in-protocol detection the executor arms one RTO per
-/// data-plane frame that dies at a dead host and delivers it to the
-/// waiting machine; a timer whose wait already resolved is a no-op
+/// Which open leg an exchange retransmission timeout guards. Under
+/// in-protocol detection the executor arms one RTO per data-plane frame
+/// that dies at a dead host and delivers it to the waiting machine; a
+/// timer whose leg already closed is a no-op
 /// ([`NodeMachine::rto_pending`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RtoKind {
-    /// Initiator waiting for `Accept`/`Busy` after its `Propose`.
+    /// [`Leg::Proposed`]: the initiator awaits `Accept`/`Busy`.
     Answer,
-    /// Acceptor waiting for the `Commit` after its `Accept`.
+    /// [`Leg::Accepted`]: the acceptor awaits the `Commit`.
     CommitWait,
-    /// Initiator waiting for the `CommitAck` after its `Commit`.
+    /// [`Leg::Committed`]: the initiator awaits the `CommitAck`.
     Ack,
 }
 
@@ -177,15 +180,24 @@ struct PendingExchange {
     exchange: (u32, f64, f64, f64),
 }
 
-/// Exchange-lock state within a round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Lock {
-    /// May accept proposals.
+/// A node's one exchange of the round — the §IV "at most one pairwise
+/// exchange per node per round" as a type. `Proposed`, `Accepted` and
+/// `Committed` are *open*: the ledger is promised to a peer, so control
+/// frames and stream deltas wait behind them.
+#[derive(Debug)]
+enum Leg {
+    /// No exchange open; may propose and accept.
     Free,
-    /// Accepted a proposal from the given initiator; its commit is in
-    /// flight. Round boundaries must wait for it.
-    AwaitingCommit(u32),
-    /// Completed an exchange this round; rejects further proposals.
+    /// Proposed to the given peer; awaiting its `Accept` or `Busy`.
+    Proposed(u32),
+    /// Accepted the given initiator's proposal; its `Commit` is in
+    /// flight.
+    Accepted(u32),
+    /// Two-phase initiator: committed, its own half held back until the
+    /// acceptor's `CommitAck`.
+    Committed(Box<PendingExchange>),
+    /// Done for the round (an exchange completed or rolled back after
+    /// its commit, or the node is excluded): rejects further proposals.
     Locked,
 }
 
@@ -592,20 +604,20 @@ use books::Books;
 /// At m = 100 000 nearly every delivery is the first touch of a cold
 /// machine, so the layout is deliberate (`repr(C)` keeps the declared
 /// order): the words every `Propose`/`Busy` delivery reads lead, and
-/// state that exists only while a control frame waits or a two-phase
-/// exchange is pending, or while stream deltas and early proposals
-/// wait, sits boxed at the back. 144 bytes, by test.
+/// state that exists only while a two-phase exchange is pending, or
+/// while a control frame, stream deltas or early proposals wait, sits
+/// boxed. 128 bytes, by test.
 #[derive(Debug)]
 #[repr(C)]
 pub struct NodeMachine {
     id: u32,
-    lock: Lock,
-    /// In-flight proposal target, if any.
-    proposal: Option<u32>,
     /// Whether this round's report has been filed.
     reported: bool,
     /// Whether the final ledger has been sent (machine finished).
     done: bool,
+    /// This round's exchange (after the two flags: `id` alone would
+    /// leave 4 bytes of padding before it).
+    leg: Leg,
     /// 0 = "no round joined yet"; real rounds are 1-based (see the
     /// coordinator). A proposal overtaking our first RoundStart thus
     /// satisfies `r > round` and waits in the early queue instead of
@@ -613,25 +625,22 @@ pub struct NodeMachine {
     round: u64,
     books: Books,
     instance: Arc<Instance>,
-    /// A `RoundStart`/`Shutdown` stashed while a commit is in flight.
-    deferred: Option<Box<Frame>>,
-    /// Two-phase exchange awaiting the acceptor's `CommitAck` (only
-    /// under [`NodeConfig::two_phase`]).
-    pending: Option<Box<PendingExchange>>,
     /// The `k` delay-nearest peers under [`SelectPolicy::TopK`] on a net
     /// without a finite homogeneous wheel, from the first round start on
     /// (see [`slate`]); `None` otherwise.
     nearest: Option<Box<[u32]>>,
     config: NodeConfig,
-    /// Stream deltas and early proposals: allocated on first use,
-    /// dropped when both are empty.
+    /// What waits: allocated on first use, dropped when empty.
     backlog: Option<Box<Backlog>>,
 }
 
-/// What waits on a [`NodeMachine`] behind an open exchange or an
+/// What waits on a [`NodeMachine`] behind an open [`Leg`] or an
 /// unreached round.
 #[derive(Debug, Default)]
 struct Backlog {
+    /// The `RoundStart`/`Shutdown` that arrived while a leg was open
+    /// (the module doc's "Deferral"); a newer one replaces it.
+    control: Option<Frame>,
     /// Streaming load deltas `(org, amount)` buffered while an
     /// exchange is open — the ledger is promised to a peer then and
     /// may be wholesale replaced by its Commit, which would silently
@@ -659,15 +668,12 @@ impl NodeMachine {
         }
         Self {
             id,
-            lock: Lock::Free,
-            proposal: None,
             reported: false,
             done: false,
+            leg: Leg::Free,
             round: 0,
             books,
             instance,
-            deferred: None,
-            pending: None,
             nearest: None,
             config,
             backlog: None,
@@ -723,29 +729,29 @@ impl NodeMachine {
         self.books.set(org, next);
     }
 
-    /// An exchange, or the wait for one, has resolved: replays the
-    /// stream deltas buffered behind it. The control frame deferred
-    /// behind it goes next ([`Self::replay`]), so a deferred
-    /// `Shutdown`'s final ledger includes the deltas.
-    fn resolve(&mut self) {
-        let deltas = self.backlog.as_mut().map(|b| std::mem::take(&mut b.deltas));
-        self.trim_backlog();
-        for (org, amount) in deltas.into_iter().flatten() {
-            self.apply_stream_delta(org, amount);
-        }
-    }
-
     /// Drops the backlog once nothing waits in it.
     fn trim_backlog(&mut self) {
         self.backlog
-            .take_if(|b| b.deltas.is_empty() && b.early.is_empty());
+            .take_if(|b| b.control.is_none() && b.deltas.is_empty() && b.early.is_empty());
     }
 
-    /// Once no exchange is open, handles the control frame deferred
-    /// behind the last one, if any, as [`Self::handle_in`] would.
-    fn replay(&mut self, blocks: Option<&RoundBlocks>, out: &mut Vec<Outbound>) {
-        let closed = !self.exchange_open();
-        if let Some(frame) = self.deferred.take_if(|_| closed) {
+    /// Once no leg is open, releases what waited behind the last one:
+    /// the stream deltas in arrival order, then the control frame,
+    /// handled as [`Self::handle_in`] would. Every handler has closed
+    /// its leg and filed its report by the time this runs.
+    fn settle(&mut self, blocks: Option<&RoundBlocks>, out: &mut Vec<Outbound>) {
+        if self.exchange_open() {
+            return;
+        }
+        let Some(backlog) = self.backlog.as_mut() else {
+            return;
+        };
+        let (deltas, control) = (std::mem::take(&mut backlog.deltas), backlog.control.take());
+        self.trim_backlog();
+        for (org, amount) in deltas {
+            self.apply_stream_delta(org, amount);
+        }
+        if let Some(frame) = control {
             self.handle_in(&frame, blocks, out);
         }
     }
@@ -786,15 +792,15 @@ impl NodeMachine {
             return;
         }
         match frame {
+            Frame::Shutdown | Frame::RoundStart { .. } if self.exchange_open() => {
+                // A frame of the open leg is still in flight (the
+                // initiator reports to the coordinator before our
+                // Commit arrives); its ledger must make it into the
+                // next round or the final answer, or requests would be
+                // torn in half. The frame waits until the leg closes.
+                self.backlog.get_or_insert_default().control = Some(frame.clone());
+            }
             Frame::Shutdown => {
-                if self.exchange_open() {
-                    // An exchange is still in flight (we await an
-                    // Accept/Busy answer, a Commit or, two-phase, a
-                    // CommitAck); its ledger must make it into the
-                    // final answer or requests would be torn in half.
-                    self.deferred = Some(Box::new(Frame::Shutdown));
-                    return;
-                }
                 out.push(Outbound::coordinator(Frame::FinalLedger {
                     from: self.id,
                     ledger: ledger_to_wire(self.ledger()),
@@ -807,17 +813,7 @@ impl NodeMachine {
                 excluded,
                 hot,
                 ..
-            } => {
-                if self.exchange_open() {
-                    // A frame for the previous round's exchange is
-                    // still in flight (the initiator reports to the
-                    // coordinator before our Commit arrives). Join the
-                    // round the moment it lands.
-                    self.deferred = Some(Box::new(frame.clone()));
-                    return;
-                }
-                self.start_round(*round, loads, blocks, excluded, hot, out);
-            }
+            } => self.start_round(*round, loads, blocks, excluded, hot, out),
             Frame::Propose { from, round } => self.on_propose(*from, *round, out),
             Frame::Accept {
                 from,
@@ -836,10 +832,10 @@ impl NodeMachine {
                 debug_assert!(false, "node {} received a coordinator frame", self.id);
             }
         }
-        self.replay(blocks, out);
+        self.settle(blocks, out);
     }
 
-    /// Is any leg of an exchange still unresolved? Control frames
+    /// Is a leg of an exchange still open? Control frames
     /// (RoundStart, Shutdown) must wait behind an open exchange: our
     /// ledger may still change, and a torn exchange loses requests.
     /// This fires under the oracle too: an acceptor that already
@@ -851,9 +847,7 @@ impl NodeMachine {
     /// in-protocol detection the coordinator's deadline can also end a
     /// round over a busy node.
     fn exchange_open(&self) -> bool {
-        self.proposal.is_some()
-            || matches!(self.lock, Lock::AwaitingCommit(_))
-            || self.pending.is_some()
+        !matches!(self.leg, Leg::Free | Leg::Locked)
     }
 
     /// Files this round's report.
@@ -885,11 +879,10 @@ impl NodeMachine {
         out: &mut Vec<Outbound>,
     ) {
         self.round = round;
-        self.lock = Lock::Free;
-        self.proposal = None;
+        self.leg = Leg::Free;
         self.reported = false;
         if excluded.binary_search(&self.id).is_ok() {
-            self.lock = Lock::Locked; // takes no part this round
+            self.leg = Leg::Locked; // takes no part this round
             self.report(RoundOutcome::NoProposal, None, out);
         } else {
             let scored = match self.config.select {
@@ -909,7 +902,7 @@ impl NodeMachine {
                 scored.or_else(|| audit_target(self.id, self.instance.len(), round, excluded));
             match target {
                 Some(j) => {
-                    self.proposal = Some(j);
+                    self.leg = Leg::Proposed(j);
                     out.push(Outbound::node(
                         j,
                         Frame::Propose {
@@ -945,38 +938,38 @@ impl NodeMachine {
             self.nack(from, r, out);
             return;
         }
-        if self.lock != Lock::Free {
-            self.nack(from, r, out);
-            return;
-        }
-        match self.proposal {
-            // Collision with our own proposal to the same peer, and we
-            // are the higher id: ignore — the peer yields, and its
-            // Accept is already on the wire.
-            Some(j) if j == from && self.id > from => {}
-            // Waiting on a different peer: cannot promise our ledger to
-            // two exchanges at once.
-            Some(j) if j != from => self.nack(from, r, out),
+        match self.leg {
             // Free (never proposed, or proposal already resolved
-            // without an exchange), or the collision's lower id: yield
-            // the initiator role, if any, and become the acceptor.
-            _ => {
-                self.proposal = None;
-                self.lock = Lock::AwaitingCommit(from);
-                out.push(Outbound::node(
-                    from,
-                    Frame::Accept {
-                        from: self.id,
-                        round: r,
-                        ledger: ledger_to_wire(self.ledger()),
-                    },
-                ));
-            }
+            // without an exchange), or a collision with our own
+            // proposal to the same peer where we are the lower id:
+            // yield the initiator role, if any, and become the acceptor.
+            Leg::Free => {}
+            Leg::Proposed(j) if j == from && self.id < from => {}
+            // The collision's higher id: ignore — the peer yields, and
+            // its Accept is already on the wire.
+            Leg::Proposed(j) if j == from => return,
+            // Waiting on a different peer (our ledger cannot be
+            // promised to two exchanges at once), or done for the round.
+            _ => return self.nack(from, r, out),
         }
+        self.leg = Leg::Accepted(from);
+        out.push(Outbound::node(
+            from,
+            Frame::Accept {
+                from: self.id,
+                round: r,
+                ledger: ledger_to_wire(self.ledger()),
+            },
+        ));
+    }
+
+    /// Whether this round's open leg is a proposal to `peer`.
+    fn proposed_to(&self, peer: u32, r: u64) -> bool {
+        r == self.round && matches!(self.leg, Leg::Proposed(j) if j == peer)
     }
 
     fn on_accept(&mut self, from: u32, r: u64, their_wire: &[(u32, f64)], out: &mut Vec<Outbound>) {
-        if r != self.round || self.proposal != Some(from) {
+        if !self.proposed_to(from, r) {
             return; // stale acceptance; ignore
         }
         let theirs = wire_to_ledger(their_wire);
@@ -999,40 +992,36 @@ impl NodeMachine {
                 ledger: ledger_to_wire(&partner_ledger),
             },
         ));
-        self.proposal = None;
-        self.lock = Lock::Locked;
         let ledger = outcome.ledger_i;
         let exchange = (from, partner_load, partner_cost, outcome.moved);
         if self.config.two_phase {
             // Hold our half back until the acceptor's CommitAck: if it
             // died before installing, the Ack RTO rolls us back with
             // nothing half-applied on either side.
-            self.pending = Some(Box::new(PendingExchange { ledger, exchange }));
+            self.leg = Leg::Committed(Box::new(PendingExchange { ledger, exchange }));
         } else {
+            self.leg = Leg::Locked;
             self.books.replace(ledger);
             self.report(RoundOutcome::Exchanged, Some(exchange), out);
-            self.resolve();
         }
     }
 
     fn on_busy(&mut self, from: u32, r: u64, out: &mut Vec<Outbound>) {
-        if r != self.round || self.proposal != Some(from) {
+        if !self.proposed_to(from, r) {
             return;
         }
-        self.proposal = None;
-        // Stay Free: we may still serve someone else's proposal this
+        // Free again: we may still serve someone else's proposal this
         // round.
+        self.leg = Leg::Free;
         self.report(RoundOutcome::Lost, None, out);
-        // What waited behind the outstanding proposal can go ahead now.
-        self.resolve();
     }
 
     fn on_commit(&mut self, from: u32, r: u64, new_wire: &[(u32, f64)], out: &mut Vec<Outbound>) {
-        if r != self.round || self.lock != Lock::AwaitingCommit(from) {
+        if r != self.round || !matches!(self.leg, Leg::Accepted(j) if j == from) {
             return;
         }
         self.books.replace(wire_to_ledger(new_wire));
-        self.lock = Lock::Locked;
+        self.leg = Leg::Locked;
         if self.config.two_phase {
             // Install-then-ack is atomic from the driver's view: the
             // initiator applies its half only on this ack.
@@ -1049,47 +1038,44 @@ impl NodeMachine {
             // acceptance; close the round's report.
             self.report(RoundOutcome::Accepted, None, out);
         }
-        // Release the deltas; a control frame that raced this commit
-        // replays next.
-        self.resolve();
     }
 
     fn on_commit_ack(&mut self, from: u32, r: u64, out: &mut Vec<Outbound>) {
-        if r != self.round || self.pending.as_ref().map(|p| p.exchange.0) != Some(from) {
-            return; // stale ack; ignore
+        match std::mem::replace(&mut self.leg, Leg::Locked) {
+            Leg::Committed(p) if r == self.round && p.exchange.0 == from => {
+                self.books.replace(p.ledger);
+                self.report(RoundOutcome::Exchanged, Some(p.exchange), out);
+            }
+            leg => self.leg = leg, // stale ack; ignore
         }
-        let p = self.pending.take().expect("pending matched");
-        self.books.replace(p.ledger);
-        self.report(RoundOutcome::Exchanged, Some(p.exchange), out);
-        self.resolve();
     }
 
     /// Would an `(round, kind)` retransmission timeout still fire?
     ///
     /// The executor calls this when a timer pops to discard stale
-    /// entries — a timer whose wait already resolved was logically
+    /// entries — a timer whose leg already closed was logically
     /// cancelled and must not advance virtual time.
     pub fn rto_pending(&self, r: u64, kind: RtoKind) -> bool {
-        if self.done || r != self.round {
-            return false;
-        }
-        match kind {
-            RtoKind::Answer => self.proposal.is_some(),
-            RtoKind::CommitWait => matches!(self.lock, Lock::AwaitingCommit(_)),
-            RtoKind::Ack => self.pending.is_some(),
-        }
+        !self.done
+            && r == self.round
+            && matches!(
+                (kind, &self.leg),
+                (RtoKind::Answer, Leg::Proposed(_))
+                    | (RtoKind::CommitWait, Leg::Accepted(_))
+                    | (RtoKind::Ack, Leg::Committed(_))
+            )
     }
 
     /// An exchange retransmission timeout fired. The driver arms one
     /// per data-plane frame it schedules under in-protocol detection;
-    /// `kind` says which wait the timer guarded. A timer whose wait
-    /// already resolved — or that belongs to an earlier round — is a
-    /// no-op. When the wait is still open the partner is gone: the
+    /// `kind` says which leg the timer guarded. A timer whose leg
+    /// already closed — or that belongs to an earlier round — is a
+    /// no-op. When the leg is still open the partner is gone: the
     /// machine rolls the exchange back locally (nothing of a two-phase
     /// transfer has been applied yet, so rollback is dropping state)
     /// and closes its round report with [`RoundOutcome::Aborted`]. A
-    /// `RoundStart` replayed behind the wait scans with `blocks` as in
-    /// [`Self::handle_in`].
+    /// `RoundStart` that waited behind the leg scans with `blocks` as
+    /// in [`Self::handle_in`].
     pub(crate) fn on_rto_in(
         &mut self,
         r: u64,
@@ -1100,26 +1086,23 @@ impl NodeMachine {
         if !self.rto_pending(r, kind) {
             return;
         }
-        match kind {
+        self.leg = match kind {
             // Our Propose was never answered; free the initiator role.
             // We stay available as an acceptor.
-            RtoKind::Answer => self.proposal = None,
+            RtoKind::Answer => Leg::Free,
             // We accepted but the initiator's Commit never came;
-            // nothing was installed, so releasing the lock is the whole
+            // nothing was installed, so freeing the leg is the whole
             // rollback.
-            RtoKind::CommitWait => self.lock = Lock::Free,
+            RtoKind::CommitWait => Leg::Free,
             // Our Commit was never acknowledged; the acceptor died
             // before installing, so dropping the held-back half undoes
             // the exchange exactly.
-            RtoKind::Ack => self.pending = None,
-        }
+            RtoKind::Ack => Leg::Locked,
+        };
         if !self.reported {
             self.report(RoundOutcome::Aborted, None, out);
         }
-        // A control frame stashed behind the dead exchange can go
-        // ahead now.
-        self.resolve();
-        self.replay(blocks, out);
+        self.settle(blocks, out);
     }
 }
 
@@ -1166,6 +1149,12 @@ fn welford_bound(acc: &(u64, f64, f64)) -> Option<f64> {
 enum Phase {
     /// Driving rounds, counting reports.
     Rounds,
+    /// Held open and the last round moved nothing: round-driving
+    /// frames would spin at one virtual instant, so the coordinator
+    /// waits for the driver to [`CoordinatorMachine::kick`] it on
+    /// stream activity. The round number stays that of the ended
+    /// round, whose report deadline is now stale.
+    Parked,
     /// Shutdown broadcast sent; collecting final ledgers.
     Collecting,
     /// All ledgers in; [`CoordinatorMachine::into_report`] may be
@@ -1234,10 +1223,6 @@ pub struct CoordinatorMachine {
     /// [`Self::kick`] — and `max_rounds` is deferred until the hold is
     /// released (the finite stream bounds the run in the meantime).
     hold_open: bool,
-    /// Held open and the last round moved nothing: round-driving
-    /// frames would spin at one virtual instant, so the coordinator
-    /// waits for the driver to [`Self::kick`] it on stream activity.
-    parked: bool,
 }
 
 impl CoordinatorMachine {
@@ -1290,7 +1275,6 @@ impl CoordinatorMachine {
             detector: DetectorSummary::default(),
             report_log: Vec::new(),
             hold_open: false,
-            parked: false,
         }
     }
 
@@ -1356,8 +1340,9 @@ impl CoordinatorMachine {
     /// still arriving or in flight, then releases the hold to let the
     /// normal quiet-round shutdown (and `max_rounds` stop) fire. After
     /// releasing, call [`Self::kick`] so a parked coordinator resumes.
-    pub fn set_hold(&mut self, hold: bool) {
-        self.hold_open = hold;
+    /// Returns whether the hold was on.
+    pub fn set_hold(&mut self, hold: bool) -> bool {
+        std::mem::replace(&mut self.hold_open, hold)
     }
 
     /// Resumes rounds after a park (no-op otherwise). A streaming
@@ -1365,10 +1350,10 @@ impl CoordinatorMachine {
     /// the landscape was flat at the last round's end, and an arrival
     /// or departure has just deformed it.
     pub fn kick(&mut self, out: &mut Vec<Outbound>) {
-        if !self.parked {
+        if self.phase != Phase::Parked {
             return;
         }
-        self.parked = false;
+        self.phase = Phase::Rounds;
         self.round += 1;
         self.begin_round(out);
     }
@@ -1477,7 +1462,7 @@ impl CoordinatorMachine {
         self.now_ms = now;
         match (self.phase, frame) {
             (
-                Phase::Rounds | Phase::Collecting,
+                Phase::Rounds | Phase::Parked | Phase::Collecting,
                 Frame::Report {
                     from,
                     round: r,
@@ -1497,8 +1482,8 @@ impl CoordinatorMachine {
                         return;
                     }
                 }
-                // Any other late report during collection is dropped.
-                if self.phase == Phase::Collecting {
+                // Any other report after the round ended is dropped.
+                if self.phase != Phase::Rounds {
                     return;
                 }
                 if matches!(self.options.detect, DetectMode::Adaptive) {
@@ -1609,7 +1594,8 @@ impl CoordinatorMachine {
     /// The report deadline for the round that just started, or `None`
     /// under [`DetectMode::Oracle`] (no deadline) or once rounds are
     /// over. Drivers call this after every round advance and schedule
-    /// [`Self::on_deadline`] at the returned instant.
+    /// [`Self::on_deadline`] at the returned instant; one that pops
+    /// when [`Self::awaits_reports`] no longer holds is stale.
     pub fn arm_deadline(&self, now: f64) -> Option<f64> {
         if self.phase != Phase::Rounds {
             return None;
@@ -1633,13 +1619,21 @@ impl CoordinatorMachine {
         }
     }
 
-    /// The report deadline fired. Stale timers (earlier round, or the
-    /// round already ended) are no-ops. Otherwise every node that owed
-    /// a report and stayed silent becomes *suspected* — excluded from
-    /// the next `RoundStart` — and the round ends on the reports that
-    /// made it.
+    /// Whether `round` is still waiting for reports: it is the current
+    /// round and has not ended (neither parked nor shut down). A report
+    /// deadline for any other round is stale.
+    pub fn awaits_reports(&self, round: u64) -> bool {
+        self.phase == Phase::Rounds && round == self.round
+    }
+
+    /// The report deadline fired. A stale timer (see
+    /// [`Self::awaits_reports`]: an earlier round, or a round already
+    /// ended, parked included) is a no-op. Otherwise every node that
+    /// owed a report and stayed silent becomes *suspected* — excluded
+    /// from the next `RoundStart` — and the round ends on the reports
+    /// that made it.
     pub fn on_deadline(&mut self, round: u64, now: f64, out: &mut Vec<Outbound>) {
-        if self.phase != Phase::Rounds || round != self.round {
+        if !self.awaits_reports(round) {
             return;
         }
         debug_assert!(self.in_protocol_detect(), "deadline armed under oracle");
@@ -1688,7 +1682,7 @@ impl CoordinatorMachine {
             // until stream activity kicks us.
             self.quiet = 0;
             if self.round_moved <= self.options.quiescent_volume {
-                self.parked = true;
+                self.phase = Phase::Parked;
             } else {
                 self.round += 1;
                 self.begin_round(out);
@@ -2308,8 +2302,8 @@ mod tests {
             drive(&mut alone, start.clone());
             let want = choose_target(id, &instance, &ours, &[]);
             assert!(want.is_some(), "node {id} has a partner");
-            assert_eq!(alone.proposal, want, "node {id}");
-            assert_eq!(lent.proposal, want, "node {id}");
+            assert_eq!(proposed(&alone), want, "node {id}");
+            assert_eq!(proposed(&lent), want, "node {id}");
         }
     }
 
@@ -2483,6 +2477,14 @@ mod tests {
         assert_eq!(idle.to_bits(), 0.0f64.to_bits(), "got {idle:?}");
     }
 
+    /// Whom `machine` has an open proposal to, if anyone.
+    fn proposed(machine: &NodeMachine) -> Option<u32> {
+        match machine.leg {
+            Leg::Proposed(j) => Some(j),
+            _ => None,
+        }
+    }
+
     fn drive(machine: &mut NodeMachine, frame: Frame) -> Vec<Outbound> {
         let mut out = Vec::new();
         machine.handle(&frame, &mut out);
@@ -2626,7 +2628,7 @@ mod tests {
             epoch: 0,
             hot: Arc::new(vec![]),
         };
-        match (drive(machine, start).as_slice(), machine.proposal) {
+        match (drive(machine, start).as_slice(), proposed(machine)) {
             ([only], Some(peer)) if matches!(*only.frame, Frame::Propose { .. }) => peer,
             (out, _) => panic!("expected one Propose, got {out:?}"),
         }
@@ -2675,7 +2677,9 @@ mod tests {
         };
         drive(&mut machine, accept);
         assert!(machine.deposit(2, 0.5));
-        let pending = machine.pending.as_ref().expect("our half is held back");
+        let Leg::Committed(pending) = &machine.leg else {
+            panic!("our half is held back, got {:?}", machine.leg);
+        };
         let half = pending.ledger.clone();
         assert_ne!(fresh(&half), fresh(machine.ledger()), "load moved");
         let out = drive(
@@ -2835,11 +2839,11 @@ mod tests {
     }
 
     /// A field added to the machine shows up here, not in `peak_rss_mb`:
-    /// the table holds one per node (14.4 MB at m = 100 000).
+    /// the table holds one per node (12.8 MB at m = 100 000).
     #[test]
-    fn node_machine_fits_144_bytes() {
+    fn node_machine_fits_128_bytes() {
         assert!(
-            std::mem::size_of::<NodeMachine>() <= 144,
+            std::mem::size_of::<NodeMachine>() <= 128,
             "NodeMachine grew to {} bytes",
             std::mem::size_of::<NodeMachine>()
         );

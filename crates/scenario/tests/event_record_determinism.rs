@@ -48,6 +48,33 @@ fn event_run_records_are_bit_identical_across_thread_counts_and_repeats() {
     }
 }
 
+/// Pins the streamed-detection runs: iterations, the bits of the cost
+/// history, and the detector's and the stream's counters
+/// `(suspicions, false positives, aborted exchanges, served, dropped)`.
+#[test]
+fn streamed_detection_records_are_pinned() {
+    let pins = [
+        (57, 0x471b_d41e_ca12_cf92, [160, 110, 0, 66, 0]),
+        (50, 0x8c4d_1c4d_0b0e_cf3a, [2, 2, 0, 20, 0]),
+    ];
+    for (text, (iterations, hash, counters)) in STREAMED_DETECTION.into_iter().zip(pins) {
+        let r = text.parse::<ScenarioSpec>().unwrap().run();
+        let (d, s) = (r.detector, r.stream);
+        let got = (
+            r.iterations,
+            history_hash(&r.history),
+            [
+                u64::from(d.suspicions),
+                u64::from(d.false_positives),
+                u64::from(d.aborted_exchanges),
+                s.served,
+                s.dropped,
+            ],
+        );
+        assert_eq!(got, (iterations, hash, counters), "{text}");
+    }
+}
+
 /// A quiet round parks the coordinator a stream holds open, with that
 /// round's report deadline still queued; the deadline must not end the
 /// round a second time. So every round the record counts began in the
