@@ -16,6 +16,11 @@ pub fn derive_seed(base: u64, stream: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Uniform in `[0, 1)` from a hash word: its top 53 bits over `2^53`.
+pub fn unit_f64(hash: u64) -> f64 {
+    (hash >> 11) as f64 / (1u64 << 53) as f64
+}
+
 /// Builds a deterministic RNG for (base seed, stream).
 pub fn rng_for(base: u64, stream: u64) -> StdRng {
     StdRng::seed_from_u64(derive_seed(base, stream))

@@ -10,7 +10,7 @@
 //! same stateless-hash technique `dlb_netsim::LinkDelayModel` uses for
 //! its per-link jitter.
 
-use dlb_core::rngutil::derive_seed;
+use dlb_core::rngutil::{derive_seed, unit_f64};
 
 use crate::plan::FaultPlan;
 
@@ -75,9 +75,19 @@ fn splitmix(x: u64) -> u64 {
     derive_seed(x, 0)
 }
 
-/// Uniform in `[0, 1)` from a hash word.
-fn unit(x: u64) -> f64 {
-    (x >> 11) as f64 / (1u64 << 53) as f64
+/// `frac · m` of the nodes `0..m`, rounded to the nearest count and at
+/// most `cap`, drawn without replacement: a partial Fisher–Yates over
+/// `0..m` driven by the stateless hash stream `salted` (the seed
+/// xor'ed with a primitive's salt), whose first slots are the victims.
+fn victims(salted: u64, frac: f64, m: usize, cap: usize) -> Vec<usize> {
+    let k = ((frac * m as f64).round() as usize).min(cap);
+    let mut order: Vec<usize> = (0..m).collect();
+    for i in 0..k {
+        let r = splitmix(salted ^ (i as u64).wrapping_mul(0x9E37)) as usize;
+        order.swap(i, i + r % (m - i));
+    }
+    order.truncate(k);
+    order
 }
 
 /// A [`FaultPlan`] compiled for one run (see the [module docs](self)
@@ -105,19 +115,9 @@ impl FaultScript {
         let mut crash_at = vec![f64::INFINITY; m];
         let mut recover_at = vec![f64::INFINITY; m];
         if let Some(c) = &plan.crash {
-            // Round to the nearest victim count, but always leave at
-            // least one survivor: a fully-dead cluster has no
-            // convergence to measure.
-            let k = ((c.frac * m as f64).round() as usize).min(m.saturating_sub(1));
-            // Partial Fisher-Yates over 0..m, driven by the stateless
-            // hash stream: the first k slots are the victims.
-            let mut order: Vec<usize> = (0..m).collect();
-            for i in 0..k {
-                let r = splitmix(seed ^ SALT_CRASH ^ (i as u64).wrapping_mul(0x9E37)) as usize;
-                let j = i + r % (m - i);
-                order.swap(i, j);
-            }
-            for &victim in &order[..k] {
+            // Always leave at least one survivor: a fully-dead cluster
+            // has no convergence to measure.
+            for victim in victims(seed ^ SALT_CRASH, c.frac, m, m.saturating_sub(1)) {
                 crash_at[victim] = c.at_ms;
                 recover_at[victim] = c.recover_ms.unwrap_or(f64::INFINITY);
             }
@@ -127,16 +127,9 @@ impl FaultScript {
             .collect();
         let mut straggler = vec![false; m];
         if let Some(s) = &plan.slow {
-            // Same partial Fisher-Yates as the crash victims, on its
-            // own salt stream: slow and crashed sets are independent.
-            let k = ((s.frac * m as f64).round() as usize).min(m);
-            let mut order: Vec<usize> = (0..m).collect();
-            for i in 0..k {
-                let r = splitmix(seed ^ SALT_SLOW ^ (i as u64).wrapping_mul(0x9E37)) as usize;
-                let j = i + r % (m - i);
-                order.swap(i, j);
-            }
-            for &victim in &order[..k] {
+            // On its own salt stream: slow and crashed sets are
+            // independent.
+            for victim in victims(seed ^ SALT_SLOW, s.frac, m, m) {
                 straggler[victim] = true;
             }
         }
@@ -233,7 +226,7 @@ impl FaultScript {
                 return false;
             }
         }
-        unit(splitmix(
+        unit_f64(splitmix(
             self.seed ^ SALT_LOSS ^ seq.rotate_left(17) ^ u64::from(attempt) << 48,
         )) < l.prob
     }

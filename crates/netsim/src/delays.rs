@@ -15,6 +15,7 @@
 //! delay matrix — at Figure-2 scale (m = 5000) that table alone would
 //! be 200 MB.
 
+use dlb_core::rngutil::derive_seed;
 use dlb_core::LatencyMatrix;
 
 use crate::rtt::QueueModel;
@@ -52,16 +53,11 @@ impl<'a> LinkDelayModel<'a> {
 
     /// The deterministic jitter component of link `src → dst`.
     fn jitter_ms(&self, src: usize, dst: usize) -> f64 {
-        // SplitMix64 over (seed, src, dst) → uniform in (0, 1) →
+        // SplitMix64 over (seed, src, dst) → uniform in (0, 1] →
         // inverse-CDF exponential. No state, no allocation: the same
-        // triple always yields the same jitter.
-        let mut x = self
-            .seed
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add((src as u64) << 32 | dst as u64);
-        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^= x >> 31;
+        // triple always yields the same jitter. Stream `seed − 1` mixes
+        // the link key plus `seed` golden-ratio steps.
+        let x = derive_seed((src as u64) << 32 | dst as u64, self.seed.wrapping_sub(1));
         // Map to (0, 1]: the +1 in a 2^53 window keeps ln() finite.
         let u = ((x >> 11) + 1) as f64 / (1u64 << 53) as f64;
         -self.jitter_mean_ms * u.ln()

@@ -29,7 +29,7 @@ use std::fmt;
 use std::str::FromStr;
 
 use dlb_core::plan_text::{split_at, Floor, Primitives, Reader, SpecError};
-use dlb_core::rngutil::derive_seed;
+use dlb_core::rngutil::{derive_seed, unit_f64};
 
 /// Homogeneous Poisson arrivals at `rate` requests per (virtual)
 /// second for the whole run (`poisson:RATE`).
@@ -216,11 +216,10 @@ const MAX_ARRIVALS: usize = 1_000_000;
 /// lane)` — pure in its coordinates, so schedule generation never
 /// holds RNG state.
 fn hash_unit(seed: u64, salt: u64, index: u64, lane: u64) -> f64 {
-    let x = derive_seed(
+    unit_f64(derive_seed(
         seed ^ salt ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15),
         lane,
-    );
-    (x >> 11) as f64 / (1u64 << 53) as f64
+    ))
 }
 
 /// One scheduled request: emitted by organization `org` at virtual
