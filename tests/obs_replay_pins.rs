@@ -192,3 +192,38 @@ fn detector_trace_streams_are_pinned() {
         );
     }
 }
+
+/// A round's `RoundEnd` closes the phase its `RoundBegin` opened: the
+/// round ends the moment the coordinator stops awaiting its reports,
+/// not when the next round begins. Under a 30 ms report deadline no
+/// round can then last longer than 30 ms — not even one that parks
+/// until stream activity resumes the coordinator.
+#[test]
+fn round_ends_close_the_phase_their_round_began() {
+    let path = std::env::temp_dir().join("dlb_obs_round_phase.dlbf");
+    let text = "algo=protocol m=50 seed=3 detect=timeout:30ms arrivals=poisson:20 duration=3000";
+    let spec: ScenarioSpec = format!("{text} trace=frames:{}", path.display())
+        .parse()
+        .expect("scenario parses");
+    spec.run();
+    let bytes = std::fs::read(&path).expect("frame log written");
+    std::fs::remove_file(&path).ok();
+    let log = FrameLog::decode(&bytes).expect("frame log decodes");
+    let mut began = std::collections::HashMap::new();
+    let mut ends = 0;
+    for ev in &log.events {
+        match ev.kind {
+            TraceKind::RoundBegin => {
+                began.insert(ev.round, ev.at_ms);
+            }
+            TraceKind::RoundEnd => {
+                ends += 1;
+                let (round, took) = (ev.round, ev.detail);
+                assert!(took <= 30.0 + 1e-9, "round {round} lasted {took} ms");
+                assert_eq!(ev.at_ms - took, began[&round], "round {round}");
+            }
+            _ => {}
+        }
+    }
+    assert!(ends > 1, "{ends} rounds ended");
+}
