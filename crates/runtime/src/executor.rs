@@ -37,11 +37,18 @@
 //! 4. **Give the coordinator its turn** — the batch's reports and
 //!    deadlines, then whatever follows a round boundary.
 //!
-//! Everything that is not protocol lives in four *planes* — liveness,
-//! detector, request stream, round trace: plain structs that own
-//! their state and are called from fixed points of that loop, each
-//! inert when its input is empty (no fault script, oracle detection,
-//! no stream, a disabled sink).
+//! Everything that is not protocol lives in three *planes* — liveness
+//! (failure detection included), request stream, round trace: plain
+//! structs that own their state and are called from fixed points of
+//! that loop, each inert when its input is empty (no fault script
+//! under oracle detection, no stream, a disabled sink). No plane keeps
+//! a copy of the coordinator's state: each reads the round number and
+//! [`CoordinatorMachine::awaits_reports`] after the coordinator's
+//! turn, and the coordinator keeps no clock — every call hands it the
+//! batch's virtual time. A round's trace phase runs from its
+//! `RoundBegin` to the `RoundEnd` stamped the moment the coordinator
+//! stops awaiting its reports: the next round began, the round
+//! parked, or the run shut down.
 //!
 //! Determinism is the point: the heap orders events by `(virtual due
 //! time, sequence number)`, both pure functions of the inputs, so the
@@ -237,9 +244,6 @@ struct Fabric<'a, D, T> {
     delays: D,
     script: &'a FaultScript,
     summary: FaultSummary,
-    /// Exchange retransmission timeout under in-protocol detection;
-    /// `None` (oracle) pushes no timers at all.
-    rto: Option<f64>,
     tracer: &'a mut T,
 }
 
@@ -274,32 +278,6 @@ impl<D, T: TraceSink> Fabric<'_, D, T> {
             let (tag, from, round) = frame_identity(frame);
             self.trace(kind, node, frame_peer(tag, from), round, tag, detail);
         }
-    }
-
-    /// A data-plane frame just vanished into a dead host. Under
-    /// in-protocol detection the sender is now waiting on an answer
-    /// that can never come: arm its retransmission timeout so the
-    /// machine aborts the exchange after `exchange_rto_ms` of silence.
-    ///
-    /// Arming at the *drop* instead of blindly at every send keeps the
-    /// abort exact — a timer only exists when the wait is provably
-    /// unresolvable — which is the behavior of a correctly provisioned
-    /// real-world RTO (one that exceeds the worst-case round trip, so
-    /// it never tears an exchange both parties are still driving).
-    fn arm_abort(&mut self, frame: &Frame) {
-        let Some(rto_ms) = self.rto else { return };
-        let (waiter, round, kind) = match *frame {
-            // Our proposal died with the acceptor; nobody will answer.
-            Frame::Propose { from, round } => (from, round, RtoKind::Answer),
-            // Our acceptance died with the initiator; no Commit comes.
-            Frame::Accept { from, round, .. } => (from, round, RtoKind::CommitWait),
-            // Our Commit died with the acceptor; nothing was installed
-            // and no ack comes — the held-back half must be dropped.
-            Frame::Commit { from, round, .. } => (from, round, RtoKind::Ack),
-            _ => return,
-        };
-        let due = self.now + rto_ms;
-        self.heap.push(due, Event::Rto(waiter, round, kind));
     }
 }
 
@@ -407,31 +385,44 @@ fn group_by_node(batch: &mut [(u32, Inbox)]) {
 /// coordinator's round-latched down set, which this plane feeds from
 /// the script; under in-protocol detection it is raw physics — the
 /// script's down set the instant it changes, latched at nothing
-/// (nobody tells the protocol, which is the point).
+/// (nobody tells the protocol, which is the point). Detection is the
+/// plane's other half: it arms each round's report deadline and every
+/// exchange's abort timer, and measures detection latency — a hook
+/// invisible to the protocol.
 struct Liveness<'a> {
     script: &'a FaultScript,
-    /// `false` for the empty script: every gate is then open and no
-    /// method touches the coordinator.
+    /// `false` for the empty script: every gate is then open.
     faulty: bool,
-    oracle: bool,
+    /// Exchange retransmission timeout under in-protocol detection;
+    /// `None` is the oracle, which pushes no timers at all.
+    rto: Option<f64>,
     down: Vec<bool>,
     /// The script's down set only changes at its crash/recovery
     /// instants; the cached phase makes the refresh O(1) per batch
     /// instead of an O(m) rebuild. Starts at no phase at all, so time
     /// zero is the first crossing.
     down_phase: Option<u8>,
-    latched_round: u64,
+    /// The coordinator's round last followed: relatched under the
+    /// oracle, armed with a report deadline under detection.
+    round: u64,
+    /// The suspect set last seen, sorted; always empty under the oracle.
+    suspects: Vec<u32>,
+    true_positives: u32,
+    latency_sum_ms: f64,
 }
 
 impl<'a> Liveness<'a> {
-    fn new(script: &'a FaultScript, oracle: bool) -> Self {
+    fn new(script: &'a FaultScript, rto: Option<f64>) -> Self {
         Self {
             script,
             faulty: !script.is_empty(),
-            oracle,
+            rto,
             down: vec![false; script.len()],
             down_phase: None,
-            latched_round: 0,
+            round: 0,
+            suspects: Vec::new(),
+            true_positives: 0,
+            latency_sum_ms: 0.0,
         }
     }
 
@@ -464,7 +455,7 @@ impl<'a> Liveness<'a> {
     /// Virtual time moved: in-protocol detection follows the script's
     /// down set the instant it changes, not at round boundaries.
     fn advance(&mut self, now: f64, summary: &mut FaultSummary) {
-        if self.faulty && !self.oracle && self.crossed(now) {
+        if self.faulty && self.rto.is_some() && self.crossed(now) {
             self.relatch(&self.script.down_at(now), summary);
         }
     }
@@ -472,17 +463,61 @@ impl<'a> Liveness<'a> {
     /// Tells the oracle who is down by `now`; the coordinator latches
     /// it at its next round start.
     fn feed_oracle(&mut self, now: f64, coordinator: &mut CoordinatorMachine) {
-        if self.faulty && self.oracle && self.crossed(now) {
+        if self.faulty && self.rto.is_none() && self.crossed(now) {
             coordinator.set_down(self.script.down_at(now));
         }
     }
 
-    /// The coordinator had its turn: if that began a round under the
-    /// oracle, the gate follows the fresh latch.
-    fn on_round(&mut self, coordinator: &CoordinatorMachine, summary: &mut FaultSummary) {
-        if self.faulty && self.oracle && coordinator.round_number() != self.latched_round {
-            self.latched_round = coordinator.round_number();
-            self.relatch(coordinator.down_now(), summary);
+    /// The coordinator had its turn (or is about to have its first). A
+    /// fresh round relatches the gate under a faulty oracle, or arms
+    /// the round's report deadline under detection (the previous
+    /// round's timer, if still queued, dies at pop time). Detection
+    /// then diffs the suspect set against the one last seen.
+    fn follow<D, T: TraceSink>(
+        &mut self,
+        coordinator: &CoordinatorMachine,
+        fabric: &mut Fabric<'_, D, T>,
+    ) {
+        let (now, round) = (fabric.now, coordinator.round_number());
+        if round != std::mem::replace(&mut self.round, round) {
+            if self.faulty && self.rto.is_none() {
+                self.relatch(coordinator.down_now(), &mut fabric.summary);
+            }
+            // `None` under the oracle, which arms no deadlines.
+            if let Some(due) = coordinator.arm_deadline(now) {
+                fabric.heap.push(due, Event::Deadline(round));
+            }
+        }
+        // Compared in place: a list is built only when it changed.
+        if self.rto.is_none() || coordinator.suspects_now().eq(self.suspects.iter().copied()) {
+            return;
+        }
+        // Over the union of both sorted lists, ascending: ids only in
+        // the new list are fresh suspicions, ids only in `prev` rejoined
+        // (probation readmission or recovery).
+        let prev = std::mem::replace(&mut self.suspects, coordinator.suspects_now().collect());
+        let mut ids = [prev.as_slice(), &self.suspects].concat();
+        ids.sort_unstable();
+        ids.dedup();
+        for s in ids {
+            match (prev.binary_search(&s), self.suspects.binary_search(&s)) {
+                (Err(_), Ok(_)) => {
+                    // Newly suspected while the script says it is down:
+                    // a true positive, and its detection latency runs
+                    // from the scripted crash instant.
+                    let mut latency = 0.0f64;
+                    if self.script.node_down(s as usize, now) {
+                        latency = now - self.script.crash_time(s as usize);
+                        self.true_positives += 1;
+                        self.latency_sum_ms += latency;
+                    }
+                    fabric.trace(TraceKind::DetectorSuspect, s, NODE_COORD, round, 0, latency);
+                }
+                (Ok(_), Err(_)) => {
+                    fabric.trace(TraceKind::DetectorRejoin, s, NODE_COORD, round, 0, 0.0);
+                }
+                _ => {}
+            }
         }
     }
 
@@ -502,89 +537,36 @@ impl<'a> Liveness<'a> {
     fn blocks(&self, dest: u32, frame: &Frame) -> bool {
         self.is_down(dest as usize)
             && !match frame {
-                Frame::Commit { .. } => self.oracle,
-                Frame::CommitAck { .. } => !self.oracle,
+                Frame::Commit { .. } => self.rto.is_none(),
+                Frame::CommitAck { .. } => self.rto.is_some(),
                 _ => false,
             }
     }
 
-    /// Whom the shutdown could not reach once in-flight traffic is
-    /// exhausted: under the oracle the latched down set, under
-    /// in-protocol detection whoever never answered.
-    fn unreachable(&self, coordinator: &CoordinatorMachine) -> Vec<u32> {
-        if self.oracle {
-            coordinator.down_now().to_vec()
-        } else {
-            coordinator.missing_ledgers()
-        }
-    }
-}
-
-/// The detector plane: the executor's side of in-protocol failure
-/// detection — which round's report deadline is armed, and a
-/// measurement hook, invisible to the protocol, that attributes
-/// detection latency.
-#[derive(Default)]
-struct Detector {
-    /// `false` under the oracle: nothing is ever armed or observed.
-    active: bool,
-    armed_round: u64,
-    /// The suspect set last seen, sorted.
-    suspects: Vec<u32>,
-    true_positives: u32,
-    latency_sum_ms: f64,
-}
-
-impl Detector {
-    /// The coordinator had its turn (or is about to have its first).
-    fn follow<D, T: TraceSink>(
-        &mut self,
-        coordinator: &CoordinatorMachine,
-        fabric: &mut Fabric<'_, D, T>,
-    ) {
-        if !self.active {
-            return;
-        }
-        let (now, round) = (fabric.now, coordinator.round_number());
-        if round != self.armed_round {
-            // A fresh round needs a fresh report deadline; the previous
-            // round's timer (if still queued) dies at pop time.
-            self.armed_round = round;
-            if let Some(due) = coordinator.arm_deadline(now) {
-                fabric.heap.push(due, Event::Deadline(round));
-            }
-        }
-        // Compared in place: a list is built only when it changed.
-        if coordinator.suspects_now().eq(self.suspects.iter().copied()) {
-            return;
-        }
-        // Over the union of both sorted lists, ascending: ids only in
-        // the new list are fresh suspicions, ids only in `prev` rejoined
-        // (probation readmission or recovery).
-        let prev = std::mem::replace(&mut self.suspects, coordinator.suspects_now().collect());
-        let mut ids = [prev.as_slice(), &self.suspects].concat();
-        ids.sort_unstable();
-        ids.dedup();
-        for s in ids {
-            match (prev.binary_search(&s), self.suspects.binary_search(&s)) {
-                (Err(_), Ok(_)) => {
-                    // Newly suspected while the script says it is down:
-                    // a true positive, and its detection latency runs
-                    // from the scripted crash instant.
-                    let mut latency = 0.0f64;
-                    if fabric.script.node_down(s as usize, now) {
-                        latency = now - fabric.script.crash_time(s as usize);
-                        self.true_positives += 1;
-                        self.latency_sum_ms += latency;
-                    }
-                    fabric.trace(TraceKind::DetectorSuspect, s, NODE_COORD, round, 0, latency);
-                }
-                (Ok(_), Err(_)) => {
-                    fabric.trace(TraceKind::DetectorRejoin, s, NODE_COORD, round, 0, 0.0);
-                }
-                _ => {}
-            }
-        }
+    /// A data-plane frame just vanished into a dead host. Under
+    /// in-protocol detection the sender is now waiting on an answer
+    /// that can never come: arm its retransmission timeout so the
+    /// machine aborts the exchange after `exchange_rto_ms` of silence.
+    ///
+    /// Arming at the *drop* instead of blindly at every send keeps the
+    /// abort exact — a timer only exists when the wait is provably
+    /// unresolvable — which is the behavior of a correctly provisioned
+    /// real-world RTO (one that exceeds the worst-case round trip, so
+    /// it never tears an exchange both parties are still driving).
+    fn arm_abort<D, T>(&self, frame: &Frame, fabric: &mut Fabric<'_, D, T>) {
+        let Some(rto_ms) = self.rto else { return };
+        let (waiter, round, kind) = match *frame {
+            // Our proposal died with the acceptor; nobody will answer.
+            Frame::Propose { from, round } => (from, round, RtoKind::Answer),
+            // Our acceptance died with the initiator; no Commit comes.
+            Frame::Accept { from, round, .. } => (from, round, RtoKind::CommitWait),
+            // Our Commit died with the acceptor; nothing was installed
+            // and no ack comes — the held-back half must be dropped.
+            Frame::Commit { from, round, .. } => (from, round, RtoKind::Ack),
+            _ => return,
+        };
+        let due = fabric.now + rto_ms;
+        fabric.heap.push(due, Event::Rto(waiter, round, kind));
     }
 }
 
@@ -607,9 +589,8 @@ struct Stream<'a> {
     sojourns: Vec<f64>,
     was_imbalanced: bool,
     last_sample_ms: f64,
-    /// Per-request scratch of [`Self::route`] (hosting weights) and
-    /// [`Self::depart`] (live hosts, heaviest first).
-    weights: Vec<f64>,
+    /// Per-request scratch of [`Self::fill_hosts`]: the live hosts of
+    /// one organization's work, as `(amount, id)`.
     hosts: Vec<(f64, usize)>,
 }
 
@@ -634,9 +615,21 @@ impl<'a> Stream<'a> {
             sojourns: Vec::new(),
             was_imbalanced: false,
             last_sample_ms: 0.0,
-            weights: Vec::new(),
             hosts: Vec::new(),
         }
+    }
+
+    /// Fills `hosts` with the live servers carrying a positive amount
+    /// of `org`'s work, as `(amount, id)` in id order.
+    fn fill_hosts(&mut self, org: u32, machines: &[NodeMachine], liveness: &Liveness) {
+        let live = machines
+            .iter()
+            .enumerate()
+            .filter(|&(j, machine)| !(liveness.is_down(j) || machine.is_done()))
+            .map(|(j, machine)| (machine.ledger().get(org), j))
+            .filter(|&(w, _)| w > 0.0);
+        self.hosts.clear();
+        self.hosts.extend(live);
     }
 
     /// The live server an arrival lands on: in proportion to how much
@@ -648,30 +641,20 @@ impl<'a> Stream<'a> {
         machines: &[NodeMachine],
         liveness: &Liveness,
     ) -> Option<usize> {
-        let alive = |j: usize, machine: &NodeMachine| !(liveness.is_down(j) || machine.is_done());
-        let weigh = |(j, machine): (usize, &NodeMachine)| {
-            if alive(j, machine) {
-                machine.ledger().get(a.org).max(0.0)
-            } else {
-                0.0
-            }
-        };
-        let weights = &mut self.weights;
-        weights.clear();
-        weights.extend(machines.iter().enumerate().map(weigh));
-        let total: f64 = weights.iter().sum();
+        self.fill_hosts(a.org, machines, liveness);
+        let total: f64 = self.hosts.iter().map(|&(w, _)| w).sum();
         if total <= 0.0 {
             // Nobody hosts this organization yet (its own load was
             // zero): serve at home if the home server is alive.
             let home = a.org as usize;
-            return alive(home, &machines[home]).then_some(home);
+            let alive = !(liveness.is_down(home) || machines[home].is_done());
+            return alive.then_some(home);
         }
         // Inverse CDF over the hosting weights with the arrival's
-        // pre-drawn uniform; the last positive host absorbs any float
-        // slack.
+        // pre-drawn uniform; the last host absorbs any float slack.
         let mut acc = 0.0f64;
         let mut pick = None;
-        for (j, &w) in weights.iter().enumerate().filter(|&(_, &w)| w > 0.0) {
+        for &(w, j) in &self.hosts {
             acc += w;
             pick = Some(j);
             if a.route * total <= acc {
@@ -742,14 +725,7 @@ impl<'a> Stream<'a> {
                 sojourn,
             );
         }
-        let live = machines
-            .iter()
-            .enumerate()
-            .filter(|&(j, machine)| !(liveness.is_down(j) || machine.is_done()))
-            .map(|(j, machine)| (machine.ledger().get(org), j))
-            .filter(|&(w, _)| w > 0.0);
-        self.hosts.clear();
-        self.hosts.extend(live);
+        self.fill_hosts(org, machines, liveness);
         self.hosts
             .sort_by(|x, y| y.0.total_cmp(&x.0).then(x.1.cmp(&y.1)));
         let mut remaining = amount;
@@ -826,14 +802,16 @@ impl<'a> Stream<'a> {
     }
 }
 
-/// The round-trace plane: round phases as the observer sees them —
-/// tracked apart from the liveness plane's latched round, which only
-/// moves on faulty-oracle runs. Untouched under a disabled sink.
+/// The round-trace plane: round phases as the observer sees them. A
+/// round is open while the coordinator awaits its reports and closes
+/// the moment that stops holding — the next round began, the round
+/// parked, or the run shut down — so its `RoundEnd` counts neither a
+/// park nor the final-ledger collection. Untouched under a disabled
+/// sink.
 #[derive(Default)]
 struct RoundTrace {
-    /// The round being observed; `0` before the first begins.
-    round: u64,
-    started_at: f64,
+    /// The round being observed and the instant it began.
+    open: Option<(u64, f64)>,
     /// Dedups the per-round exclusion announcement, which every
     /// RoundStart frame carries.
     excl_round: u64,
@@ -867,28 +845,34 @@ impl RoundTrace {
         }
     }
 
-    /// The coordinator is in `round` now: if the observed round is
-    /// another, close it and open this one.
-    fn follow<D, T: TraceSink>(&mut self, fabric: &mut Fabric<'_, D, T>, round: u64) {
-        if fabric.tracer.enabled() && round != self.round {
+    /// The coordinator had its turn: close the observed round once
+    /// it awaits no more reports, and open the current one if it does.
+    fn follow<D, T: TraceSink>(
+        &mut self,
+        fabric: &mut Fabric<'_, D, T>,
+        coordinator: &CoordinatorMachine,
+    ) {
+        if !fabric.tracer.enabled() {
+            return;
+        }
+        if let Some((round, _)) = self.open {
+            if coordinator.awaits_reports(round) {
+                return;
+            }
             self.end(fabric);
-            self.round = round;
-            self.started_at = fabric.now;
+        }
+        let round = coordinator.round_number();
+        if coordinator.awaits_reports(round) {
+            self.open = Some((round, fabric.now));
             fabric.trace(TraceKind::RoundBegin, NODE_COORD, NO_PEER, round, 0, 0.0);
         }
     }
 
-    fn end<D, T: TraceSink>(&self, fabric: &mut Fabric<'_, D, T>) {
-        if self.round != 0 {
-            let took = fabric.now - self.started_at;
-            fabric.trace(
-                TraceKind::RoundEnd,
-                NODE_COORD,
-                NO_PEER,
-                self.round,
-                0,
-                took,
-            );
+    /// Closes the observed round, if one is open.
+    fn end<D, T: TraceSink>(&mut self, fabric: &mut Fabric<'_, D, T>) {
+        if let Some((round, started_at)) = self.open.take() {
+            let took = fabric.now - started_at;
+            fabric.trace(TraceKind::RoundEnd, NODE_COORD, NO_PEER, round, 0, took);
         }
     }
 }
@@ -902,7 +886,6 @@ struct Run<'a, D, T> {
     nodes: Nodes,
     fabric: Fabric<'a, D, T>,
     liveness: Liveness<'a>,
-    detector: Detector,
     stream: Stream<'a>,
     rounds: RoundTrace,
     hash: u64,
@@ -925,6 +908,7 @@ impl<'a, D: Fn(usize, usize) -> f64, T: TraceSink> Run<'a, D, T> {
     ) -> Self {
         let instance = Arc::new(instance.clone());
         let oracle = matches!(options.detect, DetectMode::Oracle);
+        let rto = (!oracle).then_some(options.exchange_rto_ms);
         // In-protocol detection requires two-phase exchanges: an
         // aborting initiator may only roll back state it has not
         // applied yet, so the transfer must be held until the
@@ -936,11 +920,7 @@ impl<'a, D: Fn(usize, usize) -> f64, T: TraceSink> Run<'a, D, T> {
         let mut run = Self {
             nodes: Nodes::new(&instance, node_config),
             instance,
-            liveness: Liveness::new(script, oracle),
-            detector: Detector {
-                active: !oracle,
-                ..Detector::default()
-            },
+            liveness: Liveness::new(script, rto),
             stream: Stream::new(stream, &mut heap, &mut coordinator),
             rounds: RoundTrace::default(),
             coordinator,
@@ -950,7 +930,6 @@ impl<'a, D: Fn(usize, usize) -> f64, T: TraceSink> Run<'a, D, T> {
                 delays,
                 script,
                 summary: FaultSummary::default(),
-                rto: (!oracle).then_some(options.exchange_rto_ms),
                 tracer,
             },
             hash: 0xCBF2_9CE4_8422_2325, // FNV offset basis
@@ -962,8 +941,7 @@ impl<'a, D: Fn(usize, usize) -> f64, T: TraceSink> Run<'a, D, T> {
         run.liveness.feed_oracle(0.0, &mut run.coordinator);
         run.coordinator.start(&mut run.out);
         run.liveness.advance(0.0, &mut run.fabric.summary);
-        run.rounds
-            .follow(&mut run.fabric, run.coordinator.round_number());
+        run.rounds.follow(&mut run.fabric, &run.coordinator);
         run.fabric.schedule(None, run.out.drain(..));
         run.follow_round();
         run
@@ -993,11 +971,13 @@ impl<'a, D: Fn(usize, usize) -> f64, T: TraceSink> Run<'a, D, T> {
     /// coordinator still held open by the stream was released and
     /// resumed (defensive — the heap cannot normally dry up while
     /// arrivals or departures are pending). Otherwise the ledgers of
-    /// nodes the shutdown could not reach are frozen into the final
-    /// answer.
+    /// nodes the shutdown could not reach — those that sent no final
+    /// ledger — are frozen into the final answer. Under the oracle
+    /// that is exactly the latched down set: it gets no `Shutdown` and
+    /// sends nothing, and every other node answers.
     fn resume_or_freeze(&mut self) -> bool {
         if self.coordinator.set_hold(false) {
-            self.coordinator.kick(&mut self.out);
+            self.coordinator.kick(self.fabric.now, &mut self.out);
             if !self.out.is_empty() {
                 self.fabric.schedule(None, self.out.drain(..));
                 return true;
@@ -1005,7 +985,7 @@ impl<'a, D: Fn(usize, usize) -> f64, T: TraceSink> Run<'a, D, T> {
         }
         if self.coordinator.is_collecting() {
             let now = self.fabric.now;
-            for j in self.liveness.unreachable(&self.coordinator) {
+            for j in self.coordinator.missing_ledgers() {
                 let ledger = ledger_to_wire(self.nodes.machines[j as usize].ledger());
                 let frame = Frame::FinalLedger { from: j, ledger };
                 self.coordinator.handle(&frame, now, &mut self.out);
@@ -1039,7 +1019,7 @@ impl<'a, D: Fn(usize, usize) -> f64, T: TraceSink> Run<'a, D, T> {
                         Dest::Node(j) if liveness.blocks(j, &frame) => {
                             fabric.summary.dropped_frames += 1;
                             fabric.trace_frame(TraceKind::FrameDropped, j, &frame, DROP_DEST_DOWN);
-                            fabric.arm_abort(&frame);
+                            liveness.arm_abort(&frame, fabric);
                         }
                         Dest::Node(j) => {
                             self.rounds.delivered(fabric, j, &frame);
@@ -1108,7 +1088,7 @@ impl<'a, D: Fn(usize, usize) -> f64, T: TraceSink> Run<'a, D, T> {
             return;
         }
         self.liveness.feed_oracle(now, &mut self.coordinator);
-        self.coordinator.kick(&mut self.out);
+        self.coordinator.kick(now, &mut self.out);
         self.fabric.schedule(None, self.out.drain(..));
         if self.stream.drained(now) {
             self.coordinator.set_hold(false);
@@ -1192,11 +1172,8 @@ impl<'a, D: Fn(usize, usize) -> f64, T: TraceSink> Run<'a, D, T> {
     /// Lets every plane that follows round boundaries catch up with
     /// the coordinator.
     fn follow_round(&mut self) {
-        let round = self.coordinator.round_number();
-        self.rounds.follow(&mut self.fabric, round);
-        self.liveness
-            .on_round(&self.coordinator, &mut self.fabric.summary);
-        self.detector.follow(&self.coordinator, &mut self.fabric);
+        self.rounds.follow(&mut self.fabric, &self.coordinator);
+        self.liveness.follow(&self.coordinator, &mut self.fabric);
     }
 
     fn finish(mut self) -> ClusterReport {
@@ -1206,9 +1183,9 @@ impl<'a, D: Fn(usize, usize) -> f64, T: TraceSink> Run<'a, D, T> {
         report.virtual_ms = now;
         report.event_hash = self.hash;
         report.faults = self.fabric.summary;
-        let hits = self.detector.true_positives;
+        let hits = self.liveness.true_positives;
         if hits > 0 {
-            report.detector.detection_latency_ms = self.detector.latency_sum_ms / hits as f64;
+            report.detector.detection_latency_ms = self.liveness.latency_sum_ms / hits as f64;
         }
         if let Some(stream) = self.stream.summary(now) {
             report.stream = stream;

@@ -1196,9 +1196,6 @@ pub struct CoordinatorMachine {
     round_blocks: Option<RoundBlocks>,
     ledgers: Vec<Option<SparseVec>>,
     collected: usize,
-    /// Virtual time of the last [`Self::handle`]/[`Self::on_deadline`]
-    /// call.
-    now_ms: f64,
     /// Virtual time the current round's `RoundStart` went out.
     round_started_at: f64,
     /// In-protocol detection: currently suspected nodes, sorted by id.
@@ -1267,7 +1264,6 @@ impl CoordinatorMachine {
             round_blocks: None,
             ledgers: (0..m).map(|_| None).collect(),
             collected: 0,
-            now_ms: 0.0,
             round_started_at: 0.0,
             suspects: Vec::new(),
             node_lat: vec![(0, 0.0, 0.0); m],
@@ -1345,35 +1341,37 @@ impl CoordinatorMachine {
         std::mem::replace(&mut self.hold_open, hold)
     }
 
-    /// Resumes rounds after a park (no-op otherwise). A streaming
-    /// driver calls this whenever stream activity lands: parked means
-    /// the landscape was flat at the last round's end, and an arrival
-    /// or departure has just deformed it.
-    pub fn kick(&mut self, out: &mut Vec<Outbound>) {
+    /// Resumes rounds at virtual time `now` after a park (no-op
+    /// otherwise). A streaming driver calls this whenever stream
+    /// activity lands: parked means the landscape was flat at the last
+    /// round's end, and an arrival or departure has just deformed it.
+    /// The coordinator keeps no clock: the resumed round is timed from
+    /// the caller's `now`, so its report latencies exclude the park.
+    pub fn kick(&mut self, now: f64, out: &mut Vec<Outbound>) {
         if self.phase != Phase::Parked {
             return;
         }
         self.phase = Phase::Rounds;
         self.round += 1;
-        self.begin_round(out);
+        self.begin_round(now, out);
     }
 
-    /// Kicks off round 1. Rounds are 1-based on the wire: nodes boot
-    /// with `round == 0` meaning "no round joined yet", so a proposal
-    /// that overtakes the recipient's own RoundStart is correctly
-    /// classified as early and queued instead of being served with
-    /// boot state.
+    /// Kicks off round 1 at virtual time 0. Rounds are 1-based on the
+    /// wire: nodes boot with `round == 0` meaning "no round joined
+    /// yet", so a proposal that overtakes the recipient's own
+    /// RoundStart is correctly classified as early and queued instead
+    /// of being served with boot state.
     pub fn start(&mut self, out: &mut Vec<Outbound>) {
         debug_assert_eq!(self.round, 0, "start called twice");
         self.round = 1;
-        self.begin_round(out);
+        self.begin_round(0.0, out);
     }
 
-    fn begin_round(&mut self, out: &mut Vec<Outbound>) {
+    fn begin_round(&mut self, now: f64, out: &mut Vec<Outbound>) {
         self.reports = 0;
         self.round_moved = 0.0;
         self.seen.iter_mut().for_each(|s| *s = false);
-        self.round_started_at = self.now_ms;
+        self.round_started_at = now;
         // Latch the liveness oracle for the round: crashed nodes get no
         // RoundStart, owe no report, and are announced as excluded so
         // no live node proposes to (or audits) them. Under in-protocol
@@ -1456,10 +1454,11 @@ impl CoordinatorMachine {
     }
 
     /// Consumes one control-plane frame that arrived at virtual time
-    /// `now` (the latency-sample source and rejoin timestamp of
-    /// in-protocol detection), appending any broadcasts to `out`.
+    /// `now`, appending any broadcasts to `out`. Time belongs to the
+    /// caller: `now` is the latency-sample source and rejoin timestamp
+    /// of in-protocol detection, and the start time of any round this
+    /// frame begins.
     pub fn handle(&mut self, frame: &Frame, now: f64, out: &mut Vec<Outbound>) {
-        self.now_ms = now;
         match (self.phase, frame) {
             (
                 Phase::Rounds | Phase::Parked | Phase::Collecting,
@@ -1478,7 +1477,7 @@ impl CoordinatorMachine {
                         // wrong. Probation/rejoin instead of the normal
                         // round accounting — during collection too,
                         // since the detector must own up to it.
-                        self.rejoin(idx, *outcome, *load, *local_cost, *exchange);
+                        self.rejoin(idx, *outcome, *load, *local_cost, *exchange, now);
                         return;
                     }
                 }
@@ -1487,7 +1486,7 @@ impl CoordinatorMachine {
                     return;
                 }
                 if matches!(self.options.detect, DetectMode::Adaptive) {
-                    let lat = self.now_ms - self.round_started_at;
+                    let lat = now - self.round_started_at;
                     welford_feed(&mut self.node_lat[*from as usize], lat);
                     welford_feed(&mut self.global_lat, lat);
                 }
@@ -1506,7 +1505,7 @@ impl CoordinatorMachine {
                 self.account(*from, *outcome, *load, *local_cost, *exchange);
                 self.lost += usize::from(matches!(outcome, RoundOutcome::Lost));
                 if self.reports == self.expected {
-                    self.end_round(out);
+                    self.end_round(now, out);
                 }
             }
             (Phase::Collecting, Frame::FinalLedger { from, ledger }) => {
@@ -1575,17 +1574,18 @@ impl CoordinatorMachine {
         load: f64,
         local_cost: f64,
         exchange: Option<(u32, f64, f64, f64)>,
+        now: f64,
     ) {
         let s = self.suspects.remove(idx);
         self.detector.false_positives += 1;
-        self.detector.rejoin_ms += self.now_ms - s.at_ms;
+        self.detector.rejoin_ms += now - s.at_ms;
         self.account(s.node, outcome, load, local_cost, exchange);
         if matches!(self.options.detect, DetectMode::Adaptive) {
             // The late report is exactly the sample the estimator was
             // missing: feeding it teaches the detector this node's
             // true latency, which is how adaptive stops re-suspecting
             // a persistent straggler.
-            let lat = self.now_ms - s.round_start_ms;
+            let lat = now - s.round_start_ms;
             welford_feed(&mut self.node_lat[s.node as usize], lat);
             welford_feed(&mut self.global_lat, lat);
         }
@@ -1626,18 +1626,18 @@ impl CoordinatorMachine {
         self.phase == Phase::Rounds && round == self.round
     }
 
-    /// The report deadline fired. A stale timer (see
-    /// [`Self::awaits_reports`]: an earlier round, or a round already
-    /// ended, parked included) is a no-op. Otherwise every node that
-    /// owed a report and stayed silent becomes *suspected* — excluded
-    /// from the next `RoundStart` — and the round ends on the reports
-    /// that made it.
+    /// The report deadline fired at virtual time `now`, the caller's
+    /// clock: the suspicion timestamp and the start time of any round
+    /// this begins. A stale timer (see [`Self::awaits_reports`]: an
+    /// earlier round, or a round already ended, parked included) is a
+    /// no-op. Otherwise every node that owed a report and stayed silent
+    /// becomes *suspected* — excluded from the next `RoundStart` — and
+    /// the round ends on the reports that made it.
     pub fn on_deadline(&mut self, round: u64, now: f64, out: &mut Vec<Outbound>) {
         if !self.awaits_reports(round) {
             return;
         }
         debug_assert!(self.in_protocol_detect(), "deadline armed under oracle");
-        self.now_ms = now;
         let round_start_ms = self.round_started_at;
         for j in 0..self.len() as u32 {
             if !self.seen[j as usize] && self.suspect_index(j).is_none() {
@@ -1653,7 +1653,7 @@ impl CoordinatorMachine {
                 self.detector.suspicions += 1;
             }
         }
-        self.end_round(out);
+        self.end_round(now, out);
     }
 
     /// Currently suspected nodes, ascending. Drivers diff this across
@@ -1672,7 +1672,7 @@ impl CoordinatorMachine {
             .collect()
     }
 
-    fn end_round(&mut self, out: &mut Vec<Outbound>) {
+    fn end_round(&mut self, now: f64, out: &mut Vec<Outbound>) {
         self.rounds += 1;
         self.history.push(self.local_costs.iter().sum());
         if self.hold_open {
@@ -1685,7 +1685,7 @@ impl CoordinatorMachine {
                 self.phase = Phase::Parked;
             } else {
                 self.round += 1;
-                self.begin_round(out);
+                self.begin_round(now, out);
             }
             return;
         }
@@ -1704,7 +1704,7 @@ impl CoordinatorMachine {
             return;
         }
         self.round += 1;
-        self.begin_round(out);
+        self.begin_round(now, out);
     }
 
     /// Assembles the final [`ClusterReport`] once [`Self::is_done`].
@@ -2884,7 +2884,7 @@ mod tests {
         assert!(out.is_empty(), "the parked round's deadline sent {out:?}");
         assert_eq!(state(&coordinator), parked, "the parked round ended twice");
 
-        coordinator.kick(&mut out);
+        coordinator.kick(35.0, &mut out);
         assert_eq!(coordinator.round_number(), 2);
         out.clear();
         coordinator.handle(&report(0, 2), 40.0, &mut out);
@@ -2894,6 +2894,40 @@ mod tests {
             (2, 3, 2),
             "nodes 1 and 2 stayed silent"
         );
+    }
+
+    /// The coordinator keeps no clock: a round resumed by `kick` is
+    /// timed from the kick, so the adaptive detector's latency samples
+    /// never count a park. Every report arrives 5 ms after its round
+    /// began, so the next deadline is `μ + 4σ + 1 = 6` ms out.
+    #[test]
+    fn a_kicked_round_is_timed_from_its_kick() {
+        let instance = Arc::new(Instance::homogeneous(2, 1.0, 1.0, 5.0));
+        let options = ClusterOptions {
+            detect: DetectMode::Adaptive,
+            ..ClusterOptions::default()
+        };
+        let mut coordinator = CoordinatorMachine::new(instance, &options);
+        coordinator.set_hold(true);
+        let mut out = Vec::new();
+        coordinator.start(&mut out);
+        for (round, began) in [(1, 0.0), (2, 1000.0), (3, 2000.0)] {
+            coordinator.kick(began, &mut out);
+            assert_eq!(coordinator.round_number(), round);
+            for from in 0..2 {
+                let report = Frame::Report {
+                    from,
+                    round,
+                    outcome: RoundOutcome::NoProposal,
+                    load: 5.0,
+                    local_cost: 12.5,
+                    exchange: None,
+                };
+                coordinator.handle(&report, began + 5.0, &mut out);
+            }
+        }
+        coordinator.kick(3000.0, &mut out);
+        assert_eq!(coordinator.arm_deadline(3000.0), Some(3006.0));
     }
 
     #[test]

@@ -155,11 +155,11 @@ fn detector_trace_streams_are_pinned() {
     let cases = [
         (
             "algo=protocol m=300 seed=3 detect=adaptive faults=crash:0.2@1ms..40ms,part:5ms..30ms",
-            0x4fd2_eebe_2b89_fb06_u64,
+            0xa053_3da5_2c8f_6a7f_u64,
         ),
         (
             "algo=protocol net=pl m=400 seed=4 select=topk:8 detect=timeout:30ms faults=crash:0.3@1ms..20ms",
-            0x3260_557d_e4da_6bfb,
+            0x91ca_3409_1ff0_0a81,
         ),
     ];
     for (i, (text, golden)) in cases.into_iter().enumerate() {
