@@ -42,9 +42,6 @@ pub struct GossipFeed {
     /// Gossip periods advanced per engine iteration: `⌈log2 m⌉`, the
     /// paper's gossip-vs-balancer speed ratio.
     periods_per_iter: u32,
-    /// Last load each server published, so unchanged loads don't churn
-    /// versions (and bandwidth) for nothing.
-    published: Vec<f64>,
 }
 
 impl GossipFeed {
@@ -62,29 +59,29 @@ impl GossipFeed {
             net,
             period_ms,
             periods_per_iter,
-            published: loads.to_vec(),
         }
     }
 
     /// Number of servers.
     pub fn len(&self) -> usize {
-        self.published.len()
+        self.net.len()
     }
 
     /// Returns `true` for an empty system.
     pub fn is_empty(&self) -> bool {
-        self.published.is_empty()
+        self.net.is_empty()
     }
 
     /// One engine iteration's worth of gossip: publish every changed
     /// load, advance `⌈log2 m⌉` periods with one-way link delays of
-    /// `latency(i, j) / 2`.
+    /// `latency(i, j) / 2`. A server's own entry of its view is the
+    /// load it last published (nobody else publishes it), so an
+    /// unchanged load churns no version and no bandwidth.
     pub fn step(&mut self, latency: &LatencyMatrix, loads: &[f64]) {
         assert_eq!(loads.len(), self.len(), "feed built for a different size");
-        for (i, (&load, published)) in loads.iter().zip(self.published.iter_mut()).enumerate() {
-            if load != *published {
+        for (i, &load) in loads.iter().enumerate() {
+            if load != self.net.loads()[i][i] {
                 self.net.publish(i, load);
-                *published = load;
             }
         }
         let until = self.net.now_ms() + self.period_ms * f64::from(self.periods_per_iter);
