@@ -284,7 +284,7 @@ fn report_renders_every_committed_artifact_unchanged() {
         ("figure2", 0x02ae_870f_b112_e7ae),
         ("gossip", 0x8cad_1247_a661_90bd),
         ("obs", 0x1d54_37ca_00c7_1ec5),
-        ("streaming", 0xa508_da9e_f4ba_00d9),
+        ("streaming", 0x4296_68d8_ee5e_e2a4),
     ] {
         let path = format!("{}/../../BENCH_{artifact}.json", env!("CARGO_MANIFEST_DIR"));
         let output = dlb().args(["report", &path]).output().expect("dlb runs");
