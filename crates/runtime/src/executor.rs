@@ -855,24 +855,18 @@ impl RoundTrace {
         if !fabric.tracer.enabled() {
             return;
         }
-        if let Some((round, _)) = self.open {
+        if let Some((round, started_at)) = self.open {
             if coordinator.awaits_reports(round) {
                 return;
             }
-            self.end(fabric);
+            self.open = None;
+            let took = fabric.now - started_at;
+            fabric.trace(TraceKind::RoundEnd, NODE_COORD, NO_PEER, round, 0, took);
         }
         let round = coordinator.round_number();
         if coordinator.awaits_reports(round) {
             self.open = Some((round, fabric.now));
             fabric.trace(TraceKind::RoundBegin, NODE_COORD, NO_PEER, round, 0, 0.0);
-        }
-    }
-
-    /// Closes the observed round, if one is open.
-    fn end<D, T: TraceSink>(&mut self, fabric: &mut Fabric<'_, D, T>) {
-        if let Some((round, started_at)) = self.open.take() {
-            let took = fabric.now - started_at;
-            fabric.trace(TraceKind::RoundEnd, NODE_COORD, NO_PEER, round, 0, took);
         }
     }
 }
@@ -1176,8 +1170,9 @@ impl<'a, D: Fn(usize, usize) -> f64, T: TraceSink> Run<'a, D, T> {
         self.liveness.follow(&self.coordinator, &mut self.fabric);
     }
 
-    fn finish(mut self) -> ClusterReport {
-        self.rounds.end(&mut self.fabric);
+    /// Only a finished coordinator gets here, and the turn that shut
+    /// it down already closed its last round's trace phase.
+    fn finish(self) -> ClusterReport {
         let now = self.fabric.now;
         let mut report = self.coordinator.into_report();
         report.virtual_ms = now;
