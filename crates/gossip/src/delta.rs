@@ -29,27 +29,23 @@
 //! measured end-to-end in `BENCH_gossip.json` ([`GossipTraffic`] meters
 //! each frame at its encoded size).
 //!
-//! **The frame path: metered whole, shipped trimmed.** A node's
+//! **The frame path: metered whole, shipped trimmed.** The network is
+//! simulated in one process, so a frame travels on the heap as a
+//! [`crate::wire::DeltaFrame`] value and is never serialized. A node's
 //! `versions` only grow (a merge or a publish raises them), so an entry
 //! the receiver already holds at its version when the frame is sent is
 //! a no-op whenever the frame lands. [`GossipTraffic`] and the trace's
 //! `gossip_delta`/`gossip_full` counts meter the frame described above,
-//! whole, at [`crate::wire::DeltaFrame::encoded_len`]; the payload
-//! handed to the receiver has the same layout and order but only the
-//! entries it holds at an older version, so views, versions, hot sets
-//! and counters end as if the whole frame had shipped. One walk over
-//! the hot bits and the fallback range counts the metered lists and
-//! writes the shipped entries into one reused scratch buffer (each
-//! list's count patched in after its walk); an exact-size copy is the
-//! event payload. On delivery it is validated and walked in place
-//! through [`crate::wire::DeltaFrameRef`] and merged entry by entry,
-//! allocating nothing. [`crate::wire::encode_delta`] and
-//! [`crate::wire::decode_delta`] stay as the public owned codec and as
-//! the oracle: in this crate's test builds every frame's metered
-//! traffic is checked against `encode_delta` of a scan-and-assemble
-//! reference frame, and its payload byte for byte against that frame
-//! cut to what the receiver lacks. The borrowed parser is
-//! property-tested against `decode_delta`.
+//! whole, at its encoded size; the frame handed to the receiver carries
+//! the same summary and, in the same order, only the entries it holds
+//! at an older version, so views, versions, hot sets and counters end
+//! as if the whole frame had shipped. One walk per list over the hot
+//! bits or the fallback range counts the metered entries and collects
+//! the shipped ones. The codec is the meter's oracle: in this crate's
+//! test builds every frame's metered traffic is checked against
+//! [`crate::wire::encode_delta`] of a scan-and-assemble reference
+//! frame, and the shipped frame against that frame cut to what the
+//! receiver lacks.
 //!
 //! **The hot set is a bitset.** Each node keeps `hot`, one bit per
 //! origin, with the invariant *bit o set ⇔ `heard[o] != NEVER` and
@@ -69,8 +65,6 @@
 //! per seed: peers come from a seeded RNG and the heap orders
 //! deliveries by `(due, seq)`.
 
-use std::sync::Arc;
-
 use dlb_core::events::{EventHeap, Scheduled};
 use dlb_core::rngutil::rng_for;
 use dlb_obs::{NullSink, TraceEvent, TraceKind, TraceSink};
@@ -78,7 +72,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::shard::ShardMap;
-use crate::wire::{self, DeltaFrameRef, WireEntry};
+use crate::wire::{self, WireEntry};
 
 /// Timing of [`DeltaGossip`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -205,30 +199,28 @@ impl Iterator for SetBits {
     }
 }
 
-/// Appends the entry list of those `origins` the receiver holds older
-/// than the sender (`lacks[o] < versions[o]`) and returns how many of
-/// `origins` the sender knows (`versions[o] > 0`): the metered length.
-fn put_lacking(
-    buf: &mut Vec<u8>,
+/// The entries of those `origins` the receiver holds older than the
+/// sender (`lacks[o] < versions[o]`), with how many of `origins` the
+/// sender knows (`versions[o] > 0`): the metered length.
+fn lacking(
     origins: impl Iterator<Item = usize>,
     versions: &[u64],
     loads: &[f64],
     lacks: &[u64],
-) -> u32 {
+) -> (Vec<WireEntry>, u32) {
     let mut known = 0;
-    let lacking = origins.filter(|&o| {
-        known += u32::from(versions[o] > 0);
-        lacks[o] < versions[o]
-    });
-    wire::put_entries(
-        buf,
-        lacking.map(|o| WireEntry {
+    let entries = origins
+        .filter(|&o| {
+            known += u32::from(versions[o] > 0);
+            lacks[o] < versions[o]
+        })
+        .map(|o| WireEntry {
             origin: o as u32,
             version: versions[o],
             load: loads[o],
-        }),
-    );
-    known
+        })
+        .collect();
+    (entries, known)
 }
 
 #[derive(Debug, Clone)]
@@ -244,8 +236,9 @@ enum What {
 /// A frame in flight (see the module docs).
 #[derive(Debug, Clone)]
 struct Frame {
-    /// The wire image, cut to what the receiver lacked when it was sent.
-    payload: Arc<[u8]>,
+    /// The sender's summary and the entries the receiver held older
+    /// when it was sent.
+    shipped: wire::DeltaFrame,
     /// The metered `changed` and `full` entry counts, for the trace.
     entries: [u32; 2],
 }
@@ -275,10 +268,6 @@ pub struct DeltaGossip {
     heap: EventHeap<What>,
     rng: StdRng,
     traffic: GossipTraffic,
-    /// The frame under construction; reused by every
-    /// [`build_frame`](Self::build_frame) so only the exact-size
-    /// payload copy is allocated per frame.
-    scratch: Vec<u8>,
 }
 
 impl DeltaGossip {
@@ -364,7 +353,6 @@ impl DeltaGossip {
             heap,
             rng: rng_for(seed, 0xDE17A),
             traffic: GossipTraffic::default(),
-            scratch: Vec::new(),
         }
     }
 
@@ -378,11 +366,6 @@ impl DeltaGossip {
         self.nodes.is_empty()
     }
 
-    /// The shard layout in use.
-    pub fn shards(&self) -> &ShardMap {
-        &self.shards
-    }
-
     /// Current virtual time.
     pub fn now_ms(&self) -> f64 {
         self.now
@@ -391,18 +374,6 @@ impl DeltaGossip {
     /// Wire-traffic counters accumulated so far.
     pub fn traffic(&self) -> GossipTraffic {
         self.traffic
-    }
-
-    /// Virtual instant at which the last full dissemination completed,
-    /// if currently complete.
-    pub fn completed_at(&self) -> Option<f64> {
-        self.completed_at
-    }
-
-    /// Returns `true` when every node holds the globally freshest
-    /// version of every origin's entry (O(1) counter check).
-    pub fn fully_disseminated(&self) -> bool {
-        self.deficit == 0
     }
 
     /// A node publishes a new local load (bumps its version; the entry
@@ -428,11 +399,6 @@ impl DeltaGossip {
     /// network's own storage, borrowed.
     pub fn loads(&self) -> &[Vec<f64>] {
         &self.loads
-    }
-
-    /// The load vector as node `node` currently believes it.
-    pub fn view(&self, node: usize) -> Vec<f64> {
-        self.loads[node].clone()
     }
 
     /// Copies node `node`'s believed load vector into `out` without
@@ -518,24 +484,17 @@ impl DeltaGossip {
         (true, t)
     }
 
-    /// Emits the dissemination events for a frame merged at `node` from
+    /// Emits the dissemination events for `frame` merged at `node` from
     /// `peer`: `gossip_delta` when its metered hot set was non-empty,
     /// `gossip_full` when its fallback shard was, `detail` carrying
     /// that entry count and `round` the shard index.
-    fn trace_frame<T: TraceSink>(
-        tracer: &mut T,
-        now: f64,
-        node: u32,
-        peer: u32,
-        shard: u32,
-        entries: [u32; 2],
-    ) {
+    fn trace_frame<T: TraceSink>(tracer: &mut T, now: f64, node: u32, peer: u32, frame: &Frame) {
         if !tracer.enabled() {
             return;
         }
         for (kind, entries) in [TraceKind::GossipDelta, TraceKind::GossipFull]
             .into_iter()
-            .zip(entries)
+            .zip(frame.entries)
         {
             if entries > 0 {
                 tracer.emit(&TraceEvent {
@@ -543,7 +502,7 @@ impl DeltaGossip {
                     at_ms: now,
                     node,
                     peer,
-                    round: u64::from(shard),
+                    round: u64::from(frame.shipped.shard),
                     tag: 0,
                     detail: f64::from(entries),
                 });
@@ -580,20 +539,18 @@ impl DeltaGossip {
                 self.heap.push(now + self.period_ms, What::Tick { node });
             }
             What::Request { from, to, frame } => {
-                let decoded =
-                    DeltaFrameRef::parse(&frame.payload).expect("internally produced frame");
                 let t = to as usize;
-                Self::trace_frame(tracer, now, to, from, decoded.shard(), frame.entries);
-                self.merge_frame(t, &decoded, now);
+                Self::trace_frame(tracer, now, to, from, &frame);
+                self.merge_frame(t, &frame.shipped, now);
                 // Reply with whatever shard the requester's summary
                 // says it lags most on; when nothing lags, fall back to
                 // the responder's own rotation so anti-entropy keeps
                 // sweeping.
                 let mut fallback = (self.nodes[t].tick as usize) % self.shards.count();
                 let mut best = 0u64;
-                let mut theirs = decoded.since();
-                for (s, &mine) in self.nodes[t].vsum.iter().enumerate() {
-                    let gap = mine.saturating_sub(theirs.next().unwrap_or(0));
+                let summaries = self.nodes[t].vsum.iter().zip(&frame.shipped.since);
+                for (s, (&mine, &theirs)) in summaries.enumerate() {
+                    let gap = mine.saturating_sub(theirs);
                     if gap > best {
                         best = gap;
                         fallback = s;
@@ -610,10 +567,8 @@ impl DeltaGossip {
                 );
             }
             What::Reply { from, to, frame } => {
-                let decoded =
-                    DeltaFrameRef::parse(&frame.payload).expect("internally produced frame");
-                Self::trace_frame(tracer, now, to, from, decoded.shard(), frame.entries);
-                self.merge_frame(to as usize, &decoded, now);
+                Self::trace_frame(tracer, now, to, from, &frame);
+                self.merge_frame(to as usize, &frame.shipped, now);
                 self.traffic.exchanges += 1;
             }
         }
@@ -621,8 +576,7 @@ impl DeltaGossip {
 
     /// Builds node `n`'s frame to `to`: its hot set plus the complete
     /// known contents of `fallback`, metered whole into the traffic
-    /// counters, with a payload in the [`encode_delta`](wire::encode_delta)
-    /// layout that carries only the entries `to` holds older (see the
+    /// counters, shipping only the entries `to` holds older (see the
     /// module docs).
     fn build_frame(&mut self, n: usize, fallback: usize, to: usize) -> Frame {
         #[cfg(test)]
@@ -636,21 +590,23 @@ impl DeltaGossip {
             .flat_map(|(w, &word)| SetBits(word).map(move |bit| w * 64 + bit))
             .filter(|o| !in_fallback.contains(o));
 
-        let scratch = &mut self.scratch;
-        scratch.clear();
-        wire::put_delta_header(scratch, fallback as u32, &state.vsum);
-        let header = scratch.len();
-        let changed = put_lacking(scratch, hot, &state.versions, loads, lacks);
-        let full = put_lacking(scratch, in_fallback.clone(), &state.versions, loads, lacks);
+        let (changed, hot_known) = lacking(hot, &state.versions, loads, lacks);
+        let (full, shard_known) = lacking(in_fallback, &state.versions, loads, lacks);
+        let since = state.vsum.clone();
 
+        let lists = wire::view_bytes(hot_known as usize) + wire::view_bytes(shard_known as usize);
         self.traffic.frames += 1;
-        self.traffic.bytes +=
-            (header + wire::view_bytes(changed as usize) + wire::view_bytes(full as usize)) as u64;
-        self.traffic.delta_entries += u64::from(changed);
-        self.traffic.full_entries += u64::from(full);
+        self.traffic.bytes += (8 + 8 * since.len() + lists) as u64;
+        self.traffic.delta_entries += u64::from(hot_known);
+        self.traffic.full_entries += u64::from(shard_known);
         let frame = Frame {
-            payload: Arc::from(scratch.as_slice()),
-            entries: [changed, full],
+            shipped: wire::DeltaFrame {
+                shard: fallback as u32,
+                since,
+                changed,
+                full,
+            },
+            entries: [hot_known, shard_known],
         };
         #[cfg(test)]
         self.assert_matches_reference(n, fallback, to, &frame, &before);
@@ -659,14 +615,10 @@ impl DeltaGossip {
 
     /// Keep-freshest merge of a delivered frame into `node`'s view,
     /// maintaining the freshness counters and shard summaries.
-    fn merge_frame(&mut self, node: usize, frame: &DeltaFrameRef<'_>, now: f64) {
-        let m = self.len();
+    fn merge_frame(&mut self, node: usize, frame: &wire::DeltaFrame, now: f64) {
         let (state, loads) = (&mut self.nodes[node], &mut self.loads[node]);
-        for e in frame.changed().chain(frame.full()) {
+        for e in frame.changed.iter().chain(&frame.full) {
             let origin = e.origin as usize;
-            if origin >= m {
-                continue; // hostile frame; internally never happens
-            }
             let mine = state.versions[origin];
             if e.version > mine {
                 debug_assert!(e.version <= self.newest[origin]);
@@ -761,9 +713,9 @@ impl DeltaGossip {
 
     /// The metered frame is the reference frame: the same traffic
     /// metered since `before` as `encode_delta` of it weighs, and the
-    /// same entry counts carried for the trace. The payload is the
-    /// reference frame cut to the entries `to` holds older, byte for
-    /// byte, in reference order.
+    /// same entry counts carried for the trace. The shipped frame is
+    /// the reference frame cut to the entries `to` holds older, in
+    /// reference order.
     fn assert_matches_reference(
         &self,
         n: usize,
@@ -802,8 +754,7 @@ impl DeltaGossip {
             ..reference
         };
         assert_eq!(
-            frame.payload,
-            wire::encode_delta(&shipped),
+            frame.shipped, shipped,
             "node {n} (tick {}) shipped a different frame to {to} for shard {fallback}",
             self.nodes[n].tick
         );
@@ -822,12 +773,12 @@ mod tests {
     fn cold_start_disseminates_fully() {
         let loads: Vec<f64> = (0..50).map(|i| i as f64).collect();
         let mut net = DeltaGossip::new(&loads, 7, cfg());
-        assert!(!net.fully_disseminated());
+        assert!(net.deficit > 0);
         let (complete, t) = net.run_until_complete(60_000.0, |_, _| 10.0);
         assert!(complete, "did not disseminate");
         assert!(t > 0.0 && t < 40.0 * 100.0, "completed at {t} ms");
         for node in 0..50 {
-            assert_eq!(net.view(node), loads, "node {node} view wrong");
+            assert_eq!(net.loads()[node], loads, "node {node} view wrong");
         }
         let traffic = net.traffic();
         assert!(traffic.frames > 0 && traffic.bytes > 0 && traffic.exchanges > 0);
@@ -840,7 +791,7 @@ mod tests {
             let mut net = DeltaGossip::new(&loads, seed, cfg());
             let out =
                 net.run_until_complete(60_000.0, |i, j| 1.0 + ((i * 31 + j * 17) % 13) as f64);
-            (out, net.traffic(), net.view(5))
+            (out, net.traffic(), net.loads()[5].clone())
         };
         assert_eq!(run(3), run(3));
         assert_ne!(run(3).0, run(4).0, "seed must matter");
@@ -860,7 +811,7 @@ mod tests {
         b.advance(5_000.0, |_, _| 5.0);
         assert_eq!(a.traffic(), b.traffic());
         for node in 0..24 {
-            assert_eq!(a.view(node), b.view(node));
+            assert_eq!(a.loads()[node], b.loads()[node]);
         }
     }
 
@@ -868,18 +819,18 @@ mod tests {
     fn warm_start_is_complete_and_quiet_until_published() {
         let loads: Vec<f64> = (0..40).map(|i| i as f64).collect();
         let mut net = DeltaGossip::warm(&loads, 3, cfg());
-        assert!(net.fully_disseminated());
-        assert_eq!(net.completed_at(), Some(0.0));
+        assert_eq!(net.deficit, 0);
+        assert_eq!(net.completed_at, Some(0.0));
         for node in 0..40 {
-            assert_eq!(net.view(node), loads);
+            assert_eq!(net.loads()[node], loads);
         }
         net.publish(17, 1000.0);
-        assert!(!net.fully_disseminated());
+        assert!(net.deficit > 0);
         let (complete, t) = net.run_until_complete(60_000.0, |_, _| 5.0);
         assert!(complete);
         assert!(t > 0.0);
         for node in 0..40 {
-            assert_eq!(net.view(node)[17], 1000.0, "node {node} stale");
+            assert_eq!(net.loads()[node][17], 1000.0, "node {node} stale");
         }
     }
 
@@ -893,7 +844,7 @@ mod tests {
         let (complete, _) = delta.run_until_complete(60_000.0, |_, _| 4.0);
         assert!(complete);
         for node in 0..48 {
-            assert_eq!(delta.view(node), loads, "node {node} differs");
+            assert_eq!(delta.loads()[node], loads, "node {node} differs");
         }
     }
 
@@ -941,7 +892,7 @@ mod tests {
         let mut cut = DeltaGossip::new(&loads, 9, cfg());
         assert_eq!(cut.run_until_complete(500.0, |_, _| 1e9), (false, 500.0));
         assert_eq!(cut.now_ms(), 500.0);
-        assert!(!cut.fully_disseminated());
+        assert!(cut.deficit > 0);
     }
 
     #[test]
@@ -959,9 +910,9 @@ mod tests {
         }
         let (complete, _) = net.run_until_complete(60_000.0, delays);
         assert!(complete);
-        let reference = net.view(0);
+        let reference = net.loads()[0].clone();
         for node in 1..36 {
-            assert_eq!(net.view(node), reference, "node {node} diverged");
+            assert_eq!(net.loads()[node], reference, "node {node} diverged");
         }
     }
 
@@ -1007,7 +958,7 @@ mod tests {
         assert_eq!(out_traced, out_plain);
         assert_eq!(traced.traffic(), plain.traffic());
         for node in 0..100 {
-            assert_eq!(traced.view(node), plain.view(node));
+            assert_eq!(traced.loads()[node], plain.loads()[node]);
         }
 
         // A cold start spreads by rumor and shard alike, and every
@@ -1027,7 +978,7 @@ mod tests {
         for e in &sink.events {
             assert!(e.detail >= 1.0, "events carry entry counts");
             assert!((e.node as usize) < 100 && (e.peer as usize) < 100);
-            assert!((e.round as usize) < traced.shards().count());
+            assert!((e.round as usize) < traced.shards.count());
         }
     }
 
@@ -1075,7 +1026,7 @@ mod tests {
         // In test builds `build_frame` hands every frame it puts on
         // the wire to `assert_matches_reference`: the traffic metered
         // is that of `encode_delta(&reference_frame(..))`, and the
-        // payload is those bytes cut to what the receiver lacks.
+        // frame shipped is that frame cut to what the receiver lacks.
         // This drives it hard: cold and warm starts, publishes landing
         // mid-period between partial advances, then a quiet half that
         // runs past the rumor window so every rumor cools, at sizes
@@ -1096,7 +1047,7 @@ mod tests {
                 let mut peers = rng_for(m as u64, 0xF4A3E);
                 let mut every_frame = |net: &mut DeltaGossip| {
                     for n in 0..m {
-                        for fallback in 0..net.shards().count() {
+                        for fallback in 0..net.shards.count() {
                             let peer = (n + peers.gen_range(1..m)) % m;
                             for to in [(n + 1) % m, peer] {
                                 net.build_frame(n, fallback, to);
@@ -1128,7 +1079,7 @@ mod tests {
                 let (complete, _) = net.run_until_complete(60_000.0, delays);
                 assert!(complete);
                 let window = f64::from(hot_ticks(m) + 1) * cfg().period_ms;
-                while net.now_ms() < net.completed_at().unwrap() + window {
+                while net.now_ms() < net.completed_at.unwrap() + window {
                     net.advance(net.now_ms() + 130.0, delays);
                 }
                 assert_eq!(hot(&net), 0, "m={m} warm={warm}: rumors never cooled");
@@ -1140,7 +1091,7 @@ mod tests {
     #[test]
     fn trivial_networks_are_complete_and_silent() {
         let mut single = DeltaGossip::new(&[9.0], 1, cfg());
-        assert!(single.fully_disseminated());
+        assert_eq!(single.deficit, 0);
         let (complete, t) = single.run_until_complete(1_000.0, |_, _| 1.0);
         assert!(complete);
         assert_eq!(t, 0.0);

@@ -17,12 +17,12 @@
 //!   (`2·⌈log2(m+1)⌉ + 2` of a node's own periods); the exchange period
 //!   ([`DeltaGossipConfig::period_ms`]) is the one setting. This is the
 //!   layer the engine's `GossipFeed` drives its stale scoring from.
-//! * [`wire`] — the delta frame's compact encoding on plain byte
-//!   slices, property-tested, with a decode-from-the-front decoder for
-//!   concatenated frame streams and a borrowed in-place parser
-//!   ([`wire::DeltaFrameRef`]) for the hot path; [`wire::view_bytes`]
-//!   prices the full m-entry view (~100 kB at m = 5000) the bandwidth
-//!   tables use as their baseline.
+//! * [`wire`] — the delta frame and its compact encoding. Frames
+//!   travel between simulated nodes as values, never as bytes; the
+//!   encoding defines what the bandwidth meter charges (and is its
+//!   test oracle) and is what the ledger's wire probe times.
+//!   [`wire::view_bytes`] prices the full m-entry view (~100 kB at
+//!   m = 5000) the bandwidth tables use as their baseline.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -26,12 +26,6 @@ impl ShardMap {
     /// don't fragment into per-origin shards.
     pub const MIN_AUTO_SHARD: usize = 32;
 
-    /// A map with an explicit shard size.
-    pub fn with_shard_size(m: usize, shard_size: usize) -> Self {
-        assert!(shard_size > 0, "shard size must be positive");
-        ShardMap { m, shard_size }
-    }
-
     /// Picks a shard size for `m` origins: roughly m/8 (so even small
     /// systems rotate through several shards), clamped to
     /// [[`MIN_AUTO_SHARD`](Self::MIN_AUTO_SHARD),
@@ -48,11 +42,6 @@ impl ShardMap {
         self.m.div_ceil(self.shard_size).max(1)
     }
 
-    /// Entries per shard (the last shard may be shorter).
-    pub fn shard_size(&self) -> usize {
-        self.shard_size
-    }
-
     /// Which shard an origin belongs to.
     pub fn shard_of(&self, origin: usize) -> usize {
         debug_assert!(origin < self.m, "origin {origin} out of range {}", self.m);
@@ -65,6 +54,16 @@ impl ShardMap {
         let hi = (lo + self.shard_size).min(self.m);
         debug_assert!(lo < hi || self.m == 0, "shard {shard} out of range");
         lo..hi
+    }
+}
+
+/// Explicit shard sizes, for tests that want a layout `auto` does not
+/// pick.
+#[cfg(test)]
+impl ShardMap {
+    pub(crate) fn with_shard_size(m: usize, shard_size: usize) -> Self {
+        assert!(shard_size > 0, "shard size must be positive");
+        ShardMap { m, shard_size }
     }
 }
 
@@ -93,7 +92,7 @@ mod tests {
         // At m=5000 the fallback shard must be a small fraction of the
         // full view — this ratio is what buys the ≥10× bandwidth win.
         let map = ShardMap::auto(5000);
-        assert_eq!(map.shard_size(), 256);
+        assert_eq!(map.shard_size, 256);
         assert!(map.count() >= 15, "only {} shards", map.count());
         // Small systems still rotate through several shards…
         assert!(ShardMap::auto(100).count() >= 3);

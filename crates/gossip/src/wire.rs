@@ -1,39 +1,32 @@
 //! Compact wire encoding for gossip messages.
 //!
-//! One frame kind, little-endian throughout (no serde overhead on the
-//! hot path): the sharded anti-entropy **delta frame**
-//! ([`encode_delta`]/[`decode_delta`]/[`decode_delta_from`]) that
-//! [`crate::DeltaGossip`] ships. A frame names a fallback `shard` id,
-//! carries the sender's per-shard version summary (`since`, one `u64`
-//! per shard — the watermark the receiver answers against), a `changed`
-//! entry list (the sender's recently-heard hot set) and a `full` entry
-//! list (the complete contents of the named fallback shard). An entry
-//! is an `(origin: u32, version: u64, load: f64)` triple —
-//! [`ENTRY_SIZE`] = 20 bytes — and an entry list is a `u32` count
-//! followed by that many entries. Steady-state traffic is O(changed
-//! entries) plus one rotating shard instead of O(m).
+//! One frame kind, little-endian throughout: the sharded anti-entropy
+//! **delta frame** ([`DeltaFrame`], [`encode_delta`]/[`decode_delta`]).
+//! A frame names a fallback `shard` id, carries the sender's per-shard
+//! version summary (`since`, one `u64` per shard — the watermark the
+//! receiver answers against), a `changed` entry list (the sender's
+//! recently-heard hot set) and a `full` entry list (the complete
+//! contents of the named fallback shard). An entry is an
+//! `(origin: u32, version: u64, load: f64)` triple — [`ENTRY_SIZE`] =
+//! 20 bytes — and an entry list is a `u32` count followed by that many
+//! entries. Steady-state traffic is O(changed entries) plus one
+//! rotating shard instead of O(m).
+//!
+//! [`crate::DeltaGossip`] simulates its network in one process and
+//! hands frames over as [`DeltaFrame`] values; nothing it does
+//! serializes one. The encoding is what a frame *weighs*:
+//! [`crate::GossipTraffic`] meters every frame at
+//! [`DeltaFrame::encoded_len`], and the gossip crate's tests check that
+//! meter against `encode_delta` of a reference frame. Beyond that
+//! oracle the codec is the format a real transport would put on a
+//! socket, and the subject of the ledger's wire probe: [`decode_delta`]
+//! accepts exactly the buffers `encode_delta` writes and returns `None`
+//! — never panics — on truncated, malformed or trailing input.
 //!
 //! [`view_bytes`] prices the alternative the delta frame exists to
 //! avoid: a frame carrying a node's whole m-entry view, ~100 kB at
 //! m = 5000. Nothing ships one; the bandwidth tables quote it as the
 //! baseline.
-//!
-//! The owned decoder comes in two flavours: [`decode_delta_from`]
-//! decodes exactly one frame from the front of a slice and says how
-//! many bytes it took (so concatenated / streamed frames parse
-//! frame-by-frame), while [`decode_delta`] is the strict whole-buffer
-//! wrapper that additionally rejects trailing garbage. Both return
-//! `None` — never panic — on truncated or malformed input.
-//!
-//! Beside them sits [`DeltaFrameRef`], the borrowed form of the strict
-//! delta decoder: [`DeltaFrameRef::parse`] accepts exactly the buffers
-//! [`decode_delta`] accepts (same checked length arithmetic, same
-//! whole-buffer rule, `None` and never a panic otherwise) but builds no
-//! `Vec`s — it keeps three sub-slices of the input and decodes `since`
-//! words and entries in place as they are iterated. It is what
-//! [`crate::DeltaGossip`] merges delivered frames through;
-//! [`encode_delta`]/[`decode_delta`] stay as the public owned codec and
-//! as the oracle the borrowed path is property-tested against.
 
 use std::sync::Arc;
 
@@ -50,30 +43,6 @@ pub struct WireEntry {
 
 /// Bytes per encoded entry.
 pub const ENTRY_SIZE: usize = 4 + 8 + 8;
-
-impl WireEntry {
-    /// The entry's wire image: `origin`, `version`, `load` bits, all
-    /// little-endian. Built whole so a writer does one 20-byte append.
-    fn to_wire(self) -> [u8; ENTRY_SIZE] {
-        let mut raw = [0u8; ENTRY_SIZE];
-        raw[..4].copy_from_slice(&self.origin.to_le_bytes());
-        raw[4..12].copy_from_slice(&self.version.to_le_bytes());
-        raw[12..].copy_from_slice(&self.load.to_bits().to_le_bytes());
-        raw
-    }
-
-    /// Inverse of [`to_wire`](Self::to_wire). `raw` must be exactly
-    /// [`ENTRY_SIZE`] bytes (callers slice with `chunks_exact`).
-    fn from_wire(raw: &[u8]) -> Self {
-        WireEntry {
-            origin: u32::from_le_bytes(raw[..4].try_into().expect("4-byte field")),
-            version: u64::from_le_bytes(raw[4..12].try_into().expect("8-byte field")),
-            load: f64::from_bits(u64::from_le_bytes(
-                raw[12..ENTRY_SIZE].try_into().expect("8-byte field"),
-            )),
-        }
-    }
-}
 
 /// Encoded size of one entry list carrying `n` entries — what a frame
 /// holding a whole `n`-server view would weigh.
@@ -111,16 +80,28 @@ impl DeltaFrame {
 /// is shared: cloning it is O(1).
 pub fn encode_delta(frame: &DeltaFrame) -> Arc<[u8]> {
     let mut buf = Vec::with_capacity(frame.encoded_len());
-    put_delta_header(&mut buf, frame.shard, &frame.since);
-    put_entries(&mut buf, frame.changed.iter().copied());
-    put_entries(&mut buf, frame.full.iter().copied());
+    buf.extend_from_slice(&frame.shard.to_le_bytes());
+    buf.extend_from_slice(&(frame.since.len() as u32).to_le_bytes());
+    for v in &frame.since {
+        buf.extend_from_slice(&v.to_le_bytes());
+    }
+    for list in [&frame.changed, &frame.full] {
+        buf.extend_from_slice(&(list.len() as u32).to_le_bytes());
+        for e in list {
+            buf.extend_from_slice(&e.origin.to_le_bytes());
+            buf.extend_from_slice(&e.version.to_le_bytes());
+            buf.extend_from_slice(&e.load.to_bits().to_le_bytes());
+        }
+    }
     Arc::from(buf)
 }
 
-/// Decodes exactly one delta frame from the front of `s` and returns
-/// it with the number of bytes it occupied; whatever follows is the
-/// caller's. Returns `None` on truncated or malformed input.
-pub fn decode_delta_from(s: &[u8]) -> Option<(DeltaFrame, usize)> {
+/// Decodes a buffer holding exactly one delta frame. Every length
+/// prefix is checked against the bytes left, in overflow-checked
+/// arithmetic, before anything is sliced or allocated, and trailing
+/// bytes are malformed: `None` on any of that, never a panic.
+pub fn decode_delta(buf: impl AsRef<[u8]>) -> Option<DeltaFrame> {
+    let s = buf.as_ref();
     let mut pos = 0usize;
     let shard = read_u32(s, &mut pos)?;
     let since = take_list(s, &mut pos, 8)?
@@ -129,114 +110,23 @@ pub fn decode_delta_from(s: &[u8]) -> Option<(DeltaFrame, usize)> {
         .collect();
     let changed = read_entries(s, &mut pos)?;
     let full = read_entries(s, &mut pos)?;
-    let frame = DeltaFrame {
+    (pos == s.len()).then_some(DeltaFrame {
         shard,
         since,
         changed,
         full,
-    };
-    Some((frame, pos))
-}
-
-/// Strict whole-buffer wrapper around [`decode_delta_from`]: trailing
-/// bytes are rejected as malformed.
-pub fn decode_delta(buf: impl AsRef<[u8]>) -> Option<DeltaFrame> {
-    let buf = buf.as_ref();
-    let (frame, used) = decode_delta_from(buf)?;
-    (used == buf.len()).then_some(frame)
-}
-
-/// A delta frame parsed in place: the borrowed twin of
-/// [`decode_delta`]. [`parse`](Self::parse) validates the whole buffer
-/// up front and keeps three sub-slices of it; `since` words and entries
-/// are decoded as they are iterated, so consuming a frame allocates
-/// nothing.
-#[derive(Debug, Clone, Copy)]
-pub struct DeltaFrameRef<'a> {
-    shard: u32,
-    since: &'a [u8],
-    changed: &'a [u8],
-    full: &'a [u8],
-}
-
-impl<'a> DeltaFrameRef<'a> {
-    /// Validates `raw` as exactly one delta frame — the rules of
-    /// [`decode_delta`]: every length prefix is checked against the
-    /// bytes left, in overflow-checked arithmetic, before it is used,
-    /// and trailing bytes are malformed. `None`, never a panic, on
-    /// anything else.
-    pub fn parse(raw: &'a [u8]) -> Option<Self> {
-        let mut pos = 0usize;
-        let shard = read_u32(raw, &mut pos)?;
-        let since = take_list(raw, &mut pos, 8)?;
-        let changed = take_list(raw, &mut pos, ENTRY_SIZE)?;
-        let full = take_list(raw, &mut pos, ENTRY_SIZE)?;
-        (pos == raw.len()).then_some(DeltaFrameRef {
-            shard,
-            since,
-            changed,
-            full,
-        })
-    }
-
-    /// Which shard the `full` list covers.
-    pub fn shard(&self) -> u32 {
-        self.shard
-    }
-
-    /// The sender's per-shard version summary, in shard order.
-    pub fn since(&self) -> impl ExactSizeIterator<Item = u64> + 'a {
-        self.since.chunks_exact(8).map(le_u64)
-    }
-
-    /// The hot-set entries, in wire order.
-    pub fn changed(&self) -> impl ExactSizeIterator<Item = WireEntry> + 'a {
-        self.changed
-            .chunks_exact(ENTRY_SIZE)
-            .map(WireEntry::from_wire)
-    }
-
-    /// The fallback shard's entries, in wire order.
-    pub fn full(&self) -> impl ExactSizeIterator<Item = WireEntry> + 'a {
-        self.full.chunks_exact(ENTRY_SIZE).map(WireEntry::from_wire)
-    }
-}
-
-/// Appends a delta frame's head: `u32` shard id, `u32` summary length,
-/// the summary words. Two [`put_entries`] lists complete the frame.
-pub(crate) fn put_delta_header(buf: &mut Vec<u8>, shard: u32, since: &[u64]) {
-    buf.extend_from_slice(&shard.to_le_bytes());
-    buf.extend_from_slice(&(since.len() as u32).to_le_bytes());
-    for v in since {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
-/// Appends one length-prefixed entry list. The `u32` count is patched
-/// in after the walk, so `entries` may be a filtered iterator whose
-/// length is not known up front; each entry is one [`ENTRY_SIZE`]-byte
-/// append.
-pub(crate) fn put_entries(buf: &mut Vec<u8>, entries: impl Iterator<Item = WireEntry>) {
-    let count_at = buf.len();
-    buf.extend_from_slice(&[0; 4]);
-    let mut count = 0u32;
-    for e in entries {
-        buf.extend_from_slice(&e.to_wire());
-        count += 1;
-    }
-    buf[count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
+    })
 }
 
 /// Reads one length-prefixed entry list at `*pos`, advancing it.
-/// Bounds are checked before any allocation so hostile length prefixes
-/// cannot trigger huge reserves.
 fn read_entries(s: &[u8], pos: &mut usize) -> Option<Vec<WireEntry>> {
+    let entry = |raw: &[u8]| WireEntry {
+        origin: u32::from_le_bytes(raw[..4].try_into().expect("4-byte field")),
+        version: le_u64(&raw[4..12]),
+        load: f64::from_bits(le_u64(&raw[12..])),
+    };
     let raw = take_list(s, pos, ENTRY_SIZE)?;
-    Some(
-        raw.chunks_exact(ENTRY_SIZE)
-            .map(WireEntry::from_wire)
-            .collect(),
-    )
+    Some(raw.chunks_exact(ENTRY_SIZE).map(entry).collect())
 }
 
 /// The raw bytes of one `u32`-length-prefixed list of `unit`-byte
@@ -260,7 +150,7 @@ fn read_u32(s: &[u8], pos: &mut usize) -> Option<u32> {
     Some(u32::from_le_bytes(raw.try_into().expect("4-byte field")))
 }
 
-/// One little-endian `u64` from an 8-byte `chunks_exact` chunk.
+/// One little-endian `u64` from an 8-byte chunk.
 fn le_u64(raw: &[u8]) -> u64 {
     u64::from_le_bytes(raw.try_into().expect("8-byte field"))
 }
@@ -327,19 +217,18 @@ mod tests {
     }
 
     #[test]
-    fn delta_decode_from_consumes_one_frame_and_rejects_hostile_lengths() {
-        let frame = sample_frame();
-        let one = encode_delta(&frame);
+    fn delta_decode_rejects_concatenated_frames_and_hostile_lengths() {
+        // One frame's buffer holds that frame and nothing else: two
+        // frames back to back are one frame with trailing bytes.
+        let one = encode_delta(&sample_frame());
         let stream = [&one[..], &one[..]].concat();
-        let (first, used) = decode_delta_from(&stream).unwrap();
-        assert_eq!((first, used), (frame.clone(), one.len()));
-        let (second, used) = decode_delta_from(&stream[used..]).unwrap();
-        assert_eq!((second, used), (frame, one.len()));
+        assert!(decode_delta(&stream).is_none());
+        assert!(decode_delta(&stream[..one.len()]).is_some());
 
         // A frame claiming u32::MAX summary slots must fail the bounds
         // check before allocating anything.
         let hostile = [0u32.to_le_bytes(), u32::MAX.to_le_bytes()].concat();
-        assert!(decode_delta_from(&hostile).is_none());
+        assert!(decode_delta(hostile).is_none());
     }
 
     #[test]
