@@ -38,10 +38,9 @@ use dlb_gossip::{DeltaGossip, DeltaGossipConfig, GossipTraffic};
 #[derive(Debug, Clone)]
 pub struct GossipFeed {
     net: DeltaGossip,
-    period_ms: f64,
-    /// Gossip periods advanced per engine iteration: `⌈log2 m⌉`, the
-    /// paper's gossip-vs-balancer speed ratio.
-    periods_per_iter: u32,
+    /// Virtual ms advanced per engine iteration: `⌈log2 m⌉` gossip
+    /// periods, the paper's gossip-vs-balancer speed ratio.
+    iteration_ms: f64,
 }
 
 impl GossipFeed {
@@ -57,8 +56,7 @@ impl GossipFeed {
         let periods_per_iter = (usize::BITS - m.max(2).saturating_sub(1).leading_zeros()).max(1);
         Self {
             net,
-            period_ms,
-            periods_per_iter,
+            iteration_ms: period_ms * f64::from(periods_per_iter),
         }
     }
 
@@ -84,7 +82,7 @@ impl GossipFeed {
                 self.net.publish(i, load);
             }
         }
-        let until = self.net.now_ms() + self.period_ms * f64::from(self.periods_per_iter);
+        let until = self.net.now_ms() + self.iteration_ms;
         self.net.advance(until, |i, j| latency.get(i, j) / 2.0);
     }
 

@@ -149,9 +149,9 @@ enum Event {
     /// A streamed request entering the system: index into the
     /// [`StreamScript`]'s arrival schedule.
     Arrival(u32),
-    /// A streamed request finishing service — its load leaves the
-    /// cluster: `(org, server it was served on, amount, arrival idx)`.
-    Departure(u32, u32, f64, u32),
+    /// A streamed request finishing service — its unit of load leaves
+    /// the cluster: `(org, server it was served on, arrival idx)`.
+    Departure(u32, u32, u32),
 }
 
 /// What a delivery on the batch list hands its node.
@@ -696,7 +696,7 @@ impl<'a> Stream<'a> {
         self.sojourns
             .push((fabric.delays)(a.org as usize, j) + wait);
         fabric.trace(TraceKind::StreamArrival, a.org, peer, 0, TAG_ARRIVAL, wait);
-        let departure = Event::Departure(a.org, j as u32, 1.0, idx);
+        let departure = Event::Departure(a.org, j as u32, idx);
         fabric.heap.push(fabric.now + wait, departure);
     }
 
@@ -707,7 +707,7 @@ impl<'a> Stream<'a> {
     /// crashed server still holds it.
     fn depart<D, T: TraceSink>(
         &mut self,
-        (org, server, amount, idx): (u32, u32, f64, u32),
+        (org, server, idx): (u32, u32, u32),
         machines: &mut [NodeMachine],
         liveness: &Liveness,
         fabric: &mut Fabric<'_, D, T>,
@@ -728,7 +728,7 @@ impl<'a> Stream<'a> {
         self.fill_hosts(org, machines, liveness);
         self.hosts
             .sort_by(|x, y| y.0.total_cmp(&x.0).then(x.1.cmp(&y.1)));
-        let mut remaining = amount;
+        let mut remaining = 1.0;
         for &(w, j) in &self.hosts {
             if remaining <= 0.0 {
                 break;
@@ -1056,9 +1056,9 @@ impl<'a, D: Fn(usize, usize) -> f64, T: TraceSink> Run<'a, D, T> {
                     self.stream
                         .arrive(idx, machines, liveness, instance, fabric);
                 }
-                Event::Departure(org, server, amount, idx) => {
+                Event::Departure(org, server, idx) => {
                     *hash = hash_timer(*hash, now, TAG_DEPARTURE, server as u64, idx as u64);
-                    let event = (org, server, amount, idx);
+                    let event = (org, server, idx);
                     self.stream
                         .depart(event, &mut nodes.machines, liveness, fabric);
                 }
