@@ -46,94 +46,6 @@ pub fn server_cost(instance: &Instance, a: &Assignment, j: usize) -> f64 {
     cost
 }
 
-/// Incrementally maintained `ΣC`.
-///
-/// The distributed engine's iterations consist of pairwise exchanges,
-/// and each exchange already computes its exact cost change (the pair
-/// cost before minus after). Accumulating those deltas replaces the
-/// per-iteration `O(m·nnz)` [`total_cost`] walk with `O(1)` work per
-/// exchange. Floating-point drift is bounded by periodically resyncing
-/// against a fresh recompute ([`CostTracker::should_resync`] /
-/// [`CostTracker::resync`]); debug builds additionally verify every
-/// update against the exact value via
-/// [`CostTracker::debug_assert_in_sync`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct CostTracker {
-    value: f64,
-    updates_since_resync: usize,
-    resync_every: usize,
-}
-
-impl CostTracker {
-    /// Relative drift tolerated between the accumulated value and a
-    /// fresh recompute before the debug assertion fires.
-    pub const DRIFT_TOL: f64 = 1e-6;
-
-    /// Starts tracking from an exactly computed value; the tracker asks
-    /// for a resync every `resync_every` updates (0 = never).
-    pub fn new(initial: f64, resync_every: usize) -> Self {
-        Self {
-            value: initial,
-            updates_since_resync: 0,
-            resync_every,
-        }
-    }
-
-    /// The tracked `ΣC`.
-    #[inline]
-    pub fn value(&self) -> f64 {
-        self.value
-    }
-
-    /// Applies one accumulated cost delta (negative for improvements).
-    #[inline]
-    pub fn apply_delta(&mut self, delta: f64) {
-        self.value += delta;
-        self.updates_since_resync += 1;
-    }
-
-    /// Whether enough updates accumulated that the caller should feed a
-    /// fresh [`total_cost`] through [`CostTracker::resync`].
-    #[inline]
-    pub fn should_resync(&self) -> bool {
-        self.resync_every > 0 && self.updates_since_resync >= self.resync_every
-    }
-
-    /// Replaces the accumulated value with an exactly recomputed one
-    /// and returns the drift that had built up (`accumulated − exact`).
-    pub fn resync(&mut self, exact: f64) -> f64 {
-        let drift = self.value - exact;
-        self.value = exact;
-        self.updates_since_resync = 0;
-        drift
-    }
-
-    /// Debug-build check that the accumulated value matches a fresh
-    /// recompute to [`CostTracker::DRIFT_TOL`] relative. Release builds
-    /// skip the recompute entirely. The recompute is [`total_cost`], the
-    /// sum of [`server_cost`] over all servers — the same per-server
-    /// decomposition whose pair terms the accumulated exchange deltas
-    /// are drawn from, so the assertion directly proves the incremental
-    /// identity.
-    pub fn debug_assert_in_sync(&self, instance: &Instance, a: &Assignment) {
-        #[cfg(debug_assertions)]
-        {
-            let exact = total_cost(instance, a);
-            if exact.is_finite() {
-                debug_assert!(
-                    (self.value - exact).abs() <= Self::DRIFT_TOL * exact.abs().max(1.0),
-                    "incremental ΣC drifted: accumulated {} vs exact {exact}",
-                    self.value
-                );
-            }
-        }
-        #[cfg(not(debug_assertions))]
-        {
-            let _ = (instance, a);
-        }
-    }
-}
-
 /// Congestion-only part of the objective, `Σ_j l_j²/(2 s_j)`.
 pub fn congestion_cost(instance: &Instance, a: &Assignment) -> f64 {
     (0..instance.len())
@@ -296,37 +208,6 @@ mod tests {
         a.move_requests(0, 0, 1, 4.0);
         let summed: f64 = (0..2).map(|j| server_cost(&inst, &a, j)).sum();
         assert!((summed - total_cost(&inst, &a)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cost_tracker_accumulates_and_resyncs() {
-        let mut t = CostTracker::new(100.0, 2);
-        t.apply_delta(-10.0);
-        assert_eq!(t.value(), 90.0);
-        assert!(!t.should_resync());
-        t.apply_delta(-5.0);
-        assert!(t.should_resync());
-        let drift = t.resync(85.5);
-        assert!((drift - (-0.5)).abs() < 1e-12);
-        assert_eq!(t.value(), 85.5);
-        assert!(!t.should_resync());
-        // resync_every = 0 disables the cadence entirely.
-        let mut never = CostTracker::new(1.0, 0);
-        for _ in 0..1000 {
-            never.apply_delta(0.0);
-        }
-        assert!(!never.should_resync());
-    }
-
-    #[test]
-    fn cost_tracker_debug_check_accepts_exact_tracking() {
-        let inst = small_instance();
-        let mut a = Assignment::local(&inst);
-        let mut t = CostTracker::new(total_cost(&inst, &a), 64);
-        let delta = move_cost_delta(&inst, &a, 0, 0, 1, 4.0);
-        a.move_requests(0, 0, 1, 4.0);
-        t.apply_delta(delta);
-        t.debug_assert_in_sync(&inst, &a);
     }
 
     #[test]

@@ -21,7 +21,7 @@ impl fmt::Display for SpecError {
 impl std::error::Error for SpecError {}
 
 /// The largest time a text may name, in ms, and the largest `lat=`.
-/// With factors at most [`MAX_FACTOR`] a frame's delay stays under
+/// With `Fx` factors at most 1e6 a frame's delay stays under
 /// 1e9 × 1e6 × 1e6 ms, so the exchange timeout and a run's virtual
 /// clock, sums of such delays, holds and windows, stay finite; `1e308`
 /// turned both into `inf` and `NaN`.
@@ -109,7 +109,7 @@ impl<'a> Reader<'a> {
         Ok((a, b))
     }
 
-    /// Reads an `Fx` delay factor, from 1 up to [`MAX_FACTOR`].
+    /// Reads an `Fx` delay factor, from 1 up to 1e6.
     pub fn factor(&self, text: &str) -> Result<f64, SpecError> {
         let what = self.what;
         let digits = text

@@ -26,15 +26,15 @@
 //!   run.
 //!
 //! `ΣC` is maintained *incrementally*: every applied exchange reports
-//! its exact pair-cost reduction, and the engine accumulates those
-//! deltas instead of re-walking all `m` ledgers each iteration
-//! (an `O(m·nnz)` scan that dominated small-iteration runs). A
-//! [`CostTracker`] resyncs against a fresh [`total_cost`] every
-//! [`COST_RESYNC_EVERY`] iterations — and after structural rewrites
-//! like cycle removal — while debug builds verify every single
-//! iteration against a full recompute to 1e-6 relative.
+//! its exact pair-cost reduction, and the engine pushes the last
+//! history entry plus that delta instead of re-walking all `m` ledgers
+//! each iteration (an `O(m·nnz)` scan that dominated small-iteration
+//! runs). A fresh [`total_cost`] replaces the sum every
+//! [`COST_RESYNC_EVERY`] iterations, after cycle removal and after
+//! [`Engine::update_loads`]; debug builds check each iteration in
+//! between against a full recompute to 1e-6 relative.
 
-use dlb_core::cost::{total_cost, CostTracker};
+use dlb_core::cost::total_cost;
 use dlb_core::rngutil::rng_for;
 use dlb_core::{Assignment, Instance};
 use rand::rngs::StdRng;
@@ -48,10 +48,10 @@ use crate::round::{
 };
 use dlb_gossip::GossipTraffic;
 
-/// Iterations between full `ΣC` recomputes that squash accumulated
-/// floating-point drift in the incremental cost tracker. Exchanges are
-/// individually exact to ~1e-15 relative, so even hour-long runs stay
-/// far inside [`CostTracker::DRIFT_TOL`] between resyncs.
+/// Iterations between full `ΣC` recomputes that squash the drift the
+/// accumulated exchange deltas build up. Exchanges are individually
+/// exact to ~1e-15 relative, so even hour-long runs stay far inside
+/// the debug check's 1e-6 between resyncs.
 pub const COST_RESYNC_EVERY: usize = 64;
 
 /// Engine configuration.
@@ -154,7 +154,8 @@ pub struct Engine {
     /// When attached, per-server score views come from this
     /// delta-gossip network; otherwise scoring reads live loads.
     feed: Option<GossipFeed>,
-    cost: CostTracker,
+    /// Iterations since `ΣC` was last recomputed from scratch.
+    since_resync: usize,
     scratch: PartnerScratch,
 }
 
@@ -173,7 +174,7 @@ impl Engine {
             iteration: 0,
             cost_scale: initial_cost.abs().max(1.0),
             feed: None,
-            cost: CostTracker::new(initial_cost, COST_RESYNC_EVERY),
+            since_resync: 0,
             scratch: PartnerScratch::default(),
         }
     }
@@ -299,25 +300,31 @@ impl Engine {
         self.iteration += 1;
         // Cycle removal rewrites ledgers wholesale; its cost change is
         // not delta-tracked, so force a resync whenever it runs.
-        let mut structural_resync = false;
-        if let Some(every) = self.options.cycle_removal_every {
-            if every > 0 && self.iteration.is_multiple_of(every) {
-                let _ = remove_negative_cycles(&self.instance, &mut self.assignment);
-                structural_resync = true;
-            }
+        let removal = self
+            .options
+            .cycle_removal_every
+            .is_some_and(|every| every > 0 && self.iteration.is_multiple_of(every));
+        if removal {
+            let _ = remove_negative_cycles(&self.instance, &mut self.assignment);
         }
         self.assignment.refresh_loads();
-        self.cost.apply_delta(round.cost_delta);
-        if structural_resync || self.cost.should_resync() {
-            self.cost
-                .resync(total_cost(&self.instance, &self.assignment));
+        self.since_resync += 1;
+        let cost = if removal || self.since_resync >= COST_RESYNC_EVERY {
+            self.since_resync = 0;
+            total_cost(&self.instance, &self.assignment)
         } else {
-            // Debug builds prove the accumulated deltas against a fresh
-            // recompute every iteration; release builds skip the walk.
-            self.cost
-                .debug_assert_in_sync(&self.instance, &self.assignment);
-        }
-        let cost = self.cost.value();
+            let cost = self.current_cost() + round.cost_delta;
+            // Debug builds check the accumulated sum against a fresh
+            // recompute; release builds skip the walk.
+            if cfg!(debug_assertions) {
+                let exact = total_cost(&self.instance, &self.assignment);
+                assert!(
+                    !exact.is_finite() || (cost - exact).abs() <= 1e-6 * exact.abs().max(1.0),
+                    "incremental ΣC drifted: accumulated {cost} vs exact {exact}"
+                );
+            }
+            cost
+        };
         self.history.push(cost);
         IterationStats {
             iteration: self.iteration,
@@ -476,7 +483,7 @@ impl Engine {
         self.instance.set_own_loads(new_loads);
         self.assignment.refresh_loads();
         let cost = total_cost(&self.instance, &self.assignment);
-        self.cost.resync(cost);
+        self.since_resync = 0;
         self.history.push(cost);
         self.cost_scale = cost.abs().max(1.0);
     }

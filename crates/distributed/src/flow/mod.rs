@@ -9,11 +9,11 @@
 //!
 //! * [`graph::FlowNetwork`] — residual-graph representation with paired
 //!   forward/backward edges and `f64` capacities and costs,
-//! * [`bellman_ford`] — shortest paths and negative-cycle detection on
-//!   weighted digraphs (used both by the solvers and by the
-//!   error-graph analysis),
-//! * [`ssp`] — successive shortest paths with Johnson potentials
-//!   (Dijkstra inner loop) for min-cost max-flow,
+//! * [`bellman_ford`] — negative-cycle detection on a weighted digraph,
+//!   for the error-graph analysis,
+//! * [`ssp`] — successive shortest paths for min-cost max-flow:
+//!   Dijkstra on Johnson potentials that start at zero (the networks
+//!   built here have no negative-cost edge, so no Bellman–Ford pass),
 //! * `cycle_cancel` — negative-cycle cancelling, turning any feasible
 //!   flow into a minimum-cost one; compiled for tests only, where it is
 //!   the independent cross-check of [`ssp`].

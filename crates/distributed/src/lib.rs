@@ -28,9 +28,10 @@
 //!   no-negative-cycle precondition,
 //! * [`cycles`] — the Appendix reduction of negative-cycle removal to
 //!   minimum-cost maximum flow,
-//! * [`flow`] — the min-cost-flow substrate under those two
-//!   (Bellman-Ford, successive shortest paths); they are its only
-//!   callers, so it lives here rather than behind a crate wall.
+//! * [`flow`] — the substrate under those two: successive shortest
+//!   paths for the cycle removal and Bellman–Ford negative-cycle
+//!   detection for the error graph; they are its only callers, so it
+//!   lives here rather than behind a crate wall.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -68,8 +68,8 @@ pub struct RoundOutcome {
     /// Number of pairwise exchanges executed.
     pub exchanges: usize,
     /// Exact change of `ΣC` (≤ 0 up to rounding): the negated sum of
-    /// the applied exchanges' improvements, feeding the engine's
-    /// incremental cost tracker.
+    /// the applied exchanges' improvements, which the engine adds to
+    /// the last `ΣC` of its history.
     pub cost_delta: f64,
 }
 

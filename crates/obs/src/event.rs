@@ -52,8 +52,7 @@ pub enum TraceKind {
     /// The coordinator opened a round (`round`); `node` =
     /// [`NODE_COORD`].
     RoundBegin = 5,
-    /// The coordinator closed a round; `detail` = phase duration ms —
-    /// what the per-round phase-timing histogram ingests.
+    /// The coordinator closed a round; `detail` = phase duration ms.
     RoundEnd = 6,
     /// A node's exchange proposal reached its partner. `node` =
     /// proposer, `peer` = partner.

@@ -1,12 +1,10 @@
 //! RNG-free metrics: log-bucketed histograms and per-kind counters.
 //!
 //! Determinism discipline: every accumulator holds only *integer*
-//! state — bucket counts, event counts, and a running sum in the same
-//! quantized 1/1024-ms units the buckets use — plus min/max. Events
-//! reach a set in the executor's one delivery order (it emits on its
-//! single scheduling thread), so a set is a pure function of the event
-//! stream, and the integer state keeps it free of float-summation
-//! order effects.
+//! state — bucket counts and event counts — plus the largest sample.
+//! Events reach a set in the executor's one delivery order (it emits
+//! on its single scheduling thread), so a set is a pure function of
+//! the event stream, and no float is ever summed.
 
 use crate::event::{TraceEvent, TraceKind, KIND_COUNT};
 
@@ -23,9 +21,6 @@ pub const BUCKETS: usize = 64;
 pub struct Histogram {
     counts: [u64; BUCKETS],
     n: u64,
-    /// Sum in quantized 1/1024-ms units (integer, so order-exact).
-    sum_q: u128,
-    min_ms: f64,
     max_ms: f64,
 }
 
@@ -34,8 +29,6 @@ impl Default for Histogram {
         Histogram {
             counts: [0; BUCKETS],
             n: 0,
-            sum_q: 0,
-            min_ms: f64::INFINITY,
             max_ms: f64::NEG_INFINITY,
         }
     }
@@ -61,33 +54,12 @@ impl Histogram {
     pub fn record(&mut self, v_ms: f64) {
         self.counts[bucket_of(v_ms)] += 1;
         self.n += 1;
-        self.sum_q += quantize(v_ms) as u128;
-        self.min_ms = self.min_ms.min(v_ms);
         self.max_ms = self.max_ms.max(v_ms);
     }
 
     /// Sample count.
     pub fn count(&self) -> u64 {
         self.n
-    }
-
-    /// Mean of the recorded samples at 1/1024-ms resolution (0 when
-    /// empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            (self.sum_q as f64 / 1024.0) / self.n as f64
-        }
-    }
-
-    /// Smallest recorded sample (0 when empty).
-    pub fn min(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.min_ms
-        }
     }
 
     /// Largest recorded sample (0 when empty).
@@ -128,57 +100,30 @@ impl Histogram {
     }
 }
 
-/// Per-kind counters plus the latency histograms the tentpole names:
-/// frame flight times, exchange durations, detector latencies, and
-/// per-round phase timings.
+/// Per-kind counters plus the frame flight-time histogram: what
+/// [`MetricSet::summary`] reports.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MetricSet {
     counts: [u64; KIND_COUNT],
     /// Frame flight times (ingested from `FrameScheduled.detail`).
     pub frame_latency_ms: Histogram,
-    /// Exchange propose→commit/abort durations (paired by
-    /// [`MetricSet::from_events`]; streaming ingest cannot pair).
-    pub exchange_ms: Histogram,
-    /// True-positive detection latencies (`DetectorSuspect.detail`).
-    pub detector_ms: Histogram,
-    /// Per-round phase durations (`RoundEnd.detail`).
-    pub round_ms: Histogram,
 }
 
 impl MetricSet {
-    /// Folds one event into the counters and the directly ingestible
-    /// histograms.
+    /// Folds one event into the counters and, for a
+    /// `FrameScheduled`, the flight-time histogram.
     pub fn ingest(&mut self, ev: &TraceEvent) {
         self.counts[ev.kind as usize] += 1;
-        match ev.kind {
-            TraceKind::FrameScheduled => self.frame_latency_ms.record(ev.detail),
-            TraceKind::RoundEnd => self.round_ms.record(ev.detail),
-            TraceKind::DetectorSuspect if ev.detail > 0.0 => self.detector_ms.record(ev.detail),
-            _ => {}
+        if ev.kind == TraceKind::FrameScheduled {
+            self.frame_latency_ms.record(ev.detail);
         }
     }
 
-    /// Builds the full set from a recorded event stream, including the
-    /// exchange-duration histogram (propose → commit/abort paired by
-    /// `(node, round)` in stream order).
+    /// Folds a recorded event stream through [`MetricSet::ingest`].
     pub fn from_events(events: &[TraceEvent]) -> MetricSet {
         let mut set = MetricSet::default();
-        let mut open: Vec<(u32, u64, f64)> = Vec::new();
         for ev in events {
             set.ingest(ev);
-            match ev.kind {
-                TraceKind::ExchangePropose => open.push((ev.node, ev.round, ev.at_ms)),
-                TraceKind::ExchangeCommit | TraceKind::ExchangeAbort => {
-                    if let Some(i) = open
-                        .iter()
-                        .position(|&(n, r, _)| n == ev.node && r == ev.round)
-                    {
-                        let (_, _, t0) = open.swap_remove(i);
-                        set.exchange_ms.record(ev.at_ms - t0);
-                    }
-                }
-                _ => {}
-            }
         }
         set
     }
@@ -207,8 +152,8 @@ impl MetricSet {
 }
 
 /// The `obs_*` record field group: what a traced run appends to its
-/// [`RunRecord`](https://docs.rs) shape. All zeros (and omitted from
-/// records) when the scenario ran with `trace=off`.
+/// `RunRecord` shape. All zeros (and omitted from records) when the
+/// scenario ran with `trace=off`.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ObsSummary {
     /// Total trace events the run emitted.
@@ -272,35 +217,14 @@ mod tests {
         assert!((3.0..=4.0).contains(&p50), "{p50}");
         let p99 = h.quantile(0.99);
         assert!((400.0..=512.0).contains(&p99), "{p99}");
-        assert_eq!(h.min(), 1.0);
         assert_eq!(h.max(), 400.0);
-        assert!((h.mean() - 91.2).abs() < 1e-12);
     }
 
     #[test]
     fn quantile_of_empty_is_zero() {
         let h = Histogram::default();
         assert_eq!(h.quantile(0.5), 0.0);
-        assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.min(), 0.0);
         assert_eq!(h.max(), 0.0);
-    }
-
-    #[test]
-    fn from_events_pairs_exchanges() {
-        let events = vec![
-            ev(TraceKind::ExchangePropose, 10.0, 3, 1, 0.0),
-            ev(TraceKind::ExchangePropose, 11.0, 4, 1, 0.0),
-            ev(TraceKind::ExchangeCommit, 25.0, 3, 1, 0.0),
-            ev(TraceKind::ExchangeAbort, 40.0, 4, 1, 0.0),
-            // Unmatched commit: ignored, not a panic.
-            ev(TraceKind::ExchangeCommit, 50.0, 9, 2, 0.0),
-        ];
-        let set = MetricSet::from_events(&events);
-        assert_eq!(set.exchange_ms.count(), 2);
-        assert_eq!(set.exchange_ms.min(), 15.0);
-        assert_eq!(set.exchange_ms.max(), 29.0);
-        assert_eq!(set.count(TraceKind::ExchangeCommit), 2);
     }
 
     #[test]

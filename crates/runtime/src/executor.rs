@@ -15,7 +15,7 @@
 //! 2. **Drain the touched machines where they stand** — the list is
 //!    grouped by node (nodes in first-delivery order, each node's items
 //!    in classification order; a single delivery or an ascending
-//!    broadcast already is). A batch below [`SHARD_THRESHOLD`] nodes
+//!    broadcast already is). A batch below `SHARD_THRESHOLD` nodes
 //!    drains *in place* on this thread, node by node through one
 //!    reusable outbound buffer; a wider one by *lending* the table: the
 //!    machines are cut into one contiguous id range per `dlb-par`
@@ -71,7 +71,7 @@
 //! reliable transport — loss makes them *late*, never torn.
 //! *Delivering* a frame, a destination that is down takes nothing but
 //! the one frame that completes an already-decided exchange (see
-//! [`Liveness`]), and emits nothing.
+//! `Liveness`), and emits nothing.
 //!
 //! Crash instants are **latched at round boundaries**: a node that
 //! crashes at `t` drops out of the first round starting at or after
@@ -94,7 +94,7 @@
 //!
 //! A compiled [`StreamScript`]'s arrivals ride the same heap as the
 //! protocol frames, so the cluster rebalances *while* requests flow
-//! instead of converging over a frozen snapshot (see [`Stream`]).
+//! instead of converging over a frozen snapshot (see `Stream`).
 //! While requests are arriving or in flight the coordinator is *held
 //! open*: quiet rounds park instead of quiescing
 //! ([`CoordinatorMachine::kick`]) and every stream event resumes a

@@ -59,7 +59,7 @@
 //! and cost term.
 //!
 //! **Deferral.** A node has at most one exchange leg open at a time
-//! (its [`Leg`]). A commit for the previous round may still be in
+//! (its `Leg`). A commit for the previous round may still be in
 //! flight when the next `RoundStart` (or even the `Shutdown`) arrives
 //! — the initiator reports to the coordinator before its `Commit`
 //! reaches the acceptor, and control frames travel free while the
@@ -162,11 +162,11 @@ pub struct NodeConfig {
 /// ([`NodeMachine::rto_pending`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RtoKind {
-    /// [`Leg::Proposed`]: the initiator awaits `Accept`/`Busy`.
+    /// `Leg::Proposed`: the initiator awaits `Accept`/`Busy`.
     Answer,
-    /// [`Leg::Accepted`]: the acceptor awaits the `Commit`.
+    /// `Leg::Accepted`: the acceptor awaits the `Commit`.
     CommitWait,
-    /// [`Leg::Committed`]: the initiator awaits the `CommitAck`.
+    /// `Leg::Committed`: the initiator awaits the `CommitAck`.
     Ack,
 }
 

@@ -6,7 +6,7 @@
 //! trailer stores the run's outcomes (`event_hash`, final cost, round
 //! and exchange counts, virtual time). Replay re-parses the header,
 //! rebuilds the instance from the spec's seed, reruns the full event
-//! executor with a [`MemorySink`](dlb_obs::MemorySink) attached, and
+//! executor with a [`MemorySink`] attached, and
 //! compares *everything*: the event stream byte for byte, the event
 //! hash, and the trailer outcomes bit for bit (`f64` via `to_bits`).
 //!

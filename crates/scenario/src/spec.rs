@@ -284,7 +284,7 @@ pub enum TraceSpec {
     #[default]
     Off,
     /// Stream events into deterministic metrics only (per-kind counts,
-    /// latency histograms) — the `obs_*` record fields — without
+    /// the frame-latency histogram) — the `obs_*` record fields — without
     /// retaining the event stream.
     Summary,
     /// `frames:FILE` — record the full event stream as a binary frame

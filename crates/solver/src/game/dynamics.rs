@@ -44,8 +44,6 @@ pub struct DynamicsReport {
     pub rounds: usize,
     /// Whether the calm criterion was met within the budget.
     pub converged: bool,
-    /// Largest relative change in the final round.
-    pub final_max_change: f64,
 }
 
 /// Runs sequential best-response dynamics in place and reports how it
@@ -59,7 +57,6 @@ pub fn run_best_response_dynamics(
     let mut rng = rng_for(options.seed, 0x6A3E);
     let mut order: Vec<usize> = (0..m).collect();
     let mut calm = 0usize;
-    let mut final_max_change = f64::INFINITY;
     for round in 0..options.max_rounds {
         order.shuffle(&mut rng);
         let mut max_change = 0.0f64;
@@ -79,14 +76,12 @@ pub fn run_best_response_dynamics(
             max_change = max_change.max(change);
             assignment.set_owner_row(i, &new_row);
         }
-        final_max_change = max_change;
         if max_change < options.change_threshold {
             calm += 1;
             if calm >= options.calm_rounds {
                 return DynamicsReport {
                     rounds: round + 1,
                     converged: true,
-                    final_max_change,
                 };
             }
         } else {
@@ -96,7 +91,6 @@ pub fn run_best_response_dynamics(
     DynamicsReport {
         rounds: options.max_rounds,
         converged: false,
-        final_max_change,
     }
 }
 

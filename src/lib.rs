@@ -263,9 +263,9 @@
 //! The [`obs`] crate is a deterministic trace/metrics plane stamped in
 //! *virtual* time. The `trace=` axis turns it on for
 //! `algo=protocol` scenarios: `trace=summary` folds the
-//! event stream into the record's `obs_*` metric group (RNG-free
-//! log-bucketed histograms, bit-identical across `DLB_THREADS`
-//! values), and `trace=frames:FILE` additionally writes a binary
+//! event stream into the record's `obs_*` metric group (per-kind
+//! counts and an RNG-free log-bucketed frame-latency histogram,
+//! bit-identical across `DLB_THREADS` values), and `trace=frames:FILE` additionally writes a binary
 //! [`obs::FrameLog`] — every frame delivery, drop, hold, round phase,
 //! exchange verdict, detector decision, and stream event, plus the
 //! run's `event_hash` in the trailer. Because the executor is
