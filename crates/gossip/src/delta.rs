@@ -39,24 +39,40 @@
 //! whole, at its encoded size; the frame handed to the receiver carries
 //! the same summary and, in the same order, only the entries it holds
 //! at an older version, so views, versions, hot sets and counters end
-//! as if the whole frame had shipped. One walk per list over the hot
-//! bits or the fallback range counts the metered entries and collects
-//! the shipped ones. The codec is the meter's oracle: in this crate's
-//! test builds every frame's metered traffic is checked against
-//! [`crate::wire::encode_delta`] of a scan-and-assemble reference
-//! frame, and the shipped frame against that frame cut to what the
-//! receiver lacks.
+//! as if the whole frame had shipped. Building a frame costs what it
+//! ships plus m/64 words, not what it meters: the metered lengths are
+//! counts kept on the side, and the shipped entries come from the
+//! receiver's stale set (below). The codec is the meter's oracle: in
+//! this crate's test builds every frame's metered traffic is checked
+//! against [`crate::wire::encode_delta`] of a scan-and-assemble
+//! reference frame, and the shipped frame against that frame cut to
+//! what the receiver lacks.
 //!
-//! **The hot set is a bitset.** Each node keeps `hot`, one bit per
-//! origin, with the invariant *bit o set ⇔ `heard[o] != NEVER` and
+//! **Hot and stale sets are bitsets.** Each node keeps `hot`, one bit
+//! per origin, with the invariant *bit o set ⇔ `heard[o] != NEVER` and
 //! `tick − heard[o] < hot_ticks`*. A bit goes up wherever `heard` is
 //! written (a merge that accepts an entry, a publish, a cold start's
 //! own entry). The predicate can only turn false when `tick` grows,
 //! which happens in exactly one place — the end of the node's own
 //! initiation period — so that is the one place expired bits are
-//! cleared. A frame then walks the set bits, in ascending origin order
-//! like the scan it replaces, in O(hot + shard) instead of O(m), for
-//! m/64 words per node.
+//! cleared. Each of those writes first sets the version to at least 1,
+//! so a hot entry is known, and the metered `changed` length is the
+//! popcount of the hot bits outside the fallback shard; the metered
+//! `full` length is a per-shard count of known origins, bumped when a
+//! merge takes a version up from 0. The network also keeps one *stale*
+//! set per node, *bit o set ⇔ `versions[o] < newest[o]`*: a publish
+//! sets its origin's bit in every other node, a merge that reaches
+//! `newest` clears it, and the popcount over all nodes is the
+//! dissemination deficit. Inside it sits the *lagging* set, *bit o set
+//! ⇔ `versions[o] + 1 < newest[o]`*: a publish copies its origin's
+//! stale bit there before setting it, and a merge that reaches
+//! `newest − 1` clears it. An entry the receiver holds older than the
+//! sender (`lacks[o] < versions[o] ≤ newest[o]`) is stale there, and
+//! where the sender is stale too, lagging there. So a frame's
+//! candidates are the receiver's stale bits where the sender is fresh
+//! or the receiver lags — of the hot bits outside the shard and of the
+//! shard — and it keeps those whose entry the receiver lacks, in
+//! ascending origin order like the scan it replaces.
 //!
 //! The heap is persistent: [`DeltaGossip::advance`] drains events up
 //! to a virtual instant and returns, so an external driver —
@@ -139,11 +155,15 @@ struct NodeState {
     /// Own tick at which each entry last changed; [`NEVER`] = cold.
     heard: Vec<u32>,
     /// Bit `origin` set ⇔ [`is_hot`](Self::is_hot): the hot set as a
-    /// bitset, so a frame walks the hot entries and not all `m`.
+    /// bitset, counted for the metered `changed` length and walked for
+    /// the shipped one.
     hot: Vec<u64>,
     /// Per-shard sum of held versions — the monotone summary shipped as
     /// a delta frame's `since` watermark.
     vsum: Vec<u64>,
+    /// Per-shard count of known origins (`versions[o] > 0`): the
+    /// metered length of a frame's fallback shard.
+    known: Vec<u32>,
     /// Completed initiation periods.
     tick: u32,
 }
@@ -199,28 +219,14 @@ impl Iterator for SetBits {
     }
 }
 
-/// The entries of those `origins` the receiver holds older than the
-/// sender (`lacks[o] < versions[o]`), with how many of `origins` the
-/// sender knows (`versions[o] > 0`): the metered length.
-fn lacking(
-    origins: impl Iterator<Item = usize>,
-    versions: &[u64],
-    loads: &[f64],
-    lacks: &[u64],
-) -> (Vec<WireEntry>, u32) {
-    let mut known = 0;
-    let entries = origins
-        .filter(|&o| {
-            known += u32::from(versions[o] > 0);
-            lacks[o] < versions[o]
-        })
-        .map(|o| WireEntry {
-            origin: o as u32,
-            version: versions[o],
-            load: loads[o],
-        })
-        .collect();
-    (entries, known)
+/// The bits of word `w` whose origins lie in `range`.
+fn word_mask(w: usize, range: &std::ops::Range<usize>) -> u64 {
+    // The bits at and above `b` of the word, for `b` in 0..=64.
+    let from = |b: usize| {
+        let b = b.clamp(w * 64, w * 64 + 64) - w * 64;
+        u64::MAX.checked_shl(b as u32).unwrap_or(0)
+    };
+    from(range.start) & !from(range.end)
 }
 
 #[derive(Debug, Clone)]
@@ -255,9 +261,15 @@ pub struct DeltaGossip {
     loads: Vec<Vec<f64>>,
     /// Per origin: the globally freshest version.
     newest: Vec<u64>,
-    /// Per origin: how many nodes hold the freshest version.
-    fresh: Vec<usize>,
-    /// Stale `(node, origin)` pairs; `0` ⇔ fully disseminated.
+    /// Node-major stale sets, `⌈m/64⌉` words per node: bit `o` of node
+    /// `n` set ⇔ `versions_n[o] < newest[o]`. A frame to `n` ships only
+    /// entries from its set bits.
+    stale: Vec<u64>,
+    /// The stale sets' subsets of entries two or more versions behind:
+    /// bit `o` of node `n` set ⇔ `versions_n[o] + 1 < newest[o]`.
+    lagging: Vec<u64>,
+    /// Stale `(node, origin)` pairs, the stale sets' popcount; `0` ⇔
+    /// fully disseminated.
     deficit: usize,
     /// Virtual instant dissemination last completed (sticky until the
     /// next staleness-creating publish).
@@ -315,14 +327,17 @@ impl DeltaGossip {
             .map(|node| {
                 let versions: Vec<u64> = (0..m).map(|o| u64::from(known(node, o))).collect();
                 let mut vsum = vec![0u64; shards.count()];
-                for (origin, version) in versions.iter().enumerate() {
+                let mut counts = vec![0u32; shards.count()];
+                for (origin, &version) in versions.iter().enumerate() {
                     vsum[shards.shard_of(origin)] += version;
+                    counts[shards.shard_of(origin)] += u32::from(version > 0);
                 }
                 let mut state = NodeState {
                     versions,
                     heard: vec![NEVER; m],
                     hot: vec![0; m.div_ceil(64)],
                     vsum,
+                    known: counts,
                     tick: 0,
                 };
                 // A cold start's own entry is "just published"; a warm
@@ -333,6 +348,16 @@ impl DeltaGossip {
                 state
             })
             .collect();
+        // A cold node lacks every origin but its own; a warm one none.
+        let words = m.div_ceil(64);
+        let mut stale = vec![if warm { 0 } else { !0 }; m * words];
+        if !warm {
+            for node in 0..m {
+                let row = &mut stale[node * words..][..words];
+                row[words - 1] = word_mask(words - 1, &(0..m));
+                row[node / 64] &= !(1 << (node % 64));
+            }
+        }
         let mut heap = EventHeap::new();
         if m >= 2 {
             for node in 0..m as u32 {
@@ -344,7 +369,8 @@ impl DeltaGossip {
             nodes,
             loads: views,
             newest: vec![1; m],
-            fresh: vec![if warm { m } else { 1 }; m],
+            stale,
+            lagging: vec![0; m * words],
             deficit: 0,
             completed_at: Some(0.0),
             now: 0.0,
@@ -386,9 +412,16 @@ impl DeltaGossip {
         self.loads[node][node] = load;
         state.mark_heard(node);
         state.vsum[shard] += 1;
-        self.deficit += self.fresh[node] - 1;
+        // Every other node now lacks `node`'s entry, and the ones that
+        // lacked it already are two versions behind.
+        let (words, bit) = (self.len().div_ceil(64), 1 << (node % 64));
+        for other in (0..self.len()).filter(|&other| other != node) {
+            let w = other * words + node / 64;
+            self.deficit += usize::from(self.stale[w] & bit == 0);
+            self.lagging[w] |= self.stale[w] & bit;
+            self.stale[w] |= bit;
+        }
         self.newest[node] = v;
-        self.fresh[node] = 1;
         if self.deficit > 0 {
             self.completed_at = None;
         }
@@ -583,15 +616,32 @@ impl DeltaGossip {
         let before = self.traffic;
         let (state, loads) = (&self.nodes[n], &self.loads[n]);
         let lacks = &self.nodes[to].versions;
-        let in_fallback = self.shards.range(fallback);
-        // Set bits in ascending origin order, as a scan over 0..m
-        // would visit them.
-        let hot = (state.hot.iter().enumerate())
-            .flat_map(|(w, &word)| SetBits(word).map(move |bit| w * 64 + bit))
-            .filter(|o| !in_fallback.contains(o));
-
-        let (changed, hot_known) = lacking(hot, &state.versions, loads, lacks);
-        let (full, shard_known) = lacking(in_fallback, &state.versions, loads, lacks);
+        let (words, in_fallback) = (state.hot.len(), self.shards.range(fallback));
+        // The set bits come out in ascending origin order, as a scan
+        // over 0..m would.
+        let ships = |w: usize, bits: u64| {
+            SetBits(bits)
+                .map(move |bit| w * 64 + bit)
+                .filter(|&o| lacks[o] < state.versions[o])
+                .map(|o| WireEntry {
+                    origin: o as u32,
+                    version: state.versions[o],
+                    load: loads[o],
+                })
+        };
+        let (mut changed, mut full, mut hot_known) = (Vec::new(), Vec::new(), 0);
+        for (w, &hot) in state.hot.iter().enumerate() {
+            let (sender, receiver) = (n * words + w, to * words + w);
+            // Only what `to` is stale at can ship: all of it where `n`
+            // is fresh, and where `n` is stale too, only what `to` is
+            // two or more versions behind at (`to` < `n` < newest).
+            let candidates = self.stale[receiver] & (!self.stale[sender] | self.lagging[receiver]);
+            let shard = word_mask(w, &in_fallback);
+            hot_known += (hot & !shard).count_ones();
+            changed.extend(ships(w, hot & !shard & candidates));
+            full.extend(ships(w, shard & candidates));
+        }
+        let shard_known = state.known[fallback];
         let since = state.vsum.clone();
 
         let lists = wire::view_bytes(hot_known as usize) + wire::view_bytes(shard_known as usize);
@@ -617,6 +667,9 @@ impl DeltaGossip {
     /// maintaining the freshness counters and shard summaries.
     fn merge_frame(&mut self, node: usize, frame: &wire::DeltaFrame, now: f64) {
         let (state, loads) = (&mut self.nodes[node], &mut self.loads[node]);
+        let words = state.hot.len();
+        let stale = &mut self.stale[node * words..][..words];
+        let lagging = &mut self.lagging[node * words..][..words];
         for e in frame.changed.iter().chain(&frame.full) {
             let origin = e.origin as usize;
             let mine = state.versions[origin];
@@ -625,9 +678,15 @@ impl DeltaGossip {
                 state.versions[origin] = e.version;
                 loads[origin] = e.load;
                 state.mark_heard(origin);
-                state.vsum[self.shards.shard_of(origin)] += e.version - mine;
+                let shard = self.shards.shard_of(origin);
+                state.vsum[shard] += e.version - mine;
+                state.known[shard] += u32::from(mine == 0);
+                let bit = 1 << (origin % 64);
+                if e.version + 1 >= self.newest[origin] {
+                    lagging[origin / 64] &= !bit;
+                }
                 if e.version == self.newest[origin] {
-                    self.fresh[origin] += 1;
+                    stale[origin / 64] &= !bit;
                     self.deficit -= 1;
                     if self.deficit == 0 && self.completed_at.is_none() {
                         self.completed_at = Some(now);
@@ -638,44 +697,51 @@ impl DeltaGossip {
         self.debug_check();
     }
 
-    /// Debug-only ground truth for the incremental counters. The full
-    /// rescan is O(m²) per merge, so it only runs on test-sized
-    /// networks — the counters it validates are size-independent.
+    /// Debug-only `check_invariants` after every merge and publish. The
+    /// rescan is O(m²), so it only runs on test-sized networks — the
+    /// laws it checks are size-independent, and tests check them at
+    /// larger sizes and in release builds.
     fn debug_check(&self) {
         #[cfg(debug_assertions)]
-        {
-            let m = self.len();
-            if m > 64 {
-                return;
+        if self.len() <= 64 {
+            self.check_invariants();
+        }
+    }
+
+    /// Ground truth for every incremental counter and set, by rescan:
+    /// `newest`; the stale sets (bit ⇔ `versions < newest`), `deficit`
+    /// (their popcount) and the lagging sets (bit ⇔ `versions + 1 <
+    /// newest`); `vsum` and `known` per shard; the hot bits (⇔ the
+    /// predicate on `heard`, and only on known entries).
+    #[cfg(any(test, debug_assertions))]
+    fn check_invariants(&self) {
+        let m = self.len();
+        let words = m.div_ceil(64);
+        let bit = |set: &[u64], o: usize| set[o / 64] >> (o % 64) & 1 == 1;
+        for origin in 0..m {
+            let newest = self.nodes.iter().map(|s| s.versions[origin]).max();
+            assert_eq!(newest, Some(self.newest[origin]), "newest[{origin}]");
+        }
+        let popcount: u32 = self.stale.iter().map(|w| w.count_ones()).sum();
+        assert_eq!(popcount as usize, self.deficit, "deficit vs stale bits");
+        for (n, state) in self.nodes.iter().enumerate() {
+            for s in 0..self.shards.count() {
+                let range = self.shards.range(s);
+                let truth: u64 = range.clone().map(|o| state.versions[o]).sum();
+                assert_eq!(truth, state.vsum[s], "vsum[{s}] at node {n}");
+                let known = range.filter(|&o| state.versions[o] > 0).count();
+                assert_eq!(known, state.known[s] as usize, "known[{s}] at node {n}");
             }
-            let mut stale = 0;
-            for origin in 0..m {
-                let newest = self
-                    .nodes
-                    .iter()
-                    .map(|s| s.versions[origin])
-                    .max()
-                    .unwrap_or(0);
-                debug_assert_eq!(newest, self.newest[origin], "newest[{origin}] drifted");
-                stale += self
-                    .nodes
-                    .iter()
-                    .filter(|s| s.versions[origin] != newest)
-                    .count();
-            }
-            debug_assert_eq!(stale, self.deficit, "deficit counter drifted");
-            for (n, state) in self.nodes.iter().enumerate() {
-                for s in 0..self.shards.count() {
-                    let truth: u64 = self.shards.range(s).map(|o| state.versions[o]).sum();
-                    debug_assert_eq!(truth, state.vsum[s], "vsum[{s}] drifted at node {n}");
-                }
-                for origin in 0..m {
-                    debug_assert_eq!(
-                        state.hot[origin / 64] >> (origin % 64) & 1 == 1,
-                        state.is_hot(origin, self.hot_ticks),
-                        "hot bit {origin} drifted from `heard` at node {n}"
-                    );
-                }
+            let stale = &self.stale[n * words..][..words];
+            let lagging = &self.lagging[n * words..][..words];
+            for o in 0..m {
+                let (v, newest) = (state.versions[o], self.newest[o]);
+                assert_eq!(bit(stale, o), v < newest, "stale {o} at {n}");
+                assert_eq!(bit(lagging, o), v + 1 < newest, "lagging {o} at {n}");
+                let hot = bit(&state.hot, o);
+                let truth = state.is_hot(o, self.hot_ticks);
+                assert_eq!(hot, truth, "hot bit {o} vs `heard` at node {n}");
+                assert!(!hot || v > 0, "unknown {o} hot at node {n}");
             }
         }
     }
@@ -1046,6 +1112,7 @@ mod tests {
                 // the next node and to one seeded random peer.
                 let mut peers = rng_for(m as u64, 0xF4A3E);
                 let mut every_frame = |net: &mut DeltaGossip| {
+                    net.check_invariants();
                     for n in 0..m {
                         for fallback in 0..net.shards.count() {
                             let peer = (n + peers.gen_range(1..m)) % m;
@@ -1060,6 +1127,7 @@ mod tests {
                         net.publish((step * 13 + k * 7) % m, (step * m + k) as f64);
                     }
                     net.advance(net.now_ms() + 130.0, delays);
+                    net.check_invariants();
                 }
                 let t = net.traffic();
                 assert!(
@@ -1081,11 +1149,85 @@ mod tests {
                 let window = f64::from(hot_ticks(m) + 1) * cfg().period_ms;
                 while net.now_ms() < net.completed_at.unwrap() + window {
                     net.advance(net.now_ms() + 130.0, delays);
+                    net.check_invariants();
                 }
                 assert_eq!(hot(&net), 0, "m={m} warm={warm}: rumors never cooled");
                 every_frame(&mut net);
             }
         }
+    }
+
+    #[test]
+    fn a_feed_run_on_96_servers_keeps_the_stale_sets_and_known_counts_exact() {
+        // The engine feed's pinned m = 96 run (dlb-distributed's
+        // `traffic_and_views_are_pinned_on_a_moving_96_server_instance`)
+        // replayed on the bare network: warm start, every changed load
+        // published, then ⌈log2 96⌉ = 7 periods at half the latency.
+        // Past `debug_check`'s m ≤ 64 cut, and in release builds, the
+        // stale sets, `known` counts and hot bits are rescanned after
+        // every step; every frame is checked against the reference
+        // builders as always.
+        let m = 96;
+        let mut loads: Vec<f64> = (0..m)
+            .map(|i| ((i * 37) % 23) as f64 + 0.5 * i as f64)
+            .collect();
+        let delays = |i: usize, j: usize| {
+            let latency = if i == j {
+                0.0
+            } else {
+                4.0 + ((i * 7 + j * 13) % 41) as f64
+            };
+            latency / 2.0
+        };
+        let mut net = DeltaGossip::warm(&loads, 17, cfg());
+        for step in 0..12 {
+            for (k, load) in loads.iter_mut().enumerate() {
+                if (k + step) % 3 == 0 {
+                    *load += ((k * 5 + step * 11) % 7) as f64 - 2.5;
+                }
+            }
+            for (i, &load) in loads.iter().enumerate() {
+                if load != net.loads()[i][i] {
+                    net.publish(i, load);
+                }
+            }
+            net.advance(net.now_ms() + 700.0, delays);
+            net.check_invariants();
+        }
+        // The feed pin's traffic: this is the run it meters.
+        assert_eq!(
+            net.traffic(),
+            GossipTraffic {
+                frames: 16224,
+                bytes: 25159580,
+                exchanges: 8064,
+                delta_entries: 706363,
+                full_entries: 519168,
+            }
+        );
+    }
+
+    #[test]
+    fn a_frame_to_an_up_to_date_peer_ships_nothing_but_is_metered_whole() {
+        // One publish on a warm network, disseminated: every node is
+        // fresh at every origin while the rumor is still hot at the
+        // publisher. Its frame to any peer carries the rumor and a
+        // whole shard on the meter, and nothing in the payload.
+        let m = 100;
+        let loads: Vec<f64> = (0..m).map(|i| i as f64).collect();
+        let mut net = DeltaGossip::warm(&loads, 4, cfg());
+        net.publish(7, 70.5);
+        assert!(net.run_until_complete(60_000.0, |_, _| 3.0).0);
+        let fallback = net.shards.count() - 1;
+        assert!(!net.shards.range(fallback).contains(&7));
+        let before = net.traffic();
+        let frame = net.build_frame(7, fallback, 40);
+        assert!(frame.shipped.changed.is_empty() && frame.shipped.full.is_empty());
+        let reference = net.reference_frame(7, fallback);
+        assert_eq!(reference.changed.len(), 1, "the rumor is metered");
+        assert_eq!(frame.entries, [1, net.shards.range(fallback).len() as u32]);
+        let metered = net.traffic().since(&before);
+        assert_eq!(metered.bytes, wire::encode_delta(&reference).len() as u64);
     }
 
     #[test]
