@@ -37,9 +37,10 @@
 //! a no-op whenever the frame lands. [`GossipTraffic`] and the trace's
 //! `gossip_delta`/`gossip_full` counts meter the frame described above,
 //! whole, at its encoded size; the frame handed to the receiver carries
-//! the same summary and, in the same order, only the entries it holds
-//! at an older version, so views, versions, hot sets and counters end
-//! as if the whole frame had shipped. Building a frame costs what it
+//! the same summary — a request's only: a reply's is never read, so it
+//! ships empty — and, in the same order, only the entries it holds at
+//! an older version, so views, versions, hot sets and counters end as
+//! if the whole frame had shipped. Building a frame costs what it
 //! ships plus m/64 words, not what it meters: the metered lengths are
 //! counts kept on the side, and the shipped entries come from the
 //! receiver's stale set (below). The codec is the meter's oracle: in
@@ -242,8 +243,8 @@ enum What {
 /// A frame in flight (see the module docs).
 #[derive(Debug, Clone)]
 struct Frame {
-    /// The sender's summary and the entries the receiver held older
-    /// when it was sent.
+    /// The sender's summary (a request's; a reply's is empty) and the
+    /// entries the receiver held older when it was sent.
     shipped: wire::DeltaFrame,
     /// The metered `changed` and `full` entry counts, for the trace.
     entries: [u32; 2],
@@ -559,7 +560,7 @@ impl DeltaGossip {
                     peer += 1;
                 }
                 let fallback = (self.nodes[n].tick as usize) % self.shards.count();
-                let frame = self.build_frame(n, fallback, peer as usize);
+                let frame = self.build_frame(n, fallback, peer as usize, true);
                 self.nodes[n].end_period(self.hot_ticks);
                 self.heap.push(
                     now + delays(n, peer as usize),
@@ -589,7 +590,7 @@ impl DeltaGossip {
                         fallback = s;
                     }
                 }
-                let reply = self.build_frame(t, fallback, from as usize);
+                let reply = self.build_frame(t, fallback, from as usize, false);
                 self.heap.push(
                     now + delays(t, from as usize),
                     What::Reply {
@@ -609,9 +610,9 @@ impl DeltaGossip {
 
     /// Builds node `n`'s frame to `to`: its hot set plus the complete
     /// known contents of `fallback`, metered whole into the traffic
-    /// counters, shipping only the entries `to` holds older (see the
-    /// module docs).
-    fn build_frame(&mut self, n: usize, fallback: usize, to: usize) -> Frame {
+    /// counters, shipping only the entries `to` holds older, and the
+    /// shard summary only in a `request` (see the module docs).
+    fn build_frame(&mut self, n: usize, fallback: usize, to: usize, request: bool) -> Frame {
         #[cfg(test)]
         let before = self.traffic;
         let (state, loads) = (&self.nodes[n], &self.loads[n]);
@@ -642,11 +643,15 @@ impl DeltaGossip {
             full.extend(ships(w, shard & candidates));
         }
         let shard_known = state.known[fallback];
-        let since = state.vsum.clone();
+        let since = if request {
+            state.vsum.clone()
+        } else {
+            Vec::new()
+        };
 
         let lists = wire::view_bytes(hot_known as usize) + wire::view_bytes(shard_known as usize);
         self.traffic.frames += 1;
-        self.traffic.bytes += (8 + 8 * since.len() + lists) as u64;
+        self.traffic.bytes += (8 + 8 * self.shards.count() + lists) as u64;
         self.traffic.delta_entries += u64::from(hot_known);
         self.traffic.full_entries += u64::from(shard_known);
         let frame = Frame {
@@ -659,7 +664,7 @@ impl DeltaGossip {
             entries: [hot_known, shard_known],
         };
         #[cfg(test)]
-        self.assert_matches_reference(n, fallback, to, &frame, &before);
+        self.assert_matches_reference(n, fallback, to, request, &frame, &before);
         frame
     }
 
@@ -781,12 +786,13 @@ impl DeltaGossip {
     /// metered since `before` as `encode_delta` of it weighs, and the
     /// same entry counts carried for the trace. The shipped frame is
     /// the reference frame cut to the entries `to` holds older, in
-    /// reference order.
+    /// reference order, and to no summary unless it is a `request`.
     fn assert_matches_reference(
         &self,
         n: usize,
         fallback: usize,
         to: usize,
+        request: bool,
         frame: &Frame,
         before: &GossipTraffic,
     ) {
@@ -817,6 +823,7 @@ impl DeltaGossip {
         let shipped = wire::DeltaFrame {
             changed: lacking(reference.changed),
             full: lacking(reference.full),
+            since: if request { reference.since } else { Vec::new() },
             ..reference
         };
         assert_eq!(
@@ -1116,8 +1123,9 @@ mod tests {
                     for n in 0..m {
                         for fallback in 0..net.shards.count() {
                             let peer = (n + peers.gen_range(1..m)) % m;
-                            for to in [(n + 1) % m, peer] {
-                                net.build_frame(n, fallback, to);
+                            // A request to the next node, a reply to the peer.
+                            for (to, request) in [((n + 1) % m, true), (peer, false)] {
+                                net.build_frame(n, fallback, to, request);
                             }
                         }
                     }
@@ -1211,8 +1219,9 @@ mod tests {
     fn a_frame_to_an_up_to_date_peer_ships_nothing_but_is_metered_whole() {
         // One publish on a warm network, disseminated: every node is
         // fresh at every origin while the rumor is still hot at the
-        // publisher. Its frame to any peer carries the rumor and a
-        // whole shard on the meter, and nothing in the payload.
+        // publisher. Its reply to any peer carries the rumor, a whole
+        // shard and the shard summary on the meter, and nothing in the
+        // payload.
         let m = 100;
         let loads: Vec<f64> = (0..m).map(|i| i as f64).collect();
         let mut net = DeltaGossip::warm(&loads, 4, cfg());
@@ -1221,8 +1230,9 @@ mod tests {
         let fallback = net.shards.count() - 1;
         assert!(!net.shards.range(fallback).contains(&7));
         let before = net.traffic();
-        let frame = net.build_frame(7, fallback, 40);
+        let frame = net.build_frame(7, fallback, 40, false);
         assert!(frame.shipped.changed.is_empty() && frame.shipped.full.is_empty());
+        assert!(frame.shipped.since.is_empty());
         let reference = net.reference_frame(7, fallback);
         assert_eq!(reference.changed.len(), 1, "the rumor is metered");
         assert_eq!(frame.entries, [1, net.shards.range(fallback).len() as u32]);

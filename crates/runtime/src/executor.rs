@@ -12,6 +12,10 @@
 //!    frames from a run it sorted once); virtual time jumps to the
 //!    batch's instant. Per-link jitter keeps almost every batch to a
 //!    single delivery or the coordinator; only broadcasts are wide.
+//!    The ledger-free node-to-node frames (`Propose`, `Busy`,
+//!    `CommitAck`), most of a round's traffic, ride in the 40-byte heap
+//!    entry as values and reach their node as a frame built on the
+//!    stack; every other frame rides as a shared `Arc<Frame>`.
 //! 2. **Drain the touched machines where they stand** — the list is
 //!    grouped by node (nodes in first-delivery order, each node's items
 //!    in classification order; a single delivery or an ascending
@@ -116,8 +120,8 @@ use dlb_par::{num_threads, par_map_shards, SEQUENTIAL_CUTOFF};
 use dlb_requestsim::stream::{Arrival, StreamScript};
 
 use crate::cluster::{ClusterOptions, ClusterReport, DetectMode, StreamSummary};
-use crate::machine::{CoordinatorMachine, Dest, NodeConfig, NodeMachine, Outbound, RtoKind};
-use crate::message::{ledger_to_wire, Frame};
+use crate::machine::{CoordinatorMachine, Dest, NodeConfig, NodeMachine, Outbound, RtoKind, Sent};
+use crate::message::{ledger_to_wire, Frame, Payload};
 
 /// One-way delay of control-plane frames (coordinator ↔ node), in
 /// virtual ms. Zero: the coordinator models the already-converged
@@ -140,8 +144,8 @@ const TAG_DEPARTURE: u8 = 19;
 /// oracle closed-batch event sequences (and their hashes) are
 /// byte-for-byte what they were before either existed.
 enum Event {
-    /// A frame headed for an inbox.
-    Frame(Dest, Arc<Frame>),
+    /// A frame headed for an inbox; a ledger-free one by value.
+    Frame(Sent),
     /// The coordinator's report deadline for the given round.
     Deadline(u64),
     /// An exchange retransmission timer: (node, round, guarded wait).
@@ -154,15 +158,17 @@ enum Event {
     Departure(u32, u32, u32),
 }
 
-/// What a delivery on the batch list hands its node.
+/// What a delivery on the batch list hands its node. A timer is boxed:
+/// one reaches its node rarely, and unboxed it would widen every entry
+/// of a broadcast's `m`-long list from 24 to 32 bytes.
 enum Inbox {
-    Frame(Arc<Frame>),
-    Rto(u64, RtoKind),
+    Frame(Payload),
+    Rto(Box<(u64, RtoKind)>),
 }
 
 /// What lands in the coordinator's per-batch queue.
 enum CoordItem {
-    Frame(Arc<Frame>),
+    Frame(Payload),
     Deadline(u64),
 }
 
@@ -189,6 +195,15 @@ fn frame_identity(frame: &Frame) -> (u8, u32, u64) {
     }
 }
 
+/// [`frame_identity`] of the frame `payload` carries, read off a
+/// signal's fields without building it.
+fn identity(payload: &Payload) -> (u8, u32, u64) {
+    match *payload {
+        Payload::Signal(kind, from, round) => (kind as u8, from, round),
+        Payload::Frame(ref frame) => frame_identity(frame),
+    }
+}
+
 /// The trace-facing sender of a frame: coordinator-originated tags
 /// (RoundStart, Shutdown) hash `from = 0` but *mean* the coordinator.
 fn frame_peer(tag: u8, from: u32) -> u32 {
@@ -207,11 +222,11 @@ fn dest_id(dest: Dest) -> u32 {
     }
 }
 
-/// Folds an event's identity (due time, destination, frame shape) into
+/// Folds a delivery (due time, destination, the frame's identity) into
 /// the running fingerprint. Ledger payloads are deliberately excluded:
 /// the determinism tests compare final ledgers directly, and the hash
 /// only needs to witness the *order* of deliveries.
-fn hash_event(mut h: u64, due: f64, dest: Dest, frame: &Frame) -> u64 {
+fn hash_event(mut h: u64, due: f64, dest: Dest, (tag, from, round): (u8, u32, u64)) -> u64 {
     h = mix(h, due.to_bits());
     h = mix(
         h,
@@ -220,7 +235,6 @@ fn hash_event(mut h: u64, due: f64, dest: Dest, frame: &Frame) -> u64 {
             Dest::Coordinator => u64::MAX,
         },
     );
-    let (tag, from, round) = frame_identity(frame);
     h = mix(h, tag as u64);
     h = mix(h, from as u64);
     mix(h, round)
@@ -273,9 +287,9 @@ impl<D, T: TraceSink> Fabric<'_, D, T> {
     /// [`Self::trace`] for an event that *is* a frame at `node`'s
     /// door: peer, round and tag come from the frame itself.
     #[inline]
-    fn trace_frame(&mut self, kind: TraceKind, node: u32, frame: &Frame, detail: f64) {
+    fn trace_frame(&mut self, kind: TraceKind, node: u32, payload: &Payload, detail: f64) {
         if self.tracer.enabled() {
-            let (tag, from, round) = frame_identity(frame);
+            let (tag, from, round) = identity(payload);
             self.trace(kind, node, frame_peer(tag, from), round, tag, detail);
         }
     }
@@ -284,11 +298,11 @@ impl<D, T: TraceSink> Fabric<'_, D, T> {
 impl<D: Fn(usize, usize) -> f64, T: TraceSink> Fabric<'_, D, T> {
     /// Schedules a machine's emissions. `src` is `None` for the
     /// coordinator.
-    fn schedule(&mut self, src: Option<usize>, out: impl Iterator<Item = Outbound>) {
+    fn schedule(&mut self, src: Option<usize>, out: impl Iterator<Item = impl Into<Sent>>) {
         let now = self.now;
-        for o in out {
+        for sent in out.map(Into::into) {
             let mut held = 0.0f64;
-            let delay = match (src, o.to) {
+            let delay = match (src, sent.to) {
                 (Some(i), Dest::Node(j)) => {
                     let d = (self.delays)(i, j as usize);
                     debug_assert!(
@@ -318,14 +332,14 @@ impl<D: Fn(usize, usize) -> f64, T: TraceSink> Fabric<'_, D, T> {
                 _ => CONTROL_DELAY_MS,
             };
             if self.tracer.enabled() {
-                let (tag, _, round) = frame_identity(&o.frame);
-                let (node, peer) = (dest_id(o.to), src.map_or(NODE_COORD, |i| i as u32));
+                let (tag, _, round) = identity(&sent.payload);
+                let (node, peer) = (dest_id(sent.to), src.map_or(NODE_COORD, |i| i as u32));
                 if held > 0.0 {
                     self.trace(TraceKind::FrameHeld, node, peer, round, tag, held);
                 }
                 self.trace(TraceKind::FrameScheduled, node, peer, round, tag, delay);
             }
-            self.heap.push(now + delay, Event::Frame(o.to, o.frame));
+            self.heap.push(now + delay, Event::Frame(sent));
         }
     }
 
@@ -333,12 +347,12 @@ impl<D: Fn(usize, usize) -> f64, T: TraceSink> Fabric<'_, D, T> {
     /// batch goes on the wire — unless it is down. A crashed node sends
     /// nothing (it only ever hears the one frame species that still
     /// reaches it).
-    fn send(&mut self, src: usize, down: bool, out: impl ExactSizeIterator<Item = Outbound>) {
+    fn send(&mut self, src: usize, down: bool, out: impl ExactSizeIterator<Item = Sent>) {
         if !down {
             return self.schedule(Some(src), out);
         }
         self.summary.dropped_frames += out.len() as u64;
-        for (to, frame) in out.map(|o| (dest_id(o.to), o.frame)) {
+        for (to, frame) in out.map(|s| (dest_id(s.to), s.payload)) {
             self.trace_frame(TraceKind::FrameDropped, to, &frame, DROP_SRC_DOWN);
         }
     }
@@ -534,9 +548,9 @@ impl<'a> Liveness<'a> {
     /// log would, so its frozen ledger matches the partner's installed
     /// one). Everything else is dropped.
     #[inline]
-    fn blocks(&self, dest: u32, frame: &Frame) -> bool {
+    fn blocks(&self, dest: u32, frame: &Payload) -> bool {
         self.is_down(dest as usize)
-            && !match frame {
+            && !match *frame.frame() {
                 Frame::Commit { .. } => self.rto.is_none(),
                 Frame::CommitAck { .. } => self.rto.is_some(),
                 _ => false,
@@ -553,9 +567,9 @@ impl<'a> Liveness<'a> {
     /// unresolvable — which is the behavior of a correctly provisioned
     /// real-world RTO (one that exceeds the worst-case round trip, so
     /// it never tears an exchange both parties are still driving).
-    fn arm_abort<D, T>(&self, frame: &Frame, fabric: &mut Fabric<'_, D, T>) {
+    fn arm_abort<D, T>(&self, frame: &Payload, fabric: &mut Fabric<'_, D, T>) {
         let Some(rto_ms) = self.rto else { return };
-        let (waiter, round, kind) = match *frame {
+        let (waiter, round, kind) = match *frame.frame() {
             // Our proposal died with the acceptor; nobody will answer.
             Frame::Propose { from, round } => (from, round, RtoKind::Answer),
             // Our acceptance died with the initiator; no Commit comes.
@@ -820,13 +834,18 @@ struct RoundTrace {
 impl RoundTrace {
     /// `frame` passed node `j`'s delivery gate. Exchange lifecycle
     /// markers ride the frames that decide them.
-    fn delivered<D, T: TraceSink>(&mut self, fabric: &mut Fabric<'_, D, T>, j: u32, frame: &Frame) {
+    fn delivered<D, T: TraceSink>(
+        &mut self,
+        fabric: &mut Fabric<'_, D, T>,
+        j: u32,
+        frame: &Payload,
+    ) {
         if !fabric.tracer.enabled() {
             return;
         }
         fabric.trace_frame(TraceKind::FrameDelivered, j, frame, 0.0);
-        let tag = frame_identity(frame).0;
-        match frame {
+        let tag = identity(frame).0;
+        match &*frame.frame() {
             Frame::Propose { from, round } => {
                 fabric.trace(TraceKind::ExchangePropose, *from, j, *round, tag, 0.0);
             }
@@ -885,9 +904,10 @@ struct Run<'a, D, T> {
     hash: u64,
     /// The coordinator's queue for the batch in flight.
     coord_inbox: Vec<CoordItem>,
-    /// Scratch for the emissions of whichever machine is running on
-    /// this thread: the coordinator, or a node drained in place.
+    /// Scratch for the coordinator's emissions.
     out: Vec<Outbound>,
+    /// Scratch for the emissions of a node drained in place.
+    sent: Vec<Sent>,
 }
 
 impl<'a, D: Fn(usize, usize) -> f64, T: TraceSink> Run<'a, D, T> {
@@ -929,6 +949,7 @@ impl<'a, D: Fn(usize, usize) -> f64, T: TraceSink> Run<'a, D, T> {
             hash: 0xCBF2_9CE4_8422_2325, // FNV offset basis
             coord_inbox: Vec::new(),
             out: Vec::new(),
+            sent: Vec::new(),
         };
         // Round 1 latches whoever is down from the very start, and its
         // RoundBegin precedes its frames in the trace.
@@ -1005,8 +1026,11 @@ impl<'a, D: Fn(usize, usize) -> f64, T: TraceSink> Run<'a, D, T> {
         let mut next = Some(first);
         while let Some(event) = next {
             match event.item {
-                Event::Frame(dest, frame) => {
-                    *hash = hash_event(*hash, now, dest, &frame);
+                Event::Frame(Sent {
+                    to: dest,
+                    payload: frame,
+                }) => {
+                    *hash = hash_event(*hash, now, dest, identity(&frame));
                     match dest {
                         // Dropped at a dead host; under detection that
                         // arms the sender's abort timeout.
@@ -1047,7 +1071,7 @@ impl<'a, D: Fn(usize, usize) -> f64, T: TraceSink> Run<'a, D, T> {
                     // the exchange.
                     if !liveness.is_down(j as usize) {
                         fabric.trace(TraceKind::ExchangeAbort, j, NO_PEER, round, TAG_RTO, 0.0);
-                        nodes.batch.push((j, Inbox::Rto(round, kind)));
+                        nodes.batch.push((j, Inbox::Rto(Box::new((round, kind)))));
                     }
                 }
                 Event::Arrival(idx) => {
@@ -1094,19 +1118,18 @@ impl<'a, D: Fn(usize, usize) -> f64, T: TraceSink> Run<'a, D, T> {
     /// schedules what each emitted source by source in first-delivery
     /// order.
     fn drain_nodes(&mut self) {
-        let (fabric, liveness, out) = (&mut self.fabric, &self.liveness, &mut self.out);
+        let (fabric, liveness, out) = (&mut self.fabric, &self.liveness, &mut self.sent);
         let blocks = self.coordinator.round_blocks();
         let Nodes { machines, batch } = &mut self.nodes;
         group_by_node(batch);
-        let deliver =
-            |machine: &mut NodeMachine, items: &[(u32, Inbox)], out: &mut Vec<Outbound>| {
-                for (_, item) in items {
-                    match item {
-                        Inbox::Frame(frame) => machine.handle_in(frame, blocks, out),
-                        Inbox::Rto(round, kind) => machine.on_rto_in(*round, *kind, blocks, out),
-                    }
+        let deliver = |machine: &mut NodeMachine, items: &[(u32, Inbox)], out: &mut Vec<Sent>| {
+            for (_, item) in items {
+                match item {
+                    Inbox::Frame(frame) => machine.handle_in(&frame.frame(), blocks, out),
+                    Inbox::Rto(rto) => machine.on_rto_in(rto.0, rto.1, blocks, out),
                 }
-            };
+            }
+        };
         let groups = || {
             batch
                 .chunk_by(|a, b| a.0 == b.0)
@@ -1153,7 +1176,9 @@ impl<'a, D: Fn(usize, usize) -> f64, T: TraceSink> Run<'a, D, T> {
         }
         for item in self.coord_inbox.drain(..) {
             match item {
-                CoordItem::Frame(frame) => self.coordinator.handle(&frame, now, &mut self.out),
+                CoordItem::Frame(frame) => {
+                    self.coordinator.handle(&frame.frame(), now, &mut self.out)
+                }
                 CoordItem::Deadline(round) => {
                     self.coordinator.on_deadline(round, now, &mut self.out)
                 }
@@ -1525,6 +1550,29 @@ mod tests {
     #[test]
     fn a_heap_entry_is_40_bytes() {
         assert_eq!(std::mem::size_of::<Scheduled<Event>>(), 40);
+    }
+
+    /// A signal is its frame to everything that reads one: the hash
+    /// folds, and the trace records, the identity of the frame it
+    /// stands for. It fits a 24-byte `Sent` with its destination.
+    #[test]
+    fn a_signal_hashes_as_its_frame() {
+        use crate::message::SignalKind;
+        for kind in [SignalKind::Propose, SignalKind::Busy, SignalKind::CommitAck] {
+            let payload = Payload::Signal(kind, 7, 3);
+            let frame = payload.frame();
+            assert_eq!(frame_identity(&frame), (kind as u8, 7, 3), "{kind:?}");
+            assert_eq!(identity(&payload), frame_identity(&frame), "{kind:?}");
+            let (h, due, dest) = (0xCBF2_9CE4_8422_2325, 12.5, Dest::Node(4));
+            assert_eq!(
+                hash_event(h, due, dest, identity(&payload)),
+                hash_event(h, due, dest, frame_identity(&frame)),
+                "{kind:?}"
+            );
+        }
+        assert!(std::mem::size_of::<Sent>() <= 24);
+        // A broadcast's batch list holds `m` deliveries.
+        assert_eq!(std::mem::size_of::<(u32, Inbox)>(), 24);
     }
 
     /// One crashed node: the survivors keep balancing, the victim's

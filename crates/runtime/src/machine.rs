@@ -78,7 +78,7 @@ use std::iter::{from_fn, zip};
 use std::sync::Arc;
 
 use crate::cluster::{ClusterOptions, ClusterReport, DetectMode, DetectorSummary};
-use crate::message::{ledger_to_wire, wire_to_ledger, Frame, RoundOutcome};
+use crate::message::{ledger_to_wire, wire_to_ledger, Frame, Payload, RoundOutcome, SignalKind};
 
 /// Where an outbound frame is headed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,9 +89,11 @@ pub enum Dest {
     Coordinator,
 }
 
-/// One outbound frame produced by a machine. Frames are reference
-/// counted so a coordinator broadcast of the `m`-entry load vector is
-/// shared, not copied `m` times.
+/// One outbound frame of the public [`NodeMachine::handle`] and of
+/// every [`CoordinatorMachine`] call. The frame is shared, so a
+/// coordinator broadcast of the `m`-entry load vector is not copied
+/// `m` times. The executor's node drains emit the crate's 24-byte
+/// `Sent` instead, which holds a ledger-free frame by value.
 #[derive(Debug, Clone)]
 pub struct Outbound {
     /// Destination inbox.
@@ -100,19 +102,39 @@ pub struct Outbound {
     pub frame: Arc<Frame>,
 }
 
-impl Outbound {
-    fn node(to: u32, frame: Frame) -> Self {
-        Self {
-            to: Dest::Node(to),
-            frame: Arc::new(frame),
-        }
+/// An [`Outbound`] as the executor carries it: `Propose`, `Busy` and
+/// `CommitAck` travel by value, every other frame shared.
+pub(crate) struct Sent {
+    pub to: Dest,
+    pub payload: Payload,
+}
+
+impl Sent {
+    fn signal(to: u32, kind: SignalKind, from: u32, round: u64) -> Self {
+        let (to, payload) = (Dest::Node(to), Payload::Signal(kind, from, round));
+        Self { to, payload }
     }
 
-    fn coordinator(frame: Frame) -> Self {
-        Self {
-            to: Dest::Coordinator,
-            frame: Arc::new(frame),
-        }
+    fn shared(to: Dest, frame: Frame) -> Self {
+        let payload = Payload::Frame(Arc::new(frame));
+        Self { to, payload }
+    }
+}
+
+impl From<Outbound> for Sent {
+    fn from(Outbound { to, frame }: Outbound) -> Self {
+        let payload = Payload::Frame(frame);
+        Self { to, payload }
+    }
+}
+
+impl From<Sent> for Outbound {
+    fn from(Sent { to, payload }: Sent) -> Self {
+        let frame = match payload {
+            Payload::Frame(frame) => frame,
+            signal => Arc::new(signal.frame().into_owned()),
+        };
+        Self { to, frame }
     }
 }
 
@@ -739,7 +761,7 @@ impl NodeMachine {
     /// the stream deltas in arrival order, then the control frame,
     /// handled as [`Self::handle_in`] would. Every handler has closed
     /// its leg and filed its report by the time this runs.
-    fn settle(&mut self, blocks: Option<&RoundBlocks>, out: &mut Vec<Outbound>) {
+    fn settle(&mut self, blocks: Option<&RoundBlocks>, out: &mut Vec<impl From<Sent>>) {
         if self.exchange_open() {
             return;
         }
@@ -757,12 +779,8 @@ impl NodeMachine {
     }
 
     /// Turns down `from`'s proposal for round `round`.
-    fn nack(&self, from: u32, round: u64, out: &mut Vec<Outbound>) {
-        let busy = Frame::Busy {
-            from: self.id,
-            round,
-        };
-        out.push(Outbound::node(from, busy));
+    fn nack(&self, from: u32, round: u64, out: &mut Vec<impl From<Sent>>) {
+        out.push(Sent::signal(from, SignalKind::Busy, self.id, round).into());
     }
 
     /// Consumes one inbound frame, appending any outbound frames to
@@ -773,12 +791,13 @@ impl NodeMachine {
 
     /// [`Self::handle`], with the coordinator's [`RoundBlocks`] for the
     /// round in flight: a `RoundStart` whose `loads` are theirs scans
-    /// with them, any other computes its own.
+    /// with them, any other computes its own. The executor collects
+    /// `out` as [`Sent`], so its signals are never boxed.
     pub(crate) fn handle_in(
         &mut self,
         frame: &Frame,
         blocks: Option<&RoundBlocks>,
-        out: &mut Vec<Outbound>,
+        out: &mut Vec<impl From<Sent>>,
     ) {
         if self.done {
             // Our final ledger is already in the coordinator's hands;
@@ -801,10 +820,12 @@ impl NodeMachine {
                 self.backlog.get_or_insert_default().control = Some(frame.clone());
             }
             Frame::Shutdown => {
-                out.push(Outbound::coordinator(Frame::FinalLedger {
+                let ledger = ledger_to_wire(self.ledger());
+                let last = Frame::FinalLedger {
                     from: self.id,
-                    ledger: ledger_to_wire(self.ledger()),
-                }));
+                    ledger,
+                };
+                out.push(Sent::shared(Dest::Coordinator, last).into());
                 self.done = true;
             }
             Frame::RoundStart {
@@ -855,18 +876,19 @@ impl NodeMachine {
         &mut self,
         outcome: RoundOutcome,
         exchange: Option<(u32, f64, f64, f64)>,
-        out: &mut Vec<Outbound>,
+        out: &mut Vec<impl From<Sent>>,
     ) {
         self.reported = true;
         let [load, local_cost] = self.books.standing(self.id, &self.instance);
-        out.push(Outbound::coordinator(Frame::Report {
+        let report = Frame::Report {
             from: self.id,
             round: self.round,
             outcome,
             load,
             local_cost,
             exchange,
-        }));
+        };
+        out.push(Sent::shared(Dest::Coordinator, report).into());
     }
 
     fn start_round(
@@ -876,7 +898,7 @@ impl NodeMachine {
         blocks: Option<&RoundBlocks>,
         excluded: &[u32],
         hot: &[u32],
-        out: &mut Vec<Outbound>,
+        out: &mut Vec<impl From<Sent>>,
     ) {
         self.round = round;
         self.leg = Leg::Free;
@@ -903,13 +925,7 @@ impl NodeMachine {
             match target {
                 Some(j) => {
                     self.leg = Leg::Proposed(j);
-                    out.push(Outbound::node(
-                        j,
-                        Frame::Propose {
-                            from: self.id,
-                            round,
-                        },
-                    ));
+                    out.push(Sent::signal(j, SignalKind::Propose, self.id, round).into());
                 }
                 None => {
                     self.report(RoundOutcome::NoProposal, None, out);
@@ -925,7 +941,7 @@ impl NodeMachine {
         self.trim_backlog();
     }
 
-    fn on_propose(&mut self, from: u32, r: u64, out: &mut Vec<Outbound>) {
+    fn on_propose(&mut self, from: u32, r: u64, out: &mut Vec<impl From<Sent>>) {
         if r > self.round {
             // Proposer is ahead of us; answer after our RoundStart
             // arrives.
@@ -953,14 +969,12 @@ impl NodeMachine {
             _ => return self.nack(from, r, out),
         }
         self.leg = Leg::Accepted(from);
-        out.push(Outbound::node(
-            from,
-            Frame::Accept {
-                from: self.id,
-                round: r,
-                ledger: ledger_to_wire(self.ledger()),
-            },
-        ));
+        let accept = Frame::Accept {
+            from: self.id,
+            round: r,
+            ledger: ledger_to_wire(self.ledger()),
+        };
+        out.push(Sent::shared(Dest::Node(from), accept).into());
     }
 
     /// Whether this round's open leg is a proposal to `peer`.
@@ -968,7 +982,13 @@ impl NodeMachine {
         r == self.round && matches!(self.leg, Leg::Proposed(j) if j == peer)
     }
 
-    fn on_accept(&mut self, from: u32, r: u64, their_wire: &[(u32, f64)], out: &mut Vec<Outbound>) {
+    fn on_accept(
+        &mut self,
+        from: u32,
+        r: u64,
+        their_wire: &[(u32, f64)],
+        out: &mut Vec<impl From<Sent>>,
+    ) {
         if !self.proposed_to(from, r) {
             return; // stale acceptance; ignore
         }
@@ -984,14 +1004,12 @@ impl NodeMachine {
         let partner_ledger = outcome.ledger_j;
         let partner_load = partner_ledger.sum();
         let partner_cost = local_cost(from, &self.instance, &partner_ledger);
-        out.push(Outbound::node(
-            from,
-            Frame::Commit {
-                from: self.id,
-                round: r,
-                ledger: ledger_to_wire(&partner_ledger),
-            },
-        ));
+        let commit = Frame::Commit {
+            from: self.id,
+            round: r,
+            ledger: ledger_to_wire(&partner_ledger),
+        };
+        out.push(Sent::shared(Dest::Node(from), commit).into());
         let ledger = outcome.ledger_i;
         let exchange = (from, partner_load, partner_cost, outcome.moved);
         if self.config.two_phase {
@@ -1006,7 +1024,7 @@ impl NodeMachine {
         }
     }
 
-    fn on_busy(&mut self, from: u32, r: u64, out: &mut Vec<Outbound>) {
+    fn on_busy(&mut self, from: u32, r: u64, out: &mut Vec<impl From<Sent>>) {
         if !self.proposed_to(from, r) {
             return;
         }
@@ -1016,7 +1034,13 @@ impl NodeMachine {
         self.report(RoundOutcome::Lost, None, out);
     }
 
-    fn on_commit(&mut self, from: u32, r: u64, new_wire: &[(u32, f64)], out: &mut Vec<Outbound>) {
+    fn on_commit(
+        &mut self,
+        from: u32,
+        r: u64,
+        new_wire: &[(u32, f64)],
+        out: &mut Vec<impl From<Sent>>,
+    ) {
         if r != self.round || !matches!(self.leg, Leg::Accepted(j) if j == from) {
             return;
         }
@@ -1025,13 +1049,7 @@ impl NodeMachine {
         if self.config.two_phase {
             // Install-then-ack is atomic from the driver's view: the
             // initiator applies its half only on this ack.
-            out.push(Outbound::node(
-                from,
-                Frame::CommitAck {
-                    from: self.id,
-                    round: r,
-                },
-            ));
+            out.push(Sent::signal(from, SignalKind::CommitAck, self.id, r).into());
         }
         if !self.reported {
             // Collision-yield path: our initiator role ended in an
@@ -1040,7 +1058,7 @@ impl NodeMachine {
         }
     }
 
-    fn on_commit_ack(&mut self, from: u32, r: u64, out: &mut Vec<Outbound>) {
+    fn on_commit_ack(&mut self, from: u32, r: u64, out: &mut Vec<impl From<Sent>>) {
         match std::mem::replace(&mut self.leg, Leg::Locked) {
             Leg::Committed(p) if r == self.round && p.exchange.0 == from => {
                 self.books.replace(p.ledger);
@@ -1081,7 +1099,7 @@ impl NodeMachine {
         r: u64,
         kind: RtoKind,
         blocks: Option<&RoundBlocks>,
-        out: &mut Vec<Outbound>,
+        out: &mut Vec<Sent>,
     ) {
         if !self.rto_pending(r, kind) {
             return;
@@ -2296,7 +2314,7 @@ mod tests {
             assert_eq!(misled, None, "node {id}: the flat bounds stop both sides");
             let config = NodeConfig::default();
             let mut lent = NodeMachine::local(id, Arc::clone(&instance), config);
-            let mut out = Vec::new();
+            let mut out: Vec<Sent> = Vec::new();
             lent.handle_in(&start, Some(&other), &mut out);
             let mut alone = NodeMachine::local(id, Arc::clone(&instance), config);
             drive(&mut alone, start.clone());
@@ -2730,8 +2748,9 @@ mod tests {
             fresh(&before),
             fresh(&wire_to_ledger(&[(0, 4.0), (2, 1.5)]))
         );
-        let mut out = Vec::new();
-        machine.on_rto_in(4, RtoKind::Ack, None, &mut out);
+        let mut sent = Vec::new();
+        machine.on_rto_in(4, RtoKind::Ack, None, &mut sent);
+        let out: Vec<Outbound> = sent.into_iter().map(Outbound::from).collect();
         assert_eq!(reported(&out), fresh(&before));
         assert_eq!(machine.ledger().get(1), 3.0);
 
@@ -2836,6 +2855,90 @@ mod tests {
         ];
         assert_eq!(out, expect);
         assert!(machine.backlog.is_none(), "nothing waits");
+    }
+
+    /// The public `handle` and the executor's `handle_in` send the same
+    /// frames, the signals included, through every leg of two
+    /// two-phase rounds: propose, nack, commit and ack as initiator;
+    /// lost, accept and ack as acceptor; then the final ledger.
+    #[test]
+    fn handle_and_the_executor_path_emit_the_same_frames() {
+        let instance = Arc::new(Instance::homogeneous(3, 1.0, 1.0, 10.0));
+        let config = NodeConfig {
+            two_phase: true,
+            ..NodeConfig::default()
+        };
+        let mut public = NodeMachine::local(0, Arc::clone(&instance), config);
+        let mut inner = NodeMachine::local(0, instance, config);
+        let mut step = |frame: Frame| -> Vec<(Dest, Frame)> {
+            let shared = |o: Outbound| (o.to, Frame::clone(&o.frame));
+            let mut out = Vec::new();
+            public.handle(&frame, &mut out);
+            let mut sent: Vec<Sent> = Vec::new();
+            inner.handle_in(&frame, None, &mut sent);
+            let via_handle: Vec<_> = out.into_iter().map(shared).collect();
+            let via_sent: Vec<_> = sent.into_iter().map(Outbound::from).map(shared).collect();
+            assert_eq!(via_handle, via_sent, "on {frame:?}");
+            via_handle
+        };
+        let start = |round| Frame::RoundStart {
+            round,
+            loads: Arc::new(vec![10.0; 3]),
+            excluded: vec![],
+            epoch: 0,
+            hot: Arc::new(vec![]),
+        };
+        let proposal = |out: &[(Dest, Frame)], round| match out {
+            [(Dest::Node(peer), Frame::Propose { from: 0, round: r })] if *r == round => *peer,
+            other => panic!("expected one Propose, got {other:?}"),
+        };
+        let is_report = |out: &[(Dest, Frame)], outcome| matches!(out, [(Dest::Coordinator, Frame::Report { outcome: o, .. })] if *o == outcome);
+
+        let peer = proposal(&step(start(1)), 1);
+        let other = 3 - peer;
+        let nack = step(Frame::Propose {
+            from: other,
+            round: 1,
+        });
+        let busy = Frame::Busy { from: 0, round: 1 };
+        assert_eq!(nack, [(Dest::Node(other), busy)]);
+        let ledger = vec![(peer, 30.0)];
+        let out = step(Frame::Accept {
+            from: peer,
+            round: 1,
+            ledger,
+        });
+        assert!(matches!(out.as_slice(), [(Dest::Node(p), Frame::Commit { .. })] if *p == peer));
+        let ack = Frame::CommitAck {
+            from: peer,
+            round: 1,
+        };
+        assert!(is_report(&step(ack), RoundOutcome::Exchanged));
+
+        let peer = proposal(&step(start(2)), 2);
+        let other = 3 - peer;
+        let busy = Frame::Busy {
+            from: peer,
+            round: 2,
+        };
+        assert!(is_report(&step(busy), RoundOutcome::Lost));
+        let out = step(Frame::Propose {
+            from: other,
+            round: 2,
+        });
+        assert!(matches!(out.as_slice(), [(Dest::Node(p), Frame::Accept { .. })] if *p == other));
+        let commit = Frame::Commit {
+            from: other,
+            round: 2,
+            ledger: vec![(0, 5.0)],
+        };
+        let ack = Frame::CommitAck { from: 0, round: 2 };
+        assert_eq!(step(commit), [(Dest::Node(other), ack)]);
+        let last = step(Frame::Shutdown);
+        assert!(matches!(
+            last.as_slice(),
+            [(Dest::Coordinator, Frame::FinalLedger { .. })]
+        ));
     }
 
     /// A field added to the machine shows up here, not in `peak_rss_mb`:

@@ -2,9 +2,10 @@
 //!
 //! [`Frame`] is the protocol's message vocabulary: what two
 //! organizations would put on a TCP connection between them. The
-//! executor hosts every node in one process, so frames travel as
-//! shared `Arc<Frame>` values on its event heap and are never
-//! serialized; ledgers still cross in their wire shape —
+//! executor hosts every node in one process, so frames are never
+//! serialized: the ledger-free node-to-node frames (`Propose`, `Busy`,
+//! `CommitAck`) ride its event heap as plain values, every other frame
+//! as a shared `Arc<Frame>`. Ledgers still cross in their wire shape —
 //! `(owner, requests)` pairs, 12 bytes per entry on a real link, so
 //! even a full exchange between two heavily shared servers in a
 //! 5000-organization system would be a frame of ~60 kB, small next to
@@ -22,6 +23,7 @@
 //!   frames carry.
 
 use dlb_core::SparseVec;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// How a node's initiator role ended this round (carried by
@@ -154,6 +156,36 @@ pub enum Frame {
         /// Final ledger of the node's server.
         ledger: Vec<(u32, f64)>,
     },
+}
+
+/// Which ledger-free frame a [`Payload::Signal`] is. The discriminants
+/// are the frames' hash and trace tags (the executor's `frame_identity`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum SignalKind {
+    Propose = 2,
+    Busy = 4,
+    CommitAck = 9,
+}
+
+/// What one delivery carries: a [`Frame::Propose`], [`Frame::Busy`] or
+/// [`Frame::CommitAck`] as the value `(kind, from, round)` — nothing to
+/// allocate, share or chase — and any other frame shared.
+pub(crate) enum Payload {
+    Signal(SignalKind, u32, u64),
+    Frame(Arc<Frame>),
+}
+
+impl Payload {
+    /// The carried frame: built on the stack for a signal, borrowed
+    /// otherwise.
+    pub fn frame(&self) -> Cow<'_, Frame> {
+        Cow::Owned(match *self {
+            Self::Signal(SignalKind::Propose, from, round) => Frame::Propose { from, round },
+            Self::Signal(SignalKind::Busy, from, round) => Frame::Busy { from, round },
+            Self::Signal(SignalKind::CommitAck, from, round) => Frame::CommitAck { from, round },
+            Self::Frame(ref frame) => return Cow::Borrowed(frame),
+        })
+    }
 }
 
 /// Converts a [`SparseVec`] ledger into its wire representation.
