@@ -1704,6 +1704,48 @@ mod tests {
         assert!(loaded >= 7, "recovered nodes take load: {loaded}");
     }
 
+    /// Under the oracle each round excludes exactly the script's down
+    /// set at the instant the round begins: the crashed fifth while it
+    /// is down, nobody once it has recovered.
+    #[test]
+    fn oracle_exclusions_are_the_scripts_down_set_at_each_round_start() {
+        let mut rng = rng_for(23, 0xC8);
+        let instance = WorkloadSpec {
+            loads: LoadDistribution::Exponential,
+            avg_load: 100.0,
+            speeds: SpeedDistribution::paper_uniform(),
+        }
+        .sample(LatencyMatrix::homogeneous(40, 20.0), &mut rng);
+        let script = faults("crash:0.2@150ms..600ms").compile(3, 40);
+        let mut trace = dlb_obs::MemorySink::default();
+        run_cluster_events_observed(
+            &instance,
+            &ClusterOptions::certified(40),
+            half_rtt(&instance),
+            &script,
+            &StreamScript::empty(),
+            &mut VirtualClock,
+            &mut trace,
+        );
+        let of_kind = |kind| trace.events.iter().filter(move |e| e.kind == kind);
+        let mut excludes = Vec::new();
+        for begin in of_kind(TraceKind::RoundBegin) {
+            let (round, at) = (begin.round, begin.at_ms);
+            let excluded = of_kind(TraceKind::DetectorExclude).filter(|e| e.round == round);
+            let mut excluded: Vec<u32> = excluded.map(|e| e.node).collect();
+            excluded.sort_unstable();
+            let down = script.down_at(at);
+            assert_eq!(excluded, down, "round {round} began at {at} ms");
+            excludes.push(!excluded.is_empty());
+        }
+        let first = excludes.iter().position(|&x| x);
+        let first = first.expect("premise: a round excludes the crashed nodes");
+        assert!(
+            excludes[first..].contains(&false),
+            "premise: a later round, after the recovery, excludes nobody"
+        );
+    }
+
     /// Exact per-owner conservation: every request ends up on exactly
     /// one server, aborted or not.
     fn assert_conserved(report: &ClusterReport, instance: &Instance) {
@@ -2002,6 +2044,34 @@ mod tests {
         assert!(s.served > 0, "survivors keep serving: {s:?}");
         assert!(s.dropped > 0, "victims' requests strand: {s:?}");
         assert_eq!(report.faults.crashes, 2);
+    }
+
+    /// Every arrival belongs to an organization whose home is down from
+    /// the start, so each is dropped and no departure ever follows: the
+    /// last arrival's own stream turn must release the hold, or the
+    /// coordinator would stay held with nothing left on the heap.
+    #[test]
+    fn a_stream_whose_last_event_is_a_drop_releases_its_hold() {
+        let instance = Instance::homogeneous(40, 1.0, 0.0, 50.0);
+        let script = faults("crash:0.2@0ms").compile(5, 40);
+        let down = script.down_at(0.0);
+        assert_eq!(down.len(), 8);
+        let weights: Vec<f64> = (0..40)
+            .map(|j| if down.contains(&j) { 1.0 } else { 0.0 })
+            .collect();
+        let stream = arrivals("poisson:100").compile(9, 500.0, &weights);
+        assert!(!stream.is_empty());
+        let report = simulate(
+            &instance,
+            &ClusterOptions::default(),
+            |_, _| 5.0,
+            &script,
+            &stream,
+        );
+        let s = report.stream;
+        assert_eq!(s.served, 0, "{s:?}");
+        assert_eq!(s.dropped, stream.len() as u64, "{s:?}");
+        report.assignment.check_invariants(&instance).unwrap();
     }
 
     /// A stream compiled for a larger cluster names organizations this
