@@ -2,10 +2,10 @@
 //! [`ClusterOptions`] in, [`ClusterReport`] out, plus the per-plane
 //! summaries the report carries.
 //!
-//! Round/termination logic lives in
-//! [`CoordinatorMachine`](crate::machine::CoordinatorMachine), the
-//! per-node protocol in [`NodeMachine`](crate::machine::NodeMachine),
-//! and the event executor ([`crate::executor`]) drives both.
+//! Round/termination logic lives in the executor's
+//! `CoordinatorMachine`, the per-node protocol in
+//! [`NodeMachine`](crate::machine::NodeMachine), and the event executor
+//! ([`crate::executor`]) drives both.
 //!
 //! The coordinator plays two roles the paper assumes as substrates:
 //! the converged *gossip layer* (it rebroadcasts the load vector at
@@ -24,17 +24,15 @@ use crate::machine::NodeConfig;
 
 /// How the coordinator learns that a node has crashed.
 ///
-/// The baseline [`DetectMode::Oracle`] is the script-fed liveness
-/// oracle: the driver tells the coordinator which nodes are down
-/// (ground truth, zero detection latency) — the idealized-failure
-/// regime the golden event hashes pin. The other two modes move detection
-/// *into the protocol*: the coordinator arms a per-round report
-/// deadline and suspects any node whose report has not arrived when it
-/// fires; exchanges get their own retransmission timeout so a proposer
-/// whose partner dies mid-exchange aborts and rolls back locally.
-/// Under both in-protocol modes the oracle is provably unreached
-/// ([`CoordinatorMachine::set_down`](crate::machine::CoordinatorMachine::set_down)
-/// panics if consulted).
+/// The baseline [`DetectMode::Oracle`] is the fault script as liveness
+/// oracle: the coordinator reads which nodes are down from it at each
+/// round start (ground truth, zero detection latency) — the
+/// idealized-failure regime the golden event hashes pin. The other two
+/// modes move detection *into the protocol* and hand the coordinator no
+/// script: it arms a per-round report deadline and suspects any node
+/// whose report has not arrived when it fires; exchanges get their own
+/// retransmission timeout so a proposer whose partner dies
+/// mid-exchange aborts and rolls back locally.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum DetectMode {
     /// Ground-truth liveness from the fault script (the default).

@@ -1,7 +1,7 @@
 //! The event-driven executor: Figure-2-scale clusters in one process.
 //!
-//! The executor drives every [`NodeMachine`] plus the
-//! [`CoordinatorMachine`] from a single deterministic event heap
+//! The executor drives every [`NodeMachine`] plus its own
+//! `CoordinatorMachine` from a single deterministic event heap
 //! ([`dlb_core::events::EventHeap`], shared with the scheduled-gossip
 //! simulation in `dlb-gossip`). One iteration of its loop:
 //!
@@ -47,7 +47,7 @@
 //! that loop, each inert when its input is empty (no fault script
 //! under oracle detection, no stream, a disabled sink). No plane keeps
 //! a copy of the coordinator's state: each reads the round number and
-//! [`CoordinatorMachine::awaits_reports`] after the coordinator's
+//! `CoordinatorMachine::awaits_reports` after the coordinator's
 //! turn, and the coordinator keeps no clock — every call hands it the
 //! batch's virtual time. A round's trace phase runs from its
 //! `RoundBegin` to the `RoundEnd` stamped the moment the coordinator
@@ -79,15 +79,15 @@
 //!
 //! Crash instants are **latched at round boundaries**: a node that
 //! crashes at `t` drops out of the first round starting at or after
-//! `t` — the coordinator (whose liveness oracle the executor feeds
-//! from the script) stops scheduling it, announces it in the round's
-//! `excluded` set, and stops expecting its report, so every round's
-//! causal chains complete among the nodes that entered it. A
-//! recovered node rejoins at the next round start. At shutdown, down
-//! nodes reply nothing; once in-flight traffic drains, the executor
-//! freezes their ledgers into the final assignment (their requests
-//! stay where they were when the node went down), so conservation
-//! holds exactly even under churn.
+//! `t` — the coordinator reads the script's down set, its liveness
+//! oracle, at each round start, stops scheduling the node, announces it
+//! in the round's `excluded` set, and stops expecting its report, so
+//! every round's causal chains complete among the nodes that entered
+//! it. A recovered node rejoins at the next round start. At shutdown,
+//! down nodes reply nothing; once in-flight traffic drains, the
+//! executor freezes their ledgers into the final assignment (their
+//! requests stay where they were when the node went down), so
+//! conservation holds exactly even under churn.
 //!
 //! The script is pure and every consultation happens on the
 //! single-threaded scheduling path, so fault trajectories — the
@@ -101,7 +101,7 @@
 //! instead of converging over a frozen snapshot (see `Stream`).
 //! While requests are arriving or in flight the coordinator is *held
 //! open*: quiet rounds park instead of quiescing
-//! ([`CoordinatorMachine::kick`]) and every stream event resumes a
+//! (`CoordinatorMachine::kick`) and every stream event resumes a
 //! parked coordinator; once the stream drains, the normal quiescence
 //! shutdown fires. A parked round's report deadline dies at pop like
 //! any cancelled timer. An empty script pushes nothing.
@@ -396,8 +396,8 @@ fn group_by_node(batch: &mut [(u32, Inbox)]) {
 
 /// The liveness plane: which nodes currently take no deliveries, and
 /// where that knowledge comes from. Under the oracle the gate is the
-/// coordinator's round-latched down set, which this plane feeds from
-/// the script; under in-protocol detection it is raw physics — the
+/// coordinator's round-latched down set, which it reads from the
+/// script; under in-protocol detection it is raw physics — the
 /// script's down set the instant it changes, latched at nothing
 /// (nobody tells the protocol, which is the point). Detection is the
 /// plane's other half: it arms each round's report deadline and every
@@ -471,14 +471,6 @@ impl<'a> Liveness<'a> {
     fn advance(&mut self, now: f64, summary: &mut FaultSummary) {
         if self.faulty && self.rto.is_some() && self.crossed(now) {
             self.relatch(&self.script.down_at(now), summary);
-        }
-    }
-
-    /// Tells the oracle who is down by `now`; the coordinator latches
-    /// it at its next round start.
-    fn feed_oracle(&mut self, now: f64, coordinator: &mut CoordinatorMachine) {
-        if self.faulty && self.rto.is_none() && self.crossed(now) {
-            coordinator.set_down(self.script.down_at(now));
         }
     }
 
@@ -895,7 +887,7 @@ impl RoundTrace {
 /// batch scratch, and one value per plane.
 struct Run<'a, D, T> {
     instance: Arc<Instance>,
-    coordinator: CoordinatorMachine,
+    coordinator: CoordinatorMachine<'a>,
     nodes: Nodes,
     fabric: Fabric<'a, D, T>,
     liveness: Liveness<'a>,
@@ -929,7 +921,7 @@ impl<'a, D: Fn(usize, usize) -> f64, T: TraceSink> Run<'a, D, T> {
         // acceptor's CommitAck.
         let mut node_config = options.node;
         node_config.two_phase |= !oracle;
-        let mut coordinator = CoordinatorMachine::new(Arc::clone(&instance), options);
+        let mut coordinator = CoordinatorMachine::new(Arc::clone(&instance), options, script);
         let mut heap = EventHeap::new();
         let mut run = Self {
             nodes: Nodes::new(&instance, node_config),
@@ -951,9 +943,8 @@ impl<'a, D: Fn(usize, usize) -> f64, T: TraceSink> Run<'a, D, T> {
             out: Vec::new(),
             sent: Vec::new(),
         };
-        // Round 1 latches whoever is down from the very start, and its
+        // Round 1 latches whoever is down at time 0, and its
         // RoundBegin precedes its frames in the trace.
-        run.liveness.feed_oracle(0.0, &mut run.coordinator);
         run.coordinator.start(&mut run.out);
         run.liveness.advance(0.0, &mut run.fabric.summary);
         run.rounds.follow(&mut run.fabric, &run.coordinator);
@@ -982,22 +973,16 @@ impl<'a, D: Fn(usize, usize) -> f64, T: TraceSink> Run<'a, D, T> {
         }
     }
 
-    /// The heap ran dry. Returns `true` when the run goes on: a
-    /// coordinator still held open by the stream was released and
-    /// resumed (defensive — the heap cannot normally dry up while
-    /// arrivals or departures are pending). Otherwise the ledgers of
-    /// nodes the shutdown could not reach — those that sent no final
-    /// ledger — are frozen into the final answer. Under the oracle
-    /// that is exactly the latched down set: it gets no `Shutdown` and
-    /// sends nothing, and every other node answers.
-    fn resume_or_freeze(&mut self) -> bool {
-        if self.coordinator.set_hold(false) {
-            self.coordinator.kick(self.fabric.now, &mut self.out);
-            if !self.out.is_empty() {
-                self.fabric.schedule(None, self.out.drain(..));
-                return true;
-            }
-        }
+    /// The heap ran dry: the ledgers of nodes the shutdown could not
+    /// reach — those that sent no final ledger — are frozen into the
+    /// final answer. Under the oracle that is exactly the latched down
+    /// set: it gets no `Shutdown` and sends nothing, and every other
+    /// node answers. The stream's hold is off by now: the stream turn
+    /// of its last arrival or departure released it, and a held
+    /// coordinator never shuts down.
+    fn freeze(&mut self) {
+        let held = self.coordinator.set_hold(false);
+        debug_assert!(!held, "heap ran dry under a stream hold");
         if self.coordinator.is_collecting() {
             let now = self.fabric.now;
             for j in self.coordinator.missing_ledgers() {
@@ -1007,7 +992,6 @@ impl<'a, D: Fn(usize, usize) -> f64, T: TraceSink> Run<'a, D, T> {
                 self.fabric.schedule(None, self.out.drain(..));
             }
         }
-        false
     }
 
     /// Classifies the whole same-instant batch starting at `first`, in
@@ -1095,17 +1079,14 @@ impl<'a, D: Fn(usize, usize) -> f64, T: TraceSink> Run<'a, D, T> {
     }
 
     /// After a batch that carried stream events: fresh stream activity
-    /// deformed the landscape, so resume a parked coordinator —
-    /// latching any crash phase the oracle would otherwise only see on
-    /// its control-plane path — and let go of it once the stream has
-    /// fully drained.
+    /// deformed the landscape, so resume a parked coordinator, and let
+    /// go of it once the stream has fully drained.
     fn stream_turn(&mut self) {
         let now = self.fabric.now;
         let (machines, liveness) = (&self.nodes.machines, &self.liveness);
         if !self.stream.sample(now, machines, liveness, &self.instance) {
             return;
         }
-        self.liveness.feed_oracle(now, &mut self.coordinator);
         self.coordinator.kick(now, &mut self.out);
         self.fabric.schedule(None, self.out.drain(..));
         if self.stream.drained(now) {
@@ -1169,11 +1150,6 @@ impl<'a, D: Fn(usize, usize) -> f64, T: TraceSink> Run<'a, D, T> {
     /// Hands the coordinator the batch's reports and deadlines.
     fn coordinator_turn(&mut self) {
         let now = self.fabric.now;
-        if !self.coord_inbox.is_empty() {
-            // Before any report can close the round: a round beginning
-            // now latches the crashes due by now.
-            self.liveness.feed_oracle(now, &mut self.coordinator);
-        }
         for item in self.coord_inbox.drain(..) {
             match item {
                 CoordItem::Frame(frame) => {
@@ -1273,9 +1249,7 @@ where
     let mut run = Run::start(instance, options, delays, script, stream, tracer);
     loop {
         let Some(first) = run.pop_live() else {
-            if run.resume_or_freeze() {
-                continue;
-            }
+            run.freeze();
             break;
         };
         run.fabric.now = first.due;
@@ -1760,8 +1734,8 @@ mod tests {
         }
     }
 
-    /// In-protocol timeout detection: nobody feeds the oracle (the
-    /// coordinator asserts if anyone tries), yet scripted crashes are
+    /// In-protocol timeout detection: the coordinator reads no script
+    /// (there is no oracle), yet scripted crashes are
     /// suspected from pure silence, survivors converge, and
     /// conservation holds exactly.
     #[test]

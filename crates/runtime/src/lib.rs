@@ -15,8 +15,9 @@
 //! The crate is split along a machine/driver seam:
 //!
 //! * [`machine`] — the protocol itself, as poll-style state machines
-//!   ([`machine::NodeMachine`], [`machine::CoordinatorMachine`]) that
-//!   consume one frame and emit frames, never blocking;
+//!   ([`machine::NodeMachine`] and the executor's
+//!   `CoordinatorMachine`) that consume one frame and emit frames,
+//!   never blocking;
 //! * [`executor`] — the driver: a deterministic virtual-time event
 //!   heap delivers frames to thousands of machines in one process,
 //!   with per-link latencies supplied by the caller (the scenario
@@ -70,8 +71,5 @@ pub mod message;
 
 pub use cluster::{ClusterOptions, ClusterReport, DetectMode, DetectorSummary, StreamSummary};
 pub use executor::{run_cluster_events, run_cluster_events_observed, VirtualClock};
-pub use machine::{
-    CoordinatorMachine, Dest, NodeConfig, NodeMachine, Outbound, RtoKind, SelectPolicy,
-    ADAPTIVE_BOOTSTRAP_MS,
-};
+pub use machine::{Dest, NodeConfig, NodeMachine, Outbound, SelectPolicy, ADAPTIVE_BOOTSTRAP_MS};
 pub use message::{Frame, RoundOutcome};

@@ -3,7 +3,7 @@
 //! The protocol logic of the runtime lives here, factored out of any
 //! particular concurrency substrate: a [`NodeMachine`] is one
 //! organization's half of the §IV message-passing protocol, and a
-//! [`CoordinatorMachine`] is the round/termination driver (the stand-in
+//! `CoordinatorMachine` is the round/termination driver (the stand-in
 //! for the converged gossip layer). Both are *pure* state machines —
 //! `handle` consumes one inbound [`Frame`] and appends outbound frames
 //! to a caller-supplied buffer; they never block, sleep, or touch a
@@ -73,6 +73,7 @@ use dlb_core::cost::total_cost;
 use dlb_core::{Assignment, Instance, LatencyMatrix, SparseVec};
 use dlb_distributed::mine::{partner_scores, Candidates, SCORE_BLOCK};
 use dlb_distributed::transfer::calc_best_transfer;
+use dlb_faults::FaultScript;
 use dlb_topology::{k_nearest_row, k_nearest_wheel};
 use std::iter::{from_fn, zip};
 use std::sync::Arc;
@@ -90,7 +91,7 @@ pub enum Dest {
 }
 
 /// One outbound frame of the public [`NodeMachine::handle`] and of
-/// every [`CoordinatorMachine`] call. The frame is shared, so a
+/// every `CoordinatorMachine` call. The frame is shared, so a
 /// coordinator broadcast of the `m`-entry load vector is not copied
 /// `m` times. The executor's node drains emit the crate's 24-byte
 /// `Sent` instead, which holds a ledger-free frame by value.
@@ -183,7 +184,7 @@ pub struct NodeConfig {
 /// timer whose leg already closed is a no-op
 /// ([`NodeMachine::rto_pending`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RtoKind {
+pub(crate) enum RtoKind {
     /// `Leg::Proposed`: the initiator awaits `Accept`/`Busy`.
     Answer,
     /// `Leg::Accepted`: the acceptor awaits the `Commit`.
@@ -1073,7 +1074,7 @@ impl NodeMachine {
     /// The executor calls this when a timer pops to discard stale
     /// entries — a timer whose leg already closed was logically
     /// cancelled and must not advance virtual time.
-    pub fn rto_pending(&self, r: u64, kind: RtoKind) -> bool {
+    pub(crate) fn rto_pending(&self, r: u64, kind: RtoKind) -> bool {
         !self.done
             && r == self.round
             && matches!(
@@ -1183,8 +1184,12 @@ enum Phase {
 /// The round/termination driver of a cluster run (see the module
 /// docs). One per run.
 #[derive(Debug)]
-pub struct CoordinatorMachine {
+pub(crate) struct CoordinatorMachine<'a> {
     instance: Arc<Instance>,
+    /// The liveness oracle: the run's fault script under
+    /// [`DetectMode::Oracle`], `None` when it is empty or detection is
+    /// in-protocol.
+    script: Option<&'a FaultScript>,
     options: ClusterOptions,
     phase: Phase,
     round: u64,
@@ -1195,17 +1200,14 @@ pub struct CoordinatorMachine {
     moved: f64,
     lost: usize,
     quiet: usize,
-    rounds: usize,
     quiescent: bool,
     reports: usize,
     /// Reports expected this round: every node not down at the round
     /// start.
     expected: usize,
-    /// Liveness oracle input (sorted): what the driver last told us
-    /// about crashed nodes. Latched into `down` at each round start.
-    pending_down: Vec<u32>,
-    /// The down set latched at the current round's start. Frozen for
-    /// the round, so every live node's causal chains complete.
+    /// The oracle's down set latched at the current round's start.
+    /// Frozen for the round, so every live node's causal chains
+    /// complete.
     down: Vec<u32>,
     seen: Vec<bool>,
     round_moved: f64,
@@ -1240,12 +1242,13 @@ pub struct CoordinatorMachine {
     hold_open: bool,
 }
 
-impl CoordinatorMachine {
-    /// Creates the coordinator for a cluster over `instance`.
+impl<'a> CoordinatorMachine<'a> {
+    /// Creates the coordinator for a cluster over `instance`, reading
+    /// who is down from `script` at each round start under the oracle.
     ///
     /// # Panics
     /// Panics when the instance is empty.
-    pub fn new(instance: Arc<Instance>, options: &ClusterOptions) -> Self {
+    pub fn new(instance: Arc<Instance>, options: &ClusterOptions, script: &'a FaultScript) -> Self {
         let m = instance.len();
         assert!(m >= 1, "cluster needs at least one node");
         let loads = instance.own_loads().to_vec();
@@ -1259,8 +1262,10 @@ impl CoordinatorMachine {
         // `ΣC` of the all-local assignment: its per-server costs, summed
         // as `total_cost` and `end_round` sum them.
         let initial_cost = local_costs.iter().sum();
+        let oracle = matches!(options.detect, DetectMode::Oracle);
         Self {
             instance,
+            script: (oracle && !script.is_empty()).then_some(script),
             options: options.clone(),
             phase: Phase::Rounds,
             round: 0,
@@ -1271,11 +1276,9 @@ impl CoordinatorMachine {
             moved: 0.0,
             lost: 0,
             quiet: 0,
-            rounds: 0,
             quiescent: false,
             reports: 0,
             expected: m,
-            pending_down: Vec::new(),
             down: Vec::new(),
             seen: vec![false; m],
             round_moved: 0.0,
@@ -1306,11 +1309,6 @@ impl CoordinatorMachine {
         self.loads.len()
     }
 
-    /// Returns `false` (a coordinator always has at least one node).
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
     /// Whether every final ledger has been collected.
     pub fn is_done(&self) -> bool {
         self.phase == Phase::Done
@@ -1325,22 +1323,6 @@ impl CoordinatorMachine {
     /// The current (1-based) round number.
     pub fn round_number(&self) -> u64 {
         self.round
-    }
-
-    /// Updates the liveness oracle: `down` is the sorted list of nodes
-    /// currently crashed. The set is *latched at the next round start*
-    /// — mid-round it changes nothing, so a round's causal chains
-    /// always complete among the nodes that entered it. Fault-free
-    /// drivers never call this.
-    pub fn set_down(&mut self, down: Vec<u32>) {
-        assert!(
-            matches!(self.options.detect, DetectMode::Oracle),
-            "liveness oracle consulted under in-protocol detection ({:?})",
-            self.options.detect
-        );
-        debug_assert!(down.windows(2).all(|w| w[0] < w[1]), "down set not sorted");
-        debug_assert!(down.len() < self.len(), "at least one node must live");
-        self.pending_down = down;
     }
 
     /// The down set latched at the current round's start (what the
@@ -1393,9 +1375,11 @@ impl CoordinatorMachine {
         // Latch the liveness oracle for the round: crashed nodes get no
         // RoundStart, owe no report, and are announced as excluded so
         // no live node proposes to (or audits) them. Under in-protocol
-        // detection the oracle is never fed (`down` stays empty) and
-        // the suspect list plays the same role.
-        self.down = self.pending_down.clone();
+        // detection there is no oracle (`down` stays empty) and the
+        // suspect list plays the same role.
+        if let Some(script) = self.script {
+            self.down = script.down_at(now);
+        }
         let mut skip = self.down.clone();
         skip.extend(self.suspects.iter().map(|s| s.node));
         skip.sort_unstable();
@@ -1691,7 +1675,6 @@ impl CoordinatorMachine {
     }
 
     fn end_round(&mut self, now: f64, out: &mut Vec<Outbound>) {
-        self.rounds += 1;
         self.history.push(self.local_costs.iter().sum());
         if self.hold_open {
             // Streaming: a quiet round is a pause, not convergence —
@@ -1743,8 +1726,8 @@ impl CoordinatorMachine {
         ClusterReport {
             assignment,
             final_cost,
+            rounds: self.history.len() - 1,
             history: self.history,
-            rounds: self.rounds,
             exchanges: self.exchanges,
             moved: self.moved,
             lost_proposals: self.lost,
@@ -2251,8 +2234,11 @@ mod tests {
         let instance = Arc::new(Instance::new(speeds, own, latency));
         let options = ClusterOptions::default();
         assert_eq!(options.node.select, SelectPolicy::Exact);
-        let mut coordinator = CoordinatorMachine::new(Arc::clone(&instance), &options);
-        coordinator.set_down(vec![3, 40]);
+        let plan: dlb_faults::FaultPlan = "crash:0.03@0ms".parse().unwrap();
+        let script = plan.compile(5, 70);
+        let down = script.down_at(0.0);
+        assert_eq!(down.len(), 2, "premise: two nodes down from the start");
+        let mut coordinator = CoordinatorMachine::new(Arc::clone(&instance), &options, &script);
         let mut out = Vec::new();
         coordinator.start(&mut out);
         let loads = broadcast_loads(&out);
@@ -2265,7 +2251,7 @@ mod tests {
         );
         // The live peers by `(l/s, id)`, the crashed ones left out.
         let r = |j: u32| loads[j as usize] / instance.speed(j as usize);
-        let mut order: Vec<u32> = (0..70).filter(|j| ![3, 40].contains(j)).collect();
+        let mut order: Vec<u32> = (0..70).filter(|j| !down.contains(j)).collect();
         order.sort_by(|&a, &b| r(a).total_cmp(&r(b)).then(a.cmp(&b)));
         assert_eq!(round.order, order);
         let lane = |&j: &u32| BlockSummary::lane(loads[j as usize], instance.speed(j as usize));
@@ -2278,7 +2264,7 @@ mod tests {
 
         let mut topk = options.clone();
         topk.node.select = SelectPolicy::TopK(4);
-        let mut coordinator = CoordinatorMachine::new(instance, &topk);
+        let mut coordinator = CoordinatorMachine::new(instance, &topk, &script);
         coordinator.start(&mut Vec::new());
         assert!(coordinator.round_blocks().is_none());
     }
@@ -2963,7 +2949,8 @@ mod tests {
             detect: DetectMode::Timeout(30.0),
             ..ClusterOptions::default()
         };
-        let mut coordinator = CoordinatorMachine::new(instance, &options);
+        let script = FaultScript::empty(instance.len());
+        let mut coordinator = CoordinatorMachine::new(instance, &options, &script);
         coordinator.set_hold(true);
         let mut out = Vec::new();
         coordinator.start(&mut out);
@@ -2979,7 +2966,8 @@ mod tests {
             coordinator.handle(&report(from, 1), 10.0, &mut out);
         }
         out.clear();
-        let state = |c: &CoordinatorMachine| (c.rounds, c.history.len(), c.suspects.len());
+        let state =
+            |c: &CoordinatorMachine| (c.history.len() - 1, c.history.len(), c.suspects.len());
         let parked = state(&coordinator);
         assert_eq!(parked, (1, 2, 0), "every report in, nothing moved");
 
@@ -3010,7 +2998,8 @@ mod tests {
             detect: DetectMode::Adaptive,
             ..ClusterOptions::default()
         };
-        let mut coordinator = CoordinatorMachine::new(instance, &options);
+        let script = FaultScript::empty(instance.len());
+        let mut coordinator = CoordinatorMachine::new(instance, &options, &script);
         coordinator.set_hold(true);
         let mut out = Vec::new();
         coordinator.start(&mut out);
@@ -3036,7 +3025,9 @@ mod tests {
     #[test]
     fn coordinator_runs_a_trivial_single_node_cluster() {
         let instance = Arc::new(Instance::homogeneous(1, 1.0, 0.0, 50.0));
-        let mut coordinator = CoordinatorMachine::new(instance.clone(), &ClusterOptions::default());
+        let script = FaultScript::empty(1);
+        let options = ClusterOptions::default();
+        let mut coordinator = CoordinatorMachine::new(instance.clone(), &options, &script);
         let mut node = NodeMachine::local(0, instance, NodeConfig::default());
         let mut out = Vec::new();
         coordinator.start(&mut out);

@@ -189,12 +189,12 @@ impl Payload {
 }
 
 /// Converts a [`SparseVec`] ledger into its wire representation.
-pub fn ledger_to_wire(ledger: &SparseVec) -> Vec<(u32, f64)> {
+pub(crate) fn ledger_to_wire(ledger: &SparseVec) -> Vec<(u32, f64)> {
     ledger.iter().collect()
 }
 
 /// Rebuilds a [`SparseVec`] from wire entries.
-pub fn wire_to_ledger(entries: &[(u32, f64)]) -> SparseVec {
+pub(crate) fn wire_to_ledger(entries: &[(u32, f64)]) -> SparseVec {
     let mut v = SparseVec::with_capacity(entries.len());
     for &(owner, amount) in entries {
         v.set(owner, amount);
