@@ -2311,6 +2311,161 @@ mod tests {
         }
     }
 
+    /// A top-k population driven round by round by a real coordinator
+    /// fed forged reports: a few loads move each round (now and then to
+    /// NaN, or back to the value they had), silent nodes become suspects
+    /// and leave the skip list when they speak again, and some nodes miss
+    /// a round start or take it late, under the next round's lent view.
+    /// Every proposal must be the merged scan over the node's slate, or
+    /// the audit rotation's pick.
+    mod topk_round_proptests {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Whom node `id` proposes to on `start`: the best of its whole
+        /// slate in one merged scan, else the audit rotation's peer.
+        fn merged_pick(id: u32, instance: &Instance, k: u32, start: &Frame) -> Option<u32> {
+            let Frame::RoundStart {
+                round,
+                loads,
+                excluded,
+                hot,
+                ..
+            } = start
+            else {
+                panic!("expected a RoundStart, got {start:?}");
+            };
+            let mut nearest = None;
+            let slate = slate(id, instance.latency(), k, &mut nearest, hot);
+            let scored = scan(id, excluded, slate, |block, out| {
+                partner_scores(instance, loads, id as usize, block, out);
+            });
+            scored.or_else(|| audit_target(id, instance.len(), *round, excluded))
+        }
+
+        /// An instance on a homogeneous wheel or on dense rows with
+        /// ties and unreachable peers.
+        fn population(m: usize, rng: &mut impl Rng) -> Instance {
+            let latency = match rng.gen_range(0..3) {
+                0 => LatencyMatrix::homogeneous(m, 2.0),
+                _ => {
+                    let mut data: Vec<f64> = (0..m * m)
+                        .map(|_| match rng.gen_range(0..10) {
+                            0 => f64::INFINITY,
+                            1 => 5.0,
+                            _ => rng.gen_range(0.0..60.0),
+                        })
+                        .collect();
+                    for i in 0..m {
+                        data[i * m + i] = 0.0;
+                    }
+                    LatencyMatrix::from_rows(m, data)
+                }
+            };
+            let speeds = (0..m).map(|_| rng.gen_range(0.5..4.0)).collect();
+            let own = (0..m).map(|_| rng.gen_range(0.0..120.0)).collect();
+            Instance::new(speeds, own, latency)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            #[test]
+            fn prop_topk_picks_are_the_merged_slate_scan(
+                m in 2usize..=40,
+                seed in any::<u64>(),
+            ) {
+                let mut rng = rng_for(seed, 53);
+                let instance = Arc::new(population(m, &mut rng));
+                let k = rng.gen_range(1..=6u32);
+                let options = ClusterOptions {
+                    max_rounds: usize::MAX,
+                    quiescent_rounds: usize::MAX,
+                    detect: DetectMode::Timeout(50.0),
+                    node: NodeConfig {
+                        select: SelectPolicy::TopK(k),
+                        two_phase: false,
+                    },
+                    ..ClusterOptions::default()
+                };
+                let script = FaultScript::empty(m);
+                let mut coordinator = CoordinatorMachine::new(Arc::clone(&instance), &options, &script);
+                let local = |id| NodeMachine::local(id, Arc::clone(&instance), options.node);
+                let mut nodes: Vec<NodeMachine> = (0..m as u32).map(local).collect();
+                // Each node's true load, and the round start it missed.
+                let mut loads = instance.own_loads().to_vec();
+                let mut missed: Vec<Option<Arc<Frame>>> = vec![None; m];
+                let mut out = Vec::new();
+                coordinator.start(&mut out);
+                for round in 1..=rng.gen_range(8..18u64) {
+                    prop_assert_eq!(coordinator.round_number(), round);
+                    let to: Vec<u32> = out
+                        .iter()
+                        .map(|o| match o.to {
+                            Dest::Node(j) => j,
+                            Dest::Coordinator => panic!("a broadcast goes to nodes"),
+                        })
+                        .collect();
+                    let start = out.first().map(|o| Arc::clone(&o.frame));
+                    out.clear();
+                    let view = coordinator.round_blocks();
+                    let mut sent: Vec<Sent> = Vec::new();
+                    for &j in &to {
+                        let start = start.as_ref().expect("a broadcast has a frame");
+                        let node = &mut nodes[j as usize];
+                        let late = missed[j as usize].take().filter(|_| rng.gen_range(0..2) == 0);
+                        let mut current = None;
+                        if rng.gen_range(0..6) == 0 {
+                            missed[j as usize] = Some(Arc::clone(start));
+                        } else {
+                            current = Some(Arc::clone(start));
+                        }
+                        for frame in late.into_iter().chain(current) {
+                            node.handle_in(&frame, view, &mut sent);
+                            let want = merged_pick(j, &instance, k, &frame);
+                            prop_assert_eq!(proposed(node), want, "node {} in round {}", j, round);
+                            if let (Some(peer), Frame::RoundStart { round, .. }) = (want, &*frame) {
+                                let busy = Frame::Busy { from: peer, round: *round };
+                                node.handle_in(&busy, view, &mut sent);
+                            }
+                        }
+                    }
+                    // A few loads move; some to NaN, some to what they were.
+                    for _ in 0..rng.gen_range(0..4) {
+                        let j = rng.gen_range(0..m);
+                        loads[j] = match rng.gen_range(0..12) {
+                            0 => f64::NAN,
+                            1 => loads[j],
+                            _ => rng.gen_range(0.0..150.0),
+                        };
+                    }
+                    let now = round as f64 * 100.0;
+                    let report = |from: u32| Frame::Report {
+                        from,
+                        round,
+                        outcome: RoundOutcome::NoProposal,
+                        load: loads[from as usize],
+                        local_cost: 0.0,
+                        exchange: None,
+                    };
+                    let suspects: Vec<u32> = coordinator.suspects_now().collect();
+                    for s in suspects {
+                        if rng.gen_range(0..3) == 0 {
+                            coordinator.handle(&report(s), now, &mut out);
+                        }
+                    }
+                    for &j in &to {
+                        if rng.gen_range(0..3 * m) != 0 {
+                            coordinator.handle(&report(j), now, &mut out);
+                        }
+                    }
+                    // Ends the round on the silent nodes, if any.
+                    coordinator.on_deadline(round, now + 50.0, &mut out);
+                }
+            }
+        }
+    }
+
     /// The score bound against the scores it bounds, on the inputs the
     /// margin argument is about: every load and speed scale from `1e-6`
     /// to `1e9`, equal speeds, zero loads, peers at `r_i ± c` to the ulp,

@@ -186,3 +186,45 @@ fn topk_scan_records_are_pinned() {
         assert_eq!(got, (iterations, hash), "{text}");
     }
 }
+
+/// The top-k scan across rounds, on what a node's kept nearest-peer
+/// winner must survive: wild lanes whose scores are NaN
+/// (`avg=1e100 load=peak`), a streamed Euclidean run whose crashed nodes
+/// recover and rejoin under the adaptive detector while arrivals move
+/// loads and park and kick rounds, and a homogeneous wheel run for 48
+/// rounds. Pins iterations, the bits of the cost history and the
+/// counters of [`streamed_detection_records_are_pinned`].
+#[test]
+fn topk_records_across_rounds_are_pinned() {
+    let cases = [
+        (
+            "net=homog m=97 seed=5 avg=1e100 load=peak select=topk:8 budget=12 patience=12",
+            (12, 0x2998_e139_54bf_464e, [0, 0, 0, 0, 0]),
+        ),
+        (
+            "net=euclid m=150 seed=3 select=topk:8 detect=adaptive faults=crash:0.1@100ms..900ms arrivals=poisson:10 duration=5000",
+            (38, 0x5935_e99f_5c6f_a435, [44, 15, 14, 57, 0]),
+        ),
+        (
+            "net=homog m=400 seed=7 select=topk:8 budget=48 patience=48",
+            (48, 0xa008_8935_988e_19b5, [0, 0, 0, 0, 0]),
+        ),
+    ];
+    for (scenario, pin) in cases {
+        let text = format!("algo=protocol {scenario}");
+        let r = text.parse::<ScenarioSpec>().unwrap().run();
+        let (d, s) = (r.detector, r.stream);
+        let got = (
+            r.iterations,
+            history_hash(&r.history),
+            [
+                u64::from(d.suspicions),
+                u64::from(d.false_positives),
+                u64::from(d.aborted_exchanges),
+                s.served,
+                s.dropped,
+            ],
+        );
+        assert_eq!(got, pin, "{text}");
+    }
+}
