@@ -25,10 +25,11 @@
 //!    machines are cut into one contiguous id range per `dlb-par`
 //!    thread ([`dlb_par::par_map_shards`], one scoped spawn per batch),
 //!    whatever the delivery order, and each worker drains its range's
-//!    groups into one flat buffer with a length per node. Machines
-//!    touch only node-local state — nothing of the heap or the fabric —
-//!    so both forms are race-free, and nothing is ever moved out of the
-//!    table.
+//!    groups into one flat buffer with a length per node. Either form
+//!    lends every machine it drains the coordinator's per-round view
+//!    (see `Nodes`). Machines touch only node-local state — nothing of
+//!    the heap or the fabric — so both forms are race-free, and nothing
+//!    is ever moved out of the table.
 //! 3. **Schedule the replies** — per source in first-delivery order on
 //!    either path (a worker's lengths cut its buffer back into the
 //!    spans the in-place drain would have produced), so sequence
@@ -363,8 +364,11 @@ impl<D: Fn(usize, usize) -> f64, T: TraceSink> Fabric<'_, D, T> {
 /// classification order — deterministic, since events pop in
 /// `(due, seq)` order. Machines live in the table for the whole run;
 /// a broadcast batch borrows disjoint id ranges of it, nothing moves.
-/// The machines keep no round data between batches: each drain lends
-/// them the coordinator's [`RoundBlocks`](crate::machine::RoundBlocks).
+/// Each drain lends the machines the coordinator's view of the round in
+/// flight, its [`RoundBlocks`](crate::machine::RoundBlocks): the
+/// load-order blocks under `select=exact`, the ids whose loads moved
+/// since the last round start under `select=topk`. Of the round data a
+/// machine keeps only, under top-k, the id of its nearest-peer winner.
 struct Nodes {
     machines: Vec<NodeMachine>,
     batch: Vec<(u32, Inbox)>,

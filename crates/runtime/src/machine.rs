@@ -75,7 +75,8 @@ use dlb_distributed::mine::{partner_scores, Candidates, SCORE_BLOCK};
 use dlb_distributed::transfer::calc_best_transfer;
 use dlb_faults::FaultScript;
 use dlb_topology::{k_nearest_row, k_nearest_wheel};
-use std::iter::{from_fn, zip};
+use std::iter::{from_fn, once, zip};
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::cluster::{ClusterOptions, ClusterReport, DetectMode, DetectorSummary};
@@ -152,12 +153,16 @@ pub enum SelectPolicy {
     /// the node's own latency column, the §IV local-knowledge input)
     /// merged with the coordinator's gossiped *hot set* of the most
     /// over- and under-loaded live nodes, which the coordinator builds
-    /// every round. O(k) per round start. The slate streams into the
-    /// scan and is never stored. On a finite homogeneous net the `k`
-    /// nearest are the wheel `i+1..=i+k (mod m)`, two id ranges, and a
-    /// node stores nothing; on any other net it keeps its `k` nearest,
-    /// built on its first round start. With `k ≥ m − 1` this is
-    /// exactly [`SelectPolicy::Exact`] (pinned by tests).
+    /// every round. A round start scores the hot set plus one lane: the
+    /// nearest peer that won the node's last round start, whose score
+    /// is all that can differ when neither the node's own load nor any
+    /// of its `k` nearest moved (load or skip list) since. When one did,
+    /// it scores the hot set plus the `k` nearest. On a finite
+    /// homogeneous net the `k` nearest are the wheel `i+1..=i+k (mod m)`,
+    /// two id ranges, and a node stores only its winner's id; on any
+    /// other net it also keeps its `k` nearest, built on its first round
+    /// start. With `k ≥ m − 1` this is exactly [`SelectPolicy::Exact`]
+    /// (pinned by tests).
     TopK(u32),
 }
 
@@ -227,6 +232,10 @@ enum Leg {
 /// Minimum closed-form score below which a node does not propose on
 /// score grounds (same role as the engine's `min_improvement` floor).
 const SCORE_FLOOR: f64 = 1e-9;
+
+/// `NodeMachine::static_best` when there is no winner to keep: node
+/// ids are below `u32::MAX`.
+const UNSCANNED: u32 = u32::MAX;
 
 /// The node's local contribution to `ΣC`:
 /// `Σ_k r_k,id · (l_id / 2 s_id + c_k,id)`.
@@ -333,22 +342,36 @@ fn gap_bound(gap: f64, s_i: f64, s: f64) -> f64 {
     gap * gap * g * BOUND_MARGIN + BOUND_SLACK
 }
 
-/// A round's `select=exact` scan inputs, from its `RoundStart`'s `loads`
-/// and `excluded`: the live peers by `(l_j/s_j, j)`, one [`BlockSummary`]
-/// per [`SCORE_BLOCK`] of that order, the largest live speed, and
-/// whether every live lane is tame. The coordinator derives them once a
-/// round, the executor lends them to every node it drains, and a node
-/// uses them only for a `RoundStart` carrying the very same `loads` `Arc`.
-#[derive(Debug)]
+/// A round's *lent view*: what the coordinator derives once a round from
+/// its `RoundStart`'s `loads` and `excluded`, and the executor lends to
+/// every node it drains. A node uses it only for a `RoundStart` carrying
+/// the very same `loads` `Arc`.
+///
+/// Under [`SelectPolicy::Exact`] it holds the scan inputs of
+/// [`score_best`]: the live peers by `(l_j/s_j, j)`, one [`BlockSummary`]
+/// per [`SCORE_BLOCK`] of that order, the largest live speed, and whether
+/// every live lane is tame. Under [`SelectPolicy::TopK`] those stay empty
+/// and it holds `changed`, what lets a node keep its nearest-peer winner
+/// across rounds (see `NodeMachine::static_best`).
+#[derive(Debug, Default)]
 pub(crate) struct RoundBlocks {
     loads: Arc<Vec<f64>>,
     order: Vec<u32>,
     blocks: Vec<BlockSummary>,
     max_s: f64,
     tame: bool,
+    /// Under [`SelectPolicy::TopK`] from round 2 on: the ids, ascending,
+    /// whose broadcast load differs bit-wise from the previous
+    /// `RoundStart`'s, or that entered or left its skip list. It may
+    /// list more (a load that moved and came back), never fewer; debug
+    /// builds check that against the previous broadcast. `None` in
+    /// round 1, which has no previous round, and under
+    /// [`SelectPolicy::Exact`].
+    changed: Option<Vec<u32>>,
 }
 
 impl RoundBlocks {
+    /// The [`SelectPolicy::Exact`] view.
     fn new(speeds: &[f64], loads: Arc<Vec<f64>>, excluded: &[u32]) -> Self {
         let lane = |j: u32| BlockSummary::lane(loads[j as usize], speeds[j as usize]);
         let mut order: Vec<u32> = live_ids(loads.len(), excluded).collect();
@@ -363,30 +386,44 @@ impl RoundBlocks {
             blocks,
             max_s,
             tame,
+            changed: None,
         }
     }
 }
 
 /// Node `id`'s best peer in the ascending id stream `ids`, `id` and the
-/// sorted `excluded` left out. The ids go into a stack block of
-/// [`SCORE_BLOCK`] as they stream, and each full block (and the last,
-/// ragged one) is scored as a list and folded through [`keep`]: nothing
-/// outlives the call. `id` and `excluded` are skipped after scoring, by
-/// one merge cursor for the whole scan; filtering the stream before it
-/// is gathered cost more than the lanes it saved.
+/// sorted `excluded` left out: [`fold`]'s winner, if above
+/// [`SCORE_FLOOR`].
 fn scan(
+    id: u32,
+    excluded: &[u32],
+    ids: impl Iterator<Item = u32>,
+    score: impl FnMut(Candidates<'_>, &mut [f64]),
+) -> Option<u32> {
+    pick(fold(id, excluded, ids, score).0)
+}
+
+/// Node `id`'s peers in the ascending id stream `ids`, `id` and the
+/// sorted `excluded` left out, folded through [`keep`]; and whether one
+/// of them scored NaN. The ids go into a stack block of [`SCORE_BLOCK`]
+/// as they stream, and each full block (and the last, ragged one) is
+/// scored as a list: nothing outlives the call. `id` and `excluded` are
+/// skipped after scoring, by one merge cursor for the whole scan;
+/// filtering the stream before it is gathered cost more than the lanes
+/// it saved.
+fn fold(
     id: u32,
     mut excluded: &[u32],
     mut ids: impl Iterator<Item = u32>,
     mut score: impl FnMut(Candidates<'_>, &mut [f64]),
-) -> Option<u32> {
+) -> (Option<(u32, f64)>, bool) {
     debug_assert!(excluded.windows(2).all(|w| w[0] < w[1]), "excluded sorted");
     let (mut block, mut scores) = ([0; SCORE_BLOCK], [0.0; SCORE_BLOCK]);
-    let mut best = None;
+    let (mut best, mut wild) = (None, false);
     loop {
         let n = zip(&mut block, &mut ids).map(|(at, j)| *at = j).count();
         if n == 0 {
-            return pick(best);
+            return (best, wild);
         }
         let (block, scores) = (&block[..n], &mut scores[..n]);
         score(Candidates::List(block), scores);
@@ -394,8 +431,11 @@ fn scan(
             while excluded.first().is_some_and(|&e| e < j) {
                 excluded = &excluded[1..];
             }
-            if j != id && excluded.first() != Some(&j) && keep(best, j, s) {
-                best = Some((j, s));
+            if j != id && excluded.first() != Some(&j) {
+                wild |= s.is_nan();
+                if keep(best, j, s) {
+                    best = Some((j, s));
+                }
             }
         }
     }
@@ -538,12 +578,9 @@ fn audit_target(id: u32, m: usize, round: u64, excluded: &[u32]) -> Option<u32> 
 }
 
 /// Node `id`'s [`SelectPolicy::TopK`] candidates for one round: its `k`
-/// delay-nearest peers `∪ hot − {id}` (`hot`, the round's gossiped hot
-/// set, ascending), streamed in ascending id order, each once. On a
-/// finite homogeneous net the nearest are [`k_nearest_wheel`]'s two id
-/// ranges, stored nowhere; on any other, `nearest` keeps
-/// [`k_nearest_row`] from the first round on. Exclusions are *not*
-/// baked in: the scan skips them.
+/// delay-nearest peers (its [`Nearest`]) `∪ hot − {id}` (`hot`, the
+/// round's gossiped hot set, ascending), streamed in ascending id order,
+/// each once. Exclusions are *not* baked in: the scan skips them.
 fn slate<'a>(
     id: u32,
     lat: &LatencyMatrix,
@@ -551,13 +588,7 @@ fn slate<'a>(
     nearest: &'a mut Option<Box<[u32]>>,
     hot: &'a [u32],
 ) -> impl Iterator<Item = u32> + 'a {
-    let (i, k) = (id as usize, k as usize);
-    let [wrapped, ahead] = k_nearest_wheel(lat, i, k).unwrap_or_else(|| {
-        nearest.get_or_insert_with(|| k_nearest_row(lat, i, k).into());
-        [0..0, 0..0]
-    });
-    let row = nearest.as_deref().unwrap_or_default();
-    let mut base = wrapped.chain(ahead).chain(row.iter().copied()).peekable();
+    let mut base = Nearest::new(lat, id, k, nearest).ids().peekable();
     let mut hot = hot.iter().copied().peekable();
     from_fn(move || loop {
         let next = match (base.peek(), hot.peek()) {
@@ -570,6 +601,42 @@ fn slate<'a>(
             return Some(next);
         }
     })
+}
+
+/// A node's *static* [`SelectPolicy::TopK`] set, its `k` delay-nearest
+/// peers, ascending: on a finite homogeneous net [`k_nearest_wheel`]'s two
+/// id ranges, stored nowhere; on any other the node's `nearest`, which
+/// keeps [`k_nearest_row`] from the first round on.
+struct Nearest<'a> {
+    wheel: [Range<u32>; 2],
+    row: &'a [u32],
+}
+
+impl<'a> Nearest<'a> {
+    fn new(lat: &LatencyMatrix, id: u32, k: u32, nearest: &'a mut Option<Box<[u32]>>) -> Self {
+        let (i, k) = (id as usize, k as usize);
+        let wheel = k_nearest_wheel(lat, i, k).unwrap_or_else(|| {
+            nearest.get_or_insert_with(|| k_nearest_row(lat, i, k).into());
+            [0..0, 0..0]
+        });
+        let row = nearest.as_deref().unwrap_or_default();
+        Self { wheel, row }
+    }
+
+    /// The peers in ascending id order.
+    fn ids(&self) -> impl Iterator<Item = u32> + 'a {
+        let [wrapped, ahead] = self.wheel.clone();
+        wrapped.chain(ahead).chain(self.row.iter().copied())
+    }
+
+    /// Whether one of the ascending `ids` is among the peers.
+    fn meets(&self, ids: &[u32]) -> bool {
+        let within = |r: &Range<u32>| {
+            let at = ids.partition_point(|&j| j < r.start);
+            ids.get(at).is_some_and(|&j| j < r.end)
+        };
+        self.wheel.iter().any(within) || self.row.iter().any(|j| ids.binary_search(j).is_ok())
+    }
 }
 
 /// A node's ledger with its *standing report values*: the load and
@@ -650,9 +717,14 @@ pub struct NodeMachine {
     instance: Arc<Instance>,
     /// The `k` delay-nearest peers under [`SelectPolicy::TopK`] on a net
     /// without a finite homogeneous wheel, from the first round start on
-    /// (see [`slate`]); `None` otherwise.
+    /// (see [`Nearest`]); `None` otherwise.
     nearest: Option<Box<[u32]>>,
     config: NodeConfig,
+    /// Under [`SelectPolicy::TopK`]: the best peer of the node's static
+    /// set ([`Nearest`]) at its last round start, if it scanned one and
+    /// kept a winner, else [`UNSCANNED`]. It fills the 4 bytes after
+    /// `config`. See [`Self::topk_best`].
+    static_best: u32,
     /// What waits: allocated on first use, dropped when empty.
     backlog: Option<Box<Backlog>>,
 }
@@ -699,6 +771,7 @@ impl NodeMachine {
             instance,
             nearest: None,
             config,
+            static_best: UNSCANNED,
             backlog: None,
         }
     }
@@ -790,10 +863,12 @@ impl NodeMachine {
         self.handle_in(frame, None, out);
     }
 
-    /// [`Self::handle`], with the coordinator's [`RoundBlocks`] for the
-    /// round in flight: a `RoundStart` whose `loads` are theirs scans
-    /// with them, any other computes its own. The executor collects
-    /// `out` as [`Sent`], so its signals are never boxed.
+    /// [`Self::handle`], with the coordinator's view of the round in
+    /// flight, its [`RoundBlocks`]: a `RoundStart` whose `loads` are
+    /// theirs scans with them, any other computes its own. The public
+    /// `handle` lends none, so it never reuses a top-k winner. The
+    /// executor collects `out` as [`Sent`], so its signals are never
+    /// boxed.
     pub(crate) fn handle_in(
         &mut self,
         frame: &Frame,
@@ -901,24 +976,24 @@ impl NodeMachine {
         hot: &[u32],
         out: &mut Vec<impl From<Sent>>,
     ) {
-        self.round = round;
+        let previous = std::mem::replace(&mut self.round, round);
+        let last_best = std::mem::replace(&mut self.static_best, UNSCANNED);
         self.leg = Leg::Free;
         self.reported = false;
+        let lent = blocks.filter(|lent| Arc::ptr_eq(&lent.loads, loads));
         if excluded.binary_search(&self.id).is_ok() {
             self.leg = Leg::Locked; // takes no part this round
             self.report(RoundOutcome::NoProposal, None, out);
         } else {
             let scored = match self.config.select {
-                SelectPolicy::Exact => {
-                    let lent = blocks.filter(|lent| Arc::ptr_eq(&lent.loads, loads));
-                    score_best(self.id, &self.instance, loads, lent, excluded)
-                }
+                SelectPolicy::Exact => score_best(self.id, &self.instance, loads, lent, excluded),
                 SelectPolicy::TopK(k) => {
-                    let (instance, i) = (&self.instance, self.id as usize);
-                    let slate = slate(self.id, instance.latency(), k, &mut self.nearest, hot);
-                    scan(self.id, excluded, slate, |block, out| {
-                        partner_scores(instance, loads, i, block, out);
-                    })
+                    // What moved since the round the winner was kept in.
+                    let moved = lent.and_then(|lent| lent.changed.as_deref());
+                    let kept = moved
+                        .filter(|_| last_best != UNSCANNED && previous + 1 == round)
+                        .map(|moved| (last_best, moved));
+                    self.topk_best(k, loads, excluded, hot, kept)
                 }
             };
             let target =
@@ -940,6 +1015,51 @@ impl NodeMachine {
             self.on_propose(from, round, out);
         }
         self.trim_backlog();
+    }
+
+    /// The node's [`SelectPolicy::TopK`] partner on the gossiped `loads`:
+    /// the best of its static set ([`Nearest`]) and the best of the
+    /// round's `hot` set, each folded through [`keep`], combined by
+    /// `keep` and [`pick`]. `kept` is the static winner of the previous
+    /// round, with the round's `changed` ids (see [`RoundBlocks`]): if
+    /// neither the node nor one of its static peers is among them, every
+    /// static lane scores what it scored then, so the winner is the same
+    /// and only its lane is rescored. Otherwise the whole static set is.
+    /// The winner is kept in `static_best` for the next round.
+    ///
+    /// Without NaN `keep` is a total order, so the split form picks what
+    /// one fold over the merged [`slate`] picks. With a NaN it depends on
+    /// the order, so a round in which a lane scores NaN takes the merged
+    /// scan and keeps nothing.
+    fn topk_best(
+        &mut self,
+        k: u32,
+        loads: &[f64],
+        excluded: &[u32],
+        hot: &[u32],
+        kept: Option<(u32, &[u32])>,
+    ) -> Option<u32> {
+        let (id, instance) = (self.id, &*self.instance);
+        let score = |block: Candidates<'_>, out: &mut [f64]| {
+            partner_scores(instance, loads, id as usize, block, out);
+        };
+        let near = Nearest::new(instance.latency(), id, k, &mut self.nearest);
+        let kept =
+            kept.filter(|(_, moved)| moved.binary_search(&id).is_err() && !near.meets(moved));
+        let (near_best, near_wild) = match kept {
+            Some((j, _)) => fold(id, excluded, once(j), score),
+            None => fold(id, excluded, near.ids(), score),
+        };
+        let (hot_best, hot_wild) = fold(id, excluded, hot.iter().copied(), score);
+        if near_wild || hot_wild {
+            let slate = slate(id, instance.latency(), k, &mut self.nearest, hot);
+            return scan(id, excluded, slate, score);
+        }
+        self.static_best = near_best.map_or(UNSCANNED, |(j, _)| j);
+        match hot_best {
+            Some((j, s)) if keep(near_best, j, s) => pick(hot_best),
+            _ => pick(near_best),
+        }
     }
 
     fn on_propose(&mut self, from: u32, r: u64, out: &mut Vec<impl From<Sent>>) {
@@ -1193,7 +1313,15 @@ pub(crate) struct CoordinatorMachine<'a> {
     options: ClusterOptions,
     phase: Phase,
     round: u64,
+    /// The last reported load of every node; [`Self::set_load`] is its
+    /// one writer.
     loads: Vec<f64>,
+    /// The ids whose `loads` entry changed bits since the last
+    /// `RoundStart`, in write order, repeats kept: the raw form of the
+    /// lent view's `changed` under [`SelectPolicy::TopK`].
+    changed: Vec<u32>,
+    /// The last `RoundStart`'s skip list (under [`SelectPolicy::TopK`]).
+    last_skip: Vec<u32>,
     local_costs: Vec<f64>,
     history: Vec<f64>,
     exchanges: usize,
@@ -1211,8 +1339,8 @@ pub(crate) struct CoordinatorMachine<'a> {
     down: Vec<u32>,
     seen: Vec<bool>,
     round_moved: f64,
-    /// The current round's scan inputs under [`SelectPolicy::Exact`]:
-    /// the broadcast `loads` and its live peers' load-order blocks.
+    /// The current round's lent view: the broadcast `loads` with its
+    /// live peers' load-order blocks, or with the ids that moved.
     round_blocks: Option<RoundBlocks>,
     ledgers: Vec<Option<SparseVec>>,
     collected: usize,
@@ -1270,6 +1398,8 @@ impl<'a> CoordinatorMachine<'a> {
             phase: Phase::Rounds,
             round: 0,
             loads,
+            changed: Vec::new(),
+            last_skip: Vec::new(),
             local_costs,
             history: vec![initial_cost],
             exchanges: 0,
@@ -1384,18 +1514,29 @@ impl<'a> CoordinatorMachine<'a> {
         skip.extend(self.suspects.iter().map(|s| s.node));
         skip.sort_unstable();
         self.expected = self.len() - skip.len();
-        // The round's scan inputs, derived once from the view every
-        // node receives.
+        // The round's lent view, derived once from what every node
+        // receives. The last one goes before the new broadcast is
+        // allocated; debug builds keep its loads to check `changed`.
+        let last = self.round_blocks.take().filter(|_| cfg!(debug_assertions));
         let loads = Arc::new(self.loads.clone());
-        let hot = match self.options.node.select {
+        let changed = std::mem::take(&mut self.changed);
+        let (view, hot) = match self.options.node.select {
             SelectPolicy::Exact => {
-                self.round_blocks = None; // free the last round's order first
-                let round = RoundBlocks::new(self.instance.speeds(), Arc::clone(&loads), &skip);
-                self.round_blocks = Some(round);
-                Vec::new()
+                let view = RoundBlocks::new(self.instance.speeds(), Arc::clone(&loads), &skip);
+                (view, Vec::new())
             }
-            SelectPolicy::TopK(k) => self.build_hot(&skip, k),
+            SelectPolicy::TopK(k) => {
+                let changed = self.changed_since(last.as_ref(), changed, &skip);
+                let loads = Arc::clone(&loads);
+                let view = RoundBlocks {
+                    loads,
+                    changed,
+                    ..Default::default()
+                };
+                (view, self.build_hot(&skip, k))
+            }
         };
+        self.round_blocks = Some(view);
         let frame = Arc::new(Frame::RoundStart {
             round: self.round,
             loads,
@@ -1406,14 +1547,45 @@ impl<'a> CoordinatorMachine<'a> {
         self.broadcast_except(&skip, frame, out);
     }
 
-    /// The current round's [`RoundBlocks`]; `None` under
-    /// [`SelectPolicy::TopK`], which scans no blocks.
+    /// The lent view's `changed` for the round starting with skip list
+    /// `skip`, from the ids [`Self::set_load`] noted since the last round
+    /// start: sorted, each once, with every id that entered or left the
+    /// skip list. `None` in round 1. `last` is the last view in debug
+    /// builds, whose broadcast the new one is diffed against.
+    fn changed_since(
+        &mut self,
+        last: Option<&RoundBlocks>,
+        mut changed: Vec<u32>,
+        skip: &[u32],
+    ) -> Option<Vec<u32>> {
+        let last_skip = std::mem::replace(&mut self.last_skip, skip.to_vec());
+        let left = last_skip.iter().filter(|j| skip.binary_search(j).is_err());
+        let entered = skip.iter().filter(|j| last_skip.binary_search(j).is_err());
+        changed.extend(left.chain(entered));
+        changed.sort_unstable();
+        changed.dedup();
+        // Debug builds check the list behind every round start, so every
+        // suite that runs the protocol under top-k checks it.
+        if let Some(last) = last {
+            for (j, (was, is)) in zip(&*last.loads, &self.loads).enumerate() {
+                assert!(
+                    was.to_bits() == is.to_bits() || changed.binary_search(&(j as u32)).is_ok(),
+                    "round {}: node {j}'s load moved from {was} to {is} unlisted",
+                    self.round
+                );
+            }
+        }
+        (self.round > 1).then_some(changed)
+    }
+
+    /// The current round's lent view, its [`RoundBlocks`]; `None` before
+    /// round 1.
     pub(crate) fn round_blocks(&self) -> Option<&RoundBlocks> {
         self.round_blocks.as_ref()
     }
 
-    /// A round's hot set: the `⌈k/2⌉`-ish most under-loaded and
-    /// most over-loaded live nodes by normalized load `l_j / s_j` —
+    /// A round's hot set: the `max(⌊k/2⌋, 1)` most under-loaded and as
+    /// many most over-loaded live nodes by normalized load `l_j / s_j` —
     /// the peers *every* node may profitably trade with regardless of
     /// delay, grafted onto each node's delay-nearest candidates. Pure
     /// function of (loads, excluded): ties break by id, output sorted
@@ -1541,13 +1713,13 @@ impl<'a> CoordinatorMachine<'a> {
         local_cost: f64,
         exchange: Option<(u32, f64, f64, f64)>,
     ) {
-        self.loads[from as usize] = load;
+        self.set_load(from, load);
         self.local_costs[from as usize] = local_cost;
         match outcome {
             RoundOutcome::Exchanged => {
                 let (partner, partner_load, partner_cost, volume) =
                     exchange.expect("exchange data present");
-                self.loads[partner as usize] = partner_load;
+                self.set_load(partner, partner_load);
                 self.local_costs[partner as usize] = partner_cost;
                 self.exchanges += 1;
                 self.moved += volume;
@@ -1560,6 +1732,15 @@ impl<'a> CoordinatorMachine<'a> {
             // Exchanged report carries the exchange itself.
             RoundOutcome::Lost | RoundOutcome::Accepted | RoundOutcome::NoProposal => {}
         }
+    }
+
+    /// Writes node `j`'s load, noting `j` in `changed` if its bits move.
+    fn set_load(&mut self, j: u32, load: f64) {
+        let at = &mut self.loads[j as usize];
+        if at.to_bits() != load.to_bits() {
+            self.changed.push(j);
+        }
+        *at = load;
     }
 
     /// The probation/rejoin handshake: a report from a suspected node
@@ -2262,11 +2443,55 @@ mod tests {
         let all = join(&order);
         assert_eq!((round.max_s, round.tame), (all.max_s, true));
 
+        // Under top-k the view lends, from round 2 on, every id whose
+        // broadcast load moved or that entered or left the skip list.
         let mut topk = options.clone();
         topk.node.select = SelectPolicy::TopK(4);
+        let plan: dlb_faults::FaultPlan = "crash:0.03@0ms..10ms".parse().unwrap();
+        let script = plan.compile(5, 70);
+        let down = script.down_at(0.0);
+        assert!(
+            !down.is_empty() && script.down_at(20.0).is_empty(),
+            "premise: they recover"
+        );
         let mut coordinator = CoordinatorMachine::new(instance, &topk, &script);
-        coordinator.start(&mut Vec::new());
-        assert!(coordinator.round_blocks().is_none());
+        let mut out = Vec::new();
+        coordinator.start(&mut out);
+        let loads = broadcast_loads(&out);
+        let view = coordinator.round_blocks().expect("top-k lends a view");
+        assert!(Arc::ptr_eq(&view.loads, &loads) && view.order.is_empty());
+        assert_eq!(view.changed, None, "round 1 has no previous round");
+        // Round 1's reports: `a` reports a new load; `b`'s exchange moves
+        // `c`, whose own report then puts its old load back.
+        let live: Vec<u32> = (0..70).filter(|j| !down.contains(j)).collect();
+        let [a, b, c] = [live[0], live[1], live[2]];
+        out.clear();
+        for &j in &live {
+            let l = loads[j as usize];
+            let (outcome, load, exchange) = match j {
+                _ if j == a => (RoundOutcome::NoProposal, l + 1.0, None),
+                _ if j == b => {
+                    let moved = (c, loads[c as usize] + 2.0, 0.0, 2.0);
+                    (RoundOutcome::Exchanged, l - 2.0, Some(moved))
+                }
+                _ => (RoundOutcome::NoProposal, l, None),
+            };
+            let report = Frame::Report {
+                from: j,
+                round: 1,
+                outcome,
+                load,
+                local_cost: 0.0,
+                exchange,
+            };
+            coordinator.handle(&report, 20.0, &mut out);
+        }
+        let loads = broadcast_loads(&out);
+        let view = coordinator.round_blocks().expect("a view every round");
+        assert!(Arc::ptr_eq(&view.loads, &loads));
+        let mut changed = [vec![a, b, c], down].concat();
+        changed.sort_unstable();
+        assert_eq!(view.changed, Some(changed), "`c` listed though back");
     }
 
     /// A `RoundStart` replayed under a later round (in-protocol
