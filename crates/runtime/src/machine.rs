@@ -2538,11 +2538,14 @@ mod tests {
 
     /// A top-k population driven round by round by a real coordinator
     /// fed forged reports: a few loads move each round (now and then to
-    /// NaN, or back to the value they had), silent nodes become suspects
-    /// and leave the skip list when they speak again, and some nodes miss
-    /// a round start or take it late, under the next round's lent view.
-    /// Every proposal must be the merged scan over the node's slate, or
-    /// the audit rotation's pick.
+    /// NaN, or back to the value they had), an exchange moves a partner's
+    /// load that the partner's own report then puts back, silent nodes
+    /// become suspects and leave the skip list when they speak again, and
+    /// some nodes miss a round start or take it late, under the next
+    /// round's lent view. Every proposal must be the merged scan over the
+    /// node's slate, or the audit rotation's pick, and every lent
+    /// `changed` must name each id whose broadcast load or skip status
+    /// moved since the last round start.
     mod topk_round_proptests {
         use super::*;
         use proptest::prelude::*;
@@ -2620,6 +2623,8 @@ mod tests {
                 // Each node's true load, and the round start it missed.
                 let mut loads = instance.own_loads().to_vec();
                 let mut missed: Vec<Option<Arc<Frame>>> = vec![None; m];
+                // The last round start's broadcast loads and skip status.
+                let mut last: Option<(Arc<Vec<f64>>, Vec<bool>)> = None;
                 let mut out = Vec::new();
                 coordinator.start(&mut out);
                 for round in 1..=rng.gen_range(8..18u64) {
@@ -2634,6 +2639,22 @@ mod tests {
                     let start = out.first().map(|o| Arc::clone(&o.frame));
                     out.clear();
                     let view = coordinator.round_blocks();
+                    let lent = view.expect("top-k lends a view every round");
+                    let skipped: Vec<bool> =
+                        (0..m as u32).map(|j| to.binary_search(&j).is_err()).collect();
+                    match &last {
+                        None => prop_assert!(lent.changed.is_none(), "round 1 lists nothing"),
+                        Some((was, was_skipped)) => {
+                            let changed = lent.changed.as_deref().expect("a list from round 2 on");
+                            for j in 0..m {
+                                let moved = was[j].to_bits() != lent.loads[j].to_bits()
+                                    || was_skipped[j] != skipped[j];
+                                let listed = changed.binary_search(&(j as u32)).is_ok();
+                                prop_assert!(!moved || listed, "{} unlisted in round {}", j, round);
+                            }
+                        }
+                    }
+                    last = Some((Arc::clone(&lent.loads), skipped));
                     let mut sent: Vec<Sent> = Vec::new();
                     for &j in &to {
                         let start = start.as_ref().expect("a broadcast has a frame");
@@ -2665,23 +2686,42 @@ mod tests {
                         };
                     }
                     let now = round as f64 * 100.0;
-                    let report = |from: u32| Frame::Report {
+                    let report = |from: u32, exchange: Option<(u32, f64, f64, f64)>| Frame::Report {
                         from,
                         round,
-                        outcome: RoundOutcome::NoProposal,
+                        outcome: match exchange {
+                            Some(_) => RoundOutcome::Exchanged,
+                            None => RoundOutcome::NoProposal,
+                        },
                         load: loads[from as usize],
                         local_cost: 0.0,
-                        exchange: None,
+                        exchange,
                     };
                     let suspects: Vec<u32> = coordinator.suspects_now().collect();
                     for s in suspects {
                         if rng.gen_range(0..3) == 0 {
-                            coordinator.handle(&report(s), now, &mut out);
+                            coordinator.handle(&report(s, None), now, &mut out);
                         }
                     }
+                    // Now and then `a`'s exchange moves `b`'s load, and
+                    // `b`'s own report, later in the round, puts it back.
+                    let forged = (to.len() >= 2 && rng.gen_range(0..2) == 0).then(|| {
+                        let a = rng.gen_range(0..to.len() - 1);
+                        (to[a], to[rng.gen_range(a + 1..to.len())])
+                    });
                     for &j in &to {
-                        if rng.gen_range(0..3 * m) != 0 {
-                            coordinator.handle(&report(j), now, &mut out);
+                        match forged {
+                            Some((a, b)) if j == a => {
+                                let moved = Some((b, -1.0, 0.0, 1.0));
+                                coordinator.handle(&report(j, moved), now, &mut out);
+                            }
+                            Some((_, b)) if j == b => {
+                                coordinator.handle(&report(j, None), now, &mut out);
+                            }
+                            _ if rng.gen_range(0..3 * m) != 0 => {
+                                coordinator.handle(&report(j, None), now, &mut out);
+                            }
+                            _ => {}
                         }
                     }
                     // Ends the round on the silent nodes, if any.
