@@ -11,6 +11,7 @@
 
 use dlb_bench::{full_scale, NETWORKS};
 use dlb_core::workload::LoadDistribution;
+use dlb_distributed::engine::iterations_to_reach;
 use dlb_distributed::{Engine, EngineOptions};
 use dlb_scenario::results::{JsonlSink, Record};
 use dlb_scenario::ScenarioSpec;
@@ -72,8 +73,7 @@ fn main() {
                         );
                         engine.run_to_convergence(1e-9, 3, 60);
                         let optimum = engine.current_cost();
-                        engine
-                            .iterations_to_reach(optimum, rel_err)
+                        iterations_to_reach(engine.history(), optimum, rel_err)
                             .unwrap_or(engine.iterations())
                     };
                     let p = measure(None);

@@ -14,6 +14,7 @@
 
 use dlb_bench::{format_row, print_header, stats};
 use dlb_core::workload::LoadDistribution;
+use dlb_distributed::engine::iterations_to_reach;
 use dlb_distributed::{Engine, EngineOptions};
 use dlb_scenario::results::{JsonlSink, Record};
 use dlb_scenario::ScenarioSpec;
@@ -29,9 +30,7 @@ fn iterations(instance: &dlb_core::Instance, pair_once: bool, seed: u64) -> usiz
     );
     engine.run_to_convergence(1e-9, 3, 80);
     let optimum = engine.current_cost();
-    engine
-        .iterations_to_reach(optimum, 0.02)
-        .unwrap_or(engine.iterations())
+    iterations_to_reach(engine.history(), optimum, 0.02).unwrap_or(engine.iterations())
 }
 
 fn main() {

@@ -5,6 +5,7 @@
 
 use dlb_bench::NETWORKS;
 use dlb_core::workload::LoadDistribution;
+use dlb_distributed::engine::iterations_to_reach;
 use dlb_distributed::{Engine, EngineOptions};
 use dlb_scenario::ScenarioSpec;
 
@@ -42,8 +43,7 @@ fn main() {
                         );
                         engine.run_to_convergence(1e-6, 3, 60);
                         let optimum = engine.current_cost();
-                        let iters = engine
-                            .iterations_to_reach(optimum, rel_err)
+                        let iters = iterations_to_reach(engine.history(), optimum, rel_err)
                             .unwrap_or(engine.iterations());
                         let total = engine.iterations();
                         if iters > 9 {

@@ -27,6 +27,7 @@
 #![forbid(unsafe_code)]
 
 use dlb_core::workload::LoadDistribution;
+use dlb_distributed::engine::iterations_to_reach;
 use dlb_scenario::results::{JsonlSink, Record};
 use dlb_scenario::{NetSpec, ScenarioSpec};
 
@@ -102,9 +103,8 @@ pub fn iterations_to_rel_error(
         ..spec.clone()
     };
     let run = oracle.run();
-    let iters = run
-        .iterations_to_reach(run.final_cost(), rel_err)
-        .unwrap_or(run.iterations);
+    let iters =
+        iterations_to_reach(&run.history, run.final_cost(), rel_err).unwrap_or(run.iterations);
     (iters, run)
 }
 

@@ -559,6 +559,34 @@ fn help_flags_print_the_usage_after_any_command() {
     }
 }
 
+/// The help's "scenario keys (defaults shown)" block lists every key
+/// `dlb run` accepts, in the order its unknown-key error names them,
+/// and each default it shows is the default spec's value.
+#[test]
+fn help_lists_every_scenario_key_with_its_default() {
+    let usage = dlb().arg("help").output().unwrap();
+    let usage = String::from_utf8(usage.stdout).unwrap();
+    let block = usage
+        .lines()
+        .skip_while(|l| l.trim() != "scenario keys (defaults shown):")
+        .skip(1)
+        .take_while(|l| l.starts_with("    "));
+    let keys: Vec<(&str, &str)> = block
+        .filter(|l| !l.starts_with("     "))
+        .filter_map(|l| l.split_whitespace().next()?.split_once('='))
+        .collect();
+    let bogus = dlb().args(["run", "bogus=1"]).output().unwrap();
+    assert_eq!(bogus.status.code(), Some(1));
+    let stderr = String::from_utf8(bogus.stderr).unwrap();
+    let valid = stderr.split_once("(valid: ").unwrap().1;
+    let valid: Vec<&str> = valid.trim_end().trim_end_matches(')').split(' ').collect();
+    assert_eq!(keys.iter().map(|&(key, _)| key).collect::<Vec<_>>(), valid);
+    for (key, default) in keys.into_iter().filter(|(_, d)| !d.is_empty()) {
+        let spec: ScenarioSpec = format!("{key}={default}").parse().unwrap();
+        assert_eq!(spec, ScenarioSpec::default(), "{key}={default}");
+    }
+}
+
 /// A reader that goes away (`dlb … | head -1`) is a clean stop: every
 /// printing command exits 0 when the read end of its stdout is already
 /// closed, where a bare `println!` panicked with "Broken pipe" (exit

@@ -421,14 +421,6 @@ impl Engine {
         }
     }
 
-    /// First iteration index whose cost is within `rel_err` of
-    /// `optimum` (`None` when never reached). Index 0 means the initial
-    /// assignment already qualifies.
-    pub fn iterations_to_reach(&self, optimum: f64, rel_err: f64) -> Option<usize> {
-        let target = optimum * (1.0 + rel_err);
-        self.history.iter().position(|&c| c <= target + 1e-12)
-    }
-
     /// Replaces the instance's loads and resets the engine for a new
     /// balancing epoch while keeping the current assignment as the
     /// starting point — the "dynamically changing loads" scenario from
@@ -487,6 +479,14 @@ impl Engine {
         self.history.push(cost);
         self.cost_scale = cost.abs().max(1.0);
     }
+}
+
+/// First index of the `ΣC` `history` within `rel_err` of `optimum`
+/// (`None` when never reached) — the Tables I/II measurement. Index 0
+/// means the initial assignment already qualifies.
+pub fn iterations_to_reach(history: &[f64], optimum: f64, rel_err: f64) -> Option<usize> {
+    let target = optimum * (1.0 + rel_err);
+    history.iter().position(|&c| c <= target + 1e-12)
 }
 
 #[cfg(test)]
@@ -582,8 +582,7 @@ mod tests {
         let mut engine = Engine::new(instance, seq_opts(7));
         let report = engine.run_to_convergence(1e-12, 2, 100);
         let opt = report.final_cost;
-        let iters = engine
-            .iterations_to_reach(opt, 0.001)
+        let iters = iterations_to_reach(engine.history(), opt, 0.001)
             .expect("must reach 0.1% of its own fixpoint");
         assert!(iters <= 15, "took {iters} iterations");
     }
@@ -712,7 +711,7 @@ mod tests {
         let mut engine = Engine::new(instance, seq_opts(9));
         let report = engine.run_to_convergence(1e-12, 2, 60);
         let opt = report.final_cost;
-        let iters = engine.iterations_to_reach(opt, 0.001).unwrap();
+        let iters = iterations_to_reach(engine.history(), opt, 0.001).unwrap();
         // log2(64) = 6; allow the stall tail but demand the doubling
         // shape: strictly more than 3, no more than ~2·log2(m).
         assert!(
@@ -731,14 +730,14 @@ mod tests {
         let paired = {
             let mut e = Engine::new(instance.clone(), seq_opts(2));
             let r = e.run_to_convergence(1e-12, 2, 60);
-            e.iterations_to_reach(r.final_cost, 0.001).unwrap()
+            iterations_to_reach(e.history(), r.final_cost, 0.001).unwrap()
         };
         let eager = {
             let mut opts = seq_opts(2);
             opts.pair_once = false;
             let mut e = Engine::new(instance, opts);
             let r = e.run_to_convergence(1e-12, 2, 60);
-            e.iterations_to_reach(r.final_cost, 0.001).unwrap()
+            iterations_to_reach(e.history(), r.final_cost, 0.001).unwrap()
         };
         assert!(
             eager <= paired,
@@ -867,8 +866,7 @@ mod tests {
         // one-request shuffles collectively worth < 0.1 % can grind on
         // far longer and is irrelevant to every reported number.
         let report = e.run_to_convergence(1e-6, 3, 60);
-        let to_01pct = e
-            .iterations_to_reach(report.final_cost, 0.001)
+        let to_01pct = iterations_to_reach(e.history(), report.final_cost, 0.001)
             .expect("fixpoint is in its own history");
         // Heavily loaded (l_av = 200) dense random metric: the slowest
         // regime we measure (see EXPERIMENTS.md on the high-load WAN
@@ -898,9 +896,9 @@ mod tests {
             .sample(LatencyMatrix::homogeneous(15, 20.0), &mut rng);
         let mut engine = Engine::new(instance, seq_opts(5));
         let report = engine.run_to_convergence(1e-12, 2, 80);
-        let hits_exact = engine.iterations_to_reach(report.final_cost, 0.0);
+        let hits_exact = iterations_to_reach(engine.history(), report.final_cost, 0.0);
         assert!(hits_exact.is_some());
-        let hits_loose = engine.iterations_to_reach(report.final_cost, 0.02).unwrap();
+        let hits_loose = iterations_to_reach(engine.history(), report.final_cost, 0.02).unwrap();
         assert!(hits_loose <= hits_exact.unwrap());
     }
 

@@ -39,6 +39,12 @@
 //! Every phase is deterministic given the round order, so batched
 //! fixpoints are thread-count invariant — covered by
 //! `tests/parallel_determinism.rs`.
+//!
+//! Batched rounds stay because they are not uniformly worse (ROADMAP
+//! F8): at m = 2000 on `net=euclid` they reach 1.0289 / 1.0276 M after
+//! 12 / 30 iterations in 2.2 s, where sequential pruned reaches 1.0574 /
+//! 1.0533 M in 4.0 s. The benchmark's gated `engine_gossip_pl_m500`
+//! workload runs batched too.
 
 use dlb_core::{Assignment, Instance};
 

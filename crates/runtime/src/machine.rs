@@ -351,8 +351,8 @@ fn gap_bound(gap: f64, s_i: f64, s: f64) -> f64 {
 /// [`score_best`]: the live peers by `(l_j/s_j, j)`, one [`BlockSummary`]
 /// per [`SCORE_BLOCK`] of that order, the largest live speed, and whether
 /// every live lane is tame. Under [`SelectPolicy::TopK`] those stay empty
-/// and it holds `changed`, what lets a node keep its nearest-peer winner
-/// across rounds (see `NodeMachine::static_best`).
+/// and it holds the round's skip list and `changed`, what lets a node keep
+/// its nearest-peer winner across rounds (see `NodeMachine::static_best`).
 #[derive(Debug, Default)]
 pub(crate) struct RoundBlocks {
     loads: Arc<Vec<f64>>,
@@ -360,11 +360,11 @@ pub(crate) struct RoundBlocks {
     blocks: Vec<BlockSummary>,
     max_s: f64,
     tame: bool,
-    /// Under [`SelectPolicy::TopK`] from round 2 on: the ids, ascending,
-    /// whose broadcast load differs bit-wise from the previous
-    /// `RoundStart`'s, or that entered or left its skip list. It may
-    /// list more (a load that moved and came back), never fewer; debug
-    /// builds check that against the previous broadcast. `None` in
+    /// Under [`SelectPolicy::TopK`]: the round's sorted skip list.
+    skip: Vec<u32>,
+    /// Under [`SelectPolicy::TopK`] from round 2 on: exactly the ids,
+    /// ascending, whose broadcast load differs bit-wise from the previous
+    /// `RoundStart`'s, or that entered or left its skip list. `None` in
     /// round 1, which has no previous round, and under
     /// [`SelectPolicy::Exact`].
     changed: Option<Vec<u32>>,
@@ -386,8 +386,20 @@ impl RoundBlocks {
             blocks,
             max_s,
             tame,
-            changed: None,
+            ..Default::default()
         }
+    }
+
+    /// The ids, ascending, whose load bits or skip status differ between
+    /// this view and a broadcast of `loads` with the sorted skip list `skip`.
+    fn moved(&self, loads: &[f64], skip: &[u32]) -> Vec<u32> {
+        let (mut was, mut is) = (self.skip.iter().peekable(), skip.iter().peekable());
+        let ids = zip(&*self.loads, loads).zip(0..);
+        let moved = ids.filter_map(|((a, b), j)| {
+            let flipped = was.next_if_eq(&&j).is_some() != is.next_if_eq(&&j).is_some();
+            (flipped || a.to_bits() != b.to_bits()).then_some(j)
+        });
+        moved.collect()
     }
 }
 
@@ -1313,15 +1325,8 @@ pub(crate) struct CoordinatorMachine<'a> {
     options: ClusterOptions,
     phase: Phase,
     round: u64,
-    /// The last reported load of every node; [`Self::set_load`] is its
-    /// one writer.
+    /// The last reported load of every node.
     loads: Vec<f64>,
-    /// The ids whose `loads` entry changed bits since the last
-    /// `RoundStart`, in write order, repeats kept: the raw form of the
-    /// lent view's `changed` under [`SelectPolicy::TopK`].
-    changed: Vec<u32>,
-    /// The last `RoundStart`'s skip list (under [`SelectPolicy::TopK`]).
-    last_skip: Vec<u32>,
     local_costs: Vec<f64>,
     history: Vec<f64>,
     exchanges: usize,
@@ -1398,8 +1403,6 @@ impl<'a> CoordinatorMachine<'a> {
             phase: Phase::Rounds,
             round: 0,
             loads,
-            changed: Vec::new(),
-            last_skip: Vec::new(),
             local_costs,
             history: vec![initial_cost],
             exchanges: 0,
@@ -1516,20 +1519,20 @@ impl<'a> CoordinatorMachine<'a> {
         self.expected = self.len() - skip.len();
         // The round's lent view, derived once from what every node
         // receives. The last one goes before the new broadcast is
-        // allocated; debug builds keep its loads to check `changed`.
-        let last = self.round_blocks.take().filter(|_| cfg!(debug_assertions));
+        // allocated; under top-k the new `changed` is the diff against it.
+        let topk = matches!(self.options.node.select, SelectPolicy::TopK(_));
+        let last = self.round_blocks.take().filter(|_| topk);
+        let changed = last.map(|last| last.moved(&self.loads, &skip));
         let loads = Arc::new(self.loads.clone());
-        let changed = std::mem::take(&mut self.changed);
         let (view, hot) = match self.options.node.select {
             SelectPolicy::Exact => {
                 let view = RoundBlocks::new(self.instance.speeds(), Arc::clone(&loads), &skip);
                 (view, Vec::new())
             }
             SelectPolicy::TopK(k) => {
-                let changed = self.changed_since(last.as_ref(), changed, &skip);
-                let loads = Arc::clone(&loads);
                 let view = RoundBlocks {
-                    loads,
+                    loads: Arc::clone(&loads),
+                    skip: skip.clone(),
                     changed,
                     ..Default::default()
                 };
@@ -1545,37 +1548,6 @@ impl<'a> CoordinatorMachine<'a> {
             hot: Arc::new(hot),
         });
         self.broadcast_except(&skip, frame, out);
-    }
-
-    /// The lent view's `changed` for the round starting with skip list
-    /// `skip`, from the ids [`Self::set_load`] noted since the last round
-    /// start: sorted, each once, with every id that entered or left the
-    /// skip list. `None` in round 1. `last` is the last view in debug
-    /// builds, whose broadcast the new one is diffed against.
-    fn changed_since(
-        &mut self,
-        last: Option<&RoundBlocks>,
-        mut changed: Vec<u32>,
-        skip: &[u32],
-    ) -> Option<Vec<u32>> {
-        let last_skip = std::mem::replace(&mut self.last_skip, skip.to_vec());
-        let left = last_skip.iter().filter(|j| skip.binary_search(j).is_err());
-        let entered = skip.iter().filter(|j| last_skip.binary_search(j).is_err());
-        changed.extend(left.chain(entered));
-        changed.sort_unstable();
-        changed.dedup();
-        // Debug builds check the list behind every round start, so every
-        // suite that runs the protocol under top-k checks it.
-        if let Some(last) = last {
-            for (j, (was, is)) in zip(&*last.loads, &self.loads).enumerate() {
-                assert!(
-                    was.to_bits() == is.to_bits() || changed.binary_search(&(j as u32)).is_ok(),
-                    "round {}: node {j}'s load moved from {was} to {is} unlisted",
-                    self.round
-                );
-            }
-        }
-        (self.round > 1).then_some(changed)
     }
 
     /// The current round's lent view, its [`RoundBlocks`]; `None` before
@@ -1713,13 +1685,13 @@ impl<'a> CoordinatorMachine<'a> {
         local_cost: f64,
         exchange: Option<(u32, f64, f64, f64)>,
     ) {
-        self.set_load(from, load);
+        self.loads[from as usize] = load;
         self.local_costs[from as usize] = local_cost;
         match outcome {
             RoundOutcome::Exchanged => {
                 let (partner, partner_load, partner_cost, volume) =
                     exchange.expect("exchange data present");
-                self.set_load(partner, partner_load);
+                self.loads[partner as usize] = partner_load;
                 self.local_costs[partner as usize] = partner_cost;
                 self.exchanges += 1;
                 self.moved += volume;
@@ -1732,15 +1704,6 @@ impl<'a> CoordinatorMachine<'a> {
             // Exchanged report carries the exchange itself.
             RoundOutcome::Lost | RoundOutcome::Accepted | RoundOutcome::NoProposal => {}
         }
-    }
-
-    /// Writes node `j`'s load, noting `j` in `changed` if its bits move.
-    fn set_load(&mut self, j: u32, load: f64) {
-        let at = &mut self.loads[j as usize];
-        if at.to_bits() != load.to_bits() {
-            self.changed.push(j);
-        }
-        *at = load;
     }
 
     /// The probation/rejoin handshake: a report from a suspected node
@@ -2489,9 +2452,9 @@ mod tests {
         let loads = broadcast_loads(&out);
         let view = coordinator.round_blocks().expect("a view every round");
         assert!(Arc::ptr_eq(&view.loads, &loads));
-        let mut changed = [vec![a, b, c], down].concat();
+        let mut changed = [vec![a, b], down].concat();
         changed.sort_unstable();
-        assert_eq!(view.changed, Some(changed), "`c` listed though back");
+        assert_eq!(view.changed, Some(changed), "`c` is back, so not listed");
     }
 
     /// A `RoundStart` replayed under a later round (in-protocol

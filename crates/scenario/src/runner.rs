@@ -117,13 +117,6 @@ impl RunRecord {
     pub fn final_cost(&self) -> f64 {
         self.history.last().copied().unwrap_or(f64::NAN)
     }
-
-    /// First trajectory index within `rel_err` of `optimum` (`None`
-    /// when never reached) — the Tables I/II measurement.
-    pub fn iterations_to_reach(&self, optimum: f64, rel_err: f64) -> Option<usize> {
-        let target = optimum * (1.0 + rel_err);
-        self.history.iter().position(|&c| c <= target + 1e-12)
-    }
 }
 
 /// An exchange retransmission timeout that cannot tear an alive–alive
@@ -402,6 +395,7 @@ impl ScenarioSpec {
 mod tests {
     use super::*;
     use crate::spec::{DetectSpec, NetSpec, SelectSpec};
+    use dlb_distributed::engine::iterations_to_reach;
 
     fn spec(text: &str) -> ScenarioSpec {
         text.parse().unwrap()
@@ -769,8 +763,8 @@ mod tests {
     fn iterations_to_reach_matches_engine_semantics() {
         let spec = spec("m=15 seed=5 eps=1e-12 patience=2 budget=80");
         let run = spec.run();
-        let exact = run.iterations_to_reach(run.final_cost(), 0.0).unwrap();
-        let loose = run.iterations_to_reach(run.final_cost(), 0.02).unwrap();
+        let exact = iterations_to_reach(&run.history, run.final_cost(), 0.0).unwrap();
+        let loose = iterations_to_reach(&run.history, run.final_cost(), 0.02).unwrap();
         assert!(loose <= exact);
     }
 }

@@ -3,6 +3,7 @@
 //! harnesses (`cargo bench -p dlb-bench`); these tests pin the same
 //! qualitative statements so regressions surface in `cargo test`.
 
+use delay_lb::distributed::engine::iterations_to_reach;
 use delay_lb::distributed::mine::PartnerSelection;
 use delay_lb::prelude::*;
 
@@ -39,8 +40,7 @@ fn iterations_to(instance: &Instance, seed: u64, rel_err: f64) -> usize {
     );
     engine.run_to_convergence(1e-6, 3, 60);
     let optimum = engine.current_cost();
-    engine
-        .iterations_to_reach(optimum, rel_err)
+    iterations_to_reach(engine.history(), optimum, rel_err)
         .expect("history contains its own minimum")
 }
 
