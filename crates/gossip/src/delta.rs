@@ -30,8 +30,7 @@
 //! each frame at its encoded size).
 //!
 //! **The frame path: metered whole, shipped trimmed.** The network is
-//! simulated in one process, so a frame travels on the heap as a
-//! [`crate::wire::DeltaFrame`] value and is never serialized. A node's
+//! simulated in one process, so a frame is never serialized. A node's
 //! `versions` only grow (a merge or a publish raises them), so an entry
 //! the receiver already holds at its version when the frame is sent is
 //! a no-op whenever the frame lands. [`GossipTraffic`] and the trace's
@@ -46,8 +45,21 @@
 //! receiver's stale set (below). The codec is the meter's oracle: in
 //! this crate's test builds every frame's metered traffic is checked
 //! against [`crate::wire::encode_delta`] of a scan-and-assemble
-//! reference frame, and the shipped frame against that frame cut to
-//! what the receiver lacks.
+//! reference frame, and the shipped payload, read back, against that
+//! frame cut to what the receiver lacks.
+//!
+//! **Frames in flight share one arena.** A frame does not travel as a
+//! [`crate::wire::DeltaFrame`] value: its shipped entries (`changed`,
+//! then `full`) and a request's summary are appended to one arena the
+//! network owns, and the heap event carries eight `u32`s — the shard,
+//! the arena span, where the entries and the summary start, the two
+//! shipped lengths and the two metered ones. A delivery merges straight
+//! from the arena and frees the span. Frames land out of send order, so
+//! a free only marks its span; the arena's live front advances past
+//! marked spans, and the prefix before it is cut once it is more than
+//! half a buffer. A frame allocates nothing of its own (the buffers
+//! grow only with the window), and the arena holds at most twice the
+//! payload from the oldest frame in flight on.
 //!
 //! **Hot and stale sets are bitsets.** Each node keeps `hot`, one bit
 //! per origin, with the invariant *bit o set ⇔ `heard[o] != NEVER` and
@@ -240,14 +252,160 @@ enum What {
     Reply { from: u32, to: u32, frame: Frame },
 }
 
-/// A frame in flight (see the module docs).
-#[derive(Debug, Clone)]
+/// A frame in flight: where its payload sits in the [`Arena`] (see the
+/// module docs).
+#[derive(Debug, Clone, Copy)]
 struct Frame {
-    /// The sender's summary (a request's; a reply's is empty) and the
-    /// entries the receiver held older when it was sent.
-    shipped: wire::DeltaFrame,
+    /// The fallback shard.
+    shard: u32,
+    /// The arena span holding the payload; delivery frees it.
+    span: u32,
+    /// Arena position of the first shipped entry: `changed` entries
+    /// from the hot set, then `full` entries from the fallback shard.
+    start: u32,
+    changed: u32,
+    full: u32,
+    /// Arena position of a request's summary, one sum per shard (a
+    /// reply ships none).
+    since: u32,
     /// The metered `changed` and `full` entry counts, for the trace.
     entries: [u32; 2],
+}
+
+/// The payloads of every frame in flight, in send order: one buffer of
+/// entries, one of request summaries, and per frame a [`Span`] of each.
+/// Positions are logical `u32`s (wrapping), so a frame on the heap
+/// keeps naming its payload while the delivered prefix is cut away.
+#[derive(Debug, Clone, Default)]
+struct Arena {
+    entries: Vec<WireEntry>,
+    sums: Vec<u64>,
+    spans: Vec<Span>,
+    /// Logical positions of `spans[0]`, `entries[0]` and `sums[0]`.
+    base: Pos,
+    /// The first undelivered span and its first entry and sum.
+    front: Pos,
+}
+
+/// A span id and an entry and a summary position, all logical.
+#[derive(Debug, Clone, Copy, Default)]
+struct Pos {
+    span: u32,
+    entry: u32,
+    sum: u32,
+}
+
+impl Pos {
+    /// How far `self` lies past `base`, in spans, entries and sums.
+    fn past(self, base: Pos) -> [usize; 3] {
+        let (at, base) = (
+            [self.span, self.entry, self.sum],
+            [base.span, base.entry, base.sum],
+        );
+        std::array::from_fn(|i| at[i].wrapping_sub(base[i]) as usize)
+    }
+}
+
+/// One frame's share of the arena.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    entries: u32,
+    sums: u32,
+    /// Not yet delivered.
+    live: bool,
+}
+
+impl Arena {
+    /// Where the next span goes: its id and its first entry and sum.
+    fn tail(&self) -> Pos {
+        let end = |base: u32, len: usize| base.wrapping_add(len as u32);
+        Pos {
+            span: end(self.base.span, self.spans.len()),
+            entry: end(self.base.entry, self.entries.len()),
+            sum: end(self.base.sum, self.sums.len()),
+        }
+    }
+
+    /// Holds what was appended to `entries` and `sums` since `tail`
+    /// returned `at` as one live span, `at.span`.
+    fn seal(&mut self, at: Pos) {
+        let [_, entries, sums] = self.tail().past(at).map(|n| n as u32);
+        self.spans.push(Span {
+            entries,
+            sums,
+            live: true,
+        });
+    }
+
+    /// `len` entries from logical position `start`.
+    fn entries(&self, start: u32, len: u32) -> &[WireEntry] {
+        &self.entries[start.wrapping_sub(self.base.entry) as usize..][..len as usize]
+    }
+
+    /// `len` summary words from logical position `at`.
+    fn sums(&self, at: u32, len: usize) -> &[u64] {
+        &self.sums[at.wrapping_sub(self.base.sum) as usize..][..len]
+    }
+
+    /// Marks `span` delivered (frames land out of send order), advances
+    /// the front past delivered spans and, once the prefix before it is
+    /// more than half of a buffer, cuts that prefix from all three.
+    fn free(&mut self, span: u32) {
+        self.spans[span.wrapping_sub(self.base.span) as usize].live = false;
+        let front = &mut self.front;
+        while let Some(s) = self.spans.get(front.past(self.base)[0]).filter(|s| !s.live) {
+            front.span = front.span.wrapping_add(1);
+            front.entry = front.entry.wrapping_add(s.entries);
+            front.sum = front.sum.wrapping_add(s.sums);
+        }
+        let [spans, entries, sums] = front.past(self.base);
+        if 2 * spans > self.spans.len()
+            || 2 * entries > self.entries.len()
+            || 2 * sums > self.sums.len()
+        {
+            self.spans.drain(..spans);
+            self.entries.drain(..entries);
+            self.sums.drain(..sums);
+            self.base = *front;
+        }
+    }
+
+    /// The arena's laws: the held spans tile the buffers in send order,
+    /// every one before the front delivered, up to the front's
+    /// positions; the front span is undelivered, or nothing is held; and
+    /// each buffer is at most twice its window (from the front on).
+    #[cfg(any(test, debug_assertions))]
+    fn check_invariants(&self) {
+        let [dead, ..] = self.front.past(self.base);
+        assert!(dead <= self.spans.len(), "the front is past the tail");
+        let (before, window) = self.spans.split_at(dead);
+        assert!(
+            before.iter().all(|s| !s.live),
+            "a live span before the front"
+        );
+        let total = |spans: &[Span]| {
+            (spans.iter()).fold([0, 0], |[e, s], span| {
+                [e + span.entries as usize, s + span.sums as usize]
+            })
+        };
+        let ([dead_entries, dead_sums], [entries, sums]) = (total(before), total(window));
+        assert_eq!(
+            self.front.past(self.base),
+            [dead, dead_entries, dead_sums],
+            "the front"
+        );
+        let held = [self.entries.len(), self.sums.len()];
+        assert_eq!(held, [dead_entries + entries, dead_sums + sums], "held");
+        let live = window.first().map_or(self.spans.is_empty(), |s| s.live);
+        assert!(live, "the front span was delivered");
+        let buffers = [self.spans.len(), held[0], held[1]];
+        for (len, window) in buffers.into_iter().zip([window.len(), entries, sums]) {
+            assert!(
+                len <= 2 * window,
+                "a buffer of {len} for a window of {window}"
+            );
+        }
+    }
 }
 
 /// A sharded delta-gossip network on a persistent virtual-time heap
@@ -279,6 +437,8 @@ pub struct DeltaGossip {
     period_ms: f64,
     hot_ticks: u32,
     heap: EventHeap<What>,
+    /// The payloads of the frames on `heap`.
+    arena: Arena,
     rng: StdRng,
     traffic: GossipTraffic,
 }
@@ -378,6 +538,7 @@ impl DeltaGossip {
             period_ms: config.period_ms,
             hot_ticks: hot_ticks(m),
             heap,
+            arena: Arena::default(),
             rng: rng_for(seed, 0xDE17A),
             traffic: GossipTraffic::default(),
         }
@@ -536,7 +697,7 @@ impl DeltaGossip {
                     at_ms: now,
                     node,
                     peer,
-                    round: u64::from(frame.shipped.shard),
+                    round: u64::from(frame.shard),
                     tag: 0,
                     detail: f64::from(entries),
                 });
@@ -575,21 +736,22 @@ impl DeltaGossip {
             What::Request { from, to, frame } => {
                 let t = to as usize;
                 Self::trace_frame(tracer, now, to, from, &frame);
-                self.merge_frame(t, &frame.shipped, now);
+                self.merge_frame(t, &frame, now);
                 // Reply with whatever shard the requester's summary
                 // says it lags most on; when nothing lags, fall back to
                 // the responder's own rotation so anti-entropy keeps
                 // sweeping.
                 let mut fallback = (self.nodes[t].tick as usize) % self.shards.count();
                 let mut best = 0u64;
-                let summaries = self.nodes[t].vsum.iter().zip(&frame.shipped.since);
-                for (s, (&mine, &theirs)) in summaries.enumerate() {
+                let summary = self.arena.sums(frame.since, self.shards.count());
+                for (s, (&mine, &theirs)) in self.nodes[t].vsum.iter().zip(summary).enumerate() {
                     let gap = mine.saturating_sub(theirs);
                     if gap > best {
                         best = gap;
                         fallback = s;
                     }
                 }
+                self.arena.free(frame.span);
                 let reply = self.build_frame(t, fallback, from as usize, false);
                 self.heap.push(
                     now + delays(t, from as usize),
@@ -599,11 +761,14 @@ impl DeltaGossip {
                         frame: reply,
                     },
                 );
+                self.debug_check();
             }
             What::Reply { from, to, frame } => {
                 Self::trace_frame(tracer, now, to, from, &frame);
-                self.merge_frame(to as usize, &frame.shipped, now);
+                self.merge_frame(to as usize, &frame, now);
+                self.arena.free(frame.span);
                 self.traffic.exchanges += 1;
+                self.debug_check();
             }
         }
     }
@@ -611,17 +776,25 @@ impl DeltaGossip {
     /// Builds node `n`'s frame to `to`: its hot set plus the complete
     /// known contents of `fallback`, metered whole into the traffic
     /// counters, shipping only the entries `to` holds older, and the
-    /// shard summary only in a `request` (see the module docs).
+    /// shard summary only in a `request`, into one new arena span (see
+    /// the module docs).
     fn build_frame(&mut self, n: usize, fallback: usize, to: usize, request: bool) -> Frame {
         #[cfg(test)]
         let before = self.traffic;
         let (state, loads) = (&self.nodes[n], &self.loads[n]);
         let lacks = &self.nodes[to].versions;
         let (words, in_fallback) = (state.hot.len(), self.shards.range(fallback));
+        // Only what `to` is stale at can ship: all of it where `n` is
+        // fresh, and where `n` is stale too, only what `to` is two or
+        // more versions behind at (`to` < `n` < newest).
+        let candidates = |w: usize| {
+            let (sender, receiver) = (n * words + w, to * words + w);
+            self.stale[receiver] & (!self.stale[sender] | self.lagging[receiver])
+        };
         // The set bits come out in ascending origin order, as a scan
         // over 0..m would.
         let ships = |w: usize, bits: u64| {
-            SetBits(bits)
+            SetBits(bits & candidates(w))
                 .map(move |bit| w * 64 + bit)
                 .filter(|&o| lacks[o] < state.versions[o])
                 .map(|o| WireEntry {
@@ -630,24 +803,24 @@ impl DeltaGossip {
                     load: loads[o],
                 })
         };
-        let (mut changed, mut full, mut hot_known) = (Vec::new(), Vec::new(), 0);
+        let arena = &mut self.arena;
+        let (at, first) = (arena.tail(), arena.entries.len());
+        let mut hot_known = 0;
         for (w, &hot) in state.hot.iter().enumerate() {
-            let (sender, receiver) = (n * words + w, to * words + w);
-            // Only what `to` is stale at can ship: all of it where `n`
-            // is fresh, and where `n` is stale too, only what `to` is
-            // two or more versions behind at (`to` < `n` < newest).
-            let candidates = self.stale[receiver] & (!self.stale[sender] | self.lagging[receiver]);
-            let shard = word_mask(w, &in_fallback);
-            hot_known += (hot & !shard).count_ones();
-            changed.extend(ships(w, hot & !shard & candidates));
-            full.extend(ships(w, shard & candidates));
+            let outside = hot & !word_mask(w, &in_fallback);
+            hot_known += outside.count_ones();
+            arena.entries.extend(ships(w, outside));
         }
+        let changed = arena.entries.len() - first;
+        for w in in_fallback.start / 64..in_fallback.end.div_ceil(64) {
+            arena.entries.extend(ships(w, word_mask(w, &in_fallback)));
+        }
+        let full = arena.entries.len() - first - changed;
+        if request {
+            arena.sums.extend_from_slice(&state.vsum);
+        }
+        arena.seal(at);
         let shard_known = state.known[fallback];
-        let since = if request {
-            state.vsum.clone()
-        } else {
-            Vec::new()
-        };
 
         let lists = wire::view_bytes(hot_known as usize) + wire::view_bytes(shard_known as usize);
         self.traffic.frames += 1;
@@ -655,12 +828,12 @@ impl DeltaGossip {
         self.traffic.delta_entries += u64::from(hot_known);
         self.traffic.full_entries += u64::from(shard_known);
         let frame = Frame {
-            shipped: wire::DeltaFrame {
-                shard: fallback as u32,
-                since,
-                changed,
-                full,
-            },
+            shard: fallback as u32,
+            span: at.span,
+            start: at.entry,
+            changed: changed as u32,
+            full: full as u32,
+            since: at.sum,
             entries: [hot_known, shard_known],
         };
         #[cfg(test)]
@@ -668,14 +841,15 @@ impl DeltaGossip {
         frame
     }
 
-    /// Keep-freshest merge of a delivered frame into `node`'s view,
-    /// maintaining the freshness counters and shard summaries.
-    fn merge_frame(&mut self, node: usize, frame: &wire::DeltaFrame, now: f64) {
+    /// Keep-freshest merge of a delivered frame's entries into
+    /// `node`'s view, maintaining the freshness counters and shard
+    /// summaries.
+    fn merge_frame(&mut self, node: usize, frame: &Frame, now: f64) {
         let (state, loads) = (&mut self.nodes[node], &mut self.loads[node]);
         let words = state.hot.len();
         let stale = &mut self.stale[node * words..][..words];
         let lagging = &mut self.lagging[node * words..][..words];
-        for e in frame.changed.iter().chain(&frame.full) {
+        for e in self.arena.entries(frame.start, frame.changed + frame.full) {
             let origin = e.origin as usize;
             let mine = state.versions[origin];
             if e.version > mine {
@@ -699,11 +873,10 @@ impl DeltaGossip {
                 }
             }
         }
-        self.debug_check();
     }
 
-    /// Debug-only `check_invariants` after every merge and publish. The
-    /// rescan is O(m²), so it only runs on test-sized networks — the
+    /// Debug-only `check_invariants` after every delivery and publish.
+    /// The rescan is O(m²), so it only runs on test-sized networks — the
     /// laws it checks are size-independent, and tests check them at
     /// larger sizes and in release builds.
     fn debug_check(&self) {
@@ -717,7 +890,9 @@ impl DeltaGossip {
     /// `newest`; the stale sets (bit ⇔ `versions < newest`), `deficit`
     /// (their popcount) and the lagging sets (bit ⇔ `versions + 1 <
     /// newest`); `vsum` and `known` per shard; the hot bits (⇔ the
-    /// predicate on `heard`, and only on known entries).
+    /// predicate on `heard`, and only on known entries); the arena's
+    /// laws, and one live span per frame on the heap (each node keeps
+    /// one `Tick` there, the rest are frames).
     #[cfg(any(test, debug_assertions))]
     fn check_invariants(&self) {
         let m = self.len();
@@ -749,6 +924,21 @@ impl DeltaGossip {
                 assert!(!hot || v > 0, "unknown {o} hot at node {n}");
             }
         }
+        self.arena.check_invariants();
+        let ticks = if m >= 2 { m } else { 0 };
+        let live = self.arena.spans.iter().filter(|s| s.live).count();
+        assert_eq!(
+            live,
+            self.heap.len() - ticks,
+            "live spans vs frames in flight"
+        );
+    }
+}
+
+#[cfg(test)]
+impl Arena {
+    fn span(&self, span: u32) -> &Span {
+        &self.spans[span.wrapping_sub(self.base.span) as usize]
     }
 }
 
@@ -779,6 +969,20 @@ impl DeltaGossip {
                 .map(entry)
                 .collect(),
             full: in_fallback.clone().filter(known).map(entry).collect(),
+        }
+    }
+
+    /// A frame's payload, read back from the arena as the wire frame it
+    /// stands for.
+    fn shipped(&self, frame: &Frame) -> wire::DeltaFrame {
+        let entries = self.arena.entries(frame.start, frame.changed + frame.full);
+        let (changed, full) = entries.split_at(frame.changed as usize);
+        let sums = self.arena.span(frame.span).sums as usize;
+        wire::DeltaFrame {
+            shard: frame.shard,
+            since: self.arena.sums(frame.since, sums).to_vec(),
+            changed: changed.to_vec(),
+            full: full.to_vec(),
         }
     }
 
@@ -827,7 +1031,8 @@ impl DeltaGossip {
             ..reference
         };
         assert_eq!(
-            frame.shipped, shipped,
+            self.shipped(frame),
+            shipped,
             "node {n} (tick {}) shipped a different frame to {to} for shard {fallback}",
             self.nodes[n].tick
         );
@@ -1125,7 +1330,8 @@ mod tests {
                             let peer = (n + peers.gen_range(1..m)) % m;
                             // A request to the next node, a reply to the peer.
                             for (to, request) in [((n + 1) % m, true), (peer, false)] {
-                                net.build_frame(n, fallback, to, request);
+                                let frame = net.build_frame(n, fallback, to, request);
+                                net.arena.free(frame.span);
                             }
                         }
                     }
@@ -1231,13 +1437,91 @@ mod tests {
         assert!(!net.shards.range(fallback).contains(&7));
         let before = net.traffic();
         let frame = net.build_frame(7, fallback, 40, false);
-        assert!(frame.shipped.changed.is_empty() && frame.shipped.full.is_empty());
-        assert!(frame.shipped.since.is_empty());
+        let shipped = net.shipped(&frame);
+        assert!(shipped.changed.is_empty() && shipped.full.is_empty());
+        assert!(shipped.since.is_empty());
         let reference = net.reference_frame(7, fallback);
         assert_eq!(reference.changed.len(), 1, "the rumor is metered");
         assert_eq!(frame.entries, [1, net.shards.range(fallback).len() as u32]);
         let metered = net.traffic().since(&before);
         assert_eq!(metered.bytes, wire::encode_delta(&reference).len() as u64);
+    }
+
+    /// A heap entry is due + seq + a 44-byte `What`: a frame in flight
+    /// is eight `u32`s naming its payload in the arena. The heap moves
+    /// whole entries on every push, pop and sort of its far tier, so a
+    /// variant that carries a payload inline (three `Vec`s make 120
+    /// bytes) shows up here.
+    #[test]
+    fn a_heap_entry_is_at_most_64_bytes() {
+        assert!(std::mem::size_of::<Scheduled<What>>() <= 64);
+    }
+
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// Each live span's position and what was written there.
+    type Written = BTreeMap<u32, (Pos, Vec<WireEntry>, Vec<u64>)>;
+
+    /// Frees the `pick`-th live span (modulo their count).
+    fn free_one(arena: &mut Arena, model: &mut Written, pick: usize) {
+        let span = *model.keys().nth(pick % model.len()).expect("a live span");
+        arena.free(span);
+        model.remove(&span);
+    }
+
+    /// The arena's laws hold, every live span reads back exactly its
+    /// payload, and no other span is live.
+    fn check_readback(arena: &Arena, model: &Written) {
+        arena.check_invariants();
+        for (&span, (at, entries, sums)) in model {
+            assert!(arena.span(span).live, "span {span} freed");
+            assert_eq!(arena.entries(at.entry, entries.len() as u32), &entries[..]);
+            assert_eq!(arena.sums(at.sum, sums.len()), &sums[..]);
+        }
+        let live = arena.spans.iter().filter(|s| s.live).count();
+        assert_eq!(live, model.len(), "live spans");
+    }
+
+    proptest! {
+        /// The arena alone against a map from live span to what was
+        /// written there: random appends (up to 8 entries, a summary or
+        /// none) and frees of random live spans, so spans are freed out
+        /// of send order, from a start near `u32::MAX` too so positions
+        /// wrap. After every step each live span reads back exactly its
+        /// payload, the arena holds as many live spans as the model and
+        /// its laws hold; freeing what is left empties it.
+        #[test]
+        fn prop_the_arena_reads_back_every_live_span(
+            start in prop_oneof![Just(0u32), Just(u32::MAX - 50), any::<u32>()],
+            ops in prop::collection::vec((any::<bool>(), 0u32..9, any::<bool>(), any::<usize>()), 0..120),
+            last in prop::collection::vec(any::<usize>(), 120),
+        ) {
+            let at = Pos { span: start, entry: start.wrapping_mul(3), sum: start.wrapping_mul(7) };
+            let mut arena = Arena { base: at, front: at, ..Arena::default() };
+            let mut model = Written::new();
+            for (k, (append, entries, summary, pick)) in ops.into_iter().enumerate() {
+                if append || model.is_empty() {
+                    let at = arena.tail();
+                    let entries: Vec<WireEntry> = (0..entries)
+                        .map(|origin| WireEntry { origin, version: k as u64, load: at.entry as f64 })
+                        .collect();
+                    let sums = if summary { vec![k as u64, u64::from(at.sum)] } else { Vec::new() };
+                    arena.entries.extend_from_slice(&entries);
+                    arena.sums.extend_from_slice(&sums);
+                    arena.seal(at);
+                    model.insert(at.span, (at, entries, sums));
+                } else {
+                    free_one(&mut arena, &mut model, pick);
+                }
+                check_readback(&arena, &model);
+            }
+            for pick in last.into_iter().take(model.len()) {
+                free_one(&mut arena, &mut model, pick);
+                check_readback(&arena, &model);
+            }
+            prop_assert!(arena.spans.is_empty() && arena.entries.is_empty() && arena.sums.is_empty());
+        }
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //!   (`2·⌈log2(m+1)⌉ + 2` of a node's own periods); the exchange period
 //!   ([`DeltaGossipConfig::period_ms`]) is the one setting. This is the
 //!   layer the engine's `GossipFeed` drives its stale scoring from.
-//! * [`wire`] — the delta frame and its compact encoding. Frames
-//!   travel between simulated nodes as values, never as bytes; the
-//!   encoding defines what the bandwidth meter charges (and is its
+//! * [`wire`] — the delta frame and its compact encoding. Between
+//!   simulated nodes a frame's entries travel in a shared arena, never
+//!   as bytes; the encoding defines what the bandwidth meter charges (and is its
 //!   test oracle) and is what the ledger's wire probe times.
 //!   [`wire::view_bytes`] prices the full m-entry view (~100 kB at
 //!   m = 5000) the bandwidth tables use as their baseline.

@@ -13,15 +13,19 @@
 //! rotating shard instead of O(m).
 //!
 //! [`crate::DeltaGossip`] simulates its network in one process and
-//! hands frames over as [`DeltaFrame`] values; nothing it does
-//! serializes one. The encoding is what a frame *weighs*:
+//! builds no [`DeltaFrame`] value on its frame path: a frame in flight
+//! is a span of [`WireEntry`]s and summary words in one arena the
+//! network owns, named by a few `u32`s on its event heap, and nothing
+//! serializes it. The encoding is what a frame *weighs*:
 //! [`crate::GossipTraffic`] meters every frame at
 //! [`DeltaFrame::encoded_len`], and the gossip crate's tests check that
-//! meter against `encode_delta` of a reference frame. Beyond that
-//! oracle the codec is the format a real transport would put on a
-//! socket, and the subject of the ledger's wire probe: [`decode_delta`]
-//! accepts exactly the buffers `encode_delta` writes and returns `None`
-//! — never panics — on truncated, malformed or trailing input.
+//! meter against `encode_delta` of a reference [`DeltaFrame`], and the
+//! payload read back from the arena against that frame cut to what the
+//! receiver lacks. Beyond that oracle the codec is the format a real
+//! transport would put on a socket, and the subject of the ledger's
+//! wire probe: [`decode_delta`] accepts exactly the buffers
+//! `encode_delta` writes and returns `None` — never panics — on
+//! truncated, malformed or trailing input.
 //!
 //! [`view_bytes`] prices the alternative the delta frame exists to
 //! avoid: a frame carrying a node's whole m-entry view, ~100 kB at
