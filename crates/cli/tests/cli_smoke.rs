@@ -652,3 +652,32 @@ fn frame_logs_take_paths_of_any_length() {
     assert!(stdout.contains("replay is bit-exact"), "{stdout}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A frame log with one byte flipped inside an event no longer replays:
+/// `dlb trace replay` names the diverging event and exits 1.
+#[test]
+fn a_tampered_frame_log_fails_replay() {
+    let log = std::env::temp_dir().join("dlb_cli_tampered.dlbf");
+    let log = log.to_str().unwrap();
+    let trace = format!("trace=frames:{log}");
+    let recorded = dlb()
+        .args(["run", "algo=protocol", "m=8", "seed=3", &trace])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&recorded.stderr);
+    assert_eq!(recorded.status.code(), Some(0), "{stderr}");
+    // Layout: magic · version · spec length (u32 LE) · spec · event
+    // count (u64) · 34-byte events. Byte 17 of an event is the low byte
+    // of its round number.
+    let mut bytes = std::fs::read(log).unwrap();
+    let spec_len = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
+    let count = u64::from_le_bytes(bytes[12 + spec_len..20 + spec_len].try_into().unwrap());
+    assert!(count > 0, "the run emitted no events");
+    bytes[20 + spec_len + 17] ^= 1;
+    std::fs::write(log, &bytes).unwrap();
+    let replayed = dlb().args(["trace", "replay", log]).output().unwrap();
+    let stderr = String::from_utf8_lossy(&replayed.stderr);
+    assert_eq!(replayed.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("replay diverged — event"), "{stderr}");
+    let _ = std::fs::remove_file(log);
+}

@@ -250,6 +250,56 @@ mod tests {
         );
     }
 
+    /// Records the m = 16 scenario, lets `tamper` edit the decoded log,
+    /// and returns the divergence its replay names.
+    fn tampered_divergence(tamper: impl FnOnce(&mut FrameLog)) -> String {
+        let bytes = record("algo=protocol net=pl m=16 seed=3");
+        let mut log = FrameLog::decode(&bytes).expect("decodes");
+        tamper(&mut log);
+        let replayed = replay_frame_log(&log.encode()).expect("still decodes");
+        replayed.divergence.expect("tampering is caught")
+    }
+
+    #[test]
+    fn a_one_bit_change_of_the_recorded_virtual_time_is_caught() {
+        let divergence = tampered_divergence(|log| {
+            log.trailer.virtual_ms = f64::from_bits(log.trailer.virtual_ms.to_bits() ^ 1);
+        });
+        assert!(
+            divergence.contains("virtual_ms"),
+            "unexpected divergence: {divergence}"
+        );
+    }
+
+    /// `-0.0 == 0.0` as `f64`s: only a comparison of bits sees this.
+    #[test]
+    fn a_detail_of_minus_zero_for_zero_is_caught() {
+        let mut idx = 0;
+        let divergence = tampered_divergence(|log| {
+            idx = log
+                .events
+                .iter()
+                .position(|e| e.detail.to_bits() == 0)
+                .expect("some event has detail 0.0");
+            log.events[idx].detail = -0.0;
+        });
+        assert!(
+            divergence.starts_with(&format!("event {idx}")),
+            "unexpected divergence: {divergence}"
+        );
+    }
+
+    #[test]
+    fn a_dropped_last_event_is_caught_as_a_count_mismatch() {
+        let divergence = tampered_divergence(|log| {
+            log.events.pop().expect("the run emitted events");
+        });
+        assert!(
+            divergence.starts_with("event count"),
+            "unexpected divergence: {divergence}"
+        );
+    }
+
     #[test]
     fn a_traced_header_is_rejected() {
         let bytes = FrameLog {
