@@ -15,10 +15,10 @@
 //! The header's `spec` is the run's canonical scenario text with the
 //! `trace=` axis stripped — everything replay needs to re-derive the
 //! instance, the fault/stream scripts, and the cluster options from
-//! one seed. The trailer pins what the recorded run reported, so
-//! replay cross-checks outcomes (`final_cost`, `rounds`) *in addition
-//! to* the bit-exact `event_hash` — a hash match alone could not
-//! distinguish "reproduced the run" from "reproduced the log".
+//! one seed. The trailer pins what the recorded run reported, and it
+//! is part of the bytes a replay must reproduce: the rerun's outcomes
+//! (`final_cost`, `rounds`, …) must encode to the recorded ones, not
+//! only its `event_hash` to the recorded hash.
 
 use crate::event::{TraceEvent, TraceKind};
 
@@ -31,7 +31,7 @@ pub const FORMAT_VERSION: u32 = 1;
 /// Encoded size of one event.
 const EVENT_BYTES: usize = 1 + 8 + 4 + 4 + 8 + 1 + 8;
 
-/// What the recorded run reported — replay's cross-check targets.
+/// What the recorded run reported — bytes a replay must reproduce.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Trailer {
     /// The executor's delivered-order fingerprint.

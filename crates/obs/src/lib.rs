@@ -5,8 +5,8 @@
 //! derived from the executor's deterministic delivery order, so two
 //! runs of one scenario produce byte-identical traces — which is what
 //! makes frame logs *replayable*: `dlb trace replay FILE` re-derives
-//! the run from the spec embedded in the log header and cross-checks
-//! every recorded event plus the recorded `event_hash` bit-for-bit.
+//! the run from the spec embedded in the log header and requires the
+//! rerun to encode to the log's bytes: every event and every outcome.
 //!
 //! The pieces:
 //! * [`TraceEvent`]/[`TraceKind`] — the flat event vocabulary

@@ -5,10 +5,12 @@
 //! body stores every trace event the recorded run emitted, and the
 //! trailer stores the run's outcomes (`event_hash`, final cost, round
 //! and exchange counts, virtual time). Replay re-parses the header,
-//! rebuilds the instance from the spec's seed, reruns the full event
-//! executor with a [`MemorySink`] attached, and
-//! compares *everything*: the event stream byte for byte, the event
-//! hash, and the trailer outcomes bit for bit (`f64` via `to_bits`).
+//! reruns the event executor from the spec's seed with a [`MemorySink`]
+//! attached, and encodes the recorded header, the replayed events and
+//! the replayed outcomes as a log of its own. The replay is exact when
+//! that encoding equals the log's bytes: the codec writes every field,
+//! each `f64` by its bits, and re-encodes any log it decodes to the
+//! same bytes.
 //!
 //! Because the executor is deterministic on the virtual clock — one
 //! seed, one event order, regardless of `DLB_THREADS` — a divergence
@@ -46,97 +48,30 @@ impl ReplayReport {
     }
 }
 
-/// Field-by-field comparison of one recorded vs replayed event; keyed
-/// comparisons (`to_bits` for the `f64`s) so "same number printed
-/// differently" can never mask a real divergence.
-fn event_divergence(i: usize, rec: &TraceEvent, rep: &TraceEvent) -> Option<String> {
-    if rec.kind != rep.kind {
-        return Some(format!(
-            "event {i}: recorded {} vs replayed {}",
-            rec.kind.label(),
-            rep.kind.label()
-        ));
-    }
-    if rec.at_ms.to_bits() != rep.at_ms.to_bits() {
-        return Some(format!(
-            "event {i} ({}): recorded at {} ms vs replayed at {} ms",
-            rec.kind.label(),
-            rec.at_ms,
-            rep.at_ms
-        ));
-    }
-    if (rec.node, rec.peer, rec.round, rec.tag) != (rep.node, rep.peer, rep.round, rep.tag) {
-        return Some(format!(
-            "event {i} ({}): recorded {} vs replayed {}",
-            rec.kind.label(),
-            rec,
-            rep
-        ));
-    }
-    if rec.detail.to_bits() != rep.detail.to_bits() {
-        return Some(format!(
-            "event {i} ({}): recorded detail {} vs replayed {}",
-            rec.kind.label(),
-            rec.detail,
-            rep.detail
-        ));
-    }
-    None
-}
-
-/// First disagreement between the recorded log and the replayed run,
-/// checked in evidence order: the event streams (count, then each
-/// event), the event hash, then the trailer outcomes.
-fn find_divergence(
-    log: &FrameLog,
-    replayed: &[TraceEvent],
-    replayed_hash: u64,
-    replayed_trailer: &Trailer,
-) -> Option<String> {
-    for (i, (rec, rep)) in log.events.iter().zip(replayed.iter()).enumerate() {
-        if let Some(d) = event_divergence(i, rec, rep) {
-            return Some(d);
+/// Names the first disagreement between two logs that share a header
+/// but encode differently: the first event whose bits differ (printed
+/// as `Debug`, which keeps every digit), else the event count, else
+/// the trailer.
+fn first_divergence(recorded: &FrameLog, replayed: &FrameLog) -> String {
+    let key = |e: &TraceEvent| {
+        let bits = [e.at_ms, e.detail].map(f64::to_bits);
+        (e.kind, e.node, e.peer, e.round, e.tag, bits)
+    };
+    let (rec, rep) = (&recorded.events, &replayed.events);
+    for (i, (a, b)) in rec.iter().zip(rep).enumerate() {
+        if key(a) != key(b) {
+            return format!("event {i}: recorded {a:?} vs replayed {b:?}");
         }
     }
-    if log.events.len() != replayed.len() {
-        return Some(format!(
+    if rec.len() != rep.len() {
+        return format!(
             "event count: recorded {} vs replayed {} (streams agree up to the shorter)",
-            log.events.len(),
-            replayed.len()
-        ));
+            rec.len(),
+            rep.len()
+        );
     }
-    let rec = &log.trailer;
-    if rec.event_hash != replayed_hash {
-        return Some(format!(
-            "event_hash: recorded {:#018x} vs replayed {replayed_hash:#018x}",
-            rec.event_hash
-        ));
-    }
-    if rec.final_cost.to_bits() != replayed_trailer.final_cost.to_bits() {
-        return Some(format!(
-            "final_cost: recorded {} vs replayed {}",
-            rec.final_cost, replayed_trailer.final_cost
-        ));
-    }
-    if rec.rounds != replayed_trailer.rounds {
-        return Some(format!(
-            "rounds: recorded {} vs replayed {}",
-            rec.rounds, replayed_trailer.rounds
-        ));
-    }
-    if rec.exchanges != replayed_trailer.exchanges {
-        return Some(format!(
-            "exchanges: recorded {} vs replayed {}",
-            rec.exchanges, replayed_trailer.exchanges
-        ));
-    }
-    if rec.virtual_ms.to_bits() != replayed_trailer.virtual_ms.to_bits() {
-        return Some(format!(
-            "virtual_ms: recorded {} vs replayed {}",
-            rec.virtual_ms, replayed_trailer.virtual_ms
-        ));
-    }
-    None
+    let (a, b) = (recorded.trailer, replayed.trailer);
+    format!("trailer: recorded {a:?} vs replayed {b:?}")
 }
 
 /// Replays the encoded frame log in `bytes` and reports whether the
@@ -161,12 +96,17 @@ pub fn replay_frame_log(bytes: &[u8]) -> Result<ReplayReport, SpecError> {
     let instance = spec.build_instance();
     let mut sink = MemorySink::default();
     let report = run_protocol_events(&spec, &instance, &mut sink);
-    let divergence = find_divergence(&log, &sink.events, report.event_hash, &trailer(&report));
+    let replayed = FrameLog {
+        spec: log.spec.clone(),
+        events: sink.events,
+        trailer: trailer(&report),
+    };
+    let divergence = (replayed.encode() != bytes).then(|| first_divergence(&log, &replayed));
     Ok(ReplayReport {
         spec,
         recorded: log.trailer,
         replayed_hash: report.event_hash,
-        replayed_events: sink.events.len(),
+        replayed_events: replayed.events.len(),
         divergence,
     })
 }

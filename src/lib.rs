@@ -270,8 +270,8 @@
 //! exchange verdict, detector decision, and stream event, plus the
 //! run's `event_hash` in the trailer. Because the executor is
 //! deterministic, a frame log is *replayable*: re-deriving the run
-//! from the log's own scenario header must reproduce every recorded
-//! event bit for bit. With tracing off, the hooks compile down to a
+//! from the log's own scenario header must encode to the log's bytes,
+//! every event and every recorded outcome. With tracing off, the hooks compile down to a
 //! [`obs::NullSink`] whose `enabled()` is a constant `false` — records
 //! stay byte-identical to the untraced runtime, at zero measured cost
 //! (`BENCH_obs.json` pins < 1% at m = 5000):
