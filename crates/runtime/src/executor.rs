@@ -1738,6 +1738,66 @@ mod tests {
         }
     }
 
+    /// The executor's loop, run by hand so the machine table can be
+    /// read before the report is built: the report, and every
+    /// machine's ledger as the run left it.
+    fn report_and_ledgers(
+        instance: &Instance,
+        options: &ClusterOptions,
+        script: &FaultScript,
+    ) -> (ClusterReport, Vec<dlb_core::SparseVec>) {
+        let (stream, mut sink) = (StreamScript::empty(), NullSink);
+        let mut run = Run::start(instance, options, |_, _| 5.0, script, &stream, &mut sink);
+        loop {
+            let Some(first) = run.pop_live() else {
+                run.freeze();
+                break;
+            };
+            run.fabric.now = first.due;
+            run.liveness.advance(first.due, &mut run.fabric.summary);
+            run.classify(first);
+            run.stream_turn();
+            run.drain_nodes();
+            run.coordinator_turn();
+            if run.coordinator.is_done() {
+                break;
+            }
+        }
+        let ledgers = run.nodes.machines.iter().map(|m| m.ledger().clone());
+        let ledgers = ledgers.collect();
+        (run.finish(), ledgers)
+    }
+
+    /// Nodes down from the start under either kind of detection: the
+    /// oracle never sends them the shutdown, in-protocol detection sends
+    /// it and they drop it. Either way the report's assignment is every
+    /// machine's final ledger — the answers of the live and the frozen
+    /// ledgers of the down — and it conserves every owner's load.
+    #[test]
+    fn the_final_assignment_is_every_machines_final_ledger() {
+        let mut rng = rng_for(12, 0xDB);
+        let instance = WorkloadSpec {
+            loads: LoadDistribution::Exponential,
+            avg_load: 80.0,
+            speeds: SpeedDistribution::paper_uniform(),
+        }
+        .sample(LatencyMatrix::homogeneous(20, 10.0), &mut rng);
+        let script = faults("crash:0.2@0ms").compile(6, 20);
+        assert_eq!(script.down_at(1e12).len(), 4);
+        for detect in [DetectMode::Oracle, DetectMode::Timeout(30.0)] {
+            let options = ClusterOptions {
+                detect,
+                ..Default::default()
+            };
+            let (report, ledgers) = report_and_ledgers(&instance, &options, &script);
+            assert_eq!(report.faults.crashes, 4, "{detect:?}");
+            for (j, ledger) in ledgers.iter().enumerate() {
+                assert_eq!(report.assignment.ledger(j), ledger, "{detect:?}: node {j}");
+            }
+            assert_conserved(&report, &instance);
+        }
+    }
+
     /// In-protocol timeout detection: the coordinator reads no script
     /// (there is no oracle), yet scripted crashes are
     /// suspected from pure silence, survivors converge, and

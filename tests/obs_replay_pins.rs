@@ -74,6 +74,32 @@ fn recorded_hashes_match_pre_observability_goldens_and_replay_bit_exactly() {
     }
 }
 
+/// A detected run whose crashed nodes never recover: the shutdown goes
+/// to all `m` nodes, each down node drops it, and the executor freezes
+/// their ledgers into the final assignment once the heap runs dry. The
+/// event hash witnesses the dropped shutdowns; the trailer's
+/// `final_cost`, the cost of that assignment, witnesses the ledgers.
+#[test]
+fn a_detected_run_ending_with_nodes_down_freezes_their_ledgers() {
+    let text = "algo=protocol net=pl m=64 seed=3 faults=crash:0.1@500ms detect=adaptive";
+    let path = std::env::temp_dir().join("dlb_obs_down_at_shutdown.dlbf");
+    let spec: ScenarioSpec = format!("{text} trace=frames:{}", path.display())
+        .parse()
+        .expect("pinned scenario parses");
+    spec.run();
+    let bytes = std::fs::read(&path).expect("frame log written");
+    std::fs::remove_file(&path).ok();
+    let log = FrameLog::decode(&bytes).expect("frame log decodes");
+    let shutdown = |kind| {
+        let of_kind = log.events.iter().filter(|ev| ev.kind == kind);
+        of_kind.filter(|ev| ev.tag == 7).count()
+    };
+    assert_eq!(shutdown(TraceKind::FrameScheduled), 64, "all m nodes");
+    assert_eq!(shutdown(TraceKind::FrameDropped), 6, "the crashed six");
+    assert_eq!(log.trailer.event_hash, 0xf86e_b952_a8ed_39b9);
+    assert_eq!(log.trailer.final_cost.to_bits(), 0x40e0_ebc3_c4e3_6318);
+}
+
 /// The exact JSON an untraced `net=pl m=64 seed=3` event run emits
 /// (before the sink's host stamp), frozen at the pre-observability
 /// emitter. Any new field, reordered key, or perturbed bit fails here.
