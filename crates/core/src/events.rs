@@ -169,9 +169,25 @@ impl<T> EventHeap<T> {
     /// order).
     #[inline]
     pub fn push(&mut self, due: f64, item: T) -> u64 {
+        self.push_n(due, 1, item)
+    }
+
+    /// Schedules `item` for virtual time `due` in the place of `n`
+    /// consecutive pushes: it takes the first of their `n` sequence
+    /// numbers and the other `n − 1` are never handed out, so it pops
+    /// exactly where the first of those pushes would have, with nothing
+    /// between it and where the last would have, and every later push
+    /// gets the sequence number it would have had. The executor's
+    /// broadcasts ride the heap this way: one event, `n` deliveries.
+    ///
+    /// # Panics
+    /// Debug-panics on a non-finite due time, or when `n` is zero.
+    #[inline]
+    pub fn push_n(&mut self, due: f64, n: u64, item: T) -> u64 {
         debug_assert!(due.is_finite(), "event due time {due} must be finite");
+        debug_assert!(n > 0, "an event takes at least one sequence number");
         let seq = self.next_seq;
-        self.next_seq += 1;
+        self.next_seq += n;
         let event = Scheduled { due, seq, item };
         // Bitwise, like the `total_cmp` order: -0.0 is not 0.0's lane.
         if due.to_bits() == self.lane_due {
@@ -238,7 +254,8 @@ impl<T> EventHeap<T> {
     }
 
     /// Sequence number the next push will receive (also the count of
-    /// events ever scheduled).
+    /// sequence numbers ever handed out or reserved by
+    /// [`Self::push_n`]).
     pub fn next_seq(&self) -> u64 {
         self.next_seq
     }
@@ -273,22 +290,37 @@ mod tests {
     }
 
     /// An [`EventHeap`] and the model it must agree with: a plain
-    /// binary heap of `(due key, seq)` pairs.
+    /// binary heap of `(due key, seq)` pairs, one per push — `n` for a
+    /// [`EventHeap::push_n`], whose event stands for them all.
     #[derive(Default)]
     struct Pair {
         heap: EventHeap<u64>,
         model: BinaryHeap<Reverse<(i64, u64)>>,
+        /// First seq → `n` of every pending `push_n` with `n > 1`.
+        spans: std::collections::HashMap<u64, u64>,
+        /// Model entries no heap event stands first for: `Σ (n − 1)`.
+        reserved: usize,
         last_popped: f64,
         last_pushed: f64,
     }
 
     impl Pair {
-        fn push(&mut self, due: f64) {
+        fn push(&mut self, due: f64, n: u64) {
             self.last_pushed = due;
-            let seq = self.heap.push(due, self.heap.next_seq());
-            self.model.push(Reverse((due_key(due), seq)));
+            let before = self.heap.next_seq();
+            let seq = self.heap.push_n(due, n, before);
+            assert_eq!((seq, self.heap.next_seq()), (before, before + n));
+            for s in seq..seq + n {
+                self.model.push(Reverse((due_key(due), s)));
+            }
+            if n > 1 {
+                self.spans.insert(seq, n);
+                self.reserved += n as usize - 1;
+            }
         }
 
+        /// Pops one event: the model pops the push it stands first for,
+        /// then each push it reserved, with nothing in between.
         fn pop(&mut self) {
             let got = self.heap.pop().map(|e| {
                 assert_eq!(e.seq, e.item, "payload travels with its event");
@@ -296,11 +328,17 @@ mod tests {
                 (due_key(e.due), e.seq)
             });
             assert_eq!(got, self.model.pop().map(|Reverse(e)| e));
+            let Some((key, seq)) = got else { return };
+            let n = self.spans.remove(&seq).unwrap_or(1);
+            for s in seq + 1..seq + n {
+                assert_eq!(self.model.pop(), Some(Reverse((key, s))), "span of {seq}");
+                self.reserved -= 1;
+            }
         }
 
         /// Every observable, and the tiers behind them.
         fn check(&mut self) {
-            assert_eq!(self.heap.len(), self.model.len());
+            assert_eq!(self.heap.len(), self.model.len() - self.reserved);
             assert_eq!(self.heap.is_empty(), self.model.is_empty());
             // A clone must answer alike without the original having
             // been made to sort its far tier first.
@@ -313,11 +351,12 @@ mod tests {
     }
 
     /// Replays `ops` on a [`Pair`], comparing every observable after
-    /// every step. `op` picks push (0–4), pop (5–6), a pop-free step
-    /// (7) or a burst (8–9); `pick` draws the pushed due time relative
-    /// to the last popped one: the same instant (the lane's case),
-    /// earlier — a push into the past —, later, the previous push's
-    /// again, or its negation (so -0.0 meets 0.0). A burst is a wave:
+    /// every step. `op` picks push (0–3), a `push_n` of 1–4 (4), pop
+    /// (5–6), a pop-free step (7) or a burst (8–9); `pick` draws the
+    /// pushed due time relative to the last popped one: the same instant
+    /// (the lane's case), earlier — a push into the past —, later, the
+    /// previous push's again, or its negation (so -0.0 meets 0.0). A
+    /// burst is a wave:
     /// 2–17 pushes scattered over a span ahead of the last pop, then
     /// pops until the far tier has been sorted in (or nothing is
     /// left) and up to three more, so runs start, drain and meet
@@ -326,20 +365,22 @@ mod tests {
         let mut pair = Pair::default();
         for &(op, pick) in ops {
             let step = f64::from(pick / 5) * 0.5;
+            let due = match pick % 5 {
+                0 => pair.last_popped,
+                1 => pair.last_popped - step,
+                2 => pair.last_popped + step,
+                3 => pair.last_pushed,
+                _ => -pair.last_popped,
+            };
             match op % 10 {
-                0..=4 => pair.push(match pick % 5 {
-                    0 => pair.last_popped,
-                    1 => pair.last_popped - step,
-                    2 => pair.last_popped + step,
-                    3 => pair.last_pushed,
-                    _ => -pair.last_popped,
-                }),
+                0..=3 => pair.push(due, 1),
+                4 => pair.push(due, 1 + u64::from(op / 10 % 4)),
                 5..=6 => pair.pop(),
                 7 => {}
                 _ => {
                     let k = u32::from(pick % 16) + 2;
                     for i in 0..k {
-                        pair.push(pair.last_popped + step + f64::from(i * 7 % k) * 0.25);
+                        pair.push(pair.last_popped + step + f64::from(i * 7 % k) * 0.25, 1);
                         pair.check();
                     }
                     let horizon = pair.heap.horizon;
@@ -527,6 +568,17 @@ mod tests {
         assert_eq!(heap.next_seq(), 2);
         assert_eq!(heap.len(), 2);
         assert!(!heap.is_empty());
+    }
+
+    #[test]
+    fn push_n_reserves_its_sequence_numbers() {
+        let mut heap = EventHeap::new();
+        heap.push(1.0, 'a');
+        assert_eq!(heap.push_n(1.0, 3, 'b'), 1);
+        assert_eq!(heap.push(1.0, 'c'), 4, "two seqs were skipped");
+        assert_eq!(heap.push(0.5, 'z'), 5);
+        assert_eq!((heap.len(), heap.next_seq()), (4, 6));
+        assert_eq!(drain(&mut heap), "zabc");
     }
 
     #[test]
