@@ -11,11 +11,17 @@
 //!    from its same-instant lane and each *wave* of jittered data-plane
 //!    frames from a run it sorted once); virtual time jumps to the
 //!    batch's instant. Per-link jitter keeps almost every batch to a
-//!    single delivery or the coordinator; only broadcasts are wide.
-//!    The ledger-free node-to-node frames (`Propose`, `Busy`,
-//!    `CommitAck`), most of a round's traffic, ride in the 40-byte heap
-//!    entry as values and reach their node as a frame built on the
-//!    stack; every other frame rides as a shared `Arc<Frame>`.
+//!    single delivery or the coordinator; only broadcasts are wide —
+//!    but a `RoundStart` or `Shutdown` is one heap event, whatever
+//!    `m`: it takes the sequence numbers of its `n` deliveries
+//!    ([`EventHeap::push_n`]) and classification expands it into them,
+//!    in ascending id order, each hashed, gated and traced as a frame
+//!    of its own. The ledger-free frames (`Propose`, `Busy`,
+//!    `CommitAck`, and the `FinalLedger` reply, whose ledger the run
+//!    takes from the machine table at the end), most of a round's
+//!    traffic, ride in the 40-byte heap entry as values and reach
+//!    their inbox as a frame built on the stack; every other frame
+//!    rides as a shared `Arc<Frame>`.
 //! 2. **Drain the touched machines where they stand** — the list is
 //!    grouped by node (nodes in first-delivery order, each node's items
 //!    in classification order; a single delivery or an ascending
@@ -86,9 +92,10 @@
 //! every round's causal chains complete among the nodes that entered
 //! it. A recovered node rejoins at the next round start. At shutdown,
 //! down nodes reply nothing; once in-flight traffic drains, the
-//! executor freezes their ledgers into the final assignment (their
-//! requests stay where they were when the node went down), so
-//! conservation holds exactly even under churn.
+//! coordinator stops waiting for them and their ledgers enter the
+//! final assignment as they stand (their requests stay where they were
+//! when the node went down), so conservation holds exactly even under
+//! churn.
 //!
 //! The script is pure and every consultation happens on the
 //! single-threaded scheduling path, so fault trajectories — the
@@ -122,7 +129,7 @@ use dlb_requestsim::stream::{Arrival, StreamScript};
 
 use crate::cluster::{ClusterOptions, ClusterReport, DetectMode, StreamSummary};
 use crate::machine::{CoordinatorMachine, Dest, NodeConfig, NodeMachine, Outbound, RtoKind, Sent};
-use crate::message::{ledger_to_wire, Frame, Payload};
+use crate::message::{Frame, Payload};
 
 /// One-way delay of control-plane frames (coordinator ↔ node), in
 /// virtual ms. Zero: the coordinator models the already-converged
@@ -147,6 +154,10 @@ const TAG_DEPARTURE: u8 = 19;
 enum Event {
     /// A frame headed for an inbox; a ledger-free one by value.
     Frame(Sent),
+    /// A coordinator broadcast: one delivery to each node of its
+    /// audience (`CoordinatorMachine::audience`), in the `n` sequence
+    /// numbers it reserved.
+    Broadcast(Arc<Frame>),
     /// The coordinator's report deadline for the given round.
     Deadline(u64),
     /// An exchange retransmission timer: (node, round, guarded wait).
@@ -220,6 +231,7 @@ fn dest_id(dest: Dest) -> u32 {
     match dest {
         Dest::Node(j) => j,
         Dest::Coordinator => NODE_COORD,
+        Dest::Broadcast => unreachable!("a broadcast is traced per node"),
     }
 }
 
@@ -234,6 +246,7 @@ fn hash_event(mut h: u64, due: f64, dest: Dest, (tag, from, round): (u8, u32, u6
         match dest {
             Dest::Node(j) => j as u64,
             Dest::Coordinator => u64::MAX,
+            Dest::Broadcast => unreachable!("a broadcast is hashed per node"),
         },
     );
     h = mix(h, tag as u64);
@@ -297,14 +310,33 @@ impl<D, T: TraceSink> Fabric<'_, D, T> {
 }
 
 impl<D: Fn(usize, usize) -> f64, T: TraceSink> Fabric<'_, D, T> {
-    /// Schedules a machine's emissions. `src` is `None` for the
-    /// coordinator.
-    fn schedule(&mut self, src: Option<usize>, out: impl Iterator<Item = impl Into<Sent>>) {
+    /// Schedules the coordinator's emissions, each a broadcast to the
+    /// `n` nodes of its audience: traced per node, as `n` frames would
+    /// be, and pushed as one event holding their `n` sequence numbers.
+    fn announce(&mut self, coordinator: &CoordinatorMachine, out: &mut Vec<Outbound>) {
+        for Outbound { to, frame } in out.drain(..) {
+            debug_assert_eq!(to, Dest::Broadcast, "the coordinator only broadcasts");
+            let (n, audience) = coordinator.audience(&frame);
+            let ((tag, _, round), delay) = (frame_identity(&frame), CONTROL_DELAY_MS);
+            if self.tracer.enabled() {
+                for j in audience {
+                    self.trace(TraceKind::FrameScheduled, j, NODE_COORD, round, tag, delay);
+                }
+            }
+            if n > 0 {
+                let broadcast = Event::Broadcast(Arc::clone(&frame));
+                self.heap.push_n(self.now + delay, n as u64, broadcast);
+            }
+        }
+    }
+
+    /// Schedules node `i`'s emissions.
+    fn schedule(&mut self, i: usize, out: impl Iterator<Item = Sent>) {
         let now = self.now;
-        for sent in out.map(Into::into) {
+        for sent in out {
             let mut held = 0.0f64;
-            let delay = match (src, sent.to) {
-                (Some(i), Dest::Node(j)) => {
+            let delay = match sent.to {
+                Dest::Node(j) => {
                     let d = (self.delays)(i, j as usize);
                     debug_assert!(
                         d.is_finite() && d >= 0.0,
@@ -334,7 +366,7 @@ impl<D: Fn(usize, usize) -> f64, T: TraceSink> Fabric<'_, D, T> {
             };
             if self.tracer.enabled() {
                 let (tag, _, round) = identity(&sent.payload);
-                let (node, peer) = (dest_id(sent.to), src.map_or(NODE_COORD, |i| i as u32));
+                let (node, peer) = (dest_id(sent.to), i as u32);
                 if held > 0.0 {
                     self.trace(TraceKind::FrameHeld, node, peer, round, tag, held);
                 }
@@ -350,7 +382,7 @@ impl<D: Fn(usize, usize) -> f64, T: TraceSink> Fabric<'_, D, T> {
     /// reaches it).
     fn send(&mut self, src: usize, down: bool, out: impl ExactSizeIterator<Item = Sent>) {
         if !down {
-            return self.schedule(Some(src), out);
+            return self.schedule(src, out);
         }
         self.summary.dropped_frames += out.len() as u64;
         for (to, frame) in out.map(|s| (dest_id(s.to), s.payload)) {
@@ -380,6 +412,27 @@ impl Nodes {
         Self {
             machines: (0..instance.len()).map(local).collect(),
             batch: Vec::new(),
+        }
+    }
+
+    /// `frame` reaches node `j`'s door: it dies there if the node is
+    /// down — under detection that arms the sender's abort timeout —
+    /// and joins the batch list otherwise.
+    fn offer<D, T: TraceSink>(
+        &mut self,
+        j: u32,
+        frame: Payload,
+        liveness: &Liveness,
+        rounds: &mut RoundTrace,
+        fabric: &mut Fabric<'_, D, T>,
+    ) {
+        if liveness.blocks(j, &frame) {
+            fabric.summary.dropped_frames += 1;
+            fabric.trace_frame(TraceKind::FrameDropped, j, &frame, DROP_DEST_DOWN);
+            liveness.arm_abort(&frame, fabric);
+        } else {
+            rounds.delivered(fabric, j, &frame);
+            self.batch.push((j, Inbox::Frame(frame)));
         }
     }
 }
@@ -952,7 +1005,7 @@ impl<'a, D: Fn(usize, usize) -> f64, T: TraceSink> Run<'a, D, T> {
         run.coordinator.start(&mut run.out);
         run.liveness.advance(0.0, &mut run.fabric.summary);
         run.rounds.follow(&mut run.fabric, &run.coordinator);
-        run.fabric.schedule(None, run.out.drain(..));
+        run.fabric.announce(&run.coordinator, &mut run.out);
         run.follow_round();
         run
     }
@@ -965,7 +1018,8 @@ impl<'a, D: Fn(usize, usize) -> f64, T: TraceSink> Run<'a, D, T> {
         loop {
             let event = self.fabric.heap.pop()?;
             let stale = match event.item {
-                Event::Frame(..) | Event::Arrival(..) | Event::Departure(..) => false,
+                Event::Frame(..) | Event::Broadcast(..) => false,
+                Event::Arrival(..) | Event::Departure(..) => false,
                 Event::Deadline(round) => !self.coordinator.awaits_reports(round),
                 Event::Rto(j, round, kind) => {
                     !self.nodes.machines[j as usize].rto_pending(round, kind)
@@ -977,25 +1031,18 @@ impl<'a, D: Fn(usize, usize) -> f64, T: TraceSink> Run<'a, D, T> {
         }
     }
 
-    /// The heap ran dry: the ledgers of nodes the shutdown could not
-    /// reach — those that sent no final ledger — are frozen into the
-    /// final answer. Under the oracle that is exactly the latched down
-    /// set: it gets no `Shutdown` and sends nothing, and every other
-    /// node answers. The stream's hold is off by now: the stream turn
-    /// of its last arrival or departure released it, and a held
-    /// coordinator never shuts down.
+    /// The heap ran dry: the nodes the shutdown could not reach — those
+    /// that sent no final ledger — never will, so the collection closes
+    /// and their ledgers are frozen into the final answer as they stand
+    /// (see [`Self::finish`]). Under the oracle that is exactly the
+    /// latched down set: it gets no `Shutdown` and sends nothing, and
+    /// every other node answers. The stream's hold is off by now: the
+    /// stream turn of its last arrival or departure released it, and a
+    /// held coordinator never shuts down.
     fn freeze(&mut self) {
         let held = self.coordinator.set_hold(false);
         debug_assert!(!held, "heap ran dry under a stream hold");
-        if self.coordinator.is_collecting() {
-            let now = self.fabric.now;
-            for j in self.coordinator.missing_ledgers() {
-                let ledger = ledger_to_wire(self.nodes.machines[j as usize].ledger());
-                let frame = Frame::FinalLedger { from: j, ledger };
-                self.coordinator.handle(&frame, now, &mut self.out);
-                self.fabric.schedule(None, self.out.drain(..));
-            }
-        }
+        self.coordinator.close();
     }
 
     /// Classifies the whole same-instant batch starting at `first`, in
@@ -1020,21 +1067,20 @@ impl<'a, D: Fn(usize, usize) -> f64, T: TraceSink> Run<'a, D, T> {
                 }) => {
                     *hash = hash_event(*hash, now, dest, identity(&frame));
                     match dest {
-                        // Dropped at a dead host; under detection that
-                        // arms the sender's abort timeout.
-                        Dest::Node(j) if liveness.blocks(j, &frame) => {
-                            fabric.summary.dropped_frames += 1;
-                            fabric.trace_frame(TraceKind::FrameDropped, j, &frame, DROP_DEST_DOWN);
-                            liveness.arm_abort(&frame, fabric);
-                        }
-                        Dest::Node(j) => {
-                            self.rounds.delivered(fabric, j, &frame);
-                            nodes.batch.push((j, Inbox::Frame(frame)));
-                        }
+                        Dest::Node(j) => nodes.offer(j, frame, liveness, &mut self.rounds, fabric),
                         Dest::Coordinator => {
                             fabric.trace_frame(TraceKind::FrameDelivered, NODE_COORD, &frame, 0.0);
                             self.coord_inbox.push(CoordItem::Frame(frame));
                         }
+                        Dest::Broadcast => unreachable!("only the coordinator broadcasts"),
+                    }
+                }
+                Event::Broadcast(frame) => {
+                    let identity = frame_identity(&frame);
+                    for j in self.coordinator.audience(&frame).1 {
+                        *hash = hash_event(*hash, now, Dest::Node(j), identity);
+                        let payload = Payload::Frame(Arc::clone(&frame));
+                        nodes.offer(j, payload, liveness, &mut self.rounds, fabric);
                     }
                 }
                 Event::Deadline(round) => {
@@ -1092,7 +1138,7 @@ impl<'a, D: Fn(usize, usize) -> f64, T: TraceSink> Run<'a, D, T> {
             return;
         }
         self.coordinator.kick(now, &mut self.out);
-        self.fabric.schedule(None, self.out.drain(..));
+        self.fabric.announce(&self.coordinator, &mut self.out);
         if self.stream.drained(now) {
             self.coordinator.set_hold(false);
         }
@@ -1163,7 +1209,7 @@ impl<'a, D: Fn(usize, usize) -> f64, T: TraceSink> Run<'a, D, T> {
                     self.coordinator.on_deadline(round, now, &mut self.out)
                 }
             }
-            self.fabric.schedule(None, self.out.drain(..));
+            self.fabric.announce(&self.coordinator, &mut self.out);
         }
         self.follow_round();
     }
@@ -1176,10 +1222,17 @@ impl<'a, D: Fn(usize, usize) -> f64, T: TraceSink> Run<'a, D, T> {
     }
 
     /// Only a finished coordinator gets here, and the turn that shut
-    /// it down already closed its last round's trace phase.
+    /// it down already closed its last round's trace phase. Every
+    /// machine has stopped, by its final ledger or by being down, so
+    /// the final assignment is their ledgers, moved out of the table.
     fn finish(self) -> ClusterReport {
         let now = self.fabric.now;
-        let mut report = self.coordinator.into_report();
+        let ledgers = self
+            .nodes
+            .machines
+            .into_iter()
+            .map(NodeMachine::into_ledger);
+        let mut report = self.coordinator.into_report(ledgers.collect());
         report.virtual_ms = now;
         report.event_hash = self.hash;
         report.faults = self.fabric.summary;
@@ -1536,10 +1589,16 @@ mod tests {
     #[test]
     fn a_signal_hashes_as_its_frame() {
         use crate::message::SignalKind;
-        for kind in [SignalKind::Propose, SignalKind::Busy, SignalKind::CommitAck] {
-            let payload = Payload::Signal(kind, 7, 3);
+        let kinds = [
+            (SignalKind::Propose, 3),
+            (SignalKind::Busy, 3),
+            (SignalKind::CommitAck, 3),
+            (SignalKind::FinalLedger, 0),
+        ];
+        for (kind, round) in kinds {
+            let payload = Payload::Signal(kind, 7, round);
             let frame = payload.frame();
-            assert_eq!(frame_identity(&frame), (kind as u8, 7, 3), "{kind:?}");
+            assert_eq!(frame_identity(&frame), (kind as u8, 7, round), "{kind:?}");
             assert_eq!(identity(&payload), frame_identity(&frame), "{kind:?}");
             let (h, due, dest) = (0xCBF2_9CE4_8422_2325, 12.5, Dest::Node(4));
             assert_eq!(
@@ -1551,6 +1610,31 @@ mod tests {
         assert!(std::mem::size_of::<Sent>() <= 24);
         // A broadcast's batch list holds `m` deliveries.
         assert_eq!(std::mem::size_of::<(u32, Inbox)>(), 24);
+    }
+
+    /// A round start leaves the coordinator as one outbound and enters
+    /// the heap as one event, whatever `m`, holding the sequence numbers
+    /// of the deliveries to every node the round does not exclude.
+    #[test]
+    fn a_round_start_is_one_outbound_and_one_heap_event() {
+        for (m, crash) in [(1, ""), (7, ""), (300, "crash:0.2@0ms"), (5000, "")] {
+            let instance = Instance::homogeneous(m, 1.0, 1.0, 10.0);
+            let script = faults(crash).compile(3, m);
+            let options = ClusterOptions::default();
+            let shared = Arc::new(instance.clone());
+            let mut coordinator = CoordinatorMachine::new(shared, &options, &script);
+            let mut out = Vec::new();
+            coordinator.start(&mut out);
+            assert!(
+                matches!(out.as_slice(), [o] if o.to == Dest::Broadcast),
+                "m = {m}"
+            );
+            let (stream, mut sink) = (StreamScript::empty(), NullSink);
+            let run = Run::start(&instance, &options, |_, _| 1.0, &script, &stream, &mut sink);
+            let live = m - script.down_at(0.0).len();
+            let heap = &run.fabric.heap;
+            assert_eq!((heap.len(), heap.next_seq()), (1, live as u64), "m = {m}");
+        }
     }
 
     /// One crashed node: the survivors keep balancing, the victim's

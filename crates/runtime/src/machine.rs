@@ -89,13 +89,20 @@ pub enum Dest {
     Node(u32),
     /// The coordinator's control-plane inbox.
     Coordinator,
+    /// Every node the coordinator's broadcast does not skip, in
+    /// ascending id order: a `RoundStart` skips its `excluded`, a
+    /// `Shutdown` the nodes the oracle latched down at the last round
+    /// start (none under in-protocol detection). Only the coordinator
+    /// sends it.
+    Broadcast,
 }
 
 /// One outbound frame of the public [`NodeMachine::handle`] and of
-/// every `CoordinatorMachine` call. The frame is shared, so a
-/// coordinator broadcast of the `m`-entry load vector is not copied
-/// `m` times. The executor's node drains emit the crate's 24-byte
-/// `Sent` instead, which holds a ledger-free frame by value.
+/// every `CoordinatorMachine` call. The frame is shared; a coordinator
+/// broadcast is one `Outbound` to [`Dest::Broadcast`] whatever `m`,
+/// and the executor keeps it one heap event until it delivers it. The
+/// executor's node drains emit the crate's 24-byte `Sent` instead,
+/// which holds a ledger-free frame by value.
 #[derive(Debug, Clone)]
 pub struct Outbound {
     /// Destination inbox.
@@ -112,20 +119,13 @@ pub(crate) struct Sent {
 }
 
 impl Sent {
-    fn signal(to: u32, kind: SignalKind, from: u32, round: u64) -> Self {
-        let (to, payload) = (Dest::Node(to), Payload::Signal(kind, from, round));
+    fn signal(to: Dest, kind: SignalKind, from: u32, round: u64) -> Self {
+        let payload = Payload::Signal(kind, from, round);
         Self { to, payload }
     }
 
     fn shared(to: Dest, frame: Frame) -> Self {
         let payload = Payload::Frame(Arc::new(frame));
-        Self { to, payload }
-    }
-}
-
-impl From<Outbound> for Sent {
-    fn from(Outbound { to, frame }: Outbound) -> Self {
-        let payload = Payload::Frame(frame);
         Self { to, payload }
     }
 }
@@ -674,6 +674,10 @@ mod books {
             &self.ledger
         }
 
+        pub(super) fn into_ledger(self) -> SparseVec {
+            self.ledger
+        }
+
         pub(super) fn replace(&mut self, ledger: SparseVec) {
             self.ledger = ledger;
             self.standing = None;
@@ -800,6 +804,12 @@ impl NodeMachine {
         self.books.ledger()
     }
 
+    /// The ledger, moved out: the executor's final assignment, once the
+    /// machine has answered the `Shutdown` or the run ended with it down.
+    pub(crate) fn into_ledger(self) -> SparseVec {
+        self.books.into_ledger()
+    }
+
     /// Streaming arrival: `amount` units of organization `org`'s work
     /// land on this server between protocol frames. Applied to the
     /// ledger immediately when no exchange is open; otherwise buffered
@@ -866,13 +876,26 @@ impl NodeMachine {
 
     /// Turns down `from`'s proposal for round `round`.
     fn nack(&self, from: u32, round: u64, out: &mut Vec<impl From<Sent>>) {
-        out.push(Sent::signal(from, SignalKind::Busy, self.id, round).into());
+        out.push(Sent::signal(Dest::Node(from), SignalKind::Busy, self.id, round).into());
     }
 
     /// Consumes one inbound frame, appending any outbound frames to
     /// `out` in send order.
     pub fn handle(&mut self, frame: &Frame, out: &mut Vec<Outbound>) {
+        let sent = out.len();
         self.handle_in(frame, None, out);
+        self.fill_final_ledger(&mut out[sent..]);
+    }
+
+    /// Gives the final ledger `handle_in` sends a copy of the ledger:
+    /// the machine stopped when it sent it, so the ledger is what it was
+    /// then.
+    fn fill_final_ledger(&self, out: &mut [Outbound]) {
+        for o in out {
+            if let Some(Frame::FinalLedger { ledger, .. }) = Arc::get_mut(&mut o.frame) {
+                *ledger = ledger_to_wire(self.ledger());
+            }
+        }
     }
 
     /// [`Self::handle`], with the coordinator's view of the round in
@@ -888,11 +911,12 @@ impl NodeMachine {
         out: &mut Vec<impl From<Sent>>,
     ) {
         if self.done {
-            // Our final ledger is already in the coordinator's hands;
-            // nothing may mutate it. A straggling proposer (possible
-            // under in-protocol detection, where rounds end on a
-            // deadline) gets a NACK so its own round can close; every
-            // other late frame is stale by construction and ignored.
+            // Our final ledger is sent: the run's answer is the ledger
+            // as it stands, so nothing may mutate it. A straggling
+            // proposer (possible under in-protocol detection, where
+            // rounds end on a deadline) gets a NACK so its own round
+            // can close; every other late frame is stale by
+            // construction and ignored.
             if let Frame::Propose { from, round } = frame {
                 self.nack(*from, *round, out);
             }
@@ -908,12 +932,10 @@ impl NodeMachine {
                 self.backlog.get_or_insert_default().control = Some(frame.clone());
             }
             Frame::Shutdown => {
-                let ledger = ledger_to_wire(self.ledger());
-                let last = Frame::FinalLedger {
-                    from: self.id,
-                    ledger,
-                };
-                out.push(Sent::shared(Dest::Coordinator, last).into());
+                // The ledger stays here, frozen (see the module docs).
+                out.push(
+                    Sent::signal(Dest::Coordinator, SignalKind::FinalLedger, self.id, 0).into(),
+                );
                 self.done = true;
             }
             Frame::RoundStart {
@@ -1013,7 +1035,8 @@ impl NodeMachine {
             match target {
                 Some(j) => {
                     self.leg = Leg::Proposed(j);
-                    out.push(Sent::signal(j, SignalKind::Propose, self.id, round).into());
+                    let propose = Sent::signal(Dest::Node(j), SignalKind::Propose, self.id, round);
+                    out.push(propose.into());
                 }
                 None => {
                     self.report(RoundOutcome::NoProposal, None, out);
@@ -1182,7 +1205,7 @@ impl NodeMachine {
         if self.config.two_phase {
             // Install-then-ack is atomic from the driver's view: the
             // initiator applies its half only on this ack.
-            out.push(Sent::signal(from, SignalKind::CommitAck, self.id, r).into());
+            out.push(Sent::signal(Dest::Node(from), SignalKind::CommitAck, self.id, r).into());
         }
         if !self.reported {
             // Collision-yield path: our initiator role ended in an
@@ -1306,10 +1329,11 @@ enum Phase {
     /// stream activity. The round number stays that of the ended
     /// round, whose report deadline is now stale.
     Parked,
-    /// Shutdown broadcast sent; collecting final ledgers.
+    /// Shutdown broadcast sent; counting final-ledger replies.
     Collecting,
-    /// All ledgers in; [`CoordinatorMachine::into_report`] may be
-    /// called.
+    /// Every node answered, or the rest never will
+    /// ([`CoordinatorMachine::close`]);
+    /// [`CoordinatorMachine::into_report`] may be called.
     Done,
 }
 
@@ -1347,7 +1371,8 @@ pub(crate) struct CoordinatorMachine<'a> {
     /// The current round's lent view: the broadcast `loads` with its
     /// live peers' load-order blocks, or with the ids that moved.
     round_blocks: Option<RoundBlocks>,
-    ledgers: Vec<Option<SparseVec>>,
+    /// Final-ledger replies counted so far. A node sends one at most:
+    /// it stops once it has.
     collected: usize,
     /// Virtual time the current round's `RoundStart` went out.
     round_started_at: f64,
@@ -1416,7 +1441,6 @@ impl<'a> CoordinatorMachine<'a> {
             seen: vec![false; m],
             round_moved: 0.0,
             round_blocks: None,
-            ledgers: (0..m).map(|_| None).collect(),
             collected: 0,
             round_started_at: 0.0,
             suspects: Vec::new(),
@@ -1442,15 +1466,19 @@ impl<'a> CoordinatorMachine<'a> {
         self.loads.len()
     }
 
-    /// Whether every final ledger has been collected.
+    /// Whether the final ledgers are in: every node answered the
+    /// shutdown, or the collection was closed.
     pub fn is_done(&self) -> bool {
         self.phase == Phase::Done
     }
 
-    /// Whether the shutdown broadcast has gone out and final ledgers
-    /// are being collected.
-    pub fn is_collecting(&self) -> bool {
-        self.phase == Phase::Collecting
+    /// Ends a collection the remaining nodes can no longer answer: the
+    /// driver ran out of events, so they are down and their ledgers
+    /// stay where they are. A no-op unless collecting.
+    pub fn close(&mut self) {
+        if self.phase == Phase::Collecting {
+            self.phase = Phase::Done;
+        }
     }
 
     /// The current (1-based) round number.
@@ -1543,11 +1571,14 @@ impl<'a> CoordinatorMachine<'a> {
         let frame = Arc::new(Frame::RoundStart {
             round: self.round,
             loads,
-            excluded: skip.clone(),
+            excluded: skip,
             epoch: 0,
             hot: Arc::new(hot),
         });
-        self.broadcast_except(&skip, frame, out);
+        out.push(Outbound {
+            to: Dest::Broadcast,
+            frame,
+        });
     }
 
     /// The current round's lent view, its [`RoundBlocks`]; `None` before
@@ -1584,19 +1615,29 @@ impl<'a> CoordinatorMachine<'a> {
 
     /// Broadcasts `Shutdown` to every node not in the latched down set.
     /// That set is *empty* under in-protocol detection, so all `m`
-    /// nodes get it there — suspected ones included, whose frozen
-    /// ledgers the coordinator still wants back if they are alive.
+    /// nodes get it there — suspected ones included, whose replies
+    /// the coordinator still counts on if they are alive.
     fn shutdown(&mut self, out: &mut Vec<Outbound>) {
         self.phase = Phase::Collecting;
-        self.broadcast_except(&self.down, Arc::new(Frame::Shutdown), out);
+        out.push(Outbound {
+            to: Dest::Broadcast,
+            frame: Arc::new(Frame::Shutdown),
+        });
     }
 
-    /// Queues `frame` for every node not in the sorted `skip` list.
-    fn broadcast_except(&self, skip: &[u32], frame: Arc<Frame>, out: &mut Vec<Outbound>) {
-        out.extend(live_ids(self.len(), skip).map(|j| Outbound {
-            to: Dest::Node(j),
-            frame: Arc::clone(&frame),
-        }));
+    /// Who a [`Dest::Broadcast`] of `frame` reaches, ascending, and how
+    /// many: every node outside its skip list — a `RoundStart`'s
+    /// `excluded`, or for a `Shutdown` the down set latched at the last
+    /// round start, which no round changes once it is sent.
+    pub(crate) fn audience<'s>(
+        &'s self,
+        frame: &'s Frame,
+    ) -> (usize, impl Iterator<Item = u32> + 's) {
+        let skip = match frame {
+            Frame::RoundStart { excluded, .. } => excluded,
+            _ => &self.down,
+        };
+        (self.len() - skip.len(), live_ids(self.len(), skip))
     }
 
     /// Consumes one control-plane frame that arrived at virtual time
@@ -1654,11 +1695,8 @@ impl<'a> CoordinatorMachine<'a> {
                     self.end_round(now, out);
                 }
             }
-            (Phase::Collecting, Frame::FinalLedger { from, ledger }) => {
-                if self.ledgers[*from as usize].is_none() {
-                    self.collected += 1;
-                }
-                self.ledgers[*from as usize] = Some(wire_to_ledger(ledger));
+            (Phase::Collecting, Frame::FinalLedger { .. }) => {
+                self.collected += 1;
                 if self.collected == self.len() {
                     self.phase = Phase::Done;
                 }
@@ -1809,15 +1847,6 @@ impl<'a> CoordinatorMachine<'a> {
         self.suspects.iter().map(|s| s.node)
     }
 
-    /// Nodes whose final ledger has not arrived. Once collecting and
-    /// the event heap is dry, these are exactly the dead nodes: the
-    /// driver freezes their machines' local ledgers into the answer.
-    pub fn missing_ledgers(&self) -> Vec<u32> {
-        (0..self.len() as u32)
-            .filter(|&j| self.ledgers[j as usize].is_none())
-            .collect()
-    }
-
     fn end_round(&mut self, now: f64, out: &mut Vec<Outbound>) {
         self.history.push(self.local_costs.iter().sum());
         if self.hold_open {
@@ -1852,20 +1881,20 @@ impl<'a> CoordinatorMachine<'a> {
         self.begin_round(now, out);
     }
 
-    /// Assembles the final [`ClusterReport`] once [`Self::is_done`].
+    /// Assembles the final [`ClusterReport`] once [`Self::is_done`],
+    /// over the driver's final `ledgers`, one per node: each as the
+    /// node sent its final ledger, or as it stood when the collection
+    /// closed over it.
     ///
     /// # Panics
-    /// Panics when called before every final ledger arrived.
-    pub fn into_report(self) -> ClusterReport {
+    /// Panics when called before the collection ended.
+    pub fn into_report(self, ledgers: Vec<SparseVec>) -> ClusterReport {
         assert!(
             self.phase == Phase::Done,
             "into_report called before all final ledgers arrived"
         );
-        let ledgers = self
-            .ledgers
-            .into_iter()
-            .map(|l| l.expect("ledger collected"));
-        let assignment = Assignment::from_ledgers(ledgers.collect());
+        assert_eq!(ledgers.len(), self.len(), "one final ledger per node");
+        let assignment = Assignment::from_ledgers(ledgers);
         let final_cost = total_cost(&self.instance, &assignment);
         ClusterReport {
             assignment,
@@ -2592,15 +2621,12 @@ mod tests {
                 coordinator.start(&mut out);
                 for round in 1..=rng.gen_range(8..18u64) {
                     prop_assert_eq!(coordinator.round_number(), round);
-                    let to: Vec<u32> = out
-                        .iter()
-                        .map(|o| match o.to {
-                            Dest::Node(j) => j,
-                            Dest::Coordinator => panic!("a broadcast goes to nodes"),
-                        })
-                        .collect();
-                    let start = out.first().map(|o| Arc::clone(&o.frame));
+                    let start = match out.as_slice() {
+                        [o] if o.to == Dest::Broadcast => Some(Arc::clone(&o.frame)),
+                        other => panic!("one broadcast, got {other:?}"),
+                    };
                     out.clear();
+                    let to: Vec<u32> = start.iter().flat_map(|f| coordinator.audience(f).1).collect();
                     let view = coordinator.round_blocks();
                     let lent = view.expect("top-k lends a view every round");
                     let skipped: Vec<bool> =
@@ -3229,7 +3255,9 @@ mod tests {
     /// The public `handle` and the executor's `handle_in` send the same
     /// frames, the signals included, through every leg of two
     /// two-phase rounds: propose, nack, commit and ack as initiator;
-    /// lost, accept and ack as acceptor; then the final ledger.
+    /// lost, accept and ack as acceptor; then the final ledger, which
+    /// `handle_in` sends without entries and `handle` fills with the
+    /// ledger.
     #[test]
     fn handle_and_the_executor_path_emit_the_same_frames() {
         let instance = Arc::new(Instance::homogeneous(3, 1.0, 1.0, 10.0));
@@ -3246,7 +3274,9 @@ mod tests {
             let mut sent: Vec<Sent> = Vec::new();
             inner.handle_in(&frame, None, &mut sent);
             let via_handle: Vec<_> = out.into_iter().map(shared).collect();
-            let via_sent: Vec<_> = sent.into_iter().map(Outbound::from).map(shared).collect();
+            let mut via_sent: Vec<_> = sent.into_iter().map(Outbound::from).collect();
+            inner.fill_final_ledger(&mut via_sent);
+            let via_sent: Vec<_> = via_sent.into_iter().map(shared).collect();
             assert_eq!(via_handle, via_sent, "on {frame:?}");
             via_handle
         };
@@ -3304,10 +3334,11 @@ mod tests {
         let ack = Frame::CommitAck { from: 0, round: 2 };
         assert_eq!(step(commit), [(Dest::Node(other), ack)]);
         let last = step(Frame::Shutdown);
-        assert!(matches!(
-            last.as_slice(),
-            [(Dest::Coordinator, Frame::FinalLedger { .. })]
-        ));
+        let ledger = vec![(0, 5.0)];
+        assert_eq!(
+            last,
+            [(Dest::Coordinator, Frame::FinalLedger { from: 0, ledger })]
+        );
     }
 
     /// A field added to the machine shows up here, not in `peak_rss_mb`:
@@ -3422,13 +3453,13 @@ mod tests {
             let batch: Vec<Outbound> = std::mem::take(&mut out);
             for o in batch {
                 match o.to {
-                    Dest::Node(0) => node.handle(&o.frame, &mut out),
+                    Dest::Node(0) | Dest::Broadcast => node.handle(&o.frame, &mut out),
                     Dest::Coordinator => coordinator.handle(&o.frame, 0.0, &mut out),
                     Dest::Node(j) => panic!("unexpected destination {j}"),
                 }
             }
         }
-        let report = coordinator.into_report();
+        let report = coordinator.into_report(vec![node.into_ledger()]);
         assert_eq!(report.exchanges, 0);
         assert!(report.quiescent);
         assert_eq!(report.assignment.load(0), 50.0);

@@ -5,7 +5,13 @@
 //! executor hosts every node in one process, so frames are never
 //! serialized: the ledger-free node-to-node frames (`Propose`, `Busy`,
 //! `CommitAck`) ride its event heap as plain values, every other frame
-//! as a shared `Arc<Frame>`. Ledgers still cross in their wire shape —
+//! as a shared `Arc<Frame>` — but for the final ledger. A node answers
+//! the `Shutdown` with the value `FinalLedger { from }` alone: it stops
+//! once it has sent it, so the executor moves its ledger out of the
+//! machine table when the run ends instead of copying it into a frame,
+//! and the coordinator only counts the replies. The public
+//! [`NodeMachine::handle`](crate::NodeMachine::handle) still returns
+//! the full frame. Ledgers that cross mid-run keep their wire shape —
 //! `(owner, requests)` pairs, 12 bytes per entry on a real link, so
 //! even a full exchange between two heavily shared servers in a
 //! 5000-organization system would be a frame of ~60 kB, small next to
@@ -149,7 +155,8 @@ pub enum Frame {
     },
     /// Coordinator → node: stop after sending back the final ledger.
     Shutdown,
-    /// Node → coordinator: the node's final ledger.
+    /// Node → coordinator: the node's final ledger. The executor's
+    /// nodes send it without entries (see the module docs).
     FinalLedger {
         /// Reporting node.
         from: u32,
@@ -158,18 +165,20 @@ pub enum Frame {
     },
 }
 
-/// Which ledger-free frame a [`Payload::Signal`] is. The discriminants
-/// are the frames' hash and trace tags (the executor's `frame_identity`).
+/// Which frame a [`Payload::Signal`] is. The discriminants are the
+/// frames' hash and trace tags (the executor's `frame_identity`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum SignalKind {
     Propose = 2,
     Busy = 4,
+    FinalLedger = 8,
     CommitAck = 9,
 }
 
-/// What one delivery carries: a [`Frame::Propose`], [`Frame::Busy`] or
-/// [`Frame::CommitAck`] as the value `(kind, from, round)` — nothing to
-/// allocate, share or chase — and any other frame shared.
+/// What one delivery carries: a [`Frame::Propose`], [`Frame::Busy`],
+/// [`Frame::CommitAck`] or a ledger-free [`Frame::FinalLedger`] as the
+/// value `(kind, from, round)` — nothing to allocate, share or chase (a
+/// final ledger's round is 0) — and any other frame shared.
 pub(crate) enum Payload {
     Signal(SignalKind, u32, u64),
     Frame(Arc<Frame>),
@@ -177,11 +186,15 @@ pub(crate) enum Payload {
 
 impl Payload {
     /// The carried frame: built on the stack for a signal, borrowed
-    /// otherwise.
+    /// otherwise. A final-ledger signal is the frame with no entries.
     pub fn frame(&self) -> Cow<'_, Frame> {
         Cow::Owned(match *self {
             Self::Signal(SignalKind::Propose, from, round) => Frame::Propose { from, round },
             Self::Signal(SignalKind::Busy, from, round) => Frame::Busy { from, round },
+            Self::Signal(SignalKind::FinalLedger, from, _) => Frame::FinalLedger {
+                from,
+                ledger: Vec::new(),
+            },
             Self::Signal(SignalKind::CommitAck, from, round) => Frame::CommitAck { from, round },
             Self::Frame(ref frame) => return Cow::Borrowed(frame),
         })
