@@ -12,6 +12,11 @@
 //! `m²` table, which at the 100 000-server scale the event runtime
 //! targets would be an 80 GB allocation. Heterogeneous generators get
 //! the dense representation the moment they write a non-uniform entry.
+//! Clones share the dense table (a run's executor and engine each hold
+//! the instance they were handed); a write to a shared table copies it
+//! first.
+
+use std::sync::Arc;
 
 /// An `m × m` matrix of pairwise communication latencies in
 /// milliseconds.
@@ -28,8 +33,9 @@ pub struct LatencyMatrix {
 
 #[derive(Debug, Clone)]
 enum Storage {
-    /// Row-major `m * m` entries.
-    Dense(Vec<f64>),
+    /// Row-major `m * m` entries, shared by clones: `set` and
+    /// `metric_close` copy the table before writing to a shared one.
+    Dense(Arc<Vec<f64>>),
     /// `c_{ij} = c` for every `i ≠ j`, zero diagonal. Covers both the
     /// paper's homogeneous network and the degenerate single-site
     /// (all-zero) network without materializing `m²` floats.
@@ -55,7 +61,7 @@ impl LatencyMatrix {
         }
         Self {
             m,
-            storage: Storage::Dense(data),
+            storage: Storage::Dense(Arc::new(data)),
         }
     }
 
@@ -139,7 +145,10 @@ impl LatencyMatrix {
     ///
     /// A compactly stored homogeneous matrix densifies on the first
     /// write that breaks uniformity (generators only do this at
-    /// generator scale, never on the 100k fast path).
+    /// generator scale, never on the 100k fast path). A dense table a
+    /// clone shares is copied first; even an unshared one pays an
+    /// atomic check per call, so a generator filling every entry builds
+    /// its rows and calls [`Self::from_rows`].
     #[inline]
     pub fn set(&mut self, i: usize, j: usize, value: f64) {
         assert!(value >= 0.0, "latency must be non-negative");
@@ -151,7 +160,7 @@ impl LatencyMatrix {
             self.densify();
         }
         match &mut self.storage {
-            Storage::Dense(data) => data[i * self.m + j] = value,
+            Storage::Dense(data) => Arc::make_mut(data)[i * self.m + j] = value,
             Storage::Homogeneous(_) => unreachable!("densified above"),
         }
     }
@@ -163,7 +172,7 @@ impl LatencyMatrix {
             for i in 0..self.m {
                 data[i * self.m + i] = 0.0;
             }
-            self.storage = Storage::Dense(data);
+            self.storage = Storage::Dense(Arc::new(data));
         }
     }
 
@@ -260,7 +269,7 @@ impl LatencyMatrix {
         let data = match &mut self.storage {
             // Already metric: direct hop c never beats c + c.
             Storage::Homogeneous(_) => return,
-            Storage::Dense(data) => data,
+            Storage::Dense(data) => Arc::make_mut(data),
         };
         let mut pivots = vec![0.0; 4 * m];
         for k0 in (0..m - m % 4).step_by(4) {
@@ -348,7 +357,7 @@ mod tests {
         let m = c.m;
         let data = match &mut c.storage {
             Storage::Homogeneous(_) => return,
-            Storage::Dense(data) => data,
+            Storage::Dense(data) => Arc::make_mut(data),
         };
         for k in 0..m {
             for i in 0..m {
@@ -429,6 +438,25 @@ mod tests {
         assert_eq!(c.max_latency(), 20.0);
         assert!(c.is_metric(1e-12));
         assert!(c.is_complete());
+    }
+
+    #[test]
+    fn clones_share_the_dense_table_until_one_writes() {
+        let shared = |x: &LatencyMatrix, y: &LatencyMatrix| match (&x.storage, &y.storage) {
+            (Storage::Dense(p), Storage::Dense(q)) => Arc::ptr_eq(p, q),
+            _ => false,
+        };
+        let rows = vec![0.0, 1.0, 9.0, 1.0, 0.0, 1.0, 9.0, 1.0, 0.0];
+        let mut a = LatencyMatrix::from_rows(3, rows);
+        let mut b = a.clone();
+        assert!(shared(&a, &b));
+        b.set(0, 1, 4.0);
+        assert!(!shared(&a, &b), "a write copies a shared table");
+        assert_eq!((a.get(0, 1), b.get(0, 1)), (1.0, 4.0));
+        let c = a.clone();
+        a.metric_close();
+        assert!(!shared(&a, &c));
+        assert_eq!((a.get(0, 2), c.get(0, 2)), (2.0, 9.0));
     }
 
     #[test]

@@ -18,17 +18,20 @@ pub fn generate(m: usize, seed: u64) -> LatencyMatrix {
     let points: Vec<(f64, f64)> = (0..m)
         .map(|_| (rng.gen_range(0.0..=SIDE_MS), rng.gen_range(0.0..=SIDE_MS)))
         .collect();
-    let mut lat = LatencyMatrix::zero(m);
+    if m < 2 {
+        return LatencyMatrix::zero(m); // no pair: the compact zero matrix
+    }
+    let mut rows = vec![0.0; m * m];
     for i in 0..m {
         for j in (i + 1)..m {
             let dx = points[i].0 - points[j].0;
             let dy = points[i].1 - points[j].1;
             let d = (dx * dx + dy * dy).sqrt() + BASE_MS;
-            lat.set(i, j, d);
-            lat.set(j, i, d);
+            rows[i * m + j] = d;
+            rows[j * m + i] = d;
         }
     }
-    lat
+    LatencyMatrix::from_rows(m, rows)
 }
 
 #[cfg(test)]

@@ -72,7 +72,7 @@ pub fn generate(m: usize, seed: u64) -> LatencyMatrix {
         })
         .collect();
 
-    let mut lat = LatencyMatrix::zero(m);
+    let mut rows = vec![0.0; m * m];
     for i in 0..m {
         for j in (i + 1)..m {
             let dx = points[i].0 - points[j].0;
@@ -82,8 +82,8 @@ pub fn generate(m: usize, seed: u64) -> LatencyMatrix {
             let base = d * jit;
             let fwd = base * (1.0 + rng.gen_range(0.0..=ASYMMETRY));
             let bwd = base * (1.0 + rng.gen_range(0.0..=ASYMMETRY));
-            lat.set(i, j, fwd);
-            lat.set(j, i, bwd);
+            rows[i * m + j] = fwd;
+            rows[j * m + i] = bwd;
         }
     }
 
@@ -107,10 +107,14 @@ pub fn generate(m: usize, seed: u64) -> LatencyMatrix {
     for i in 0..m {
         for j in 0..m {
             if i != j && !protected[i * m + j] && rng.gen::<f64>() < MISSING_FRACTION {
-                lat.set(i, j, f64::INFINITY);
+                rows[i * m + j] = f64::INFINITY;
             }
         }
     }
+    if m < 2 {
+        return LatencyMatrix::zero(m); // no pair: the compact zero matrix
+    }
+    let mut lat = LatencyMatrix::from_rows(m, rows);
     lat.metric_close();
     debug_assert!(lat.is_complete());
     lat
