@@ -91,20 +91,24 @@ fn victims(salted: u64, frac: f64, m: usize, cap: usize) -> Vec<usize> {
 }
 
 /// A [`FaultPlan`] compiled for one run (see the [module docs](self)
-/// and [`FaultPlan::compile`]).
+/// and [`FaultPlan::compile`]). A per-node table exists only under the
+/// primitive that reads it, so the empty script holds none at any `m`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultScript {
     seed: u64,
     plan: FaultPlan,
-    /// Per node: the instant it goes down (`f64::INFINITY` = never).
+    /// Number of nodes the script was compiled for.
+    m: usize,
+    /// Per node under a crash primitive: the instant it goes down
+    /// (`f64::INFINITY` = never); empty otherwise.
     crash_at: Vec<f64>,
-    /// Per node: the instant it comes back (`f64::INFINITY` = never).
+    /// Per node under a crash primitive: the instant it comes back
+    /// (`f64::INFINITY` = never); empty otherwise.
     recover_at: Vec<f64>,
-    /// Per node: partition side (only meaningful with a partition
-    /// primitive).
+    /// Per node under a partition primitive: its side; empty otherwise.
     side: Vec<bool>,
-    /// Per node: whether it is a straggler (only meaningful with a
-    /// slow primitive).
+    /// Per node under a slow primitive: whether it is a straggler;
+    /// empty otherwise.
     straggler: Vec<bool>,
 }
 
@@ -112,9 +116,9 @@ impl FaultScript {
     /// Compiles `plan` for a run over `m` nodes under `seed` (see
     /// [`FaultPlan::compile`]).
     pub fn compile(plan: &FaultPlan, seed: u64, m: usize) -> Self {
-        let mut crash_at = vec![f64::INFINITY; m];
-        let mut recover_at = vec![f64::INFINITY; m];
+        let (mut crash_at, mut recover_at) = (Vec::new(), Vec::new());
         if let Some(c) = &plan.crash {
+            (crash_at, recover_at) = (vec![f64::INFINITY; m], vec![f64::INFINITY; m]);
             // Always leave at least one survivor: a fully-dead cluster
             // has no convergence to measure.
             for victim in victims(seed ^ SALT_CRASH, c.frac, m, m.saturating_sub(1)) {
@@ -122,11 +126,14 @@ impl FaultScript {
                 recover_at[victim] = c.recover_ms.unwrap_or(f64::INFINITY);
             }
         }
-        let side = (0..m)
-            .map(|i| splitmix(seed ^ SALT_SIDE ^ i as u64) & 1 == 1)
-            .collect();
-        let mut straggler = vec![false; m];
+        let mut side = Vec::new();
+        if plan.partition.is_some() {
+            let sides = (0..m).map(|i| splitmix(seed ^ SALT_SIDE ^ i as u64) & 1 == 1);
+            side = sides.collect();
+        }
+        let mut straggler = Vec::new();
         if let Some(s) = &plan.slow {
+            straggler = vec![false; m];
             // On its own salt stream: slow and crashed sets are
             // independent.
             for victim in victims(seed ^ SALT_SLOW, s.frac, m, m) {
@@ -136,6 +143,7 @@ impl FaultScript {
         Self {
             seed,
             plan: *plan,
+            m,
             crash_at,
             recover_at,
             side,
@@ -158,13 +166,13 @@ impl FaultScript {
 
     /// Number of nodes the script was compiled for.
     pub fn len(&self) -> usize {
-        self.crash_at.len()
+        self.m
     }
 
     /// Whether `node` is down (crashed, not yet recovered) at virtual
     /// time `t`.
     pub fn node_down(&self, node: usize, t: f64) -> bool {
-        self.crash_at[node] <= t && t < self.recover_at[node]
+        self.plan.crash.is_some() && self.crash_at[node] <= t && t < self.recover_at[node]
     }
 
     /// The sorted list of nodes down at virtual time `t`.
@@ -180,7 +188,10 @@ impl FaultScript {
     /// input: an oracle-free run must not consult it to decide
     /// anything.
     pub fn crash_time(&self, node: usize) -> f64 {
-        self.crash_at[node]
+        match self.plan.crash {
+            Some(_) => self.crash_at[node],
+            None => f64::INFINITY,
+        }
     }
 
     /// Outbound delay multiplier for frames sent by `src` at time `t`:
@@ -324,6 +335,37 @@ mod tests {
         assert!(!s.crossing_blocked(5.0, 0, 1));
         assert_eq!(s.reliable_link(5.0, 0, 1, 3, 10.0), LinkOutcome::default());
         assert!(FaultSummary::default().is_quiet());
+    }
+
+    /// The empty script keeps no per-node table at any `m`, and a plan
+    /// keeps only the tables its primitives read; every query still
+    /// answers for every node.
+    #[test]
+    fn a_script_keeps_only_the_tables_its_primitives_read() {
+        let m = 100_000;
+        let tables = |s: &FaultScript| {
+            let lens = [s.crash_at.len(), s.recover_at.len()];
+            [lens[0], lens[1], s.side.len(), s.straggler.len()]
+        };
+        let empty = FaultScript::empty(m);
+        assert_eq!((empty.len(), tables(&empty)), (m, [0; 4]));
+        let last = m - 1;
+        assert!(!empty.node_down(last, 1e9));
+        assert_eq!(empty.crash_time(last), f64::INFINITY);
+        assert_eq!(
+            (empty.slow_factor(last, 5.0), empty.straggler_count()),
+            (1.0, 0)
+        );
+        let lossy = faults("loss:0.5").compile(3, m);
+        assert_eq!(tables(&lossy), [0; 4]);
+        let crash = faults("crash:0.1@5ms,part:0ms..9ms").compile(3, m);
+        assert_eq!(tables(&crash), [m, m, m, 0]);
+        assert_eq!(crash.down_at(6.0).len(), m / 10);
+        let slow = faults("slow:0.2@3x").compile(3, m);
+        assert_eq!(
+            (tables(&slow), slow.straggler_count()),
+            ([0, 0, 0, m], 20_000)
+        );
     }
 
     #[test]
