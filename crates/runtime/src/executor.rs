@@ -1667,7 +1667,8 @@ mod tests {
         assert_eq!(report.faults.recoveries, 0);
         // Crash latching works at round boundaries, so a pure crash
         // produces no in-flight drops: nothing is ever *sent* to a
-        // node the round already knows is dead.
+        // node the round already knows is dead — the shutdown included.
+        assert_eq!(report.faults.dropped_frames, 0);
         // Survivors carry real load; the peak got spread among them.
         let live_loaded = (0..8u32)
             .filter(|j| !victims.contains(j))
