@@ -128,7 +128,7 @@ use dlb_par::{num_threads, par_map_shards, SEQUENTIAL_CUTOFF};
 use dlb_requestsim::stream::{Arrival, StreamScript};
 
 use crate::cluster::{ClusterOptions, ClusterReport, DetectMode, StreamSummary};
-use crate::machine::{CoordinatorMachine, Dest, NodeConfig, NodeMachine, Outbound, RtoKind, Sent};
+use crate::machine::{CoordinatorMachine, Dest, NodeConfig, NodeMachine, RtoKind, Sent};
 use crate::message::{Frame, Payload};
 
 /// One-way delay of control-plane frames (coordinator ↔ node), in
@@ -231,7 +231,6 @@ fn dest_id(dest: Dest) -> u32 {
     match dest {
         Dest::Node(j) => j,
         Dest::Coordinator => NODE_COORD,
-        Dest::Broadcast => unreachable!("a broadcast is traced per node"),
     }
 }
 
@@ -246,7 +245,6 @@ fn hash_event(mut h: u64, due: f64, dest: Dest, (tag, from, round): (u8, u32, u6
         match dest {
             Dest::Node(j) => j as u64,
             Dest::Coordinator => u64::MAX,
-            Dest::Broadcast => unreachable!("a broadcast is hashed per node"),
         },
     );
     h = mix(h, tag as u64);
@@ -310,23 +308,20 @@ impl<D, T: TraceSink> Fabric<'_, D, T> {
 }
 
 impl<D: Fn(usize, usize) -> f64, T: TraceSink> Fabric<'_, D, T> {
-    /// Schedules the coordinator's emissions, each a broadcast to the
-    /// `n` nodes of its audience: traced per node, as `n` frames would
-    /// be, and pushed as one event holding their `n` sequence numbers.
-    fn announce(&mut self, coordinator: &CoordinatorMachine, out: &mut Vec<Outbound>) {
-        for Outbound { to, frame } in out.drain(..) {
-            debug_assert_eq!(to, Dest::Broadcast, "the coordinator only broadcasts");
-            let (n, audience) = coordinator.audience(&frame);
-            let ((tag, _, round), delay) = (frame_identity(&frame), CONTROL_DELAY_MS);
-            if self.tracer.enabled() {
-                for j in audience {
-                    self.trace(TraceKind::FrameScheduled, j, NODE_COORD, round, tag, delay);
-                }
+    /// Schedules a coordinator broadcast to the `n` nodes of its
+    /// audience: traced per node, as `n` frames would be, and pushed as
+    /// one event holding their `n` sequence numbers.
+    fn announce(&mut self, coordinator: &CoordinatorMachine, frame: Arc<Frame>) {
+        let ((tag, _, round), delay) = (frame_identity(&frame), CONTROL_DELAY_MS);
+        if self.tracer.enabled() {
+            for j in coordinator.audience(&frame).1 {
+                self.trace(TraceKind::FrameScheduled, j, NODE_COORD, round, tag, delay);
             }
-            if n > 0 {
-                let broadcast = Event::Broadcast(Arc::clone(&frame));
-                self.heap.push_n(self.now + delay, n as u64, broadcast);
-            }
+        }
+        let n = coordinator.audience(&frame).0 as u64;
+        if n > 0 {
+            self.heap
+                .push_n(self.now + delay, n, Event::Broadcast(frame));
         }
     }
 
@@ -362,7 +357,7 @@ impl<D: Fn(usize, usize) -> f64, T: TraceSink> Fabric<'_, D, T> {
                         d + extra
                     }
                 }
-                _ => CONTROL_DELAY_MS,
+                Dest::Coordinator => CONTROL_DELAY_MS,
             };
             if self.tracer.enabled() {
                 let (tag, _, round) = identity(&sent.payload);
@@ -953,8 +948,6 @@ struct Run<'a, D, T> {
     hash: u64,
     /// The coordinator's queue for the batch in flight.
     coord_inbox: Vec<CoordItem>,
-    /// Scratch for the coordinator's emissions.
-    out: Vec<Outbound>,
     /// Scratch for the emissions of a node drained in place.
     sent: Vec<Sent>,
 }
@@ -997,15 +990,14 @@ impl<'a, D: Fn(usize, usize) -> f64, T: TraceSink> Run<'a, D, T> {
             },
             hash: 0xCBF2_9CE4_8422_2325, // FNV offset basis
             coord_inbox: Vec::new(),
-            out: Vec::new(),
             sent: Vec::new(),
         };
         // Round 1 latches whoever is down at time 0, and its
         // RoundBegin precedes its frames in the trace.
-        run.coordinator.start(&mut run.out);
+        let round_start = run.coordinator.start();
         run.liveness.advance(0.0, &mut run.fabric.summary);
         run.rounds.follow(&mut run.fabric, &run.coordinator);
-        run.fabric.announce(&run.coordinator, &mut run.out);
+        run.fabric.announce(&run.coordinator, round_start);
         run.follow_round();
         run
     }
@@ -1072,7 +1064,6 @@ impl<'a, D: Fn(usize, usize) -> f64, T: TraceSink> Run<'a, D, T> {
                             fabric.trace_frame(TraceKind::FrameDelivered, NODE_COORD, &frame, 0.0);
                             self.coord_inbox.push(CoordItem::Frame(frame));
                         }
-                        Dest::Broadcast => unreachable!("only the coordinator broadcasts"),
                     }
                 }
                 Event::Broadcast(frame) => {
@@ -1137,8 +1128,9 @@ impl<'a, D: Fn(usize, usize) -> f64, T: TraceSink> Run<'a, D, T> {
         if !self.stream.sample(now, machines, liveness, &self.instance) {
             return;
         }
-        self.coordinator.kick(now, &mut self.out);
-        self.fabric.announce(&self.coordinator, &mut self.out);
+        if let Some(round_start) = self.coordinator.kick(now) {
+            self.fabric.announce(&self.coordinator, round_start);
+        }
         if self.stream.drained(now) {
             self.coordinator.set_hold(false);
         }
@@ -1201,15 +1193,13 @@ impl<'a, D: Fn(usize, usize) -> f64, T: TraceSink> Run<'a, D, T> {
     fn coordinator_turn(&mut self) {
         let now = self.fabric.now;
         for item in self.coord_inbox.drain(..) {
-            match item {
-                CoordItem::Frame(frame) => {
-                    self.coordinator.handle(&frame.frame(), now, &mut self.out)
-                }
-                CoordItem::Deadline(round) => {
-                    self.coordinator.on_deadline(round, now, &mut self.out)
-                }
+            let broadcast = match item {
+                CoordItem::Frame(frame) => self.coordinator.handle(&frame.frame(), now),
+                CoordItem::Deadline(round) => self.coordinator.on_deadline(round, now),
+            };
+            if let Some(frame) = broadcast {
+                self.fabric.announce(&self.coordinator, frame);
             }
-            self.fabric.announce(&self.coordinator, &mut self.out);
         }
         self.follow_round();
     }
@@ -1612,26 +1602,25 @@ mod tests {
         assert_eq!(std::mem::size_of::<(u32, Inbox)>(), 24);
     }
 
-    /// A round start leaves the coordinator as one outbound and enters
-    /// the heap as one event, whatever `m`, holding the sequence numbers
-    /// of the deliveries to every node the round does not exclude.
+    /// A round start leaves the coordinator as one frame and enters the
+    /// heap as one event, whatever `m`, holding the sequence numbers of
+    /// the deliveries to every node the round does not exclude.
     #[test]
-    fn a_round_start_is_one_outbound_and_one_heap_event() {
+    fn a_round_start_is_one_frame_and_one_heap_event() {
         for (m, crash) in [(1, ""), (7, ""), (300, "crash:0.2@0ms"), (5000, "")] {
             let instance = Instance::homogeneous(m, 1.0, 1.0, 10.0);
             let script = faults(crash).compile(3, m);
             let options = ClusterOptions::default();
             let shared = Arc::new(instance.clone());
             let mut coordinator = CoordinatorMachine::new(shared, &options, &script);
-            let mut out = Vec::new();
-            coordinator.start(&mut out);
+            let down = script.down_at(0.0);
             assert!(
-                matches!(out.as_slice(), [o] if o.to == Dest::Broadcast),
+                matches!(&*coordinator.start(), Frame::RoundStart { round: 1, excluded, .. } if *excluded == down),
                 "m = {m}"
             );
             let (stream, mut sink) = (StreamScript::empty(), NullSink);
             let run = Run::start(&instance, &options, |_, _| 1.0, &script, &stream, &mut sink);
-            let live = m - script.down_at(0.0).len();
+            let live = m - down.len();
             let heap = &run.fabric.heap;
             assert_eq!((heap.len(), heap.next_seq()), (1, live as u64), "m = {m}");
         }

@@ -4,15 +4,18 @@
 //! particular concurrency substrate: a [`NodeMachine`] is one
 //! organization's half of the §IV message-passing protocol, and a
 //! `CoordinatorMachine` is the round/termination driver (the stand-in
-//! for the converged gossip layer). Both are *pure* state machines —
-//! `handle` consumes one inbound [`Frame`] and appends outbound frames
-//! to a caller-supplied buffer; they never block, sleep, or touch a
-//! channel. The **event executor** ([`crate::executor`]) drives
-//! thousands of them from one deterministic virtual-time event heap in
-//! a single process; anything else that can move frames between
-//! inboxes (a socket pump, a test shuttling a handful of frames by
-//! hand) can host the same machines unchanged, and can only differ in
-//! *when* frames arrive, never in how they are answered.
+//! for the converged gossip layer). Both are *pure* state machines that
+//! never block, sleep, or touch a channel, and each emits one kind of
+//! output: a node's `handle` consumes one inbound [`Frame`] and appends
+//! what it sends — to one peer or to the coordinator — to a
+//! caller-supplied buffer, and every coordinator call returns the one
+//! broadcast it makes, if any. The **event executor**
+//! ([`crate::executor`]) drives thousands of them from one
+//! deterministic virtual-time event heap in a single process; anything
+//! else that can move frames between inboxes (a socket pump, a test
+//! shuttling a handful of frames by hand) can host the same machines
+//! unchanged, and can only differ in *when* frames arrive, never in how
+//! they are answered.
 //!
 //! # Node protocol
 //!
@@ -82,27 +85,19 @@ use std::sync::Arc;
 use crate::cluster::{ClusterOptions, ClusterReport, DetectMode, DetectorSummary};
 use crate::message::{ledger_to_wire, wire_to_ledger, Frame, Payload, RoundOutcome, SignalKind};
 
-/// Where an outbound frame is headed.
+/// Where a node's outbound frame is headed. The coordinator only
+/// broadcasts, so it names no destination (see `CoordinatorMachine`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Dest {
     /// A peer organization's inbox.
     Node(u32),
     /// The coordinator's control-plane inbox.
     Coordinator,
-    /// Every node the coordinator's broadcast does not skip, in
-    /// ascending id order: a `RoundStart` skips its `excluded`, a
-    /// `Shutdown` the nodes the oracle latched down at the last round
-    /// start (none under in-protocol detection). Only the coordinator
-    /// sends it.
-    Broadcast,
 }
 
-/// One outbound frame of the public [`NodeMachine::handle`] and of
-/// every `CoordinatorMachine` call. The frame is shared; a coordinator
-/// broadcast is one `Outbound` to [`Dest::Broadcast`] whatever `m`,
-/// and the executor keeps it one heap event until it delivers it. The
-/// executor's node drains emit the crate's 24-byte `Sent` instead,
-/// which holds a ledger-free frame by value.
+/// One outbound frame of the public [`NodeMachine::handle`], shared. The
+/// executor's node drains emit the crate's 24-byte `Sent` instead, which
+/// holds a ledger-free frame by value.
 #[derive(Debug, Clone)]
 pub struct Outbound {
     /// Destination inbox.
@@ -111,32 +106,18 @@ pub struct Outbound {
     pub frame: Arc<Frame>,
 }
 
-/// An [`Outbound`] as the executor carries it: `Propose`, `Busy` and
-/// `CommitAck` travel by value, every other frame shared.
+/// An [`Outbound`] as the executor carries it: `Propose`, `Busy`,
+/// `CommitAck` and the ledger-free `FinalLedger` travel by value, every
+/// other frame shared.
 pub(crate) struct Sent {
     pub to: Dest,
     pub payload: Payload,
 }
 
 impl Sent {
-    fn signal(to: Dest, kind: SignalKind, from: u32, round: u64) -> Self {
-        let payload = Payload::Signal(kind, from, round);
-        Self { to, payload }
-    }
-
     fn shared(to: Dest, frame: Frame) -> Self {
         let payload = Payload::Frame(Arc::new(frame));
         Self { to, payload }
-    }
-}
-
-impl From<Sent> for Outbound {
-    fn from(Sent { to, payload }: Sent) -> Self {
-        let frame = match payload {
-            Payload::Frame(frame) => frame,
-            signal => Arc::new(signal.frame().into_owned()),
-        };
-        Self { to, frame }
     }
 }
 
@@ -857,7 +838,7 @@ impl NodeMachine {
     /// the stream deltas in arrival order, then the control frame,
     /// handled as [`Self::handle_in`] would. Every handler has closed
     /// its leg and filed its report by the time this runs.
-    fn settle(&mut self, blocks: Option<&RoundBlocks>, out: &mut Vec<impl From<Sent>>) {
+    fn settle(&mut self, blocks: Option<&RoundBlocks>, out: &mut Vec<Sent>) {
         if self.exchange_open() {
             return;
         }
@@ -874,41 +855,49 @@ impl NodeMachine {
         }
     }
 
+    /// A frame of this node's that travels as a value: a `Propose`,
+    /// `Busy`, `CommitAck` or the ledger-free `FinalLedger`.
+    fn signal(&self, to: Dest, kind: SignalKind, round: u64) -> Sent {
+        let payload = Payload::Signal(kind, self.id, round);
+        Sent { to, payload }
+    }
+
     /// Turns down `from`'s proposal for round `round`.
-    fn nack(&self, from: u32, round: u64, out: &mut Vec<impl From<Sent>>) {
-        out.push(Sent::signal(Dest::Node(from), SignalKind::Busy, self.id, round).into());
+    fn nack(&self, from: u32, round: u64, out: &mut Vec<Sent>) {
+        out.push(self.signal(Dest::Node(from), SignalKind::Busy, round));
     }
 
     /// Consumes one inbound frame, appending any outbound frames to
-    /// `out` in send order.
+    /// `out` in send order. A `FinalLedger` carries the ledger as it
+    /// stands once the frame is handled: the node stopped when it sent
+    /// it, after settling whatever waited behind its last leg.
     pub fn handle(&mut self, frame: &Frame, out: &mut Vec<Outbound>) {
-        let sent = out.len();
-        self.handle_in(frame, None, out);
-        self.fill_final_ledger(&mut out[sent..]);
-    }
-
-    /// Gives the final ledger `handle_in` sends a copy of the ledger:
-    /// the machine stopped when it sent it, so the ledger is what it was
-    /// then.
-    fn fill_final_ledger(&self, out: &mut [Outbound]) {
-        for o in out {
-            if let Some(Frame::FinalLedger { ledger, .. }) = Arc::get_mut(&mut o.frame) {
-                *ledger = ledger_to_wire(self.ledger());
-            }
-        }
+        let mut sent = Vec::new();
+        self.handle_in(frame, None, &mut sent);
+        out.extend(sent.into_iter().map(|Sent { to, payload }| {
+            let frame = match payload {
+                Payload::Frame(frame) => frame,
+                Payload::Signal(SignalKind::FinalLedger, from, _) => {
+                    let ledger = ledger_to_wire(self.ledger());
+                    Arc::new(Frame::FinalLedger { from, ledger })
+                }
+                signal => Arc::new(signal.frame().into_owned()),
+            };
+            Outbound { to, frame }
+        }));
     }
 
     /// [`Self::handle`], with the coordinator's view of the round in
     /// flight, its [`RoundBlocks`]: a `RoundStart` whose `loads` are
     /// theirs scans with them, any other computes its own. The public
-    /// `handle` lends none, so it never reuses a top-k winner. The
-    /// executor collects `out` as [`Sent`], so its signals are never
-    /// boxed.
+    /// `handle` lends none, so it never reuses a top-k winner. A
+    /// `FinalLedger` leaves as a ledger-free signal: the executor moves
+    /// the stopped machine's ledger out when the run ends.
     pub(crate) fn handle_in(
         &mut self,
         frame: &Frame,
         blocks: Option<&RoundBlocks>,
-        out: &mut Vec<impl From<Sent>>,
+        out: &mut Vec<Sent>,
     ) {
         if self.done {
             // Our final ledger is sent: the run's answer is the ledger
@@ -933,9 +922,7 @@ impl NodeMachine {
             }
             Frame::Shutdown => {
                 // The ledger stays here, frozen (see the module docs).
-                out.push(
-                    Sent::signal(Dest::Coordinator, SignalKind::FinalLedger, self.id, 0).into(),
-                );
+                out.push(self.signal(Dest::Coordinator, SignalKind::FinalLedger, 0));
                 self.done = true;
             }
             Frame::RoundStart {
@@ -986,7 +973,7 @@ impl NodeMachine {
         &mut self,
         outcome: RoundOutcome,
         exchange: Option<(u32, f64, f64, f64)>,
-        out: &mut Vec<impl From<Sent>>,
+        out: &mut Vec<Sent>,
     ) {
         self.reported = true;
         let [load, local_cost] = self.books.standing(self.id, &self.instance);
@@ -998,7 +985,7 @@ impl NodeMachine {
             local_cost,
             exchange,
         };
-        out.push(Sent::shared(Dest::Coordinator, report).into());
+        out.push(Sent::shared(Dest::Coordinator, report));
     }
 
     fn start_round(
@@ -1008,7 +995,7 @@ impl NodeMachine {
         blocks: Option<&RoundBlocks>,
         excluded: &[u32],
         hot: &[u32],
-        out: &mut Vec<impl From<Sent>>,
+        out: &mut Vec<Sent>,
     ) {
         let previous = std::mem::replace(&mut self.round, round);
         let last_best = std::mem::replace(&mut self.static_best, UNSCANNED);
@@ -1035,8 +1022,7 @@ impl NodeMachine {
             match target {
                 Some(j) => {
                     self.leg = Leg::Proposed(j);
-                    let propose = Sent::signal(Dest::Node(j), SignalKind::Propose, self.id, round);
-                    out.push(propose.into());
+                    out.push(self.signal(Dest::Node(j), SignalKind::Propose, round));
                 }
                 None => {
                     self.report(RoundOutcome::NoProposal, None, out);
@@ -1097,7 +1083,7 @@ impl NodeMachine {
         }
     }
 
-    fn on_propose(&mut self, from: u32, r: u64, out: &mut Vec<impl From<Sent>>) {
+    fn on_propose(&mut self, from: u32, r: u64, out: &mut Vec<Sent>) {
         if r > self.round {
             // Proposer is ahead of us; answer after our RoundStart
             // arrives.
@@ -1130,7 +1116,7 @@ impl NodeMachine {
             round: r,
             ledger: ledger_to_wire(self.ledger()),
         };
-        out.push(Sent::shared(Dest::Node(from), accept).into());
+        out.push(Sent::shared(Dest::Node(from), accept));
     }
 
     /// Whether this round's open leg is a proposal to `peer`.
@@ -1138,13 +1124,7 @@ impl NodeMachine {
         r == self.round && matches!(self.leg, Leg::Proposed(j) if j == peer)
     }
 
-    fn on_accept(
-        &mut self,
-        from: u32,
-        r: u64,
-        their_wire: &[(u32, f64)],
-        out: &mut Vec<impl From<Sent>>,
-    ) {
+    fn on_accept(&mut self, from: u32, r: u64, their_wire: &[(u32, f64)], out: &mut Vec<Sent>) {
         if !self.proposed_to(from, r) {
             return; // stale acceptance; ignore
         }
@@ -1165,7 +1145,7 @@ impl NodeMachine {
             round: r,
             ledger: ledger_to_wire(&partner_ledger),
         };
-        out.push(Sent::shared(Dest::Node(from), commit).into());
+        out.push(Sent::shared(Dest::Node(from), commit));
         let ledger = outcome.ledger_i;
         let exchange = (from, partner_load, partner_cost, outcome.moved);
         if self.config.two_phase {
@@ -1180,7 +1160,7 @@ impl NodeMachine {
         }
     }
 
-    fn on_busy(&mut self, from: u32, r: u64, out: &mut Vec<impl From<Sent>>) {
+    fn on_busy(&mut self, from: u32, r: u64, out: &mut Vec<Sent>) {
         if !self.proposed_to(from, r) {
             return;
         }
@@ -1190,13 +1170,7 @@ impl NodeMachine {
         self.report(RoundOutcome::Lost, None, out);
     }
 
-    fn on_commit(
-        &mut self,
-        from: u32,
-        r: u64,
-        new_wire: &[(u32, f64)],
-        out: &mut Vec<impl From<Sent>>,
-    ) {
+    fn on_commit(&mut self, from: u32, r: u64, new_wire: &[(u32, f64)], out: &mut Vec<Sent>) {
         if r != self.round || !matches!(self.leg, Leg::Accepted(j) if j == from) {
             return;
         }
@@ -1205,7 +1179,7 @@ impl NodeMachine {
         if self.config.two_phase {
             // Install-then-ack is atomic from the driver's view: the
             // initiator applies its half only on this ack.
-            out.push(Sent::signal(Dest::Node(from), SignalKind::CommitAck, self.id, r).into());
+            out.push(self.signal(Dest::Node(from), SignalKind::CommitAck, r));
         }
         if !self.reported {
             // Collision-yield path: our initiator role ended in an
@@ -1214,7 +1188,7 @@ impl NodeMachine {
         }
     }
 
-    fn on_commit_ack(&mut self, from: u32, r: u64, out: &mut Vec<impl From<Sent>>) {
+    fn on_commit_ack(&mut self, from: u32, r: u64, out: &mut Vec<Sent>) {
         match std::mem::replace(&mut self.leg, Leg::Locked) {
             Leg::Committed(p) if r == self.round && p.exchange.0 == from => {
                 self.books.replace(p.ledger);
@@ -1508,27 +1482,29 @@ impl<'a> CoordinatorMachine<'a> {
     /// round's end, and an arrival or departure has just deformed it.
     /// The coordinator keeps no clock: the resumed round is timed from
     /// the caller's `now`, so its report latencies exclude the park.
-    pub fn kick(&mut self, now: f64, out: &mut Vec<Outbound>) {
+    /// Returns the resumed round's `RoundStart`.
+    pub fn kick(&mut self, now: f64) -> Option<Arc<Frame>> {
         if self.phase != Phase::Parked {
-            return;
+            return None;
         }
         self.phase = Phase::Rounds;
         self.round += 1;
-        self.begin_round(now, out);
+        Some(self.begin_round(now))
     }
 
     /// Kicks off round 1 at virtual time 0. Rounds are 1-based on the
     /// wire: nodes boot with `round == 0` meaning "no round joined
     /// yet", so a proposal that overtakes the recipient's own
     /// RoundStart is correctly classified as early and queued instead
-    /// of being served with boot state.
-    pub fn start(&mut self, out: &mut Vec<Outbound>) {
+    /// of being served with boot state. Returns round 1's `RoundStart`.
+    pub fn start(&mut self) -> Arc<Frame> {
         debug_assert_eq!(self.round, 0, "start called twice");
         self.round = 1;
-        self.begin_round(0.0, out);
+        self.begin_round(0.0)
     }
 
-    fn begin_round(&mut self, now: f64, out: &mut Vec<Outbound>) {
+    /// Opens the current round and returns its `RoundStart` broadcast.
+    fn begin_round(&mut self, now: f64) -> Arc<Frame> {
         self.reports = 0;
         self.round_moved = 0.0;
         self.seen.iter_mut().for_each(|s| *s = false);
@@ -1568,17 +1544,13 @@ impl<'a> CoordinatorMachine<'a> {
             }
         };
         self.round_blocks = Some(view);
-        let frame = Arc::new(Frame::RoundStart {
+        Arc::new(Frame::RoundStart {
             round: self.round,
             loads,
             excluded: skip,
             epoch: 0,
             hot: Arc::new(hot),
-        });
-        out.push(Outbound {
-            to: Dest::Broadcast,
-            frame,
-        });
+        })
     }
 
     /// The current round's lent view, its [`RoundBlocks`]; `None` before
@@ -1613,22 +1585,20 @@ impl<'a> CoordinatorMachine<'a> {
         hot
     }
 
-    /// Broadcasts `Shutdown` to every node not in the latched down set.
+    /// Starts the final-ledger collection and returns the `Shutdown`
+    /// broadcast, which reaches every node not in the latched down set.
     /// That set is *empty* under in-protocol detection, so all `m`
     /// nodes get it there — suspected ones included, whose replies
     /// the coordinator still counts on if they are alive.
-    fn shutdown(&mut self, out: &mut Vec<Outbound>) {
+    fn shutdown(&mut self) -> Arc<Frame> {
         self.phase = Phase::Collecting;
-        out.push(Outbound {
-            to: Dest::Broadcast,
-            frame: Arc::new(Frame::Shutdown),
-        });
+        Arc::new(Frame::Shutdown)
     }
 
-    /// Who a [`Dest::Broadcast`] of `frame` reaches, ascending, and how
-    /// many: every node outside its skip list — a `RoundStart`'s
-    /// `excluded`, or for a `Shutdown` the down set latched at the last
-    /// round start, which no round changes once it is sent.
+    /// Who the broadcast of `frame` reaches, ascending, and how many:
+    /// every node outside its skip list — a `RoundStart`'s `excluded`,
+    /// or for a `Shutdown` the down set latched at the last round
+    /// start, which no round changes once it is sent.
     pub(crate) fn audience<'s>(
         &'s self,
         frame: &'s Frame,
@@ -1641,11 +1611,12 @@ impl<'a> CoordinatorMachine<'a> {
     }
 
     /// Consumes one control-plane frame that arrived at virtual time
-    /// `now`, appending any broadcasts to `out`. Time belongs to the
-    /// caller: `now` is the latency-sample source and rejoin timestamp
-    /// of in-protocol detection, and the start time of any round this
-    /// frame begins.
-    pub fn handle(&mut self, frame: &Frame, now: f64, out: &mut Vec<Outbound>) {
+    /// `now` and returns the broadcast it triggers, if any: the next
+    /// `RoundStart` or the `Shutdown` once its round ends. Time belongs
+    /// to the caller: `now` is the latency-sample source and rejoin
+    /// timestamp of in-protocol detection, and the start time of any
+    /// round this frame begins.
+    pub fn handle(&mut self, frame: &Frame, now: f64) -> Option<Arc<Frame>> {
         match (self.phase, frame) {
             (
                 Phase::Rounds | Phase::Parked | Phase::Collecting,
@@ -1665,12 +1636,12 @@ impl<'a> CoordinatorMachine<'a> {
                         // round accounting — during collection too,
                         // since the detector must own up to it.
                         self.rejoin(idx, *outcome, *load, *local_cost, *exchange, now);
-                        return;
+                        return None;
                     }
                 }
                 // Any other report after the round ended is dropped.
                 if self.phase != Phase::Rounds {
-                    return;
+                    return None;
                 }
                 if matches!(self.options.detect, DetectMode::Adaptive) {
                     let lat = now - self.round_started_at;
@@ -1692,7 +1663,7 @@ impl<'a> CoordinatorMachine<'a> {
                 self.account(*from, *outcome, *load, *local_cost, *exchange);
                 self.lost += usize::from(matches!(outcome, RoundOutcome::Lost));
                 if self.reports == self.expected {
-                    self.end_round(now, out);
+                    return self.end_round(now);
                 }
             }
             (Phase::Collecting, Frame::FinalLedger { .. }) => {
@@ -1709,6 +1680,7 @@ impl<'a> CoordinatorMachine<'a> {
                 );
             }
         }
+        None
     }
 
     /// Applies one report to the coordinator's books: the reporter's
@@ -1816,10 +1788,11 @@ impl<'a> CoordinatorMachine<'a> {
     /// earlier round, or a round already ended, parked included) is a
     /// no-op. Otherwise every node that owed a report and stayed silent
     /// becomes *suspected* — excluded from the next `RoundStart` — and
-    /// the round ends on the reports that made it.
-    pub fn on_deadline(&mut self, round: u64, now: f64, out: &mut Vec<Outbound>) {
+    /// the round ends on the reports that made it; the broadcast that
+    /// follows is returned.
+    pub fn on_deadline(&mut self, round: u64, now: f64) -> Option<Arc<Frame>> {
         if !self.awaits_reports(round) {
-            return;
+            return None;
         }
         debug_assert!(self.in_protocol_detect(), "deadline armed under oracle");
         let round_start_ms = self.round_started_at;
@@ -1837,7 +1810,7 @@ impl<'a> CoordinatorMachine<'a> {
                 self.detector.suspicions += 1;
             }
         }
-        self.end_round(now, out);
+        self.end_round(now)
     }
 
     /// Currently suspected nodes, ascending. Drivers diff this across
@@ -1847,7 +1820,9 @@ impl<'a> CoordinatorMachine<'a> {
         self.suspects.iter().map(|s| s.node)
     }
 
-    fn end_round(&mut self, now: f64, out: &mut Vec<Outbound>) {
+    /// Closes the current round and returns what follows it: the next
+    /// `RoundStart`, the `Shutdown`, or nothing when the round parks.
+    fn end_round(&mut self, now: f64) -> Option<Arc<Frame>> {
         self.history.push(self.local_costs.iter().sum());
         if self.hold_open {
             // Streaming: a quiet round is a pause, not convergence —
@@ -1857,28 +1832,25 @@ impl<'a> CoordinatorMachine<'a> {
             self.quiet = 0;
             if self.round_moved <= self.options.quiescent_volume {
                 self.phase = Phase::Parked;
-            } else {
-                self.round += 1;
-                self.begin_round(now, out);
+                return None;
             }
-            return;
+            self.round += 1;
+            return Some(self.begin_round(now));
         }
         if self.round_moved <= self.options.quiescent_volume {
             self.quiet += 1;
             if self.quiet >= self.options.quiescent_rounds {
                 self.quiescent = true;
-                self.shutdown(out);
-                return;
+                return Some(self.shutdown());
             }
         } else {
             self.quiet = 0;
         }
         if self.round >= self.options.max_rounds as u64 {
-            self.shutdown(out);
-            return;
+            return Some(self.shutdown());
         }
         self.round += 1;
-        self.begin_round(now, out);
+        Some(self.begin_round(now))
     }
 
     /// Assembles the final [`ClusterReport`] once [`Self::is_done`],
@@ -2387,15 +2359,15 @@ mod tests {
         }
     }
 
-    /// The `loads` of the one `RoundStart` broadcast in `out`.
-    fn broadcast_loads(out: &[Outbound]) -> Arc<Vec<f64>> {
-        let mut loads = out.iter().map(|o| match &*o.frame {
-            Frame::RoundStart { loads, .. } => Arc::clone(loads),
-            other => panic!("expected a RoundStart, got {other:?}"),
-        });
-        let first = loads.next().expect("a broadcast");
-        assert!(loads.all(|l| Arc::ptr_eq(&l, &first)), "one shared vector");
-        first
+    /// The `loads` of the one `RoundStart` in `broadcasts`.
+    fn broadcast_loads(broadcasts: &[Arc<Frame>]) -> Arc<Vec<f64>> {
+        match broadcasts {
+            [frame] => match &**frame {
+                Frame::RoundStart { loads, .. } => Arc::clone(loads),
+                other => panic!("expected a RoundStart, got {other:?}"),
+            },
+            other => panic!("expected one broadcast, got {other:?}"),
+        }
     }
 
     #[test]
@@ -2412,9 +2384,7 @@ mod tests {
         let down = script.down_at(0.0);
         assert_eq!(down.len(), 2, "premise: two nodes down from the start");
         let mut coordinator = CoordinatorMachine::new(Arc::clone(&instance), &options, &script);
-        let mut out = Vec::new();
-        coordinator.start(&mut out);
-        let loads = broadcast_loads(&out);
+        let loads = broadcast_loads(&[coordinator.start()]);
         let round = coordinator
             .round_blocks()
             .expect("exact selection scans blocks");
@@ -2447,9 +2417,7 @@ mod tests {
             "premise: they recover"
         );
         let mut coordinator = CoordinatorMachine::new(instance, &topk, &script);
-        let mut out = Vec::new();
-        coordinator.start(&mut out);
-        let loads = broadcast_loads(&out);
+        let loads = broadcast_loads(&[coordinator.start()]);
         let view = coordinator.round_blocks().expect("top-k lends a view");
         assert!(Arc::ptr_eq(&view.loads, &loads) && view.order.is_empty());
         assert_eq!(view.changed, None, "round 1 has no previous round");
@@ -2457,7 +2425,7 @@ mod tests {
         // `c`, whose own report then puts its old load back.
         let live: Vec<u32> = (0..70).filter(|j| !down.contains(j)).collect();
         let [a, b, c] = [live[0], live[1], live[2]];
-        out.clear();
+        let mut out = Vec::new();
         for &j in &live {
             let l = loads[j as usize];
             let (outcome, load, exchange) = match j {
@@ -2476,7 +2444,7 @@ mod tests {
                 local_cost: 0.0,
                 exchange,
             };
-            coordinator.handle(&report, 20.0, &mut out);
+            out.extend(coordinator.handle(&report, 20.0));
         }
         let loads = broadcast_loads(&out);
         let view = coordinator.round_blocks().expect("a view every round");
@@ -2617,16 +2585,15 @@ mod tests {
                 let mut missed: Vec<Option<Arc<Frame>>> = vec![None; m];
                 // The last round start's broadcast loads and skip status.
                 let mut last: Option<(Arc<Vec<f64>>, Vec<bool>)> = None;
-                let mut out = Vec::new();
-                coordinator.start(&mut out);
+                let mut out = vec![coordinator.start()];
                 for round in 1..=rng.gen_range(8..18u64) {
                     prop_assert_eq!(coordinator.round_number(), round);
                     let start = match out.as_slice() {
-                        [o] if o.to == Dest::Broadcast => Some(Arc::clone(&o.frame)),
+                        [frame] => Arc::clone(frame),
                         other => panic!("one broadcast, got {other:?}"),
                     };
                     out.clear();
-                    let to: Vec<u32> = start.iter().flat_map(|f| coordinator.audience(f).1).collect();
+                    let to: Vec<u32> = coordinator.audience(&start).1.collect();
                     let view = coordinator.round_blocks();
                     let lent = view.expect("top-k lends a view every round");
                     let skipped: Vec<bool> =
@@ -2646,14 +2613,13 @@ mod tests {
                     last = Some((Arc::clone(&lent.loads), skipped));
                     let mut sent: Vec<Sent> = Vec::new();
                     for &j in &to {
-                        let start = start.as_ref().expect("a broadcast has a frame");
                         let node = &mut nodes[j as usize];
                         let late = missed[j as usize].take().filter(|_| rng.gen_range(0..2) == 0);
                         let mut current = None;
                         if rng.gen_range(0..6) == 0 {
-                            missed[j as usize] = Some(Arc::clone(start));
+                            missed[j as usize] = Some(Arc::clone(&start));
                         } else {
-                            current = Some(Arc::clone(start));
+                            current = Some(Arc::clone(&start));
                         }
                         for frame in late.into_iter().chain(current) {
                             node.handle_in(&frame, view, &mut sent);
@@ -2689,7 +2655,7 @@ mod tests {
                     let suspects: Vec<u32> = coordinator.suspects_now().collect();
                     for s in suspects {
                         if rng.gen_range(0..3) == 0 {
-                            coordinator.handle(&report(s, None), now, &mut out);
+                            out.extend(coordinator.handle(&report(s, None), now));
                         }
                     }
                     // Now and then `a`'s exchange moves `b`'s load, and
@@ -2702,19 +2668,19 @@ mod tests {
                         match forged {
                             Some((a, b)) if j == a => {
                                 let moved = Some((b, -1.0, 0.0, 1.0));
-                                coordinator.handle(&report(j, moved), now, &mut out);
+                                out.extend(coordinator.handle(&report(j, moved), now));
                             }
                             Some((_, b)) if j == b => {
-                                coordinator.handle(&report(j, None), now, &mut out);
+                                out.extend(coordinator.handle(&report(j, None), now));
                             }
                             _ if rng.gen_range(0..3 * m) != 0 => {
-                                coordinator.handle(&report(j, None), now, &mut out);
+                                out.extend(coordinator.handle(&report(j, None), now));
                             }
                             _ => {}
                         }
                     }
                     // Ends the round on the silent nodes, if any.
-                    coordinator.on_deadline(round, now + 50.0, &mut out);
+                    out.extend(coordinator.on_deadline(round, now + 50.0));
                 }
             }
         }
@@ -2908,7 +2874,8 @@ mod tests {
     fn node_defers_shutdown_past_inflight_commit() {
         // Node 1 accepts a proposal (AwaitingCommit), then Shutdown
         // overtakes the Commit: the final ledger must reflect the
-        // committed exchange, not the pre-exchange state.
+        // committed exchange, not the pre-exchange state, plus the
+        // stream delta that waited behind the leg with the Shutdown.
         let instance = Arc::new(Instance::homogeneous(2, 1.0, 1.0, 0.0));
         let mut machine = NodeMachine::local(1, Arc::clone(&instance), NodeConfig::default());
         // Round 1 with balanced loads: no proposal on score grounds;
@@ -2941,9 +2908,14 @@ mod tests {
         let out = drive(&mut machine, Frame::Shutdown);
         assert!(out.is_empty(), "shutdown must wait for the commit");
         assert!(!machine.is_done());
+        assert!(
+            machine.deposit(1, 2.0),
+            "a deposit under the open leg waits"
+        );
         // The commit lands: the machine installs the new ledger, files
-        // no second report (already reported Lost), and completes the
-        // deferred shutdown with the *committed* ledger.
+        // no second report (already reported Lost), applies the delta
+        // and completes the deferred shutdown with the *committed*
+        // ledger plus the delta.
         let committed = vec![(0u32, 7.5f64)];
         let out = drive(
             &mut machine,
@@ -2958,7 +2930,7 @@ mod tests {
         match &*out[0].frame {
             Frame::FinalLedger { from, ledger } => {
                 assert_eq!(*from, 1);
-                assert_eq!(*ledger, committed);
+                assert_eq!(*ledger, [committed[0], (1, 2.0)]);
             }
             other => panic!("expected FinalLedger, got {other:?}"),
         }
@@ -3145,7 +3117,14 @@ mod tests {
         );
         let mut sent = Vec::new();
         machine.on_rto_in(4, RtoKind::Ack, None, &mut sent);
-        let out: Vec<Outbound> = sent.into_iter().map(Outbound::from).collect();
+        let shared = |s: &Sent| Arc::new(s.payload.frame().into_owned());
+        let out: Vec<_> = sent
+            .iter()
+            .map(|s| Outbound {
+                to: s.to,
+                frame: shared(s),
+            })
+            .collect();
         assert_eq!(reported(&out), fresh(&before));
         assert_eq!(machine.ledger().get(1), 3.0);
 
@@ -3253,11 +3232,11 @@ mod tests {
     }
 
     /// The public `handle` and the executor's `handle_in` send the same
-    /// frames, the signals included, through every leg of two
-    /// two-phase rounds: propose, nack, commit and ack as initiator;
-    /// lost, accept and ack as acceptor; then the final ledger, which
-    /// `handle_in` sends without entries and `handle` fills with the
-    /// ledger.
+    /// frames, the signals compared as their frames, through every leg
+    /// of two two-phase rounds: propose, nack, commit and ack as
+    /// initiator; lost, accept and ack as acceptor; then the final
+    /// ledger, which `handle_in` sends without entries and `handle`
+    /// fills with the ledger the other machine holds.
     #[test]
     fn handle_and_the_executor_path_emit_the_same_frames() {
         let instance = Arc::new(Instance::homogeneous(3, 1.0, 1.0, 10.0));
@@ -3274,9 +3253,15 @@ mod tests {
             let mut sent: Vec<Sent> = Vec::new();
             inner.handle_in(&frame, None, &mut sent);
             let via_handle: Vec<_> = out.into_iter().map(shared).collect();
-            let mut via_sent: Vec<_> = sent.into_iter().map(Outbound::from).collect();
-            inner.fill_final_ledger(&mut via_sent);
-            let via_sent: Vec<_> = via_sent.into_iter().map(shared).collect();
+            let as_frame = |s: Sent| match s.payload.frame().into_owned() {
+                Frame::FinalLedger { from, ledger } => {
+                    assert!(ledger.is_empty(), "the executor's reply has no entries");
+                    let ledger = ledger_to_wire(inner.ledger());
+                    (s.to, Frame::FinalLedger { from, ledger })
+                }
+                frame => (s.to, frame),
+            };
+            let via_sent: Vec<_> = sent.into_iter().map(as_frame).collect();
             assert_eq!(via_handle, via_sent, "on {frame:?}");
             via_handle
         };
@@ -3366,8 +3351,7 @@ mod tests {
         let script = FaultScript::empty(instance.len());
         let mut coordinator = CoordinatorMachine::new(instance, &options, &script);
         coordinator.set_hold(true);
-        let mut out = Vec::new();
-        coordinator.start(&mut out);
+        coordinator.start();
         let report = |from, round| Frame::Report {
             from,
             round,
@@ -3377,23 +3361,22 @@ mod tests {
             exchange: None,
         };
         for from in 0..3 {
-            coordinator.handle(&report(from, 1), 10.0, &mut out);
+            let next = coordinator.handle(&report(from, 1), 10.0);
+            assert!(next.is_none(), "a quiet round under a hold parks");
         }
-        out.clear();
         let state =
             |c: &CoordinatorMachine| (c.history.len() - 1, c.history.len(), c.suspects.len());
         let parked = state(&coordinator);
         assert_eq!(parked, (1, 2, 0), "every report in, nothing moved");
 
-        coordinator.on_deadline(1, 30.0, &mut out);
-        assert!(out.is_empty(), "the parked round's deadline sent {out:?}");
+        let late = coordinator.on_deadline(1, 30.0);
+        assert!(late.is_none(), "the parked round's deadline sent {late:?}");
         assert_eq!(state(&coordinator), parked, "the parked round ended twice");
 
-        coordinator.kick(35.0, &mut out);
+        assert!(coordinator.kick(35.0).is_some());
         assert_eq!(coordinator.round_number(), 2);
-        out.clear();
-        coordinator.handle(&report(0, 2), 40.0, &mut out);
-        coordinator.on_deadline(2, 60.0, &mut out);
+        coordinator.handle(&report(0, 2), 40.0);
+        coordinator.on_deadline(2, 60.0);
         assert_eq!(
             state(&coordinator),
             (2, 3, 2),
@@ -3415,10 +3398,9 @@ mod tests {
         let script = FaultScript::empty(instance.len());
         let mut coordinator = CoordinatorMachine::new(instance, &options, &script);
         coordinator.set_hold(true);
-        let mut out = Vec::new();
-        coordinator.start(&mut out);
+        coordinator.start();
         for (round, began) in [(1, 0.0), (2, 1000.0), (3, 2000.0)] {
-            coordinator.kick(began, &mut out);
+            coordinator.kick(began);
             assert_eq!(coordinator.round_number(), round);
             for from in 0..2 {
                 let report = Frame::Report {
@@ -3429,10 +3411,10 @@ mod tests {
                     local_cost: 12.5,
                     exchange: None,
                 };
-                coordinator.handle(&report, began + 5.0, &mut out);
+                coordinator.handle(&report, began + 5.0);
             }
         }
-        coordinator.kick(3000.0, &mut out);
+        coordinator.kick(3000.0);
         assert_eq!(coordinator.arm_deadline(3000.0), Some(3006.0));
     }
 
@@ -3443,20 +3425,19 @@ mod tests {
         let options = ClusterOptions::default();
         let mut coordinator = CoordinatorMachine::new(instance.clone(), &options, &script);
         let mut node = NodeMachine::local(0, instance, NodeConfig::default());
-        let mut out = Vec::new();
-        coordinator.start(&mut out);
+        let mut broadcasts = vec![coordinator.start()];
         // Shuttle frames between the two machines until done.
         let mut guard = 0;
         while !coordinator.is_done() {
             guard += 1;
             assert!(guard < 100, "did not terminate");
-            let batch: Vec<Outbound> = std::mem::take(&mut out);
-            for o in batch {
-                match o.to {
-                    Dest::Node(0) | Dest::Broadcast => node.handle(&o.frame, &mut out),
-                    Dest::Coordinator => coordinator.handle(&o.frame, 0.0, &mut out),
-                    Dest::Node(j) => panic!("unexpected destination {j}"),
-                }
+            let mut out = Vec::new();
+            for frame in broadcasts.drain(..) {
+                node.handle(&frame, &mut out);
+            }
+            for o in out {
+                assert_eq!(o.to, Dest::Coordinator, "a lone node only reports");
+                broadcasts.extend(coordinator.handle(&o.frame, 0.0));
             }
         }
         let report = coordinator.into_report(vec![node.into_ledger()]);

@@ -10,11 +10,11 @@
 //! once it has sent it, so the executor moves its ledger out of the
 //! machine table when the run ends instead of copying it into a frame,
 //! and the coordinator only counts the replies. The public
-//! [`NodeMachine::handle`](crate::NodeMachine::handle) still returns
-//! the full frame. Ledgers that cross mid-run keep their wire shape —
-//! `(owner, requests)` pairs, 12 bytes per entry on a real link, so
-//! even a full exchange between two heavily shared servers in a
-//! 5000-organization system would be a frame of ~60 kB, small next to
+//! [`NodeMachine::handle`](crate::NodeMachine::handle) fills the entries
+//! in after handling its frame. Ledgers that cross mid-run keep their
+//! wire shape — `(owner, requests)` pairs, 12 bytes per entry on a real
+//! link, so even a full exchange between two heavily shared servers in
+//! a 5000-organization system would be a frame of ~60 kB, small next to
 //! the request payloads the system actually relays.
 //!
 //! The protocol has two planes:
@@ -22,7 +22,9 @@
 //! * **control plane** (coordinator ↔ node): [`Frame::RoundStart`],
 //!   [`Frame::Report`], [`Frame::Shutdown`], [`Frame::FinalLedger`] —
 //!   the coordinator stands in for the gossip layer (it redistributes
-//!   the load vector each round) and detects termination;
+//!   the load vector each round) and detects termination. It only
+//!   broadcasts, one shared `RoundStart` or `Shutdown` for every node it
+//!   reaches; a node sends only to one peer or to the coordinator;
 //! * **data plane** (node ↔ node): [`Frame::Propose`],
 //!   [`Frame::Accept`], [`Frame::Busy`], [`Frame::Commit`] — the
 //!   pairwise exchange of Algorithm 1, executed on the ledgers the
